@@ -5,8 +5,8 @@
 Verbs: verify-operators, certify-noise, simulate, ensemble, estimates,
 tightness, uniqueness, spaces.  Exit status is 0 iff every asserted invariant
 of the verb passed.  All randomness flows from the configured base seed
-through per-trajectory counter streams, so a bundle is a pure function of
-(config, seed) and is byte-identical for any worker count.
+through per-trajectory counter streams, so a bundle is byte-identical for any
+worker count, per (config, seed, code version).
 """
 
 from __future__ import annotations

@@ -3,9 +3,10 @@ canonical hashing, and construction of the library objects a run needs.
 
 Unknown keys are rejected with their dotted path; every module-level
 precondition (admissible smoothness indices, the explicit-scheme stability
-gate, noise shapes) is checked at load time so a bad config fails before any
-work starts.  The hash is taken over the canonicalized merged document, so
-two runs agree on it independently of key order or platform.
+gate, a horizon of whole steps, noise shapes) is checked at load time so a
+bad config fails before any work starts.  The hash is taken over the
+canonicalized merged document, so two runs agree on it independently of key
+order or platform.
 """
 
 from __future__ import annotations
@@ -224,13 +225,18 @@ def load_config(path_or_dict) -> RunConfig:
         dt, T = float(gal["dt"]), float(gal["T"])
         if dt <= 0 or T < dt:
             violations.append("galerkin: need dt > 0 and T >= dt")
-        elif n_list and gal["scheme"] == "em":
-            lam_max = max(float(np.max(basis.mode_weights("D", n))) for n in n_list if 1 <= n <= basis.n_modes)
-            if dt * lam_max >= 1.0:
+        else:
+            if abs(T / dt - round(T / dt)) > 1e-9 * T / dt:
                 violations.append(
-                    f"galerkin.dt = {dt} violates the explicit-scheme stability gate: "
-                    f"dt * lambda_D,max = {dt * lam_max:.6g} >= 1"
+                    f"galerkin.T = {T} is not a whole number of steps dt = {dt}"
                 )
+            if n_list and gal["scheme"] == "em":
+                lam_max = max(float(np.max(basis.mode_weights("D", n))) for n in n_list if 1 <= n <= basis.n_modes)
+                if dt * lam_max >= 1.0:
+                    violations.append(
+                        f"galerkin.dt = {dt} violates the explicit-scheme stability gate: "
+                        f"dt * lambda_D,max = {dt * lam_max:.6g} >= 1"
+                    )
         u0 = _field_from_spec(gal["u0"] or {}, basis, "galerkin.u0", violations)
         f_spec = gal["forcing"] or {"kind": "zero"}
         forcing = _field_from_spec(f_spec, basis, "galerkin.forcing", violations)

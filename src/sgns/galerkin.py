@@ -2,12 +2,13 @@
 
     du = -[ P_n Acal u + B_n(u) - P_n f ] dt + P_n G(u) dW,   u(0) = P_n u0.
 
-The active n-dimensional subspace is compiled once per (basis, n): the Stokes
-multiplier is diagonal, the tamed nonlinearity is a cubic tensor contraction
-and each noise direction a dense matrix, all derived from the exact spectral
-operators.  Every trajectory is a pure function of (config, seed, index) --
-one Philox stream per trajectory -- so ensembles are reproducible bitwise for
-any worker count.
+The active n-dimensional subspace is compiled once per (domain, scale, n,
+noise model) and kept in one module-level cache: the Stokes multiplier is
+diagonal, the tamed nonlinearity a sparse contraction over the nonzero
+triplets of the convection form and each noise direction a dense matrix, all
+derived from the exact spectral operators.  Every trajectory is a pure
+function of (config, seed, index) -- one Philox stream per trajectory -- so
+ensembles are reproducible bitwise for any worker count.
 
 Each step writes an energy ledger (drift work, forcing work, martingale
 increment, quadratic remainder) that closes the discrete energy identity to
@@ -27,10 +28,6 @@ import numpy as np
 from .noise import NoiseModel, noise_matrices
 from .nonlinear import CutoffSpec
 from .spectral import Basis, ROLE_COS, SpectralField
-
-
-class IntegrationAbort(RuntimeError):
-    """State left the finite range; the record carries the abort step."""
 
 
 # -- Wiener increments -------------------------------------------------------
@@ -58,123 +55,105 @@ def generate_wiener(steps: int, M: int, dt: float, seed: int, traj_index: int = 
 # -- compiled subspace -------------------------------------------------------
 
 
-def _exp_amp(basis: Basis, mode_id: int) -> tuple:
-    """Canonical wavevector and exp-amplitude vector of a real eigenfield."""
-    m = basis.modes[mode_id]
-    alpha = basis._exp_alpha
-    kc = np.array(basis.slot_k[m.slot])
-    amp = alpha * basis.slot_eps[m.slot].astype(complex)
-    if m.role != ROLE_COS:
-        amp = 1j * amp
-    return kc, amp
+def build_convection_tensor(basis: Basis, n: int) -> tuple:
+    """Nonzero triplets (I, J, K, V) of T[i, j, k] = b(e_j, e_k, e_i) on the
+    first n real eigenfields, sorted by (i, j, k).
 
+    Each real mode is a pair of exponentials: amplitude A at its canonical
+    lattice row and conj(A) at the negated row.  Every pair of exponentials
+    (of e_j and e_k) whose wavevectors sum to a lattice row is paired with
+    each exponential of e_i at that row, and coinciding (i, j, k) are summed
+    in a fixed order.  Agrees with the convolution workspace to roundoff
+    (tested); never cached here, so every call is a real build."""
+    dom = basis.domain
+    K, d = dom.K, dom.d
+    slot = basis.mode_slot[:n]
+    phase = np.where(basis.mode_role[:n] == ROLE_COS, 1.0, 1.0j)
+    amp = basis._exp_alpha * phase[:, None] * basis.slot_eps[slot]
+    mode = np.concatenate([np.arange(n), np.arange(n)])
+    row = np.concatenate([basis._slot_row[slot], basis._slot_row_neg[slot]])
+    amp = np.concatenate([amp, amp.conj()])
+    kap = dom.kappa(basis.lattice_k[row])
 
-def build_convection_tensor(basis: Basis, n: int) -> np.ndarray:
-    """T[i, j, k] = b(e_j, e_k, e_i) for the first n real eigenfields.
+    # lattice box over [-2K, 2K]^d; the flat index is affine in k, so the
+    # index of a wavevector sum is a sum of flat indices
+    ks = basis.lattice_k
+    width = 4 * K + 1
+    stride = width ** np.arange(d - 1, -1, -1)
+    box = np.full(width**d, -1)
+    box[(ks + 2 * K) @ stride] = np.arange(len(ks))
+    flat = ks[row] @ stride
+    out = box[flat[:, None] + flat[None, :] + 2 * K * int(stride.sum())]
+    p, q = np.nonzero(out >= 0)
+    o = out[p, q]
 
-    Assembled from the closed two-exponential form of each real mode; agrees
-    with the convolution workspace to roundoff (tested) and is cached on the
-    basis."""
-    cache = getattr(basis, "_tensor_cache", None)
-    if cache is None:
-        cache = {}
-        basis._tensor_cache = cache
-    if n in cache:
-        return cache[n]
-    vol = basis.domain.volume
-    kcs = []
-    amps = []
-    for i in range(n):
-        kc, amp = _exp_amp(basis, i)
-        kcs.append(kc)
-        amps.append(amp)
-    slot_lookup = {}
-    for i in range(n):
-        m = basis.modes[i]
-        slot_lookup.setdefault(tuple(basis.slot_k[m.slot]), {})[m.role] = i
-    T = np.zeros((n, n, n))
-    K = basis.domain.K
-    for j in range(n):
-        kj, Aj = kcs[j], amps[j]
-        for k in range(n):
-            kk, Ak = kcs[k], amps[k]
-            for s1 in (1, -1):
-                Aj_s = Aj if s1 == 1 else Aj.conj()
-                for s2 in (1, -1):
-                    Ak_s = Ak if s2 == 1 else Ak.conj()
-                    msum = s1 * kj + s2 * kk
-                    if np.all(msum == 0) or np.max(np.abs(msum)) > K:
-                        continue
-                    kap_l = basis.domain.kappa(s2 * kk)
-                    qvec = (1j * np.dot(Aj_s, kap_l)) * Ak_s
-                    # pair with e_i amplitudes at -msum
-                    neg = tuple(int(v) for v in -msum)
-                    canon = neg if neg in slot_lookup else tuple(-v for v in neg)
-                    entry = slot_lookup.get(canon)
-                    if entry is None:
-                        continue
-                    for role, i in entry.items():
-                        Ai = amps[i] if tuple(kcs[i]) == neg else amps[i].conj()
-                        T[i, j, k] += (vol * np.dot(qvec, Ai)).real
-    cache[n] = T
-    return T
+    # exponentials of the first n modes at each lattice row, grouped by row
+    by_row = np.argsort(row, kind="stable")
+    count = np.bincount(row, minlength=len(ks))
+    first = np.cumsum(count) - count
+    c = count[o]
+    p, q = np.repeat(p, c), np.repeat(q, c)
+    pos = np.arange(len(p)) - np.repeat(np.cumsum(c) - c, c)
+    r = by_row[np.repeat(first[o], c) + pos]
+
+    s = 1j * np.einsum("pd,pd->p", amp[p], kap[q])
+    val = dom.volume * (s * np.einsum("pd,pd->p", amp[q], amp[r].conj())).real
+    key = (mode[r] * n + mode[p]) * n + mode[q]
+    uniq, inv = np.unique(key, return_inverse=True)
+    V = np.bincount(inv, weights=val, minlength=len(uniq))
+    keep = V != 0.0
+    uniq, V = uniq[keep], V[keep]
+    return uniq // (n * n), uniq // n % n, uniq % n, V
 
 
 class CompiledGalerkin:
-    """Dense realization of the Galerkin right-hand side on the first n modes."""
+    """Realization of the Galerkin right-hand side on the first n modes:
+    diagonal Stokes weights, sparse convection triplets, noise matrices."""
 
     def __init__(self, basis: Basis, n: int, model: NoiseModel | None, include_B: bool = True):
-        self.basis = basis
         self.n = n
         self.lamD = basis.mode_weights("D", n)
         self.wUdual = basis.mode_weights("Udual", n)
         self.include_B = include_B
-        if include_B:
-            T = build_convection_tensor(basis, n)
-            self._Tmat = T.reshape(n, n * n)
-        else:
-            self._Tmat = None
+        self._IJKV = build_convection_tensor(basis, n) if include_B else None
         if model is not None and model.M > 0:
-            cache = getattr(basis, "_noise_mat_cache", None)
-            if cache is None:
-                cache = {}
-                basis._noise_mat_cache = cache
-            key = (model, n)
-            if key not in cache:
-                cache[key] = np.stack(noise_matrices(model, basis, n))
-            self.G = cache[key]  # (M, n, n)
+            self.G = np.stack(noise_matrices(model, basis, n))  # (M, n, n)
             self.M = model.M
         else:
             self.G = None
             self.M = 0
 
     def convection(self, x: np.ndarray) -> np.ndarray:
-        """Coordinates of P_n B(u, u) (untamed)."""
-        if self._Tmat is None:
+        """Coordinates of P_n B(u, u) (untamed).  A fixed-order reduce per
+        row, so the result does not depend on anything but x."""
+        if self._IJKV is None:
             return np.zeros_like(x)
-        return self._Tmat @ np.multiply.outer(x, x).ravel()
+        I, J, K, V = self._IJKV
+        return np.bincount(I, weights=V * x[J] * x[K], minlength=self.n)
 
     def encode(self, u: SpectralField) -> np.ndarray:
-        return self.basis.real_coords(u, self.n)
+        return u.basis.real_coords(u, self.n)
 
-    def decode(self, x: np.ndarray) -> SpectralField:
-        full = np.zeros(self.basis.n_modes)
+    def decode(self, basis: Basis, x: np.ndarray) -> SpectralField:
+        full = np.zeros(basis.n_modes)
         full[: self.n] = x
-        return self.basis.field_from_real_coords(full)
+        return basis.field_from_real_coords(full)
 
     def udual_norm(self, x: np.ndarray) -> float:
         return math.sqrt(float(np.sum(self.wUdual * x * x)))
 
 
+# compiled systems, keyed by value: everything in one depends only on the
+# domain, the norm scale, n, the noise model and whether B is included
+_COMPILED: dict = {}
+
+
 def _compiled(basis: Basis, n: int, model, include_B: bool) -> CompiledGalerkin:
-    cache = getattr(basis, "_compiled_cache", None)
-    if cache is None:
-        cache = {}
-        basis._compiled_cache = cache
-    key = (n, model, include_B)
-    if key not in cache:
-        cache[key] = CompiledGalerkin(basis, n, model, include_B)
-    return cache[key]
+    key = (basis.domain, basis.scale, n, model, include_B)
+    sys = _COMPILED.get(key)
+    if sys is None:
+        sys = _COMPILED[key] = CompiledGalerkin(basis, n, model, include_B)
+    return sys
 
 
 # -- configuration ------------------------------------------------------------
@@ -203,6 +182,12 @@ class GalerkinConfig:
     def __post_init__(self):
         if self.dt <= 0 or self.T < self.dt:
             raise ValueError("need dt > 0 and T >= dt")
+        ratio = self.T / self.dt
+        if abs(ratio - round(ratio)) > 1e-9 * ratio:
+            raise ValueError(
+                f"horizon T = {self.T} is not a whole number of steps dt = {self.dt} "
+                f"(T/dt = {ratio:.12g})"
+            )
         if not 1 <= self.n <= self.basis.n_modes:
             raise ValueError(f"n must lie in [1, {self.basis.n_modes}]")
         if self.scheme not in ("em", "exponential"):
@@ -230,9 +215,6 @@ class GalerkinConfig:
 
     def fingerprint(self) -> str:
         """Hash of everything a trajectory depends on besides (seed, index)."""
-        cached = getattr(self, "_fingerprint", None)
-        if cached is not None:
-            return cached
         import hashlib
 
         h = hashlib.sha256()
@@ -253,8 +235,7 @@ class GalerkinConfig:
         h.update(repr(tuple(self.qv_pairs)).encode())
         if self.refinement_probe is not None:
             h.update(np.ascontiguousarray(self.refinement_probe.coeffs).tobytes())
-        self._fingerprint = h.hexdigest()
-        return self._fingerprint
+        return h.hexdigest()
 
 
 # -- trajectory record ---------------------------------------------------------
@@ -337,7 +318,7 @@ def em_step(u: SpectralField, t: float, dW_row, config: GalerkinConfig) -> Spect
     x = sys.encode(u)
     f_t = _forcing_coords(config, sys, t)
     x_new, _ = _step_coords(sys, config, x, f_t, np.asarray(dW_row, dtype=float))
-    return sys.decode(x_new)
+    return sys.decode(config.basis, x_new)
 
 
 def _forcing_coords(config: GalerkinConfig, sys: CompiledGalerkin, t: float) -> np.ndarray:
@@ -545,6 +526,8 @@ def integrate_ensemble(config: GalerkinConfig, n_traj: int, workers: int = 1) ->
     indices = list(range(n_traj))
     if workers <= 1 or n_traj == 1:
         return [integrate_trajectory(config, traj_index=i) for i in indices]
+    # compiled before the pool starts, so forked workers inherit it
+    _compiled(config.basis, config.n, config.model, config.include_B)
     chunk = max(1, math.ceil(n_traj / (workers * 4)))
     batches = [(config, indices[i : i + chunk]) for i in range(0, n_traj, chunk)]
     out: list = []

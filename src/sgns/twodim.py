@@ -212,7 +212,7 @@ def energy_inequality_check(
         x = v_path[j]
         zt = z_at(t)
         ft = f_at(t)
-        zf = sys.decode(zt)
+        zf = sys.decode(problem.basis, zt)
         z_l4 = l4_norm(zf) if np.any(zt != 0.0) else 0.0
         a_t = float(np.sum(zt * zt)) + float(np.sum(ft * ft * wVdual)) + C * z_l4**4
         theta_t = 2.0 + C * z_l4**4

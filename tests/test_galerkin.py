@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from sgns.galerkin import (
+    CompiledGalerkin,
     GalerkinConfig,
     build_convection_tensor,
     em_step,
@@ -16,7 +17,7 @@ from sgns.galerkin import (
     reconstruct_martingale,
 )
 from sgns.noise import apply_G, default_noise_model
-from sgns.nonlinear import TrilinearWorkspace, trilinear_b
+from sgns.nonlinear import TrilinearWorkspace, bilinear_B, trilinear_b
 from sgns.spectral import norm, project_Pn, random_field
 
 
@@ -60,17 +61,88 @@ def test_wiener_empty_directions():
     assert path.dW.shape == (50, 0)
 
 
-def test_tensor_matches_convolution(basis2d_small):
-    n = 10
-    T = build_convection_tensor(basis2d_small, n)
-    ws = TrilinearWorkspace(basis2d_small)
+def dense_tensor(basis, n):
+    """T[i, j, k] = b(e_j, e_k, e_i), densified from the kernel's triplets."""
+    I, J, K, V = build_convection_tensor(basis, n)
+    T = np.zeros((n, n, n))
+    np.add.at(T, (I, J, K), V)
+    return T
+
+
+def assert_tensor_matches_convolution(basis, n):
+    T = dense_tensor(basis, n)
+    ws = TrilinearWorkspace(basis)
     rng = np.random.default_rng(0)
     for _ in range(30):
         i, j, k = rng.integers(0, n, size=3)
-        direct = trilinear_b(
-            basis2d_small.basis_field(j), basis2d_small.basis_field(k), basis2d_small.basis_field(i), ws
-        )
+        direct = trilinear_b(basis.basis_field(j), basis.basis_field(k), basis.basis_field(i), ws)
         assert abs(T[i, j, k] - direct) < 1e-12
+    # every nonzero entry too, so the random draws cannot all miss them
+    for i, j, k in zip(*np.nonzero(T)):
+        direct = trilinear_b(basis.basis_field(j), basis.basis_field(k), basis.basis_field(i), ws)
+        assert abs(T[i, j, k] - direct) < 1e-12
+
+
+def test_tensor_matches_convolution(basis2d_small):
+    assert_tensor_matches_convolution(basis2d_small, 10)
+
+
+def test_tensor_matches_convolution_3d(basis3d_small):
+    # both polarizations of a lattice vector carry their own entries
+    assert_tensor_matches_convolution(basis3d_small, 20)
+
+
+@pytest.mark.parametrize("fixture,n", [("basis2d", 64), ("basis3d_small", 20)])
+def test_tensor_antisymmetry_and_energy_cancellation(fixture, n, request):
+    basis = request.getfixturevalue(fixture)
+    T = dense_tensor(basis, n)
+    # b(u, w, v) = -b(u, v, w), hence x . B(x, x) = 0
+    assert np.max(np.abs(T + T.transpose(2, 1, 0))) <= 1e-14
+    sys = CompiledGalerkin(basis, n, None)
+    rng = np.random.default_rng(3)
+    for _ in range(10):
+        x = rng.standard_normal(n)
+        r = np.linalg.norm(x)
+        assert abs(float(np.dot(x, sys.convection(x)))) <= 1e-12 * r**3
+
+
+def test_sparse_kernel_matches_dealiased_grid(basis2d):
+    n = 128
+    sys = CompiledGalerkin(basis2d, n, None)
+    ws = TrilinearWorkspace(basis2d, "dealiased_grid")
+    rng = np.random.default_rng(4)
+    for _ in range(3):
+        x = rng.standard_normal(n)
+        u = basis2d.field_from_real_coords(x)
+        expect = basis2d.real_coords(bilinear_B(u, u, ws), n)
+        assert np.max(np.abs(sys.convection(x) - expect)) <= 1e-12 * max(1.0, np.max(np.abs(expect)))
+
+
+def test_compile_cache_keyed_by_value(basis2d_small):
+    from sgns.galerkin import _compiled
+    from sgns.spectral import Basis
+
+    twin = Basis(basis2d_small.domain, basis2d_small.scale)
+    model = default_noise_model(2)
+    sys = _compiled(basis2d_small, 10, model, True)
+    assert _compiled(twin, 10, model, True) is sys
+    assert _compiled(twin, 10, model, False) is not sys
+
+
+def test_horizon_must_be_whole_steps(basis2d_small):
+    u0 = basis2d_small.basis_field(0)
+    with pytest.raises(ValueError, match="whole number of steps"):
+        GalerkinConfig(basis=basis2d_small, n=4, dt=3e-3, T=1.0, u0=u0, model=None)
+    cfg = GalerkinConfig(basis=basis2d_small, n=4, dt=2.0**-10, T=1.0, u0=u0, model=None)
+    assert cfg.steps == 1024
+
+
+def test_fingerprint_tracks_mutation(basis2d_small):
+    cfg = make_config(basis2d_small)
+    before = cfg.fingerprint()
+    assert cfg.fingerprint() == before
+    cfg.n = 8
+    assert cfg.fingerprint() != before
 
 
 def test_zero_fixed_point(basis2d_small):

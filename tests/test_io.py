@@ -54,6 +54,12 @@ def test_cfl_gate_rejected(tmp_path):
         load_config(path)
 
 
+def test_partial_last_step_rejected(tmp_path):
+    path = write_cfg(tmp_path, {"galerkin": {"dt": 3e-3, "T": 1.0}})
+    with pytest.raises(ConfigError, match="whole number of steps"):
+        load_config(path)
+
+
 def test_all_violations_reported(tmp_path):
     path = write_cfg(tmp_path, {"galerkin": {"dt_max": 1.0, "dt": 0.5},
                                 "ensemble": {"trajectories": 0}})
