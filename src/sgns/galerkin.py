@@ -6,9 +6,11 @@ The active n-dimensional subspace is compiled once per (domain, scale, n,
 noise model) and kept in one module-level cache: the Stokes multiplier is
 diagonal, the tamed nonlinearity a sparse contraction over the nonzero
 triplets of the convection form and each noise direction a dense matrix, all
-derived from the exact spectral operators.  Every trajectory is a pure
+derived from the exact spectral operators.  One stepper advances a block of
+trajectories as the rows of a (B, n) state, with row-independent operations
+only; a single trajectory is the case B = 1.  Every trajectory is a pure
 function of (config, seed, index) -- one Philox stream per trajectory -- so
-ensembles are reproducible bitwise for any worker count.
+ensembles are reproducible bitwise for any worker count and any blocks.
 
 Each step writes an energy ledger (drift work, forcing work, martingale
 increment, quadratic remainder) that closes the discrete energy identity to
@@ -27,7 +29,7 @@ import numpy as np
 
 from .noise import NoiseModel, noise_matrices
 from .nonlinear import CutoffSpec
-from .spectral import Basis, ROLE_COS, SpectralField
+from .spectral import Basis, ROLE_COS, SpectralField, project_Pn
 
 
 # -- Wiener increments -------------------------------------------------------
@@ -106,6 +108,17 @@ def build_convection_tensor(basis: Basis, n: int) -> tuple:
     return uniq // (n * n), uniq // n % n, uniq % n, V
 
 
+def _fold_symmetric(I, J, K, V, n: int) -> tuple:
+    """Merge T[i, j, k] and T[i, k, j] into one triplet with j <= k, which
+    gives the same quadratic form x_j x_k; sorted by (i, j, k)."""
+    key = (I * n + np.minimum(J, K)) * n + np.maximum(J, K)
+    uniq, inv = np.unique(key, return_inverse=True)
+    W = np.bincount(inv, weights=V, minlength=len(uniq))
+    keep = W != 0.0
+    uniq, W = uniq[keep], W[keep]
+    return uniq // (n * n), uniq // n % n, uniq % n, W
+
+
 class CompiledGalerkin:
     """Realization of the Galerkin right-hand side on the first n modes:
     diagonal Stokes weights, sparse convection triplets, noise matrices."""
@@ -114,8 +127,14 @@ class CompiledGalerkin:
         self.n = n
         self.lamD = basis.mode_weights("D", n)
         self.wUdual = basis.mode_weights("Udual", n)
+        # weights of the squared H, Dirichlet and U' norms
+        self.norm_weights = np.stack([np.ones(n), self.lamD, self.wUdual])
         self.include_B = include_B
-        self._IJKV = build_convection_tensor(basis, n) if include_B else None
+        if include_B:
+            I, self._J, self._K, self._V = _fold_symmetric(*build_convection_tensor(basis, n), n)
+            # each output coordinate is one segment of the i-sorted triplets
+            self._starts = np.flatnonzero(np.diff(I, prepend=-1))
+            self._rows = I[self._starts]
         if model is not None and model.M > 0:
             self.G = np.stack(noise_matrices(model, basis, n))  # (M, n, n)
             self.M = model.M
@@ -124,12 +143,17 @@ class CompiledGalerkin:
             self.M = 0
 
     def convection(self, x: np.ndarray) -> np.ndarray:
-        """Coordinates of P_n B(u, u) (untamed).  A fixed-order reduce per
-        row, so the result does not depend on anything but x."""
-        if self._IJKV is None:
-            return np.zeros_like(x)
-        I, J, K, V = self._IJKV
-        return np.bincount(I, weights=V * x[J] * x[K], minlength=self.n)
+        """Coordinates of P_n B(u, u) (untamed) for x of shape (n,) or for
+        each row of x (B, n).  A gather and a segmented reduce along each
+        row, so a row's result depends on that row alone, not on B."""
+        out = np.zeros(x.shape)
+        if not self.include_B or not len(self._V):
+            return out
+        X = x.reshape(-1, self.n)
+        out.reshape(-1, self.n)[:, self._rows] = np.add.reduceat(
+            self._V * X[:, self._J] * X[:, self._K], self._starts, axis=1
+        )
+        return out
 
     def encode(self, u: SpectralField) -> np.ndarray:
         return u.basis.real_coords(u, self.n)
@@ -138,9 +162,6 @@ class CompiledGalerkin:
         full = np.zeros(basis.n_modes)
         full[: self.n] = x
         return basis.field_from_real_coords(full)
-
-    def udual_norm(self, x: np.ndarray) -> float:
-        return math.sqrt(float(np.sum(self.wUdual * x * x)))
 
 
 # compiled systems, keyed by value: everything in one depends only on the
@@ -208,6 +229,12 @@ class GalerkinConfig:
     @property
     def M(self) -> int:
         return self.model.M if self.model is not None else 0
+
+    @property
+    def integral_stride(self) -> int:
+        if self.integral_snapshot_stride is None:
+            return self.snapshot_stride
+        return self.integral_snapshot_stride
 
     @property
     def cutoff(self) -> CutoffSpec:
@@ -311,14 +338,35 @@ def _snapshot_indices(steps: int, stride: int) -> np.ndarray:
 
 # -- stepping -------------------------------------------------------------------
 
+# bytes of records one block of rows may hold.  A block's records are pickled
+# back from its worker whole, so this bounds the memory one block adds.
+BLOCK_BUDGET = 4 * 2**20
 
-def em_step(u: SpectralField, t: float, dW_row, config: GalerkinConfig) -> SpectralField:
-    """One step of the scheme on a SpectralField (reference entry point)."""
-    sys = _compiled(config.basis, config.n, config.model, config.include_B)
-    x = sys.encode(u)
-    f_t = _forcing_coords(config, sys, t)
-    x_new, _ = _step_coords(sys, config, x, f_t, np.asarray(dW_row, dtype=float))
-    return sys.decode(config.basis, x_new)
+LEDGER = ("drift_work", "b_work", "forcing_work", "mart_work", "delta_sq", "ito_step", "hs_step")
+INTEGRALS = ("stokes", "convection", "forcing", "noise")
+
+
+def record_bytes(config: GalerkinConfig) -> int:
+    """Bytes of the arrays one record of this config holds: norms, ledger,
+    snapshots (with their quadratic-variation and refinement entries) and
+    integral snapshots."""
+    steps, n = config.steps, config.n
+    snaps = len(_snapshot_indices(steps, config.snapshot_stride))
+    isnaps = len(_snapshot_indices(steps, config.integral_stride))
+    per_snap = n + len(config.qv_pairs) + (config.refinement_probe is not None)
+    return 8 * (3 * (steps + 1) + len(LEDGER) * steps + snaps * per_snap + len(INTEGRALS) * isnaps * n)
+
+
+def block_rows(config: GalerkinConfig, n_traj: int, workers: int = 1) -> int:
+    """Rows integrated together: an equal share per worker, capped so that
+    one block's records fit in BLOCK_BUDGET.  No record depends on it."""
+    share = math.ceil(n_traj / max(1, workers))
+    return max(1, min(share, BLOCK_BUDGET // record_bytes(config)))
+
+
+def _sq_norms(sys: CompiledGalerkin, x: np.ndarray) -> np.ndarray:
+    """Squared H, Dirichlet and U' norms of each row of x (B, n), as (3, B)."""
+    return np.add.reduce(sys.norm_weights * (x * x)[:, None, :], axis=2).T
 
 
 def _forcing_coords(config: GalerkinConfig, sys: CompiledGalerkin, t: float) -> np.ndarray:
@@ -330,41 +378,200 @@ def _forcing_coords(config: GalerkinConfig, sys: CompiledGalerkin, t: float) -> 
     return sys.encode(f)
 
 
-def _step_coords(sys, config, x, f_t, dW_row):
-    """Advance coordinates one step; returns (x_new, ledger tuple)."""
-    theta = 1.0
-    bx = np.zeros_like(x)
-    if sys.include_B:
-        bx = sys.convection(x)
-        theta = config.cutoff.theta(sys.udual_norm(x))
-    drift = -sys.lamD * x - theta * bx + f_t
+def _step(sys, config, cutoff, x, ud, f_t, dw):
+    """One step of the scheme on the rows of x (B, n), whose U' norms are
+    ud, under forcing f_t (n,) and Wiener increments dw (B, M).
+
+    Returns (x_new, y, theta, tbx, bx, g, xi): the cutoff factors, the tamed
+    and untamed convection, the noise directions applied to each row
+    (B, M, n), the noise increment, and y, the new state before the Stokes
+    factor of the exponential scheme (None under EM).  Only elementwise
+    operations, per-row reductions and one matrix-vector product per row and
+    direction, so each row's result depends on that row alone."""
+    dt = config.dt
+    bx = sys.convection(x)
+    theta = cutoff.theta(ud) if sys.include_B else np.ones(len(x))
+    tbx = theta[:, None] * bx
     if sys.M:
-        g = sys.G @ x  # (M, n)
-        noise_inc = g.T @ dW_row
-        hs = float(np.sum(g * g)) * config.dt
+        g = np.matmul(sys.G, x[:, None, :, None])[..., 0]
+        xi = np.matmul(dw[:, None, :], g)[:, 0]
     else:
-        g = None
-        noise_inc = np.zeros_like(x)
-        hs = 0.0
+        g, xi = None, np.zeros_like(x)
     if config.scheme == "em":
-        x_new = x + config.dt * drift + noise_inc
-    else:
-        decay = np.exp(-sys.lamD * config.dt)
-        x_new = decay * (x + config.dt * (-theta * bx + f_t) + noise_inc)
-    ledger = (
-        -2.0 * config.dt * float(np.sum(sys.lamD * x * x)),
-        -2.0 * config.dt * theta * float(np.dot(x, bx)),
-        2.0 * config.dt * float(np.dot(x, f_t)),
-        2.0 * float(np.dot(x, noise_inc)),
-        float(np.sum((x_new - x) ** 2)),
-        float(np.sum(noise_inc**2)),
-        hs,
-        theta,
-        bx,
-        g,
-        noise_inc,
+        return x + dt * (f_t - sys.lamD * x - tbx) + xi, None, theta, tbx, bx, g, xi
+    y = x + dt * (f_t - tbx) + xi
+    return np.exp(-sys.lamD * dt) * y, y, theta, tbx, bx, g, xi
+
+
+def em_step(u: SpectralField, t: float, dW_row, config: GalerkinConfig) -> SpectralField:
+    """One step of the scheme on a SpectralField: the stepper on one row."""
+    sys = _compiled(config.basis, config.n, config.model, config.include_B)
+    x = sys.encode(u)[None]
+    ud = np.sqrt(_sq_norms(sys, x)[2])
+    dw = np.asarray(dW_row, dtype=float).reshape(1, -1)
+    x_new = _step(sys, config, config.cutoff, x, ud, _forcing_coords(config, sys, t), dw)[0]
+    return sys.decode(config.basis, x_new[0])
+
+
+def integrate_batch(config: GalerkinConfig, indices, paths=None) -> list:
+    """Integrate trajectories `indices` together as the rows of one (B, n)
+    state, each driven by its own Philox stream (or by its entry of
+    `paths`), filling norms, ledger and snapshots.
+
+    Each record is bitwise the same whatever the other rows, their number or
+    their order.  The energy ledger closes the discrete energy identity for
+    both schemes; under the exponential scheme the drift work and the Stokes
+    integral are taken across the Stokes factor.  A row whose state leaves
+    the finite range or passes `overflow_limit` is aborted: its norms are
+    written once more with the non-finite entries zeroed, and everything
+    after that step reads zero.
+    """
+    sys = _compiled(config.basis, config.n, config.model, config.include_B)
+    steps, n, dt = config.steps, config.n, config.dt
+    indices = [int(i) for i in indices]
+    B = len(indices)
+    if paths is None:
+        paths = [generate_wiener(steps, config.M, dt, config.seed, i) for i in indices]
+    for path in paths:
+        if path.dW.shape != (steps, config.M):
+            raise ValueError(
+                f"Wiener path shape {path.dW.shape} does not match (steps, M) = ({steps}, {config.M})"
+            )
+    dW = np.stack([path.dW for path in paths], axis=1)  # (steps, B, M)
+
+    x = np.repeat(sys.encode(project_Pn(config.u0, n))[None], B, axis=0)
+    u0_coords = x.copy()
+    norm_H, norm_D, norm_Ud = (np.zeros((B, steps + 1)) for _ in range(3))
+    led = {name: np.zeros((B, steps)) for name in LEDGER}
+
+    snap_idx = _snapshot_indices(steps, config.snapshot_stride)
+    integral_snap_idx = _snapshot_indices(steps, config.integral_stride)
+    snap_at = np.full(steps + 1, -1)
+    snap_at[snap_idx] = np.arange(len(snap_idx))
+    integral_snap_at = np.full(steps + 1, -1)
+    integral_snap_at[integral_snap_idx] = np.arange(len(integral_snap_idx))
+    snap_u = np.zeros((B, len(snap_idx), n))
+    snap_integrals = {name: np.zeros((B, len(integral_snap_idx), n)) for name in INTEGRALS}
+    integrals = {name: np.zeros((B, n)) for name in INTEGRALS}
+
+    probes_n = (
+        np.stack([sys.encode(p) for p in config.probes]) if config.probes else np.zeros((0, n))
     )
-    return x_new, ledger
+    qv_pairs = tuple(config.qv_pairs)
+    qv_cum = np.zeros((B, len(snap_idx), len(qv_pairs)))
+    qv_run = np.zeros((B, len(qv_pairs)))
+    refinement = config.refinement_probe is not None
+    ref_coords = sys.encode(config.refinement_probe) if refinement else None
+    ref_I = np.zeros((B, len(snap_idx)))
+    ref_run = np.zeros(B)
+
+    cutoff = config.cutoff
+    forced = config.forcing is not None
+    f_const = None if callable(config.forcing) else _forcing_coords(config, sys, 0.0)
+    cutoff_min = np.ones(B)
+    abort_step = np.full(B, -1)
+    alive = np.ones(B, dtype=bool)
+
+    h2, d2, u2 = _sq_norms(sys, x)
+    norm_H[:, 0], norm_D[:, 0], norm_Ud[:, 0] = np.sqrt(h2), np.sqrt(d2), np.sqrt(u2)
+    snap_u[:, 0] = x
+    # aborted rows keep stepping, masked below, and may overflow on the way
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(steps):
+            f_t = f_const if f_const is not None else _forcing_coords(config, sys, j * dt)
+            x_new, y, theta, tbx, bx, g, xi = _step(sys, config, cutoff, x, norm_Ud[:, j], f_t, dW[j])
+            led["b_work"][:, j] = -2.0 * dt * theta * np.add.reduce(x * bx, axis=1)
+            led["mart_work"][:, j] = 2.0 * np.add.reduce(x * xi, axis=1)
+            led["ito_step"][:, j] = np.add.reduce(xi * xi, axis=1)
+            cutoff_min = np.minimum(cutoff_min, np.where(alive, theta, 1.0))
+            integrals["convection"] -= dt * tbx
+            integrals["noise"] += xi
+            if forced:
+                led["forcing_work"][:, j] = 2.0 * dt * np.add.reduce(x * f_t, axis=1)
+                integrals["forcing"] += dt * f_t
+            if g is not None:
+                led["hs_step"][:, j] = np.add.reduce((g * g).reshape(B, -1), axis=1) * dt
+                if qv_pairs:
+                    gp = g @ probes_n.T  # (B, M, P)
+                    for q, (a, b) in enumerate(qv_pairs):
+                        qv_run[:, q] += dt * np.add.reduce(gp[:, :, a] * gp[:, :, b], axis=1)
+            if refinement:
+                ref_run += dt * np.add.reduce(bx * ref_coords, axis=1)
+            if y is None:
+                led["drift_work"][:, j] = -2.0 * dt * d2
+                led["delta_sq"][:, j] = np.add.reduce((x_new - x) ** 2, axis=1)
+                integrals["stokes"] -= dt * (sys.lamD * x)
+            else:
+                led["delta_sq"][:, j] = np.add.reduce((y - x) ** 2, axis=1)
+                integrals["stokes"] += x_new - y
+
+            x = x_new
+            h2, d2, u2 = _sq_norms(sys, x)
+            if y is not None:
+                led["drift_work"][:, j] = h2 - np.add.reduce(y * y, axis=1)
+            peak = np.maximum.reduce(np.abs(x), axis=1)
+            bad = alive & ~(np.isfinite(peak) & (peak <= config.overflow_limit))
+            if np.logical_or.reduce(bad):
+                abort_step[bad] = j + 1
+                alive &= ~bad
+                x = np.where(np.isfinite(x), x, 0.0)
+                h2, d2, u2 = _sq_norms(sys, x)
+            norm_H[:, j + 1], norm_D[:, j + 1], norm_Ud[:, j + 1] = np.sqrt(h2), np.sqrt(d2), np.sqrt(u2)
+            if not np.logical_or.reduce(alive):
+                break
+            pos = snap_at[j + 1]
+            if pos >= 0:
+                snap_u[:, pos] = x
+                if qv_pairs:
+                    qv_cum[:, pos] = qv_run
+                if refinement:
+                    ref_I[:, pos] = ref_run
+            pos = integral_snap_at[j + 1]
+            if pos >= 0:
+                for name in INTEGRALS:
+                    snap_integrals[name][:, pos] = integrals[name]
+
+    # an aborted row keeps what it had at its abort step and zeros after it
+    for r in np.flatnonzero(abort_step >= 0):
+        a = abort_step[r]
+        for arr in led.values():
+            arr[r, a:] = 0.0
+        for arr in (norm_H, norm_D, norm_Ud):
+            arr[r, a + 1 :] = 0.0
+        late = snap_idx >= a
+        snap_u[r, late] = qv_cum[r, late] = ref_I[r, late] = 0.0
+        for arr in snap_integrals.values():
+            arr[r, integral_snap_idx >= a] = 0.0
+
+    config_hash = config.fingerprint()
+    return [
+        TrajectoryRecord(
+            n=n,
+            dt=dt,
+            steps=steps,
+            seed=config.seed,
+            traj_index=i,
+            config_hash=config_hash,
+            scheme=config.scheme,
+            norm_H=norm_H[r],
+            norm_D=norm_D[r],
+            norm_Udual=norm_Ud[r],
+            **{name: led[name][r] for name in LEDGER},
+            snap_idx=snap_idx,
+            snap_u=snap_u[r],
+            integral_snap_idx=integral_snap_idx,
+            snap_integrals={name: snap_integrals[name][r] for name in INTEGRALS},
+            u0_coords=u0_coords[r],
+            probes_n=probes_n,
+            qv_pairs=qv_pairs,
+            qv_cum=qv_cum[r],
+            refinement_I=ref_I[r] if refinement else None,
+            cutoff_min=float(cutoff_min[r]),
+            aborted=bool(abort_step[r] >= 0),
+            abort_step=int(abort_step[r]),
+        )
+        for r, i in enumerate(indices)
+    ]
 
 
 def integrate_trajectory(
@@ -372,169 +579,29 @@ def integrate_trajectory(
     path: WienerPath | None = None,
     traj_index: int = 0,
 ) -> TrajectoryRecord:
-    """Integrate one trajectory, filling norms, ledger and snapshots.
-
-    The energy identity and the drift/noise decomposition recorded in the
-    ledger are exact for the "em" scheme; the exponential option integrates
-    correctly but its steps do not split into these ledger terms.
-    """
-    basis = config.basis
-    sys = _compiled(basis, config.n, config.model, config.include_B)
-    steps = config.steps
-    if path is None:
-        path = generate_wiener(steps, config.M, config.dt, config.seed, traj_index)
-    if path.dW.shape != (steps, config.M):
-        raise ValueError(
-            f"Wiener path shape {path.dW.shape} does not match (steps, M) = ({steps}, {config.M})"
-        )
-
-    from .spectral import project_Pn
-
-    x = sys.encode(project_Pn(config.u0, config.n))
-    u0_coords = x.copy()
-
-    norm_H = np.zeros(steps + 1)
-    norm_D = np.zeros(steps + 1)
-    norm_Ud = np.zeros(steps + 1)
-    led = {k: np.zeros(steps) for k in
-           ("drift_work", "b_work", "forcing_work", "mart_work", "delta_sq", "ito_step", "hs_step")}
-
-    snap_idx = _snapshot_indices(steps, config.snapshot_stride)
-    istride = (
-        config.integral_snapshot_stride
-        if config.integral_snapshot_stride is not None
-        else config.snapshot_stride
-    )
-    integral_snap_idx = _snapshot_indices(steps, istride)
-    snap_u = np.zeros((len(snap_idx), config.n))
-    snap_integrals = {name: np.zeros((len(integral_snap_idx), config.n)) for name in ("stokes", "convection", "forcing", "noise")}
-    int_stokes = np.zeros(config.n)
-    int_convection = np.zeros(config.n)
-    int_forcing = np.zeros(config.n)
-    int_noise = np.zeros(config.n)
-
-    probes_n = (
-        np.stack([sys.encode(p) for p in config.probes]) if config.probes else np.zeros((0, config.n))
-    )
-    qv_cum = np.zeros((len(snap_idx), len(config.qv_pairs)))
-    qv_run = np.zeros(len(config.qv_pairs))
-    refinement = config.refinement_probe is not None
-    ref_coords = sys.encode(config.refinement_probe) if refinement else None
-    ref_I = np.zeros(len(snap_idx)) if refinement else None
-    ref_run = 0.0
-
-    snap_pos = {int(s): i for i, s in enumerate(snap_idx)}
-    integral_snap_pos = {int(s): i for i, s in enumerate(integral_snap_idx)}
-    cutoff_min = 1.0
-    aborted = False
-    abort_step = -1
-
-    def write_norms(j, xv):
-        norm_H[j] = math.sqrt(float(np.sum(xv * xv)))
-        norm_D[j] = math.sqrt(float(np.sum(sys.lamD * xv * xv)))
-        norm_Ud[j] = sys.udual_norm(xv)
-
-    write_norms(0, x)
-    snap_u[0] = x
-    for j in range(steps):
-        t = j * config.dt
-        f_t = _forcing_coords(config, sys, t)
-        x_new, ledger = _step_coords(sys, config, x, f_t, path.dW[j])
-        (dw, bw, fw, mw, dsq, ito, hs, theta, bx, g, noise_inc) = ledger
-        led["drift_work"][j] = dw
-        led["b_work"][j] = bw
-        led["forcing_work"][j] = fw
-        led["mart_work"][j] = mw
-        led["delta_sq"][j] = dsq
-        led["ito_step"][j] = ito
-        led["hs_step"][j] = hs
-        cutoff_min = min(cutoff_min, theta)
-
-        int_stokes -= config.dt * (sys.lamD * x)
-        int_convection -= config.dt * (theta * bx)
-        int_forcing += config.dt * f_t
-        int_noise += noise_inc
-        if refinement:
-            ref_run += config.dt * float(np.dot(bx, ref_coords))
-        if g is not None and len(config.qv_pairs):
-            gp = g @ probes_n.T  # (M, P)
-            for q, (a, b) in enumerate(config.qv_pairs):
-                qv_run[q] += config.dt * float(np.dot(gp[:, a], gp[:, b]))
-
-        x = x_new
-        if not np.all(np.isfinite(x)) or np.max(np.abs(x)) > config.overflow_limit:
-            aborted = True
-            abort_step = j + 1
-            x = np.where(np.isfinite(x), x, 0.0)
-            write_norms(j + 1, x)
-            break
-        write_norms(j + 1, x)
-        pos = snap_pos.get(j + 1)
-        if pos is not None:
-            snap_u[pos] = x
-            qv_cum[pos] = qv_run
-            if refinement:
-                ref_I[pos] = ref_run
-        jpos = integral_snap_pos.get(j + 1)
-        if jpos is not None:
-            snap_integrals["stokes"][jpos] = int_stokes
-            snap_integrals["convection"][jpos] = int_convection
-            snap_integrals["forcing"][jpos] = int_forcing
-            snap_integrals["noise"][jpos] = int_noise
-
-    return TrajectoryRecord(
-        n=config.n,
-        dt=config.dt,
-        steps=steps,
-        seed=config.seed,
-        traj_index=traj_index,
-        config_hash=config.fingerprint(),
-        scheme=config.scheme,
-        norm_H=norm_H,
-        norm_D=norm_D,
-        norm_Udual=norm_Ud,
-        drift_work=led["drift_work"],
-        b_work=led["b_work"],
-        forcing_work=led["forcing_work"],
-        mart_work=led["mart_work"],
-        delta_sq=led["delta_sq"],
-        ito_step=led["ito_step"],
-        hs_step=led["hs_step"],
-        snap_idx=snap_idx,
-        snap_u=snap_u,
-        integral_snap_idx=integral_snap_idx,
-        snap_integrals=snap_integrals,
-        u0_coords=u0_coords,
-        probes_n=probes_n,
-        qv_pairs=tuple(config.qv_pairs),
-        qv_cum=qv_cum,
-        refinement_I=ref_I,
-        cutoff_min=cutoff_min,
-        aborted=aborted,
-        abort_step=abort_step,
-    )
+    """Integrate one trajectory: the batched stepper on one row."""
+    return integrate_batch(config, [traj_index], None if path is None else [path])[0]
 
 
 def _run_chunk(args):
     config, indices = args
-    return [integrate_trajectory(config, traj_index=i) for i in indices]
+    return integrate_batch(config, indices)
 
 
 def integrate_ensemble(config: GalerkinConfig, n_traj: int, workers: int = 1) -> list:
-    """Independent trajectories indexed 0..n_traj-1; output order is fixed and
-    independent of the worker count."""
-    indices = list(range(n_traj))
-    if workers <= 1 or n_traj == 1:
-        return [integrate_trajectory(config, traj_index=i) for i in indices]
-    # compiled before the pool starts, so forked workers inherit it
-    _compiled(config.basis, config.n, config.model, config.include_B)
-    chunk = max(1, math.ceil(n_traj / (workers * 4)))
-    batches = [(config, indices[i : i + chunk]) for i in range(0, n_traj, chunk)]
-    out: list = []
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        for part in pool.map(_run_chunk, batches):
-            out.extend(part)
-    return out
+    """Independent trajectories indexed 0..n_traj-1, integrated in blocks of
+    `block_rows` rows; output order is fixed, and every record is
+    independent of the worker count and of the blocks."""
+    rows = block_rows(config, n_traj, workers)
+    blocks = [(config, list(range(i, min(i + rows, n_traj)))) for i in range(0, n_traj, rows)]
+    if workers <= 1 or len(blocks) == 1:
+        parts = map(_run_chunk, blocks)
+    else:
+        # compiled before the pool starts, so forked workers inherit it
+        _compiled(config.basis, config.n, config.model, config.include_B)
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            parts = list(pool.map(_run_chunk, blocks))
+    return [rec for part in parts for rec in part]
 
 
 # -- diagnostics ----------------------------------------------------------------
@@ -551,8 +618,9 @@ def energy_budget_check(records) -> EnergyBudgetReport:
     """Closure of the per-step energy identity plus the Ito-isometry z-score.
 
     The identity |u+|^2 - |u|^2 = (drift + taming + forcing + martingale work)
-    + |du|^2 is exact in exact arithmetic for the EM scheme; the worst relative
-    residual over all steps is returned.  The comparison of the realized
+    + |du|^2 is exact in exact arithmetic for both schemes (for the
+    exponential one the drift work is taken across the Stokes factor); the
+    worst relative residual over all steps is returned.  The comparison of the realized
     quadratic noise increments against the integrated Hilbert-Schmidt norms is
     statistical and is reported as a z-score over the ensemble.
     """

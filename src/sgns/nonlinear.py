@@ -121,13 +121,16 @@ class CutoffSpec:
         if self.level <= 0:
             raise ValueError("cutoff level must be positive")
 
-    def theta(self, r: float) -> float:
-        x = r - self.level
-        if x <= 0.0:
-            return 1.0
-        if x >= 1.0:
-            return 0.0
-        return 1.0 - x**3 * (10.0 - 15.0 * x + 6.0 * x**2)
+    def theta(self, r):
+        """Cutoff factor of a norm r, or elementwise of an array of norms.
+        Products only, so each entry depends on its own r alone."""
+        x = np.asarray(r, dtype=float) - self.level
+        if (x <= 0.0).all():
+            out = np.ones(x.shape)
+        else:
+            x = np.minimum(np.maximum(x, 0.0), 1.0)
+            out = 1.0 - x * x * x * (10.0 - 15.0 * x + 6.0 * (x * x))
+        return float(out) if out.ndim == 0 else out
 
     def dtheta(self, r: float) -> float:
         x = r - self.level

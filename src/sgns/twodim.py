@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .estimates import gronwall_eval
-from .galerkin import GalerkinConfig, _compiled, generate_wiener, integrate_trajectory
+from .galerkin import GalerkinConfig, _compiled, block_rows, generate_wiener, integrate_batch
 from .nonlinear import TrilinearWorkspace, bilinear_B, trilinear_b
 from .spectral import Basis, SpectralField, eval_physical, norm
 
@@ -317,34 +317,36 @@ def pathwise_uniqueness_experiment(
     u0_pert = config.u0 + basis.field_from_real_coords(pert)
 
     def variant(u0):
+        # only snap_u and norm_D are read, so no integral snapshots
         return GalerkinConfig(
             basis=basis, n=config.n, dt=config.dt, T=config.T, u0=u0,
             model=config.model, forcing=config.forcing, cutoff_level=config.cutoff_level,
-            seed=config.seed, snapshot_stride=1, scheme=config.scheme,
-            include_B=config.include_B,
+            seed=config.seed, snapshot_stride=1, integral_snapshot_stride=0,
+            scheme=config.scheme, include_B=config.include_B,
         )
 
     cfg1, cfg2 = variant(config.u0), variant(u0_pert)
     ratios_T = np.zeros(n_traj)
     sup_ratios = np.zeros(n_traj)
     identical = True
-    for r in range(n_traj):
-        path = generate_wiener(cfg1.steps, cfg1.M, cfg1.dt, cfg1.seed, r)
-        rec1 = integrate_trajectory(cfg1, path=path, traj_index=r)
-        rec2 = integrate_trajectory(cfg2, path=path, traj_index=r)
-        if rec1.aborted or rec2.aborted:
-            raise RuntimeError(f"trajectory {r} aborted during the uniqueness experiment")
-        if gamma == 0.0:
-            if not np.array_equal(rec1.snap_u, rec2.snap_u):
-                identical = False
-            ratios_T[r] = 0.0
-            sup_ratios[r] = 0.0
-            continue
-        U2 = np.sum((rec1.snap_u - rec2.snap_u) ** 2, axis=1)
-        r_t = C_eps * np.concatenate([[0.0], np.cumsum(rec2.norm_D[:-1] ** 2) * cfg2.dt])
-        weighted = np.exp(-r_t) * U2
-        ratios_T[r] = weighted[-1] / weighted[0]
-        sup_ratios[r] = float(np.max(weighted)) / weighted[0]
+    # twins run as two batches over one block of Wiener paths; the two
+    # records of a pair share the block budget
+    rows = max(1, block_rows(cfg1, n_traj) // 2)
+    for start in range(0, n_traj, rows):
+        block = list(range(start, min(start + rows, n_traj)))
+        paths = [generate_wiener(cfg1.steps, cfg1.M, cfg1.dt, cfg1.seed, r) for r in block]
+        for r, rec1, rec2 in zip(block, integrate_batch(cfg1, block, paths),
+                                 integrate_batch(cfg2, block, paths)):
+            if rec1.aborted or rec2.aborted:
+                raise RuntimeError(f"trajectory {r} aborted during the uniqueness experiment")
+            if gamma == 0.0:
+                identical = identical and np.array_equal(rec1.snap_u, rec2.snap_u)
+                continue
+            U2 = np.sum((rec1.snap_u - rec2.snap_u) ** 2, axis=1)
+            r_t = C_eps * np.concatenate([[0.0], np.cumsum(rec2.norm_D[:-1] ** 2) * cfg2.dt])
+            weighted = np.exp(-r_t) * U2
+            ratios_T[r] = weighted[-1] / weighted[0]
+            sup_ratios[r] = float(np.max(weighted)) / weighted[0]
     return PathwiseUniquenessReport(
         gamma=gamma,
         eps=eps,

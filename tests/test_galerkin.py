@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -11,12 +12,13 @@ from sgns.galerkin import (
     energy_budget_check,
     generate_wiener,
     h_tanh_sup,
+    integrate_batch,
     integrate_ensemble,
     integrate_trajectory,
     martingale_diagnostic,
     reconstruct_martingale,
 )
-from sgns.noise import apply_G, default_noise_model
+from sgns.noise import apply_G, constant_transport_model, default_noise_model
 from sgns.nonlinear import TrilinearWorkspace, bilinear_B, trilinear_b
 from sgns.spectral import norm, project_Pn, random_field
 
@@ -398,3 +400,156 @@ def test_path_shape_mismatch(basis2d_small):
     bad = generate_wiener(cfg.steps + 1, cfg.M, cfg.dt, 0)
     with pytest.raises(ValueError):
         integrate_trajectory(cfg, path=bad)
+
+
+# -- the batched stepper ----------------------------------------------------------
+
+
+def rich_config(basis, **kw):
+    """Two noise directions, forcing, an active cutoff, probes, quadratic
+    variations and a refinement probe: every branch of the stepper."""
+    rng = np.random.default_rng(11)
+    n = kw.pop("n", 10)
+    u0 = project_Pn(random_field(basis, rng, n=n, decay=0.5), n)
+    model = constant_transport_model([[1.0, 0.0], [0.3, 0.7]], c_values=[0.0, 0.2])
+    defaults = dict(
+        basis=basis, n=n, dt=1e-3, T=0.02, u0=u0, model=model,
+        forcing=0.5 * basis.basis_field(1), seed=9, snapshot_stride=5,
+        integral_snapshot_stride=4,
+        # below |u0|_{U'}, so the cutoff factor moves inside (0, 1)
+        cutoff_level=0.8 * norm(u0, "Udual"),
+        probes=(basis.basis_field(0), basis.basis_field(2)),
+        qv_pairs=((0, 0), (0, 1)),
+        refinement_probe=basis.basis_field(3),
+    )
+    defaults.update(kw)
+    return GalerkinConfig(**defaults)
+
+
+def assert_records_identical(a, b):
+    for field in dataclasses.fields(a):
+        va, vb = getattr(a, field.name), getattr(b, field.name)
+        if isinstance(va, dict):
+            assert va.keys() == vb.keys(), field.name
+            for key in va:
+                assert va[key].dtype == vb[key].dtype and np.array_equal(va[key], vb[key]), (field.name, key)
+        elif isinstance(va, np.ndarray):
+            assert va.dtype == vb.dtype and np.array_equal(va, vb), field.name
+        else:
+            assert va == vb, field.name
+
+
+@pytest.mark.parametrize("scheme", ["em", "exponential"])
+def test_stepper_matches_independent_oracles(basis2d_small, scheme):
+    # reference loop on SpectralFields: convection on the dealiased grid,
+    # noise by exact convolution, both projected onto the first n modes
+    basis = basis2d_small
+    cfg = rich_config(basis, scheme=scheme, snapshot_stride=1, integral_snapshot_stride=1)
+    n, dt, steps = cfg.n, cfg.dt, cfg.steps
+    ws = TrilinearWorkspace(basis, "dealiased_grid")
+    lam = basis.mode_weights("D", n)
+    f = basis.real_coords(cfg.forcing, n)
+    recs = integrate_batch(cfg, [4, 5, 6])
+    rec = recs[1]
+    dW = generate_wiener(steps, cfg.M, dt, cfg.seed, 5).dW
+    u = project_Pn(cfg.u0, n)
+    ref = {name: np.zeros(steps) for name in
+           ("drift_work", "b_work", "forcing_work", "mart_work", "delta_sq", "ito_step", "hs_step")}
+    states = [basis.real_coords(u, n)]
+    thetas = []
+    for j in range(steps):
+        x = basis.real_coords(u, n)
+        theta = cfg.cutoff.theta(norm(u, "Udual"))
+        bx = basis.real_coords(bilinear_B(u, u, ws), n)
+        xi = basis.real_coords(project_Pn(apply_G(u, dW[j], cfg.model), n), n)
+        g = [basis.real_coords(project_Pn(apply_G(u, e, cfg.model), n), n) for e in np.eye(cfg.M)]
+        y = x + dt * (f - theta * bx) + xi
+        x_new = y - dt * lam * x if scheme == "em" else np.exp(-lam * dt) * y
+        ref["drift_work"][j] = (-2.0 * dt * np.sum(lam * x * x) if scheme == "em"
+                                else np.sum(x_new**2) - np.sum(y**2))
+        ref["b_work"][j] = -2.0 * dt * theta * np.sum(x * bx)
+        ref["forcing_work"][j] = 2.0 * dt * np.sum(x * f)
+        ref["mart_work"][j] = 2.0 * np.sum(x * xi)
+        ref["delta_sq"][j] = np.sum((x_new - x) ** 2) if scheme == "em" else np.sum((y - x) ** 2)
+        ref["ito_step"][j] = np.sum(xi**2)
+        ref["hs_step"][j] = dt * sum(np.sum(gm**2) for gm in g)
+        thetas.append(theta)
+        u = basis.field_from_real_coords(np.concatenate([x_new, np.zeros(basis.n_modes - n)]))
+        states.append(x_new)
+    states = np.array(states)
+    assert 0.0 < min(thetas) < 1.0
+    assert rec.cutoff_min == pytest.approx(min(thetas), rel=1e-12)
+    scale = np.max(np.abs(states))
+    assert np.max(np.abs(rec.snap_u - states)) <= 1e-12 * scale
+    energy = np.max(np.sum(states**2, axis=1))
+    for name, want in ref.items():
+        assert np.max(np.abs(getattr(rec, name) - want)) <= 1e-12 * energy, name
+
+
+def test_records_independent_of_batch_and_partition(basis2d_small):
+    cfg = rich_config(basis2d_small)
+    single = [integrate_trajectory(cfg, traj_index=i) for i in range(7)]
+    batch = integrate_batch(cfg, range(7))
+    split = integrate_batch(cfg, [0, 1, 2]) + integrate_batch(cfg, [3, 4, 5, 6])
+    shuffled = {rec.traj_index: rec for rec in integrate_batch(cfg, [6, 2, 4, 0, 5, 1, 3])}
+    assert min(rec.cutoff_min for rec in batch) < 1.0
+    for i in range(7):
+        for other in (batch[i], split[i], shuffled[i]):
+            assert_records_identical(single[i], other)
+
+
+def test_convection_rows_independent_of_batch(basis2d):
+    # n = 128: every output segment is long enough for pairwise summation
+    n = 128
+    sys = CompiledGalerkin(basis2d, n, None)
+    X = np.random.default_rng(8).standard_normal((16, n))
+    whole = sys.convection(X)
+    for B in (1, 2, 7):
+        for r in range(B):
+            assert np.array_equal(sys.convection(X[:B])[r], whole[r])
+    for r in range(16):
+        assert np.array_equal(sys.convection(X[r]), whole[r])
+
+
+def test_folded_convection_matches_full_triplets(basis2d):
+    n = 128
+    I, J, K, V = build_convection_tensor(basis2d, n)
+    sys = CompiledGalerkin(basis2d, n, None)
+    assert len(sys._V) < len(V) and np.all(sys._J <= sys._K)
+    x = np.random.default_rng(2).standard_normal(n)
+    full = np.bincount(I, weights=V * x[J] * x[K], minlength=n)
+    assert np.max(np.abs(sys.convection(x) - full)) <= 1e-13 * np.max(np.abs(full))
+
+
+def test_abort_inside_a_batch(basis2d_small):
+    # rows 1 and 3 blow up at different steps (one past the limit, one out of
+    # the finite range); the forcing keeps an aborted row's state moving
+    cfg = rich_config(basis2d_small, T=0.03, overflow_limit=1e3)
+    paths = [generate_wiener(cfg.steps, cfg.M, cfg.dt, cfg.seed, i) for i in range(5)]
+    paths[1].dW[7] = 1e6
+    paths[3].dW[12] = 1e300
+    batch = integrate_batch(cfg, range(5), paths)
+    assert [rec.aborted for rec in batch] == [False, True, False, True, False]
+    assert batch[1].abort_step == 8 and batch[3].abort_step == 13
+    for i, rec in enumerate(batch):
+        assert_records_identical(integrate_trajectory(cfg, path=paths[i], traj_index=i), rec)
+    for rec in (batch[1], batch[3]):
+        a = rec.abort_step
+        assert rec.norm_H[a] > 0.0  # the state at the abort step, non-finite entries zeroed
+        assert np.all(rec.norm_H[a + 1 :] == 0.0) and np.all(rec.drift_work[a:] == 0.0)
+        assert np.all(rec.snap_u[rec.snap_idx >= a] == 0.0)
+        assert np.all(rec.snap_integrals["noise"][rec.integral_snap_idx >= a] == 0.0)
+    # the healthy rows are those of a batch without the bad rows
+    for i, rec in zip((0, 2, 4), integrate_batch(cfg, [0, 2, 4])):
+        assert_records_identical(batch[i], rec)
+
+
+def test_exponential_scheme_ledger_closes(basis2d_small):
+    cfg = make_config(basis2d_small, scheme="exponential", T=0.1, snapshot_stride=10)
+    recs = integrate_ensemble(cfg, 4)
+    assert energy_budget_check(recs).max_relative_residual <= 1e-10
+    for rec in recs:
+        scale = max(1.0, float(np.max(np.abs(rec.snap_u))))
+        for pos in range(len(rec.snap_idx)):
+            M = reconstruct_martingale(rec, pos)
+            assert np.max(np.abs(M - rec.snap_integrals["noise"][pos])) <= 1e-13 * scale
