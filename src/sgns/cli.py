@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
 
 import numpy as np
@@ -288,9 +287,6 @@ def run_command(verb: str, run: RunConfig, out_dir, workers: int | None = None) 
         raise ValueError(f"unknown verb {verb!r}; expected one of {VERBS}")
     bundle = ResultBundle(out_dir)
     workers = workers if workers is not None else run.workers
-    env_workers = os.environ.get("SGNS_WORKERS")
-    if env_workers:
-        workers = int(env_workers)
     bundle.summary.update(verb=verb, config_hash=run.config_hash, seed=run.base_seed)
     if verb == "verify-operators":
         code = run_verify_operators(run, bundle)

@@ -19,6 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .galerkin import GalerkinConfig, horizon_violations
 from .noise import NoiseModel, coercivity_constant, noise_model_from_spec
 from .spectral import Basis, SpaceScale, SpectralField, TorusDomain, random_field
 
@@ -222,21 +223,11 @@ def load_config(path_or_dict) -> RunConfig:
                 violations.append(f"galerkin.n = {n} outside [1, {basis.n_modes}]")
         if gal["scheme"] not in ("em", "exponential"):
             violations.append(f"galerkin.scheme must be 'em' or 'exponential', got {gal['scheme']!r}")
-        dt, T = float(gal["dt"]), float(gal["T"])
-        if dt <= 0 or T < dt:
-            violations.append("galerkin: need dt > 0 and T >= dt")
-        else:
-            if abs(T / dt - round(T / dt)) > 1e-9 * T / dt:
-                violations.append(
-                    f"galerkin.T = {T} is not a whole number of steps dt = {dt}"
-                )
-            if n_list and gal["scheme"] == "em":
-                lam_max = max(float(np.max(basis.mode_weights("D", n))) for n in n_list if 1 <= n <= basis.n_modes)
-                if dt * lam_max >= 1.0:
-                    violations.append(
-                        f"galerkin.dt = {dt} violates the explicit-scheme stability gate: "
-                        f"dt * lambda_D,max = {dt * lam_max:.6g} >= 1"
-                    )
+        levels = [n for n in n_list if 1 <= n <= basis.n_modes]
+        violations += [
+            f"galerkin: {v}"
+            for v in horizon_violations(basis, levels, float(gal["dt"]), float(gal["T"]), gal["scheme"])
+        ]
         u0 = _field_from_spec(gal["u0"] or {}, basis, "galerkin.u0", violations)
         f_spec = gal["forcing"] or {"kind": "zero"}
         forcing = _field_from_spec(f_spec, basis, "galerkin.forcing", violations)
@@ -283,8 +274,6 @@ def load_config(path_or_dict) -> RunConfig:
 
 def galerkin_config(run: RunConfig, n: int | None = None, **overrides):
     """GalerkinConfig for one level of a run (probes etc. via overrides)."""
-    from .galerkin import GalerkinConfig
-
     kw = dict(
         basis=run.basis,
         n=run.n if n is None else n,

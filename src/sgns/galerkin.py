@@ -179,6 +179,33 @@ def _compiled(basis: Basis, n: int, model, include_B: bool) -> CompiledGalerkin:
 
 # -- configuration ------------------------------------------------------------
 
+# bound on dt * lambda_D,max for each explicit scheme: Euler-Maruyama keeps its
+# Stokes factor 1 - dt lambda positive, classical RK4 stays inside its real
+# stability interval [-2.785, 0].  The exponential scheme takes the Stokes
+# part exactly and has no gate.
+STABILITY_LIMITS = {"em": 1.0, "rk4": 2.78}
+
+
+def horizon_violations(basis: Basis, levels, dt: float, T: float, scheme: str) -> list:
+    """Every way a step dt and horizon T fail a run on the given Galerkin
+    levels: dt > 0 and T >= dt, T a whole number of steps, and the stability
+    gate of an explicit scheme at the largest active Dirichlet multiplier."""
+    if not dt > 0 or T < dt:
+        return ["need dt > 0 and T >= dt"]
+    out = []
+    ratio = T / dt
+    if abs(ratio - round(ratio)) > 1e-9 * ratio:
+        out.append(f"horizon T = {T} is not a whole number of steps dt = {dt} (T/dt = {ratio:.12g})")
+    limit = STABILITY_LIMITS.get(scheme)
+    if limit is not None and len(levels):
+        lam_max = max(float(np.max(basis.mode_weights("D", n))) for n in levels)
+        if dt * lam_max >= limit:
+            out.append(
+                f"dt = {dt} fails the {scheme} stability gate: "
+                f"dt * lambda_D,max = {dt * lam_max:.6g} >= {limit}"
+            )
+    return out
+
 
 @dataclass
 class GalerkinConfig:
@@ -201,24 +228,13 @@ class GalerkinConfig:
     overflow_limit: float = 1e12
 
     def __post_init__(self):
-        if self.dt <= 0 or self.T < self.dt:
-            raise ValueError("need dt > 0 and T >= dt")
-        ratio = self.T / self.dt
-        if abs(ratio - round(ratio)) > 1e-9 * ratio:
-            raise ValueError(
-                f"horizon T = {self.T} is not a whole number of steps dt = {self.dt} "
-                f"(T/dt = {ratio:.12g})"
-            )
         if not 1 <= self.n <= self.basis.n_modes:
             raise ValueError(f"n must lie in [1, {self.basis.n_modes}]")
         if self.scheme not in ("em", "exponential"):
             raise ValueError(f"unknown scheme {self.scheme!r}")
-        lam_max = float(np.max(self.basis.mode_weights("D", self.n)))
-        if self.scheme == "em" and self.dt * lam_max >= 1.0:
-            raise ValueError(
-                f"explicit-scheme stability gate failed: dt * lambda_D,max = "
-                f"{self.dt * lam_max:.3g} >= 1 (largest active Dirichlet multiplier {lam_max:.3g})"
-            )
+        violations = horizon_violations(self.basis, (self.n,), self.dt, self.T, self.scheme)
+        if violations:
+            raise ValueError("; ".join(violations))
         if self.model is not None and self.model.d != self.basis.domain.d:
             raise ValueError("noise model dimension disagrees with the domain")
 
@@ -325,6 +341,17 @@ class TrajectoryRecord:
         full = np.zeros(basis.n_modes)
         full[: self.n] = self.snap_u[pos]
         return basis.field_from_real_coords(full)
+
+
+def _grid_positions(grid: np.ndarray, times, dt: float) -> np.ndarray:
+    """Position on a snapshot time grid of each of `times` (same shape), which
+    must lie within dt/2 of a grid point."""
+    times = np.asarray(times, dtype=float)
+    pos = np.argmin(np.abs(grid[:, None] - times.ravel()), axis=0)
+    off = np.abs(grid[pos] - times.ravel()) > dt / 2
+    if np.any(off):
+        raise ValueError(f"time {times.ravel()[off][0]} is not on the snapshot grid")
+    return pos.reshape(times.shape)
 
 
 def _snapshot_indices(steps: int, stride: int) -> np.ndarray:
@@ -714,17 +741,11 @@ def martingale_diagnostic(records, psi, zeta, s: float, t: float, h=h_one) -> Ma
         except ValueError:
             raise ValueError(f"probe pair {(a, b)} has no accumulated quadratic variation")
 
-    def snap_pos(rec, time):
-        hits = np.nonzero(np.abs(rec.snap_times - time) <= rec.dt / 2)[0]
-        if not len(hits):
-            raise ValueError(f"time {time} is not on the snapshot grid")
-        return int(hits[0])
-
     mean_terms = []
     qv_terms = []
     recon = 0.0
     for rec in records:
-        ps, pt = snap_pos(rec, s), snap_pos(rec, t)
+        ps, pt = _grid_positions(rec.snap_times, (s, t), rec.dt)
         Ms = reconstruct_martingale(rec, ps)
         Mt = reconstruct_martingale(rec, pt)
         jt = int(np.nonzero(rec.integral_snap_idx == rec.snap_idx[pt])[0][0])

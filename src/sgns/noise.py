@@ -217,15 +217,17 @@ class _ModelTables:
             self.terms.append(entries)
 
 
+# convolution tables, keyed by value: they depend only on the noise model
+# (frozen, hashable) and the lattice of the domain
+_TABLES: dict = {}
+
+
 def _tables(model: NoiseModel, basis: Basis) -> _ModelTables:
-    # cached on the basis instance; NoiseModel is frozen and hashable
-    cache = getattr(basis, "_noise_tables", None)
-    if cache is None:
-        cache = {}
-        basis._noise_tables = cache
-    if model not in cache:
-        cache[model] = _ModelTables(model, basis)
-    return cache[model]
+    key = (model, basis.domain)
+    tables = _TABLES.get(key)
+    if tables is None:
+        tables = _TABLES[key] = _ModelTables(model, basis)
+    return tables
 
 
 def apply_G_direction(u: SpectralField, i: int, model: NoiseModel) -> SpectralField:

@@ -17,15 +17,40 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .galerkin import TrajectoryRecord
+from .galerkin import INTEGRALS, TrajectoryRecord, _grid_positions
 from .spectral import Basis
+
+
+# -- increments and windows ----------------------------------------------------
+
+
+def _increment_norms(coords: np.ndarray, lag: int, w: np.ndarray) -> np.ndarray:
+    """|x(s + lag) - x(s)|_{U'} along the second-last axis of coords (..., S, n),
+    with w the U'-weights: shape (..., S - lag)."""
+    diff = coords[..., lag:, :] - coords[..., :-lag, :]
+    diff *= diff
+    return np.sqrt(np.einsum("...n,n->...", diff, w))
+
+
+def _lag_maxima(coords: np.ndarray, w: np.ndarray, max_lag: int) -> np.ndarray:
+    """m[r, l-1] = max_s |x_r(s + l) - x_r(s)|_{U'} for lags 1..max_lag."""
+    out = np.zeros((len(coords), max_lag))
+    for lag in range(1, max_lag + 1):
+        out[:, lag - 1] = np.max(_increment_norms(coords, lag, w), axis=1)
+    return out
+
+
+def _window_lag(delta: float, h: float, max_lag: int) -> int:
+    """Whole snapshot spacings h inside a window of length delta, capped."""
+    return min(int(math.floor(delta / h + 1e-12)), max_lag)
 
 
 # -- trajectory families -----------------------------------------------------
 
 
 class FunctionFamily:
-    """Snapshot trajectories of one ensemble in U'-coordinates."""
+    """Snapshot trajectories of one ensemble in U'-coordinates, stacked:
+    coords (R, S, n) and the per-step norms (R, steps + 1)."""
 
     def __init__(self, records, basis: Basis, n: int | None = None):
         if not records:
@@ -34,52 +59,50 @@ class FunctionFamily:
         if not recs:
             raise ValueError("all trajectories aborted")
         n = recs[0].n if n is None else n
-        snap = recs[0].snap_idx
+        snap, dt = recs[0].snap_idx, recs[0].dt
         for r in recs:
-            if r.n != n or not np.array_equal(r.snap_idx, snap):
+            if r.n != n or r.dt != dt or not np.array_equal(r.snap_idx, snap):
                 raise ValueError("family members must share the Galerkin level and grid")
-        self.records = recs
         self.n = n
-        self.dt = recs[0].dt
+        self.dt = dt
         self.times = recs[0].snap_times
         self.coords = np.stack([r.snap_u for r in recs])  # (R, S, n)
+        self.norm_H = np.stack([r.norm_H for r in recs])  # (R, steps + 1)
+        self.norm_D = np.stack([r.norm_D for r in recs])
         self.wUdual = basis.mode_weights("Udual", n)
 
     @property
     def size(self) -> int:
-        return len(self.records)
+        return len(self.coords)
 
     def sup_V_integral(self) -> float:
-        return max(
-            float(np.sum((r.norm_H[:-1] ** 2 + r.norm_D[:-1] ** 2)) * r.dt) for r in self.records
-        )
+        H, D = self.norm_H[:, :-1], self.norm_D[:, :-1]
+        return float(np.max(np.sum(H**2 + D**2, axis=1))) * self.dt
 
     def sup_sup_H(self) -> float:
-        return max(r.sup_H() for r in self.records)
+        return float(np.max(self.norm_H))
 
     def lag_maxima(self, max_lag: int) -> np.ndarray:
         """m[r, l-1] = max_j |u_r(t_{j+l}) - u_r(t_j)|_{U'} for lags 1..max_lag."""
-        R, S, _ = self.coords.shape
-        out = np.zeros((R, max_lag))
-        for lag in range(1, max_lag + 1):
-            diff = self.coords[:, lag:, :] - self.coords[:, :-lag, :]
-            d2 = np.einsum("rsn,n->rs", diff * diff, self.wUdual)
-            out[:, lag - 1] = np.sqrt(np.max(d2, axis=1))
-        return out
+        return _lag_maxima(self.coords, self.wUdual, max_lag)
+
+
+def _modulus_table(family: FunctionFamily, deltas: np.ndarray) -> np.ndarray:
+    """omega_r(delta) = sup over |t - s| <= delta of |u_r(t) - u_r(s)|_{U'} on
+    the snapshot grid, per path r and sorted window: (R, len(deltas))."""
+    h = family.times[1] - family.times[0]
+    max_lag = _window_lag(deltas[-1], h, len(family.times) - 1)
+    running = np.maximum.accumulate(family.lag_maxima(max_lag), axis=1)
+    # column 0 is the window without a whole spacing: modulus 0
+    running = np.concatenate([np.zeros((family.size, 1)), running], axis=1)
+    return running[:, [_window_lag(d, h, max_lag) for d in deltas]]
 
 
 def median_modulus_curve(family: FunctionFamily, deltas) -> tuple:
     """Per-delta ensemble median of the per-trajectory moduli, with the fitted
     log-log slope (nan when the curve touches zero)."""
     deltas = np.sort(np.asarray(deltas, dtype=float))
-    h = family.times[1] - family.times[0]
-    max_lag = min(int(math.floor(deltas[-1] / h + 1e-12)), len(family.times) - 1)
-    lagmax = family.lag_maxima(max_lag)  # (R, max_lag)
-    running = np.maximum.accumulate(lagmax, axis=1)
-    curve = np.zeros(len(deltas))
-    for i, d in enumerate(deltas):
-        lag = min(int(math.floor(d / h + 1e-12)), max_lag)
-        curve[i] = float(np.median(running[:, lag - 1])) if lag >= 1 else 0.0
+    curve = np.median(_modulus_table(family, deltas), axis=0)
     slope = math.nan
     if np.all(curve > 0):
         slope = float(np.polyfit(np.log(deltas), np.log(curve), 1)[0])
@@ -90,14 +113,8 @@ def modulus_of_continuity(coords: np.ndarray, wUdual: np.ndarray, times: np.ndar
     """sup over |t - s| <= delta of |u(t) - u(s)|_{U'} on the snapshot grid."""
     if delta <= 0:
         raise ValueError("delta must be positive")
-    h = times[1] - times[0]
-    max_lag = min(int(math.floor(delta / h + 1e-12)), len(times) - 1)
-    worst = 0.0
-    for lag in range(1, max_lag + 1):
-        diff = coords[lag:] - coords[:-lag]
-        d2 = np.max(np.einsum("sn,n->s", diff * diff, wUdual))
-        worst = max(worst, math.sqrt(float(d2)))
-    return worst
+    max_lag = _window_lag(delta, times[1] - times[0], len(times) - 1)
+    return float(np.max(_lag_maxima(coords[None], wUdual, max_lag), initial=0.0))
 
 
 # -- Dubinsky-type diagnostic -------------------------------------------------
@@ -125,15 +142,7 @@ def dubinsky_diagnostic(
     zero curve (constant family) passes trivially.
     """
     deltas = np.sort(np.asarray(deltas, dtype=float))
-    h = family.times[1] - family.times[0]
-    max_lag = min(int(math.floor(deltas[-1] / h + 1e-12)), len(family.times) - 1)
-    lagmax = family.lag_maxima(max_lag)
-    fam_lag = np.max(lagmax, axis=0)
-    running = np.maximum.accumulate(fam_lag)
-    curve = np.zeros(len(deltas))
-    for i, d in enumerate(deltas):
-        lag = min(int(math.floor(d / h + 1e-12)), max_lag)
-        curve[i] = running[lag - 1] if lag >= 1 else 0.0
+    curve = np.max(_modulus_table(family, deltas), axis=0)
     supV = family.sup_V_integral()
     supH = family.sup_sup_H()
     if np.max(curve) == 0.0:
@@ -166,15 +175,11 @@ class AldousReport:
 
 def _hitting_positions(family: FunctionFamily, level: float) -> np.ndarray:
     """Snapshot position of the first time |u|_H >= level (end of path if never)."""
-    out = np.zeros(family.size, dtype=int)
+    last = len(family.times) - 1
     stride = int(round((family.times[1] - family.times[0]) / family.dt))
-    for r, rec in enumerate(family.records):
-        hits = np.nonzero(rec.norm_H >= level)[0]
-        if len(hits):
-            out[r] = min(int(math.ceil(hits[0] / stride)), len(family.times) - 1)
-        else:
-            out[r] = len(family.times) - 1
-    return out
+    hit = family.norm_H >= level
+    first = np.argmax(hit, axis=1)
+    return np.where(hit.any(axis=1), np.minimum(-(-first // stride), last), last)
 
 
 def aldous_check(family: FunctionFamily, thetas, eta: float) -> AldousReport:
@@ -191,25 +196,22 @@ def aldous_check(family: FunctionFamily, thetas, eta: float) -> AldousReport:
     thetas = np.sort(np.asarray(thetas, dtype=float))[::-1]  # descending
     S = len(family.times)
     h = family.times[1] - family.times[0]
-    T = family.times[-1]
     rules = {}
     for frac in (0.2, 0.45, 0.7):
         pos = int(round(frac * (S - 1)))
         rules[f"grid_t={family.times[pos]:.4g}"] = np.full(family.size, pos, dtype=int)
-    sups = np.array([r.sup_H() for r in family.records])
+    sups = np.max(family.norm_H, axis=1)
     for q in (50, 90):
         level = float(np.percentile(sups, q))
         rules[f"hit_p{q}"] = _hitting_positions(family, level)
 
+    rows = np.arange(family.size)[:, None]
     per_rule = {label: np.zeros(len(thetas)) for label in rules}
     for i, theta in enumerate(thetas):
         lag = int(round(theta / h))
         for label, taus in rules.items():
-            ends = np.minimum(taus + lag, S - 1)
-            diff = family.coords[np.arange(family.size), ends] - family.coords[
-                np.arange(family.size), taus
-            ]
-            d = np.sqrt(np.einsum("rn,n->r", diff * diff, family.wUdual))
+            pair = np.stack([taus, np.minimum(taus + lag, S - 1)], axis=1)
+            d = _increment_norms(family.coords[rows, pair], 1, family.wUdual)[:, 0]
             per_rule[label][i] = float(np.mean(d >= eta))
     probs = np.max(np.stack(list(per_rule.values())), axis=0)
     # thetas descending: probabilities must not increase as theta shrinks
@@ -221,52 +223,34 @@ def aldous_check(family: FunctionFamily, thetas, eta: float) -> AldousReport:
     )
 
 
-# -- J-term decomposition -------------------------------------------------------
-
-
 def calibrate_aldous_eta(family: FunctionFamily, theta: float, quantile: float = 60.0) -> float:
     """Threshold for the exceedance table: a quantile of the pooled increments
     |u(t + theta) - u(t)|_{U'} over the family at the largest window, so the
     table starts mid-range and its decay toward 0 is informative."""
     h = family.times[1] - family.times[0]
-    lag = max(1, int(round(theta / h)))
-    diff = family.coords[:, lag:, :] - family.coords[:, :-lag, :]
-    d = np.sqrt(np.einsum("rsn,n->rs", diff * diff, family.wUdual))
+    d = _increment_norms(family.coords, max(1, int(round(theta / h))), family.wUdual)
     stride = max(1, d.shape[1] // 64)
     return float(np.percentile(d[:, ::stride].ravel(), quantile))
 
 
+# -- J-term decomposition -------------------------------------------------------
+
+
 def decomposition_increments(rec: TrajectoryRecord, tau: float, theta: float) -> dict:
-    """U'-norms of the increments of the drift/forcing/noise integrals over
-    [tau, tau + theta], plus the decomposition-identity residual against the
-    increment of the path itself."""
+    """Increments of the drift/forcing/noise integrals over [tau, tau + theta],
+    plus the decomposition-identity residual against the increment of the
+    path itself (nan when the path has no snapshot at either end)."""
     jt = rec.integral_snap_idx * rec.dt
-    pos_a = int(np.argmin(np.abs(jt - tau)))
-    pos_b = int(np.argmin(np.abs(jt - (tau + theta))))
-    if abs(jt[pos_a] - tau) > rec.dt / 2 or abs(jt[pos_b] - (tau + theta)) > rec.dt / 2:
-        raise ValueError("tau and tau+theta must lie on the J-snapshot grid")
-    out = {}
-    total = None
-    for name in ("stokes", "convection", "forcing", "noise"):
-        inc = rec.snap_integrals[name][pos_b] - rec.snap_integrals[name][pos_a]
-        out[name] = inc
-        total = inc if total is None else total + inc
-    # the identity needs u at the same steps
-    su = {int(s): i for i, s in enumerate(rec.snap_idx)}
-    ia, ib = su.get(int(rec.integral_snap_idx[pos_a])), su.get(int(rec.integral_snap_idx[pos_b]))
+    a, b = _grid_positions(jt, (tau, tau + theta), rec.dt)
+    out = {name: rec.snap_integrals[name][b] - rec.snap_integrals[name][a] for name in INTEGRALS}
     residual = math.nan
-    if ia is not None and ib is not None:
-        du = rec.snap_u[ib] - rec.snap_u[ia]
-        residual = float(np.max(np.abs(du - total)))
+    try:
+        ia, ib = _grid_positions(rec.snap_times, jt[[a, b]], rec.dt)
+    except ValueError:
+        pass
+    else:
+        residual = float(np.max(np.abs(rec.snap_u[ib] - rec.snap_u[ia] - sum(out.values()))))
     return {"increments": out, "identity_residual": residual}
-
-
-def decomposition_increment_norms(rec: TrajectoryRecord, wUdual: np.ndarray, tau: float, theta: float) -> dict:
-    res = decomposition_increments(rec, tau, theta)
-    return {
-        name: math.sqrt(float(np.sum(wUdual * inc * inc)))
-        for name, inc in res["increments"].items()
-    }
 
 
 @dataclass
@@ -283,25 +267,30 @@ def increment_scaling(records, basis: Basis, tau, thetas) -> IncrementScalingRep
     `tau` may be a single anchor or a list; the increment bounds hold at every
     anchor, so pooling several of them sharpens the median without bias."""
     recs = [r for r in records if not r.aborted]
-    wUdual = basis.mode_weights("Udual", recs[0].n)
+    rec0 = recs[0]
+    for r in recs:
+        if r.n != rec0.n or r.dt != rec0.dt or not np.array_equal(
+            r.integral_snap_idx, rec0.integral_snap_idx
+        ):
+            raise ValueError("records must share the Galerkin level and the integral grid")
+    wUdual = basis.mode_weights("Udual", rec0.n)
     taus = np.atleast_1d(np.asarray(tau, dtype=float))
     thetas = np.sort(np.asarray(thetas, dtype=float))
-    med = {name: np.zeros(len(thetas)) for name in ("stokes", "convection", "forcing", "noise")}
-    for i, theta in enumerate(thetas):
-        vals = {name: [] for name in med}
-        for rec in recs:
-            for t0 in taus:
-                norms = decomposition_increment_norms(rec, wUdual, t0, theta)
-                for name, v in norms.items():
-                    vals[name].append(v)
-        for name in med:
-            med[name][i] = float(np.median(vals[name]))
-    exps = {}
-    for name, series in med.items():
-        if np.all(series > 0):
-            exps[name] = float(np.polyfit(np.log(thetas), np.log(series), 1)[0])
-        else:
-            exps[name] = math.nan
+    jt = rec0.integral_snap_idx * rec0.dt
+    start = _grid_positions(jt, taus[None, :], rec0.dt)  # (1, anchor)
+    end = _grid_positions(jt, taus + thetas[:, None], rec0.dt)  # (theta, anchor)
+    med, exps = {}, {}
+    for name in INTEGRALS:
+        J = np.stack([r.snap_integrals[name] for r in recs])  # (R, S_J, n)
+        inc = J[:, end] - J[:, start]  # (R, theta, anchor, n)
+        # these norms are the pairwise np.sum over n; the einsum of
+        # _increment_norms rounds differently in the last bit, so the scaling
+        # table keeps its own form and its values to the bit
+        norms = np.sqrt(np.sum(wUdual * inc * inc, axis=-1))
+        med[name] = np.median(norms.transpose(1, 0, 2).reshape(len(thetas), -1), axis=1)
+        exps[name] = math.nan
+        if np.all(med[name] > 0):
+            exps[name] = float(np.polyfit(np.log(thetas), np.log(med[name]), 1)[0])
     return IncrementScalingReport(thetas=thetas, median_norms=med, exponents=exps)
 
 

@@ -11,12 +11,14 @@ refinement-stability verdict instead of hard-asserting the literature value.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .estimates import gronwall_eval
-from .galerkin import GalerkinConfig, _compiled, block_rows, generate_wiener, integrate_batch
+from .galerkin import (
+    GalerkinConfig, _compiled, block_rows, generate_wiener, horizon_violations, integrate_batch,
+)
 from .nonlinear import TrilinearWorkspace, bilinear_B, trilinear_b
 from .spectral import Basis, SpectralField, eval_physical, norm
 
@@ -120,10 +122,11 @@ class ShiftedProblem:
 
     def __post_init__(self):
         _require_2d(self.basis)
-        if self.dt <= 0 or self.T < self.dt:
-            raise ValueError("need dt > 0 and T >= dt")
         if not 1 <= self.n <= self.basis.n_modes:
             raise ValueError(f"n must lie in [1, {self.basis.n_modes}]")
+        violations = horizon_violations(self.basis, (self.n,), self.dt, self.T, "rk4")
+        if violations:
+            raise ValueError("; ".join(violations))
 
     @property
     def steps(self) -> int:
@@ -240,16 +243,8 @@ def uniqueness_shifted(
     """Distance of two shifted solutions against the Gronwall envelope
     y' <= theta(t) y with theta = 2 ||v2 + z||^2 (Dirichlet)."""
     sys = _compiled(problem.basis, problem.n, None, problem.include_B)
-    p1 = ShiftedProblem(
-        basis=problem.basis, n=problem.n, dt=problem.dt, T=problem.T,
-        u0=v10, z=problem.z, f=problem.f, include_B=problem.include_B,
-    )
-    p2 = ShiftedProblem(
-        basis=problem.basis, n=problem.n, dt=problem.dt, T=problem.T,
-        u0=v20, z=problem.z, f=problem.f, include_B=problem.include_B,
-    )
-    path1 = solve_shifted(p1)
-    path2 = solve_shifted(p2)
+    path1 = solve_shifted(replace(problem, u0=v10))
+    path2 = solve_shifted(replace(problem, u0=v20))
     identical = bool(np.array_equal(path1, path2))
     w = path1 - path2
     dist2 = np.sum(w * w, axis=1)

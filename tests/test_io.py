@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +10,8 @@ from sgns.cli import main, run_command
 from sgns.config import ConfigError, load_config
 from sgns.io import read_snapshot, write_snapshot
 from sgns.spectral import random_field
+
+DEMOS = Path(__file__).resolve().parents[1] / "demos" / "configs"
 
 TINY = {
     "domain": {"d": 2, "K": 3},
@@ -152,6 +155,24 @@ def test_ensemble_verb_and_worker_determinism(tmp_path):
     c1 = (tmp_path / "o1" / "functionals.csv").read_bytes()
     c2 = (tmp_path / "o2" / "functionals.csv").read_bytes()
     assert c1 == c2
+
+
+def test_tightness_verb_and_worker_determinism(tmp_path):
+    cfg = json.loads((DEMOS / "tightness.json").read_text())
+    cfg["galerkin"]["n_list"] = [4, 8]
+    cfg["ensemble"]["trajectories"] = 32
+    run = load_config(cfg)
+    codes = [run_command("tightness", run, tmp_path / f"w{w}", workers=w) for w in (1, 2)]
+    assert codes[0] == codes[1]
+    names = ["summary.json", "modulus.csv", "aldous.csv", "noise_increment_scaling.csv"]
+    for name in names:
+        assert (tmp_path / "w1" / name).read_bytes() == (tmp_path / "w2" / name).read_bytes()
+    summary = json.loads((tmp_path / "w1" / "summary.json").read_text())
+    assert summary["verb"] == "tightness"
+    assert set(summary["levels"]) == {"4", "8"}
+    for name in names[1:]:
+        rows = (tmp_path / "w1" / name).read_text().splitlines()[1:]
+        assert {row.split(",")[0] for row in rows} == {"4", "8"}
 
 
 def test_spaces_verb(tmp_path):

@@ -18,8 +18,11 @@ from sgns.noise import (
     noise_matrices,
     noise_model_from_spec,
     sup_norm,
+    _tables,
 )
-from sgns.spectral import eval_physical, inner, norm, partial_derivative, random_field
+from sgns.spectral import (
+    Basis, SpaceScale, TorusDomain, eval_physical, inner, norm, partial_derivative, random_field,
+)
 
 
 @pytest.fixture(scope="module")
@@ -248,3 +251,15 @@ def test_sup_norm_refinement():
     f = HarmonicField.build(2, 1, const=[0.0], harmonics=[((1, 0), [1.0], None), ((2, 0), [0.5], None)])
     # max of cos(x) + 0.5 cos(2x) is at x = 0
     assert abs(sup_norm(f, dom) - 1.5) < 1e-8
+
+
+def test_noise_tables_shared_by_equal_bases(rng):
+    model = default_noise_model(d=2)
+    b1 = Basis(TorusDomain(d=2, K=3), SpaceScale(d=2))
+    b2 = Basis(TorusDomain(d=2, K=3), SpaceScale(d=2))
+    assert b1 is not b2
+    assert _tables(model, b1) is _tables(model, b2)
+    assert not hasattr(b1, "_noise_tables")
+    u = random_field(b1, rng)
+    v = b2.field_from_real_coords(b1.real_coords(u, b1.n_modes))
+    assert np.array_equal(apply_G_direction(u, 0, model).coeffs, apply_G_direction(v, 0, model).coeffs)

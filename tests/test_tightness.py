@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,11 +9,12 @@ from sgns.noise import default_noise_model
 from sgns.spectral import random_field
 from sgns.tightness import (
     FunctionFamily,
+    _hitting_positions,
     aldous_check,
     dubinsky_diagnostic,
     build_nested_space,
     increment_scaling,
-    decomposition_increment_norms,
+    median_modulus_curve,
     modulus_of_continuity,
     nonlinear_refinement_check,
     decomposition_increments,
@@ -120,6 +122,27 @@ def test_dubinsky_galerkin_family(small_ensemble):
     assert rep.passed
 
 
+def test_family_reductions_match_per_record_loops(basis2d_small):
+    cfg = GalerkinConfig(
+        basis=basis2d_small, n=10, dt=1e-3, T=0.128,
+        u0=random_field(basis2d_small, np.random.default_rng(5), n=6, decay=0.5),
+        model=default_noise_model(2), seed=23, snapshot_stride=3,
+    )
+    recs = integrate_ensemble(cfg, 12)
+    fam = FunctionFamily(recs, basis2d_small)
+    last = len(fam.times) - 1
+    assert fam.sup_sup_H() == max(r.sup_H() for r in recs)
+    assert fam.sup_V_integral() == max(
+        float(np.sum(r.norm_H[:-1] ** 2 + r.norm_D[:-1] ** 2)) * r.dt for r in recs
+    )
+    for level in (0.0, float(np.median([r.sup_H() for r in recs])), np.inf):
+        expect = []
+        for r in recs:
+            hits = np.nonzero(r.norm_H >= level)[0]
+            expect.append(min(math.ceil(hits[0] / 3), last) if len(hits) else last)
+        assert np.array_equal(_hitting_positions(fam, level), expect)
+
+
 def test_aldous_constant_family(basis2d_small):
     class FakeRec:
         def __init__(self):
@@ -166,9 +189,20 @@ def test_term_bounds_identity(small_ensemble):
     rec = recs[0]
     res = decomposition_increments(rec, tau=0.02, theta=0.04)
     assert res["identity_residual"] < 1e-10
-    norms = decomposition_increment_norms(rec, basis.mode_weights("Udual", rec.n), 0.02, 0.04)
-    assert set(norms) == {"stokes", "convection", "forcing", "noise"}
-    assert norms["forcing"] == 0.0  # zero forcing
+    assert set(res["increments"]) == {"stokes", "convection", "forcing", "noise"}
+    assert np.all(res["increments"]["forcing"] == 0.0)  # zero forcing
+
+
+def test_identity_residual_needs_path_snapshots(basis2d_small):
+    cfg = GalerkinConfig(
+        basis=basis2d_small, n=8, dt=1e-3, T=0.012,
+        u0=random_field(basis2d_small, np.random.default_rng(4), n=8),
+        model=default_noise_model(2), seed=3, snapshot_stride=3, integral_snapshot_stride=2,
+    )
+    rec = integrate_trajectory(cfg)
+    assert decomposition_increments(rec, tau=0.0, theta=0.006)["identity_residual"] < 1e-12
+    # step 2 is on the integral grid but has no path snapshot
+    assert math.isnan(decomposition_increments(rec, tau=0.002, theta=0.004)["identity_residual"])
 
 
 def test_increment_scaling_exponents(small_ensemble):
@@ -179,6 +213,69 @@ def test_increment_scaling_exponents(small_ensemble):
     # drift integral of a bounded integrand scales ~ theta
     assert 0.8 <= rep.exponents["stokes"] <= 1.2
     assert math.isnan(rep.exponents["forcing"])  # zero forcing
+
+
+def test_increment_scaling_matches_per_record_loop(small_ensemble):
+    basis, recs = small_ensemble
+    w = basis.mode_weights("Udual", recs[0].n)
+    taus = [0.016, 0.032, 0.048]
+    thetas = [0.008, 0.004, 0.016]
+    rep = increment_scaling(recs, basis, tau=taus, thetas=thetas)
+    assert np.array_equal(rep.thetas, np.sort(thetas))
+    for name in ("stokes", "convection", "forcing", "noise"):
+        for i, theta in enumerate(rep.thetas):
+            vals = []
+            for rec in recs:
+                for tau in taus:
+                    inc = decomposition_increments(rec, tau, theta)["increments"][name]
+                    vals.append(math.sqrt(float(np.sum(w * inc * inc))))
+            assert rep.median_norms[name][i] == float(np.median(vals))
+
+
+def test_increment_scaling_rejects_mixed_integral_grids(small_ensemble):
+    basis, recs = small_ensemble
+    rec = recs[1]
+    coarse = replace(
+        rec,
+        integral_snap_idx=rec.integral_snap_idx[::2],
+        snap_integrals={k: v[::2] for k, v in rec.snap_integrals.items()},
+    )
+    with pytest.raises(ValueError, match="integral grid"):
+        increment_scaling([recs[0], coarse], basis, tau=0.016, thetas=[0.004, 0.008])
+
+
+def test_increment_scaling_rejects_off_grid_window(small_ensemble):
+    basis, recs = small_ensemble
+    with pytest.raises(ValueError, match="snapshot grid"):
+        increment_scaling(recs, basis, tau=0.016, thetas=[0.0045])
+    with pytest.raises(ValueError, match="snapshot grid"):
+        increment_scaling(recs, basis, tau=0.016, thetas=[1.0])  # past the horizon
+
+
+def test_modulus_is_one_path_lag_maxima(small_ensemble):
+    basis, recs = small_ensemble
+    rec = recs[3]
+    w = basis.mode_weights("Udual", rec.n)
+    lagmax = FunctionFamily([rec], basis).lag_maxima(16)
+    assert lagmax.shape == (1, 16)
+    assert modulus_of_continuity(rec.snap_u, w, rec.snap_times, 0.016) == np.max(lagmax)
+    # a window shorter than one snapshot spacing holds no increment
+    assert modulus_of_continuity(rec.snap_u, w, rec.snap_times, 0.0005) == 0.0
+
+
+def test_modulus_curves_are_median_and_max_of_per_path_moduli(small_ensemble):
+    basis, recs = small_ensemble
+    fam = FunctionFamily(recs[:9], basis)
+    w = basis.mode_weights("Udual", recs[0].n)
+    deltas = [0.0005, 0.004, 0.016, 0.064]
+    per_path = np.array([
+        [modulus_of_continuity(r.snap_u, w, r.snap_times, d) for d in deltas] for r in recs[:9]
+    ])
+    curve, _ = median_modulus_curve(fam, deltas)
+    assert np.array_equal(curve, np.median(per_path, axis=0))
+    rep = dubinsky_diagnostic(fam, deltas)
+    assert np.array_equal(rep.modulus_curve, np.max(per_path, axis=0))
+    assert rep.modulus_curve[0] == 0.0
 
 
 def test_zero_noise_kills_noise_integral(basis2d_small):
@@ -194,8 +291,8 @@ def test_zero_noise_kills_noise_integral(basis2d_small):
         snapshot_stride=1,
     )
     rec = integrate_trajectory(cfg)
-    norms = decomposition_increment_norms(rec, basis2d_small.mode_weights("Udual", 8), 0.016, 0.032)
-    assert norms["noise"] == 0.0
+    res = decomposition_increments(rec, tau=0.016, theta=0.032)
+    assert np.all(res["increments"]["noise"] == 0.0)
 
 
 def test_refinement_check(basis2d_small):

@@ -257,3 +257,14 @@ def test_shifted_problem_rejects_3d(basis3d_small):
         ShiftedProblem(
             basis=basis3d_small, n=4, dt=1e-3, T=0.01, u0=basis3d_small.zero_field()
         )
+
+
+def test_shifted_problem_checks_the_horizon(basis2d_small):
+    u0 = basis2d_small.zero_field()
+    with pytest.raises(ValueError, match="whole number of steps"):
+        ShiftedProblem(basis=basis2d_small, n=4, dt=3e-3, T=1.0, u0=u0)
+    lam_max = float(np.max(basis2d_small.mode_weights("D", basis2d_small.n_modes)))
+    with pytest.raises(ValueError, match="stability gate"):
+        ShiftedProblem(basis=basis2d_small, n=basis2d_small.n_modes, dt=3.0 / lam_max,
+                       T=30.0 / lam_max, u0=u0)
+    assert ShiftedProblem(basis=basis2d_small, n=4, dt=2.0**-10, T=1.0, u0=u0).steps == 1024
