@@ -228,6 +228,9 @@ def run_uniqueness(run: RunConfig, bundle: ResultBundle) -> int:
     if run.basis.domain.d != 2:
         bundle.summary.update(passed=False, failure="uniqueness experiment requires d = 2")
         return 1
+    if run.model is None:
+        bundle.summary.update(passed=False, failure="no noise directions configured")
+        return 1
     cert = certify_conditions(run.model, run.basis, eps=run.noise_eps,
                               samples=int(run.experiment.get("certify_samples", 2000)),
                               seed=run.base_seed)

@@ -55,6 +55,17 @@ DEFAULTS = {
     "experiment": {},
 }
 
+# every key a verb reads from the experiment table
+EXPERIMENT_KEYS = frozenset({
+    "samples", "tolerance",  # verify-operators, certify-noise, spaces
+    "residual_tolerance", "z_bound",  # ensemble
+    "p_list", "eta", "ratio_bound", "alpha",  # estimates
+    "deltas", "thetas", "slope_threshold", "integral_stride", "eta_quantile",
+    "scaling_anchors", "scaling_windows",  # tightness
+    "certify_samples", "twin_trajectories", "gamma", "median_ratio_bound",  # uniqueness
+    "levels", "eta0", "phi_norms",  # spaces
+})
+
 _FIELD_SPEC_KEYS = {
     "zero": set(),
     "mode": {"mode_id", "amplitude"},
@@ -74,11 +85,12 @@ def _merge(user: dict, violations) -> dict:
     for section, content in user.items():
         if section not in DEFAULTS:
             continue
-        if section == "experiment":
-            merged["experiment"] = copy.deepcopy(content)
-            continue
         if not isinstance(content, dict):
             violations.append(f"section {section} must be a table")
+            continue
+        if section == "experiment":
+            _check_keys(content, EXPERIMENT_KEYS, "experiment.", violations)
+            merged["experiment"] = copy.deepcopy(content)
             continue
         _check_keys(content, DEFAULTS[section], f"{section}.", violations)
         for key, val in content.items():

@@ -65,10 +65,10 @@ def build_convection_tensor(basis: Basis, n: int) -> tuple:
     lattice row and conj(A) at the negated row.  Every pair of exponentials
     (of e_j and e_k) whose wavevectors sum to a lattice row is paired with
     each exponential of e_i at that row, and coinciding (i, j, k) are summed
-    in a fixed order.  Agrees with the convolution workspace to roundoff
-    (tested); never cached here, so every call is a real build."""
+    in a fixed order.  Agrees with the dealiased-grid oracle of
+    `sgns.nonlinear` to roundoff (tested); never cached here, so every call
+    is a real build."""
     dom = basis.domain
-    K, d = dom.K, dom.d
     slot = basis.mode_slot[:n]
     phase = np.where(basis.mode_role[:n] == ROLE_COS, 1.0, 1.0j)
     amp = basis._exp_alpha * phase[:, None] * basis.slot_eps[slot]
@@ -77,21 +77,15 @@ def build_convection_tensor(basis: Basis, n: int) -> tuple:
     amp = np.concatenate([amp, amp.conj()])
     kap = dom.kappa(basis.lattice_k[row])
 
-    # lattice box over [-2K, 2K]^d; the flat index is affine in k, so the
-    # index of a wavevector sum is a sum of flat indices
-    ks = basis.lattice_k
-    width = 4 * K + 1
-    stride = width ** np.arange(d - 1, -1, -1)
-    box = np.full(width**d, -1)
-    box[(ks + 2 * K) @ stride] = np.arange(len(ks))
-    flat = ks[row] @ stride
-    out = box[flat[:, None] + flat[None, :] + 2 * K * int(stride.sum())]
+    # lattice row of every wavevector sum, from the affine index of the box
+    flat = basis.lattice_k[row] @ basis.box_stride
+    out = basis.box_rows[flat[:, None] + flat[None, :] + basis.box_origin]
     p, q = np.nonzero(out >= 0)
     o = out[p, q]
 
     # exponentials of the first n modes at each lattice row, grouped by row
     by_row = np.argsort(row, kind="stable")
-    count = np.bincount(row, minlength=len(ks))
+    count = np.bincount(row, minlength=len(basis.lattice_k))
     first = np.cumsum(count) - count
     c = count[o]
     p, q = np.repeat(p, c), np.repeat(q, c)

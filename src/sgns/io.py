@@ -56,8 +56,9 @@ class ResultBundle:
 
 
 def _fmt(v):
+    # np.float64 is a float whose repr names its type; write the plain number
     if isinstance(v, float):
-        return repr(v)
+        return repr(float(v))
     return v
 
 

@@ -183,18 +183,6 @@ def default_noise_model(d: int = 2) -> NoiseModel:
 # -- applying G ------------------------------------------------------------
 
 
-def _shift_rows(basis: Basis, k_shift) -> np.ndarray:
-    """Row map l -> index of (k_l + k_shift) in the lattice, -1 if outside."""
-    K, d = basis.domain.K, basis.domain.d
-    shifted = basis.lattice_k + np.asarray(k_shift, dtype=int)
-    inside = np.all(np.abs(shifted) <= K, axis=1) & np.any(shifted != 0, axis=1)
-    rows = np.full(len(shifted), -1, dtype=int)
-    idx = basis._lattice_index
-    for i in np.nonzero(inside)[0]:
-        rows[i] = idx[tuple(int(v) for v in shifted[i])]
-    return rows
-
-
 class _ModelTables:
     """Per-(model, basis) shift tables for exact convolution application."""
 
@@ -205,13 +193,13 @@ class _ModelTables:
             entries = []
             if b is not None:
                 for k, amp in b.exp_terms(basis.domain):
-                    rows = _shift_rows(basis, k)
+                    rows = basis.lattice_rows(basis.lattice_k + k)
                     # (b.grad)u at l+k picks i (amp . kappa_l) u(l)
                     scal = 1j * (kap @ np.asarray(amp))
                     entries.append((rows, scal))
             if c is not None:
                 for k, amp in c.exp_terms(basis.domain):
-                    rows = _shift_rows(basis, k)
+                    rows = basis.lattice_rows(basis.lattice_k + k)
                     scal = np.full(len(basis.lattice_k), complex(amp[0]))
                     entries.append((rows, scal))
             self.terms.append(entries)

@@ -1,11 +1,12 @@
 """Trilinear convection form b, bilinear operator B and the tamed Galerkin
-nonlinearity.
+nonlinearity, evaluated on a dealiased grid.
 
-Both evaluation strategies are exact on the truncated mode set: the direct
-convolution sums every interacting wavevector pair, and the grid strategy
-uses enough points (N >= 3K+1) that no aliased frequency folds back onto a
-kept mode.  The structural identities b(u,w,v) = -b(u,v,w) and b(u,v,v) = 0
-therefore hold to roundoff and are asserted, not approximated.
+This is the independent oracle for the sparse triplet kernel of
+`sgns.galerkin`: the advection product is formed in physical space on a grid
+of N >= 3K+1 points per axis (the 3/2-rule dealiasing of Orszag 1971), so no
+aliased frequency folds back onto a kept mode.  The evaluation is exact on
+the truncated mode set, and the structural identities b(u,w,v) = -b(u,v,w)
+and b(u,v,v) = 0 hold to roundoff and are asserted, not approximated.
 """
 
 from __future__ import annotations
@@ -14,58 +15,26 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import Basis, SpectralField, eval_physical, norm, project_Pn
+from .spectral import Basis, SpectralField, eval_physical, norm, partial_derivative, project_Pn
 
 
 class TrilinearWorkspace:
-    """Precomputed interaction tables for one basis and strategy."""
+    """Dealiased grid of one basis: N >= 3K+1 points per axis, made even."""
 
-    def __init__(self, basis: Basis, strategy: str = "direct_convolution", grid_points: int | None = None):
-        if strategy not in ("direct_convolution", "dealiased_grid"):
-            raise ValueError(f"unknown strategy {strategy!r}")
+    def __init__(self, basis: Basis, grid_points: int | None = None):
         self.basis = basis
-        self.strategy = strategy
-        K, d = basis.domain.K, basis.domain.d
-        if strategy == "direct_convolution":
-            ks = basis.lattice_k
-            box = np.full((4 * K + 1,) * d, -1, dtype=int)
-            for i, k in enumerate(ks):
-                box[tuple(k + 2 * K)] = i
-            sums = ks[:, None, :] + ks[None, :, :]
-            out = box[tuple(sums[..., j] + 2 * K for j in range(d))]
-            a_idx, b_idx = np.nonzero(out >= 0)
-            self._a = a_idx
-            self._b = b_idx
-            self._out = out[a_idx, b_idx]
-            self._kappa_b = basis.domain.kappa(ks[self._b])
-        else:
-            # smallest even grid with N >= 3K+1 (exact quadratic products)
-            N = grid_points if grid_points is not None else 3 * K + 1
-            if N < 3 * K + 1:
-                raise ValueError(f"dealiased grid needs at least 3K+1 = {3 * K + 1} points")
-            self._N = N + (N % 2)
+        K = basis.domain.K
+        N = grid_points if grid_points is not None else 3 * K + 1
+        if N < 3 * K + 1:
+            raise ValueError(f"dealiased grid needs at least 3K+1 = {3 * K + 1} points")
+        self._N = N + (N % 2)
 
     def product_coeffs(self, u: SpectralField, w: SpectralField) -> np.ndarray:
         """Lattice-truncated Fourier amplitudes of the advection product (u.grad)w."""
         basis = self.basis
-        if self.strategy == "direct_convolution":
-            ua = basis.to_exp_coeffs(u)
-            wa = basis.to_exp_coeffs(w)
-            s = 1j * np.einsum("pd,pd->p", ua[self._a], self._kappa_b)
-            contrib = s[:, None] * wa[self._b]
-            q = np.zeros((len(basis.lattice_k), basis.domain.d), dtype=complex)
-            for j in range(basis.domain.d):
-                q[:, j] = np.bincount(
-                    self._out, weights=contrib[:, j].real, minlength=len(q)
-                ) + 1j * np.bincount(
-                    self._out, weights=contrib[:, j].imag, minlength=len(q)
-                )
-            return q
         N, d = self._N, basis.domain.d
         u_g = eval_physical(u, N)
         prod = np.zeros((N,) * d + (d,))
-        from .spectral import partial_derivative
-
         for j in range(d):
             dw_g = eval_physical(partial_derivative(w, j), N)
             prod += u_g[..., j : j + 1] * dw_g
@@ -80,14 +49,6 @@ def trilinear_b(
     """Exact Galerkin value of the convection integral of (u.grad w) against v."""
     if u.basis is not ws.basis or w.basis is not ws.basis or v.basis is not ws.basis:
         raise ValueError("fields and workspace live on different bases")
-    if ws.strategy == "direct_convolution":
-        # pure gathers: sum over interacting pairs without materializing the product
-        ua = ws.basis.to_exp_coeffs(u)
-        wa = ws.basis.to_exp_coeffs(w)
-        va = ws.basis.to_exp_coeffs(v)
-        s = 1j * np.einsum("pd,pd->p", ua[ws._a], ws._kappa_b)
-        t = np.einsum("pd,pd->p", wa[ws._b], va[ws._out].conj())
-        return float(ws.basis.domain.volume * np.sum(s * t).real)
     q = ws.product_coeffs(u, w)
     va = ws.basis.to_exp_coeffs(v)
     return float(ws.basis.domain.volume * np.sum(q * va.conj()).real)

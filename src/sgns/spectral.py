@@ -229,14 +229,28 @@ class Basis:
         self._weights = {
             sp: scale.weight(sp, self.slot_kappa2) for sp in SPACES
         }
-        self._lattice_index = {tuple(int(v) for v in k): i for i, k in enumerate(ks)}
         self.lattice_k = ks
         self._exp_alpha = 1.0 / math.sqrt(2.0 * domain.volume)
+        # flat box over [-2K, 2K]^d holding the lattice row of each wavevector
+        # (-1 off the lattice) at k @ box_stride + box_origin; the index is
+        # affine in k, so the index of a wavevector sum is a sum of flat parts
+        K, d = domain.K, domain.d
+        width = 4 * K + 1
+        self.box_stride = width ** np.arange(d - 1, -1, -1)
+        self.box_origin = 2 * K * int(self.box_stride.sum())
+        self.box_rows = np.full(width**d, -1)
+        self.box_rows[ks @ self.box_stride + self.box_origin] = np.arange(len(ks))
         # rows of the canonical k and of -k in the lattice, per slot
-        self._slot_row = np.array([self._lattice_index[tuple(k)] for k in slot_k])
-        self._slot_row_neg = np.array(
-            [self._lattice_index[tuple(-v for v in k)] for k in slot_k]
-        )
+        self._slot_row = self.lattice_rows(self.slot_k)
+        self._slot_row_neg = self.lattice_rows(-self.slot_k)
+
+    def lattice_rows(self, ks) -> np.ndarray:
+        """Lattice row of each wavevector of ks (shape (..., d)); -1 for the
+        zero vector and for a vector off the lattice or outside the box."""
+        ks = np.asarray(ks, dtype=int)
+        inside = np.all(np.abs(ks) <= 2 * self.domain.K, axis=-1)
+        flat = np.where(inside[..., None], ks, 0) @ self.box_stride + self.box_origin
+        return np.where(inside, self.box_rows[flat], -1)
 
     # -- fields -----------------------------------------------------------
 
@@ -355,9 +369,9 @@ def leray_project(basis: Basis, raw: Dict[tuple, np.ndarray]) -> SpectralField:
     seen = np.zeros(len(basis.lattice_k), dtype=bool)
     for k, v in raw.items():
         k = tuple(int(x) for x in k)
-        if k not in basis._lattice_index:
+        row = basis.lattice_rows(k) if len(k) == basis.domain.d else -1
+        if row < 0:
             raise ValueError(f"wavevector {k} outside the mode lattice")
-        row = basis._lattice_index[k]
         amp[row] = np.asarray(v, dtype=complex)
         seen[row] = True
     for slot in range(basis.n_slots):

@@ -313,12 +313,7 @@ def pathwise_uniqueness_experiment(
 
     def variant(u0):
         # only snap_u and norm_D are read, so no integral snapshots
-        return GalerkinConfig(
-            basis=basis, n=config.n, dt=config.dt, T=config.T, u0=u0,
-            model=config.model, forcing=config.forcing, cutoff_level=config.cutoff_level,
-            seed=config.seed, snapshot_stride=1, integral_snapshot_stride=0,
-            scheme=config.scheme, include_B=config.include_B,
-        )
+        return replace(config, u0=u0, snapshot_stride=1, integral_snapshot_stride=0)
 
     cfg1, cfg2 = variant(config.u0), variant(u0_pert)
     ratios_T = np.zeros(n_traj)

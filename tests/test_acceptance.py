@@ -286,8 +286,8 @@ def test_criterion_10_2d_inequalities(basis):
         lady_fine.append(ladyzhenskaya_check(u, grid_n=2 * (4 * K + 2)))
     lady_stable = abs(max(lady_fine) - max(lady_base)) <= 0.02 * max(lady_base)
 
-    ws_base = TrilinearWorkspace(basis, "dealiased_grid")
-    ws_fine = TrilinearWorkspace(basis, "dealiased_grid", grid_points=2 * (3 * K + 2))
+    ws_base = TrilinearWorkspace(basis)
+    ws_fine = TrilinearWorkspace(basis, grid_points=2 * (3 * K + 2))
     tri_base, tri_fine = [], []
     rng = np.random.default_rng(1001)
     for _ in range(10000):

@@ -77,12 +77,12 @@ def assert_tensor_matches_convolution(basis, n):
     rng = np.random.default_rng(0)
     for _ in range(30):
         i, j, k = rng.integers(0, n, size=3)
-        direct = trilinear_b(basis.basis_field(j), basis.basis_field(k), basis.basis_field(i), ws)
-        assert abs(T[i, j, k] - direct) < 1e-12
+        oracle = trilinear_b(basis.basis_field(j), basis.basis_field(k), basis.basis_field(i), ws)
+        assert abs(T[i, j, k] - oracle) < 1e-12
     # every nonzero entry too, so the random draws cannot all miss them
     for i, j, k in zip(*np.nonzero(T)):
-        direct = trilinear_b(basis.basis_field(j), basis.basis_field(k), basis.basis_field(i), ws)
-        assert abs(T[i, j, k] - direct) < 1e-12
+        oracle = trilinear_b(basis.basis_field(j), basis.basis_field(k), basis.basis_field(i), ws)
+        assert abs(T[i, j, k] - oracle) < 1e-12
 
 
 def test_tensor_matches_convolution(basis2d_small):
@@ -111,7 +111,7 @@ def test_tensor_antisymmetry_and_energy_cancellation(fixture, n, request):
 def test_sparse_kernel_matches_dealiased_grid(basis2d):
     n = 128
     sys = CompiledGalerkin(basis2d, n, None)
-    ws = TrilinearWorkspace(basis2d, "dealiased_grid")
+    ws = TrilinearWorkspace(basis2d)
     rng = np.random.default_rng(4)
     for _ in range(3):
         x = rng.standard_normal(n)
@@ -446,7 +446,7 @@ def test_stepper_matches_independent_oracles(basis2d_small, scheme):
     basis = basis2d_small
     cfg = rich_config(basis, scheme=scheme, snapshot_stride=1, integral_snapshot_stride=1)
     n, dt, steps = cfg.n, cfg.dt, cfg.steps
-    ws = TrilinearWorkspace(basis, "dealiased_grid")
+    ws = TrilinearWorkspace(basis)
     lam = basis.mode_weights("D", n)
     f = basis.real_coords(cfg.forcing, n)
     recs = integrate_batch(cfg, [4, 5, 6])

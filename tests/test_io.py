@@ -33,6 +33,13 @@ def write_cfg(tmp_path, extra=None, name="cfg.json"):
     return path
 
 
+def assert_float_cells(rows):
+    # every data cell is a plain number, e.g. not np.float64(0.5)
+    for row in rows:
+        for cell in row.split(","):
+            float(cell)
+
+
 def test_defaults_fill_in(tmp_path):
     path = tmp_path / "empty.json"
     path.write_text("{}")
@@ -49,6 +56,23 @@ def test_unknown_key_rejected(tmp_path):
     path = write_cfg(tmp_path, {"galerkin": {"dt_max": 1.0}})
     with pytest.raises(ConfigError, match=r"galerkin\.dt_max"):
         load_config(path)
+
+
+def test_unknown_experiment_key_rejected(tmp_path):
+    path = write_cfg(tmp_path, {"experiment": {"z_bnd": 5.0}})
+    with pytest.raises(ConfigError, match=r"unknown key experiment\.z_bnd"):
+        load_config(path)
+
+
+def test_experiment_not_a_table_rejected(tmp_path):
+    path = write_cfg(tmp_path, {"experiment": [5.0]})
+    with pytest.raises(ConfigError, match="section experiment must be a table"):
+        load_config(path)
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in DEMOS.glob("*.json")))
+def test_demo_configs_load(name):
+    load_config(DEMOS / name)
 
 
 def test_cfl_gate_rejected(tmp_path):
@@ -173,6 +197,7 @@ def test_tightness_verb_and_worker_determinism(tmp_path):
     for name in names[1:]:
         rows = (tmp_path / "w1" / name).read_text().splitlines()[1:]
         assert {row.split(",")[0] for row in rows} == {"4", "8"}
+        assert_float_cells(rows)
 
 
 def test_spaces_verb(tmp_path):
@@ -196,6 +221,17 @@ def test_uniqueness_verb(tmp_path):
     summary = json.loads((tmp_path / "out" / "summary.json").read_text())
     assert summary["twins_identical"] is True
     assert summary["median_ratio_T"] <= 1.1
+    assert_float_cells((tmp_path / "out" / "weighted_ratios.csv").read_text().splitlines()[1:])
+
+
+def test_uniqueness_verb_without_noise(tmp_path):
+    path = write_cfg(tmp_path, {"noise": {"directions": []}})
+    run = load_config(path)
+    code = run_command("uniqueness", run, tmp_path / "out")
+    assert code == 1
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert summary["passed"] is False
+    assert "no noise" in summary["failure"]
 
 
 def test_cli_main_smoke(tmp_path):

@@ -24,11 +24,6 @@ def ws(basis2d_small):
     return TrilinearWorkspace(basis2d_small)
 
 
-@pytest.fixture(scope="module")
-def ws_grid(basis2d_small):
-    return TrilinearWorkspace(basis2d_small, strategy="dealiased_grid")
-
-
 def quadrature_b(u, w, v, N=None):
     """Independent grid-quadrature oracle for the convection integral."""
     basis = u.basis
@@ -122,19 +117,6 @@ def test_B_ext_bound_recorded(ws, basis2d_small, rng):
     c = max(cs)
     assert np.isfinite(c)
     assert c > 0
-
-
-def test_strategy_consistency(ws, ws_grid, basis2d_small, rng):
-    for _ in range(10):
-        u = random_field(basis2d_small, rng)
-        w = random_field(basis2d_small, rng)
-        v = random_field(basis2d_small, rng)
-        d_direct = trilinear_b(u, w, v, ws)
-        d_grid = trilinear_b(u, w, v, ws_grid)
-        assert abs(d_direct - d_grid) <= 1e-8 * max(1.0, abs(d_direct))
-        f1 = bilinear_B(u, w, ws)
-        f2 = bilinear_B(u, w, ws_grid)
-        assert norm(f1 - f2, "H") <= 1e-8 * max(1.0, norm(f1, "H"))
 
 
 def test_cutoff_profile():

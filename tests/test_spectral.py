@@ -134,8 +134,20 @@ def test_leray_kills_gradients(basis2d_small):
     # already-solenoidal amplitude at k=(1,0) is unchanged
     v = leray_project(b, {(1, 0): np.array([0.0, 2.0 + 1.0j])})
     amp = b.to_exp_coeffs(v)
-    row = b._lattice_index[(1, 0)]
+    row = b.lattice_rows((1, 0))
     assert np.allclose(amp[row], [0.0, 2.0 + 1.0j], atol=1e-13)
+
+
+@pytest.mark.parametrize("fixture", ["basis2d_small", "basis3d_small"])
+def test_lattice_rows(fixture, request):
+    b = request.getfixturevalue(fixture)
+    K, d = b.domain.K, b.domain.d
+    assert np.array_equal(b.lattice_rows(b.lattice_k), np.arange(len(b.lattice_k)))
+    # the zero vector, off the lattice inside the box, outside the box
+    e = np.eye(d, dtype=int)[0]
+    assert np.array_equal(b.lattice_rows([0 * e, (K + 1) * e, (2 * K + 1) * e, -5 * K * e]), [-1] * 4)
+    with pytest.raises(ValueError, match="outside the mode lattice"):
+        leray_project(b, {tuple((K + 1) * e): np.ones(d)})
 
 
 def test_leray_idempotent(basis2d_small, rng):

@@ -252,6 +252,19 @@ def test_pathwise_uniqueness_gate(basis2d_small, rng):
         pathwise_uniqueness_experiment(cfg, lipschitz_L=2.5, gamma=1e-8, n_traj=2)
 
 
+def test_pathwise_uniqueness_keeps_the_config(basis2d_small, rng):
+    # the twins run under the caller's overflow limit, so they abort as a
+    # single trajectory of the same config does
+    cfg = GalerkinConfig(
+        basis=basis2d_small, n=8, dt=1e-3, T=0.05,
+        u0=random_field(basis2d_small, rng, n=8, decay=0.5),
+        model=default_noise_model(2), seed=12, overflow_limit=1e-3,
+    )
+    assert integrate_trajectory(cfg).aborted
+    with pytest.raises(RuntimeError, match="aborted"):
+        pathwise_uniqueness_experiment(cfg, lipschitz_L=1.0, gamma=1e-8, n_traj=2)
+
+
 def test_shifted_problem_rejects_3d(basis3d_small):
     with pytest.raises(ValueError):
         ShiftedProblem(
