@@ -14,13 +14,14 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from dataclasses import replace
 
 import numpy as np
 
 from . import estimates as est
 from . import tightness as tgt
 from . import twodim
-from .config import ConfigError, RunConfig, galerkin_config, load_config
+from .config import ConfigError, RunConfig, load_config
 from .galerkin import energy_budget_check, integrate_ensemble, integrate_trajectory
 from .io import ResultBundle, write_snapshot
 from .noise import certify_conditions
@@ -31,11 +32,11 @@ def _rel(err, scale):
     return err / max(scale, 1.0)
 
 
-def run_verify_operators(run: RunConfig, bundle: ResultBundle) -> int:
+def run_verify_operators(run: RunConfig, bundle: ResultBundle, workers: int) -> int:
     basis = run.basis
-    samples = int(run.experiment.get("samples", 100))
-    tol = float(run.experiment.get("tolerance", 1e-12))
-    rng = np.random.default_rng(run.base_seed)
+    samples = run.experiment["samples"] or 100
+    tol = run.experiment["tolerance"]
+    rng = np.random.default_rng(run.galerkin.seed)
     n_half = max(1, basis.n_modes // 2)
     errs = {k: 0.0 for k in (
         "A_duality", "L_duality", "A_minus_I", "projection_duality",
@@ -73,13 +74,13 @@ def run_verify_operators(run: RunConfig, bundle: ResultBundle) -> int:
     return 0 if passed else 1
 
 
-def run_certify_noise(run: RunConfig, bundle: ResultBundle) -> int:
-    if run.model is None:
+def run_certify_noise(run: RunConfig, bundle: ResultBundle, workers: int) -> int:
+    model = run.galerkin.model
+    if model is None:
         bundle.summary.update(passed=False, failure="no noise directions configured")
         return 1
-    samples = int(run.experiment.get("samples", 10000))
-    rep = certify_conditions(run.model, run.basis, eps=run.noise_eps,
-                             samples=samples, seed=run.base_seed)
+    rep = certify_conditions(model, run.basis, eps=run.noise_eps,
+                             samples=run.experiment["samples"] or 10000, seed=run.galerkin.seed)
     bundle.summary.update(
         C1=rep.C1, a=rep.a, eps=rep.eps, eta=rep.eta, lam0=rep.lam0, rho=rep.rho,
         gstar_constant=rep.gstar_constant, gstar_analytic_bound=rep.gstar_analytic,
@@ -98,9 +99,8 @@ def run_certify_noise(run: RunConfig, bundle: ResultBundle) -> int:
     return 0 if ok else 1
 
 
-def run_simulate(run: RunConfig, bundle: ResultBundle) -> int:
-    cfg = galerkin_config(run)
-    rec = integrate_trajectory(cfg, traj_index=0)
+def run_simulate(run: RunConfig, bundle: ResultBundle, workers: int) -> int:
+    rec = integrate_trajectory(run.galerkin, traj_index=0)
     bundle.add_table(
         "trajectory",
         ["t", "norm_H", "norm_D", "norm_Udual"],
@@ -121,8 +121,7 @@ def run_simulate(run: RunConfig, bundle: ResultBundle) -> int:
 
 
 def run_ensemble(run: RunConfig, bundle: ResultBundle, workers: int) -> int:
-    cfg = galerkin_config(run)
-    recs = integrate_ensemble(cfg, run.trajectories, workers=workers)
+    recs = integrate_ensemble(run.galerkin, run.trajectories, workers=workers)
     budget = energy_budget_check(recs)
     stats = est.aggregate({run.n: recs}, p_list=(2.0,))
     entry = stats.per_n[run.n]
@@ -131,9 +130,9 @@ def run_ensemble(run: RunConfig, bundle: ResultBundle, workers: int) -> int:
         ["traj", "sup_H2", "int_dirichlet2", "aborted"],
         [(r.traj_index, r.sup_H() ** 2, r.integral_dirichlet2(), int(r.aborted)) for r in recs],
     )
-    residual_tol = float(run.experiment.get("residual_tolerance", 1e-10))
-    z_bound = float(run.experiment.get("z_bound", 3.0))
-    ok = budget.max_relative_residual <= residual_tol and abs(budget.ito_zscore) <= z_bound
+    exp = run.experiment
+    ok = (budget.max_relative_residual <= exp["residual_tolerance"]
+          and abs(budget.ito_zscore) <= exp["z_bound"])
     bundle.summary.update(
         trajectories=len(recs),
         aborts=entry["aborts"],
@@ -149,18 +148,13 @@ def run_estimates(run: RunConfig, bundle: ResultBundle, workers: int) -> int:
     if len(run.n_list) < 3:
         bundle.summary.update(passed=False, failure="estimates verb needs >= 3 entries in galerkin.n_list")
         return 1
-    p_list = tuple(run.experiment.get("p_list", [2.0]))
-    eta = run.experiment.get("eta")
-    by_n = {}
-    for n in run.n_list:
-        by_n[n] = integrate_ensemble(galerkin_config(run, n=n), run.trajectories, workers=workers)
-    stats = est.aggregate(by_n, p_list=p_list, eta=eta)
+    exp = run.experiment
+    p_list = exp["p_list"]
+    by_n = {n: integrate_ensemble(replace(run.galerkin, n=n), run.trajectories, workers=workers)
+            for n in run.n_list}
+    stats = est.aggregate(by_n, p_list=p_list, eta=exp["eta"])
     verdict = est.uniformity_report(
-        stats,
-        p=p_list[0],
-        ratio_bound=float(run.experiment.get("ratio_bound", 1.5)),
-        alpha=float(run.experiment.get("alpha", 0.05)),
-    )
+        stats, p=p_list[0], ratio_bound=exp["ratio_bound"], alpha=exp["alpha"])
     rows = []
     for n in sorted(stats.per_n):
         e = stats.per_n[n]
@@ -185,25 +179,23 @@ def run_estimates(run: RunConfig, bundle: ResultBundle, workers: int) -> int:
 
 
 def run_tightness(run: RunConfig, bundle: ResultBundle, workers: int) -> int:
-    T = run.T
-    deltas = run.experiment.get("deltas") or [T * 2.0**-j for j in range(10, 3, -1)]
-    thetas = run.experiment.get("thetas") or [T * 2.0**-j for j in range(8, 3, -1)]
-    slope_threshold = float(run.experiment.get("slope_threshold", 0.4))
+    exp = run.experiment
+    T, dt = run.galerkin.T, run.galerkin.dt
+    deltas = exp["deltas"] or [T * 2.0**-j for j in range(10, 3, -1)]
+    thetas = exp["thetas"] or [T * 2.0**-j for j in range(8, 3, -1)]
+    anchors = exp["scaling_anchors"] or [T / 8.0, T / 4.0, 3.0 * T / 8.0, T / 2.0]
+    windows = exp["scaling_windows"] or [dt * exp["integral_stride"] * 2**j for j in range(5)]
     passed = True
     rows_mod, rows_aldous, rows_j = [], [], []
     summary_n = {}
     for n in run.n_list:
-        cfg = galerkin_config(run, n=n, snapshot_stride=1,
-                              integral_snapshot_stride=int(run.experiment.get("integral_stride", 8)))
+        cfg = replace(run.galerkin, n=n, snapshot_stride=1,
+                      integral_snapshot_stride=exp["integral_stride"])
         recs = integrate_ensemble(cfg, run.trajectories, workers=workers)
         fam = tgt.FunctionFamily(recs, run.basis)
-        dub = tgt.dubinsky_diagnostic(fam, deltas, slope_threshold)
-        eta_q = float(run.experiment.get("eta_quantile", 60.0))
-        ald = tgt.aldous_check(fam, thetas, tgt.calibrate_aldous_eta(fam, thetas[0], eta_q))
-        anchors = run.experiment.get("scaling_anchors") or [T / 8.0, T / 4.0, 3.0 * T / 8.0, T / 2.0]
-        windows = run.experiment.get("scaling_windows") or [
-            run.dt * int(run.experiment.get("integral_stride", 8)) * 2**j for j in range(5)
-        ]
+        dub = tgt.dubinsky_diagnostic(fam, deltas, exp["slope_threshold"])
+        eta = tgt.calibrate_aldous_eta(fam, thetas[0], exp["eta_quantile"])
+        ald = tgt.aldous_check(fam, thetas, eta)
         jrep = tgt.increment_scaling(recs, run.basis, anchors, windows)
         ok = dub.passed and ald.passed and (
             math.isnan(jrep.exponents["noise"]) or 0.4 <= jrep.exponents["noise"] <= 0.6
@@ -224,27 +216,26 @@ def run_tightness(run: RunConfig, bundle: ResultBundle, workers: int) -> int:
     return 0 if passed else 1
 
 
-def run_uniqueness(run: RunConfig, bundle: ResultBundle) -> int:
+def run_uniqueness(run: RunConfig, bundle: ResultBundle, workers: int) -> int:
+    cfg, exp = run.galerkin, run.experiment
     if run.basis.domain.d != 2:
         bundle.summary.update(passed=False, failure="uniqueness experiment requires d = 2")
         return 1
-    if run.model is None:
+    if cfg.model is None:
         bundle.summary.update(passed=False, failure="no noise directions configured")
         return 1
-    cert = certify_conditions(run.model, run.basis, eps=run.noise_eps,
-                              samples=int(run.experiment.get("certify_samples", 2000)),
-                              seed=run.base_seed)
+    cert = certify_conditions(cfg.model, run.basis, eps=run.noise_eps,
+                              samples=exp["certify_samples"], seed=cfg.seed)
     if cert.rejected or not cert.lipschitz_L < 2.0:
         bundle.summary.update(passed=False, lipschitz_L=cert.lipschitz_L,
                               failure="noise Lipschitz gate L < 2 failed")
         return 1
-    cfg = galerkin_config(run)
     twin = twodim.pathwise_uniqueness_experiment(
-        cfg, cert.lipschitz_L, gamma=0.0, n_traj=int(run.experiment.get("twin_trajectories", 3)))
-    gamma = float(run.experiment.get("gamma", 1e-8))
+        cfg, cert.lipschitz_L, gamma=0.0, n_traj=exp["twin_trajectories"])
+    gamma = exp["gamma"]
     rep = twodim.pathwise_uniqueness_experiment(
         cfg, cert.lipschitz_L, gamma=gamma, n_traj=run.trajectories)
-    bound = float(run.experiment.get("median_ratio_bound", 1.1))
+    bound = exp["median_ratio_bound"]
     ok = twin.identical and rep.median_ratio_T <= bound
     bundle.add_table("weighted_ratios", ["traj", "ratio_T", "sup_ratio"],
                      [(i, rep.ratios_at_T[i], rep.sup_ratios[i]) for i in range(rep.trajectories)])
@@ -256,13 +247,12 @@ def run_uniqueness(run: RunConfig, bundle: ResultBundle) -> int:
     return 0 if ok else 1
 
 
-def run_spaces(run: RunConfig, bundle: ResultBundle) -> int:
+def run_spaces(run: RunConfig, bundle: ResultBundle, workers: int) -> int:
     exp = run.experiment
-    levels = int(exp.get("levels", 30))
-    eta0 = float(exp.get("eta0", 0.5))
-    phi_norms = exp.get("phi_norms") or [1.0] * levels
-    samples = int(exp.get("samples", 10000))
-    spec, cert = tgt.build_nested_space(phi_norms, eta0, samples=samples, seed=run.base_seed)
+    levels, eta0 = exp["levels"], exp["eta0"]
+    spec, cert = tgt.build_nested_space(
+        exp["phi_norms"] or [1.0] * levels, eta0,
+        samples=exp["samples"] or 10000, seed=run.galerkin.seed)
     bundle.add_table("nested_space", ["level", "eta", "phi_norm", "radius"],
                      [(i + 1, spec.etas[i + 1], spec.phi_norms[i], spec.radii[i])
                       for i in range(len(spec.radii))])
@@ -278,54 +268,43 @@ def run_spaces(run: RunConfig, bundle: ResultBundle) -> int:
     return 0 if ok else 1
 
 
-VERBS = (
-    "verify-operators", "certify-noise", "simulate", "ensemble",
-    "estimates", "tightness", "uniqueness", "spaces",
-)
+# verb -> runner(run, bundle, workers) -> exit status
+VERBS = {
+    "verify-operators": run_verify_operators, "certify-noise": run_certify_noise,
+    "simulate": run_simulate, "ensemble": run_ensemble, "estimates": run_estimates,
+    "tightness": run_tightness, "uniqueness": run_uniqueness, "spaces": run_spaces,
+}
 
 
 def run_command(verb: str, run: RunConfig, out_dir, workers: int | None = None) -> int:
     """Dispatch one verb; writes the bundle and returns the exit status."""
     if verb not in VERBS:
-        raise ValueError(f"unknown verb {verb!r}; expected one of {VERBS}")
+        raise ValueError(f"unknown verb {verb!r}; expected one of {tuple(VERBS)}")
     bundle = ResultBundle(out_dir)
     workers = workers if workers is not None else run.workers
-    bundle.summary.update(verb=verb, config_hash=run.config_hash, seed=run.base_seed)
-    if verb == "verify-operators":
-        code = run_verify_operators(run, bundle)
-    elif verb == "certify-noise":
-        code = run_certify_noise(run, bundle)
-    elif verb == "simulate":
-        code = run_simulate(run, bundle)
-    elif verb == "ensemble":
-        code = run_ensemble(run, bundle, workers)
-    elif verb == "estimates":
-        code = run_estimates(run, bundle, workers)
-    elif verb == "tightness":
-        code = run_tightness(run, bundle, workers)
-    elif verb == "uniqueness":
-        code = run_uniqueness(run, bundle)
-    else:
-        code = run_spaces(run, bundle)
+    bundle.summary.update(verb=verb, config_hash=run.config_hash, seed=run.galerkin.seed)
+    code = VERBS[verb](run, bundle, workers)
     bundle.write_summary()
     return code
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="sgns", description=__doc__)
-    parser.add_argument("verb", choices=VERBS)
+    parser.add_argument("verb", choices=tuple(VERBS))
     parser.add_argument("--config", required=True, help="JSON run configuration")
     parser.add_argument("--out", required=True, help="output directory for the result bundle")
     parser.add_argument("--workers", type=int, default=None)
-    parser.add_argument("--seed", type=int, default=None, help="override ensemble.base_seed")
+    parser.add_argument("--seed", type=int, default=None, help="override the configured ensemble seed")
     args = parser.parse_args(argv)
+    if args.seed is not None and args.seed < 0:
+        parser.error("--seed must be >= 0")
     try:
         run = load_config(args.config)
     except ConfigError as e:
         print(str(e), file=sys.stderr)
         return 2
     if args.seed is not None:
-        run.base_seed = args.seed
+        run.galerkin = replace(run.galerkin, seed=args.seed)
     code = run_command(args.verb, run, args.out, workers=args.workers)
     status = "PASS" if code == 0 else "FAIL"
     print(f"sgns {args.verb}: {status} (bundle in {args.out})")

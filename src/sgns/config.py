@@ -1,12 +1,12 @@
 """Run configuration: JSON schema, validation with full violation lists,
 canonical hashing, and construction of the library objects a run needs.
 
-Unknown keys are rejected with their dotted path; every module-level
-precondition (admissible smoothness indices, the explicit-scheme stability
-gate, a horizon of whole steps, noise shapes) is checked at load time so a
-bad config fails before any work starts.  The hash is taken over the
-canonicalized merged document, so two runs agree on it independently of key
-order or platform.
+Unknown keys are rejected with their dotted path; every value is converted
+to its kind and every module-level precondition (admissible smoothness
+indices, Galerkin levels, the explicit-scheme stability gate, a horizon of
+whole steps, noise shapes) is checked at load time so a bad config fails
+before any work starts.  The hash is taken over the canonicalized merged
+document, so two runs agree on it independently of key order or platform.
 """
 
 from __future__ import annotations
@@ -14,13 +14,14 @@ from __future__ import annotations
 import copy
 import hashlib
 import json
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .galerkin import GalerkinConfig, horizon_violations
-from .noise import NoiseModel, coercivity_constant, noise_model_from_spec
+from .galerkin import GalerkinConfig, horizon_violations, level_violations
+from .noise import coercivity_constant, noise_model_from_spec
 from .spectral import Basis, SpaceScale, SpectralField, TorusDomain, random_field
 
 
@@ -55,22 +56,78 @@ DEFAULTS = {
     "experiment": {},
 }
 
-# every key a verb reads from the experiment table
-EXPERIMENT_KEYS = frozenset({
-    "samples", "tolerance",  # verify-operators, certify-noise, spaces
-    "residual_tolerance", "z_bound",  # ensemble
-    "p_list", "eta", "ratio_bound", "alpha",  # estimates
-    "deltas", "thetas", "slope_threshold", "integral_stride", "eta_quantile",
-    "scaling_anchors", "scaling_windows",  # tightness
-    "certify_samples", "twin_trajectories", "gamma", "median_ratio_bound",  # uniqueness
-    "levels", "eta0", "phi_norms",  # spaces
-})
+
+# value kinds: each returns a JSON value converted, or raises ValueError(what
+# the value must be)
+def _real(v, above=None) -> float:
+    if (isinstance(v, (int, float)) and not isinstance(v, bool) and abs(v) <= sys.float_info.max
+            and (above is None or v > above)):
+        return float(v)
+    raise ValueError("a finite number" if above is None else f"a number > {above}")
+
+
+def _count(v, least=1) -> int:
+    v = int(v) if isinstance(v, float) and v.is_integer() else v  # 1e4 reads as 10000
+    if isinstance(v, int) and not isinstance(v, bool) and v >= least:
+        return v
+    raise ValueError(f"an integer >= {least}")
+
+
+def _reals(v) -> list:
+    try:
+        if isinstance(v, list) and v:
+            return [_real(x) for x in v]
+    except ValueError:
+        pass
+    raise ValueError("a non-empty list of finite numbers")
+
+
+def _index(v) -> int:
+    return _count(v, least=0)
+
+
+# the kinds of the scalar settings; n, the fields and the scheme are checked
+# where they are built
+_SCALARS = {
+    "galerkin": {
+        "dt": _real, "T": _real, "cutoff_level": lambda v: _real(v, above=0),
+        "snapshot_stride": _index, "integral_snapshot_stride": _index,
+    },
+    "ensemble": {"trajectories": _count, "base_seed": _index, "workers": _count},
+}
+
+# every knob a verb reads from the experiment table: key -> (kind, default).
+# A default of None means the verb derives the value from the run; "samples"
+# is 100 for verify-operators and 10000 for certify-noise and spaces.
+EXPERIMENT = {
+    "samples": (_count, None), "tolerance": (_real, 1e-12),  # verify-operators, certify-noise
+    "residual_tolerance": (_real, 1e-10), "z_bound": (_real, 3.0),  # ensemble
+    "p_list": (_reals, [2.0]), "eta": (_real, None), "ratio_bound": (_real, 1.5),  # estimates
+    "alpha": (_real, 0.05),
+    "deltas": (_reals, None), "thetas": (_reals, None), "integral_stride": (_count, 8),  # tightness
+    "slope_threshold": (_real, 0.4), "eta_quantile": (_real, 60.0),
+    "scaling_anchors": (_reals, None), "scaling_windows": (_reals, None),
+    "certify_samples": (_count, 2000), "twin_trajectories": (_count, 3),  # uniqueness
+    "gamma": (_real, 1e-8), "median_ratio_bound": (_real, 1.1),
+    "levels": (_count, 30), "eta0": (_real, 0.5), "phi_norms": (_reals, None),  # spaces
+}
 
 _FIELD_SPEC_KEYS = {
     "zero": set(),
     "mode": {"mode_id", "amplitude"},
     "random": {"modes", "amplitude", "seed", "decay"},
 }
+
+
+def _typed(value, kind, name: str, violations, default):
+    """value converted by its kind, or None with the violation recorded; None
+    stands where the default is None."""
+    if value is None and default is None:
+        return None
+    try:
+        return kind(value)
+    except ValueError as e:
+        violations.append(f"{name} must be {e}")
 
 
 def _check_keys(user, allowed, path, violations):
@@ -88,13 +145,10 @@ def _merge(user: dict, violations) -> dict:
         if not isinstance(content, dict):
             violations.append(f"section {section} must be a table")
             continue
-        if section == "experiment":
-            _check_keys(content, EXPERIMENT_KEYS, "experiment.", violations)
-            merged["experiment"] = copy.deepcopy(content)
-            continue
-        _check_keys(content, DEFAULTS[section], f"{section}.", violations)
+        allowed = EXPERIMENT if section == "experiment" else DEFAULTS[section]
+        _check_keys(content, allowed, f"{section}.", violations)
         for key, val in content.items():
-            if key in DEFAULTS[section]:
+            if key in allowed:
                 merged[section][key] = copy.deepcopy(val)
     return merged
 
@@ -127,28 +181,28 @@ def _field_from_spec(spec: dict, basis: Basis, path: str, violations) -> Spectra
 
 @dataclass
 class RunConfig:
-    raw: dict
-    basis: Basis
-    model: NoiseModel | None
+    """A validated run; `galerkin` is its problem at level n_list[0]."""
+
+    galerkin: GalerkinConfig
     noise_eps: float | None
     n_list: tuple
-    dt: float
-    T: float
-    cutoff_level: float | None
-    scheme: str
-    snapshot_stride: int
-    integral_snapshot_stride: int | None
-    u0: SpectralField
-    forcing: SpectralField | None
     trajectories: int
-    base_seed: int
     workers: int
-    experiment: dict
+    experiment: dict  # every EXPERIMENT key, converted; None where the verb derives it
     config_hash: str
+
+    @property
+    def basis(self) -> Basis:
+        return self.galerkin.basis
 
     @property
     def n(self) -> int:
         return self.n_list[0]
+
+    @property
+    def base_seed(self) -> int:
+        """ensemble.base_seed: the seed of the run's problem."""
+        return self.galerkin.seed
 
 
 def config_hash(merged: dict) -> str:
@@ -221,84 +275,45 @@ def load_config(path_or_dict) -> RunConfig:
             violations.append(f"noise: {e}")
 
     gal = merged["galerkin"]
-    n_list: tuple = ()
+    try:
+        n_list = tuple(_count(v) for v in gal["n_list"] or [gal["n"]])
+    except (TypeError, ValueError):
+        violations.append("galerkin.n_list must be a list of integers >= 1")
+        n_list = ()
+    scalars = {
+        sec: {key: _typed(merged[sec][key], kind, f"{sec}.{key}", violations, DEFAULTS[sec][key])
+              for key, kind in kinds.items()}
+        for sec, kinds in _SCALARS.items()
+    }
+    g, ens = scalars["galerkin"], scalars["ensemble"]
     u0 = forcing = None
     if basis is not None:
-        raw_list = gal["n_list"] if gal["n_list"] else [gal["n"]]
-        try:
-            n_list = tuple(int(v) for v in raw_list)
-        except (TypeError, ValueError):
-            violations.append("galerkin.n_list must be a list of integers")
-            n_list = ()
-        for n in n_list:
-            if not 1 <= n <= basis.n_modes:
-                violations.append(f"galerkin.n = {n} outside [1, {basis.n_modes}]")
-        if gal["scheme"] not in ("em", "exponential"):
-            violations.append(f"galerkin.scheme must be 'em' or 'exponential', got {gal['scheme']!r}")
-        levels = [n for n in n_list if 1 <= n <= basis.n_modes]
-        violations += [
-            f"galerkin: {v}"
-            for v in horizon_violations(basis, levels, float(gal["dt"]), float(gal["T"]), gal["scheme"])
-        ]
+        errs = level_violations(basis, n_list, gal["scheme"])
+        if g["dt"] is not None and g["T"] is not None:
+            errs += horizon_violations(basis, n_list, g["dt"], g["T"], gal["scheme"])
+        violations += [f"galerkin: {v}" for v in errs]
         u0 = _field_from_spec(gal["u0"] or {}, basis, "galerkin.u0", violations)
         f_spec = gal["forcing"] or {"kind": "zero"}
         forcing = _field_from_spec(f_spec, basis, "galerkin.forcing", violations)
         if forcing is not None and f_spec.get("kind") == "zero":
             forcing = None
 
-    ens = merged["ensemble"]
-    try:
-        trajectories = int(ens["trajectories"])
-        base_seed = int(ens["base_seed"])
-        workers = int(ens["workers"])
-        if trajectories < 1 or workers < 1:
-            violations.append("ensemble: trajectories and workers must be >= 1")
-    except (TypeError, ValueError):
-        violations.append("ensemble: trajectories, base_seed and workers must be integers")
-        trajectories, base_seed, workers = 1, 0, 1
+    exp = merged["experiment"]
+    experiment = {
+        key: _typed(exp.get(key, default), kind, f"experiment.{key}", violations, default)
+        for key, (kind, default) in EXPERIMENT.items()
+    }
 
     if violations:
         raise ConfigError(violations)
 
     return RunConfig(
-        raw=merged,
-        basis=basis,
-        model=model,
+        galerkin=GalerkinConfig(basis=basis, n=n_list[0], u0=u0, model=model, forcing=forcing,
+                                seed=ens["base_seed"], scheme=gal["scheme"], **g),
         noise_eps=noise_eps,
         n_list=n_list,
-        dt=float(gal["dt"]),
-        T=float(gal["T"]),
-        cutoff_level=float(gal["cutoff_level"]) if gal["cutoff_level"] is not None else None,
-        scheme=gal["scheme"],
-        snapshot_stride=int(gal["snapshot_stride"]),
-        integral_snapshot_stride=(
-            int(gal["integral_snapshot_stride"]) if gal["integral_snapshot_stride"] is not None else None
-        ),
-        u0=u0,
-        forcing=forcing,
-        trajectories=trajectories,
-        base_seed=base_seed,
-        workers=workers,
-        experiment=merged["experiment"],
+        trajectories=ens["trajectories"],
+        workers=ens["workers"],
+        experiment=experiment,
         config_hash=config_hash(merged),
     )
-
-
-def galerkin_config(run: RunConfig, n: int | None = None, **overrides):
-    """GalerkinConfig for one level of a run (probes etc. via overrides)."""
-    kw = dict(
-        basis=run.basis,
-        n=run.n if n is None else n,
-        dt=run.dt,
-        T=run.T,
-        u0=run.u0,
-        model=run.model,
-        forcing=run.forcing,
-        cutoff_level=run.cutoff_level,
-        seed=run.base_seed,
-        snapshot_stride=run.snapshot_stride,
-        integral_snapshot_stride=run.integral_snapshot_stride,
-        scheme=run.scheme,
-    )
-    kw.update(overrides)
-    return GalerkinConfig(**kw)

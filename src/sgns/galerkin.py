@@ -180,6 +180,14 @@ def _compiled(basis: Basis, n: int, model, include_B: bool) -> CompiledGalerkin:
 STABILITY_LIMITS = {"em": 1.0, "rk4": 2.78}
 
 
+def level_violations(basis: Basis, levels, scheme: str) -> list:
+    """Levels outside [1, n_modes] and a scheme the stepper does not know."""
+    out = [f"n = {n} outside [1, {basis.n_modes}]" for n in levels if not 1 <= n <= basis.n_modes]
+    if scheme not in ("em", "exponential"):
+        out.append(f"scheme must be 'em' or 'exponential', got {scheme!r}")
+    return out
+
+
 def horizon_violations(basis: Basis, levels, dt: float, T: float, scheme: str) -> list:
     """Every way a step dt and horizon T fail a run on the given Galerkin
     levels: dt > 0 and T >= dt, T a whole number of steps, and the stability
@@ -222,11 +230,8 @@ class GalerkinConfig:
     overflow_limit: float = 1e12
 
     def __post_init__(self):
-        if not 1 <= self.n <= self.basis.n_modes:
-            raise ValueError(f"n must lie in [1, {self.basis.n_modes}]")
-        if self.scheme not in ("em", "exponential"):
-            raise ValueError(f"unknown scheme {self.scheme!r}")
-        violations = horizon_violations(self.basis, (self.n,), self.dt, self.T, self.scheme)
+        violations = (level_violations(self.basis, (self.n,), self.scheme)
+                      or horizon_violations(self.basis, (self.n,), self.dt, self.T, self.scheme))
         if violations:
             raise ValueError("; ".join(violations))
         if self.model is not None and self.model.d != self.basis.domain.d:

@@ -146,17 +146,6 @@ class NoiseModel:
     def M(self) -> int:
         return len(self.directions)
 
-    @property
-    def constant_coefficients(self) -> bool:
-        return all(
-            (b is None or b.is_constant) and (c is None or c.is_constant)
-            for b, c in self.directions
-        )
-
-    @property
-    def is_zero(self) -> bool:
-        return all(b is None and c is None for b, c in self.directions)
-
 
 def constant_transport_model(b_vectors, c_values=None, d: int | None = None) -> NoiseModel:
     """Model with constant coefficients; b_vectors is a list of d-vectors."""
@@ -271,15 +260,26 @@ def hs_norm_G(u: SpectralField, model: NoiseModel, target: str = "H") -> float:
 # -- certified constants ----------------------------------------------------
 
 
-def c1_constant(model: NoiseModel, domain) -> float:
+def direction_sups(model: NoiseModel, domain) -> list:
+    """(sup|b_i|, sup|div b_i|, sup|c_i|) per direction, 0.0 for an absent
+    coefficient; the one sweep behind both C1 and the growth bound."""
+    return [
+        (
+            sup_norm(b, domain) if b is not None else 0.0,
+            sup_norm(b.divergence(domain), domain) if b is not None else 0.0,
+            sup_norm(c, domain) if c is not None else 0.0,
+        )
+        for b, c in model.directions
+    ]
+
+
+def c1_constant(model: NoiseModel, domain, sups=None) -> float:
     """Sum over directions of sup|b|^2 + sup|div b|^2 + sup|c|^2."""
     total = 0.0
-    for b, c in model.directions:
-        if b is not None:
-            total += sup_norm(b, domain) ** 2
-            total += sup_norm(b.divergence(domain), domain) ** 2
-        if c is not None:
-            total += sup_norm(c, domain) ** 2
+    for sb, sdb, sc in direction_sups(model, domain) if sups is None else sups:
+        total += sb**2
+        total += sdb**2
+        total += sc**2
     return total
 
 
@@ -316,16 +316,14 @@ def coercivity_constant(model: NoiseModel, domain) -> float:
     return 2.0 - _polished_max(scalar_at, domain, max_k)
 
 
-def gstar_analytic_bound(model: NoiseModel, domain) -> float:
+def gstar_analytic_bound(model: NoiseModel, domain, sups=None) -> float:
     """2 sum_i (2 sup|b_i|^2 + 2 sup|div b_i|^2 + sup|c_i|^2), the growth
     constant of the Hilbert-Schmidt bound into V'."""
     total = 0.0
-    for b, c in model.directions:
-        if b is not None:
-            total += 2.0 * sup_norm(b, domain) ** 2
-            total += 2.0 * sup_norm(b.divergence(domain), domain) ** 2
-        if c is not None:
-            total += sup_norm(c, domain) ** 2
+    for sb, sdb, sc in direction_sups(model, domain) if sups is None else sups:
+        total += 2.0 * sb**2
+        total += 2.0 * sdb**2
+        total += sc**2
     return 2.0 * total
 
 
@@ -368,12 +366,13 @@ def certify_conditions(
     the Lipschitz quotient |G(u)-G(v)|_{HS(Y,H)} / ||u-v||.
     """
     domain = basis.domain
-    C1 = c1_constant(model, domain)
+    sups = direction_sups(model, domain)
+    C1 = c1_constant(model, domain, sups)
     a = coercivity_constant(model, domain)
     if a <= 0.0:
         return NoiseConditionReport(
             C1=C1, a=a, eps=None, eta=None, lam0=None, rho=0.0,
-            gstar_constant=float("nan"), gstar_analytic=gstar_analytic_bound(model, domain),
+            gstar_constant=float("nan"), gstar_analytic=gstar_analytic_bound(model, domain, sups),
             gstar_violations=0, lipschitz_L=float("nan"),
             empirical_violations=0, samples=0, rejected=True,
         )
@@ -412,7 +411,7 @@ def certify_conditions(
 
     gstar_ratio = hsV2 / (1.0 + normH2)
     gstar_constant = float(np.max(gstar_ratio)) if samples else 0.0
-    gan = gstar_analytic_bound(model, domain)
+    gan = gstar_analytic_bound(model, domain, sups)
     gstar_violations = int(np.sum(gstar_ratio > gan * (1.0 + 1e-9) + 1e-12))
 
     # linear G: the Lipschitz quotient is the operator norm from the Dirichlet

@@ -221,11 +221,6 @@ class Basis:
         self.mode_role = np.array([m.role for m in modes])
         self.mode_lambda = np.array([m.lam for m in modes])
 
-        # inverse maps: slot -> mode ids of its cosine/sine fields
-        self.slot_mode = np.zeros((self.n_slots, 2), dtype=int)
-        for m in modes:
-            self.slot_mode[m.slot, m.role] = m.mode_id
-
         self._weights = {
             sp: scale.weight(sp, self.slot_kappa2) for sp in SPACES
         }

@@ -346,14 +346,6 @@ class NestedSpaceSpec:
     phi_norms: np.ndarray  # |h_n|_Phi, n = 1..N
     radii: np.ndarray  # r_n, n = 1..N
 
-    def h_norm(self, x: np.ndarray) -> float:
-        """Weighted norm |x|_H with 1/r_n^2 weights on basis coordinates."""
-        return math.sqrt(float(np.sum((x / self.radii) ** 2)))
-
-    def phi_norm(self, x: np.ndarray) -> float:
-        """Phi-norm realized through the triangle-inequality summation."""
-        return float(np.sum(np.abs(x) * self.phi_norms))
-
 
 @dataclass
 class NestedSpaceCertificate:

@@ -15,6 +15,7 @@ from sgns.galerkin import (
     integrate_batch,
     integrate_ensemble,
     integrate_trajectory,
+    level_violations,
     martingale_diagnostic,
     reconstruct_martingale,
 )
@@ -137,6 +138,18 @@ def test_horizon_must_be_whole_steps(basis2d_small):
         GalerkinConfig(basis=basis2d_small, n=4, dt=3e-3, T=1.0, u0=u0, model=None)
     cfg = GalerkinConfig(basis=basis2d_small, n=4, dt=2.0**-10, T=1.0, u0=u0, model=None)
     assert cfg.steps == 1024
+
+
+@pytest.mark.parametrize("n, scheme, match", [
+    (0, "em", r"n = 0 outside \[1, "),
+    (10**6, "em", r"n = 1000000 outside \[1, "),
+    (4, "rk4", "scheme must be 'em' or 'exponential', got 'rk4'"),
+])
+def test_level_rule(basis2d_small, n, scheme, match):
+    u0 = basis2d_small.basis_field(0)
+    with pytest.raises(ValueError, match=match):
+        GalerkinConfig(basis=basis2d_small, n=n, dt=1e-3, T=0.01, u0=u0, scheme=scheme)
+    assert len(level_violations(basis2d_small, (n, 4), scheme)) == 1
 
 
 def test_fingerprint_tracks_mutation(basis2d_small):

@@ -6,8 +6,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sgns.cli import main, run_command
-from sgns.config import ConfigError, load_config
+from sgns.cli import VERBS, main, run_command
+from sgns.config import EXPERIMENT, ConfigError, load_config
 from sgns.io import read_snapshot, write_snapshot
 from sgns.spectral import random_field
 
@@ -48,7 +48,7 @@ def test_defaults_fill_in(tmp_path):
     assert run.basis.domain.K == 8
     assert abs(run.basis.scale.s - 2.5) < 1e-15
     assert abs(run.basis.scale.s_U - 4.5) < 1e-15
-    assert run.model is not None and run.model.M == 1
+    assert run.galerkin.model is not None and run.galerkin.model.M == 1
     assert run.n == 16
 
 
@@ -73,6 +73,100 @@ def test_experiment_not_a_table_rejected(tmp_path):
 @pytest.mark.parametrize("name", sorted(p.name for p in DEMOS.glob("*.json")))
 def test_demo_configs_load(name):
     load_config(DEMOS / name)
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("galerkin", "dt", "abc"),
+    ("galerkin", "T", None),
+    ("galerkin", "snapshot_stride", "x"),
+    ("galerkin", "cutoff_level", "abc"),
+    ("galerkin", "cutoff_level", 0),
+    ("galerkin", "cutoff_level", -1.0),
+    ("ensemble", "trajectories", 1.5),
+    ("ensemble", "base_seed", "x"),
+    ("experiment", "z_bound", "three"),
+    ("experiment", "z_bound", True),
+    ("experiment", "samples", 1.5),
+    ("experiment", "p_list", 2.0),
+    ("experiment", "gamma", None),
+    ("experiment", "integral_stride", 0),
+])
+def test_bad_value_rejected_at_load(tmp_path, section, key, value):
+    path = write_cfg(tmp_path, {section: {key: value}})
+    with pytest.raises(ConfigError, match=rf"{section}\.{key} must be"):
+        load_config(path)
+    assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert not (tmp_path / "out").exists()
+
+
+def test_level_and_scheme_violations_listed(tmp_path):
+    path = write_cfg(tmp_path, {"galerkin": {"n_list": [4, 99], "scheme": "rk4", "dt": 3e-3}})
+    with pytest.raises(ConfigError) as exc:
+        load_config(path)
+    text = "\n".join(exc.value.violations)
+    assert "galerkin: n = 99 outside [1, " in text
+    assert "galerkin: scheme must be 'em' or 'exponential', got 'rk4'" in text
+    assert "whole number of steps" in text
+
+
+def test_experiment_defaults_and_kinds(tmp_path):
+    run = load_config(write_cfg(tmp_path, {"experiment": {"samples": 1e4, "z_bound": 5}}))
+    assert set(run.experiment) == set(EXPERIMENT)
+    assert run.experiment["samples"] == 10000 and type(run.experiment["samples"]) is int
+    assert run.experiment["z_bound"] == 5.0 and type(run.experiment["z_bound"]) is float
+    for key, (_, default) in EXPERIMENT.items():
+        if key not in ("samples", "z_bound"):
+            assert run.experiment[key] == default
+
+
+class _RecordingDict(dict):
+    def __init__(self, data, reads):
+        super().__init__(data)
+        self.reads = reads
+
+    def __getitem__(self, key):
+        self.reads.add(key)
+        return super().__getitem__(key)
+
+
+def test_verbs_read_exactly_the_experiment_table(tmp_path):
+    tightness = json.loads((DEMOS / "tightness.json").read_text())
+    tightness["galerkin"].update(n_list=[4], T=0.25)
+    tightness["ensemble"]["trajectories"] = 8
+    configs = {
+        "verify-operators": {"experiment": {"samples": 3}},
+        "certify-noise": {"noise": {"eps": 0.5}, "experiment": {"samples": 50}},
+        "estimates": {"galerkin": {"n_list": [2, 4, 6]}},
+        "tightness": tightness,
+        "uniqueness": {"experiment": {"certify_samples": 50, "twin_trajectories": 1}},
+        "spaces": {"experiment": {"levels": 4, "samples": 50}},
+    }
+    reads = set()
+    for verb in VERBS:
+        cfg = configs.get(verb, {})
+        run = load_config(cfg if verb == "tightness" else write_cfg(tmp_path, cfg, f"{verb}.json"))
+        run.experiment = _RecordingDict(run.experiment, reads)
+        run_command(verb, run, tmp_path / verb, workers=1)
+    assert reads == set(EXPERIMENT)
+
+
+def test_seed_override_matches_configured_seed(tmp_path):
+    base = write_cfg(tmp_path)
+    seeded = write_cfg(tmp_path, {"ensemble": {"base_seed": 9}}, "seeded.json")
+    codes = [main(["ensemble", "--config", str(path), "--out", str(tmp_path / out), *extra])
+             for path, out, extra in ((base, "o5", []), (base, "cli", ["--seed", "9"]),
+                                      (seeded, "cfg", []))]
+    assert codes[1] == codes[2]
+    csv = [(tmp_path / d / "functionals.csv").read_bytes() for d in ("cli", "cfg", "o5")]
+    assert csv[0] == csv[1] != csv[2]
+    summaries = [json.loads((tmp_path / d / "summary.json").read_text()) for d in ("cli", "cfg")]
+    assert summaries[0]["seed"] == 9
+    # the hash is over the config document, which differs in base_seed alone
+    assert summaries[0].pop("config_hash") != summaries[1].pop("config_hash")
+    assert summaries[0] == summaries[1]
+    with pytest.raises(SystemExit) as exc:
+        main(["ensemble", "--config", str(base), "--out", str(tmp_path / "neg"), "--seed", "-1"])
+    assert exc.value.code == 2
 
 
 def test_cfl_gate_rejected(tmp_path):

@@ -142,6 +142,36 @@ def test_c1_constant_values():
     assert abs(c1_constant(m3, dom) - 2.0) < 1e-12
 
 
+def test_certify_sweeps_each_sup_norm_once(basis2d_small, monkeypatch):
+    import sgns.noise as noise_mod
+
+    model = noise_model_from_spec({"directions": [
+        {"b": {"const": [0.3, 0.1], "harmonics": [{"k": [1, 2], "cos": [0.1, 0.05]}]},
+         "c": {"const": [0.2], "harmonics": [{"k": [2, 1], "cos": [0.1]}]}},
+        {"c": {"const": [0.4]}},
+    ]}, 2)
+    dom = basis2d_small.domain
+    # reference: every sup-norm swept on its own, summed in direction order
+    c1_ref = gstar_ref = 0.0
+    for b, c in model.directions:
+        if b is not None:
+            c1_ref += sup_norm(b, dom) ** 2
+            c1_ref += sup_norm(b.divergence(dom), dom) ** 2
+            gstar_ref += 2.0 * sup_norm(b, dom) ** 2
+            gstar_ref += 2.0 * sup_norm(b.divergence(dom), dom) ** 2
+        if c is not None:
+            c1_ref += sup_norm(c, dom) ** 2
+            gstar_ref += sup_norm(c, dom) ** 2
+    calls = []
+    polished_max = noise_mod._polished_max
+    monkeypatch.setattr(noise_mod, "_polished_max", lambda *a: calls.append(a) or polished_max(*a))
+    rep = certify_conditions(model, basis2d_small, samples=50)
+    assert rep.C1 == c1_ref
+    assert rep.gstar_analytic == 2.0 * gstar_ref
+    # sup|b_1|, sup|div b_1|, sup|c_1| and the coercivity minimum, once each
+    assert len(calls) == 4
+
+
 def test_coercivity_values():
     from sgns.spectral import TorusDomain
 
