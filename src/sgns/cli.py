@@ -75,11 +75,10 @@ def run_verify_operators(run: RunConfig, bundle: ResultBundle, workers: int) -> 
 
 
 def run_certify_noise(run: RunConfig, bundle: ResultBundle, workers: int) -> int:
-    model = run.galerkin.model
-    if model is None:
+    if run.galerkin.model is None:
         bundle.summary.update(passed=False, failure="no noise directions configured")
         return 1
-    rep = certify_conditions(model, run.basis, eps=run.noise_eps,
+    rep = certify_conditions(run.galerkin.model, run.basis, eps=run.noise_eps,
                              samples=run.experiment["samples"] or 10000, seed=run.galerkin.seed)
     bundle.summary.update(
         C1=rep.C1, a=rep.a, eps=rep.eps, eta=rep.eta, lam0=rep.lam0, rho=rep.rho,
@@ -232,33 +231,29 @@ def run_uniqueness(run: RunConfig, bundle: ResultBundle, workers: int) -> int:
         return 1
     twin = twodim.pathwise_uniqueness_experiment(
         cfg, cert.lipschitz_L, gamma=0.0, n_traj=exp["twin_trajectories"])
-    gamma = exp["gamma"]
     rep = twodim.pathwise_uniqueness_experiment(
-        cfg, cert.lipschitz_L, gamma=gamma, n_traj=run.trajectories)
-    bound = exp["median_ratio_bound"]
-    ok = twin.identical and rep.median_ratio_T <= bound
+        cfg, cert.lipschitz_L, gamma=exp["gamma"], n_traj=run.trajectories)
+    ok = twin.identical and rep.median_ratio_T <= exp["median_ratio_bound"]
     bundle.add_table("weighted_ratios", ["traj", "ratio_T", "sup_ratio"],
                      [(i, rep.ratios_at_T[i], rep.sup_ratios[i]) for i in range(rep.trajectories)])
     bundle.summary.update(
-        lipschitz_L=cert.lipschitz_L, eps=rep.eps, C_eps=rep.C_eps, gamma=gamma,
+        lipschitz_L=cert.lipschitz_L, eps=rep.eps, C_eps=rep.C_eps, gamma=exp["gamma"],
         twins_identical=twin.identical, median_ratio_T=rep.median_ratio_T,
-        median_ratio_bound=bound, passed=bool(ok),
+        median_ratio_bound=exp["median_ratio_bound"], passed=bool(ok),
     )
     return 0 if ok else 1
 
 
 def run_spaces(run: RunConfig, bundle: ResultBundle, workers: int) -> int:
     exp = run.experiment
-    levels, eta0 = exp["levels"], exp["eta0"]
-    spec, cert = tgt.build_nested_space(
-        exp["phi_norms"] or [1.0] * levels, eta0,
-        samples=exp["samples"] or 10000, seed=run.galerkin.seed)
+    spec, cert = tgt.build_nested_space(exp["phi_norms"] or [1.0] * exp["levels"], exp["eta0"],
+                                        samples=exp["samples"] or 10000, seed=run.galerkin.seed)
     bundle.add_table("nested_space", ["level", "eta", "phi_norm", "radius"],
                      [(i + 1, spec.etas[i + 1], spec.phi_norms[i], spec.radii[i])
                       for i in range(len(spec.radii))])
     ok = cert.embedding_violations == 0 and cert.tail_violations == 0
     bundle.summary.update(
-        eta0=eta0, levels=levels, samples=cert.samples,
+        eta0=exp["eta0"], levels=exp["levels"], samples=cert.samples,
         embedding_norm_bound=cert.embedding_norm_bound,
         max_embedding_norm=cert.max_embedding_norm,
         embedding_violations=cert.embedding_violations,
@@ -268,12 +263,10 @@ def run_spaces(run: RunConfig, bundle: ResultBundle, workers: int) -> int:
     return 0 if ok else 1
 
 
-# verb -> runner(run, bundle, workers) -> exit status
-VERBS = {
-    "verify-operators": run_verify_operators, "certify-noise": run_certify_noise,
-    "simulate": run_simulate, "ensemble": run_ensemble, "estimates": run_estimates,
-    "tightness": run_tightness, "uniqueness": run_uniqueness, "spaces": run_spaces,
-}
+# verb -> name of its runner(run, bundle, workers) -> exit status, looked up at
+# dispatch so that a rebound runner (a tracing wrapper) is the one called
+VERBS = {verb: "run_" + verb.replace("-", "_") for verb in ("verify-operators", "certify-noise",
+         "simulate", "ensemble", "estimates", "tightness", "uniqueness", "spaces")}
 
 
 def run_command(verb: str, run: RunConfig, out_dir, workers: int | None = None) -> int:
@@ -283,7 +276,7 @@ def run_command(verb: str, run: RunConfig, out_dir, workers: int | None = None) 
     bundle = ResultBundle(out_dir)
     workers = workers if workers is not None else run.workers
     bundle.summary.update(verb=verb, config_hash=run.config_hash, seed=run.galerkin.seed)
-    code = VERBS[verb](run, bundle, workers)
+    code = globals()[VERBS[verb]](run, bundle, workers)
     bundle.write_summary()
     return code
 
@@ -294,7 +287,7 @@ def main(argv=None) -> int:
     parser.add_argument("--config", required=True, help="JSON run configuration")
     parser.add_argument("--out", required=True, help="output directory for the result bundle")
     parser.add_argument("--workers", type=int, default=None)
-    parser.add_argument("--seed", type=int, default=None, help="override the configured ensemble seed")
+    parser.add_argument("--seed", type=int, default=None, help="override ensemble.base_seed")
     args = parser.parse_args(argv)
     if args.seed is not None and args.seed < 0:
         parser.error("--seed must be >= 0")

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .galerkin import GalerkinConfig, horizon_violations, level_violations
+from .galerkin import SCHEMES, GalerkinConfig, horizon_violations, level_violations
 from .noise import coercivity_constant, noise_model_from_spec
 from .spectral import Basis, SpaceScale, SpectralField, TorusDomain, random_field
 
@@ -57,13 +57,19 @@ DEFAULTS = {
 }
 
 
-# value kinds: each returns a JSON value converted, or raises ValueError(what
-# the value must be)
+# value kinds: each returns a JSON value checked and converted, or raises
+# ValueError(what the value must be)
+def _number(v):
+    """v as written if finite: list entries and eta print as given (2, not 2.0)."""
+    if isinstance(v, (int, float)) and not isinstance(v, bool) and abs(v) <= sys.float_info.max:
+        return v
+    raise ValueError("a finite number")
+
+
 def _real(v, above=None) -> float:
-    if (isinstance(v, (int, float)) and not isinstance(v, bool) and abs(v) <= sys.float_info.max
-            and (above is None or v > above)):
-        return float(v)
-    raise ValueError("a finite number" if above is None else f"a number > {above}")
+    if above is None or _number(v) > above:
+        return float(_number(v))
+    raise ValueError(f"a number > {above}")
 
 
 def _count(v, least=1) -> int:
@@ -76,7 +82,7 @@ def _count(v, least=1) -> int:
 def _reals(v) -> list:
     try:
         if isinstance(v, list) and v:
-            return [_real(x) for x in v]
+            return [_number(x) for x in v]
     except ValueError:
         pass
     raise ValueError("a non-empty list of finite numbers")
@@ -86,13 +92,17 @@ def _index(v) -> int:
     return _count(v, least=0)
 
 
-# the kinds of the scalar settings; n, the fields and the scheme are checked
-# where they are built
+def _scheme(v) -> str:
+    if v in SCHEMES:
+        return v
+    raise ValueError(" or ".join(map(repr, SCHEMES)))
+
+
+# the kinds of the scalar settings; n and the fields are checked where they
+# are built
 _SCALARS = {
-    "galerkin": {
-        "dt": _real, "T": _real, "cutoff_level": lambda v: _real(v, above=0),
-        "snapshot_stride": _index, "integral_snapshot_stride": _index,
-    },
+    "galerkin": {"dt": _real, "T": _real, "cutoff_level": lambda v: _real(v, above=0),
+                 "snapshot_stride": _index, "integral_snapshot_stride": _index, "scheme": _scheme},
     "ensemble": {"trajectories": _count, "base_seed": _index, "workers": _count},
 }
 
@@ -102,7 +112,7 @@ _SCALARS = {
 EXPERIMENT = {
     "samples": (_count, None), "tolerance": (_real, 1e-12),  # verify-operators, certify-noise
     "residual_tolerance": (_real, 1e-10), "z_bound": (_real, 3.0),  # ensemble
-    "p_list": (_reals, [2.0]), "eta": (_real, None), "ratio_bound": (_real, 1.5),  # estimates
+    "p_list": (_reals, [2.0]), "eta": (_number, None), "ratio_bound": (_real, 1.5),  # estimates
     "alpha": (_real, 0.05),
     "deltas": (_reals, None), "thetas": (_reals, None), "integral_stride": (_count, 8),  # tightness
     "slope_threshold": (_real, 0.4), "eta_quantile": (_real, 60.0),
@@ -120,8 +130,7 @@ _FIELD_SPEC_KEYS = {
 
 
 def _typed(value, kind, name: str, violations, default):
-    """value converted by its kind, or None with the violation recorded; None
-    stands where the default is None."""
+    """value converted by its kind, or None (a None default, or a violation)."""
     if value is None and default is None:
         return None
     try:
@@ -288,9 +297,9 @@ def load_config(path_or_dict) -> RunConfig:
     g, ens = scalars["galerkin"], scalars["ensemble"]
     u0 = forcing = None
     if basis is not None:
-        errs = level_violations(basis, n_list, gal["scheme"])
+        errs = level_violations(basis, n_list)
         if g["dt"] is not None and g["T"] is not None:
-            errs += horizon_violations(basis, n_list, g["dt"], g["T"], gal["scheme"])
+            errs += horizon_violations(basis, n_list, g["dt"], g["T"], g["scheme"])
         violations += [f"galerkin: {v}" for v in errs]
         u0 = _field_from_spec(gal["u0"] or {}, basis, "galerkin.u0", violations)
         f_spec = gal["forcing"] or {"kind": "zero"}
@@ -299,17 +308,15 @@ def load_config(path_or_dict) -> RunConfig:
             forcing = None
 
     exp = merged["experiment"]
-    experiment = {
-        key: _typed(exp.get(key, default), kind, f"experiment.{key}", violations, default)
-        for key, (kind, default) in EXPERIMENT.items()
-    }
+    experiment = {key: _typed(exp.get(key, default), kind, f"experiment.{key}", violations, default)
+                  for key, (kind, default) in EXPERIMENT.items()}
 
     if violations:
         raise ConfigError(violations)
 
     return RunConfig(
         galerkin=GalerkinConfig(basis=basis, n=n_list[0], u0=u0, model=model, forcing=forcing,
-                                seed=ens["base_seed"], scheme=gal["scheme"], **g),
+                                seed=ens["base_seed"], **g),
         noise_eps=noise_eps,
         n_list=n_list,
         trajectories=ens["trajectories"],

@@ -178,14 +178,12 @@ def _compiled(basis: Basis, n: int, model, include_B: bool) -> CompiledGalerkin:
 # stability interval [-2.785, 0].  The exponential scheme takes the Stokes
 # part exactly and has no gate.
 STABILITY_LIMITS = {"em": 1.0, "rk4": 2.78}
+SCHEMES = ("em", "exponential")  # the schemes of the stochastic stepper
 
 
-def level_violations(basis: Basis, levels, scheme: str) -> list:
-    """Levels outside [1, n_modes] and a scheme the stepper does not know."""
-    out = [f"n = {n} outside [1, {basis.n_modes}]" for n in levels if not 1 <= n <= basis.n_modes]
-    if scheme not in ("em", "exponential"):
-        out.append(f"scheme must be 'em' or 'exponential', got {scheme!r}")
-    return out
+def level_violations(basis: Basis, levels) -> list:
+    """Galerkin levels outside [1, n_modes]."""
+    return [f"n = {n} outside [1, {basis.n_modes}]" for n in levels if not 1 <= n <= basis.n_modes]
 
 
 def horizon_violations(basis: Basis, levels, dt: float, T: float, scheme: str) -> list:
@@ -230,7 +228,9 @@ class GalerkinConfig:
     overflow_limit: float = 1e12
 
     def __post_init__(self):
-        violations = (level_violations(self.basis, (self.n,), self.scheme)
+        if self.scheme not in SCHEMES:
+            raise ValueError(f"scheme must be 'em' or 'exponential', got {self.scheme!r}")
+        violations = (level_violations(self.basis, (self.n,))
                       or horizon_violations(self.basis, (self.n,), self.dt, self.T, self.scheme))
         if violations:
             raise ValueError("; ".join(violations))

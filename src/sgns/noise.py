@@ -273,10 +273,11 @@ def direction_sups(model: NoiseModel, domain) -> list:
     ]
 
 
-def c1_constant(model: NoiseModel, domain, sups=None) -> float:
-    """Sum over directions of sup|b|^2 + sup|div b|^2 + sup|c|^2."""
+def c1_constant(sups) -> float:
+    """Sum over directions of sup|b|^2 + sup|div b|^2 + sup|c|^2, from the
+    per-direction sups of `direction_sups`."""
     total = 0.0
-    for sb, sdb, sc in direction_sups(model, domain) if sups is None else sups:
+    for sb, sdb, sc in sups:
         total += sb**2
         total += sdb**2
         total += sc**2
@@ -316,11 +317,12 @@ def coercivity_constant(model: NoiseModel, domain) -> float:
     return 2.0 - _polished_max(scalar_at, domain, max_k)
 
 
-def gstar_analytic_bound(model: NoiseModel, domain, sups=None) -> float:
+def gstar_analytic_bound(sups) -> float:
     """2 sum_i (2 sup|b_i|^2 + 2 sup|div b_i|^2 + sup|c_i|^2), the growth
-    constant of the Hilbert-Schmidt bound into V'."""
+    constant of the Hilbert-Schmidt bound into V', from the per-direction
+    sups of `direction_sups`."""
     total = 0.0
-    for sb, sdb, sc in direction_sups(model, domain) if sups is None else sups:
+    for sb, sdb, sc in sups:
         total += 2.0 * sb**2
         total += 2.0 * sdb**2
         total += sc**2
@@ -367,12 +369,12 @@ def certify_conditions(
     """
     domain = basis.domain
     sups = direction_sups(model, domain)
-    C1 = c1_constant(model, domain, sups)
+    C1 = c1_constant(sups)
     a = coercivity_constant(model, domain)
     if a <= 0.0:
         return NoiseConditionReport(
             C1=C1, a=a, eps=None, eta=None, lam0=None, rho=0.0,
-            gstar_constant=float("nan"), gstar_analytic=gstar_analytic_bound(model, domain, sups),
+            gstar_constant=float("nan"), gstar_analytic=gstar_analytic_bound(sups),
             gstar_violations=0, lipschitz_L=float("nan"),
             empirical_violations=0, samples=0, rejected=True,
         )
@@ -411,7 +413,7 @@ def certify_conditions(
 
     gstar_ratio = hsV2 / (1.0 + normH2)
     gstar_constant = float(np.max(gstar_ratio)) if samples else 0.0
-    gan = gstar_analytic_bound(model, domain, sups)
+    gan = gstar_analytic_bound(sups)
     gstar_violations = int(np.sum(gstar_ratio > gan * (1.0 + 1e-9) + 1e-12))
 
     # linear G: the Lipschitz quotient is the operator norm from the Dirichlet

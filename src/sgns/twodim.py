@@ -18,6 +18,7 @@ import numpy as np
 from .estimates import gronwall_eval
 from .galerkin import (
     GalerkinConfig, _compiled, block_rows, generate_wiener, horizon_violations, integrate_batch,
+    level_violations,
 )
 from .nonlinear import TrilinearWorkspace, bilinear_B, trilinear_b
 from .spectral import Basis, SpectralField, eval_physical, norm
@@ -122,9 +123,8 @@ class ShiftedProblem:
 
     def __post_init__(self):
         _require_2d(self.basis)
-        if not 1 <= self.n <= self.basis.n_modes:
-            raise ValueError(f"n must lie in [1, {self.basis.n_modes}]")
-        violations = horizon_violations(self.basis, (self.n,), self.dt, self.T, "rk4")
+        violations = (level_violations(self.basis, (self.n,))
+                      or horizon_violations(self.basis, (self.n,), self.dt, self.T, "rk4"))
         if violations:
             raise ValueError("; ".join(violations))
 

@@ -105,7 +105,7 @@ def test_level_and_scheme_violations_listed(tmp_path):
         load_config(path)
     text = "\n".join(exc.value.violations)
     assert "galerkin: n = 99 outside [1, " in text
-    assert "galerkin: scheme must be 'em' or 'exponential', got 'rk4'" in text
+    assert "galerkin.scheme must be 'em' or 'exponential'" in text
     assert "whole number of steps" in text
 
 
@@ -117,6 +117,17 @@ def test_experiment_defaults_and_kinds(tmp_path):
     for key, (_, default) in EXPERIMENT.items():
         if key not in ("samples", "z_bound"):
             assert run.experiment[key] == default
+
+
+def test_estimates_writes_integral_exponents_as_given(tmp_path):
+    path = write_cfg(tmp_path, {"galerkin": {"n_list": [2, 4, 6]},
+                                "experiment": {"p_list": [2, 3], "eta": 1}})
+    assert load_config(path).experiment["p_list"] == [2, 3]
+    main(["estimates", "--config", str(path), "--out", str(tmp_path / "out")])
+    rows = (tmp_path / "out" / "moment_estimates.csv").read_text().splitlines()[1:]
+    assert {row.split(",")[1] for row in rows} == {"2", "3"}
+    warnings = json.loads((tmp_path / "out" / "summary.json").read_text())["warnings"]
+    assert warnings == ["p = 3 outside the admissible range [2.0, 3.0) for eta = 1"]
 
 
 class _RecordingDict(dict):

@@ -14,6 +14,7 @@ from sgns.noise import (
     constant_transport_model,
     continuity_surrogate_Gstarstar,
     default_noise_model,
+    direction_sups,
     hs_norm_G,
     noise_matrices,
     noise_model_from_spec,
@@ -135,11 +136,11 @@ def test_c1_constant_values():
     from sgns.spectral import TorusDomain
 
     dom = TorusDomain(d=2, K=2)
-    assert abs(c1_constant(default_noise_model(2), dom) - 1.0) < 1e-12
+    assert abs(c1_constant(direction_sups(default_noise_model(2), dom)) - 1.0) < 1e-12
     m2 = constant_transport_model([[1.0, 0.0]], c_values=[1.0])
-    assert abs(c1_constant(m2, dom) - 2.0) < 1e-12
+    assert abs(c1_constant(direction_sups(m2, dom)) - 2.0) < 1e-12
     m3 = constant_transport_model([[1.0, 0.0], [1.0, 0.0]])
-    assert abs(c1_constant(m3, dom) - 2.0) < 1e-12
+    assert abs(c1_constant(direction_sups(m3, dom)) - 2.0) < 1e-12
 
 
 def test_certify_sweeps_each_sup_norm_once(basis2d_small, monkeypatch):

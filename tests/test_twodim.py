@@ -145,6 +145,12 @@ def test_rk4_order(basis2d_small):
     assert 3.7 <= order <= 4.3
 
 
+@pytest.mark.parametrize("n", [0, 10**6])
+def test_shifted_problem_level_rule(basis2d_small, n):
+    with pytest.raises(ValueError, match=rf"n = {n} outside \[1, "):
+        ShiftedProblem(basis=basis2d_small, n=n, dt=1e-3, T=0.01, u0=basis2d_small.zero_field())
+
+
 def test_energy_inequality_reduced_form(basis2d_small, rng):
     # z = 0, f = 0: inequality reads d|v|^2/dt + 0.5 ||v||^2 <= 2 |v|^2
     prob = ShiftedProblem(
