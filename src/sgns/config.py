@@ -14,6 +14,7 @@ from __future__ import annotations
 import copy
 import hashlib
 import json
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -66,10 +67,18 @@ def _number(v):
     raise ValueError("a finite number")
 
 
-def _real(v, above=None) -> float:
-    if above is None or _number(v) > above:
-        return float(_number(v))
-    raise ValueError(f"a number > {above}")
+def _real(v) -> float:
+    return float(_number(v))
+
+
+def _within(lo, hi, kind=_real, hi_closed=False):
+    """The kind of `kind` values in (lo, hi), or (lo, hi] if hi_closed."""
+    def check(v):
+        x = kind(v)
+        if lo < x < hi or (hi_closed and x == hi):
+            return x
+        raise ValueError(f"a number in ({lo}, {hi}{']' if hi_closed else ')'}")
+    return check
 
 
 def _count(v, least=1) -> int:
@@ -98,10 +107,13 @@ def _scheme(v) -> str:
     raise ValueError(" or ".join(map(repr, SCHEMES)))
 
 
-# the kinds of the scalar settings; n and the fields are checked where they
-# are built
+# the kinds of the scalar settings; n, the period and the fields are checked
+# where they are built
 _SCALARS = {
-    "galerkin": {"dt": _real, "T": _real, "cutoff_level": lambda v: _real(v, above=0),
+    "domain": {"d": _count, "K": _count},
+    "scale": {"s": _real, "s_U": _real},
+    "noise": {"eps": _real},
+    "galerkin": {"dt": _real, "T": _real, "cutoff_level": _within(0, math.inf),
                  "snapshot_stride": _index, "integral_snapshot_stride": _index, "scheme": _scheme},
     "ensemble": {"trajectories": _count, "base_seed": _index, "workers": _count},
 }
@@ -112,20 +124,22 @@ _SCALARS = {
 EXPERIMENT = {
     "samples": (_count, None), "tolerance": (_real, 1e-12),  # verify-operators, certify-noise
     "residual_tolerance": (_real, 1e-10), "z_bound": (_real, 3.0),  # ensemble
-    "p_list": (_reals, [2.0]), "eta": (_number, None), "ratio_bound": (_real, 1.5),  # estimates
-    "alpha": (_real, 0.05),
+    "p_list": (_reals, [2.0]), "eta": (_within(0, 2, _number, hi_closed=True), None),  # estimates
+    "ratio_bound": (_real, 1.5), "alpha": (_within(0, 1), 0.05),
     "deltas": (_reals, None), "thetas": (_reals, None), "integral_stride": (_count, 8),  # tightness
     "slope_threshold": (_real, 0.4), "eta_quantile": (_real, 60.0),
     "scaling_anchors": (_reals, None), "scaling_windows": (_reals, None),
     "certify_samples": (_count, 2000), "twin_trajectories": (_count, 3),  # uniqueness
     "gamma": (_real, 1e-8), "median_ratio_bound": (_real, 1.1),
-    "levels": (_count, 30), "eta0": (_real, 0.5), "phi_norms": (_reals, None),  # spaces
+    "levels": (_count, 30), "eta0": (_within(0, 1), 0.5), "phi_norms": (_reals, None),  # spaces
 }
 
-_FIELD_SPEC_KEYS = {
-    "zero": set(),
-    "mode": {"mode_id", "amplitude"},
-    "random": {"modes", "amplitude", "seed", "decay"},
+# the scalars of each field kind: key -> (kind, default)
+_FIELD_SPECS = {
+    "zero": {},
+    "mode": {"mode_id": (_index, 0), "amplitude": (_real, 1.0)},
+    "random": {"modes": (_index, 8), "amplitude": (_real, 1.0), "seed": (_index, 0),
+               "decay": (_real, 0.0)},
 }
 
 
@@ -162,30 +176,30 @@ def _merge(user: dict, violations) -> dict:
     return merged
 
 
-def _field_from_spec(spec: dict, basis: Basis, path: str, violations) -> SpectralField | None:
-    kind = spec.get("kind", "zero")
-    if kind not in _FIELD_SPEC_KEYS:
-        violations.append(f"{path}.kind must be one of {sorted(_FIELD_SPEC_KEYS)}, got {kind!r}")
+def _field_from_spec(spec, basis: Basis, path: str, violations) -> SpectralField | None:
+    if not isinstance(spec, dict):
+        violations.append(f"{path} must be a table")
         return None
-    extra = set(spec) - _FIELD_SPEC_KEYS[kind] - {"kind"}
+    kind = spec.get("kind", "zero")
+    if kind not in _FIELD_SPECS:
+        violations.append(f"{path}.kind must be one of {sorted(_FIELD_SPECS)}, got {kind!r}")
+        return None
+    extra = set(spec) - set(_FIELD_SPECS[kind]) - {"kind"}
     for key in sorted(extra):
         violations.append(f"unknown key {path}.{key}")
+    v = {key: _typed(spec.get(key, default), vkind, f"{path}.{key}", violations, default)
+         for key, (vkind, default) in _FIELD_SPECS[kind].items()}
+    if None in v.values():
+        return None
     if kind == "zero":
         return basis.zero_field()
     if kind == "mode":
-        mode_id = spec.get("mode_id", 0)
-        if not 0 <= mode_id < basis.n_modes:
+        if not v["mode_id"] < basis.n_modes:
             violations.append(f"{path}.mode_id outside [0, {basis.n_modes})")
             return None
-        return float(spec.get("amplitude", 1.0)) * basis.basis_field(mode_id)
-    rng = np.random.default_rng(int(spec.get("seed", 0)))
-    return random_field(
-        basis,
-        rng,
-        n=int(spec.get("modes", 8)),
-        amplitude=float(spec.get("amplitude", 1.0)),
-        decay=float(spec.get("decay", 0.0)),
-    )
+        return v["amplitude"] * basis.basis_field(v["mode_id"])
+    return random_field(basis, np.random.default_rng(v["seed"]), n=v["modes"],
+                        amplitude=v["amplitude"], decay=v["decay"])
 
 
 @dataclass
@@ -239,41 +253,35 @@ def load_config(path_or_dict) -> RunConfig:
     violations: list = []
     merged = _merge(user, violations)
 
-    dom_sec = merged["domain"]
-    basis = None
-    try:
-        period = dom_sec["period"]
-        domain = TorusDomain(
-            d=int(dom_sec["d"]),
-            K=int(dom_sec["K"]),
-            period=tuple(period) if period else (),
-        )
-    except (ValueError, TypeError) as e:
-        violations.append(f"domain: {e}")
-        domain = None
+    scalars = {
+        sec: {key: _typed(merged[sec][key], kind, f"{sec}.{key}", violations, DEFAULTS[sec][key])
+              for key, kind in kinds.items()}
+        for sec, kinds in _SCALARS.items()
+    }
+    dom, sc, g, ens = (scalars[sec] for sec in ("domain", "scale", "galerkin", "ensemble"))
+    noise_eps = scalars["noise"]["eps"]
 
-    scale = None
+    domain = scale = basis = None
+    if None not in dom.values():
+        try:
+            period = merged["domain"]["period"]
+            domain = TorusDomain(d=dom["d"], K=dom["K"], period=tuple(period) if period else ())
+        except (ValueError, TypeError) as e:
+            violations.append(f"domain: {e}")
     if domain is not None:
         try:
-            sc = merged["scale"]
-            scale = SpaceScale(
-                d=domain.d,
-                s=float(sc["s"]) if sc["s"] is not None else 0.0,
-                s_U=float(sc["s_U"]) if sc["s_U"] is not None else 0.0,
-            )
-        except (ValueError, TypeError) as e:
+            scale = SpaceScale(d=domain.d, s=sc["s"] or 0.0, s_U=sc["s_U"] or 0.0)
+        except ValueError as e:
             violations.append(f"scale: {e}")
-    if domain is not None and scale is not None:
+    if scale is not None:
         basis = Basis(domain, scale)
 
     model = None
-    noise_eps = None
     if basis is not None:
         nz = merged["noise"]
         try:
             dirs = nz.get("directions") or []
             model = noise_model_from_spec({"directions": dirs}, basis.domain.d) if dirs else None
-            noise_eps = float(nz["eps"]) if nz.get("eps") is not None else None
             if model is not None and noise_eps is not None:
                 a = coercivity_constant(model, basis.domain)
                 if not 0.0 < noise_eps < a:
@@ -289,12 +297,6 @@ def load_config(path_or_dict) -> RunConfig:
     except (TypeError, ValueError):
         violations.append("galerkin.n_list must be a list of integers >= 1")
         n_list = ()
-    scalars = {
-        sec: {key: _typed(merged[sec][key], kind, f"{sec}.{key}", violations, DEFAULTS[sec][key])
-              for key, kind in kinds.items()}
-        for sec, kinds in _SCALARS.items()
-    }
-    g, ens = scalars["galerkin"], scalars["ensemble"]
     u0 = forcing = None
     if basis is not None:
         errs = level_violations(basis, n_list)

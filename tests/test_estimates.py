@@ -1,9 +1,13 @@
+import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.stats import kendalltau
 
 from sgns.estimates import (
+    _kendall_greater,
     aggregate,
     epsilon_for_p,
     gronwall_eval,
@@ -108,21 +112,24 @@ def test_aggregate_stokes_analytic_integral(basis2d_small):
     assert abs(got - exact) < 5e-4 * exact
 
 
+class Rec:
+    """A record with given functionals, for verdicts on chosen level means."""
+
+    def __init__(self, sup, intd):
+        self._s, self._i = sup, intd
+        self.aborted = False
+
+    def sup_H(self):
+        return self._s
+
+    def integral_weighted(self, p):
+        return self._i
+
+    def integral_dirichlet2(self):
+        return self._i
+
+
 def test_uniformity_pass_and_fail():
-    class Rec:
-        def __init__(self, sup, intd):
-            self._s, self._i = sup, intd
-            self.aborted = False
-
-        def sup_H(self):
-            return self._s
-
-        def integral_weighted(self, p):
-            return self._i
-
-        def integral_dirichlet2(self):
-            return self._i
-
     flat = {n: [Rec(1.0 + 0.01 * i, 2.0) for i in range(5)] for n in (4, 8, 16, 32)}
     stats = aggregate(flat, p_list=(2.0,))
     verdict = uniformity_report(stats)
@@ -136,6 +143,67 @@ def test_uniformity_pass_and_fail():
     stats2 = aggregate(growing, p_list=(2.0,))
     verdict2 = uniformity_report(stats2)
     assert not verdict2.passed
+
+
+def scipy_greater(ns, vals):
+    res = kendalltau(ns, vals, alternative="greater")
+    return float(res.statistic), float(res.pvalue)
+
+
+def same_bits(a, b):
+    return all((math.isnan(x) and math.isnan(y)) or x == y for x, y in zip(a, b))
+
+
+def test_kendall_matches_scipy_bitwise():
+    rng = np.random.default_rng(8)
+    tied = 0
+    for size in range(3, 9):
+        for trial in range(600):
+            ns = rng.permutation(4 * np.arange(1, size + 1))
+            if trial % 2:
+                vals = rng.integers(0, 4, size).astype(float)  # ties likely
+            else:
+                vals = rng.standard_normal(size)
+            tied += len(np.unique(vals)) < size
+            ours = _kendall_greater(ns, vals)
+            assert same_bits(ours, scipy_greater(ns, vals)), (ns, vals, ours)
+    assert tied > 1000
+
+
+def test_kendall_all_tied_and_repeated_levels():
+    tau, p = _kendall_greater([4, 8, 16], [0.5, 0.5, 0.5])
+    assert math.isnan(tau) and math.isnan(p)
+    assert same_bits((tau, p), scipy_greater([4, 8, 16], [0.5, 0.5, 0.5]))
+    with pytest.raises(ValueError, match="distinct"):
+        _kendall_greater([4, 8, 8], [1.0, 2.0, 3.0])
+
+
+@pytest.mark.parametrize("levels, rate", [(3, Fraction(0)), (4, Fraction(1, 24)),
+                                           (5, Fraction(1, 24))])
+def test_kendall_false_alarm_rate(levels, rate):
+    # under exchangeable untied means every ordering of the levels is equally
+    # likely, so the rate at alpha = 0.05 is the share of orderings with p < 0.05
+    ns = [2**k for k in range(2, 2 + levels)]
+    ps = [_kendall_greater(ns, perm)[1] for perm in itertools.permutations(range(levels))]
+    assert Fraction(sum(p < 0.05 for p in ps), len(ps)) == rate
+    if levels == 3:
+        assert min(ps) == 1 / 6
+
+
+def test_uniformity_on_tied_means():
+    # the n = 4 and n = 8 means tie, as on demos/configs/estimates.json: the
+    # asymptotic p = 0.0355 < alpha, so only a rise within noise passes
+    def verdict(rise, spread):
+        levels = {n: [Rec(base + spread * i, base + spread * i) for i in (-1, 0, 1)]
+                  for n, base in zip((4, 8, 16, 32), (1.0, 1.0, 1.0 + rise, 1.0 + 2 * rise))}
+        return uniformity_report(aggregate(levels, p_list=(1.0,)), p=1.0)
+
+    rising = verdict(0.1, 0.01)
+    for tau, p in rising.kendall.values():
+        assert (tau, p) == scipy_greater([4, 8, 16, 32], [1.0, 1.0, 1.1, 1.2])
+        assert round(tau, 3) == 0.913 and round(p, 4) == 0.0355
+    assert not rising.passed
+    assert verdict(0.001, 0.1).passed
 
 
 def test_uniformity_needs_three_levels(basis2d_small):

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -75,6 +76,22 @@ def test_demo_configs_load(name):
     load_config(DEMOS / name)
 
 
+def test_cli_start_up_loads_no_scipy():
+    # a fresh interpreter, since the Kendall oracle tests load scipy here
+    code = ("import sys, sgns.cli\n"
+            "from sgns.config import load_config\n"
+            "for path in sys.argv[1:]:\n"
+            "    load_config(path)\n"
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+    configs = sorted(str(p) for p in DEMOS.glob("*.json"))
+    assert configs
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run([sys.executable, "-c", code, *configs], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 @pytest.mark.parametrize("section, key, value", [
     ("galerkin", "dt", "abc"),
     ("galerkin", "T", None),
@@ -90,6 +107,17 @@ def test_demo_configs_load(name):
     ("experiment", "p_list", 2.0),
     ("experiment", "gamma", None),
     ("experiment", "integral_stride", 0),
+    ("experiment", "eta0", 1),
+    ("experiment", "eta0", 0.0),
+    ("experiment", "eta", 2.5),
+    ("experiment", "eta", 0),
+    ("experiment", "alpha", 1.5),
+    ("experiment", "alpha", 0.0),
+    ("domain", "K", 3.7),
+    ("domain", "d", "2"),
+    ("scale", "s", "2.5"),
+    ("scale", "s_U", "4.5"),
+    ("noise", "eps", "0.5"),
 ])
 def test_bad_value_rejected_at_load(tmp_path, section, key, value):
     path = write_cfg(tmp_path, {section: {key: value}})
@@ -97,6 +125,23 @@ def test_bad_value_rejected_at_load(tmp_path, section, key, value):
         load_config(path)
     assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("field, key, value", [
+    ("u0", "seed", 1.5),
+    ("u0", "seed", -1),
+    ("u0", "modes", "4"),
+    ("u0", "amplitude", None),
+    ("u0", "decay", "0.5"),
+    ("forcing", "mode_id", 2.5),
+    ("forcing", "amplitude", "1"),
+])
+def test_bad_field_spec_rejected_at_load(tmp_path, field, key, value):
+    kind = "random" if field == "u0" else "mode"
+    path = write_cfg(tmp_path, {"galerkin": {field: {"kind": kind, key: value}}})
+    with pytest.raises(ConfigError, match=rf"galerkin\.{field}\.{key} must be"):
+        load_config(path)
+    assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
 
 
 def test_level_and_scheme_violations_listed(tmp_path):
