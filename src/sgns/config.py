@@ -21,9 +21,11 @@ from pathlib import Path
 
 import numpy as np
 
+from .estimates import admissible_eta
 from .galerkin import SCHEMES, GalerkinConfig, horizon_violations, level_violations
 from .noise import coercivity_constant, noise_model_from_spec
 from .spectral import Basis, SpaceScale, SpectralField, TorusDomain, random_field
+from .tightness import admissible_eta0
 
 
 class ConfigError(ValueError):
@@ -71,13 +73,13 @@ def _real(v) -> float:
     return float(_number(v))
 
 
-def _within(lo, hi, kind=_real, hi_closed=False):
-    """The kind of `kind` values in (lo, hi), or (lo, hi] if hi_closed."""
+def _within(lo, hi):
+    """The kind of real values in (lo, hi)."""
     def check(v):
-        x = kind(v)
-        if lo < x < hi or (hi_closed and x == hi):
+        x = _real(v)
+        if lo < x < hi:
             return x
-        raise ValueError(f"a number in ({lo}, {hi}{']' if hi_closed else ')'}")
+        raise ValueError(f"a number in ({lo}, {hi})")
     return check
 
 
@@ -120,18 +122,20 @@ _SCALARS = {
 
 # every knob a verb reads from the experiment table: key -> (kind, default).
 # A default of None means the verb derives the value from the run; "samples"
-# is 100 for verify-operators and 10000 for certify-noise and spaces.
+# is 100 for verify-operators and 10000 for certify-noise and spaces.  The
+# ranges of eta and eta0 are checked by the modules that use them.
 EXPERIMENT = {
     "samples": (_count, None), "tolerance": (_real, 1e-12),  # verify-operators, certify-noise
     "residual_tolerance": (_real, 1e-10), "z_bound": (_real, 3.0),  # ensemble
-    "p_list": (_reals, [2.0]), "eta": (_within(0, 2, _number, hi_closed=True), None),  # estimates
+    "p_list": (_reals, [2.0]), "eta": (lambda v: admissible_eta(_number(v)), None),  # estimates
     "ratio_bound": (_real, 1.5), "alpha": (_within(0, 1), 0.05),
     "deltas": (_reals, None), "thetas": (_reals, None), "integral_stride": (_count, 8),  # tightness
     "slope_threshold": (_real, 0.4), "eta_quantile": (_real, 60.0),
     "scaling_anchors": (_reals, None), "scaling_windows": (_reals, None),
     "certify_samples": (_count, 2000), "twin_trajectories": (_count, 3),  # uniqueness
     "gamma": (_real, 1e-8), "median_ratio_bound": (_real, 1.1),
-    "levels": (_count, 30), "eta0": (_within(0, 1), 0.5), "phi_norms": (_reals, None),  # spaces
+    "levels": (_count, 30), "phi_norms": (_reals, None),  # spaces
+    "eta0": (lambda v: admissible_eta0(_real(v)), 0.5),
 }
 
 # the scalars of each field kind: key -> (kind, default)

@@ -14,11 +14,17 @@ from dataclasses import dataclass
 import numpy as np
 
 
+def admissible_eta(eta: float) -> float:
+    """eta itself if it lies in (0, 2], the range of the noise-growth
+    exponent; otherwise ValueError saying what it must be."""
+    if 0.0 < eta <= 2.0:
+        return eta
+    raise ValueError(f"a number in (0, 2], got {eta}")
+
+
 def p_range(eta: float) -> tuple:
     """Admissible moment exponents: [2, 2 + eta/(2-eta)), or [2, inf) at eta = 2."""
-    if not 0.0 < eta <= 2.0:
-        raise ValueError(f"eta must lie in (0, 2], got {eta}")
-    if eta == 2.0:
+    if admissible_eta(eta) == 2.0:
         return (2.0, math.inf)
     return (2.0, 2.0 + eta / (2.0 - eta))
 
@@ -88,59 +94,6 @@ def aggregate(records_by_n: dict, p_list=(2.0,), eta: float | None = None) -> En
     return EnsembleStats(per_n=per_n, p_list=tuple(p_list), warnings=tuple(warnings))
 
 
-def _kendall_greater(ns, vals) -> tuple:
-    """Kendall tau-b of vals against the distinct levels ns and its one-sided
-    p-value for a rising trend, bit for bit those of
-    ``scipy.stats.kendalltau(ns, vals, alternative="greater")``.
-
-    Untied vals (up to 33 of them, or any number with at most one
-    discordant or concordant pair) get the exact null distribution by
-    Kendall's recurrence (Kendall 1970, *Rank Correlation Methods*, as in
-    scipy's ``_kendall_p_exact``); tied vals get the tie-corrected normal
-    approximation, whose ``ndtr`` is scipy's, imported only here so that the
-    usual untied call loads no scipy.  All vals equal give (nan, nan).
-    """
-    ns = np.asarray(ns)
-    if len(np.unique(ns)) != len(ns):
-        raise ValueError(f"levels must be distinct, got {ns.tolist()}")
-    y = np.asarray(vals, dtype=float)[np.argsort(ns)]
-    size = len(y)
-    tot = size * (size - 1) // 2
-    i, j = np.triu_indices(size, 1)
-    dis = int(np.count_nonzero(y[i] > y[j]))
-    cnt = np.unique(y, return_counts=True)[1].tolist()
-    ytie = sum(c * (c - 1) // 2 for c in cnt)
-    if ytie == tot:
-        return math.nan, math.nan
-    con_minus_dis = tot - ytie - 2 * dis
-    tau = min(1.0, max(-1.0, con_minus_dis / math.sqrt(tot) / math.sqrt(tot - ytie)))
-    if ytie or (size > 33 and min(dis, tot - dis) > 1):
-        from scipy.special import ndtr
-
-        m = size * (size - 1.0)
-        y1 = sum(c * (c - 1) * (2 * c + 5) for c in cnt)
-        return tau, float(ndtr(-con_minus_dis / math.sqrt((m * (2 * size + 5) - y1) / 18)))
-    # exact: the null is symmetric, so take the tail at c = min(con, dis)
-    # inversions and its mass at c from the count of orderings by inversions
-    con = tot - dis
-    c = min(con, dis)
-    orderings = math.factorial(size)
-    if c == 0:
-        tail, mass = 2.0 / orderings, 1.0 / orderings
-    elif c == 1:
-        tail, mass = 2.0 / math.factorial(size - 1), (size - 1) / orderings
-    else:
-        new = np.zeros(c + 1)  # new[k]: orderings with k inversions, k <= c
-        new[0:2] = 1.0
-        for k in range(3, size + 1):
-            new = np.cumsum(new)
-            if k <= c:
-                new[k:] -= new[: c + 1 - k]
-        tail, mass = 2.0 * np.sum(new) / orderings, new[-1] / orderings
-    p = tail / 2 if con >= dis else 1 - tail / 2 + mass
-    return tau, float(np.clip(p, 0, 1))
-
-
 @dataclass
 class UniformityVerdict:
     ratios: dict  # functional name -> max/min ratio across n
@@ -163,8 +116,10 @@ def uniformity_report(
     alpha; a monotone ordering whose total rise stays within the combined
     standard errors (1.645 sigma one-sided) counts as flat.
 
-    The p-value is exact for untied means and scipy's tie-corrected normal
-    approximation for tied ones (see `_kendall_greater`).  Under
+    The p-value is scipy's: exact for untied means (up to 33 levels) and the
+    tie-corrected normal approximation for tied ones.  scipy.stats is
+    imported here, not at module level: the import costs about 1 s, which
+    every verb process and pool worker importing this module would pay.  Under
     exchangeable untied means at alpha = 0.05 the Kendall clause alone
     fires with probability 0 at 3 levels (the smallest attainable p is
     1/6) and 1/24 at 4 or 5 levels.  Means of levels that share a Wiener
@@ -173,6 +128,8 @@ def uniformity_report(
     p = 0.0355 < alpha, so that run passes through the rise-beyond-noise
     clause alone.
     """
+    from scipy.stats import kendalltau
+
     ns = sorted(stats.per_n)
     if len(ns) < 3:
         raise ValueError("need at least 3 Galerkin levels")
@@ -194,10 +151,11 @@ def uniformity_report(
         if np.any(vals <= 0):
             raise ValueError(f"nonpositive functional {name}; cannot form ratios")
         ratios[name] = float(np.max(vals) / np.min(vals))
-        kendall[name] = _kendall_greater(ns, vals)
+        tau, pval = kendalltau(ns, vals, alternative="greater")
+        kendall[name] = (float(tau), float(pval))
         rise = vals[-1] - vals[0]
         noise = 1.645 * math.sqrt(ses[0] ** 2 + ses[-1] ** 2)
-        trending_up = kendall[name][1] < alpha and rise > noise
+        trending_up = pval < alpha and rise > noise
         if ratios[name] > ratio_bound or trending_up:
             passed = False
     return UniformityVerdict(

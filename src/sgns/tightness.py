@@ -356,6 +356,14 @@ class NestedSpaceCertificate:
     samples: int
 
 
+def admissible_eta0(eta0: float) -> float:
+    """eta0 itself if it lies in (0, 1), where the recursion eta_n climbs
+    to 1 from; otherwise ValueError saying what it must be."""
+    if 0.0 < eta0 < 1.0:
+        return eta0
+    raise ValueError(f"a number in (0, 1), got {eta0}")
+
+
 def build_nested_space(
     phi_norms, eta0: float, samples: int = 1000, seed: int = 0
 ) -> tuple:
@@ -367,8 +375,7 @@ def build_nested_space(
     below 1 - eta0 and (ii) every tail satisfies
     |s_N - s_m|_Phi <= eta_N - eta_m.
     """
-    if not 0.0 < eta0 < 1.0:
-        raise ValueError("eta0 must lie in (0, 1)")
+    admissible_eta0(eta0)
     phi_norms = np.asarray(phi_norms, dtype=float)
     if np.any(phi_norms <= 0):
         raise ValueError("Phi-norms must be positive")

@@ -77,7 +77,7 @@ def test_demo_configs_load(name):
 
 
 def test_cli_start_up_loads_no_scipy():
-    # a fresh interpreter, since the Kendall oracle tests load scipy here
+    # a fresh interpreter, since the trend tests load scipy here
     code = ("import sys, sgns.cli\n"
             "from sgns.config import load_config\n"
             "for path in sys.argv[1:]:\n"
