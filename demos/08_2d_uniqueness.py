@@ -36,7 +36,7 @@ print(f"  max trilinear ratio = {max(t for t in tri if t == t):.4f}")
 print("\nshifted deterministic equation (Runge-Kutta, order 4):")
 u0 = random_field(basis, rng, n=8, decay=0.5)
 z = random_field(basis, rng, n=8, decay=1.0)
-prob = ShiftedProblem(basis=basis, n=16, dt=1e-3, T=0.2, u0=u0, z=(lambda t: z))
+prob = ShiftedProblem(basis=basis, n=16, dt=1e-3, T=0.2, u0=u0, z=z)
 path = solve_shifted(prob)
 erep = energy_inequality_check(path, prob)
 print(f"  energy-inequality worst margin = {erep.worst_margin:+.4f} (>= -O(dt); C = {erep.C})")

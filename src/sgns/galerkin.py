@@ -152,11 +152,6 @@ class CompiledGalerkin:
     def encode(self, u: SpectralField) -> np.ndarray:
         return u.basis.real_coords(u, self.n)
 
-    def decode(self, basis: Basis, x: np.ndarray) -> SpectralField:
-        full = np.zeros(basis.n_modes)
-        full[: self.n] = x
-        return basis.field_from_real_coords(full)
-
 
 # compiled systems, keyed by value: everything in one depends only on the
 # domain, the norm scale, n, the noise model and whether B is included
@@ -215,7 +210,7 @@ class GalerkinConfig:
     T: float
     u0: SpectralField
     model: NoiseModel | None = None
-    forcing: SpectralField | None = None
+    forcing: SpectralField | None = None  # constant in time
     cutoff_level: float | None = None
     seed: int = 0
     snapshot_stride: int = 0  # 0: endpoints only
@@ -266,10 +261,8 @@ class GalerkinConfig:
                        self.include_B, self.snapshot_stride, self.integral_snapshot_stride,
                        self.overflow_limit)).encode())
         h.update(np.ascontiguousarray(self.u0.coeffs).tobytes())
-        if isinstance(self.forcing, SpectralField):
+        if self.forcing is not None:
             h.update(np.ascontiguousarray(self.forcing.coeffs).tobytes())
-        elif self.forcing is not None:
-            h.update(b"callable-forcing")
         if self.model is not None:
             h.update(repr(self.model).encode())
         for p in self.probes:
@@ -395,18 +388,9 @@ def _sq_norms(sys: CompiledGalerkin, x: np.ndarray) -> np.ndarray:
     return np.add.reduce(sys.norm_weights * (x * x)[:, None, :], axis=2).T
 
 
-def _forcing_coords(config: GalerkinConfig, sys: CompiledGalerkin, t: float) -> np.ndarray:
-    f = config.forcing
-    if f is None:
-        return np.zeros(sys.n)
-    if callable(f):
-        f = f(t)
-    return sys.encode(f)
-
-
-def _step(sys, config, cutoff, x, ud, f_t, dw):
+def _step(sys, config, cutoff, x, ud, f, dw):
     """One step of the scheme on the rows of x (B, n), whose U' norms are
-    ud, under forcing f_t (n,) and Wiener increments dw (B, M).
+    ud, under forcing coordinates f (n,) and Wiener increments dw (B, M).
 
     Returns (x_new, y, theta, tbx, bx, g, xi): the cutoff factors, the tamed
     and untamed convection, the noise directions applied to each row
@@ -424,19 +408,9 @@ def _step(sys, config, cutoff, x, ud, f_t, dw):
     else:
         g, xi = None, np.zeros_like(x)
     if config.scheme == "em":
-        return x + dt * (f_t - sys.lamD * x - tbx) + xi, None, theta, tbx, bx, g, xi
-    y = x + dt * (f_t - tbx) + xi
+        return x + dt * (f - sys.lamD * x - tbx) + xi, None, theta, tbx, bx, g, xi
+    y = x + dt * (f - tbx) + xi
     return np.exp(-sys.lamD * dt) * y, y, theta, tbx, bx, g, xi
-
-
-def em_step(u: SpectralField, t: float, dW_row, config: GalerkinConfig) -> SpectralField:
-    """One step of the scheme on a SpectralField: the stepper on one row."""
-    sys = _compiled(config.basis, config.n, config.model, config.include_B)
-    x = sys.encode(u)[None]
-    ud = np.sqrt(_sq_norms(sys, x)[2])
-    dw = np.asarray(dW_row, dtype=float).reshape(1, -1)
-    x_new = _step(sys, config, config.cutoff, x, ud, _forcing_coords(config, sys, t), dw)[0]
-    return sys.decode(config.basis, x_new[0])
 
 
 def integrate_batch(config: GalerkinConfig, indices, paths=None) -> list:
@@ -493,7 +467,7 @@ def integrate_batch(config: GalerkinConfig, indices, paths=None) -> list:
 
     cutoff = config.cutoff
     forced = config.forcing is not None
-    f_const = None if callable(config.forcing) else _forcing_coords(config, sys, 0.0)
+    f = sys.encode(config.forcing) if forced else np.zeros(n)
     cutoff_min = np.ones(B)
     abort_step = np.full(B, -1)
     alive = np.ones(B, dtype=bool)
@@ -504,8 +478,7 @@ def integrate_batch(config: GalerkinConfig, indices, paths=None) -> list:
     # aborted rows keep stepping, masked below, and may overflow on the way
     with np.errstate(over="ignore", invalid="ignore"):
         for j in range(steps):
-            f_t = f_const if f_const is not None else _forcing_coords(config, sys, j * dt)
-            x_new, y, theta, tbx, bx, g, xi = _step(sys, config, cutoff, x, norm_Ud[:, j], f_t, dW[j])
+            x_new, y, theta, tbx, bx, g, xi = _step(sys, config, cutoff, x, norm_Ud[:, j], f, dW[j])
             led["b_work"][:, j] = -2.0 * dt * theta * np.add.reduce(x * bx, axis=1)
             led["mart_work"][:, j] = 2.0 * np.add.reduce(x * xi, axis=1)
             led["ito_step"][:, j] = np.add.reduce(xi * xi, axis=1)
@@ -513,8 +486,8 @@ def integrate_batch(config: GalerkinConfig, indices, paths=None) -> list:
             integrals["convection"] -= dt * tbx
             integrals["noise"] += xi
             if forced:
-                led["forcing_work"][:, j] = 2.0 * dt * np.add.reduce(x * f_t, axis=1)
-                integrals["forcing"] += dt * f_t
+                led["forcing_work"][:, j] = 2.0 * dt * np.add.reduce(x * f, axis=1)
+                integrals["forcing"] += dt * f
             if g is not None:
                 led["hs_step"][:, j] = np.add.reduce((g * g).reshape(B, -1), axis=1) * dt
                 if qv_pairs:

@@ -345,10 +345,6 @@ class NoiseConditionReport:
     samples: int
     rejected: bool
 
-    @property
-    def admissible(self) -> bool:
-        return not self.rejected and self.empirical_violations == 0
-
 
 def certify_conditions(
     model: NoiseModel,

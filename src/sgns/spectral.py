@@ -315,9 +315,6 @@ class SpectralField:
     basis: Basis
     coeffs: np.ndarray
 
-    def copy(self) -> "SpectralField":
-        return SpectralField(self.basis, self.coeffs.copy())
-
     def __add__(self, other: "SpectralField") -> "SpectralField":
         _check_same_basis(self, other)
         return SpectralField(self.basis, self.coeffs + other.coeffs)

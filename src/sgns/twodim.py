@@ -21,7 +21,7 @@ from .galerkin import (
     level_violations,
 )
 from .nonlinear import TrilinearWorkspace, bilinear_B, trilinear_b
-from .spectral import Basis, SpectralField, eval_physical, norm
+from .spectral import Basis, SpectralField, eval_physical, norm, project_Pn
 
 # Young-chain constant in the shifted energy inequality: bounding the doubled
 # convection term by (1/2)||v||^2 + C (|v|^2 + 1) ||z||_L4^4 via two Young
@@ -105,20 +105,16 @@ def convection_path_bound(record, basis: Basis, ws: TrilinearWorkspace) -> PathB
 
 @dataclass
 class ShiftedProblem:
-    """dv/dt = -Av + v + z - B(v + z) + f on the first n modes, v(0) = P_n u0.
-
-    z may be None, a callable t -> SpectralField, or a coords array sampled on
-    the step grid (steps+1, n); array paths are linearly interpolated at the
-    Runge-Kutta half steps.  f likewise (constant field or callable).
-    """
+    """dv/dt = -Av + v + z - B(v + z) + f on the first n modes, v(0) = P_n u0,
+    with z and f fields constant in time (None reads as zero)."""
 
     basis: Basis
     n: int
     dt: float
     T: float
     u0: SpectralField
-    z: object = None
-    f: object = None
+    z: SpectralField | None = None
+    f: SpectralField | None = None
     include_B: bool = True
 
     def __post_init__(self):
@@ -133,44 +129,21 @@ class ShiftedProblem:
         return int(round(self.T / self.dt))
 
 
-def _path_eval(problem: ShiftedProblem, sys, source) -> object:
-    """Normalize a z/f specification to a function t -> coords."""
-    if source is None:
-        zero = np.zeros(problem.n)
-        return lambda t: zero
-    if callable(source):
-        return lambda t: sys.encode(source(t))
-    if isinstance(source, SpectralField):
-        const = sys.encode(source)
-        return lambda t: const
-    arr = np.asarray(source, dtype=float)
-    if arr.shape != (problem.steps + 1, problem.n):
-        raise ValueError(f"path array must have shape {(problem.steps + 1, problem.n)}")
-
-    def interp(t):
-        s = t / problem.dt
-        j = min(int(math.floor(s)), problem.steps - 1)
-        w = s - j
-        return (1.0 - w) * arr[j] + w * arr[j + 1]
-
-    return interp
+def _encoded(sys, field: SpectralField | None) -> np.ndarray:
+    """Coordinates of z or f on the first n modes; zeros when absent."""
+    return np.zeros(sys.n) if field is None else sys.encode(field)
 
 
 def solve_shifted(problem: ShiftedProblem) -> np.ndarray:
     """Classical RK4 integration; returns the coords path (steps+1, n)."""
     sys = _compiled(problem.basis, problem.n, None, problem.include_B)
-    z_at = _path_eval(problem, sys, problem.z)
-    f_at = _path_eval(problem, sys, problem.f)
+    z, f = _encoded(sys, problem.z), _encoded(sys, problem.f)
 
-    def rhs(x, t):
-        zt = z_at(t)
-        out = -sys.lamD * x + zt + f_at(t)
+    def rhs(x):
+        out = -sys.lamD * x + z + f
         if problem.include_B:
-            w = x + zt
-            out = out - sys.convection(w)
+            out = out - sys.convection(x + z)
         return out
-
-    from .spectral import project_Pn
 
     x = sys.encode(project_Pn(problem.u0, problem.n))
     steps = problem.steps
@@ -178,11 +151,10 @@ def solve_shifted(problem: ShiftedProblem) -> np.ndarray:
     path[0] = x
     dt = problem.dt
     for j in range(steps):
-        t = j * dt
-        k1 = rhs(x, t)
-        k2 = rhs(x + 0.5 * dt * k1, t + 0.5 * dt)
-        k3 = rhs(x + 0.5 * dt * k2, t + 0.5 * dt)
-        k4 = rhs(x + dt * k3, t + dt)
+        k1 = rhs(x)
+        k2 = rhs(x + 0.5 * dt * k1)
+        k3 = rhs(x + 0.5 * dt * k2)
+        k4 = rhs(x + dt * k3)
         x = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         if not np.all(np.isfinite(x)):
             raise RuntimeError(f"shifted solve left the finite range at step {j + 1}")
@@ -200,29 +172,22 @@ class EnergyInequalityReport:
 def energy_inequality_check(
     v_path: np.ndarray, problem: ShiftedProblem, C: float = YOUNG_CHAIN_C
 ) -> EnergyInequalityReport:
-    """Discrete form of d|v|^2/dt + (1/2)||v||^2 <= a(t) + theta(t)|v|^2 with
-    a = |z|_H^2 + |f|_{V'}^2 + C ||z||_L4^4 and theta = 2 + C ||z||_L4^4.
+    """Discrete form of d|v|^2/dt + (1/2)||v||^2 <= a + theta |v|^2 with
+    a = |z|_H^2 + |f|_{V'}^2 + C ||z||_L4^4 and theta = 2 + C ||z||_L4^4,
+    where z stands for P_n z.
 
     Margins are RHS - LHS per step; the worst one is expected >= -O(dt)."""
     sys = _compiled(problem.basis, problem.n, None, problem.include_B)
-    z_at = _path_eval(problem, sys, problem.z)
-    f_at = _path_eval(problem, sys, problem.f)
+    z, f = _encoded(sys, problem.z), _encoded(sys, problem.f)
     wVdual = problem.basis.mode_weights("Vdual", problem.n)
-    steps = problem.steps
-    margins = np.zeros(steps)
-    for j in range(steps):
-        t = j * problem.dt
-        x = v_path[j]
-        zt = z_at(t)
-        ft = f_at(t)
-        zf = sys.decode(problem.basis, zt)
-        z_l4 = l4_norm(zf) if np.any(zt != 0.0) else 0.0
-        a_t = float(np.sum(zt * zt)) + float(np.sum(ft * ft * wVdual)) + C * z_l4**4
-        theta_t = 2.0 + C * z_l4**4
-        h2 = float(np.sum(x * x))
-        d2 = float(np.sum(sys.lamD * x * x))
-        lhs = (float(np.sum(v_path[j + 1] ** 2)) - h2) / problem.dt + 0.5 * d2
-        margins[j] = a_t + theta_t * h2 - lhs
+    z_l4 = l4_norm(project_Pn(problem.z, problem.n)) if np.any(z != 0.0) else 0.0
+    a = float(np.sum(z * z)) + float(np.sum(f * f * wVdual)) + C * z_l4**4
+    theta = 2.0 + C * z_l4**4
+    x, x_next = v_path[: problem.steps], v_path[1 : problem.steps + 1]
+    h2 = np.sum(x * x, axis=1)
+    d2 = np.sum(sys.lamD * x * x, axis=1)
+    lhs = (np.sum(x_next**2, axis=1) - h2) / problem.dt + 0.5 * d2
+    margins = a + theta * h2 - lhs
     return EnergyInequalityReport(worst_margin=float(np.min(margins)), margins=margins, C=C)
 
 
@@ -248,12 +213,9 @@ def uniqueness_shifted(
     identical = bool(np.array_equal(path1, path2))
     w = path1 - path2
     dist2 = np.sum(w * w, axis=1)
-    z_at = _path_eval(problem, sys, problem.z)
     steps = problem.steps
-    theta = np.zeros(steps)
-    for j in range(steps):
-        wj = path2[j] + z_at(j * problem.dt)
-        theta[j] = 2.0 * float(np.sum(sys.lamD * wj * wj))
+    w2 = path2[:steps] + _encoded(sys, problem.z)
+    theta = 2.0 * np.sum(sys.lamD * w2 * w2, axis=1)
     grid = np.arange(steps + 1) * problem.dt
     env = gronwall_eval(np.zeros(steps), theta, dist2[0], grid)
     scale = max(dist2[0], 1e-300)

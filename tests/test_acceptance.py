@@ -344,7 +344,7 @@ def test_criterion_12_shifted_energy_and_uniqueness():
             z = random_field(basis, rng_local, n=8, decay=1.0)
             f = 0.3 * random_field(basis, rng_local, n=8, decay=1.0)
             prob = ShiftedProblem(basis=basis, n=8, dt=dt, T=0.1, u0=u0,
-                                  z=(lambda t, z=z: z), f=f)
+                                  z=z, f=f)
             path = solve_shifted(prob)
             rep = energy_inequality_check(path, prob)
             worst = min(worst, rep.worst_margin)
@@ -361,7 +361,7 @@ def test_criterion_12_shifted_energy_and_uniqueness():
         v20 = u0 + basis.field_from_real_coords(pert)
         z = random_field(basis, rng, n=8, decay=1.0)
         prob = ShiftedProblem(basis=basis, n=8, dt=1e-3, T=0.1, u0=u0,
-                              z=(lambda t, z=z: z))
+                              z=z)
         rep = uniqueness_shifted(prob, u0, v20)
         env_ok = env_ok and rep.within_envelope
     ok = energy_ok and env_ok

@@ -14,8 +14,10 @@ QUICK = [
     "01_function_spaces.py",
     "02_convection_structure.py",
     "03_noise_certification.py",
+    "04_stochastic_simulation.py",
     "06_tightness_diagnostics.py",
     "07_nested_spaces.py",
+    "08_2d_uniqueness.py",
 ]
 
 

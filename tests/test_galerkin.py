@@ -7,8 +7,8 @@ import pytest
 from sgns.galerkin import (
     CompiledGalerkin,
     GalerkinConfig,
+    WienerPath,
     build_convection_tensor,
-    em_step,
     energy_budget_check,
     generate_wiener,
     h_tanh_sup,
@@ -164,55 +164,52 @@ def test_zero_fixed_point(basis2d_small):
     cfg = make_config(basis2d_small, u0_modes=4)
     z = basis2d_small.zero_field()
     cfg2 = GalerkinConfig(
-        basis=basis2d_small, n=cfg.n, dt=cfg.dt, T=cfg.T, u0=z, model=cfg.model, seed=1
+        basis=basis2d_small, n=cfg.n, dt=cfg.dt, T=5 * cfg.dt, u0=z, model=cfg.model, seed=1
     )
-    path = generate_wiener(cfg2.steps, cfg2.M, cfg2.dt, 1)
-    u = z
-    for j in range(5):
-        u = em_step(u, j * cfg2.dt, path.dW[j], cfg2)
-        assert norm(u, "H") == 0.0
+    rec = integrate_trajectory(cfg2)
+    assert np.all(rec.norm_H == 0.0)
 
 
 def test_em_step_linear_stokes_factor(basis2d_small):
     # f = 0, G absent, B disabled: per-mode factor (1 - |kappa|^2 dt)
+    u = basis2d_small.basis_field(0)
     cfg = GalerkinConfig(
         basis=basis2d_small,
         n=8,
         dt=1e-2,
-        T=0.1,
-        u0=basis2d_small.basis_field(0),
+        T=1e-2,
+        u0=u,
         model=None,
         include_B=False,
         seed=0,
     )
-    u = basis2d_small.basis_field(0)
-    u1 = em_step(u, 0.0, np.zeros(0), cfg)
+    u1 = integrate_trajectory(cfg).snap_u[-1]
     lam = basis2d_small.mode_weights("D", 1)[0]
     expect = (1.0 - lam * cfg.dt) * basis2d_small.real_coords(u, 1)[0]
-    assert abs(basis2d_small.real_coords(u1, 1)[0] - expect) < 1e-14
+    assert abs(u1[0] - expect) < 1e-14
 
 
 def test_em_step_noise_only_matches_apply_G(basis2d_small, rng):
     # single step with G only: u+ - u = P_n G(u) dW
     model = default_noise_model(2)
     n = 10
+    u = project_Pn(random_field(basis2d_small, rng, n=n), n)
     cfg = GalerkinConfig(
         basis=basis2d_small,
         n=n,
         dt=1e-3,
-        T=0.01,
-        u0=random_field(basis2d_small, rng, n=n),
+        T=1e-3,
+        u0=u,
         model=model,
         include_B=False,
         seed=0,
     )
-    u = project_Pn(random_field(basis2d_small, rng, n=n), n)
     dW = np.array([0.37])
-    forward = em_step(u, 0.0, dW, cfg)
+    forward = integrate_trajectory(cfg, WienerPath(dW=dW[None], dt=cfg.dt, seed=0)).snap_u[-1]
     # remove the Stokes drift part to isolate the noise increment
     drift = -1.0 * cfg.dt
     sysA = basis2d_small.real_coords(u, n) * basis2d_small.mode_weights("D", n)
-    inc = basis2d_small.real_coords(forward - u, n) - drift * sysA
+    inc = forward - basis2d_small.real_coords(u, n) - drift * sysA
     expect = basis2d_small.real_coords(project_Pn(apply_G(u, dW, model), n), n)
     assert np.max(np.abs(inc - expect)) < 1e-14
 

@@ -144,6 +144,18 @@ def test_bad_field_spec_rejected_at_load(tmp_path, field, key, value):
     assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
 
 
+def test_mode_field_spec(tmp_path):
+    mode = {"kind": "mode", "mode_id": 2, "amplitude": 0.5}
+    run = load_config(write_cfg(tmp_path, {"galerkin": {"u0": mode, "forcing": mode}}))
+    expect = 0.5 * run.basis.basis_field(2)
+    assert np.array_equal(run.galerkin.u0.coeffs, expect.coeffs)
+    assert np.array_equal(run.galerkin.forcing.coeffs, expect.coeffs)
+    n_modes = run.basis.n_modes
+    path = write_cfg(tmp_path, {"galerkin": {"u0": {**mode, "mode_id": n_modes}}})
+    with pytest.raises(ConfigError, match=rf"galerkin\.u0\.mode_id outside \[0, {n_modes}\)"):
+        load_config(path)
+
+
 def test_level_and_scheme_violations_listed(tmp_path):
     path = write_cfg(tmp_path, {"galerkin": {"n_list": [4, 99], "scheme": "rk4", "dt": 3e-3}})
     with pytest.raises(ConfigError) as exc:

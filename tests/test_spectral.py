@@ -160,6 +160,9 @@ def test_leray_idempotent(basis2d_small, rng):
     amp = b.to_exp_coeffs(once)
     twice = leray_project(b, {tuple(int(v) for v in k): amp[i] for i, k in enumerate(b.lattice_k)})
     assert np.allclose(once.coeffs, twice.coeffs, atol=1e-13)
+    # the same field given by its conjugate amplitudes on the -k half only
+    neg = leray_project(b, {tuple(-v for v in k): a.conj() for k, a in raw.items()})
+    assert np.array_equal(neg.coeffs, once.coeffs)
 
 
 def test_operator_multipliers(basis2d_small):

@@ -174,7 +174,7 @@ def test_energy_inequality_margin_shrinks_with_dt(basis2d_small, rng):
     for dt in (2e-3, 1e-3, 5e-4):
         prob = ShiftedProblem(
             basis=basis2d_small, n=8, dt=dt, T=0.1, u0=u0,
-            z=(lambda t: z), f=f,
+            z=z, f=f,
         )
         path = solve_shifted(prob)
         worst[dt] = energy_inequality_check(path, prob).worst_margin
@@ -198,7 +198,7 @@ def test_uniqueness_shifted_envelope(basis2d_small, rng):
     v20 = u0 + basis2d_small.field_from_real_coords(pert)
     z = random_field(basis2d_small, rng, n=8, decay=1.0)
     prob = ShiftedProblem(
-        basis=basis2d_small, n=8, dt=1e-3, T=0.1, u0=u0, z=(lambda t: z)
+        basis=basis2d_small, n=8, dt=1e-3, T=0.1, u0=u0, z=z
     )
     rep = uniqueness_shifted(prob, u0, v20)
     assert not rep.identical
