@@ -208,6 +208,9 @@ def run_tightness(run: RunConfig, bundle: ResultBundle, workers: int) -> int:
         rows_mod += [(n, d, m) for d, m in zip(dub.deltas, dub.modulus_curve)]
         rows_aldous += [(n, t, p) for t, p in zip(ald.thetas, ald.probabilities)]
         rows_j += [(n, t, jrep.median_norms["noise"][i]) for i, t in enumerate(jrep.thetas)]
+        # released before the next level's pool forks, so its workers do not
+        # inherit them
+        del recs, fam
     bundle.add_table("modulus", ["n", "delta", "sup_modulus"], rows_mod)
     bundle.add_table("aldous", ["n", "theta", "exceedance_probability"], rows_aldous)
     bundle.add_table("noise_increment_scaling", ["n", "theta", "median_Udual_increment"], rows_j)

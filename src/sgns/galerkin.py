@@ -22,6 +22,8 @@ prescribed quadratic variation.
 from __future__ import annotations
 
 import math
+import mmap
+import multiprocessing
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -357,30 +359,47 @@ def _snapshot_indices(steps: int, stride: int) -> np.ndarray:
 
 # -- stepping -------------------------------------------------------------------
 
-# bytes of records one block of rows may hold.  A block's records are pickled
-# back from its worker whole, so this bounds the memory one block adds.
-BLOCK_BUDGET = 4 * 2**20
-
 LEDGER = ("drift_work", "b_work", "forcing_work", "mart_work", "delta_sq", "ito_step", "hs_step")
 INTEGRALS = ("stokes", "convection", "forcing", "noise")
 
+# rows x convection triplets one block may hold; fewer than 2,000 triplets
+# count as 2,000.  Past it a step's (rows, triplets) gather leaves the cache:
+# per row-step on one x86-64 core, n = 32 (440 triplets) cost 3.7 us at 100
+# rows and 5.1 us at 200, n = 128 (8,704 triplets) 66 us at 24 rows and
+# 122 us at 48.
+BLOCK_CACHE = 2 * 10**5
 
-def record_bytes(config: GalerkinConfig) -> int:
-    """Bytes of the arrays one record of this config holds: norms, ledger,
-    snapshots (with their quadratic-variation and refinement entries) and
-    integral snapshots."""
+
+def _row_shapes(config: GalerkinConfig) -> dict:
+    """Shape after the row axis of every per-row array of a record: norms,
+    ledger, snapshots with their quadratic-variation and refinement entries,
+    integral snapshots (keyed "integral_<term>"), u0, the cutoff minimum and
+    the abort step.  Every entry is 8 bytes."""
     steps, n = config.steps, config.n
     snaps = len(_snapshot_indices(steps, config.snapshot_stride))
     isnaps = len(_snapshot_indices(steps, config.integral_stride))
-    per_snap = n + len(config.qv_pairs) + (config.refinement_probe is not None)
-    return 8 * (3 * (steps + 1) + len(LEDGER) * steps + snaps * per_snap + len(INTEGRALS) * isnaps * n)
+    shapes = {name: (steps + 1,) for name in ("norm_H", "norm_D", "norm_Udual")}
+    shapes.update({name: (steps,) for name in LEDGER})
+    shapes.update(snap_u=(snaps, n), qv_cum=(snaps, len(config.qv_pairs)), refinement_I=(snaps,))
+    shapes.update({f"integral_{name}": (isnaps, n) for name in INTEGRALS})
+    shapes.update(u0_coords=(n,), cutoff_min=(), abort_step=())
+    return shapes
 
 
-def block_rows(config: GalerkinConfig, n_traj: int, workers: int = 1) -> int:
-    """Rows integrated together: an equal share per worker, capped so that
-    one block's records fit in BLOCK_BUDGET.  No record depends on it."""
-    share = math.ceil(n_traj / max(1, workers))
-    return max(1, min(share, BLOCK_BUDGET // record_bytes(config)))
+def _stacked(config: GalerkinConfig, rows: int) -> dict:
+    """Zeroed (rows, ...) arrays of `_row_shapes`, carved from one anonymous
+    shared mapping, so that pool workers forked after it is made write into
+    the same pages.  abort_step is int64, the rest float64."""
+    shapes = _row_shapes(config)
+    sizes = [rows * math.prod(shape) for shape in shapes.values()]
+    total = sum(sizes)
+    flat = np.frombuffer(mmap.mmap(-1, max(8 * total, 1)), dtype=np.float64, count=total)
+    out, at = {}, 0
+    for (name, shape), size in zip(shapes.items(), sizes):
+        out[name] = flat[at : at + size].reshape((rows, *shape))
+        at += size
+    out["abort_step"] = out["abort_step"].view(np.int64)
+    return out
 
 
 def _sq_norms(sys: CompiledGalerkin, x: np.ndarray) -> np.ndarray:
@@ -413,12 +432,13 @@ def _step(sys, config, cutoff, x, ud, f, dw):
     return np.exp(-sys.lamD * dt) * y, y, theta, tbx, bx, g, xi
 
 
-def integrate_batch(config: GalerkinConfig, indices, paths=None) -> list:
+def _integrate_rows(config: GalerkinConfig, indices, paths, out: dict) -> None:
     """Integrate trajectories `indices` together as the rows of one (B, n)
     state, each driven by its own Philox stream (or by its entry of
-    `paths`), filling norms, ledger and snapshots.
+    `paths`), writing norms, ledger and snapshots into `out`: zeroed arrays
+    of `_row_shapes` with B rows, written in place.
 
-    Each record is bitwise the same whatever the other rows, their number or
+    Each row is bitwise the same whatever the other rows, their number or
     their order.  The energy ledger closes the discrete energy identity for
     both schemes; under the exponential scheme the drift work and the Stokes
     integral are taken across the Stokes factor.  A row whose state leaves
@@ -428,7 +448,6 @@ def integrate_batch(config: GalerkinConfig, indices, paths=None) -> list:
     """
     sys = _compiled(config.basis, config.n, config.model, config.include_B)
     steps, n, dt = config.steps, config.n, config.dt
-    indices = [int(i) for i in indices]
     B = len(indices)
     if paths is None:
         paths = [generate_wiener(steps, config.M, dt, config.seed, i) for i in indices]
@@ -440,9 +459,9 @@ def integrate_batch(config: GalerkinConfig, indices, paths=None) -> list:
     dW = np.stack([path.dW for path in paths], axis=1)  # (steps, B, M)
 
     x = np.repeat(sys.encode(project_Pn(config.u0, n))[None], B, axis=0)
-    u0_coords = x.copy()
-    norm_H, norm_D, norm_Ud = (np.zeros((B, steps + 1)) for _ in range(3))
-    led = {name: np.zeros((B, steps)) for name in LEDGER}
+    out["u0_coords"][:] = x
+    norm_H, norm_D, norm_Ud = out["norm_H"], out["norm_D"], out["norm_Udual"]
+    led = {name: out[name] for name in LEDGER}
 
     snap_idx = _snapshot_indices(steps, config.snapshot_stride)
     integral_snap_idx = _snapshot_indices(steps, config.integral_stride)
@@ -450,26 +469,25 @@ def integrate_batch(config: GalerkinConfig, indices, paths=None) -> list:
     snap_at[snap_idx] = np.arange(len(snap_idx))
     integral_snap_at = np.full(steps + 1, -1)
     integral_snap_at[integral_snap_idx] = np.arange(len(integral_snap_idx))
-    snap_u = np.zeros((B, len(snap_idx), n))
-    snap_integrals = {name: np.zeros((B, len(integral_snap_idx), n)) for name in INTEGRALS}
+    snap_u = out["snap_u"]
+    snap_integrals = {name: out[f"integral_{name}"] for name in INTEGRALS}
     integrals = {name: np.zeros((B, n)) for name in INTEGRALS}
 
-    probes_n = (
-        np.stack([sys.encode(p) for p in config.probes]) if config.probes else np.zeros((0, n))
-    )
+    probes_n = _probe_coords(sys, config)
     qv_pairs = tuple(config.qv_pairs)
-    qv_cum = np.zeros((B, len(snap_idx), len(qv_pairs)))
+    qv_cum = out["qv_cum"]
     qv_run = np.zeros((B, len(qv_pairs)))
     refinement = config.refinement_probe is not None
     ref_coords = sys.encode(config.refinement_probe) if refinement else None
-    ref_I = np.zeros((B, len(snap_idx)))
+    ref_I = out["refinement_I"]
     ref_run = np.zeros(B)
 
     cutoff = config.cutoff
     forced = config.forcing is not None
     f = sys.encode(config.forcing) if forced else np.zeros(n)
-    cutoff_min = np.ones(B)
-    abort_step = np.full(B, -1)
+    cutoff_min, abort_step = out["cutoff_min"], out["abort_step"]
+    cutoff_min[:] = 1.0
+    abort_step[:] = -1
     alive = np.ones(B, dtype=bool)
 
     h2, d2, u2 = _sq_norms(sys, x)
@@ -482,7 +500,7 @@ def integrate_batch(config: GalerkinConfig, indices, paths=None) -> list:
             led["b_work"][:, j] = -2.0 * dt * theta * np.add.reduce(x * bx, axis=1)
             led["mart_work"][:, j] = 2.0 * np.add.reduce(x * xi, axis=1)
             led["ito_step"][:, j] = np.add.reduce(xi * xi, axis=1)
-            cutoff_min = np.minimum(cutoff_min, np.where(alive, theta, 1.0))
+            np.minimum(cutoff_min, np.where(alive, theta, 1.0), out=cutoff_min)
             integrals["convection"] -= dt * tbx
             integrals["noise"] += xi
             if forced:
@@ -542,35 +560,57 @@ def integrate_batch(config: GalerkinConfig, indices, paths=None) -> list:
         for arr in snap_integrals.values():
             arr[r, integral_snap_idx >= a] = 0.0
 
+
+def _probe_coords(sys: CompiledGalerkin, config: GalerkinConfig) -> np.ndarray:
+    return np.stack([sys.encode(p) for p in config.probes]) if config.probes else np.zeros((0, config.n))
+
+
+def _records(config: GalerkinConfig, indices, out: dict) -> list:
+    """One TrajectoryRecord per row of the stacked arrays `out`, whose
+    arrays are views of that row."""
+    sys = _compiled(config.basis, config.n, config.model, config.include_B)
+    probes_n = _probe_coords(sys, config)
+    snap_idx = _snapshot_indices(config.steps, config.snapshot_stride)
+    integral_snap_idx = _snapshot_indices(config.steps, config.integral_stride)
+    refinement = config.refinement_probe is not None
     config_hash = config.fingerprint()
     return [
         TrajectoryRecord(
-            n=n,
-            dt=dt,
-            steps=steps,
+            n=config.n,
+            dt=config.dt,
+            steps=config.steps,
             seed=config.seed,
             traj_index=i,
             config_hash=config_hash,
             scheme=config.scheme,
-            norm_H=norm_H[r],
-            norm_D=norm_D[r],
-            norm_Udual=norm_Ud[r],
-            **{name: led[name][r] for name in LEDGER},
+            norm_H=out["norm_H"][r],
+            norm_D=out["norm_D"][r],
+            norm_Udual=out["norm_Udual"][r],
+            **{name: out[name][r] for name in LEDGER},
             snap_idx=snap_idx,
-            snap_u=snap_u[r],
+            snap_u=out["snap_u"][r],
             integral_snap_idx=integral_snap_idx,
-            snap_integrals={name: snap_integrals[name][r] for name in INTEGRALS},
-            u0_coords=u0_coords[r],
+            snap_integrals={name: out[f"integral_{name}"][r] for name in INTEGRALS},
+            u0_coords=out["u0_coords"][r],
             probes_n=probes_n,
-            qv_pairs=qv_pairs,
-            qv_cum=qv_cum[r],
-            refinement_I=ref_I[r] if refinement else None,
-            cutoff_min=float(cutoff_min[r]),
-            aborted=bool(abort_step[r] >= 0),
-            abort_step=int(abort_step[r]),
+            qv_pairs=tuple(config.qv_pairs),
+            qv_cum=out["qv_cum"][r],
+            refinement_I=out["refinement_I"][r] if refinement else None,
+            cutoff_min=float(out["cutoff_min"][r]),
+            aborted=bool(out["abort_step"][r] >= 0),
+            abort_step=int(out["abort_step"][r]),
         )
         for r, i in enumerate(indices)
     ]
+
+
+def integrate_batch(config: GalerkinConfig, indices, paths=None) -> list:
+    """Integrate trajectories `indices` together as the rows of one (B, n)
+    state (see `_integrate_rows`); one record per index, in order."""
+    indices = [int(i) for i in indices]
+    out = _stacked(config, len(indices))
+    _integrate_rows(config, indices, paths, out)
+    return _records(config, indices, out)
 
 
 def integrate_trajectory(
@@ -582,25 +622,45 @@ def integrate_trajectory(
     return integrate_batch(config, [traj_index], None if path is None else [path])[0]
 
 
-def _run_chunk(args):
-    config, indices = args
-    return integrate_batch(config, indices)
+# stacked arrays of the ensemble being integrated; pool workers inherit them
+# at fork and write their blocks' rows in place
+_ENSEMBLE: dict = {}
+
+
+def _run_chunk(args) -> None:
+    config, lo, hi = args
+    _integrate_rows(config, range(lo, hi), None, {name: a[lo:hi] for name, a in _ENSEMBLE.items()})
 
 
 def integrate_ensemble(config: GalerkinConfig, n_traj: int, workers: int = 1) -> list:
-    """Independent trajectories indexed 0..n_traj-1, integrated in blocks of
-    `block_rows` rows; output order is fixed, and every record is
-    independent of the worker count and of the blocks."""
-    rows = block_rows(config, n_traj, workers)
-    blocks = [(config, list(range(i, min(i + rows, n_traj)))) for i in range(0, n_traj, rows)]
-    if workers <= 1 or len(blocks) == 1:
-        parts = map(_run_chunk, blocks)
-    else:
-        # compiled before the pool starts, so forked workers inherit it
-        _compiled(config.basis, config.n, config.model, config.include_B)
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_run_chunk, blocks))
-    return [rec for part in parts for rec in part]
+    """Independent trajectories indexed 0..n_traj-1, in index order.
+
+    The stacked (n_traj, ...) arrays are allocated once, in one anonymous
+    shared mapping, and each block writes its rows in place, so no record is
+    pickled.  A block is an equal share of the rows per worker, capped by
+    BLOCK_CACHE.  Every record is independent of the worker count and of
+    the blocks."""
+    sys = _compiled(config.basis, config.n, config.model, config.include_B)
+    triplets = len(sys._V) if sys.include_B else 0
+    share = math.ceil(n_traj / max(1, workers))
+    rows = max(1, min(share, BLOCK_CACHE // max(triplets, 2000)))
+    blocks = [(config, lo, min(lo + rows, n_traj)) for lo in range(0, n_traj, rows)]
+    out = _stacked(config, n_traj)
+    _ENSEMBLE.update(out)
+    try:
+        if workers > 1 and len(blocks) > 1:
+            # fork explicitly: workers must inherit the shared mapping and the
+            # compiled system built above, which spawned or forkserver
+            # workers, starting from a fresh import, would not see
+            ctx = multiprocessing.get_context("fork")
+            with ProcessPoolExecutor(max_workers=workers, mp_context=ctx) as pool:
+                list(pool.map(_run_chunk, blocks))
+        else:
+            for block in blocks:
+                _run_chunk(block)
+    finally:
+        _ENSEMBLE.clear()
+    return _records(config, range(n_traj), out)
 
 
 # -- diagnostics ----------------------------------------------------------------

@@ -32,11 +32,18 @@ def _increment_norms(coords: np.ndarray, lag: int, w: np.ndarray) -> np.ndarray:
     return np.sqrt(np.einsum("...n,n->...", diff, w))
 
 
+# paths whose increments at one lag are formed together: the (rows, S - lag, n)
+# difference then stays in cache
+LAG_ROWS = 2
+
+
 def _lag_maxima(coords: np.ndarray, w: np.ndarray, max_lag: int) -> np.ndarray:
     """m[r, l-1] = max_s |x_r(s + l) - x_r(s)|_{U'} for lags 1..max_lag."""
     out = np.zeros((len(coords), max_lag))
-    for lag in range(1, max_lag + 1):
-        out[:, lag - 1] = np.max(_increment_norms(coords, lag, w), axis=1)
+    for lo in range(0, len(coords), LAG_ROWS):
+        rows = coords[lo : lo + LAG_ROWS]
+        for lag in range(1, max_lag + 1):
+            out[lo : lo + LAG_ROWS, lag - 1] = np.max(_increment_norms(rows, lag, w), axis=1)
     return out
 
 

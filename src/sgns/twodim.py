@@ -17,7 +17,7 @@ import numpy as np
 
 from .estimates import gronwall_eval
 from .galerkin import (
-    GalerkinConfig, _compiled, block_rows, generate_wiener, horizon_violations, integrate_batch,
+    GalerkinConfig, _compiled, _row_shapes, generate_wiener, horizon_violations, integrate_batch,
     level_violations,
 )
 from .nonlinear import TrilinearWorkspace, bilinear_B, trilinear_b
@@ -27,6 +27,11 @@ from .spectral import Basis, SpectralField, eval_physical, norm, project_Pn
 # convection term by (1/2)||v||^2 + C (|v|^2 + 1) ||z||_L4^4 via two Young
 # splits at ratio 1/2 and the quadratic L4 interpolation costs C = 128.
 YOUNG_CHAIN_C = 128.0
+
+# bytes of records one block of twin pairs may hold, both records of a pair
+# counted: the twins run serially, and a block's records live until its
+# ratios are read
+TWIN_BUDGET = 4 * 2**20
 
 
 def _require_2d(basis: Basis):
@@ -281,9 +286,9 @@ def pathwise_uniqueness_experiment(
     ratios_T = np.zeros(n_traj)
     sup_ratios = np.zeros(n_traj)
     identical = True
-    # twins run as two batches over one block of Wiener paths; the two
-    # records of a pair share the block budget
-    rows = max(1, block_rows(cfg1, n_traj) // 2)
+    # twins run as two batches over one block of Wiener paths
+    record = 8 * sum(math.prod(shape) for shape in _row_shapes(cfg1).values())
+    rows = max(1, TWIN_BUDGET // (2 * record))
     for start in range(0, n_traj, rows):
         block = list(range(start, min(start + rows, n_traj)))
         paths = [generate_wiener(cfg1.steps, cfg1.M, cfg1.dt, cfg1.seed, r) for r in block]

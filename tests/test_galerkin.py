@@ -1,9 +1,11 @@
 import dataclasses
 import math
+import multiprocessing
 
 import numpy as np
 import pytest
 
+from sgns import galerkin
 from sgns.galerkin import (
     CompiledGalerkin,
     GalerkinConfig,
@@ -345,15 +347,6 @@ def test_energy_budget_ito_zscore(basis2d_small):
     assert abs(rep.ito_zscore) < 3.0
 
 
-def test_ensemble_worker_independence(basis2d_small):
-    cfg = make_config(basis2d_small, T=0.02)
-    serial = integrate_ensemble(cfg, 6, workers=1)
-    parallel = integrate_ensemble(cfg, 6, workers=2)
-    for a, b in zip(serial, parallel):
-        assert np.array_equal(a.norm_H, b.norm_H)
-        assert np.array_equal(a.snap_u, b.snap_u)
-
-
 def test_martingale_zero_noise(basis2d_small, rng):
     cfg = GalerkinConfig(
         basis=basis2d_small,
@@ -506,6 +499,29 @@ def test_records_independent_of_batch_and_partition(basis2d_small):
     for i in range(7):
         for other in (batch[i], split[i], shuffled[i]):
             assert_records_identical(single[i], other)
+
+
+def test_ensemble_worker_independence(basis2d_small, monkeypatch):
+    # every field the workers write into the shared mapping, aborted rows
+    # included: rows 2, 5 and 6 pass the overflow limit, the others never do
+    cfg = rich_config(basis2d_small, overflow_limit=1.05)
+    single = [integrate_trajectory(cfg, traj_index=i) for i in range(7)]
+    assert [i for i, rec in enumerate(single) if rec.aborted] == [2, 5, 6]
+    # blocks of 7; 4 + 3; 3 + 3 + 1 rows
+    runs = [integrate_ensemble(cfg, 7, workers=w) for w in (1, 2, 3)]
+    # one row per block, several blocks per worker
+    monkeypatch.setattr(galerkin, "BLOCK_CACHE", 2000)
+    runs.append(integrate_ensemble(cfg, 7, workers=2))
+    for recs in runs:
+        assert [rec.traj_index for rec in recs] == list(range(7))
+        for want, got in zip(single, recs):
+            assert_records_identical(want, got)
+
+
+def test_pool_leaves_no_process(basis2d_small):
+    recs = integrate_ensemble(make_config(basis2d_small, T=0.01), 4, workers=2)
+    assert len(recs) == 4
+    assert multiprocessing.active_children() == []
 
 
 def test_convection_rows_independent_of_batch(basis2d):

@@ -77,12 +77,14 @@ def test_demo_configs_load(name):
 
 
 def test_cli_start_up_loads_no_scipy():
-    # a fresh interpreter, since the trend tests load scipy here
+    # a fresh interpreter, since the trend tests load scipy here.  Nor the
+    # shared-memory module, whose first segment starts a tracker process
     code = ("import sys, sgns.cli\n"
             "from sgns.config import load_config\n"
             "for path in sys.argv[1:]:\n"
             "    load_config(path)\n"
-            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+            "print(sorted(m for m in sys.modules if m.startswith('scipy') or m in\n"
+            "             ('multiprocessing.shared_memory', 'multiprocessing.resource_tracker')))")
     configs = sorted(str(p) for p in DEMOS.glob("*.json"))
     assert configs
     src = str(Path(__file__).resolve().parents[1] / "src")

@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from sgns import tightness
 from sgns.galerkin import GalerkinConfig, integrate_ensemble, integrate_trajectory
 from sgns.noise import default_noise_model
 from sgns.spectral import random_field
@@ -261,6 +262,20 @@ def test_modulus_is_one_path_lag_maxima(small_ensemble):
     assert modulus_of_continuity(rec.snap_u, w, rec.snap_times, 0.016) == np.max(lagmax)
     # a window shorter than one snapshot spacing holds no increment
     assert modulus_of_continuity(rec.snap_u, w, rec.snap_times, 0.0005) == 0.0
+
+
+@pytest.mark.parametrize("block", [1, 2, 3])
+def test_lag_maxima_in_row_blocks(small_ensemble, monkeypatch, block):
+    # 7 paths: no block size above divides them, so the last block is short
+    basis, recs = small_ensemble
+    fam = FunctionFamily(recs[:7], basis)
+    monkeypatch.setattr(tightness, "LAG_ROWS", block)
+    got = fam.lag_maxima(20)
+    x, w = fam.coords, fam.wUdual
+    for lag in range(1, 21):
+        d = x[:, lag:] - x[:, :-lag]
+        want = np.max(np.sqrt(np.einsum("rsn,n->rs", d * d, w)), axis=1)
+        assert np.array_equal(got[:, lag - 1], want), lag
 
 
 def test_modulus_curves_are_median_and_max_of_per_path_moduli(small_ensemble):
