@@ -38,6 +38,22 @@ def epsilon_for_p(p: float, eta: float) -> tuple:
     return (0.0, upper)
 
 
+def median(a, axis=None):
+    """np.median of a non-empty float array, bit for bit, with its NaN rule
+    (NaN wherever a NaN is present) read off the partition directly: the
+    first np.median of a process imports numpy.ma for that check."""
+    a = np.asarray(a, dtype=np.float64)
+    if axis is None:
+        a, axis = a.ravel(), 0
+    size = a.shape[axis]
+    half = size // 2
+    kth = [half - 1, half] if size % 2 == 0 else [half]
+    part = np.partition(a, kth + [-1], axis=axis)
+    mid = np.mean(np.take(part, range(kth[0], half + 1), axis=axis), axis=axis)
+    last = np.take(part, -1, axis=axis)
+    return np.where(np.isnan(last), last, mid)[()]
+
+
 @dataclass
 class FunctionalStats:
     mean: float

@@ -432,11 +432,13 @@ def _step(sys, config, cutoff, x, ud, f, dw):
     return np.exp(-sys.lamD * dt) * y, y, theta, tbx, bx, g, xi
 
 
-def _integrate_rows(config: GalerkinConfig, indices, paths, out: dict) -> None:
+def _integrate_rows(config: GalerkinConfig, indices, paths, out: dict, x0=None) -> None:
     """Integrate trajectories `indices` together as the rows of one (B, n)
     state, each driven by its own Philox stream (or by its entry of
     `paths`), writing norms, ledger and snapshots into `out`: zeroed arrays
-    of `_row_shapes` with B rows, written in place.
+    of `_row_shapes` with B rows, written in place.  Every row starts from
+    the coordinates of P_n config.u0, or from its row of `x0` (B, n) when
+    given; `u0_coords` records each row's start.
 
     Each row is bitwise the same whatever the other rows, their number or
     their order.  The energy ledger closes the discrete energy identity for
@@ -458,7 +460,12 @@ def _integrate_rows(config: GalerkinConfig, indices, paths, out: dict) -> None:
             )
     dW = np.stack([path.dW for path in paths], axis=1)  # (steps, B, M)
 
-    x = np.repeat(sys.encode(project_Pn(config.u0, n))[None], B, axis=0)
+    if x0 is None:
+        x = np.repeat(sys.encode(project_Pn(config.u0, n))[None], B, axis=0)
+    else:
+        x = np.array(x0, dtype=np.float64)
+        if x.shape != (B, n):
+            raise ValueError(f"initial states of shape {x.shape} do not match (B, n) = ({B}, {n})")
     out["u0_coords"][:] = x
     norm_H, norm_D, norm_Ud = out["norm_H"], out["norm_D"], out["norm_Udual"]
     led = {name: out[name] for name in LEDGER}

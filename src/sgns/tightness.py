@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .estimates import median
 from .galerkin import INTEGRALS, TrajectoryRecord, _grid_positions
 from .spectral import Basis
 
@@ -109,7 +110,7 @@ def median_modulus_curve(family: FunctionFamily, deltas) -> tuple:
     """Per-delta ensemble median of the per-trajectory moduli, with the fitted
     log-log slope (nan when the curve touches zero)."""
     deltas = np.sort(np.asarray(deltas, dtype=float))
-    curve = np.median(_modulus_table(family, deltas), axis=0)
+    curve = median(_modulus_table(family, deltas), axis=0)
     slope = math.nan
     if np.all(curve > 0):
         slope = float(np.polyfit(np.log(deltas), np.log(curve), 1)[0])
@@ -294,7 +295,7 @@ def increment_scaling(records, basis: Basis, tau, thetas) -> IncrementScalingRep
         # _increment_norms rounds differently in the last bit, so the scaling
         # table keeps its own form and its values to the bit
         norms = np.sqrt(np.sum(wUdual * inc * inc, axis=-1))
-        med[name] = np.median(norms.transpose(1, 0, 2).reshape(len(thetas), -1), axis=1)
+        med[name] = median(norms.transpose(1, 0, 2).reshape(len(thetas), -1), axis=1)
         exps[name] = math.nan
         if np.all(med[name] > 0):
             exps[name] = float(np.polyfit(np.log(thetas), np.log(med[name]), 1)[0])

@@ -15,10 +15,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .estimates import gronwall_eval
+from .estimates import gronwall_eval, median
 from .galerkin import (
-    GalerkinConfig, _compiled, _row_shapes, generate_wiener, horizon_violations, integrate_batch,
-    level_violations,
+    GalerkinConfig, _compiled, _integrate_rows, _row_shapes, _stacked, generate_wiener,
+    horizon_violations, level_violations,
 )
 from .nonlinear import TrilinearWorkspace, bilinear_B, trilinear_b
 from .spectral import Basis, SpectralField, eval_physical, norm, project_Pn
@@ -28,9 +28,9 @@ from .spectral import Basis, SpectralField, eval_physical, norm, project_Pn
 # splits at ratio 1/2 and the quadratic L4 interpolation costs C = 128.
 YOUNG_CHAIN_C = 128.0
 
-# bytes of records one block of twin pairs may hold, both records of a pair
-# counted: the twins run serially, and a block's records live until its
-# ratios are read
+# bytes of the stacked rows of one batch of twin pairs, both twins of a pair
+# counted: the twins run serially, and a batch's rows live until its ratios
+# are read
 TWIN_BUDGET = 4 * 2**20
 
 
@@ -276,34 +276,39 @@ def pathwise_uniqueness_experiment(
     basis = config.basis
     pert = np.zeros(basis.n_modes)
     pert[perturb_mode] = gamma
-    u0_pert = config.u0 + basis.field_from_real_coords(pert)
-
-    def variant(u0):
-        # only snap_u and norm_D are read, so no integral snapshots
-        return replace(config, u0=u0, snapshot_stride=1, integral_snapshot_stride=0)
-
-    cfg1, cfg2 = variant(config.u0), variant(u0_pert)
+    # only snap_u and norm_D are read, so no integral snapshots
+    cfg = replace(config, snapshot_stride=1, integral_snapshot_stride=0)
+    sys = _compiled(basis, cfg.n, cfg.model, cfg.include_B)
+    x1 = sys.encode(project_Pn(config.u0, cfg.n))
+    x2 = sys.encode(project_Pn(config.u0 + basis.field_from_real_coords(pert), cfg.n))
     ratios_T = np.zeros(n_traj)
     sup_ratios = np.zeros(n_traj)
     identical = True
-    # twins run as two batches over one block of Wiener paths
-    record = 8 * sum(math.prod(shape) for shape in _row_shapes(cfg1).values())
+    # each block of k pairs is one batch of 2k rows on k Wiener paths: the
+    # rows of u1 first, then those of u2 in the same order
+    record = 8 * sum(math.prod(shape) for shape in _row_shapes(cfg).values())
     rows = max(1, TWIN_BUDGET // (2 * record))
     for start in range(0, n_traj, rows):
         block = list(range(start, min(start + rows, n_traj)))
-        paths = [generate_wiener(cfg1.steps, cfg1.M, cfg1.dt, cfg1.seed, r) for r in block]
-        for r, rec1, rec2 in zip(block, integrate_batch(cfg1, block, paths),
-                                 integrate_batch(cfg2, block, paths)):
-            if rec1.aborted or rec2.aborted:
-                raise RuntimeError(f"trajectory {r} aborted during the uniqueness experiment")
-            if gamma == 0.0:
-                identical = identical and np.array_equal(rec1.snap_u, rec2.snap_u)
-                continue
-            U2 = np.sum((rec1.snap_u - rec2.snap_u) ** 2, axis=1)
-            r_t = C_eps * np.concatenate([[0.0], np.cumsum(rec2.norm_D[:-1] ** 2) * cfg2.dt])
-            weighted = np.exp(-r_t) * U2
-            ratios_T[r] = weighted[-1] / weighted[0]
-            sup_ratios[r] = float(np.max(weighted)) / weighted[0]
+        k = len(block)
+        paths = [generate_wiener(cfg.steps, cfg.M, cfg.dt, cfg.seed, r) for r in block]
+        out = _stacked(cfg, 2 * k)
+        _integrate_rows(cfg, block + block, paths + paths, out,
+                        np.repeat(np.stack([x1, x2]), k, axis=0))
+        bad = np.flatnonzero(out["abort_step"] >= 0)
+        if len(bad):
+            r = block[int(np.min(bad % k))]
+            raise RuntimeError(f"trajectory {r} aborted during the uniqueness experiment")
+        snap_u, norm_D = out["snap_u"], out["norm_D"]
+        if gamma == 0.0:
+            identical = identical and np.array_equal(snap_u[:k], snap_u[k:])
+            continue
+        U2 = np.sum((snap_u[:k] - snap_u[k:]) ** 2, axis=2)
+        r_t = np.cumsum(norm_D[k:, :-1] ** 2, axis=1) * cfg.dt
+        r_t = C_eps * np.concatenate([np.zeros((k, 1)), r_t], axis=1)
+        weighted = np.exp(-r_t) * U2
+        ratios_T[start : start + k] = weighted[:, -1] / weighted[:, 0]
+        sup_ratios[start : start + k] = np.max(weighted, axis=1) / weighted[:, 0]
     return PathwiseUniquenessReport(
         gamma=gamma,
         eps=eps,
@@ -311,7 +316,7 @@ def pathwise_uniqueness_experiment(
         lipschitz_L=lipschitz_L,
         ratios_at_T=ratios_T,
         sup_ratios=sup_ratios,
-        median_ratio_T=float(np.median(ratios_T)),
+        median_ratio_T=float(median(ratios_T)),
         identical=identical,
         trajectories=n_traj,
     )

@@ -9,6 +9,7 @@ from sgns.estimates import (
     aggregate,
     epsilon_for_p,
     gronwall_eval,
+    median,
     p_range,
     uniformity_report,
 )
@@ -233,3 +234,31 @@ def test_gronwall_rejects_negative():
     grid = np.linspace(0, 1, 11)
     with pytest.raises(ValueError):
         gronwall_eval(-np.ones(10), np.ones(10), 1.0, grid)
+
+
+def assert_same_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape and got.dtype == want.dtype == np.float64
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+@pytest.mark.parametrize("shape, axis", [((n,), axis) for n in (1, 7, 8) for axis in (None, 0)]
+                         + [(shape, axis) for shape in ((5, 6), (6, 7), (4, 9)) for axis in (None, 0, 1)])
+def test_median_matches_numpy_bitwise(shape, axis):
+    rng = np.random.default_rng(len(shape) * 10 + shape[-1])
+    # ties, signed zeros and a middle pair whose mean rounds
+    a = rng.choice([-0.0, 0.0, 0.1, 0.2, 1.0 / 3.0, 1e300, -1e300, 2.0**-1074], size=shape)
+    b = rng.standard_normal(shape)
+    for x in (a, b, np.where(rng.random(shape) < 0.2, np.nan, b)):
+        got = median(x, axis=axis)
+        want = np.median(x, axis=axis)
+        assert type(got) is type(want)
+        assert_same_bits(got, want)
+
+
+def test_median_of_nan_and_inf():
+    for x in ([np.nan, 1.0], [1.0, np.inf, -np.inf, 2.0], [np.inf, np.inf], [-np.nan, 3.0, 4.0]):
+        assert_same_bits(median(x), np.median(x))
+    x = np.array([[1.0, np.nan, 3.0], [4.0, 5.0, 6.0]])
+    for axis in (0, 1):
+        assert_same_bits(median(x, axis=axis), np.median(x, axis=axis))

@@ -570,6 +570,34 @@ def test_abort_inside_a_batch(basis2d_small):
         assert_records_identical(batch[i], rec)
 
 
+@pytest.mark.parametrize("scheme", ["em", "exponential"])
+def test_rows_start_from_their_own_states(basis2d_small, scheme):
+    # four rows from four initial fields in one batch, row 1 driven past the
+    # overflow limit: each row is the trajectory of a config with its u0
+    cfg = rich_config(basis2d_small, scheme=scheme, overflow_limit=1e3)
+    rng = np.random.default_rng(4)
+    starts = [project_Pn(random_field(basis2d_small, rng, n=cfg.n, decay=0.5), cfg.n) for _ in range(4)]
+    sys = galerkin._compiled(cfg.basis, cfg.n, cfg.model, cfg.include_B)
+    x0 = np.stack([sys.encode(u0) for u0 in starts])
+    paths = [generate_wiener(cfg.steps, cfg.M, cfg.dt, cfg.seed, i) for i in range(4)]
+    paths[1].dW[7] = 1e6
+    out = galerkin._stacked(cfg, 4)
+    galerkin._integrate_rows(cfg, range(4), paths, out, x0)
+    batch = galerkin._records(cfg, range(4), out)
+    assert [rec.aborted for rec in batch] == [False, True, False, False]
+    for i, rec in enumerate(batch):
+        want = integrate_trajectory(dataclasses.replace(cfg, u0=starts[i]), path=paths[i], traj_index=i)
+        assert np.array_equal(rec.u0_coords, x0[i])
+        assert_records_identical(want, dataclasses.replace(rec, config_hash=want.config_hash))
+
+
+@pytest.mark.parametrize("shape", [(3, 9), (2, 10), (10,)])
+def test_initial_states_must_match_the_rows(basis2d_small, shape):
+    cfg = rich_config(basis2d_small)
+    with pytest.raises(ValueError, match="initial states"):
+        galerkin._integrate_rows(cfg, range(3), None, galerkin._stacked(cfg, 3), np.zeros(shape))
+
+
 def test_exponential_scheme_ledger_closes(basis2d_small):
     cfg = make_config(basis2d_small, scheme="exponential", T=0.1, snapshot_stride=10)
     recs = integrate_ensemble(cfg, 4)

@@ -94,6 +94,22 @@ def test_cli_start_up_loads_no_scipy():
     assert proc.stdout.strip() == "[]"
 
 
+def test_uniqueness_loads_no_numpy_ma(tmp_path):
+    # np.median imports numpy.ma for its NaN check; the verb's medians do not
+    path = write_cfg(tmp_path, {"experiment": {"certify_samples": 200}})
+    code = ("import sys\n"
+            "from sgns.cli import main\n"
+            "code = main(['uniqueness', '--config', sys.argv[1], '--out', sys.argv[2]])\n"
+            "print(code, 'numpy.ma' in sys.modules)")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run([sys.executable, "-c", code, str(path), str(tmp_path / "out")],
+                          capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split()[-2:] == ["0", "False"]
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert summary["median_ratio_T"] > 0.0
+
+
 @pytest.mark.parametrize("section, key, value", [
     ("galerkin", "dt", "abc"),
     ("galerkin", "T", None),

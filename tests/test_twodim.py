@@ -1,9 +1,11 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from sgns.galerkin import GalerkinConfig, integrate_trajectory
+from sgns import twodim
+from sgns.galerkin import GalerkinConfig, _row_shapes, integrate_trajectory
 from sgns.noise import certify_conditions, default_noise_model
 from sgns.nonlinear import TrilinearWorkspace
 from sgns.spectral import random_field
@@ -267,8 +269,57 @@ def test_pathwise_uniqueness_keeps_the_config(basis2d_small, rng):
         model=default_noise_model(2), seed=12, overflow_limit=1e-3,
     )
     assert integrate_trajectory(cfg).aborted
-    with pytest.raises(RuntimeError, match="aborted"):
+    with pytest.raises(RuntimeError, match="trajectory 0 aborted"):
         pathwise_uniqueness_experiment(cfg, lipschitz_L=1.0, gamma=1e-8, n_traj=2)
+
+
+def test_pathwise_uniqueness_names_the_first_aborted_pair(basis2d_small, rng, monkeypatch):
+    # in a block of 4 pairs, the u2 twin of pair 1 and the u1 twin of pair 2
+    # abort: the message names pair 1, the lowest trajectory with an abort
+    cfg = GalerkinConfig(
+        basis=basis2d_small, n=8, dt=1e-3, T=0.05,
+        u0=random_field(basis2d_small, rng, n=8, decay=0.5),
+        model=default_noise_model(2), seed=12,
+    )
+    run = twodim._integrate_rows
+
+    def aborting(config, indices, paths, out, x0):
+        run(config, indices, paths, out, x0)
+        out["abort_step"][[2, 4 + 1]] = 10
+
+    monkeypatch.setattr(twodim, "_integrate_rows", aborting)
+    with pytest.raises(RuntimeError, match="trajectory 1 aborted"):
+        pathwise_uniqueness_experiment(cfg, lipschitz_L=1.0, gamma=1e-8, n_traj=4)
+
+
+@pytest.mark.parametrize("gamma", [0.0, 1e-8])
+def test_pathwise_uniqueness_ignores_the_blocks(basis2d_small, rng, monkeypatch, gamma):
+    cfg = GalerkinConfig(
+        basis=basis2d_small, n=8, dt=1e-3, T=0.05,
+        u0=random_field(basis2d_small, rng, n=8, decay=0.5),
+        model=default_noise_model(2), seed=12,
+    )
+    # the twins' rows: one snapshot per step, no integral snapshots
+    twin_cfg = dataclasses.replace(cfg, snapshot_stride=1, integral_snapshot_stride=0)
+    record = 8 * sum(math.prod(shape) for shape in _row_shapes(twin_cfg).values())
+    run, rows = twodim._integrate_rows, []
+
+    def counted(config, indices, paths, out, x0):
+        rows.append(len(indices))
+        run(config, indices, paths, out, x0)
+
+    monkeypatch.setattr(twodim, "_integrate_rows", counted)
+    reps = []
+    for budget in (twodim.TWIN_BUDGET, 2 * record, 2 * 3 * record):
+        monkeypatch.setattr(twodim, "TWIN_BUDGET", budget)
+        reps.append(pathwise_uniqueness_experiment(cfg, lipschitz_L=1.0, gamma=gamma, n_traj=7))
+    # blocks of 7 pairs; of 1 pair; of 3 + 3 + 1 pairs
+    assert rows == [14] + [2] * 7 + [6, 6, 2]
+    assert reps[0].identical if gamma == 0.0 else np.all(reps[0].ratios_at_T > 0.0)
+    for rep in reps[1:]:
+        assert rep.identical == reps[0].identical
+        assert np.array_equal(rep.ratios_at_T, reps[0].ratios_at_T)
+        assert np.array_equal(rep.sup_ratios, reps[0].sup_ratios)
 
 
 def test_shifted_problem_rejects_3d(basis3d_small):
