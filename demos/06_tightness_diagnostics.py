@@ -14,7 +14,7 @@ from sgns.noise import default_noise_model
 from sgns.spectral import Basis, SpaceScale, TorusDomain, random_field
 from sgns.tightness import (
     FunctionFamily, aldous_check, calibrate_aldous_eta, dubinsky_diagnostic,
-    increment_scaling, median_modulus_curve, nonlinear_refinement_check,
+    increment_scaling, median_modulus_curve, modulus_lags, nonlinear_refinement_check,
 )
 
 basis = Basis(TorusDomain(d=2, K=8), SpaceScale(d=2))
@@ -22,14 +22,17 @@ rng = np.random.default_rng(6)
 u0 = random_field(basis, rng, n=8, decay=0.5)
 T, steps = 1.0, 512
 dt = T / steps
+deltas = [T * 2.0**-j for j in range(9, 3, -1)]
 
+# the pool workers record each path's U' increment maxima at the lags the
+# modulus table over `deltas` reads
 cfg = GalerkinConfig(basis=basis, n=16, dt=dt, T=T, u0=u0,
                      model=default_noise_model(2), seed=7,
-                     snapshot_stride=1, integral_snapshot_stride=4)
+                     snapshot_stride=1, integral_snapshot_stride=4,
+                     modulus_lags=modulus_lags(deltas, np.arange(steps + 1) * dt))
 recs = integrate_ensemble(cfg, 100, workers=2)
 fam = FunctionFamily(recs, basis)
 
-deltas = [T * 2.0**-j for j in range(9, 3, -1)]
 rep = dubinsky_diagnostic(fam, deltas)
 curve, slope = median_modulus_curve(fam, deltas)
 print("compactness premises:")

@@ -187,9 +187,11 @@ def run_tightness(run: RunConfig, bundle: ResultBundle, workers: int) -> int:
     passed = True
     rows_mod, rows_aldous, rows_j = [], [], []
     summary_n = {}
+    grid = replace(run.galerkin, snapshot_stride=1, integral_snapshot_stride=exp["integral_stride"])
+    # the pool workers record the lag maxima the modulus table reads
+    grid = replace(grid, modulus_lags=tgt.modulus_lags(deltas, grid.snap_times))
     for n in run.n_list:
-        cfg = replace(run.galerkin, n=n, snapshot_stride=1,
-                      integral_snapshot_stride=exp["integral_stride"])
+        cfg = replace(grid, n=n)
         recs = integrate_ensemble(cfg, run.trajectories, workers=workers)
         fam = tgt.FunctionFamily(recs, run.basis)
         dub = tgt.dubinsky_diagnostic(fam, deltas, exp["slope_threshold"])

@@ -223,6 +223,9 @@ class GalerkinConfig:
     qv_pairs: tuple = ()  # (a, b) probe index pairs for quadratic-variation integrals
     refinement_probe: SpectralField | None = None
     overflow_limit: float = 1e12
+    # snapshot-spacing lags 1..modulus_lags whose per-path U' increment maxima
+    # the stepper records (`lag_maxima`) for the modulus of continuity
+    modulus_lags: int = 0
 
     def __post_init__(self):
         if self.scheme not in SCHEMES:
@@ -233,6 +236,10 @@ class GalerkinConfig:
             raise ValueError("; ".join(violations))
         if self.model is not None and self.model.d != self.basis.domain.d:
             raise ValueError("noise model dimension disagrees with the domain")
+        lags = len(self.snap_times) - 1
+        if not 0 <= self.modulus_lags <= lags:
+            raise ValueError(f"modulus_lags = {self.modulus_lags} outside [0, {lags}], "
+                             "the lags of the snapshot grid")
 
     @property
     def steps(self) -> int:
@@ -241,6 +248,10 @@ class GalerkinConfig:
     @property
     def M(self) -> int:
         return self.model.M if self.model is not None else 0
+
+    @property
+    def snap_times(self) -> np.ndarray:
+        return _snapshot_indices(self.steps, self.snapshot_stride) * self.dt
 
     @property
     def integral_stride(self) -> int:
@@ -308,6 +319,7 @@ class TrajectoryRecord:
     qv_pairs: tuple
     qv_cum: np.ndarray  # (len(snap_idx), len(qv_pairs))
     refinement_I: np.ndarray | None
+    lag_maxima: np.ndarray  # (modulus_lags,): max over s of |u(s + l) - u(s)|_{U'}
     cutoff_min: float
     aborted: bool = False
     abort_step: int = -1
@@ -357,6 +369,37 @@ def _snapshot_indices(steps: int, stride: int) -> np.ndarray:
     return np.array(idx, dtype=int)
 
 
+# -- increments ---------------------------------------------------------------
+
+
+def _increment_norms(coords: np.ndarray, lag: int, w: np.ndarray) -> np.ndarray:
+    """|x(s + lag) - x(s)|_{U'} along the second-last axis of coords (..., S, n),
+    with w the U'-weights: shape (..., S - lag)."""
+    diff = coords[..., lag:, :] - coords[..., :-lag, :]
+    diff *= diff
+    return np.sqrt(np.einsum("...n,n->...", diff, w))
+
+
+# coordinates of the paths whose increments at one lag are formed together,
+# max(1, LAG_COORDS // n) paths: the (rows, S - lag, n) difference then stays
+# in cache.  64 lags on 50 paths of 1,025 snapshots, one Xeon core: n = 8
+# took 0.073 s in blocks of 8 paths (0.082 s in blocks of 2), n = 16 0.120 s
+# in blocks of 4 (0.129 s), n = 32 0.174 s in blocks of 2 (0.220 s in 4).
+LAG_COORDS = 64
+
+
+def _lag_maxima(coords: np.ndarray, w: np.ndarray, max_lag: int) -> np.ndarray:
+    """m[r, l-1] = max_s |x_r(s + l) - x_r(s)|_{U'} for lags 1..max_lag, from
+    coords (R, S, n); each row's maxima are the same bits in any block."""
+    out = np.zeros((len(coords), max_lag))
+    rows = max(1, LAG_COORDS // coords.shape[-1])
+    for lo in range(0, len(coords), rows):
+        block = coords[lo : lo + rows]
+        for lag in range(1, max_lag + 1):
+            out[lo : lo + rows, lag - 1] = np.max(_increment_norms(block, lag, w), axis=1)
+    return out
+
+
 # -- stepping -------------------------------------------------------------------
 
 LEDGER = ("drift_work", "b_work", "forcing_work", "mart_work", "delta_sq", "ito_step", "hs_step")
@@ -373,8 +416,8 @@ BLOCK_CACHE = 2 * 10**5
 def _row_shapes(config: GalerkinConfig) -> dict:
     """Shape after the row axis of every per-row array of a record: norms,
     ledger, snapshots with their quadratic-variation and refinement entries,
-    integral snapshots (keyed "integral_<term>"), u0, the cutoff minimum and
-    the abort step.  Every entry is 8 bytes."""
+    integral snapshots (keyed "integral_<term>"), u0, the lag maxima, the
+    cutoff minimum and the abort step.  Every entry is 8 bytes."""
     steps, n = config.steps, config.n
     snaps = len(_snapshot_indices(steps, config.snapshot_stride))
     isnaps = len(_snapshot_indices(steps, config.integral_stride))
@@ -382,7 +425,7 @@ def _row_shapes(config: GalerkinConfig) -> dict:
     shapes.update({name: (steps,) for name in LEDGER})
     shapes.update(snap_u=(snaps, n), qv_cum=(snaps, len(config.qv_pairs)), refinement_I=(snaps,))
     shapes.update({f"integral_{name}": (isnaps, n) for name in INTEGRALS})
-    shapes.update(u0_coords=(n,), cutoff_min=(), abort_step=())
+    shapes.update(u0_coords=(n,), lag_maxima=(config.modulus_lags,), cutoff_min=(), abort_step=())
     return shapes
 
 
@@ -446,7 +489,8 @@ def _integrate_rows(config: GalerkinConfig, indices, paths, out: dict, x0=None) 
     integral are taken across the Stokes factor.  A row whose state leaves
     the finite range or passes `overflow_limit` is aborted: its norms are
     written once more with the non-finite entries zeroed, and everything
-    after that step reads zero.
+    after that step reads zero.  Last, each row's U' increment maxima over
+    lags 1..modulus_lags of the snapshot grid are taken from its snapshots.
     """
     sys = _compiled(config.basis, config.n, config.model, config.include_B)
     steps, n, dt = config.steps, config.n, config.dt
@@ -566,6 +610,8 @@ def _integrate_rows(config: GalerkinConfig, indices, paths, out: dict, x0=None) 
         snap_u[r, late] = qv_cum[r, late] = ref_I[r, late] = 0.0
         for arr in snap_integrals.values():
             arr[r, integral_snap_idx >= a] = 0.0
+    if config.modulus_lags:
+        out["lag_maxima"][:] = _lag_maxima(snap_u, sys.wUdual, config.modulus_lags)
 
 
 def _probe_coords(sys: CompiledGalerkin, config: GalerkinConfig) -> np.ndarray:
@@ -603,6 +649,7 @@ def _records(config: GalerkinConfig, indices, out: dict) -> list:
             qv_pairs=tuple(config.qv_pairs),
             qv_cum=out["qv_cum"][r],
             refinement_I=out["refinement_I"][r] if refinement else None,
+            lag_maxima=out["lag_maxima"][r],
             cutoff_min=float(out["cutoff_min"][r]),
             aborted=bool(out["abort_step"][r] >= 0),
             abort_step=int(out["abort_step"][r]),

@@ -18,34 +18,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .estimates import median
-from .galerkin import INTEGRALS, TrajectoryRecord, _grid_positions
+from .galerkin import INTEGRALS, TrajectoryRecord, _grid_positions, _increment_norms, _lag_maxima
 from .spectral import Basis
 
 
-# -- increments and windows ----------------------------------------------------
-
-
-def _increment_norms(coords: np.ndarray, lag: int, w: np.ndarray) -> np.ndarray:
-    """|x(s + lag) - x(s)|_{U'} along the second-last axis of coords (..., S, n),
-    with w the U'-weights: shape (..., S - lag)."""
-    diff = coords[..., lag:, :] - coords[..., :-lag, :]
-    diff *= diff
-    return np.sqrt(np.einsum("...n,n->...", diff, w))
-
-
-# paths whose increments at one lag are formed together: the (rows, S - lag, n)
-# difference then stays in cache
-LAG_ROWS = 2
-
-
-def _lag_maxima(coords: np.ndarray, w: np.ndarray, max_lag: int) -> np.ndarray:
-    """m[r, l-1] = max_s |x_r(s + l) - x_r(s)|_{U'} for lags 1..max_lag."""
-    out = np.zeros((len(coords), max_lag))
-    for lo in range(0, len(coords), LAG_ROWS):
-        rows = coords[lo : lo + LAG_ROWS]
-        for lag in range(1, max_lag + 1):
-            out[lo : lo + LAG_ROWS, lag - 1] = np.max(_increment_norms(rows, lag, w), axis=1)
-    return out
+# -- windows -------------------------------------------------------------------
 
 
 def _window_lag(delta: float, h: float, max_lag: int) -> int:
@@ -53,12 +30,21 @@ def _window_lag(delta: float, h: float, max_lag: int) -> int:
     return min(int(math.floor(delta / h + 1e-12)), max_lag)
 
 
+def modulus_lags(deltas, times) -> int:
+    """Snapshot lags a modulus table over the windows `deltas` reads on the
+    snapshot grid `times`: the whole spacings in the largest window, capped
+    by the grid.  A `GalerkinConfig` given this many `modulus_lags` records
+    every lag maxima the table needs."""
+    return _window_lag(max(deltas), times[1] - times[0], len(times) - 1)
+
+
 # -- trajectory families -----------------------------------------------------
 
 
 class FunctionFamily:
     """Snapshot trajectories of one ensemble in U'-coordinates, stacked:
-    coords (R, S, n) and the per-step norms (R, steps + 1)."""
+    coords (R, S, n), the per-step norms (R, steps + 1) and the lag maxima
+    the stepper recorded (R, modulus_lags)."""
 
     def __init__(self, records, basis: Basis, n: int | None = None):
         if not records:
@@ -77,6 +63,7 @@ class FunctionFamily:
         self.coords = np.stack([r.snap_u for r in recs])  # (R, S, n)
         self.norm_H = np.stack([r.norm_H for r in recs])  # (R, steps + 1)
         self.norm_D = np.stack([r.norm_D for r in recs])
+        self.stored_lag_maxima = np.stack([r.lag_maxima for r in recs])  # (R, modulus_lags)
         self.wUdual = basis.mode_weights("Udual", n)
 
     @property
@@ -91,7 +78,11 @@ class FunctionFamily:
         return float(np.max(self.norm_H))
 
     def lag_maxima(self, max_lag: int) -> np.ndarray:
-        """m[r, l-1] = max_j |u_r(t_{j+l}) - u_r(t_j)|_{U'} for lags 1..max_lag."""
+        """m[r, l-1] = max_j |u_r(t_{j+l}) - u_r(t_j)|_{U'} for lags 1..max_lag:
+        the recorded maxima when they reach max_lag, else computed from the
+        snapshots by the same kernel, so both are the same bits."""
+        if max_lag <= self.stored_lag_maxima.shape[1]:
+            return self.stored_lag_maxima[:, :max_lag]
         return _lag_maxima(self.coords, self.wUdual, max_lag)
 
 
@@ -99,7 +90,7 @@ def _modulus_table(family: FunctionFamily, deltas: np.ndarray) -> np.ndarray:
     """omega_r(delta) = sup over |t - s| <= delta of |u_r(t) - u_r(s)|_{U'} on
     the snapshot grid, per path r and sorted window: (R, len(deltas))."""
     h = family.times[1] - family.times[0]
-    max_lag = _window_lag(deltas[-1], h, len(family.times) - 1)
+    max_lag = modulus_lags(deltas, family.times)
     running = np.maximum.accumulate(family.lag_maxima(max_lag), axis=1)
     # column 0 is the window without a whole spacing: modulus 0
     running = np.concatenate([np.zeros((family.size, 1)), running], axis=1)
@@ -121,7 +112,7 @@ def modulus_of_continuity(coords: np.ndarray, wUdual: np.ndarray, times: np.ndar
     """sup over |t - s| <= delta of |u(t) - u(s)|_{U'} on the snapshot grid."""
     if delta <= 0:
         raise ValueError("delta must be positive")
-    max_lag = _window_lag(delta, times[1] - times[0], len(times) - 1)
+    max_lag = modulus_lags([delta], times)
     return float(np.max(_lag_maxima(coords[None], wUdual, max_lag), initial=0.0))
 
 
@@ -236,9 +227,14 @@ def calibrate_aldous_eta(family: FunctionFamily, theta: float, quantile: float =
     |u(t + theta) - u(t)|_{U'} over the family at the largest window, so the
     table starts mid-range and its decay toward 0 is informative."""
     h = family.times[1] - family.times[0]
-    d = _increment_norms(family.coords, max(1, int(round(theta / h))), family.wUdual)
-    stride = max(1, d.shape[1] // 64)
-    return float(np.percentile(d[:, ::stride].ravel(), quantile))
+    lag = max(1, int(round(theta / h)))
+    # only the sampled increments are formed: those starting at every
+    # ((S - lag) // 64)-th snapshot
+    count = len(family.times) - lag
+    starts = np.arange(0, count, max(1, count // 64))
+    pair = family.coords[:, np.stack([starts, starts + lag], axis=1)]  # (R, starts, 2, n)
+    d = _increment_norms(pair, 1, family.wUdual)[..., 0]
+    return float(np.percentile(d.ravel(), quantile))
 
 
 # -- J-term decomposition -------------------------------------------------------

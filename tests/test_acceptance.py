@@ -44,6 +44,7 @@ from sgns.tightness import (
     build_nested_space,
     increment_scaling,
     median_modulus_curve,
+    modulus_lags,
 )
 from sgns.twodim import (
     ShiftedProblem,
@@ -233,14 +234,15 @@ def test_criterion_08_tightness(basis, shell_coupling_model):
     T = 1.0
     steps = 1024
     dt = T / steps
+    deltas = [T * 2.0**-j for j in range(10, 3, -1)]
     slopes, aldous_ok, j5s = {}, {}, {}
     for n in (8, 16, 32):
         cfg = GalerkinConfig(basis=basis, n=n, dt=dt, T=T, u0=u0,
                              model=shell_coupling_model, seed=77,
-                             snapshot_stride=1, integral_snapshot_stride=8)
+                             snapshot_stride=1, integral_snapshot_stride=8,
+                             modulus_lags=modulus_lags(deltas, np.arange(steps + 1) * dt))
         recs = integrate_ensemble(cfg, 200, workers=WORKERS)
         fam = FunctionFamily(recs, basis)
-        deltas = [T * 2.0**-j for j in range(10, 3, -1)]
         _, slope = median_modulus_curve(fam, deltas)
         slopes[n] = slope
         eta = calibrate_aldous_eta(fam, T * 2.0**-4, 60.0)

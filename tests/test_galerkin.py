@@ -518,6 +518,33 @@ def test_ensemble_worker_independence(basis2d_small, monkeypatch):
             assert_records_identical(want, got)
 
 
+def test_stored_lag_maxima_are_those_of_the_snapshots(basis2d_small, monkeypatch):
+    # row 5 passes the overflow limit at step 15; the others never do
+    cfg = rich_config(basis2d_small, overflow_limit=1.12, snapshot_stride=1, modulus_lags=12)
+    weights = basis2d_small.mode_weights("Udual", cfg.n)
+    runs = [integrate_ensemble(cfg, 7, workers=w) for w in (1, 2, 3)]
+    monkeypatch.setattr(galerkin, "BLOCK_CACHE", 2000)  # one row per block
+    runs.append(integrate_ensemble(cfg, 7, workers=2))
+    for recs in runs:
+        assert [rec.aborted for rec in recs] == [False] * 5 + [True, False]
+        stored = np.stack([rec.lag_maxima for rec in recs])
+        want = galerkin._lag_maxima(np.stack([rec.snap_u for rec in recs]), weights, cfg.modulus_lags)
+        assert stored.shape == (7, 12) and np.array_equal(stored, want)
+
+
+def test_no_lag_maxima_by_default(basis2d_small):
+    rec = integrate_trajectory(rich_config(basis2d_small))
+    assert rec.lag_maxima.shape == (0,)
+
+
+@pytest.mark.parametrize("lags", [-1, 5])
+def test_modulus_lags_must_fit_the_snapshot_grid(basis2d_small, lags):
+    # T = 0.02 in snapshots every 5 steps: 5 snapshots, lags 0..4
+    assert rich_config(basis2d_small, modulus_lags=4).modulus_lags == 4
+    with pytest.raises(ValueError, match="modulus_lags"):
+        rich_config(basis2d_small, modulus_lags=lags)
+
+
 def test_pool_leaves_no_process(basis2d_small):
     recs = integrate_ensemble(make_config(basis2d_small, T=0.01), 4, workers=2)
     assert len(recs) == 4

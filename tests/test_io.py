@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from sgns import tightness
 from sgns.cli import VERBS, main, run_command
 from sgns.config import EXPERIMENT, ConfigError, load_config
 from sgns.io import read_snapshot, write_snapshot
@@ -366,11 +367,13 @@ def test_tightness_verb_and_worker_determinism(tmp_path):
     cfg["galerkin"]["n_list"] = [4, 8]
     cfg["ensemble"]["trajectories"] = 32
     run = load_config(cfg)
-    codes = [run_command("tightness", run, tmp_path / f"w{w}", workers=w) for w in (1, 2)]
-    assert codes[0] == codes[1]
+    # 3 workers split 32 paths unevenly: blocks of 11, 11 and 10
+    codes = [run_command("tightness", run, tmp_path / f"w{w}", workers=w) for w in (1, 2, 3)]
+    assert codes[0] == codes[1] == codes[2]
     names = ["summary.json", "modulus.csv", "aldous.csv", "noise_increment_scaling.csv"]
     for name in names:
-        assert (tmp_path / "w1" / name).read_bytes() == (tmp_path / "w2" / name).read_bytes()
+        for w in (2, 3):
+            assert (tmp_path / "w1" / name).read_bytes() == (tmp_path / f"w{w}" / name).read_bytes()
     summary = json.loads((tmp_path / "w1" / "summary.json").read_text())
     assert summary["verb"] == "tightness"
     assert set(summary["levels"]) == {"4", "8"}
@@ -378,6 +381,35 @@ def test_tightness_verb_and_worker_determinism(tmp_path):
         rows = (tmp_path / "w1" / name).read_text().splitlines()[1:]
         assert {row.split(",")[0] for row in rows} == {"4", "8"}
         assert_float_cells(rows)
+
+
+def test_tightness_verb_same_with_computed_lag_maxima(tmp_path, monkeypatch):
+    # the verb's bundle when the family computes every lag maxima itself
+    cfg = json.loads((DEMOS / "tightness.json").read_text())
+    cfg["galerkin"]["n_list"] = [4, 8]
+    cfg["ensemble"]["trajectories"] = 16
+    run = load_config(cfg)
+    recorded = []
+
+    class Family(tightness.FunctionFamily):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            recorded.append(self.stored_lag_maxima.shape)
+
+    monkeypatch.setattr(tightness, "FunctionFamily", Family)
+    run_command("tightness", run, tmp_path / "stored", workers=2)
+    # the demo's largest window is T / 16 = 64 steps
+    assert recorded == [(16, 64), (16, 64)]
+
+    class Computed(tightness.FunctionFamily):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            self.stored_lag_maxima = self.stored_lag_maxima[:, :0]
+
+    monkeypatch.setattr(tightness, "FunctionFamily", Computed)
+    run_command("tightness", run, tmp_path / "computed", workers=2)
+    for name in ("summary.json", "modulus.csv", "aldous.csv", "noise_increment_scaling.csv"):
+        assert (tmp_path / "stored" / name).read_bytes() == (tmp_path / "computed" / name).read_bytes()
 
 
 def test_spaces_verb(tmp_path):

@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from sgns import tightness
+from sgns import galerkin, tightness
 from sgns.galerkin import GalerkinConfig, integrate_ensemble, integrate_trajectory
 from sgns.noise import default_noise_model
 from sgns.spectral import random_field
@@ -12,6 +12,7 @@ from sgns.tightness import (
     FunctionFamily,
     _hitting_positions,
     aldous_check,
+    calibrate_aldous_eta,
     dubinsky_diagnostic,
     build_nested_space,
     increment_scaling,
@@ -22,20 +23,23 @@ from sgns.tightness import (
 )
 
 
-@pytest.fixture(scope="module")
-def small_ensemble(basis2d_small):
+def small_config(basis):
     rng = np.random.default_rng(11)
-    cfg = GalerkinConfig(
-        basis=basis2d_small,
+    return GalerkinConfig(
+        basis=basis,
         n=10,
         dt=1e-3,
         T=0.128,
-        u0=random_field(basis2d_small, rng, n=6, decay=0.5),
+        u0=random_field(basis, rng, n=6, decay=0.5),
         model=default_noise_model(2),
         seed=17,
         snapshot_stride=1,
     )
-    return basis2d_small, integrate_ensemble(cfg, 60)
+
+
+@pytest.fixture(scope="module")
+def small_ensemble(basis2d_small):
+    return basis2d_small, integrate_ensemble(small_config(basis2d_small), 60)
 
 
 def test_modulus_constant_and_linear(basis2d_small):
@@ -72,6 +76,7 @@ def test_dubinsky_constant_family_passes(basis2d_small):
             self.norm_H = np.ones(101)
             self.norm_D = np.ones(101)
             self.aborted = False
+            self.lag_maxima = np.zeros(0)  # none recorded: computed from snap_u
 
         def sup_H(self):
             return 1.0
@@ -94,6 +99,7 @@ def test_dubinsky_jumpy_family_fails(basis2d_small):
             self.norm_H = np.ones(101)
             self.norm_D = np.ones(101)
             self.aborted = False
+            self.lag_maxima = np.zeros(0)  # none recorded: computed from snap_u
 
         def sup_H(self):
             return 1.0
@@ -155,6 +161,7 @@ def test_aldous_constant_family(basis2d_small):
             self.norm_H = np.ones(101)
             self.norm_D = np.zeros(101)
             self.aborted = False
+            self.lag_maxima = np.zeros(0)  # none recorded: computed from snap_u
 
         def sup_H(self):
             return 1.0
@@ -269,13 +276,69 @@ def test_lag_maxima_in_row_blocks(small_ensemble, monkeypatch, block):
     # 7 paths: no block size above divides them, so the last block is short
     basis, recs = small_ensemble
     fam = FunctionFamily(recs[:7], basis)
-    monkeypatch.setattr(tightness, "LAG_ROWS", block)
+    monkeypatch.setattr(galerkin, "LAG_COORDS", block * fam.n)
     got = fam.lag_maxima(20)
     x, w = fam.coords, fam.wUdual
     for lag in range(1, 21):
         d = x[:, lag:] - x[:, :-lag]
         want = np.max(np.sqrt(np.einsum("rsn,n->rs", d * d, w)), axis=1)
         assert np.array_equal(got[:, lag - 1], want), lag
+
+
+@pytest.mark.parametrize("lags", [64, 8])
+def test_stored_lag_maxima_give_the_computed_tables(small_ensemble, lags):
+    # recorded maxima up to `lags`; windows past them fall back to the snapshots
+    basis, recs = small_ensemble
+    cfg = replace(small_config(basis), modulus_lags=lags)
+    stored = FunctionFamily(integrate_ensemble(cfg, 60), basis)
+    computed = FunctionFamily(recs, basis)
+    assert stored.stored_lag_maxima.shape == (60, lags)
+    assert computed.stored_lag_maxima.shape == (60, 0)
+    assert np.array_equal(stored.coords, computed.coords)
+    assert np.array_equal(stored.lag_maxima(lags), computed.lag_maxima(lags))
+    for deltas in ([0.002, 0.004, 0.008], [0.004, 0.016, 0.064]):
+        want = tightness._modulus_table(computed, np.array(deltas))
+        assert np.array_equal(tightness._modulus_table(stored, np.array(deltas)), want)
+        # the median curve with its slope appended
+        curves = [np.append(*median_modulus_curve(fam, deltas)) for fam in (stored, computed)]
+        assert np.array_equal(*curves, equal_nan=True)
+        assert np.array_equal(dubinsky_diagnostic(stored, deltas).modulus_curve, np.max(want, axis=0))
+
+
+def test_modulus_lags_are_the_largest_window(small_ensemble):
+    _, recs = small_ensemble
+    times = recs[0].snap_times
+    assert tightness.modulus_lags([0.064, 0.004], times) == 64
+    assert tightness.modulus_lags([0.0005], times) == 0
+    assert tightness.modulus_lags([1.0], times) == len(times) - 1
+
+
+def test_aldous_eta_samples_the_full_increment_table(basis2d_small):
+    # 1,025 snapshots: every stride-th increment of the full (R, S - lag) table
+    rng = np.random.default_rng(3)
+
+    class RandRec:
+        def __init__(self):
+            self.n = 6
+            self.dt = 1e-3
+            self.snap_idx = np.arange(1025)
+            self.snap_times = self.snap_idx * self.dt
+            self.snap_u = np.cumsum(rng.standard_normal((1025, 6)), axis=0)
+            self.norm_H = np.ones(1025)
+            self.norm_D = np.ones(1025)
+            self.aborted = False
+            self.lag_maxima = np.zeros(0)
+
+    fam = FunctionFamily([RandRec() for _ in range(5)], basis2d_small)
+    x, w = fam.coords, fam.wUdual
+    for theta in (0.001, 0.016, 0.3, 1.0):
+        lag = max(1, round(theta / 1e-3))
+        d = x[:, lag:] - x[:, :-lag]
+        full = np.sqrt(np.einsum("rsn,n->rs", d * d, w))
+        stride = max(1, full.shape[1] // 64)
+        for q in (10.0, 60.0):
+            want = float(np.percentile(full[:, ::stride].ravel(), q))
+            assert calibrate_aldous_eta(fam, theta, q) == want, (theta, q)
 
 
 def test_modulus_curves_are_median_and_max_of_per_path_moduli(small_ensemble):
