@@ -9,8 +9,8 @@ the prescribed quadratic variation within Monte Carlo error.
 import numpy as np
 
 from sgns.galerkin import (
-    GalerkinConfig, energy_budget_check, integrate_ensemble,
-    integrate_trajectory, martingale_diagnostic,
+    GalerkinConfig, energy_budget_check, integrate_batch, integrate_ensemble,
+    martingale_diagnostic,
 )
 from sgns.noise import default_noise_model
 from sgns.spectral import Basis, SpaceScale, TorusDomain, random_field
@@ -25,24 +25,25 @@ cfg = GalerkinConfig(
     seed=99, snapshot_stride=100, probes=probes, qv_pairs=((0, 0), (0, 1)),
 )
 
-rec = integrate_trajectory(cfg)
+one = integrate_batch(cfg, [0])  # an Ensemble of one path
+rec = one[0]
 print(f"one path: n = {cfg.n}, {rec.steps} steps of dt = {cfg.dt}")
 print(f"  sup_t |u|_H = {rec.sup_H():.4f}, int ||u||^2 dt = {rec.integral_dirichlet2():.4f}")
 print(f"  taming cutoff engaged: {'yes' if rec.cutoff_min < 1 else 'no'}")
 
-budget = energy_budget_check(rec)
+budget = energy_budget_check(one)
 print(f"  per-step energy identity residual: {budget.max_relative_residual:.2e}")
 
 print("\n200-path ensemble (every trajectory is a pure function of (seed, index)):")
-recs = integrate_ensemble(cfg, 200, workers=2)
-budget = energy_budget_check(recs)
+ens = integrate_ensemble(cfg, 200, workers=2)
+budget = energy_budget_check(ens)
 print(f"  worst residual = {budget.max_relative_residual:.2e}, "
       f"Ito-isometry z-score = {budget.ito_zscore:+.2f}")
 
-rep = martingale_diagnostic(recs, probes[0], probes[0], s=0.2, t=0.8)
+rep = martingale_diagnostic(ens, probes[0], probes[0], s=0.2, t=0.8)
 print(f"  martingale pairing with the first eigenfield on [0.2, 0.8]:")
 print(f"    mean z-score = {rep.mean_zscore:+.2f}, quadratic-variation z-score = {rep.qv_zscore:+.2f}")
 print(f"    ledger reconstruction residual = {rep.reconstruction_residual:.2e}")
 
-mean_sup = float(np.mean([r.sup_H() ** 2 for r in recs]))
+mean_sup = float(np.mean([r.sup_H() ** 2 for r in ens]))
 print(f"\n  E[sup |u|_H^2] = {mean_sup:.4f} (initial energy {rec.norm_H[0]**2:.4f}; dissipative drift)")

@@ -30,8 +30,8 @@ cfg = GalerkinConfig(basis=basis, n=16, dt=dt, T=T, u0=u0,
                      model=default_noise_model(2), seed=7,
                      snapshot_stride=1, integral_snapshot_stride=4,
                      modulus_lags=modulus_lags(deltas, np.arange(steps + 1) * dt))
-recs = integrate_ensemble(cfg, 100, workers=2)
-fam = FunctionFamily(recs, basis)
+ens = integrate_ensemble(cfg, 100, workers=2)
+fam = FunctionFamily(ens, basis)
 
 rep = dubinsky_diagnostic(fam, deltas)
 curve, slope = median_modulus_curve(fam, deltas)
@@ -49,7 +49,7 @@ for t, p in zip(ald.thetas, ald.probabilities):
     print(f"  theta = {t:8.5f}: P(increment >= eta) = {p:.3f}")
 print(f"  nonincreasing: {ald.monotone}, decays: {ald.decays}")
 
-jrep = increment_scaling(recs, basis, tau=[T / 8.0, T / 4.0, 3.0 * T / 8.0, T / 2.0],
+jrep = increment_scaling(ens, basis, tau=[T / 8.0, T / 4.0, 3.0 * T / 8.0, T / 2.0],
                  thetas=[dt * 4 * 2**j for j in range(5)])
 print("\npath-decomposition increment scaling (fitted exponents):")
 for name, exp in jrep.exponents.items():

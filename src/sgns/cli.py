@@ -22,7 +22,7 @@ from . import estimates as est
 from . import tightness as tgt
 from . import twodim
 from .config import ConfigError, RunConfig, load_config
-from .galerkin import energy_budget_check, integrate_ensemble, integrate_trajectory
+from .galerkin import energy_budget_check, float_map, integrate_batch, integrate_ensemble
 from .io import ResultBundle, write_snapshot
 from .noise import certify_conditions
 from .spectral import apply_operator, inner, norm, project_Pn, random_field
@@ -99,7 +99,8 @@ def run_certify_noise(run: RunConfig, bundle: ResultBundle, workers: int) -> int
 
 
 def run_simulate(run: RunConfig, bundle: ResultBundle, workers: int) -> int:
-    rec = integrate_trajectory(run.galerkin, traj_index=0)
+    one = integrate_batch(run.galerkin, [0])
+    rec = one[0]
     bundle.add_table(
         "trajectory",
         ["t", "norm_H", "norm_D", "norm_Udual"],
@@ -108,7 +109,7 @@ def run_simulate(run: RunConfig, bundle: ResultBundle, workers: int) -> int:
     for pos, step in enumerate(rec.snap_idx):
         write_snapshot(bundle.snapshot_path(f"t{int(step):08d}"),
                        rec.snapshot_field(run.basis, pos), n=run.n)
-    budget = energy_budget_check(rec)
+    budget = energy_budget_check(one)
     bundle.summary.update(
         aborted=rec.aborted, abort_step=rec.abort_step, steps=rec.steps,
         sup_H=rec.sup_H(), int_dirichlet2=rec.integral_dirichlet2(),
@@ -120,20 +121,21 @@ def run_simulate(run: RunConfig, bundle: ResultBundle, workers: int) -> int:
 
 
 def run_ensemble(run: RunConfig, bundle: ResultBundle, workers: int) -> int:
-    recs = integrate_ensemble(run.galerkin, run.trajectories, workers=workers)
-    budget = energy_budget_check(recs)
-    stats = est.aggregate({run.n: recs}, p_list=(2.0,))
+    ens = integrate_ensemble(run.galerkin, run.trajectories, workers=workers)
+    budget = energy_budget_check(ens)
+    stats = est.aggregate({run.n: ens}, p_list=(2.0,))
     entry = stats.per_n[run.n]
     bundle.add_table(
         "functionals",
         ["traj", "sup_H2", "int_dirichlet2", "aborted"],
-        [(r.traj_index, r.sup_H() ** 2, r.integral_dirichlet2(), int(r.aborted)) for r in recs],
+        zip(ens.indices.tolist(), float_map(lambda sup: sup**2, ens.sup_H()).tolist(),
+            ens.integral_dirichlet2().tolist(), ens.aborted.astype(int).tolist()),
     )
     exp = run.experiment
     ok = (budget.max_relative_residual <= exp["residual_tolerance"]
           and abs(budget.ito_zscore) <= exp["z_bound"])
     bundle.summary.update(
-        trajectories=len(recs),
+        trajectories=len(ens),
         aborts=entry["aborts"],
         mean_sup_H2=entry["sup_H_p"][2.0].mean, se_sup_H2=entry["sup_H_p"][2.0].se,
         mean_int_dirichlet2=entry["int_dirichlet2"].mean, se_int_dirichlet2=entry["int_dirichlet2"].se,
@@ -192,12 +194,12 @@ def run_tightness(run: RunConfig, bundle: ResultBundle, workers: int) -> int:
     grid = replace(grid, modulus_lags=tgt.modulus_lags(deltas, grid.snap_times))
     for n in run.n_list:
         cfg = replace(grid, n=n)
-        recs = integrate_ensemble(cfg, run.trajectories, workers=workers)
-        fam = tgt.FunctionFamily(recs, run.basis)
+        ens = integrate_ensemble(cfg, run.trajectories, workers=workers)
+        fam = tgt.FunctionFamily(ens, run.basis)
         dub = tgt.dubinsky_diagnostic(fam, deltas, exp["slope_threshold"])
         eta = tgt.calibrate_aldous_eta(fam, thetas[0], exp["eta_quantile"])
         ald = tgt.aldous_check(fam, thetas, eta)
-        jrep = tgt.increment_scaling(recs, run.basis, anchors, windows)
+        jrep = tgt.increment_scaling(ens, run.basis, anchors, windows)
         ok = dub.passed and ald.passed and (
             math.isnan(jrep.exponents["noise"]) or 0.4 <= jrep.exponents["noise"] <= 0.6
         )
@@ -212,7 +214,7 @@ def run_tightness(run: RunConfig, bundle: ResultBundle, workers: int) -> int:
         rows_j += [(n, t, jrep.median_norms["noise"][i]) for i, t in enumerate(jrep.thetas)]
         # released before the next level's pool forks, so its workers do not
         # inherit them
-        del recs, fam
+        del ens, fam
     bundle.add_table("modulus", ["n", "delta", "sup_modulus"], rows_mod)
     bundle.add_table("aldous", ["n", "theta", "exceedance_probability"], rows_aldous)
     bundle.add_table("noise_increment_scaling", ["n", "theta", "median_Udual_increment"], rows_j)

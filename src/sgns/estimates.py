@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .galerkin import float_map
+
 
 def admissible_eta(eta: float) -> float:
     """eta itself if it lies in (0, 2], the range of the noise-growth
@@ -60,11 +62,9 @@ class FunctionalStats:
     se: float
 
     @staticmethod
-    def of(values) -> "FunctionalStats":
-        values = np.asarray(values, dtype=float)
-        if len(values) == 0:
-            return FunctionalStats(float("nan"), float("nan"))
-        se = float(np.std(values, ddof=1) / math.sqrt(len(values))) if len(values) > 1 else 0.0
+    def of(values: np.ndarray) -> "FunctionalStats":
+        """Mean and standard error of two or more values."""
+        se = float(np.std(values, ddof=1) / math.sqrt(len(values)))
         return FunctionalStats(mean=float(np.mean(values)), se=se)
 
 
@@ -78,8 +78,9 @@ class EnsembleStats:
     warnings: tuple = ()
 
 
-def aggregate(records_by_n: dict, p_list=(2.0,), eta: float | None = None) -> EnsembleStats:
-    """Unbiased ensemble means with standard errors of the energy functionals.
+def aggregate(ensembles: dict, p_list=(2.0,), eta: float | None = None) -> EnsembleStats:
+    """Unbiased means with standard errors of the energy functionals of each
+    Ensemble of {n: Ensemble}.
 
     Aborted trajectories are excluded from the statistics and counted.  If a
     certified eta is supplied, requested exponents outside its admissible
@@ -92,20 +93,22 @@ def aggregate(records_by_n: dict, p_list=(2.0,), eta: float | None = None) -> En
             if not lo <= p < hi:
                 warnings.append(f"p = {p} outside the admissible range [{lo}, {hi}) for eta = {eta}")
     per_n = {}
-    for n, records in records_by_n.items():
-        ok = [r for r in records if not r.aborted]
-        if len(ok) < 2:
+    for n, ens in ensembles.items():
+        live = ~ens.aborted
+        count = int(np.count_nonzero(live))
+        if count < 2:
             raise ValueError(f"need at least 2 usable trajectories at n = {n}")
+        sup = ens.sup_H()[live]
         per_n[n] = {
             "sup_H_p": {
-                p: FunctionalStats.of([r.sup_H() ** p for r in ok]) for p in p_list
+                p: FunctionalStats.of(float_map(lambda v: v**p, sup)) for p in p_list
             },
             "int_weighted": {
-                p: FunctionalStats.of([r.integral_weighted(p) for r in ok]) for p in p_list
+                p: FunctionalStats.of(ens.integral_weighted(p)[live]) for p in p_list
             },
-            "int_dirichlet2": FunctionalStats.of([r.integral_dirichlet2() for r in ok]),
-            "count": len(ok),
-            "aborts": len(records) - len(ok),
+            "int_dirichlet2": FunctionalStats.of(ens.integral_dirichlet2()[live]),
+            "count": count,
+            "aborts": len(live) - count,
         }
     return EnsembleStats(per_n=per_n, p_list=tuple(p_list), warnings=tuple(warnings))
 

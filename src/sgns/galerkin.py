@@ -25,7 +25,7 @@ import math
 import mmap
 import multiprocessing
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -286,43 +286,41 @@ class GalerkinConfig:
         return h.hexdigest()
 
 
-# -- trajectory record ---------------------------------------------------------
+# -- trajectory records ----------------------------------------------------------
 
 
-@dataclass
-class TrajectoryRecord:
-    """One simulated path: per-step norms, energy ledger, snapshots."""
+@dataclass(eq=False)
+class _Paths:
+    """Per-step norms, energy ledger and snapshots of one path, or of R paths
+    of one config stacked along a leading row axis [R] over their shared
+    grid.  The functionals reduce the last (step) axis: one value per path."""
 
     n: int
     dt: float
     steps: int
     seed: int
-    traj_index: int
     config_hash: str
     scheme: str
-    norm_H: np.ndarray
+    norm_H: np.ndarray  # ([R,] steps + 1), likewise norm_D and norm_Udual
     norm_D: np.ndarray
     norm_Udual: np.ndarray
-    drift_work: np.ndarray
+    drift_work: np.ndarray  # ([R,] steps), likewise the rest of the LEDGER
     b_work: np.ndarray
     forcing_work: np.ndarray
     mart_work: np.ndarray
     delta_sq: np.ndarray
     ito_step: np.ndarray
     hs_step: np.ndarray
-    snap_idx: np.ndarray
-    snap_u: np.ndarray
-    integral_snap_idx: np.ndarray
-    snap_integrals: dict  # {"stokes","convection","forcing","noise"} -> (len(integral_snap_idx), n)
-    u0_coords: np.ndarray
-    probes_n: np.ndarray
+    snap_idx: np.ndarray  # (S,)
+    snap_u: np.ndarray  # ([R,] S, n)
+    integral_snap_idx: np.ndarray  # (S_J,)
+    snap_integrals: dict  # {"stokes","convection","forcing","noise"} -> ([R,] S_J, n)
+    u0_coords: np.ndarray  # ([R,] n)
+    probes_n: np.ndarray  # (probes, n)
     qv_pairs: tuple
-    qv_cum: np.ndarray  # (len(snap_idx), len(qv_pairs))
-    refinement_I: np.ndarray | None
-    lag_maxima: np.ndarray  # (modulus_lags,): max over s of |u(s + l) - u(s)|_{U'}
-    cutoff_min: float
-    aborted: bool = False
-    abort_step: int = -1
+    qv_cum: np.ndarray  # ([R,] S, len(qv_pairs))
+    refinement_I: np.ndarray | None  # ([R,] S)
+    lag_maxima: np.ndarray  # ([R,] modulus_lags): max over s of |u(s + l) - u(s)|_{U'}
 
     @property
     def times(self) -> np.ndarray:
@@ -332,21 +330,66 @@ class TrajectoryRecord:
     def snap_times(self) -> np.ndarray:
         return self.snap_idx * self.dt
 
-    def sup_H(self) -> float:
-        return float(np.max(self.norm_H))
+    def sup_H(self):
+        return np.max(self.norm_H, axis=-1)
 
-    def integral_dirichlet2(self) -> float:
+    def integral_dirichlet2(self):
         """Left-endpoint quadrature of the Dirichlet energy integral."""
-        return float(np.sum(self.norm_D[:-1] ** 2) * self.dt)
+        return np.sum(self.norm_D[..., :-1] ** 2, axis=-1) * self.dt
 
-    def integral_weighted(self, p: float) -> float:
+    def integral_weighted(self, p: float):
         """Left-endpoint quadrature of the |u|^(p-2) ||u||^2 integral."""
-        return float(np.sum(self.norm_H[:-1] ** (p - 2) * self.norm_D[:-1] ** 2) * self.dt)
+        return np.sum(self.norm_H[..., :-1] ** (p - 2) * self.norm_D[..., :-1] ** 2, axis=-1) * self.dt
+
+
+@dataclass
+class TrajectoryRecord(_Paths):
+    """One simulated path: per-step norms, energy ledger, snapshots."""
+
+    traj_index: int
+    cutoff_min: float
+    aborted: bool = False
+    abort_step: int = -1
 
     def snapshot_field(self, basis: Basis, pos: int) -> SpectralField:
         full = np.zeros(basis.n_modes)
         full[: self.n] = self.snap_u[pos]
         return basis.field_from_real_coords(full)
+
+
+@dataclass(eq=False)
+class Ensemble(_Paths):
+    """Trajectories `indices` of one config as the rows of stacked arrays.
+    An aborted row reads zero after its abort step and is flagged in
+    `aborted`.  `ens[r]` and iteration give the rows as TrajectoryRecords
+    whose arrays are views of these."""
+
+    indices: np.ndarray  # (R,) trajectory indices
+    cutoff_min: np.ndarray  # (R,)
+    abort_step: np.ndarray  # (R,), -1 on a row that ran to the end
+    aborted: np.ndarray  # (R,) bool
+
+    def __len__(self) -> int:
+        return len(self.indices)
+
+    def __getitem__(self, r: int) -> TrajectoryRecord:
+        row = {f.name: getattr(self, f.name) for f in fields(_Paths)}
+        row.update({name: row[name][r] for name in ROW_ARRAYS})
+        row["snap_integrals"] = {name: J[r] for name, J in self.snap_integrals.items()}
+        if self.refinement_I is not None:
+            row["refinement_I"] = self.refinement_I[r]
+        return TrajectoryRecord(**row, traj_index=int(self.indices[r]), cutoff_min=float(self.cutoff_min[r]),
+                                aborted=bool(self.aborted[r]), abort_step=int(self.abort_step[r]))
+
+    def __iter__(self):
+        return (self[r] for r in range(len(self)))
+
+
+def float_map(fn, x) -> np.ndarray:
+    """fn of each entry of x as a Python float, as a float64 array: the C
+    library's pow and math.tanh, whose bits numpy's own loops do not give
+    (an array's x ** 2.2 differs in about 5% of entries, x ** 2 in some)."""
+    return np.frompyfunc(fn, 1, 1)(x).astype(np.float64)
 
 
 def _grid_positions(grid: np.ndarray, times, dt: float) -> np.ndarray:
@@ -404,6 +447,8 @@ def _lag_maxima(coords: np.ndarray, w: np.ndarray, max_lag: int) -> np.ndarray:
 
 LEDGER = ("drift_work", "b_work", "forcing_work", "mart_work", "delta_sq", "ito_step", "hs_step")
 INTEGRALS = ("stokes", "convection", "forcing", "noise")
+# the per-row arrays of a record, under the same names in an Ensemble
+ROW_ARRAYS = ("norm_H", "norm_D", "norm_Udual", *LEDGER, "snap_u", "u0_coords", "qv_cum", "lag_maxima")
 
 # rows x convection triplets one block may hold; fewer than 2,000 triplets
 # count as 2,000.  Past it a step's (rows, triplets) gather leaves the cache:
@@ -618,53 +663,31 @@ def _probe_coords(sys: CompiledGalerkin, config: GalerkinConfig) -> np.ndarray:
     return np.stack([sys.encode(p) for p in config.probes]) if config.probes else np.zeros((0, config.n))
 
 
-def _records(config: GalerkinConfig, indices, out: dict) -> list:
-    """One TrajectoryRecord per row of the stacked arrays `out`, whose
-    arrays are views of that row."""
+def _ensemble(config: GalerkinConfig, indices, out: dict) -> Ensemble:
+    """The Ensemble of trajectories `indices` over their stacked arrays `out`."""
     sys = _compiled(config.basis, config.n, config.model, config.include_B)
-    probes_n = _probe_coords(sys, config)
-    snap_idx = _snapshot_indices(config.steps, config.snapshot_stride)
-    integral_snap_idx = _snapshot_indices(config.steps, config.integral_stride)
-    refinement = config.refinement_probe is not None
-    config_hash = config.fingerprint()
-    return [
-        TrajectoryRecord(
-            n=config.n,
-            dt=config.dt,
-            steps=config.steps,
-            seed=config.seed,
-            traj_index=i,
-            config_hash=config_hash,
-            scheme=config.scheme,
-            norm_H=out["norm_H"][r],
-            norm_D=out["norm_D"][r],
-            norm_Udual=out["norm_Udual"][r],
-            **{name: out[name][r] for name in LEDGER},
-            snap_idx=snap_idx,
-            snap_u=out["snap_u"][r],
-            integral_snap_idx=integral_snap_idx,
-            snap_integrals={name: out[f"integral_{name}"][r] for name in INTEGRALS},
-            u0_coords=out["u0_coords"][r],
-            probes_n=probes_n,
-            qv_pairs=tuple(config.qv_pairs),
-            qv_cum=out["qv_cum"][r],
-            refinement_I=out["refinement_I"][r] if refinement else None,
-            lag_maxima=out["lag_maxima"][r],
-            cutoff_min=float(out["cutoff_min"][r]),
-            aborted=bool(out["abort_step"][r] >= 0),
-            abort_step=int(out["abort_step"][r]),
-        )
-        for r, i in enumerate(indices)
-    ]
+    return Ensemble(
+        n=config.n, dt=config.dt, steps=config.steps, seed=config.seed,
+        config_hash=config.fingerprint(), scheme=config.scheme,
+        snap_idx=_snapshot_indices(config.steps, config.snapshot_stride),
+        integral_snap_idx=_snapshot_indices(config.steps, config.integral_stride),
+        probes_n=_probe_coords(sys, config), qv_pairs=tuple(config.qv_pairs),
+        indices=np.array(indices, dtype=int),
+        **{name: out[name] for name in ROW_ARRAYS},
+        snap_integrals={name: out[f"integral_{name}"] for name in INTEGRALS},
+        refinement_I=out["refinement_I"] if config.refinement_probe is not None else None,
+        cutoff_min=out["cutoff_min"], abort_step=out["abort_step"], aborted=out["abort_step"] >= 0,
+    )
 
 
-def integrate_batch(config: GalerkinConfig, indices, paths=None) -> list:
+def integrate_batch(config: GalerkinConfig, indices, paths=None, x0=None) -> Ensemble:
     """Integrate trajectories `indices` together as the rows of one (B, n)
-    state (see `_integrate_rows`); one record per index, in order."""
+    state (see `_integrate_rows`), each from P_n config.u0 or from its row
+    of `x0` (B, n); row r of the Ensemble is trajectory indices[r]."""
     indices = [int(i) for i in indices]
     out = _stacked(config, len(indices))
-    _integrate_rows(config, indices, paths, out)
-    return _records(config, indices, out)
+    _integrate_rows(config, indices, paths, out, x0)
+    return _ensemble(config, indices, out)
 
 
 def integrate_trajectory(
@@ -686,14 +709,14 @@ def _run_chunk(args) -> None:
     _integrate_rows(config, range(lo, hi), None, {name: a[lo:hi] for name, a in _ENSEMBLE.items()})
 
 
-def integrate_ensemble(config: GalerkinConfig, n_traj: int, workers: int = 1) -> list:
-    """Independent trajectories indexed 0..n_traj-1, in index order.
+def integrate_ensemble(config: GalerkinConfig, n_traj: int, workers: int = 1) -> Ensemble:
+    """Independent trajectories 0..n_traj-1, the rows of one Ensemble in order.
 
     The stacked (n_traj, ...) arrays are allocated once, in one anonymous
-    shared mapping, and each block writes its rows in place, so no record is
+    shared mapping, and each block writes its rows in place, so no row is
     pickled.  A block is an equal share of the rows per worker, capped by
-    BLOCK_CACHE.  Every record is independent of the worker count and of
-    the blocks."""
+    BLOCK_CACHE.  Every row is independent of the worker count and of the
+    blocks."""
     sys = _compiled(config.basis, config.n, config.model, config.include_B)
     triplets = len(sys._V) if sys.include_B else 0
     share = math.ceil(n_traj / max(1, workers))
@@ -714,7 +737,7 @@ def integrate_ensemble(config: GalerkinConfig, n_traj: int, workers: int = 1) ->
                 _run_chunk(block)
     finally:
         _ENSEMBLE.clear()
-    return _records(config, range(n_traj), out)
+    return _ensemble(config, range(n_traj), out)
 
 
 # -- diagnostics ----------------------------------------------------------------
@@ -727,53 +750,51 @@ class EnergyBudgetReport:
     trajectories: int
 
 
-def energy_budget_check(records) -> EnergyBudgetReport:
+def energy_budget_check(ens: Ensemble) -> EnergyBudgetReport:
     """Closure of the per-step energy identity plus the Ito-isometry z-score.
 
     The identity |u+|^2 - |u|^2 = (drift + taming + forcing + martingale work)
     + |du|^2 is exact in exact arithmetic for both schemes (for the
     exponential one the drift work is taken across the Stokes factor); the
-    worst relative residual over all steps is returned.  The comparison of the realized
+    worst relative residual over the steps each path took is returned (a
+    path with a NaN residual counts for none).  The comparison of the realized
     quadratic noise increments against the integrated Hilbert-Schmidt norms is
-    statistical and is reported as a z-score over the ensemble.
+    statistical and is reported as a z-score over the paths that did not abort.
     """
-    if isinstance(records, TrajectoryRecord):
-        records = [records]
-    worst = 0.0
-    diffs = []
-    for rec in records:
-        h2 = rec.norm_H**2
-        upto = rec.abort_step if rec.aborted else rec.steps
-        lhs = np.diff(h2)[:upto]
-        rhs = (rec.drift_work + rec.b_work + rec.forcing_work + rec.mart_work + rec.delta_sq)[:upto]
-        scale = np.maximum.reduce(
-            [np.ones(upto), h2[:upto], h2[1 : upto + 1], np.abs(rhs)]
-        )
-        if upto:
-            worst = max(worst, float(np.max(np.abs(lhs - rhs) / scale)))
-        if not rec.aborted:
-            diffs.append(float(np.sum(rec.ito_step) - np.sum(rec.hs_step)))
-    diffs = np.asarray(diffs)
-    if len(diffs) >= 2 and np.std(diffs) > 0:
-        z = float(np.mean(diffs) / (np.std(diffs, ddof=1) / math.sqrt(len(diffs))))
-    else:
-        z = 0.0
-    return EnergyBudgetReport(
-        max_relative_residual=worst, ito_zscore=z, trajectories=len(records)
-    )
+    # in place where it can be: three (R, steps) arrays at a time
+    h2 = ens.norm_H**2
+    rhs = ens.drift_work + ens.b_work + ens.forcing_work + ens.mart_work + ens.delta_sq
+    err = np.diff(h2, axis=1) - rhs
+    np.abs(err, out=err)
+    scale = np.abs(rhs, out=rhs)
+    np.maximum(np.maximum(scale, h2[:, 1:], out=scale), h2[:, :-1], out=scale)
+    err /= np.maximum(scale, 1.0, out=scale)
+    upto = np.where(ens.aborted, ens.abort_step, ens.steps)
+    err[np.arange(ens.steps) >= upto[:, None]] = 0.0
+    worst = float(np.fmax.reduce(np.max(err, axis=1), initial=0.0))
+    live = ~ens.aborted
+    diffs = np.sum(ens.ito_step, axis=1)[live] - np.sum(ens.hs_step, axis=1)[live]
+    return EnergyBudgetReport(max_relative_residual=worst, ito_zscore=_zscore(diffs), trajectories=len(ens))
 
 
-def reconstruct_martingale(rec: TrajectoryRecord, pos: int) -> np.ndarray:
+def _zscore(vals: np.ndarray) -> float:
+    """Mean over standard error; 0 for fewer than 2 values or no spread."""
+    sd = np.std(vals, ddof=1) if len(vals) >= 2 else 0.0
+    return float(np.mean(vals) / (sd / math.sqrt(len(vals)))) if sd > 0 else 0.0
+
+
+def reconstruct_martingale(rec, pos: int) -> np.ndarray:
     """Martingale part at snapshot position `pos`, rebuilt from the ledger:
-    u(t) - u(0) - (Stokes + convection - forcing integrals)."""
+    u(t) - u(0) - (Stokes + convection - forcing integrals), for one
+    TrajectoryRecord (n,) or for each row of an Ensemble (R, n)."""
     step = int(rec.snap_idx[pos])
     jpos = int(np.nonzero(rec.integral_snap_idx == step)[0][0])
     return (
-        rec.snap_u[pos]
+        rec.snap_u[..., pos, :]
         - rec.u0_coords
-        - rec.snap_integrals["stokes"][jpos]
-        - rec.snap_integrals["convection"][jpos]
-        - rec.snap_integrals["forcing"][jpos]
+        - rec.snap_integrals["stokes"][..., jpos, :]
+        - rec.snap_integrals["convection"][..., jpos, :]
+        - rec.snap_integrals["forcing"][..., jpos, :]
     )
 
 
@@ -782,77 +803,61 @@ class MartingaleReport:
     mean_zscore: float
     qv_zscore: float
     reconstruction_residual: float
-    trajectories: int
+    trajectories: int  # the paths that did not abort, which the report is over
 
 
-def h_one(rec: TrajectoryRecord, step: int) -> float:
-    return 1.0
+def h_one(ens: Ensemble, step: int) -> np.ndarray:
+    return np.ones(len(ens))
 
 
-def h_tanh_sup(rec: TrajectoryRecord, step: int) -> float:
-    """Bounded functional of the path up to the conditioning time."""
-    return math.tanh(float(np.max(rec.norm_H[: step + 1]) ** 2))
+def h_tanh_sup(ens: Ensemble, step: int) -> np.ndarray:
+    """Bounded functional of each path up to the conditioning time."""
+    return float_map(lambda sup: math.tanh(sup**2), np.max(ens.norm_H[:, : step + 1], axis=1))
 
 
-def martingale_diagnostic(records, psi, zeta, s: float, t: float, h=h_one) -> MartingaleReport:
+def martingale_diagnostic(ens: Ensemble, psi, zeta, s: float, t: float, h=h_one) -> MartingaleReport:
     """Zero-mean and quadratic-variation z-scores of the reconstructed
-    martingale part, paired against probe fields psi and zeta.
+    martingale part, paired against probe fields psi and zeta, over the
+    paths that did not abort (an aborted path reads zero past its abort).
 
     psi and zeta must be among the probes configured for the run (their
     quadratic-variation integral is accumulated online during integration);
-    s and t must lie on the snapshot grid.
+    s and t must lie on the snapshot grid.  h(ens, step) weighs each path by
+    a functional of it up to `step`.
     """
-    if not records:
-        raise ValueError("empty ensemble")
-    rec0 = records[0]
-    if len(records) < 2:
-        raise ValueError("need at least 2 trajectories for z-scores")
-    basis = psi.basis
-    n = rec0.n
-    psi_n = basis.real_coords(psi, n)
-    zeta_n = basis.real_coords(zeta, n)
+    live = ~ens.aborted
+    count = int(np.count_nonzero(live))
+    if count < 2:
+        raise ValueError(f"need at least 2 live trajectories for z-scores, got {count}")
+    psi_n = psi.basis.real_coords(psi, ens.n)
+    zeta_n = psi.basis.real_coords(zeta, ens.n)
 
     def probe_index(coords):
-        for i in range(len(rec0.probes_n)):
-            if np.allclose(rec0.probes_n[i], coords, atol=1e-12):
+        for i in range(len(ens.probes_n)):
+            if np.allclose(ens.probes_n[i], coords, atol=1e-12):
                 return i
         raise ValueError("field is not among the configured probes")
 
     a, b = probe_index(psi_n), probe_index(zeta_n)
-    try:
-        qcol = rec0.qv_pairs.index((a, b))
-    except ValueError:
-        try:
-            qcol = rec0.qv_pairs.index((b, a))
-        except ValueError:
-            raise ValueError(f"probe pair {(a, b)} has no accumulated quadratic variation")
+    # (a, b) and (b, a) accumulate the same products, so either column serves
+    cols = [q for q, pair in enumerate(ens.qv_pairs) if pair in ((a, b), (b, a))]
+    if not cols:
+        raise ValueError(f"probe pair {(a, b)} has no accumulated quadratic variation")
+    qcol = cols[0]
 
-    mean_terms = []
-    qv_terms = []
-    recon = 0.0
-    for rec in records:
-        ps, pt = _grid_positions(rec.snap_times, (s, t), rec.dt)
-        Ms = reconstruct_martingale(rec, ps)
-        Mt = reconstruct_martingale(rec, pt)
-        jt = int(np.nonzero(rec.integral_snap_idx == rec.snap_idx[pt])[0][0])
-        recon = max(recon, float(np.max(np.abs(Mt - rec.snap_integrals["noise"][jt]))))
-        hval = h(rec, int(rec.snap_idx[ps]))
-        mps, mpt = float(np.dot(Ms, psi_n[: rec.n])), float(np.dot(Mt, psi_n[: rec.n]))
-        mzs, mzt = float(np.dot(Ms, zeta_n[: rec.n])), float(np.dot(Mt, zeta_n[: rec.n]))
-        q_st = rec.qv_cum[pt, qcol] - rec.qv_cum[ps, qcol]
-        mean_terms.append((mpt - mps) * hval)
-        qv_terms.append((mpt * mzt - mps * mzs - q_st) * hval)
-
-    def zscore(vals):
-        vals = np.asarray(vals)
-        sd = np.std(vals, ddof=1)
-        if sd == 0:
-            return 0.0
-        return float(np.mean(vals) / (sd / math.sqrt(len(vals))))
-
+    ps, pt = _grid_positions(ens.snap_times, (s, t), ens.dt)
+    Ms = reconstruct_martingale(ens, ps)[live]
+    Mt = reconstruct_martingale(ens, pt)[live]
+    jt = int(np.nonzero(ens.integral_snap_idx == ens.snap_idx[pt])[0][0])
+    recon = float(np.max(np.abs(Mt - ens.snap_integrals["noise"][live, jt])))
+    hval = h(ens, int(ens.snap_idx[ps]))[live]
+    # np.vecdot is the per-row np.dot to the bit; M @ psi_n is not
+    mps, mpt = np.vecdot(Ms, psi_n), np.vecdot(Mt, psi_n)
+    mzs, mzt = np.vecdot(Ms, zeta_n), np.vecdot(Mt, zeta_n)
+    q_st = ens.qv_cum[live, pt, qcol] - ens.qv_cum[live, ps, qcol]
     return MartingaleReport(
-        mean_zscore=zscore(mean_terms),
-        qv_zscore=zscore(qv_terms),
+        mean_zscore=_zscore((mpt - mps) * hval),
+        qv_zscore=_zscore((mpt * mzt - mps * mzs - q_st) * hval),
         reconstruction_residual=recon,
-        trajectories=len(records),
+        trajectories=count,
     )

@@ -41,30 +41,29 @@ def modulus_lags(deltas, times) -> int:
 # -- trajectory families -----------------------------------------------------
 
 
-class FunctionFamily:
-    """Snapshot trajectories of one ensemble in U'-coordinates, stacked:
-    coords (R, S, n), the per-step norms (R, steps + 1) and the lag maxima
-    the stepper recorded (R, modulus_lags)."""
+def _live_rows(ens):
+    """Index of the live rows of ens: all, as a slice that keeps arrays views, if none aborted."""
+    if np.all(ens.aborted):
+        raise ValueError("all trajectories aborted")
+    return slice(None) if not np.any(ens.aborted) else ~ens.aborted
 
-    def __init__(self, records, basis: Basis, n: int | None = None):
-        if not records:
-            raise ValueError("empty family")
-        recs = [r for r in records if not r.aborted]
-        if not recs:
-            raise ValueError("all trajectories aborted")
-        n = recs[0].n if n is None else n
-        snap, dt = recs[0].snap_idx, recs[0].dt
-        for r in recs:
-            if r.n != n or r.dt != dt or not np.array_equal(r.snap_idx, snap):
-                raise ValueError("family members must share the Galerkin level and grid")
-        self.n = n
-        self.dt = dt
-        self.times = recs[0].snap_times
-        self.coords = np.stack([r.snap_u for r in recs])  # (R, S, n)
-        self.norm_H = np.stack([r.norm_H for r in recs])  # (R, steps + 1)
-        self.norm_D = np.stack([r.norm_D for r in recs])
-        self.stored_lag_maxima = np.stack([r.lag_maxima for r in recs])  # (R, modulus_lags)
-        self.wUdual = basis.mode_weights("Udual", n)
+
+class FunctionFamily:
+    """Snapshot trajectories of the live paths of one Ensemble in
+    U'-coordinates: coords (R, S, n), the per-step norms (R, steps + 1) and
+    the lag maxima the stepper recorded (R, modulus_lags).  These are views
+    of the ensemble's arrays, copied only to drop aborted rows."""
+
+    def __init__(self, ens, basis: Basis):
+        rows = _live_rows(ens)
+        self.n = ens.n
+        self.dt = ens.dt
+        self.times = ens.snap_times
+        self.coords = ens.snap_u[rows]  # (R, S, n)
+        self.norm_H = ens.norm_H[rows]  # (R, steps + 1)
+        self.norm_D = ens.norm_D[rows]
+        self.stored_lag_maxima = ens.lag_maxima[rows]  # (R, modulus_lags)
+        self.wUdual = basis.mode_weights("Udual", ens.n)
 
     @property
     def size(self) -> int:
@@ -190,8 +189,6 @@ def aldous_check(family: FunctionFamily, thetas, eta: float) -> AldousReport:
     over rules; the pass flag requires them nonincreasing in theta with an
     overall decay.
     """
-    if family.size == 0:
-        raise ValueError("empty ensemble")
     thetas = np.sort(np.asarray(thetas, dtype=float))[::-1]  # descending
     S = len(family.times)
     h = family.times[1] - family.times[0]
@@ -264,28 +261,22 @@ class IncrementScalingReport:
     exponents: dict  # term -> fitted log-log slope (nan when the term vanishes)
 
 
-def increment_scaling(records, basis: Basis, tau, thetas) -> IncrementScalingReport:
+def increment_scaling(ens, basis: Basis, tau, thetas) -> IncrementScalingReport:
     """Fit |J_i(tau+theta) - J_i(tau)|_{U'} ~ theta^gamma per term over a
-    theta-halving grid, using medians over the ensemble.
+    theta-halving grid, using medians over the live paths of the Ensemble.
 
     `tau` may be a single anchor or a list; the increment bounds hold at every
     anchor, so pooling several of them sharpens the median without bias."""
-    recs = [r for r in records if not r.aborted]
-    rec0 = recs[0]
-    for r in recs:
-        if r.n != rec0.n or r.dt != rec0.dt or not np.array_equal(
-            r.integral_snap_idx, rec0.integral_snap_idx
-        ):
-            raise ValueError("records must share the Galerkin level and the integral grid")
-    wUdual = basis.mode_weights("Udual", rec0.n)
+    rows = _live_rows(ens)
+    wUdual = basis.mode_weights("Udual", ens.n)
     taus = np.atleast_1d(np.asarray(tau, dtype=float))
     thetas = np.sort(np.asarray(thetas, dtype=float))
-    jt = rec0.integral_snap_idx * rec0.dt
-    start = _grid_positions(jt, taus[None, :], rec0.dt)  # (1, anchor)
-    end = _grid_positions(jt, taus + thetas[:, None], rec0.dt)  # (theta, anchor)
+    jt = ens.integral_snap_idx * ens.dt
+    start = _grid_positions(jt, taus[None, :], ens.dt)  # (1, anchor)
+    end = _grid_positions(jt, taus + thetas[:, None], ens.dt)  # (theta, anchor)
     med, exps = {}, {}
     for name in INTEGRALS:
-        J = np.stack([r.snap_integrals[name] for r in recs])  # (R, S_J, n)
+        J = ens.snap_integrals[name][rows]  # (R, S_J, n)
         inc = J[:, end] - J[:, start]  # (R, theta, anchor, n)
         # these norms are the pairwise np.sum over n; the einsum of
         # _increment_norms rounds differently in the last bit, so the scaling

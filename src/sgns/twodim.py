@@ -17,8 +17,8 @@ import numpy as np
 
 from .estimates import gronwall_eval, median
 from .galerkin import (
-    GalerkinConfig, _compiled, _integrate_rows, _row_shapes, _stacked, generate_wiener,
-    horizon_violations, level_violations,
+    GalerkinConfig, _compiled, _row_shapes, generate_wiener, horizon_violations,
+    integrate_batch, level_violations,
 )
 from .nonlinear import TrilinearWorkspace, bilinear_B, trilinear_b
 from .spectral import Basis, SpectralField, eval_physical, norm, project_Pn
@@ -292,19 +292,17 @@ def pathwise_uniqueness_experiment(
         block = list(range(start, min(start + rows, n_traj)))
         k = len(block)
         paths = [generate_wiener(cfg.steps, cfg.M, cfg.dt, cfg.seed, r) for r in block]
-        out = _stacked(cfg, 2 * k)
-        _integrate_rows(cfg, block + block, paths + paths, out,
-                        np.repeat(np.stack([x1, x2]), k, axis=0))
-        bad = np.flatnonzero(out["abort_step"] >= 0)
+        ens = integrate_batch(cfg, block + block, paths + paths,
+                              x0=np.repeat(np.stack([x1, x2]), k, axis=0))
+        bad = np.flatnonzero(ens.aborted)
         if len(bad):
             r = block[int(np.min(bad % k))]
             raise RuntimeError(f"trajectory {r} aborted during the uniqueness experiment")
-        snap_u, norm_D = out["snap_u"], out["norm_D"]
         if gamma == 0.0:
-            identical = identical and np.array_equal(snap_u[:k], snap_u[k:])
+            identical = identical and np.array_equal(ens.snap_u[:k], ens.snap_u[k:])
             continue
-        U2 = np.sum((snap_u[:k] - snap_u[k:]) ** 2, axis=2)
-        r_t = np.cumsum(norm_D[k:, :-1] ** 2, axis=1) * cfg.dt
+        U2 = np.sum((ens.snap_u[:k] - ens.snap_u[k:]) ** 2, axis=2)
+        r_t = np.cumsum(ens.norm_D[k:, :-1] ** 2, axis=1) * cfg.dt
         r_t = C_eps * np.concatenate([np.zeros((k, 1)), r_t], axis=1)
         weighted = np.exp(-r_t) * U2
         ratios_T[start : start + k] = weighted[:, -1] / weighted[:, 0]

@@ -13,7 +13,7 @@ from sgns.estimates import (
     p_range,
     uniformity_report,
 )
-from sgns.galerkin import GalerkinConfig, integrate_ensemble, integrate_trajectory
+from sgns.galerkin import GalerkinConfig, integrate_batch, integrate_ensemble, integrate_trajectory
 from sgns.noise import default_noise_model
 from sgns.spectral import random_field
 
@@ -50,13 +50,16 @@ def test_p_range_and_epsilon_consistent():
                 epsilon_for_p(hi, eta)
 
 
-def make_records(basis, n, n_traj, T=0.05, seed=0, **kw):
+def make_config(basis, n, T=0.05, seed=0, **kw):
     rng = np.random.default_rng(99)
     u0 = random_field(basis, rng, n=4, decay=0.5)
-    cfg = GalerkinConfig(
+    return GalerkinConfig(
         basis=basis, n=n, dt=1e-3, T=T, u0=u0, model=default_noise_model(2), seed=seed, **kw
     )
-    return integrate_ensemble(cfg, n_traj)
+
+
+def make_records(basis, n, n_traj, T=0.05, seed=0, **kw):
+    return integrate_ensemble(make_config(basis, n, T, seed, **kw), n_traj)
 
 
 def test_aggregate_basic(basis2d_small):
@@ -74,12 +77,12 @@ def test_aggregate_basic(basis2d_small):
 
 
 def test_aggregate_duplicated_trajectory(basis2d_small):
-    recs = make_records(basis2d_small, n=8, n_traj=2)
-    # duplicate the same record: SE = 0, mean = functional value
-    stats = aggregate({8: [recs[0], recs[0]]}, p_list=(2.0,))
+    # the same trajectory twice: SE = 0, mean = functional value
+    ens = integrate_batch(make_config(basis2d_small, n=8), [0, 0])
+    stats = aggregate({8: ens}, p_list=(2.0,))
     st = stats.per_n[8]["sup_H_p"][2.0]
     assert st.se == 0.0
-    assert abs(st.mean - recs[0].sup_H() ** 2) < 1e-15
+    assert abs(st.mean - ens[0].sup_H() ** 2) < 1e-15
 
 
 def test_aggregate_deterministic_dissipative(basis2d_small):
@@ -87,8 +90,7 @@ def test_aggregate_deterministic_dissipative(basis2d_small):
     rng = np.random.default_rng(1)
     u0 = random_field(basis2d_small, rng, n=8)
     cfg = GalerkinConfig(basis=basis2d_small, n=8, dt=1e-3, T=0.05, u0=u0, model=None, seed=0)
-    recs = [integrate_trajectory(cfg, traj_index=i) for i in range(2)]
-    stats = aggregate({8: recs}, p_list=(2.0,))
+    stats = aggregate({8: integrate_batch(cfg, range(2))}, p_list=(2.0,))
     from sgns.spectral import norm, project_Pn
 
     expect = norm(project_Pn(u0, 8), "H") ** 2
@@ -111,12 +113,13 @@ def test_aggregate_stokes_analytic_integral(basis2d_small):
     assert abs(got - exact) < 5e-4 * exact
 
 
-class Rec:
-    """A record with given functionals, for verdicts on chosen level means."""
+class Level:
+    """An ensemble with given per-path functionals, for verdicts on chosen
+    level means."""
 
-    def __init__(self, sup, intd):
-        self._s, self._i = sup, intd
-        self.aborted = False
+    def __init__(self, sups, intds):
+        self._s, self._i = np.asarray(sups, dtype=float), np.asarray(intds, dtype=float)
+        self.aborted = np.zeros(len(self._s), dtype=bool)
 
     def sup_H(self):
         return self._s
@@ -129,14 +132,14 @@ class Rec:
 
 
 def test_uniformity_pass_and_fail():
-    flat = {n: [Rec(1.0 + 0.01 * i, 2.0) for i in range(5)] for n in (4, 8, 16, 32)}
+    flat = {n: Level([1.0 + 0.01 * i for i in range(5)], [2.0] * 5) for n in (4, 8, 16, 32)}
     stats = aggregate(flat, p_list=(2.0,))
     verdict = uniformity_report(stats)
     assert verdict.passed
     assert all(r <= 1.5 for r in verdict.ratios.values())
 
     growing = {
-        n: [Rec(1.0 * 2**j * (1 + 0.001 * i), 2.0 * 2**j) for i in range(5)]
+        n: Level([1.0 * 2**j * (1 + 0.001 * i) for i in range(5)], [2.0 * 2**j] * 5)
         for j, n in enumerate((4, 8, 16, 32))
     }
     stats2 = aggregate(growing, p_list=(2.0,))
@@ -146,7 +149,7 @@ def test_uniformity_pass_and_fail():
 
 def test_uniformity_on_all_tied_means():
     # equal means give tau = p = nan, which never counts as a rising trend
-    levels = {n: [Rec(1.0, 2.0) for _ in range(3)] for n in (4, 8, 16)}
+    levels = {n: Level([1.0] * 3, [2.0] * 3) for n in (4, 8, 16)}
     verdict = uniformity_report(aggregate(levels, p_list=(2.0,)))
     for tau, p in verdict.kendall.values():
         assert math.isnan(tau) and math.isnan(p)
@@ -161,7 +164,7 @@ def test_kendall_false_alarm_rate(levels, rate):
     ns = [2**k for k in range(2, 2 + levels)]
 
     def trend_p(order):
-        means = {n: [Rec(1.0 + m, 1.0 + m)] * 2 for n, m in zip(ns, order)}
+        means = {n: Level([1.0 + m] * 2, [1.0 + m] * 2) for n, m in zip(ns, order)}
         return uniformity_report(aggregate(means, p_list=(1.0,)), p=1.0).kendall["int_dirichlet2"][1]
 
     ps = [trend_p(order) for order in itertools.permutations(range(levels))]
@@ -174,8 +177,10 @@ def test_uniformity_on_tied_means():
     # the n = 4 and n = 8 means tie, as on demos/configs/estimates.json: the
     # asymptotic p = 0.0355 < alpha, so only a rise within noise passes
     def verdict(rise, spread):
-        levels = {n: [Rec(base + spread * i, base + spread * i) for i in (-1, 0, 1)]
-                  for n, base in zip((4, 8, 16, 32), (1.0, 1.0, 1.0 + rise, 1.0 + 2 * rise))}
+        levels = {}
+        for n, base in zip((4, 8, 16, 32), (1.0, 1.0, 1.0 + rise, 1.0 + 2 * rise)):
+            vals = [base + spread * i for i in (-1, 0, 1)]
+            levels[n] = Level(vals, vals)
         return uniformity_report(aggregate(levels, p_list=(1.0,)), p=1.0)
 
     rising = verdict(0.1, 0.01)

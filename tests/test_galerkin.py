@@ -12,6 +12,7 @@ from sgns.galerkin import (
     WienerPath,
     build_convection_tensor,
     energy_budget_check,
+    float_map,
     generate_wiener,
     h_tanh_sup,
     integrate_batch,
@@ -325,8 +326,9 @@ def test_energy_budget_deterministic_run(basis2d_small, rng):
         model=None,
         seed=0,
     )
-    rec = integrate_trajectory(cfg)
-    rep = energy_budget_check(rec)
+    ens = integrate_batch(cfg, [0])
+    rec = ens[0]
+    rep = energy_budget_check(ens)
     assert rep.max_relative_residual <= 1e-12
     assert np.all(rec.mart_work == 0.0)
     assert np.all(rec.ito_step == 0.0)
@@ -335,8 +337,7 @@ def test_energy_budget_deterministic_run(basis2d_small, rng):
 
 def test_energy_budget_stochastic_run(basis2d_small):
     cfg = make_config(basis2d_small, T=0.05)
-    rec = integrate_trajectory(cfg)
-    rep = energy_budget_check(rec)
+    rep = energy_budget_check(integrate_batch(cfg, [0]))
     assert rep.max_relative_residual <= 1e-10
 
 
@@ -493,7 +494,7 @@ def test_records_independent_of_batch_and_partition(basis2d_small):
     cfg = rich_config(basis2d_small)
     single = [integrate_trajectory(cfg, traj_index=i) for i in range(7)]
     batch = integrate_batch(cfg, range(7))
-    split = integrate_batch(cfg, [0, 1, 2]) + integrate_batch(cfg, [3, 4, 5, 6])
+    split = [*integrate_batch(cfg, [0, 1, 2]), *integrate_batch(cfg, [3, 4, 5, 6])]
     shuffled = {rec.traj_index: rec for rec in integrate_batch(cfg, [6, 2, 4, 0, 5, 1, 3])}
     assert min(rec.cutoff_min for rec in batch) < 1.0
     for i in range(7):
@@ -608,9 +609,7 @@ def test_rows_start_from_their_own_states(basis2d_small, scheme):
     x0 = np.stack([sys.encode(u0) for u0 in starts])
     paths = [generate_wiener(cfg.steps, cfg.M, cfg.dt, cfg.seed, i) for i in range(4)]
     paths[1].dW[7] = 1e6
-    out = galerkin._stacked(cfg, 4)
-    galerkin._integrate_rows(cfg, range(4), paths, out, x0)
-    batch = galerkin._records(cfg, range(4), out)
+    batch = integrate_batch(cfg, range(4), paths, x0=x0)
     assert [rec.aborted for rec in batch] == [False, True, False, False]
     for i, rec in enumerate(batch):
         want = integrate_trajectory(dataclasses.replace(cfg, u0=starts[i]), path=paths[i], traj_index=i)
@@ -622,7 +621,7 @@ def test_rows_start_from_their_own_states(basis2d_small, scheme):
 def test_initial_states_must_match_the_rows(basis2d_small, shape):
     cfg = rich_config(basis2d_small)
     with pytest.raises(ValueError, match="initial states"):
-        galerkin._integrate_rows(cfg, range(3), None, galerkin._stacked(cfg, 3), np.zeros(shape))
+        integrate_batch(cfg, range(3), x0=np.zeros(shape))
 
 
 def test_exponential_scheme_ledger_closes(basis2d_small):
@@ -634,3 +633,104 @@ def test_exponential_scheme_ledger_closes(basis2d_small):
         for pos in range(len(rec.snap_idx)):
             M = reconstruct_martingale(rec, pos)
             assert np.max(np.abs(M - rec.snap_integrals["noise"][pos])) <= 1e-13 * scale
+
+
+# -- the stacked Ensemble and its diagnostics -------------------------------------
+
+
+def aborting_ensemble(basis):
+    """7 paths of the rich config, rows 2, 5 and 6 past the overflow limit;
+    snapshots and integral snapshots both every 5 steps."""
+    cfg = rich_config(basis, overflow_limit=1.05, integral_snapshot_stride=5)
+    ens = integrate_ensemble(cfg, 7)
+    assert ens.aborted.tolist() == [False, False, True, False, False, True, True]
+    return cfg, ens
+
+
+def test_ensemble_rows_and_functionals_are_the_paths(basis2d_small):
+    cfg, ens = aborting_ensemble(basis2d_small)
+    sup = ens.sup_H()
+    assert len(ens) == 7 and ens.indices.tolist() == list(range(7))
+    for r in range(7):
+        rec = ens[r]
+        assert_records_identical(integrate_trajectory(cfg, traj_index=r), rec)
+        # the scalar formulas of one path, each to the bit
+        assert sup[r] == float(np.max(rec.norm_H))
+        for p in (2, 2.2):
+            assert float_map(lambda v: v**p, sup)[r] == float(np.max(rec.norm_H)) ** p
+        assert ens.integral_dirichlet2()[r] == float(np.sum(rec.norm_D[:-1] ** 2) * rec.dt)
+        for p in (2.0, 2.2, 3.0):
+            want = float(np.sum(rec.norm_H[:-1] ** (p - 2) * rec.norm_D[:-1] ** 2) * rec.dt)
+            assert ens.integral_weighted(p)[r] == want == rec.integral_weighted(p)
+
+
+def budget_by_records(records):
+    """The energy budget as a loop over single paths."""
+    worst, diffs = 0.0, []
+    for rec in records:
+        h2 = rec.norm_H**2
+        upto = rec.abort_step if rec.aborted else rec.steps
+        lhs = np.diff(h2)[:upto]
+        rhs = (rec.drift_work + rec.b_work + rec.forcing_work + rec.mart_work + rec.delta_sq)[:upto]
+        scale = np.maximum.reduce([np.ones(upto), h2[:upto], h2[1 : upto + 1], np.abs(rhs)])
+        if upto:
+            worst = max(worst, float(np.max(np.abs(lhs - rhs) / scale)))
+        if not rec.aborted:
+            diffs.append(float(np.sum(rec.ito_step) - np.sum(rec.hs_step)))
+    diffs = np.asarray(diffs)
+    return worst, float(np.mean(diffs) / (np.std(diffs, ddof=1) / math.sqrt(len(diffs))))
+
+
+def martingale_by_records(records, psi_n, zeta_n, a, b, qcol, s, t, tanh_sup):
+    """The martingale z-scores as a loop over single paths."""
+    mean_terms, qv_terms, recon = [], [], 0.0
+    for rec in records:
+        ps, pt = galerkin._grid_positions(rec.snap_times, (s, t), rec.dt)
+        Ms, Mt = reconstruct_martingale(rec, ps), reconstruct_martingale(rec, pt)
+        jt = int(np.nonzero(rec.integral_snap_idx == rec.snap_idx[pt])[0][0])
+        recon = max(recon, float(np.max(np.abs(Mt - rec.snap_integrals["noise"][jt]))))
+        step = int(rec.snap_idx[ps])
+        hval = math.tanh(float(np.max(rec.norm_H[: step + 1]) ** 2)) if tanh_sup else 1.0
+        mps, mpt = float(np.dot(Ms, psi_n)), float(np.dot(Mt, psi_n))
+        mzs, mzt = float(np.dot(Ms, zeta_n)), float(np.dot(Mt, zeta_n))
+        q_st = rec.qv_cum[pt, qcol] - rec.qv_cum[ps, qcol]
+        mean_terms.append((mpt - mps) * hval)
+        qv_terms.append((mpt * mzt - mps * mzs - q_st) * hval)
+
+    def zscore(vals):
+        vals = np.asarray(vals)
+        return float(np.mean(vals) / (np.std(vals, ddof=1) / math.sqrt(len(vals))))
+
+    return zscore(mean_terms), zscore(qv_terms), recon
+
+
+def test_diagnostics_are_the_per_path_formulas(basis2d_small):
+    # array arithmetic over the stacked rows gives the bits of the loops over
+    # single paths, with aborted rows in the ensemble
+    basis = basis2d_small
+    cfg, ens = aborting_ensemble(basis)
+    rep = energy_budget_check(ens)
+    assert (rep.max_relative_residual, rep.ito_zscore) == budget_by_records(ens)
+    assert rep.trajectories == 7
+    live = [rec for rec in ens if not rec.aborted]
+    e1, e3 = cfg.probes
+    for psi, zeta, qcol, h in ((e1, e1, 0, None), (e1, e3, 1, h_tanh_sup)):
+        kw = {"h": h} if h is not None else {}
+        got = martingale_diagnostic(ens, psi, zeta, s=0.005, t=0.015, **kw)
+        want = martingale_by_records(live, basis.real_coords(psi, cfg.n), basis.real_coords(zeta, cfg.n),
+                                     0, 1, qcol, 0.005, 0.015, h is not None)
+        assert (got.mean_zscore, got.qv_zscore, got.reconstruction_residual) == want
+
+
+def test_martingale_diagnostic_skips_aborted_rows(basis2d_small):
+    # an aborted row reads zero past its abort, so its reconstructed
+    # martingale is -u0: the report is that of the live rows alone
+    cfg, ens = aborting_ensemble(basis2d_small)
+    e1 = cfg.probes[0]
+    rep = martingale_diagnostic(ens, e1, e1, s=0.005, t=0.015)
+    alone = martingale_diagnostic(integrate_batch(cfg, [0, 1, 3, 4]), e1, e1, s=0.005, t=0.015)
+    assert rep.reconstruction_residual < 1e-12
+    assert rep.trajectories == alone.trajectories == 4
+    assert (rep.mean_zscore, rep.qv_zscore) == (alone.mean_zscore, alone.qv_zscore)
+    with pytest.raises(ValueError, match="at least 2 live"):
+        martingale_diagnostic(integrate_batch(cfg, [2, 5, 0]), e1, e1, s=0.005, t=0.015)

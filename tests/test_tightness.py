@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from sgns import galerkin, tightness
-from sgns.galerkin import GalerkinConfig, integrate_ensemble, integrate_trajectory
+from sgns.galerkin import GalerkinConfig, integrate_batch, integrate_ensemble, integrate_trajectory
 from sgns.noise import default_noise_model
 from sgns.spectral import random_field
 from sgns.tightness import (
@@ -42,6 +42,24 @@ def small_ensemble(basis2d_small):
     return basis2d_small, integrate_ensemble(small_config(basis2d_small), 60)
 
 
+class FakeEnsemble:
+    """The arrays FunctionFamily reads, for given snapshots (R, S, n) dt apart
+    with no lag maxima recorded (so they are computed from snap_u)."""
+
+    def __init__(self, snap_u, dt=1e-2, norm_D=1.0):
+        R, S, self.n = snap_u.shape
+        self.dt = dt
+        self.snap_times = np.arange(S) * dt
+        self.snap_u = snap_u
+        self.norm_H = np.ones((R, S))
+        self.norm_D = np.full((R, S), norm_D)
+        self.aborted = np.zeros(R, dtype=bool)
+        self.lag_maxima = np.zeros((R, 0))
+
+    def __len__(self):
+        return len(self.snap_u)
+
+
 def test_modulus_constant_and_linear(basis2d_small):
     w = basis2d_small.mode_weights("Udual", 4)
     times = np.linspace(0, 1, 101)
@@ -66,45 +84,15 @@ def test_modulus_monotone(small_ensemble):
 
 
 def test_dubinsky_constant_family_passes(basis2d_small):
-    class FakeRec:
-        def __init__(self):
-            self.n = 4
-            self.dt = 1e-2
-            self.snap_idx = np.arange(0, 101)
-            self.snap_times = self.snap_idx * self.dt
-            self.snap_u = np.tile(np.array([1.0, 0.0, 0.0, 0.0]), (101, 1))
-            self.norm_H = np.ones(101)
-            self.norm_D = np.ones(101)
-            self.aborted = False
-            self.lag_maxima = np.zeros(0)  # none recorded: computed from snap_u
-
-        def sup_H(self):
-            return 1.0
-
-    fam = FunctionFamily([FakeRec(), FakeRec()], basis2d_small, n=4)
+    fam = FunctionFamily(FakeEnsemble(np.tile(np.array([1.0, 0.0, 0.0, 0.0]), (2, 101, 1))), basis2d_small)
     rep = dubinsky_diagnostic(fam, deltas=[0.02, 0.08, 0.32])
     assert rep.passed
     assert np.all(rep.modulus_curve == 0.0)
 
 
 def test_dubinsky_jumpy_family_fails(basis2d_small):
-    class JumpRec:
-        def __init__(self):
-            self.n = 4
-            self.dt = 1e-2
-            self.snap_idx = np.arange(0, 101)
-            self.snap_times = self.snap_idx * self.dt
-            signs = (-1.0) ** np.arange(101)
-            self.snap_u = np.outer(signs, np.array([1.0, 0.0, 0.0, 0.0]))
-            self.norm_H = np.ones(101)
-            self.norm_D = np.ones(101)
-            self.aborted = False
-            self.lag_maxima = np.zeros(0)  # none recorded: computed from snap_u
-
-        def sup_H(self):
-            return 1.0
-
-    fam = FunctionFamily([JumpRec()], basis2d_small, n=4)
+    signs = (-1.0) ** np.arange(101)
+    fam = FunctionFamily(FakeEnsemble(np.outer(signs, np.array([1.0, 0.0, 0.0, 0.0]))[None]), basis2d_small)
     rep = dubinsky_diagnostic(fam, deltas=[0.02, 0.08, 0.32])
     assert not rep.passed
     assert rep.slope < 0.4
@@ -112,9 +100,9 @@ def test_dubinsky_jumpy_family_fails(basis2d_small):
 
 def test_dubinsky_family_size_invariance(small_ensemble):
     basis, recs = small_ensemble
-    one = FunctionFamily(recs[:1], basis)
+    one = FunctionFamily(integrate_batch(small_config(basis), [0]), basis)
     rep1 = dubinsky_diagnostic(one, deltas=[0.004, 0.016, 0.064])
-    repeated = FunctionFamily([recs[0]] * 5, basis)
+    repeated = FunctionFamily(integrate_batch(small_config(basis), [0] * 5), basis)
     rep5 = dubinsky_diagnostic(repeated, deltas=[0.004, 0.016, 0.064])
     assert np.allclose(rep1.modulus_curve, rep5.modulus_curve)
 
@@ -151,22 +139,8 @@ def test_family_reductions_match_per_record_loops(basis2d_small):
 
 
 def test_aldous_constant_family(basis2d_small):
-    class FakeRec:
-        def __init__(self):
-            self.n = 4
-            self.dt = 1e-2
-            self.snap_idx = np.arange(0, 101)
-            self.snap_times = self.snap_idx * self.dt
-            self.snap_u = np.tile(np.array([1.0, 0.0, 0.0, 0.0]), (101, 1))
-            self.norm_H = np.ones(101)
-            self.norm_D = np.zeros(101)
-            self.aborted = False
-            self.lag_maxima = np.zeros(0)  # none recorded: computed from snap_u
-
-        def sup_H(self):
-            return 1.0
-
-    fam = FunctionFamily([FakeRec()] * 4, basis2d_small, n=4)
+    fam = FunctionFamily(FakeEnsemble(np.tile(np.array([1.0, 0.0, 0.0, 0.0]), (4, 101, 1)), norm_D=0.0),
+                         basis2d_small)
     rep = aldous_check(fam, thetas=[0.02, 0.08], eta=1e-6)
     assert np.all(rep.probabilities == 0.0)
     assert rep.passed
@@ -240,18 +214,6 @@ def test_increment_scaling_matches_per_record_loop(small_ensemble):
             assert rep.median_norms[name][i] == float(np.median(vals))
 
 
-def test_increment_scaling_rejects_mixed_integral_grids(small_ensemble):
-    basis, recs = small_ensemble
-    rec = recs[1]
-    coarse = replace(
-        rec,
-        integral_snap_idx=rec.integral_snap_idx[::2],
-        snap_integrals={k: v[::2] for k, v in rec.snap_integrals.items()},
-    )
-    with pytest.raises(ValueError, match="integral grid"):
-        increment_scaling([recs[0], coarse], basis, tau=0.016, thetas=[0.004, 0.008])
-
-
 def test_increment_scaling_rejects_off_grid_window(small_ensemble):
     basis, recs = small_ensemble
     with pytest.raises(ValueError, match="snapshot grid"):
@@ -264,7 +226,7 @@ def test_modulus_is_one_path_lag_maxima(small_ensemble):
     basis, recs = small_ensemble
     rec = recs[3]
     w = basis.mode_weights("Udual", rec.n)
-    lagmax = FunctionFamily([rec], basis).lag_maxima(16)
+    lagmax = FunctionFamily(integrate_batch(small_config(basis), [3]), basis).lag_maxima(16)
     assert lagmax.shape == (1, 16)
     assert modulus_of_continuity(rec.snap_u, w, rec.snap_times, 0.016) == np.max(lagmax)
     # a window shorter than one snapshot spacing holds no increment
@@ -275,7 +237,7 @@ def test_modulus_is_one_path_lag_maxima(small_ensemble):
 def test_lag_maxima_in_row_blocks(small_ensemble, monkeypatch, block):
     # 7 paths: no block size above divides them, so the last block is short
     basis, recs = small_ensemble
-    fam = FunctionFamily(recs[:7], basis)
+    fam = FunctionFamily(integrate_batch(small_config(basis), range(7)), basis)
     monkeypatch.setattr(galerkin, "LAG_COORDS", block * fam.n)
     got = fam.lag_maxima(20)
     x, w = fam.coords, fam.wUdual
@@ -316,20 +278,8 @@ def test_modulus_lags_are_the_largest_window(small_ensemble):
 def test_aldous_eta_samples_the_full_increment_table(basis2d_small):
     # 1,025 snapshots: every stride-th increment of the full (R, S - lag) table
     rng = np.random.default_rng(3)
-
-    class RandRec:
-        def __init__(self):
-            self.n = 6
-            self.dt = 1e-3
-            self.snap_idx = np.arange(1025)
-            self.snap_times = self.snap_idx * self.dt
-            self.snap_u = np.cumsum(rng.standard_normal((1025, 6)), axis=0)
-            self.norm_H = np.ones(1025)
-            self.norm_D = np.ones(1025)
-            self.aborted = False
-            self.lag_maxima = np.zeros(0)
-
-    fam = FunctionFamily([RandRec() for _ in range(5)], basis2d_small)
+    walks = np.stack([np.cumsum(rng.standard_normal((1025, 6)), axis=0) for _ in range(5)])
+    fam = FunctionFamily(FakeEnsemble(walks, dt=1e-3), basis2d_small)
     x, w = fam.coords, fam.wUdual
     for theta in (0.001, 0.016, 0.3, 1.0):
         lag = max(1, round(theta / 1e-3))
@@ -343,11 +293,12 @@ def test_aldous_eta_samples_the_full_increment_table(basis2d_small):
 
 def test_modulus_curves_are_median_and_max_of_per_path_moduli(small_ensemble):
     basis, recs = small_ensemble
-    fam = FunctionFamily(recs[:9], basis)
+    nine = integrate_batch(small_config(basis), range(9))
+    fam = FunctionFamily(nine, basis)
     w = basis.mode_weights("Udual", recs[0].n)
     deltas = [0.0005, 0.004, 0.016, 0.064]
     per_path = np.array([
-        [modulus_of_continuity(r.snap_u, w, r.snap_times, d) for d in deltas] for r in recs[:9]
+        [modulus_of_continuity(r.snap_u, w, r.snap_times, d) for d in deltas] for r in nine
     ])
     curve, _ = median_modulus_curve(fam, deltas)
     assert np.array_equal(curve, np.median(per_path, axis=0))
@@ -457,19 +408,28 @@ def test_holly_wiciak_general_norms():
         build_nested_space(phi, eta0=1.5)
 
 
-def test_function_family_rejects_mixed(basis2d_small, small_ensemble):
-    _, recs = small_ensemble
-    rng = np.random.default_rng(0)
-    cfg = GalerkinConfig(
-        basis=basis2d_small,
-        n=4,
-        dt=1e-3,
-        T=0.128,
-        u0=random_field(basis2d_small, rng, n=4),
-        model=None,
-        seed=1,
-        snapshot_stride=1,
-    )
-    other = integrate_trajectory(cfg)
-    with pytest.raises(ValueError):
-        FunctionFamily([recs[0], other], basis2d_small)
+def test_family_holds_views_of_the_live_rows(basis2d_small, small_ensemble):
+    basis, ens = small_ensemble
+    fam = FunctionFamily(ens, basis)
+    assert np.shares_memory(fam.coords, ens.snap_u) and np.shares_memory(fam.norm_H, ens.norm_H)
+    # rows 1 and 3 abort: the family is the other rows, copied
+    cfg = replace(small_config(basis), T=0.016, overflow_limit=1e3)
+    paths = [galerkin.generate_wiener(cfg.steps, cfg.M, cfg.dt, cfg.seed, i) for i in range(5)]
+    for r in (1, 3):
+        paths[r].dW[4] = 1e6
+    ens = integrate_batch(cfg, range(5), paths)
+    assert ens.aborted.tolist() == [False, True, False, True, False]
+    fam = FunctionFamily(ens, basis)
+    assert not np.shares_memory(fam.coords, ens.snap_u)
+    assert np.array_equal(fam.coords, ens.snap_u[[0, 2, 4]])
+    assert np.array_equal(fam.norm_D, ens.norm_D[[0, 2, 4]])
+
+
+def test_all_aborted_ensemble_rejected(basis2d_small):
+    cfg = replace(small_config(basis2d_small), T=0.016, overflow_limit=1e-3)
+    ens = integrate_ensemble(cfg, 3)
+    assert ens.aborted.all()
+    with pytest.raises(ValueError, match="all trajectories aborted"):
+        FunctionFamily(ens, basis2d_small)
+    with pytest.raises(ValueError, match="all trajectories aborted"):
+        increment_scaling(ens, basis2d_small, tau=0.004, thetas=[0.004, 0.008])

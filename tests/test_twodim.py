@@ -281,13 +281,14 @@ def test_pathwise_uniqueness_names_the_first_aborted_pair(basis2d_small, rng, mo
         u0=random_field(basis2d_small, rng, n=8, decay=0.5),
         model=default_noise_model(2), seed=12,
     )
-    run = twodim._integrate_rows
+    run = twodim.integrate_batch
 
-    def aborting(config, indices, paths, out, x0):
-        run(config, indices, paths, out, x0)
-        out["abort_step"][[2, 4 + 1]] = 10
+    def aborting(config, indices, paths, x0):
+        ens = run(config, indices, paths, x0=x0)
+        ens.aborted[[2, 4 + 1]] = True
+        return ens
 
-    monkeypatch.setattr(twodim, "_integrate_rows", aborting)
+    monkeypatch.setattr(twodim, "integrate_batch", aborting)
     with pytest.raises(RuntimeError, match="trajectory 1 aborted"):
         pathwise_uniqueness_experiment(cfg, lipschitz_L=1.0, gamma=1e-8, n_traj=4)
 
@@ -302,13 +303,13 @@ def test_pathwise_uniqueness_ignores_the_blocks(basis2d_small, rng, monkeypatch,
     # the twins' rows: one snapshot per step, no integral snapshots
     twin_cfg = dataclasses.replace(cfg, snapshot_stride=1, integral_snapshot_stride=0)
     record = 8 * sum(math.prod(shape) for shape in _row_shapes(twin_cfg).values())
-    run, rows = twodim._integrate_rows, []
+    run, rows = twodim.integrate_batch, []
 
-    def counted(config, indices, paths, out, x0):
+    def counted(config, indices, paths, x0):
         rows.append(len(indices))
-        run(config, indices, paths, out, x0)
+        return run(config, indices, paths, x0=x0)
 
-    monkeypatch.setattr(twodim, "_integrate_rows", counted)
+    monkeypatch.setattr(twodim, "integrate_batch", counted)
     reps = []
     for budget in (twodim.TWIN_BUDGET, 2 * record, 2 * 3 * record):
         monkeypatch.setattr(twodim, "TWIN_BUDGET", budget)
