@@ -458,6 +458,14 @@ ROW_ARRAYS = ("norm_H", "norm_D", "norm_Udual", *LEDGER, "snap_u", "u0_coords", 
 BLOCK_CACHE = 2 * 10**5
 
 
+def cache_rows(config: GalerkinConfig) -> int:
+    """Rows one block of the stepper may hold: rows x max(triplets, 2000) <=
+    BLOCK_CACHE, at least 1.  Compiles the system if it is not cached."""
+    sys = _compiled(config.basis, config.n, config.model, config.include_B)
+    triplets = len(sys._V) if sys.include_B else 0
+    return max(1, BLOCK_CACHE // max(triplets, 2000))
+
+
 def _row_shapes(config: GalerkinConfig) -> dict:
     """Shape after the row axis of every per-row array of a record: norms,
     ledger, snapshots with their quadratic-variation and refinement entries,
@@ -699,14 +707,16 @@ def integrate_trajectory(
     return integrate_batch(config, [traj_index], None if path is None else [path])[0]
 
 
-# stacked arrays of the ensemble being integrated; pool workers inherit them
-# at fork and write their blocks' rows in place
+# config and stacked arrays of the ensemble being integrated; pool workers
+# inherit them at fork, so a block is only its rows [lo, hi), which it writes
+# in place
 _ENSEMBLE: dict = {}
 
 
-def _run_chunk(args) -> None:
-    config, lo, hi = args
-    _integrate_rows(config, range(lo, hi), None, {name: a[lo:hi] for name, a in _ENSEMBLE.items()})
+def _run_chunk(block) -> None:
+    lo, hi = block
+    out = {name: a[lo:hi] for name, a in _ENSEMBLE["out"].items()}
+    _integrate_rows(_ENSEMBLE["config"], range(lo, hi), None, out)
 
 
 def integrate_ensemble(config: GalerkinConfig, n_traj: int, workers: int = 1) -> Ensemble:
@@ -715,15 +725,14 @@ def integrate_ensemble(config: GalerkinConfig, n_traj: int, workers: int = 1) ->
     The stacked (n_traj, ...) arrays are allocated once, in one anonymous
     shared mapping, and each block writes its rows in place, so no row is
     pickled.  A block is an equal share of the rows per worker, capped by
-    BLOCK_CACHE.  Every row is independent of the worker count and of the
+    `cache_rows`, which also compiles the system that forked workers
+    inherit.  Every row is independent of the worker count and of the
     blocks."""
-    sys = _compiled(config.basis, config.n, config.model, config.include_B)
-    triplets = len(sys._V) if sys.include_B else 0
     share = math.ceil(n_traj / max(1, workers))
-    rows = max(1, min(share, BLOCK_CACHE // max(triplets, 2000)))
-    blocks = [(config, lo, min(lo + rows, n_traj)) for lo in range(0, n_traj, rows)]
+    rows = max(1, min(share, cache_rows(config)))
+    blocks = [(lo, min(lo + rows, n_traj)) for lo in range(0, n_traj, rows)]
     out = _stacked(config, n_traj)
-    _ENSEMBLE.update(out)
+    _ENSEMBLE.update(config=config, out=out)
     try:
         if workers > 1 and len(blocks) > 1:
             # fork explicitly: workers must inherit the shared mapping and the
@@ -756,25 +765,36 @@ def energy_budget_check(ens: Ensemble) -> EnergyBudgetReport:
     The identity |u+|^2 - |u|^2 = (drift + taming + forcing + martingale work)
     + |du|^2 is exact in exact arithmetic for both schemes (for the
     exponential one the drift work is taken across the Stokes factor); the
-    worst relative residual over the steps each path took is returned (a
-    path with a NaN residual counts for none).  The comparison of the realized
-    quadratic noise increments against the integrated Hilbert-Schmidt norms is
-    statistical and is reported as a z-score over the paths that did not abort.
+    worst relative residual over the steps each path took is returned.  The
+    step into an overflow may read inf/inf: a NaN residual counts for
+    nothing, and the path's other steps still count.  The comparison of the
+    realized quadratic noise increments against the integrated
+    Hilbert-Schmidt norms is statistical and is reported as a z-score over
+    the paths that did not abort.
     """
-    # in place where it can be: three (R, steps) arrays at a time
-    h2 = ens.norm_H**2
-    rhs = ens.drift_work + ens.b_work + ens.forcing_work + ens.mart_work + ens.delta_sq
-    err = np.diff(h2, axis=1) - rhs
-    np.abs(err, out=err)
-    scale = np.abs(rhs, out=rhs)
-    np.maximum(np.maximum(scale, h2[:, 1:], out=scale), h2[:, :-1], out=scale)
-    err /= np.maximum(scale, 1.0, out=scale)
     upto = np.where(ens.aborted, ens.abort_step, ens.steps)
-    err[np.arange(ens.steps) >= upto[:, None]] = 0.0
-    worst = float(np.fmax.reduce(np.max(err, axis=1), initial=0.0))
+    worst = np.zeros(len(ens))
+    # in place where it can be, on row blocks of (rows, steps) arrays of at
+    # most 2^16 entries; every reduction is per row, so no bit depends on
+    # the blocks
+    rows = max(1, 2**16 // ens.steps)
+    with np.errstate(invalid="ignore"):
+        for lo in range(0, len(ens), rows):
+            at = slice(lo, lo + rows)
+            h2 = ens.norm_H[at] ** 2
+            rhs = (ens.drift_work[at] + ens.b_work[at] + ens.forcing_work[at] + ens.mart_work[at]
+                   + ens.delta_sq[at])
+            err = np.diff(h2, axis=1) - rhs
+            np.abs(err, out=err)
+            scale = np.abs(rhs, out=rhs)
+            np.maximum(np.maximum(scale, h2[:, 1:], out=scale), h2[:, :-1], out=scale)
+            err /= np.maximum(scale, 1.0, out=scale)
+            err[np.arange(ens.steps) >= upto[at, None]] = 0.0
+            worst[at] = np.fmax.reduce(err, axis=1)
     live = ~ens.aborted
     diffs = np.sum(ens.ito_step, axis=1)[live] - np.sum(ens.hs_step, axis=1)[live]
-    return EnergyBudgetReport(max_relative_residual=worst, ito_zscore=_zscore(diffs), trajectories=len(ens))
+    return EnergyBudgetReport(max_relative_residual=float(np.fmax.reduce(worst, initial=0.0)),
+                              ito_zscore=_zscore(diffs), trajectories=len(ens))
 
 
 def _zscore(vals: np.ndarray) -> float:

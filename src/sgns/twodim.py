@@ -17,7 +17,7 @@ import numpy as np
 
 from .estimates import gronwall_eval, median
 from .galerkin import (
-    GalerkinConfig, _compiled, _row_shapes, generate_wiener, horizon_violations,
+    GalerkinConfig, _compiled, cache_rows, generate_wiener, horizon_violations,
     integrate_batch, level_violations,
 )
 from .nonlinear import TrilinearWorkspace, bilinear_B, trilinear_b
@@ -27,11 +27,6 @@ from .spectral import Basis, SpectralField, eval_physical, norm, project_Pn
 # convection term by (1/2)||v||^2 + C (|v|^2 + 1) ||z||_L4^4 via two Young
 # splits at ratio 1/2 and the quadratic L4 interpolation costs C = 128.
 YOUNG_CHAIN_C = 128.0
-
-# bytes of the stacked rows of one batch of twin pairs, both twins of a pair
-# counted: the twins run serially, and a batch's rows live until its ratios
-# are read
-TWIN_BUDGET = 4 * 2**20
 
 
 def _require_2d(basis: Basis):
@@ -246,6 +241,33 @@ class PathwiseUniquenessReport:
     trajectories: int
 
 
+def _twin_block(cfg: GalerkinConfig, block: list, x1, x2, C_eps: float, gamma: float) -> tuple:
+    """Twin pairs `block` (k of them) as one batch of 2k rows on k Wiener
+    paths, the rows of u1 (from x1) first, then those of u2 (from x2) in the
+    same order.  Returns whether the twins coincide bitwise (checked at
+    gamma = 0 only) and the pairs' terminal and running ratios (zero at
+    gamma = 0).  The batch is freed on return, before the next is made."""
+    k = len(block)
+    paths = [generate_wiener(cfg.steps, cfg.M, cfg.dt, cfg.seed, r) for r in block]
+    ens = integrate_batch(cfg, block + block, paths + paths,
+                          x0=np.repeat(np.stack([x1, x2]), k, axis=0))
+    bad = np.flatnonzero(ens.aborted)
+    if len(bad):
+        r = block[int(np.min(bad % k))]
+        raise RuntimeError(f"trajectory {r} aborted during the uniqueness experiment")
+    if gamma == 0.0:
+        return np.array_equal(ens.snap_u[:k], ens.snap_u[k:]), 0.0, 0.0
+    # |u1 - u2|_H^2 at each snapshot; squaring in place keeps one (k, S, n)
+    # temporary, where (a - b) ** 2 makes two
+    d = ens.snap_u[:k] - ens.snap_u[k:]
+    d *= d
+    U2 = np.add.reduce(d, axis=2)
+    r_t = np.cumsum(ens.norm_D[k:, :-1] ** 2, axis=1) * cfg.dt
+    r_t = C_eps * np.concatenate([np.zeros((k, 1)), r_t], axis=1)
+    weighted = np.exp(-r_t) * U2
+    return True, weighted[:, -1] / weighted[:, 0], np.max(weighted, axis=1) / weighted[:, 0]
+
+
 def pathwise_uniqueness_experiment(
     config: GalerkinConfig,
     lipschitz_L: float,
@@ -284,29 +306,14 @@ def pathwise_uniqueness_experiment(
     ratios_T = np.zeros(n_traj)
     sup_ratios = np.zeros(n_traj)
     identical = True
-    # each block of k pairs is one batch of 2k rows on k Wiener paths: the
-    # rows of u1 first, then those of u2 in the same order
-    record = 8 * sum(math.prod(shape) for shape in _row_shapes(cfg).values())
-    rows = max(1, TWIN_BUDGET // (2 * record))
-    for start in range(0, n_traj, rows):
-        block = list(range(start, min(start + rows, n_traj)))
-        k = len(block)
-        paths = [generate_wiener(cfg.steps, cfg.M, cfg.dt, cfg.seed, r) for r in block]
-        ens = integrate_batch(cfg, block + block, paths + paths,
-                              x0=np.repeat(np.stack([x1, x2]), k, axis=0))
-        bad = np.flatnonzero(ens.aborted)
-        if len(bad):
-            r = block[int(np.min(bad % k))]
-            raise RuntimeError(f"trajectory {r} aborted during the uniqueness experiment")
-        if gamma == 0.0:
-            identical = identical and np.array_equal(ens.snap_u[:k], ens.snap_u[k:])
-            continue
-        U2 = np.sum((ens.snap_u[:k] - ens.snap_u[k:]) ** 2, axis=2)
-        r_t = np.cumsum(ens.norm_D[k:, :-1] ** 2, axis=1) * cfg.dt
-        r_t = C_eps * np.concatenate([np.zeros((k, 1)), r_t], axis=1)
-        weighted = np.exp(-r_t) * U2
-        ratios_T[start : start + k] = weighted[:, -1] / weighted[:, 0]
-        sup_ratios[start : start + k] = np.max(weighted, axis=1) / weighted[:, 0]
+    # each block of k pairs is one batch of 2k rows, as many as a block of
+    # an ensemble holds
+    pairs = max(1, cache_rows(cfg) // 2)
+    for start in range(0, n_traj, pairs):
+        stop = min(start + pairs, n_traj)
+        same, ratios_T[start:stop], sup_ratios[start:stop] = _twin_block(
+            cfg, list(range(start, stop)), x1, x2, C_eps, gamma)
+        identical = identical and same
     return PathwiseUniquenessReport(
         gamma=gamma,
         eps=eps,

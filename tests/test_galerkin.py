@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import multiprocessing
+import warnings
 
 import numpy as np
 import pytest
@@ -596,6 +597,35 @@ def test_abort_inside_a_batch(basis2d_small):
     # the healthy rows are those of a batch without the bad rows
     for i, rec in zip((0, 2, 4), integrate_batch(cfg, [0, 2, 4])):
         assert_records_identical(batch[i], rec)
+
+
+def test_energy_budget_keeps_the_steps_before_an_overflow(basis2d_small):
+    # row 3's step into its abort overflows to inf, so that step's residual
+    # is inf/inf; its 12 finite steps still count, and row 1, which passes
+    # the limit at a finite state, keeps its value
+    cfg = rich_config(basis2d_small, T=0.03, overflow_limit=1e3)
+    paths = [generate_wiener(cfg.steps, cfg.M, cfg.dt, cfg.seed, i) for i in range(5)]
+    paths[1].dW[7] = 1e6
+    paths[3].dW[12] = 1e300
+    batch = integrate_batch(cfg, range(5), paths)
+    worst, skipped = [], []
+    for rec in batch:
+        upto = rec.abort_step if rec.aborted else rec.steps
+        h2 = rec.norm_H**2
+        rhs = (rec.drift_work + rec.b_work + rec.forcing_work + rec.mart_work + rec.delta_sq)[:upto]
+        scale = np.maximum.reduce([np.ones(upto), h2[:upto], h2[1 : upto + 1], np.abs(rhs)])
+        with np.errstate(invalid="ignore"):
+            per_step = np.abs(np.diff(h2)[:upto] - rhs) / scale
+        worst.append(float(np.max(per_step[np.isfinite(per_step)])))
+        skipped.append(int(np.count_nonzero(np.isnan(per_step))))
+    assert skipped == [0, 0, 0, 1, 0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = [energy_budget_check(integrate_batch(cfg, [i], [paths[i]])).max_relative_residual
+               for i in range(5)]
+        assert energy_budget_check(batch).max_relative_residual == max(worst)
+    assert got == worst
+    assert 0.0 < worst[3] < 1e-12 and 0.0 < worst[1] < 1e-12
 
 
 @pytest.mark.parametrize("scheme", ["em", "exponential"])

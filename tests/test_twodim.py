@@ -1,11 +1,11 @@
-import dataclasses
 import math
+import weakref
 
 import numpy as np
 import pytest
 
-from sgns import twodim
-from sgns.galerkin import GalerkinConfig, _row_shapes, integrate_trajectory
+from sgns import galerkin, twodim
+from sgns.galerkin import GalerkinConfig, integrate_trajectory
 from sgns.noise import certify_conditions, default_noise_model
 from sgns.nonlinear import TrilinearWorkspace
 from sgns.spectral import random_field
@@ -293,6 +293,23 @@ def test_pathwise_uniqueness_names_the_first_aborted_pair(basis2d_small, rng, mo
         pathwise_uniqueness_experiment(cfg, lipschitz_L=1.0, gamma=1e-8, n_traj=4)
 
 
+def counted_batches(monkeypatch):
+    """Spy on the twins' batches: the row count of each, and a weak reference
+    to each returned Ensemble, in call order.  Before each call it records
+    how many of the earlier batches are still alive."""
+    run, rows, refs, alive = twodim.integrate_batch, [], [], []
+
+    def counted(config, indices, paths, x0):
+        alive.append(sum(ref() is not None for ref in refs))
+        rows.append(len(indices))
+        ens = run(config, indices, paths, x0=x0)
+        refs.append(weakref.ref(ens))
+        return ens
+
+    monkeypatch.setattr(twodim, "integrate_batch", counted)
+    return rows, alive
+
+
 @pytest.mark.parametrize("gamma", [0.0, 1e-8])
 def test_pathwise_uniqueness_ignores_the_blocks(basis2d_small, rng, monkeypatch, gamma):
     cfg = GalerkinConfig(
@@ -300,19 +317,11 @@ def test_pathwise_uniqueness_ignores_the_blocks(basis2d_small, rng, monkeypatch,
         u0=random_field(basis2d_small, rng, n=8, decay=0.5),
         model=default_noise_model(2), seed=12,
     )
-    # the twins' rows: one snapshot per step, no integral snapshots
-    twin_cfg = dataclasses.replace(cfg, snapshot_stride=1, integral_snapshot_stride=0)
-    record = 8 * sum(math.prod(shape) for shape in _row_shapes(twin_cfg).values())
-    run, rows = twodim.integrate_batch, []
-
-    def counted(config, indices, paths, x0):
-        rows.append(len(indices))
-        return run(config, indices, paths, x0=x0)
-
-    monkeypatch.setattr(twodim, "integrate_batch", counted)
+    rows, _ = counted_batches(monkeypatch)
     reps = []
-    for budget in (twodim.TWIN_BUDGET, 2 * record, 2 * 3 * record):
-        monkeypatch.setattr(twodim, "TWIN_BUDGET", budget)
+    # n = 8 has fewer than 2,000 convection triplets: BLOCK_CACHE // 2000 rows
+    for cache in (14 * 2000, 2 * 2000, 6 * 2000):
+        monkeypatch.setattr(galerkin, "BLOCK_CACHE", cache)
         reps.append(pathwise_uniqueness_experiment(cfg, lipschitz_L=1.0, gamma=gamma, n_traj=7))
     # blocks of 7 pairs; of 1 pair; of 3 + 3 + 1 pairs
     assert rows == [14] + [2] * 7 + [6, 6, 2]
@@ -321,6 +330,35 @@ def test_pathwise_uniqueness_ignores_the_blocks(basis2d_small, rng, monkeypatch,
         assert rep.identical == reps[0].identical
         assert np.array_equal(rep.ratios_at_T, reps[0].ratios_at_T)
         assert np.array_equal(rep.sup_ratios, reps[0].sup_ratios)
+
+
+def uniqueness_config(basis):
+    """The twins of the uniqueness demo: n = 16 of K = 8, T = 0.5."""
+    return GalerkinConfig(
+        basis=basis, n=16, dt=1e-3, T=0.5,
+        u0=random_field(basis, np.random.default_rng(1100), n=8, decay=0.5),
+        model=default_noise_model(2), seed=2468,
+    )
+
+
+def test_twins_run_at_the_ensemble_block_size(basis2d, monkeypatch):
+    # n = 16 has 88 convection triplets, so a block holds BLOCK_CACHE // 2000
+    # = 100 rows: 100 pairs are two batches of 50 pairs
+    rows, _ = counted_batches(monkeypatch)
+    rep = pathwise_uniqueness_experiment(uniqueness_config(basis2d), lipschitz_L=1.0, gamma=1e-8, n_traj=100)
+    assert rows == [100, 100]
+    assert np.all(rep.ratios_at_T > 0.0)
+
+
+@pytest.mark.parametrize("gamma", [0.0, 1e-8])
+def test_each_twin_batch_is_freed_before_the_next(basis2d, monkeypatch, gamma):
+    # 40 pairs in blocks of 20: the first batch's rows are released before
+    # the second batch is made
+    monkeypatch.setattr(galerkin, "BLOCK_CACHE", 40 * 2000)
+    rows, alive = counted_batches(monkeypatch)
+    pathwise_uniqueness_experiment(uniqueness_config(basis2d), lipschitz_L=1.0, gamma=gamma, n_traj=40)
+    assert alive == [0] * len(rows)
+    assert rows == [40, 40]
 
 
 def test_shifted_problem_rejects_3d(basis3d_small):
