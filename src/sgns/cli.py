@@ -151,7 +151,9 @@ def run_estimates(run: RunConfig, bundle: ResultBundle, workers: int) -> int:
         return 1
     exp = run.experiment
     p_list = exp["p_list"]
-    by_n = {n: integrate_ensemble(replace(run.galerkin, n=n), run.trajectories, workers=workers)
+    # the moments read norms only, so no energy ledger
+    by_n = {n: integrate_ensemble(replace(run.galerkin, n=n, ledger=False), run.trajectories,
+                                  workers=workers)
             for n in run.n_list}
     stats = est.aggregate(by_n, p_list=p_list, eta=exp["eta"])
     verdict = est.uniformity_report(
@@ -189,7 +191,9 @@ def run_tightness(run: RunConfig, bundle: ResultBundle, workers: int) -> int:
     passed = True
     rows_mod, rows_aldous, rows_j = [], [], []
     summary_n = {}
-    grid = replace(run.galerkin, snapshot_stride=1, integral_snapshot_stride=exp["integral_stride"])
+    # the diagnostics read states, norms and integrals, so no energy ledger
+    grid = replace(run.galerkin, snapshot_stride=1, integral_snapshot_stride=exp["integral_stride"],
+                   ledger=False)
     # the pool workers record the lag maxima the modulus table reads
     grid = replace(grid, modulus_lags=tgt.modulus_lags(deltas, grid.snap_times))
     for n in run.n_list:

@@ -14,9 +14,9 @@ ensembles are reproducible bitwise for any worker count and any blocks.
 
 Each step writes an energy ledger (drift work, forcing work, martingale
 increment, quadratic remainder) that closes the discrete energy identity to
-roundoff, and cumulative drift/noise integrals are snapshotted so the
-martingale part of the path can be reconstructed and tested for zero mean and
-prescribed quadratic variation.
+roundoff, unless the config turns it off, and cumulative drift/noise
+integrals are snapshotted so the martingale part of the path can be
+reconstructed and tested for zero mean and prescribed quadratic variation.
 """
 
 from __future__ import annotations
@@ -226,6 +226,9 @@ class GalerkinConfig:
     # snapshot-spacing lags 1..modulus_lags whose per-path U' increment maxima
     # the stepper records (`lag_maxima`) for the modulus of continuity
     modulus_lags: int = 0
+    # whether the stepper records the energy ledger, which only
+    # `energy_budget_check` reads; off, each LEDGER array has width 0
+    ledger: bool = True
 
     def __post_init__(self):
         if self.scheme not in SCHEMES:
@@ -468,14 +471,15 @@ def cache_rows(config: GalerkinConfig) -> int:
 
 def _row_shapes(config: GalerkinConfig) -> dict:
     """Shape after the row axis of every per-row array of a record: norms,
-    ledger, snapshots with their quadratic-variation and refinement entries,
-    integral snapshots (keyed "integral_<term>"), u0, the lag maxima, the
-    cutoff minimum and the abort step.  Every entry is 8 bytes."""
+    ledger (width 0 unless config.ledger), snapshots with their
+    quadratic-variation and refinement entries, integral snapshots (keyed
+    "integral_<term>"), u0, the lag maxima, the cutoff minimum and the abort
+    step.  Every entry is 8 bytes."""
     steps, n = config.steps, config.n
     snaps = len(_snapshot_indices(steps, config.snapshot_stride))
     isnaps = len(_snapshot_indices(steps, config.integral_stride))
     shapes = {name: (steps + 1,) for name in ("norm_H", "norm_D", "norm_Udual")}
-    shapes.update({name: (steps,) for name in LEDGER})
+    shapes.update({name: (steps if config.ledger else 0,) for name in LEDGER})
     shapes.update(snap_u=(snaps, n), qv_cum=(snaps, len(config.qv_pairs)), refinement_I=(snaps,))
     shapes.update({f"integral_{name}": (isnaps, n) for name in INTEGRALS})
     shapes.update(u0_coords=(n,), lag_maxima=(config.modulus_lags,), cutoff_min=(), abort_step=())
@@ -539,11 +543,13 @@ def _integrate_rows(config: GalerkinConfig, indices, paths, out: dict, x0=None) 
     Each row is bitwise the same whatever the other rows, their number or
     their order.  The energy ledger closes the discrete energy identity for
     both schemes; under the exponential scheme the drift work and the Stokes
-    integral are taken across the Stokes factor.  A row whose state leaves
-    the finite range or passes `overflow_limit` is aborted: its norms are
-    written once more with the non-finite entries zeroed, and everything
-    after that step reads zero.  Last, each row's U' increment maxima over
-    lags 1..modulus_lags of the snapshot grid are taken from its snapshots.
+    integral are taken across the Stokes factor.  With config.ledger off its
+    seven reductions are skipped and its arrays have width 0; every other
+    array is the same bits either way.  A row whose state leaves the finite
+    range or passes `overflow_limit` is aborted: its norms are written once
+    more with the non-finite entries zeroed, and everything after that step
+    reads zero.  Last, each row's U' increment maxima over lags
+    1..modulus_lags of the snapshot grid are taken from its snapshots.
     """
     sys = _compiled(config.basis, config.n, config.model, config.include_B)
     steps, n, dt = config.steps, config.n, config.dt
@@ -565,6 +571,7 @@ def _integrate_rows(config: GalerkinConfig, indices, paths, out: dict, x0=None) 
             raise ValueError(f"initial states of shape {x.shape} do not match (B, n) = ({B}, {n})")
     out["u0_coords"][:] = x
     norm_H, norm_D, norm_Ud = out["norm_H"], out["norm_D"], out["norm_Udual"]
+    ledger = config.ledger
     led = {name: out[name] for name in LEDGER}
 
     snap_idx = _snapshot_indices(steps, config.snapshot_stride)
@@ -601,34 +608,38 @@ def _integrate_rows(config: GalerkinConfig, indices, paths, out: dict, x0=None) 
     with np.errstate(over="ignore", invalid="ignore"):
         for j in range(steps):
             x_new, y, theta, tbx, bx, g, xi = _step(sys, config, cutoff, x, norm_Ud[:, j], f, dW[j])
-            led["b_work"][:, j] = -2.0 * dt * theta * np.add.reduce(x * bx, axis=1)
-            led["mart_work"][:, j] = 2.0 * np.add.reduce(x * xi, axis=1)
-            led["ito_step"][:, j] = np.add.reduce(xi * xi, axis=1)
             np.minimum(cutoff_min, np.where(alive, theta, 1.0), out=cutoff_min)
             integrals["convection"] -= dt * tbx
             integrals["noise"] += xi
             if forced:
-                led["forcing_work"][:, j] = 2.0 * dt * np.add.reduce(x * f, axis=1)
                 integrals["forcing"] += dt * f
-            if g is not None:
-                led["hs_step"][:, j] = np.add.reduce((g * g).reshape(B, -1), axis=1) * dt
-                if qv_pairs:
-                    gp = g @ probes_n.T  # (B, M, P)
-                    for q, (a, b) in enumerate(qv_pairs):
-                        qv_run[:, q] += dt * np.add.reduce(gp[:, :, a] * gp[:, :, b], axis=1)
-            if refinement:
-                ref_run += dt * np.add.reduce(bx * ref_coords, axis=1)
             if y is None:
-                led["drift_work"][:, j] = -2.0 * dt * d2
-                led["delta_sq"][:, j] = np.add.reduce((x_new - x) ** 2, axis=1)
                 integrals["stokes"] -= dt * (sys.lamD * x)
             else:
-                led["delta_sq"][:, j] = np.add.reduce((y - x) ** 2, axis=1)
                 integrals["stokes"] += x_new - y
+            if qv_pairs and g is not None:
+                gp = g @ probes_n.T  # (B, M, P)
+                for q, (a, b) in enumerate(qv_pairs):
+                    qv_run[:, q] += dt * np.add.reduce(gp[:, :, a] * gp[:, :, b], axis=1)
+            if refinement:
+                ref_run += dt * np.add.reduce(bx * ref_coords, axis=1)
+            if ledger:
+                led["b_work"][:, j] = -2.0 * dt * theta * np.add.reduce(x * bx, axis=1)
+                led["mart_work"][:, j] = 2.0 * np.add.reduce(x * xi, axis=1)
+                led["ito_step"][:, j] = np.add.reduce(xi * xi, axis=1)
+                if forced:
+                    led["forcing_work"][:, j] = 2.0 * dt * np.add.reduce(x * f, axis=1)
+                if g is not None:
+                    led["hs_step"][:, j] = np.add.reduce((g * g).reshape(B, -1), axis=1) * dt
+                if y is None:
+                    led["drift_work"][:, j] = -2.0 * dt * d2
+                    led["delta_sq"][:, j] = np.add.reduce((x_new - x) ** 2, axis=1)
+                else:
+                    led["delta_sq"][:, j] = np.add.reduce((y - x) ** 2, axis=1)
 
             x = x_new
             h2, d2, u2 = _sq_norms(sys, x)
-            if y is not None:
+            if ledger and y is not None:
                 led["drift_work"][:, j] = h2 - np.add.reduce(y * y, axis=1)
             peak = np.maximum.reduce(np.abs(x), axis=1)
             bad = alive & ~(np.isfinite(peak) & (peak <= config.overflow_limit))
@@ -770,8 +781,12 @@ def energy_budget_check(ens: Ensemble) -> EnergyBudgetReport:
     nothing, and the path's other steps still count.  The comparison of the
     realized quadratic noise increments against the integrated
     Hilbert-Schmidt norms is statistical and is reported as a z-score over
-    the paths that did not abort.
+    the paths that did not abort.  The ensemble must have been recorded
+    with its ledger (`GalerkinConfig.ledger`, on by default).
     """
+    if ens.drift_work.shape[-1] != ens.steps:
+        raise ValueError("energy_budget_check needs the energy ledger, which this ensemble was "
+                         "recorded without (GalerkinConfig.ledger=False)")
     upto = np.where(ens.aborted, ens.abort_step, ens.steps)
     worst = np.zeros(len(ens))
     # in place where it can be, on row blocks of (rows, steps) arrays of at

@@ -237,7 +237,7 @@ class PathwiseUniquenessReport:
     ratios_at_T: np.ndarray
     sup_ratios: np.ndarray
     median_ratio_T: float
-    identical: bool
+    identical: bool | None  # whether the twins coincide bitwise; None at gamma > 0, not compared
     trajectories: int
 
 
@@ -245,8 +245,9 @@ def _twin_block(cfg: GalerkinConfig, block: list, x1, x2, C_eps: float, gamma: f
     """Twin pairs `block` (k of them) as one batch of 2k rows on k Wiener
     paths, the rows of u1 (from x1) first, then those of u2 (from x2) in the
     same order.  Returns whether the twins coincide bitwise (checked at
-    gamma = 0 only) and the pairs' terminal and running ratios (zero at
-    gamma = 0).  The batch is freed on return, before the next is made."""
+    gamma = 0 only, None otherwise) and the pairs' terminal and running
+    ratios (zero at gamma = 0).  The batch is freed on return, before the
+    next is made."""
     k = len(block)
     paths = [generate_wiener(cfg.steps, cfg.M, cfg.dt, cfg.seed, r) for r in block]
     ens = integrate_batch(cfg, block + block, paths + paths,
@@ -265,7 +266,7 @@ def _twin_block(cfg: GalerkinConfig, block: list, x1, x2, C_eps: float, gamma: f
     r_t = np.cumsum(ens.norm_D[k:, :-1] ** 2, axis=1) * cfg.dt
     r_t = C_eps * np.concatenate([np.zeros((k, 1)), r_t], axis=1)
     weighted = np.exp(-r_t) * U2
-    return True, weighted[:, -1] / weighted[:, 0], np.max(weighted, axis=1) / weighted[:, 0]
+    return None, weighted[:, -1] / weighted[:, 0], np.max(weighted, axis=1) / weighted[:, 0]
 
 
 def pathwise_uniqueness_experiment(
@@ -283,7 +284,8 @@ def pathwise_uniqueness_experiment(
     C_eps = 2/eps from the Young split of the convection difference, has
     nonincreasing expectation up to the martingale term; the report carries
     the per-trajectory terminal and running ratios against the initial value.
-    With gamma = 0 the runs must coincide bitwise.
+    With gamma = 0 the runs must coincide bitwise, which `identical` reports;
+    at gamma > 0 no comparison is made and it is None.
     """
     _require_2d(config.basis)
     if not lipschitz_L < 2.0:
@@ -298,14 +300,15 @@ def pathwise_uniqueness_experiment(
     basis = config.basis
     pert = np.zeros(basis.n_modes)
     pert[perturb_mode] = gamma
-    # only snap_u and norm_D are read, so no integral snapshots
-    cfg = replace(config, snapshot_stride=1, integral_snapshot_stride=0)
+    # only snap_u and norm_D are read, so no integral snapshots or ledger
+    cfg = replace(config, snapshot_stride=1, integral_snapshot_stride=0, ledger=False)
     sys = _compiled(basis, cfg.n, cfg.model, cfg.include_B)
     x1 = sys.encode(project_Pn(config.u0, cfg.n))
     x2 = sys.encode(project_Pn(config.u0 + basis.field_from_real_coords(pert), cfg.n))
     ratios_T = np.zeros(n_traj)
     sup_ratios = np.zeros(n_traj)
-    identical = True
+    # compared at gamma = 0 only: None stays None through the blocks
+    identical = True if gamma == 0.0 else None
     # each block of k pairs is one batch of 2k rows, as many as a block of
     # an ensemble holds
     pairs = max(1, cache_rows(cfg) // 2)

@@ -665,6 +665,101 @@ def test_exponential_scheme_ledger_closes(basis2d_small):
             assert np.max(np.abs(M - rec.snap_integrals["noise"][pos])) <= 1e-13 * scale
 
 
+# -- the energy ledger, recorded or not --------------------------------------------
+
+
+def assert_same_but_the_ledger(full, bare):
+    """`bare` holds each LEDGER array at width 0 and every other array of
+    `full` to the bit."""
+    for name in galerkin.LEDGER:
+        assert getattr(bare, name).shape == (len(bare), 0), name
+    empty = {name: getattr(bare, name) for name in galerkin.LEDGER}
+    assert_records_identical(dataclasses.replace(full, **empty), bare)
+
+
+@pytest.mark.parametrize("scheme", ["em", "exponential"])
+def test_ledger_off_keeps_every_other_array(basis2d_small, scheme):
+    # rows 1 and 3 abort as in test_abort_inside_a_batch, the others run to
+    # the end
+    cfg = rich_config(basis2d_small, scheme=scheme, T=0.03, overflow_limit=1e3)
+    paths = [generate_wiener(cfg.steps, cfg.M, cfg.dt, cfg.seed, i) for i in range(5)]
+    paths[1].dW[7] = 1e6
+    paths[3].dW[12] = 1e300
+    bare = dataclasses.replace(cfg, ledger=False)
+    assert bare.fingerprint() == cfg.fingerprint()
+    full = integrate_batch(cfg, range(5), paths)
+    assert full.aborted.tolist() == [False, True, False, True, False]
+    assert_same_but_the_ledger(full, integrate_batch(bare, range(5), paths))
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_ensemble_without_the_ledger(basis2d_small, workers):
+    # rows 2, 5 and 6 pass the overflow limit; 2 workers run blocks of 4 + 3
+    cfg = rich_config(basis2d_small, overflow_limit=1.05)
+    full = integrate_ensemble(cfg, 7, workers=workers)
+    bare = integrate_ensemble(dataclasses.replace(cfg, ledger=False), 7, workers=workers)
+    assert_same_but_the_ledger(full, bare)
+    assert all(rec.drift_work.shape == (0,) for rec in bare)
+
+
+def test_energy_budget_needs_the_ledger(basis2d_small):
+    ens = integrate_batch(rich_config(basis2d_small, ledger=False), range(3))
+    with pytest.raises(ValueError, match=r"GalerkinConfig\.ledger=False"):
+        energy_budget_check(ens)
+
+
+# -- an exact pathwise oracle -----------------------------------------------------
+
+
+@pytest.mark.parametrize("scheme", ["em", "exponential"])
+@pytest.mark.parametrize("b_vectors, c_values", [
+    ([[1.2, 0.3]], None),
+    ([[1.2, 0.3], [-0.4, 0.9]], None),
+    ([[1.2, 0.3], [-0.4, 0.9]], [0.0, 0.5]),
+], ids=["one-direction", "two-directions", "with-c"])
+def test_slot_moduli_are_the_exact_products(basis2d, scheme, b_vectors, c_values):
+    # Without convection, constant transport noise acts on each polarization
+    # slot as multiplication by i s_j + r_j, with s_j = sum_m (b_m . kappa)
+    # dW_mj and r_j = sum_m c_m dW_mj, and the drift factor is real.  So on
+    # every path a complete slot (both roles among the first n modes) has
+    #   EM:          |c_N|^2 = |c_0|^2 prod_j ((1 - lam dt + r_j)^2 + s_j^2)
+    #   exponential: |c_N|^2 = e^(-2 lam T) |c_0|^2 prod_j ((1 + r_j)^2 + s_j^2)
+    # A lone role (its slot's other role past n) loses i s_j to P_n.
+    basis, n, dt, T = basis2d, 16, 1e-3, 0.5
+    cfg = GalerkinConfig(
+        basis=basis, n=n, dt=dt, T=T, u0=random_field(basis, np.random.default_rng(7), n=n, decay=0.5),
+        model=constant_transport_model(b_vectors, c_values), include_B=False, seed=42, scheme=scheme,
+    )
+    ens = integrate_batch(cfg, range(8))
+    dW = np.stack([generate_wiener(cfg.steps, cfg.M, dt, cfg.seed, i).dW for i in range(8)])
+    b = np.array(b_vectors)
+    c = np.zeros(len(b)) if c_values is None else np.array(c_values)
+    r = dW @ c  # (paths, steps)
+    lam = basis.mode_weights("D", n)
+    slot = basis.mode_slot[:n]
+    complete = [k for k in np.unique(slot) if np.count_nonzero(slot == k) == 2]
+    lone = np.flatnonzero(~np.isin(slot, complete))
+    assert lone.tolist() == [12, 13, 14, 15]
+    assert all(np.flatnonzero(basis.mode_slot == slot[m]).max() >= n for m in lone)
+
+    def moduli(modes, s):
+        a = 1.0 - lam[modes[0]] * dt if scheme == "em" else 1.0
+        decay = 1.0 if scheme == "em" else math.exp(-2.0 * lam[modes[0]] * T)
+        c0 = np.sum(ens.u0_coords[:, modes] ** 2, axis=1)
+        assert np.all(c0 > 0.0)
+        want = decay * c0 * np.prod((a + r) ** 2 + s**2, axis=1)
+        return np.sum(ens.snap_u[:, -1, modes] ** 2, axis=1), want
+
+    for k in complete:
+        got, want = moduli(np.flatnonzero(slot == k), dW @ (b @ basis.slot_kappa[k]))
+        assert np.all(np.abs(got - want) <= 1e-12 * want), k
+    for m in lone:
+        got, want = moduli([m], dW @ (b @ basis.slot_kappa[slot[m]]))
+        assert np.all(np.abs(got - want) > 1e-6 * want), m
+        got, want = moduli([m], 0.0)
+        assert np.all(np.abs(got - want) <= 1e-12 * want), m
+
+
 # -- the stacked Ensemble and its diagnostics -------------------------------------
 
 

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sgns import tightness
+from sgns import galerkin, tightness
 from sgns.cli import VERBS, main, run_command
 from sgns.config import EXPERIMENT, ConfigError, load_config
 from sgns.io import read_snapshot, write_snapshot
@@ -237,6 +237,36 @@ def test_verbs_read_exactly_the_experiment_table(tmp_path):
     assert reads == set(EXPERIMENT)
 
 
+def test_only_the_energy_verbs_record_the_ledger(tmp_path, monkeypatch):
+    # `energy_budget_check` reads the energy ledger, and only simulate and
+    # ensemble call it; the other verbs integrate with the ledger off
+    tight = json.loads((DEMOS / "tightness.json").read_text())
+    tight["galerkin"].update(n_list=[4], T=0.25)
+    tight["ensemble"]["trajectories"] = 8
+    configs = {
+        "simulate": write_cfg(tmp_path, name="simulate.json"),
+        "ensemble": write_cfg(tmp_path, name="ensemble.json"),
+        "estimates": write_cfg(tmp_path, {"galerkin": {"n_list": [2, 4, 6]}}, "estimates.json"),
+        "tightness": tight,
+        "uniqueness": write_cfg(tmp_path, {"experiment": {"certify_samples": 50, "twin_trajectories": 1}},
+                                "uniqueness.json"),
+    }
+    integrate, seen = galerkin._integrate_rows, []
+
+    def spy(config, *args, **kwargs):
+        seen.append(config.ledger)
+        return integrate(config, *args, **kwargs)
+
+    monkeypatch.setattr(galerkin, "_integrate_rows", spy)
+    ledger = {}
+    for verb, cfg in configs.items():
+        seen.clear()
+        run_command(verb, load_config(cfg), tmp_path / verb, workers=1)
+        ledger[verb] = set(seen)
+    assert ledger == {"simulate": {True}, "ensemble": {True}, "estimates": {False},
+                      "tightness": {False}, "uniqueness": {False}}
+
+
 def test_seed_override_matches_configured_seed(tmp_path):
     base = write_cfg(tmp_path)
     seeded = write_cfg(tmp_path, {"ensemble": {"base_seed": 9}}, "seeded.json")
@@ -460,10 +490,13 @@ def test_cli_bad_config_exit_code(tmp_path):
 
 def test_console_entry_point(tmp_path):
     path = write_cfg(tmp_path, {"experiment": {"samples": 5}})
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "sgns.cli", "verify-operators",
          "--config", str(path), "--out", str(tmp_path / "out")],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=env,
     )
     assert proc.returncode == 0
     assert "PASS" in proc.stdout

@@ -332,6 +332,19 @@ def test_pathwise_uniqueness_ignores_the_blocks(basis2d_small, rng, monkeypatch,
         assert np.array_equal(rep.sup_ratios, reps[0].sup_ratios)
 
 
+def test_twins_are_compared_at_gamma_zero_only(basis2d_small, rng):
+    cfg = GalerkinConfig(
+        basis=basis2d_small, n=8, dt=1e-3, T=0.05,
+        u0=random_field(basis2d_small, rng, n=8, decay=0.5),
+        model=default_noise_model(2), seed=12,
+    )
+    twin = pathwise_uniqueness_experiment(cfg, lipschitz_L=1.0, gamma=0.0, n_traj=3)
+    rep = pathwise_uniqueness_experiment(cfg, lipschitz_L=1.0, gamma=1e-8, n_traj=3)
+    assert twin.identical is True
+    # no comparison is made between twins a gamma apart
+    assert rep.identical is None
+
+
 def uniqueness_config(basis):
     """The twins of the uniqueness demo: n = 16 of K = 8, T = 0.5."""
     return GalerkinConfig(
