@@ -26,10 +26,9 @@ cfg = GalerkinConfig(
 )
 
 one = integrate_batch(cfg, [0])  # an Ensemble of one path
-rec = one[0]
-print(f"one path: n = {cfg.n}, {rec.steps} steps of dt = {cfg.dt}")
-print(f"  sup_t |u|_H = {rec.sup_H():.4f}, int ||u||^2 dt = {rec.integral_dirichlet2():.4f}")
-print(f"  taming cutoff engaged: {'yes' if rec.cutoff_min < 1 else 'no'}")
+print(f"one path: n = {cfg.n}, {one.steps} steps of dt = {cfg.dt}")
+print(f"  sup_t |u|_H = {one.sup_H()[0]:.4f}, int ||u||^2 dt = {one.integral_dirichlet2()[0]:.4f}")
+print(f"  taming cutoff engaged: {'yes' if one.cutoff_min[0] < 1 else 'no'}")
 
 budget = energy_budget_check(one)
 print(f"  per-step energy identity residual: {budget.max_relative_residual:.2e}")
@@ -45,5 +44,5 @@ print(f"  martingale pairing with the first eigenfield on [0.2, 0.8]:")
 print(f"    mean z-score = {rep.mean_zscore:+.2f}, quadratic-variation z-score = {rep.qv_zscore:+.2f}")
 print(f"    ledger reconstruction residual = {rep.reconstruction_residual:.2e}")
 
-mean_sup = float(np.mean([r.sup_H() ** 2 for r in ens]))
-print(f"\n  E[sup |u|_H^2] = {mean_sup:.4f} (initial energy {rec.norm_H[0]**2:.4f}; dissipative drift)")
+mean_sup = float(np.mean(ens.sup_H() ** 2))
+print(f"\n  E[sup |u|_H^2] = {mean_sup:.4f} (initial energy {one.norm_H[0, 0]**2:.4f}; dissipative drift)")

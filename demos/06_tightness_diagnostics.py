@@ -9,7 +9,7 @@ which the J-term fits confirm.
 
 import numpy as np
 
-from sgns.galerkin import GalerkinConfig, integrate_ensemble, integrate_trajectory
+from sgns.galerkin import GalerkinConfig, integrate_batch, integrate_ensemble
 from sgns.noise import default_noise_model
 from sgns.spectral import Basis, SpaceScale, TorusDomain, random_field
 from sgns.tightness import (
@@ -63,7 +63,7 @@ for n in (8, 16, 32, 64):
     c = GalerkinConfig(basis=basis, n=n, dt=dt, T=T, u0=u0_ref,
                        model=default_noise_model(2), seed=22,
                        snapshot_stride=64, refinement_probe=psi)
-    by_n[n] = integrate_trajectory(c)
+    by_n[n] = integrate_batch(c, [0])  # one path per level
 ref = nonlinear_refinement_check(by_n)
 print(f"  I_n = {[f'{v:+.6f}' for v in ref.integrals]}")
 print(f"  successive gaps = {[f'{g:.2e}' for g in ref.successive_gaps]}")

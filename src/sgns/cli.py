@@ -100,24 +100,24 @@ def run_certify_noise(run: RunConfig, bundle: ResultBundle, workers: int) -> int
 
 def run_simulate(run: RunConfig, bundle: ResultBundle, workers: int) -> int:
     one = integrate_batch(run.galerkin, [0])
-    rec = one[0]
     bundle.add_table(
         "trajectory",
         ["t", "norm_H", "norm_D", "norm_Udual"],
-        zip(rec.times, rec.norm_H, rec.norm_D, rec.norm_Udual),
+        zip(one.times, one.norm_H[0], one.norm_D[0], one.norm_Udual[0]),
     )
-    for pos, step in enumerate(rec.snap_idx):
+    for pos, step in enumerate(one.snap_idx):
         write_snapshot(bundle.snapshot_path(f"t{int(step):08d}"),
-                       rec.snapshot_field(run.basis, pos), n=run.n)
+                       run.basis.field_from_real_coords(one.snap_u[0, pos]), n=run.n)
     budget = energy_budget_check(one)
+    aborted = bool(one.aborted[0])
     bundle.summary.update(
-        aborted=rec.aborted, abort_step=rec.abort_step, steps=rec.steps,
-        sup_H=rec.sup_H(), int_dirichlet2=rec.integral_dirichlet2(),
-        cutoff_min=rec.cutoff_min,
+        aborted=aborted, abort_step=int(one.abort_step[0]), steps=one.steps,
+        sup_H=one.sup_H()[0], int_dirichlet2=one.integral_dirichlet2()[0],
+        cutoff_min=float(one.cutoff_min[0]),
         energy_residual=budget.max_relative_residual,
-        passed=bool(not rec.aborted),
+        passed=not aborted,
     )
-    return 0 if not rec.aborted else 1
+    return 0 if not aborted else 1
 
 
 def run_ensemble(run: RunConfig, bundle: ResultBundle, workers: int) -> int:
@@ -302,6 +302,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.seed is not None and args.seed < 0:
         parser.error("--seed must be >= 0")
+    if args.workers is not None and args.workers < 1:
+        parser.error("--workers must be >= 1")
     try:
         run = load_config(args.config)
     except ConfigError as e:

@@ -8,9 +8,11 @@ diagonal, the tamed nonlinearity a sparse contraction over the nonzero
 triplets of the convection form and each noise direction a dense matrix, all
 derived from the exact spectral operators.  One stepper advances a block of
 trajectories as the rows of a (B, n) state, with row-independent operations
-only; a single trajectory is the case B = 1.  Every trajectory is a pure
-function of (config, seed, index) -- one Philox stream per trajectory -- so
-ensembles are reproducible bitwise for any worker count and any blocks.
+only, and returns them as one record, an `Ensemble` of stacked (R, ...)
+arrays; a single trajectory is an Ensemble of one row.  Every trajectory is
+a pure function of (config, seed, index) -- one Philox stream per
+trajectory -- so ensembles are reproducible bitwise for any worker count and
+any blocks.
 
 Each step writes an energy ledger (drift work, forcing work, martingale
 increment, quadratic remainder) that closes the discrete energy identity to
@@ -25,7 +27,7 @@ import math
 import mmap
 import multiprocessing
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,23 +39,13 @@ from .spectral import Basis, ROLE_COS, SpectralField, project_Pn
 # -- Wiener increments -------------------------------------------------------
 
 
-@dataclass
-class WienerPath:
-    """Increments of the truncated cylindrical Wiener process, N(0, dt) each."""
-
-    dW: np.ndarray  # (steps, M)
-    dt: float
-    seed: int
-    traj_index: int = 0
-
-
-def generate_wiener(steps: int, M: int, dt: float, seed: int, traj_index: int = 0) -> WienerPath:
-    """Philox-keyed increments; identical for identical (seed, traj_index)."""
+def generate_wiener(steps: int, M: int, dt: float, seed: int, traj_index: int = 0) -> np.ndarray:
+    """Increments (steps, M) of the truncated cylindrical Wiener process,
+    N(0, dt) each, Philox-keyed: identical for identical (seed, traj_index)."""
     if steps < 1 or M < 0:
         raise ValueError("need steps >= 1 and M >= 0")
     gen = np.random.Generator(np.random.Philox(key=[seed & (2**64 - 1), traj_index]))
-    dW = gen.normal(0.0, math.sqrt(dt), size=(steps, M))
-    return WienerPath(dW=dW, dt=dt, seed=seed, traj_index=traj_index)
+    return gen.normal(0.0, math.sqrt(dt), size=(steps, M))
 
 
 # -- compiled subspace -------------------------------------------------------
@@ -293,10 +285,11 @@ class GalerkinConfig:
 
 
 @dataclass(eq=False)
-class _Paths:
-    """Per-step norms, energy ledger and snapshots of one path, or of R paths
-    of one config stacked along a leading row axis [R] over their shared
-    grid.  The functionals reduce the last (step) axis: one value per path."""
+class Ensemble:
+    """Trajectories `indices` of one config as the rows of stacked arrays
+    [R, ...] over their shared grid; one trajectory is an Ensemble of one
+    row.  An aborted row reads zero after its abort step and is flagged in
+    `aborted`.  The functionals reduce the step axis: one value per row."""
 
     n: int
     dt: float
@@ -304,10 +297,11 @@ class _Paths:
     seed: int
     config_hash: str
     scheme: str
-    norm_H: np.ndarray  # ([R,] steps + 1), likewise norm_D and norm_Udual
+    indices: np.ndarray  # (R,) trajectory indices
+    norm_H: np.ndarray  # (R, steps + 1), likewise norm_D and norm_Udual
     norm_D: np.ndarray
     norm_Udual: np.ndarray
-    drift_work: np.ndarray  # ([R,] steps), likewise the rest of the LEDGER
+    drift_work: np.ndarray  # (R, steps), likewise the rest of the LEDGER
     b_work: np.ndarray
     forcing_work: np.ndarray
     mart_work: np.ndarray
@@ -315,15 +309,21 @@ class _Paths:
     ito_step: np.ndarray
     hs_step: np.ndarray
     snap_idx: np.ndarray  # (S,)
-    snap_u: np.ndarray  # ([R,] S, n)
+    snap_u: np.ndarray  # (R, S, n)
     integral_snap_idx: np.ndarray  # (S_J,)
-    snap_integrals: dict  # {"stokes","convection","forcing","noise"} -> ([R,] S_J, n)
-    u0_coords: np.ndarray  # ([R,] n)
+    snap_integrals: dict  # {"stokes","convection","forcing","noise"} -> (R, S_J, n)
+    u0_coords: np.ndarray  # (R, n)
     probes_n: np.ndarray  # (probes, n)
     qv_pairs: tuple
-    qv_cum: np.ndarray  # ([R,] S, len(qv_pairs))
-    refinement_I: np.ndarray | None  # ([R,] S)
-    lag_maxima: np.ndarray  # ([R,] modulus_lags): max over s of |u(s + l) - u(s)|_{U'}
+    qv_cum: np.ndarray  # (R, S, len(qv_pairs))
+    refinement_I: np.ndarray | None  # (R, S)
+    lag_maxima: np.ndarray  # (R, modulus_lags): max over s of |u(s + l) - u(s)|_{U'}
+    cutoff_min: np.ndarray  # (R,)
+    abort_step: np.ndarray  # (R,), -1 on a row that ran to the end
+    aborted: np.ndarray  # (R,) bool
+
+    def __len__(self) -> int:
+        return len(self.indices)
 
     @property
     def times(self) -> np.ndarray:
@@ -334,58 +334,15 @@ class _Paths:
         return self.snap_idx * self.dt
 
     def sup_H(self):
-        return np.max(self.norm_H, axis=-1)
+        return np.max(self.norm_H, axis=1)
 
     def integral_dirichlet2(self):
         """Left-endpoint quadrature of the Dirichlet energy integral."""
-        return np.sum(self.norm_D[..., :-1] ** 2, axis=-1) * self.dt
+        return np.sum(self.norm_D[:, :-1] ** 2, axis=1) * self.dt
 
     def integral_weighted(self, p: float):
         """Left-endpoint quadrature of the |u|^(p-2) ||u||^2 integral."""
-        return np.sum(self.norm_H[..., :-1] ** (p - 2) * self.norm_D[..., :-1] ** 2, axis=-1) * self.dt
-
-
-@dataclass
-class TrajectoryRecord(_Paths):
-    """One simulated path: per-step norms, energy ledger, snapshots."""
-
-    traj_index: int
-    cutoff_min: float
-    aborted: bool = False
-    abort_step: int = -1
-
-    def snapshot_field(self, basis: Basis, pos: int) -> SpectralField:
-        full = np.zeros(basis.n_modes)
-        full[: self.n] = self.snap_u[pos]
-        return basis.field_from_real_coords(full)
-
-
-@dataclass(eq=False)
-class Ensemble(_Paths):
-    """Trajectories `indices` of one config as the rows of stacked arrays.
-    An aborted row reads zero after its abort step and is flagged in
-    `aborted`.  `ens[r]` and iteration give the rows as TrajectoryRecords
-    whose arrays are views of these."""
-
-    indices: np.ndarray  # (R,) trajectory indices
-    cutoff_min: np.ndarray  # (R,)
-    abort_step: np.ndarray  # (R,), -1 on a row that ran to the end
-    aborted: np.ndarray  # (R,) bool
-
-    def __len__(self) -> int:
-        return len(self.indices)
-
-    def __getitem__(self, r: int) -> TrajectoryRecord:
-        row = {f.name: getattr(self, f.name) for f in fields(_Paths)}
-        row.update({name: row[name][r] for name in ROW_ARRAYS})
-        row["snap_integrals"] = {name: J[r] for name, J in self.snap_integrals.items()}
-        if self.refinement_I is not None:
-            row["refinement_I"] = self.refinement_I[r]
-        return TrajectoryRecord(**row, traj_index=int(self.indices[r]), cutoff_min=float(self.cutoff_min[r]),
-                                aborted=bool(self.aborted[r]), abort_step=int(self.abort_step[r]))
-
-    def __iter__(self):
-        return (self[r] for r in range(len(self)))
+        return np.sum(self.norm_H[:, :-1] ** (p - 2) * self.norm_D[:, :-1] ** 2, axis=1) * self.dt
 
 
 def float_map(fn, x) -> np.ndarray:
@@ -450,8 +407,9 @@ def _lag_maxima(coords: np.ndarray, w: np.ndarray, max_lag: int) -> np.ndarray:
 
 LEDGER = ("drift_work", "b_work", "forcing_work", "mart_work", "delta_sq", "ito_step", "hs_step")
 INTEGRALS = ("stokes", "convection", "forcing", "noise")
-# the per-row arrays of a record, under the same names in an Ensemble
-ROW_ARRAYS = ("norm_H", "norm_D", "norm_Udual", *LEDGER, "snap_u", "u0_coords", "qv_cum", "lag_maxima")
+# the per-row arrays of `_row_shapes` that an Ensemble holds under their own names
+ROW_ARRAYS = ("norm_H", "norm_D", "norm_Udual", *LEDGER, "snap_u", "u0_coords", "qv_cum", "lag_maxima",
+              "cutoff_min", "abort_step")
 
 # rows x convection triplets one block may hold; fewer than 2,000 triplets
 # count as 2,000.  Past it a step's (rows, triplets) gather leaves the cache:
@@ -532,13 +490,14 @@ def _step(sys, config, cutoff, x, ud, f, dw):
     return np.exp(-sys.lamD * dt) * y, y, theta, tbx, bx, g, xi
 
 
-def _integrate_rows(config: GalerkinConfig, indices, paths, out: dict, x0=None) -> None:
+def _integrate_rows(config: GalerkinConfig, indices, dW, out: dict, x0=None) -> None:
     """Integrate trajectories `indices` together as the rows of one (B, n)
-    state, each driven by its own Philox stream (or by its entry of
-    `paths`), writing norms, ledger and snapshots into `out`: zeroed arrays
-    of `_row_shapes` with B rows, written in place.  Every row starts from
-    the coordinates of P_n config.u0, or from its row of `x0` (B, n) when
-    given; `u0_coords` records each row's start.
+    state, each driven by its own Philox stream (or by its column of the
+    increments `dW` (steps, B, M) when given), writing norms, ledger and
+    snapshots into `out`: zeroed arrays of `_row_shapes` with B rows,
+    written in place.  Every row starts from the coordinates of P_n
+    config.u0, or from its row of `x0` (B, n) when given; `u0_coords`
+    records each row's start.
 
     Each row is bitwise the same whatever the other rows, their number or
     their order.  The energy ledger closes the discrete energy identity for
@@ -554,14 +513,11 @@ def _integrate_rows(config: GalerkinConfig, indices, paths, out: dict, x0=None) 
     sys = _compiled(config.basis, config.n, config.model, config.include_B)
     steps, n, dt = config.steps, config.n, config.dt
     B = len(indices)
-    if paths is None:
-        paths = [generate_wiener(steps, config.M, dt, config.seed, i) for i in indices]
-    for path in paths:
-        if path.dW.shape != (steps, config.M):
-            raise ValueError(
-                f"Wiener path shape {path.dW.shape} does not match (steps, M) = ({steps}, {config.M})"
-            )
-    dW = np.stack([path.dW for path in paths], axis=1)  # (steps, B, M)
+    if dW is None:
+        dW = np.stack([generate_wiener(steps, config.M, dt, config.seed, i) for i in indices], axis=1)
+    elif dW.shape != (steps, B, config.M):
+        raise ValueError(f"Wiener increments of shape {dW.shape} do not match "
+                         f"(steps, B, M) = ({steps}, {B}, {config.M})")
 
     if x0 is None:
         x = np.repeat(sys.encode(project_Pn(config.u0, n))[None], B, axis=0)
@@ -695,27 +651,20 @@ def _ensemble(config: GalerkinConfig, indices, out: dict) -> Ensemble:
         **{name: out[name] for name in ROW_ARRAYS},
         snap_integrals={name: out[f"integral_{name}"] for name in INTEGRALS},
         refinement_I=out["refinement_I"] if config.refinement_probe is not None else None,
-        cutoff_min=out["cutoff_min"], abort_step=out["abort_step"], aborted=out["abort_step"] >= 0,
+        aborted=out["abort_step"] >= 0,
     )
 
 
-def integrate_batch(config: GalerkinConfig, indices, paths=None, x0=None) -> Ensemble:
+def integrate_batch(config: GalerkinConfig, indices, dW=None, x0=None) -> Ensemble:
     """Integrate trajectories `indices` together as the rows of one (B, n)
     state (see `_integrate_rows`), each from P_n config.u0 or from its row
-    of `x0` (B, n); row r of the Ensemble is trajectory indices[r]."""
+    of `x0` (B, n), and driven by its own Philox stream or by its column of
+    `dW` (steps, B, M); row r of the Ensemble is trajectory indices[r].
+    One trajectory is `integrate_batch(config, [i])`."""
     indices = [int(i) for i in indices]
     out = _stacked(config, len(indices))
-    _integrate_rows(config, indices, paths, out, x0)
+    _integrate_rows(config, indices, dW, out, x0)
     return _ensemble(config, indices, out)
-
-
-def integrate_trajectory(
-    config: GalerkinConfig,
-    path: WienerPath | None = None,
-    traj_index: int = 0,
-) -> TrajectoryRecord:
-    """Integrate one trajectory: the batched stepper on one row."""
-    return integrate_batch(config, [traj_index], None if path is None else [path])[0]
 
 
 # config and stacked arrays of the ensemble being integrated; pool workers
@@ -737,8 +686,8 @@ def integrate_ensemble(config: GalerkinConfig, n_traj: int, workers: int = 1) ->
     shared mapping, and each block writes its rows in place, so no row is
     pickled.  A block is an equal share of the rows per worker, capped by
     `cache_rows`, which also compiles the system that forked workers
-    inherit.  Every row is independent of the worker count and of the
-    blocks."""
+    inherit; the pool has no more workers than blocks.  Every row is
+    independent of the worker count and of the blocks."""
     share = math.ceil(n_traj / max(1, workers))
     rows = max(1, min(share, cache_rows(config)))
     blocks = [(lo, min(lo + rows, n_traj)) for lo in range(0, n_traj, rows)]
@@ -750,7 +699,7 @@ def integrate_ensemble(config: GalerkinConfig, n_traj: int, workers: int = 1) ->
             # compiled system built above, which spawned or forkserver
             # workers, starting from a fresh import, would not see
             ctx = multiprocessing.get_context("fork")
-            with ProcessPoolExecutor(max_workers=workers, mp_context=ctx) as pool:
+            with ProcessPoolExecutor(max_workers=min(workers, len(blocks)), mp_context=ctx) as pool:
                 list(pool.map(_run_chunk, blocks))
         else:
             for block in blocks:
@@ -818,18 +767,17 @@ def _zscore(vals: np.ndarray) -> float:
     return float(np.mean(vals) / (sd / math.sqrt(len(vals)))) if sd > 0 else 0.0
 
 
-def reconstruct_martingale(rec, pos: int) -> np.ndarray:
-    """Martingale part at snapshot position `pos`, rebuilt from the ledger:
-    u(t) - u(0) - (Stokes + convection - forcing integrals), for one
-    TrajectoryRecord (n,) or for each row of an Ensemble (R, n)."""
-    step = int(rec.snap_idx[pos])
-    jpos = int(np.nonzero(rec.integral_snap_idx == step)[0][0])
+def reconstruct_martingale(ens: Ensemble, pos: int) -> np.ndarray:
+    """Martingale part at snapshot position `pos` of each row (R, n), rebuilt
+    from the ledger: u(t) - u(0) - (Stokes + convection - forcing integrals)."""
+    step = int(ens.snap_idx[pos])
+    jpos = int(np.nonzero(ens.integral_snap_idx == step)[0][0])
     return (
-        rec.snap_u[..., pos, :]
-        - rec.u0_coords
-        - rec.snap_integrals["stokes"][..., jpos, :]
-        - rec.snap_integrals["convection"][..., jpos, :]
-        - rec.snap_integrals["forcing"][..., jpos, :]
+        ens.snap_u[:, pos]
+        - ens.u0_coords
+        - ens.snap_integrals["stokes"][:, jpos]
+        - ens.snap_integrals["convection"][:, jpos]
+        - ens.snap_integrals["forcing"][:, jpos]
     )
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .estimates import median
-from .galerkin import INTEGRALS, TrajectoryRecord, _grid_positions, _increment_norms, _lag_maxima
+from .galerkin import INTEGRALS, Ensemble, _grid_positions, _increment_norms, _lag_maxima
 from .spectral import Basis
 
 
@@ -237,20 +237,21 @@ def calibrate_aldous_eta(family: FunctionFamily, theta: float, quantile: float =
 # -- J-term decomposition -------------------------------------------------------
 
 
-def decomposition_increments(rec: TrajectoryRecord, tau: float, theta: float) -> dict:
-    """Increments of the drift/forcing/noise integrals over [tau, tau + theta],
-    plus the decomposition-identity residual against the increment of the
-    path itself (nan when the path has no snapshot at either end)."""
-    jt = rec.integral_snap_idx * rec.dt
-    a, b = _grid_positions(jt, (tau, tau + theta), rec.dt)
-    out = {name: rec.snap_integrals[name][b] - rec.snap_integrals[name][a] for name in INTEGRALS}
+def decomposition_increments(ens: Ensemble, tau: float, theta: float) -> dict:
+    """Increments (R, n) of each row's drift/forcing/noise integrals over
+    [tau, tau + theta], plus the worst decomposition-identity residual over
+    the rows against the increments of the paths themselves (nan when the
+    paths have no snapshot at either end)."""
+    jt = ens.integral_snap_idx * ens.dt
+    a, b = _grid_positions(jt, (tau, tau + theta), ens.dt)
+    out = {name: ens.snap_integrals[name][:, b] - ens.snap_integrals[name][:, a] for name in INTEGRALS}
     residual = math.nan
     try:
-        ia, ib = _grid_positions(rec.snap_times, jt[[a, b]], rec.dt)
+        ia, ib = _grid_positions(ens.snap_times, jt[[a, b]], ens.dt)
     except ValueError:
         pass
     else:
-        residual = float(np.max(np.abs(rec.snap_u[ib] - rec.snap_u[ia] - sum(out.values()))))
+        residual = float(np.max(np.abs(ens.snap_u[:, ib] - ens.snap_u[:, ia] - sum(out.values()))))
     return {"increments": out, "identity_residual": residual}
 
 
@@ -301,25 +302,28 @@ class RefinementReport:
     cauchy_decay: bool  # last gap at most half the largest gap
 
 
-def nonlinear_refinement_check(records_by_n: dict) -> RefinementReport:
+def nonlinear_refinement_check(by_n: dict) -> RefinementReport:
     """Cauchy behaviour of I_n = int <B(u_n,u_n), P_n psi> dt across Galerkin
-    levels driven by the same Wiener path (records must carry the accumulated
-    refinement integral, i.e. were run with refinement_probe=psi).
+    levels driven by the same Wiener path: `by_n` maps each level to an
+    Ensemble of exactly one row, which must carry the accumulated
+    refinement integral, i.e. was run with refinement_probe=psi.
 
     `passed` demands monotone-decreasing gaps; single-path pre-asymptotic gaps
     can fluctuate even when the tail converges, which `cauchy_decay` captures.
     """
-    levels = tuple(sorted(records_by_n))
+    levels = tuple(sorted(by_n))
     if len(levels) < 3:
         raise ValueError("need at least 3 levels")
     vals = []
     for n in levels:
-        rec = records_by_n[n]
-        if rec.refinement_I is None:
+        ens = by_n[n]
+        if len(ens) != 1:
+            raise ValueError(f"need one trajectory per level, got {len(ens)} at n = {n}")
+        if ens.refinement_I is None:
             raise ValueError("records lack the accumulated refinement integral")
-        if rec.aborted:
+        if ens.aborted[0]:
             raise ValueError(f"trajectory at n = {n} aborted")
-        vals.append(rec.refinement_I[-1])
+        vals.append(ens.refinement_I[0, -1])
     vals = np.asarray(vals)
     gaps = np.abs(np.diff(vals))
     passed = bool(np.all(np.diff(gaps) <= 1e-12 * np.maximum(1.0, gaps[:-1]))) or bool(

@@ -14,8 +14,8 @@ from sgns.galerkin import (
     GalerkinConfig,
     energy_budget_check,
     h_tanh_sup,
+    integrate_batch,
     integrate_ensemble,
-    integrate_trajectory,
     martingale_diagnostic,
 )
 from sgns.noise import (
@@ -170,8 +170,8 @@ def test_criterion_04_integrator_orders(basis):
     for dt in (4e-3, 2e-3, 1e-3):
         cfg = GalerkinConfig(basis=basis, n=4, dt=dt, T=T, u0=basis.basis_field(0),
                              model=None, include_B=False, seed=0)
-        rec = integrate_trajectory(cfg)
-        errs.append(abs(rec.norm_H[-1] ** 2 - math.exp(-2.0 * lam * T)))
+        one = integrate_batch(cfg, [0])
+        errs.append(abs(one.norm_H[0, -1] ** 2 - math.exp(-2.0 * lam * T)))
     em_order = math.log(errs[0] / errs[2]) / math.log(4.0)
     rk_errs = []
     for dt in (0.05, 0.025):
@@ -310,7 +310,7 @@ def test_criterion_10_2d_inequalities(basis):
         model=default_noise_model(2), seed=55, snapshot_stride=20,
     )
     recs = integrate_ensemble(cfg, 100, workers=WORKERS)
-    path_ratios = [convection_path_bound(r, basis, ws).ratio for r in recs]
+    path_ratios = convection_path_bound(recs, basis, ws).ratio
     path_ok = max(path_ratios) <= 1.0 + 1e-9
     ok = lady_stable and tri_stable and path_ok
     report(10, ok, f"Ladyzhenskaya max ratio {max(lady_base):.4f} (stable +-2%), "

@@ -13,7 +13,7 @@ from sgns.estimates import (
     p_range,
     uniformity_report,
 )
-from sgns.galerkin import GalerkinConfig, integrate_batch, integrate_ensemble, integrate_trajectory
+from sgns.galerkin import GalerkinConfig, integrate_batch, integrate_ensemble
 from sgns.noise import default_noise_model
 from sgns.spectral import random_field
 
@@ -82,7 +82,7 @@ def test_aggregate_duplicated_trajectory(basis2d_small):
     stats = aggregate({8: ens}, p_list=(2.0,))
     st = stats.per_n[8]["sup_H_p"][2.0]
     assert st.se == 0.0
-    assert abs(st.mean - ens[0].sup_H() ** 2) < 1e-15
+    assert abs(st.mean - ens.sup_H()[0] ** 2) < 1e-15
 
 
 def test_aggregate_deterministic_dissipative(basis2d_small):
@@ -107,8 +107,7 @@ def test_aggregate_stokes_analytic_integral(basis2d_small):
     cfg = GalerkinConfig(
         basis=basis, n=4, dt=dt, T=T, u0=basis.basis_field(0), model=None, include_B=False, seed=0
     )
-    rec = integrate_trajectory(cfg)
-    got = rec.integral_dirichlet2()
+    got = integrate_batch(cfg, [0]).integral_dirichlet2()[0]
     exact = lam * (1 - math.exp(-2 * lam * T)) / (2 * lam)
     assert abs(got - exact) < 5e-4 * exact
 

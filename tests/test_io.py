@@ -286,6 +286,17 @@ def test_seed_override_matches_configured_seed(tmp_path):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_worker_count_below_one_rejected(tmp_path, capsys, workers):
+    # as `ensemble.workers` below 1 is refused at load
+    with pytest.raises(SystemExit) as exc:
+        main(["ensemble", "--config", str(write_cfg(tmp_path)), "--out", str(tmp_path / "out"),
+              "--workers", workers])
+    assert exc.value.code == 2
+    assert "--workers must be >= 1" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_cfl_gate_rejected(tmp_path):
     path = write_cfg(tmp_path, {"galerkin": {"dt": 0.1, "T": 1.0, "n": 48}})
     with pytest.raises(ConfigError, match="stability gate"):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from sgns import galerkin, tightness
-from sgns.galerkin import GalerkinConfig, integrate_batch, integrate_ensemble, integrate_trajectory
+from sgns.galerkin import GalerkinConfig, integrate_batch, integrate_ensemble
 from sgns.noise import default_noise_model
 from sgns.spectral import random_field
 from sgns.tightness import (
@@ -73,14 +73,14 @@ def test_modulus_constant_and_linear(basis2d_small):
 
 
 def test_modulus_monotone(small_ensemble):
-    basis, recs = small_ensemble
-    w = basis.mode_weights("Udual", recs[0].n)
-    r = recs[0]
-    vals = [modulus_of_continuity(r.snap_u, w, r.snap_times, d) for d in (0.004, 0.016, 0.064)]
+    basis, ens = small_ensemble
+    w = basis.mode_weights("Udual", ens.n)
+    u, times = ens.snap_u[0], ens.snap_times
+    vals = [modulus_of_continuity(u, w, times, d) for d in (0.004, 0.016, 0.064)]
     assert vals[0] <= vals[1] <= vals[2]
     # omega(u, T) <= 2 sup |u|_{U'}
-    full = modulus_of_continuity(r.snap_u, w, r.snap_times, r.snap_times[-1])
-    assert full <= 2.0 * np.max(r.norm_Udual) + 1e-12
+    full = modulus_of_continuity(u, w, times, times[-1])
+    assert full <= 2.0 * np.max(ens.norm_Udual[0]) + 1e-12
 
 
 def test_dubinsky_constant_family_passes(basis2d_small):
@@ -123,17 +123,18 @@ def test_family_reductions_match_per_record_loops(basis2d_small):
         u0=random_field(basis2d_small, np.random.default_rng(5), n=6, decay=0.5),
         model=default_noise_model(2), seed=23, snapshot_stride=3,
     )
-    recs = integrate_ensemble(cfg, 12)
-    fam = FunctionFamily(recs, basis2d_small)
+    ens = integrate_ensemble(cfg, 12)
+    fam = FunctionFamily(ens, basis2d_small)
     last = len(fam.times) - 1
-    assert fam.sup_sup_H() == max(r.sup_H() for r in recs)
+    assert fam.sup_sup_H() == max(float(np.max(norm_H)) for norm_H in ens.norm_H)
     assert fam.sup_V_integral() == max(
-        float(np.sum(r.norm_H[:-1] ** 2 + r.norm_D[:-1] ** 2)) * r.dt for r in recs
+        float(np.sum(norm_H[:-1] ** 2 + norm_D[:-1] ** 2)) * ens.dt
+        for norm_H, norm_D in zip(ens.norm_H, ens.norm_D)
     )
-    for level in (0.0, float(np.median([r.sup_H() for r in recs])), np.inf):
+    for level in (0.0, float(np.median([np.max(norm_H) for norm_H in ens.norm_H])), np.inf):
         expect = []
-        for r in recs:
-            hits = np.nonzero(r.norm_H >= level)[0]
+        for norm_H in ens.norm_H:
+            hits = np.nonzero(norm_H >= level)[0]
             expect.append(min(math.ceil(hits[0] / 3), last) if len(hits) else last)
         assert np.array_equal(_hitting_positions(fam, level), expect)
 
@@ -150,14 +151,14 @@ def test_aldous_constant_family(basis2d_small):
 
 
 def test_aldous_galerkin_decay(small_ensemble):
-    basis, recs = small_ensemble
-    fam = FunctionFamily(recs, basis)
-    w = basis.mode_weights("Udual", recs[0].n)
+    basis, ens = small_ensemble
+    fam = FunctionFamily(ens, basis)
+    w = basis.mode_weights("Udual", ens.n)
     # calibrate eta at the 75th percentile of the largest-theta increments
     d75 = []
-    for r in recs:
+    for u in ens.snap_u:
         lag = int(round(0.064 / 0.001))
-        diff = r.snap_u[lag:] - r.snap_u[:-lag]
+        diff = u[lag:] - u[:-lag]
         d75.append(np.sqrt(np.max(np.einsum("sn,n->s", diff * diff, w))))
     eta = float(np.percentile(d75, 40))
     thetas = [0.064 * 2.0**-j for j in range(5)]
@@ -167,11 +168,11 @@ def test_aldous_galerkin_decay(small_ensemble):
 
 
 def test_term_bounds_identity(small_ensemble):
-    basis, recs = small_ensemble
-    rec = recs[0]
-    res = decomposition_increments(rec, tau=0.02, theta=0.04)
+    basis, ens = small_ensemble
+    res = decomposition_increments(ens, tau=0.02, theta=0.04)
     assert res["identity_residual"] < 1e-10
     assert set(res["increments"]) == {"stokes", "convection", "forcing", "noise"}
+    assert all(inc.shape == (60, ens.n) for inc in res["increments"].values())
     assert np.all(res["increments"]["forcing"] == 0.0)  # zero forcing
 
 
@@ -181,10 +182,10 @@ def test_identity_residual_needs_path_snapshots(basis2d_small):
         u0=random_field(basis2d_small, np.random.default_rng(4), n=8),
         model=default_noise_model(2), seed=3, snapshot_stride=3, integral_snapshot_stride=2,
     )
-    rec = integrate_trajectory(cfg)
-    assert decomposition_increments(rec, tau=0.0, theta=0.006)["identity_residual"] < 1e-12
+    one = integrate_batch(cfg, [0])
+    assert decomposition_increments(one, tau=0.0, theta=0.006)["identity_residual"] < 1e-12
     # step 2 is on the integral grid but has no path snapshot
-    assert math.isnan(decomposition_increments(rec, tau=0.002, theta=0.004)["identity_residual"])
+    assert math.isnan(decomposition_increments(one, tau=0.002, theta=0.004)["identity_residual"])
 
 
 def test_increment_scaling_exponents(small_ensemble):
@@ -198,19 +199,16 @@ def test_increment_scaling_exponents(small_ensemble):
 
 
 def test_increment_scaling_matches_per_record_loop(small_ensemble):
-    basis, recs = small_ensemble
-    w = basis.mode_weights("Udual", recs[0].n)
+    basis, ens = small_ensemble
+    w = basis.mode_weights("Udual", ens.n)
     taus = [0.016, 0.032, 0.048]
     thetas = [0.008, 0.004, 0.016]
-    rep = increment_scaling(recs, basis, tau=taus, thetas=thetas)
+    rep = increment_scaling(ens, basis, tau=taus, thetas=thetas)
     assert np.array_equal(rep.thetas, np.sort(thetas))
     for name in ("stokes", "convection", "forcing", "noise"):
         for i, theta in enumerate(rep.thetas):
-            vals = []
-            for rec in recs:
-                for tau in taus:
-                    inc = decomposition_increments(rec, tau, theta)["increments"][name]
-                    vals.append(math.sqrt(float(np.sum(w * inc * inc))))
+            incs = [decomposition_increments(ens, tau, theta)["increments"][name] for tau in taus]
+            vals = [math.sqrt(float(np.sum(w * inc[r] * inc[r]))) for r in range(len(ens)) for inc in incs]
             assert rep.median_norms[name][i] == float(np.median(vals))
 
 
@@ -223,14 +221,14 @@ def test_increment_scaling_rejects_off_grid_window(small_ensemble):
 
 
 def test_modulus_is_one_path_lag_maxima(small_ensemble):
-    basis, recs = small_ensemble
-    rec = recs[3]
-    w = basis.mode_weights("Udual", rec.n)
+    basis, ens = small_ensemble
+    u, times = ens.snap_u[3], ens.snap_times
+    w = basis.mode_weights("Udual", ens.n)
     lagmax = FunctionFamily(integrate_batch(small_config(basis), [3]), basis).lag_maxima(16)
     assert lagmax.shape == (1, 16)
-    assert modulus_of_continuity(rec.snap_u, w, rec.snap_times, 0.016) == np.max(lagmax)
+    assert modulus_of_continuity(u, w, times, 0.016) == np.max(lagmax)
     # a window shorter than one snapshot spacing holds no increment
-    assert modulus_of_continuity(rec.snap_u, w, rec.snap_times, 0.0005) == 0.0
+    assert modulus_of_continuity(u, w, times, 0.0005) == 0.0
 
 
 @pytest.mark.parametrize("block", [1, 2, 3])
@@ -268,8 +266,8 @@ def test_stored_lag_maxima_give_the_computed_tables(small_ensemble, lags):
 
 
 def test_modulus_lags_are_the_largest_window(small_ensemble):
-    _, recs = small_ensemble
-    times = recs[0].snap_times
+    _, ens = small_ensemble
+    times = ens.snap_times
     assert tightness.modulus_lags([0.064, 0.004], times) == 64
     assert tightness.modulus_lags([0.0005], times) == 0
     assert tightness.modulus_lags([1.0], times) == len(times) - 1
@@ -292,13 +290,13 @@ def test_aldous_eta_samples_the_full_increment_table(basis2d_small):
 
 
 def test_modulus_curves_are_median_and_max_of_per_path_moduli(small_ensemble):
-    basis, recs = small_ensemble
+    basis, _ = small_ensemble
     nine = integrate_batch(small_config(basis), range(9))
     fam = FunctionFamily(nine, basis)
-    w = basis.mode_weights("Udual", recs[0].n)
+    w = basis.mode_weights("Udual", nine.n)
     deltas = [0.0005, 0.004, 0.016, 0.064]
     per_path = np.array([
-        [modulus_of_continuity(r.snap_u, w, r.snap_times, d) for d in deltas] for r in nine
+        [modulus_of_continuity(u, w, nine.snap_times, d) for d in deltas] for u in nine.snap_u
     ])
     curve, _ = median_modulus_curve(fam, deltas)
     assert np.array_equal(curve, np.median(per_path, axis=0))
@@ -319,8 +317,7 @@ def test_zero_noise_kills_noise_integral(basis2d_small):
         seed=3,
         snapshot_stride=1,
     )
-    rec = integrate_trajectory(cfg)
-    res = decomposition_increments(rec, tau=0.016, theta=0.032)
+    res = decomposition_increments(integrate_batch(cfg, [0]), tau=0.016, theta=0.032)
     assert np.all(res["increments"]["noise"] == 0.0)
 
 
@@ -341,10 +338,14 @@ def test_refinement_check(basis2d_small):
             snapshot_stride=10,
             refinement_probe=psi,
         )
-        records[n] = integrate_trajectory(cfg, traj_index=0)
+        records[n] = integrate_batch(cfg, [0])
     rep = nonlinear_refinement_check(records)
     assert len(rep.successive_gaps) == 3
     assert np.all(np.isfinite(rep.integrals))
+    # one path per level
+    records[10] = integrate_batch(replace(cfg, n=10), [0, 1])
+    with pytest.raises(ValueError, match="one trajectory per level, got 2 at n = 10"):
+        nonlinear_refinement_check(records)
 
 
 def test_refinement_constant_when_dynamics_low(basis2d_small):
@@ -366,7 +367,7 @@ def test_refinement_constant_when_dynamics_low(basis2d_small):
             snapshot_stride=10,
             refinement_probe=psi,
         )
-        vals[n] = integrate_trajectory(cfg).refinement_I[-1]
+        vals[n] = integrate_batch(cfg, [0]).refinement_I[0, -1]
     assert np.allclose(list(vals.values()), 0.0)  # B disabled: integrand is zero
     # psi = 0 also gives identically zero integrals
     cfg0 = GalerkinConfig(
@@ -380,7 +381,7 @@ def test_refinement_constant_when_dynamics_low(basis2d_small):
         snapshot_stride=10,
         refinement_probe=basis2d_small.zero_field(),
     )
-    assert np.all(integrate_trajectory(cfg0).refinement_I == 0.0)
+    assert np.all(integrate_batch(cfg0, [0]).refinement_I == 0.0)
 
 
 def test_holly_wiciak_recursion():
@@ -414,10 +415,9 @@ def test_family_holds_views_of_the_live_rows(basis2d_small, small_ensemble):
     assert np.shares_memory(fam.coords, ens.snap_u) and np.shares_memory(fam.norm_H, ens.norm_H)
     # rows 1 and 3 abort: the family is the other rows, copied
     cfg = replace(small_config(basis), T=0.016, overflow_limit=1e3)
-    paths = [galerkin.generate_wiener(cfg.steps, cfg.M, cfg.dt, cfg.seed, i) for i in range(5)]
-    for r in (1, 3):
-        paths[r].dW[4] = 1e6
-    ens = integrate_batch(cfg, range(5), paths)
+    dW = np.stack([galerkin.generate_wiener(cfg.steps, cfg.M, cfg.dt, cfg.seed, i) for i in range(5)], axis=1)
+    dW[4, [1, 3]] = 1e6
+    ens = integrate_batch(cfg, range(5), dW)
     assert ens.aborted.tolist() == [False, True, False, True, False]
     fam = FunctionFamily(ens, basis)
     assert not np.shares_memory(fam.coords, ens.snap_u)

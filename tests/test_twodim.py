@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from sgns import galerkin, twodim
-from sgns.galerkin import GalerkinConfig, integrate_trajectory
+from sgns.galerkin import GalerkinConfig, integrate_batch
 from sgns.noise import certify_conditions, default_noise_model
 from sgns.nonlinear import TrilinearWorkspace
 from sgns.spectral import random_field
@@ -111,9 +111,8 @@ def test_convection_path_bound(basis2d_small, ws, rng):
         seed=2,
         snapshot_stride=5,
     )
-    rec = integrate_trajectory(cfg)
-    rep = convection_path_bound(rec, basis2d_small, ws)
-    assert rep.ratio <= 1.0 + 1e-9
+    rep = convection_path_bound(integrate_batch(cfg, [0]), basis2d_small, ws)
+    assert rep.ratio.shape == (1,) and rep.ratio[0] <= 1.0 + 1e-9
 
 
 def test_solve_shifted_linear_decay(basis2d_small):
@@ -268,7 +267,7 @@ def test_pathwise_uniqueness_keeps_the_config(basis2d_small, rng):
         u0=random_field(basis2d_small, rng, n=8, decay=0.5),
         model=default_noise_model(2), seed=12, overflow_limit=1e-3,
     )
-    assert integrate_trajectory(cfg).aborted
+    assert integrate_batch(cfg, [0]).aborted[0]
     with pytest.raises(RuntimeError, match="trajectory 0 aborted"):
         pathwise_uniqueness_experiment(cfg, lipschitz_L=1.0, gamma=1e-8, n_traj=2)
 
@@ -283,8 +282,8 @@ def test_pathwise_uniqueness_names_the_first_aborted_pair(basis2d_small, rng, mo
     )
     run = twodim.integrate_batch
 
-    def aborting(config, indices, paths, x0):
-        ens = run(config, indices, paths, x0=x0)
+    def aborting(config, indices, dW, x0):
+        ens = run(config, indices, dW, x0=x0)
         ens.aborted[[2, 4 + 1]] = True
         return ens
 
@@ -299,10 +298,10 @@ def counted_batches(monkeypatch):
     how many of the earlier batches are still alive."""
     run, rows, refs, alive = twodim.integrate_batch, [], [], []
 
-    def counted(config, indices, paths, x0):
+    def counted(config, indices, dW, x0):
         alive.append(sum(ref() is not None for ref in refs))
         rows.append(len(indices))
-        ens = run(config, indices, paths, x0=x0)
+        ens = run(config, indices, dW, x0=x0)
         refs.append(weakref.ref(ens))
         return ens
 
