@@ -26,7 +26,7 @@ cfg = GalerkinConfig(
 )
 
 one = integrate_batch(cfg, [0])  # an Ensemble of one path
-print(f"one path: n = {cfg.n}, {one.steps} steps of dt = {cfg.dt}")
+print(f"one path: n = {cfg.n}, {cfg.steps} steps of dt = {cfg.dt}")
 print(f"  sup_t |u|_H = {one.sup_H()[0]:.4f}, int ||u||^2 dt = {one.integral_dirichlet2()[0]:.4f}")
 print(f"  taming cutoff engaged: {'yes' if one.cutoff_min[0] < 1 else 'no'}")
 

@@ -31,7 +31,7 @@ cfg = GalerkinConfig(basis=basis, n=16, dt=dt, T=T, u0=u0,
                      snapshot_stride=1, integral_snapshot_stride=4,
                      modulus_lags=modulus_lags(deltas, np.arange(steps + 1) * dt))
 ens = integrate_ensemble(cfg, 100, workers=2)
-fam = FunctionFamily(ens, basis)
+fam = FunctionFamily(ens)
 
 rep = dubinsky_diagnostic(fam, deltas)
 curve, slope = median_modulus_curve(fam, deltas)
@@ -49,8 +49,8 @@ for t, p in zip(ald.thetas, ald.probabilities):
     print(f"  theta = {t:8.5f}: P(increment >= eta) = {p:.3f}")
 print(f"  nonincreasing: {ald.monotone}, decays: {ald.decays}")
 
-jrep = increment_scaling(ens, basis, tau=[T / 8.0, T / 4.0, 3.0 * T / 8.0, T / 2.0],
-                 thetas=[dt * 4 * 2**j for j in range(5)])
+jrep = increment_scaling(ens, tau=[T / 8.0, T / 4.0, 3.0 * T / 8.0, T / 2.0],
+                         thetas=[dt * 4 * 2**j for j in range(5)])
 print("\npath-decomposition increment scaling (fitted exponents):")
 for name, exp in jrep.exponents.items():
     print(f"  {name:12s}: {exp:.3f}" if exp == exp else f"  {name:12s}: identically zero")

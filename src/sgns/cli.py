@@ -103,15 +103,15 @@ def run_simulate(run: RunConfig, bundle: ResultBundle, workers: int) -> int:
     bundle.add_table(
         "trajectory",
         ["t", "norm_H", "norm_D", "norm_Udual"],
-        zip(one.times, one.norm_H[0], one.norm_D[0], one.norm_Udual[0]),
+        zip(one.config.times, one.norm_H[0], one.norm_D[0], one.norm_Udual[0]),
     )
-    for pos, step in enumerate(one.snap_idx):
+    for pos, step in enumerate(one.config.snap_idx):
         write_snapshot(bundle.snapshot_path(f"t{int(step):08d}"),
                        run.basis.field_from_real_coords(one.snap_u[0, pos]), n=run.n)
     budget = energy_budget_check(one)
     aborted = bool(one.aborted[0])
     bundle.summary.update(
-        aborted=aborted, abort_step=int(one.abort_step[0]), steps=one.steps,
+        aborted=aborted, abort_step=int(one.abort_step[0]), steps=one.config.steps,
         sup_H=one.sup_H()[0], int_dirichlet2=one.integral_dirichlet2()[0],
         cutoff_min=float(one.cutoff_min[0]),
         energy_residual=budget.max_relative_residual,
@@ -199,11 +199,11 @@ def run_tightness(run: RunConfig, bundle: ResultBundle, workers: int) -> int:
     for n in run.n_list:
         cfg = replace(grid, n=n)
         ens = integrate_ensemble(cfg, run.trajectories, workers=workers)
-        fam = tgt.FunctionFamily(ens, run.basis)
+        fam = tgt.FunctionFamily(ens)
         dub = tgt.dubinsky_diagnostic(fam, deltas, exp["slope_threshold"])
         eta = tgt.calibrate_aldous_eta(fam, thetas[0], exp["eta_quantile"])
         ald = tgt.aldous_check(fam, thetas, eta)
-        jrep = tgt.increment_scaling(ens, run.basis, anchors, windows)
+        jrep = tgt.increment_scaling(ens, anchors, windows)
         ok = dub.passed and ald.passed and (
             math.isnan(jrep.exponents["noise"]) or 0.4 <= jrep.exponents["noise"] <= 0.6
         )
@@ -284,8 +284,10 @@ def run_command(verb: str, run: RunConfig, out_dir, workers: int | None = None) 
     """Dispatch one verb; writes the bundle and returns the exit status."""
     if verb not in VERBS:
         raise ValueError(f"unknown verb {verb!r}; expected one of {tuple(VERBS)}")
-    bundle = ResultBundle(out_dir)
     workers = workers if workers is not None else run.workers
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+    bundle = ResultBundle(out_dir)
     bundle.summary.update(verb=verb, config_hash=run.config_hash, seed=run.galerkin.seed)
     code = globals()[VERBS[verb]](run, bundle, workers)
     bundle.write_summary()

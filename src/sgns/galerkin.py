@@ -9,7 +9,9 @@ triplets of the convection form and each noise direction a dense matrix, all
 derived from the exact spectral operators.  One stepper advances a block of
 trajectories as the rows of a (B, n) state, with row-independent operations
 only, and returns them as one record, an `Ensemble` of stacked (R, ...)
-arrays; a single trajectory is an Ensemble of one row.  Every trajectory is
+arrays that holds the config it was integrated from, which alone fixes the
+grid, the probes and the basis every diagnostic reads; a single trajectory
+is an Ensemble of one row, and `Ensemble.rows` selects rows.  Every trajectory is
 a pure function of (config, seed, index) -- one Philox stream per
 trajectory -- so ensembles are reproducible bitwise for any worker count and
 any blocks.
@@ -27,7 +29,7 @@ import math
 import mmap
 import multiprocessing
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -245,8 +247,20 @@ class GalerkinConfig:
         return self.model.M if self.model is not None else 0
 
     @property
+    def times(self) -> np.ndarray:
+        return np.arange(self.steps + 1) * self.dt
+
+    @property
+    def snap_idx(self) -> np.ndarray:
+        return _snapshot_indices(self.steps, self.snapshot_stride)
+
+    @property
+    def integral_snap_idx(self) -> np.ndarray:
+        return _snapshot_indices(self.steps, self.integral_stride)
+
+    @property
     def snap_times(self) -> np.ndarray:
-        return _snapshot_indices(self.steps, self.snapshot_stride) * self.dt
+        return self.snap_idx * self.dt
 
     @property
     def integral_stride(self) -> int:
@@ -258,27 +272,11 @@ class GalerkinConfig:
     def cutoff(self) -> CutoffSpec:
         return CutoffSpec(self.cutoff_level if self.cutoff_level is not None else float(self.n))
 
-    def fingerprint(self) -> str:
-        """Hash of everything a trajectory depends on besides (seed, index)."""
-        import hashlib
-
-        h = hashlib.sha256()
-        dom = self.basis.domain
-        h.update(repr((dom.d, dom.K, dom.period, self.basis.scale.s, self.basis.scale.s_U,
-                       self.n, self.dt, self.T, self.cutoff_level, self.scheme,
-                       self.include_B, self.snapshot_stride, self.integral_snapshot_stride,
-                       self.overflow_limit)).encode())
-        h.update(np.ascontiguousarray(self.u0.coeffs).tobytes())
-        if self.forcing is not None:
-            h.update(np.ascontiguousarray(self.forcing.coeffs).tobytes())
-        if self.model is not None:
-            h.update(repr(self.model).encode())
-        for p in self.probes:
-            h.update(np.ascontiguousarray(p.coeffs).tobytes())
-        h.update(repr(tuple(self.qv_pairs)).encode())
-        if self.refinement_probe is not None:
-            h.update(np.ascontiguousarray(self.refinement_probe.coeffs).tobytes())
-        return h.hexdigest()
+    @property
+    def probe_coords(self) -> np.ndarray:
+        """Coordinates (probes, n) of the probes on the first n modes."""
+        coords = [p.basis.real_coords(p, self.n) for p in self.probes]
+        return np.stack(coords) if coords else np.zeros((0, self.n))
 
 
 # -- trajectory records ----------------------------------------------------------
@@ -286,17 +284,14 @@ class GalerkinConfig:
 
 @dataclass(eq=False)
 class Ensemble:
-    """Trajectories `indices` of one config as the rows of stacked arrays
-    [R, ...] over their shared grid; one trajectory is an Ensemble of one
-    row.  An aborted row reads zero after its abort step and is flagged in
-    `aborted`.  The functionals reduce the step axis: one value per row."""
+    """Trajectories `indices` of `config` as the rows of stacked arrays
+    [R, ...] over the config's grid; one trajectory is an Ensemble of one
+    row.  Every field but `config` holds one entry per row along its first
+    axis (refinement_I is None without a refinement probe), and `rows`
+    selects them.  An aborted row reads zero after its abort step.  The
+    functionals reduce the step axis: one value per row."""
 
-    n: int
-    dt: float
-    steps: int
-    seed: int
-    config_hash: str
-    scheme: str
+    config: GalerkinConfig
     indices: np.ndarray  # (R,) trajectory indices
     norm_H: np.ndarray  # (R, steps + 1), likewise norm_D and norm_Udual
     norm_D: np.ndarray
@@ -308,41 +303,44 @@ class Ensemble:
     delta_sq: np.ndarray
     ito_step: np.ndarray
     hs_step: np.ndarray
-    snap_idx: np.ndarray  # (S,)
-    snap_u: np.ndarray  # (R, S, n)
-    integral_snap_idx: np.ndarray  # (S_J,)
-    snap_integrals: dict  # {"stokes","convection","forcing","noise"} -> (R, S_J, n)
+    snap_u: np.ndarray  # (R, S, n) at config.snap_idx
+    snap_integrals: dict  # INTEGRALS term -> (R, S_J, n) at config.integral_snap_idx
     u0_coords: np.ndarray  # (R, n)
-    probes_n: np.ndarray  # (probes, n)
-    qv_pairs: tuple
-    qv_cum: np.ndarray  # (R, S, len(qv_pairs))
+    qv_cum: np.ndarray  # (R, S, len(config.qv_pairs))
     refinement_I: np.ndarray | None  # (R, S)
     lag_maxima: np.ndarray  # (R, modulus_lags): max over s of |u(s + l) - u(s)|_{U'}
     cutoff_min: np.ndarray  # (R,)
     abort_step: np.ndarray  # (R,), -1 on a row that ran to the end
-    aborted: np.ndarray  # (R,) bool
 
     def __len__(self) -> int:
         return len(self.indices)
 
-    @property
-    def times(self) -> np.ndarray:
-        return np.arange(self.steps + 1) * self.dt
+    def rows(self, sel) -> Ensemble:
+        """The Ensemble of rows `sel` (a slice, index list or boolean mask)
+        of the same config: views of these arrays for a slice, copies
+        otherwise."""
+        def pick(v):
+            if isinstance(v, dict):
+                return {key: a[sel] for key, a in v.items()}
+            return None if v is None else v[sel]
+
+        return Ensemble(config=self.config, **{f.name: pick(getattr(self, f.name))
+                                                for f in fields(self) if f.name != "config"})
 
     @property
-    def snap_times(self) -> np.ndarray:
-        return self.snap_idx * self.dt
+    def aborted(self) -> np.ndarray:
+        return self.abort_step >= 0
 
     def sup_H(self):
         return np.max(self.norm_H, axis=1)
 
     def integral_dirichlet2(self):
         """Left-endpoint quadrature of the Dirichlet energy integral."""
-        return np.sum(self.norm_D[:, :-1] ** 2, axis=1) * self.dt
+        return np.sum(self.norm_D[:, :-1] ** 2, axis=1) * self.config.dt
 
     def integral_weighted(self, p: float):
         """Left-endpoint quadrature of the |u|^(p-2) ||u||^2 integral."""
-        return np.sum(self.norm_H[:, :-1] ** (p - 2) * self.norm_D[:, :-1] ** 2, axis=1) * self.dt
+        return np.sum(self.norm_H[:, :-1] ** (p - 2) * self.norm_D[:, :-1] ** 2, axis=1) * self.config.dt
 
 
 def float_map(fn, x) -> np.ndarray:
@@ -407,9 +405,6 @@ def _lag_maxima(coords: np.ndarray, w: np.ndarray, max_lag: int) -> np.ndarray:
 
 LEDGER = ("drift_work", "b_work", "forcing_work", "mart_work", "delta_sq", "ito_step", "hs_step")
 INTEGRALS = ("stokes", "convection", "forcing", "noise")
-# the per-row arrays of `_row_shapes` that an Ensemble holds under their own names
-ROW_ARRAYS = ("norm_H", "norm_D", "norm_Udual", *LEDGER, "snap_u", "u0_coords", "qv_cum", "lag_maxima",
-              "cutoff_min", "abort_step")
 
 # rows x convection triplets one block may hold; fewer than 2,000 triplets
 # count as 2,000.  Past it a step's (rows, triplets) gather leaves the cache:
@@ -428,36 +423,41 @@ def cache_rows(config: GalerkinConfig) -> int:
 
 
 def _row_shapes(config: GalerkinConfig) -> dict:
-    """Shape after the row axis of every per-row array of a record: norms,
-    ledger (width 0 unless config.ledger), snapshots with their
-    quadratic-variation and refinement entries, integral snapshots (keyed
-    "integral_<term>"), u0, the lag maxima, the cutoff minimum and the abort
-    step.  Every entry is 8 bytes."""
+    """Shape after the row axis of every per-row array of an Ensemble, by
+    field name: norms, ledger (width 0 unless config.ledger), snapshots with
+    their quadratic-variation and refinement entries (the latter only with a
+    refinement probe), integral snapshots (keyed "integral_<term>"), u0, the
+    lag maxima, the cutoff minimum and the abort step.  Every entry is 8
+    bytes."""
     steps, n = config.steps, config.n
-    snaps = len(_snapshot_indices(steps, config.snapshot_stride))
-    isnaps = len(_snapshot_indices(steps, config.integral_stride))
+    snaps, isnaps = len(config.snap_idx), len(config.integral_snap_idx)
     shapes = {name: (steps + 1,) for name in ("norm_H", "norm_D", "norm_Udual")}
     shapes.update({name: (steps if config.ledger else 0,) for name in LEDGER})
-    shapes.update(snap_u=(snaps, n), qv_cum=(snaps, len(config.qv_pairs)), refinement_I=(snaps,))
+    shapes.update(snap_u=(snaps, n), qv_cum=(snaps, len(config.qv_pairs)))
+    if config.refinement_probe is not None:
+        shapes.update(refinement_I=(snaps,))
     shapes.update({f"integral_{name}": (isnaps, n) for name in INTEGRALS})
     shapes.update(u0_coords=(n,), lag_maxima=(config.modulus_lags,), cutoff_min=(), abort_step=())
     return shapes
 
 
-def _stacked(config: GalerkinConfig, rows: int) -> dict:
-    """Zeroed (rows, ...) arrays of `_row_shapes`, carved from one anonymous
-    shared mapping, so that pool workers forked after it is made write into
-    the same pages.  abort_step is int64, the rest float64."""
+def _stacked(config: GalerkinConfig, indices) -> Ensemble:
+    """The zeroed Ensemble of trajectories `indices`, its arrays of
+    `_row_shapes` carved from one anonymous shared mapping, so that pool
+    workers forked after it is made write into the same pages.  abort_step
+    is int64, the rest float64."""
+    indices = np.array(indices, dtype=int)
     shapes = _row_shapes(config)
-    sizes = [rows * math.prod(shape) for shape in shapes.values()]
+    sizes = [len(indices) * math.prod(shape) for shape in shapes.values()]
     total = sum(sizes)
     flat = np.frombuffer(mmap.mmap(-1, max(8 * total, 1)), dtype=np.float64, count=total)
-    out, at = {}, 0
+    arrays, at = {"refinement_I": None}, 0
     for (name, shape), size in zip(shapes.items(), sizes):
-        out[name] = flat[at : at + size].reshape((rows, *shape))
+        arrays[name] = flat[at : at + size].reshape((len(indices), *shape))
         at += size
-    out["abort_step"] = out["abort_step"].view(np.int64)
-    return out
+    arrays["abort_step"] = arrays["abort_step"].view(np.int64)
+    integrals = {name: arrays.pop(f"integral_{name}") for name in INTEGRALS}
+    return Ensemble(config=config, indices=indices, snap_integrals=integrals, **arrays)
 
 
 def _sq_norms(sys: CompiledGalerkin, x: np.ndarray) -> np.ndarray:
@@ -490,14 +490,13 @@ def _step(sys, config, cutoff, x, ud, f, dw):
     return np.exp(-sys.lamD * dt) * y, y, theta, tbx, bx, g, xi
 
 
-def _integrate_rows(config: GalerkinConfig, indices, dW, out: dict, x0=None) -> None:
-    """Integrate trajectories `indices` together as the rows of one (B, n)
-    state, each driven by its own Philox stream (or by its column of the
-    increments `dW` (steps, B, M) when given), writing norms, ledger and
-    snapshots into `out`: zeroed arrays of `_row_shapes` with B rows,
-    written in place.  Every row starts from the coordinates of P_n
-    config.u0, or from its row of `x0` (B, n) when given; `u0_coords`
-    records each row's start.
+def _integrate_rows(ens: Ensemble, dW=None, x0=None) -> None:
+    """Integrate the B trajectories `ens.indices` of `ens.config` together
+    as the rows of one (B, n) state, each driven by its own Philox stream
+    (or by its column of the increments `dW` (steps, B, M) when given),
+    writing norms, ledger and snapshots into the zeroed arrays of `ens` in
+    place.  Every row starts from the coordinates of P_n config.u0, or from
+    its row of `x0` (B, n) when given; `u0_coords` records each row's start.
 
     Each row is bitwise the same whatever the other rows, their number or
     their order.  The energy ledger closes the discrete energy identity for
@@ -510,11 +509,13 @@ def _integrate_rows(config: GalerkinConfig, indices, dW, out: dict, x0=None) -> 
     reads zero.  Last, each row's U' increment maxima over lags
     1..modulus_lags of the snapshot grid are taken from its snapshots.
     """
+    config = ens.config
     sys = _compiled(config.basis, config.n, config.model, config.include_B)
     steps, n, dt = config.steps, config.n, config.dt
-    B = len(indices)
+    B = len(ens)
     if dW is None:
-        dW = np.stack([generate_wiener(steps, config.M, dt, config.seed, i) for i in indices], axis=1)
+        dW = np.stack([generate_wiener(steps, config.M, dt, config.seed, i) for i in ens.indices.tolist()],
+                      axis=1)
     elif dW.shape != (steps, B, config.M):
         raise ValueError(f"Wiener increments of shape {dW.shape} do not match "
                          f"(steps, B, M) = ({steps}, {B}, {config.M})")
@@ -525,34 +526,32 @@ def _integrate_rows(config: GalerkinConfig, indices, dW, out: dict, x0=None) -> 
         x = np.array(x0, dtype=np.float64)
         if x.shape != (B, n):
             raise ValueError(f"initial states of shape {x.shape} do not match (B, n) = ({B}, {n})")
-    out["u0_coords"][:] = x
-    norm_H, norm_D, norm_Ud = out["norm_H"], out["norm_D"], out["norm_Udual"]
+    ens.u0_coords[:] = x
+    norm_H, norm_D, norm_Ud = ens.norm_H, ens.norm_D, ens.norm_Udual
     ledger = config.ledger
-    led = {name: out[name] for name in LEDGER}
+    led = {name: getattr(ens, name) for name in LEDGER}
 
-    snap_idx = _snapshot_indices(steps, config.snapshot_stride)
-    integral_snap_idx = _snapshot_indices(steps, config.integral_stride)
+    snap_idx, integral_snap_idx = config.snap_idx, config.integral_snap_idx
     snap_at = np.full(steps + 1, -1)
     snap_at[snap_idx] = np.arange(len(snap_idx))
     integral_snap_at = np.full(steps + 1, -1)
     integral_snap_at[integral_snap_idx] = np.arange(len(integral_snap_idx))
-    snap_u = out["snap_u"]
-    snap_integrals = {name: out[f"integral_{name}"] for name in INTEGRALS}
+    snap_u, snap_integrals = ens.snap_u, ens.snap_integrals
     integrals = {name: np.zeros((B, n)) for name in INTEGRALS}
 
-    probes_n = _probe_coords(sys, config)
+    probes_n = config.probe_coords
     qv_pairs = tuple(config.qv_pairs)
-    qv_cum = out["qv_cum"]
+    qv_cum = ens.qv_cum
     qv_run = np.zeros((B, len(qv_pairs)))
     refinement = config.refinement_probe is not None
     ref_coords = sys.encode(config.refinement_probe) if refinement else None
-    ref_I = out["refinement_I"]
+    ref_I = ens.refinement_I
     ref_run = np.zeros(B)
 
     cutoff = config.cutoff
     forced = config.forcing is not None
     f = sys.encode(config.forcing) if forced else np.zeros(n)
-    cutoff_min, abort_step = out["cutoff_min"], out["abort_step"]
+    cutoff_min, abort_step = ens.cutoff_min, ens.abort_step
     cutoff_min[:] = 1.0
     abort_step[:] = -1
     alive = np.ones(B, dtype=bool)
@@ -627,32 +626,13 @@ def _integrate_rows(config: GalerkinConfig, indices, dW, out: dict, x0=None) -> 
         for arr in (norm_H, norm_D, norm_Ud):
             arr[r, a + 1 :] = 0.0
         late = snap_idx >= a
-        snap_u[r, late] = qv_cum[r, late] = ref_I[r, late] = 0.0
+        snap_u[r, late] = qv_cum[r, late] = 0.0
+        if refinement:
+            ref_I[r, late] = 0.0
         for arr in snap_integrals.values():
             arr[r, integral_snap_idx >= a] = 0.0
     if config.modulus_lags:
-        out["lag_maxima"][:] = _lag_maxima(snap_u, sys.wUdual, config.modulus_lags)
-
-
-def _probe_coords(sys: CompiledGalerkin, config: GalerkinConfig) -> np.ndarray:
-    return np.stack([sys.encode(p) for p in config.probes]) if config.probes else np.zeros((0, config.n))
-
-
-def _ensemble(config: GalerkinConfig, indices, out: dict) -> Ensemble:
-    """The Ensemble of trajectories `indices` over their stacked arrays `out`."""
-    sys = _compiled(config.basis, config.n, config.model, config.include_B)
-    return Ensemble(
-        n=config.n, dt=config.dt, steps=config.steps, seed=config.seed,
-        config_hash=config.fingerprint(), scheme=config.scheme,
-        snap_idx=_snapshot_indices(config.steps, config.snapshot_stride),
-        integral_snap_idx=_snapshot_indices(config.steps, config.integral_stride),
-        probes_n=_probe_coords(sys, config), qv_pairs=tuple(config.qv_pairs),
-        indices=np.array(indices, dtype=int),
-        **{name: out[name] for name in ROW_ARRAYS},
-        snap_integrals={name: out[f"integral_{name}"] for name in INTEGRALS},
-        refinement_I=out["refinement_I"] if config.refinement_probe is not None else None,
-        aborted=out["abort_step"] >= 0,
-    )
+        ens.lag_maxima[:] = _lag_maxima(snap_u, sys.wUdual, config.modulus_lags)
 
 
 def integrate_batch(config: GalerkinConfig, indices, dW=None, x0=None) -> Ensemble:
@@ -661,22 +641,19 @@ def integrate_batch(config: GalerkinConfig, indices, dW=None, x0=None) -> Ensemb
     of `x0` (B, n), and driven by its own Philox stream or by its column of
     `dW` (steps, B, M); row r of the Ensemble is trajectory indices[r].
     One trajectory is `integrate_batch(config, [i])`."""
-    indices = [int(i) for i in indices]
-    out = _stacked(config, len(indices))
-    _integrate_rows(config, indices, dW, out, x0)
-    return _ensemble(config, indices, out)
+    ens = _stacked(config, indices)
+    _integrate_rows(ens, dW, x0)
+    return ens
 
 
-# config and stacked arrays of the ensemble being integrated; pool workers
-# inherit them at fork, so a block is only its rows [lo, hi), which it writes
-# in place
+# the ensemble being integrated; pool workers inherit it at fork, so a block
+# is only its rows [lo, hi), which it writes in place
 _ENSEMBLE: dict = {}
 
 
 def _run_chunk(block) -> None:
     lo, hi = block
-    out = {name: a[lo:hi] for name, a in _ENSEMBLE["out"].items()}
-    _integrate_rows(_ENSEMBLE["config"], range(lo, hi), None, out)
+    _integrate_rows(_ENSEMBLE["ens"].rows(slice(lo, hi)))
 
 
 def integrate_ensemble(config: GalerkinConfig, n_traj: int, workers: int = 1) -> Ensemble:
@@ -691,8 +668,7 @@ def integrate_ensemble(config: GalerkinConfig, n_traj: int, workers: int = 1) ->
     share = math.ceil(n_traj / max(1, workers))
     rows = max(1, min(share, cache_rows(config)))
     blocks = [(lo, min(lo + rows, n_traj)) for lo in range(0, n_traj, rows)]
-    out = _stacked(config, n_traj)
-    _ENSEMBLE.update(config=config, out=out)
+    ens = _ENSEMBLE["ens"] = _stacked(config, range(n_traj))
     try:
         if workers > 1 and len(blocks) > 1:
             # fork explicitly: workers must inherit the shared mapping and the
@@ -706,7 +682,7 @@ def integrate_ensemble(config: GalerkinConfig, n_traj: int, workers: int = 1) ->
                 _run_chunk(block)
     finally:
         _ENSEMBLE.clear()
-    return _ensemble(config, range(n_traj), out)
+    return ens
 
 
 # -- diagnostics ----------------------------------------------------------------
@@ -733,15 +709,16 @@ def energy_budget_check(ens: Ensemble) -> EnergyBudgetReport:
     the paths that did not abort.  The ensemble must have been recorded
     with its ledger (`GalerkinConfig.ledger`, on by default).
     """
-    if ens.drift_work.shape[-1] != ens.steps:
+    steps = ens.config.steps
+    if not ens.config.ledger:
         raise ValueError("energy_budget_check needs the energy ledger, which this ensemble was "
                          "recorded without (GalerkinConfig.ledger=False)")
-    upto = np.where(ens.aborted, ens.abort_step, ens.steps)
+    upto = np.where(ens.aborted, ens.abort_step, steps)
     worst = np.zeros(len(ens))
     # in place where it can be, on row blocks of (rows, steps) arrays of at
     # most 2^16 entries; every reduction is per row, so no bit depends on
     # the blocks
-    rows = max(1, 2**16 // ens.steps)
+    rows = max(1, 2**16 // steps)
     with np.errstate(invalid="ignore"):
         for lo in range(0, len(ens), rows):
             at = slice(lo, lo + rows)
@@ -753,7 +730,7 @@ def energy_budget_check(ens: Ensemble) -> EnergyBudgetReport:
             scale = np.abs(rhs, out=rhs)
             np.maximum(np.maximum(scale, h2[:, 1:], out=scale), h2[:, :-1], out=scale)
             err /= np.maximum(scale, 1.0, out=scale)
-            err[np.arange(ens.steps) >= upto[at, None]] = 0.0
+            err[np.arange(steps) >= upto[at, None]] = 0.0
             worst[at] = np.fmax.reduce(err, axis=1)
     live = ~ens.aborted
     diffs = np.sum(ens.ito_step, axis=1)[live] - np.sum(ens.hs_step, axis=1)[live]
@@ -770,8 +747,8 @@ def _zscore(vals: np.ndarray) -> float:
 def reconstruct_martingale(ens: Ensemble, pos: int) -> np.ndarray:
     """Martingale part at snapshot position `pos` of each row (R, n), rebuilt
     from the ledger: u(t) - u(0) - (Stokes + convection - forcing integrals)."""
-    step = int(ens.snap_idx[pos])
-    jpos = int(np.nonzero(ens.integral_snap_idx == step)[0][0])
+    step = int(ens.config.snap_idx[pos])
+    jpos = int(np.nonzero(ens.config.integral_snap_idx == step)[0][0])
     return (
         ens.snap_u[:, pos]
         - ens.u0_coords
@@ -812,28 +789,33 @@ def martingale_diagnostic(ens: Ensemble, psi, zeta, s: float, t: float, h=h_one)
     count = int(np.count_nonzero(live))
     if count < 2:
         raise ValueError(f"need at least 2 live trajectories for z-scores, got {count}")
-    psi_n = psi.basis.real_coords(psi, ens.n)
-    zeta_n = psi.basis.real_coords(zeta, ens.n)
+    cfg = ens.config
+    psi_n = psi.basis.real_coords(psi, cfg.n)
+    zeta_n = psi.basis.real_coords(zeta, cfg.n)
+    probes_n = cfg.probe_coords
 
     def probe_index(coords):
-        for i in range(len(ens.probes_n)):
-            if np.allclose(ens.probes_n[i], coords, atol=1e-12):
+        # absolute tolerance only: a relative one would take a probe within
+        # that fraction of another for it
+        for i in range(len(probes_n)):
+            if np.allclose(probes_n[i], coords, rtol=0.0, atol=1e-12):
                 return i
         raise ValueError("field is not among the configured probes")
 
     a, b = probe_index(psi_n), probe_index(zeta_n)
     # (a, b) and (b, a) accumulate the same products, so either column serves
-    cols = [q for q, pair in enumerate(ens.qv_pairs) if pair in ((a, b), (b, a))]
+    cols = [q for q, pair in enumerate(cfg.qv_pairs) if pair in ((a, b), (b, a))]
     if not cols:
         raise ValueError(f"probe pair {(a, b)} has no accumulated quadratic variation")
     qcol = cols[0]
 
-    ps, pt = _grid_positions(ens.snap_times, (s, t), ens.dt)
+    ps, pt = _grid_positions(cfg.snap_times, (s, t), cfg.dt)
     Ms = reconstruct_martingale(ens, ps)[live]
     Mt = reconstruct_martingale(ens, pt)[live]
-    jt = int(np.nonzero(ens.integral_snap_idx == ens.snap_idx[pt])[0][0])
+    snap_idx = cfg.snap_idx
+    jt = int(np.nonzero(cfg.integral_snap_idx == snap_idx[pt])[0][0])
     recon = float(np.max(np.abs(Mt - ens.snap_integrals["noise"][live, jt])))
-    hval = h(ens, int(ens.snap_idx[ps]))[live]
+    hval = h(ens, int(snap_idx[ps]))[live]
     # np.vecdot is the per-row np.dot to the bit; M @ psi_n is not
     mps, mpt = np.vecdot(Ms, psi_n), np.vecdot(Mt, psi_n)
     mzs, mzt = np.vecdot(Ms, zeta_n), np.vecdot(Mt, zeta_n)

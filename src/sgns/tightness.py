@@ -6,7 +6,9 @@ running H-sup), a uniform U'-modulus of continuity that decays as the window
 shrinks, an Aldous-type exceedance table over stopped increments, and the
 per-term scaling of the drift and noise pieces of the path decomposition
 (initial state, Stokes integral, convection integral, forcing integral,
-stochastic integral).  The nested-space construction that supplies the
+stochastic integral).  The path diagnostics read one `galerkin.Ensemble`
+and weigh by the U' norm of the basis of the config it holds; no basis is
+passed beside it.  The nested-space construction that supplies the
 compact embedding U -> V_s is built and certified separately.
 """
 
@@ -19,7 +21,6 @@ import numpy as np
 
 from .estimates import median
 from .galerkin import INTEGRALS, Ensemble, _grid_positions, _increment_norms, _lag_maxima
-from .spectral import Basis
 
 
 # -- windows -------------------------------------------------------------------
@@ -50,20 +51,22 @@ def _live_rows(ens):
 
 class FunctionFamily:
     """Snapshot trajectories of the live paths of one Ensemble in
-    U'-coordinates: coords (R, S, n), the per-step norms (R, steps + 1) and
-    the lag maxima the stepper recorded (R, modulus_lags).  These are views
-    of the ensemble's arrays, copied only to drop aborted rows."""
+    U'-coordinates of its config's basis: coords (R, S, n), the per-step
+    norms (R, steps + 1) and the lag maxima the stepper recorded
+    (R, modulus_lags).  These are views of the ensemble's arrays, copied
+    only to drop aborted rows."""
 
-    def __init__(self, ens, basis: Basis):
+    def __init__(self, ens):
         rows = _live_rows(ens)
-        self.n = ens.n
-        self.dt = ens.dt
-        self.times = ens.snap_times
+        cfg = ens.config
+        self.n = cfg.n
+        self.dt = cfg.dt
+        self.times = cfg.snap_times
         self.coords = ens.snap_u[rows]  # (R, S, n)
         self.norm_H = ens.norm_H[rows]  # (R, steps + 1)
         self.norm_D = ens.norm_D[rows]
         self.stored_lag_maxima = ens.lag_maxima[rows]  # (R, modulus_lags)
-        self.wUdual = basis.mode_weights("Udual", ens.n)
+        self.wUdual = cfg.basis.mode_weights("Udual", cfg.n)
 
     @property
     def size(self) -> int:
@@ -242,12 +245,13 @@ def decomposition_increments(ens: Ensemble, tau: float, theta: float) -> dict:
     [tau, tau + theta], plus the worst decomposition-identity residual over
     the rows against the increments of the paths themselves (nan when the
     paths have no snapshot at either end)."""
-    jt = ens.integral_snap_idx * ens.dt
-    a, b = _grid_positions(jt, (tau, tau + theta), ens.dt)
+    cfg = ens.config
+    jt = cfg.integral_snap_idx * cfg.dt
+    a, b = _grid_positions(jt, (tau, tau + theta), cfg.dt)
     out = {name: ens.snap_integrals[name][:, b] - ens.snap_integrals[name][:, a] for name in INTEGRALS}
     residual = math.nan
     try:
-        ia, ib = _grid_positions(ens.snap_times, jt[[a, b]], ens.dt)
+        ia, ib = _grid_positions(cfg.snap_times, jt[[a, b]], cfg.dt)
     except ValueError:
         pass
     else:
@@ -262,19 +266,21 @@ class IncrementScalingReport:
     exponents: dict  # term -> fitted log-log slope (nan when the term vanishes)
 
 
-def increment_scaling(ens, basis: Basis, tau, thetas) -> IncrementScalingReport:
+def increment_scaling(ens: Ensemble, tau, thetas) -> IncrementScalingReport:
     """Fit |J_i(tau+theta) - J_i(tau)|_{U'} ~ theta^gamma per term over a
-    theta-halving grid, using medians over the live paths of the Ensemble.
+    theta-halving grid, using medians over the live paths of the Ensemble,
+    in the U' norm of its config's basis.
 
     `tau` may be a single anchor or a list; the increment bounds hold at every
     anchor, so pooling several of them sharpens the median without bias."""
     rows = _live_rows(ens)
-    wUdual = basis.mode_weights("Udual", ens.n)
+    cfg = ens.config
+    wUdual = cfg.basis.mode_weights("Udual", cfg.n)
     taus = np.atleast_1d(np.asarray(tau, dtype=float))
     thetas = np.sort(np.asarray(thetas, dtype=float))
-    jt = ens.integral_snap_idx * ens.dt
-    start = _grid_positions(jt, taus[None, :], ens.dt)  # (1, anchor)
-    end = _grid_positions(jt, taus + thetas[:, None], ens.dt)  # (theta, anchor)
+    jt = cfg.integral_snap_idx * cfg.dt
+    start = _grid_positions(jt, taus[None, :], cfg.dt)  # (1, anchor)
+    end = _grid_positions(jt, taus + thetas[:, None], cfg.dt)  # (theta, anchor)
     med, exps = {}, {}
     for name in INTEGRALS:
         J = ens.snap_integrals[name][rows]  # (R, S_J, n)

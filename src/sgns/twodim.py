@@ -79,12 +79,16 @@ class PathBoundReport:
     l2_V: np.ndarray
 
 
-def convection_path_bound(ens: Ensemble, basis: Basis, ws: TrilinearWorkspace) -> PathBoundReport:
+def convection_path_bound(ens: Ensemble, ws: TrilinearWorkspace) -> PathBoundReport:
     """Path-level bound ||B(u)||_{L2(0,T;V')} <= sqrt(2) |u|_{Linf H} ||u||_{L2 V}
-    evaluated on the snapshot grid of each row of an Ensemble (ratio 0 where
-    the bound is 0)."""
+    evaluated on the snapshot grid of each row of an Ensemble, in its
+    config's basis, which the workspace must be of (ratio 0 where the bound
+    is 0)."""
+    basis = ens.config.basis
     _require_2d(basis)
-    times = ens.snap_times
+    if ws.basis is not basis:
+        raise ValueError("the workspace is of another basis than the ensemble's config")
+    times = ens.config.snap_times
     if len(times) < 2:
         raise ValueError("record carries too few snapshots")
     b2 = np.zeros((len(ens), len(times)))

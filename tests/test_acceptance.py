@@ -242,14 +242,14 @@ def test_criterion_08_tightness(basis, shell_coupling_model):
                              snapshot_stride=1, integral_snapshot_stride=8,
                              modulus_lags=modulus_lags(deltas, np.arange(steps + 1) * dt))
         recs = integrate_ensemble(cfg, 200, workers=WORKERS)
-        fam = FunctionFamily(recs, basis)
+        fam = FunctionFamily(recs)
         _, slope = median_modulus_curve(fam, deltas)
         slopes[n] = slope
         eta = calibrate_aldous_eta(fam, T * 2.0**-4, 60.0)
         ald = aldous_check(fam, [T * 2.0**-j for j in range(8, 3, -1)], eta)
         aldous_ok[n] = ald.monotone and ald.decays
         jrep = increment_scaling(
-            recs, basis,
+            recs,
             tau=[T / 8.0, T / 4.0, 3.0 * T / 8.0, T / 2.0],
             thetas=[dt * 8 * 2**j for j in range(5)],
         )
@@ -310,7 +310,7 @@ def test_criterion_10_2d_inequalities(basis):
         model=default_noise_model(2), seed=55, snapshot_stride=20,
     )
     recs = integrate_ensemble(cfg, 100, workers=WORKERS)
-    path_ratios = convection_path_bound(recs, basis, ws).ratio
+    path_ratios = convection_path_bound(recs, ws).ratio
     path_ok = max(path_ratios) <= 1.0 + 1e-9
     ok = lady_stable and tri_stable and path_ok
     report(10, ok, f"Ladyzhenskaya max ratio {max(lady_base):.4f} (stable +-2%), "

@@ -153,14 +153,6 @@ def test_level_rule(basis2d_small, n, scheme, match):
     assert len(level_violations(basis2d_small, (n, 4))) == (n != 4)
 
 
-def test_fingerprint_tracks_mutation(basis2d_small):
-    cfg = make_config(basis2d_small)
-    before = cfg.fingerprint()
-    assert cfg.fingerprint() == before
-    cfg.n = 8
-    assert cfg.fingerprint() != before
-
-
 def test_zero_fixed_point(basis2d_small):
     cfg = make_config(basis2d_small, u0_modes=4)
     z = basis2d_small.zero_field()
@@ -354,7 +346,7 @@ def test_martingale_zero_noise(basis2d_small, rng):
         snapshot_stride=10,
     )
     one = integrate_batch(cfg, [0])
-    for pos in range(len(one.snap_idx)):
+    for pos in range(len(cfg.snap_idx)):
         M = reconstruct_martingale(one, pos)
         assert M.shape == (1, 8) and np.max(np.abs(M)) <= 1e-10
 
@@ -393,6 +385,18 @@ def test_martingale_probe_out_of_range(basis2d_small):
     assert rep.qv_zscore == 0.0
 
 
+def test_martingale_diagnostic_tells_near_equal_probes_apart(basis2d_small):
+    # the second probe is 1e-6 off the first in relative terms and alone has
+    # a quadratic variation: it is found as probe 1, not taken for probe 0
+    psi = basis2d_small.basis_field(0)
+    near = (1 + 1e-6) * psi
+    cfg = make_config(basis2d_small, n=8, T=0.05, probes=(psi, near), qv_pairs=((1, 1),))
+    ens = integrate_ensemble(cfg, 20)
+    assert martingale_diagnostic(ens, near, near, s=0.01, t=0.04).trajectories == 20
+    with pytest.raises(ValueError, match=r"probe pair \(0, 0\) has no accumulated"):
+        martingale_diagnostic(ens, psi, psi, s=0.01, t=0.04)
+
+
 def test_path_shape_mismatch(basis2d_small):
     # one step too many, and two rows of increments for one trajectory
     cfg = make_config(basis2d_small)
@@ -426,27 +430,15 @@ def rich_config(basis, **kw):
     return GalerkinConfig(**defaults)
 
 
-# the fields of an Ensemble that its rows share; every other field has one
-# entry per row along its first axis (or is None)
-SHARED = ("n", "dt", "steps", "seed", "config_hash", "scheme", "snap_idx", "integral_snap_idx",
-          "probes_n", "qv_pairs")
-
-
-def take(ens, rows):
-    """The Ensemble of rows `rows` of ens."""
-    def pick(v):
-        if isinstance(v, dict):
-            return {key: a[rows] for key, a in v.items()}
-        return None if v is None else v[rows]
-
-    return dataclasses.replace(ens, **{f.name: pick(getattr(ens, f.name))
-                                       for f in dataclasses.fields(ens) if f.name not in SHARED})
-
-
 def assert_records_identical(a, b):
+    """The same config object and every per-row array the same bits; a
+    config is not compared with ==, which its SpectralFields do not
+    support."""
     for field in dataclasses.fields(a):
         va, vb = getattr(a, field.name), getattr(b, field.name)
-        if isinstance(va, dict):
+        if field.name == "config":
+            assert va is vb
+        elif isinstance(va, dict):
             assert va.keys() == vb.keys(), field.name
             for key in va:
                 assert va[key].dtype == vb[key].dtype and np.array_equal(va[key], vb[key]), (field.name, key)
@@ -511,8 +503,8 @@ def test_records_independent_of_batch_and_partition(basis2d_small):
     shuffled = integrate_batch(cfg, order)
     assert np.min(batch.cutoff_min) < 1.0
     for i in range(7):
-        split = take(head, [i]) if i < 3 else take(tail, [i - 3])
-        for other in (take(batch, [i]), split, take(shuffled, [order.index(i)])):
+        split = head.rows([i]) if i < 3 else tail.rows([i - 3])
+        for other in (batch.rows([i]), split, shuffled.rows([order.index(i)])):
             assert_records_identical(single[i], other)
 
 
@@ -530,7 +522,7 @@ def test_ensemble_worker_independence(basis2d_small, monkeypatch):
     for ens in runs:
         assert ens.indices.tolist() == list(range(7))
         for i, want in enumerate(single):
-            assert_records_identical(want, take(ens, [i]))
+            assert_records_identical(want, ens.rows([i]))
 
 
 def test_pool_has_no_more_workers_than_blocks(basis2d_small, monkeypatch):
@@ -632,15 +624,15 @@ def test_abort_inside_a_batch(basis2d_small):
     assert batch.aborted.tolist() == [False, True, False, True, False]
     assert batch.abort_step[[1, 3]].tolist() == [8, 13]
     for i in range(5):
-        assert_records_identical(integrate_batch(cfg, [i], dW[:, [i]]), take(batch, [i]))
+        assert_records_identical(integrate_batch(cfg, [i], dW[:, [i]]), batch.rows([i]))
     for r in (1, 3):
         a = batch.abort_step[r]
         assert batch.norm_H[r, a] > 0.0  # the state at the abort step, non-finite entries zeroed
         assert np.all(batch.norm_H[r, a + 1 :] == 0.0) and np.all(batch.drift_work[r, a:] == 0.0)
-        assert np.all(batch.snap_u[r, batch.snap_idx >= a] == 0.0)
-        assert np.all(batch.snap_integrals["noise"][r, batch.integral_snap_idx >= a] == 0.0)
+        assert np.all(batch.snap_u[r, cfg.snap_idx >= a] == 0.0)
+        assert np.all(batch.snap_integrals["noise"][r, cfg.integral_snap_idx >= a] == 0.0)
     # the healthy rows are those of a batch without the bad rows
-    assert_records_identical(take(batch, [0, 2, 4]), integrate_batch(cfg, [0, 2, 4]))
+    assert_records_identical(batch.rows([0, 2, 4]), integrate_batch(cfg, [0, 2, 4]))
 
 
 def test_energy_budget_keeps_the_steps_before_an_overflow(basis2d_small):
@@ -652,7 +644,7 @@ def test_energy_budget_keeps_the_steps_before_an_overflow(basis2d_small):
     batch = integrate_batch(cfg, range(5), dW)
     worst, skipped = [], []
     for r in range(5):
-        upto = batch.abort_step[r] if batch.aborted[r] else batch.steps
+        upto = batch.abort_step[r] if batch.aborted[r] else cfg.steps
         h2 = batch.norm_H[r] ** 2
         rhs = (batch.drift_work[r] + batch.b_work[r] + batch.forcing_work[r] + batch.mart_work[r]
                + batch.delta_sq[r])[:upto]
@@ -687,7 +679,7 @@ def test_rows_start_from_their_own_states(basis2d_small, scheme):
     assert np.array_equal(batch.u0_coords, x0)
     for i in range(4):
         want = integrate_batch(dataclasses.replace(cfg, u0=starts[i]), [i], dW[:, [i]])
-        assert_records_identical(want, dataclasses.replace(take(batch, [i]), config_hash=want.config_hash))
+        assert_records_identical(want, dataclasses.replace(batch.rows([i]), config=want.config))
 
 
 @pytest.mark.parametrize("shape", [(3, 9), (2, 10), (10,)])
@@ -702,7 +694,7 @@ def test_exponential_scheme_ledger_closes(basis2d_small):
     ens = integrate_ensemble(cfg, 4)
     assert energy_budget_check(ens).max_relative_residual <= 1e-10
     scale = np.maximum(1.0, np.max(np.abs(ens.snap_u), axis=(1, 2)))
-    for pos in range(len(ens.snap_idx)):
+    for pos in range(len(cfg.snap_idx)):
         M = reconstruct_martingale(ens, pos)
         assert np.all(np.max(np.abs(M - ens.snap_integrals["noise"][:, pos]), axis=1) <= 1e-13 * scale)
 
@@ -716,7 +708,7 @@ def assert_same_but_the_ledger(full, bare):
     for name in galerkin.LEDGER:
         assert getattr(bare, name).shape == (len(bare), 0), name
     empty = {name: getattr(bare, name) for name in galerkin.LEDGER}
-    assert_records_identical(dataclasses.replace(full, **empty), bare)
+    assert_records_identical(dataclasses.replace(full, config=bare.config, **empty), bare)
 
 
 @pytest.mark.parametrize("scheme", ["em", "exponential"])
@@ -726,7 +718,6 @@ def test_ledger_off_keeps_every_other_array(basis2d_small, scheme):
     cfg = rich_config(basis2d_small, scheme=scheme, T=0.03, overflow_limit=1e3)
     dW = blown_up_increments(cfg, 5)
     bare = dataclasses.replace(cfg, ledger=False)
-    assert bare.fingerprint() == cfg.fingerprint()
     full = integrate_batch(cfg, range(5), dW)
     assert full.aborted.tolist() == [False, True, False, True, False]
     assert_same_but_the_ledger(full, integrate_batch(bare, range(5), dW))
@@ -851,16 +842,42 @@ def test_ensemble_rows_and_functionals_are_the_paths(basis2d_small):
     assert len(ens) == 7 and ens.indices.tolist() == list(range(7))
     for r in range(7):
         one = integrate_batch(cfg, [r])
-        assert_records_identical(one, take(ens, [r]))
+        assert_records_identical(one, ens.rows([r]))
         # the scalar formulas of one path, each to the bit
         norm_H, norm_D = ens.norm_H[r], ens.norm_D[r]
         assert sup[r] == float(np.max(norm_H)) == one.sup_H()[0]
         for p in (2, 2.2):
             assert float_map(lambda v: v**p, sup)[r] == float(np.max(norm_H)) ** p
-        assert ens.integral_dirichlet2()[r] == float(np.sum(norm_D[:-1] ** 2) * ens.dt)
+        assert ens.integral_dirichlet2()[r] == float(np.sum(norm_D[:-1] ** 2) * cfg.dt)
         for p in (2.0, 2.2, 3.0):
-            want = float(np.sum(norm_H[:-1] ** (p - 2) * norm_D[:-1] ** 2) * ens.dt)
+            want = float(np.sum(norm_H[:-1] ** (p - 2) * norm_D[:-1] ** 2) * cfg.dt)
             assert ens.integral_weighted(p)[r] == want == one.integral_weighted(p)[0]
+
+
+def test_rows_of_a_slice_are_views_and_of_an_index_list_or_mask_copies(basis2d_small):
+    cfg, ens = aborting_ensemble(basis2d_small)
+    def arrays(e):
+        """Every per-row array of e that holds entries (the lag maxima have width 0)."""
+        skip = ("config", "snap_integrals", "lag_maxima")
+        named = [(f.name, getattr(e, f.name)) for f in dataclasses.fields(e) if f.name not in skip]
+        return named + list(e.snap_integrals.items())
+
+    view = ens.rows(slice(2, 5))
+    assert view.config is cfg and view.indices.tolist() == [2, 3, 4]
+    assert view.aborted.tolist() == [True, False, False]
+    for (name, got), (_, whole) in zip(arrays(view), arrays(ens)):
+        assert np.shares_memory(got, whole), name
+    for sel in ([2, 3, 4], np.isin(np.arange(7), [2, 3, 4])):
+        picked = ens.rows(sel)
+        assert picked.config is cfg
+        for (name, got), (_, whole) in zip(arrays(picked), arrays(ens)):
+            assert not np.shares_memory(got, whole), name
+        assert_records_identical(picked, view)
+
+
+def test_rows_keep_an_absent_refinement_integral_absent(basis2d_small):
+    ens = integrate_batch(make_config(basis2d_small, T=0.01), range(3))
+    assert ens.refinement_I is None and ens.rows([1]).refinement_I is None
 
 
 def budget_by_rows(ens):
@@ -868,7 +885,7 @@ def budget_by_rows(ens):
     worst, diffs = 0.0, []
     for r in range(len(ens)):
         h2 = ens.norm_H[r] ** 2
-        upto = ens.abort_step[r] if ens.aborted[r] else ens.steps
+        upto = ens.abort_step[r] if ens.aborted[r] else ens.config.steps
         lhs = np.diff(h2)[:upto]
         rhs = (ens.drift_work[r] + ens.b_work[r] + ens.forcing_work[r] + ens.mart_work[r]
                + ens.delta_sq[r])[:upto]
@@ -884,14 +901,14 @@ def budget_by_rows(ens):
 def martingale_by_rows(ens, rows, psi_n, zeta_n, qcol, s, t, tanh_sup):
     """The martingale z-scores as a loop over single paths, rows `rows` of ens."""
     mean_terms, qv_terms, recon = [], [], 0.0
-    J = ens.snap_integrals
-    ps, pt = galerkin._grid_positions(ens.snap_times, (s, t), ens.dt)
-    js, jt = (int(np.nonzero(ens.integral_snap_idx == ens.snap_idx[p])[0][0]) for p in (ps, pt))
+    J, cfg = ens.snap_integrals, ens.config
+    ps, pt = galerkin._grid_positions(cfg.snap_times, (s, t), cfg.dt)
+    js, jt = (int(np.nonzero(cfg.integral_snap_idx == cfg.snap_idx[p])[0][0]) for p in (ps, pt))
     for r in rows:
         Ms, Mt = (ens.snap_u[r, p] - ens.u0_coords[r] - J["stokes"][r, j] - J["convection"][r, j]
                   - J["forcing"][r, j] for p, j in ((ps, js), (pt, jt)))
         recon = max(recon, float(np.max(np.abs(Mt - J["noise"][r, jt]))))
-        step = int(ens.snap_idx[ps])
+        step = int(cfg.snap_idx[ps])
         hval = math.tanh(float(np.max(ens.norm_H[r, : step + 1]) ** 2)) if tanh_sup else 1.0
         mps, mpt = float(np.dot(Ms, psi_n)), float(np.dot(Mt, psi_n))
         mzs, mzt = float(np.dot(Ms, zeta_n)), float(np.dot(Mt, zeta_n))

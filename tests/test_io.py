@@ -253,9 +253,9 @@ def test_only_the_energy_verbs_record_the_ledger(tmp_path, monkeypatch):
     }
     integrate, seen = galerkin._integrate_rows, []
 
-    def spy(config, *args, **kwargs):
-        seen.append(config.ledger)
-        return integrate(config, *args, **kwargs)
+    def spy(ens, *args, **kwargs):
+        seen.append(ens.config.ledger)
+        return integrate(ens, *args, **kwargs)
 
     monkeypatch.setattr(galerkin, "_integrate_rows", spy)
     ledger = {}
@@ -294,6 +294,14 @@ def test_worker_count_below_one_rejected(tmp_path, capsys, workers):
               "--workers", workers])
     assert exc.value.code == 2
     assert "--workers must be >= 1" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("workers", [0, -3])
+def test_run_command_rejects_a_worker_count_below_one(tmp_path, workers):
+    run = load_config(write_cfg(tmp_path))
+    with pytest.raises(ValueError, match=f"workers must be >= 1, got {workers}"):
+        run_command("ensemble", run, tmp_path / "out", workers=workers)
     assert not (tmp_path / "out").exists()
 
 

@@ -1,5 +1,6 @@
 import math
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ import pytest
 from sgns import galerkin, tightness
 from sgns.galerkin import GalerkinConfig, integrate_batch, integrate_ensemble
 from sgns.noise import default_noise_model
-from sgns.spectral import random_field
+from sgns.spectral import Basis, SpaceScale, random_field
 from sgns.tightness import (
     FunctionFamily,
     _hitting_positions,
@@ -43,13 +44,13 @@ def small_ensemble(basis2d_small):
 
 
 class FakeEnsemble:
-    """The arrays FunctionFamily reads, for given snapshots (R, S, n) dt apart
-    with no lag maxima recorded (so they are computed from snap_u)."""
+    """The arrays and config entries FunctionFamily reads, for given
+    snapshots (R, S, n) of `basis` dt apart with no lag maxima recorded (so
+    they are computed from snap_u)."""
 
-    def __init__(self, snap_u, dt=1e-2, norm_D=1.0):
-        R, S, self.n = snap_u.shape
-        self.dt = dt
-        self.snap_times = np.arange(S) * dt
+    def __init__(self, snap_u, basis, dt=1e-2, norm_D=1.0):
+        R, S, n = snap_u.shape
+        self.config = SimpleNamespace(basis=basis, n=n, dt=dt, snap_times=np.arange(S) * dt)
         self.snap_u = snap_u
         self.norm_H = np.ones((R, S))
         self.norm_D = np.full((R, S), norm_D)
@@ -74,8 +75,8 @@ def test_modulus_constant_and_linear(basis2d_small):
 
 def test_modulus_monotone(small_ensemble):
     basis, ens = small_ensemble
-    w = basis.mode_weights("Udual", ens.n)
-    u, times = ens.snap_u[0], ens.snap_times
+    w = basis.mode_weights("Udual", ens.config.n)
+    u, times = ens.snap_u[0], ens.config.snap_times
     vals = [modulus_of_continuity(u, w, times, d) for d in (0.004, 0.016, 0.064)]
     assert vals[0] <= vals[1] <= vals[2]
     # omega(u, T) <= 2 sup |u|_{U'}
@@ -84,7 +85,7 @@ def test_modulus_monotone(small_ensemble):
 
 
 def test_dubinsky_constant_family_passes(basis2d_small):
-    fam = FunctionFamily(FakeEnsemble(np.tile(np.array([1.0, 0.0, 0.0, 0.0]), (2, 101, 1))), basis2d_small)
+    fam = FunctionFamily(FakeEnsemble(np.tile(np.array([1.0, 0.0, 0.0, 0.0]), (2, 101, 1)), basis2d_small))
     rep = dubinsky_diagnostic(fam, deltas=[0.02, 0.08, 0.32])
     assert rep.passed
     assert np.all(rep.modulus_curve == 0.0)
@@ -92,7 +93,7 @@ def test_dubinsky_constant_family_passes(basis2d_small):
 
 def test_dubinsky_jumpy_family_fails(basis2d_small):
     signs = (-1.0) ** np.arange(101)
-    fam = FunctionFamily(FakeEnsemble(np.outer(signs, np.array([1.0, 0.0, 0.0, 0.0]))[None]), basis2d_small)
+    fam = FunctionFamily(FakeEnsemble(np.outer(signs, np.array([1.0, 0.0, 0.0, 0.0]))[None], basis2d_small))
     rep = dubinsky_diagnostic(fam, deltas=[0.02, 0.08, 0.32])
     assert not rep.passed
     assert rep.slope < 0.4
@@ -100,16 +101,16 @@ def test_dubinsky_jumpy_family_fails(basis2d_small):
 
 def test_dubinsky_family_size_invariance(small_ensemble):
     basis, recs = small_ensemble
-    one = FunctionFamily(integrate_batch(small_config(basis), [0]), basis)
+    one = FunctionFamily(integrate_batch(small_config(basis), [0]))
     rep1 = dubinsky_diagnostic(one, deltas=[0.004, 0.016, 0.064])
-    repeated = FunctionFamily(integrate_batch(small_config(basis), [0] * 5), basis)
+    repeated = FunctionFamily(integrate_batch(small_config(basis), [0] * 5))
     rep5 = dubinsky_diagnostic(repeated, deltas=[0.004, 0.016, 0.064])
     assert np.allclose(rep1.modulus_curve, rep5.modulus_curve)
 
 
 def test_dubinsky_galerkin_family(small_ensemble):
     basis, recs = small_ensemble
-    fam = FunctionFamily(recs, basis)
+    fam = FunctionFamily(recs)
     deltas = [0.128 * 2.0**-j for j in range(7, 1, -1)]
     rep = dubinsky_diagnostic(fam, deltas)
     assert np.isfinite(rep.sup_V_integral)
@@ -124,11 +125,11 @@ def test_family_reductions_match_per_record_loops(basis2d_small):
         model=default_noise_model(2), seed=23, snapshot_stride=3,
     )
     ens = integrate_ensemble(cfg, 12)
-    fam = FunctionFamily(ens, basis2d_small)
+    fam = FunctionFamily(ens)
     last = len(fam.times) - 1
     assert fam.sup_sup_H() == max(float(np.max(norm_H)) for norm_H in ens.norm_H)
     assert fam.sup_V_integral() == max(
-        float(np.sum(norm_H[:-1] ** 2 + norm_D[:-1] ** 2)) * ens.dt
+        float(np.sum(norm_H[:-1] ** 2 + norm_D[:-1] ** 2)) * ens.config.dt
         for norm_H, norm_D in zip(ens.norm_H, ens.norm_D)
     )
     for level in (0.0, float(np.median([np.max(norm_H) for norm_H in ens.norm_H])), np.inf):
@@ -140,8 +141,8 @@ def test_family_reductions_match_per_record_loops(basis2d_small):
 
 
 def test_aldous_constant_family(basis2d_small):
-    fam = FunctionFamily(FakeEnsemble(np.tile(np.array([1.0, 0.0, 0.0, 0.0]), (4, 101, 1)), norm_D=0.0),
-                         basis2d_small)
+    fam = FunctionFamily(FakeEnsemble(np.tile(np.array([1.0, 0.0, 0.0, 0.0]), (4, 101, 1)), basis2d_small,
+                                      norm_D=0.0))
     rep = aldous_check(fam, thetas=[0.02, 0.08], eta=1e-6)
     assert np.all(rep.probabilities == 0.0)
     assert rep.passed
@@ -152,8 +153,8 @@ def test_aldous_constant_family(basis2d_small):
 
 def test_aldous_galerkin_decay(small_ensemble):
     basis, ens = small_ensemble
-    fam = FunctionFamily(ens, basis)
-    w = basis.mode_weights("Udual", ens.n)
+    fam = FunctionFamily(ens)
+    w = basis.mode_weights("Udual", ens.config.n)
     # calibrate eta at the 75th percentile of the largest-theta increments
     d75 = []
     for u in ens.snap_u:
@@ -172,7 +173,7 @@ def test_term_bounds_identity(small_ensemble):
     res = decomposition_increments(ens, tau=0.02, theta=0.04)
     assert res["identity_residual"] < 1e-10
     assert set(res["increments"]) == {"stokes", "convection", "forcing", "noise"}
-    assert all(inc.shape == (60, ens.n) for inc in res["increments"].values())
+    assert all(inc.shape == (60, ens.config.n) for inc in res["increments"].values())
     assert np.all(res["increments"]["forcing"] == 0.0)  # zero forcing
 
 
@@ -191,7 +192,7 @@ def test_identity_residual_needs_path_snapshots(basis2d_small):
 def test_increment_scaling_exponents(small_ensemble):
     basis, recs = small_ensemble
     thetas = [0.002 * 2**j for j in range(5)]
-    rep = increment_scaling(recs, basis, tau=0.016, thetas=thetas)
+    rep = increment_scaling(recs, tau=0.016, thetas=thetas)
     assert 0.4 <= rep.exponents["noise"] <= 0.6
     # drift integral of a bounded integrand scales ~ theta
     assert 0.8 <= rep.exponents["stokes"] <= 1.2
@@ -200,10 +201,10 @@ def test_increment_scaling_exponents(small_ensemble):
 
 def test_increment_scaling_matches_per_record_loop(small_ensemble):
     basis, ens = small_ensemble
-    w = basis.mode_weights("Udual", ens.n)
+    w = basis.mode_weights("Udual", ens.config.n)
     taus = [0.016, 0.032, 0.048]
     thetas = [0.008, 0.004, 0.016]
-    rep = increment_scaling(ens, basis, tau=taus, thetas=thetas)
+    rep = increment_scaling(ens, tau=taus, thetas=thetas)
     assert np.array_equal(rep.thetas, np.sort(thetas))
     for name in ("stokes", "convection", "forcing", "noise"):
         for i, theta in enumerate(rep.thetas):
@@ -212,19 +213,36 @@ def test_increment_scaling_matches_per_record_loop(small_ensemble):
             assert rep.median_norms[name][i] == float(np.median(vals))
 
 
+def test_family_and_scaling_weigh_by_the_records_basis(basis2d_small):
+    # paths of a basis with another U' scale: the family and the scaling
+    # table take that basis's weights from the record, and no basis can be
+    # passed beside it
+    other = Basis(basis2d_small.domain, SpaceScale(d=2, s_U=6.0))
+    ens = integrate_ensemble(small_config(other), 8)
+    w = other.mode_weights("Udual", 10)
+    assert not np.array_equal(w, basis2d_small.mode_weights("Udual", 10))
+    assert np.array_equal(FunctionFamily(ens).wUdual, w)
+    rep = increment_scaling(ens, tau=0.016, thetas=[0.008, 0.016])
+    inc = decomposition_increments(ens, 0.016, 0.008)["increments"]["noise"]
+    vals = [math.sqrt(float(np.sum(w * inc[r] * inc[r]))) for r in range(len(ens))]
+    assert rep.median_norms["noise"][0] == float(np.median(vals))
+    with pytest.raises(TypeError):
+        increment_scaling(ens, basis2d_small, tau=0.016, thetas=[0.008])
+
+
 def test_increment_scaling_rejects_off_grid_window(small_ensemble):
     basis, recs = small_ensemble
     with pytest.raises(ValueError, match="snapshot grid"):
-        increment_scaling(recs, basis, tau=0.016, thetas=[0.0045])
+        increment_scaling(recs, tau=0.016, thetas=[0.0045])
     with pytest.raises(ValueError, match="snapshot grid"):
-        increment_scaling(recs, basis, tau=0.016, thetas=[1.0])  # past the horizon
+        increment_scaling(recs, tau=0.016, thetas=[1.0])  # past the horizon
 
 
 def test_modulus_is_one_path_lag_maxima(small_ensemble):
     basis, ens = small_ensemble
-    u, times = ens.snap_u[3], ens.snap_times
-    w = basis.mode_weights("Udual", ens.n)
-    lagmax = FunctionFamily(integrate_batch(small_config(basis), [3]), basis).lag_maxima(16)
+    u, times = ens.snap_u[3], ens.config.snap_times
+    w = basis.mode_weights("Udual", ens.config.n)
+    lagmax = FunctionFamily(integrate_batch(small_config(basis), [3])).lag_maxima(16)
     assert lagmax.shape == (1, 16)
     assert modulus_of_continuity(u, w, times, 0.016) == np.max(lagmax)
     # a window shorter than one snapshot spacing holds no increment
@@ -235,7 +253,7 @@ def test_modulus_is_one_path_lag_maxima(small_ensemble):
 def test_lag_maxima_in_row_blocks(small_ensemble, monkeypatch, block):
     # 7 paths: no block size above divides them, so the last block is short
     basis, recs = small_ensemble
-    fam = FunctionFamily(integrate_batch(small_config(basis), range(7)), basis)
+    fam = FunctionFamily(integrate_batch(small_config(basis), range(7)))
     monkeypatch.setattr(galerkin, "LAG_COORDS", block * fam.n)
     got = fam.lag_maxima(20)
     x, w = fam.coords, fam.wUdual
@@ -250,8 +268,8 @@ def test_stored_lag_maxima_give_the_computed_tables(small_ensemble, lags):
     # recorded maxima up to `lags`; windows past them fall back to the snapshots
     basis, recs = small_ensemble
     cfg = replace(small_config(basis), modulus_lags=lags)
-    stored = FunctionFamily(integrate_ensemble(cfg, 60), basis)
-    computed = FunctionFamily(recs, basis)
+    stored = FunctionFamily(integrate_ensemble(cfg, 60))
+    computed = FunctionFamily(recs)
     assert stored.stored_lag_maxima.shape == (60, lags)
     assert computed.stored_lag_maxima.shape == (60, 0)
     assert np.array_equal(stored.coords, computed.coords)
@@ -267,7 +285,7 @@ def test_stored_lag_maxima_give_the_computed_tables(small_ensemble, lags):
 
 def test_modulus_lags_are_the_largest_window(small_ensemble):
     _, ens = small_ensemble
-    times = ens.snap_times
+    times = ens.config.snap_times
     assert tightness.modulus_lags([0.064, 0.004], times) == 64
     assert tightness.modulus_lags([0.0005], times) == 0
     assert tightness.modulus_lags([1.0], times) == len(times) - 1
@@ -277,7 +295,7 @@ def test_aldous_eta_samples_the_full_increment_table(basis2d_small):
     # 1,025 snapshots: every stride-th increment of the full (R, S - lag) table
     rng = np.random.default_rng(3)
     walks = np.stack([np.cumsum(rng.standard_normal((1025, 6)), axis=0) for _ in range(5)])
-    fam = FunctionFamily(FakeEnsemble(walks, dt=1e-3), basis2d_small)
+    fam = FunctionFamily(FakeEnsemble(walks, basis2d_small, dt=1e-3))
     x, w = fam.coords, fam.wUdual
     for theta in (0.001, 0.016, 0.3, 1.0):
         lag = max(1, round(theta / 1e-3))
@@ -292,11 +310,11 @@ def test_aldous_eta_samples_the_full_increment_table(basis2d_small):
 def test_modulus_curves_are_median_and_max_of_per_path_moduli(small_ensemble):
     basis, _ = small_ensemble
     nine = integrate_batch(small_config(basis), range(9))
-    fam = FunctionFamily(nine, basis)
-    w = basis.mode_weights("Udual", nine.n)
+    fam = FunctionFamily(nine)
+    w = basis.mode_weights("Udual", nine.config.n)
     deltas = [0.0005, 0.004, 0.016, 0.064]
     per_path = np.array([
-        [modulus_of_continuity(u, w, nine.snap_times, d) for d in deltas] for u in nine.snap_u
+        [modulus_of_continuity(u, w, nine.config.snap_times, d) for d in deltas] for u in nine.snap_u
     ])
     curve, _ = median_modulus_curve(fam, deltas)
     assert np.array_equal(curve, np.median(per_path, axis=0))
@@ -411,7 +429,7 @@ def test_holly_wiciak_general_norms():
 
 def test_family_holds_views_of_the_live_rows(basis2d_small, small_ensemble):
     basis, ens = small_ensemble
-    fam = FunctionFamily(ens, basis)
+    fam = FunctionFamily(ens)
     assert np.shares_memory(fam.coords, ens.snap_u) and np.shares_memory(fam.norm_H, ens.norm_H)
     # rows 1 and 3 abort: the family is the other rows, copied
     cfg = replace(small_config(basis), T=0.016, overflow_limit=1e3)
@@ -419,7 +437,7 @@ def test_family_holds_views_of_the_live_rows(basis2d_small, small_ensemble):
     dW[4, [1, 3]] = 1e6
     ens = integrate_batch(cfg, range(5), dW)
     assert ens.aborted.tolist() == [False, True, False, True, False]
-    fam = FunctionFamily(ens, basis)
+    fam = FunctionFamily(ens)
     assert not np.shares_memory(fam.coords, ens.snap_u)
     assert np.array_equal(fam.coords, ens.snap_u[[0, 2, 4]])
     assert np.array_equal(fam.norm_D, ens.norm_D[[0, 2, 4]])
@@ -430,6 +448,6 @@ def test_all_aborted_ensemble_rejected(basis2d_small):
     ens = integrate_ensemble(cfg, 3)
     assert ens.aborted.all()
     with pytest.raises(ValueError, match="all trajectories aborted"):
-        FunctionFamily(ens, basis2d_small)
+        FunctionFamily(ens)
     with pytest.raises(ValueError, match="all trajectories aborted"):
-        increment_scaling(ens, basis2d_small, tau=0.004, thetas=[0.004, 0.008])
+        increment_scaling(ens, tau=0.004, thetas=[0.004, 0.008])

@@ -8,7 +8,7 @@ from sgns import galerkin, twodim
 from sgns.galerkin import GalerkinConfig, integrate_batch
 from sgns.noise import certify_conditions, default_noise_model
 from sgns.nonlinear import TrilinearWorkspace
-from sgns.spectral import random_field
+from sgns.spectral import Basis, SpaceScale, TorusDomain, random_field
 from sgns.twodim import (
     ShiftedProblem,
     convection_path_bound,
@@ -111,8 +111,13 @@ def test_convection_path_bound(basis2d_small, ws, rng):
         seed=2,
         snapshot_stride=5,
     )
-    rep = convection_path_bound(integrate_batch(cfg, [0]), basis2d_small, ws)
+    ens = integrate_batch(cfg, [0])
+    rep = convection_path_bound(ens, ws)
     assert rep.ratio.shape == (1,) and rep.ratio[0] <= 1.0 + 1e-9
+    # the workspace must be of the record's basis
+    coarse = Basis(TorusDomain(d=2, K=2), SpaceScale(d=2))
+    with pytest.raises(ValueError, match="another basis"):
+        convection_path_bound(ens, TrilinearWorkspace(coarse))
 
 
 def test_solve_shifted_linear_decay(basis2d_small):
@@ -284,7 +289,7 @@ def test_pathwise_uniqueness_names_the_first_aborted_pair(basis2d_small, rng, mo
 
     def aborting(config, indices, dW, x0):
         ens = run(config, indices, dW, x0=x0)
-        ens.aborted[[2, 4 + 1]] = True
+        ens.abort_step[[2, 4 + 1]] = 1
         return ens
 
     monkeypatch.setattr(twodim, "integrate_batch", aborting)
