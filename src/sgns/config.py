@@ -90,13 +90,19 @@ def _count(v, least=1) -> int:
     raise ValueError(f"an integer >= {least}")
 
 
-def _reals(v) -> list:
-    try:
-        if isinstance(v, list) and v:
-            return [_number(x) for x in v]
-    except ValueError:
-        pass
-    raise ValueError("a non-empty list of finite numbers")
+def _list_of(kind, what: str):
+    """The kind of non-empty lists of values of `kind`."""
+    def check(v) -> list:
+        try:
+            if isinstance(v, list) and v:
+                return [kind(x) for x in v]
+        except ValueError:
+            pass
+        raise ValueError(f"a non-empty list of {what}")
+    return check
+
+
+_reals = _list_of(_number, "finite numbers")
 
 
 def _index(v) -> int:
@@ -109,10 +115,10 @@ def _scheme(v) -> str:
     raise ValueError(" or ".join(map(repr, SCHEMES)))
 
 
-# the kinds of the scalar settings; n, the period and the fields are checked
-# where they are built
+# the kinds of the scalar settings and the period; n and the fields are
+# checked where they are built
 _SCALARS = {
-    "domain": {"d": _count, "K": _count},
+    "domain": {"d": _count, "K": _count, "period": _list_of(_within(0, math.inf), "positive numbers")},
     "scale": {"s": _real, "s_U": _real},
     "noise": {"eps": _real},
     "galerkin": {"dt": _real, "T": _real, "cutoff_level": _within(0, math.inf),
@@ -145,6 +151,26 @@ _FIELD_SPECS = {
     "random": {"modes": (_index, 8), "amplitude": (_real, 1.0), "seed": (_index, 0),
                "decay": (_real, 0.0)},
 }
+
+
+# the entries of a harmonic of a noise coefficient: key -> (kind, default)
+_HARMONIC = {"k": (_list_of(lambda v: _count(v, least=-sys.maxsize), "integers"), []),
+             "cos": (_reals, None), "sin": (_reals, None)}
+
+
+def _typed_directions(dirs, violations) -> list:
+    """noise.directions, each amplitude and wavevector converted by its kind (None if absent)."""
+    dirs = copy.deepcopy(dirs)
+    for i, entry in enumerate(dirs):
+        for coef in ("b", "c"):
+            spec, path = entry.get(coef), f"noise.directions[{i}].{coef}"
+            if spec is not None:
+                spec["const"] = _typed(spec.get("const"), _reals, f"{path}.const", violations, None)
+                for j, h in enumerate(spec.get("harmonics") or []):
+                    for key, (kind, default) in _HARMONIC.items():
+                        h[key] = _typed(h.get(key, default), kind, f"{path}.harmonics[{j}].{key}",
+                                        violations, default)
+    return dirs
 
 
 def _typed(value, kind, name: str, violations, default):
@@ -266,10 +292,9 @@ def load_config(path_or_dict) -> RunConfig:
     noise_eps = scalars["noise"]["eps"]
 
     domain = scale = basis = None
-    if None not in dom.values():
+    if None not in (dom["d"], dom["K"]):
         try:
-            period = merged["domain"]["period"]
-            domain = TorusDomain(d=dom["d"], K=dom["K"], period=tuple(period) if period else ())
+            domain = TorusDomain(d=dom["d"], K=dom["K"], period=tuple(dom["period"] or ()))
         except (ValueError, TypeError) as e:
             violations.append(f"domain: {e}")
     if domain is not None:
@@ -282,17 +307,18 @@ def load_config(path_or_dict) -> RunConfig:
 
     model = None
     if basis is not None:
-        nz = merged["noise"]
+        clean = len(violations)
         try:
-            dirs = nz.get("directions") or []
-            model = noise_model_from_spec({"directions": dirs}, basis.domain.d) if dirs else None
+            dirs = _typed_directions(merged["noise"]["directions"] or [], violations)
+            if dirs and len(violations) == clean:
+                model = noise_model_from_spec({"directions": dirs}, basis.domain.d)
             if model is not None and noise_eps is not None:
                 a = coercivity_constant(model, basis.domain)
                 if not 0.0 < noise_eps < a:
                     violations.append(
                         f"noise.eps = {noise_eps} outside (0, a) with coercivity margin a = {a:.6g}"
                     )
-        except (ValueError, TypeError, KeyError) as e:
+        except (ValueError, TypeError, KeyError, AttributeError) as e:
             violations.append(f"noise: {e}")
 
     gal = merged["galerkin"]

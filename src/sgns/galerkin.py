@@ -35,7 +35,7 @@ import numpy as np
 
 from .noise import NoiseModel, noise_matrices
 from .nonlinear import CutoffSpec
-from .spectral import Basis, ROLE_COS, SpectralField, project_Pn
+from .spectral import Basis, ROLE_COS, SpectralField, project_Pn, stack
 
 
 # -- Wiener increments -------------------------------------------------------
@@ -275,8 +275,7 @@ class GalerkinConfig:
     @property
     def probe_coords(self) -> np.ndarray:
         """Coordinates (probes, n) of the probes on the first n modes."""
-        coords = [p.basis.real_coords(p, self.n) for p in self.probes]
-        return np.stack(coords) if coords else np.zeros((0, self.n))
+        return self.basis.real_coords(stack(self.probes), self.n) if self.probes else np.zeros((0, self.n))
 
 
 # -- trajectory records ----------------------------------------------------------
@@ -790,8 +789,7 @@ def martingale_diagnostic(ens: Ensemble, psi, zeta, s: float, t: float, h=h_one)
     if count < 2:
         raise ValueError(f"need at least 2 live trajectories for z-scores, got {count}")
     cfg = ens.config
-    psi_n = psi.basis.real_coords(psi, cfg.n)
-    zeta_n = psi.basis.real_coords(zeta, cfg.n)
+    psi_n, zeta_n = psi.basis.real_coords(stack([psi, zeta]), cfg.n)
     probes_n = cfg.probe_coords
 
     def probe_index(coords):

@@ -70,11 +70,8 @@ def write_snapshot(path, u: SpectralField, n: int | None = None):
         fh.write(_MAGIC)
         fh.write(struct.pack("<5I", d, K, n, basis.n_modes, basis.n_slots))
         fh.write(np.asarray(basis.domain.period, dtype="<f8").tobytes())
-        table = np.zeros((basis.n_modes, d + 1), dtype="<i8")
-        for m in basis.modes:
-            table[m.mode_id, :d] = m.k
-            table[m.mode_id, d] = m.p
-        fh.write(table.tobytes())
+        # (k, p) of every real mode, in mode order
+        fh.write(np.array([m.k + (m.p,) for m in basis.modes], dtype="<i8").tobytes())
         amps = np.empty((basis.n_slots, 2), dtype="<f8")
         amps[:, 0] = u.coeffs.real
         amps[:, 1] = u.coeffs.imag
@@ -100,9 +97,8 @@ def read_snapshot(path, basis: Basis) -> tuple:
         n_modes, d + 1
     )
     off += 8 * n_modes * (d + 1)
-    for m in basis.modes:
-        if tuple(table[m.mode_id, :d]) != m.k or table[m.mode_id, d] != m.p:
-            raise ValueError("snapshot mode table does not match the basis ordering")
+    if not np.array_equal(table, [m.k + (m.p,) for m in basis.modes]):
+        raise ValueError("snapshot mode table does not match the basis ordering")
     amps = np.frombuffer(raw, dtype="<f8", count=n_slots * 2, offset=off).reshape(n_slots, 2)
     coeffs = amps[:, 0] + 1j * amps[:, 1]
     return SpectralField(basis, coeffs.copy()), int(n)

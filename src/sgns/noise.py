@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import Basis, SpectralField, grid_points, inner, norm, random_field
+from .spectral import Basis, SpectralField, grid_points, inner, norm, random_field, row_blocks, stack
 
 
 @dataclass(frozen=True)
@@ -176,22 +176,16 @@ class _ModelTables:
     """Per-(model, basis) shift tables for exact convolution application."""
 
     def __init__(self, model: NoiseModel, basis: Basis):
-        self.terms = []  # per direction: list of (rows, scalar_amp or vector_amp, kind)
+        # per direction, one (rows, scal) per exponential term of b and of c:
+        # (b.grad)u at l+k picks i (amp . kappa_l) u(l), and c u picks amp u(l)
         kap = basis.domain.kappa(basis.lattice_k)
-        for b, c in model.directions:
-            entries = []
-            if b is not None:
-                for k, amp in b.exp_terms(basis.domain):
-                    rows = basis.lattice_rows(basis.lattice_k + k)
-                    # (b.grad)u at l+k picks i (amp . kappa_l) u(l)
-                    scal = 1j * (kap @ np.asarray(amp))
-                    entries.append((rows, scal))
-            if c is not None:
-                for k, amp in c.exp_terms(basis.domain):
-                    rows = basis.lattice_rows(basis.lattice_k + k)
-                    scal = np.full(len(basis.lattice_k), complex(amp[0]))
-                    entries.append((rows, scal))
-            self.terms.append(entries)
+        self.terms = [
+            [(basis.lattice_rows(basis.lattice_k + k), 1j * (kap @ np.asarray(amp)))
+             for k, amp in (b.exp_terms(basis.domain) if b is not None else ())]
+            + [(basis.lattice_rows(basis.lattice_k + k), np.full(len(kap), complex(amp[0])))
+               for k, amp in (c.exp_terms(basis.domain) if c is not None else ())]
+            for b, c in model.directions
+        ]
 
 
 # convolution tables, keyed by value: they depend only on the noise model
@@ -209,15 +203,16 @@ def _tables(model: NoiseModel, basis: Basis) -> _ModelTables:
 
 def apply_G_direction(u: SpectralField, i: int, model: NoiseModel) -> SpectralField:
     """G(u)h^i for the i-th canonical direction: (b_i . grad)u + c_i u,
-    computed by exact convolution, Leray-projected and lattice-truncated."""
+    computed by exact convolution, Leray-projected and lattice-truncated;
+    for one field or a stack."""
     basis = u.basis
     tables = _tables(model, basis)
     ua = basis.to_exp_coeffs(u)
     out = np.zeros_like(ua)
     for rows, scal in tables.terms[i]:
         ok = rows >= 0
-        contrib = (scal[ok, None]) * ua[ok]
-        np.add.at(out, rows[ok], contrib)
+        # one shift sends distinct rows to distinct rows
+        out[..., rows[ok], :] += scal[ok, None] * ua[..., ok, :]
     return basis.from_exp_coeffs(out)
 
 
@@ -234,15 +229,15 @@ def apply_G(u: SpectralField, h, model: NoiseModel) -> SpectralField:
 
 
 def noise_matrices(model: NoiseModel, basis: Basis, n: int | None = None) -> list:
-    """Real matrices of u -> P_n G(u)h^i against the first n real eigenfields."""
+    """Real matrices of u -> P_n G(u)h^i against the first n real eigenfields,
+    whose columns are the images of the basis fields, taken as stacks."""
     n = basis.n_modes if n is None else n
-    mats = []
-    for i in range(model.M):
-        cols = np.zeros((n, n))
-        for j in range(n):
-            gj = apply_G_direction(basis.basis_field(j), i, model)
-            cols[:, j] = basis.real_coords(gj, n)
-        mats.append(cols)
+    mats = [np.empty((n, n)) for _ in range(model.M)]
+    # an image holds about four complex (lattice rows, d) arrays, 2 d reals per row each
+    for cols in row_blocks(n, 8 * basis.domain.d * len(basis.lattice_k)):
+        fields = basis.field_from_real_coords((np.arange(n)[cols, None] == np.arange(n)).astype(float))
+        for i, mat in enumerate(mats):
+            mat[:, cols] = basis.real_coords(apply_G_direction(fields, i, model), n).T
     return mats
 
 
@@ -251,10 +246,7 @@ def hs_norm_G(u: SpectralField, model: NoiseModel, target: str = "H") -> float:
     space = {"H": "H", "V_dual": "Vdual", "Vdual": "Vdual"}.get(target)
     if space is None:
         raise ValueError(f"target must be 'H' or 'V_dual', got {target!r}")
-    total = 0.0
-    for i in range(model.M):
-        total += norm(apply_G_direction(u, i, model), space) ** 2
-    return math.sqrt(total)
+    return math.sqrt(sum(norm(apply_G_direction(u, i, model), space) ** 2 for i in range(model.M)))
 
 
 # -- certified constants ----------------------------------------------------
@@ -454,26 +446,16 @@ def continuity_surrogate_Gstarstar(
 
     over random pairs at perturbation scale delta (linear G: the pairing
     depends on u - v only)."""
-    basis = psi.basis
     rng = np.random.default_rng(seed)
     psiV = norm(psi, "V")
-    max_C = 0.0
-    max_dev = 0.0
-    for _ in range(samples):
-        w = random_field(basis, rng)
-        hw = norm(w, "H")
-        if hw == 0.0:
-            continue
-        w = w * (delta / hw)
-        comps = np.array(
-            [inner(apply_G_direction(w, i, model), psi, "H") for i in range(model.M)]
-        )
-        dev = float(np.linalg.norm(comps))
-        max_dev = max(max_dev, dev)
-        wh = norm(w, "H")
-        if psiV > 0 and wh > 0:
-            max_C = max(max_C, dev / (wh * psiV))
-    return ContinuityReport(max_C=max_C, max_deviation=max_dev, samples=samples)
+    w = stack([random_field(psi.basis, rng) for _ in range(samples)])
+    hw = norm(w, "H")
+    w = SpectralField(psi.basis, w.coeffs[hw != 0.0] * (delta / hw[hw != 0.0])[:, None])
+    dev = np.linalg.norm([inner(apply_G_direction(w, i, model), psi, "H") for i in range(model.M)], axis=0)
+    denom = norm(w, "H") * psiV
+    C = np.divide(dev, denom, out=np.zeros(len(dev)), where=denom > 0)
+    return ContinuityReport(max_C=float(np.max(C, initial=0.0)),
+                            max_deviation=float(np.max(dev, initial=0.0)), samples=samples)
 
 
 # -- config schema -----------------------------------------------------------
@@ -486,22 +468,11 @@ def noise_model_from_spec(spec: dict, d: int) -> NoiseModel:
     {"k": [..], "cos": [..], "sin": [..]}, ...]}, "c": {...}} ]}.
     Either coefficient may be omitted or null.
     """
-    dirs = []
-    for entry in spec.get("directions", []):
-        b = c = None
-        if entry.get("b") is not None:
-            bs = entry["b"]
-            b = HarmonicField.build(
-                d, d,
-                const=bs.get("const"),
-                harmonics=[(h["k"], h.get("cos"), h.get("sin")) for h in bs.get("harmonics", [])],
-            )
-        if entry.get("c") is not None:
-            cs = entry["c"]
-            c = HarmonicField.build(
-                d, 1,
-                const=cs.get("const"),
-                harmonics=[(h["k"], h.get("cos"), h.get("sin")) for h in cs.get("harmonics", [])],
-            )
-        dirs.append((b, c))
+    dirs = [
+        tuple(None if entry.get(key) is None else HarmonicField.build(
+            d, ncomp, const=entry[key].get("const"),
+            harmonics=[(h["k"], h.get("cos"), h.get("sin")) for h in entry[key].get("harmonics", [])])
+            for key, ncomp in (("b", d), ("c", 1)))
+        for entry in spec.get("directions", [])
+    ]
     return NoiseModel(d=d, directions=tuple(dirs))

@@ -100,26 +100,14 @@ class SpaceScale:
         object.__setattr__(self, "s_U", float(s_U))
 
     def weight(self, space: str, kappa2: np.ndarray) -> np.ndarray:
-        one = 1.0 + kappa2
-        if space == "H":
-            return np.ones_like(kappa2)
+        """|kappa|^2 for the Dirichlet seminorm D, (1 + |kappa|^2)^q for the others."""
+        q = {"H": 0.0, "Hdual": 0.0, "V": 1.0, "Vdual": -1.0, "Vs": self.s, "Vsdual": -self.s,
+             "U": self.s_U, "Udual": -self.s_U}
         if space == "D":
             return kappa2
-        if space == "V":
-            return one
-        if space == "Vs":
-            return one ** self.s
-        if space == "U":
-            return one ** self.s_U
-        if space == "Hdual":
-            return np.ones_like(kappa2)
-        if space == "Vdual":
-            return 1.0 / one
-        if space == "Vsdual":
-            return one ** (-self.s)
-        if space == "Udual":
-            return one ** (-self.s_U)
-        raise ValueError(f"unknown space {space!r}; expected one of {SPACES}")
+        if space not in q:
+            raise ValueError(f"unknown space {space!r}; expected one of {SPACES}")
+        return (1.0 + kappa2) ** q[space]
 
 
 @dataclass(frozen=True)
@@ -254,26 +242,23 @@ class Basis:
 
     def basis_field(self, mode_id: int) -> "SpectralField":
         """The H-orthonormal real eigenfield e_i."""
-        m = self.modes[mode_id]
-        c = np.zeros(self.n_slots, dtype=complex)
-        c[m.slot] = 1.0 if m.role == ROLE_COS else 1.0j
-        return SpectralField(self, c)
+        return self.field_from_real_coords(np.eye(1, self.n_modes, mode_id)[0])
 
     def field_from_real_coords(self, x: np.ndarray) -> "SpectralField":
-        """Field with coordinates x_i against the real eigenbasis (zero-padded)."""
-        c = np.zeros(self.n_slots, dtype=complex)
+        """Field(s) with coordinates x[..., i] against the real eigenbasis (zero-padded)."""
         x = np.asarray(x, dtype=float)
-        ids = np.arange(len(x))
+        c = np.zeros(x.shape[:-1] + (self.n_slots,), dtype=complex)
+        ids = np.arange(x.shape[-1])
         roles = self.mode_role[ids]
         vals = np.where(roles == ROLE_COS, x, 0.0) + 1j * np.where(roles == ROLE_SIN, x, 0.0)
-        np.add.at(c, self.mode_slot[ids], vals)
+        np.add.at(c, (..., self.mode_slot[ids]), vals)
         return SpectralField(self, c)
 
     def real_coords(self, u: "SpectralField", n: int | None = None) -> np.ndarray:
-        """Coordinates of u against the first n real eigenfields."""
+        """Coordinates of u against the first n real eigenfields, (..., n)."""
         n = self.n_modes if n is None else n
         ids = np.arange(n)
-        c = u.coeffs[self.mode_slot[ids]]
+        c = u.coeffs[..., self.mode_slot[ids]]
         return np.where(self.mode_role[ids] == ROLE_COS, c.real, c.imag)
 
     def weights(self, space: str) -> np.ndarray:
@@ -289,28 +274,62 @@ class Basis:
     # -- exponential-mode (full lattice) representation --------------------
 
     def to_exp_coeffs(self, u: "SpectralField") -> np.ndarray:
-        """Vector Fourier amplitudes v(k) with u(x) = sum_k v(k) exp(i kappa.x)."""
-        amp = np.zeros((len(self.lattice_k), self.domain.d), dtype=complex)
-        contrib = (self._exp_alpha * u.coeffs)[:, None] * self.slot_eps
-        np.add.at(amp, self._slot_row, contrib)
-        np.add.at(amp, self._slot_row_neg, contrib.conj())
+        """Vector Fourier amplitudes v(k), (..., rows, d): u(x) = sum_k v(k) exp(i kappa.x)."""
+        amp = np.zeros(u.coeffs.shape[:-1] + (len(self.lattice_k), self.domain.d), dtype=complex)
+        contrib = (self._exp_alpha * u.coeffs)[..., None] * self.slot_eps
+        # the slots of one polarization sit on distinct rows (slot = row * npol
+        # + p), so each pass adds in the slot order of an unbuffered np.add.at
+        for rows, vals in ((self._slot_row, contrib), (self._slot_row_neg, contrib.conj())):
+            for p in range(self.npol):
+                amp[..., rows[p :: self.npol], :] += vals[..., p :: self.npol, :]
         return amp
 
     def from_exp_coeffs(self, amp: np.ndarray) -> "SpectralField":
-        """Decompose full-lattice amplitudes onto the polarization slots.
+        """Decompose full-lattice amplitudes (..., rows, d) onto the polarization slots.
 
         Components parallel to k are discarded, so this is also the Leray
         projection of a conjugate-symmetric coefficient array.
         """
-        rows = amp[self._slot_row]
-        c = np.einsum("sd,sd->s", rows, self.slot_eps) / self._exp_alpha / 2.0
-        c += np.einsum("sd,sd->s", amp[self._slot_row_neg].conj(), self.slot_eps) / self._exp_alpha / 2.0
+        c = np.einsum("...sd,sd->...s", amp[..., self._slot_row, :], self.slot_eps) / self._exp_alpha / 2.0
+        neg = amp[..., self._slot_row_neg, :].conj()
+        c += np.einsum("...sd,sd->...s", neg, self.slot_eps) / self._exp_alpha / 2.0
         return SpectralField(self, c)
+
+    # -- the uniform grid: the one lattice-to-grid map ----------------------
+
+    def _half_spectrum(self, N: int) -> tuple:
+        """Index (rows, d) of each lattice row in the half spectrum (N,) * (d - 1) + (N // 2 + 1,)
+        and the mask of the rows with k_d < 0, which it holds as the conjugate of -k."""
+        if N < 2 * self.domain.K + 2:
+            raise ValueError(f"grid must have at least 2K+2 = {2 * self.domain.K + 2} points per axis")
+        neg = self.lattice_k[:, -1] < 0
+        return np.mod(np.where(neg[:, None], -self.lattice_k, self.lattice_k), N), neg
+
+    def grid_values(self, amp: np.ndarray, N: int) -> np.ndarray:
+        """Real values (c, ..., N, ..., N) on the uniform N^d grid of the
+        conjugate-symmetric lattice amplitudes (..., rows, c) of c components."""
+        d = self.domain.d
+        k, neg = self._half_spectrum(N)
+        spec = np.zeros(amp.shape[-1:] + amp.shape[:-2] + (N,) * (d - 1) + (N // 2 + 1,), dtype=complex)
+        spec[(...,) + tuple(k[~neg].T)] = np.moveaxis(amp[..., ~neg, :], -1, 0)
+        return np.fft.irfftn(spec, s=(N,) * d, axes=tuple(range(-d, 0)), norm="forward")
+
+    def grid_amplitudes(self, vals: np.ndarray, N: int) -> np.ndarray:
+        """Lattice amplitudes (..., rows, c) of real grid values (c, ..., N, ..., N):
+        the Fourier coefficients of the grid function, truncated to the lattice."""
+        d = self.domain.d
+        k, neg = self._half_spectrum(N)
+        spec = np.fft.rfftn(vals, axes=tuple(range(-d, 0)), norm="forward")[(...,) + tuple(k.T)]
+        return np.moveaxis(np.where(neg, spec.conj(), spec), 0, -1)
 
 
 @dataclass
 class SpectralField:
-    """Divergence-free real velocity field stored as half-spectrum amplitudes."""
+    """Divergence-free real velocity field(s) stored as half-spectrum amplitudes.
+
+    `coeffs` is (..., n_slots): one field is the 1-D case, a stack has leading
+    axes.  Norms, the grid map and the certification forms give a float for one
+    field and an array of the leading shape for a stack, by the same code."""
 
     basis: Basis
     coeffs: np.ndarray
@@ -339,15 +358,45 @@ def enumerate_modes(domain: TorusDomain, scale: SpaceScale | None = None) -> lis
     return Basis(domain, scale).modes
 
 
-def norm(u: SpectralField, space: str) -> float:
+def stack(fields) -> SpectralField:
+    """One field stack holding the given fields of one basis as its rows, in order."""
+    return SpectralField(fields[0].basis, np.stack([f.coeffs for f in fields]))
+
+
+def per_field(x):
+    """A 0-d result as a float (one field); a stack's results as the array."""
+    return float(x) if np.ndim(x) == 0 else x
+
+
+def norm(u: SpectralField, space: str):
     w = u.basis.weights(space)
-    return float(np.sqrt(np.sum(w * np.abs(u.coeffs) ** 2)))
+    return per_field(np.sqrt(np.sum(w * np.abs(u.coeffs) ** 2, axis=-1)))
 
 
-def inner(u: SpectralField, v: SpectralField, space: str) -> float:
+def inner(u: SpectralField, v: SpectralField, space: str):
     _check_same_basis(u, v)
     w = u.basis.weights(space)
-    return float(np.sum(w * (u.coeffs * v.coeffs.conj()).real))
+    return per_field(np.sum(w * (u.coeffs * v.coeffs.conj()).real, axis=-1))
+
+
+# grid values a block of a stacked evaluation holds, one field at least
+GRID_BLOCK = 1 << 17
+
+
+def row_blocks(rows: int, values_per_row: int) -> list:
+    """Slices covering range(rows), each of at most GRID_BLOCK // values_per_row rows."""
+    step = max(1, GRID_BLOCK // values_per_row)
+    return [slice(lo, lo + step) for lo in range(0, max(rows, 1), step)]
+
+
+def blockwise(fn, fields: tuple, values_per_row: int) -> np.ndarray:
+    """fn over row blocks of the broadcast stack of `fields`, given one one-axis stack per
+    field and giving one result row per field row; joined in the stack's leading shape."""
+    coeffs = np.broadcast_arrays(*(f.coeffs for f in fields))
+    flat = [c.reshape(-1, c.shape[-1]) for c in coeffs]
+    out = np.concatenate([fn(*(SpectralField(f.basis, c[sl]) for f, c in zip(fields, flat)))
+                          for sl in row_blocks(len(flat[0]), values_per_row)])
+    return out.reshape(coeffs[0].shape[:-1] + out.shape[1:])
 
 
 def leray_project(basis: Basis, raw: Dict[tuple, np.ndarray]) -> SpectralField:
@@ -366,12 +415,9 @@ def leray_project(basis: Basis, raw: Dict[tuple, np.ndarray]) -> SpectralField:
             raise ValueError(f"wavevector {k} outside the mode lattice")
         amp[row] = np.asarray(v, dtype=complex)
         seen[row] = True
-    for slot in range(basis.n_slots):
-        r, rn = basis._slot_row[slot], basis._slot_row_neg[slot]
-        if seen[r] and not seen[rn]:
-            amp[rn] = amp[r].conj()
-        elif seen[rn] and not seen[r]:
-            amp[r] = amp[rn].conj()
+    for r, rn in ((basis._slot_row, basis._slot_row_neg), (basis._slot_row_neg, basis._slot_row)):
+        fill = seen[r] & ~seen[rn]
+        amp[rn[fill]] = amp[r[fill]].conj()
     return basis.from_exp_coeffs(amp)
 
 
@@ -387,9 +433,7 @@ _MULTIPLIERS = {
 def apply_operator(u: SpectralField, which: str) -> SpectralField:
     """Diagonal operators: Acal -> |kappa|^2, A -> 1+|kappa|^2, L -> w_U, plus
     the factorization pieces As -> (1+|kappa|^2)^(s-1), Ls -> (1+|kappa|^2)^(s_U-s)."""
-    if which not in _MULTIPLIERS:
-        raise ValueError(f"unknown operator {which!r}")
-    return SpectralField(u.basis, _MULTIPLIERS[which](u.basis) * u.coeffs)
+    return SpectralField(u.basis, operator_multiplier(u.basis, which) * u.coeffs)
 
 
 def operator_multiplier(basis: Basis, which: str) -> np.ndarray:
@@ -403,14 +447,7 @@ def project_Pn(u: SpectralField, n: int) -> SpectralField:
     basis = u.basis
     if not 1 <= n <= basis.n_modes:
         raise ValueError(f"projection level {n} outside [1, {basis.n_modes}]")
-    keep = np.zeros(basis.n_slots, dtype=complex)
-    ids = np.arange(n)
-    slots = basis.mode_slot[ids]
-    roles = basis.mode_role[ids]
-    keep[slots[roles == ROLE_COS]] += 1.0
-    keep[slots[roles == ROLE_SIN]] += 1.0j
-    c = u.coeffs.real * keep.real + 1j * (u.coeffs.imag * keep.imag)
-    return SpectralField(basis, c)
+    return basis.field_from_real_coords(basis.real_coords(u, n))
 
 
 def partial_derivative(u: SpectralField, axis: int) -> SpectralField:
@@ -419,18 +456,10 @@ def partial_derivative(u: SpectralField, axis: int) -> SpectralField:
 
 
 def eval_physical(u: SpectralField, grid_points_per_axis: int) -> np.ndarray:
-    """Sample the real field on the uniform N^d grid; exact for N >= 2K+2."""
+    """Sample the real field(s) on the uniform N^d grid, (..., N, ..., N, d);
+    exact for N >= 2K+2."""
     basis = u.basis
-    N = int(grid_points_per_axis)
-    if N < 2 * basis.domain.K + 2:
-        raise ValueError(f"grid must have at least 2K+2 = {2 * basis.domain.K + 2} points per axis")
-    d = basis.domain.d
-    amp = basis.to_exp_coeffs(u)
-    spec = np.zeros((N,) * d + (d,), dtype=complex)
-    idx = tuple(np.mod(basis.lattice_k[:, j], N) for j in range(d))
-    spec[idx] = amp
-    out = np.fft.ifftn(spec, axes=tuple(range(d))) * (N ** d)
-    return out.real
+    return np.moveaxis(basis.grid_values(basis.to_exp_coeffs(u), int(grid_points_per_axis)), 0, -1)
 
 
 def grid_points(domain: TorusDomain, N: int) -> np.ndarray:

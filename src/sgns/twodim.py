@@ -21,7 +21,7 @@ from .galerkin import (
     integrate_batch, level_violations,
 )
 from .nonlinear import TrilinearWorkspace, bilinear_B, trilinear_b
-from .spectral import Basis, SpectralField, eval_physical, norm, project_Pn
+from .spectral import Basis, SpectralField, blockwise, norm, per_field, project_Pn, row_blocks
 
 # Young-chain constant in the shifted energy inequality: bounding the doubled
 # convection term by (1/2)||v||^2 + C (|v|^2 + 1) ||z||_L4^4 via two Young
@@ -34,39 +34,39 @@ def _require_2d(basis: Basis):
         raise ValueError("this diagnostic is specific to d = 2")
 
 
-def l4_norm(u: SpectralField, grid_n: int | None = None) -> float:
-    """L4 norm by grid quadrature, exact for N >= 4K+1."""
-    N = grid_n if grid_n is not None else 4 * u.basis.domain.K + 2
-    vals = eval_physical(u, N)
-    vol = u.basis.domain.volume
-    return float((np.mean(np.sum(vals**2, axis=-1) ** 2) * vol) ** 0.25)
+def l4_norm(u: SpectralField, grid_n: int | None = None):
+    """L4 norm by grid quadrature on N >= 4K+1 points per axis, where it is exact."""
+    basis = u.basis
+    K, d = basis.domain.K, basis.domain.d
+    N = grid_n if grid_n is not None else 4 * K + 2
+    if N < 4 * K + 1:
+        raise ValueError(f"L4 quadrature needs at least 4K+1 = {4 * K + 1} points per axis")
+
+    def mean_fourth(u):
+        vals = basis.grid_values(basis.to_exp_coeffs(u), N)
+        sq = np.add.reduce(vals * vals, axis=0)
+        return np.mean(sq * sq, axis=tuple(range(1, sq.ndim)))
+
+    return per_field(np.sqrt(np.sqrt(blockwise(mean_fourth, (u,), d * N**d) * basis.domain.volume)))
 
 
-def ladyzhenskaya_check(u: SpectralField, grid_n: int | None = None) -> float:
+def ladyzhenskaya_check(u: SpectralField, grid_n: int | None = None):
     """||u||_L4 / (2^(1/4) |u|_H^(1/2) ||u||^(1/2)); expected <= 1 on domains,
     recorded (not asserted) on the torus."""
     _require_2d(u.basis)
-    h = norm(u, "H")
-    d = norm(u, "D")
-    if h == 0.0 or d == 0.0:
+    h, d = norm(u, "H"), norm(u, "D")
+    if np.any(np.asarray(h) == 0.0) or np.any(np.asarray(d) == 0.0):
         raise ValueError("Ladyzhenskaya ratio needs a nonzero field")
-    return l4_norm(u, grid_n) / (2.0**0.25 * math.sqrt(h) * math.sqrt(d))
+    return per_field(l4_norm(u, grid_n) / (2.0**0.25 * np.sqrt(h) * np.sqrt(d)))
 
 
-def trilinear_2d_bound(
-    u: SpectralField, v: SpectralField, w: SpectralField, ws: TrilinearWorkspace
-) -> float:
+def trilinear_2d_bound(u: SpectralField, v: SpectralField, w: SpectralField, ws: TrilinearWorkspace):
     """|b(u,v,w)| over the 2D interpolation bound; nan when degenerate."""
     _require_2d(u.basis)
-    denom = (
-        2.0**0.5
-        * math.sqrt(norm(u, "H") * norm(u, "D"))
-        * norm(v, "D")
-        * math.sqrt(norm(w, "H") * norm(w, "D"))
-    )
-    if denom == 0.0:
-        return math.nan
-    return abs(trilinear_b(u, v, w, ws)) / denom
+    denom = (2.0**0.5 * np.sqrt(norm(u, "H") * norm(u, "D")) * norm(v, "D")
+             * np.sqrt(norm(w, "H") * norm(w, "D")))
+    b = np.abs(trilinear_b(u, v, w, ws))
+    return per_field(np.divide(b, denom, out=np.full(np.shape(b), math.nan), where=denom != 0.0))
 
 
 @dataclass
@@ -83,7 +83,7 @@ def convection_path_bound(ens: Ensemble, ws: TrilinearWorkspace) -> PathBoundRep
     """Path-level bound ||B(u)||_{L2(0,T;V')} <= sqrt(2) |u|_{Linf H} ||u||_{L2 V}
     evaluated on the snapshot grid of each row of an Ensemble, in its
     config's basis, which the workspace must be of (ratio 0 where the bound
-    is 0)."""
+    is 0).  The snapshot fields are taken as stacks, in row blocks."""
     basis = ens.config.basis
     _require_2d(basis)
     if ws.basis is not basis:
@@ -91,15 +91,12 @@ def convection_path_bound(ens: Ensemble, ws: TrilinearWorkspace) -> PathBoundRep
     times = ens.config.snap_times
     if len(times) < 2:
         raise ValueError("record carries too few snapshots")
-    b2 = np.zeros((len(ens), len(times)))
-    v2 = np.zeros((len(ens), len(times)))
-    supH = np.zeros(len(ens))
-    for r in range(len(ens)):
-        for pos in range(len(times)):
-            u = basis.field_from_real_coords(ens.snap_u[r, pos])
-            b2[r, pos] = norm(bilinear_B(u, u, ws), "Vdual") ** 2
-            v2[r, pos] = norm(u, "V") ** 2
-            supH[r] = max(supH[r], norm(u, "H"))
+    norms = np.zeros((3, len(ens), len(times)))
+    for rows in row_blocks(len(ens), len(times) * ws.field_values):
+        u = basis.field_from_real_coords(ens.snap_u[rows])
+        norms[:, rows] = norm(bilinear_B(u, u, ws), "Vdual") ** 2, norm(u, "V") ** 2, norm(u, "H")
+    b2, v2, h = norms
+    supH = np.max(h, axis=1)
     dts = np.diff(times)
     int_b = np.sum(b2[:, :-1] * dts, axis=1)
     int_v = np.sum(v2[:, :-1] * dts, axis=1)

@@ -36,6 +36,7 @@ from sgns.spectral import (
     partial_derivative,
     project_Pn,
     random_field,
+    stack,
 )
 from sgns.tightness import (
     FunctionFamily,
@@ -276,28 +277,24 @@ def test_criterion_09_nested_space():
 
 
 def test_criterion_10_2d_inequalities(basis):
+    # the fields are drawn one at a time, in the order and from the streams
+    # of a per-field loop, and each check takes them as one stack
     rng = np.random.default_rng(1000)
     K = basis.domain.K
-    lady_base, lady_fine = [], []
-    for _ in range(10000):
-        u = random_field(basis, rng, decay=0.5)
-        lady_base.append(ladyzhenskaya_check(u, grid_n=4 * K + 2))
+    us = stack([random_field(basis, rng, decay=0.5) for _ in range(10000)])
+    lady_base = ladyzhenskaya_check(us, grid_n=4 * K + 2)
     rng = np.random.default_rng(1000)
-    for _ in range(10000):
-        u = random_field(basis, rng, decay=0.5)
-        lady_fine.append(ladyzhenskaya_check(u, grid_n=2 * (4 * K + 2)))
+    us = stack([random_field(basis, rng, decay=0.5) for _ in range(10000)])
+    lady_fine = ladyzhenskaya_check(us, grid_n=2 * (4 * K + 2))
     lady_stable = abs(max(lady_fine) - max(lady_base)) <= 0.02 * max(lady_base)
 
     ws_base = TrilinearWorkspace(basis)
     ws_fine = TrilinearWorkspace(basis, grid_points=2 * (3 * K + 2))
-    tri_base, tri_fine = [], []
     rng = np.random.default_rng(1001)
-    for _ in range(10000):
-        u = random_field(basis, rng, decay=0.5)
-        v = random_field(basis, rng, decay=0.5)
-        w = random_field(basis, rng, decay=0.5)
-        tri_base.append(trilinear_2d_bound(u, v, w, ws_base))
-        tri_fine.append(trilinear_2d_bound(u, v, w, ws_fine))
+    u, v, w = (stack(f) for f in zip(*([random_field(basis, rng, decay=0.5) for _ in range(3)]
+                                         for _ in range(10000))))
+    tri_base = trilinear_2d_bound(u, v, w, ws_base)
+    tri_fine = trilinear_2d_bound(u, v, w, ws_fine)
     tri_base = [x for x in tri_base if not math.isnan(x)]
     tri_fine = [x for x in tri_fine if not math.isnan(x)]
     tri_stable = abs(max(tri_fine) - max(tri_base)) <= 0.02 * max(tri_base)

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -161,6 +162,53 @@ def test_bad_field_spec_rejected_at_load(tmp_path, field, key, value):
     with pytest.raises(ConfigError, match=rf"galerkin\.{field}\.{key} must be"):
         load_config(path)
     assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+
+
+def assert_load_names(tmp_path, extra, key):
+    """The config loads as a ConfigError naming `key`, and sgns exits 2."""
+    path = write_cfg(tmp_path, extra)
+    with pytest.raises(ConfigError, match=re.escape(key) + " must be"):
+        load_config(path)
+    assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+
+
+@pytest.mark.parametrize("period", [[True, True], [float("nan"), 6.0], [float("inf"), 6.0], "6"])
+def test_bad_period_rejected_at_load(tmp_path, period):
+    assert_load_names(tmp_path, {"domain": {"period": period}}, "domain.period")
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), True, "1"])
+@pytest.mark.parametrize("key", ["const", "cos", "sin"])
+def test_bad_noise_amplitude_rejected_at_load(tmp_path, key, value):
+    if key == "const":
+        b, name = {"const": [value, 0.0]}, "noise.directions[0].b.const"
+    else:
+        b = {"const": [1.0, 0.0], "harmonics": [{"k": [1, 0], key: [0.1, value]}]}
+        name = f"noise.directions[0].b.harmonics[0].{key}"
+    assert_load_names(tmp_path, {"noise": {"directions": [{"b": b}]}}, name)
+
+
+def test_fractional_harmonic_wavevector_rejected_at_load(tmp_path):
+    b = {"const": [1.0, 0.0], "harmonics": [{"k": [1.5, 0], "cos": [0.1, 0.0]}]}
+    assert_load_names(tmp_path, {"noise": {"directions": [{"b": b}]}},
+                      "noise.directions[0].b.harmonics[0].k")
+
+
+def test_noise_direction_that_is_not_a_table_rejected_at_load(tmp_path):
+    path = write_cfg(tmp_path, {"noise": {"directions": [5]}})
+    with pytest.raises(ConfigError, match="noise: "):
+        load_config(path)
+    assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+
+
+def test_typed_noise_and_period_build_the_same_run(tmp_path):
+    b = {"const": [1, 0], "harmonics": [{"k": [1.0, 2], "cos": [0.1, 0], "sin": [0, 0.2]}]}
+    run = load_config(write_cfg(tmp_path, {"domain": {"period": [6, 6.5]},
+                                           "noise": {"directions": [{"b": b, "c": {"const": [0.3]}}]}}))
+    assert run.basis.domain.period == (6.0, 6.5)
+    (bf, cf), = run.galerkin.model.directions
+    assert bf.const == (1.0, 0.0) and bf.harmonics == (((1, 2), (0.1, 0.0), (0.0, 0.2)),)
+    assert cf.const == (0.3,)
 
 
 def test_mode_field_spec(tmp_path):

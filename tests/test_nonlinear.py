@@ -10,6 +10,9 @@ from sgns.nonlinear import (
     truncated_Bn,
 )
 from sgns.spectral import (
+    Basis,
+    SpaceScale,
+    TorusDomain,
     eval_physical,
     inner,
     norm,
@@ -103,6 +106,20 @@ def test_bilinear_B_zero(ws, basis2d_small, rng):
     u = random_field(basis2d_small, rng)
     assert norm(bilinear_B(z, u, ws), "H") == 0.0
     assert norm(bilinear_B(u, z, ws), "H") == 0.0
+
+
+def test_bilinear_B_rejects_fields_of_another_basis():
+    # a field of the period-1 torus read through the 2 pi workspace of the
+    # same K would be scaled by the wrong wavevectors; every form built on
+    # the product raises instead
+    own = Basis(TorusDomain(d=2, K=5, period=(1.0, 1.0)), SpaceScale(d=2))
+    other = TrilinearWorkspace(Basis(TorusDomain(d=2, K=5), SpaceScale(d=2)))
+    u = random_field(own, np.random.default_rng(0), decay=0.5)
+    assert np.isfinite(norm(bilinear_B(u, u, TrilinearWorkspace(own)), "H"))
+    for call in (lambda: bilinear_B(u, u, other), lambda: trilinear_b(u, u, u, other),
+                 lambda: truncated_Bn(u, 4, CutoffSpec(1.0), other)):
+        with pytest.raises(ValueError, match="different bases"):
+            call()
 
 
 def test_B_ext_bound_recorded(ws, basis2d_small, rng):

@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 
 from sgns import galerkin, twodim
-from sgns.galerkin import GalerkinConfig, integrate_batch
+from sgns.galerkin import GalerkinConfig, generate_wiener, integrate_batch
 from sgns.noise import certify_conditions, default_noise_model
-from sgns.nonlinear import TrilinearWorkspace
-from sgns.spectral import Basis, SpaceScale, TorusDomain, random_field
+from sgns.nonlinear import TrilinearWorkspace, bilinear_B
+from sgns.spectral import Basis, SpaceScale, TorusDomain, norm, random_field
 from sgns.twodim import (
     ShiftedProblem,
     convection_path_bound,
@@ -75,6 +75,20 @@ def test_ladyzhenskaya_stable_under_refinement(basis2d_small, rng):
     assert abs(max(vals2) - base_max) <= 0.02 * base_max
 
 
+def test_l4_norm_needs_the_exact_grid(basis2d):
+    # at K = 8 the quadrature of |u|^4 is exact from N = 4K + 1 = 33 on;
+    # coarser grids alias and are refused, not returned
+    u = random_field(basis2d, np.random.default_rng(0), decay=0.5)
+    exact = l4_norm(u, 68)
+    for N in (33, 34, 40):
+        assert abs(l4_norm(u, N) - exact) <= 1e-12 * exact
+    for N in (18, 24, 32):
+        with pytest.raises(ValueError, match="4K\\+1 = 33"):
+            l4_norm(u, N)
+        with pytest.raises(ValueError, match="4K\\+1 = 33"):
+            ladyzhenskaya_check(u, N)
+
+
 def test_ladyzhenskaya_rejects_zero(basis2d_small):
     with pytest.raises(ValueError):
         ladyzhenskaya_check(basis2d_small.zero_field())
@@ -118,6 +132,33 @@ def test_convection_path_bound(basis2d_small, ws, rng):
     coarse = Basis(TorusDomain(d=2, K=2), SpaceScale(d=2))
     with pytest.raises(ValueError, match="another basis"):
         convection_path_bound(ens, TrilinearWorkspace(coarse))
+
+
+def test_convection_path_bound_is_the_per_snapshot_formula(basis2d_small, ws):
+    # five rows, row 2 aborted mid-path (its later snapshots read zero): each
+    # row's values are the quadrature of the per-snapshot norms
+    cfg = GalerkinConfig(
+        basis=basis2d_small, n=10, dt=1e-3, T=0.05,
+        u0=random_field(basis2d_small, np.random.default_rng(4), n=8, decay=0.5),
+        model=default_noise_model(2), seed=2, snapshot_stride=5, overflow_limit=1e3,
+    )
+    dW = np.stack([generate_wiener(cfg.steps, cfg.M, cfg.dt, cfg.seed, i) for i in range(5)], axis=1)
+    dW[22, 2] = 1e6
+    ens = integrate_batch(cfg, range(5), dW)
+    assert ens.aborted.tolist() == [False, False, True, False, False]
+    rep = convection_path_bound(ens, ws)
+    dts = np.diff(cfg.snap_times)
+    for r in range(5):
+        us = [basis2d_small.field_from_real_coords(x) for x in ens.snap_u[r]]
+        b2 = np.array([norm(bilinear_B(u, u, ws), "Vdual") ** 2 for u in us])
+        v2 = np.array([norm(u, "V") ** 2 for u in us])
+        sup_h = max(norm(u, "H") for u in us)
+        int_b, int_v = float(np.sum(b2[:-1] * dts)), float(np.sum(v2[:-1] * dts))
+        want = (math.sqrt(int_b), sup_h, math.sqrt(int_v),
+                math.sqrt(int_b) / (2.0**0.5 * sup_h * math.sqrt(int_v)))
+        got = (rep.b_l2_vdual[r], rep.sup_H[r], rep.l2_V[r], rep.ratio[r])
+        for g, w in zip(got, want):
+            assert abs(g - w) <= 1e-12 * abs(w)
 
 
 def test_solve_shifted_linear_decay(basis2d_small):
