@@ -39,7 +39,7 @@ budget = energy_budget_check(ens)
 print(f"  worst residual = {budget.max_relative_residual:.2e}, "
       f"Ito-isometry z-score = {budget.ito_zscore:+.2f}")
 
-rep = martingale_diagnostic(ens, probes[0], probes[0], s=0.2, t=0.8)
+rep = martingale_diagnostic(ens, 0, 0, s=0.2, t=0.8)  # probe 0 against itself
 print(f"  martingale pairing with the first eigenfield on [0.2, 0.8]:")
 print(f"    mean z-score = {rep.mean_zscore:+.2f}, quadratic-variation z-score = {rep.qv_zscore:+.2f}")
 print(f"    ledger reconstruction residual = {rep.reconstruction_residual:.2e}")

@@ -292,7 +292,9 @@ def load_config(path_or_dict) -> RunConfig:
     noise_eps = scalars["noise"]["eps"]
 
     domain = scale = basis = None
-    if None not in (dom["d"], dom["K"]):
+    if dom["period"] and dom["d"] is not None and len(dom["period"]) != dom["d"]:
+        violations.append(f"domain.period must be {dom['d']} positive numbers, got {len(dom['period'])}")
+    elif None not in (dom["d"], dom["K"]):
         try:
             domain = TorusDomain(d=dom["d"], K=dom["K"], period=tuple(dom["period"] or ()))
         except (ValueError, TypeError) as e:

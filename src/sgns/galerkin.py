@@ -745,9 +745,10 @@ def _zscore(vals: np.ndarray) -> float:
 
 def reconstruct_martingale(ens: Ensemble, pos: int) -> np.ndarray:
     """Martingale part at snapshot position `pos` of each row (R, n), rebuilt
-    from the ledger: u(t) - u(0) - (Stokes + convection - forcing integrals)."""
-    step = int(ens.config.snap_idx[pos])
-    jpos = int(np.nonzero(ens.config.integral_snap_idx == step)[0][0])
+    from the ledger: u(t) - u(0) - (Stokes + convection - forcing integrals).
+    The snapshot must also be on the integral grid (ValueError naming its time)."""
+    cfg = ens.config
+    jpos = int(_grid_positions(cfg.integral_snap_idx * cfg.dt, cfg.snap_times[pos], cfg.dt))
     return (
         ens.snap_u[:, pos]
         - ens.u0_coords
@@ -774,33 +775,26 @@ def h_tanh_sup(ens: Ensemble, step: int) -> np.ndarray:
     return float_map(lambda sup: math.tanh(sup**2), np.max(ens.norm_H[:, : step + 1], axis=1))
 
 
-def martingale_diagnostic(ens: Ensemble, psi, zeta, s: float, t: float, h=h_one) -> MartingaleReport:
+def martingale_diagnostic(ens: Ensemble, a: int, b: int, s: float, t: float, h=h_one) -> MartingaleReport:
     """Zero-mean and quadratic-variation z-scores of the reconstructed
-    martingale part, paired against probe fields psi and zeta, over the
-    paths that did not abort (an aborted path reads zero past its abort).
+    martingale part, paired against the probes psi = config.probes[a] and
+    zeta = config.probes[b], over the paths that did not abort (an aborted
+    path reads zero past its abort).
 
-    psi and zeta must be among the probes configured for the run (their
+    The pair (a, b) or (b, a) must be among config.qv_pairs (its
     quadratic-variation integral is accumulated online during integration);
-    s and t must lie on the snapshot grid.  h(ens, step) weighs each path by
-    a functional of it up to `step`.
+    s and t must lie on the snapshot grid and on the integral grid.
+    h(ens, step) weighs each path by a functional of it up to `step`.
     """
     live = ~ens.aborted
     count = int(np.count_nonzero(live))
     if count < 2:
         raise ValueError(f"need at least 2 live trajectories for z-scores, got {count}")
     cfg = ens.config
-    psi_n, zeta_n = psi.basis.real_coords(stack([psi, zeta]), cfg.n)
-    probes_n = cfg.probe_coords
-
-    def probe_index(coords):
-        # absolute tolerance only: a relative one would take a probe within
-        # that fraction of another for it
-        for i in range(len(probes_n)):
-            if np.allclose(probes_n[i], coords, rtol=0.0, atol=1e-12):
-                return i
-        raise ValueError("field is not among the configured probes")
-
-    a, b = probe_index(psi_n), probe_index(zeta_n)
+    for i in (a, b):
+        if not 0 <= i < len(cfg.probes):
+            raise ValueError(f"probe index {i} outside the {len(cfg.probes)} configured probes")
+    psi_n, zeta_n = cfg.probe_coords[[a, b]]
     # (a, b) and (b, a) accumulate the same products, so either column serves
     cols = [q for q, pair in enumerate(cfg.qv_pairs) if pair in ((a, b), (b, a))]
     if not cols:
@@ -810,10 +804,9 @@ def martingale_diagnostic(ens: Ensemble, psi, zeta, s: float, t: float, h=h_one)
     ps, pt = _grid_positions(cfg.snap_times, (s, t), cfg.dt)
     Ms = reconstruct_martingale(ens, ps)[live]
     Mt = reconstruct_martingale(ens, pt)[live]
-    snap_idx = cfg.snap_idx
-    jt = int(np.nonzero(cfg.integral_snap_idx == snap_idx[pt])[0][0])
+    jt = int(_grid_positions(cfg.integral_snap_idx * cfg.dt, cfg.snap_times[pt], cfg.dt))
     recon = float(np.max(np.abs(Mt - ens.snap_integrals["noise"][live, jt])))
-    hval = h(ens, int(snap_idx[ps]))[live]
+    hval = h(ens, int(cfg.snap_idx[ps]))[live]
     # np.vecdot is the per-row np.dot to the bit; M @ psi_n is not
     mps, mpt = np.vecdot(Ms, psi_n), np.vecdot(Mt, psi_n)
     mzs, mzt = np.vecdot(Ms, zeta_n), np.vecdot(Mt, zeta_n)

@@ -96,12 +96,6 @@ class CutoffSpec:
             out = 1.0 - x * x * x * (10.0 - 15.0 * x + 6.0 * (x * x))
         return float(out) if out.ndim == 0 else out
 
-    def dtheta(self, r: float) -> float:
-        x = r - self.level
-        if x <= 0.0 or x >= 1.0:
-            return 0.0
-        return -(30.0 * x**2 - 60.0 * x**3 + 30.0 * x**4)
-
 
 def truncated_Bn(
     u: SpectralField, n: int, cutoff: CutoffSpec, ws: TrilinearWorkspace

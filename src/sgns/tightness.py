@@ -8,8 +8,12 @@ per-term scaling of the drift and noise pieces of the path decomposition
 (initial state, Stokes integral, convection integral, forcing integral,
 stochastic integral).  The path diagnostics read one `galerkin.Ensemble`
 and weigh by the U' norm of the basis of the config it holds; no basis is
-passed beside it.  The nested-space construction that supplies the
-compact embedding U -> V_s is built and certified separately.
+passed beside it.  The modulus table reads only the per-path lag maxima
+the stepper recorded (`GalerkinConfig.modulus_lags`, sized by
+`modulus_lags`); an ensemble that recorded fewer lags than a table needs
+is a `ValueError`, not a recomputation.  The nested-space construction
+that supplies the compact embedding U -> V_s is built and certified
+separately.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .estimates import median
-from .galerkin import INTEGRALS, Ensemble, _grid_positions, _increment_norms, _lag_maxima
+from .galerkin import INTEGRALS, Ensemble, _grid_positions, _increment_norms
 
 
 # -- windows -------------------------------------------------------------------
@@ -39,6 +43,13 @@ def modulus_lags(deltas, times) -> int:
     return _window_lag(max(deltas), times[1] - times[0], len(times) - 1)
 
 
+def _loglog_slope(x, y) -> float:
+    """Least-squares slope of log y against log x; nan unless every y is positive."""
+    if not np.all(y > 0):
+        return math.nan
+    return float(np.polyfit(np.log(x), np.log(y), 1)[0])
+
+
 # -- trajectory families -----------------------------------------------------
 
 
@@ -51,22 +62,18 @@ def _live_rows(ens):
 
 class FunctionFamily:
     """Snapshot trajectories of the live paths of one Ensemble in
-    U'-coordinates of its config's basis: coords (R, S, n), the per-step
-    norms (R, steps + 1) and the lag maxima the stepper recorded
-    (R, modulus_lags).  These are views of the ensemble's arrays, copied
-    only to drop aborted rows."""
+    U'-coordinates of the basis of its `config` (the Ensemble's): coords
+    (R, S, n), the per-step norms (R, steps + 1) and the lag maxima the
+    stepper recorded (R, config.modulus_lags).  These are views of the
+    ensemble's arrays, copied only to drop aborted rows."""
 
     def __init__(self, ens):
         rows = _live_rows(ens)
-        cfg = ens.config
-        self.n = cfg.n
-        self.dt = cfg.dt
-        self.times = cfg.snap_times
+        self.config = ens.config
         self.coords = ens.snap_u[rows]  # (R, S, n)
         self.norm_H = ens.norm_H[rows]  # (R, steps + 1)
         self.norm_D = ens.norm_D[rows]
         self.stored_lag_maxima = ens.lag_maxima[rows]  # (R, modulus_lags)
-        self.wUdual = cfg.basis.mode_weights("Udual", cfg.n)
 
     @property
     def size(self) -> int:
@@ -74,25 +81,27 @@ class FunctionFamily:
 
     def sup_V_integral(self) -> float:
         H, D = self.norm_H[:, :-1], self.norm_D[:, :-1]
-        return float(np.max(np.sum(H**2 + D**2, axis=1))) * self.dt
+        return float(np.max(np.sum(H**2 + D**2, axis=1))) * self.config.dt
 
     def sup_sup_H(self) -> float:
         return float(np.max(self.norm_H))
 
     def lag_maxima(self, max_lag: int) -> np.ndarray:
-        """m[r, l-1] = max_j |u_r(t_{j+l}) - u_r(t_j)|_{U'} for lags 1..max_lag:
-        the recorded maxima when they reach max_lag, else computed from the
-        snapshots by the same kernel, so both are the same bits."""
-        if max_lag <= self.stored_lag_maxima.shape[1]:
-            return self.stored_lag_maxima[:, :max_lag]
-        return _lag_maxima(self.coords, self.wUdual, max_lag)
+        """m[r, l-1] = max_j |u_r(t_{j+l}) - u_r(t_j)|_{U'} for lags 1..max_lag,
+        as the stepper recorded them; ValueError when it recorded fewer."""
+        recorded = self.config.modulus_lags
+        if max_lag > recorded:
+            raise ValueError(f"the modulus table needs lag maxima up to lag {max_lag}, but the ensemble "
+                             f"recorded {recorded} (set GalerkinConfig.modulus_lags)")
+        return self.stored_lag_maxima[:, :max_lag]
 
 
 def _modulus_table(family: FunctionFamily, deltas: np.ndarray) -> np.ndarray:
     """omega_r(delta) = sup over |t - s| <= delta of |u_r(t) - u_r(s)|_{U'} on
     the snapshot grid, per path r and sorted window: (R, len(deltas))."""
-    h = family.times[1] - family.times[0]
-    max_lag = modulus_lags(deltas, family.times)
+    times = family.config.snap_times
+    h = times[1] - times[0]
+    max_lag = modulus_lags(deltas, times)
     running = np.maximum.accumulate(family.lag_maxima(max_lag), axis=1)
     # column 0 is the window without a whole spacing: modulus 0
     running = np.concatenate([np.zeros((family.size, 1)), running], axis=1)
@@ -104,18 +113,7 @@ def median_modulus_curve(family: FunctionFamily, deltas) -> tuple:
     log-log slope (nan when the curve touches zero)."""
     deltas = np.sort(np.asarray(deltas, dtype=float))
     curve = median(_modulus_table(family, deltas), axis=0)
-    slope = math.nan
-    if np.all(curve > 0):
-        slope = float(np.polyfit(np.log(deltas), np.log(curve), 1)[0])
-    return curve, slope
-
-
-def modulus_of_continuity(coords: np.ndarray, wUdual: np.ndarray, times: np.ndarray, delta: float) -> float:
-    """sup over |t - s| <= delta of |u(t) - u(s)|_{U'} on the snapshot grid."""
-    if delta <= 0:
-        raise ValueError("delta must be positive")
-    max_lag = modulus_lags([delta], times)
-    return float(np.max(_lag_maxima(coords[None], wUdual, max_lag), initial=0.0))
+    return curve, _loglog_slope(deltas, curve)
 
 
 # -- Dubinsky-type diagnostic -------------------------------------------------
@@ -147,12 +145,11 @@ def dubinsky_diagnostic(
     supV = family.sup_V_integral()
     supH = family.sup_sup_H()
     if np.max(curve) == 0.0:
-        return DubinskyReport(supV, supH, deltas, curve, math.inf, slope_threshold, True)
-    if np.any(curve <= 0.0):
-        passed = False
-        slope = 0.0
+        slope, passed = math.inf, True
+    elif np.any(curve <= 0.0):
+        slope, passed = 0.0, False
     else:
-        slope = float(np.polyfit(np.log(deltas), np.log(curve), 1)[0])
+        slope = _loglog_slope(deltas, curve)
         passed = slope >= slope_threshold
     return DubinskyReport(supV, supH, deltas, curve, slope, slope_threshold, passed)
 
@@ -176,8 +173,10 @@ class AldousReport:
 
 def _hitting_positions(family: FunctionFamily, level: float) -> np.ndarray:
     """Snapshot position of the first time |u|_H >= level (end of path if never)."""
-    last = len(family.times) - 1
-    stride = int(round((family.times[1] - family.times[0]) / family.dt))
+    cfg = family.config
+    times = cfg.snap_times
+    last = len(times) - 1
+    stride = int(round((times[1] - times[0]) / cfg.dt))
     hit = family.norm_H >= level
     first = np.argmax(hit, axis=1)
     return np.where(hit.any(axis=1), np.minimum(-(-first // stride), last), last)
@@ -193,12 +192,15 @@ def aldous_check(family: FunctionFamily, thetas, eta: float) -> AldousReport:
     overall decay.
     """
     thetas = np.sort(np.asarray(thetas, dtype=float))[::-1]  # descending
-    S = len(family.times)
-    h = family.times[1] - family.times[0]
+    cfg = family.config
+    times = cfg.snap_times
+    w = cfg.basis.mode_weights("Udual", cfg.n)
+    S = len(times)
+    h = times[1] - times[0]
     rules = {}
     for frac in (0.2, 0.45, 0.7):
         pos = int(round(frac * (S - 1)))
-        rules[f"grid_t={family.times[pos]:.4g}"] = np.full(family.size, pos, dtype=int)
+        rules[f"grid_t={times[pos]:.4g}"] = np.full(family.size, pos, dtype=int)
     sups = np.max(family.norm_H, axis=1)
     for q in (50, 90):
         level = float(np.percentile(sups, q))
@@ -210,7 +212,7 @@ def aldous_check(family: FunctionFamily, thetas, eta: float) -> AldousReport:
         lag = int(round(theta / h))
         for label, taus in rules.items():
             pair = np.stack([taus, np.minimum(taus + lag, S - 1)], axis=1)
-            d = _increment_norms(family.coords[rows, pair], 1, family.wUdual)[:, 0]
+            d = _increment_norms(family.coords[rows, pair], 1, w)[:, 0]
             per_rule[label][i] = float(np.mean(d >= eta))
     probs = np.max(np.stack(list(per_rule.values())), axis=0)
     # thetas descending: probabilities must not increase as theta shrinks
@@ -226,14 +228,15 @@ def calibrate_aldous_eta(family: FunctionFamily, theta: float, quantile: float =
     """Threshold for the exceedance table: a quantile of the pooled increments
     |u(t + theta) - u(t)|_{U'} over the family at the largest window, so the
     table starts mid-range and its decay toward 0 is informative."""
-    h = family.times[1] - family.times[0]
-    lag = max(1, int(round(theta / h)))
+    cfg = family.config
+    times = cfg.snap_times
+    lag = max(1, int(round(theta / (times[1] - times[0]))))
     # only the sampled increments are formed: those starting at every
     # ((S - lag) // 64)-th snapshot
-    count = len(family.times) - lag
+    count = len(times) - lag
     starts = np.arange(0, count, max(1, count // 64))
     pair = family.coords[:, np.stack([starts, starts + lag], axis=1)]  # (R, starts, 2, n)
-    d = _increment_norms(pair, 1, family.wUdual)[..., 0]
+    d = _increment_norms(pair, 1, cfg.basis.mode_weights("Udual", cfg.n))[..., 0]
     return float(np.percentile(d.ravel(), quantile))
 
 
@@ -290,9 +293,7 @@ def increment_scaling(ens: Ensemble, tau, thetas) -> IncrementScalingReport:
         # table keeps its own form and its values to the bit
         norms = np.sqrt(np.sum(wUdual * inc * inc, axis=-1))
         med[name] = median(norms.transpose(1, 0, 2).reshape(len(thetas), -1), axis=1)
-        exps[name] = math.nan
-        if np.all(med[name] > 0):
-            exps[name] = float(np.polyfit(np.log(thetas), np.log(med[name]), 1)[0])
+        exps[name] = _loglog_slope(thetas, med[name])
     return IncrementScalingReport(thetas=thetas, median_norms=med, exponents=exps)
 
 

@@ -195,18 +195,18 @@ def test_criterion_05_energy_budget(stochastic_ensemble):
 
 
 def test_criterion_06_martingale_diagnostics(stochastic_ensemble, basis):
-    cfg, recs = stochastic_ensemble
-    e1, e3, e5 = cfg.probes
+    _, recs = stochastic_ensemble
+    # indices into the config's probes (e1, e3, e5)
     cases = [
-        (e1, e1, 0.2, 0.8, None),
-        (e1, e3, 0.3, 0.7, h_tanh_sup),
-        (e5, e5, 0.1, 0.9, None),
+        (0, 0, 0.2, 0.8, None),
+        (0, 1, 0.3, 0.7, h_tanh_sup),
+        (2, 2, 0.1, 0.9, None),
     ]
     zs = []
     ok = True
-    for psi, zeta, s, t, h in cases:
+    for a, b, s, t, h in cases:
         kw = {"h": h} if h is not None else {}
-        rep = martingale_diagnostic(recs, psi, zeta, s, t, **kw)
+        rep = martingale_diagnostic(recs, a, b, s, t, **kw)
         zs.append((rep.mean_zscore, rep.qv_zscore))
         ok = ok and abs(rep.mean_zscore) <= 3.0 and abs(rep.qv_zscore) <= 3.0
         ok = ok and rep.reconstruction_residual <= 1e-9

@@ -364,11 +364,11 @@ def test_martingale_diagnostic_zscores(basis2d_small):
         qv_pairs=((0, 0), (0, 1)),
     )
     recs = integrate_ensemble(cfg, 300)
-    rep = martingale_diagnostic(recs, e1, e1, s=0.02, t=0.08)
+    rep = martingale_diagnostic(recs, 0, 0, s=0.02, t=0.08)
     assert abs(rep.mean_zscore) < 3.0
     assert abs(rep.qv_zscore) < 3.0
     assert rep.reconstruction_residual < 1e-10
-    rep2 = martingale_diagnostic(recs, e1, e3, s=0.02, t=0.08, h=h_tanh_sup)
+    rep2 = martingale_diagnostic(recs, 0, 1, s=0.02, t=0.08, h=h_tanh_sup)
     assert abs(rep2.mean_zscore) < 3.0
     assert abs(rep2.qv_zscore) < 3.0
 
@@ -380,21 +380,38 @@ def test_martingale_probe_out_of_range(basis2d_small):
     far = basis.basis_field(n + 3)
     cfg = make_config(basis, n=n, T=0.05, snapshot_stride=10, probes=(far,), qv_pairs=((0, 0),))
     recs = integrate_ensemble(cfg, 20)
-    rep = martingale_diagnostic(recs, far, far, s=0.01, t=0.04)
+    rep = martingale_diagnostic(recs, 0, 0, s=0.01, t=0.04)
     assert rep.mean_zscore == 0.0
     assert rep.qv_zscore == 0.0
 
 
-def test_martingale_diagnostic_tells_near_equal_probes_apart(basis2d_small):
-    # the second probe is 1e-6 off the first in relative terms and alone has
-    # a quadratic variation: it is found as probe 1, not taken for probe 0
-    psi = basis2d_small.basis_field(0)
-    near = (1 + 1e-6) * psi
-    cfg = make_config(basis2d_small, n=8, T=0.05, probes=(psi, near), qv_pairs=((1, 1),))
-    ens = integrate_ensemble(cfg, 20)
-    assert martingale_diagnostic(ens, near, near, s=0.01, t=0.04).trajectories == 20
+def test_martingale_probe_index_outside_the_probes_rejected(basis2d_small):
+    # two probes, indices 0 and 1; a negative index does not wrap around
+    e1, e3 = basis2d_small.basis_field(0), basis2d_small.basis_field(2)
+    cfg = make_config(basis2d_small, n=8, T=0.05, probes=(e1, e3), qv_pairs=((1, 1),))
+    ens = integrate_ensemble(cfg, 4)
+    assert martingale_diagnostic(ens, 1, 1, s=0.01, t=0.04).trajectories == 4
     with pytest.raises(ValueError, match=r"probe pair \(0, 0\) has no accumulated"):
-        martingale_diagnostic(ens, psi, psi, s=0.01, t=0.04)
+        martingale_diagnostic(ens, 0, 0, s=0.01, t=0.04)
+    for a, b in ((2, 2), (0, 2), (-1, 0), (0, -1)):
+        with pytest.raises(ValueError, match="probe index -?[12] outside the 2 configured probes"):
+            martingale_diagnostic(ens, a, b, s=0.01, t=0.04)
+
+
+def test_martingale_snapshot_off_the_integral_grid_rejected(basis2d_small):
+    # snapshots every 10 steps, integrals every 4: steps 0, 20 and 40 are on both grids
+    e1 = basis2d_small.basis_field(0)
+    cfg = make_config(basis2d_small, n=8, T=0.04, snapshot_stride=10, integral_snapshot_stride=4,
+                      probes=(e1,), qv_pairs=((0, 0),))
+    ens = integrate_ensemble(cfg, 4)
+    assert reconstruct_martingale(ens, 2).shape == (4, 8)
+    assert martingale_diagnostic(ens, 0, 0, s=0.0, t=0.02).trajectories == 4
+    with pytest.raises(ValueError, match="time 0.01 is not on"):
+        reconstruct_martingale(ens, 1)
+    with pytest.raises(ValueError, match="time 0.01 is not on"):
+        martingale_diagnostic(ens, 0, 0, s=0.01, t=0.02)
+    with pytest.raises(ValueError, match="time 0.03 is not on"):
+        martingale_diagnostic(ens, 0, 0, s=0.0, t=0.03)
 
 
 def test_path_shape_mismatch(basis2d_small):
@@ -932,12 +949,12 @@ def test_diagnostics_are_the_per_path_formulas(basis2d_small):
     assert (rep.max_relative_residual, rep.ito_zscore) == budget_by_rows(ens)
     assert rep.trajectories == 7
     live = np.flatnonzero(~ens.aborted)
-    e1, e3 = cfg.probes
-    for psi, zeta, qcol, h in ((e1, e1, 0, None), (e1, e3, 1, h_tanh_sup)):
+    # the probe coordinates are those of the fields re-encoded one at a time
+    for a, b, qcol, h in ((0, 0, 0, None), (0, 1, 1, h_tanh_sup)):
         kw = {"h": h} if h is not None else {}
-        got = martingale_diagnostic(ens, psi, zeta, s=0.005, t=0.015, **kw)
-        want = martingale_by_rows(ens, live, basis.real_coords(psi, cfg.n), basis.real_coords(zeta, cfg.n),
-                                  qcol, 0.005, 0.015, h is not None)
+        got = martingale_diagnostic(ens, a, b, s=0.005, t=0.015, **kw)
+        psi_n, zeta_n = (basis.real_coords(cfg.probes[i], cfg.n) for i in (a, b))
+        want = martingale_by_rows(ens, live, psi_n, zeta_n, qcol, 0.005, 0.015, h is not None)
         assert (got.mean_zscore, got.qv_zscore, got.reconstruction_residual) == want
 
 
@@ -945,11 +962,10 @@ def test_martingale_diagnostic_skips_aborted_rows(basis2d_small):
     # an aborted row reads zero past its abort, so its reconstructed
     # martingale is -u0: the report is that of the live rows alone
     cfg, ens = aborting_ensemble(basis2d_small)
-    e1 = cfg.probes[0]
-    rep = martingale_diagnostic(ens, e1, e1, s=0.005, t=0.015)
-    alone = martingale_diagnostic(integrate_batch(cfg, [0, 1, 3, 4]), e1, e1, s=0.005, t=0.015)
+    rep = martingale_diagnostic(ens, 0, 0, s=0.005, t=0.015)
+    alone = martingale_diagnostic(integrate_batch(cfg, [0, 1, 3, 4]), 0, 0, s=0.005, t=0.015)
     assert rep.reconstruction_residual < 1e-12
     assert rep.trajectories == alone.trajectories == 4
     assert (rep.mean_zscore, rep.qv_zscore) == (alone.mean_zscore, alone.qv_zscore)
     with pytest.raises(ValueError, match="at least 2 live"):
-        martingale_diagnostic(integrate_batch(cfg, [2, 5, 0]), e1, e1, s=0.005, t=0.015)
+        martingale_diagnostic(integrate_batch(cfg, [2, 5, 0]), 0, 0, s=0.005, t=0.015)

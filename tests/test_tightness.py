@@ -18,13 +18,13 @@ from sgns.tightness import (
     build_nested_space,
     increment_scaling,
     median_modulus_curve,
-    modulus_of_continuity,
+    modulus_lags,
     nonlinear_refinement_check,
     decomposition_increments,
 )
 
 
-def small_config(basis):
+def small_config(basis, **kw):
     rng = np.random.default_rng(11)
     return GalerkinConfig(
         basis=basis,
@@ -35,53 +35,61 @@ def small_config(basis):
         model=default_noise_model(2),
         seed=17,
         snapshot_stride=1,
+        **kw,
     )
 
 
 @pytest.fixture(scope="module")
 def small_ensemble(basis2d_small):
-    return basis2d_small, integrate_ensemble(small_config(basis2d_small), 60)
+    # lag maxima recorded at every lag of the 129-snapshot grid
+    return basis2d_small, integrate_ensemble(small_config(basis2d_small, modulus_lags=128), 60)
 
 
 class FakeEnsemble:
     """The arrays and config entries FunctionFamily reads, for given
-    snapshots (R, S, n) of `basis` dt apart with no lag maxima recorded (so
-    they are computed from snap_u)."""
+    snapshots (R, S, n) of `basis` dt apart, with the lag maxima of lags
+    1..modulus_lags (default: every lag) recorded by the stepper's kernel."""
 
-    def __init__(self, snap_u, basis, dt=1e-2, norm_D=1.0):
+    def __init__(self, snap_u, basis, dt=1e-2, norm_D=1.0, modulus_lags=None):
         R, S, n = snap_u.shape
-        self.config = SimpleNamespace(basis=basis, n=n, dt=dt, snap_times=np.arange(S) * dt)
+        lags = S - 1 if modulus_lags is None else modulus_lags
+        self.config = SimpleNamespace(basis=basis, n=n, dt=dt, snap_times=np.arange(S) * dt,
+                                      modulus_lags=lags)
         self.snap_u = snap_u
         self.norm_H = np.ones((R, S))
         self.norm_D = np.full((R, S), norm_D)
         self.aborted = np.zeros(R, dtype=bool)
-        self.lag_maxima = np.zeros((R, 0))
+        self.lag_maxima = galerkin._lag_maxima(snap_u, basis.mode_weights("Udual", n), lags)
 
     def __len__(self):
         return len(self.snap_u)
 
 
+def path_modulus(fam, deltas) -> np.ndarray:
+    """The modulus table of a one-row family, per window."""
+    assert fam.size == 1
+    return tightness._modulus_table(fam, np.asarray(deltas, dtype=float))[0]
+
+
 def test_modulus_constant_and_linear(basis2d_small):
     w = basis2d_small.mode_weights("Udual", 4)
-    times = np.linspace(0, 1, 101)
-    const = np.tile(np.array([1.0, 0.5, 0.0, 0.0]), (101, 1))
-    assert modulus_of_continuity(const, w, times, 0.3) == 0.0
+    times = np.arange(101) * 0.01
+    const = np.tile(np.array([1.0, 0.5, 0.0, 0.0]), (1, 101, 1))
+    assert path_modulus(FunctionFamily(FakeEnsemble(const, basis2d_small)), [0.3]) == 0.0
     # u(t) = t e_1: omega(delta) = delta |e_1|_{U'}
-    lin = np.outer(times, np.array([1.0, 0.0, 0.0, 0.0]))
-    got = modulus_of_continuity(lin, w, times, 0.25)
+    lin = np.outer(times, np.array([1.0, 0.0, 0.0, 0.0]))[None]
+    got = path_modulus(FunctionFamily(FakeEnsemble(lin, basis2d_small)), [0.25])[0]
     expect = 0.25 * math.sqrt(w[0])
     assert abs(got - expect) < 1e-12
 
 
 def test_modulus_monotone(small_ensemble):
-    basis, ens = small_ensemble
-    w = basis.mode_weights("Udual", ens.config.n)
-    u, times = ens.snap_u[0], ens.config.snap_times
-    vals = [modulus_of_continuity(u, w, times, d) for d in (0.004, 0.016, 0.064)]
-    assert vals[0] <= vals[1] <= vals[2]
+    _, ens = small_ensemble
+    times = ens.config.snap_times
+    vals = path_modulus(FunctionFamily(ens.rows([0])), [0.004, 0.016, 0.064, times[-1]])
+    assert vals[0] <= vals[1] <= vals[2] <= vals[3]
     # omega(u, T) <= 2 sup |u|_{U'}
-    full = modulus_of_continuity(u, w, times, times[-1])
-    assert full <= 2.0 * np.max(ens.norm_Udual[0]) + 1e-12
+    assert vals[3] <= 2.0 * np.max(ens.norm_Udual[0]) + 1e-12
 
 
 def test_dubinsky_constant_family_passes(basis2d_small):
@@ -101,9 +109,10 @@ def test_dubinsky_jumpy_family_fails(basis2d_small):
 
 def test_dubinsky_family_size_invariance(small_ensemble):
     basis, recs = small_ensemble
-    one = FunctionFamily(integrate_batch(small_config(basis), [0]))
+    cfg = small_config(basis, modulus_lags=64)
+    one = FunctionFamily(integrate_batch(cfg, [0]))
     rep1 = dubinsky_diagnostic(one, deltas=[0.004, 0.016, 0.064])
-    repeated = FunctionFamily(integrate_batch(small_config(basis), [0] * 5))
+    repeated = FunctionFamily(integrate_batch(cfg, [0] * 5))
     rep5 = dubinsky_diagnostic(repeated, deltas=[0.004, 0.016, 0.064])
     assert np.allclose(rep1.modulus_curve, rep5.modulus_curve)
 
@@ -126,7 +135,7 @@ def test_family_reductions_match_per_record_loops(basis2d_small):
     )
     ens = integrate_ensemble(cfg, 12)
     fam = FunctionFamily(ens)
-    last = len(fam.times) - 1
+    last = len(ens.config.snap_times) - 1
     assert fam.sup_sup_H() == max(float(np.max(norm_H)) for norm_H in ens.norm_H)
     assert fam.sup_V_integral() == max(
         float(np.sum(norm_H[:-1] ** 2 + norm_D[:-1] ** 2)) * ens.config.dt
@@ -221,7 +230,11 @@ def test_family_and_scaling_weigh_by_the_records_basis(basis2d_small):
     ens = integrate_ensemble(small_config(other), 8)
     w = other.mode_weights("Udual", 10)
     assert not np.array_equal(w, basis2d_small.mode_weights("Udual", 10))
-    assert np.array_equal(FunctionFamily(ens).wUdual, w)
+    fam = FunctionFamily(ens)
+    assert fam.config is ens.config
+    d = fam.coords[:, 16:] - fam.coords[:, :-16]  # 113 increments at theta = 0.016, all sampled
+    want = float(np.percentile(np.sqrt(np.einsum("rsn,n->rs", d * d, w)), 60.0))
+    assert calibrate_aldous_eta(fam, 0.016, 60.0) == want
     rep = increment_scaling(ens, tau=0.016, thetas=[0.008, 0.016])
     inc = decomposition_increments(ens, 0.016, 0.008)["increments"]["noise"]
     vals = [math.sqrt(float(np.sum(w * inc[r] * inc[r]))) for r in range(len(ens))]
@@ -239,24 +252,26 @@ def test_increment_scaling_rejects_off_grid_window(small_ensemble):
 
 
 def test_modulus_is_one_path_lag_maxima(small_ensemble):
+    # path 3 of the ensemble, its lag maxima recorded by the kernel, against
+    # path 3 integrated alone with its lag maxima recorded by the stepper
     basis, ens = small_ensemble
-    u, times = ens.snap_u[3], ens.config.snap_times
-    w = basis.mode_weights("Udual", ens.config.n)
-    lagmax = FunctionFamily(integrate_batch(small_config(basis), [3])).lag_maxima(16)
+    u = ens.snap_u[3:4]
+    lagmax = FunctionFamily(integrate_batch(small_config(basis, modulus_lags=16), [3])).lag_maxima(16)
     assert lagmax.shape == (1, 16)
-    assert modulus_of_continuity(u, w, times, 0.016) == np.max(lagmax)
     # a window shorter than one snapshot spacing holds no increment
-    assert modulus_of_continuity(u, w, times, 0.0005) == 0.0
+    got = path_modulus(FunctionFamily(FakeEnsemble(u, basis, dt=1e-3, modulus_lags=16)), [0.0005, 0.016])
+    assert got.tolist() == [0.0, np.max(lagmax)]
 
 
 @pytest.mark.parametrize("block", [1, 2, 3])
 def test_lag_maxima_in_row_blocks(small_ensemble, monkeypatch, block):
     # 7 paths: no block size above divides them, so the last block is short
     basis, recs = small_ensemble
-    fam = FunctionFamily(integrate_batch(small_config(basis), range(7)))
-    monkeypatch.setattr(galerkin, "LAG_COORDS", block * fam.n)
+    cfg = small_config(basis, modulus_lags=20)
+    monkeypatch.setattr(galerkin, "LAG_COORDS", block * cfg.n)
+    fam = FunctionFamily(integrate_batch(cfg, range(7)))  # the stepper records them
     got = fam.lag_maxima(20)
-    x, w = fam.coords, fam.wUdual
+    x, w = fam.coords, basis.mode_weights("Udual", cfg.n)
     for lag in range(1, 21):
         d = x[:, lag:] - x[:, :-lag]
         want = np.max(np.sqrt(np.einsum("rsn,n->rs", d * d, w)), axis=1)
@@ -265,22 +280,39 @@ def test_lag_maxima_in_row_blocks(small_ensemble, monkeypatch, block):
 
 @pytest.mark.parametrize("lags", [64, 8])
 def test_stored_lag_maxima_give_the_computed_tables(small_ensemble, lags):
-    # recorded maxima up to `lags`; windows past them fall back to the snapshots
+    # maxima recorded up to `lags` are the kernel's maxima of the snapshots
+    # and give the tables of the ensemble that recorded every lag; a window
+    # past them is an error
     basis, recs = small_ensemble
-    cfg = replace(small_config(basis), modulus_lags=lags)
+    cfg = small_config(basis, modulus_lags=lags)
     stored = FunctionFamily(integrate_ensemble(cfg, 60))
-    computed = FunctionFamily(recs)
+    every = FunctionFamily(recs)
     assert stored.stored_lag_maxima.shape == (60, lags)
-    assert computed.stored_lag_maxima.shape == (60, 0)
-    assert np.array_equal(stored.coords, computed.coords)
-    assert np.array_equal(stored.lag_maxima(lags), computed.lag_maxima(lags))
+    assert np.array_equal(stored.coords, every.coords)
+    computed = galerkin._lag_maxima(stored.coords, basis.mode_weights("Udual", cfg.n), lags)
+    assert np.array_equal(stored.lag_maxima(lags), computed)
+    assert np.array_equal(every.lag_maxima(lags), computed)
     for deltas in ([0.002, 0.004, 0.008], [0.004, 0.016, 0.064]):
-        want = tightness._modulus_table(computed, np.array(deltas))
+        if modulus_lags(deltas, cfg.snap_times) > lags:
+            with pytest.raises(ValueError, match="modulus_lags"):
+                median_modulus_curve(stored, deltas)
+            continue
+        want = tightness._modulus_table(every, np.array(deltas))
         assert np.array_equal(tightness._modulus_table(stored, np.array(deltas)), want)
         # the median curve with its slope appended
-        curves = [np.append(*median_modulus_curve(fam, deltas)) for fam in (stored, computed)]
+        curves = [np.append(*median_modulus_curve(fam, deltas)) for fam in (stored, every)]
         assert np.array_equal(*curves, equal_nan=True)
         assert np.array_equal(dubinsky_diagnostic(stored, deltas).modulus_curve, np.max(want, axis=0))
+
+
+def test_too_few_recorded_lags_rejected(small_ensemble):
+    # 0.016 reads 16 snapshot lags; the ensemble recorded 8 (or none)
+    basis, _ = small_ensemble
+    for lags in (8, 0):
+        fam = FunctionFamily(integrate_batch(small_config(basis, modulus_lags=lags), range(3)))
+        for diagnostic in (median_modulus_curve, dubinsky_diagnostic):
+            with pytest.raises(ValueError, match=f"lag 16, but the ensemble recorded {lags} .*modulus_lags"):
+                diagnostic(fam, [0.004, 0.016])
 
 
 def test_modulus_lags_are_the_largest_window(small_ensemble):
@@ -295,8 +327,8 @@ def test_aldous_eta_samples_the_full_increment_table(basis2d_small):
     # 1,025 snapshots: every stride-th increment of the full (R, S - lag) table
     rng = np.random.default_rng(3)
     walks = np.stack([np.cumsum(rng.standard_normal((1025, 6)), axis=0) for _ in range(5)])
-    fam = FunctionFamily(FakeEnsemble(walks, basis2d_small, dt=1e-3))
-    x, w = fam.coords, fam.wUdual
+    fam = FunctionFamily(FakeEnsemble(walks, basis2d_small, dt=1e-3, modulus_lags=0))
+    x, w = fam.coords, basis2d_small.mode_weights("Udual", 6)
     for theta in (0.001, 0.016, 0.3, 1.0):
         lag = max(1, round(theta / 1e-3))
         d = x[:, lag:] - x[:, :-lag]
@@ -309,12 +341,13 @@ def test_aldous_eta_samples_the_full_increment_table(basis2d_small):
 
 def test_modulus_curves_are_median_and_max_of_per_path_moduli(small_ensemble):
     basis, _ = small_ensemble
-    nine = integrate_batch(small_config(basis), range(9))
+    nine = integrate_batch(small_config(basis, modulus_lags=64), range(9))
     fam = FunctionFamily(nine)
-    w = basis.mode_weights("Udual", nine.config.n)
     deltas = [0.0005, 0.004, 0.016, 0.064]
+    # each path alone, its lag maxima taken from its snapshots
     per_path = np.array([
-        [modulus_of_continuity(u, w, nine.config.snap_times, d) for d in deltas] for u in nine.snap_u
+        path_modulus(FunctionFamily(FakeEnsemble(u[None], basis, dt=1e-3, modulus_lags=64)), deltas)
+        for u in nine.snap_u
     ])
     curve, _ = median_modulus_curve(fam, deltas)
     assert np.array_equal(curve, np.median(per_path, axis=0))

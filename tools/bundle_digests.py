@@ -1,4 +1,5 @@
-"""SHA-256 digests of the result bundles of every CLI verb on every demo config.
+"""SHA-256 digests of the result bundles of every CLI verb on every demo
+config, and of the stdout of every demo script.
 
     python3 tools/bundle_digests.py [--root CHECKOUT]
 
@@ -15,8 +16,17 @@ and one line ``<config> <verb> w<N> exit_status <code>`` per run, so two
 checkouts, say a change and its parent, are compared with ``diff`` on the
 outputs.  A verb that does not apply to a config (``estimates`` on a config
 with fewer than three levels) still writes its summary and exit status,
-which are compared like the rest.  The bundles go to a temporary directory,
-removed at exit.
+which are compared like the rest.
+
+Then it runs every ``demos/*.py`` of the checkout, one at a time, each in a
+fresh process of the same environment, and prints, per demo, the lines
+
+    demo <name> exit_status <code>
+    demo <name> stdout <sha256>
+
+so a change that only reshapes the demos' calls is checked by the same
+``diff``.  The bundles go to a temporary directory, which is also the
+demos' working directory, removed at exit.
 """
 
 from __future__ import annotations
@@ -68,6 +78,15 @@ def run_one(root: Path, env: dict, config: Path, verb: str, workers: int, out: P
     return lines
 
 
+def run_demo(env: dict, demo: Path, cwd: Path) -> list:
+    """The exit status and stdout digest lines of one demo script."""
+    proc = subprocess.run([sys.executable, str(demo)], env=env, cwd=cwd, capture_output=True,
+                          timeout=RUN_TIMEOUT_S)
+    head = f"demo {demo.stem}"
+    return [f"{head} exit_status {proc.returncode}",
+            f"{head} stdout {hashlib.sha256(proc.stdout).hexdigest()}"]
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--root", type=Path, default=ROOT, help="source checkout to run (default: this one)")
@@ -82,6 +101,8 @@ def main(argv=None) -> int:
                 for workers in WORKERS:
                     out = Path(tmp) / f"{config.stem}-{verb}-w{workers}"
                     lines += run_one(root, env, config, verb, workers, out)
+        for demo in sorted((root / "demos").glob("*.py")):
+            lines += run_demo(env, demo, Path(tmp))
     print("\n".join(sorted(lines)))
     return 0
 
