@@ -135,14 +135,23 @@ class CompiledGalerkin:
     def convection(self, x: np.ndarray) -> np.ndarray:
         """Coordinates of P_n B(u, u) (untamed) for x of shape (n,) or for
         each row of x (B, n).  A gather and a segmented reduce along each
-        row, so a row's result depends on that row alone, not on B."""
+        row, so a row's result depends on that row alone, not on B.
+
+        The products V x_j x_k are formed in one (B, triplets) array:
+        `np.take` gathers x_j, and V and the x_k gather multiply it in
+        place.  Each entry is (V x_j) x_k, the order of V * x[:, J] *
+        x[:, K], so the array the reduce reads is bitwise that product's.
+        J and K lie in [0, n) by construction; mode="wrap" skips the
+        bounds check of the default mode, which made the gather slower
+        than fancy indexing at n = 16."""
         out = np.zeros(x.shape)
         if not self.include_B or not len(self._V):
             return out
         X = x.reshape(-1, self.n)
-        out.reshape(-1, self.n)[:, self._rows] = np.add.reduceat(
-            self._V * X[:, self._J] * X[:, self._K], self._starts, axis=1
-        )
+        prod = np.take(X, self._J, axis=1, mode="wrap")
+        prod *= self._V
+        prod *= np.take(X, self._K, axis=1, mode="wrap")
+        out.reshape(-1, self.n)[:, self._rows] = np.add.reduceat(prod, self._starts, axis=1)
         return out
 
     def encode(self, u: SpectralField) -> np.ndarray:
@@ -237,6 +246,10 @@ class GalerkinConfig:
         if not 0 <= self.modulus_lags <= lags:
             raise ValueError(f"modulus_lags = {self.modulus_lags} outside [0, {lags}], "
                              "the lags of the snapshot grid")
+        for pair in self.qv_pairs:
+            if not all(0 <= i < len(self.probes) for i in pair):
+                raise ValueError(f"qv_pairs entry {tuple(pair)} has a probe index outside "
+                                 f"[0, {len(self.probes)}), the configured probes")
 
     @property
     def steps(self) -> int:
@@ -406,10 +419,12 @@ LEDGER = ("drift_work", "b_work", "forcing_work", "mart_work", "delta_sq", "ito_
 INTEGRALS = ("stokes", "convection", "forcing", "noise")
 
 # rows x convection triplets one block may hold; fewer than 2,000 triplets
-# count as 2,000.  Past it a step's (rows, triplets) gather leaves the cache:
-# per row-step on one x86-64 core, n = 32 (440 triplets) cost 3.7 us at 100
-# rows and 5.1 us at 200, n = 128 (8,704 triplets) 66 us at 24 rows and
-# 122 us at 48.
+# count as 2,000.  Past it a step's (rows, triplets) product array leaves the
+# cache: per row-step of `integrate_batch` on the default 2D config, one
+# x86-64 core with 2 MB of L2, over repeated runs on a shared host, n = 128
+# (8,704 triplets) cost 33-55 us at 22 and at 32 rows and 83-112 us at 48;
+# n = 32 (440 triplets) cost 8-9 us at 100, 200 and 400 rows alike, so the
+# cap binds only at large n.
 BLOCK_CACHE = 2 * 10**5
 
 

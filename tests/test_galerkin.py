@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import multiprocessing
+import re
 import warnings
 
 import numpy as np
@@ -398,6 +399,16 @@ def test_martingale_probe_index_outside_the_probes_rejected(basis2d_small):
             martingale_diagnostic(ens, a, b, s=0.01, t=0.04)
 
 
+@pytest.mark.parametrize("pair", [(-1, -1), (0, 3), (1, 0)])
+def test_qv_pair_outside_the_probes_rejected(basis2d_small, pair):
+    # one probe: only index 0; a negative index does not wrap around, and the
+    # config is refused before any step
+    e1 = basis2d_small.basis_field(0)
+    assert make_config(basis2d_small, n=8, probes=(e1,), qv_pairs=((0, 0),)).qv_pairs == ((0, 0),)
+    with pytest.raises(ValueError, match=re.escape(f"qv_pairs entry {pair} has a probe index outside [0, 1)")):
+        make_config(basis2d_small, n=8, probes=(e1,), qv_pairs=((0, 0), pair))
+
+
 def test_martingale_snapshot_off_the_integral_grid_rejected(basis2d_small):
     # snapshots every 10 steps, integrals every 4: steps 0, 20 and 40 are on both grids
     e1 = basis2d_small.basis_field(0)
@@ -610,6 +621,19 @@ def test_convection_rows_independent_of_batch(basis2d):
             assert np.array_equal(sys.convection(X[:B])[r], whole[r])
     for r in range(16):
         assert np.array_equal(sys.convection(X[r]), whole[r])
+
+
+@pytest.mark.parametrize("case", ["2d-n128", "3d-small"])
+@pytest.mark.parametrize("B", [1, 16])
+def test_convection_bits_are_the_chained_reduce(case, B, basis2d, basis3d_small):
+    # the kernel's bits are those of reducing V * x_j * x_k, scattered to
+    # the output rows; n = 128 has segments long enough for pairwise summation
+    basis, n = (basis2d, 128) if case == "2d-n128" else (basis3d_small, basis3d_small.n_modes)
+    sys = CompiledGalerkin(basis, n, None)
+    X = np.random.default_rng(B).standard_normal((B, n))
+    expect = np.zeros((B, n))
+    expect[:, sys._rows] = np.add.reduceat(sys._V * X[:, sys._J] * X[:, sys._K], sys._starts, axis=1)
+    assert np.array_equal(sys.convection(X), expect)
 
 
 def test_folded_convection_matches_full_triplets(basis2d):
