@@ -22,7 +22,7 @@ from . import estimates as est
 from . import tightness as tgt
 from . import twodim
 from .config import ConfigError, RunConfig, load_config
-from .galerkin import energy_budget_check, float_map, integrate_batch, integrate_ensemble
+from .galerkin import any_noise, energy_budget_check, float_map, integrate_batch, integrate_ensemble
 from .io import ResultBundle, write_snapshot
 from .noise import certify_conditions
 from .spectral import apply_operator, inner, norm, project_Pn, random_field, stack
@@ -184,10 +184,14 @@ def run_tightness(run: RunConfig, bundle: ResultBundle, workers: int) -> int:
     windows = exp["scaling_windows"] or [dt * exp["integral_stride"] * 2**j for j in range(5)]
     passed = True
     rows_mod, rows_aldous, rows_j = [], [], []
-    summary_n = {}
+    summary_n, noise_free = {}, []
     # the diagnostics read states, norms and integrals, so no energy ledger
     grid = replace(run.galerkin, snapshot_stride=1, integral_snapshot_stride=exp["integral_stride"],
                    ledger=False)
+    violations = tgt.window_violations(grid, deltas, anchors, windows)
+    if violations:
+        bundle.summary.update(passed=False, failure="; ".join(violations))
+        return 1
     # the pool workers record the lag maxima the modulus table reads
     grid = replace(grid, modulus_lags=tgt.modulus_lags(deltas, grid.snap_times))
     for n in run.n_list:
@@ -202,6 +206,8 @@ def run_tightness(run: RunConfig, bundle: ResultBundle, workers: int) -> int:
             math.isnan(jrep.exponents["noise"]) or 0.4 <= jrep.exponents["noise"] <= 0.6
         )
         passed = passed and ok
+        if not any_noise(cfg):
+            noise_free.append(n)
         summary_n[str(n)] = {
             "modulus_slope": dub.slope, "dubinsky_passed": dub.passed,
             "aldous_passed": ald.passed, "noise_increment_exponent": jrep.exponents["noise"],
@@ -217,6 +223,10 @@ def run_tightness(run: RunConfig, bundle: ResultBundle, workers: int) -> int:
     bundle.add_table("aldous", ["n", "theta", "exceedance_probability"], rows_aldous)
     bundle.add_table("noise_increment_scaling", ["n", "theta", "median_Udual_increment"], rows_j)
     bundle.summary.update(levels=summary_n, passed=bool(passed))
+    if not passed and noise_free:
+        bundle.summary["failure"] = (f"no noise reaches level(s) n = {', '.join(map(str, noise_free))}: "
+                                     "every compiled noise matrix of P_n G is zero there, so those "
+                                     "paths are deterministic")
     return 0 if passed else 1
 
 

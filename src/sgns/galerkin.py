@@ -171,6 +171,14 @@ def _compiled(basis: Basis, n: int, model, include_B: bool) -> CompiledGalerkin:
     return sys
 
 
+def any_noise(config) -> bool:
+    """Whether any noise reaches the Galerkin level of `config`: a noise
+    direction whose compiled matrix of P_n G is not all zero.  Compiles the
+    system if it is not cached."""
+    sys = _compiled(config.basis, config.n, config.model, config.include_B)
+    return sys.G is not None and bool(np.any(sys.G))
+
+
 # -- configuration ------------------------------------------------------------
 
 # bound on dt * lambda_D,max for each explicit scheme: Euler-Maruyama keeps its
@@ -385,31 +393,81 @@ def _snapshot_indices(steps: int, stride: int) -> np.ndarray:
 # -- increments ---------------------------------------------------------------
 
 
-def _increment_norms(coords: np.ndarray, lag: int, w: np.ndarray) -> np.ndarray:
-    """|x(s + lag) - x(s)|_{U'} along the second-last axis of coords (..., S, n),
-    with w the U'-weights: shape (..., S - lag)."""
-    diff = coords[..., lag:, :] - coords[..., :-lag, :]
+def _norms_of(diff: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """|diff|_{U'} along the last axis, with w the U'-weights; squares diff
+    in place."""
     diff *= diff
     return np.sqrt(np.einsum("...n,n->...", diff, w))
 
 
-# coordinates of the paths whose increments at one lag are formed together,
-# max(1, LAG_COORDS // n) paths: the (rows, S - lag, n) difference then stays
-# in cache.  64 lags on 50 paths of 1,025 snapshots, one Xeon core: n = 8
-# took 0.073 s in blocks of 8 paths (0.082 s in blocks of 2), n = 16 0.120 s
-# in blocks of 4 (0.129 s), n = 32 0.174 s in blocks of 2 (0.220 s in 4).
-LAG_COORDS = 64
+def _increment_norms(coords: np.ndarray, lag: int, w: np.ndarray) -> np.ndarray:
+    """|x(s + lag) - x(s)|_{U'} along the second-last axis of coords (..., S, n),
+    with w the U'-weights: shape (..., S - lag)."""
+    return _norms_of(coords[..., lag:, :] - coords[..., :-lag, :], w)
+
+
+# paths whose lag maxima are formed together.  A block holds about ten
+# (rows, S) arrays, 1.3 MB at 1,025 snapshots, besides one path's (S, n)
+# difference.  64 lags on 50 tightness paths of 1,025 snapshots, one Xeon
+# core: n = 8/16/32 took 30/35/42 ms in blocks of 16 and 25/30/35 ms in one
+# block of 50, which raised each n = 32 tightness worker's peak RSS over
+# the brute force by 5.5 MB (2.8 MB in blocks of 16).
+LAG_ROWS = 16
 
 
 def _lag_maxima(coords: np.ndarray, w: np.ndarray, max_lag: int) -> np.ndarray:
     """m[r, l-1] = max_s |x_r(s + l) - x_r(s)|_{U'} for lags 1..max_lag, from
-    coords (R, S, n); each row's maxima are the same bits in any block."""
-    out = np.zeros((len(coords), max_lag))
-    rows = max(1, LAG_COORDS // coords.shape[-1])
-    for lo in range(0, len(coords), rows):
-        block = coords[lo : lo + rows]
+    coords (R, S, n): the bits of the maximum of every increment's norm by
+    `_increment_norms`, the same in any row block.
+
+    Every increment's norm is formed only at the power-of-two lags 1, 2,
+    4, ....  At another lag l the increment from s is the sum of the
+    increments along l's binary digits, so by the triangle inequality its
+    norm is at most the sum of theirs.  That sum times 1 + 1e-9 also
+    bounds the computed norm: a computed norm lies within (n + 3) 2^-53 of
+    the exact one, relative to it, and the sum of at most 7 terms adds
+    7 2^-53, so the margin holds for n up to about 10^6.  A lower bound of
+    the maximum comes from three exact probes, the increments at and one
+    before the previous lag's argmax and at the bound's argmax; the exact
+    norm is formed only where the bound reaches it.  Every increment whose
+    norm is the maximum is among those, so the maximum is exact; on
+    tightness paths about 2% of the increments are."""
+    R, S, n = coords.shape
+    out = np.zeros((R, max_lag))
+    for lo in range(0, R, LAG_ROWS):
+        block = coords[lo : lo + LAG_ROWS]
+        B = len(block)
+        flat, base = block.reshape(-1, n), np.arange(B) * S
+        pow2 = {1 << bit: np.stack([_increment_norms(path, 1 << bit, w) for path in block])
+                for bit in range(max_lag.bit_length())}  # (B, S - 2^bit), one path at a time
         for lag in range(1, max_lag + 1):
-            out[lo : lo + rows, lag - 1] = np.max(_increment_norms(block, lag, w), axis=1)
+            if lag in pow2:
+                arg = np.argmax(pow2[lag], axis=1)
+                out[lo : lo + B, lag - 1] = np.max(pow2[lag], axis=1)
+                continue
+            count = S - lag
+            bound, at = np.zeros((B, count)), 0
+            for digit in (1 << bit for bit in range(lag.bit_length()) if lag >> bit & 1):
+                bound += pow2[digit][:, at : at + count]
+                at += digit
+            probes = np.empty((B, 3), dtype=np.intp)
+            probes[:, :2] = np.clip(arg[:, None] - (0, 1), 0, count - 1)
+            probes[:, 2] = np.argmax(bound, axis=1)
+            start = base[:, None] + probes
+            probe_norms = _norms_of(flat[start + lag] - flat[start], w)
+            best = np.max(probe_norms, axis=1)
+            # candidates k = r * count + s, where bound (1 + 1e-9) >= best;
+            # a NaN bound is one
+            k = np.flatnonzero(~(bound < (best / (1.0 + 1e-9))[:, None]))
+            r = k // count
+            start = k + r * lag
+            vals = _norms_of(flat[start + lag] - flat[start], w)
+            np.maximum.at(best, r, vals)
+            out[lo : lo + B, lag - 1] = best
+            # an argmax of this lag, for the next lag's probes
+            arg = probes[np.arange(B), np.argmax(probe_norms, axis=1)]
+            hit = vals == best[r]
+            arg[r[hit]] = k[hit] - r[hit] * count
     return out
 
 
@@ -488,11 +546,17 @@ def _step(sys, config, cutoff, x, ud, f, dw):
     (B, M, n), the noise increment, and y, the new state before the Stokes
     factor of the exponential scheme (None under EM).  Only elementwise
     operations, per-row reductions and one matrix-vector product per row and
-    direction, so each row's result depends on that row alone."""
+    direction, so each row's result depends on that row alone.
+
+    theta is None when the cutoff is idle, every U' norm at or below its
+    level (a NaN norm is not): then every factor is 1.0, and since 1.0 v
+    is v, tbx is bx itself, the same bits as theta * bx."""
     dt = config.dt
     bx = sys.convection(x)
-    theta = cutoff.theta(ud) if sys.include_B else np.ones(len(x))
-    tbx = theta[:, None] * bx
+    theta, tbx = None, bx
+    if sys.include_B and not ud.max() <= cutoff.level:
+        theta = cutoff.theta(ud)
+        tbx = theta[:, None] * bx
     if sys.M:
         g = np.matmul(sys.G, x[:, None, :, None])[..., 0]
         xi = np.matmul(dw[:, None, :], g)[:, 0]
@@ -521,7 +585,16 @@ def _integrate_rows(ens: Ensemble, dW=None, x0=None) -> None:
     range or passes `overflow_limit` is aborted: its norms are written once
     more with the non-finite entries zeroed, and everything after that step
     reads zero.  Last, each row's U' increment maxima over lags
-    1..modulus_lags of the snapshot grid are taken from its snapshots.
+    1..modulus_lags of the snapshot grid are taken from its snapshots
+    (`_lag_maxima`).
+
+    Two checks skip per-step work that would change no bit.  While the
+    cutoff is idle (`_step` returns theta None) the cutoff minimum is not
+    updated, since every factor is 1.0, and the taming work's factor is
+    -2 dt.  One maximum of |x| over the whole block, at or below the limit,
+    clears every row of the overflow check; only otherwise is each row's
+    peak taken, and only after a row aborts is it asked whether any row is
+    left.
     """
     config = ens.config
     sys = _compiled(config.basis, config.n, config.model, config.include_B)
@@ -569,6 +642,8 @@ def _integrate_rows(ens: Ensemble, dW=None, x0=None) -> None:
     cutoff_min[:] = 1.0
     abort_step[:] = -1
     alive = np.ones(B, dtype=bool)
+    # the overflow limit as a finite bound, which an inf or NaN state fails
+    limit = min(config.overflow_limit, np.finfo(np.float64).max)
 
     h2, d2, u2 = _sq_norms(sys, x)
     norm_H[:, 0], norm_D[:, 0], norm_Ud[:, 0] = np.sqrt(h2), np.sqrt(d2), np.sqrt(u2)
@@ -577,7 +652,8 @@ def _integrate_rows(ens: Ensemble, dW=None, x0=None) -> None:
     with np.errstate(over="ignore", invalid="ignore"):
         for j in range(steps):
             x_new, y, theta, tbx, bx, g, xi = _step(sys, config, cutoff, x, norm_Ud[:, j], f, dW[j])
-            np.minimum(cutoff_min, np.where(alive, theta, 1.0), out=cutoff_min)
+            if theta is not None:
+                np.minimum(cutoff_min, np.where(alive, theta, 1.0), out=cutoff_min)
             integrals["convection"] -= dt * tbx
             integrals["noise"] += xi
             if forced:
@@ -593,7 +669,9 @@ def _integrate_rows(ens: Ensemble, dW=None, x0=None) -> None:
             if refinement:
                 ref_run += dt * np.add.reduce(bx * ref_coords, axis=1)
             if ledger:
-                led["b_work"][:, j] = -2.0 * dt * theta * np.add.reduce(x * bx, axis=1)
+                # an idle cutoff's factor (-2 dt) 1.0 is -2 dt
+                b_factor = -2.0 * dt if theta is None else -2.0 * dt * theta
+                led["b_work"][:, j] = b_factor * np.add.reduce(x * bx, axis=1)
                 led["mart_work"][:, j] = 2.0 * np.add.reduce(x * xi, axis=1)
                 led["ito_step"][:, j] = np.add.reduce(xi * xi, axis=1)
                 if forced:
@@ -610,15 +688,19 @@ def _integrate_rows(ens: Ensemble, dW=None, x0=None) -> None:
             h2, d2, u2 = _sq_norms(sys, x)
             if ledger and y is not None:
                 led["drift_work"][:, j] = h2 - np.add.reduce(y * y, axis=1)
-            peak = np.maximum.reduce(np.abs(x), axis=1)
-            bad = alive & ~(np.isfinite(peak) & (peak <= config.overflow_limit))
-            if np.logical_or.reduce(bad):
-                abort_step[bad] = j + 1
-                alive &= ~bad
-                x = np.where(np.isfinite(x), x, 0.0)
-                h2, d2, u2 = _sq_norms(sys, x)
+            # one block-wide maximum clears every row; only past it does
+            # each row's peak decide
+            ended = False
+            if not np.abs(x).max() <= limit:
+                bad = alive & ~(np.maximum.reduce(np.abs(x), axis=1) <= limit)
+                if np.logical_or.reduce(bad):
+                    abort_step[bad] = j + 1
+                    alive &= ~bad
+                    ended = not np.logical_or.reduce(alive)
+                    x = np.where(np.isfinite(x), x, 0.0)
+                    h2, d2, u2 = _sq_norms(sys, x)
             norm_H[:, j + 1], norm_D[:, j + 1], norm_Ud[:, j + 1] = np.sqrt(h2), np.sqrt(d2), np.sqrt(u2)
-            if not np.logical_or.reduce(alive):
+            if ended:
                 break
             pos = snap_at[j + 1]
             if pos >= 0:

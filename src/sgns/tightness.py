@@ -43,6 +43,36 @@ def modulus_lags(deltas, times) -> int:
     return _window_lag(max(deltas), times[1] - times[0], len(times) - 1)
 
 
+def window_violations(config, deltas, anchors, windows) -> list:
+    """Every window of a tightness run on the grids of `config` that its
+    diagnostics cannot read, as texts naming the experiment key: a modulus
+    window shorter than one snapshot spacing (its modulus is 0, so the
+    log-log fit fails), and a scaling anchor, or an anchor plus a scaling
+    window, off the integral snapshot grid (increment_scaling raises)."""
+    h = config.snap_times[1] - config.snap_times[0]
+    short = ", ".join(str(d) for d in deltas if _window_lag(d, h, 1) < 1)
+    out = [f"experiment.deltas: window(s) {short} shorter than one snapshot spacing {h}"] if short else []
+    grid = config.integral_snap_idx * config.dt
+    spacing = f"the integral snapshot grid (spacing {grid[1] - grid[0]}, up to T = {config.T})"
+
+    def on_grid(t) -> bool:
+        try:
+            _grid_positions(grid, t, config.dt)
+        except ValueError:
+            return False
+        return True
+
+    bad = [a for a in anchors if not on_grid(a)]
+    if bad:
+        out.append(f"experiment.scaling_anchors: anchor {bad[0]} is not on {spacing}")
+    else:
+        ends = [(a, w) for a in anchors for w in windows if not on_grid(a + w)]
+        if ends:
+            a, w = ends[0]
+            out.append(f"experiment.scaling_windows: anchor {a} + window {w} = {a + w} is not on {spacing}")
+    return out
+
+
 def _loglog_slope(x, y) -> float:
     """Least-squares slope of log y against log x; nan unless every y is positive."""
     if not np.all(y > 0):

@@ -6,6 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
+from lag_oracle import brute_lag_maxima
 
 from sgns import galerkin
 from sgns.galerkin import (
@@ -458,10 +459,10 @@ def rich_config(basis, **kw):
     return GalerkinConfig(**defaults)
 
 
-def assert_records_identical(a, b):
-    """The same config object and every per-row array the same bits; a
-    config is not compared with ==, which its SpectralFields do not
-    support."""
+def assert_records_identical(a, b, equal_nan=False):
+    """The same config object and every per-row array the same bits (NaN
+    where the other has NaN, with equal_nan); a config is not compared with
+    ==, which its SpectralFields do not support."""
     for field in dataclasses.fields(a):
         va, vb = getattr(a, field.name), getattr(b, field.name)
         if field.name == "config":
@@ -471,7 +472,7 @@ def assert_records_identical(a, b):
             for key in va:
                 assert va[key].dtype == vb[key].dtype and np.array_equal(va[key], vb[key]), (field.name, key)
         elif isinstance(va, np.ndarray):
-            assert va.dtype == vb.dtype and np.array_equal(va, vb), field.name
+            assert va.dtype == vb.dtype and np.array_equal(va, vb, equal_nan=equal_nan), field.name
         else:
             assert va == vb, field.name
 
@@ -588,7 +589,7 @@ def test_stored_lag_maxima_are_those_of_the_snapshots(basis2d_small, monkeypatch
     runs.append(integrate_ensemble(cfg, 7, workers=2))
     for ens in runs:
         assert ens.aborted.tolist() == [False] * 5 + [True, False]
-        want = galerkin._lag_maxima(ens.snap_u, weights, cfg.modulus_lags)
+        want = brute_lag_maxima(ens.snap_u, weights, cfg.modulus_lags)
         assert ens.lag_maxima.shape == (7, 12) and np.array_equal(ens.lag_maxima, want)
 
 
@@ -721,6 +722,55 @@ def test_rows_start_from_their_own_states(basis2d_small, scheme):
     for i in range(4):
         want = integrate_batch(dataclasses.replace(cfg, u0=starts[i]), [i], dW[:, [i]])
         assert_records_identical(want, dataclasses.replace(batch.rows([i]), config=want.config))
+
+
+def test_a_batch_partly_past_the_cutoff_is_its_one_row_runs(basis2d_small):
+    # row 0 starts past the cutoff level and decays below it, rows 1 and 2
+    # start at half its state and never reach it: the batch steps with the
+    # cutoff factors while row 0 is past the level and without them after
+    cfg = rich_config(basis2d_small, T=0.05, cutoff_level=0.28)
+    sys = galerkin._compiled(cfg.basis, cfg.n, cfg.model, cfg.include_B)
+    x0 = sys.encode(cfg.u0) * np.array([[1.0], [0.5], [0.5]])
+    batch = integrate_batch(cfg, range(3), x0=x0)
+    past = batch.norm_Udual[:, :-1] > cfg.cutoff.level
+    assert past[0].any() and not past[0].all() and not past[1:].any()
+    assert batch.cutoff_min[0] < 1.0 and batch.cutoff_min[1:].tolist() == [1.0, 1.0]
+    for i in range(3):
+        assert_records_identical(integrate_batch(cfg, [i], x0=x0[[i]]), batch.rows([i]))
+
+
+def test_an_idle_cutoff_leaves_its_minimum_at_one(basis2d_small):
+    cfg = rich_config(basis2d_small, cutoff_level=1e6)
+    ens = integrate_batch(cfg, range(3))
+    assert np.max(ens.norm_Udual) < 1e6
+    assert ens.cutoff_min.tolist() == [1.0, 1.0, 1.0]
+
+
+def test_overflow_limit_at_the_largest_state(basis2d_small):
+    # a limit at the largest |x| the rows reach aborts none of them; one
+    # float below it aborts the row that reaches it, at the step it does
+    cfg = rich_config(basis2d_small, snapshot_stride=1)
+    first = integrate_batch(cfg, range(3))
+    peaks = np.max(np.abs(first.snap_u[:, 1:]), axis=2)  # (rows, steps) after the start
+    row, step = np.unravel_index(np.argmax(peaks), peaks.shape)
+    at = integrate_batch(dataclasses.replace(cfg, overflow_limit=peaks.max()), range(3))
+    assert not at.aborted.any()
+    assert_records_identical(first, dataclasses.replace(at, config=first.config))
+    below = integrate_batch(dataclasses.replace(cfg, overflow_limit=np.nextafter(peaks.max(), 0.0)), range(3))
+    assert below.abort_step.tolist() == [step + 1 if r == row else -1 for r in range(3)]
+
+
+def test_a_nan_increment_aborts_its_row_only(basis2d_small):
+    cfg = rich_config(basis2d_small, T=0.03)
+    dW = np.stack([generate_wiener(cfg.steps, cfg.M, cfg.dt, cfg.seed, i) for i in range(4)], axis=1)
+    dW[9, 2, 0] = np.nan
+    batch = integrate_batch(cfg, range(4), dW)
+    assert batch.abort_step.tolist() == [-1, -1, 10, -1]
+    # row 2's ledger keeps the NaN work of its step into the abort
+    assert np.isnan(batch.mart_work[2, 9]) and np.isnan(batch.mart_work).sum() == 1
+    for i in range(4):
+        assert_records_identical(integrate_batch(cfg, [i], dW[:, [i]]), batch.rows([i]), equal_nan=i == 2)
+    assert_records_identical(batch.rows([0, 1, 3]), integrate_batch(cfg, [0, 1, 3]))
 
 
 @pytest.mark.parametrize("shape", [(3, 9), (2, 10), (10,)])

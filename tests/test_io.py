@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sgns import galerkin, tightness
+from sgns import cli, galerkin, tightness
 from sgns.cli import VERBS, main, run_command
 from sgns.config import EXPERIMENT, ConfigError, load_config
 from sgns.io import read_snapshot, write_snapshot
@@ -268,6 +268,8 @@ def test_verbs_read_exactly_the_experiment_table(tmp_path):
     tightness = json.loads((DEMOS / "tightness.json").read_text())
     tightness["galerkin"].update(n_list=[4], T=0.25)
     tightness["ensemble"]["trajectories"] = 8
+    # the default windows T 2^-10.. reach below one step at T = 0.25
+    tightness["experiment"]["deltas"] = [2.0**-10, 2.0**-8, 2.0**-6]
     configs = {
         "verify-operators": {"experiment": {"samples": 3}},
         "certify-noise": {"noise": {"eps": 0.5}, "experiment": {"samples": 50}},
@@ -291,6 +293,7 @@ def test_only_the_energy_verbs_record_the_ledger(tmp_path, monkeypatch):
     tight = json.loads((DEMOS / "tightness.json").read_text())
     tight["galerkin"].update(n_list=[4], T=0.25)
     tight["ensemble"]["trajectories"] = 8
+    tight["experiment"]["deltas"] = [2.0**-10, 2.0**-8, 2.0**-6]
     configs = {
         "simulate": write_cfg(tmp_path, name="simulate.json"),
         "ensemble": write_cfg(tmp_path, name="ensemble.json"),
@@ -498,6 +501,65 @@ def test_tightness_verb_records_the_lag_maxima_it_reads(tmp_path, monkeypatch):
     run_command("tightness", run, tmp_path / "stored", workers=2)
     # the demo's largest window is T / 16 = 64 steps
     assert recorded == [(16, 64), (16, 64)]
+
+
+def tightness_failure(tmp_path, cfg, monkeypatch) -> str:
+    """The failure text of a tightness run that must stop before it
+    integrates a level; its exit status is 1 and its summary is written."""
+    def integrate(*args, **kwargs):
+        raise AssertionError("the tightness verb integrated a level")
+
+    monkeypatch.setattr(cli, "integrate_ensemble", integrate)
+    assert run_command("tightness", load_config(cfg), tmp_path / "out", workers=1) == 1
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert summary["verb"] == "tightness" and summary["passed"] is False
+    return summary["failure"]
+
+
+@pytest.mark.parametrize("name, anchor", [("default", "0.125"), ("spaces", "0.00125"),
+                                          ("uniqueness", "0.0625"), ("estimates", "0.125")])
+def test_tightness_verb_rejects_anchors_off_the_integral_grid(tmp_path, monkeypatch, name, anchor):
+    # the default anchors T/8.. off the grid of integral snapshots, every
+    # 8 steps of dt = 1e-3
+    failure = tightness_failure(tmp_path, DEMOS / f"{name}.json", monkeypatch)
+    assert f"experiment.scaling_anchors: anchor {anchor} is not on the integral snapshot grid" in failure
+
+
+def test_tightness_verb_rejects_windows_off_the_integral_grid(tmp_path, monkeypatch):
+    cfg = json.loads((DEMOS / "tightness.json").read_text())
+    cfg["experiment"].update(scaling_anchors=[0.125], scaling_windows=[0.0078125, 0.01])
+    failure = tightness_failure(tmp_path, cfg, monkeypatch)
+    assert failure.startswith("experiment.scaling_windows: anchor 0.125 + window 0.01 = 0.135 is not on")
+
+
+@pytest.mark.parametrize("deltas, short", [(None, "0.000244140625, 0.00048828125"),
+                                           ([0.0009, 0.01], "0.0009")])
+def test_tightness_verb_rejects_windows_below_one_step(tmp_path, monkeypatch, deltas, short):
+    # dt = 2^-10: at T = 0.25 the default windows start at T 2^-10 = 2^-12
+    cfg = json.loads((DEMOS / "tightness.json").read_text())
+    cfg["galerkin"]["T"] = 0.25
+    cfg["experiment"]["deltas"] = deltas
+    failure = tightness_failure(tmp_path, cfg, monkeypatch)
+    assert failure == f"experiment.deltas: window(s) {short} shorter than one snapshot spacing 0.0009765625"
+
+
+def test_tightness_verb_names_a_level_the_noise_misses(tmp_path):
+    # constant noise along e_1 alone: P_n G is zero on the first 8 modes of
+    # the 3D lattice, so level 8 is one deterministic path and fails Aldous
+    cfg = json.loads((DEMOS / "threed.json").read_text())
+    cfg["noise"]["directions"] = [{"b": {"const": [1.0, 0.0, 0.0]}, "c": None}]
+    cfg["galerkin"]["n_list"] = [8, 16]
+    cfg["ensemble"]["trajectories"] = 8
+    assert run_command("tightness", load_config(cfg), tmp_path, workers=1) == 1
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert summary["levels"]["8"]["aldous_passed"] is False
+    assert summary["failure"].startswith("no noise reaches level(s) n = 8:")
+    # with the demo's noise every level passes and no failure is named
+    cfg = json.loads((DEMOS / "threed.json").read_text())
+    cfg["galerkin"]["n_list"] = [8]
+    cfg["ensemble"]["trajectories"] = 8
+    run_command("tightness", load_config(cfg), tmp_path / "noisy", workers=1)
+    assert "failure" not in json.loads((tmp_path / "noisy" / "summary.json").read_text())
 
 
 def test_spaces_verb(tmp_path):

@@ -1,11 +1,14 @@
 import math
 from dataclasses import replace
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from lag_oracle import brute_lag_maxima
 
 from sgns import galerkin, tightness
+from sgns.config import load_config
 from sgns.galerkin import GalerkinConfig, integrate_batch, integrate_ensemble
 from sgns.noise import default_noise_model
 from sgns.spectral import Basis, SpaceScale, random_field
@@ -48,7 +51,7 @@ def small_ensemble(basis2d_small):
 class FakeEnsemble:
     """The arrays and config entries FunctionFamily reads, for given
     snapshots (R, S, n) of `basis` dt apart, with the lag maxima of lags
-    1..modulus_lags (default: every lag) recorded by the stepper's kernel."""
+    1..modulus_lags (default: every lag) of the brute-force oracle."""
 
     def __init__(self, snap_u, basis, dt=1e-2, norm_D=1.0, modulus_lags=None):
         R, S, n = snap_u.shape
@@ -59,7 +62,7 @@ class FakeEnsemble:
         self.norm_H = np.ones((R, S))
         self.norm_D = np.full((R, S), norm_D)
         self.aborted = np.zeros(R, dtype=bool)
-        self.lag_maxima = galerkin._lag_maxima(snap_u, basis.mode_weights("Udual", n), lags)
+        self.lag_maxima = brute_lag_maxima(snap_u, basis.mode_weights("Udual", n), lags)
 
     def __len__(self):
         return len(self.snap_u)
@@ -252,7 +255,7 @@ def test_increment_scaling_rejects_off_grid_window(small_ensemble):
 
 
 def test_modulus_is_one_path_lag_maxima(small_ensemble):
-    # path 3 of the ensemble, its lag maxima recorded by the kernel, against
+    # path 3 of the ensemble, its lag maxima from the oracle, against
     # path 3 integrated alone with its lag maxima recorded by the stepper
     basis, ens = small_ensemble
     u = ens.snap_u[3:4]
@@ -268,19 +271,46 @@ def test_lag_maxima_in_row_blocks(small_ensemble, monkeypatch, block):
     # 7 paths: no block size above divides them, so the last block is short
     basis, recs = small_ensemble
     cfg = small_config(basis, modulus_lags=20)
-    monkeypatch.setattr(galerkin, "LAG_COORDS", block * cfg.n)
+    monkeypatch.setattr(galerkin, "LAG_ROWS", block)
     fam = FunctionFamily(integrate_batch(cfg, range(7)))  # the stepper records them
-    got = fam.lag_maxima(20)
-    x, w = fam.coords, basis.mode_weights("Udual", cfg.n)
-    for lag in range(1, 21):
-        d = x[:, lag:] - x[:, :-lag]
-        want = np.max(np.sqrt(np.einsum("rsn,n->rs", d * d, w)), axis=1)
-        assert np.array_equal(got[:, lag - 1], want), lag
+    want = brute_lag_maxima(fam.coords, basis.mode_weights("Udual", cfg.n), 20)
+    assert np.array_equal(fam.lag_maxima(20), want)
+
+
+@pytest.mark.parametrize("n", [8, 16, 32])
+def test_lag_maxima_are_the_oracles_on_tightness_paths(n):
+    # six paths of the demo's tightness levels, 1,025 snapshots each, and the
+    # 64 lags of the verb's largest default window
+    run = load_config(Path(__file__).resolve().parents[1] / "demos" / "configs" / "tightness.json")
+    cfg = replace(run.galerkin, n=n, snapshot_stride=1, ledger=False, modulus_lags=64)
+    ens = integrate_batch(cfg, range(6))
+    want = brute_lag_maxima(ens.snap_u, run.basis.mode_weights("Udual", n), 64)
+    assert np.array_equal(ens.lag_maxima, want)
+
+
+@pytest.mark.parametrize("kind", ["walk", "white", "ties", "constant"])
+def test_lag_maxima_are_the_oracles_on_adversarial_paths(kind):
+    # 75 cases a kind: n 1-39, 1-6 rows, 2-199 snapshots, lags up to S - 1,
+    # scales 1e-8 to 1e8; ties: a walk on an integer lattice, so that many
+    # increments share the maximum; constant: every increment is zero
+    rng = np.random.default_rng(["walk", "white", "ties", "constant"].index(kind))
+    for case in range(75):
+        n, R, S = int(rng.integers(1, 40)), int(rng.integers(1, 7)), int(rng.integers(2, 200))
+        max_lag = int(rng.integers(1, S))
+        scale = 10.0 ** rng.uniform(-8, 8)
+        steps = rng.standard_normal((R, S, n))
+        coords = {"walk": lambda: np.cumsum(steps, axis=1),
+                  "white": lambda: steps,
+                  "ties": lambda: np.cumsum(np.round(steps), axis=1),
+                  "constant": lambda: np.repeat(steps[:, :1], S, axis=1)}[kind]() * scale
+        w = 10.0 ** rng.uniform(-6, 0, n)
+        want = brute_lag_maxima(coords, w, max_lag)
+        assert np.array_equal(galerkin._lag_maxima(coords, w, max_lag), want), (case, n, R, S, max_lag)
 
 
 @pytest.mark.parametrize("lags", [64, 8])
 def test_stored_lag_maxima_give_the_computed_tables(small_ensemble, lags):
-    # maxima recorded up to `lags` are the kernel's maxima of the snapshots
+    # maxima recorded up to `lags` are the oracle's maxima of the snapshots
     # and give the tables of the ensemble that recorded every lag; a window
     # past them is an error
     basis, recs = small_ensemble
@@ -289,7 +319,7 @@ def test_stored_lag_maxima_give_the_computed_tables(small_ensemble, lags):
     every = FunctionFamily(recs)
     assert stored.stored_lag_maxima.shape == (60, lags)
     assert np.array_equal(stored.coords, every.coords)
-    computed = galerkin._lag_maxima(stored.coords, basis.mode_weights("Udual", cfg.n), lags)
+    computed = brute_lag_maxima(stored.coords, basis.mode_weights("Udual", cfg.n), lags)
     assert np.array_equal(stored.lag_maxima(lags), computed)
     assert np.array_equal(every.lag_maxima(lags), computed)
     for deltas in ([0.002, 0.004, 0.008], [0.004, 0.016, 0.064]):
