@@ -122,8 +122,8 @@ def run_ensemble(run: RunConfig, bundle: ResultBundle, workers: int) -> int:
     bundle.add_table(
         "functionals",
         ["traj", "sup_H2", "int_dirichlet2", "aborted"],
-        zip(ens.indices.tolist(), float_map(lambda sup: sup**2, ens.sup_H()).tolist(),
-            ens.integral_dirichlet2().tolist(), ens.aborted.astype(int).tolist()),
+        zip(ens.indices.tolist(), float_map(lambda sup: sup**2, entry["rows"]["sup_H"]).tolist(),
+            entry["rows"]["int_dirichlet2"].tolist(), ens.aborted.astype(int).tolist()),
     )
     exp = run.experiment
     ok = (budget.max_relative_residual <= exp["residual_tolerance"]
@@ -192,7 +192,8 @@ def run_tightness(run: RunConfig, bundle: ResultBundle, workers: int) -> int:
     if violations:
         bundle.summary.update(passed=False, failure="; ".join(violations))
         return 1
-    # the pool workers record the lag maxima the modulus table reads
+    # each block's process, the verb's own or a pool worker, records the lag
+    # maxima of the paths it stepped, which the modulus table reads
     grid = replace(grid, modulus_lags=tgt.modulus_lags(deltas, grid.snap_times))
     for n in run.n_list:
         cfg = replace(grid, n=n)

@@ -73,7 +73,8 @@ class EnsembleStats:
     """Aggregated moment functionals per Galerkin level n."""
 
     per_n: dict  # n -> {"sup_H_p": {p: FunctionalStats}, "int_weighted": {...},
-    #                    "int_dirichlet2": FunctionalStats, "count": int, "aborts": int}
+    #                    "int_dirichlet2": FunctionalStats, "count": int, "aborts": int,
+    #                    "rows": {"sup_H": (R,), "int_dirichlet2": (R,)} of every row}
     p_list: tuple
     warnings: tuple = ()
 
@@ -82,9 +83,11 @@ def aggregate(ensembles: dict, p_list=(2.0,), eta: float | None = None) -> Ensem
     """Unbiased means with standard errors of the energy functionals of each
     Ensemble of {n: Ensemble}.
 
-    Aborted trajectories are excluded from the statistics and counted.  If a
-    certified eta is supplied, requested exponents outside its admissible
-    window are flagged (the statistic is still computed).
+    Aborted trajectories are excluded from the statistics and counted; the
+    per-row sup_H and Dirichlet integral of every row, aborted ones
+    included, are kept under "rows".  If a certified eta is supplied,
+    requested exponents outside its admissible window are flagged (the
+    statistic is still computed).
     """
     warnings = []
     if eta is not None:
@@ -98,7 +101,8 @@ def aggregate(ensembles: dict, p_list=(2.0,), eta: float | None = None) -> Ensem
         count = int(np.count_nonzero(live))
         if count < 2:
             raise ValueError(f"need at least 2 usable trajectories at n = {n}")
-        sup = ens.sup_H()[live]
+        rows = {"sup_H": ens.sup_H(), "int_dirichlet2": ens.integral_dirichlet2()}
+        sup = rows["sup_H"][live]
         per_n[n] = {
             "sup_H_p": {
                 p: FunctionalStats.of(float_map(lambda v: v**p, sup)) for p in p_list
@@ -106,9 +110,10 @@ def aggregate(ensembles: dict, p_list=(2.0,), eta: float | None = None) -> Ensem
             "int_weighted": {
                 p: FunctionalStats.of(ens.integral_weighted(p)[live]) for p in p_list
             },
-            "int_dirichlet2": FunctionalStats.of(ens.integral_dirichlet2()[live]),
+            "int_dirichlet2": FunctionalStats.of(rows["int_dirichlet2"][live]),
             "count": count,
             "aborts": len(live) - count,
+            "rows": rows,
         }
     return EnsembleStats(per_n=per_n, p_list=tuple(p_list), warnings=tuple(warnings))
 

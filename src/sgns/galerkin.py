@@ -356,11 +356,26 @@ class Ensemble:
 
     def integral_dirichlet2(self):
         """Left-endpoint quadrature of the Dirichlet energy integral."""
-        return np.sum(self.norm_D[:, :-1] ** 2, axis=1) * self.config.dt
+        return self.integral_weighted(2.0)
 
     def integral_weighted(self, p: float):
-        """Left-endpoint quadrature of the |u|^(p-2) ||u||^2 integral."""
-        return np.sum(self.norm_H[:, :-1] ** (p - 2) * self.norm_D[:, :-1] ** 2, axis=1) * self.config.dt
+        """Left-endpoint quadrature of the |u|^(p-2) ||u||^2 integral (at
+        p = 2, of ||u||^2), taken on `_row_blocks`."""
+        out = np.empty(len(self))
+        for at in _row_blocks(self):
+            d2 = self.norm_D[at, :-1] ** 2
+            if p != 2.0:
+                d2 *= self.norm_H[at, :-1] ** (p - 2)
+            out[at] = np.sum(d2, axis=1)
+        return out * self.config.dt
+
+
+def _row_blocks(ens: Ensemble) -> list:
+    """Row slices of ens whose (rows, steps) arrays hold at most 2^16
+    entries: a reader that reduces per row on them gets the bits of the
+    whole array and holds one block's temporaries at a time."""
+    rows = max(1, 2**16 // ens.config.steps)
+    return [slice(lo, lo + rows) for lo in range(0, len(ens), rows)]
 
 
 def float_map(fn, x) -> np.ndarray:
@@ -759,20 +774,27 @@ def integrate_ensemble(config: GalerkinConfig, n_traj: int, workers: int = 1) ->
     shared mapping, and each block writes its rows in place, so no row is
     pickled.  A block is an equal share of the rows per worker, capped by
     `cache_rows`, which also compiles the system that forked workers
-    inherit; the pool has no more workers than blocks.  Every row is
-    independent of the worker count and of the blocks."""
+    inherit.  With k = min(workers, blocks) > 1 the calling process is one
+    of the k workers: it steps every k-th block, from the first, while a
+    pool of k - 1 forked processes steps the others.  Every row is
+    independent of the worker count, of the blocks and of the process that
+    steps it."""
     share = math.ceil(n_traj / max(1, workers))
     rows = max(1, min(share, cache_rows(config)))
     blocks = [(lo, min(lo + rows, n_traj)) for lo in range(0, n_traj, rows)]
+    k = min(workers, len(blocks))
     ens = _ENSEMBLE["ens"] = _stacked(config, range(n_traj))
     try:
-        if workers > 1 and len(blocks) > 1:
+        if k > 1:
             # fork explicitly: workers must inherit the shared mapping and the
             # compiled system built above, which spawned or forkserver
             # workers, starting from a fresh import, would not see
             ctx = multiprocessing.get_context("fork")
-            with ProcessPoolExecutor(max_workers=min(workers, len(blocks)), mp_context=ctx) as pool:
-                list(pool.map(_run_chunk, blocks))
+            with ProcessPoolExecutor(max_workers=k - 1, mp_context=ctx) as pool:
+                theirs = pool.map(_run_chunk, [b for i, b in enumerate(blocks) if i % k])
+                for block in blocks[::k]:
+                    _run_chunk(block)
+                list(theirs)
         else:
             for block in blocks:
                 _run_chunk(block)
@@ -811,13 +833,10 @@ def energy_budget_check(ens: Ensemble) -> EnergyBudgetReport:
                          "recorded without (GalerkinConfig.ledger=False)")
     upto = np.where(ens.aborted, ens.abort_step, steps)
     worst = np.zeros(len(ens))
-    # in place where it can be, on row blocks of (rows, steps) arrays of at
-    # most 2^16 entries; every reduction is per row, so no bit depends on
-    # the blocks
-    rows = max(1, 2**16 // steps)
+    # in place where it can be, on row blocks; every reduction is per row,
+    # so no bit depends on the blocks
     with np.errstate(invalid="ignore"):
-        for lo in range(0, len(ens), rows):
-            at = slice(lo, lo + rows)
+        for at in _row_blocks(ens):
             h2 = ens.norm_H[at] ** 2
             rhs = (ens.drift_work[at] + ens.b_work[at] + ens.forcing_work[at] + ens.mart_work[at]
                    + ens.delta_sq[at])

@@ -555,9 +555,10 @@ def test_ensemble_worker_independence(basis2d_small, monkeypatch):
 
 
 def test_pool_has_no_more_workers_than_blocks(basis2d_small, monkeypatch):
-    # a stand-in executor records the pool size it is asked for and runs the
-    # blocks in this process, so no process is started
-    sizes = []
+    # a stand-in executor records the pool size it is asked for and the
+    # blocks it is given, and runs them in this process, so no process is
+    # started; every block stepped is recorded too
+    sizes, mapped, stepped = [], [], []
 
     class Recording:
         def __init__(self, max_workers, mp_context):
@@ -570,14 +571,43 @@ def test_pool_has_no_more_workers_than_blocks(basis2d_small, monkeypatch):
             return False
 
         def map(self, fn, blocks):
+            mapped.extend(blocks)
             return map(fn, blocks)
+
+    def recording_chunk(block):
+        stepped.append(block)
+        run_chunk(block)
 
     cfg = make_config(basis2d_small, T=0.01)
     want = integrate_ensemble(cfg, 3)
+    run_chunk = galerkin._run_chunk
     monkeypatch.setattr(galerkin, "ProcessPoolExecutor", Recording)
+    monkeypatch.setattr(galerkin, "_run_chunk", recording_chunk)
     got = integrate_ensemble(cfg, 3, workers=64)  # blocks of one row each
-    assert sizes == [3]
+    # the verb process is the third worker: it steps block 0, the pool 1 and 2
+    assert sizes == [2]
+    assert mapped == [(1, 2), (2, 3)]
+    assert sorted(stepped) == [(0, 1), (1, 2), (2, 3)]
+    assert [b for b in stepped if b not in mapped] == [(0, 1)]
     assert_records_identical(want, got)
+
+
+@pytest.mark.parametrize("bad", [0, 1], ids=["own-block", "pool-block"])
+def test_a_failing_block_propagates_and_leaves_nothing_behind(basis2d_small, monkeypatch, bad):
+    # three one-row blocks at 3 workers: the verb process steps block 0, a
+    # forked worker, which inherits the patched stepper, block 1
+    integrate_rows = galerkin._integrate_rows
+
+    def failing(ens, *args):
+        if ens.indices[0] == bad:
+            raise RuntimeError(f"block {bad} failed")
+        integrate_rows(ens, *args)
+
+    monkeypatch.setattr(galerkin, "_integrate_rows", failing)
+    with pytest.raises(RuntimeError, match=f"block {bad} failed"):
+        integrate_ensemble(make_config(basis2d_small, T=0.01), 3, workers=3)
+    assert galerkin._ENSEMBLE == {}
+    assert multiprocessing.active_children() == []
 
 
 def test_stored_lag_maxima_are_those_of_the_snapshots(basis2d_small, monkeypatch):
@@ -943,6 +973,26 @@ def test_ensemble_rows_and_functionals_are_the_paths(basis2d_small):
         for p in (2.0, 2.2, 3.0):
             want = float(np.sum(norm_H[:-1] ** (p - 2) * norm_D[:-1] ** 2) * cfg.dt)
             assert ens.integral_weighted(p)[r] == want == one.integral_weighted(p)[0]
+
+
+def test_functionals_in_row_blocks_are_the_per_path_formulas(basis2d_small):
+    # 20,000 steps: row blocks of 3, so 7 rows are taken as 3 + 3 + 1; the
+    # norms are random, with a NaN and an inf in row 6
+    cfg = make_config(basis2d_small, T=20.0, snapshot_stride=0, ledger=False)
+    ens = galerkin._stacked(cfg, range(7))
+    assert [at.indices(7) for at in galerkin._row_blocks(ens)] == [(0, 3, 1), (3, 6, 1), (6, 7, 1)]
+    rng = np.random.default_rng(3)
+    ens.norm_H[:] = rng.uniform(0.1, 2.0, ens.norm_H.shape)
+    ens.norm_D[:] = rng.uniform(0.1, 5.0, ens.norm_D.shape)
+    ens.norm_H[6, 7], ens.norm_D[6, 9] = np.nan, np.inf
+    for p in (2.0, 2.2, 3.0):
+        got = ens.integral_weighted(p)
+        for r in range(7):
+            norm_H, norm_D = ens.norm_H[r], ens.norm_D[r]
+            want = np.sum(norm_H[:-1] ** (p - 2) * norm_D[:-1] ** 2) * cfg.dt
+            assert np.array_equal(got[r], want, equal_nan=True)
+    want = [np.sum(ens.norm_D[r, :-1] ** 2) * cfg.dt for r in range(7)]
+    assert np.array_equal(ens.integral_dirichlet2(), want)
 
 
 def test_rows_of_a_slice_are_views_and_of_an_index_list_or_mask_copies(basis2d_small):

@@ -308,6 +308,20 @@ def test_lag_maxima_are_the_oracles_on_adversarial_paths(kind):
         assert np.array_equal(galerkin._lag_maxima(coords, w, max_lag), want), (case, n, R, S, max_lag)
 
 
+def test_lag_maxima_keep_the_bounds_margin_on_collinear_paths():
+    # x_r(s) = c_r + s v_r: every increment at a lag has the same norm up to
+    # rounding and the triangle bound is tight, so a computed maximum can
+    # exceed its bound by a few ulps, which the 1 + 1e-9 margin must cover
+    rng = np.random.default_rng(17)
+    s = np.arange(200.0)[None, :, None]
+    for trial in range(30):
+        c, v = rng.standard_normal((2, 8, 1, 6))
+        coords = c + s * v
+        w = 10.0 ** rng.uniform(-6, 0, 6)
+        want = brute_lag_maxima(coords, w, 40)
+        assert np.array_equal(galerkin._lag_maxima(coords, w, 40), want), trial
+
+
 @pytest.mark.parametrize("lags", [64, 8])
 def test_stored_lag_maxima_give_the_computed_tables(small_ensemble, lags):
     # maxima recorded up to `lags` are the oracle's maxima of the snapshots
