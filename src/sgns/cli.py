@@ -93,7 +93,8 @@ def run_certify_noise(run: RunConfig, bundle: ResultBundle, workers: int) -> int
 
 
 def run_simulate(run: RunConfig, bundle: ResultBundle, workers: int) -> int:
-    one = integrate_batch(run.galerkin, [0])
+    # the energy budget reads the ledger, and no running integral is read
+    one = integrate_batch(replace(run.galerkin, records={"ledger"}), [0])
     bundle.add_table(
         "trajectory",
         ["t", "norm_H", "norm_D", "norm_Udual"],
@@ -115,7 +116,8 @@ def run_simulate(run: RunConfig, bundle: ResultBundle, workers: int) -> int:
 
 
 def run_ensemble(run: RunConfig, bundle: ResultBundle, workers: int) -> int:
-    ens = integrate_ensemble(run.galerkin, run.trajectories, workers=workers)
+    # the energy budget reads the ledger, and no running integral is read
+    ens = integrate_ensemble(replace(run.galerkin, records={"ledger"}), run.trajectories, workers=workers)
     budget = energy_budget_check(ens)
     stats = est.aggregate({run.n: ens}, p_list=(2.0,))
     entry = stats.per_n[run.n]
@@ -145,8 +147,8 @@ def run_estimates(run: RunConfig, bundle: ResultBundle, workers: int) -> int:
         return 1
     exp = run.experiment
     p_list = exp["p_list"]
-    # the moments read norms only, so no energy ledger
-    by_n = {n: integrate_ensemble(replace(run.galerkin, n=n, ledger=False), run.trajectories,
+    # the moments read norms only, so no ledger and no running integral
+    by_n = {n: integrate_ensemble(replace(run.galerkin, n=n, records=()), run.trajectories,
                                   workers=workers)
             for n in run.n_list}
     stats = est.aggregate(by_n, p_list=p_list, eta=exp["eta"])
@@ -185,9 +187,9 @@ def run_tightness(run: RunConfig, bundle: ResultBundle, workers: int) -> int:
     passed = True
     rows_mod, rows_aldous, rows_j = [], [], []
     summary_n, noise_free = {}, []
-    # the diagnostics read states, norms and integrals, so no energy ledger
+    # the diagnostics read states, norms and the noise integral only
     grid = replace(run.galerkin, snapshot_stride=1, integral_snapshot_stride=exp["integral_stride"],
-                   ledger=False)
+                   records={"integral_noise"})
     violations = tgt.window_violations(grid, deltas, anchors, windows)
     if violations:
         bundle.summary.update(passed=False, failure="; ".join(violations))
@@ -245,16 +247,15 @@ def run_uniqueness(run: RunConfig, bundle: ResultBundle, workers: int) -> int:
         bundle.summary.update(passed=False, lipschitz_L=cert.lipschitz_L,
                               failure="noise Lipschitz gate L < 2 failed")
         return 1
-    twin = twodim.pathwise_uniqueness_experiment(
-        cfg, cert.lipschitz_L, gamma=0.0, n_traj=exp["twin_trajectories"])
+    # the twin check pairs ride in the batches of the perturbed pairs
     rep = twodim.pathwise_uniqueness_experiment(
-        cfg, cert.lipschitz_L, gamma=exp["gamma"], n_traj=run.trajectories)
-    ok = twin.identical and rep.median_ratio_T <= exp["median_ratio_bound"]
+        cfg, cert.lipschitz_L, gamma=exp["gamma"], n_traj=run.trajectories, twins=exp["twin_trajectories"])
+    ok = rep.identical and rep.median_ratio_T <= exp["median_ratio_bound"]
     bundle.add_table("weighted_ratios", ["traj", "ratio_T", "sup_ratio"],
                      [(i, rep.ratios_at_T[i], rep.sup_ratios[i]) for i in range(rep.trajectories)])
     bundle.summary.update(
         lipschitz_L=cert.lipschitz_L, eps=rep.eps, C_eps=rep.C_eps, gamma=exp["gamma"],
-        twins_identical=twin.identical, median_ratio_T=rep.median_ratio_T,
+        twins_identical=rep.identical, median_ratio_T=rep.median_ratio_T,
         median_ratio_bound=exp["median_ratio_bound"], passed=bool(ok),
     )
     return 0 if ok else 1

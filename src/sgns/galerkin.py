@@ -16,11 +16,15 @@ a pure function of (config, seed, index) -- one Philox stream per
 trajectory -- so ensembles are reproducible bitwise for any worker count and
 any blocks.
 
-Each step writes an energy ledger (drift work, forcing work, martingale
-increment, quadratic remainder) that closes the discrete energy identity to
-roundoff, unless the config turns it off, and cumulative drift/noise
-integrals are snapshotted so the martingale part of the path can be
-reconstructed and tested for zero mean and prescribed quadratic variation.
+Besides states, norms and snapshots, the stepper records what the config's
+record set (`GalerkinConfig.records`, names of `RECORDS`) asks for: the
+energy ledger (drift work, forcing work, martingale increment, quadratic
+remainder), which closes the discrete energy identity to roundoff, and the
+running Stokes, convection, forcing and noise integrals, snapshotted so the
+martingale part of the path can be reconstructed and tested for zero mean
+and prescribed quadratic variation.  An unrecorded output costs no step
+work and no memory, and a reader that needs it raises ValueError naming it;
+every recorded array has the same bits whatever else is recorded.
 """
 
 from __future__ import annotations
@@ -188,6 +192,12 @@ def any_noise(config) -> bool:
 STABILITY_LIMITS = {"em": 1.0, "rk4": 2.78}
 SCHEMES = ("em", "exponential")  # the schemes of the stochastic stepper
 
+LEDGER = ("drift_work", "b_work", "forcing_work", "mart_work", "delta_sq", "ito_step", "hs_step")
+INTEGRALS = ("stokes", "convection", "forcing", "noise")
+# the optional outputs of the stepper: the energy ledger (the LEDGER arrays,
+# read by `energy_budget_check`) and each running integral of INTEGRALS
+RECORDS = ("ledger",) + tuple(f"integral_{name}" for name in INTEGRALS)
+
 
 def level_violations(basis: Basis, levels) -> list:
     """Galerkin levels outside [1, n_modes]."""
@@ -237,9 +247,9 @@ class GalerkinConfig:
     # snapshot-spacing lags 1..modulus_lags whose per-path U' increment maxima
     # the stepper records (`lag_maxima`) for the modulus of continuity
     modulus_lags: int = 0
-    # whether the stepper records the energy ledger, which only
-    # `energy_budget_check` reads; off, each LEDGER array has width 0
-    ledger: bool = True
+    # the outputs of RECORDS the stepper records; an unrecorded one has
+    # width 0 and costs no step work
+    records: frozenset = frozenset(RECORDS)
 
     def __post_init__(self):
         if self.scheme not in SCHEMES:
@@ -254,6 +264,11 @@ class GalerkinConfig:
         if not 0 <= self.modulus_lags <= lags:
             raise ValueError(f"modulus_lags = {self.modulus_lags} outside [0, {lags}], "
                              "the lags of the snapshot grid")
+        unknown = set(self.records) - set(RECORDS)
+        if unknown:
+            raise ValueError(f"unknown records {sorted(unknown)}; GalerkinConfig.records takes "
+                             f"names of RECORDS = {RECORDS}")
+        self.records = frozenset(self.records)
         for pair in self.qv_pairs:
             if not all(0 <= i < len(self.probes) for i in pair):
                 raise ValueError(f"qv_pairs entry {tuple(pair)} has a probe index outside "
@@ -299,6 +314,16 @@ class GalerkinConfig:
         return self.basis.real_coords(stack(self.probes), self.n) if self.probes else np.zeros((0, self.n))
 
 
+def require_records(config: GalerkinConfig, reader: str, *names) -> None:
+    """ValueError unless config records every output `names` that `reader`
+    reads, naming the missing ones."""
+    missing = [name for name in names if name not in config.records]
+    if missing:
+        raise ValueError(f"{reader} needs the {', '.join(missing)} record(s), which this ensemble "
+                         f"was recorded without (GalerkinConfig.records = "
+                         f"{[name for name in RECORDS if name in config.records]})")
+
+
 # -- trajectory records ----------------------------------------------------------
 
 
@@ -316,7 +341,7 @@ class Ensemble:
     norm_H: np.ndarray  # (R, steps + 1), likewise norm_D and norm_Udual
     norm_D: np.ndarray
     norm_Udual: np.ndarray
-    drift_work: np.ndarray  # (R, steps), likewise the rest of the LEDGER
+    drift_work: np.ndarray  # (R, steps), likewise the rest of the LEDGER; (R, 0) unrecorded
     b_work: np.ndarray
     forcing_work: np.ndarray
     mart_work: np.ndarray
@@ -324,7 +349,8 @@ class Ensemble:
     ito_step: np.ndarray
     hs_step: np.ndarray
     snap_u: np.ndarray  # (R, S, n) at config.snap_idx
-    snap_integrals: dict  # INTEGRALS term -> (R, S_J, n) at config.integral_snap_idx
+    # INTEGRALS term -> (R, S_J, n) at config.integral_snap_idx; (R, 0, n) unrecorded
+    snap_integrals: dict
     u0_coords: np.ndarray  # (R, n)
     qv_cum: np.ndarray  # (R, S, len(config.qv_pairs))
     refinement_I: np.ndarray | None  # (R, S)
@@ -488,9 +514,6 @@ def _lag_maxima(coords: np.ndarray, w: np.ndarray, max_lag: int) -> np.ndarray:
 
 # -- stepping -------------------------------------------------------------------
 
-LEDGER = ("drift_work", "b_work", "forcing_work", "mart_work", "delta_sq", "ito_step", "hs_step")
-INTEGRALS = ("stokes", "convection", "forcing", "noise")
-
 # rows x convection triplets one block may hold; fewer than 2,000 triplets
 # count as 2,000.  Past it a step's (rows, triplets) product array leaves the
 # cache: per row-step of `integrate_batch` on the default 2D config, one
@@ -511,19 +534,21 @@ def cache_rows(config: GalerkinConfig) -> int:
 
 def _row_shapes(config: GalerkinConfig) -> dict:
     """Shape after the row axis of every per-row array of an Ensemble, by
-    field name: norms, ledger (width 0 unless config.ledger), snapshots with
-    their quadratic-variation and refinement entries (the latter only with a
-    refinement probe), integral snapshots (keyed "integral_<term>"), u0, the
-    lag maxima, the cutoff minimum and the abort step.  Every entry is 8
+    field name: norms, ledger, snapshots with their quadratic-variation and
+    refinement entries (the latter only with a refinement probe), integral
+    snapshots (keyed "integral_<term>", as in RECORDS), u0, the lag maxima,
+    the cutoff minimum and the abort step.  An output config.records leaves
+    out has width 0 along its step or snapshot axis.  Every entry is 8
     bytes."""
-    steps, n = config.steps, config.n
+    steps, n, records = config.steps, config.n, config.records
     snaps, isnaps = len(config.snap_idx), len(config.integral_snap_idx)
     shapes = {name: (steps + 1,) for name in ("norm_H", "norm_D", "norm_Udual")}
-    shapes.update({name: (steps if config.ledger else 0,) for name in LEDGER})
+    shapes.update({name: (steps if "ledger" in records else 0,) for name in LEDGER})
     shapes.update(snap_u=(snaps, n), qv_cum=(snaps, len(config.qv_pairs)))
     if config.refinement_probe is not None:
         shapes.update(refinement_I=(snaps,))
-    shapes.update({f"integral_{name}": (isnaps, n) for name in INTEGRALS})
+    shapes.update({key: (isnaps if key in records else 0, n)
+                   for key in (f"integral_{name}" for name in INTEGRALS)})
     shapes.update(u0_coords=(n,), lag_maxima=(config.modulus_lags,), cutoff_min=(), abort_step=())
     return shapes
 
@@ -594,12 +619,13 @@ def _integrate_rows(ens: Ensemble, dW=None, x0=None) -> None:
     Each row is bitwise the same whatever the other rows, their number or
     their order.  The energy ledger closes the discrete energy identity for
     both schemes; under the exponential scheme the drift work and the Stokes
-    integral are taken across the Stokes factor.  With config.ledger off its
-    seven reductions are skipped and its arrays have width 0; every other
-    array is the same bits either way.  A row whose state leaves the finite
-    range or passes `overflow_limit` is aborted: its norms are written once
-    more with the non-finite entries zeroed, and everything after that step
-    reads zero.  Last, each row's U' increment maxima over lags
+    integral are taken across the Stokes factor.  The ledger's seven
+    reductions and each running integral's update run only when
+    config.records names them, and an unrecorded output's arrays have width
+    0; every recorded array is the same bits whatever else is recorded.  A
+    row whose state leaves the finite range or passes `overflow_limit` is
+    aborted: its norms are written once more with the non-finite entries
+    zeroed, and everything after that step reads zero.  Last, each row's U' increment maxima over lags
     1..modulus_lags of the snapshot grid are taken from its snapshots
     (`_lag_maxima`).
 
@@ -630,7 +656,7 @@ def _integrate_rows(ens: Ensemble, dW=None, x0=None) -> None:
             raise ValueError(f"initial states of shape {x.shape} do not match (B, n) = ({B}, {n})")
     ens.u0_coords[:] = x
     norm_H, norm_D, norm_Ud = ens.norm_H, ens.norm_D, ens.norm_Udual
-    ledger = config.ledger
+    ledger = "ledger" in config.records
     led = {name: getattr(ens, name) for name in LEDGER}
 
     snap_idx, integral_snap_idx = config.snap_idx, config.integral_snap_idx
@@ -639,7 +665,8 @@ def _integrate_rows(ens: Ensemble, dW=None, x0=None) -> None:
     integral_snap_at = np.full(steps + 1, -1)
     integral_snap_at[integral_snap_idx] = np.arange(len(integral_snap_idx))
     snap_u, snap_integrals = ens.snap_u, ens.snap_integrals
-    integrals = {name: np.zeros((B, n)) for name in INTEGRALS}
+    # the running integrals config.records names, by term
+    integrals = {name: np.zeros((B, n)) for name in INTEGRALS if f"integral_{name}" in config.records}
 
     probes_n = config.probe_coords
     qv_pairs = tuple(config.qv_pairs)
@@ -669,14 +696,17 @@ def _integrate_rows(ens: Ensemble, dW=None, x0=None) -> None:
             x_new, y, theta, tbx, bx, g, xi = _step(sys, config, cutoff, x, norm_Ud[:, j], f, dW[j])
             if theta is not None:
                 np.minimum(cutoff_min, np.where(alive, theta, 1.0), out=cutoff_min)
-            integrals["convection"] -= dt * tbx
-            integrals["noise"] += xi
-            if forced:
+            if "convection" in integrals:
+                integrals["convection"] -= dt * tbx
+            if "noise" in integrals:
+                integrals["noise"] += xi
+            if forced and "forcing" in integrals:
                 integrals["forcing"] += dt * f
-            if y is None:
-                integrals["stokes"] -= dt * (sys.lamD * x)
-            else:
-                integrals["stokes"] += x_new - y
+            if "stokes" in integrals:
+                if y is None:
+                    integrals["stokes"] -= dt * (sys.lamD * x)
+                else:
+                    integrals["stokes"] += x_new - y
             if qv_pairs and g is not None:
                 gp = g @ probes_n.T  # (B, M, P)
                 for q, (a, b) in enumerate(qv_pairs):
@@ -726,22 +756,23 @@ def _integrate_rows(ens: Ensemble, dW=None, x0=None) -> None:
                     ref_I[:, pos] = ref_run
             pos = integral_snap_at[j + 1]
             if pos >= 0:
-                for name in INTEGRALS:
-                    snap_integrals[name][:, pos] = integrals[name]
+                for name, run in integrals.items():
+                    snap_integrals[name][:, pos] = run
 
     # an aborted row keeps what it had at its abort step and zeros after it
     for r in np.flatnonzero(abort_step >= 0):
         a = abort_step[r]
-        for arr in led.values():
-            arr[r, a:] = 0.0
+        if ledger:
+            for arr in led.values():
+                arr[r, a:] = 0.0
         for arr in (norm_H, norm_D, norm_Ud):
             arr[r, a + 1 :] = 0.0
         late = snap_idx >= a
         snap_u[r, late] = qv_cum[r, late] = 0.0
         if refinement:
             ref_I[r, late] = 0.0
-        for arr in snap_integrals.values():
-            arr[r, integral_snap_idx >= a] = 0.0
+        for name in integrals:
+            snap_integrals[name][r, integral_snap_idx >= a] = 0.0
     if config.modulus_lags:
         ens.lag_maxima[:] = _lag_maxima(snap_u, sys.wUdual, config.modulus_lags)
 
@@ -824,13 +855,11 @@ def energy_budget_check(ens: Ensemble) -> EnergyBudgetReport:
     nothing, and the path's other steps still count.  The comparison of the
     realized quadratic noise increments against the integrated
     Hilbert-Schmidt norms is statistical and is reported as a z-score over
-    the paths that did not abort.  The ensemble must have been recorded
-    with its ledger (`GalerkinConfig.ledger`, on by default).
+    the paths that did not abort.  The ensemble must have recorded the
+    ledger (`GalerkinConfig.records`).
     """
     steps = ens.config.steps
-    if not ens.config.ledger:
-        raise ValueError("energy_budget_check needs the energy ledger, which this ensemble was "
-                         "recorded without (GalerkinConfig.ledger=False)")
+    require_records(ens.config, "energy_budget_check", "ledger")
     upto = np.where(ens.aborted, ens.abort_step, steps)
     worst = np.zeros(len(ens))
     # in place where it can be, on row blocks; every reduction is per row,
@@ -861,9 +890,12 @@ def _zscore(vals: np.ndarray) -> float:
 
 def reconstruct_martingale(ens: Ensemble, pos: int) -> np.ndarray:
     """Martingale part at snapshot position `pos` of each row (R, n), rebuilt
-    from the ledger: u(t) - u(0) - (Stokes + convection - forcing integrals).
-    The snapshot must also be on the integral grid (ValueError naming its time)."""
+    from the running integrals: u(t) - u(0) - (Stokes + convection - forcing
+    integrals), which the ensemble must have recorded.  The snapshot must
+    also be on the integral grid (ValueError naming its time)."""
     cfg = ens.config
+    require_records(cfg, "reconstruct_martingale", "integral_stokes", "integral_convection",
+                    "integral_forcing")
     jpos = int(_grid_positions(cfg.integral_snap_idx * cfg.dt, cfg.snap_times[pos], cfg.dt))
     return (
         ens.snap_u[:, pos]
@@ -899,9 +931,12 @@ def martingale_diagnostic(ens: Ensemble, a: int, b: int, s: float, t: float, h=h
 
     The pair (a, b) or (b, a) must be among config.qv_pairs (its
     quadratic-variation integral is accumulated online during integration);
-    s and t must lie on the snapshot grid and on the integral grid.
+    s and t must lie on the snapshot grid and on the integral grid, and the
+    ensemble must have recorded all four running integrals.
     h(ens, step) weighs each path by a functional of it up to `step`.
     """
+    require_records(ens.config, "martingale_diagnostic",
+                    *(f"integral_{name}" for name in INTEGRALS))
     live = ~ens.aborted
     count = int(np.count_nonzero(live))
     if count < 2:

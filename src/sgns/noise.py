@@ -385,14 +385,24 @@ def certify_conditions(
     X = rng.standard_normal((samples, basis.n_modes))
     X *= (1.0 + wD) ** (-rng.uniform(0.0, 1.0, size=(samples, 1)))
 
+    # every square and weight is taken in place, in the order of Y * Y * w,
+    # so that at most two (samples, modes) arrays are alive at once
     hsH2 = np.zeros(samples)
     hsV2 = np.zeros(samples)
     for mat in mats:
         Y = X @ mat.T
-        hsH2 += np.sum(Y * Y, axis=1)
-        hsV2 += np.sum(Y * Y * wVdual, axis=1)
-    normD2 = np.sum(X * X * wD, axis=1)
-    normH2 = np.sum(X * X, axis=1)
+        Y *= Y
+        hsH2 += np.sum(Y, axis=1)
+        Y *= wVdual
+        hsV2 += np.sum(Y, axis=1)
+    Y = None  # freed before D is made (mats may be empty)
+    half = samples // 2
+    D = X[:half] - X[half : 2 * half]
+    X *= X
+    normH2 = np.sum(X, axis=1)
+    X *= wD
+    normD2 = np.sum(X, axis=1)
+    del X
 
     lhs = 2.0 * normD2 - hsH2
     rhs = eta * normD2 - lam0 * normH2
@@ -407,13 +417,14 @@ def certify_conditions(
     # linear G: the Lipschitz quotient is the operator norm from the Dirichlet
     # seminorm into HS(Y,H); measure it on the sampled pair differences
     lip = 0.0
-    half = samples // 2
-    D = X[:half] - X[half : 2 * half]
-    dD = np.sum(D * D * wD, axis=1)
     dH = np.zeros(half)
     for mat in mats:
         Y = D @ mat.T
-        dH += np.sum(Y * Y, axis=1)
+        Y *= Y
+        dH += np.sum(Y, axis=1)
+    D *= D
+    D *= wD
+    dD = np.sum(D, axis=1)
     ok = dD > 0
     if np.any(ok):
         lip = float(np.max(np.sqrt(dH[ok] / dD[ok])))

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .estimates import median
-from .galerkin import INTEGRALS, Ensemble, _grid_positions, _increment_norms
+from .galerkin import INTEGRALS, Ensemble, _grid_positions, _increment_norms, require_records
 
 
 # -- windows -------------------------------------------------------------------
@@ -277,8 +277,10 @@ def decomposition_increments(ens: Ensemble, tau: float, theta: float) -> dict:
     """Increments (R, n) of each row's drift/forcing/noise integrals over
     [tau, tau + theta], plus the worst decomposition-identity residual over
     the rows against the increments of the paths themselves (nan when the
-    paths have no snapshot at either end)."""
+    paths have no snapshot at either end).  The ensemble must have recorded
+    all four running integrals (`GalerkinConfig.records`)."""
     cfg = ens.config
+    require_records(cfg, "decomposition_increments", *(f"integral_{name}" for name in INTEGRALS))
     jt = cfg.integral_snap_idx * cfg.dt
     a, b = _grid_positions(jt, (tau, tau + theta), cfg.dt)
     out = {name: ens.snap_integrals[name][:, b] - ens.snap_integrals[name][:, a] for name in INTEGRALS}
@@ -302,7 +304,8 @@ class IncrementScalingReport:
 def increment_scaling(ens: Ensemble, tau, thetas) -> IncrementScalingReport:
     """Fit |J_i(tau+theta) - J_i(tau)|_{U'} ~ theta^gamma per term over a
     theta-halving grid, using medians over the live paths of the Ensemble,
-    in the U' norm of its config's basis.
+    in the U' norm of its config's basis.  Reports the terms the ensemble
+    recorded (`GalerkinConfig.records`), at least one of them.
 
     `tau` may be a single anchor or a list; the increment bounds hold at every
     anchor, so pooling several of them sharpens the median without bias."""
@@ -314,8 +317,12 @@ def increment_scaling(ens: Ensemble, tau, thetas) -> IncrementScalingReport:
     jt = cfg.integral_snap_idx * cfg.dt
     start = _grid_positions(jt, taus[None, :], cfg.dt)  # (1, anchor)
     end = _grid_positions(jt, taus + thetas[:, None], cfg.dt)  # (theta, anchor)
+    terms = [name for name in INTEGRALS if f"integral_{name}" in cfg.records]
+    if not terms:
+        raise ValueError("increment_scaling needs a running integral record (integral_<term>), and "
+                         f"this ensemble recorded none (GalerkinConfig.records = {sorted(cfg.records)})")
     med, exps = {}, {}
-    for name in INTEGRALS:
+    for name in terms:
         J = ens.snap_integrals[name][rows]  # (R, S_J, n)
         inc = J[:, end] - J[:, start]  # (R, theta, anchor, n)
         # these norms are the pairwise np.sum over n; the einsum of

@@ -242,36 +242,47 @@ class PathwiseUniquenessReport:
     ratios_at_T: np.ndarray
     sup_ratios: np.ndarray
     median_ratio_T: float
-    identical: bool | None  # whether the twins coincide bitwise; None at gamma > 0, not compared
+    # whether every compared pair coincides bitwise; None when none was
+    # compared (gamma > 0 and no check pairs)
+    identical: bool | None
     trajectories: int
 
 
-def _twin_block(cfg: GalerkinConfig, block: list, x1, x2, C_eps: float, gamma: float) -> tuple:
-    """Twin pairs `block` (k of them) as one batch of 2k rows on k Wiener
-    paths, the rows of u1 (from x1) first, then those of u2 (from x2) in the
-    same order.  Returns whether the twins coincide bitwise (checked at
-    gamma = 0 only, None otherwise) and the pairs' terminal and running
-    ratios (zero at gamma = 0).  The batch is freed on return, before the
-    next is made."""
+def _twin_block(cfg: GalerkinConfig, block: list, x1, x2, C_eps: float, gamma: float,
+                checks: int = 0) -> tuple:
+    """Twin pairs `block` (k of them) as one batch of 2k + checks rows on k
+    Wiener paths: the rows of u1 (from x1) first, then those of u2 (from x2)
+    in the same order, then one check row for each of the first `checks`
+    pairs, a second u1 from x1 on that pair's path.  Returns whether the
+    compared rows coincide bitwise (u1 with u2 at gamma = 0, each check row
+    with its u1; None when none is compared) and the pairs' terminal and
+    running ratios (zero at gamma = 0).  The batch is freed on return,
+    before the next is made."""
     k = len(block)
     dW = np.stack([generate_wiener(cfg.steps, cfg.M, cfg.dt, cfg.seed, r) for r in block], axis=1)
-    ens = integrate_batch(cfg, block + block, np.concatenate([dW, dW], axis=1),
-                          x0=np.repeat(np.stack([x1, x2]), k, axis=0))
+    ens = integrate_batch(cfg, block + block + block[:checks],
+                          np.concatenate([dW, dW, dW[:, :checks]], axis=1),
+                          x0=np.repeat(np.stack([x1, x2, x1]), [k, k, checks], axis=0))
     bad = np.flatnonzero(ens.aborted)
     if len(bad):
         r = block[int(np.min(bad % k))]
         raise RuntimeError(f"trajectory {r} aborted during the uniqueness experiment")
+    u1, u2 = ens.snap_u[:k], ens.snap_u[k : 2 * k]
+    compared = [(ens.snap_u[2 * k :], u1[:checks])] if checks else []
     if gamma == 0.0:
-        return np.array_equal(ens.snap_u[:k], ens.snap_u[k:]), 0.0, 0.0
+        compared.append((u1, u2))
+    same = all(np.array_equal(a, b) for a, b in compared) if compared else None
+    if gamma == 0.0:
+        return same, 0.0, 0.0
     # |u1 - u2|_H^2 at each snapshot; squaring in place keeps one (k, S, n)
     # temporary, where (a - b) ** 2 makes two
-    d = ens.snap_u[:k] - ens.snap_u[k:]
+    d = u1 - u2
     d *= d
     U2 = np.add.reduce(d, axis=2)
-    r_t = np.cumsum(ens.norm_D[k:, :-1] ** 2, axis=1) * cfg.dt
+    r_t = np.cumsum(ens.norm_D[k : 2 * k, :-1] ** 2, axis=1) * cfg.dt
     r_t = C_eps * np.concatenate([np.zeros((k, 1)), r_t], axis=1)
     weighted = np.exp(-r_t) * U2
-    return None, weighted[:, -1] / weighted[:, 0], np.max(weighted, axis=1) / weighted[:, 0]
+    return same, weighted[:, -1] / weighted[:, 0], np.max(weighted, axis=1) / weighted[:, 0]
 
 
 def pathwise_uniqueness_experiment(
@@ -281,6 +292,7 @@ def pathwise_uniqueness_experiment(
     n_traj: int = 100,
     eps: float | None = None,
     perturb_mode: int = 0,
+    twins: int = 0,
 ) -> PathwiseUniquenessReport:
     """Twin stochastic runs on one Wiener path, u2 starting gamma off u1.
 
@@ -289,8 +301,12 @@ def pathwise_uniqueness_experiment(
     C_eps = 2/eps from the Young split of the convection difference, has
     nonincreasing expectation up to the martingale term; the report carries
     the per-trajectory terminal and running ratios against the initial value.
-    With gamma = 0 the runs must coincide bitwise, which `identical` reports;
-    at gamma > 0 no comparison is made and it is None.
+    With gamma = 0 the runs must coincide bitwise, which `identical` reports.
+    The `twins` check pairs 0..twins-1 test that at any gamma: each runs u1
+    a second time from the same start on the same Wiener path, as one more
+    row of the batch that steps pair r (a batch of its own two rows for
+    r >= n_traj), and must coincide with it bitwise.  `identical` is None
+    when nothing is compared: gamma > 0 and no check pairs.
     """
     _require_2d(config.basis)
     if not lipschitz_L < 2.0:
@@ -305,23 +321,29 @@ def pathwise_uniqueness_experiment(
     basis = config.basis
     pert = np.zeros(basis.n_modes)
     pert[perturb_mode] = gamma
-    # only snap_u and norm_D are read, so no integral snapshots or ledger
-    cfg = replace(config, snapshot_stride=1, integral_snapshot_stride=0, ledger=False)
+    # only snap_u and norm_D are read, so no ledger and no running integral
+    cfg = replace(config, snapshot_stride=1, records=())
     sys = _compiled(basis, cfg.n, cfg.model, cfg.include_B)
     x1 = sys.encode(project_Pn(config.u0, cfg.n))
     x2 = sys.encode(project_Pn(config.u0 + basis.field_from_real_coords(pert), cfg.n))
     ratios_T = np.zeros(n_traj)
     sup_ratios = np.zeros(n_traj)
-    # compared at gamma = 0 only: None stays None through the blocks
-    identical = True if gamma == 0.0 else None
     # each block of k pairs is one batch of 2k rows, as many as a block of
-    # an ensemble holds
+    # an ensemble holds, and the check rows of its pairs
     pairs = max(1, cache_rows(cfg) // 2)
+    verdicts = []
     for start in range(0, n_traj, pairs):
         stop = min(start + pairs, n_traj)
+        checks = min(max(twins - start, 0), stop - start)
         same, ratios_T[start:stop], sup_ratios[start:stop] = _twin_block(
-            cfg, list(range(start, stop)), x1, x2, C_eps, gamma)
-        identical = identical and same
+            cfg, list(range(start, stop)), x1, x2, C_eps, gamma, checks)
+        verdicts.append(same)
+    # check pairs past the n_traj pairs run as twins a shift 0 apart
+    for start in range(n_traj, twins, pairs):
+        block = list(range(start, min(start + pairs, twins)))
+        verdicts.append(_twin_block(cfg, block, x1, x1, C_eps, 0.0)[0])
+    verdicts = [v for v in verdicts if v is not None]
+    identical = all(verdicts) if verdicts else None
     return PathwiseUniquenessReport(
         gamma=gamma,
         eps=eps,

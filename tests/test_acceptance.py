@@ -22,6 +22,8 @@ from sgns.noise import (
     HarmonicField,
     NoiseModel,
     certify_conditions,
+    coercivity_constant,
+    constant_transport_model,
     default_noise_model,
 )
 from sgns.nonlinear import TrilinearWorkspace, trilinear_b
@@ -366,3 +368,64 @@ def test_criterion_12_shifted_energy_and_uniqueness():
     ok = energy_ok and env_ok
     report(12, ok, f"energy-inequality worst margins {margins} (residual constants {cs} stable), "
                    f"Gronwall envelope held on 20 random problems: {env_ok}")
+
+
+def test_parabolicity_boundary_moments():
+    # Without convection, constant transport noise b acts on each complete
+    # polarization slot k as multiplication by 1 - lam_k dt + i s_j per EM
+    # step, s_j = sum_m (b_m . kappa_k) dW_mj (the slot identity that
+    # test_galerkin.py::test_slot_moduli_are_the_exact_products pins per
+    # path).  The steps are independent, so
+    #   E|c_N|^2 = |c_0|^2 g_k^N,  g_k = (1 - lam_k dt)^2 + dt sum_m (b_m . kappa_k)^2,
+    # and E|c_N|^4 = |c_0|^4 h_k^N with h_k the second moment of one factor.
+    # With b along kappa_1, g_k - 1 = dt |kappa|^2 (2 - a - 2 + lam dt) on
+    # the kappa_1-aligned slots, a = 2 - |b|^2: it rises with |kappa|^2 iff
+    # a < 0, so no moment bound is uniform in n there.
+    # Each sample mean over R = 1000 paths is checked by its z-score against
+    # the exact variance, |z| <= 4 on each of the 6 (b, slot) pairs.  The
+    # products are heavy-tailed, so the normal rate 6e-5 per pair is not
+    # assumed: a sweep of the same 6 statistics over seeds 0..2999 (per-path
+    # products drawn from the slot identity, both b on one path set) gave
+    # max |z| 3.85, above 3.5 at 2 seeds and above 4 at none, so the
+    # false-alarm rate of one run is below 0.1% (95% upper bound, 0 of 3000).
+    basis = Basis(TorusDomain(d=2, K=3), SpaceScale(d=2))
+    n, dt, T, R, z_bound = 28, 1e-3, 1.0, 1000, 4.0
+    lam, slot = basis.mode_weights("D", n), basis.mode_slot[:n]
+    aligned = [k for k in np.unique(slot)
+               if basis.slot_kappa[k][1] == 0.0 and np.count_nonzero(slot == k) == 2]
+    assert basis.slot_kappa[aligned][:, 0].tolist() == [1.0, 2.0, 3.0]
+    coords = np.zeros(basis.n_modes)
+    coords[np.flatnonzero(np.isin(basis.mode_slot, aligned))] = 1.0
+    u0 = basis.field_from_real_coords(coords)
+    steps = round(T / dt)
+    lines, growing = [], {}
+    for b in ([1.3, 0.0], [1.5, 0.0]):
+        model = constant_transport_model([b])
+        a = coercivity_constant(model, basis.domain)
+        cfg = GalerkinConfig(basis=basis, n=n, dt=dt, T=T, u0=u0, model=model, include_B=False,
+                             seed=2024, records=())
+        ens = integrate_batch(cfg, range(R))
+        assert not ens.aborted.any()
+        factors, means = [], []
+        for k in aligned:
+            modes = np.flatnonzero(slot == k)
+            c0, cN = ens.u0_coords[:, modes], ens.snap_u[:, -1, modes]
+            ratio = np.sum(cN**2, axis=1) / np.sum(c0**2, axis=1)
+            decay = 1.0 - lam[modes[0]] * dt
+            s2 = dt * float(np.dot(b, basis.slot_kappa[k])) ** 2
+            g, h = decay**2 + s2, decay**4 + 2.0 * decay**2 * s2 + 3.0 * s2**2
+            mean, var = g**steps, h**steps - g ** (2 * steps)
+            z = (np.mean(ratio) - mean) / math.sqrt(var / R)
+            assert abs(z) <= z_bound, (b, k, z)
+            factors.append(g)
+            means.append(np.mean(ratio))
+            lines.append(f"a = {a:+.2f}, kappa = {basis.slot_kappa[k]}: mean {np.mean(ratio):.4g}, "
+                         f"closed form {mean:.4g}, z = {z:+.2f}")
+        # along |kappa|^2 = 1, 4, 9: the factor, and the sample means with it
+        growing[a] = bool(np.all(np.diff(factors) > 0.0))
+        assert np.all(np.diff(means) > 0.0) == growing[a]
+        assert np.all(np.diff(factors) < 0.0) != growing[a]
+    # one b on each side of a = 0, and growth on the a < 0 side only
+    assert min(growing) < 0.0 < max(growing)
+    assert [growing[a] for a in sorted(growing)] == [True, False]
+    print("\n".join(lines))

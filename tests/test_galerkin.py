@@ -26,6 +26,7 @@ from sgns.galerkin import (
 from sgns.noise import apply_G, constant_transport_model, default_noise_model
 from sgns.nonlinear import TrilinearWorkspace, bilinear_B, trilinear_b
 from sgns.spectral import norm, project_Pn, random_field
+from sgns.tightness import decomposition_increments, increment_scaling
 
 
 def make_config(basis, rng=None, **kw):
@@ -820,44 +821,108 @@ def test_exponential_scheme_ledger_closes(basis2d_small):
         assert np.all(np.max(np.abs(M - ens.snap_integrals["noise"][:, pos]), axis=1) <= 1e-13 * scale)
 
 
-# -- the energy ledger, recorded or not --------------------------------------------
+# -- the record set: the ledger and the running integrals, recorded or not -----------
 
 
-def assert_same_but_the_ledger(full, bare):
-    """`bare` holds each LEDGER array at width 0 and every other array of
-    `full` to the bit."""
-    for name in galerkin.LEDGER:
-        assert getattr(bare, name).shape == (len(bare), 0), name
-    empty = {name: getattr(bare, name) for name in galerkin.LEDGER}
-    assert_records_identical(dataclasses.replace(full, config=bare.config, **empty), bare)
+def unrecorded_arrays(ens) -> dict:
+    """The arrays of ens that its config's records leave out, by name (LEDGER
+    names, and "integral_<term>" for the running integrals)."""
+    out = {}
+    if "ledger" not in ens.config.records:
+        out.update({name: getattr(ens, name) for name in galerkin.LEDGER})
+    out.update({f"integral_{name}": a for name, a in ens.snap_integrals.items()
+                if f"integral_{name}" not in ens.config.records})
+    return out
+
+
+def assert_same_but_unrecorded(full, part):
+    """`part` holds each output its records leave out at width 0 and every
+    other array of `full` to the bit, NaN where `full` has NaN (the ledger
+    of a step into an overflow)."""
+    missing = unrecorded_arrays(part)
+    for name, a in missing.items():
+        assert a.size == 0 and a.shape[0] == len(part), name
+    integrals = {name: missing.get(f"integral_{name}", a) for name, a in full.snap_integrals.items()}
+    ledger = {name: a for name, a in missing.items() if name in galerkin.LEDGER}
+    want = dataclasses.replace(full, config=part.config, snap_integrals=integrals, **ledger)
+    assert_records_identical(want, part, equal_nan=True)
+
+
+def record_subsets():
+    """Every subset of RECORDS, the full set first."""
+    names = galerkin.RECORDS
+    return [frozenset(name for bit, name in enumerate(names) if mask >> bit & 1)
+            for mask in range(2 ** len(names) - 1, -1, -1)]
 
 
 @pytest.mark.parametrize("scheme", ["em", "exponential"])
 def test_ledger_off_keeps_every_other_array(basis2d_small, scheme):
-    # rows 1 and 3 abort as in test_abort_inside_a_batch, the others run to
-    # the end
+    # each of the 32 record sets, the ledger's and the integrals' on and
+    # off; rows 1 and 3 abort as in test_abort_inside_a_batch, the others
+    # run to the end
     cfg = rich_config(basis2d_small, scheme=scheme, T=0.03, overflow_limit=1e3)
+    assert cfg.records == frozenset(galerkin.RECORDS)
     dW = blown_up_increments(cfg, 5)
-    bare = dataclasses.replace(cfg, ledger=False)
     full = integrate_batch(cfg, range(5), dW)
     assert full.aborted.tolist() == [False, True, False, True, False]
-    assert_same_but_the_ledger(full, integrate_batch(bare, range(5), dW))
+    for records in record_subsets():
+        part = integrate_batch(dataclasses.replace(cfg, records=records), range(5), dW)
+        assert len(unrecorded_arrays(part)) == (7 if "ledger" not in records else 0) + 4 - sum(
+            name.startswith("integral_") for name in records)
+        assert_same_but_unrecorded(full, part)
 
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_ensemble_without_the_ledger(basis2d_small, workers):
-    # rows 2, 5 and 6 pass the overflow limit; 2 workers run blocks of 4 + 3
+    # rows 2, 5 and 6 pass the overflow limit; 2 workers run blocks of 4 + 3;
+    # every record but the ledger, and the noise integral alone
     cfg = rich_config(basis2d_small, overflow_limit=1.05)
     full = integrate_ensemble(cfg, 7, workers=workers)
-    bare = integrate_ensemble(dataclasses.replace(cfg, ledger=False), 7, workers=workers)
-    assert_same_but_the_ledger(full, bare)
-    assert bare.drift_work.shape == (7, 0)
+    for records in (set(galerkin.RECORDS) - {"ledger"}, {"integral_noise"}):
+        part = integrate_ensemble(dataclasses.replace(cfg, records=records), 7, workers=workers)
+        assert_same_but_unrecorded(full, part)
+        assert part.drift_work.shape == (7, 0)
+    assert part.snap_integrals["stokes"].shape == (7, 0, cfg.n)
 
 
 def test_energy_budget_needs_the_ledger(basis2d_small):
-    ens = integrate_batch(rich_config(basis2d_small, ledger=False), range(3))
-    with pytest.raises(ValueError, match=r"GalerkinConfig\.ledger=False"):
+    cfg = rich_config(basis2d_small)
+    ens = integrate_batch(dataclasses.replace(cfg, records=set(galerkin.RECORDS) - {"ledger"}), range(3))
+    with pytest.raises(ValueError,
+                       match=r"energy_budget_check needs the ledger record.*GalerkinConfig\.records"):
         energy_budget_check(ens)
+
+
+def test_each_reader_names_its_missing_record(basis2d_small):
+    # each reader of a running integral, on the full set less the one record
+    # it is missing
+    cfg = rich_config(basis2d_small, T=0.04, snapshot_stride=4)
+    t = float(cfg.snap_times[1])
+    readers = {
+        "integral_stokes": lambda e: reconstruct_martingale(e, 1),
+        "integral_convection": lambda e: reconstruct_martingale(e, 1),
+        "integral_forcing": lambda e: reconstruct_martingale(e, 1),
+        "integral_noise": lambda e: martingale_diagnostic(e, 0, 1, t, 2 * t),
+    }
+    for name, read in readers.items():
+        ens = integrate_batch(dataclasses.replace(cfg, records=set(galerkin.RECORDS) - {name}), range(3))
+        with pytest.raises(ValueError, match=rf"needs the {name} record.*GalerkinConfig\.records"):
+            read(ens)
+        with pytest.raises(ValueError, match=rf"decomposition_increments needs the {name} record"):
+            decomposition_increments(ens, t, t)
+        # the scaling table reports the terms recorded
+        rep = increment_scaling(ens, [t], [t, 2 * t])
+        assert set(rep.exponents) == set(galerkin.INTEGRALS) - {name.removeprefix("integral_")}
+    ens = integrate_batch(dataclasses.replace(cfg, records={"ledger"}), range(3))
+    with pytest.raises(ValueError, match=r"increment_scaling needs a running integral record"):
+        increment_scaling(ens, [t], [t])
+
+
+def test_an_unknown_record_lists_the_records(basis2d_small):
+    for records in ({"ledger", "integral_drift"}, "ledger"):
+        with pytest.raises(ValueError, match=re.escape(f"RECORDS = {galerkin.RECORDS}")):
+            make_config(basis2d_small, records=records)
+    assert make_config(basis2d_small, records=["ledger"]).records == frozenset({"ledger"})
 
 
 # -- an exact pathwise oracle -----------------------------------------------------
@@ -930,7 +995,7 @@ def test_strong_order_one_half(basis2d_small, scheme):
 
     def config(steps):
         return GalerkinConfig(basis=basis2d_small, n=10, dt=T / steps, T=T, u0=u0, model=model, seed=0,
-                              scheme=scheme, ledger=False)
+                              scheme=scheme, records=())
 
     fine = config(fine_steps)
     dW = np.stack([generate_wiener(fine_steps, fine.M, fine.dt, 0, i) for i in range(R)], axis=1)
@@ -978,7 +1043,7 @@ def test_ensemble_rows_and_functionals_are_the_paths(basis2d_small):
 def test_functionals_in_row_blocks_are_the_per_path_formulas(basis2d_small):
     # 20,000 steps: row blocks of 3, so 7 rows are taken as 3 + 3 + 1; the
     # norms are random, with a NaN and an inf in row 6
-    cfg = make_config(basis2d_small, T=20.0, snapshot_stride=0, ledger=False)
+    cfg = make_config(basis2d_small, T=20.0, snapshot_stride=0, records=())
     ens = galerkin._stacked(cfg, range(7))
     assert [at.indices(7) for at in galerkin._row_blocks(ens)] == [(0, 3, 1), (3, 6, 1), (6, 7, 1)]
     rng = np.random.default_rng(3)

@@ -288,8 +288,10 @@ def test_verbs_read_exactly_the_experiment_table(tmp_path):
 
 
 def test_only_the_energy_verbs_record_the_ledger(tmp_path, monkeypatch):
-    # `energy_budget_check` reads the energy ledger, and only simulate and
-    # ensemble call it; the other verbs integrate with the ledger off
+    # each verb records what it reads: `energy_budget_check` reads the
+    # energy ledger, and only simulate and ensemble call it; the tightness
+    # scaling table reads the noise integral; no verb reads another
+    # running integral
     tight = json.loads((DEMOS / "tightness.json").read_text())
     tight["galerkin"].update(n_list=[4], T=0.25)
     tight["ensemble"]["trajectories"] = 8
@@ -305,17 +307,18 @@ def test_only_the_energy_verbs_record_the_ledger(tmp_path, monkeypatch):
     integrate, seen = galerkin._integrate_rows, []
 
     def spy(ens, *args, **kwargs):
-        seen.append(ens.config.ledger)
+        seen.append(ens.config.records)
         return integrate(ens, *args, **kwargs)
 
     monkeypatch.setattr(galerkin, "_integrate_rows", spy)
-    ledger = {}
+    records = {}
     for verb, cfg in configs.items():
         seen.clear()
         run_command(verb, load_config(cfg), tmp_path / verb, workers=1)
-        ledger[verb] = set(seen)
-    assert ledger == {"simulate": {True}, "ensemble": {True}, "estimates": {False},
-                      "tightness": {False}, "uniqueness": {False}}
+        records[verb] = set(seen)
+    ledger, noise = frozenset({"ledger"}), frozenset({"integral_noise"})
+    assert records == {"simulate": {ledger}, "ensemble": {ledger}, "estimates": {frozenset()},
+                       "tightness": {noise}, "uniqueness": {frozenset()}}
 
 
 def test_seed_override_matches_configured_seed(tmp_path):

@@ -282,7 +282,7 @@ def test_lag_maxima_are_the_oracles_on_tightness_paths(n):
     # six paths of the demo's tightness levels, 1,025 snapshots each, and the
     # 64 lags of the verb's largest default window
     run = load_config(Path(__file__).resolve().parents[1] / "demos" / "configs" / "tightness.json")
-    cfg = replace(run.galerkin, n=n, snapshot_stride=1, ledger=False, modulus_lags=64)
+    cfg = replace(run.galerkin, n=n, snapshot_stride=1, records={"integral_noise"}, modulus_lags=64)
     ens = integrate_batch(cfg, range(6))
     want = brute_lag_maxima(ens.snap_u, run.basis.mode_weights("Udual", n), 64)
     assert np.array_equal(ens.lag_maxima, want)

@@ -390,6 +390,41 @@ def test_twins_are_compared_at_gamma_zero_only(basis2d_small, rng):
     assert rep.identical is None
 
 
+def test_twin_checks_ride_in_the_perturbed_batches(basis2d_small, rng, monkeypatch):
+    # check pair r is one more row, from x1, in the batch that steps pair r;
+    # a check pair past n_traj runs as a batch of its own two rows
+    cfg = GalerkinConfig(
+        basis=basis2d_small, n=8, dt=1e-3, T=0.05,
+        u0=random_field(basis2d_small, rng, n=8, decay=0.5),
+        model=default_noise_model(2), seed=12,
+    )
+    plain = pathwise_uniqueness_experiment(cfg, lipschitz_L=1.0, gamma=1e-8, n_traj=5)
+    rows, _ = counted_batches(monkeypatch)
+    # n = 8 has fewer than 2,000 convection triplets: blocks of 2 pairs
+    monkeypatch.setattr(galerkin, "BLOCK_CACHE", 4 * 2000)
+    for twins, want in ((3, [6, 5, 2]), (8, [6, 6, 3, 4, 2])):
+        rows.clear()
+        rep = pathwise_uniqueness_experiment(cfg, lipschitz_L=1.0, gamma=1e-8, n_traj=5, twins=twins)
+        assert rows == want
+        assert rep.identical is True
+        # the check rows change no pair's bits
+        assert np.array_equal(rep.ratios_at_T, plain.ratios_at_T)
+        assert np.array_equal(rep.sup_ratios, plain.sup_ratios)
+
+    # a check row one ulp off its u1 row fails the check
+    run = twodim.integrate_batch
+
+    def nudged(config, indices, dW, x0):
+        ens = run(config, indices, dW, x0=x0)
+        if len(indices) == 5:
+            ens.snap_u[-1, -1, 0] = np.nextafter(ens.snap_u[-1, -1, 0], np.inf)
+        return ens
+
+    monkeypatch.setattr(twodim, "integrate_batch", nudged)
+    rep = pathwise_uniqueness_experiment(cfg, lipschitz_L=1.0, gamma=1e-8, n_traj=5, twins=3)
+    assert rep.identical is False
+
+
 def uniqueness_config(basis):
     """The twins of the uniqueness demo: n = 16 of K = 8, T = 0.5."""
     return GalerkinConfig(
