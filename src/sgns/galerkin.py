@@ -19,10 +19,11 @@ any blocks.
 Besides states, norms and snapshots, the stepper records what the config's
 record set (`GalerkinConfig.records`, names of `RECORDS`) asks for: the
 energy ledger (drift work, forcing work, martingale increment, quadratic
-remainder), which closes the discrete energy identity to roundoff, and the
-running Stokes, convection, forcing and noise integrals, snapshotted so the
-martingale part of the path can be reconstructed and tested for zero mean
-and prescribed quadratic variation.  An unrecorded output costs no step
+remainder), which closes the discrete energy identity to roundoff, the
+running Stokes, convection and forcing integrals (one record, the drift)
+and the running noise integral, snapshotted so the martingale part of the
+path can be reconstructed and tested for zero mean and prescribed quadratic
+variation.  An unrecorded output costs no step
 work and no memory, and a reader that needs it raises ValueError naming it;
 every recorded array has the same bits whatever else is recorded.
 """
@@ -195,8 +196,15 @@ SCHEMES = ("em", "exponential")  # the schemes of the stochastic stepper
 LEDGER = ("drift_work", "b_work", "forcing_work", "mart_work", "delta_sq", "ito_step", "hs_step")
 INTEGRALS = ("stokes", "convection", "forcing", "noise")
 # the optional outputs of the stepper: the energy ledger (the LEDGER arrays,
-# read by `energy_budget_check`) and each running integral of INTEGRALS
-RECORDS = ("ledger",) + tuple(f"integral_{name}" for name in INTEGRALS)
+# read by `energy_budget_check`), the Stokes, convection and forcing
+# integrals, which every reader reads together, and the noise integral
+RECORDS = ("ledger", "integral_drift", "integral_noise")
+
+
+def integral_record(term: str) -> str:
+    """The record of RECORDS that holds the running integral `term` of
+    INTEGRALS."""
+    return "integral_noise" if term == "noise" else "integral_drift"
 
 
 def level_violations(basis: Basis, levels) -> list:
@@ -536,7 +544,7 @@ def _row_shapes(config: GalerkinConfig) -> dict:
     """Shape after the row axis of every per-row array of an Ensemble, by
     field name: norms, ledger, snapshots with their quadratic-variation and
     refinement entries (the latter only with a refinement probe), integral
-    snapshots (keyed "integral_<term>", as in RECORDS), u0, the lag maxima,
+    snapshots (keyed by term), u0, the lag maxima,
     the cutoff minimum and the abort step.  An output config.records leaves
     out has width 0 along its step or snapshot axis.  Every entry is 8
     bytes."""
@@ -547,8 +555,7 @@ def _row_shapes(config: GalerkinConfig) -> dict:
     shapes.update(snap_u=(snaps, n), qv_cum=(snaps, len(config.qv_pairs)))
     if config.refinement_probe is not None:
         shapes.update(refinement_I=(snaps,))
-    shapes.update({key: (isnaps if key in records else 0, n)
-                   for key in (f"integral_{name}" for name in INTEGRALS)})
+    shapes.update({name: (isnaps if integral_record(name) in records else 0, n) for name in INTEGRALS})
     shapes.update(u0_coords=(n,), lag_maxima=(config.modulus_lags,), cutoff_min=(), abort_step=())
     return shapes
 
@@ -568,7 +575,7 @@ def _stacked(config: GalerkinConfig, indices) -> Ensemble:
         arrays[name] = flat[at : at + size].reshape((len(indices), *shape))
         at += size
     arrays["abort_step"] = arrays["abort_step"].view(np.int64)
-    integrals = {name: arrays.pop(f"integral_{name}") for name in INTEGRALS}
+    integrals = {name: arrays.pop(name) for name in INTEGRALS}
     return Ensemble(config=config, indices=indices, snap_integrals=integrals, **arrays)
 
 
@@ -665,8 +672,9 @@ def _integrate_rows(ens: Ensemble, dW=None, x0=None) -> None:
     integral_snap_at = np.full(steps + 1, -1)
     integral_snap_at[integral_snap_idx] = np.arange(len(integral_snap_idx))
     snap_u, snap_integrals = ens.snap_u, ens.snap_integrals
+    drift, noise = "integral_drift" in config.records, "integral_noise" in config.records
     # the running integrals config.records names, by term
-    integrals = {name: np.zeros((B, n)) for name in INTEGRALS if f"integral_{name}" in config.records}
+    integrals = {name: np.zeros((B, n)) for name in INTEGRALS if integral_record(name) in config.records}
 
     probes_n = config.probe_coords
     qv_pairs = tuple(config.qv_pairs)
@@ -696,17 +704,16 @@ def _integrate_rows(ens: Ensemble, dW=None, x0=None) -> None:
             x_new, y, theta, tbx, bx, g, xi = _step(sys, config, cutoff, x, norm_Ud[:, j], f, dW[j])
             if theta is not None:
                 np.minimum(cutoff_min, np.where(alive, theta, 1.0), out=cutoff_min)
-            if "convection" in integrals:
+            if drift:
                 integrals["convection"] -= dt * tbx
-            if "noise" in integrals:
-                integrals["noise"] += xi
-            if forced and "forcing" in integrals:
-                integrals["forcing"] += dt * f
-            if "stokes" in integrals:
+                if forced:
+                    integrals["forcing"] += dt * f
                 if y is None:
                     integrals["stokes"] -= dt * (sys.lamD * x)
                 else:
                     integrals["stokes"] += x_new - y
+            if noise:
+                integrals["noise"] += xi
             if qv_pairs and g is not None:
                 gp = g @ probes_n.T  # (B, M, P)
                 for q, (a, b) in enumerate(qv_pairs):
@@ -894,8 +901,7 @@ def reconstruct_martingale(ens: Ensemble, pos: int) -> np.ndarray:
     integrals), which the ensemble must have recorded.  The snapshot must
     also be on the integral grid (ValueError naming its time)."""
     cfg = ens.config
-    require_records(cfg, "reconstruct_martingale", "integral_stokes", "integral_convection",
-                    "integral_forcing")
+    require_records(cfg, "reconstruct_martingale", "integral_drift")
     jpos = int(_grid_positions(cfg.integral_snap_idx * cfg.dt, cfg.snap_times[pos], cfg.dt))
     return (
         ens.snap_u[:, pos]
@@ -932,11 +938,10 @@ def martingale_diagnostic(ens: Ensemble, a: int, b: int, s: float, t: float, h=h
     The pair (a, b) or (b, a) must be among config.qv_pairs (its
     quadratic-variation integral is accumulated online during integration);
     s and t must lie on the snapshot grid and on the integral grid, and the
-    ensemble must have recorded all four running integrals.
+    ensemble must have recorded the drift and noise integrals.
     h(ens, step) weighs each path by a functional of it up to `step`.
     """
-    require_records(ens.config, "martingale_diagnostic",
-                    *(f"integral_{name}" for name in INTEGRALS))
+    require_records(ens.config, "martingale_diagnostic", "integral_drift", "integral_noise")
     live = ~ens.aborted
     count = int(np.count_nonzero(live))
     if count < 2:

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .estimates import median
-from .galerkin import INTEGRALS, Ensemble, _grid_positions, _increment_norms, require_records
+from .galerkin import INTEGRALS, Ensemble, _grid_positions, _increment_norms, integral_record, require_records
 
 
 # -- windows -------------------------------------------------------------------
@@ -278,9 +278,9 @@ def decomposition_increments(ens: Ensemble, tau: float, theta: float) -> dict:
     [tau, tau + theta], plus the worst decomposition-identity residual over
     the rows against the increments of the paths themselves (nan when the
     paths have no snapshot at either end).  The ensemble must have recorded
-    all four running integrals (`GalerkinConfig.records`)."""
+    the drift and noise integrals (`GalerkinConfig.records`)."""
     cfg = ens.config
-    require_records(cfg, "decomposition_increments", *(f"integral_{name}" for name in INTEGRALS))
+    require_records(cfg, "decomposition_increments", "integral_drift", "integral_noise")
     jt = cfg.integral_snap_idx * cfg.dt
     a, b = _grid_positions(jt, (tau, tau + theta), cfg.dt)
     out = {name: ens.snap_integrals[name][:, b] - ens.snap_integrals[name][:, a] for name in INTEGRALS}
@@ -305,7 +305,9 @@ def increment_scaling(ens: Ensemble, tau, thetas) -> IncrementScalingReport:
     """Fit |J_i(tau+theta) - J_i(tau)|_{U'} ~ theta^gamma per term over a
     theta-halving grid, using medians over the live paths of the Ensemble,
     in the U' norm of its config's basis.  Reports the terms the ensemble
-    recorded (`GalerkinConfig.records`), at least one of them.
+    recorded (`GalerkinConfig.records`): the Stokes, convection and forcing
+    terms under `integral_drift`, the noise term under `integral_noise`, and
+    at least one of the two.
 
     `tau` may be a single anchor or a list; the increment bounds hold at every
     anchor, so pooling several of them sharpens the median without bias."""
@@ -317,10 +319,10 @@ def increment_scaling(ens: Ensemble, tau, thetas) -> IncrementScalingReport:
     jt = cfg.integral_snap_idx * cfg.dt
     start = _grid_positions(jt, taus[None, :], cfg.dt)  # (1, anchor)
     end = _grid_positions(jt, taus + thetas[:, None], cfg.dt)  # (theta, anchor)
-    terms = [name for name in INTEGRALS if f"integral_{name}" in cfg.records]
+    terms = [name for name in INTEGRALS if integral_record(name) in cfg.records]
     if not terms:
-        raise ValueError("increment_scaling needs a running integral record (integral_<term>), and "
-                         f"this ensemble recorded none (GalerkinConfig.records = {sorted(cfg.records)})")
+        raise ValueError("increment_scaling needs the integral_drift or integral_noise record, and "
+                         f"this ensemble recorded neither (GalerkinConfig.records = {sorted(cfg.records)})")
     med, exps = {}, {}
     for name in terms:
         J = ens.snap_integrals[name][rows]  # (R, S_J, n)

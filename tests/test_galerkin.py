@@ -826,12 +826,12 @@ def test_exponential_scheme_ledger_closes(basis2d_small):
 
 def unrecorded_arrays(ens) -> dict:
     """The arrays of ens that its config's records leave out, by name (LEDGER
-    names, and "integral_<term>" for the running integrals)."""
+    names, and the INTEGRALS term for a running integral)."""
     out = {}
     if "ledger" not in ens.config.records:
         out.update({name: getattr(ens, name) for name in galerkin.LEDGER})
-    out.update({f"integral_{name}": a for name, a in ens.snap_integrals.items()
-                if f"integral_{name}" not in ens.config.records})
+    out.update({name: a for name, a in ens.snap_integrals.items()
+                if galerkin.integral_record(name) not in ens.config.records})
     return out
 
 
@@ -842,7 +842,7 @@ def assert_same_but_unrecorded(full, part):
     missing = unrecorded_arrays(part)
     for name, a in missing.items():
         assert a.size == 0 and a.shape[0] == len(part), name
-    integrals = {name: missing.get(f"integral_{name}", a) for name, a in full.snap_integrals.items()}
+    integrals = {name: missing.get(name, a) for name, a in full.snap_integrals.items()}
     ledger = {name: a for name, a in missing.items() if name in galerkin.LEDGER}
     want = dataclasses.replace(full, config=part.config, snap_integrals=integrals, **ledger)
     assert_records_identical(want, part, equal_nan=True)
@@ -857,9 +857,9 @@ def record_subsets():
 
 @pytest.mark.parametrize("scheme", ["em", "exponential"])
 def test_ledger_off_keeps_every_other_array(basis2d_small, scheme):
-    # each of the 32 record sets, the ledger's and the integrals' on and
-    # off; rows 1 and 3 abort as in test_abort_inside_a_batch, the others
-    # run to the end
+    # each of the 8 record sets, the ledger, the drift integrals and the
+    # noise integral on and off; rows 1 and 3 abort as in
+    # test_abort_inside_a_batch, the others run to the end
     cfg = rich_config(basis2d_small, scheme=scheme, T=0.03, overflow_limit=1e3)
     assert cfg.records == frozenset(galerkin.RECORDS)
     dW = blown_up_increments(cfg, 5)
@@ -867,8 +867,9 @@ def test_ledger_off_keeps_every_other_array(basis2d_small, scheme):
     assert full.aborted.tolist() == [False, True, False, True, False]
     for records in record_subsets():
         part = integrate_batch(dataclasses.replace(cfg, records=records), range(5), dW)
-        assert len(unrecorded_arrays(part)) == (7 if "ledger" not in records else 0) + 4 - sum(
-            name.startswith("integral_") for name in records)
+        assert len(unrecorded_arrays(part)) == ((7 if "ledger" not in records else 0)
+                                                + (3 if "integral_drift" not in records else 0)
+                                                + (1 if "integral_noise" not in records else 0))
         assert_same_but_unrecorded(full, part)
 
 
@@ -899,11 +900,10 @@ def test_each_reader_names_its_missing_record(basis2d_small):
     cfg = rich_config(basis2d_small, T=0.04, snapshot_stride=4)
     t = float(cfg.snap_times[1])
     readers = {
-        "integral_stokes": lambda e: reconstruct_martingale(e, 1),
-        "integral_convection": lambda e: reconstruct_martingale(e, 1),
-        "integral_forcing": lambda e: reconstruct_martingale(e, 1),
+        "integral_drift": lambda e: reconstruct_martingale(e, 1),
         "integral_noise": lambda e: martingale_diagnostic(e, 0, 1, t, 2 * t),
     }
+    scaled = {"integral_drift": {"noise"}, "integral_noise": {"stokes", "convection", "forcing"}}
     for name, read in readers.items():
         ens = integrate_batch(dataclasses.replace(cfg, records=set(galerkin.RECORDS) - {name}), range(3))
         with pytest.raises(ValueError, match=rf"needs the {name} record.*GalerkinConfig\.records"):
@@ -912,14 +912,14 @@ def test_each_reader_names_its_missing_record(basis2d_small):
             decomposition_increments(ens, t, t)
         # the scaling table reports the terms recorded
         rep = increment_scaling(ens, [t], [t, 2 * t])
-        assert set(rep.exponents) == set(galerkin.INTEGRALS) - {name.removeprefix("integral_")}
+        assert set(rep.exponents) == scaled[name]
     ens = integrate_batch(dataclasses.replace(cfg, records={"ledger"}), range(3))
-    with pytest.raises(ValueError, match=r"increment_scaling needs a running integral record"):
+    with pytest.raises(ValueError, match=r"increment_scaling needs the integral_drift or integral_noise record"):
         increment_scaling(ens, [t], [t])
 
 
 def test_an_unknown_record_lists_the_records(basis2d_small):
-    for records in ({"ledger", "integral_drift"}, "ledger"):
+    for records in ({"ledger", "integral_stokes"}, "ledger"):
         with pytest.raises(ValueError, match=re.escape(f"RECORDS = {galerkin.RECORDS}")):
             make_config(basis2d_small, records=records)
     assert make_config(basis2d_small, records=["ledger"]).records == frozenset({"ledger"})
