@@ -23,9 +23,9 @@ remainder), which closes the discrete energy identity to roundoff, the
 running Stokes, convection and forcing integrals (one record, the drift)
 and the running noise integral, snapshotted so the martingale part of the
 path can be reconstructed and tested for zero mean and prescribed quadratic
-variation.  An unrecorded output costs no step
-work and no memory, and a reader that needs it raises ValueError naming it;
-every recorded array has the same bits whatever else is recorded.
+variation.  An unrecorded output costs no step work and no memory, and a
+reader that needs it raises ValueError naming it; every recorded array has
+the same bits whatever else is recorded.
 """
 
 from __future__ import annotations
@@ -544,10 +544,9 @@ def _row_shapes(config: GalerkinConfig) -> dict:
     """Shape after the row axis of every per-row array of an Ensemble, by
     field name: norms, ledger, snapshots with their quadratic-variation and
     refinement entries (the latter only with a refinement probe), integral
-    snapshots (keyed by term), u0, the lag maxima,
-    the cutoff minimum and the abort step.  An output config.records leaves
-    out has width 0 along its step or snapshot axis.  Every entry is 8
-    bytes."""
+    snapshots (keyed by term), u0, the lag maxima, the cutoff minimum and
+    the abort step.  An output config.records leaves out has width 0 along
+    its step or snapshot axis.  Every entry is 8 bytes."""
     steps, n, records = config.steps, config.n, config.records
     snaps, isnaps = len(config.snap_idx), len(config.integral_snap_idx)
     shapes = {name: (steps + 1,) for name in ("norm_H", "norm_D", "norm_Udual")}
