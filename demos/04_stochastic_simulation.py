@@ -22,7 +22,7 @@ probes = (basis.basis_field(0), basis.basis_field(2))
 
 cfg = GalerkinConfig(
     basis=basis, n=16, dt=1e-3, T=1.0, u0=u0, model=default_noise_model(2),
-    seed=99, snapshot_stride=100, probes=probes, qv_pairs=((0, 0), (0, 1)),
+    seed=99, snapshot_stride=100, probes=probes,
 )
 
 one = integrate_batch(cfg, [0])  # an Ensemble of one path

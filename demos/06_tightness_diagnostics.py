@@ -62,9 +62,9 @@ by_n = {}
 for n in (8, 16, 32, 64):
     c = GalerkinConfig(basis=basis, n=n, dt=dt, T=T, u0=u0_ref,
                        model=default_noise_model(2), seed=22,
-                       snapshot_stride=64, refinement_probe=psi)
-    by_n[n] = integrate_batch(c, [0])  # one path per level
-ref = nonlinear_refinement_check(by_n)
+                       snapshot_stride=1)
+    by_n[n] = integrate_batch(c, [0])  # one path per level, every step's state
+ref = nonlinear_refinement_check(by_n, psi)
 print(f"  I_n = {[f'{v:+.6f}' for v in ref.integrals]}")
 print(f"  successive gaps = {[f'{g:.2e}' for g in ref.successive_gaps]}")
 print(f"  monotone decreasing: {ref.passed}, overall Cauchy decay: {ref.cauchy_decay}")

@@ -243,9 +243,10 @@ def run_uniqueness(run: RunConfig, bundle: ResultBundle, workers: int) -> int:
         return 1
     cert = certify_conditions(cfg.model, run.basis, eps=run.noise_eps,
                               samples=exp["certify_samples"], seed=cfg.seed)
-    if cert.rejected or not cert.lipschitz_L < 2.0:
-        bundle.summary.update(passed=False, lipschitz_L=cert.lipschitz_L,
-                              failure="noise Lipschitz gate L < 2 failed")
+    # a rejected certification reports L = NaN, which fails the gate
+    failure = twodim.lipschitz_gate_failure(cert.lipschitz_L)
+    if failure is not None:
+        bundle.summary.update(passed=False, lipschitz_L=cert.lipschitz_L, failure=failure)
         return 1
     # the twin check pairs ride in the batches of the perturbed pairs
     rep = twodim.pathwise_uniqueness_experiment(

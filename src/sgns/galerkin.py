@@ -25,7 +25,11 @@ and the running noise integral, snapshotted so the martingale part of the
 path can be reconstructed and tested for zero mean and prescribed quadratic
 variation.  An unrecorded output costs no step work and no memory, and a
 reader that needs it raises ValueError naming it; every recorded array has
-the same bits whatever else is recorded.
+the same bits whatever else is recorded.  The probes alone fix the
+pairings: the stepper accumulates the quadratic variation of every probe
+pair (`GalerkinConfig.qv_pairs`), and the refinement integral
+int <B(u, u), P_n psi> dt is read from the path afterwards, for any psi,
+by `convection_pairing` on an ensemble that snapshotted every step.
 """
 
 from __future__ import annotations
@@ -40,7 +44,7 @@ import numpy as np
 
 from .noise import NoiseModel, noise_matrices
 from .nonlinear import CutoffSpec
-from .spectral import Basis, ROLE_COS, SpectralField, project_Pn, stack
+from .spectral import Basis, ROLE_COS, SpectralField, project_Pn, row_blocks, stack
 
 
 # -- Wiener increments -------------------------------------------------------
@@ -248,9 +252,7 @@ class GalerkinConfig:
     integral_snapshot_stride: int | None = None  # default: same as snapshot_stride
     scheme: str = "em"  # plain Euler-Maruyama, or "exponential" (exact Stokes factor)
     include_B: bool = True
-    probes: tuple = ()  # SpectralFields; per-probe martingale pairings are accumulated
-    qv_pairs: tuple = ()  # (a, b) probe index pairs for quadratic-variation integrals
-    refinement_probe: SpectralField | None = None
+    probes: tuple = ()  # SpectralFields; the quadratic variation of every pair is accumulated
     overflow_limit: float = 1e12
     # snapshot-spacing lags 1..modulus_lags whose per-path U' increment maxima
     # the stepper records (`lag_maxima`) for the modulus of continuity
@@ -277,10 +279,6 @@ class GalerkinConfig:
             raise ValueError(f"unknown records {sorted(unknown)}; GalerkinConfig.records takes "
                              f"names of RECORDS = {RECORDS}")
         self.records = frozenset(self.records)
-        for pair in self.qv_pairs:
-            if not all(0 <= i < len(self.probes) for i in pair):
-                raise ValueError(f"qv_pairs entry {tuple(pair)} has a probe index outside "
-                                 f"[0, {len(self.probes)}), the configured probes")
 
     @property
     def steps(self) -> int:
@@ -317,6 +315,13 @@ class GalerkinConfig:
         return CutoffSpec(self.cutoff_level if self.cutoff_level is not None else float(self.n))
 
     @property
+    def qv_pairs(self) -> tuple:
+        """Every probe index pair (a, b) with a <= b, in order: the columns
+        of `Ensemble.qv_cum`."""
+        P = len(self.probes)
+        return tuple((a, b) for a in range(P) for b in range(a, P))
+
+    @property
     def probe_coords(self) -> np.ndarray:
         """Coordinates (probes, n) of the probes on the first n modes."""
         return self.basis.real_coords(stack(self.probes), self.n) if self.probes else np.zeros((0, self.n))
@@ -340,9 +345,8 @@ class Ensemble:
     """Trajectories `indices` of `config` as the rows of stacked arrays
     [R, ...] over the config's grid; one trajectory is an Ensemble of one
     row.  Every field but `config` holds one entry per row along its first
-    axis (refinement_I is None without a refinement probe), and `rows`
-    selects them.  An aborted row reads zero after its abort step.  The
-    functionals reduce the step axis: one value per row."""
+    axis, and `rows` selects them.  An aborted row reads zero after its
+    abort step.  The functionals reduce the step axis: one value per row."""
 
     config: GalerkinConfig
     indices: np.ndarray  # (R,) trajectory indices
@@ -361,7 +365,6 @@ class Ensemble:
     snap_integrals: dict
     u0_coords: np.ndarray  # (R, n)
     qv_cum: np.ndarray  # (R, S, len(config.qv_pairs))
-    refinement_I: np.ndarray | None  # (R, S)
     lag_maxima: np.ndarray  # (R, modulus_lags): max over s of |u(s + l) - u(s)|_{U'}
     cutoff_min: np.ndarray  # (R,)
     abort_step: np.ndarray  # (R,), -1 on a row that ran to the end
@@ -374,9 +377,7 @@ class Ensemble:
         of the same config: views of these arrays for a slice, copies
         otherwise."""
         def pick(v):
-            if isinstance(v, dict):
-                return {key: a[sel] for key, a in v.items()}
-            return None if v is None else v[sel]
+            return {key: a[sel] for key, a in v.items()} if isinstance(v, dict) else v[sel]
 
         return Ensemble(config=self.config, **{f.name: pick(getattr(self, f.name))
                                                 for f in fields(self) if f.name != "config"})
@@ -394,22 +395,16 @@ class Ensemble:
 
     def integral_weighted(self, p: float):
         """Left-endpoint quadrature of the |u|^(p-2) ||u||^2 integral (at
-        p = 2, of ||u||^2), taken on `_row_blocks`."""
+        p = 2, of ||u||^2), taken on `row_blocks` for two (rows, steps)
+        arrays: per-row sums, so the bits of the whole array, with one
+        block's temporaries at a time."""
         out = np.empty(len(self))
-        for at in _row_blocks(self):
+        for at in row_blocks(len(self), 2 * self.config.steps):
             d2 = self.norm_D[at, :-1] ** 2
             if p != 2.0:
                 d2 *= self.norm_H[at, :-1] ** (p - 2)
             out[at] = np.sum(d2, axis=1)
         return out * self.config.dt
-
-
-def _row_blocks(ens: Ensemble) -> list:
-    """Row slices of ens whose (rows, steps) arrays hold at most 2^16
-    entries: a reader that reduces per row on them gets the bits of the
-    whole array and holds one block's temporaries at a time."""
-    rows = max(1, 2**16 // ens.config.steps)
-    return [slice(lo, lo + rows) for lo in range(0, len(ens), rows)]
 
 
 def float_map(fn, x) -> np.ndarray:
@@ -542,18 +537,15 @@ def cache_rows(config: GalerkinConfig) -> int:
 
 def _row_shapes(config: GalerkinConfig) -> dict:
     """Shape after the row axis of every per-row array of an Ensemble, by
-    field name: norms, ledger, snapshots with their quadratic-variation and
-    refinement entries (the latter only with a refinement probe), integral
-    snapshots (keyed by term), u0, the lag maxima, the cutoff minimum and
-    the abort step.  An output config.records leaves out has width 0 along
+    field name: norms, ledger, snapshots with their quadratic-variation
+    entries, integral snapshots (keyed by term), u0, the lag maxima, the
+    cutoff minimum and the abort step.  An output config.records leaves out has width 0 along
     its step or snapshot axis.  Every entry is 8 bytes."""
     steps, n, records = config.steps, config.n, config.records
     snaps, isnaps = len(config.snap_idx), len(config.integral_snap_idx)
     shapes = {name: (steps + 1,) for name in ("norm_H", "norm_D", "norm_Udual")}
     shapes.update({name: (steps if "ledger" in records else 0,) for name in LEDGER})
     shapes.update(snap_u=(snaps, n), qv_cum=(snaps, len(config.qv_pairs)))
-    if config.refinement_probe is not None:
-        shapes.update(refinement_I=(snaps,))
     shapes.update({name: (isnaps if integral_record(name) in records else 0, n) for name in INTEGRALS})
     shapes.update(u0_coords=(n,), lag_maxima=(config.modulus_lags,), cutoff_min=(), abort_step=())
     return shapes
@@ -569,7 +561,7 @@ def _stacked(config: GalerkinConfig, indices) -> Ensemble:
     sizes = [len(indices) * math.prod(shape) for shape in shapes.values()]
     total = sum(sizes)
     flat = np.frombuffer(mmap.mmap(-1, max(8 * total, 1)), dtype=np.float64, count=total)
-    arrays, at = {"refinement_I": None}, 0
+    arrays, at = {}, 0
     for (name, shape), size in zip(shapes.items(), sizes):
         arrays[name] = flat[at : at + size].reshape((len(indices), *shape))
         at += size
@@ -676,13 +668,9 @@ def _integrate_rows(ens: Ensemble, dW=None, x0=None) -> None:
     integrals = {name: np.zeros((B, n)) for name in INTEGRALS if integral_record(name) in config.records}
 
     probes_n = config.probe_coords
-    qv_pairs = tuple(config.qv_pairs)
+    qv_pairs = config.qv_pairs
     qv_cum = ens.qv_cum
     qv_run = np.zeros((B, len(qv_pairs)))
-    refinement = config.refinement_probe is not None
-    ref_coords = sys.encode(config.refinement_probe) if refinement else None
-    ref_I = ens.refinement_I
-    ref_run = np.zeros(B)
 
     cutoff = config.cutoff
     forced = config.forcing is not None
@@ -717,8 +705,6 @@ def _integrate_rows(ens: Ensemble, dW=None, x0=None) -> None:
                 gp = g @ probes_n.T  # (B, M, P)
                 for q, (a, b) in enumerate(qv_pairs):
                     qv_run[:, q] += dt * np.add.reduce(gp[:, :, a] * gp[:, :, b], axis=1)
-            if refinement:
-                ref_run += dt * np.add.reduce(bx * ref_coords, axis=1)
             if ledger:
                 # an idle cutoff's factor (-2 dt) 1.0 is -2 dt
                 b_factor = -2.0 * dt if theta is None else -2.0 * dt * theta
@@ -758,8 +744,6 @@ def _integrate_rows(ens: Ensemble, dW=None, x0=None) -> None:
                 snap_u[:, pos] = x
                 if qv_pairs:
                     qv_cum[:, pos] = qv_run
-                if refinement:
-                    ref_I[:, pos] = ref_run
             pos = integral_snap_at[j + 1]
             if pos >= 0:
                 for name, run in integrals.items():
@@ -775,8 +759,6 @@ def _integrate_rows(ens: Ensemble, dW=None, x0=None) -> None:
             arr[r, a + 1 :] = 0.0
         late = snap_idx >= a
         snap_u[r, late] = qv_cum[r, late] = 0.0
-        if refinement:
-            ref_I[r, late] = 0.0
         for name in integrals:
             snap_integrals[name][r, integral_snap_idx >= a] = 0.0
     if config.modulus_lags:
@@ -871,7 +853,7 @@ def energy_budget_check(ens: Ensemble) -> EnergyBudgetReport:
     # in place where it can be, on row blocks; every reduction is per row,
     # so no bit depends on the blocks
     with np.errstate(invalid="ignore"):
-        for at in _row_blocks(ens):
+        for at in row_blocks(len(ens), 2 * steps):
             h2 = ens.norm_H[at] ** 2
             rhs = (ens.drift_work[at] + ens.b_work[at] + ens.forcing_work[at] + ens.mart_work[at]
                    + ens.delta_sq[at])
@@ -911,6 +893,35 @@ def reconstruct_martingale(ens: Ensemble, pos: int) -> np.ndarray:
     )
 
 
+def convection_pairing(ens: Ensemble, psi: SpectralField) -> np.ndarray:
+    """I = int_0^T <B(u, u), P_n psi> dt of each row (R,), the untamed
+    convection by left-endpoint quadrature, read from the states of an
+    ensemble that snapshotted every step (ValueError naming
+    `snapshot_stride` otherwise).
+
+    Each step's term dt <B(u_j, u_j), P_n psi> is formed per row from the
+    convection of u_j, in blocks of `cache_rows` states, and the terms are
+    summed in step order from 0.0, so I has the bits of a running sum
+    updated once per step.  An aborted row reads 0.0, as past its abort."""
+    cfg = ens.config
+    if len(cfg.snap_idx) != cfg.steps + 1:
+        raise ValueError("convection_pairing reads the state at every step, and this ensemble "
+                         f"snapshotted every {cfg.snapshot_stride} (GalerkinConfig.snapshot_stride "
+                         "must be 1)")
+    sys = _compiled(cfg.basis, cfg.n, cfg.model, cfg.include_B)
+    psi_n = sys.encode(psi)
+    rows = cache_rows(cfg)
+    terms = np.zeros((len(ens), cfg.steps + 1))
+    for r in range(len(ens)):
+        states = ens.snap_u[r, :-1]
+        for lo in range(0, cfg.steps, rows):
+            bx = sys.convection(states[lo : lo + rows])
+            terms[r, 1 + lo : 1 + lo + len(bx)] = cfg.dt * np.add.reduce(bx * psi_n, axis=1)
+    out = np.add.accumulate(terms, axis=1)[:, -1]
+    out[ens.aborted] = 0.0
+    return out
+
+
 @dataclass
 class MartingaleReport:
     mean_zscore: float
@@ -934,9 +945,9 @@ def martingale_diagnostic(ens: Ensemble, a: int, b: int, s: float, t: float, h=h
     zeta = config.probes[b], over the paths that did not abort (an aborted
     path reads zero past its abort).
 
-    The pair (a, b) or (b, a) must be among config.qv_pairs (its
-    quadratic-variation integral is accumulated online during integration);
-    s and t must lie on the snapshot grid and on the integral grid, and the
+    The quadratic variation of (a, b) is the `qv_cum` column of
+    (min(a, b), max(a, b)), accumulated online during integration; s and t
+    must lie on the snapshot grid and on the integral grid, and the
     ensemble must have recorded the drift and noise integrals.
     h(ens, step) weighs each path by a functional of it up to `step`.
     """
@@ -950,11 +961,8 @@ def martingale_diagnostic(ens: Ensemble, a: int, b: int, s: float, t: float, h=h
         if not 0 <= i < len(cfg.probes):
             raise ValueError(f"probe index {i} outside the {len(cfg.probes)} configured probes")
     psi_n, zeta_n = cfg.probe_coords[[a, b]]
-    # (a, b) and (b, a) accumulate the same products, so either column serves
-    cols = [q for q, pair in enumerate(cfg.qv_pairs) if pair in ((a, b), (b, a))]
-    if not cols:
-        raise ValueError(f"probe pair {(a, b)} has no accumulated quadratic variation")
-    qcol = cols[0]
+    # (a, b) and (b, a) accumulate the same products, in one column
+    qcol = cfg.qv_pairs.index((min(a, b), max(a, b)))
 
     ps, pt = _grid_positions(cfg.snap_times, (s, t), cfg.dt)
     Ms = reconstruct_martingale(ens, ps)[live]

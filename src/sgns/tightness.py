@@ -11,8 +11,10 @@ and weigh by the U' norm of the basis of the config it holds; no basis is
 passed beside it.  The modulus table reads only the per-path lag maxima
 the stepper recorded (`GalerkinConfig.modulus_lags`, sized by
 `modulus_lags`); an ensemble that recorded fewer lags than a table needs
-is a `ValueError`, not a recomputation.  The nested-space construction
-that supplies the compact embedding U -> V_s is built and certified
+is a `ValueError`, not a recomputation.  The nonlinear-term refinement
+reads each level's integral from that level's path
+(`galerkin.convection_pairing`).  The nested-space construction that
+supplies the compact embedding U -> V_s is built and certified
 separately.
 """
 
@@ -24,7 +26,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .estimates import median
-from .galerkin import INTEGRALS, Ensemble, _grid_positions, _increment_norms, integral_record, require_records
+from .galerkin import (
+    INTEGRALS, Ensemble, _grid_positions, _increment_norms, convection_pairing, integral_record,
+    require_records,
+)
 
 
 # -- windows -------------------------------------------------------------------
@@ -348,11 +353,11 @@ class RefinementReport:
     cauchy_decay: bool  # last gap at most half the largest gap
 
 
-def nonlinear_refinement_check(by_n: dict) -> RefinementReport:
+def nonlinear_refinement_check(by_n: dict, psi) -> RefinementReport:
     """Cauchy behaviour of I_n = int <B(u_n,u_n), P_n psi> dt across Galerkin
     levels driven by the same Wiener path: `by_n` maps each level to an
-    Ensemble of exactly one row, which must carry the accumulated
-    refinement integral, i.e. was run with refinement_probe=psi.
+    Ensemble of exactly one row that snapshotted every step, from whose
+    states `galerkin.convection_pairing` forms I_n.
 
     `passed` demands monotone-decreasing gaps; single-path pre-asymptotic gaps
     can fluctuate even when the tail converges, which `cauchy_decay` captures.
@@ -365,11 +370,9 @@ def nonlinear_refinement_check(by_n: dict) -> RefinementReport:
         ens = by_n[n]
         if len(ens) != 1:
             raise ValueError(f"need one trajectory per level, got {len(ens)} at n = {n}")
-        if ens.refinement_I is None:
-            raise ValueError("records lack the accumulated refinement integral")
         if ens.aborted[0]:
             raise ValueError(f"trajectory at n = {n} aborted")
-        vals.append(ens.refinement_I[0, -1])
+        vals.append(convection_pairing(ens, psi)[0])
     vals = np.asarray(vals)
     gaps = np.abs(np.diff(vals))
     passed = bool(np.all(np.diff(gaps) <= 1e-12 * np.maximum(1.0, gaps[:-1]))) or bool(

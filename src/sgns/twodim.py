@@ -285,21 +285,32 @@ def _twin_block(cfg: GalerkinConfig, block: list, x1, x2, C_eps: float, gamma: f
     return same, weighted[:, -1] / weighted[:, 0], np.max(weighted, axis=1) / weighted[:, 0]
 
 
+def lipschitz_gate_failure(lipschitz_L: float) -> str | None:
+    """Why the certified Lipschitz quotient L of the noise fails the
+    pathwise-uniqueness gate max(L, L^2) < 2, which leaves the Young split
+    eps = (2 - max(L, L^2)) / 2 positive; None when it passes (a NaN L
+    fails)."""
+    if max(lipschitz_L, lipschitz_L**2) < 2.0:
+        return None
+    return f"noise Lipschitz gate max(L, L^2) < 2 failed at L = {lipschitz_L}"
+
+
 def pathwise_uniqueness_experiment(
     config: GalerkinConfig,
     lipschitz_L: float,
     gamma: float,
     n_traj: int = 100,
-    eps: float | None = None,
-    perturb_mode: int = 0,
     twins: int = 0,
 ) -> PathwiseUniquenessReport:
-    """Twin stochastic runs on one Wiener path, u2 starting gamma off u1.
+    """Twin stochastic runs on one Wiener path, u2 starting gamma off u1 on
+    the first mode.
 
-    Requires the certified Lipschitz quotient L < 2 of the noise.  The
-    weighted distance exp(-r(t)) |u1 - u2|_H^2, with r' = C_eps ||u2||^2 and
-    C_eps = 2/eps from the Young split of the convection difference, has
-    nonincreasing expectation up to the martingale term; the report carries
+    Requires the certified Lipschitz quotient L of the noise to pass the
+    gate max(L, L^2) < 2 (`lipschitz_gate_failure`; ValueError naming it
+    otherwise).  The weighted distance exp(-r(t)) |u1 - u2|_H^2, with
+    r' = C_eps ||u2||^2 and C_eps = 2/eps, eps = (2 - max(L, L^2)) / 2, from
+    the Young split of the convection difference, has nonincreasing
+    expectation up to the martingale term; the report carries
     the per-trajectory terminal and running ratios against the initial value.
     With gamma = 0 the runs must coincide bitwise, which `identical` reports.
     The `twins` check pairs 0..twins-1 test that at any gamma: each runs u1
@@ -309,18 +320,15 @@ def pathwise_uniqueness_experiment(
     when nothing is compared: gamma > 0 and no check pairs.
     """
     _require_2d(config.basis)
-    if not lipschitz_L < 2.0:
-        raise ValueError(f"pathwise-uniqueness gate requires L < 2, got L = {lipschitz_L}")
-    L_eff = max(lipschitz_L, lipschitz_L**2)
-    if eps is None:
-        eps = 0.5 * (2.0 - L_eff)
-    if not 0.0 < eps < 2.0 - L_eff + 1e-15:
-        raise ValueError(f"eps must lie in (0, 2 - max(L, L^2)) = (0, {2.0 - L_eff})")
+    failure = lipschitz_gate_failure(lipschitz_L)
+    if failure is not None:
+        raise ValueError(failure)
+    eps = 0.5 * (2.0 - max(lipschitz_L, lipschitz_L**2))
     C_eps = 2.0 / eps
 
     basis = config.basis
     pert = np.zeros(basis.n_modes)
-    pert[perturb_mode] = gamma
+    pert[0] = gamma
     # only snap_u and norm_D are read, so no ledger and no running integral
     cfg = replace(config, snapshot_stride=1, records=())
     sys = _compiled(basis, cfg.n, cfg.model, cfg.include_B)

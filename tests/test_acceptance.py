@@ -91,7 +91,7 @@ def stochastic_ensemble(basis):
     cfg = GalerkinConfig(
         basis=basis, n=16, dt=1e-3, T=1.0, u0=u0, model=default_noise_model(2),
         seed=1234, snapshot_stride=100,
-        probes=probes, qv_pairs=((0, 0), (0, 1), (2, 2)),
+        probes=probes,
     )
     return cfg, integrate_ensemble(cfg, 1000, workers=WORKERS)
 

@@ -25,7 +25,7 @@ from sgns.galerkin import (
 )
 from sgns.noise import apply_G, constant_transport_model, default_noise_model
 from sgns.nonlinear import TrilinearWorkspace, bilinear_B, trilinear_b
-from sgns.spectral import norm, project_Pn, random_field
+from sgns.spectral import norm, project_Pn, random_field, row_blocks
 from sgns.tightness import decomposition_increments, increment_scaling
 
 
@@ -364,7 +364,6 @@ def test_martingale_diagnostic_zscores(basis2d_small):
         T=0.1,
         snapshot_stride=20,
         probes=(e1, e3),
-        qv_pairs=((0, 0), (0, 1)),
     )
     recs = integrate_ensemble(cfg, 300)
     rep = martingale_diagnostic(recs, 0, 0, s=0.02, t=0.08)
@@ -381,7 +380,7 @@ def test_martingale_probe_out_of_range(basis2d_small):
     n = 6
     # probe supported beyond the Galerkin range: all statistics vanish
     far = basis.basis_field(n + 3)
-    cfg = make_config(basis, n=n, T=0.05, snapshot_stride=10, probes=(far,), qv_pairs=((0, 0),))
+    cfg = make_config(basis, n=n, T=0.05, snapshot_stride=10, probes=(far,))
     recs = integrate_ensemble(cfg, 20)
     rep = martingale_diagnostic(recs, 0, 0, s=0.01, t=0.04)
     assert rep.mean_zscore == 0.0
@@ -389,33 +388,26 @@ def test_martingale_probe_out_of_range(basis2d_small):
 
 
 def test_martingale_probe_index_outside_the_probes_rejected(basis2d_small):
-    # two probes, indices 0 and 1; a negative index does not wrap around
+    # two probes, indices 0 and 1, and every pair of them has its column;
+    # a negative index does not wrap around
     e1, e3 = basis2d_small.basis_field(0), basis2d_small.basis_field(2)
-    cfg = make_config(basis2d_small, n=8, T=0.05, probes=(e1, e3), qv_pairs=((1, 1),))
+    cfg = make_config(basis2d_small, n=8, T=0.05, probes=(e1, e3))
+    assert cfg.qv_pairs == ((0, 0), (0, 1), (1, 1))
     ens = integrate_ensemble(cfg, 4)
-    assert martingale_diagnostic(ens, 1, 1, s=0.01, t=0.04).trajectories == 4
-    with pytest.raises(ValueError, match=r"probe pair \(0, 0\) has no accumulated"):
-        martingale_diagnostic(ens, 0, 0, s=0.01, t=0.04)
+    reports = {(a, b): martingale_diagnostic(ens, a, b, s=0.01, t=0.04) for a in (0, 1) for b in (0, 1)}
+    assert all(rep.trajectories == 4 for rep in reports.values())
+    # (0, 1) and (1, 0) read the same column: the same z-scores, to the bit
+    assert reports[0, 1].qv_zscore == reports[1, 0].qv_zscore
     for a, b in ((2, 2), (0, 2), (-1, 0), (0, -1)):
         with pytest.raises(ValueError, match="probe index -?[12] outside the 2 configured probes"):
             martingale_diagnostic(ens, a, b, s=0.01, t=0.04)
-
-
-@pytest.mark.parametrize("pair", [(-1, -1), (0, 3), (1, 0)])
-def test_qv_pair_outside_the_probes_rejected(basis2d_small, pair):
-    # one probe: only index 0; a negative index does not wrap around, and the
-    # config is refused before any step
-    e1 = basis2d_small.basis_field(0)
-    assert make_config(basis2d_small, n=8, probes=(e1,), qv_pairs=((0, 0),)).qv_pairs == ((0, 0),)
-    with pytest.raises(ValueError, match=re.escape(f"qv_pairs entry {pair} has a probe index outside [0, 1)")):
-        make_config(basis2d_small, n=8, probes=(e1,), qv_pairs=((0, 0), pair))
 
 
 def test_martingale_snapshot_off_the_integral_grid_rejected(basis2d_small):
     # snapshots every 10 steps, integrals every 4: steps 0, 20 and 40 are on both grids
     e1 = basis2d_small.basis_field(0)
     cfg = make_config(basis2d_small, n=8, T=0.04, snapshot_stride=10, integral_snapshot_stride=4,
-                      probes=(e1,), qv_pairs=((0, 0),))
+                      probes=(e1,))
     ens = integrate_ensemble(cfg, 4)
     assert reconstruct_martingale(ens, 2).shape == (4, 8)
     assert martingale_diagnostic(ens, 0, 0, s=0.0, t=0.02).trajectories == 4
@@ -440,8 +432,8 @@ def test_path_shape_mismatch(basis2d_small):
 
 
 def rich_config(basis, **kw):
-    """Two noise directions, forcing, an active cutoff, probes, quadratic
-    variations and a refinement probe: every branch of the stepper."""
+    """Two noise directions, forcing, an active cutoff and two probes, whose
+    three pairs have quadratic variations: every branch of the stepper."""
     rng = np.random.default_rng(11)
     n = kw.pop("n", 10)
     u0 = project_Pn(random_field(basis, rng, n=n, decay=0.5), n)
@@ -453,8 +445,6 @@ def rich_config(basis, **kw):
         # below |u0|_{U'}, so the cutoff factor moves inside (0, 1)
         cutoff_level=0.8 * norm(u0, "Udual"),
         probes=(basis.basis_field(0), basis.basis_field(2)),
-        qv_pairs=((0, 0), (0, 1)),
-        refinement_probe=basis.basis_field(3),
     )
     defaults.update(kw)
     return GalerkinConfig(**defaults)
@@ -481,13 +471,17 @@ def assert_records_identical(a, b, equal_nan=False):
 @pytest.mark.parametrize("scheme", ["em", "exponential"])
 def test_stepper_matches_independent_oracles(basis2d_small, scheme):
     # reference loop on SpectralFields: convection on the dealiased grid,
-    # noise by exact convolution, both projected onto the first n modes
+    # noise by exact convolution, both projected onto the first n modes; the
+    # quadratic variations and the convection pairing sum their pairings
     basis = basis2d_small
     cfg = rich_config(basis, scheme=scheme, snapshot_stride=1, integral_snapshot_stride=1)
     n, dt, steps = cfg.n, cfg.dt, cfg.steps
     ws = TrilinearWorkspace(basis)
     lam = basis.mode_weights("D", n)
     f = basis.real_coords(cfg.forcing, n)
+    probes = [basis.real_coords(p, n) for p in cfg.probes]
+    psi = random_field(basis, np.random.default_rng(12), decay=0.5)
+    psi_n = basis.real_coords(project_Pn(psi, n), n)
     ens = integrate_batch(cfg, [4, 5, 6])
     dW = generate_wiener(steps, cfg.M, dt, cfg.seed, 5)
     u = project_Pn(cfg.u0, n)
@@ -495,6 +489,8 @@ def test_stepper_matches_independent_oracles(basis2d_small, scheme):
            ("drift_work", "b_work", "forcing_work", "mart_work", "delta_sq", "ito_step", "hs_step")}
     states = [basis.real_coords(u, n)]
     thetas = []
+    qv = np.zeros((steps + 1, len(cfg.qv_pairs)))
+    pairing = []  # dt <B(u, u), P_n psi> of each step
     for j in range(steps):
         x = basis.real_coords(u, n)
         theta = cfg.cutoff.theta(norm(u, "Udual"))
@@ -511,6 +507,9 @@ def test_stepper_matches_independent_oracles(basis2d_small, scheme):
         ref["delta_sq"][j] = np.sum((x_new - x) ** 2) if scheme == "em" else np.sum((y - x) ** 2)
         ref["ito_step"][j] = np.sum(xi**2)
         ref["hs_step"][j] = dt * sum(np.sum(gm**2) for gm in g)
+        qv[j + 1] = qv[j] + [dt * sum(np.dot(gm, probes[a]) * np.dot(gm, probes[b]) for gm in g)
+                             for a, b in cfg.qv_pairs]
+        pairing.append(dt * np.dot(bx, psi_n))
         thetas.append(theta)
         u = basis.field_from_real_coords(np.concatenate([x_new, np.zeros(basis.n_modes - n)]))
         states.append(x_new)
@@ -522,6 +521,10 @@ def test_stepper_matches_independent_oracles(basis2d_small, scheme):
     energy = np.max(np.sum(states**2, axis=1))
     for name, want in ref.items():
         assert np.max(np.abs(getattr(ens, name)[1] - want)) <= 1e-12 * energy, name
+    assert cfg.qv_pairs == ((0, 0), (0, 1), (1, 1)) and np.min(qv[-1]) > 0.0
+    assert np.max(np.abs(ens.qv_cum[1] - qv)) <= 1e-12 * np.max(qv)
+    got = galerkin.convection_pairing(ens, psi)[1]
+    assert abs(got - sum(pairing)) <= 1e-12 * sum(map(abs, pairing))
 
 
 def test_records_independent_of_batch_and_partition(basis2d_small):
@@ -706,6 +709,42 @@ def test_abort_inside_a_batch(basis2d_small):
         assert np.all(batch.snap_integrals["noise"][r, cfg.integral_snap_idx >= a] == 0.0)
     # the healthy rows are those of a batch without the bad rows
     assert_records_identical(batch.rows([0, 2, 4]), integrate_batch(cfg, [0, 2, 4]))
+
+
+@pytest.mark.parametrize("scheme", ["em", "exponential"])
+def test_convection_pairing_is_a_running_sum_over_the_steps(basis2d_small, scheme, monkeypatch):
+    # the integral a stepper would accumulate, dt <B(u, u), P_n psi> added to
+    # a zeroed running sum once per step on the whole batch: the same bits,
+    # and an aborted row (1 and 3) reads 0.0
+    cfg = rich_config(basis2d_small, scheme=scheme, T=0.03, overflow_limit=1e3, snapshot_stride=1)
+    sys = galerkin._compiled(cfg.basis, cfg.n, cfg.model, cfg.include_B)
+    psi = random_field(basis2d_small, np.random.default_rng(13), decay=0.5)
+    psi_n = sys.encode(psi)
+    ens = integrate_batch(cfg, range(5), blown_up_increments(cfg, 5))
+    run = np.zeros(5)
+    for j in range(cfg.steps):
+        run += cfg.dt * np.add.reduce(sys.convection(ens.snap_u[:, j]) * psi_n, axis=1)
+    run[ens.aborted] = 0.0
+    got = galerkin.convection_pairing(ens, psi)
+    assert ens.aborted.tolist() == [False, True, False, True, False] and np.all(got[[0, 2, 4]] != 0.0)
+    assert np.array_equal(got, run)
+    with pytest.raises(ValueError, match=r"snapshotted every 5 \(GalerkinConfig.snapshot_stride must be 1"):
+        galerkin.convection_pairing(integrate_batch(dataclasses.replace(cfg, snapshot_stride=5), [0]), psi)
+    # the pairing of one row is that row's alone, in blocks of one state
+    monkeypatch.setattr(galerkin, "cache_rows", lambda config: 1)
+    assert np.array_equal(galerkin.convection_pairing(ens.rows([2]), psi), got[[2]])
+
+
+def test_qv_columns_are_those_of_the_pair_alone(basis2d_small):
+    # three probes give six columns; each is bitwise the column of a config
+    # whose probes are that pair's alone
+    basis = basis2d_small
+    cfg = rich_config(basis, probes=tuple(basis.basis_field(i) for i in (0, 2, 5)))
+    assert cfg.qv_pairs == ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
+    qv = integrate_batch(cfg, range(3)).qv_cum
+    for q, (a, b) in enumerate(cfg.qv_pairs):
+        alone = rich_config(basis, probes=(cfg.probes[a], cfg.probes[b]))
+        assert np.array_equal(qv[..., q], integrate_batch(alone, range(3)).qv_cum[..., 0 if a == b else 1])
 
 
 def test_energy_budget_keeps_the_steps_before_an_overflow(basis2d_small):
@@ -1045,7 +1084,7 @@ def test_functionals_in_row_blocks_are_the_per_path_formulas(basis2d_small):
     # norms are random, with a NaN and an inf in row 6
     cfg = make_config(basis2d_small, T=20.0, snapshot_stride=0, records=())
     ens = galerkin._stacked(cfg, range(7))
-    assert [at.indices(7) for at in galerkin._row_blocks(ens)] == [(0, 3, 1), (3, 6, 1), (6, 7, 1)]
+    assert [at.indices(7) for at in row_blocks(len(ens), 2 * cfg.steps)] == [(0, 3, 1), (3, 6, 1), (6, 7, 1)]
     rng = np.random.default_rng(3)
     ens.norm_H[:] = rng.uniform(0.1, 2.0, ens.norm_H.shape)
     ens.norm_D[:] = rng.uniform(0.1, 5.0, ens.norm_D.shape)
@@ -1079,11 +1118,6 @@ def test_rows_of_a_slice_are_views_and_of_an_index_list_or_mask_copies(basis2d_s
         for (name, got), (_, whole) in zip(arrays(picked), arrays(ens)):
             assert not np.shares_memory(got, whole), name
         assert_records_identical(picked, view)
-
-
-def test_rows_keep_an_absent_refinement_integral_absent(basis2d_small):
-    ens = integrate_batch(make_config(basis2d_small, T=0.01), range(3))
-    assert ens.refinement_I is None and ens.rows([1]).refinement_I is None
 
 
 def budget_by_rows(ens):

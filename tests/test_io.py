@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import re
 import subprocess
@@ -587,6 +588,23 @@ def test_uniqueness_verb(tmp_path):
     assert summary["twins_identical"] is True
     assert summary["median_ratio_T"] <= 1.1
     assert_float_cells((tmp_path / "out" / "weighted_ratios.csv").read_text().splitlines()[1:])
+
+
+def test_uniqueness_verb_gates_max_L_L2_below_2(tmp_path):
+    # a gradient amplitude c = 2.5 certifies L in [sqrt 2, 2): it passes
+    # L < 2 but not L^2 < 2, so no Young split eps > 0 exists; the verb
+    # fails on the gate, with a summary and no traceback
+    path = write_cfg(tmp_path, {
+        "noise": {"directions": [{"b": {"const": [1.0, 0.0]}, "c": {"const": [2.5]}}]},
+        "experiment": {"certify_samples": 200},
+    })
+    code = run_command("uniqueness", load_config(path), tmp_path / "out")
+    assert code == 1
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert math.sqrt(2.0) <= summary["lipschitz_L"] < 2.0
+    assert summary["passed"] is False
+    assert summary["failure"] == f"noise Lipschitz gate max(L, L^2) < 2 failed at L = {summary['lipschitz_L']}"
+    assert not (tmp_path / "out" / "weighted_ratios.csv").exists()
 
 
 def test_uniqueness_verb_without_noise(tmp_path):

@@ -9,7 +9,7 @@ from lag_oracle import brute_lag_maxima
 
 from sgns import galerkin, tightness
 from sgns.config import load_config
-from sgns.galerkin import GalerkinConfig, integrate_batch, integrate_ensemble
+from sgns.galerkin import GalerkinConfig, convection_pairing, integrate_batch, integrate_ensemble
 from sgns.noise import default_noise_model
 from sgns.spectral import Basis, SpaceScale, random_field
 from sgns.tightness import (
@@ -430,17 +430,21 @@ def test_refinement_check(basis2d_small):
             u0=u0,
             model=default_noise_model(2),
             seed=5,
-            snapshot_stride=10,
-            refinement_probe=psi,
+            snapshot_stride=1,
         )
         records[n] = integrate_batch(cfg, [0])
-    rep = nonlinear_refinement_check(records)
+    rep = nonlinear_refinement_check(records, psi)
     assert len(rep.successive_gaps) == 3
     assert np.all(np.isfinite(rep.integrals))
+    assert rep.integrals[0] == convection_pairing(records[6], psi)[0]
+    # the states of every step
+    records[10] = integrate_batch(replace(cfg, n=10, snapshot_stride=10), [0])
+    with pytest.raises(ValueError, match="snapshot_stride must be 1"):
+        nonlinear_refinement_check(records, psi)
     # one path per level
     records[10] = integrate_batch(replace(cfg, n=10), [0, 1])
     with pytest.raises(ValueError, match="one trajectory per level, got 2 at n = 10"):
-        nonlinear_refinement_check(records)
+        nonlinear_refinement_check(records, psi)
 
 
 def test_refinement_constant_when_dynamics_low(basis2d_small):
@@ -459,10 +463,9 @@ def test_refinement_constant_when_dynamics_low(basis2d_small):
             model=None,
             include_B=False,
             seed=5,
-            snapshot_stride=10,
-            refinement_probe=psi,
+            snapshot_stride=1,
         )
-        vals[n] = integrate_batch(cfg, [0]).refinement_I[0, -1]
+        vals[n] = convection_pairing(integrate_batch(cfg, [0]), psi)[0]
     assert np.allclose(list(vals.values()), 0.0)  # B disabled: integrand is zero
     # psi = 0 also gives identically zero integrals
     cfg0 = GalerkinConfig(
@@ -473,10 +476,9 @@ def test_refinement_constant_when_dynamics_low(basis2d_small):
         u0=u0,
         model=None,
         seed=5,
-        snapshot_stride=10,
-        refinement_probe=basis2d_small.zero_field(),
+        snapshot_stride=1,
     )
-    assert np.all(integrate_batch(cfg0, [0]).refinement_I == 0.0)
+    assert convection_pairing(integrate_batch(cfg0, [0]), basis2d_small.zero_field())[0] == 0.0
 
 
 def test_holly_wiciak_recursion():

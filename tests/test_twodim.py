@@ -1,4 +1,5 @@
 import math
+import re
 import weakref
 
 import numpy as np
@@ -15,6 +16,7 @@ from sgns.twodim import (
     energy_inequality_check,
     l4_norm,
     ladyzhenskaya_check,
+    lipschitz_gate_failure,
     pathwise_uniqueness_experiment,
     solve_shifted,
     trilinear_2d_bound,
@@ -301,8 +303,14 @@ def test_pathwise_uniqueness_gate(basis2d_small, rng):
         u0=random_field(basis2d_small, rng, n=8),
         model=default_noise_model(2), seed=12,
     )
-    with pytest.raises(ValueError, match="L < 2"):
-        pathwise_uniqueness_experiment(cfg, lipschitz_L=2.5, gamma=1e-8, n_traj=2)
+    # L in [sqrt 2, 2) fails too: eps = (2 - max(L, L^2)) / 2 would not be positive
+    for L in (2.5, 2.0, 1.5, math.sqrt(2.0), float("nan")):
+        with pytest.raises(ValueError, match=re.escape(f"gate max(L, L^2) < 2 failed at L = {L}")):
+            pathwise_uniqueness_experiment(cfg, lipschitz_L=L, gamma=1e-8, n_traj=2)
+    L = np.nextafter(math.sqrt(2.0), 0.0)
+    assert lipschitz_gate_failure(L) is None
+    rep = pathwise_uniqueness_experiment(cfg, lipschitz_L=L, gamma=1e-8, n_traj=2)
+    assert rep.eps == 0.5 * (2.0 - L**2) > 0.0 and rep.C_eps == 2.0 / rep.eps
 
 
 def test_pathwise_uniqueness_keeps_the_config(basis2d_small, rng):
