@@ -18,8 +18,10 @@ any blocks.
 
 Besides states, norms and snapshots, the stepper records what the config's
 record set (`GalerkinConfig.records`, names of `RECORDS`) asks for: the
-energy ledger (drift work, forcing work, martingale increment, quadratic
-remainder), which closes the discrete energy identity to roundoff, the
+energy ledger, each step's drift, taming, forcing and martingale work and
+quadratic remainder, which close the discrete energy identity to roundoff,
+reduced per path as the steps are taken to the identity's worst relative
+residual and the sums of the Ito and Hilbert-Schmidt increments; the
 running Stokes, convection and forcing integrals (one record, the drift)
 and the running noise integral, snapshotted so the martingale part of the
 path can be reconstructed and tested for zero mean and prescribed quadratic
@@ -197,7 +199,10 @@ def any_noise(config) -> bool:
 STABILITY_LIMITS = {"em": 1.0, "rk4": 2.78}
 SCHEMES = ("em", "exponential")  # the schemes of the stochastic stepper
 
-LEDGER = ("drift_work", "b_work", "forcing_work", "mart_work", "delta_sq", "ito_step", "hs_step")
+# the energy ledger, reduced per path by the stepper: the worst relative
+# residual of the discrete energy identity and the sums of the Ito and
+# Hilbert-Schmidt increments
+LEDGER = ("energy_residual", "ito_sum", "hs_sum")
 INTEGRALS = ("stokes", "convection", "forcing", "noise")
 # the optional outputs of the stepper: the energy ledger (the LEDGER arrays,
 # read by `energy_budget_check`), the Stokes, convection and forcing
@@ -353,13 +358,9 @@ class Ensemble:
     norm_H: np.ndarray  # (R, steps + 1), likewise norm_D and norm_Udual
     norm_D: np.ndarray
     norm_Udual: np.ndarray
-    drift_work: np.ndarray  # (R, steps), likewise the rest of the LEDGER; (R, 0) unrecorded
-    b_work: np.ndarray
-    forcing_work: np.ndarray
-    mart_work: np.ndarray
-    delta_sq: np.ndarray
-    ito_step: np.ndarray
-    hs_step: np.ndarray
+    energy_residual: np.ndarray  # (R,), likewise the rest of the LEDGER; (R, 0) unrecorded
+    ito_sum: np.ndarray
+    hs_sum: np.ndarray
     snap_u: np.ndarray  # (R, S, n) at config.snap_idx
     # INTEGRALS term -> (R, S_J, n) at config.integral_snap_idx; (R, 0, n) unrecorded
     snap_integrals: dict
@@ -539,12 +540,13 @@ def _row_shapes(config: GalerkinConfig) -> dict:
     """Shape after the row axis of every per-row array of an Ensemble, by
     field name: norms, ledger, snapshots with their quadratic-variation
     entries, integral snapshots (keyed by term), u0, the lag maxima, the
-    cutoff minimum and the abort step.  An output config.records leaves out has width 0 along
-    its step or snapshot axis.  Every entry is 8 bytes."""
+    cutoff minimum and the abort step.  An output config.records leaves out
+    has width 0: the ledger (one value per row) is (0,), a running integral
+    has no snapshots.  Every entry is 8 bytes."""
     steps, n, records = config.steps, config.n, config.records
     snaps, isnaps = len(config.snap_idx), len(config.integral_snap_idx)
     shapes = {name: (steps + 1,) for name in ("norm_H", "norm_D", "norm_Udual")}
-    shapes.update({name: (steps if "ledger" in records else 0,) for name in LEDGER})
+    shapes.update({name: () if "ledger" in records else (0,) for name in LEDGER})
     shapes.update(snap_u=(snaps, n), qv_cum=(snaps, len(config.qv_pairs)))
     shapes.update({name: (isnaps if integral_record(name) in records else 0, n) for name in INTEGRALS})
     shapes.update(u0_coords=(n,), lag_maxima=(config.modulus_lags,), cutoff_min=(), abort_step=())
@@ -606,6 +608,36 @@ def _step(sys, config, cutoff, x, ud, f, dw):
     return np.exp(-sys.lamD * dt) * y, y, theta, tbx, bx, g, xi
 
 
+# steps whose ledger terms a block buffers before folding them into each
+# row's worst residual: a (5, LEDGER_CHUNK, B) buffer, 0.26 MB at 100 rows
+LEDGER_CHUNK = 64
+
+
+def _fold_residuals(worst, terms, norm_H, upto, first) -> None:
+    """Fold the ledger terms (5, L, B) of steps first..first+L-1 -- drift,
+    taming, forcing and martingale work and |du|^2 -- into each row's worst
+    relative residual `worst` (B,) of the discrete energy identity, with
+    norm_H (B, L + 1) the H norms at steps first..first+L.
+
+    A step's residual is |(|u+|^2 - |u|^2) - rhs|, rhs the five terms
+    summed in that order, over max(|rhs|, |u+|^2, |u|^2, 1), with each
+    |u|^2 the square of its recorded norm; it is 0 at and after a row's
+    first masked step `upto` (B,), and `np.fmax` keeps the worst, so a NaN
+    residual (inf/inf at a step into an overflow) counts for nothing.
+    Every operation is elementwise or a maximum, so the bits do not depend
+    on the chunks."""
+    h2 = norm_H.T ** 2
+    drift, taming, forcing, mart, delta_sq = terms
+    rhs = drift + taming + forcing + mart + delta_sq
+    err = np.diff(h2, axis=0) - rhs
+    np.abs(err, out=err)
+    scale = np.abs(rhs, out=rhs)
+    np.maximum(np.maximum(scale, h2[1:], out=scale), h2[:-1], out=scale)
+    err /= np.maximum(scale, 1.0, out=scale)
+    err[first + np.arange(len(err))[:, None] >= upto] = 0.0
+    np.fmax(worst, np.fmax.reduce(err, axis=0), out=worst)
+
+
 def _integrate_rows(ens: Ensemble, dW=None, x0=None) -> None:
     """Integrate the B trajectories `ens.indices` of `ens.config` together
     as the rows of one (B, n) state, each driven by its own Philox stream
@@ -617,15 +649,21 @@ def _integrate_rows(ens: Ensemble, dW=None, x0=None) -> None:
     Each row is bitwise the same whatever the other rows, their number or
     their order.  The energy ledger closes the discrete energy identity for
     both schemes; under the exponential scheme the drift work and the Stokes
-    integral are taken across the Stokes factor.  The ledger's seven
-    reductions and each running integral's update run only when
-    config.records names them, and an unrecorded output's arrays have width
-    0; every recorded array is the same bits whatever else is recorded.  A
-    row whose state leaves the finite range or passes `overflow_limit` is
-    aborted: its norms are written once more with the non-finite entries
-    zeroed, and everything after that step reads zero.  Last, each row's U' increment maxima over lags
-    1..modulus_lags of the snapshot grid are taken from its snapshots
-    (`_lag_maxima`).
+    integral are taken across the Stokes factor.  The ledger is reduced per
+    row where it is made: each step's drift, taming, forcing and martingale
+    work and |du|^2 go into a (chunk, B) buffer, folded into each row's
+    worst relative residual (`_fold_residuals`) at the end of every
+    `LEDGER_CHUNK` steps and before the loop stops early; the Ito and
+    Hilbert-Schmidt increments fill block-private (B, steps) arrays, summed
+    per row once the loop ends.  The ledger and each running integral's
+    update run only when config.records names them, and an unrecorded
+    output's arrays have width 0; every recorded array is the same bits
+    whatever else is recorded.  A row whose state leaves the finite range
+    or passes `overflow_limit` is aborted: its norms are written once more
+    with the non-finite entries zeroed, and everything after that step
+    reads zero, its ledger terms too.  Last, each row's U' increment maxima
+    over lags 1..modulus_lags of the snapshot grid are taken from its
+    snapshots (`_lag_maxima`).
 
     Two checks skip per-step work that would change no bit.  While the
     cutoff is idle (`_step` returns theta None) the cutoff minimum is not
@@ -655,7 +693,12 @@ def _integrate_rows(ens: Ensemble, dW=None, x0=None) -> None:
     ens.u0_coords[:] = x
     norm_H, norm_D, norm_Ud = ens.norm_H, ens.norm_D, ens.norm_Udual
     ledger = "ledger" in config.records
-    led = {name: getattr(ens, name) for name in LEDGER}
+    if ledger:
+        chunk = min(LEDGER_CHUNK, steps)
+        terms = np.zeros((5, chunk, B))
+        drift_work, b_work, forcing_work, mart_work, delta_sq = terms
+        ito_step, hs_step = np.zeros((B, steps)), np.zeros((B, steps))
+        worst = np.full(B, np.nan)
 
     snap_idx, integral_snap_idx = config.snap_idx, config.integral_snap_idx
     snap_at = np.full(steps + 1, -1)
@@ -706,25 +749,26 @@ def _integrate_rows(ens: Ensemble, dW=None, x0=None) -> None:
                 for q, (a, b) in enumerate(qv_pairs):
                     qv_run[:, q] += dt * np.add.reduce(gp[:, :, a] * gp[:, :, b], axis=1)
             if ledger:
+                k = j % chunk
                 # an idle cutoff's factor (-2 dt) 1.0 is -2 dt
                 b_factor = -2.0 * dt if theta is None else -2.0 * dt * theta
-                led["b_work"][:, j] = b_factor * np.add.reduce(x * bx, axis=1)
-                led["mart_work"][:, j] = 2.0 * np.add.reduce(x * xi, axis=1)
-                led["ito_step"][:, j] = np.add.reduce(xi * xi, axis=1)
+                b_work[k] = b_factor * np.add.reduce(x * bx, axis=1)
+                mart_work[k] = 2.0 * np.add.reduce(x * xi, axis=1)
+                ito_step[:, j] = np.add.reduce(xi * xi, axis=1)
                 if forced:
-                    led["forcing_work"][:, j] = 2.0 * dt * np.add.reduce(x * f, axis=1)
+                    forcing_work[k] = 2.0 * dt * np.add.reduce(x * f, axis=1)
                 if g is not None:
-                    led["hs_step"][:, j] = np.add.reduce((g * g).reshape(B, -1), axis=1) * dt
+                    hs_step[:, j] = np.add.reduce((g * g).reshape(B, -1), axis=1) * dt
                 if y is None:
-                    led["drift_work"][:, j] = -2.0 * dt * d2
-                    led["delta_sq"][:, j] = np.add.reduce((x_new - x) ** 2, axis=1)
+                    drift_work[k] = -2.0 * dt * d2
+                    delta_sq[k] = np.add.reduce((x_new - x) ** 2, axis=1)
                 else:
-                    led["delta_sq"][:, j] = np.add.reduce((y - x) ** 2, axis=1)
+                    delta_sq[k] = np.add.reduce((y - x) ** 2, axis=1)
 
             x = x_new
             h2, d2, u2 = _sq_norms(sys, x)
             if ledger and y is not None:
-                led["drift_work"][:, j] = h2 - np.add.reduce(y * y, axis=1)
+                drift_work[k] = h2 - np.add.reduce(y * y, axis=1)
             # one block-wide maximum clears every row; only past it does
             # each row's peak decide
             ended = False
@@ -737,7 +781,13 @@ def _integrate_rows(ens: Ensemble, dW=None, x0=None) -> None:
                     x = np.where(np.isfinite(x), x, 0.0)
                     h2, d2, u2 = _sq_norms(sys, x)
             norm_H[:, j + 1], norm_D[:, j + 1], norm_Ud[:, j + 1] = np.sqrt(h2), np.sqrt(d2), np.sqrt(u2)
+            if ledger and (ended or k == chunk - 1 or j == steps - 1):
+                upto = np.where(abort_step >= 0, abort_step, steps)
+                _fold_residuals(worst, terms[:, : k + 1], norm_H[:, j - k : j + 2], upto, j - k)
             if ended:
+                if ledger and j + 1 < steps:
+                    # every step not taken is past every row's abort: 0
+                    np.fmax(worst, 0.0, out=worst)
                 break
             pos = snap_at[j + 1]
             if pos >= 0:
@@ -753,14 +803,18 @@ def _integrate_rows(ens: Ensemble, dW=None, x0=None) -> None:
     for r in np.flatnonzero(abort_step >= 0):
         a = abort_step[r]
         if ledger:
-            for arr in led.values():
-                arr[r, a:] = 0.0
+            ito_step[r, a:] = hs_step[r, a:] = 0.0
         for arr in (norm_H, norm_D, norm_Ud):
             arr[r, a + 1 :] = 0.0
         late = snap_idx >= a
         snap_u[r, late] = qv_cum[r, late] = 0.0
         for name in integrals:
             snap_integrals[name][r, integral_snap_idx >= a] = 0.0
+    if ledger:
+        # pairwise per-row sums, the bits of the sums of (R, steps) rows
+        ens.energy_residual[:] = worst
+        ens.ito_sum[:] = np.sum(ito_step, axis=1)
+        ens.hs_sum[:] = np.sum(hs_step, axis=1)
     if config.modulus_lags:
         ens.lag_maxima[:] = _lag_maxima(snap_u, sys.wUdual, config.modulus_lags)
 
@@ -844,29 +898,13 @@ def energy_budget_check(ens: Ensemble) -> EnergyBudgetReport:
     realized quadratic noise increments against the integrated
     Hilbert-Schmidt norms is statistical and is reported as a z-score over
     the paths that did not abort.  The ensemble must have recorded the
-    ledger (`GalerkinConfig.records`).
+    ledger (`GalerkinConfig.records`), which the stepper has already reduced
+    per path (`_integrate_rows`), so this reads R values of each.
     """
-    steps = ens.config.steps
     require_records(ens.config, "energy_budget_check", "ledger")
-    upto = np.where(ens.aborted, ens.abort_step, steps)
-    worst = np.zeros(len(ens))
-    # in place where it can be, on row blocks; every reduction is per row,
-    # so no bit depends on the blocks
-    with np.errstate(invalid="ignore"):
-        for at in row_blocks(len(ens), 2 * steps):
-            h2 = ens.norm_H[at] ** 2
-            rhs = (ens.drift_work[at] + ens.b_work[at] + ens.forcing_work[at] + ens.mart_work[at]
-                   + ens.delta_sq[at])
-            err = np.diff(h2, axis=1) - rhs
-            np.abs(err, out=err)
-            scale = np.abs(rhs, out=rhs)
-            np.maximum(np.maximum(scale, h2[:, 1:], out=scale), h2[:, :-1], out=scale)
-            err /= np.maximum(scale, 1.0, out=scale)
-            err[np.arange(steps) >= upto[at, None]] = 0.0
-            worst[at] = np.fmax.reduce(err, axis=1)
     live = ~ens.aborted
-    diffs = np.sum(ens.ito_step, axis=1)[live] - np.sum(ens.hs_step, axis=1)[live]
-    return EnergyBudgetReport(max_relative_residual=float(np.fmax.reduce(worst, initial=0.0)),
+    diffs = ens.ito_sum[live] - ens.hs_sum[live]
+    return EnergyBudgetReport(max_relative_residual=float(np.fmax.reduce(ens.energy_residual, initial=0.0)),
                               ito_zscore=_zscore(diffs), trajectories=len(ens))
 
 

@@ -7,6 +7,7 @@ import warnings
 import numpy as np
 import pytest
 from lag_oracle import brute_lag_maxima
+from ledger_oracle import LEDGER_STEPS, budget_report, ledger_arrays, ledger_reduction
 
 from sgns import galerkin
 from sgns.galerkin import (
@@ -319,8 +320,10 @@ def test_energy_budget_deterministic_run(basis2d_small, rng):
     ens = integrate_batch(cfg, [0])
     rep = energy_budget_check(ens)
     assert rep.max_relative_residual <= 1e-12
-    assert np.all(ens.mart_work == 0.0)
-    assert np.all(ens.ito_step == 0.0)
+    led = assert_ledger_is_the_oracle(ens)
+    assert np.all(led["mart_work"] == 0.0)
+    assert np.all(led["ito_step"] == 0.0)
+    assert ens.ito_sum.tolist() == ens.hs_sum.tolist() == [0.0]
     assert rep.ito_zscore == 0.0
 
 
@@ -468,6 +471,18 @@ def assert_records_identical(a, b, equal_nan=False):
             assert va == vb, field.name
 
 
+def assert_ledger_is_the_oracle(ens, dW=None) -> dict:
+    """The per-path ledger of ens (`galerkin.LEDGER`) is bitwise the
+    reduction of the oracle's seven (R, steps) arrays, NaN where it has
+    NaN, and its energy report is the oracle's; returns those arrays."""
+    led = ledger_arrays(ens, dW)
+    for name, want in zip(galerkin.LEDGER, ledger_reduction(ens, led)):
+        got = getattr(ens, name)
+        assert got.dtype == want.dtype and np.array_equal(got, want, equal_nan=True), name
+    assert energy_budget_check(ens) == budget_report(ens, led)
+    return led
+
+
 @pytest.mark.parametrize("scheme", ["em", "exponential"])
 def test_stepper_matches_independent_oracles(basis2d_small, scheme):
     # reference loop on SpectralFields: convection on the dealiased grid,
@@ -485,8 +500,7 @@ def test_stepper_matches_independent_oracles(basis2d_small, scheme):
     ens = integrate_batch(cfg, [4, 5, 6])
     dW = generate_wiener(steps, cfg.M, dt, cfg.seed, 5)
     u = project_Pn(cfg.u0, n)
-    ref = {name: np.zeros(steps) for name in
-           ("drift_work", "b_work", "forcing_work", "mart_work", "delta_sq", "ito_step", "hs_step")}
+    ref = {name: np.zeros(steps) for name in LEDGER_STEPS}
     states = [basis.real_coords(u, n)]
     thetas = []
     qv = np.zeros((steps + 1, len(cfg.qv_pairs)))
@@ -519,8 +533,9 @@ def test_stepper_matches_independent_oracles(basis2d_small, scheme):
     scale = np.max(np.abs(states))
     assert np.max(np.abs(ens.snap_u[1] - states)) <= 1e-12 * scale
     energy = np.max(np.sum(states**2, axis=1))
+    led = assert_ledger_is_the_oracle(ens)
     for name, want in ref.items():
-        assert np.max(np.abs(getattr(ens, name)[1] - want)) <= 1e-12 * energy, name
+        assert np.max(np.abs(led[name][1] - want)) <= 1e-12 * energy, name
     assert cfg.qv_pairs == ((0, 0), (0, 1), (1, 1)) and np.min(qv[-1]) > 0.0
     assert np.max(np.abs(ens.qv_cum[1] - qv)) <= 1e-12 * np.max(qv)
     got = galerkin.convection_pairing(ens, psi)[1]
@@ -701,10 +716,11 @@ def test_abort_inside_a_batch(basis2d_small):
     assert batch.abort_step[[1, 3]].tolist() == [8, 13]
     for i in range(5):
         assert_records_identical(integrate_batch(cfg, [i], dW[:, [i]]), batch.rows([i]))
+    led = assert_ledger_is_the_oracle(batch, dW)
     for r in (1, 3):
         a = batch.abort_step[r]
         assert batch.norm_H[r, a] > 0.0  # the state at the abort step, non-finite entries zeroed
-        assert np.all(batch.norm_H[r, a + 1 :] == 0.0) and np.all(batch.drift_work[r, a:] == 0.0)
+        assert np.all(batch.norm_H[r, a + 1 :] == 0.0) and np.all(led["drift_work"][r, a:] == 0.0)
         assert np.all(batch.snap_u[r, cfg.snap_idx >= a] == 0.0)
         assert np.all(batch.snap_integrals["noise"][r, cfg.integral_snap_idx >= a] == 0.0)
     # the healthy rows are those of a batch without the bad rows
@@ -754,12 +770,13 @@ def test_energy_budget_keeps_the_steps_before_an_overflow(basis2d_small):
     cfg = rich_config(basis2d_small, T=0.03, overflow_limit=1e3)
     dW = blown_up_increments(cfg, 5)
     batch = integrate_batch(cfg, range(5), dW)
+    led = assert_ledger_is_the_oracle(batch, dW)
     worst, skipped = [], []
     for r in range(5):
         upto = batch.abort_step[r] if batch.aborted[r] else cfg.steps
         h2 = batch.norm_H[r] ** 2
-        rhs = (batch.drift_work[r] + batch.b_work[r] + batch.forcing_work[r] + batch.mart_work[r]
-               + batch.delta_sq[r])[:upto]
+        rhs = (led["drift_work"][r] + led["b_work"][r] + led["forcing_work"][r] + led["mart_work"][r]
+               + led["delta_sq"][r])[:upto]
         scale = np.maximum.reduce([np.ones(upto), h2[:upto], h2[1 : upto + 1], np.abs(rhs)])
         with np.errstate(invalid="ignore"):
             per_step = np.abs(np.diff(h2)[:upto] - rhs) / scale
@@ -771,7 +788,7 @@ def test_energy_budget_keeps_the_steps_before_an_overflow(basis2d_small):
         got = [energy_budget_check(integrate_batch(cfg, [i], dW[:, [i]])).max_relative_residual
                for i in range(5)]
         assert energy_budget_check(batch).max_relative_residual == max(worst)
-    assert got == worst
+    assert got == worst == batch.energy_residual.tolist()
     assert 0.0 < worst[3] < 1e-12 and 0.0 < worst[1] < 1e-12
 
 
@@ -836,11 +853,50 @@ def test_a_nan_increment_aborts_its_row_only(basis2d_small):
     dW[9, 2, 0] = np.nan
     batch = integrate_batch(cfg, range(4), dW)
     assert batch.abort_step.tolist() == [-1, -1, 10, -1]
-    # row 2's ledger keeps the NaN work of its step into the abort
-    assert np.isnan(batch.mart_work[2, 9]) and np.isnan(batch.mart_work).sum() == 1
+    # row 2's ledger keeps the NaN work of its step into the abort, whose
+    # NaN residual counts for nothing
+    led = assert_ledger_is_the_oracle(batch, dW)
+    assert np.isnan(led["mart_work"][2, 9]) and np.isnan(led["mart_work"]).sum() == 1
+    assert np.isfinite(batch.energy_residual).all()
     for i in range(4):
         assert_records_identical(integrate_batch(cfg, [i], dW[:, [i]]), batch.rows([i]), equal_nan=i == 2)
     assert_records_identical(batch.rows([0, 1, 3]), integrate_batch(cfg, [0, 1, 3]))
+
+
+@pytest.mark.parametrize("chunk", [1, 4, 6, 13, 30, 64])
+@pytest.mark.parametrize("scheme", ["em", "exponential"])
+def test_per_path_ledger_at_chunk_edges(basis2d_small, monkeypatch, scheme, chunk):
+    # 30 steps folded in chunks of 1, 4, 6, 13, 30 and 64 steps: a chunk
+    # longer than the run, one that divides it and ones that do not.  Rows
+    # 1 and 3 abort on their steps 7 and 12: the last and the first step of
+    # a chunk of 4, the second and the first of a chunk of 6, and step 12
+    # ends a chunk of 13; the forcing and the cutoff are active
+    monkeypatch.setattr(galerkin, "LEDGER_CHUNK", chunk)
+    cfg = rich_config(basis2d_small, scheme=scheme, T=0.03, overflow_limit=1e3)
+    assert cfg.steps == 30
+    dW = blown_up_increments(cfg, 5)
+    batch = integrate_batch(cfg, range(5), dW)
+    assert batch.abort_step.tolist() == [-1, 8, -1, 13, -1] and batch.cutoff_min[0] < 1.0
+    assert_ledger_is_the_oracle(batch, dW)
+    # every row aborts, so the loop stops after step 12, mid-chunk for most
+    # chunks
+    assert_ledger_is_the_oracle(integrate_batch(cfg, [1, 3], dW[:, [1, 3]]), dW[:, [1, 3]])
+    # a row whose first step overflows to inf: its one step taken reads NaN,
+    # every step it did not take 0
+    first = dW[:, [0]].copy()
+    first[0] = 1e300
+    one = integrate_batch(cfg, [0], first)
+    assert one.abort_step.tolist() == [1] and one.energy_residual.tolist() == [0.0]
+    assert_ledger_is_the_oracle(one, first)
+    # a NaN increment on row 2's step 9
+    nan = dW[:, :4].copy()
+    nan[9, 2, 0] = np.nan
+    assert_ledger_is_the_oracle(integrate_batch(cfg, range(4), nan), nan)
+    # no noise, forcing and cutoff still active
+    quiet = dataclasses.replace(cfg, model=None)
+    ens = integrate_batch(quiet, range(2))
+    assert ens.ito_sum.tolist() == ens.hs_sum.tolist() == [0.0, 0.0] and ens.cutoff_min[0] < 1.0
+    assert_ledger_is_the_oracle(ens)
 
 
 @pytest.mark.parametrize("shape", [(3, 9), (2, 10), (10,)])
@@ -904,9 +960,10 @@ def test_ledger_off_keeps_every_other_array(basis2d_small, scheme):
     dW = blown_up_increments(cfg, 5)
     full = integrate_batch(cfg, range(5), dW)
     assert full.aborted.tolist() == [False, True, False, True, False]
+    assert_ledger_is_the_oracle(full, dW)
     for records in record_subsets():
         part = integrate_batch(dataclasses.replace(cfg, records=records), range(5), dW)
-        assert len(unrecorded_arrays(part)) == ((7 if "ledger" not in records else 0)
+        assert len(unrecorded_arrays(part)) == ((3 if "ledger" not in records else 0)
                                                 + (3 if "integral_drift" not in records else 0)
                                                 + (1 if "integral_noise" not in records else 0))
         assert_same_but_unrecorded(full, part)
@@ -918,10 +975,11 @@ def test_ensemble_without_the_ledger(basis2d_small, workers):
     # every record but the ledger, and the noise integral alone
     cfg = rich_config(basis2d_small, overflow_limit=1.05)
     full = integrate_ensemble(cfg, 7, workers=workers)
+    assert_ledger_is_the_oracle(full)
     for records in (set(galerkin.RECORDS) - {"ledger"}, {"integral_noise"}):
         part = integrate_ensemble(dataclasses.replace(cfg, records=records), 7, workers=workers)
         assert_same_but_unrecorded(full, part)
-        assert part.drift_work.shape == (7, 0)
+        assert part.energy_residual.shape == (7, 0)
     assert part.snap_integrals["stokes"].shape == (7, 0, cfg.n)
 
 
@@ -1120,20 +1178,21 @@ def test_rows_of_a_slice_are_views_and_of_an_index_list_or_mask_copies(basis2d_s
         assert_records_identical(picked, view)
 
 
-def budget_by_rows(ens):
-    """The energy budget as a loop over single paths."""
+def budget_by_rows(ens, led):
+    """The energy budget as a loop over single paths, from the ledger
+    arrays `led` (`ledger_oracle.ledger_arrays`)."""
     worst, diffs = 0.0, []
     for r in range(len(ens)):
         h2 = ens.norm_H[r] ** 2
         upto = ens.abort_step[r] if ens.aborted[r] else ens.config.steps
         lhs = np.diff(h2)[:upto]
-        rhs = (ens.drift_work[r] + ens.b_work[r] + ens.forcing_work[r] + ens.mart_work[r]
-               + ens.delta_sq[r])[:upto]
+        rhs = (led["drift_work"][r] + led["b_work"][r] + led["forcing_work"][r] + led["mart_work"][r]
+               + led["delta_sq"][r])[:upto]
         scale = np.maximum.reduce([np.ones(upto), h2[:upto], h2[1 : upto + 1], np.abs(rhs)])
         if upto:
             worst = max(worst, float(np.max(np.abs(lhs - rhs) / scale)))
         if not ens.aborted[r]:
-            diffs.append(float(np.sum(ens.ito_step[r]) - np.sum(ens.hs_step[r])))
+            diffs.append(float(np.sum(led["ito_step"][r]) - np.sum(led["hs_step"][r])))
     diffs = np.asarray(diffs)
     return worst, float(np.mean(diffs) / (np.std(diffs, ddof=1) / math.sqrt(len(diffs))))
 
@@ -1169,7 +1228,8 @@ def test_diagnostics_are_the_per_path_formulas(basis2d_small):
     basis = basis2d_small
     cfg, ens = aborting_ensemble(basis)
     rep = energy_budget_check(ens)
-    assert (rep.max_relative_residual, rep.ito_zscore) == budget_by_rows(ens)
+    led = assert_ledger_is_the_oracle(ens)
+    assert (rep.max_relative_residual, rep.ito_zscore) == budget_by_rows(ens, led)
     assert rep.trajectories == 7
     live = np.flatnonzero(~ens.aborted)
     # the probe coordinates are those of the fields re-encoded one at a time

@@ -466,6 +466,19 @@ def test_ensemble_verb_and_worker_determinism(tmp_path):
     assert c1 == c2
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_ensemble_energy_report_keeps_its_bits(tmp_path, workers):
+    # `sgns ensemble` on the default demo config: the energy residual and
+    # the Ito z-score are the bits of the per-step ledger arrays this
+    # ensemble was checked with before the stepper reduced them per path
+    out = tmp_path / "out"
+    assert main(["ensemble", "--config", str(DEMOS / "default.json"), "--out", str(out),
+                 "--workers", str(workers)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert float(summary["energy_residual"]).hex() == "0x1.01053b7fe7270p-50"
+    assert float(summary["ito_zscore"]).hex() == "-0x1.1eaf45f4dc9d6p-1"
+
+
 def test_tightness_verb_and_worker_determinism(tmp_path):
     cfg = json.loads((DEMOS / "tightness.json").read_text())
     cfg["galerkin"]["n_list"] = [4, 8]
