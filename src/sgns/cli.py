@@ -202,7 +202,7 @@ def run_tightness(run: RunConfig, bundle: ResultBundle, workers: int) -> int:
         ens = integrate_ensemble(cfg, run.trajectories, workers=workers)
         fam = tgt.FunctionFamily(ens)
         dub = tgt.dubinsky_diagnostic(fam, deltas, exp["slope_threshold"])
-        eta = tgt.calibrate_aldous_eta(fam, thetas[0], exp["eta_quantile"])
+        eta = tgt.calibrate_aldous_eta(fam, min(thetas), exp["eta_quantile"])
         ald = tgt.aldous_check(fam, thetas, eta)
         jrep = tgt.increment_scaling(ens, anchors, windows)
         ok = dub.passed and ald.passed and (

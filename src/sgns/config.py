@@ -23,7 +23,7 @@ import numpy as np
 
 from .estimates import admissible_eta
 from .galerkin import SCHEMES, GalerkinConfig, horizon_violations, level_violations
-from .noise import coercivity_constant, noise_model_from_spec
+from .noise import HarmonicField, NoiseModel, coercivity_constant
 from .spectral import Basis, SpaceScale, SpectralField, TorusDomain, random_field
 from .tightness import admissible_eta0
 
@@ -102,7 +102,16 @@ def _list_of(kind, what: str):
     return check
 
 
+def _positive(v):
+    """v as written if finite and > 0."""
+    if _number(v) > 0:
+        return v
+    raise ValueError("a positive number")
+
+
 _reals = _list_of(_number, "finite numbers")
+# the windows of a tightness table: a window of 0 or less has no increment
+_windows = _list_of(_positive, "positive finite numbers")
 
 
 def _index(v) -> int:
@@ -135,9 +144,9 @@ EXPERIMENT = {
     "residual_tolerance": (_real, 1e-10), "z_bound": (_real, 3.0),  # ensemble
     "p_list": (_reals, [2.0]), "eta": (lambda v: admissible_eta(_number(v)), None),  # estimates
     "ratio_bound": (_real, 1.5), "alpha": (_within(0, 1), 0.05),
-    "deltas": (_reals, None), "thetas": (_reals, None), "integral_stride": (_count, 8),  # tightness
+    "deltas": (_windows, None), "thetas": (_windows, None), "integral_stride": (_count, 8),  # tightness
     "slope_threshold": (_real, 0.4), "eta_quantile": (_real, 60.0),
-    "scaling_anchors": (_reals, None), "scaling_windows": (_reals, None),
+    "scaling_anchors": (_reals, None), "scaling_windows": (_windows, None),
     "certify_samples": (_count, 2000), "twin_trajectories": (_count, 3),  # uniqueness
     "gamma": (_real, 1e-8), "median_ratio_bound": (_real, 1.1),
     "levels": (_count, 30), "phi_norms": (_reals, None),  # spaces
@@ -158,19 +167,58 @@ _HARMONIC = {"k": (_list_of(lambda v: _count(v, least=-sys.maxsize), "integers")
              "cos": (_reals, None), "sin": (_reals, None)}
 
 
-def _typed_directions(dirs, violations) -> list:
-    """noise.directions, each amplitude and wavevector converted by its kind (None if absent)."""
-    dirs = copy.deepcopy(dirs)
+def _coefficient(spec, d: int, ncomp: int, path: str, violations) -> HarmonicField | None:
+    """The HarmonicField of one coefficient spec (None if absent or bad), each
+    amplitude and wavevector converted by its kind and every failure named
+    at its dotted key."""
+    if spec is None:
+        return None
+    if not isinstance(spec, dict):
+        violations.append(f"{path} must be a table")
+        return None
+    clean = len(violations)
+    _check_keys(spec, ("const", "harmonics"), f"{path}.", violations)
+    const = _typed(spec.get("const"), _reals, f"{path}.const", violations, None)
+    harmonics = spec.get("harmonics") or []
+    if not isinstance(harmonics, list):
+        violations.append(f"{path}.harmonics must be a list")
+        harmonics = []
+    terms = []
+    for j, h in enumerate(harmonics):
+        hpath = f"{path}.harmonics[{j}]"
+        if not isinstance(h, dict):
+            violations.append(f"{hpath} must be a table")
+            continue
+        _check_keys(h, _HARMONIC, f"{hpath}.", violations)
+        terms.append(tuple(_typed(h.get(key, default), kind, f"{hpath}.{key}", violations, default)
+                           for key, (kind, default) in _HARMONIC.items()))
+    if len(violations) > clean:
+        return None
+    try:
+        return HarmonicField.build(d, ncomp, const=const, harmonics=terms)
+    except ValueError as e:  # a shape, or a zero wavevector
+        violations.append(f"{path}: {e}")
+
+
+def _noise_model(dirs, d: int, violations) -> NoiseModel | None:
+    """The NoiseModel of noise.directions (None if empty or bad): config is
+    the one reader of this schema."""
+    if not isinstance(dirs, list):
+        violations.append("noise.directions must be a list")
+        return None
+    clean = len(violations)
+    directions = []
     for i, entry in enumerate(dirs):
-        for coef in ("b", "c"):
-            spec, path = entry.get(coef), f"noise.directions[{i}].{coef}"
-            if spec is not None:
-                spec["const"] = _typed(spec.get("const"), _reals, f"{path}.const", violations, None)
-                for j, h in enumerate(spec.get("harmonics") or []):
-                    for key, (kind, default) in _HARMONIC.items():
-                        h[key] = _typed(h.get(key, default), kind, f"{path}.harmonics[{j}].{key}",
-                                        violations, default)
-    return dirs
+        path = f"noise.directions[{i}]"
+        if not isinstance(entry, dict):
+            violations.append(f"{path} must be a table")
+            continue
+        _check_keys(entry, ("b", "c"), f"{path}.", violations)
+        directions.append(tuple(_coefficient(entry.get(coef), d, ncomp, f"{path}.{coef}", violations)
+                                for coef, ncomp in (("b", d), ("c", 1))))
+    if not directions or len(violations) > clean:
+        return None
+    return NoiseModel(d=d, directions=tuple(directions))
 
 
 def _typed(value, kind, name: str, violations, default):
@@ -309,19 +357,11 @@ def load_config(path_or_dict) -> RunConfig:
 
     model = None
     if basis is not None:
-        clean = len(violations)
-        try:
-            dirs = _typed_directions(merged["noise"]["directions"] or [], violations)
-            if dirs and len(violations) == clean:
-                model = noise_model_from_spec({"directions": dirs}, basis.domain.d)
-            if model is not None and noise_eps is not None:
-                a = coercivity_constant(model, basis.domain)
-                if not 0.0 < noise_eps < a:
-                    violations.append(
-                        f"noise.eps = {noise_eps} outside (0, a) with coercivity margin a = {a:.6g}"
-                    )
-        except (ValueError, TypeError, KeyError, AttributeError) as e:
-            violations.append(f"noise: {e}")
+        model = _noise_model(merged["noise"]["directions"] or [], basis.domain.d, violations)
+    if model is not None and noise_eps is not None:
+        a = coercivity_constant(model, basis.domain)
+        if not 0.0 < noise_eps < a:
+            violations.append(f"noise.eps = {noise_eps} outside (0, a) with coercivity margin a = {a:.6g}")
 
     gal = merged["galerkin"]
     try:

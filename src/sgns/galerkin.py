@@ -165,9 +165,6 @@ class CompiledGalerkin:
         out.reshape(-1, self.n)[:, self._rows] = np.add.reduceat(prod, self._starts, axis=1)
         return out
 
-    def encode(self, u: SpectralField) -> np.ndarray:
-        return u.basis.real_coords(u, self.n)
-
 
 # compiled systems, keyed by value: everything in one depends only on the
 # domain, the norm scale, n, the noise model and whether B is included
@@ -685,7 +682,7 @@ def _integrate_rows(ens: Ensemble, dW=None, x0=None) -> None:
                          f"(steps, B, M) = ({steps}, {B}, {config.M})")
 
     if x0 is None:
-        x = np.repeat(sys.encode(project_Pn(config.u0, n))[None], B, axis=0)
+        x = np.repeat(config.basis.real_coords(project_Pn(config.u0, n), n)[None], B, axis=0)
     else:
         x = np.array(x0, dtype=np.float64)
         if x.shape != (B, n):
@@ -717,7 +714,7 @@ def _integrate_rows(ens: Ensemble, dW=None, x0=None) -> None:
 
     cutoff = config.cutoff
     forced = config.forcing is not None
-    f = sys.encode(config.forcing) if forced else np.zeros(n)
+    f = config.basis.real_coords(config.forcing, n) if forced else np.zeros(n)
     cutoff_min, abort_step = ens.cutoff_min, ens.abort_step
     cutoff_min[:] = 1.0
     abort_step[:] = -1
@@ -947,7 +944,7 @@ def convection_pairing(ens: Ensemble, psi: SpectralField) -> np.ndarray:
                          f"snapshotted every {cfg.snapshot_stride} (GalerkinConfig.snapshot_stride "
                          "must be 1)")
     sys = _compiled(cfg.basis, cfg.n, cfg.model, cfg.include_B)
-    psi_n = sys.encode(psi)
+    psi_n = cfg.basis.real_coords(psi, cfg.n)
     rows = cache_rows(cfg)
     terms = np.zeros((len(ens), cfg.steps + 1))
     for r in range(len(ens)):

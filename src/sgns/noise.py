@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import Basis, SpectralField, grid_points, inner, norm, random_field, row_blocks, stack
+from .spectral import Basis, SpectralField, grid_points, norm, row_blocks
 
 
 @dataclass(frozen=True)
@@ -172,33 +172,26 @@ def default_noise_model(d: int = 2) -> NoiseModel:
 # -- applying G ------------------------------------------------------------
 
 
-class _ModelTables:
-    """Per-(model, basis) shift tables for exact convolution application."""
+# convolution tables, keyed by value: they depend only on the noise model
+# (frozen, hashable) and the lattice of the domain
+_TABLES: dict = {}
 
-    def __init__(self, model: NoiseModel, basis: Basis):
-        # per direction, one (rows, scal) per exponential term of b and of c:
-        # (b.grad)u at l+k picks i (amp . kappa_l) u(l), and c u picks amp u(l)
+
+def _tables(model: NoiseModel, basis: Basis) -> list:
+    """Per direction, one (rows, scal) per exponential term of b and of c:
+    (b.grad)u at l+k picks i (amp . kappa_l) u(l), and c u picks amp u(l)."""
+    key = (model, basis.domain)
+    terms = _TABLES.get(key)
+    if terms is None:
         kap = basis.domain.kappa(basis.lattice_k)
-        self.terms = [
+        terms = _TABLES[key] = [
             [(basis.lattice_rows(basis.lattice_k + k), 1j * (kap @ np.asarray(amp)))
              for k, amp in (b.exp_terms(basis.domain) if b is not None else ())]
             + [(basis.lattice_rows(basis.lattice_k + k), np.full(len(kap), complex(amp[0])))
                for k, amp in (c.exp_terms(basis.domain) if c is not None else ())]
             for b, c in model.directions
         ]
-
-
-# convolution tables, keyed by value: they depend only on the noise model
-# (frozen, hashable) and the lattice of the domain
-_TABLES: dict = {}
-
-
-def _tables(model: NoiseModel, basis: Basis) -> _ModelTables:
-    key = (model, basis.domain)
-    tables = _TABLES.get(key)
-    if tables is None:
-        tables = _TABLES[key] = _ModelTables(model, basis)
-    return tables
+    return terms
 
 
 def apply_G_direction(u: SpectralField, i: int, model: NoiseModel) -> SpectralField:
@@ -206,10 +199,9 @@ def apply_G_direction(u: SpectralField, i: int, model: NoiseModel) -> SpectralFi
     computed by exact convolution, Leray-projected and lattice-truncated;
     for one field or a stack."""
     basis = u.basis
-    tables = _tables(model, basis)
     ua = basis.to_exp_coeffs(u)
     out = np.zeros_like(ua)
-    for rows, scal in tables.terms[i]:
+    for rows, scal in _tables(model, basis)[i]:
         ok = rows >= 0
         # one shift sends distinct rows to distinct rows
         out[..., rows[ok], :] += scal[ok, None] * ua[..., ok, :]
@@ -243,10 +235,9 @@ def noise_matrices(model: NoiseModel, basis: Basis, n: int | None = None) -> lis
 
 def hs_norm_G(u: SpectralField, model: NoiseModel, target: str = "H") -> float:
     """Hilbert-Schmidt norm of G(u) into H or V' over the M canonical directions."""
-    space = {"H": "H", "V_dual": "Vdual", "Vdual": "Vdual"}.get(target)
-    if space is None:
-        raise ValueError(f"target must be 'H' or 'V_dual', got {target!r}")
-    return math.sqrt(sum(norm(apply_G_direction(u, i, model), space) ** 2 for i in range(model.M)))
+    if target not in ("H", "Vdual"):
+        raise ValueError(f"target must be 'H' or 'Vdual', got {target!r}")
+    return math.sqrt(sum(norm(apply_G_direction(u, i, model), target) ** 2 for i in range(model.M)))
 
 
 # -- certified constants ----------------------------------------------------
@@ -437,53 +428,17 @@ def certify_conditions(
     )
 
 
-@dataclass
-class ContinuityReport:
-    max_C: float
-    max_deviation: float
-    samples: int
+def continuity_constant_Gstarstar(model: NoiseModel, psi: SpectralField) -> float:
+    """The least C of the weak-continuity condition on the basis of psi,
 
+        |<G(u) - G(v) | psi>|_Y  <=  C |u - v|_H ||psi||_V   for all u, v.
 
-def continuity_surrogate_Gstarstar(
-    model: NoiseModel,
-    psi: SpectralField,
-    delta: float,
-    samples: int = 100,
-    seed: int = 0,
-) -> ContinuityReport:
-    """Quantitative surrogate of the weak-continuity condition: measures C in
-
-        |<G(u) - G(v) | psi>|_Y  <=  C |u - v|_H ||psi||_V
-
-    over random pairs at perturbation scale delta (linear G: the pairing
-    depends on u - v only)."""
-    rng = np.random.default_rng(seed)
+    G is linear, so the pairing is A (u - v) in real coordinates, with
+    A[i, j] = <G_i e_j, psi>_H read from `noise_matrices`, and C is
+    sigma_max(A) / ||psi||_V; 0 when psi = 0 or the model has no direction."""
     psiV = norm(psi, "V")
-    w = stack([random_field(psi.basis, rng) for _ in range(samples)])
-    hw = norm(w, "H")
-    w = SpectralField(psi.basis, w.coeffs[hw != 0.0] * (delta / hw[hw != 0.0])[:, None])
-    dev = np.linalg.norm([inner(apply_G_direction(w, i, model), psi, "H") for i in range(model.M)], axis=0)
-    denom = norm(w, "H") * psiV
-    C = np.divide(dev, denom, out=np.zeros(len(dev)), where=denom > 0)
-    return ContinuityReport(max_C=float(np.max(C, initial=0.0)),
-                            max_deviation=float(np.max(dev, initial=0.0)), samples=samples)
-
-
-# -- config schema -----------------------------------------------------------
-
-
-def noise_model_from_spec(spec: dict, d: int) -> NoiseModel:
-    """Build a NoiseModel from the plain-dict schema used by run configs.
-
-    Schema: {"directions": [ {"b": {"const": [..], "harmonics": [
-    {"k": [..], "cos": [..], "sin": [..]}, ...]}, "c": {...}} ]}.
-    Either coefficient may be omitted or null.
-    """
-    dirs = [
-        tuple(None if entry.get(key) is None else HarmonicField.build(
-            d, ncomp, const=entry[key].get("const"),
-            harmonics=[(h["k"], h.get("cos"), h.get("sin")) for h in entry[key].get("harmonics", [])])
-            for key, ncomp in (("b", d), ("c", 1)))
-        for entry in spec.get("directions", [])
-    ]
-    return NoiseModel(d=d, directions=tuple(dirs))
+    if model.M == 0 or psiV == 0.0:
+        return 0.0
+    x = psi.basis.real_coords(psi)
+    A = np.stack([x @ mat for mat in noise_matrices(model, psi.basis)])
+    return float(np.linalg.norm(A, 2)) / psiV

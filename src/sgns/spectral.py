@@ -353,11 +353,6 @@ def _check_same_basis(u: SpectralField, v: SpectralField):
         raise ValueError("fields live on different bases")
 
 
-def enumerate_modes(domain: TorusDomain, scale: SpaceScale | None = None) -> list:
-    """Ordered real eigenmodes of L; ascending eigenvalue, ties by (|k|^2, k, p)."""
-    return Basis(domain, scale).modes
-
-
 def stack(fields) -> SpectralField:
     """One field stack holding the given fields of one basis as its rows, in order."""
     return SpectralField(fields[0].basis, np.stack([f.coeffs for f in fields]))

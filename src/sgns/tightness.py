@@ -261,8 +261,9 @@ def aldous_check(family: FunctionFamily, thetas, eta: float) -> AldousReport:
 
 def calibrate_aldous_eta(family: FunctionFamily, theta: float, quantile: float = 60.0) -> float:
     """Threshold for the exceedance table: a quantile of the pooled increments
-    |u(t + theta) - u(t)|_{U'} over the family at the largest window, so the
-    table starts mid-range and its decay toward 0 is informative."""
+    |u(t + theta) - u(t)|_{U'} over the family at the window theta it is
+    passed, so the table starts mid-range and its decay toward 0 is
+    informative.  `sgns tightness` passes its smallest window."""
     cfg = family.config
     times = cfg.snap_times
     lag = max(1, int(round(theta / (times[1] - times[0]))))

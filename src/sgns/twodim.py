@@ -136,7 +136,7 @@ class ShiftedProblem:
 
 def _encoded(sys, field: SpectralField | None) -> np.ndarray:
     """Coordinates of z or f on the first n modes; zeros when absent."""
-    return np.zeros(sys.n) if field is None else sys.encode(field)
+    return np.zeros(sys.n) if field is None else field.basis.real_coords(field, sys.n)
 
 
 def solve_shifted(problem: ShiftedProblem) -> np.ndarray:
@@ -150,7 +150,7 @@ def solve_shifted(problem: ShiftedProblem) -> np.ndarray:
             out = out - sys.convection(x + z)
         return out
 
-    x = sys.encode(project_Pn(problem.u0, problem.n))
+    x = problem.basis.real_coords(project_Pn(problem.u0, problem.n), problem.n)
     steps = problem.steps
     path = np.zeros((steps + 1, problem.n))
     path[0] = x
@@ -331,9 +331,8 @@ def pathwise_uniqueness_experiment(
     pert[0] = gamma
     # only snap_u and norm_D are read, so no ledger and no running integral
     cfg = replace(config, snapshot_stride=1, records=())
-    sys = _compiled(basis, cfg.n, cfg.model, cfg.include_B)
-    x1 = sys.encode(project_Pn(config.u0, cfg.n))
-    x2 = sys.encode(project_Pn(config.u0 + basis.field_from_real_coords(pert), cfg.n))
+    x1 = basis.real_coords(project_Pn(config.u0, cfg.n), cfg.n)
+    x2 = basis.real_coords(project_Pn(config.u0 + basis.field_from_real_coords(pert), cfg.n), cfg.n)
     ratios_T = np.zeros(n_traj)
     sup_ratios = np.zeros(n_traj)
     # each block of k pairs is one batch of 2k rows, as many as a block of

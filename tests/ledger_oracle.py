@@ -27,7 +27,7 @@ def ledger_arrays(ens, dW=None) -> dict:
         dW = np.stack([galerkin.generate_wiener(steps, cfg.M, dt, cfg.seed, i) for i in ens.indices.tolist()],
                       axis=1)
     forced = cfg.forcing is not None
-    f = sys.encode(cfg.forcing) if forced else np.zeros(cfg.n)
+    f = cfg.basis.real_coords(cfg.forcing, cfg.n) if forced else np.zeros(cfg.n)
     limit = min(cfg.overflow_limit, np.finfo(np.float64).max)
     led = {name: np.zeros((len(ens), steps)) for name in LEDGER_STEPS}
     with np.errstate(over="ignore", invalid="ignore"):

@@ -735,7 +735,7 @@ def test_convection_pairing_is_a_running_sum_over_the_steps(basis2d_small, schem
     cfg = rich_config(basis2d_small, scheme=scheme, T=0.03, overflow_limit=1e3, snapshot_stride=1)
     sys = galerkin._compiled(cfg.basis, cfg.n, cfg.model, cfg.include_B)
     psi = random_field(basis2d_small, np.random.default_rng(13), decay=0.5)
-    psi_n = sys.encode(psi)
+    psi_n = basis2d_small.real_coords(psi, cfg.n)
     ens = integrate_batch(cfg, range(5), blown_up_increments(cfg, 5))
     run = np.zeros(5)
     for j in range(cfg.steps):
@@ -799,8 +799,7 @@ def test_rows_start_from_their_own_states(basis2d_small, scheme):
     cfg = rich_config(basis2d_small, scheme=scheme, overflow_limit=1e3)
     rng = np.random.default_rng(4)
     starts = [project_Pn(random_field(basis2d_small, rng, n=cfg.n, decay=0.5), cfg.n) for _ in range(4)]
-    sys = galerkin._compiled(cfg.basis, cfg.n, cfg.model, cfg.include_B)
-    x0 = np.stack([sys.encode(u0) for u0 in starts])
+    x0 = np.stack([basis2d_small.real_coords(u0, cfg.n) for u0 in starts])
     dW = np.stack([generate_wiener(cfg.steps, cfg.M, cfg.dt, cfg.seed, i) for i in range(4)], axis=1)
     dW[7, 1] = 1e6
     batch = integrate_batch(cfg, range(4), dW, x0=x0)
@@ -816,8 +815,7 @@ def test_a_batch_partly_past_the_cutoff_is_its_one_row_runs(basis2d_small):
     # start at half its state and never reach it: the batch steps with the
     # cutoff factors while row 0 is past the level and without them after
     cfg = rich_config(basis2d_small, T=0.05, cutoff_level=0.28)
-    sys = galerkin._compiled(cfg.basis, cfg.n, cfg.model, cfg.include_B)
-    x0 = sys.encode(cfg.u0) * np.array([[1.0], [0.5], [0.5]])
+    x0 = basis2d_small.real_coords(cfg.u0, cfg.n) * np.array([[1.0], [0.5], [0.5]])
     batch = integrate_batch(cfg, range(3), x0=x0)
     past = batch.norm_Udual[:, :-1] > cfg.cutoff.level
     assert past[0].any() and not past[0].all() and not past[1:].any()

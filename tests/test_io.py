@@ -13,6 +13,7 @@ from sgns import cli, galerkin, tightness
 from sgns.cli import VERBS, main, run_command
 from sgns.config import EXPERIMENT, ConfigError, load_config
 from sgns.io import read_snapshot, write_snapshot
+from sgns.noise import HarmonicField, NoiseModel
 from sgns.spectral import random_field
 
 DEMOS = Path(__file__).resolve().parents[1] / "demos" / "configs"
@@ -74,9 +75,25 @@ def test_experiment_not_a_table_rejected(tmp_path):
         load_config(path)
 
 
+_B_CONST = HarmonicField.build(2, 2, const=[1.0, 0.0])
+_B_K22 = HarmonicField.build(2, 2, harmonics=[((2, 2), [0.1, 0.0], None)])
+# each demo config's noise model, built by hand (spaces.json takes the default)
+DEMO_MODELS = {
+    "default.json": NoiseModel(d=2, directions=((_B_CONST, None),)),
+    "estimates.json": NoiseModel(d=2, directions=((_B_CONST, None), (_B_K22, None))),
+    "spaces.json": NoiseModel(d=2, directions=((_B_CONST, None),)),
+    "threed.json": NoiseModel(d=3, directions=(
+        (HarmonicField.build(3, 3, const=[0.5, 0.5, 0.5]), None),
+        (HarmonicField.build(3, 3, harmonics=[((1, 1, 0), [0.1, -0.1, 0.0], None)]), None),
+    )),
+    "tightness.json": NoiseModel(d=2, directions=((_B_CONST, None), (_B_K22, None))),
+    "uniqueness.json": NoiseModel(d=2, directions=((_B_CONST, None),)),
+}
+
+
 @pytest.mark.parametrize("name", sorted(p.name for p in DEMOS.glob("*.json")))
 def test_demo_configs_load(name):
-    load_config(DEMOS / name)
+    assert load_config(DEMOS / name).galerkin.model == DEMO_MODELS[name]
 
 
 def test_cli_start_up_loads_no_scipy():
@@ -139,6 +156,10 @@ def test_uniqueness_loads_no_numpy_ma(tmp_path):
     ("scale", "s", "2.5"),
     ("scale", "s_U", "4.5"),
     ("noise", "eps", "0.5"),
+    pytest.param("experiment", "deltas", [0.01, -0.01], id="experiment-deltas-negative"),
+    pytest.param("experiment", "thetas", [0.0625, 0.0], id="experiment-thetas-zero"),
+    pytest.param("experiment", "scaling_windows", [-0.008], id="experiment-scaling_windows-negative"),
+    pytest.param("experiment", "scaling_windows", [0.0, 0.008], id="experiment-scaling_windows-zero"),
 ])
 def test_bad_value_rejected_at_load(tmp_path, section, key, value):
     path = write_cfg(tmp_path, {section: {key: value}})
@@ -197,8 +218,28 @@ def test_fractional_harmonic_wavevector_rejected_at_load(tmp_path):
 
 def test_noise_direction_that_is_not_a_table_rejected_at_load(tmp_path):
     path = write_cfg(tmp_path, {"noise": {"directions": [5]}})
-    with pytest.raises(ConfigError, match="noise: "):
+    with pytest.raises(ConfigError, match=re.escape("noise.directions[0] must be a table")):
         load_config(path)
+    assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+
+
+def test_every_bad_noise_coefficient_named_at_its_key(tmp_path):
+    # a shape error, a zero wavevector, a non-table entry and an unknown key,
+    # each at its dotted key and all in one error
+    path = write_cfg(tmp_path, {"noise": {"directions": [
+        {"b": {"const": [1.0, 0.0, 0.0]}},
+        {"b": {"const": [1.0, 0.0]}, "c": {"harmonics": [{"k": [0, 0], "cos": [0.1]}]}},
+        "b",
+        {"b": {"const": [1.0, 0.0], "harmonic": []}},
+    ]}})
+    with pytest.raises(ConfigError) as exc:
+        load_config(path)
+    assert exc.value.violations == [
+        "noise.directions[0].b: constant term must have 2 components",
+        "noise.directions[1].c: harmonic wavevector (0, 0) must be nonzero of length 2",
+        "noise.directions[2] must be a table",
+        "unknown key noise.directions[3].b.harmonic",
+    ]
     assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
 
 
@@ -498,6 +539,23 @@ def test_tightness_verb_and_worker_determinism(tmp_path):
         rows = (tmp_path / "w1" / name).read_text().splitlines()[1:]
         assert {row.split(",")[0] for row in rows} == {"4", "8"}
         assert_float_cells(rows)
+
+
+def test_tightness_verb_reads_its_windows_in_any_order(tmp_path):
+    # the Aldous threshold is calibrated at the smallest window, so the
+    # windows in ascending and in descending order write one bundle
+    cfg = json.loads((DEMOS / "tightness.json").read_text())
+    cfg["galerkin"]["n_list"] = [8]
+    cfg["ensemble"]["trajectories"] = 40
+    thetas = [cfg["galerkin"]["T"] * 2.0**-j for j in range(8, 3, -1)]
+    for name, order in (("up", thetas), ("down", thetas[::-1])):
+        cfg["experiment"]["thetas"] = order
+        run_command("tightness", load_config(cfg), tmp_path / name, workers=1)
+    up, down = (json.loads((tmp_path / name / "summary.json").read_text()) for name in ("up", "down"))
+    assert up.pop("config_hash") != down.pop("config_hash")
+    assert up == down
+    for name in ("modulus.csv", "aldous.csv", "noise_increment_scaling.csv"):
+        assert (tmp_path / "up" / name).read_bytes() == (tmp_path / "down" / name).read_bytes()
 
 
 def test_tightness_verb_records_the_lag_maxima_it_reads(tmp_path, monkeypatch):

@@ -12,17 +12,17 @@ from sgns.noise import (
     certify_conditions,
     coercivity_constant,
     constant_transport_model,
-    continuity_surrogate_Gstarstar,
+    continuity_constant_Gstarstar,
     default_noise_model,
     direction_sups,
     hs_norm_G,
     noise_matrices,
-    noise_model_from_spec,
     sup_norm,
     _tables,
 )
+from sgns.config import load_config
 from sgns.spectral import (
-    Basis, SpaceScale, TorusDomain, eval_physical, inner, norm, partial_derivative, random_field,
+    Basis, SpaceScale, TorusDomain, eval_physical, inner, norm, partial_derivative, random_field, stack,
 )
 
 
@@ -146,11 +146,11 @@ def test_c1_constant_values():
 def test_certify_sweeps_each_sup_norm_once(basis2d_small, monkeypatch):
     import sgns.noise as noise_mod
 
-    model = noise_model_from_spec({"directions": [
-        {"b": {"const": [0.3, 0.1], "harmonics": [{"k": [1, 2], "cos": [0.1, 0.05]}]},
-         "c": {"const": [0.2], "harmonics": [{"k": [2, 1], "cos": [0.1]}]}},
-        {"c": {"const": [0.4]}},
-    ]}, 2)
+    model = NoiseModel(d=2, directions=(
+        (HarmonicField.build(2, 2, const=[0.3, 0.1], harmonics=[((1, 2), [0.1, 0.05], None)]),
+         HarmonicField.build(2, 1, const=[0.2], harmonics=[((2, 1), [0.1], None)])),
+        (None, HarmonicField.build(2, 1, const=[0.4])),
+    ))
     dom = basis2d_small.domain
     # reference: every sup-norm swept on its own, summed in direction order
     c1_ref = gstar_ref = 0.0
@@ -254,28 +254,52 @@ def test_noise_matrices_match_direct(basis2d_small, rng):
     assert np.allclose(mats[0] @ x, direct, atol=1e-12)
 
 
-def test_continuity_surrogate(basis2d_small, rng):
-    model = default_noise_model(2)
-    psi = random_field(basis2d_small, rng)
-    rep1 = continuity_surrogate_Gstarstar(model, psi, delta=1e-2, samples=50, seed=9)
-    rep2 = continuity_surrogate_Gstarstar(model, psi, delta=5e-3, samples=50, seed=9)
-    assert rep1.max_C > 0
-    assert np.isfinite(rep1.max_C)
-    # linear G: halving the perturbation halves the deviation
-    assert abs(rep2.max_deviation - rep1.max_deviation / 2.0) <= 1e-10 * rep1.max_deviation
-    # identical fields give zero deviation
-    z = continuity_surrogate_Gstarstar(model, psi, delta=0.0, samples=10, seed=9)
-    assert z.max_deviation == 0.0
+def two_direction_model(d: int) -> NoiseModel:
+    """A harmonic b with a harmonic c, and a constant b along the last axis."""
+    e = np.eye(d, dtype=int)
+    b = HarmonicField.build(d, d, const=0.4 * e[0], harmonics=[(e[0] + e[1], 0.1 * e[1], 0.05 * e[0])])
+    c = HarmonicField.build(d, 1, const=[0.2], harmonics=[(e[0], [0.1], None)])
+    return NoiseModel(d=d, directions=((b, c), (HarmonicField.build(d, d, const=0.3 * e[-1]), None)))
+
+
+@pytest.mark.parametrize("model_of", [default_noise_model, two_direction_model], ids=["default", "two"])
+@pytest.mark.parametrize("d, K", [(2, 3), (3, 1)])
+def test_continuity_constant_is_the_exact_sup(d, K, model_of):
+    # oracle: the quotient |<G(w) | psi>|_Y / (|w|_H ||psi||_V) formed from
+    # apply_G_direction and the H inner product, never from noise_matrices
+    basis = Basis(TorusDomain(d=d, K=K), SpaceScale(d=d))
+    model = model_of(d)
+    rng = np.random.default_rng(27)
+    psi = random_field(basis, rng, decay=0.5)
+
+    def pairings(w):
+        return np.array([inner(apply_G_direction(w, i, model), psi, "H") for i in range(model.M)])
+
+    def quotient(w):
+        return np.linalg.norm(pairings(w), axis=0) / (norm(w, "H") * norm(psi, "V"))
+
+    C = continuity_constant_Gstarstar(model, psi)
+    assert C > 0.0
+    assert np.all(quotient(stack([random_field(basis, rng) for _ in range(200)])) <= C * (1.0 + 1e-12))
+    # A[i, j] = <G_i e_j, psi>_H: its top right singular vector attains C
+    A = pairings(basis.field_from_real_coords(np.eye(basis.n_modes)))
+    top = basis.field_from_real_coords(np.linalg.svd(A)[2][0])
+    assert abs(quotient(top) - C) <= 1e-12 * C
+    assert continuity_constant_Gstarstar(model, basis.zero_field()) == 0.0
+    assert continuity_constant_Gstarstar(NoiseModel(d=d, directions=()), psi) == 0.0
+    for a in (1e3, -0.25):
+        assert abs(continuity_constant_Gstarstar(model, a * psi) - C) <= 1e-12 * C
 
 
 def test_model_from_spec_roundtrip():
-    spec = {
-        "directions": [
-            {"b": {"const": [1.0, 0.0]}, "c": None},
-            {"b": None, "c": {"const": [0.5], "harmonics": [{"k": [1, 0], "cos": [0.1], "sin": [0.0]}]}},
-        ]
-    }
-    model = noise_model_from_spec(spec, d=2)
+    model = load_config({"noise": {"directions": [
+        {"b": {"const": [1.0, 0.0]}, "c": None},
+        {"b": None, "c": {"const": [0.5], "harmonics": [{"k": [1, 0], "cos": [0.1], "sin": [0.0]}]}},
+    ]}}).galerkin.model
+    assert model == NoiseModel(d=2, directions=(
+        (HarmonicField.build(2, 2, const=[1.0, 0.0]), None),
+        (None, HarmonicField.build(2, 1, const=[0.5], harmonics=[((1, 0), [0.1], [0.0])])),
+    ))
     assert model.M == 2
     assert model.directions[0][0].is_constant
     assert not model.directions[1][1].is_constant

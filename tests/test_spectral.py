@@ -8,7 +8,6 @@ from sgns.spectral import (
     SpaceScale,
     TorusDomain,
     apply_operator,
-    enumerate_modes,
     eval_physical,
     grid_points,
     inner,
@@ -22,7 +21,7 @@ from sgns.spectral import (
 
 def test_mode_count_2d():
     # max-norm box [-1,1]^2 minus the origin: 8 lattice vectors
-    modes = enumerate_modes(TorusDomain(d=2, K=1), SpaceScale(d=2))
+    modes = Basis(TorusDomain(d=2, K=1), SpaceScale(d=2)).modes
     assert len(modes) == 8
     ks = {m.k for m in modes}
     assert {(-1, 0), (0, -1), (0, 1), (1, 0)} <= ks
@@ -31,12 +30,12 @@ def test_mode_count_2d():
 
 
 def test_mode_count_3d():
-    modes = enumerate_modes(TorusDomain(d=3, K=1), SpaceScale(d=3))
+    modes = Basis(TorusDomain(d=3, K=1), SpaceScale(d=3)).modes
     assert len(modes) == 26 * 2  # 3^3 - 1 lattice vectors x 2 polarizations
 
 
 def test_mode_ordering_tiebreak():
-    modes = enumerate_modes(TorusDomain(d=2, K=2), SpaceScale(d=2, s_U=4.0))
+    modes = Basis(TorusDomain(d=2, K=2), SpaceScale(d=2, s_U=4.0)).modes
     assert modes[0].k == (-1, 0)
     assert modes[1].k == (0, -1)
     lams = [m.lam for m in modes]
@@ -44,8 +43,8 @@ def test_mode_ordering_tiebreak():
 
 
 def test_modes_deterministic():
-    a = enumerate_modes(TorusDomain(d=2, K=3), SpaceScale(d=2))
-    b = enumerate_modes(TorusDomain(d=2, K=3), SpaceScale(d=2))
+    a = Basis(TorusDomain(d=2, K=3), SpaceScale(d=2)).modes
+    b = Basis(TorusDomain(d=2, K=3), SpaceScale(d=2)).modes
     assert [(m.k, m.p, m.role) for m in a] == [(m.k, m.p, m.role) for m in b]
 
 
