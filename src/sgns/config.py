@@ -3,7 +3,7 @@ canonical hashing, and construction of the library objects a run needs.
 
 Unknown keys are rejected with their dotted path; every value is converted
 to its kind and every module-level precondition (admissible smoothness
-indices, Galerkin levels, the explicit-scheme stability gate, a horizon of
+indices, Galerkin levels, the Euler-Maruyama stability gate, a horizon of
 whole steps, noise shapes) is checked at load time so a bad config fails
 before any work starts.  The hash is taken over the canonicalized merged
 document, so two runs agree on it independently of key order or platform.
@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .estimates import admissible_eta
-from .galerkin import SCHEMES, GalerkinConfig, horizon_violations, level_violations
+from .galerkin import GalerkinConfig, horizon_violations, level_violations
 from .noise import HarmonicField, NoiseModel, coercivity_constant
 from .spectral import Basis, SpaceScale, SpectralField, TorusDomain, random_field
 from .tightness import admissible_eta0
@@ -49,7 +49,6 @@ DEFAULTS = {
         "dt": 1e-3,
         "T": 1.0,
         "cutoff_level": None,
-        "scheme": "em",
         "snapshot_stride": 0,
         "integral_snapshot_stride": None,
         "forcing": {"kind": "zero"},
@@ -118,12 +117,6 @@ def _index(v) -> int:
     return _count(v, least=0)
 
 
-def _scheme(v) -> str:
-    if v in SCHEMES:
-        return v
-    raise ValueError(" or ".join(map(repr, SCHEMES)))
-
-
 # the kinds of the scalar settings and the period; n and the fields are
 # checked where they are built
 _SCALARS = {
@@ -131,7 +124,7 @@ _SCALARS = {
     "scale": {"s": _real, "s_U": _real},
     "noise": {"eps": _real},
     "galerkin": {"dt": _real, "T": _real, "cutoff_level": _within(0, math.inf),
-                 "snapshot_stride": _index, "integral_snapshot_stride": _index, "scheme": _scheme},
+                 "snapshot_stride": _index, "integral_snapshot_stride": _index},
     "ensemble": {"trajectories": _count, "base_seed": _index, "workers": _count},
 }
 
@@ -373,7 +366,7 @@ def load_config(path_or_dict) -> RunConfig:
     if basis is not None:
         errs = level_violations(basis, n_list)
         if g["dt"] is not None and g["T"] is not None:
-            errs += horizon_violations(basis, n_list, g["dt"], g["T"], g["scheme"])
+            errs += horizon_violations(basis, n_list, g["dt"], g["T"], "em")
         violations += [f"galerkin: {v}" for v in errs]
         u0 = _field_from_spec(gal["u0"] or {}, basis, "galerkin.u0", violations)
         f_spec = gal["forcing"] or {"kind": "zero"}

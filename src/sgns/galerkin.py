@@ -189,12 +189,11 @@ def any_noise(config) -> bool:
 
 # -- configuration ------------------------------------------------------------
 
-# bound on dt * lambda_D,max for each explicit scheme: Euler-Maruyama keeps its
-# Stokes factor 1 - dt lambda positive, classical RK4 stays inside its real
-# stability interval [-2.785, 0].  The exponential scheme takes the Stokes
-# part exactly and has no gate.
+# bound on dt * lambda_D,max for each explicit scheme: Euler-Maruyama, the
+# scheme of the stochastic stepper, keeps its Stokes factor 1 - dt lambda
+# positive; classical RK4 (`twodim`) stays inside its real stability
+# interval [-2.785, 0]
 STABILITY_LIMITS = {"em": 1.0, "rk4": 2.78}
-SCHEMES = ("em", "exponential")  # the schemes of the stochastic stepper
 
 # the energy ledger, reduced per path by the stepper: the worst relative
 # residual of the discrete energy identity and the sums of the Ito and
@@ -228,8 +227,8 @@ def horizon_violations(basis: Basis, levels, dt: float, T: float, scheme: str) -
     ratio = T / dt
     if abs(ratio - round(ratio)) > 1e-9 * ratio:
         out.append(f"horizon T = {T} is not a whole number of steps dt = {dt} (T/dt = {ratio:.12g})")
-    limit = STABILITY_LIMITS.get(scheme)
-    if limit is not None and len(levels):
+    limit = STABILITY_LIMITS[scheme]
+    if len(levels):
         lam_max = max(float(np.max(basis.mode_weights("D", n))) for n in levels)
         if dt * lam_max >= limit:
             out.append(
@@ -252,7 +251,6 @@ class GalerkinConfig:
     seed: int = 0
     snapshot_stride: int = 0  # 0: endpoints only
     integral_snapshot_stride: int | None = None  # default: same as snapshot_stride
-    scheme: str = "em"  # plain Euler-Maruyama, or "exponential" (exact Stokes factor)
     include_B: bool = True
     probes: tuple = ()  # SpectralFields; the quadratic variation of every pair is accumulated
     overflow_limit: float = 1e12
@@ -264,10 +262,8 @@ class GalerkinConfig:
     records: frozenset = frozenset(RECORDS)
 
     def __post_init__(self):
-        if self.scheme not in SCHEMES:
-            raise ValueError(f"scheme must be 'em' or 'exponential', got {self.scheme!r}")
         violations = (level_violations(self.basis, (self.n,))
-                      or horizon_violations(self.basis, (self.n,), self.dt, self.T, self.scheme))
+                      or horizon_violations(self.basis, (self.n,), self.dt, self.T, "em"))
         if violations:
             raise ValueError("; ".join(violations))
         if self.model is not None and self.model.d != self.basis.domain.d:
@@ -361,7 +357,6 @@ class Ensemble:
     snap_u: np.ndarray  # (R, S, n) at config.snap_idx
     # INTEGRALS term -> (R, S_J, n) at config.integral_snap_idx; (R, 0, n) unrecorded
     snap_integrals: dict
-    u0_coords: np.ndarray  # (R, n)
     qv_cum: np.ndarray  # (R, S, len(config.qv_pairs))
     lag_maxima: np.ndarray  # (R, modulus_lags): max over s of |u(s + l) - u(s)|_{U'}
     cutoff_min: np.ndarray  # (R,)
@@ -536,8 +531,8 @@ def cache_rows(config: GalerkinConfig) -> int:
 def _row_shapes(config: GalerkinConfig) -> dict:
     """Shape after the row axis of every per-row array of an Ensemble, by
     field name: norms, ledger, snapshots with their quadratic-variation
-    entries, integral snapshots (keyed by term), u0, the lag maxima, the
-    cutoff minimum and the abort step.  An output config.records leaves out
+    entries, integral snapshots (keyed by term), the lag maxima, the cutoff
+    minimum and the abort step.  An output config.records leaves out
     has width 0: the ledger (one value per row) is (0,), a running integral
     has no snapshots.  Every entry is 8 bytes."""
     steps, n, records = config.steps, config.n, config.records
@@ -546,7 +541,7 @@ def _row_shapes(config: GalerkinConfig) -> dict:
     shapes.update({name: () if "ledger" in records else (0,) for name in LEDGER})
     shapes.update(snap_u=(snaps, n), qv_cum=(snaps, len(config.qv_pairs)))
     shapes.update({name: (isnaps if integral_record(name) in records else 0, n) for name in INTEGRALS})
-    shapes.update(u0_coords=(n,), lag_maxima=(config.modulus_lags,), cutoff_min=(), abort_step=())
+    shapes.update(lag_maxima=(config.modulus_lags,), cutoff_min=(), abort_step=())
     return shapes
 
 
@@ -575,13 +570,12 @@ def _sq_norms(sys: CompiledGalerkin, x: np.ndarray) -> np.ndarray:
 
 
 def _step(sys, config, cutoff, x, ud, f, dw):
-    """One step of the scheme on the rows of x (B, n), whose U' norms are
+    """One Euler-Maruyama step on the rows of x (B, n), whose U' norms are
     ud, under forcing coordinates f (n,) and Wiener increments dw (B, M).
 
-    Returns (x_new, y, theta, tbx, bx, g, xi): the cutoff factors, the tamed
-    and untamed convection, the noise directions applied to each row
-    (B, M, n), the noise increment, and y, the new state before the Stokes
-    factor of the exponential scheme (None under EM).  Only elementwise
+    Returns (x_new, theta, tbx, bx, g, xi): the new state, the cutoff
+    factors, the tamed and untamed convection, the noise directions applied
+    to each row (B, M, n) and the noise increment.  Only elementwise
     operations, per-row reductions and one matrix-vector product per row and
     direction, so each row's result depends on that row alone.
 
@@ -599,10 +593,7 @@ def _step(sys, config, cutoff, x, ud, f, dw):
         xi = np.matmul(dw[:, None, :], g)[:, 0]
     else:
         g, xi = None, np.zeros_like(x)
-    if config.scheme == "em":
-        return x + dt * (f - sys.lamD * x - tbx) + xi, None, theta, tbx, bx, g, xi
-    y = x + dt * (f - tbx) + xi
-    return np.exp(-sys.lamD * dt) * y, y, theta, tbx, bx, g, xi
+    return x + dt * (f - sys.lamD * x - tbx) + xi, theta, tbx, bx, g, xi
 
 
 # steps whose ledger terms a block buffers before folding them into each
@@ -641,15 +632,15 @@ def _integrate_rows(ens: Ensemble, dW=None, x0=None) -> None:
     (or by its column of the increments `dW` (steps, B, M) when given),
     writing norms, ledger and snapshots into the zeroed arrays of `ens` in
     place.  Every row starts from the coordinates of P_n config.u0, or from
-    its row of `x0` (B, n) when given; `u0_coords` records each row's start.
+    its row of `x0` (B, n) when given, copied in C order; `snap_u[:, 0]`
+    records each row's start.
 
     Each row is bitwise the same whatever the other rows, their number or
-    their order.  The energy ledger closes the discrete energy identity for
-    both schemes; under the exponential scheme the drift work and the Stokes
-    integral are taken across the Stokes factor.  The ledger is reduced per
-    row where it is made: each step's drift, taming, forcing and martingale
-    work and |du|^2 go into a (chunk, B) buffer, folded into each row's
-    worst relative residual (`_fold_residuals`) at the end of every
+    their order, and whatever the memory layout of `x0`.  The energy ledger
+    closes the discrete energy identity of the Euler-Maruyama step.  It is
+    reduced per row where it is made: each step's drift, taming, forcing and
+    martingale work and |du|^2 go into a (chunk, B) buffer, folded into each
+    row's worst relative residual (`_fold_residuals`) at the end of every
     `LEDGER_CHUNK` steps and before the loop stops early; the Ito and
     Hilbert-Schmidt increments fill block-private (B, steps) arrays, summed
     per row once the loop ends.  The ledger and each running integral's
@@ -684,10 +675,9 @@ def _integrate_rows(ens: Ensemble, dW=None, x0=None) -> None:
     if x0 is None:
         x = np.repeat(config.basis.real_coords(project_Pn(config.u0, n), n)[None], B, axis=0)
     else:
-        x = np.array(x0, dtype=np.float64)
+        x = np.array(x0, dtype=np.float64, order="C")
         if x.shape != (B, n):
             raise ValueError(f"initial states of shape {x.shape} do not match (B, n) = ({B}, {n})")
-    ens.u0_coords[:] = x
     norm_H, norm_D, norm_Ud = ens.norm_H, ens.norm_D, ens.norm_Udual
     ledger = "ledger" in config.records
     if ledger:
@@ -728,17 +718,14 @@ def _integrate_rows(ens: Ensemble, dW=None, x0=None) -> None:
     # aborted rows keep stepping, masked below, and may overflow on the way
     with np.errstate(over="ignore", invalid="ignore"):
         for j in range(steps):
-            x_new, y, theta, tbx, bx, g, xi = _step(sys, config, cutoff, x, norm_Ud[:, j], f, dW[j])
+            x_new, theta, tbx, bx, g, xi = _step(sys, config, cutoff, x, norm_Ud[:, j], f, dW[j])
             if theta is not None:
                 np.minimum(cutoff_min, np.where(alive, theta, 1.0), out=cutoff_min)
             if drift:
                 integrals["convection"] -= dt * tbx
                 if forced:
                     integrals["forcing"] += dt * f
-                if y is None:
-                    integrals["stokes"] -= dt * (sys.lamD * x)
-                else:
-                    integrals["stokes"] += x_new - y
+                integrals["stokes"] -= dt * (sys.lamD * x)
             if noise:
                 integrals["noise"] += xi
             if qv_pairs and g is not None:
@@ -756,16 +743,11 @@ def _integrate_rows(ens: Ensemble, dW=None, x0=None) -> None:
                     forcing_work[k] = 2.0 * dt * np.add.reduce(x * f, axis=1)
                 if g is not None:
                     hs_step[:, j] = np.add.reduce((g * g).reshape(B, -1), axis=1) * dt
-                if y is None:
-                    drift_work[k] = -2.0 * dt * d2
-                    delta_sq[k] = np.add.reduce((x_new - x) ** 2, axis=1)
-                else:
-                    delta_sq[k] = np.add.reduce((y - x) ** 2, axis=1)
+                drift_work[k] = -2.0 * dt * d2
+                delta_sq[k] = np.add.reduce((x_new - x) ** 2, axis=1)
 
             x = x_new
             h2, d2, u2 = _sq_norms(sys, x)
-            if ledger and y is not None:
-                drift_work[k] = h2 - np.add.reduce(y * y, axis=1)
             # one block-wide maximum clears every row; only past it does
             # each row's peak decide
             ended = False
@@ -887,8 +869,7 @@ def energy_budget_check(ens: Ensemble) -> EnergyBudgetReport:
     """Closure of the per-step energy identity plus the Ito-isometry z-score.
 
     The identity |u+|^2 - |u|^2 = (drift + taming + forcing + martingale work)
-    + |du|^2 is exact in exact arithmetic for both schemes (for the
-    exponential one the drift work is taken across the Stokes factor); the
+    + |du|^2 is exact in exact arithmetic for the Euler-Maruyama step; the
     worst relative residual over the steps each path took is returned.  The
     step into an overflow may read inf/inf: a NaN residual counts for
     nothing, and the path's other steps still count.  The comparison of the
@@ -921,7 +902,7 @@ def reconstruct_martingale(ens: Ensemble, pos: int) -> np.ndarray:
     jpos = int(_grid_positions(cfg.integral_snap_idx * cfg.dt, cfg.snap_times[pos], cfg.dt))
     return (
         ens.snap_u[:, pos]
-        - ens.u0_coords
+        - ens.snap_u[:, 0]
         - ens.snap_integrals["stokes"][:, jpos]
         - ens.snap_integrals["convection"][:, jpos]
         - ens.snap_integrals["forcing"][:, jpos]

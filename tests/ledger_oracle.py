@@ -16,9 +16,9 @@ LEDGER_STEPS = ("drift_work", "b_work", "forcing_work", "mart_work", "delta_sq",
 def ledger_arrays(ens, dW=None) -> dict:
     """The seven (R, steps) ledger arrays of the paths of `ens`, by name.
 
-    Each path is replayed alone from its recorded start `u0_coords`, driven
-    by its Philox stream or by its column of `dW` (steps, R, M), with the
-    scheme's step `galerkin._step`, until its state passes the overflow
+    Each path is replayed alone from its recorded start `snap_u[:, 0]`,
+    driven by its Philox stream or by its column of `dW` (steps, R, M), with
+    the stepper's step `galerkin._step`, until its state passes the overflow
     limit or leaves the finite range; its entries from that step on are 0."""
     cfg = ens.config
     sys = galerkin._compiled(cfg.basis, cfg.n, cfg.model, cfg.include_B)
@@ -32,10 +32,10 @@ def ledger_arrays(ens, dW=None) -> dict:
     led = {name: np.zeros((len(ens), steps)) for name in LEDGER_STEPS}
     with np.errstate(over="ignore", invalid="ignore"):
         for r in range(len(ens)):
-            x = ens.u0_coords[r : r + 1].copy()
+            x = ens.snap_u[r : r + 1, 0].copy()
             for j in range(steps):
                 _, d2, u2 = galerkin._sq_norms(sys, x)
-                x_new, y, theta, _, bx, g, xi = galerkin._step(sys, cfg, cfg.cutoff, x, np.sqrt(u2), f, dW[j, [r]])
+                x_new, theta, _, bx, g, xi = galerkin._step(sys, cfg, cfg.cutoff, x, np.sqrt(u2), f, dW[j, [r]])
                 b_factor = -2.0 * dt if theta is None else -2.0 * dt * theta
                 led["b_work"][r, j] = (b_factor * np.add.reduce(x * bx, axis=1))[0]
                 led["mart_work"][r, j] = 2.0 * np.add.reduce(x * xi, axis=1)[0]
@@ -44,13 +44,8 @@ def ledger_arrays(ens, dW=None) -> dict:
                     led["forcing_work"][r, j] = 2.0 * dt * np.add.reduce(x * f, axis=1)[0]
                 if g is not None:
                     led["hs_step"][r, j] = np.add.reduce((g * g).reshape(1, -1), axis=1)[0] * dt
-                if y is None:
-                    led["drift_work"][r, j] = -2.0 * dt * d2[0]
-                    led["delta_sq"][r, j] = np.add.reduce((x_new - x) ** 2, axis=1)[0]
-                else:
-                    h2 = galerkin._sq_norms(sys, x_new)[0]
-                    led["drift_work"][r, j] = (h2 - np.add.reduce(y * y, axis=1))[0]
-                    led["delta_sq"][r, j] = np.add.reduce((y - x) ** 2, axis=1)[0]
+                led["drift_work"][r, j] = -2.0 * dt * d2[0]
+                led["delta_sq"][r, j] = np.add.reduce((x_new - x) ** 2, axis=1)[0]
                 x = x_new
                 if not np.max(np.abs(x)) <= limit:
                     break

@@ -409,7 +409,7 @@ def test_parabolicity_boundary_moments():
         factors, means = [], []
         for k in aligned:
             modes = np.flatnonzero(slot == k)
-            c0, cN = ens.u0_coords[:, modes], ens.snap_u[:, -1, modes]
+            c0, cN = ens.snap_u[:, 0, modes], ens.snap_u[:, -1, modes]
             ratio = np.sum(cN**2, axis=1) / np.sum(c0**2, axis=1)
             decay = 1.0 - lam[modes[0]] * dt
             s2 = dt * float(np.dot(b, basis.slot_kappa[k])) ** 2

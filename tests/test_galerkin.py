@@ -26,8 +26,15 @@ from sgns.galerkin import (
 )
 from sgns.noise import apply_G, constant_transport_model, default_noise_model
 from sgns.nonlinear import TrilinearWorkspace, bilinear_B, trilinear_b
-from sgns.spectral import norm, project_Pn, random_field, row_blocks
+from sgns.spectral import norm, project_Pn, random_field, row_blocks, stack
 from sgns.tightness import decomposition_increments, increment_scaling
+
+
+# The stepper has one scheme, Euler-Maruyama.  A `scheme` parameter (this
+# mark, and the column of `test_level_rule`) has that one value, unused: it
+# keeps the test ids, which reports compare from one version to the next,
+# stable.
+EM_ONLY = pytest.mark.parametrize("scheme", ["em"])
 
 
 def make_config(basis, rng=None, **kw):
@@ -148,12 +155,11 @@ def test_horizon_must_be_whole_steps(basis2d_small):
 @pytest.mark.parametrize("n, scheme, match", [
     (0, "em", r"n = 0 outside \[1, "),
     (10**6, "em", r"n = 1000000 outside \[1, "),
-    (4, "rk4", "scheme must be 'em' or 'exponential', got 'rk4'"),
 ])
 def test_level_rule(basis2d_small, n, scheme, match):
     u0 = basis2d_small.basis_field(0)
     with pytest.raises(ValueError, match=match):
-        GalerkinConfig(basis=basis2d_small, n=n, dt=1e-3, T=0.01, u0=u0, scheme=scheme)
+        GalerkinConfig(basis=basis2d_small, n=n, dt=1e-3, T=0.01, u0=u0)
     assert len(level_violations(basis2d_small, (n, 4))) == (n != 4)
 
 
@@ -264,22 +270,6 @@ def test_stokes_decay_order(basis2d_small):
     assert errs[-1] <= 5e-3
     order = math.log(errs[0] / errs[2]) / math.log(4.0)
     assert 0.9 <= order <= 1.1
-
-
-def test_exponential_scheme_exact_on_stokes(basis2d_small):
-    cfg = GalerkinConfig(
-        basis=basis2d_small,
-        n=4,
-        dt=1e-2,
-        T=0.5,
-        u0=basis2d_small.basis_field(0),
-        model=None,
-        include_B=False,
-        scheme="exponential",
-        seed=0,
-    )
-    lam = basis2d_small.mode_weights("D", 1)[0]
-    assert abs(integrate_batch(cfg, [0]).norm_H[0, -1] - math.exp(-lam * 0.5)) < 1e-12
 
 
 def test_cfl_gate(basis2d):
@@ -483,13 +473,13 @@ def assert_ledger_is_the_oracle(ens, dW=None) -> dict:
     return led
 
 
-@pytest.mark.parametrize("scheme", ["em", "exponential"])
+@EM_ONLY
 def test_stepper_matches_independent_oracles(basis2d_small, scheme):
     # reference loop on SpectralFields: convection on the dealiased grid,
     # noise by exact convolution, both projected onto the first n modes; the
     # quadratic variations and the convection pairing sum their pairings
     basis = basis2d_small
-    cfg = rich_config(basis, scheme=scheme, snapshot_stride=1, integral_snapshot_stride=1)
+    cfg = rich_config(basis, snapshot_stride=1, integral_snapshot_stride=1)
     n, dt, steps = cfg.n, cfg.dt, cfg.steps
     ws = TrilinearWorkspace(basis)
     lam = basis.mode_weights("D", n)
@@ -511,14 +501,12 @@ def test_stepper_matches_independent_oracles(basis2d_small, scheme):
         bx = basis.real_coords(bilinear_B(u, u, ws), n)
         xi = basis.real_coords(project_Pn(apply_G(u, dW[j], cfg.model), n), n)
         g = [basis.real_coords(project_Pn(apply_G(u, e, cfg.model), n), n) for e in np.eye(cfg.M)]
-        y = x + dt * (f - theta * bx) + xi
-        x_new = y - dt * lam * x if scheme == "em" else np.exp(-lam * dt) * y
-        ref["drift_work"][j] = (-2.0 * dt * np.sum(lam * x * x) if scheme == "em"
-                                else np.sum(x_new**2) - np.sum(y**2))
+        x_new = x + dt * (f - theta * bx) + xi - dt * lam * x
+        ref["drift_work"][j] = -2.0 * dt * np.sum(lam * x * x)
         ref["b_work"][j] = -2.0 * dt * theta * np.sum(x * bx)
         ref["forcing_work"][j] = 2.0 * dt * np.sum(x * f)
         ref["mart_work"][j] = 2.0 * np.sum(x * xi)
-        ref["delta_sq"][j] = np.sum((x_new - x) ** 2) if scheme == "em" else np.sum((y - x) ** 2)
+        ref["delta_sq"][j] = np.sum((x_new - x) ** 2)
         ref["ito_step"][j] = np.sum(xi**2)
         ref["hs_step"][j] = dt * sum(np.sum(gm**2) for gm in g)
         qv[j + 1] = qv[j] + [dt * sum(np.dot(gm, probes[a]) * np.dot(gm, probes[b]) for gm in g)
@@ -727,12 +715,12 @@ def test_abort_inside_a_batch(basis2d_small):
     assert_records_identical(batch.rows([0, 2, 4]), integrate_batch(cfg, [0, 2, 4]))
 
 
-@pytest.mark.parametrize("scheme", ["em", "exponential"])
+@EM_ONLY
 def test_convection_pairing_is_a_running_sum_over_the_steps(basis2d_small, scheme, monkeypatch):
     # the integral a stepper would accumulate, dt <B(u, u), P_n psi> added to
     # a zeroed running sum once per step on the whole batch: the same bits,
     # and an aborted row (1 and 3) reads 0.0
-    cfg = rich_config(basis2d_small, scheme=scheme, T=0.03, overflow_limit=1e3, snapshot_stride=1)
+    cfg = rich_config(basis2d_small, T=0.03, overflow_limit=1e3, snapshot_stride=1)
     sys = galerkin._compiled(cfg.basis, cfg.n, cfg.model, cfg.include_B)
     psi = random_field(basis2d_small, np.random.default_rng(13), decay=0.5)
     psi_n = basis2d_small.real_coords(psi, cfg.n)
@@ -792,19 +780,22 @@ def test_energy_budget_keeps_the_steps_before_an_overflow(basis2d_small):
     assert 0.0 < worst[3] < 1e-12 and 0.0 < worst[1] < 1e-12
 
 
-@pytest.mark.parametrize("scheme", ["em", "exponential"])
+@EM_ONLY
 def test_rows_start_from_their_own_states(basis2d_small, scheme):
     # four rows from four initial fields in one batch, row 1 driven past the
-    # overflow limit: each row is the trajectory of a config with its u0
-    cfg = rich_config(basis2d_small, scheme=scheme, overflow_limit=1e3)
+    # overflow limit: each row is the trajectory of a config with its u0.
+    # The coordinates of a field stack are F-ordered, and each row still has
+    # the bits of its one-row run, whose start is C-ordered
+    cfg = rich_config(basis2d_small, overflow_limit=1e3)
     rng = np.random.default_rng(4)
     starts = [project_Pn(random_field(basis2d_small, rng, n=cfg.n, decay=0.5), cfg.n) for _ in range(4)]
-    x0 = np.stack([basis2d_small.real_coords(u0, cfg.n) for u0 in starts])
+    x0 = basis2d_small.real_coords(stack(starts), cfg.n)
+    assert x0.flags.f_contiguous and not x0.flags.c_contiguous
     dW = np.stack([generate_wiener(cfg.steps, cfg.M, cfg.dt, cfg.seed, i) for i in range(4)], axis=1)
     dW[7, 1] = 1e6
     batch = integrate_batch(cfg, range(4), dW, x0=x0)
     assert batch.aborted.tolist() == [False, True, False, False]
-    assert np.array_equal(batch.u0_coords, x0)
+    assert np.array_equal(batch.snap_u[:, 0], x0)
     for i in range(4):
         want = integrate_batch(dataclasses.replace(cfg, u0=starts[i]), [i], dW[:, [i]])
         assert_records_identical(want, dataclasses.replace(batch.rows([i]), config=want.config))
@@ -862,7 +853,7 @@ def test_a_nan_increment_aborts_its_row_only(basis2d_small):
 
 
 @pytest.mark.parametrize("chunk", [1, 4, 6, 13, 30, 64])
-@pytest.mark.parametrize("scheme", ["em", "exponential"])
+@EM_ONLY
 def test_per_path_ledger_at_chunk_edges(basis2d_small, monkeypatch, scheme, chunk):
     # 30 steps folded in chunks of 1, 4, 6, 13, 30 and 64 steps: a chunk
     # longer than the run, one that divides it and ones that do not.  Rows
@@ -870,7 +861,7 @@ def test_per_path_ledger_at_chunk_edges(basis2d_small, monkeypatch, scheme, chun
     # a chunk of 4, the second and the first of a chunk of 6, and step 12
     # ends a chunk of 13; the forcing and the cutoff are active
     monkeypatch.setattr(galerkin, "LEDGER_CHUNK", chunk)
-    cfg = rich_config(basis2d_small, scheme=scheme, T=0.03, overflow_limit=1e3)
+    cfg = rich_config(basis2d_small, T=0.03, overflow_limit=1e3)
     assert cfg.steps == 30
     dW = blown_up_increments(cfg, 5)
     batch = integrate_batch(cfg, range(5), dW)
@@ -902,16 +893,6 @@ def test_initial_states_must_match_the_rows(basis2d_small, shape):
     cfg = rich_config(basis2d_small)
     with pytest.raises(ValueError, match="initial states"):
         integrate_batch(cfg, range(3), x0=np.zeros(shape))
-
-
-def test_exponential_scheme_ledger_closes(basis2d_small):
-    cfg = make_config(basis2d_small, scheme="exponential", T=0.1, snapshot_stride=10)
-    ens = integrate_ensemble(cfg, 4)
-    assert energy_budget_check(ens).max_relative_residual <= 1e-10
-    scale = np.maximum(1.0, np.max(np.abs(ens.snap_u), axis=(1, 2)))
-    for pos in range(len(cfg.snap_idx)):
-        M = reconstruct_martingale(ens, pos)
-        assert np.all(np.max(np.abs(M - ens.snap_integrals["noise"][:, pos]), axis=1) <= 1e-13 * scale)
 
 
 # -- the record set: the ledger and the running integrals, recorded or not -----------
@@ -948,12 +929,12 @@ def record_subsets():
             for mask in range(2 ** len(names) - 1, -1, -1)]
 
 
-@pytest.mark.parametrize("scheme", ["em", "exponential"])
+@EM_ONLY
 def test_ledger_off_keeps_every_other_array(basis2d_small, scheme):
     # each of the 8 record sets, the ledger, the drift integrals and the
     # noise integral on and off; rows 1 and 3 abort as in
     # test_abort_inside_a_batch, the others run to the end
-    cfg = rich_config(basis2d_small, scheme=scheme, T=0.03, overflow_limit=1e3)
+    cfg = rich_config(basis2d_small, T=0.03, overflow_limit=1e3)
     assert cfg.records == frozenset(galerkin.RECORDS)
     dW = blown_up_increments(cfg, 5)
     full = integrate_batch(cfg, range(5), dW)
@@ -1023,7 +1004,7 @@ def test_an_unknown_record_lists_the_records(basis2d_small):
 # -- an exact pathwise oracle -----------------------------------------------------
 
 
-@pytest.mark.parametrize("scheme", ["em", "exponential"])
+@EM_ONLY
 @pytest.mark.parametrize("b_vectors, c_values", [
     ([[1.2, 0.3]], None),
     ([[1.2, 0.3], [-0.4, 0.9]], None),
@@ -1034,13 +1015,12 @@ def test_slot_moduli_are_the_exact_products(basis2d, scheme, b_vectors, c_values
     # slot as multiplication by i s_j + r_j, with s_j = sum_m (b_m . kappa)
     # dW_mj and r_j = sum_m c_m dW_mj, and the drift factor is real.  So on
     # every path a complete slot (both roles among the first n modes) has
-    #   EM:          |c_N|^2 = |c_0|^2 prod_j ((1 - lam dt + r_j)^2 + s_j^2)
-    #   exponential: |c_N|^2 = e^(-2 lam T) |c_0|^2 prod_j ((1 + r_j)^2 + s_j^2)
+    #   |c_N|^2 = |c_0|^2 prod_j ((1 - lam dt + r_j)^2 + s_j^2)
     # A lone role (its slot's other role past n) loses i s_j to P_n.
     basis, n, dt, T = basis2d, 16, 1e-3, 0.5
     cfg = GalerkinConfig(
         basis=basis, n=n, dt=dt, T=T, u0=random_field(basis, np.random.default_rng(7), n=n, decay=0.5),
-        model=constant_transport_model(b_vectors, c_values), include_B=False, seed=42, scheme=scheme,
+        model=constant_transport_model(b_vectors, c_values), include_B=False, seed=42,
     )
     ens = integrate_batch(cfg, range(8))
     dW = np.stack([generate_wiener(cfg.steps, cfg.M, dt, cfg.seed, i) for i in range(8)])
@@ -1055,11 +1035,10 @@ def test_slot_moduli_are_the_exact_products(basis2d, scheme, b_vectors, c_values
     assert all(np.flatnonzero(basis.mode_slot == slot[m]).max() >= n for m in lone)
 
     def moduli(modes, s):
-        a = 1.0 - lam[modes[0]] * dt if scheme == "em" else 1.0
-        decay = 1.0 if scheme == "em" else math.exp(-2.0 * lam[modes[0]] * T)
-        c0 = np.sum(ens.u0_coords[:, modes] ** 2, axis=1)
+        a = 1.0 - lam[modes[0]] * dt
+        c0 = np.sum(ens.snap_u[:, 0, modes] ** 2, axis=1)
         assert np.all(c0 > 0.0)
-        want = decay * c0 * np.prod((a + r) ** 2 + s**2, axis=1)
+        want = c0 * np.prod((a + r) ** 2 + s**2, axis=1)
         return np.sum(ens.snap_u[:, -1, modes] ** 2, axis=1), want
 
     for k in complete:
@@ -1072,7 +1051,7 @@ def test_slot_moduli_are_the_exact_products(basis2d, scheme, b_vectors, c_values
         assert np.all(np.abs(got - want) <= 1e-12 * want), m
 
 
-@pytest.mark.parametrize("scheme", ["em", "exponential"])
+@EM_ONLY
 def test_strong_order_one_half(basis2d_small, scheme):
     # 64 paths at dt = T/1024 are the reference; each coarse step dt = 2^k
     # T/1024, k = 2..6, takes the sum of its 2^k fine increments, so every
@@ -1080,9 +1059,8 @@ def test_strong_order_one_half(basis2d_small, scheme):
     # reference falls like dt^(1/2) for multiplicative (transport) noise
     # (Kloeden & Platen 1992, Sec. 10.2); the drift's dt^1 part lifts the
     # fitted slope a little.  Over seeds 0..399 the slope ranged over
-    # [0.487, 0.663] (EM, mean 0.568, sd 0.031) and [0.461, 0.643]
-    # (exponential, mean 0.545, sd 0.032): no seed fell outside the band
-    # [0.4, 0.7], at least 4.3 sd from either mean.
+    # [0.487, 0.663] (mean 0.568, sd 0.031): no seed fell outside the band
+    # [0.4, 0.7], at least 4.3 sd from the mean.
     T, fine_steps, R = 0.25, 1024, 64
     rng = np.random.default_rng(11)
     u0 = project_Pn(random_field(basis2d_small, rng, n=10, decay=0.5), 10)
@@ -1090,7 +1068,7 @@ def test_strong_order_one_half(basis2d_small, scheme):
 
     def config(steps):
         return GalerkinConfig(basis=basis2d_small, n=10, dt=T / steps, T=T, u0=u0, model=model, seed=0,
-                              scheme=scheme, records=())
+                              records=())
 
     fine = config(fine_steps)
     dW = np.stack([generate_wiener(fine_steps, fine.M, fine.dt, 0, i) for i in range(R)], axis=1)
@@ -1202,7 +1180,7 @@ def martingale_by_rows(ens, rows, psi_n, zeta_n, qcol, s, t, tanh_sup):
     ps, pt = galerkin._grid_positions(cfg.snap_times, (s, t), cfg.dt)
     js, jt = (int(np.nonzero(cfg.integral_snap_idx == cfg.snap_idx[p])[0][0]) for p in (ps, pt))
     for r in rows:
-        Ms, Mt = (ens.snap_u[r, p] - ens.u0_coords[r] - J["stokes"][r, j] - J["convection"][r, j]
+        Ms, Mt = (ens.snap_u[r, p] - ens.snap_u[r, 0] - J["stokes"][r, j] - J["convection"][r, j]
                   - J["forcing"][r, j] for p, j in ((ps, js), (pt, jt)))
         recon = max(recon, float(np.max(np.abs(Mt - J["noise"][r, jt]))))
         step = int(cfg.snap_idx[ps])

@@ -266,13 +266,17 @@ def test_mode_field_spec(tmp_path):
 
 
 def test_level_and_scheme_violations_listed(tmp_path):
-    path = write_cfg(tmp_path, {"galerkin": {"n_list": [4, 99], "scheme": "rk4", "dt": 3e-3}})
+    # the stepper has one scheme, and the schema no scheme key: a config that
+    # asks for another scheme is rejected with the other violations, not run
+    # under Euler-Maruyama
+    path = write_cfg(tmp_path, {"galerkin": {"n_list": [4, 99], "scheme": "exponential", "dt": 3e-3}})
     with pytest.raises(ConfigError) as exc:
         load_config(path)
     text = "\n".join(exc.value.violations)
     assert "galerkin: n = 99 outside [1, " in text
-    assert "galerkin.scheme must be 'em' or 'exponential'" in text
+    assert "unknown key galerkin.scheme" in text
     assert "whole number of steps" in text
+    assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
 
 
 def test_experiment_defaults_and_kinds(tmp_path):

@@ -14,9 +14,16 @@ bundle file
 
 and one line ``<config> <verb> w<N> exit_status <code>`` per run, so two
 checkouts, say a change and its parent, are compared with ``diff`` on the
-outputs.  A verb that does not apply to a config (``estimates`` on a config
-with fewer than three levels) still writes its summary and exit status,
-which are compared like the rest.
+outputs.  A ``summary.json`` is printed as two lines: its ``config_hash``
+on its own,
+
+    <config> <verb> w<N> summary.json config_hash <hash>
+
+and the digest of the file with that hash's value cut out, so a change to
+the config schema, which changes every hash, shows in the ``diff`` as
+``config_hash`` lines only.  A verb that does not apply to a config
+(``estimates`` on a config with fewer than three levels) still writes its
+summary and exit status, which are compared like the rest.
 
 Then it runs every ``demos/*.py`` of the checkout, one at a time, each in a
 fresh process of the same environment, and prints, per demo, the lines
@@ -33,6 +40,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -59,8 +67,19 @@ def checkout_verbs(root: Path, env: dict) -> list:
     return proc.stdout.split()
 
 
-def sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def file_lines(head: str, name: str, data: bytes) -> list:
+    """The digest line of one bundle file; a summary's config_hash on a
+    line of its own, and the digest of the rest."""
+    if name == "summary.json":
+        config_hash = json.loads(data).get("config_hash")
+        if config_hash:
+            rest = data.replace(config_hash.encode(), b"")
+            return [f"{head} {name} config_hash {config_hash}", f"{head} {name} {sha256(rest)}"]
+    return [f"{head} {name} {sha256(data)}"]
 
 
 def run_one(root: Path, env: dict, config: Path, verb: str, workers: int, out: Path) -> list:
@@ -74,7 +93,7 @@ def run_one(root: Path, env: dict, config: Path, verb: str, workers: int, out: P
     lines = [f"{head} exit_status {proc.returncode}"]
     if out.is_dir():
         for path in sorted(p for p in out.rglob("*") if p.is_file()):
-            lines.append(f"{head} {path.relative_to(out).as_posix()} {sha256(path)}")
+            lines += file_lines(head, path.relative_to(out).as_posix(), path.read_bytes())
     return lines
 
 
@@ -84,7 +103,7 @@ def run_demo(env: dict, demo: Path, cwd: Path) -> list:
                           timeout=RUN_TIMEOUT_S)
     head = f"demo {demo.stem}"
     return [f"{head} exit_status {proc.returncode}",
-            f"{head} stdout {hashlib.sha256(proc.stdout).hexdigest()}"]
+            f"{head} stdout {sha256(proc.stdout)}"]
 
 
 def main(argv=None) -> int:
