@@ -19,8 +19,8 @@ print(f"real eigenmodes: {basis.n_modes} (stored as {basis.n_slots} complex ampl
 print(f"smoothness indices: s = {basis.scale.s}, s_U = {basis.scale.s_U}")
 
 print("\nfirst six modes (wavevector, polarization, eigenvalue of L):")
-for m in basis.modes[:6]:
-    print(f"  mode {m.mode_id}: k = {m.k}, role = {'cos' if m.role == 0 else 'sin'}, lambda = {m.lam:.4f}")
+for i, (k, role, lam) in enumerate(zip(basis.mode_k[:6].tolist(), basis.mode_role, basis.mode_lambda)):
+    print(f"  mode {i}: k = {tuple(k)}, role = {'cos' if role == 0 else 'sin'}, lambda = {lam:.4f}")
 
 rng = np.random.default_rng(1)
 u = random_field(basis, rng)

@@ -32,7 +32,7 @@ def _rel(err, scale):
     return err / np.maximum(scale, 1.0)
 
 
-def run_verify_operators(run: RunConfig, bundle: ResultBundle, workers: int) -> int:
+def run_verify_operators(run: RunConfig, bundle: ResultBundle, workers: int) -> None:
     basis = run.basis
     samples = run.experiment["samples"] or 100
     tol = run.experiment["tolerance"]
@@ -65,13 +65,12 @@ def run_verify_operators(run: RunConfig, bundle: ResultBundle, workers: int) -> 
                           tolerance=tol, samples=samples, passed=bool(passed))
     bundle.add_table("operator_identities", ["check", "max_relative_error"],
                      sorted(errs.items()))
-    return 0 if passed else 1
 
 
-def run_certify_noise(run: RunConfig, bundle: ResultBundle, workers: int) -> int:
+def run_certify_noise(run: RunConfig, bundle: ResultBundle, workers: int) -> None:
     if run.galerkin.model is None:
         bundle.summary.update(passed=False, failure="no noise directions configured")
-        return 1
+        return
     rep = certify_conditions(run.galerkin.model, run.basis, eps=run.noise_eps,
                              samples=run.experiment["samples"] or 10000, seed=run.galerkin.seed)
     bundle.summary.update(
@@ -86,13 +85,12 @@ def run_certify_noise(run: RunConfig, bundle: ResultBundle, workers: int) -> int
             passed=False,
             failure=f"gradient-coercivity condition failed: margin a = {rep.a:.6g} <= 0",
         )
-        return 1
+        return
     ok = rep.empirical_violations == 0 and rep.gstar_violations == 0
     bundle.summary["passed"] = bool(ok)
-    return 0 if ok else 1
 
 
-def run_simulate(run: RunConfig, bundle: ResultBundle, workers: int) -> int:
+def run_simulate(run: RunConfig, bundle: ResultBundle, workers: int) -> None:
     # the energy budget reads the ledger, and no running integral is read
     one = integrate_batch(replace(run.galerkin, records={"ledger"}), [0])
     bundle.add_table(
@@ -112,10 +110,9 @@ def run_simulate(run: RunConfig, bundle: ResultBundle, workers: int) -> int:
         energy_residual=budget.max_relative_residual,
         passed=not aborted,
     )
-    return 0 if not aborted else 1
 
 
-def run_ensemble(run: RunConfig, bundle: ResultBundle, workers: int) -> int:
+def run_ensemble(run: RunConfig, bundle: ResultBundle, workers: int) -> None:
     # the energy budget reads the ledger, and no running integral is read
     ens = integrate_ensemble(replace(run.galerkin, records={"ledger"}), run.trajectories, workers=workers)
     budget = energy_budget_check(ens)
@@ -138,13 +135,12 @@ def run_ensemble(run: RunConfig, bundle: ResultBundle, workers: int) -> int:
         energy_residual=budget.max_relative_residual, ito_zscore=budget.ito_zscore,
         passed=bool(ok),
     )
-    return 0 if ok else 1
 
 
-def run_estimates(run: RunConfig, bundle: ResultBundle, workers: int) -> int:
+def run_estimates(run: RunConfig, bundle: ResultBundle, workers: int) -> None:
     if len(run.n_list) < 3:
         bundle.summary.update(passed=False, failure="estimates verb needs >= 3 entries in galerkin.n_list")
-        return 1
+        return
     exp = run.experiment
     p_list = exp["p_list"]
     # the moments read norms only, so no ledger and no running integral
@@ -174,10 +170,9 @@ def run_estimates(run: RunConfig, bundle: ResultBundle, workers: int) -> int:
         warnings=list(stats.warnings),
         passed=bool(verdict.passed),
     )
-    return 0 if verdict.passed else 1
 
 
-def run_tightness(run: RunConfig, bundle: ResultBundle, workers: int) -> int:
+def run_tightness(run: RunConfig, bundle: ResultBundle, workers: int) -> None:
     exp = run.experiment
     T, dt = run.galerkin.T, run.galerkin.dt
     deltas = exp["deltas"] or [T * 2.0**-j for j in range(10, 3, -1)]
@@ -190,10 +185,10 @@ def run_tightness(run: RunConfig, bundle: ResultBundle, workers: int) -> int:
     # the diagnostics read states, norms and the noise integral only
     grid = replace(run.galerkin, snapshot_stride=1, integral_snapshot_stride=exp["integral_stride"],
                    records={"integral_noise"})
-    violations = tgt.window_violations(grid, deltas, anchors, windows)
+    violations = tgt.window_violations(grid, deltas, thetas, anchors, windows)
     if violations:
         bundle.summary.update(passed=False, failure="; ".join(violations))
-        return 1
+        return
     # each block's process, the verb's own or a pool worker, records the lag
     # maxima of the paths it stepped, which the modulus table reads
     grid = replace(grid, modulus_lags=tgt.modulus_lags(deltas, grid.snap_times))
@@ -230,24 +225,23 @@ def run_tightness(run: RunConfig, bundle: ResultBundle, workers: int) -> int:
         bundle.summary["failure"] = (f"no noise reaches level(s) n = {', '.join(map(str, noise_free))}: "
                                      "every compiled noise matrix of P_n G is zero there, so those "
                                      "paths are deterministic")
-    return 0 if passed else 1
 
 
-def run_uniqueness(run: RunConfig, bundle: ResultBundle, workers: int) -> int:
+def run_uniqueness(run: RunConfig, bundle: ResultBundle, workers: int) -> None:
     cfg, exp = run.galerkin, run.experiment
     if run.basis.domain.d != 2:
         bundle.summary.update(passed=False, failure="uniqueness experiment requires d = 2")
-        return 1
+        return
     if cfg.model is None:
         bundle.summary.update(passed=False, failure="no noise directions configured")
-        return 1
+        return
     cert = certify_conditions(cfg.model, run.basis, eps=run.noise_eps,
                               samples=exp["certify_samples"], seed=cfg.seed)
     # a rejected certification reports L = NaN, which fails the gate
     failure = twodim.lipschitz_gate_failure(cert.lipschitz_L)
     if failure is not None:
         bundle.summary.update(passed=False, lipschitz_L=cert.lipschitz_L, failure=failure)
-        return 1
+        return
     # the twin check pairs ride in the batches of the perturbed pairs
     rep = twodim.pathwise_uniqueness_experiment(
         cfg, cert.lipschitz_L, gamma=exp["gamma"], n_traj=run.trajectories, twins=exp["twin_trajectories"])
@@ -259,10 +253,9 @@ def run_uniqueness(run: RunConfig, bundle: ResultBundle, workers: int) -> int:
         twins_identical=rep.identical, median_ratio_T=rep.median_ratio_T,
         median_ratio_bound=exp["median_ratio_bound"], passed=bool(ok),
     )
-    return 0 if ok else 1
 
 
-def run_spaces(run: RunConfig, bundle: ResultBundle, workers: int) -> int:
+def run_spaces(run: RunConfig, bundle: ResultBundle, workers: int) -> None:
     exp = run.experiment
     spec, cert = tgt.build_nested_space(exp["phi_norms"] or [1.0] * exp["levels"], exp["eta0"],
                                         samples=exp["samples"] or 10000, seed=run.galerkin.seed)
@@ -271,24 +264,25 @@ def run_spaces(run: RunConfig, bundle: ResultBundle, workers: int) -> int:
                       for i in range(len(spec.radii))])
     ok = cert.embedding_violations == 0 and cert.tail_violations == 0
     bundle.summary.update(
-        eta0=exp["eta0"], levels=exp["levels"], samples=cert.samples,
+        eta0=exp["eta0"], levels=len(spec.radii), samples=cert.samples,
         embedding_norm_bound=cert.embedding_norm_bound,
         max_embedding_norm=cert.max_embedding_norm,
         embedding_violations=cert.embedding_violations,
         tail_violations=cert.tail_violations,
         passed=bool(ok),
     )
-    return 0 if ok else 1
 
 
-# verb -> name of its runner(run, bundle, workers) -> exit status, looked up at
-# dispatch so that a rebound runner (a tracing wrapper) is the one called
+# verb -> name of its runner(run, bundle, workers), looked up at dispatch so
+# that a rebound runner (a tracing wrapper) is the one called.  A runner fills
+# the bundle's summary, whose "passed" is the verb's one verdict
 VERBS = {verb: "run_" + verb.replace("-", "_") for verb in ("verify-operators", "certify-noise",
          "simulate", "ensemble", "estimates", "tightness", "uniqueness", "spaces")}
 
 
 def run_command(verb: str, run: RunConfig, out_dir, workers: int | None = None) -> int:
-    """Dispatch one verb; writes the bundle and returns the exit status."""
+    """Dispatch one verb; writes the bundle and returns the exit status,
+    0 exactly when the summary says the verb passed."""
     if verb not in VERBS:
         raise ValueError(f"unknown verb {verb!r}; expected one of {tuple(VERBS)}")
     workers = workers if workers is not None else run.workers
@@ -296,9 +290,9 @@ def run_command(verb: str, run: RunConfig, out_dir, workers: int | None = None) 
         raise ValueError(f"workers must be >= 1, got {workers}")
     bundle = ResultBundle(out_dir)
     bundle.summary.update(verb=verb, config_hash=run.config_hash, seed=run.galerkin.seed)
-    code = globals()[VERBS[verb]](run, bundle, workers)
+    globals()[VERBS[verb]](run, bundle, workers)
     bundle.write_summary()
-    return code
+    return 0 if bundle.summary["passed"] else 1
 
 
 def main(argv=None) -> int:

@@ -109,8 +109,9 @@ def _positive(v):
 
 
 _reals = _list_of(_number, "finite numbers")
-# the windows of a tightness table: a window of 0 or less has no increment
-_windows = _list_of(_positive, "positive finite numbers")
+# the windows of a tightness table (a window of 0 or less has no increment)
+# and the Phi-norms of a nested space (a radius divides by each)
+_positives = _list_of(_positive, "positive finite numbers")
 
 
 def _index(v) -> int:
@@ -137,12 +138,12 @@ EXPERIMENT = {
     "residual_tolerance": (_real, 1e-10), "z_bound": (_real, 3.0),  # ensemble
     "p_list": (_reals, [2.0]), "eta": (lambda v: admissible_eta(_number(v)), None),  # estimates
     "ratio_bound": (_real, 1.5), "alpha": (_within(0, 1), 0.05),
-    "deltas": (_windows, None), "thetas": (_windows, None), "integral_stride": (_count, 8),  # tightness
+    "deltas": (_positives, None), "thetas": (_positives, None), "integral_stride": (_count, 8),  # tightness
     "slope_threshold": (_real, 0.4), "eta_quantile": (_real, 60.0),
-    "scaling_anchors": (_reals, None), "scaling_windows": (_windows, None),
+    "scaling_anchors": (_reals, None), "scaling_windows": (_positives, None),
     "certify_samples": (_count, 2000), "twin_trajectories": (_count, 3),  # uniqueness
     "gamma": (_real, 1e-8), "median_ratio_bound": (_real, 1.1),
-    "levels": (_count, 30), "phi_norms": (_reals, None),  # spaces
+    "levels": (_count, 30), "phi_norms": (_positives, None),  # spaces
     "eta0": (lambda v: admissible_eta0(_real(v)), 0.5),
 }
 

@@ -62,6 +62,11 @@ def _fmt(v):
     return v
 
 
+def _mode_table(basis: Basis) -> np.ndarray:
+    """(k, p) of every real mode, in mode order, as (n_modes, d + 1) int64."""
+    return np.column_stack([basis.mode_k, basis.mode_p]).astype("<i8")
+
+
 def write_snapshot(path, u: SpectralField, n: int | None = None):
     basis = u.basis
     d, K = basis.domain.d, basis.domain.K
@@ -70,8 +75,7 @@ def write_snapshot(path, u: SpectralField, n: int | None = None):
         fh.write(_MAGIC)
         fh.write(struct.pack("<5I", d, K, n, basis.n_modes, basis.n_slots))
         fh.write(np.asarray(basis.domain.period, dtype="<f8").tobytes())
-        # (k, p) of every real mode, in mode order
-        fh.write(np.array([m.k + (m.p,) for m in basis.modes], dtype="<i8").tobytes())
+        fh.write(_mode_table(basis).tobytes())
         amps = np.empty((basis.n_slots, 2), dtype="<f8")
         amps[:, 0] = u.coeffs.real
         amps[:, 1] = u.coeffs.imag
@@ -97,7 +101,7 @@ def read_snapshot(path, basis: Basis) -> tuple:
         n_modes, d + 1
     )
     off += 8 * n_modes * (d + 1)
-    if not np.array_equal(table, [m.k + (m.p,) for m in basis.modes]):
+    if not np.array_equal(table, _mode_table(basis)):
         raise ValueError("snapshot mode table does not match the basis ordering")
     amps = np.frombuffer(raw, dtype="<f8", count=n_slots * 2, offset=off).reshape(n_slots, 2)
     coeffs = amps[:, 0] + 1j * amps[:, 1]

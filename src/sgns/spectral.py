@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Sequence
+from typing import Dict
 
 import numpy as np
 
@@ -67,9 +67,8 @@ class TorusDomain:
         grid = np.stack(np.meshgrid(*([rng] * self.d), indexing="ij"), axis=-1)
         ks = grid.reshape(-1, self.d)
         ks = ks[np.any(ks != 0, axis=1)]
-        kap2 = self.kappa2(ks)
-        order = sorted(range(len(ks)), key=lambda i: (kap2[i], tuple(ks[i])))
-        return ks[order]
+        # lexsort's last key is its primary one: |kappa|^2, then k_0, k_1, ...
+        return ks[np.lexsort(tuple(ks[:, ::-1].T) + (self.kappa2(ks),))]
 
     def kappa(self, ks: np.ndarray) -> np.ndarray:
         """Physical wavevector 2*pi*k/L per axis."""
@@ -110,26 +109,6 @@ class SpaceScale:
         return (1.0 + kappa2) ** q[space]
 
 
-@dataclass(frozen=True)
-class WaveMode:
-    """One real eigenmode of L: lattice vector, polarization, storage slot."""
-
-    k: tuple
-    p: int
-    eps: np.ndarray
-    mode_id: int
-    lam: float
-    slot: int
-    role: int  # ROLE_COS for the canonical representative, ROLE_SIN for -k
-
-
-def _is_canonical(k: Sequence[int]) -> bool:
-    for kj in k:
-        if kj != 0:
-            return kj > 0
-    return False
-
-
 def _polarizations(kappa: np.ndarray) -> np.ndarray:
     """Orthonormal real vectors spanning the plane orthogonal to kappa."""
     d = len(kappa)
@@ -150,7 +129,10 @@ class Basis:
     """Mode table and weight arrays for one (domain, scale) pair.
 
     Precomputes the ordered real eigenbasis, the canonical-slot storage
-    layout and the per-slot weights of every space in the tower.
+    layout and the per-slot weights of every space in the tower.  The
+    eigenbasis is one table of arrays over the real modes in mode order:
+    wavevector `mode_k` (n_modes, d), polarization `mode_p`, storage slot
+    `mode_slot`, role `mode_role` and eigenvalue of L `mode_lambda`.
     """
 
     def __init__(self, domain: TorusDomain, scale: SpaceScale | None = None):
@@ -163,66 +145,42 @@ class Basis:
         self.npol = domain.d - 1
 
         ks = domain.lattice()
-        kap2 = domain.kappa2(ks)
-        lam = (1.0 + kap2) ** scale.s_U
+        K, d, npol = domain.K, domain.d, self.npol
+        # flat box over [-2K, 2K]^d holding the lattice row of each wavevector
+        # (-1 off the lattice) at k @ box_stride + box_origin; the index is
+        # affine in k, so the index of a wavevector sum is a sum of flat parts
+        width = 4 * K + 1
+        self.box_stride = width ** np.arange(d - 1, -1, -1)
+        self.box_origin = 2 * K * int(self.box_stride.sum())
+        self.box_rows = np.full(width**d, -1)
+        self.box_rows[ks @ self.box_stride + self.box_origin] = np.arange(len(ks))
 
-        # canonical slots: one per (canonical k, polarization), in mode order
-        canon_rows = [i for i in range(len(ks)) if _is_canonical(ks[i])]
-        slot_of = {}
-        slot_k, slot_eps = [], []
-        for row in canon_rows:
-            k = tuple(int(v) for v in ks[row])
-            eps = _polarizations(domain.kappa(ks[row]))
-            for p in range(self.npol):
-                slot_of[(k, p)] = len(slot_k)
-                slot_k.append(k)
-                slot_eps.append(eps[p])
-        self.n_slots = len(slot_k)
-        self.slot_k = np.array(slot_k, dtype=int)
-        self.slot_eps = np.array(slot_eps, dtype=float)
+        # canonical rows (first nonzero component positive): one slot per
+        # (canonical k, polarization), in mode order
+        canon = ks[np.arange(len(ks)), np.argmax(ks != 0, axis=1)] > 0
+        self.slot_k = np.repeat(ks[canon], npol, axis=0)
+        self.slot_eps = np.concatenate([_polarizations(domain.kappa(k)) for k in ks[canon]])
+        self.n_slots = len(self.slot_k)
         self.slot_kappa = domain.kappa(self.slot_k)
         self.slot_kappa2 = domain.kappa2(self.slot_k)
 
-        # real modes: every lattice vector carries npol modes; the canonical
-        # member of a pair is the cosine-type field, its negative the sine-type
-        modes = []
-        for row in range(len(ks)):
-            k = tuple(int(v) for v in ks[row])
-            canonical = _is_canonical(k)
-            kc = k if canonical else tuple(-v for v in k)
-            for p in range(self.npol):
-                slot = slot_of[(kc, p)]
-                modes.append(
-                    WaveMode(
-                        k=k,
-                        p=p,
-                        eps=self.slot_eps[slot],
-                        mode_id=len(modes),
-                        lam=float(lam[row]),
-                        slot=slot,
-                        role=ROLE_COS if canonical else ROLE_SIN,
-                    )
-                )
-        self.modes = modes
-        self.n_modes = len(modes)
-        self.mode_slot = np.array([m.slot for m in modes])
-        self.mode_role = np.array([m.role for m in modes])
-        self.mode_lambda = np.array([m.lam for m in modes])
+        # the mode table: every lattice row carries npol real modes; the
+        # canonical member of a pair is the cosine-type field, its negative
+        # the sine-type one, and both read the slot of the canonical member
+        rank = np.cumsum(canon) - 1
+        rep = np.where(canon, np.arange(len(ks)), self.lattice_rows(-ks))
+        self.mode_k = np.repeat(ks, npol, axis=0)
+        self.mode_p = np.tile(np.arange(npol), len(ks))
+        self.mode_slot = (rank[rep, None] * npol + np.arange(npol)).ravel()
+        self.mode_role = np.repeat(np.where(canon, ROLE_COS, ROLE_SIN), npol)
+        self.mode_lambda = np.repeat((1.0 + domain.kappa2(ks)) ** scale.s_U, npol)
+        self.n_modes = len(self.mode_k)
 
         self._weights = {
             sp: scale.weight(sp, self.slot_kappa2) for sp in SPACES
         }
         self.lattice_k = ks
         self._exp_alpha = 1.0 / math.sqrt(2.0 * domain.volume)
-        # flat box over [-2K, 2K]^d holding the lattice row of each wavevector
-        # (-1 off the lattice) at k @ box_stride + box_origin; the index is
-        # affine in k, so the index of a wavevector sum is a sum of flat parts
-        K, d = domain.K, domain.d
-        width = 4 * K + 1
-        self.box_stride = width ** np.arange(d - 1, -1, -1)
-        self.box_origin = 2 * K * int(self.box_stride.sum())
-        self.box_rows = np.full(width**d, -1)
-        self.box_rows[ks @ self.box_stride + self.box_origin] = np.arange(len(ks))
         # rows of the canonical k and of -k in the lattice, per slot
         self._slot_row = self.lattice_rows(self.slot_k)
         self._slot_row_neg = self.lattice_rows(-self.slot_k)

@@ -48,15 +48,19 @@ def modulus_lags(deltas, times) -> int:
     return _window_lag(max(deltas), times[1] - times[0], len(times) - 1)
 
 
-def window_violations(config, deltas, anchors, windows) -> list:
+def window_violations(config, deltas, thetas, anchors, windows) -> list:
     """Every window of a tightness run on the grids of `config` that its
     diagnostics cannot read, as texts naming the experiment key: a modulus
-    window shorter than one snapshot spacing (its modulus is 0, so the
-    log-log fit fails), and a scaling anchor, or an anchor plus a scaling
+    or Aldous window shorter than one snapshot spacing (a modulus of 0 fails
+    the log-log fit; an Aldous increment over no step is 0, so the gate
+    passes unread), and a scaling anchor, or an anchor plus a scaling
     window, off the integral snapshot grid (increment_scaling raises)."""
     h = config.snap_times[1] - config.snap_times[0]
-    short = ", ".join(str(d) for d in deltas if _window_lag(d, h, 1) < 1)
-    out = [f"experiment.deltas: window(s) {short} shorter than one snapshot spacing {h}"] if short else []
+    out = []
+    for key, ws in (("deltas", deltas), ("thetas", thetas)):
+        short = ", ".join(str(w) for w in ws if _window_lag(w, h, 1) < 1)
+        if short:
+            out.append(f"experiment.{key}: window(s) {short} shorter than one snapshot spacing {h}")
     grid = config.integral_snap_idx * config.dt
     spacing = f"the integral snapshot grid (spacing {grid[1] - grid[0]}, up to T = {config.T})"
 

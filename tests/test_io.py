@@ -1,7 +1,9 @@
+import hashlib
 import json
 import math
 import os
 import re
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -14,7 +16,7 @@ from sgns.cli import VERBS, main, run_command
 from sgns.config import EXPERIMENT, ConfigError, load_config
 from sgns.io import read_snapshot, write_snapshot
 from sgns.noise import HarmonicField, NoiseModel
-from sgns.spectral import random_field
+from sgns.spectral import Basis, SpaceScale, SpectralField, TorusDomain, random_field
 
 DEMOS = Path(__file__).resolve().parents[1] / "demos" / "configs"
 
@@ -160,6 +162,8 @@ def test_uniqueness_loads_no_numpy_ma(tmp_path):
     pytest.param("experiment", "thetas", [0.0625, 0.0], id="experiment-thetas-zero"),
     pytest.param("experiment", "scaling_windows", [-0.008], id="experiment-scaling_windows-negative"),
     pytest.param("experiment", "scaling_windows", [0.0, 0.008], id="experiment-scaling_windows-zero"),
+    pytest.param("experiment", "phi_norms", [1.0, 0.0, 2.0], id="experiment-phi_norms-zero"),
+    pytest.param("experiment", "phi_norms", [-1.0], id="experiment-phi_norms-negative"),
 ])
 def test_bad_value_rejected_at_load(tmp_path, section, key, value):
     path = write_cfg(tmp_path, {section: {key: value}})
@@ -442,6 +446,35 @@ def test_snapshot_roundtrip(basis2d_small, rng, tmp_path):
     assert np.array_equal(u.coeffs, v.coeffs)
 
 
+def test_snapshot_bytes_are_pinned(tmp_path):
+    # a fixed field on the 2D K = 2 basis: 12 lattice rows, one polarization,
+    # so 12 real modes and 6 slots
+    basis = Basis(TorusDomain(d=2, K=2), SpaceScale(d=2))
+    s = np.arange(basis.n_slots)
+    u = SpectralField(basis, (s + 1) / 8 - 1j * (s - 3) / 4)
+    path = tmp_path / "snap.bin"
+    write_snapshot(path, u, n=5)
+    raw = path.read_bytes()
+    assert hashlib.sha256(raw).hexdigest() == "95c8965add956a734bf6be1986c24dd7bcc952b27971936d9eb7b28fa06d7f61"
+    # the layout of README's "Snapshot binary layout", little-endian
+    assert raw[:8] == b"SGNSNAP1"
+    d, K, n, n_modes, n_slots = struct.unpack_from("<5I", raw, 8)
+    assert (d, K, n, n_modes, n_slots) == (2, 2, 5, 24, 12)
+    off = 28
+    assert np.frombuffer(raw, "<f8", d, off).tolist() == [2 * math.pi] * 2
+    off += 8 * d
+    table = np.frombuffer(raw, "<i8", n_modes * (d + 1), off).reshape(n_modes, d + 1)
+    off += table.nbytes
+    # (k, p) for each mode, in mode order: lattice rows by (|k|^2, k), each
+    # row's one polarization p = 0
+    ks = sorted(((i, j) for i in range(-2, 3) for j in range(-2, 3) if (i, j) != (0, 0)),
+                key=lambda k: (k[0] ** 2 + k[1] ** 2, k))
+    assert table.tolist() == [[i, j, 0] for i, j in ks]
+    amps = np.frombuffer(raw, "<f8", 2 * n_slots, off).reshape(n_slots, 2)
+    assert off + amps.nbytes == len(raw)
+    assert np.array_equal(amps[:, 0] + 1j * amps[:, 1], u.coeffs)
+
+
 def test_snapshot_rejects_mismatched_basis(basis2d_small, basis3d_small, rng, tmp_path):
     u = random_field(basis2d_small, rng)
     path = tmp_path / "field.bin"
@@ -622,6 +655,18 @@ def test_tightness_verb_rejects_windows_below_one_step(tmp_path, monkeypatch, de
     assert failure == f"experiment.deltas: window(s) {short} shorter than one snapshot spacing 0.0009765625"
 
 
+def test_tightness_verb_rejects_thetas_below_one_step(tmp_path, monkeypatch):
+    # an Aldous window below one spacing reads no increment: every exceedance
+    # probability would be 0 and the gate would pass
+    cfg = json.loads((DEMOS / "tightness.json").read_text())
+    cfg["galerkin"]["T"] = 0.25
+    cfg["experiment"].update(deltas=[0.0009, 0.01], thetas=[1e-4, 2e-4, 3e-4, 0.001])
+    failure = tightness_failure(tmp_path, cfg, monkeypatch)
+    assert failure == ("experiment.deltas: window(s) 0.0009 shorter than one snapshot spacing 0.0009765625; "
+                       "experiment.thetas: window(s) 0.0001, 0.0002, 0.0003 shorter than one snapshot "
+                       "spacing 0.0009765625")
+
+
 def test_tightness_verb_names_a_level_the_noise_misses(tmp_path):
     # constant noise along e_1 alone: P_n G is zero on the first 8 modes of
     # the 3D lattice, so level 8 is one deterministic path and fails Aldous
@@ -649,6 +694,16 @@ def test_spaces_verb(tmp_path):
     summary = json.loads((tmp_path / "out" / "summary.json").read_text())
     assert summary["embedding_violations"] == 0
     assert summary["max_embedding_norm"] <= 0.5
+
+
+def test_spaces_verb_reports_the_levels_phi_norms_give(tmp_path):
+    # five Phi-norms fix five levels, whatever experiment.levels says
+    path = write_cfg(tmp_path, {"experiment": {"phi_norms": [1.0, 2.0, 0.5, 1.0, 3.0], "samples": 200}})
+    assert run_command("spaces", load_config(path), tmp_path / "out") == 0
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert summary["levels"] == 5
+    rows = (tmp_path / "out" / "nested_space.csv").read_text().splitlines()
+    assert len(rows) == 1 + 5
 
 
 def test_uniqueness_verb(tmp_path):

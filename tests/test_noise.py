@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from conftest import mode_id
 
 from sgns.noise import (
     HarmonicField,
@@ -22,7 +23,8 @@ from sgns.noise import (
 )
 from sgns.config import load_config
 from sgns.spectral import (
-    Basis, SpaceScale, TorusDomain, eval_physical, inner, norm, partial_derivative, random_field, stack,
+    ROLE_COS, Basis, SpaceScale, TorusDomain, eval_physical, inner, norm, partial_derivative, random_field,
+    stack,
 )
 
 
@@ -49,7 +51,7 @@ def test_constant_b_is_phase_rate(basis2d_small):
     beta = 1.7
     model = constant_transport_model([[beta, 0.0]])
     b = basis2d_small
-    i = next(m.mode_id for m in b.modes if m.k == (2, 1) and m.role == 0)
+    i = mode_id(b, (2, 1), ROLE_COS)
     u = b.basis_field(i)
     out = apply_G(u, [1.0], model)
     ua = b.to_exp_coeffs(u)

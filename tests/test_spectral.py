@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from conftest import mode_id
 
 from sgns.spectral import (
+    ROLE_COS,
     Basis,
     SpaceScale,
     TorusDomain,
@@ -21,38 +23,39 @@ from sgns.spectral import (
 
 def test_mode_count_2d():
     # max-norm box [-1,1]^2 minus the origin: 8 lattice vectors
-    modes = Basis(TorusDomain(d=2, K=1), SpaceScale(d=2)).modes
+    modes = Basis(TorusDomain(d=2, K=1), SpaceScale(d=2)).mode_k.tolist()
     assert len(modes) == 8
-    ks = {m.k for m in modes}
+    ks = {tuple(k) for k in modes}
     assert {(-1, 0), (0, -1), (0, 1), (1, 0)} <= ks
     # axis modes (|k|^2 = 1) precede the corners (|k|^2 = 2)
-    assert [m.k for m in modes[:4]] == [(-1, 0), (0, -1), (0, 1), (1, 0)]
+    assert [tuple(k) for k in modes[:4]] == [(-1, 0), (0, -1), (0, 1), (1, 0)]
 
 
 def test_mode_count_3d():
-    modes = Basis(TorusDomain(d=3, K=1), SpaceScale(d=3)).modes
+    modes = Basis(TorusDomain(d=3, K=1), SpaceScale(d=3)).mode_k
     assert len(modes) == 26 * 2  # 3^3 - 1 lattice vectors x 2 polarizations
 
 
 def test_mode_ordering_tiebreak():
-    modes = Basis(TorusDomain(d=2, K=2), SpaceScale(d=2, s_U=4.0)).modes
-    assert modes[0].k == (-1, 0)
-    assert modes[1].k == (0, -1)
-    lams = [m.lam for m in modes]
+    basis = Basis(TorusDomain(d=2, K=2), SpaceScale(d=2, s_U=4.0))
+    assert tuple(basis.mode_k[0].tolist()) == (-1, 0)
+    assert tuple(basis.mode_k[1].tolist()) == (0, -1)
+    lams = basis.mode_lambda.tolist()
     assert all(a <= b for a, b in zip(lams, lams[1:]))
 
 
 def test_modes_deterministic():
-    a = Basis(TorusDomain(d=2, K=3), SpaceScale(d=2)).modes
-    b = Basis(TorusDomain(d=2, K=3), SpaceScale(d=2)).modes
-    assert [(m.k, m.p, m.role) for m in a] == [(m.k, m.p, m.role) for m in b]
+    a = Basis(TorusDomain(d=2, K=3), SpaceScale(d=2))
+    b = Basis(TorusDomain(d=2, K=3), SpaceScale(d=2))
+    for name in ("mode_k", "mode_p", "mode_role"):
+        assert np.array_equal(getattr(a, name), getattr(b, name))
 
 
 def test_polarizations_orthogonal():
     basis = Basis(TorusDomain(d=3, K=2), SpaceScale(d=3))
-    for m in basis.modes:
-        kap = basis.domain.kappa(np.array(m.k))
-        assert abs(np.dot(kap, m.eps)) < 1e-13
+    for k, slot in zip(basis.mode_k, basis.mode_slot):
+        kap = basis.domain.kappa(k)
+        assert abs(np.dot(kap, basis.slot_eps[slot])) < 1e-13
     # polarizations for a fixed k are orthonormal
     for slot in range(0, basis.n_slots, 2):
         e1, e2 = basis.slot_eps[slot], basis.slot_eps[slot + 1]
@@ -94,7 +97,7 @@ def test_zero_field_norms(basis2d_small):
 def test_single_mode_norms(basis2d_small):
     # |k|^2 = 1 mode: H-norm 1 -> D-seminorm 1, V-norm sqrt(2)
     b = basis2d_small
-    i = next(m.mode_id for m in b.modes if sum(v * v for v in m.k) == 1)
+    i = mode_id(b, (-1, 0))  # the first |k|^2 = 1 mode
     e = b.basis_field(i)
     assert abs(norm(e, "H") - 1.0) < 1e-14
     assert abs(norm(e, "D") - 1.0) < 1e-14
@@ -166,7 +169,7 @@ def test_leray_idempotent(basis2d_small, rng):
 
 def test_operator_multipliers(basis2d_small):
     b = basis2d_small
-    i = next(m.mode_id for m in b.modes if m.k == (1, 1))
+    i = mode_id(b, (1, 1))
     e = b.basis_field(i)
     assert abs(inner(apply_operator(e, "A"), e, "H") - 3.0) < 1e-13
 
@@ -253,7 +256,7 @@ def test_out_of_range_projection(basis2d_small, rng):
 
 def test_eval_physical_single_mode(basis2d_small):
     b = basis2d_small
-    i = next(m.mode_id for m in b.modes if m.k == (1, 0) and m.role == 0)
+    i = mode_id(b, (1, 0), ROLE_COS)
     e = b.basis_field(i)
     N = 16
     samples = eval_physical(e, N)

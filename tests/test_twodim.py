@@ -4,12 +4,13 @@ import weakref
 
 import numpy as np
 import pytest
+from conftest import mode_id
 
 from sgns import galerkin, twodim
 from sgns.galerkin import GalerkinConfig, generate_wiener, integrate_batch
 from sgns.noise import certify_conditions, default_noise_model
 from sgns.nonlinear import TrilinearWorkspace, bilinear_B
-from sgns.spectral import Basis, SpaceScale, TorusDomain, norm, random_field
+from sgns.spectral import ROLE_COS, Basis, SpaceScale, TorusDomain, norm, random_field
 from sgns.twodim import (
     ShiftedProblem,
     convection_path_bound,
@@ -33,7 +34,7 @@ def test_l4_single_mode_closed_form(basis2d_small):
     # u = a sqrt(2/vol) cos(x1) e2: |u|_L4^4 = a^4 (2/vol)^2 vol 3/8 ... check
     # against a dense quadrature oracle instead of hand algebra
     b = basis2d_small
-    i = next(m.mode_id for m in b.modes if m.k == (1, 0) and m.role == 0)
+    i = mode_id(b, (1, 0), ROLE_COS)
     u = 1.7 * b.basis_field(i)
     from sgns.spectral import eval_physical
 
@@ -47,7 +48,7 @@ def test_ladyzhenskaya_single_mode_closed_form(basis2d_small):
     # u = a sqrt(2/vol) cos(x1) eps: |u|_H = a, ||u|| = a, ||u||_L4^4 = 3a^4/(2 vol),
     # so the ratio is (3/(4 vol))^(1/4) for any amplitude
     b = basis2d_small
-    i = next(m.mode_id for m in b.modes if m.k == (1, 0) and m.role == 0)
+    i = mode_id(b, (1, 0), ROLE_COS)
     expect = (3.0 / (4.0 * b.domain.volume)) ** 0.25
     for a in (1.0, 2.3):
         got = ladyzhenskaya_check(a * b.basis_field(i))
