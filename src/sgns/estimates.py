@@ -56,6 +56,27 @@ def median(a, axis=None):
     return np.where(np.isnan(last), last, mid)[()]
 
 
+def percentile(a, q: float):
+    """np.percentile(a, q) of a non-empty float array, flattened, at one q
+    in [0, 100], bit for bit: numpy's linear method (virtual index
+    (size - 1) q / 100 between its two order statistics, in numpy's `_lerp`
+    form) and its NaN rule (NaN wherever a NaN is present), read off the
+    partition without the first np.percentile's import of numpy.ma."""
+    a = np.asarray(a, dtype=np.float64).ravel()
+    size = len(a)
+    virtual = (size - 1) * np.true_divide(q, 100)
+    # at and past the last index both neighbours are the maximum, index -1
+    below = int(virtual) if virtual < size - 1 else -1
+    above = below + 1 if below >= 0 else -1
+    part = np.partition(a, sorted({0, -1, below, above}))
+    if np.isnan(part[-1]):
+        return part[-1]
+    t = virtual - below
+    lo, hi = part[below], part[above]
+    diff = hi - lo
+    return hi - diff * (1 - t) if t >= 0.5 else lo + diff * t
+
+
 @dataclass
 class FunctionalStats:
     mean: float

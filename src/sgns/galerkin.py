@@ -510,22 +510,23 @@ def _lag_maxima(coords: np.ndarray, w: np.ndarray, max_lag: int) -> np.ndarray:
 
 # -- stepping -------------------------------------------------------------------
 
-# rows x convection triplets one block may hold; fewer than 2,000 triplets
-# count as 2,000.  Past it a step's (rows, triplets) product array leaves the
-# cache: per row-step of `integrate_batch` on the default 2D config, one
-# x86-64 core with 2 MB of L2, over repeated runs on a shared host, n = 128
-# (8,704 triplets) cost 33-55 us at 22 and at 32 rows and 83-112 us at 48;
-# n = 32 (440 triplets) cost 8-9 us at 100, 200 and 400 rows alike, so the
-# cap binds only at large n.
+# rows x convection triplets one block may hold.  Past it a step's (rows,
+# triplets) product array leaves the cache: per row-step of
+# `integrate_batch` on the default 2D config, one x86-64 core with 2 MB of
+# L2, over repeated runs on a shared host, n = 128 (8,704 triplets) cost
+# 33-55 us at 22 and at 32 rows and 83-112 us at 48; n = 32 (440
+# triplets) cost 8-9 us at 100, 200 and 400 rows alike, so the cap binds
+# only at large n.
 BLOCK_CACHE = 2 * 10**5
 
 
 def cache_rows(config: GalerkinConfig) -> int:
-    """Rows one block of the stepper may hold: rows x max(triplets, 2000) <=
-    BLOCK_CACHE, at least 1.  Compiles the system if it is not cached."""
+    """Rows one block of the stepper may hold: rows x triplets <=
+    BLOCK_CACHE, at least 1 (BLOCK_CACHE rows without convection).  Compiles
+    the system if it is not cached."""
     sys = _compiled(config.basis, config.n, config.model, config.include_B)
     triplets = len(sys._V) if sys.include_B else 0
-    return max(1, BLOCK_CACHE // max(triplets, 2000))
+    return max(1, BLOCK_CACHE // max(triplets, 1))
 
 
 def _row_shapes(config: GalerkinConfig) -> dict:

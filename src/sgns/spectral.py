@@ -110,19 +110,22 @@ class SpaceScale:
 
 
 def _polarizations(kappa: np.ndarray) -> np.ndarray:
-    """Orthonormal real vectors spanning the plane orthogonal to kappa."""
-    d = len(kappa)
+    """Orthonormal real vectors spanning the plane orthogonal to each row of
+    kappa (rows, d): (rows * (d - 1), d), the d - 1 of each row in turn.
+    Each norm is sqrt(vecdot(e, e)), the per-row np.dot that a 1-D
+    np.linalg.norm takes, so every bit is that of a per-row loop."""
+    rows, d = kappa.shape
     if d == 2:
-        e = np.array([-kappa[1], kappa[0]])
-        return (e / np.linalg.norm(e))[None, :]
+        e = np.stack([-kappa[:, 1], kappa[:, 0]], axis=1)
+        return e / np.sqrt(np.vecdot(e, e))[:, None]
     # d == 3: cross with the axis least aligned with kappa, tie broken by index
-    axis = np.zeros(3)
-    axis[int(np.argmin(np.abs(kappa)))] = 1.0
+    axis = np.zeros((rows, 3))
+    axis[np.arange(rows), np.argmin(np.abs(kappa), axis=1)] = 1.0
     e1 = np.cross(kappa, axis)
-    e1 /= np.linalg.norm(e1)
+    e1 /= np.sqrt(np.vecdot(e1, e1))[:, None]
     e2 = np.cross(kappa, e1)
-    e2 /= np.linalg.norm(e2)
-    return np.stack([e1, e2])
+    e2 /= np.sqrt(np.vecdot(e2, e2))[:, None]
+    return np.stack([e1, e2], axis=1).reshape(-1, 3)
 
 
 class Basis:
@@ -159,7 +162,7 @@ class Basis:
         # (canonical k, polarization), in mode order
         canon = ks[np.arange(len(ks)), np.argmax(ks != 0, axis=1)] > 0
         self.slot_k = np.repeat(ks[canon], npol, axis=0)
-        self.slot_eps = np.concatenate([_polarizations(domain.kappa(k)) for k in ks[canon]])
+        self.slot_eps = _polarizations(domain.kappa(ks[canon]))
         self.n_slots = len(self.slot_k)
         self.slot_kappa = domain.kappa(self.slot_k)
         self.slot_kappa2 = domain.kappa2(self.slot_k)

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimates import median
+from .estimates import median, percentile
 from .galerkin import (
     INTEGRALS, Ensemble, _grid_positions, _increment_norms, convection_pairing, integral_record,
     require_records,
@@ -242,7 +242,7 @@ def aldous_check(family: FunctionFamily, thetas, eta: float) -> AldousReport:
         rules[f"grid_t={times[pos]:.4g}"] = np.full(family.size, pos, dtype=int)
     sups = np.max(family.norm_H, axis=1)
     for q in (50, 90):
-        level = float(np.percentile(sups, q))
+        level = float(percentile(sups, q))
         rules[f"hit_p{q}"] = _hitting_positions(family, level)
 
     rows = np.arange(family.size)[:, None]
@@ -277,7 +277,7 @@ def calibrate_aldous_eta(family: FunctionFamily, theta: float, quantile: float =
     starts = np.arange(0, count, max(1, count // 64))
     pair = family.coords[:, np.stack([starts, starts + lag], axis=1)]  # (R, starts, 2, n)
     d = _increment_norms(pair, 1, cfg.basis.mode_weights("Udual", cfg.n))[..., 0]
-    return float(np.percentile(d.ravel(), quantile))
+    return float(percentile(d, quantile))
 
 
 # -- J-term decomposition -------------------------------------------------------

@@ -256,33 +256,60 @@ def _twin_block(cfg: GalerkinConfig, block: list, x1, x2, C_eps: float, gamma: f
     pairs, a second u1 from x1 on that pair's path.  Returns whether the
     compared rows coincide bitwise (u1 with u2 at gamma = 0, each check row
     with its u1; None when none is compared) and the pairs' terminal and
-    running ratios (zero at gamma = 0).  The batch is freed on return,
-    before the next is made."""
+    running ratios (zero at gamma = 0).
+
+    The batch is stepped in consecutive time chunks of at most
+    GRID_BLOCK // (rows n) steps (`row_blocks` over the steps), each an
+    `integrate_batch` of its steps from the last chunk's final states.  A
+    chunk is compared, reduced to the pairs' |u1 - u2|_H^2 and the u2 rows'
+    Dirichlet norms, and freed before the next is made, so no
+    (rows, steps + 1, n) array is held.  A step depends only on its row's
+    state and increment, and the running integral r(t) is carried as one
+    sequential sum, so every bit is that of one batch over all steps.  A
+    pair with an aborted row fails the experiment, naming the lowest such
+    pair once every chunk has run."""
     k = len(block)
     dW = np.stack([generate_wiener(cfg.steps, cfg.M, cfg.dt, cfg.seed, r) for r in block], axis=1)
-    ens = integrate_batch(cfg, block + block + block[:checks],
-                          np.concatenate([dW, dW, dW[:, :checks]], axis=1),
-                          x0=np.repeat(np.stack([x1, x2, x1]), [k, k, checks], axis=0))
-    bad = np.flatnonzero(ens.aborted)
+    rows = block + block + block[:checks]
+    x = np.repeat(np.stack([x1, x2, x1]), [k, k, checks], axis=0)
+    aborted = np.zeros(len(rows), dtype=bool)
+    same = True if checks or gamma == 0.0 else None
+    # sum of ||u2||^2 over the steps so far, r(t) = C_eps dt times it, and
+    # the weighted distance at t = 0, its running maximum and its last value
+    integral = np.zeros(k)
+    first, peak, last = None, np.full(k, -np.inf), None
+    for span in row_blocks(cfg.steps, len(rows) * cfg.n):
+        dw = dW[span]
+        ens = integrate_batch(replace(cfg, T=len(dw) * cfg.dt), rows,
+                              np.concatenate([dw, dw, dw[:, :checks]], axis=1), x0=x)
+        aborted |= ens.aborted
+        u1, u2 = ens.snap_u[:k], ens.snap_u[k : 2 * k]
+        if checks:
+            same &= np.array_equal(ens.snap_u[2 * k :], u1[:checks])
+        if gamma == 0.0:
+            same &= np.array_equal(u1, u2)
+        else:
+            # squaring in place keeps one (k, chunk, n) temporary
+            d = u1 - u2
+            d *= d
+            U2 = np.add.reduce(d, axis=2)
+            sums = np.cumsum(np.concatenate([integral[:, None], ens.norm_D[k : 2 * k, :-1] ** 2], axis=1),
+                             axis=1)
+            integral = sums[:, -1]
+            weighted = np.exp(-(C_eps * (sums * cfg.dt))) * U2
+            if first is None:
+                first = weighted[:, 0]
+            peak = np.maximum(peak, np.max(weighted, axis=1))
+            last = weighted[:, -1]
+        x = ens.snap_u[:, -1].copy()
+        del ens, u1, u2
+    bad = np.flatnonzero(aborted)
     if len(bad):
         r = block[int(np.min(bad % k))]
         raise RuntimeError(f"trajectory {r} aborted during the uniqueness experiment")
-    u1, u2 = ens.snap_u[:k], ens.snap_u[k : 2 * k]
-    compared = [(ens.snap_u[2 * k :], u1[:checks])] if checks else []
-    if gamma == 0.0:
-        compared.append((u1, u2))
-    same = all(np.array_equal(a, b) for a, b in compared) if compared else None
     if gamma == 0.0:
         return same, 0.0, 0.0
-    # |u1 - u2|_H^2 at each snapshot; squaring in place keeps one (k, S, n)
-    # temporary, where (a - b) ** 2 makes two
-    d = u1 - u2
-    d *= d
-    U2 = np.add.reduce(d, axis=2)
-    r_t = np.cumsum(ens.norm_D[k : 2 * k, :-1] ** 2, axis=1) * cfg.dt
-    r_t = C_eps * np.concatenate([np.zeros((k, 1)), r_t], axis=1)
-    weighted = np.exp(-r_t) * U2
-    return same, weighted[:, -1] / weighted[:, 0], np.max(weighted, axis=1) / weighted[:, 0]
+    return same, last / first, peak / first
 
 
 def lipschitz_gate_failure(lipschitz_L: float) -> str | None:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from sgns import galerkin
 from sgns.spectral import Basis, SpaceScale, TorusDomain
 
 
@@ -11,6 +12,12 @@ def mode_id(basis, k, role=None) -> int:
     if role is not None:
         hit &= basis.mode_role == role
     return int(np.flatnonzero(hit)[0])
+
+
+def triplets(config) -> int:
+    """Convection triplets of config's compiled system: BLOCK_CACHE = r
+    x triplets gives blocks of r rows (`galerkin.cache_rows`)."""
+    return len(galerkin._compiled(config.basis, config.n, config.model, config.include_B)._V)
 
 
 @pytest.fixture(scope="session")

@@ -11,6 +11,7 @@ from sgns.estimates import (
     gronwall_eval,
     median,
     p_range,
+    percentile,
     uniformity_report,
 )
 from sgns.galerkin import GalerkinConfig, integrate_batch, integrate_ensemble
@@ -258,6 +259,28 @@ def test_median_matches_numpy_bitwise(shape, axis):
         want = np.median(x, axis=axis)
         assert type(got) is type(want)
         assert_same_bits(got, want)
+
+
+@pytest.mark.parametrize("q", [50, 90, 60.0])
+@pytest.mark.parametrize("size", [1, 2, 7, 8, 64, 1001])
+def test_percentile_matches_numpy_bitwise(size, q):
+    # the quantiles `sgns tightness` takes: 50 and 90 in the Aldous rules,
+    # the default eta_quantile 60.0 in the threshold
+    rng = np.random.default_rng(size)
+    ties = rng.choice([-0.0, 0.0, 0.1, 0.2, 1.0 / 3.0, 1e300, -1e300, 2.0**-1074], size=size)
+    b = rng.standard_normal(size)
+    shuffled = rng.permutation(np.repeat(rng.standard_normal(max(1, size // 4)), 4))
+    for x in (ties, b, shuffled, np.abs(b).reshape(-1, 1), np.where(rng.random(size) < 0.2, np.nan, b)):
+        got, want = percentile(x, q), np.percentile(x, q)
+        assert type(got) is type(want)
+        assert_same_bits(got, want)
+
+
+def test_percentile_of_nan_and_inf():
+    for x in ([np.nan, 1.0], [1.0, np.inf, -np.inf, 2.0], [np.inf, np.inf], [-np.inf, 3.0], [5.0]):
+        for q in (0, 50, 60.0, 90, 100):
+            with np.errstate(invalid="ignore"):
+                assert_same_bits(percentile(x, q), np.percentile(x, q))
 
 
 def test_median_of_nan_and_inf():

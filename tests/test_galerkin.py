@@ -6,6 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
+from conftest import triplets
 from lag_oracle import brute_lag_maxima
 from ledger_oracle import LEDGER_STEPS, budget_report, ledger_arrays, ledger_reduction
 
@@ -553,7 +554,7 @@ def test_ensemble_worker_independence(basis2d_small, monkeypatch):
     # blocks of 7; 4 + 3; 3 + 3 + 1 rows
     runs = [integrate_ensemble(cfg, 7, workers=w) for w in (1, 2, 3)]
     # one row per block, several blocks per worker
-    monkeypatch.setattr(galerkin, "BLOCK_CACHE", 2000)
+    monkeypatch.setattr(galerkin, "BLOCK_CACHE", triplets(cfg))
     runs.append(integrate_ensemble(cfg, 7, workers=2))
     for ens in runs:
         assert ens.indices.tolist() == list(range(7))
@@ -622,7 +623,7 @@ def test_stored_lag_maxima_are_those_of_the_snapshots(basis2d_small, monkeypatch
     cfg = rich_config(basis2d_small, overflow_limit=1.12, snapshot_stride=1, modulus_lags=12)
     weights = basis2d_small.mode_weights("Udual", cfg.n)
     runs = [integrate_ensemble(cfg, 7, workers=w) for w in (1, 2, 3)]
-    monkeypatch.setattr(galerkin, "BLOCK_CACHE", 2000)  # one row per block
+    monkeypatch.setattr(galerkin, "BLOCK_CACHE", triplets(cfg))  # one row per block
     runs.append(integrate_ensemble(cfg, 7, workers=2))
     for ens in runs:
         assert ens.aborted.tolist() == [False] * 5 + [True, False]

@@ -132,6 +132,28 @@ def test_uniqueness_loads_no_numpy_ma(tmp_path):
     assert summary["median_ratio_T"] > 0.0
 
 
+def test_tightness_loads_no_numpy_ma(tmp_path):
+    # np.percentile imports numpy.ma on its first call; the Aldous
+    # threshold and hitting levels take `estimates.percentile`
+    cfg = json.loads((DEMOS / "tightness.json").read_text())
+    cfg["galerkin"].update(n_list=[4], T=0.25)
+    cfg["ensemble"].update(trajectories=8, workers=1)
+    cfg["experiment"]["deltas"] = [2.0**-10, 2.0**-8, 2.0**-6]
+    path = tmp_path / "tightness.json"
+    path.write_text(json.dumps(cfg))
+    code = ("import sys\n"
+            "from sgns.cli import main\n"
+            "code = main(['tightness', '--config', sys.argv[1], '--out', sys.argv[2]])\n"
+            "print('numpy.ma' in sys.modules)")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run([sys.executable, "-c", code, str(path), str(tmp_path / "out")],
+                          capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split()[-1] == "False"
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert "aldous_passed" in summary["levels"]["4"]
+
+
 @pytest.mark.parametrize("section, key, value", [
     ("galerkin", "dt", "abc"),
     ("galerkin", "T", None),

@@ -63,6 +63,31 @@ def test_polarizations_orthogonal():
         assert abs(np.dot(e1, e1) - 1) < 1e-13
 
 
+def loop_polarizations(kappa: np.ndarray) -> np.ndarray:
+    """The polarizations of one wavevector kappa at a time, each normed by
+    np.linalg.norm: the reference for the batched `_polarizations`."""
+    if len(kappa) == 2:
+        e = np.array([-kappa[1], kappa[0]])
+        return (e / np.linalg.norm(e))[None, :]
+    axis = np.zeros(3)
+    axis[int(np.argmin(np.abs(kappa)))] = 1.0
+    e1 = np.cross(kappa, axis)
+    e1 /= np.linalg.norm(e1)
+    e2 = np.cross(kappa, e1)
+    e2 /= np.linalg.norm(e2)
+    return np.stack([e1, e2])
+
+
+@pytest.mark.parametrize("d, K, period", [(2, 8, None), (2, 3, (1.0, 2.5)), (3, 2, None), (3, 4, None),
+                                          (3, 8, None), (3, 2, (1.0, 2.0, 3.5))])
+def test_polarizations_are_those_of_a_loop_bitwise(d, K, period):
+    domain = TorusDomain(d=d, K=K) if period is None else TorusDomain(d=d, K=K, period=period)
+    basis = Basis(domain, SpaceScale(d=d))
+    canon = basis.slot_k[:: basis.npol]
+    want = np.concatenate([loop_polarizations(domain.kappa(k)) for k in canon])
+    assert np.array_equal(basis.slot_eps.view(np.int64), want.view(np.int64))
+
+
 def test_basis_fields_orthonormal(basis2d_small):
     b = basis2d_small
     n = min(12, b.n_modes)

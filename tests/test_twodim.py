@@ -1,12 +1,14 @@
 import math
 import re
+import tracemalloc
 import weakref
 
 import numpy as np
 import pytest
-from conftest import mode_id
+from conftest import mode_id, triplets
+from twin_oracle import twin_oracle
 
-from sgns import galerkin, twodim
+from sgns import galerkin, spectral, twodim
 from sgns.galerkin import GalerkinConfig, generate_wiener, integrate_batch
 from sgns.noise import certify_conditions, default_noise_model
 from sgns.nonlinear import TrilinearWorkspace, bilinear_B
@@ -348,14 +350,18 @@ def test_pathwise_uniqueness_names_the_first_aborted_pair(basis2d_small, rng, mo
 
 
 def counted_batches(monkeypatch):
-    """Spy on the twins' batches: the row count of each, and a weak reference
-    to each returned Ensemble, in call order.  Before each call it records
-    how many of the earlier batches are still alive."""
+    """Spy on the twins' batches: the row count of each, and before each
+    `integrate_batch` call (one per time chunk) how many of the Ensembles
+    returned earlier, by any batch, are still alive.  A batch is a run of
+    consecutive calls on the same trajectories."""
     run, rows, refs, alive = twodim.integrate_batch, [], [], []
+    last = []
 
     def counted(config, indices, dW, x0):
         alive.append(sum(ref() is not None for ref in refs))
-        rows.append(len(indices))
+        if list(indices) != last:
+            rows.append(len(indices))
+            last[:] = indices
         ens = run(config, indices, dW, x0=x0)
         refs.append(weakref.ref(ens))
         return ens
@@ -373,9 +379,9 @@ def test_pathwise_uniqueness_ignores_the_blocks(basis2d_small, rng, monkeypatch,
     )
     rows, _ = counted_batches(monkeypatch)
     reps = []
-    # n = 8 has fewer than 2,000 convection triplets: BLOCK_CACHE // 2000 rows
-    for cache in (14 * 2000, 2 * 2000, 6 * 2000):
-        monkeypatch.setattr(galerkin, "BLOCK_CACHE", cache)
+    # BLOCK_CACHE = r x triplets: blocks of r rows
+    for cache in (14, 2, 6):
+        monkeypatch.setattr(galerkin, "BLOCK_CACHE", cache * triplets(cfg))
         reps.append(pathwise_uniqueness_experiment(cfg, lipschitz_L=1.0, gamma=gamma, n_traj=7))
     # blocks of 7 pairs; of 1 pair; of 3 + 3 + 1 pairs
     assert rows == [14] + [2] * 7 + [6, 6, 2]
@@ -409,8 +415,8 @@ def test_twin_checks_ride_in_the_perturbed_batches(basis2d_small, rng, monkeypat
     )
     plain = pathwise_uniqueness_experiment(cfg, lipschitz_L=1.0, gamma=1e-8, n_traj=5)
     rows, _ = counted_batches(monkeypatch)
-    # n = 8 has fewer than 2,000 convection triplets: blocks of 2 pairs
-    monkeypatch.setattr(galerkin, "BLOCK_CACHE", 4 * 2000)
+    # blocks of 4 rows: 2 pairs
+    monkeypatch.setattr(galerkin, "BLOCK_CACHE", 4 * triplets(cfg))
     for twins, want in ((3, [6, 5, 2]), (8, [6, 6, 3, 4, 2])):
         rows.clear()
         rep = pathwise_uniqueness_experiment(cfg, lipschitz_L=1.0, gamma=1e-8, n_traj=5, twins=twins)
@@ -434,33 +440,139 @@ def test_twin_checks_ride_in_the_perturbed_batches(basis2d_small, rng, monkeypat
     assert rep.identical is False
 
 
-def uniqueness_config(basis):
+def uniqueness_config(basis, T=0.5):
     """The twins of the uniqueness demo: n = 16 of K = 8, T = 0.5."""
     return GalerkinConfig(
-        basis=basis, n=16, dt=1e-3, T=0.5,
+        basis=basis, n=16, dt=1e-3, T=T,
         u0=random_field(basis, np.random.default_rng(1100), n=8, decay=0.5),
         model=default_noise_model(2), seed=2468,
     )
 
 
 def test_twins_run_at_the_ensemble_block_size(basis2d, monkeypatch):
-    # n = 16 has 88 convection triplets, so a block holds BLOCK_CACHE // 2000
-    # = 100 rows: 100 pairs are two batches of 50 pairs
+    # n = 16 has 88 convection triplets, so a block holds BLOCK_CACHE // 88
+    # = 2,272 rows: the demo's 100 pairs are one batch of 200 rows
+    cfg = uniqueness_config(basis2d)
+    assert triplets(cfg) == 88
     rows, _ = counted_batches(monkeypatch)
-    rep = pathwise_uniqueness_experiment(uniqueness_config(basis2d), lipschitz_L=1.0, gamma=1e-8, n_traj=100)
-    assert rows == [100, 100]
+    rep = pathwise_uniqueness_experiment(cfg, lipschitz_L=1.0, gamma=1e-8, n_traj=100)
+    assert rows == [200]
     assert np.all(rep.ratios_at_T > 0.0)
+    # blocks of 100 rows: two batches of 50 pairs, the same bits
+    rows.clear()
+    monkeypatch.setattr(galerkin, "BLOCK_CACHE", 100 * triplets(cfg))
+    split = pathwise_uniqueness_experiment(cfg, lipschitz_L=1.0, gamma=1e-8, n_traj=100)
+    assert rows == [100, 100]
+    assert np.array_equal(split.ratios_at_T, rep.ratios_at_T)
+    assert np.array_equal(split.sup_ratios, rep.sup_ratios)
 
 
 @pytest.mark.parametrize("gamma", [0.0, 1e-8])
 def test_each_twin_batch_is_freed_before_the_next(basis2d, monkeypatch, gamma):
-    # 40 pairs in blocks of 20: the first batch's rows are released before
-    # the second batch is made
-    monkeypatch.setattr(galerkin, "BLOCK_CACHE", 40 * 2000)
+    # 40 pairs in blocks of 20, each stepped in time chunks: every chunk's
+    # rows are released before the next chunk, of its batch or the next
+    # batch, is made
+    cfg = uniqueness_config(basis2d)
+    monkeypatch.setattr(galerkin, "BLOCK_CACHE", 40 * triplets(cfg))
     rows, alive = counted_batches(monkeypatch)
-    pathwise_uniqueness_experiment(uniqueness_config(basis2d), lipschitz_L=1.0, gamma=gamma, n_traj=40)
-    assert alive == [0] * len(rows)
+    pathwise_uniqueness_experiment(cfg, lipschitz_L=1.0, gamma=gamma, n_traj=40)
+    assert len(alive) > len(rows)
+    assert alive == [0] * len(alive)
     assert rows == [40, 40]
+
+
+def small_twins(basis, **kw):
+    """Twins on n = 8 of K = 3 over 50 steps."""
+    return GalerkinConfig(
+        basis=basis, n=8, dt=1e-3, T=0.05,
+        u0=random_field(basis, np.random.default_rng(31), n=8, decay=0.5),
+        model=default_noise_model(2), seed=12, **kw,
+    )
+
+
+def assert_matches_oracle(rep, cfg, n_traj, twins):
+    want = twin_oracle(cfg, rep.C_eps, rep.gamma, n_traj, twins)
+    assert rep.identical == want["identical"]
+    assert np.array_equal(rep.ratios_at_T, want["ratios_at_T"])
+    assert np.array_equal(rep.sup_ratios, want["sup_ratios"])
+
+
+@pytest.mark.parametrize("gamma", [0.0, 1e-8])
+@pytest.mark.parametrize("chunk", [1, 7, 50, 80])
+def test_twin_chunks_keep_the_bits_of_one_batch(basis2d_small, monkeypatch, gamma, chunk):
+    # 4 pairs and 2 check rows: one batch of 10 rows of n = 8, stepped in
+    # chunks of `chunk` of the 50 steps
+    cfg = small_twins(basis2d_small)
+    monkeypatch.setattr(spectral, "GRID_BLOCK", chunk * 10 * cfg.n)
+    rows, alive = counted_batches(monkeypatch)
+    rep = pathwise_uniqueness_experiment(cfg, lipschitz_L=1.0, gamma=gamma, n_traj=4, twins=2)
+    assert rows == [10] and len(alive) == math.ceil(cfg.steps / chunk)
+    assert rep.identical is True
+    assert_matches_oracle(rep, cfg, 4, 2)
+
+
+@pytest.mark.parametrize("gamma", [0.0, 1e-8])
+@pytest.mark.parametrize("twins", [0, 5, 8])
+def test_twin_batches_keep_the_bits_of_one_batch(basis2d_small, monkeypatch, gamma, twins):
+    # blocks of 4 rows (2 pairs) in chunks of 7 steps, with check pairs
+    # none, at n_traj and past it
+    cfg = small_twins(basis2d_small)
+    monkeypatch.setattr(galerkin, "BLOCK_CACHE", 4 * triplets(cfg))
+    monkeypatch.setattr(spectral, "GRID_BLOCK", 7 * 6 * cfg.n)
+    rows, _ = counted_batches(monkeypatch)
+    rep = pathwise_uniqueness_experiment(cfg, lipschitz_L=1.0, gamma=gamma, n_traj=5, twins=twins)
+    assert len(rows) == 3 + (twins > 5) * 2
+    assert_matches_oracle(rep, cfg, 5, twins)
+
+
+def test_twins_aborting_in_different_chunks_name_the_lowest_pair(basis2d_small, monkeypatch):
+    # chunks of 7 steps: the u2 twin of pair 3 aborts in the first chunk,
+    # the u1 twin of pair 1 in the second; the message names pair 1, as
+    # one batch over all steps would
+    cfg = small_twins(basis2d_small)
+    monkeypatch.setattr(spectral, "GRID_BLOCK", 7 * 8 * cfg.n)
+    run, calls = twodim.integrate_batch, []
+
+    def aborting(config, indices, dW, x0):
+        ens = run(config, indices, dW, x0=x0)
+        if len(calls) < 2:
+            ens.abort_step[[4 + 3, 1][len(calls)]] = 1
+        calls.append(len(indices))
+        return ens
+
+    monkeypatch.setattr(twodim, "integrate_batch", aborting)
+    with pytest.raises(RuntimeError, match="trajectory 1 aborted"):
+        pathwise_uniqueness_experiment(cfg, lipschitz_L=1.0, gamma=1e-8, n_traj=4)
+    assert calls == [8] * math.ceil(cfg.steps / 7)
+
+
+def test_twins_that_overflow_name_the_oracle_pair(basis2d_small, monkeypatch):
+    # past |x| = 0.71 the twins of pair 2 abort at step 1 and those of pair
+    # 1 at step 4, in chunks 0 and 1 of 2 steps: the message names pair 1,
+    # as the every-step oracle does
+    cfg = small_twins(basis2d_small, overflow_limit=0.71)
+    assert twin_oracle(cfg, 4.0, 1e-8, 6)["aborted"] == 1
+    monkeypatch.setattr(spectral, "GRID_BLOCK", 2 * 12 * cfg.n)
+    with pytest.raises(RuntimeError, match="trajectory 1 aborted"):
+        pathwise_uniqueness_experiment(cfg, lipschitz_L=1.0, gamma=1e-8, n_traj=6)
+
+
+def test_twin_memory_does_not_grow_with_the_steps(basis2d):
+    # the traced peak at 4T exceeds the one at T by less than one float64
+    # (rows, steps + 1, n) array at T's step count: no batch holds its
+    # snapshots at every step
+    peaks = []
+    for T in (0.4, 1.6):
+        cfg = uniqueness_config(basis2d, T=T)
+        pathwise_uniqueness_experiment(cfg, lipschitz_L=1.0, gamma=1e-8, n_traj=10, twins=3)
+        tracemalloc.start()
+        try:
+            pathwise_uniqueness_experiment(cfg, lipschitz_L=1.0, gamma=1e-8, n_traj=10, twins=3)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    rows, steps = 2 * 10 + 3, 400
+    assert peaks[1] - peaks[0] < rows * (steps + 1) * 16 * 8
 
 
 def test_shifted_problem_rejects_3d(basis3d_small):
