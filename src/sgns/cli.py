@@ -115,6 +115,10 @@ def run_simulate(run: RunConfig, bundle: ResultBundle, workers: int) -> None:
 def run_ensemble(run: RunConfig, bundle: ResultBundle, workers: int) -> None:
     # the energy budget reads the ledger, and no running integral is read
     ens = integrate_ensemble(replace(run.galerkin, records={"ledger"}), run.trajectories, workers=workers)
+    failure = est.too_few_live_paths({run.n: ens})
+    if failure is not None:
+        bundle.summary.update(trajectories=len(ens), passed=False, failure=failure)
+        return
     budget = energy_budget_check(ens)
     stats = est.aggregate({run.n: ens}, p_list=(2.0,))
     entry = stats.per_n[run.n]
@@ -147,6 +151,10 @@ def run_estimates(run: RunConfig, bundle: ResultBundle, workers: int) -> None:
     by_n = {n: integrate_ensemble(replace(run.galerkin, n=n, records=()), run.trajectories,
                                   workers=workers)
             for n in run.n_list}
+    failure = est.too_few_live_paths(by_n)
+    if failure is not None:
+        bundle.summary.update(passed=False, failure=failure)
+        return
     stats = est.aggregate(by_n, p_list=p_list, eta=exp["eta"])
     verdict = est.uniformity_report(
         stats, p=p_list[0], ratio_bound=exp["ratio_bound"], alpha=exp["alpha"])

@@ -100,6 +100,15 @@ class EnsembleStats:
     warnings: tuple = ()
 
 
+def too_few_live_paths(ensembles: dict) -> str | None:
+    """Why the Ensembles of {n: Ensemble} give no statistics: the levels
+    with fewer than 2 live (not aborted) trajectories, each with its count;
+    None when every level has at least 2."""
+    live = {n: int(np.count_nonzero(~ens.aborted)) for n, ens in ensembles.items()}
+    short = [f"n = {n} has {count}" for n, count in live.items() if count < 2]
+    return f"need at least 2 live trajectories at every level: {', '.join(short)}" if short else None
+
+
 def aggregate(ensembles: dict, p_list=(2.0,), eta: float | None = None) -> EnsembleStats:
     """Unbiased means with standard errors of the energy functionals of each
     Ensemble of {n: Ensemble}.
@@ -108,8 +117,12 @@ def aggregate(ensembles: dict, p_list=(2.0,), eta: float | None = None) -> Ensem
     per-row sup_H and Dirichlet integral of every row, aborted ones
     included, are kept under "rows".  If a certified eta is supplied,
     requested exponents outside its admissible window are flagged (the
-    statistic is still computed).
+    statistic is still computed).  A level with fewer than 2 live
+    trajectories is a ValueError (`too_few_live_paths`).
     """
+    failure = too_few_live_paths(ensembles)
+    if failure is not None:
+        raise ValueError(failure)
     warnings = []
     if eta is not None:
         lo, hi = p_range(eta)
@@ -120,8 +133,6 @@ def aggregate(ensembles: dict, p_list=(2.0,), eta: float | None = None) -> Ensem
     for n, ens in ensembles.items():
         live = ~ens.aborted
         count = int(np.count_nonzero(live))
-        if count < 2:
-            raise ValueError(f"need at least 2 usable trajectories at n = {n}")
         rows = {"sup_H": ens.sup_H(), "int_dirichlet2": ens.integral_dirichlet2()}
         sup = rows["sup_H"][live]
         per_n[n] = {

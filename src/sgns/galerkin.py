@@ -14,7 +14,9 @@ grid, the probes and the basis every diagnostic reads; a single trajectory
 is an Ensemble of one row, and `Ensemble.rows` selects rows.  Every trajectory is
 a pure function of (config, seed, index) -- one Philox stream per
 trajectory -- so ensembles are reproducible bitwise for any worker count and
-any blocks.
+any blocks.  The stepper, `step_chunks`, walks the steps in time chunks and
+hands each chunk to one consumer: the Ensemble writer, or a reducer of the
+caller's own, such as the uniqueness twins of `sgns.twodim`.
 
 Besides states, norms and snapshots, the stepper records what the config's
 record set (`GalerkinConfig.records`, names of `RECORDS`) asks for: the
@@ -41,12 +43,13 @@ import mmap
 import multiprocessing
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 import numpy as np
 
 from .noise import NoiseModel, noise_matrices
 from .nonlinear import CutoffSpec
-from .spectral import Basis, ROLE_COS, SpectralField, project_Pn, row_blocks, stack
+from .spectral import Basis, ROLE_COS, SpectralField, block_rows, project_Pn, row_blocks, stack
 
 
 # -- Wiener increments -------------------------------------------------------
@@ -57,8 +60,13 @@ def generate_wiener(steps: int, M: int, dt: float, seed: int, traj_index: int = 
     N(0, dt) each, Philox-keyed: identical for identical (seed, traj_index)."""
     if steps < 1 or M < 0:
         raise ValueError("need steps >= 1 and M >= 0")
-    gen = np.random.Generator(np.random.Philox(key=[seed & (2**64 - 1), traj_index]))
-    return gen.normal(0.0, math.sqrt(dt), size=(steps, M))
+    return _wiener_stream(seed, traj_index).normal(0.0, math.sqrt(dt), size=(steps, M))
+
+
+def _wiener_stream(seed: int, traj_index: int) -> np.random.Generator:
+    """The Philox generator of trajectory `traj_index` under `seed`: drawn
+    in consecutive blocks of steps, it gives the bits of one draw."""
+    return np.random.Generator(np.random.Philox(key=[seed & (2**64 - 1), traj_index]))
 
 
 # -- compiled subspace -------------------------------------------------------
@@ -128,8 +136,6 @@ class CompiledGalerkin:
         self.n = n
         self.lamD = basis.mode_weights("D", n)
         self.wUdual = basis.mode_weights("Udual", n)
-        # weights of the squared H, Dirichlet and U' norms
-        self.norm_weights = np.stack([np.ones(n), self.lamD, self.wUdual])
         self.include_B = include_B
         if include_B:
             I, self._J, self._K, self._V = _fold_symmetric(*build_convection_tensor(basis, n), n)
@@ -154,15 +160,20 @@ class CompiledGalerkin:
         x[:, K], so the array the reduce reads is bitwise that product's.
         J and K lie in [0, n) by construction; mode="wrap" skips the
         bounds check of the default mode, which made the gather slower
-        than fancy indexing at n = 16."""
-        out = np.zeros(x.shape)
+        than fancy indexing at n = 16.  When every coordinate has a
+        segment the segment sums are the result; otherwise they are
+        scattered into zeros."""
         if not self.include_B or not len(self._V):
-            return out
+            return np.zeros(x.shape)
         X = x.reshape(-1, self.n)
         prod = np.take(X, self._J, axis=1, mode="wrap")
         prod *= self._V
         prod *= np.take(X, self._K, axis=1, mode="wrap")
-        out.reshape(-1, self.n)[:, self._rows] = np.add.reduceat(prod, self._starts, axis=1)
+        sums = np.add.reduceat(prod, self._starts, axis=1)
+        if len(self._rows) == self.n:
+            return sums.reshape(x.shape)
+        out = np.zeros(x.shape)
+        out.reshape(-1, self.n)[:, self._rows] = sums
         return out
 
 
@@ -565,14 +576,19 @@ def _stacked(config: GalerkinConfig, indices) -> Ensemble:
     return Ensemble(config=config, indices=indices, snap_integrals=integrals, **arrays)
 
 
-def _sq_norms(sys: CompiledGalerkin, x: np.ndarray) -> np.ndarray:
-    """Squared H, Dirichlet and U' norms of each row of x (B, n), as (3, B)."""
-    return np.add.reduce(sys.norm_weights * (x * x)[:, None, :], axis=2).T
+def _sq_norms(sys: CompiledGalerkin, x: np.ndarray, h: bool = True) -> tuple:
+    """Squared H, Dirichlet and U' norms of each row of x (B, n): the sums of
+    x * x along each row, plain and times each weight; the H norms are None
+    unless `h`."""
+    sq = x * x
+    return (np.add.reduce(sq, axis=1) if h else None, np.add.reduce(sys.lamD * sq, axis=1),
+            np.add.reduce(sys.wUdual * sq, axis=1))
 
 
-def _step(sys, config, cutoff, x, ud, f, dw):
+def _step(sys, config, cutoff, x, ud, f, dw, out=None):
     """One Euler-Maruyama step on the rows of x (B, n), whose U' norms are
-    ud, under forcing coordinates f (n,) and Wiener increments dw (B, M).
+    ud, under forcing coordinates f (n,) and Wiener increments dw (B, M),
+    the new state written into `out` when given.
 
     Returns (x_new, theta, tbx, bx, g, xi): the new state, the cutoff
     factors, the tamed and untamed convection, the noise directions applied
@@ -594,19 +610,14 @@ def _step(sys, config, cutoff, x, ud, f, dw):
         xi = np.matmul(dw[:, None, :], g)[:, 0]
     else:
         g, xi = None, np.zeros_like(x)
-    return x + dt * (f - sys.lamD * x - tbx) + xi, theta, tbx, bx, g, xi
-
-
-# steps whose ledger terms a block buffers before folding them into each
-# row's worst residual: a (5, LEDGER_CHUNK, B) buffer, 0.26 MB at 100 rows
-LEDGER_CHUNK = 64
+    return np.add(x + dt * (f - sys.lamD * x - tbx), xi, out=out), theta, tbx, bx, g, xi
 
 
 def _fold_residuals(worst, terms, norm_H, upto, first) -> None:
     """Fold the ledger terms (5, L, B) of steps first..first+L-1 -- drift,
     taming, forcing and martingale work and |du|^2 -- into each row's worst
     relative residual `worst` (B,) of the discrete energy identity, with
-    norm_H (B, L + 1) the H norms at steps first..first+L.
+    norm_H (L + 1, B) the H norms at steps first..first+L.
 
     A step's residual is |(|u+|^2 - |u|^2) - rhs|, rhs the five terms
     summed in that order, over max(|rhs|, |u+|^2, |u|^2, 1), with each
@@ -615,7 +626,7 @@ def _fold_residuals(worst, terms, norm_H, upto, first) -> None:
     residual (inf/inf at a step into an overflow) counts for nothing.
     Every operation is elementwise or a maximum, so the bits do not depend
     on the chunks."""
-    h2 = norm_H.T ** 2
+    h2 = norm_H**2
     drift, taming, forcing, mart, delta_sq = terms
     rhs = drift + taming + forcing + mart + delta_sq
     err = np.diff(h2, axis=0) - rhs
@@ -627,32 +638,71 @@ def _fold_residuals(worst, terms, norm_H, upto, first) -> None:
     np.fmax(worst, np.fmax.reduce(err, axis=0), out=worst)
 
 
-def _integrate_rows(ens: Ensemble, dW=None, x0=None) -> None:
-    """Integrate the B trajectories `ens.indices` of `ens.config` together
-    as the rows of one (B, n) state, each driven by its own Philox stream
-    (or by its column of the increments `dW` (steps, B, M) when given),
-    writing norms, ledger and snapshots into the zeroed arrays of `ens` in
-    place.  Every row starts from the coordinates of P_n config.u0, or from
-    its row of `x0` (B, n) when given, copied in C order; `snap_u[:, 0]`
-    records each row's start.
+# the norms `step_chunks` buffers, by `Basis.mode_weights` name
+NORMS = ("H", "D", "Udual")
 
-    Each row is bitwise the same whatever the other rows, their number or
-    their order, and whatever the memory layout of `x0`.  The energy ledger
-    closes the discrete energy identity of the Euler-Maruyama step.  It is
-    reduced per row where it is made: each step's drift, taming, forcing and
-    martingale work and |du|^2 go into a (chunk, B) buffer, folded into each
-    row's worst relative residual (`_fold_residuals`) at the end of every
-    `LEDGER_CHUNK` steps and before the loop stops early; the Ito and
-    Hilbert-Schmidt increments fill block-private (B, steps) arrays, summed
-    per row once the loop ends.  The ledger and each running integral's
-    update run only when config.records names them, and an unrecorded
-    output's arrays have width 0; every recorded array is the same bits
-    whatever else is recorded.  A row whose state leaves the finite range
-    or passes `overflow_limit` is aborted: its norms are written once more
-    with the non-finite entries zeroed, and everything after that step
-    reads zero, its ledger terms too.  Last, each row's U' increment maxima
-    over lags 1..modulus_lags of the snapshot grid are taken from its
-    snapshots (`_lag_maxima`).
+
+class Chunk(NamedTuple):
+    """Steps first..last of a walk of `step_chunks`, handed to its consumer:
+    views of buffers that the next chunk overwrites, and the walk's per-row
+    arrays as they stand at step `last`.  A row that aborted keeps stepping
+    from its abort step's state, non-finite entries zeroed, so its values
+    after `abort_step` are not its path."""
+
+    first: int
+    last: int
+    norms: dict  # NORMS name -> (last - first + 1, B), the norms at steps first..last (H under h_norm)
+    snaps: slice  # the positions in config.snap_idx of the steps in [first, last]
+    states: np.ndarray  # (len(snaps), B, n), the states at those steps
+    qv: np.ndarray  # (len(snaps), B, len(config.qv_pairs)), the quadratic variations there
+    integral_snaps: slice  # likewise in config.integral_snap_idx
+    integrals: dict  # recorded INTEGRALS term -> (len(integral_snaps), B, n)
+    ito: np.ndarray | None  # (last - first, B), each step's Ito increment; None without the ledger
+    hs: np.ndarray | None  # likewise the Hilbert-Schmidt increment
+    worst: np.ndarray | None  # (B,), the worst ledger residual through `last`; None without the ledger
+    cutoff_min: np.ndarray  # (B,), the smallest cutoff factor of a live row through `last`
+    abort_step: np.ndarray  # (B,), each row's abort step, -1 on a row still alive
+
+
+def _grid_rows(grid: np.ndarray, lo: int, hi: int) -> tuple:
+    """(p0, rows): the first position p0 of the snapshot grid `grid` (step
+    indices) at or after step lo, and for each step lo..hi its row p - p0
+    among the grid's steps in [lo, hi], -1 for a step off the grid."""
+    p0, p1 = np.searchsorted(grid, lo), np.searchsorted(grid, hi, side="right")
+    rows = np.full(hi - lo + 1, -1)
+    rows[grid[p0:p1] - lo] = np.arange(p1 - p0)
+    return int(p0), rows.tolist()
+
+
+def step_chunks(config: GalerkinConfig, indices, x0=None, dW=None, h_norm: bool = True):
+    """Step trajectories `indices` of `config` together as the rows of one
+    (B, n) state, and hand the walk to its consumer one `Chunk` of steps at
+    a time: the one stepper, which every reader of a path consumes.
+
+    Row r starts from the coordinates of P_n config.u0, or from row r of
+    `x0` (B, n) copied in C order, and is driven by its column of `dW`
+    (steps, B, M) when given; otherwise by the Philox stream of trajectory
+    indices[r] (`generate_wiener`), drawn chunk by chunk, which keeps every
+    bit, and once for a trajectory that is several rows.  The chunks are
+    `row_blocks` over the steps, at most GRID_BLOCK // (B n) steps each.
+
+    Each chunk takes its steps with the arithmetic of `_step`, buffering
+    the Dirichlet and U' norms, and the H norms when `h_norm` or the
+    ledger asks for them, at every step as (L + 1, B) arrays; the states
+    and quadratic variations at the config's snapshot steps; and the
+    running integrals its records name at its integral snapshot steps.
+    The ledger -- each step's drift, taming, forcing and martingale work
+    and |du|^2 -- is folded into each row's worst relative residual
+    (`_fold_residuals`) at the end of the chunk; each step's Ito and
+    Hilbert-Schmidt increments are handed over.  Every row is bitwise the
+    same whatever the other rows, their number or order, the memory layout
+    of `x0` and the chunks.
+
+    A row whose state leaves the finite range or passes `overflow_limit` is
+    aborted at that step: its abort step is recorded, its non-finite
+    entries are zeroed, and it steps on masked, its cutoff factors and
+    ledger terms no longer counted.  Once every row has aborted, the walk
+    ends with that step, and a ledger residual of a step not taken reads 0.
 
     Two checks skip per-step work that would change no bit.  While the
     cutoff is idle (`_step` returns theta None) the cutoff minimum is not
@@ -660,143 +710,232 @@ def _integrate_rows(ens: Ensemble, dW=None, x0=None) -> None:
     -2 dt.  One maximum of |x| over the whole block, at or below the limit,
     clears every row of the overflow check; only otherwise is each row's
     peak taken, and only after a row aborts is it asked whether any row is
-    left.
-    """
-    config = ens.config
+    left."""
     sys = _compiled(config.basis, config.n, config.model, config.include_B)
     steps, n, dt = config.steps, config.n, config.dt
-    B = len(ens)
-    if dW is None:
-        dW = np.stack([generate_wiener(steps, config.M, dt, config.seed, i) for i in ens.indices.tolist()],
-                      axis=1)
-    elif dW.shape != (steps, B, config.M):
+    B = len(indices)
+    if dW is not None and dW.shape != (steps, B, config.M):
         raise ValueError(f"Wiener increments of shape {dW.shape} do not match "
                          f"(steps, B, M) = ({steps}, {B}, {config.M})")
-
     if x0 is None:
         x = np.repeat(config.basis.real_coords(project_Pn(config.u0, n), n)[None], B, axis=0)
     else:
         x = np.array(x0, dtype=np.float64, order="C")
         if x.shape != (B, n):
             raise ValueError(f"initial states of shape {x.shape} do not match (B, n) = ({B}, {n})")
-    norm_H, norm_D, norm_Ud = ens.norm_H, ens.norm_D, ens.norm_Udual
-    ledger = "ledger" in config.records
-    if ledger:
-        chunk = min(LEDGER_CHUNK, steps)
-        terms = np.zeros((5, chunk, B))
-        drift_work, b_work, forcing_work, mart_work, delta_sq = terms
-        ito_step, hs_step = np.zeros((B, steps)), np.zeros((B, steps))
-        worst = np.full(B, np.nan)
+    # chunks of `length` steps, the last one shorter: row_blocks over the
+    # steps, made one at a time
+    length = min(steps, block_rows(B * n))
+    if dW is None:
+        # one stream per trajectory, its draws repeated for each of its rows
+        keys = list(dict.fromkeys(indices))
+        streams = [_wiener_stream(config.seed, i) for i in keys]
+        repeat = None if len(keys) == B else [keys.index(i) for i in indices]
+        drawn = np.empty((length, len(keys), config.M))
 
-    snap_idx, integral_snap_idx = config.snap_idx, config.integral_snap_idx
-    snap_at = np.full(steps + 1, -1)
-    snap_at[snap_idx] = np.arange(len(snap_idx))
-    integral_snap_at = np.full(steps + 1, -1)
-    integral_snap_at[integral_snap_idx] = np.arange(len(integral_snap_idx))
-    snap_u, snap_integrals = ens.snap_u, ens.snap_integrals
-    drift, noise = "integral_drift" in config.records, "integral_noise" in config.records
+    records = config.records
+    ledger = "ledger" in records
+    drift, noise = "integral_drift" in records, "integral_noise" in records
     # the running integrals config.records names, by term
-    integrals = {name: np.zeros((B, n)) for name in INTEGRALS if integral_record(name) in config.records}
-
+    integrals = {name: np.zeros((B, n)) for name in INTEGRALS if integral_record(name) in records}
     probes_n = config.probe_coords
     qv_pairs = config.qv_pairs
-    qv_cum = ens.qv_cum
     qv_run = np.zeros((B, len(qv_pairs)))
-
     cutoff = config.cutoff
     forced = config.forcing is not None
     f = config.basis.real_coords(config.forcing, n) if forced else np.zeros(n)
-    cutoff_min, abort_step = ens.cutoff_min, ens.abort_step
-    cutoff_min[:] = 1.0
-    abort_step[:] = -1
+    cutoff_min = np.ones(B)
+    abort_step = np.full(B, -1)
     alive = np.ones(B, dtype=bool)
     # the overflow limit as a finite bound, which an inf or NaN state fails
     limit = min(config.overflow_limit, np.finfo(np.float64).max)
 
-    h2, d2, u2 = _sq_norms(sys, x)
-    norm_H[:, 0], norm_D[:, 0], norm_Ud[:, 0] = np.sqrt(h2), np.sqrt(d2), np.sqrt(u2)
-    snap_u[:, 0] = x
-    # aborted rows keep stepping, masked below, and may overflow on the way
-    with np.errstate(over="ignore", invalid="ignore"):
-        for j in range(steps):
-            x_new, theta, tbx, bx, g, xi = _step(sys, config, cutoff, x, norm_Ud[:, j], f, dW[j])
-            if theta is not None:
-                np.minimum(cutoff_min, np.where(alive, theta, 1.0), out=cutoff_min)
-            if drift:
-                integrals["convection"] -= dt * tbx
-                if forced:
-                    integrals["forcing"] += dt * f
-                integrals["stokes"] -= dt * (sys.lamD * x)
-            if noise:
-                integrals["noise"] += xi
-            if qv_pairs and g is not None:
-                gp = g @ probes_n.T  # (B, M, P)
-                for q, (a, b) in enumerate(qv_pairs):
-                    qv_run[:, q] += dt * np.add.reduce(gp[:, :, a] * gp[:, :, b], axis=1)
-            if ledger:
-                k = j % chunk
-                # an idle cutoff's factor (-2 dt) 1.0 is -2 dt
-                b_factor = -2.0 * dt if theta is None else -2.0 * dt * theta
-                b_work[k] = b_factor * np.add.reduce(x * bx, axis=1)
-                mart_work[k] = 2.0 * np.add.reduce(x * xi, axis=1)
-                ito_step[:, j] = np.add.reduce(xi * xi, axis=1)
-                if forced:
-                    forcing_work[k] = 2.0 * dt * np.add.reduce(x * f, axis=1)
-                if g is not None:
-                    hs_step[:, j] = np.add.reduce((g * g).reshape(B, -1), axis=1) * dt
-                drift_work[k] = -2.0 * dt * d2
-                delta_sq[k] = np.add.reduce((x_new - x) ** 2, axis=1)
+    snap_idx, integral_snap_idx = config.snap_idx, config.integral_snap_idx
+    los = np.arange(0, steps, length)
+    his = np.minimum(los + length, steps)
 
-            x = x_new
-            h2, d2, u2 = _sq_norms(sys, x)
-            # one block-wide maximum clears every row; only past it does
-            # each row's peak decide
-            ended = False
-            if not np.abs(x).max() <= limit:
-                bad = alive & ~(np.maximum.reduce(np.abs(x), axis=1) <= limit)
-                if np.logical_or.reduce(bad):
-                    abort_step[bad] = j + 1
-                    alive &= ~bad
-                    ended = not np.logical_or.reduce(alive)
-                    x = np.where(np.isfinite(x), x, 0.0)
-                    h2, d2, u2 = _sq_norms(sys, x)
-            norm_H[:, j + 1], norm_D[:, j + 1], norm_Ud[:, j + 1] = np.sqrt(h2), np.sqrt(d2), np.sqrt(u2)
-            if ledger and (ended or k == chunk - 1 or j == steps - 1):
+    def most(grid) -> int:
+        """The most steps of `grid` any chunk holds."""
+        return int(np.max(np.searchsorted(grid, his, side="right") - np.searchsorted(grid, los)))
+
+    states = np.empty((most(snap_idx), B, n))
+    qv = np.empty((len(states), B, len(qv_pairs)))
+    integral_buf = {name: np.empty((most(integral_snap_idx), B, n)) for name in integrals}
+    h_norm = h_norm or ledger
+    norms = {name: np.empty((length + 1, B)) for name in NORMS if h_norm or name != "H"}
+    nH, nD, nU = norms.get("H"), norms["D"], norms["Udual"]
+    if ledger:
+        terms = np.zeros((5, length, B))
+        drift_work, b_work, forcing_work, mart_work, delta_sq = terms
+        ito, hs = np.zeros((length, B)), np.zeros((length, B))
+        worst = np.full(B, np.nan)
+    else:
+        ito = hs = worst = None
+
+    h2, d2, u2 = _sq_norms(sys, x, h_norm)
+    for name, sq in zip(NORMS, (h2, d2, u2)):
+        if name in norms:
+            np.sqrt(sq, out=norms[name][0])
+    for lo in range(0, steps, length):
+        hi = min(lo + length, steps)
+        if lo:
+            # the state at lo ends the last chunk and opens this one
+            for buf in norms.values():
+                buf[0] = buf[count]
+        ud = nU[0]
+        p0, snap_row = _grid_rows(snap_idx, lo, hi)
+        ip0, integral_row = _grid_rows(integral_snap_idx, lo, hi)
+        if snap_row[0] >= 0:
+            states[0] = x
+            x = states[0]
+            qv[0] = qv_run
+        if integral_row[0] >= 0:
+            for name, run in integrals.items():
+                integral_buf[name][0] = run
+        if dW is not None:
+            dw = dW[lo:hi]
+        else:
+            for c, stream in enumerate(streams):
+                drawn[: hi - lo, c] = stream.normal(0.0, math.sqrt(dt), size=(hi - lo, config.M))
+            dw = drawn[: hi - lo] if repeat is None else drawn[: hi - lo, repeat]
+        ended = False
+        # aborted rows keep stepping, masked, and may overflow on the way,
+        # into the ledger fold too
+        with np.errstate(over="ignore", invalid="ignore"):
+            for j in range(lo, hi):
+                i = j - lo
+                pos = snap_row[i + 1]
+                x_new, theta, tbx, bx, g, xi = _step(sys, config, cutoff, x, ud, f, dw[i],
+                                                     None if pos < 0 else states[pos])
+                if theta is not None:
+                    np.minimum(cutoff_min, np.where(alive, theta, 1.0), out=cutoff_min)
+                if drift:
+                    integrals["convection"] -= dt * tbx
+                    if forced:
+                        integrals["forcing"] += dt * f
+                    integrals["stokes"] -= dt * (sys.lamD * x)
+                if noise:
+                    integrals["noise"] += xi
+                if qv_pairs and g is not None:
+                    gp = g @ probes_n.T  # (B, M, P)
+                    for q, (a, b) in enumerate(qv_pairs):
+                        qv_run[:, q] += dt * np.add.reduce(gp[:, :, a] * gp[:, :, b], axis=1)
+                if ledger:
+                    # an idle cutoff's factor (-2 dt) 1.0 is -2 dt
+                    b_factor = -2.0 * dt if theta is None else -2.0 * dt * theta
+                    b_work[i] = b_factor * np.add.reduce(x * bx, axis=1)
+                    mart_work[i] = 2.0 * np.add.reduce(x * xi, axis=1)
+                    ito[i] = np.add.reduce(xi * xi, axis=1)
+                    if forced:
+                        forcing_work[i] = 2.0 * dt * np.add.reduce(x * f, axis=1)
+                    if g is not None:
+                        hs[i] = np.add.reduce((g * g).reshape(B, -1), axis=1) * dt
+                    drift_work[i] = -2.0 * dt * d2
+                    delta_sq[i] = np.add.reduce((x_new - x) ** 2, axis=1)
+
+                x = x_new
+                h2, d2, u2 = _sq_norms(sys, x, h_norm)
+                # one block-wide maximum clears every row; only past it does
+                # each row's peak decide
+                if not np.abs(x).max() <= limit:
+                    bad = alive & ~(np.maximum.reduce(np.abs(x), axis=1) <= limit)
+                    if np.logical_or.reduce(bad):
+                        abort_step[bad] = j + 1
+                        alive &= ~bad
+                        ended = not np.logical_or.reduce(alive)
+                        x = np.where(np.isfinite(x), x, 0.0)
+                        h2, d2, u2 = _sq_norms(sys, x, h_norm)
+                        if pos >= 0:
+                            states[pos] = x
+                if h_norm:
+                    np.sqrt(h2, out=nH[i + 1])
+                np.sqrt(d2, out=nD[i + 1])
+                ud = np.sqrt(u2, out=nU[i + 1])
+                if pos >= 0:
+                    qv[pos] = qv_run
+                ipos = integral_row[i + 1]
+                if ipos >= 0:
+                    for name, run in integrals.items():
+                        integral_buf[name][ipos] = run
+                if ended:
+                    break
+            last = j + 1
+            count = last - lo
+            if ledger:
                 upto = np.where(abort_step >= 0, abort_step, steps)
-                _fold_residuals(worst, terms[:, : k + 1], norm_H[:, j - k : j + 2], upto, j - k)
-            if ended:
-                if ledger and j + 1 < steps:
+                _fold_residuals(worst, terms[:, :count], nH[: count + 1], upto, lo)
+                if ended and last < steps:
                     # every step not taken is past every row's abort: 0
                     np.fmax(worst, 0.0, out=worst)
-                break
-            pos = snap_at[j + 1]
-            if pos >= 0:
-                snap_u[:, pos] = x
-                if qv_pairs:
-                    qv_cum[:, pos] = qv_run
-            pos = integral_snap_at[j + 1]
-            if pos >= 0:
-                for name, run in integrals.items():
-                    snap_integrals[name][:, pos] = run
+        p1 = int(np.searchsorted(snap_idx, last, side="right"))
+        ip1 = int(np.searchsorted(integral_snap_idx, last, side="right"))
+        yield Chunk(first=lo, last=last, norms={name: buf[: count + 1] for name, buf in norms.items()},
+                    snaps=slice(p0, p1), states=states[: p1 - p0], qv=qv[: p1 - p0],
+                    integral_snaps=slice(ip0, ip1),
+                    integrals={name: buf[: ip1 - ip0] for name, buf in integral_buf.items()},
+                    ito=None if ito is None else ito[:count], hs=None if hs is None else hs[:count],
+                    worst=worst, cutoff_min=cutoff_min, abort_step=abort_step)
+        if ended:
+            return
+
+
+def _integrate_rows(ens: Ensemble, dW=None, x0=None) -> None:
+    """Integrate the B trajectories `ens.indices` of `ens.config` together
+    (`step_chunks`), each driven by its own Philox stream or by its column
+    of the increments `dW` (steps, B, M) when given, from the coordinates
+    of P_n config.u0 or from its row of `x0` (B, n), writing each chunk's
+    norms, snapshots, quadratic variations and integral snapshots into the
+    zeroed arrays of `ens` in place; `snap_u[:, 0]` records each row's
+    start.
+
+    The energy ledger closes the discrete energy identity of the
+    Euler-Maruyama step: the walk folds each row's worst relative residual,
+    and each step's Ito and Hilbert-Schmidt increments fill block-private
+    (B, steps) arrays, summed per row (pairwise, the bits of the sums of
+    (R, steps) rows) once the walk ends.  The ledger and each running
+    integral's update run only when config.records names them, and an
+    unrecorded output's arrays have width 0; every recorded array is the
+    same bits whatever else is recorded.  An aborted row keeps what it had
+    at its abort step, its norms there with the non-finite entries zeroed,
+    and reads zero after it, its ledger terms too.  Last, each row's U'
+    increment maxima over lags 1..modulus_lags of the snapshot grid are
+    taken from its snapshots (`_lag_maxima`)."""
+    config = ens.config
+    ledger = "ledger" in config.records
+    if ledger:
+        ito_step, hs_step = np.zeros((len(ens), config.steps)), np.zeros((len(ens), config.steps))
+    norms = dict(H=ens.norm_H, D=ens.norm_D, Udual=ens.norm_Udual)
+    for chunk in step_chunks(config, ens.indices.tolist(), x0, dW):
+        for name, buf in chunk.norms.items():
+            norms[name][:, chunk.first : chunk.last + 1] = buf.T
+        ens.snap_u[:, chunk.snaps] = chunk.states.swapaxes(0, 1)
+        ens.qv_cum[:, chunk.snaps] = chunk.qv.swapaxes(0, 1)
+        for name, buf in chunk.integrals.items():
+            ens.snap_integrals[name][:, chunk.integral_snaps] = buf.swapaxes(0, 1)
+        if ledger:
+            ito_step[:, chunk.first : chunk.last] = chunk.ito.T
+            hs_step[:, chunk.first : chunk.last] = chunk.hs.T
+    ens.cutoff_min[:], ens.abort_step[:] = chunk.cutoff_min, chunk.abort_step
 
     # an aborted row keeps what it had at its abort step and zeros after it
-    for r in np.flatnonzero(abort_step >= 0):
-        a = abort_step[r]
+    snap_idx, integral_snap_idx = config.snap_idx, config.integral_snap_idx
+    for r in np.flatnonzero(ens.aborted):
+        a = ens.abort_step[r]
         if ledger:
             ito_step[r, a:] = hs_step[r, a:] = 0.0
-        for arr in (norm_H, norm_D, norm_Ud):
+        for arr in norms.values():
             arr[r, a + 1 :] = 0.0
         late = snap_idx >= a
-        snap_u[r, late] = qv_cum[r, late] = 0.0
-        for name in integrals:
-            snap_integrals[name][r, integral_snap_idx >= a] = 0.0
+        ens.snap_u[r, late] = ens.qv_cum[r, late] = 0.0
+        for name in chunk.integrals:
+            ens.snap_integrals[name][r, integral_snap_idx >= a] = 0.0
     if ledger:
-        # pairwise per-row sums, the bits of the sums of (R, steps) rows
-        ens.energy_residual[:] = worst
+        ens.energy_residual[:] = chunk.worst
         ens.ito_sum[:] = np.sum(ito_step, axis=1)
         ens.hs_sum[:] = np.sum(hs_step, axis=1)
     if config.modulus_lags:
-        ens.lag_maxima[:] = _lag_maxima(snap_u, sys.wUdual, config.modulus_lags)
+        sys = _compiled(config.basis, config.n, config.model, config.include_B)
+        ens.lag_maxima[:] = _lag_maxima(ens.snap_u, sys.wUdual, config.modulus_lags)
 
 
 def integrate_batch(config: GalerkinConfig, indices, dW=None, x0=None) -> Ensemble:
@@ -878,7 +1017,7 @@ def energy_budget_check(ens: Ensemble) -> EnergyBudgetReport:
     Hilbert-Schmidt norms is statistical and is reported as a z-score over
     the paths that did not abort.  The ensemble must have recorded the
     ledger (`GalerkinConfig.records`), which the stepper has already reduced
-    per path (`_integrate_rows`), so this reads R values of each.
+    per path (`step_chunks`), so this reads R values of each.
     """
     require_records(ens.config, "energy_budget_check", "ledger")
     live = ~ens.aborted

@@ -339,9 +339,15 @@ def inner(u: SpectralField, v: SpectralField, space: str):
 GRID_BLOCK = 1 << 17
 
 
+def block_rows(values_per_row: int) -> int:
+    """Rows of a block: GRID_BLOCK // values_per_row, at least 1."""
+    return max(1, GRID_BLOCK // values_per_row)
+
+
 def row_blocks(rows: int, values_per_row: int) -> list:
-    """Slices covering range(rows), each of at most GRID_BLOCK // values_per_row rows."""
-    step = max(1, GRID_BLOCK // values_per_row)
+    """Slices covering range(rows), each of `block_rows(values_per_row)` rows
+    but the last."""
+    step = block_rows(values_per_row)
     return [slice(lo, lo + step) for lo in range(0, max(rows, 1), step)]
 
 

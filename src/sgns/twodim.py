@@ -17,8 +17,7 @@ import numpy as np
 
 from .estimates import gronwall_eval, median
 from .galerkin import (
-    Ensemble, GalerkinConfig, _compiled, cache_rows, generate_wiener, horizon_violations,
-    integrate_batch, level_violations,
+    Ensemble, GalerkinConfig, _compiled, cache_rows, horizon_violations, level_violations, step_chunks,
 )
 from .nonlinear import TrilinearWorkspace, bilinear_B, trilinear_b
 from .spectral import Basis, SpectralField, blockwise, norm, per_field, project_Pn, row_blocks
@@ -258,52 +257,43 @@ def _twin_block(cfg: GalerkinConfig, block: list, x1, x2, C_eps: float, gamma: f
     with its u1; None when none is compared) and the pairs' terminal and
     running ratios (zero at gamma = 0).
 
-    The batch is stepped in consecutive time chunks of at most
-    GRID_BLOCK // (rows n) steps (`row_blocks` over the steps), each an
-    `integrate_batch` of its steps from the last chunk's final states.  A
-    chunk is compared, reduced to the pairs' |u1 - u2|_H^2 and the u2 rows'
-    Dirichlet norms, and freed before the next is made, so no
-    (rows, steps + 1, n) array is held.  A step depends only on its row's
-    state and increment, and the running integral r(t) is carried as one
-    sequential sum, so every bit is that of one batch over all steps.  A
-    pair with an aborted row fails the experiment, naming the lowest such
-    pair once every chunk has run."""
+    The batch is one walk of `step_chunks`, which draws each pair's
+    increments once for its two or three rows, and this is its reducer:
+    each chunk's states and Dirichlet norms are compared and reduced to
+    the pairs' |u1 - u2|_H^2 and the u2 rows' ||u2||^2 as they are handed
+    over, so no (rows, steps + 1, n) array is held.  The running integral
+    r(t) is carried as one sequential sum, so every bit is that of one
+    batch over all steps.  Once a row has aborted the experiment fails and
+    nothing more is reduced; the walk goes on, and the lowest pair with an
+    aborted row is named once it ends."""
     k = len(block)
-    dW = np.stack([generate_wiener(cfg.steps, cfg.M, cfg.dt, cfg.seed, r) for r in block], axis=1)
-    rows = block + block + block[:checks]
     x = np.repeat(np.stack([x1, x2, x1]), [k, k, checks], axis=0)
-    aborted = np.zeros(len(rows), dtype=bool)
     same = True if checks or gamma == 0.0 else None
     # sum of ||u2||^2 over the steps so far, r(t) = C_eps dt times it, and
     # the weighted distance at t = 0, its running maximum and its last value
     integral = np.zeros(k)
     first, peak, last = None, np.full(k, -np.inf), None
-    for span in row_blocks(cfg.steps, len(rows) * cfg.n):
-        dw = dW[span]
-        ens = integrate_batch(replace(cfg, T=len(dw) * cfg.dt), rows,
-                              np.concatenate([dw, dw, dw[:, :checks]], axis=1), x0=x)
-        aborted |= ens.aborted
-        u1, u2 = ens.snap_u[:k], ens.snap_u[k : 2 * k]
+    for chunk in step_chunks(cfg, block + block + block[:checks], x, h_norm=False):
+        if np.logical_or.reduce(chunk.abort_step >= 0):
+            continue
+        u1, u2 = chunk.states[:, :k], chunk.states[:, k : 2 * k]
         if checks:
-            same &= np.array_equal(ens.snap_u[2 * k :], u1[:checks])
+            same &= np.array_equal(chunk.states[:, 2 * k :], u1[:, :checks])
         if gamma == 0.0:
             same &= np.array_equal(u1, u2)
         else:
-            # squaring in place keeps one (k, chunk, n) temporary
+            # squaring in place keeps one (chunk, k, n) temporary
             d = u1 - u2
             d *= d
             U2 = np.add.reduce(d, axis=2)
-            sums = np.cumsum(np.concatenate([integral[:, None], ens.norm_D[k : 2 * k, :-1] ** 2], axis=1),
-                             axis=1)
-            integral = sums[:, -1]
+            sums = np.cumsum(np.concatenate([integral[None], chunk.norms["D"][:-1, k : 2 * k] ** 2]), axis=0)
+            integral = sums[-1]
             weighted = np.exp(-(C_eps * (sums * cfg.dt))) * U2
             if first is None:
-                first = weighted[:, 0]
-            peak = np.maximum(peak, np.max(weighted, axis=1))
-            last = weighted[:, -1]
-        x = ens.snap_u[:, -1].copy()
-        del ens, u1, u2
-    bad = np.flatnonzero(aborted)
+                first = weighted[0]
+            peak = np.maximum(peak, np.max(weighted, axis=0))
+            last = weighted[-1]
+    bad = np.flatnonzero(chunk.abort_step >= 0)
     if len(bad):
         r = block[int(np.min(bad % k))]
         raise RuntimeError(f"trajectory {r} aborted during the uniqueness experiment")
@@ -356,8 +346,9 @@ def pathwise_uniqueness_experiment(
     basis = config.basis
     pert = np.zeros(basis.n_modes)
     pert[0] = gamma
-    # only snap_u and norm_D are read, so no ledger and no running integral
-    cfg = replace(config, snapshot_stride=1, records=())
+    # only the states and the Dirichlet norms are read, so no ledger, no
+    # running integral and no probe
+    cfg = replace(config, snapshot_stride=1, records=(), probes=())
     x1 = basis.real_coords(project_Pn(config.u0, cfg.n), cfg.n)
     x2 = basis.real_coords(project_Pn(config.u0 + basis.field_from_real_coords(pert), cfg.n), cfg.n)
     ratios_T = np.zeros(n_traj)

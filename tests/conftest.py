@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sgns import galerkin
+from sgns import galerkin, spectral
 from sgns.spectral import Basis, SpaceScale, TorusDomain
 
 
@@ -18,6 +18,13 @@ def triplets(config) -> int:
     """Convection triplets of config's compiled system: BLOCK_CACHE = r
     x triplets gives blocks of r rows (`galerkin.cache_rows`)."""
     return len(galerkin._compiled(config.basis, config.n, config.model, config.include_B)._V)
+
+
+def walk_in_chunks(monkeypatch, rows: int, n: int, chunk: int) -> None:
+    """Set GRID_BLOCK so that `galerkin.step_chunks` walks a batch of `rows`
+    rows of n coordinates in chunks of `chunk` steps (row_blocks over the
+    steps at rows x n values per step)."""
+    monkeypatch.setattr(spectral, "GRID_BLOCK", chunk * rows * n)
 
 
 @pytest.fixture(scope="session")

@@ -1,7 +1,7 @@
 """The per-step energy ledger as seven (paths, steps) arrays, replayed one
 path and one step at a time, and the reduction of those arrays to each
 path's worst relative residual and Ito and Hilbert-Schmidt sums: the
-independent reference for the per-path ledger that `galerkin._integrate_rows`
+independent reference for the per-path ledger that `galerkin.step_chunks`
 reduces while it steps."""
 
 import numpy as np

@@ -12,6 +12,7 @@ from sgns.estimates import (
     median,
     p_range,
     percentile,
+    too_few_live_paths,
     uniformity_report,
 )
 from sgns.galerkin import GalerkinConfig, integrate_batch, integrate_ensemble
@@ -75,6 +76,20 @@ def test_aggregate_basic(basis2d_small):
     assert not stats.warnings
     stats2 = aggregate({8: recs}, p_list=(3.0,), eta=0.5)
     assert stats2.warnings
+
+
+def test_aggregate_names_every_level_with_too_few_live_paths(basis2d_small):
+    # level 8 keeps 2 of its 3 paths, level 10 one, level 12 none: the two
+    # short levels are named with their live counts
+    by_n = {n: make_records(basis2d_small, n=n, n_traj=3) for n in (8, 10, 12)}
+    by_n[8].abort_step[0] = by_n[10].abort_step[[0, 2]] = 5
+    by_n[12].abort_step[:] = 1
+    want = "need at least 2 live trajectories at every level: n = 10 has 1, n = 12 has 0"
+    assert too_few_live_paths(by_n) == want
+    with pytest.raises(ValueError, match=want):
+        aggregate(by_n)
+    del by_n[10], by_n[12]
+    assert too_few_live_paths(by_n) is None and aggregate(by_n).per_n[8]["count"] == 2
 
 
 def test_aggregate_duplicated_trajectory(basis2d_small):

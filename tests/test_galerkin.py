@@ -2,13 +2,17 @@ import dataclasses
 import math
 import multiprocessing
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
-from conftest import triplets
+from conftest import triplets, walk_in_chunks
 from lag_oracle import brute_lag_maxima
 from ledger_oracle import LEDGER_STEPS, budget_report, ledger_arrays, ledger_reduction
+from stepper_oracle import convection as scattered_convection
+from stepper_oracle import oracle_batch
+from stepper_oracle import sq_norms as broadcast_sq_norms
 
 from sgns import galerkin
 from sgns.galerkin import (
@@ -856,37 +860,137 @@ def test_a_nan_increment_aborts_its_row_only(basis2d_small):
 @pytest.mark.parametrize("chunk", [1, 4, 6, 13, 30, 64])
 @EM_ONLY
 def test_per_path_ledger_at_chunk_edges(basis2d_small, monkeypatch, scheme, chunk):
-    # 30 steps folded in chunks of 1, 4, 6, 13, 30 and 64 steps: a chunk
-    # longer than the run, one that divides it and ones that do not.  Rows
-    # 1 and 3 abort on their steps 7 and 12: the last and the first step of
-    # a chunk of 4, the second and the first of a chunk of 6, and step 12
-    # ends a chunk of 13; the forcing and the cutoff are active
-    monkeypatch.setattr(galerkin, "LEDGER_CHUNK", chunk)
+    # 30 steps walked, and the ledger folded, in chunks of 1, 4, 6, 13, 30
+    # and 64 steps: a chunk longer than the run, one that divides it and
+    # ones that do not.  Rows 1 and 3 abort on their steps 7 and 12: the
+    # last and the first step of a chunk of 4, the second and the first of
+    # a chunk of 6, and step 12 ends a chunk of 13; the forcing and the
+    # cutoff are active
     cfg = rich_config(basis2d_small, T=0.03, overflow_limit=1e3)
     assert cfg.steps == 30
+
+    def batch(config, rows, dW=None):
+        walk_in_chunks(monkeypatch, len(rows), config.n, chunk)
+        return integrate_batch(config, rows, dW)
+
     dW = blown_up_increments(cfg, 5)
-    batch = integrate_batch(cfg, range(5), dW)
-    assert batch.abort_step.tolist() == [-1, 8, -1, 13, -1] and batch.cutoff_min[0] < 1.0
-    assert_ledger_is_the_oracle(batch, dW)
-    # every row aborts, so the loop stops after step 12, mid-chunk for most
+    full = batch(cfg, range(5), dW)
+    assert full.abort_step.tolist() == [-1, 8, -1, 13, -1] and full.cutoff_min[0] < 1.0
+    assert_ledger_is_the_oracle(full, dW)
+    # every row aborts, so the walk stops after step 12, mid-chunk for most
     # chunks
-    assert_ledger_is_the_oracle(integrate_batch(cfg, [1, 3], dW[:, [1, 3]]), dW[:, [1, 3]])
+    assert_ledger_is_the_oracle(batch(cfg, [1, 3], dW[:, [1, 3]]), dW[:, [1, 3]])
     # a row whose first step overflows to inf: its one step taken reads NaN,
     # every step it did not take 0
     first = dW[:, [0]].copy()
     first[0] = 1e300
-    one = integrate_batch(cfg, [0], first)
+    one = batch(cfg, [0], first)
     assert one.abort_step.tolist() == [1] and one.energy_residual.tolist() == [0.0]
     assert_ledger_is_the_oracle(one, first)
     # a NaN increment on row 2's step 9
     nan = dW[:, :4].copy()
     nan[9, 2, 0] = np.nan
-    assert_ledger_is_the_oracle(integrate_batch(cfg, range(4), nan), nan)
+    assert_ledger_is_the_oracle(batch(cfg, range(4), nan), nan)
     # no noise, forcing and cutoff still active
     quiet = dataclasses.replace(cfg, model=None)
-    ens = integrate_batch(quiet, range(2))
+    ens = batch(quiet, range(2))
     assert ens.ito_sum.tolist() == ens.hs_sum.tolist() == [0.0, 0.0] and ens.cutoff_min[0] < 1.0
     assert_ledger_is_the_oracle(ens)
+
+
+# -- the chunked walk against the one loop over all steps -----------------------
+
+
+def aborts_in_two_chunks(cfg, rows):
+    """The Wiener increments (steps, rows, M) of trajectories 0..rows-1 with
+    every direction of row 1 at step 2 set to 1e6 and of row 3 at step 19
+    to 1e300: aborts at steps 3 and 20, in chunks 0 and 2 of 7 steps."""
+    dW = np.stack([generate_wiener(cfg.steps, cfg.M, cfg.dt, cfg.seed, i) for i in range(rows)], axis=1)
+    dW[2, 1] = 1e6
+    dW[19, 3] = 1e300
+    return dW
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 30, 45], ids=["1", "7", "steps", "past-steps"])
+@pytest.mark.parametrize("case", ["scatter", "segments"])
+def test_walk_is_the_one_loop(basis2d_small, basis2d, monkeypatch, chunk, case):
+    # 30 steps in chunks of 1, 7, all 30 and 45: every record set, two
+    # probes, forcing, an active cutoff, lag maxima, snapshots every 5 steps
+    # and integral snapshots every 4.  n = 10 of K = 3 has convection
+    # segments on 8 coordinates, n = 16 of K = 8 on all 16 (see
+    # `CompiledGalerkin.convection`)
+    basis, n = (basis2d_small, 10) if case == "scatter" else (basis2d, 16)
+    for records in record_subsets():
+        cfg = rich_config(basis, n=n, T=0.03, overflow_limit=1e3, modulus_lags=3, records=records)
+        assert cfg.steps == 30
+        dW = aborts_in_two_chunks(cfg, 5)
+        walk_in_chunks(monkeypatch, 5, n, chunk)
+        got = integrate_batch(cfg, range(5), dW)
+        assert got.abort_step.tolist() == [-1, 3, -1, 20, -1]
+        assert_records_identical(oracle_batch(cfg, range(5), dW), got, equal_nan=True)
+        # Philox streams drawn chunk by chunk, rows out of order, from an
+        # F-ordered start
+        x0 = np.asfortranarray(np.random.default_rng(4).standard_normal((3, n)) * 0.3)
+        walk_in_chunks(monkeypatch, 3, n, chunk)
+        assert_records_identical(oracle_batch(cfg, [4, 0, 2], x0=x0), integrate_batch(cfg, [4, 0, 2], x0=x0))
+        # every row aborts, so the walk ends at step 20, mid-chunk
+        walk_in_chunks(monkeypatch, 2, n, chunk)
+        got = integrate_batch(cfg, [1, 3], dW[:, [1, 3]])
+        assert_records_identical(oracle_batch(cfg, [1, 3], dW[:, [1, 3]]), got, equal_nan=True)
+    assert got.cutoff_min[0] < 1.0 and len(cfg.qv_pairs) == 3
+
+
+@pytest.mark.parametrize("case", ["2d-n8", "2d-n16", "2d-n128", "3d-small"])
+def test_step_kernels_keep_the_bits_of_the_broadcast_and_the_scatter(case, basis2d, basis3d_small):
+    # the squared norms are those of one (B, 3, n) weighted broadcast, and
+    # the convection that of scattering the segment sums into zeros, whether
+    # some coordinates have no segment (n = 8: 4 of 8 have one) or all do
+    basis, n = (basis3d_small, basis3d_small.n_modes) if case == "3d-small" else (basis2d, int(case[4:]))
+    sys = CompiledGalerkin(basis, n, None)
+    assert (len(sys._rows) < n) == (case == "2d-n8")
+    for B in (1, 16, 100):
+        X = np.random.default_rng(B).standard_normal((B, n))
+        assert np.array_equal(np.stack(galerkin._sq_norms(sys, X)), broadcast_sq_norms(sys, X))
+        h2, d2, u2 = galerkin._sq_norms(sys, X, h=False)
+        assert h2 is None and np.array_equal(np.stack([d2, u2]), broadcast_sq_norms(sys, X)[1:])
+        assert np.array_equal(sys.convection(X), scattered_convection(sys, X))
+    assert np.array_equal(sys.convection(X[0]), scattered_convection(sys, X[:1])[0])
+
+
+def test_a_trajectory_on_several_rows_is_drawn_once(basis2d_small, monkeypatch):
+    # trajectory 3 on rows 0 and 2: each row is its one-row run, in chunks
+    # of 7 steps
+    cfg = rich_config(basis2d_small, T=0.03)
+    walk_in_chunks(monkeypatch, 3, cfg.n, 7)
+    batch = integrate_batch(cfg, [3, 1, 3])
+    for r, i in enumerate([3, 1, 3]):
+        assert_records_identical(integrate_batch(cfg, [i]).rows([0]), batch.rows([r]))
+
+
+@pytest.mark.parametrize("ledger", [True, False])
+def test_block_memory_grows_with_the_steps_by_the_ledger_arrays_only(basis2d_small, monkeypatch, ledger):
+    # 20 rows in chunks of 25 steps over 200 and 800 steps, 5 snapshots and
+    # 5 integral snapshots each: the traced peak of the block's private
+    # memory (the Ensemble is a shared mapping, which tracemalloc does not
+    # see) grows by at most the two (B, steps) arrays of Ito and
+    # Hilbert-Schmidt increments under the ledger, and otherwise by less
+    # than one (B, n) state, the chunk bounds (0.5 KB here)
+    rows, peaks = 20, []
+    records = set(galerkin.RECORDS) if ledger else set(galerkin.RECORDS) - {"ledger"}
+    for steps in (200, 800):
+        cfg = make_config(basis2d_small, T=steps * 1e-3, snapshot_stride=steps // 4,
+                          integral_snapshot_stride=steps // 4, records=records,
+                          probes=(basis2d_small.basis_field(0),))
+        walk_in_chunks(monkeypatch, rows, cfg.n, 25)
+        integrate_batch(cfg, range(rows))
+        tracemalloc.start()
+        try:
+            integrate_batch(cfg, range(rows))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    growth = peaks[1] - peaks[0] - (2 * rows * 600 * 8 if ledger else 0)
+    assert growth < rows * cfg.n * 8
 
 
 @pytest.mark.parametrize("shape", [(3, 9), (2, 10), (10,)])

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sgns import cli, galerkin, tightness
+from sgns import cli, galerkin, tightness, twodim
 from sgns.cli import VERBS, main, run_command
 from sgns.config import EXPERIMENT, ConfigError, load_config
 from sgns.io import read_snapshot, write_snapshot
@@ -376,13 +376,15 @@ def test_only_the_energy_verbs_record_the_ledger(tmp_path, monkeypatch):
         "uniqueness": write_cfg(tmp_path, {"experiment": {"certify_samples": 50, "twin_trajectories": 1}},
                                 "uniqueness.json"),
     }
-    integrate, seen = galerkin._integrate_rows, []
+    walk, seen = galerkin.step_chunks, []
 
-    def spy(ens, *args, **kwargs):
-        seen.append(ens.config.records)
-        return integrate(ens, *args, **kwargs)
+    def spy(config, *args, **kwargs):
+        seen.append(config.records)
+        return walk(config, *args, **kwargs)
 
-    monkeypatch.setattr(galerkin, "_integrate_rows", spy)
+    # the one stepper, at the Ensemble writer's and the uniqueness twins' call
+    monkeypatch.setattr(galerkin, "step_chunks", spy)
+    monkeypatch.setattr(twodim, "step_chunks", spy)
     records = {}
     for verb, cfg in configs.items():
         seen.clear()
@@ -687,6 +689,27 @@ def test_tightness_verb_rejects_thetas_below_one_step(tmp_path, monkeypatch):
     assert failure == ("experiment.deltas: window(s) 0.0009 shorter than one snapshot spacing 0.0009765625; "
                        "experiment.thetas: window(s) 0.0001, 0.0002, 0.0003 shorter than one snapshot "
                        "spacing 0.0009765625")
+
+
+def test_ensemble_verb_names_too_few_paths(tmp_path, capsys):
+    # spaces.json runs one trajectory, which has no standard error: the verb
+    # writes a named failure and exits 1, with no traceback
+    code = main(["ensemble", "--config", str(DEMOS / "spaces.json"), "--out", str(tmp_path / "out")])
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert code == 1 and summary["passed"] is False and summary["trajectories"] == 1
+    assert summary["failure"] == "need at least 2 live trajectories at every level: n = 8 has 1"
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_estimates_verb_names_too_few_paths(tmp_path, capsys):
+    # three levels of one trajectory each
+    path = write_cfg(tmp_path, {"galerkin": {"n_list": [2, 4, 6]}, "ensemble": {"trajectories": 1}})
+    code = main(["estimates", "--config", str(path), "--out", str(tmp_path / "out")])
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert code == 1 and summary["passed"] is False
+    assert summary["failure"] == ("need at least 2 live trajectories at every level: "
+                                  "n = 2 has 1, n = 4 has 1, n = 6 has 1")
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_tightness_verb_names_a_level_the_noise_misses(tmp_path):

@@ -337,36 +337,35 @@ def test_pathwise_uniqueness_names_the_first_aborted_pair(basis2d_small, rng, mo
         u0=random_field(basis2d_small, rng, n=8, decay=0.5),
         model=default_noise_model(2), seed=12,
     )
-    run = twodim.integrate_batch
+    walk = twodim.step_chunks
 
-    def aborting(config, indices, dW, x0):
-        ens = run(config, indices, dW, x0=x0)
-        ens.abort_step[[2, 4 + 1]] = 1
-        return ens
+    def aborting(config, indices, x0=None, dW=None, h_norm=True):
+        for chunk in walk(config, indices, x0, dW, h_norm):
+            chunk.abort_step[[2, 4 + 1]] = 1
+            yield chunk
 
-    monkeypatch.setattr(twodim, "integrate_batch", aborting)
+    monkeypatch.setattr(twodim, "step_chunks", aborting)
     with pytest.raises(RuntimeError, match="trajectory 1 aborted"):
         pathwise_uniqueness_experiment(cfg, lipschitz_L=1.0, gamma=1e-8, n_traj=4)
 
 
 def counted_batches(monkeypatch):
-    """Spy on the twins' batches: the row count of each, and before each
-    `integrate_batch` call (one per time chunk) how many of the Ensembles
-    returned earlier, by any batch, are still alive.  A batch is a run of
-    consecutive calls on the same trajectories."""
-    run, rows, refs, alive = twodim.integrate_batch, [], [], []
-    last = []
+    """Spy on the twins' batches, each one walk of `step_chunks`: the row
+    count of each, and at each chunk a walk hands over how many buffers of
+    the chunks handed earlier, by any walk, are still alive besides the one
+    this chunk's states are in.  A walk hands every chunk in one buffer,
+    which the next chunk overwrites."""
+    walk, rows, refs, alive = twodim.step_chunks, [], [], []
 
-    def counted(config, indices, dW, x0):
-        alive.append(sum(ref() is not None for ref in refs))
-        if list(indices) != last:
-            rows.append(len(indices))
-            last[:] = indices
-        ens = run(config, indices, dW, x0=x0)
-        refs.append(weakref.ref(ens))
-        return ens
+    def counted(config, indices, x0=None, dW=None, h_norm=True):
+        rows.append(len(indices))
+        for chunk in walk(config, indices, x0, dW, h_norm):
+            buf = chunk.states.base
+            alive.append(sum(ref() is not None and ref() is not buf for ref in refs))
+            refs.append(weakref.ref(buf))
+            yield chunk
 
-    monkeypatch.setattr(twodim, "integrate_batch", counted)
+    monkeypatch.setattr(twodim, "step_chunks", counted)
     return rows, alive
 
 
@@ -427,15 +426,15 @@ def test_twin_checks_ride_in_the_perturbed_batches(basis2d_small, rng, monkeypat
         assert np.array_equal(rep.sup_ratios, plain.sup_ratios)
 
     # a check row one ulp off its u1 row fails the check
-    run = twodim.integrate_batch
+    walk = twodim.step_chunks
 
-    def nudged(config, indices, dW, x0):
-        ens = run(config, indices, dW, x0=x0)
-        if len(indices) == 5:
-            ens.snap_u[-1, -1, 0] = np.nextafter(ens.snap_u[-1, -1, 0], np.inf)
-        return ens
+    def nudged(config, indices, x0=None, dW=None, h_norm=True):
+        for chunk in walk(config, indices, x0, dW, h_norm):
+            if len(indices) == 5:
+                chunk.states[-1, -1, 0] = np.nextafter(chunk.states[-1, -1, 0], np.inf)
+            yield chunk
 
-    monkeypatch.setattr(twodim, "integrate_batch", nudged)
+    monkeypatch.setattr(twodim, "step_chunks", nudged)
     rep = pathwise_uniqueness_experiment(cfg, lipschitz_L=1.0, gamma=1e-8, n_traj=5, twins=3)
     assert rep.identical is False
 
@@ -469,9 +468,9 @@ def test_twins_run_at_the_ensemble_block_size(basis2d, monkeypatch):
 
 @pytest.mark.parametrize("gamma", [0.0, 1e-8])
 def test_each_twin_batch_is_freed_before_the_next(basis2d, monkeypatch, gamma):
-    # 40 pairs in blocks of 20, each stepped in time chunks: every chunk's
-    # rows are released before the next chunk, of its batch or the next
-    # batch, is made
+    # 40 pairs in blocks of 20, each stepped in time chunks: every chunk of
+    # a batch is handed in the buffer of its first, and each batch's
+    # buffer is released before the next batch is stepped
     cfg = uniqueness_config(basis2d)
     monkeypatch.setattr(galerkin, "BLOCK_CACHE", 40 * triplets(cfg))
     rows, alive = counted_batches(monkeypatch)
@@ -531,16 +530,16 @@ def test_twins_aborting_in_different_chunks_name_the_lowest_pair(basis2d_small, 
     # one batch over all steps would
     cfg = small_twins(basis2d_small)
     monkeypatch.setattr(spectral, "GRID_BLOCK", 7 * 8 * cfg.n)
-    run, calls = twodim.integrate_batch, []
+    walk, calls = twodim.step_chunks, []
 
-    def aborting(config, indices, dW, x0):
-        ens = run(config, indices, dW, x0=x0)
-        if len(calls) < 2:
-            ens.abort_step[[4 + 3, 1][len(calls)]] = 1
-        calls.append(len(indices))
-        return ens
+    def aborting(config, indices, x0=None, dW=None, h_norm=True):
+        for chunk in walk(config, indices, x0, dW, h_norm):
+            if len(calls) < 2:
+                chunk.abort_step[[4 + 3, 1][len(calls)]] = 1
+            calls.append(chunk.states.shape[1])
+            yield chunk
 
-    monkeypatch.setattr(twodim, "integrate_batch", aborting)
+    monkeypatch.setattr(twodim, "step_chunks", aborting)
     with pytest.raises(RuntimeError, match="trajectory 1 aborted"):
         pathwise_uniqueness_experiment(cfg, lipschitz_L=1.0, gamma=1e-8, n_traj=4)
     assert calls == [8] * math.ceil(cfg.steps / 7)
