@@ -131,8 +131,11 @@ _SCALARS = {
 
 # every knob a verb reads from the experiment table: key -> (kind, default).
 # A default of None means the verb derives the value from the run; "samples"
-# is 100 for verify-operators and 10000 for certify-noise and spaces.  The
-# ranges of eta and eta0 are checked by the modules that use them.
+# is 100 for verify-operators and 10000 for certify-noise and spaces.
+# "certify_samples" is the count of random pairs of the uniqueness verb's
+# sampled Lipschitz witness, drawn on the stepped level n; the verb gates on
+# the exact L.  The ranges of eta and eta0 are checked by the modules that
+# use them.
 EXPERIMENT = {
     "samples": (_count, None), "tolerance": (_real, 1e-12),  # verify-operators, certify-noise
     "residual_tolerance": (_real, 1e-10), "z_bound": (_real, 3.0),  # ensemble

@@ -312,6 +312,76 @@ def gstar_analytic_bound(sups) -> float:
     return 2.0 * total
 
 
+@dataclass(frozen=True)
+class ExactConstants:
+    """The noise conditions' constants on the Galerkin space; None where
+    not formed."""
+
+    lipschitz_L: float
+    gstar_constant: float | None = None
+    coercivity_margin: float | None = None
+
+
+def exact_constants(model: NoiseModel, basis: Basis, eta: float | None = None,
+                    lam0: float | None = None) -> ExactConstants:
+    """G is linear, so on the Galerkin space each noise condition is the
+    extreme of a ratio of quadratic forms in real coordinates: one symmetric
+    eigenvalue.  With G_i from `noise_matrices` on the full basis,
+    S = sum_i G_i^T G_i and the diagonal weights W_D and W_V':
+
+      L = sqrt(lambda_max(W_D^-1/2 S W_D^-1/2)), the sup of
+          |G(u) - G(v)|_HS(Y,H) / ||u - v||;
+      gstar_constant = lambda_max(sum_i G_i^T W_V' G_i), the sup of
+          |G(u)|_HS(Y,V')^2 / (1 + |u|_H^2), approached as |u|_H grows;
+      coercivity_margin = lambda_min((2 - eta) W_D - S + lam0 I), >= 0 iff
+          2 ||u||^2 - |G(u)|_HS(Y,H)^2 >= eta ||u||^2 - lam0 |u|_H^2 for all u.
+
+    Only L is formed unless the coercivity pair (eta, lam0) is given.  P_n G
+    drops the part of G(u) outside the box, so each is a lower bound of its
+    infinite-dimensional constant, which `direction_sups` bounds above."""
+    mats = noise_matrices(model, basis)
+    wD = basis.mode_weights("D")
+    S = np.zeros((basis.n_modes,) * 2)
+    for mat in mats:
+        S += mat.T @ mat
+    r = wD**-0.5
+    L = math.sqrt(max(float(np.linalg.eigvalsh(r[:, None] * S * r)[-1]), 0.0))
+    if eta is None:
+        return ExactConstants(L)
+    wVdual = basis.mode_weights("Vdual")
+    gstar = float(np.linalg.eigvalsh(sum(mat.T @ (wVdual[:, None] * mat) for mat in mats))[-1]) if mats else 0.0
+    S *= -1.0
+    S[np.diag_indices_from(S)] += (2.0 - eta) * wD + lam0
+    return ExactConstants(L, gstar, float(np.linalg.eigvalsh(S)[0]))
+
+
+def _max_lipschitz_quotient(D: np.ndarray, mats, wD: np.ndarray) -> float:
+    """Largest |G(d)|_HS(Y,H) / ||d|| over the rows d of D with ||d|| > 0
+    (0 if there is none), G given by `mats` in D's coordinates and ||.||
+    by the Dirichlet weights wD; D is overwritten."""
+    dH = np.zeros(len(D))
+    for mat in mats:
+        Y = D @ mat.T
+        Y *= Y
+        dH += np.sum(Y, axis=1)
+    D *= D
+    D *= wD
+    dD = np.sum(D, axis=1)
+    ok = dD > 0
+    return float(np.max(np.sqrt(dH[ok] / dD[ok]))) if np.any(ok) else 0.0
+
+
+def sampled_lipschitz(mats, wD: np.ndarray, samples: int, seed: int) -> float:
+    """The Lipschitz quotient's largest value over `samples` random pairs
+    (u, v) in the coordinates of `mats`, with Dirichlet weights wD: G is
+    linear, so a pair is drawn as its difference u - v, one (samples, n)
+    array.  A witness that never exceeds the exact L of those matrices."""
+    rng = np.random.default_rng(seed)
+    D = rng.standard_normal((samples, len(wD)))
+    D *= (1.0 + wD) ** (-rng.uniform(0.0, 1.0, size=(samples, 1)))
+    return _max_lipschitz_quotient(D, mats, wD)
+
+
 @dataclass
 class NoiseConditionReport:
     C1: float
@@ -319,7 +389,6 @@ class NoiseConditionReport:
     eps: float | None
     eta: float | None
     lam0: float | None
-    rho: float
     gstar_constant: float
     gstar_analytic: float
     gstar_violations: int
@@ -344,7 +413,8 @@ def certify_conditions(
         2 ((u,u)) - |G(u)|_{HS(Y,H)}^2 >= eta ||u||^2 - lam0 |u|_H^2
 
     together with the growth ratio |G(u)|_{HS(Y,V')}^2 / (1 + |u|_H^2) and
-    the Lipschitz quotient |G(u)-G(v)|_{HS(Y,H)} / ||u-v||.
+    the Lipschitz quotient |G(u)-G(v)|_{HS(Y,H)} / ||u-v||.  These are
+    sample maxima and counts; `exact_constants` gives the sups and margin.
     """
     domain = basis.domain
     sups = direction_sups(model, domain)
@@ -352,7 +422,7 @@ def certify_conditions(
     a = coercivity_constant(model, domain)
     if a <= 0.0:
         return NoiseConditionReport(
-            C1=C1, a=a, eps=None, eta=None, lam0=None, rho=0.0,
+            C1=C1, a=a, eps=None, eta=None, lam0=None,
             gstar_constant=float("nan"), gstar_analytic=gstar_analytic_bound(sups),
             gstar_violations=0, lipschitz_L=float("nan"),
             empirical_violations=0, samples=0, rejected=True,
@@ -407,21 +477,10 @@ def certify_conditions(
 
     # linear G: the Lipschitz quotient is the operator norm from the Dirichlet
     # seminorm into HS(Y,H); measure it on the sampled pair differences
-    lip = 0.0
-    dH = np.zeros(half)
-    for mat in mats:
-        Y = D @ mat.T
-        Y *= Y
-        dH += np.sum(Y, axis=1)
-    D *= D
-    D *= wD
-    dD = np.sum(D, axis=1)
-    ok = dD > 0
-    if np.any(ok):
-        lip = float(np.max(np.sqrt(dH[ok] / dD[ok])))
+    lip = _max_lipschitz_quotient(D, mats, wD)
 
     return NoiseConditionReport(
-        C1=C1, a=a, eps=eps if C1 else None, eta=eta, lam0=lam0, rho=0.0,
+        C1=C1, a=a, eps=eps if C1 else None, eta=eta, lam0=lam0,
         gstar_constant=gstar_constant, gstar_analytic=gan,
         gstar_violations=gstar_violations, lipschitz_L=lip,
         empirical_violations=violations, samples=samples, rejected=False,

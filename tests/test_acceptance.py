@@ -25,6 +25,7 @@ from sgns.noise import (
     coercivity_constant,
     constant_transport_model,
     default_noise_model,
+    exact_constants,
 )
 from sgns.nonlinear import TrilinearWorkspace, trilinear_b
 from sgns.spectral import (
@@ -162,8 +163,17 @@ def test_criterion_03_noise_certification(basis):
         and rep.gstar_violations == 0
         and rep.gstar_constant <= rep.gstar_analytic
     )
+    # beside the sampled check, the exact values on the Galerkin space:
+    # both margins nonnegative, and no sampled quotient above its sup
+    exact = exact_constants(model, basis, rep.eta, rep.lam0)
+    ok = (ok and exact.coercivity_margin >= 0.0
+          and rep.gstar_constant <= exact.gstar_constant <= rep.gstar_analytic
+          and rep.lipschitz_L <= exact.lipschitz_L)
     report(3, ok, f"a = {rep.a} (oracle {a_oracle}), (eta, lam0) = ({rep.eta}, {rep.lam0}), "
-                  f"violations {rep.empirical_violations}/{rep.gstar_violations} on {rep.samples} fields")
+                  f"violations {rep.empirical_violations}/{rep.gstar_violations} on {rep.samples} fields; "
+                  f"exact: coercivity margin {exact.coercivity_margin:.4f} >= 0, growth sup "
+                  f"{exact.gstar_constant:.4f} (sampled {rep.gstar_constant:.4f}) <= {rep.gstar_analytic}, "
+                  f"L = {exact.lipschitz_L:.4f} (sampled {rep.lipschitz_L:.4f})")
 
 
 def test_criterion_04_integrator_orders(basis):
@@ -329,8 +339,12 @@ def test_criterion_11_pathwise_uniqueness(basis):
     twins = pathwise_uniqueness_experiment(cfg, cert.lipschitz_L, gamma=0.0, n_traj=3)
     rep = pathwise_uniqueness_experiment(cfg, cert.lipschitz_L, gamma=1e-8, n_traj=500)
     ok = cert.lipschitz_L < 2.0 and twins.identical and rep.median_ratio_T <= 1.1
+    # beside the sampled L, the exact one, which the sample cannot exceed
+    exact_L = exact_constants(model, basis).lipschitz_L
+    ok = ok and cert.lipschitz_L <= exact_L < 2.0
     report(11, ok, f"L = {cert.lipschitz_L:.3f} < 2, twin runs bitwise identical: {twins.identical}, "
-                   f"median weighted ratio {rep.median_ratio_T:.4f} <= 1.1 over {rep.trajectories} paths")
+                   f"median weighted ratio {rep.median_ratio_T:.4f} <= 1.1 over {rep.trajectories} paths; "
+                   f"exact L = {exact_L:.3f} < 2")
 
 
 def test_criterion_12_shifted_energy_and_uniqueness():

@@ -6,12 +6,13 @@ import re
 import struct
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from sgns import cli, galerkin, tightness, twodim
+from sgns import cli, galerkin, noise, tightness, twodim
 from sgns.cli import VERBS, main, run_command
 from sgns.config import EXPERIMENT, ConfigError, load_config
 from sgns.io import read_snapshot, write_snapshot
@@ -526,6 +527,28 @@ def test_certify_noise_verb(tmp_path):
     summary = json.loads((tmp_path / "out" / "summary.json").read_text())
     assert abs(summary["eta"] - 0.5) < 1e-12
     assert abs(summary["lam0"] - 1.5) < 1e-12
+    # the exact values beside the sampled ones: b = (1, 0) has L = 1 and, at
+    # K = 3, the growth sup 3^2 / (1 + 3^2) = 0.9
+    assert summary["lipschitz_L"] == 1.0
+    assert 0.0 < summary["lipschitz_L_sampled"] <= summary["lipschitz_L"]
+    assert abs(summary["gstar_constant"] - 0.9) < 1e-12
+    assert 0.0 < summary["gstar_sampled"] <= summary["gstar_constant"]
+    assert summary["gstar_margin"] == summary["gstar_analytic_bound"] - summary["gstar_constant"]
+    assert summary["coercivity_margin"] > 0.0
+    assert summary["coercivity_violations"] == summary["gstar_violations"] == 0
+    assert "rho" not in summary
+
+
+@pytest.mark.parametrize("gstar, margin", [(4.0 + 1e-6, 2.0), (0.9, -1e-6)], ids=["growth", "coercivity"])
+def test_certify_noise_verb_gates_on_the_exact_margins(tmp_path, monkeypatch, gstar, margin):
+    # the sampled counts stay 0; an exact growth sup above the analytic
+    # bound 4, or a negative coercivity margin, fails the verb
+    monkeypatch.setattr(cli, "exact_constants", lambda *a: noise.ExactConstants(1.0, gstar, margin))
+    path = write_cfg(tmp_path, {"noise": {"eps": 0.5}, "experiment": {"samples": 100}})
+    assert run_command("certify-noise", load_config(path), tmp_path / "out") == 1
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert summary["coercivity_violations"] == summary["gstar_violations"] == 0
+    assert summary["passed"] is False
 
 
 def test_certify_noise_rejects_degenerate(tmp_path):
@@ -766,11 +789,12 @@ def test_uniqueness_verb(tmp_path):
 
 
 def test_uniqueness_verb_gates_max_L_L2_below_2(tmp_path):
-    # a gradient amplitude c = 2.5 certifies L in [sqrt 2, 2): it passes
-    # L < 2 but not L^2 < 2, so no Young split eps > 0 exists; the verb
-    # fails on the gate, with a summary and no traceback
+    # b = (1, 0) with a constant c = 1.2 has the exact L = sqrt(1 + c^2)
+    # = 1.56 in [sqrt 2, 2): it passes L < 2 but not L^2 < 2, so no Young
+    # split eps > 0 exists; the verb fails on the gate, with a summary and
+    # no traceback
     path = write_cfg(tmp_path, {
-        "noise": {"directions": [{"b": {"const": [1.0, 0.0]}, "c": {"const": [2.5]}}]},
+        "noise": {"directions": [{"b": {"const": [1.0, 0.0]}, "c": {"const": [1.2]}}]},
         "experiment": {"certify_samples": 200},
     })
     code = run_command("uniqueness", load_config(path), tmp_path / "out")
@@ -780,6 +804,46 @@ def test_uniqueness_verb_gates_max_L_L2_below_2(tmp_path):
     assert summary["passed"] is False
     assert summary["failure"] == f"noise Lipschitz gate max(L, L^2) < 2 failed at L = {summary['lipschitz_L']}"
     assert not (tmp_path / "out" / "weighted_ratios.csv").exists()
+
+
+def test_uniqueness_verb_reports_the_exact_L_and_its_witness(tmp_path, monkeypatch):
+    # the verb gates on the exact L and never calls the field sampler; its
+    # witness is drawn on the stepped level n, and a witness above L fails
+    # the verb by name
+    calls = []
+    sampler = noise.certify_conditions
+    for owner in (noise, cli):
+        monkeypatch.setattr(owner, "certify_conditions", lambda *a, **k: calls.append(a) or sampler(*a, **k))
+    path = write_cfg(tmp_path, {"experiment": {"certify_samples": 200, "twin_trajectories": 1}})
+    assert run_command("uniqueness", load_config(path), tmp_path / "out") == 0
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert summary["lipschitz_L"] == 1.0
+    assert 0.0 < summary["lipschitz_L_sampled"] <= 1.0
+    assert summary["C_eps"] == 4.0
+    assert calls == []
+    monkeypatch.setattr(cli, "sampled_lipschitz", lambda *a: 1.0 + 1e-6)
+    assert run_command("uniqueness", load_config(path), tmp_path / "high") == 1
+    summary = json.loads((tmp_path / "high" / "summary.json").read_text())
+    assert summary["failure"] == "sampled Lipschitz quotient 1.000001 exceeds the exact L = 1.0"
+    assert not (tmp_path / "high" / "weighted_ratios.csv").exists()
+
+
+def test_uniqueness_verb_peaks_below_one_sample_array(tmp_path):
+    # K = 8: n_modes = 288, so one (certify_samples, n_modes) float64 array
+    # of the demo's 2000 samples is 4.6 MB; the verb's traced peak stays
+    # below it (the field sampler it no longer calls peaked at 10 MB)
+    cfg = json.loads((DEMOS / "uniqueness.json").read_text())
+    cfg["galerkin"]["T"] = 0.05
+    cfg["ensemble"]["trajectories"] = 10
+    run = load_config(cfg)
+    tracemalloc.start()
+    try:
+        assert run_command("uniqueness", run, tmp_path / "out", workers=1) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert run.basis.n_modes == 288
+    assert peak < run.experiment["certify_samples"] * run.basis.n_modes * 8
 
 
 def test_uniqueness_verb_without_noise(tmp_path):

@@ -16,8 +16,10 @@ from sgns.noise import (
     continuity_constant_Gstarstar,
     default_noise_model,
     direction_sups,
+    exact_constants,
     hs_norm_G,
     noise_matrices,
+    sampled_lipschitz,
     sup_norm,
     _tables,
 )
@@ -216,7 +218,6 @@ def test_certify_default_model(basis2d_small):
     assert abs(rep.a - 1.0) < 1e-12
     assert abs(rep.eta - 0.5) < 1e-12
     assert abs(rep.lam0 - 1.5) < 1e-12
-    assert rep.rho == 0.0
     assert rep.empirical_violations == 0
     assert rep.gstar_violations == 0
     assert rep.gstar_constant <= rep.gstar_analytic * (1 + 1e-9)
@@ -291,6 +292,82 @@ def test_continuity_constant_is_the_exact_sup(d, K, model_of):
     assert continuity_constant_Gstarstar(NoiseModel(d=d, directions=()), psi) == 0.0
     for a in (1e3, -0.25):
         assert abs(continuity_constant_Gstarstar(model, a * psi) - C) <= 1e-12 * C
+
+
+@pytest.mark.parametrize("model_of", [default_noise_model, two_direction_model], ids=["default", "two"])
+@pytest.mark.parametrize("d, K", [(2, 3), (3, 2)])
+def test_exact_constants_are_the_sups(d, K, model_of):
+    # oracle: the quotients formed from apply_G_direction and the norms, and
+    # their matrices from the images of the basis fields, never from
+    # noise_matrices
+    basis = Basis(TorusDomain(d=d, K=K), SpaceScale(d=d))
+    model = model_of(d)
+    rep = certify_conditions(model, basis, samples=400, seed=5)
+    exact = exact_constants(model, basis, rep.eta, rep.lam0)
+
+    def hs2(u, space):
+        return sum(norm(apply_G_direction(u, i, model), space) ** 2 for i in range(model.M))
+
+    def lipschitz(u):
+        return np.sqrt(hs2(u, "H")) / norm(u, "D")
+
+    def coercivity(u):
+        D2 = norm(u, "D") ** 2
+        return ((2.0 - rep.eta) * D2 - hs2(u, "H") + rep.lam0 * norm(u, "H") ** 2) / norm(u, "H") ** 2
+
+    # no sampled quotient exceeds its exact value, nor any oracle quotient
+    assert rep.lipschitz_L <= exact.lipschitz_L * (1.0 + 1e-12)
+    assert rep.gstar_constant <= exact.gstar_constant * (1.0 + 1e-12)
+    assert rep.gstar_constant <= rep.gstar_analytic and exact.gstar_constant <= rep.gstar_analytic
+    assert rep.empirical_violations == 0 and exact.coercivity_margin > 0.0
+    rng = np.random.default_rng(31)
+    u = stack([random_field(basis, rng, decay=rng.uniform(0.0, 1.0)) for _ in range(200)])
+    assert np.all(lipschitz(u) <= exact.lipschitz_L * (1.0 + 1e-12))
+    assert np.all(hs2(u, "Vdual") / (1.0 + norm(u, "H") ** 2) <= exact.gstar_constant * (1.0 + 1e-12))
+    assert np.all(coercivity(u) >= exact.coercivity_margin * (1.0 - 1e-12))
+    # each is attained at the top (bottom) eigenvector of its own matrix
+    images = [basis.real_coords(apply_G_direction(basis.field_from_real_coords(np.eye(basis.n_modes)), i, model)).T
+              for i in range(model.M)]
+    wD, wVdual = basis.mode_weights("D"), basis.mode_weights("Vdual")
+    S = sum(A.T @ A for A in images)
+    top = np.linalg.eigh(S / np.sqrt(np.outer(wD, wD)))[1][:, -1] / np.sqrt(wD)
+    assert abs(lipschitz(basis.field_from_real_coords(top)) - exact.lipschitz_L) <= 1e-12 * exact.lipschitz_L
+    top = basis.field_from_real_coords(np.linalg.eigh(sum(A.T @ (wVdual[:, None] * A) for A in images))[1][:, -1])
+    assert abs(hs2(top, "Vdual") - exact.gstar_constant) <= 1e-12 * exact.gstar_constant
+    # the growth ratio's sup is approached along that direction
+    assert 1.0 - 1e-6 < hs2(1e3 * top, "Vdual") / (1.0 + 1e6) / exact.gstar_constant <= 1.0
+    bottom = np.linalg.eigh(np.diag((2.0 - rep.eta) * wD + rep.lam0) - S)[1][:, 0]
+    assert abs(coercivity(basis.field_from_real_coords(bottom)) - exact.coercivity_margin) \
+        <= 1e-12 * exact.coercivity_margin
+    # only L unless the coercivity pair is given
+    assert exact_constants(model, basis) == type(exact)(exact.lipschitz_L)
+
+
+@pytest.mark.parametrize("d, K", [(2, 3), (3, 2)])
+def test_exact_lipschitz_closed_forms(d, K):
+    # b = e_1 moves mode kappa at rate kappa_1 <= |kappa|, with equality on
+    # the e_1 mode, so L = 1; a constant c adds c u, and the quotient
+    # (kappa_1^2 + c^2) / |kappa|^2 is largest at kappa = e_1: L = sqrt(1 + c^2)
+    basis = Basis(TorusDomain(d=d, K=K), SpaceScale(d=d))
+    e1 = np.eye(d)[0]
+    assert abs(exact_constants(default_noise_model(d), basis).lipschitz_L - 1.0) <= 1e-12
+    for c in (0.5, 1.2, 2.5):
+        L = exact_constants(constant_transport_model([e1], [c]), basis).lipschitz_L
+        assert abs(L - math.sqrt(1.0 + c * c)) <= 1e-12 * L
+
+
+def test_sampled_lipschitz_is_a_witness_of_the_level(basis2d_small):
+    # drawn on the first n modes, it stays below the exact L of those
+    # modes' matrices, which stays below the full basis' L
+    model = two_direction_model(2)
+    full = exact_constants(model, basis2d_small).lipschitz_L
+    for n in (4, 12, basis2d_small.n_modes):
+        mats, wD = noise_matrices(model, basis2d_small, n), basis2d_small.mode_weights("D", n)
+        S = sum(m.T @ m for m in mats) / np.sqrt(np.outer(wD, wD))
+        level = math.sqrt(np.linalg.eigvalsh(S)[-1])
+        witness = sampled_lipschitz(mats, wD, 300, seed=n)
+        assert 0.0 < witness <= level * (1.0 + 1e-12) and level <= full * (1.0 + 1e-12)
+    assert witness == sampled_lipschitz(mats, wD, 300, seed=n)
 
 
 def test_model_from_spec_roundtrip():
