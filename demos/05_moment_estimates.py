@@ -10,7 +10,7 @@ import numpy as np
 
 from sgns.estimates import aggregate, epsilon_for_p, p_range, uniformity_report
 from sgns.galerkin import GalerkinConfig, integrate_ensemble
-from sgns.noise import HarmonicField, NoiseModel, certify_conditions
+from sgns.noise import HarmonicField, NoiseModel, coercivity_constant
 from sgns.spectral import Basis, SpaceScale, TorusDomain, random_field
 
 basis = Basis(TorusDomain(d=2, K=8), SpaceScale(d=2))
@@ -18,9 +18,11 @@ basis = Basis(TorusDomain(d=2, K=8), SpaceScale(d=2))
 b1 = HarmonicField.build(2, 2, const=[1.0, 0.0])
 b2 = HarmonicField.build(2, 2, const=None, harmonics=[((2, 2), [0.1, 0.0], None)])
 model = NoiseModel(d=2, directions=((b1, None), (b2, None)))
-cert = certify_conditions(model, basis, samples=500, seed=0)
-print(f"certified eta = {cert.eta:.4f} -> admissible p in [2, {p_range(cert.eta)[1]:.4f})")
-print(f"  e.g. p = 2: admissible eps interval {epsilon_for_p(2.0, cert.eta)}")
+# eta = a - eps at the default eps = a / 2, as certify_conditions forms it
+a = coercivity_constant(model, basis.domain)
+eta = a - a / 2.0
+print(f"certified eta = {eta:.4f} -> admissible p in [2, {p_range(eta)[1]:.4f})")
+print(f"  e.g. p = 2: admissible eps interval {epsilon_for_p(2.0, eta)}")
 
 rng = np.random.default_rng(314)
 u0 = random_field(basis, rng, n=4, decay=0.5)
@@ -29,7 +31,7 @@ for n in (4, 8, 16, 32):
     cfg = GalerkinConfig(basis=basis, n=n, dt=1e-3, T=1.0, u0=u0, model=model, seed=2024)
     by_n[n] = integrate_ensemble(cfg, 100, workers=2)
 
-stats = aggregate(by_n, p_list=(2.0, 2.2), eta=cert.eta)
+stats = aggregate(by_n, p_list=(2.0, 2.2), eta=eta)
 print("\nper-level moment functionals (mean +- SE):")
 print(f"  {'n':>4s} {'E sup|u|^2':>22s} {'E int |u|^0.2 ||u||^2':>24s} {'E int ||u||^2':>22s}")
 for n in sorted(stats.per_n):

@@ -11,7 +11,7 @@ solution.
 import numpy as np
 
 from sgns.galerkin import GalerkinConfig
-from sgns.noise import certify_conditions, default_noise_model
+from sgns.noise import default_noise_model, exact_constants
 from sgns.nonlinear import TrilinearWorkspace
 from sgns.spectral import Basis, SpaceScale, TorusDomain, random_field
 from sgns.twodim import (
@@ -49,11 +49,11 @@ print(f"  |w(T)|^2 = {urep.distance_sq[-1]:.3e} <= envelope(T) = {urep.envelope[
 
 print("\npathwise uniqueness of the stochastic system:")
 model = default_noise_model(2)
-cert = certify_conditions(model, basis, samples=1000, seed=1)
-print(f"  noise Lipschitz quotient L = {cert.lipschitz_L:.4f} < 2 (gate open)")
+L = exact_constants(model, basis).lipschitz_L
+print(f"  noise Lipschitz constant L = {L:.4f} (exact on the Galerkin space) < 2 (gate open)")
 cfg = GalerkinConfig(basis=basis, n=16, dt=1e-3, T=0.3, u0=u0, model=model, seed=13)
-twin = pathwise_uniqueness_experiment(cfg, cert.lipschitz_L, gamma=0.0, n_traj=2)
+twin = pathwise_uniqueness_experiment(cfg, L, gamma=0.0, n_traj=2)
 print(f"  gamma = 0 twins bitwise identical: {twin.identical}")
-rep = pathwise_uniqueness_experiment(cfg, cert.lipschitz_L, gamma=1e-8, n_traj=100)
+rep = pathwise_uniqueness_experiment(cfg, L, gamma=1e-8, n_traj=100)
 print(f"  gamma = 1e-8: median exp(-r(T))|U(T)|^2 / |U(0)|^2 = {rep.median_ratio_T:.4f} "
       f"(eps = {rep.eps:.3f}, C_eps = {rep.C_eps:.3f})")

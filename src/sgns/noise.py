@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import Basis, SpectralField, grid_points, norm, row_blocks
+from .spectral import ROLE_COS, ROLE_SIN, Basis, SpectralField, grid_points, norm
 
 
 @dataclass(frozen=True)
@@ -222,14 +222,53 @@ def apply_G(u: SpectralField, h, model: NoiseModel) -> SpectralField:
 
 def noise_matrices(model: NoiseModel, basis: Basis, n: int | None = None) -> list:
     """Real matrices of u -> P_n G(u)h^i against the first n real eigenfields,
-    whose columns are the images of the basis fields, taken as stacks."""
+    read off the convolution tables: basis field e_j sits on the rows of its
+    slot's k and -k, and each term of `_tables` moves a row to one row, so
+    column j needs only the conjugate pairs that its terms reach.  Each step
+    is the arithmetic of `to_exp_coeffs`, `apply_G_direction` and
+    `from_exp_coeffs`, in their order, so column j is bitwise the image of
+    e_j; an entry that no term reaches keeps its zero."""
     n = basis.n_modes if n is None else n
-    mats = [np.empty((n, n)) for _ in range(model.M)]
-    # an image holds about four complex (lattice rows, d) arrays, 2 d reals per row each
-    for cols in row_blocks(n, 8 * basis.domain.d * len(basis.lattice_k)):
-        fields = basis.field_from_real_coords((np.arange(n)[cols, None] == np.arange(n)).astype(float))
-        for i, mat in enumerate(mats):
-            mat[:, cols] = basis.real_coords(apply_G_direction(fields, i, model), n).T
+    mats = [np.zeros((n, n)) for _ in range(model.M)]
+    npol, d, alpha = basis.npol, basis.domain.d, basis._exp_alpha
+    slots = basis.mode_slot[:n]
+    # e_j's amplitudes on the row of k (side 0) and of -k (side 1)
+    amp = (alpha * np.where(basis.mode_role[:n] == ROLE_COS, 1.0 + 0j, 1j))[:, None] * basis.slot_eps[slots]
+    amp = np.stack([amp, amp.conj()])
+    src = np.stack([basis._slot_row[slots], basis._slot_row_neg[slots]])
+    col = np.broadcast_to(np.arange(n), src.shape)
+    # every lattice row is one side of one conjugate pair; a slot's cosine
+    # mode reads side 0 and its sine mode side 1
+    n_pairs = basis.n_slots // npol
+    pair, side = np.empty((2, len(basis.lattice_k)), dtype=int)
+    for s, rows in enumerate((basis._slot_row[::npol], basis._slot_row_neg[::npol])):
+        pair[rows], side[rows] = np.arange(n_pairs), s
+    mode = np.full((2, basis.n_slots), -1)
+    mode[basis.mode_role[:n], slots] = np.arange(n)
+    for mat, terms in zip(mats, _tables(model, basis)):
+        if not terms:
+            continue
+        hits = []
+        for rows, scal in terms:
+            dest = rows[src]
+            ok = dest >= 0
+            hits.append((col[ok] * n_pairs + pair[dest[ok]], side[dest[ok]], (scal[src][..., None] * amp)[ok]))
+        # the (column, pair) entries reached, each summed from zero in term
+        # order; np.unique with return_inverse does not import numpy.ma
+        keys, inv = np.unique(np.concatenate([key for key, _, _ in hits]), return_inverse=True)
+        acc = np.zeros((len(keys), 2, d), dtype=complex)
+        for (key, sides, prod), stop in zip(hits, np.cumsum([len(key) for key, _, _ in hits])):
+            acc[inv[stop - len(key) : stop], sides] += prod
+        j, q = np.divmod(keys, n_pairs)
+        for p in range(npol):
+            s = q * npol + p
+            eps = basis.slot_eps[s]
+            c = np.einsum("sd,sd->s", acc[:, 0], eps) / alpha / 2.0
+            c += np.einsum("sd,sd->s", acc[:, 1].conj(), eps) / alpha / 2.0
+            for role, part in ((ROLE_COS, c.real), (ROLE_SIN, c.imag)):
+                i = mode[role, s]
+                ok = i >= 0
+                mat[i[ok], j[ok]] = part[ok]
     return mats
 
 

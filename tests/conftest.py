@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from sgns import galerkin, spectral
+from sgns.noise import HarmonicField, NoiseModel
 from sgns.spectral import Basis, SpaceScale, TorusDomain
 
 
@@ -25,6 +26,14 @@ def walk_in_chunks(monkeypatch, rows: int, n: int, chunk: int) -> None:
     rows of n coordinates in chunks of `chunk` steps (row_blocks over the
     steps at rows x n values per step)."""
     monkeypatch.setattr(spectral, "GRID_BLOCK", chunk * rows * n)
+
+
+def two_direction_model(d: int) -> NoiseModel:
+    """A harmonic b with a harmonic c, and a constant b along the last axis."""
+    e = np.eye(d, dtype=int)
+    b = HarmonicField.build(d, d, const=0.4 * e[0], harmonics=[(e[0] + e[1], 0.1 * e[1], 0.05 * e[0])])
+    c = HarmonicField.build(d, 1, const=[0.2], harmonics=[(e[0], [0.1], None)])
+    return NoiseModel(d=d, directions=((b, c), (HarmonicField.build(d, d, const=0.3 * e[-1]), None)))
 
 
 @pytest.fixture(scope="session")

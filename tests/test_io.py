@@ -133,6 +133,23 @@ def test_uniqueness_loads_no_numpy_ma(tmp_path):
     assert summary["median_ratio_T"] > 0.0
 
 
+@pytest.mark.parametrize("verb", ["uniqueness", "ensemble"])
+def test_verb_loads_no_numpy_ma_nor_scipy(tmp_path, verb):
+    # a first call that imports a module costs milliseconds: a bare np.unique
+    # or np.median imports numpy.ma, and neither verb needs scipy
+    path = write_cfg(tmp_path, {"experiment": {"certify_samples": 200}})
+    code = ("import sys\n"
+            "from sgns.cli import run_command\n"
+            "from sgns.config import load_config\n"
+            "code = run_command(sys.argv[1], load_config(sys.argv[2]), sys.argv[3], workers=1)\n"
+            "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy' or m == 'numpy.ma'))")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run([sys.executable, "-c", code, verb, str(path), str(tmp_path / "out")],
+                          capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "0 []"
+
+
 def test_tightness_loads_no_numpy_ma(tmp_path):
     # np.percentile imports numpy.ma on its first call; the Aldous
     # threshold and hitting levels take `estimates.percentile`

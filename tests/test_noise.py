@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from conftest import mode_id
+from conftest import mode_id, two_direction_model
 
 from sgns.noise import (
     HarmonicField,
@@ -255,14 +255,6 @@ def test_noise_matrices_match_direct(basis2d_small, rng):
     u = basis2d_small.field_from_real_coords(np.concatenate([x, np.zeros(basis2d_small.n_modes - n)]))
     direct = basis2d_small.real_coords(apply_G_direction(u, 0, model), n)
     assert np.allclose(mats[0] @ x, direct, atol=1e-12)
-
-
-def two_direction_model(d: int) -> NoiseModel:
-    """A harmonic b with a harmonic c, and a constant b along the last axis."""
-    e = np.eye(d, dtype=int)
-    b = HarmonicField.build(d, d, const=0.4 * e[0], harmonics=[(e[0] + e[1], 0.1 * e[1], 0.05 * e[0])])
-    c = HarmonicField.build(d, 1, const=[0.2], harmonics=[(e[0], [0.1], None)])
-    return NoiseModel(d=d, directions=((b, c), (HarmonicField.build(d, d, const=0.3 * e[-1]), None)))
 
 
 @pytest.mark.parametrize("model_of", [default_noise_model, two_direction_model], ids=["default", "two"])

@@ -4,12 +4,13 @@ the stack into grid blocks."""
 
 import numpy as np
 import pytest
+from conftest import two_direction_model
 
 from sgns import spectral
 from sgns.galerkin import GalerkinConfig, integrate_batch
-from sgns.noise import apply_G_direction, constant_transport_model, default_noise_model, noise_matrices
+from sgns.noise import NoiseModel, apply_G_direction, constant_transport_model, default_noise_model, noise_matrices
 from sgns.nonlinear import TrilinearWorkspace, bilinear_B, trilinear_b
-from sgns.spectral import SpectralField, eval_physical, inner, norm, random_field, stack
+from sgns.spectral import Basis, SpaceScale, SpectralField, TorusDomain, eval_physical, inner, norm, random_field, stack
 from sgns.twodim import convection_path_bound, l4_norm, ladyzhenskaya_check, trilinear_2d_bound
 
 ROWS = 7
@@ -114,14 +115,31 @@ def test_noise_direction_row_by_row(basis2d, basis3d_small):
                                 [apply_G_direction(f, i, model).coeffs for f in us])
 
 
-def test_noise_matrices_are_the_single_field_columns(basis2d, grid_block):
-    model = default_noise_model(2)
-    n = 40
-    (mat,) = noise_matrices(model, basis2d, n)
-    assert mat.flags.c_contiguous
-    for j in range(n):
-        col = basis2d.real_coords(apply_G_direction(basis2d.basis_field(j), 0, model), n)
-        assert col.tobytes() == np.ascontiguousarray(mat[:, j]).tobytes()
+def c_only_model(d: int) -> NoiseModel:
+    return constant_transport_model([np.zeros(d)], [0.7], d=d)
+
+
+# (d, K, period, n): n = None is the full basis
+LEVELS = {"2d_n12": (2, 3, (), 12), "2d_full": (2, 3, (), None), "3d_full": (3, 1, (), None),
+          "2d_aniso": (2, 3, (1.0, 2.5), None), "2d_K8_n40": (2, 8, (), 40)}
+MODELS = {"default": default_noise_model, "two": two_direction_model, "c_only": c_only_model}
+
+
+@pytest.mark.parametrize("level", LEVELS)
+@pytest.mark.parametrize("model_of", MODELS)
+def test_noise_matrices_are_the_single_field_columns(model_of, level):
+    # the oracle: the image of each basis field alone under apply_G_direction
+    d, K, period, n = LEVELS[level]
+    basis = Basis(TorusDomain(d=d, K=K, period=period), SpaceScale(d=d))
+    model = MODELS[model_of](d)
+    n = basis.n_modes if n is None else n
+    mats = noise_matrices(model, basis, n)
+    assert len(mats) == model.M
+    for i, mat in enumerate(mats):
+        assert mat.shape == (n, n) and mat.flags.c_contiguous
+        for j in range(n):
+            col = basis.real_coords(apply_G_direction(basis.basis_field(j), i, model), n)
+            assert col.tobytes() == np.ascontiguousarray(mat[:, j]).tobytes(), f"direction {i}, column {j}"
 
 
 def test_path_bound_row_by_row(basis2d_small, grid_block):

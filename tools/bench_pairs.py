@@ -13,15 +13,21 @@ and how many pairs the change won (ties count for neither side), with the
 metric's direction and bound.  Then it runs the Tier-1 suite once in the
 change's checkout, BLAS pinned to one thread, and writes its wall time, its
 summary line and its five slowest tests (pytest's ``--durations=5``).  The
-``machine`` record is the one ``bench/run.py`` prints.  Give both
-checkouts sibling directories with names of equal length: on some
-workloads peak RSS moves with the path.
+``machine`` record is the one ``bench/run.py`` prints.  The ``build``
+record says whether the runs start from bytecode: the value of
+``PYTHONDONTWRITEBYTECODE``, which every run inherits, and per checkout
+whether ``src/sgns/__pycache__`` exists before the first run and after the
+last.  Under that flag and with no cache, every start compiles
+``src/sgns`` from source, so ``setup_s`` and ``peak_rss_mb`` move with
+the size of the modules.  Give both checkouts sibling directories with
+names of equal length: on some workloads peak RSS moves with the path.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import subprocess
 import sys
@@ -50,6 +56,11 @@ def bench_run(root: Path, workload: str, seed: int) -> tuple:
     except (IndexError, ValueError):  # the run died before its result line
         result = {}
     return machine, {**result, "exit_status": proc.returncode}
+
+
+def pycache(roots: dict) -> dict:
+    """Per checkout, whether ``src/sgns/__pycache__`` exists."""
+    return {side: (root / "src" / "sgns" / "__pycache__").is_dir() for side, root in roots.items()}
 
 
 def side_summary(values: list) -> dict:
@@ -98,6 +109,8 @@ def main(argv=None) -> int:
     roots = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     spec = json.loads((roots["change"] / "BENCHMARK.json").read_text())
     machine, workloads = {}, {}
+    build = {"PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE"),
+             "pycache_before": pycache(roots)}
     for w in (entry["name"] for entry in spec["workloads"]):
         runs = {"parent": [], "change": []}
         for i in range(args.pairs):
@@ -107,9 +120,10 @@ def main(argv=None) -> int:
                 print(f"{w} pair {i} {side} correct={result.get('correct')}", file=sys.stderr)
         workloads[w] = {"failed": {s: sum(not r.get("correct") for r in rs) for s, rs in runs.items()},
                         "metrics": compare(runs["parent"], runs["change"], spec["end_to_end"])}
+    build["pycache_after"] = pycache(roots)
     doc = {"seed": args.seed, "pairs": args.pairs, "run_seconds": RUN_SECONDS,
            "command": "python3 bench/run.py --workload W --seed S --seconds 5 --trace 0",
-           "machine": machine, "workloads": workloads, "tier1": tier1(roots["change"])}
+           "machine": machine, "build": build, "workloads": workloads, "tier1": tier1(roots["change"])}
     args.out.write_text(json.dumps(doc, indent=1) + "\n")
     return 0
 
