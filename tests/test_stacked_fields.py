@@ -125,9 +125,19 @@ LEVELS = {"2d_n12": (2, 3, (), 12), "2d_full": (2, 3, (), None), "3d_full": (3, 
 MODELS = {"default": default_noise_model, "two": two_direction_model, "c_only": c_only_model}
 
 
+def test_noise_matrices_are_the_single_field_columns(basis2d, grid_block):
+    model = default_noise_model(2)
+    n = 40
+    (mat,) = noise_matrices(model, basis2d, n)
+    assert mat.flags.c_contiguous
+    for j in range(n):
+        col = basis2d.real_coords(apply_G_direction(basis2d.basis_field(j), 0, model), n)
+        assert col.tobytes() == np.ascontiguousarray(mat[:, j]).tobytes()
+
+
 @pytest.mark.parametrize("level", LEVELS)
 @pytest.mark.parametrize("model_of", MODELS)
-def test_noise_matrices_are_the_single_field_columns(model_of, level):
+def test_noise_matrices_are_the_single_field_columns_per_model(model_of, level):
     # the oracle: the image of each basis field alone under apply_G_direction
     d, K, period, n = LEVELS[level]
     basis = Basis(TorusDomain(d=d, K=K, period=period), SpaceScale(d=d))
