@@ -50,7 +50,6 @@ DEFAULTS = {
         "T": 1.0,
         "cutoff_level": None,
         "snapshot_stride": 0,
-        "integral_snapshot_stride": None,
         "forcing": {"kind": "zero"},
         "u0": {"kind": "random", "modes": 8, "amplitude": 1.0, "seed": 1, "decay": 0.5},
     },
@@ -125,7 +124,7 @@ _SCALARS = {
     "scale": {"s": _real, "s_U": _real},
     "noise": {"eps": _real},
     "galerkin": {"dt": _real, "T": _real, "cutoff_level": _within(0, math.inf),
-                 "snapshot_stride": _index, "integral_snapshot_stride": _index},
+                 "snapshot_stride": _index},
     "ensemble": {"trajectories": _count, "base_seed": _index, "workers": _count},
 }
 
@@ -366,6 +365,8 @@ def load_config(path_or_dict) -> RunConfig:
     except (TypeError, ValueError):
         violations.append("galerkin.n_list must be a list of integers >= 1")
         n_list = ()
+    for level in sorted({n for n in n_list if n_list.count(n) > 1}):
+        violations.append(f"galerkin.n_list repeats level {level}")
     u0 = forcing = None
     if basis is not None:
         errs = level_violations(basis, n_list)

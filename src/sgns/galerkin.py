@@ -15,12 +15,13 @@ is an Ensemble of one row, and `Ensemble.rows` selects rows.  Every trajectory i
 a pure function of (config, seed, index) -- one Philox stream per
 trajectory -- so ensembles are reproducible bitwise for any worker count and
 any blocks.  The stepper, `step_chunks`, walks the steps in time chunks and
-hands each chunk to one consumer: the Ensemble writer, or a reducer of the
-caller's own, such as the uniqueness twins of `sgns.twodim`.
+hands each chunk, every step of it, to one consumer: the Ensemble writer,
+which alone reads the config's snapshot grids, or a reducer of the caller's
+own, such as the uniqueness twins of `sgns.twodim`.
 
-Besides states, norms and snapshots, the stepper records what the config's
-record set (`GalerkinConfig.records`, names of `RECORDS`) asks for: the
-energy ledger, each step's drift, taming, forcing and martingale work and
+Besides states and norms, the stepper records what the config's record set
+(`GalerkinConfig.records`, names of `RECORDS`) asks for: the energy ledger,
+each step's drift, taming, forcing and martingale work and
 quadratic remainder, which close the discrete energy identity to roundoff,
 reduced per path as the steps are taken to the identity's worst relative
 residual and the sums of the Ito and Hilbert-Schmidt increments; the
@@ -644,34 +645,23 @@ NORMS = ("H", "D", "Udual")
 
 class Chunk(NamedTuple):
     """Steps first..last of a walk of `step_chunks`, handed to its consumer:
-    views of buffers that the next chunk overwrites, and the walk's per-row
-    arrays as they stand at step `last`.  A row that aborted keeps stepping
-    from its abort step's state, non-finite entries zeroed, so its values
-    after `abort_step` are not its path."""
+    views of buffers that the next chunk overwrites, one row per step
+    first..last, and the walk's per-row arrays as they stand at step
+    `last`.  A row that aborted keeps stepping from its abort step's state,
+    non-finite entries zeroed, so its values after `abort_step` are not its
+    path."""
 
     first: int
     last: int
-    norms: dict  # NORMS name -> (last - first + 1, B), the norms at steps first..last (H under h_norm)
-    snaps: slice  # the positions in config.snap_idx of the steps in [first, last]
-    states: np.ndarray  # (len(snaps), B, n), the states at those steps
-    qv: np.ndarray  # (len(snaps), B, len(config.qv_pairs)), the quadratic variations there
-    integral_snaps: slice  # likewise in config.integral_snap_idx
-    integrals: dict  # recorded INTEGRALS term -> (len(integral_snaps), B, n)
+    norms: dict  # NORMS name -> (last - first + 1, B), the norms (H under h_norm)
+    states: np.ndarray  # (last - first + 1, B, n)
+    qv: np.ndarray  # (last - first + 1, B, len(config.qv_pairs)), the quadratic variations
+    integrals: dict  # recorded INTEGRALS term -> (last - first + 1, B, n), the running integrals
     ito: np.ndarray | None  # (last - first, B), each step's Ito increment; None without the ledger
     hs: np.ndarray | None  # likewise the Hilbert-Schmidt increment
     worst: np.ndarray | None  # (B,), the worst ledger residual through `last`; None without the ledger
     cutoff_min: np.ndarray  # (B,), the smallest cutoff factor of a live row through `last`
     abort_step: np.ndarray  # (B,), each row's abort step, -1 on a row still alive
-
-
-def _grid_rows(grid: np.ndarray, lo: int, hi: int) -> tuple:
-    """(p0, rows): the first position p0 of the snapshot grid `grid` (step
-    indices) at or after step lo, and for each step lo..hi its row p - p0
-    among the grid's steps in [lo, hi], -1 for a step off the grid."""
-    p0, p1 = np.searchsorted(grid, lo), np.searchsorted(grid, hi, side="right")
-    rows = np.full(hi - lo + 1, -1)
-    rows[grid[p0:p1] - lo] = np.arange(p1 - p0)
-    return int(p0), rows.tolist()
 
 
 def step_chunks(config: GalerkinConfig, indices, x0=None, dW=None, h_norm: bool = True):
@@ -686,17 +676,17 @@ def step_chunks(config: GalerkinConfig, indices, x0=None, dW=None, h_norm: bool 
     bit, and once for a trajectory that is several rows.  The chunks are
     `row_blocks` over the steps, at most GRID_BLOCK // (B n) steps each.
 
-    Each chunk takes its steps with the arithmetic of `_step`, buffering
-    the Dirichlet and U' norms, and the H norms when `h_norm` or the
-    ledger asks for them, at every step as (L + 1, B) arrays; the states
-    and quadratic variations at the config's snapshot steps; and the
-    running integrals its records name at its integral snapshot steps.
-    The ledger -- each step's drift, taming, forcing and martingale work
-    and |du|^2 -- is folded into each row's worst relative residual
-    (`_fold_residuals`) at the end of the chunk; each step's Ito and
-    Hilbert-Schmidt increments are handed over.  Every row is bitwise the
-    same whatever the other rows, their number or order, the memory layout
-    of `x0` and the chunks.
+    Each chunk takes its steps with the arithmetic of `_step` and buffers,
+    at every step, the states, the Dirichlet and U' norms (and the H norms
+    when `h_norm` or the ledger asks for them), the quadratic variations of
+    the probe pairs and the running integrals its records name, each in a
+    buffer of L + 1 rows made once per walk, whose row 0 is the last row of
+    the chunk before; the consumer picks the steps it reads.  The ledger --
+    each step's drift, taming, forcing and martingale work and |du|^2 -- is
+    folded into each row's worst relative residual (`_fold_residuals`) at
+    the end of the chunk; each step's Ito and Hilbert-Schmidt increments are
+    handed over.  Every row is bitwise the same whatever the other rows,
+    their number or order, the memory layout of `x0` and the chunks.
 
     A row whose state leaves the finite range or passes `overflow_limit` is
     aborted at that step: its abort step is recorded, its non-finite
@@ -717,15 +707,17 @@ def step_chunks(config: GalerkinConfig, indices, x0=None, dW=None, h_norm: bool 
     if dW is not None and dW.shape != (steps, B, config.M):
         raise ValueError(f"Wiener increments of shape {dW.shape} do not match "
                          f"(steps, B, M) = ({steps}, {B}, {config.M})")
-    if x0 is None:
-        x = np.repeat(config.basis.real_coords(project_Pn(config.u0, n), n)[None], B, axis=0)
-    else:
-        x = np.array(x0, dtype=np.float64, order="C")
-        if x.shape != (B, n):
-            raise ValueError(f"initial states of shape {x.shape} do not match (B, n) = ({B}, {n})")
     # chunks of `length` steps, the last one shorter: row_blocks over the
     # steps, made one at a time
     length = min(steps, block_rows(B * n))
+    states = np.empty((length + 1, B, n))
+    if x0 is None:
+        states[0] = config.basis.real_coords(project_Pn(config.u0, n), n)
+    else:
+        x0 = np.asarray(x0, dtype=np.float64)
+        if x0.shape != (B, n):
+            raise ValueError(f"initial states of shape {x0.shape} do not match (B, n) = ({B}, {n})")
+        states[0] = x0
     if dW is None:
         # one stream per trajectory, its draws repeated for each of its rows
         keys = list(dict.fromkeys(indices))
@@ -736,11 +728,13 @@ def step_chunks(config: GalerkinConfig, indices, x0=None, dW=None, h_norm: bool 
     records = config.records
     ledger = "ledger" in records
     drift, noise = "integral_drift" in records, "integral_noise" in records
-    # the running integrals config.records names, by term
-    integrals = {name: np.zeros((B, n)) for name in INTEGRALS if integral_record(name) in records}
     probes_n = config.probe_coords
     qv_pairs = config.qv_pairs
-    qv_run = np.zeros((B, len(qv_pairs)))
+    # the quadratic variations and the running integrals config.records
+    # names, by term, as zeros: without noise the one, and without forcing
+    # the forcing integral, are never written
+    qv = np.zeros((length + 1, B, len(qv_pairs)))
+    J = {name: np.zeros((length + 1, B, n)) for name in INTEGRALS if integral_record(name) in records}
     cutoff = config.cutoff
     forced = config.forcing is not None
     f = config.basis.real_coords(config.forcing, n) if forced else np.zeros(n)
@@ -750,20 +744,10 @@ def step_chunks(config: GalerkinConfig, indices, x0=None, dW=None, h_norm: bool 
     # the overflow limit as a finite bound, which an inf or NaN state fails
     limit = min(config.overflow_limit, np.finfo(np.float64).max)
 
-    snap_idx, integral_snap_idx = config.snap_idx, config.integral_snap_idx
-    los = np.arange(0, steps, length)
-    his = np.minimum(los + length, steps)
-
-    def most(grid) -> int:
-        """The most steps of `grid` any chunk holds."""
-        return int(np.max(np.searchsorted(grid, his, side="right") - np.searchsorted(grid, los)))
-
-    states = np.empty((most(snap_idx), B, n))
-    qv = np.empty((len(states), B, len(qv_pairs)))
-    integral_buf = {name: np.empty((most(integral_snap_idx), B, n)) for name in integrals}
     h_norm = h_norm or ledger
     norms = {name: np.empty((length + 1, B)) for name in NORMS if h_norm or name != "H"}
     nH, nD, nU = norms.get("H"), norms["D"], norms["Udual"]
+    buffers = [states, qv, *norms.values(), *J.values()]
     if ledger:
         terms = np.zeros((5, length, B))
         drift_work, b_work, forcing_work, mart_work, delta_sq = terms
@@ -772,26 +756,17 @@ def step_chunks(config: GalerkinConfig, indices, x0=None, dW=None, h_norm: bool 
     else:
         ito = hs = worst = None
 
-    h2, d2, u2 = _sq_norms(sys, x, h_norm)
+    h2, d2, u2 = _sq_norms(sys, states[0], h_norm)
     for name, sq in zip(NORMS, (h2, d2, u2)):
         if name in norms:
             np.sqrt(sq, out=norms[name][0])
     for lo in range(0, steps, length):
         hi = min(lo + length, steps)
         if lo:
-            # the state at lo ends the last chunk and opens this one
-            for buf in norms.values():
+            # the step at lo ends the last chunk and opens this one
+            for buf in buffers:
                 buf[0] = buf[count]
-        ud = nU[0]
-        p0, snap_row = _grid_rows(snap_idx, lo, hi)
-        ip0, integral_row = _grid_rows(integral_snap_idx, lo, hi)
-        if snap_row[0] >= 0:
-            states[0] = x
-            x = states[0]
-            qv[0] = qv_run
-        if integral_row[0] >= 0:
-            for name, run in integrals.items():
-                integral_buf[name][0] = run
+        x, ud = states[0], nU[0]
         if dW is not None:
             dw = dW[lo:hi]
         else:
@@ -804,22 +779,21 @@ def step_chunks(config: GalerkinConfig, indices, x0=None, dW=None, h_norm: bool 
         with np.errstate(over="ignore", invalid="ignore"):
             for j in range(lo, hi):
                 i = j - lo
-                pos = snap_row[i + 1]
-                x_new, theta, tbx, bx, g, xi = _step(sys, config, cutoff, x, ud, f, dw[i],
-                                                     None if pos < 0 else states[pos])
+                x_new, theta, tbx, bx, g, xi = _step(sys, config, cutoff, x, ud, f, dw[i], states[i + 1])
                 if theta is not None:
                     np.minimum(cutoff_min, np.where(alive, theta, 1.0), out=cutoff_min)
                 if drift:
-                    integrals["convection"] -= dt * tbx
+                    np.subtract(J["convection"][i], dt * tbx, out=J["convection"][i + 1])
                     if forced:
-                        integrals["forcing"] += dt * f
-                    integrals["stokes"] -= dt * (sys.lamD * x)
+                        np.add(J["forcing"][i], dt * f, out=J["forcing"][i + 1])
+                    np.subtract(J["stokes"][i], dt * (sys.lamD * x), out=J["stokes"][i + 1])
                 if noise:
-                    integrals["noise"] += xi
+                    np.add(J["noise"][i], xi, out=J["noise"][i + 1])
                 if qv_pairs and g is not None:
                     gp = g @ probes_n.T  # (B, M, P)
                     for q, (a, b) in enumerate(qv_pairs):
-                        qv_run[:, q] += dt * np.add.reduce(gp[:, :, a] * gp[:, :, b], axis=1)
+                        np.add(qv[i, :, q], dt * np.add.reduce(gp[:, :, a] * gp[:, :, b], axis=1),
+                               out=qv[i + 1, :, q])
                 if ledger:
                     # an idle cutoff's factor (-2 dt) 1.0 is -2 dt
                     b_factor = -2.0 * dt if theta is None else -2.0 * dt * theta
@@ -843,20 +817,12 @@ def step_chunks(config: GalerkinConfig, indices, x0=None, dW=None, h_norm: bool 
                         abort_step[bad] = j + 1
                         alive &= ~bad
                         ended = not np.logical_or.reduce(alive)
-                        x = np.where(np.isfinite(x), x, 0.0)
+                        x[~np.isfinite(x)] = 0.0
                         h2, d2, u2 = _sq_norms(sys, x, h_norm)
-                        if pos >= 0:
-                            states[pos] = x
                 if h_norm:
                     np.sqrt(h2, out=nH[i + 1])
                 np.sqrt(d2, out=nD[i + 1])
                 ud = np.sqrt(u2, out=nU[i + 1])
-                if pos >= 0:
-                    qv[pos] = qv_run
-                ipos = integral_row[i + 1]
-                if ipos >= 0:
-                    for name, run in integrals.items():
-                        integral_buf[name][ipos] = run
                 if ended:
                     break
             last = j + 1
@@ -867,16 +833,21 @@ def step_chunks(config: GalerkinConfig, indices, x0=None, dW=None, h_norm: bool 
                 if ended and last < steps:
                     # every step not taken is past every row's abort: 0
                     np.fmax(worst, 0.0, out=worst)
-        p1 = int(np.searchsorted(snap_idx, last, side="right"))
-        ip1 = int(np.searchsorted(integral_snap_idx, last, side="right"))
         yield Chunk(first=lo, last=last, norms={name: buf[: count + 1] for name, buf in norms.items()},
-                    snaps=slice(p0, p1), states=states[: p1 - p0], qv=qv[: p1 - p0],
-                    integral_snaps=slice(ip0, ip1),
-                    integrals={name: buf[: ip1 - ip0] for name, buf in integral_buf.items()},
+                    states=states[: count + 1], qv=qv[: count + 1],
+                    integrals={name: buf[: count + 1] for name, buf in J.items()},
                     ito=None if ito is None else ito[:count], hs=None if hs is None else hs[:count],
                     worst=worst, cutoff_min=cutoff_min, abort_step=abort_step)
         if ended:
             return
+
+
+def _grid_span(grid: np.ndarray, chunk: Chunk) -> tuple:
+    """(at, rows): the slice of the positions on the snapshot grid `grid`
+    (step indices) of the steps first..last of `chunk`, and their rows in
+    the chunk's buffers."""
+    p0, p1 = np.searchsorted(grid, (chunk.first, chunk.last + 1))
+    return slice(p0, p1), grid[p0:p1] - chunk.first
 
 
 def _integrate_rows(ens: Ensemble, dW=None, x0=None) -> None:
@@ -884,9 +855,11 @@ def _integrate_rows(ens: Ensemble, dW=None, x0=None) -> None:
     (`step_chunks`), each driven by its own Philox stream or by its column
     of the increments `dW` (steps, B, M) when given, from the coordinates
     of P_n config.u0 or from its row of `x0` (B, n), writing each chunk's
-    norms, snapshots, quadratic variations and integral snapshots into the
-    zeroed arrays of `ens` in place; `snap_u[:, 0]` records each row's
-    start.
+    norms into the zeroed arrays of `ens` in place, and its states and
+    quadratic variations at the config's snapshot steps and its running
+    integrals at the integral snapshot steps (`_grid_span`, the one place
+    that maps a snapshot grid onto a chunk); `snap_u[:, 0]` records each
+    row's start.
 
     The energy ledger closes the discrete energy identity of the
     Euler-Maruyama step: the walk folds each row's worst relative residual,
@@ -905,20 +878,22 @@ def _integrate_rows(ens: Ensemble, dW=None, x0=None) -> None:
     if ledger:
         ito_step, hs_step = np.zeros((len(ens), config.steps)), np.zeros((len(ens), config.steps))
     norms = dict(H=ens.norm_H, D=ens.norm_D, Udual=ens.norm_Udual)
+    snap_idx, integral_snap_idx = config.snap_idx, config.integral_snap_idx
     for chunk in step_chunks(config, ens.indices.tolist(), x0, dW):
         for name, buf in chunk.norms.items():
             norms[name][:, chunk.first : chunk.last + 1] = buf.T
-        ens.snap_u[:, chunk.snaps] = chunk.states.swapaxes(0, 1)
-        ens.qv_cum[:, chunk.snaps] = chunk.qv.swapaxes(0, 1)
+        at, rows = _grid_span(snap_idx, chunk)
+        ens.snap_u[:, at] = chunk.states[rows].swapaxes(0, 1)
+        ens.qv_cum[:, at] = chunk.qv[rows].swapaxes(0, 1)
+        at, rows = _grid_span(integral_snap_idx, chunk)
         for name, buf in chunk.integrals.items():
-            ens.snap_integrals[name][:, chunk.integral_snaps] = buf.swapaxes(0, 1)
+            ens.snap_integrals[name][:, at] = buf[rows].swapaxes(0, 1)
         if ledger:
             ito_step[:, chunk.first : chunk.last] = chunk.ito.T
             hs_step[:, chunk.first : chunk.last] = chunk.hs.T
     ens.cutoff_min[:], ens.abort_step[:] = chunk.cutoff_min, chunk.abort_step
 
     # an aborted row keeps what it had at its abort step and zeros after it
-    snap_idx, integral_snap_idx = config.snap_idx, config.integral_snap_idx
     for r in np.flatnonzero(ens.aborted):
         a = ens.abort_step[r]
         if ledger:

@@ -346,9 +346,9 @@ def pathwise_uniqueness_experiment(
     basis = config.basis
     pert = np.zeros(basis.n_modes)
     pert[0] = gamma
-    # only the states and the Dirichlet norms are read, so no ledger, no
-    # running integral and no probe
-    cfg = replace(config, snapshot_stride=1, records=(), probes=())
+    # only the states and the Dirichlet norms are read, at every step, so no
+    # ledger, no running integral and no probe
+    cfg = replace(config, records=(), probes=())
     x1 = basis.real_coords(project_Pn(config.u0, cfg.n), cfg.n)
     x2 = basis.real_coords(project_Pn(config.u0 + basis.field_from_real_coords(pert), cfg.n), cfg.n)
     ratios_T = np.zeros(n_traj)

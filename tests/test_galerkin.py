@@ -957,6 +957,30 @@ def test_step_kernels_keep_the_bits_of_the_broadcast_and_the_scatter(case, basis
     assert np.array_equal(sys.convection(X[0]), scattered_convection(sys, X[:1])[0])
 
 
+def test_every_chunk_carries_every_step_whatever_the_grids(basis2d_small, monkeypatch):
+    # endpoint snapshots and integral snapshots every 7 steps, walked in
+    # chunks of 7 of the 30 steps: each chunk still hands the states,
+    # quadratic variations and running integrals of every step first..last,
+    # the bits of the one loop on grids of every step
+    cfg = rich_config(basis2d_small, T=0.03, snapshot_stride=0, integral_snapshot_stride=7)
+    every = dataclasses.replace(cfg, snapshot_stride=1, integral_snapshot_stride=1)
+    want = oracle_batch(every, range(3))
+    walk_in_chunks(monkeypatch, 3, cfg.n, 7)
+    spans = []
+    for chunk in galerkin.step_chunks(cfg, [0, 1, 2]):
+        steps = slice(chunk.first, chunk.last + 1)
+        spans.append((chunk.first, chunk.last))
+        assert len(chunk.states) == len(chunk.qv) == chunk.last - chunk.first + 1
+        assert np.array_equal(chunk.states.swapaxes(0, 1), want.snap_u[:, steps])
+        assert np.array_equal(chunk.qv.swapaxes(0, 1), want.qv_cum[:, steps])
+        assert chunk.integrals.keys() == set(galerkin.INTEGRALS)
+        for name, buf in chunk.integrals.items():
+            assert len(buf) == chunk.last - chunk.first + 1
+            assert np.array_equal(buf.swapaxes(0, 1), want.snap_integrals[name][:, steps]), name
+    assert spans == [(0, 7), (7, 14), (14, 21), (21, 28), (28, 30)]
+    assert np.any(want.qv_cum[:, -1] > 0.0) and not want.aborted.any()
+
+
 def test_a_trajectory_on_several_rows_is_drawn_once(basis2d_small, monkeypatch):
     # trajectory 3 on rows 0 and 2: each row is its one-row run, in chunks
     # of 7 steps

@@ -312,15 +312,33 @@ def test_mode_field_spec(tmp_path):
 def test_level_and_scheme_violations_listed(tmp_path):
     # the stepper has one scheme, and the schema no scheme key: a config that
     # asks for another scheme is rejected with the other violations, not run
-    # under Euler-Maruyama
-    path = write_cfg(tmp_path, {"galerkin": {"n_list": [4, 99], "scheme": "exponential", "dt": 3e-3}})
+    # under Euler-Maruyama.  Nor has it an integral snapshot stride, which
+    # no verb reads: tightness takes experiment.integral_stride, and no
+    # other verb records a running integral
+    path = write_cfg(tmp_path, {"galerkin": {"n_list": [4, 99], "scheme": "exponential", "dt": 3e-3,
+                                             "integral_snapshot_stride": 3}})
     with pytest.raises(ConfigError) as exc:
         load_config(path)
     text = "\n".join(exc.value.violations)
     assert "galerkin: n = 99 outside [1, " in text
     assert "unknown key galerkin.scheme" in text
+    assert "unknown key galerkin.integral_snapshot_stride" in text
     assert "whole number of steps" in text
     assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+
+
+@pytest.mark.parametrize("verb", ["estimates", "tightness"])
+def test_repeated_levels_are_rejected_at_load(tmp_path, verb):
+    # estimates would count [4, 4, 8] as three levels and tightness would
+    # step n = 4 twice: each repeated level is named before any work starts
+    path = write_cfg(tmp_path, {"galerkin": {"n_list": [4, 8, 4, 8, 8, 2]}})
+    with pytest.raises(ConfigError) as exc:
+        load_config(path)
+    repeats = [v for v in exc.value.violations if "n_list" in v]
+    assert repeats == ["galerkin.n_list repeats level 4", "galerkin.n_list repeats level 8"]
+    out = tmp_path / "out"
+    assert main([verb, "--config", str(path), "--out", str(out)]) == 2
+    assert not (out / "summary.json").exists()
 
 
 def test_experiment_defaults_and_kinds(tmp_path):

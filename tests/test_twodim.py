@@ -500,14 +500,19 @@ def assert_matches_oracle(rep, cfg, n_traj, twins):
 @pytest.mark.parametrize("chunk", [1, 7, 50, 80])
 def test_twin_chunks_keep_the_bits_of_one_batch(basis2d_small, monkeypatch, gamma, chunk):
     # 4 pairs and 2 check rows: one batch of 10 rows of n = 8, stepped in
-    # chunks of `chunk` of the 50 steps
-    cfg = small_twins(basis2d_small)
-    monkeypatch.setattr(spectral, "GRID_BLOCK", chunk * 10 * cfg.n)
+    # chunks of `chunk` of the 50 steps, from configs that snapshot the
+    # endpoints only or every 7 steps: the twins read every step whatever
+    # the config's grid
     rows, alive = counted_batches(monkeypatch)
-    rep = pathwise_uniqueness_experiment(cfg, lipschitz_L=1.0, gamma=gamma, n_traj=4, twins=2)
-    assert rows == [10] and len(alive) == math.ceil(cfg.steps / chunk)
-    assert rep.identical is True
-    assert_matches_oracle(rep, cfg, 4, 2)
+    for stride in (0, 7):
+        cfg = small_twins(basis2d_small, snapshot_stride=stride)
+        monkeypatch.setattr(spectral, "GRID_BLOCK", chunk * 10 * cfg.n)
+        rows.clear()
+        alive.clear()
+        rep = pathwise_uniqueness_experiment(cfg, lipschitz_L=1.0, gamma=gamma, n_traj=4, twins=2)
+        assert rows == [10] and len(alive) == math.ceil(cfg.steps / chunk)
+        assert rep.identical is True
+        assert_matches_oracle(rep, cfg, 4, 2)
 
 
 @pytest.mark.parametrize("gamma", [0.0, 1e-8])
