@@ -83,7 +83,19 @@ def build_convection_tensor(basis: Basis, n: int) -> tuple:
     each exponential of e_i at that row, and coinciding (i, j, k) are summed
     in a fixed order.  Agrees with the dealiased-grid oracle of
     `sgns.nonlinear` to roundoff (tested); never cached here, so every call
-    is a real build."""
+    is a real build.
+
+    The exponentials of e_j are walked in blocks of whole modes,
+    `row_blocks` over the modes at 32 n values each, so that a block's
+    pairs (its 2 b exponentials by all 2 n) number at most GRID_BLOCK / 8.
+    A block lists its modes' + exponentials, then their - partners, and
+    every term of a key (i, j, k) has the e_j exponential j or j + n, so
+    one block holds all of a key's terms, in the order of the whole-lattice
+    table.  A key has at most two terms (the pairs at k_j + k_k and at
+    -k_j - k_k, or at k_j - k_k and its negative: both kinds would make a
+    wavevector zero), so summing them from the first term, by a stable sort
+    and `np.add.reduceat`, gives the bits of `np.bincount`'s sum from 0.0
+    whenever the total is nonzero; zero totals are dropped."""
     dom = basis.domain
     slot = basis.mode_slot[:n]
     phase = np.where(basis.mode_role[:n] == ROLE_COS, 1.0, 1.0j)
@@ -92,30 +104,41 @@ def build_convection_tensor(basis: Basis, n: int) -> tuple:
     row = np.concatenate([basis._slot_row[slot], basis._slot_row_neg[slot]])
     amp = np.concatenate([amp, amp.conj()])
     kap = dom.kappa(basis.lattice_k[row])
-
-    # lattice row of every wavevector sum, from the affine index of the box
+    # the affine index of each exponential's wavevector in the lattice box
     flat = basis.lattice_k[row] @ basis.box_stride
-    out = basis.box_rows[flat[:, None] + flat[None, :] + basis.box_origin]
-    p, q = np.nonzero(out >= 0)
-    o = out[p, q]
 
     # exponentials of the first n modes at each lattice row, grouped by row
     by_row = np.argsort(row, kind="stable")
     count = np.bincount(row, minlength=len(basis.lattice_k))
     first = np.cumsum(count) - count
-    c = count[o]
-    p, q = np.repeat(p, c), np.repeat(q, c)
-    pos = np.arange(len(p)) - np.repeat(np.cumsum(c) - c, c)
-    r = by_row[np.repeat(first[o], c) + pos]
 
-    s = 1j * np.einsum("pd,pd->p", amp[p], kap[q])
-    val = dom.volume * (s * np.einsum("pd,pd->p", amp[q], amp[r].conj())).real
-    key = (mode[r] * n + mode[p]) * n + mode[q]
-    uniq, inv = np.unique(key, return_inverse=True)
-    V = np.bincount(inv, weights=val, minlength=len(uniq))
-    keep = V != 0.0
-    uniq, V = uniq[keep], V[keep]
-    return uniq // (n * n), uniq // n % n, uniq % n, V
+    keys, sums = [], []
+    for block in row_blocks(n, 32 * n):
+        modes = np.arange(n)[block]
+        exps = np.concatenate([modes, modes + n])
+        # lattice row of every wavevector sum of a block exponential
+        out = basis.box_rows[flat[exps, None] + flat[None, :] + basis.box_origin]
+        p, q = np.nonzero(out >= 0)
+        o = out[p, q]
+        c = count[o]
+        p, q = np.repeat(exps[p], c), np.repeat(q, c)
+        pos = np.arange(len(p)) - np.repeat(np.cumsum(c) - c, c)
+        r = by_row[np.repeat(first[o], c) + pos]
+
+        s = 1j * np.einsum("pd,pd->p", amp[p], kap[q])
+        val = dom.volume * (s * np.einsum("pd,pd->p", amp[q], amp[r].conj())).real
+        key = (mode[r] * n + mode[p]) * n + mode[q]
+        order = np.argsort(key, kind="stable")
+        key, val = key[order], val[order]
+        starts = np.flatnonzero(np.diff(key, prepend=-1))
+        V = np.add.reduceat(val, starts)
+        keep = V != 0.0
+        keys.append(key[starts][keep])
+        sums.append(V[keep])
+    key, V = np.concatenate(keys), np.concatenate(sums)
+    order = np.argsort(key, kind="stable")
+    key, V = key[order], V[order]
+    return key // (n * n), key // n % n, key % n, V
 
 
 def _fold_symmetric(I, J, K, V, n: int) -> tuple:
@@ -143,6 +166,9 @@ class CompiledGalerkin:
             # each output coordinate is one segment of the i-sorted triplets
             self._starts = np.flatnonzero(np.diff(I, prepend=-1))
             self._rows = I[self._starts]
+            # the (2, rows, triplets) product scratch of `convection`, grown
+            # to the most rows asked for
+            self._scratch = np.empty(0)
         if model is not None and model.M > 0:
             self.G = np.stack(noise_matrices(model, basis, n))  # (M, n, n)
             self.M = model.M
@@ -155,21 +181,34 @@ class CompiledGalerkin:
         each row of x (B, n).  A gather and a segmented reduce along each
         row, so a row's result depends on that row alone, not on B.
 
-        The products V x_j x_k are formed in one (B, triplets) array:
-        `np.take` gathers x_j, and V and the x_k gather multiply it in
-        place.  Each entry is (V x_j) x_k, the order of V * x[:, J] *
-        x[:, K], so the array the reduce reads is bitwise that product's.
+        The products V x_j x_k are formed in a (B, triplets) array of the
+        system's scratch: `np.take` gathers x_j into it, V multiplies it in
+        place, and the x_k gather, taken into the scratch's second array,
+        multiplies it.  Each entry is (V x_j) x_k, the order of V * x[:, J]
+        * x[:, K], so the array the reduce reads is bitwise that product's.
         J and K lie in [0, n) by construction; mode="wrap" skips the
         bounds check of the default mode, which made the gather slower
         than fancy indexing at n = 16.  When every coordinate has a
         segment the segment sums are the result; otherwise they are
-        scattered into zeros."""
+        scattered into zeros.  Either way the result is a new array,
+        never a view of the scratch.
+
+        The scratch is made once per system and grown only when a call
+        has more rows than any before: a step's products (1.1 MB at n =
+        128 on 16 rows) are then not freed and allocated again on every
+        step, which past glibc's mmap threshold maps and faults in their
+        pages each time."""
         if not self.include_B or not len(self._V):
             return np.zeros(x.shape)
         X = x.reshape(-1, self.n)
-        prod = np.take(X, self._J, axis=1, mode="wrap")
+        B, T = len(X), len(self._V)
+        if self._scratch.size < 2 * B * T:
+            self._scratch = np.empty(2 * B * T)
+        prod = self._scratch[: B * T].reshape(B, T)
+        gather = self._scratch[B * T : 2 * B * T].reshape(B, T)
+        np.take(X, self._J, axis=1, mode="wrap", out=prod)
         prod *= self._V
-        prod *= np.take(X, self._K, axis=1, mode="wrap")
+        prod *= np.take(X, self._K, axis=1, mode="wrap", out=gather)
         sums = np.add.reduceat(prod, self._starts, axis=1)
         if len(self._rows) == self.n:
             return sums.reshape(x.shape)
@@ -845,9 +884,15 @@ def step_chunks(config: GalerkinConfig, indices, x0=None, dW=None, h_norm: bool 
 def _grid_span(grid: np.ndarray, chunk: Chunk) -> tuple:
     """(at, rows): the slice of the positions on the snapshot grid `grid`
     (step indices) of the steps first..last of `chunk`, and their rows in
-    the chunk's buffers."""
+    the chunk's buffers: a slice where they are evenly spaced, as on every
+    chunk of a strided grid but the one with an uneven last snapshot, so
+    that the buffers are read through a view; an index array there."""
     p0, p1 = np.searchsorted(grid, (chunk.first, chunk.last + 1))
-    return slice(p0, p1), grid[p0:p1] - chunk.first
+    rows = grid[p0:p1] - chunk.first
+    stride = rows[1] - rows[0] if len(rows) > 1 else 1
+    if len(rows) and np.all(np.diff(rows) == stride):
+        rows = slice(rows[0], rows[-1] + 1, stride)
+    return slice(p0, p1), rows
 
 
 def _integrate_rows(ens: Ensemble, dW=None, x0=None) -> None:

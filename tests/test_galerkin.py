@@ -13,8 +13,9 @@ from ledger_oracle import LEDGER_STEPS, budget_report, ledger_arrays, ledger_red
 from stepper_oracle import convection as scattered_convection
 from stepper_oracle import oracle_batch
 from stepper_oracle import sq_norms as broadcast_sq_norms
+from tensor_oracle import whole_lattice_tensor
 
-from sgns import galerkin
+from sgns import galerkin, spectral
 from sgns.galerkin import (
     CompiledGalerkin,
     GalerkinConfig,
@@ -31,7 +32,7 @@ from sgns.galerkin import (
 )
 from sgns.noise import apply_G, constant_transport_model, default_noise_model
 from sgns.nonlinear import TrilinearWorkspace, bilinear_B, trilinear_b
-from sgns.spectral import norm, project_Pn, random_field, row_blocks, stack
+from sgns.spectral import Basis, SpaceScale, TorusDomain, norm, project_Pn, random_field, row_blocks, stack
 from sgns.tightness import decomposition_increments, increment_scaling
 
 
@@ -689,6 +690,92 @@ def test_folded_convection_matches_full_triplets(basis2d):
     assert np.max(np.abs(sys.convection(x) - full)) <= 1e-13 * np.max(np.abs(full))
 
 
+# (d, K, period, n): 2D K = 3 and 8 at n = 1, 12, 128 (within K = 8) and the
+# full lattice, 3D K = 1 and 2 on the full lattice, and one anisotropic box
+BUILD_CASES = {
+    **{f"2d-K3-n{n}": (2, 3, (), n) for n in (1, 12, None)},
+    **{f"2d-K8-n{n}": (2, 8, (), n) for n in (1, 12, 128, None)},
+    "3d-K1": (3, 1, (), None),
+    "3d-K2": (3, 2, (), None),
+    "2d-K4-aniso": (2, 4, (2.0 * math.pi, 3.0), None),
+}
+
+
+@pytest.mark.parametrize("case", list(BUILD_CASES))
+def test_blocked_build_keeps_the_whole_lattice_bits(case, monkeypatch):
+    # blocks of 1 and 3 modes put the keys of neighbouring modes on both
+    # sides of a block edge; one block holds the whole lattice
+    d, K, period, n = BUILD_CASES[case]
+    basis = Basis(TorusDomain(d=d, K=K, period=period), SpaceScale(d=d))
+    n = n or basis.n_modes
+    want = whole_lattice_tensor(basis, n)
+    folded = galerkin._fold_symmetric(*want, n)
+    assert n < 12 or len(want[3])
+    for modes in (1, 3, n):
+        monkeypatch.setattr(spectral, "GRID_BLOCK", modes * 32 * n)
+        assert len(spectral.row_blocks(n, 32 * n)) == -(-n // modes)
+        got = build_convection_tensor(basis, n)
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in want], modes
+        # with no triplet (n = 1) the oracle's bincount is int64
+        assert [a.dtype for a in got] == [np.dtype(np.int64)] * 3 + [np.dtype(np.float64)]
+        sys = CompiledGalerkin(basis, n, None)
+        assert [a.tobytes() for a in (sys._J, sys._K, sys._V)] == [a.tobytes() for a in folded[1:]]
+        assert sys._rows.tobytes() == np.unique(folded[0]).tobytes()
+
+
+@pytest.mark.parametrize("fixture", ["basis2d", "basis3d_small"])
+def test_build_memory_is_a_block_not_the_lattice(fixture, request):
+    # the whole-lattice build peaked at 56.2 MB (2D K = 8) and 79.5 MB
+    # (3D K = 2) of traced memory; in blocks of whole modes under 12 MB
+    basis = request.getfixturevalue(fixture)
+    build_convection_tensor(basis, basis.n_modes)
+    tracemalloc.start()
+    try:
+        build_convection_tensor(basis, basis.n_modes)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12e6
+
+
+def test_convection_reuses_its_scratch(basis2d):
+    # after the first call on 8 rows of the full 2D K = 8 system, a second
+    # allocates less than one (rows, triplets) product
+    n = basis2d.n_modes
+    sys = CompiledGalerkin(basis2d, n, None)
+    X = np.random.default_rng(6).standard_normal((8, n))
+    first = sys.convection(X)
+    tracemalloc.start()
+    try:
+        second = sys.convection(X)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * len(sys._V) * 8
+    assert np.array_equal(first, second)
+
+
+@pytest.mark.parametrize("n", [8, 128])
+def test_convection_results_outlive_the_scratch(basis2d, n):
+    # results held across calls at 8, 3, 16 and 1 rows keep their values,
+    # share no memory with the scratch, and each row is the bits of a fresh
+    # system's; n = 8 scatters the segment sums (4 of 8 coordinates have
+    # one), n = 128 returns them
+    sys = CompiledGalerkin(basis2d, n, None)
+    assert (len(sys._rows) < n) == (n == 8)
+    X = np.random.default_rng(n).standard_normal((16, n))
+    held = [(x, sys.convection(x)) for x in (X[:8], X[8:11], X, X[5])]
+    kept = [out.copy() for _, out in held]
+    for (x, out), want in zip(held, kept):
+        assert not np.shares_memory(out, sys._scratch)
+        assert np.array_equal(out, want)
+        fresh = CompiledGalerkin(basis2d, n, None)
+        rows = x.reshape(-1, n)
+        assert out.shape == x.shape
+        for r in range(len(rows)):
+            assert np.array_equal(out.reshape(-1, n)[r], fresh.convection(rows[r]))
+
+
 def blown_up_increments(cfg, rows):
     """The Wiener increments (steps, rows, M) of trajectories 0..rows-1, with
     every direction of row 1 at step 7 set to 1e6 and of row 3 at step 12 to
@@ -979,6 +1066,45 @@ def test_every_chunk_carries_every_step_whatever_the_grids(basis2d_small, monkey
             assert np.array_equal(buf.swapaxes(0, 1), want.snap_integrals[name][:, steps]), name
     assert spans == [(0, 7), (7, 14), (14, 21), (21, 28), (28, 30)]
     assert np.any(want.qv_cum[:, -1] > 0.0) and not want.aborted.any()
+
+
+def test_grid_span_slices_evenly_spaced_rows(basis2d_small, monkeypatch):
+    # snapshots every 7 of 30 steps (0, 7, ..., 28, 30) in chunks of 10
+    # steps: rows 0 and 7 of the first chunk, 4 of the second, and the
+    # last chunk's 1, 8 and 10, which are uneven and gathered
+    cfg = make_config(basis2d_small, T=0.03, snapshot_stride=7)
+    walk_in_chunks(monkeypatch, 2, cfg.n, 10)
+    spans = [galerkin._grid_span(cfg.snap_idx, chunk) for chunk in galerkin.step_chunks(cfg, [0, 1])]
+    assert spans[0] == (slice(0, 2), slice(0, 8, 7)) and spans[1] == (slice(2, 3), slice(4, 5, 1))
+    assert spans[2][0] == slice(3, 6) and spans[2][1].tolist() == [1, 8, 10]
+
+
+def test_evenly_spaced_snapshots_are_written_through_a_view(basis2d, monkeypatch):
+    # the tightness verb's grid -- every step snapshotted, the noise
+    # integral every 8 -- on 50 rows at n = 32: the bytes of gathering each
+    # chunk's rows by index, at a traced peak lower by at least half of
+    # the chunk's states that the gather copied
+    cfg = make_config(basis2d, n=32, dt=2.0**-10, T=0.25, snapshot_stride=1, integral_snapshot_stride=8,
+                      records={"integral_noise"})
+    span = galerkin._grid_span
+
+    def gather(grid, chunk):
+        at, _ = span(grid, chunk)
+        return at, grid[at] - chunk.first
+
+    runs, peaks = [], []
+    for grid_span in (span, gather):
+        monkeypatch.setattr(galerkin, "_grid_span", grid_span)
+        integrate_batch(cfg, range(50))
+        tracemalloc.start()
+        try:
+            runs.append(integrate_batch(cfg, range(50)))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert_records_identical(*runs)
+    length = spectral.block_rows(50 * cfg.n)
+    assert peaks[0] < peaks[1] - length * 50 * cfg.n * 8 / 2
 
 
 def test_a_trajectory_on_several_rows_is_drawn_once(basis2d_small, monkeypatch):

@@ -13,7 +13,14 @@ and how many pairs the change won (ties count for neither side), with the
 metric's direction and bound.  Then it runs the Tier-1 suite once in the
 change's checkout, BLAS pinned to one thread, and writes its wall time, its
 summary line and its five slowest tests (pytest's ``--durations=5``).  The
-``machine`` record is the one ``bench/run.py`` prints.  The ``build``
+``machine`` record is the one ``bench/run.py`` prints.
+
+Beside ``peak_rss_mb``, which adds the verb process's peak to the largest
+worker peaks, each workload's ``peak_split`` shows which process's memory
+moved: per run, the median over its verb invocations (each run's
+``.bench_work/<workload>/result-*.json``) of the verb process's own peak,
+``peak_rss_mb`` minus the worker peaks it summed, and of the largest
+worker peak, compared like the metrics.  The ``build``
 record says whether the runs start from bytecode: the value of
 ``PYTHONDONTWRITEBYTECODE``, which every run inherits, and per checkout
 whether ``src/sgns/__pycache__`` exists before the first run and after the
@@ -39,7 +46,13 @@ import numpy as np
 from bundle_digests import checkout_env
 
 ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "bench"))
+from workloads import WORKERS  # noqa: E402  (the workers each verb run is given)
+
 RUN_SECONDS = 5
+# the two halves of peak_rss_mb that `peak_split` records per run
+PEAK_SPLIT = [{"name": name, "unit": "MB", "better": "lower", "bound": None}
+              for name in ("verb_peak_mb", "worker_peak_mb")]
 
 
 def bench_run(root: Path, workload: str, seed: int) -> tuple:
@@ -55,7 +68,24 @@ def bench_run(root: Path, workload: str, seed: int) -> tuple:
         result = json.loads(lines[-1])
     except (IndexError, ValueError):  # the run died before its result line
         result = {}
-    return machine, {**result, "exit_status": proc.returncode}
+    return machine, {**result, **peak_split(root, workload), "exit_status": proc.returncode}
+
+
+def peak_split(root: Path, workload: str) -> dict:
+    """Median verb-process peak and median largest worker peak, in MB, over
+    the verb invocations of the last bench/run.py run of `workload` in
+    `root`: ``peak_rss_mb`` is the first plus the largest WORKERS worker
+    peaks."""
+    verb, worker = [], []
+    for path in (root / ".bench_work" / workload).glob("result-*.json"):
+        res = json.loads(path.read_text())
+        if "peak_rss_mb" not in res:  # a set-up spawn, which runs no verb
+            continue
+        peaks = sorted(res["worker_peaks_mb"], reverse=True)
+        verb.append(res["peak_rss_mb"] - sum(peaks[:WORKERS]))
+        worker.append(peaks[0] if peaks else 0.0)
+    return {"verb_peak_mb": float(np.median(verb)) if verb else float("nan"),
+            "worker_peak_mb": float(np.median(worker)) if worker else float("nan")}
 
 
 def pycache(roots: dict) -> dict:
@@ -68,13 +98,18 @@ def side_summary(values: list) -> dict:
     return {"median": float(med), "q1": float(q1), "q3": float(q3), "runs": values}
 
 
-def compare(parent: list, change: list, metrics: list) -> dict:
+def metric_value(run: dict, name: str) -> float:
+    return run["metrics"][name]["value"]
+
+
+def compare(parent: list, change: list, metrics: list, value=metric_value) -> dict:
     """Per metric: both sides' runs, medians and quartiles, and the change's
-    wins over the pairs where both runs were correct."""
+    wins over the pairs where both runs were correct; `value(run, name)`
+    reads a run's value."""
     out = {}
     for m in metrics:
         name, lower = m["name"], m["better"] == "lower"
-        pairs = [(p["metrics"][name]["value"], c["metrics"][name]["value"])
+        pairs = [(value(p, name), value(c, name))
                  for p, c in zip(parent, change) if p.get("correct") and c.get("correct")]
         wins = sum((c < p) if lower else (c > p) for p, c in pairs)
         out[name] = {"unit": m["unit"], "better": m["better"], "bound": m["bound"],
@@ -119,7 +154,9 @@ def main(argv=None) -> int:
                 runs[side].append(result)
                 print(f"{w} pair {i} {side} correct={result.get('correct')}", file=sys.stderr)
         workloads[w] = {"failed": {s: sum(not r.get("correct") for r in rs) for s, rs in runs.items()},
-                        "metrics": compare(runs["parent"], runs["change"], spec["end_to_end"])}
+                        "metrics": compare(runs["parent"], runs["change"], spec["end_to_end"]),
+                        "peak_split": compare(runs["parent"], runs["change"], PEAK_SPLIT,
+                                             lambda run, name: run[name])}
     build["pycache_after"] = pycache(roots)
     doc = {"seed": args.seed, "pairs": args.pairs, "run_seconds": RUN_SECONDS,
            "command": "python3 bench/run.py --workload W --seed S --seconds 5 --trace 0",
