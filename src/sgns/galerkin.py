@@ -197,13 +197,18 @@ class CompiledGalerkin:
         has more rows than any before: a step's products (1.1 MB at n =
         128 on 16 rows) are then not freed and allocated again on every
         step, which past glibc's mmap threshold maps and faults in their
-        pages each time."""
+        pages each time.  It is a private anonymous mapping, outside the
+        malloc heap: a block that lives as long as the system, placed in
+        the heap above a walk's chunk buffers, kept the heap from
+        shrinking when they were freed (4 MB more resident after the
+        tightness verb's n = 32 walk).  Private, so a forked pool worker
+        writes its own copy."""
         if not self.include_B or not len(self._V):
             return np.zeros(x.shape)
         X = x.reshape(-1, self.n)
         B, T = len(X), len(self._V)
         if self._scratch.size < 2 * B * T:
-            self._scratch = np.empty(2 * B * T)
+            self._scratch = np.frombuffer(mmap.mmap(-1, 16 * B * T, flags=mmap.MAP_PRIVATE), dtype=np.float64)
         prod = self._scratch[: B * T].reshape(B, T)
         gather = self._scratch[B * T : 2 * B * T].reshape(B, T)
         np.take(X, self._J, axis=1, mode="wrap", out=prod)

@@ -740,18 +740,20 @@ def test_build_memory_is_a_block_not_the_lattice(fixture, request):
 
 def test_convection_reuses_its_scratch(basis2d):
     # after the first call on 8 rows of the full 2D K = 8 system, a second
-    # allocates less than one (rows, triplets) product
+    # allocates less than one (rows, triplets) product and keeps the
+    # scratch, a mapping that tracemalloc does not see
     n = basis2d.n_modes
     sys = CompiledGalerkin(basis2d, n, None)
     X = np.random.default_rng(6).standard_normal((8, n))
     first = sys.convection(X)
+    scratch = sys._scratch
     tracemalloc.start()
     try:
         second = sys.convection(X)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 8 * len(sys._V) * 8
+    assert peak < 8 * len(sys._V) * 8 and sys._scratch is scratch
     assert np.array_equal(first, second)
 
 
