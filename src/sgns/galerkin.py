@@ -209,8 +209,7 @@ class CompiledGalerkin:
         B, T = len(X), len(self._V)
         if self._scratch.size < 2 * B * T:
             self._scratch = np.frombuffer(mmap.mmap(-1, 16 * B * T, flags=mmap.MAP_PRIVATE), dtype=np.float64)
-        prod = self._scratch[: B * T].reshape(B, T)
-        gather = self._scratch[B * T : 2 * B * T].reshape(B, T)
+        prod, gather = self._scratch[: 2 * B * T].reshape(2, B, T)
         np.take(X, self._J, axis=1, mode="wrap", out=prod)
         prod *= self._V
         prod *= np.take(X, self._K, axis=1, mode="wrap", out=gather)
