@@ -18,7 +18,7 @@ basis = Basis(TorusDomain(d=2, K=8), SpaceScale(d=2))
 b1 = HarmonicField.build(2, 2, const=[1.0, 0.0])
 b2 = HarmonicField.build(2, 2, const=None, harmonics=[((2, 2), [0.1, 0.0], None)])
 model = NoiseModel(d=2, directions=((b1, None), (b2, None)))
-# eta = a - eps at the default eps = a / 2, as certify_conditions forms it
+# eta = a - eps at the default eps = a / 2, as noise_conditions forms it
 a = coercivity_constant(model, basis.domain)
 eta = a - a / 2.0
 print(f"certified eta = {eta:.4f} -> admissible p in [2, {p_range(eta)[1]:.4f})")

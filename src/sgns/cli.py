@@ -24,7 +24,7 @@ from . import twodim
 from .config import ConfigError, RunConfig, load_config
 from .galerkin import _compiled, any_noise, energy_budget_check, float_map, integrate_batch, integrate_ensemble
 from .io import ResultBundle, write_snapshot
-from .noise import certify_conditions, exact_constants, sampled_lipschitz
+from .noise import exact_constants, noise_conditions, sampled_lipschitz
 from .spectral import apply_operator, inner, norm, project_Pn, random_field, stack
 
 
@@ -71,21 +71,16 @@ def run_certify_noise(run: RunConfig, bundle: ResultBundle, workers: int) -> Non
     if run.galerkin.model is None:
         bundle.summary.update(passed=False, failure="no noise directions configured")
         return
-    rep = certify_conditions(run.galerkin.model, run.basis, eps=run.noise_eps,
-                             samples=run.experiment["samples"] or 10000, seed=run.galerkin.seed)
-    # the sampled maxima and counts, and beside them the exact values and
-    # margins on the Galerkin space, on which the verdict rests (L alone
-    # when rejected: no coercivity pair exists)
+    rep = noise_conditions(run.galerkin.model, run.basis.domain, eps=run.noise_eps)
+    # the exact values and margins on the Galerkin space, on which the
+    # verdict rests (L alone when rejected: no coercivity pair exists)
     exact = exact_constants(run.galerkin.model, run.basis, rep.eta, rep.lam0)
     gstar_margin = None if rep.rejected else rep.gstar_analytic - exact.gstar_constant
     bundle.summary.update(
         C1=rep.C1, a=rep.a, eps=rep.eps, eta=rep.eta, lam0=rep.lam0,
-        gstar_constant=exact.gstar_constant, gstar_sampled=rep.gstar_constant,
-        gstar_analytic_bound=rep.gstar_analytic, gstar_margin=gstar_margin,
-        gstar_violations=rep.gstar_violations,
-        lipschitz_L=exact.lipschitz_L, lipschitz_L_sampled=rep.lipschitz_L,
-        coercivity_margin=exact.coercivity_margin, coercivity_violations=rep.empirical_violations,
-        samples=rep.samples, rejected=rep.rejected,
+        gstar_constant=exact.gstar_constant, gstar_analytic_bound=rep.gstar_analytic,
+        gstar_margin=gstar_margin, lipschitz_L=exact.lipschitz_L,
+        coercivity_margin=exact.coercivity_margin, rejected=rep.rejected,
     )
     if rep.rejected:
         bundle.summary.update(
@@ -279,19 +274,17 @@ def run_uniqueness(run: RunConfig, bundle: ResultBundle, workers: int) -> None:
 
 def run_spaces(run: RunConfig, bundle: ResultBundle, workers: int) -> None:
     exp = run.experiment
-    spec, cert = tgt.build_nested_space(exp["phi_norms"] or [1.0] * exp["levels"], exp["eta0"],
-                                        samples=exp["samples"] or 10000, seed=run.galerkin.seed)
+    spec, cert = tgt.build_nested_space(exp["phi_norms"] or [1.0] * exp["levels"], exp["eta0"])
     bundle.add_table("nested_space", ["level", "eta", "phi_norm", "radius"],
                      [(i + 1, spec.etas[i + 1], spec.phi_norms[i], spec.radii[i])
                       for i in range(len(spec.radii))])
-    ok = cert.embedding_violations == 0 and cert.tail_violations == 0
     bundle.summary.update(
-        eta0=exp["eta0"], levels=len(spec.radii), samples=cert.samples,
+        eta0=exp["eta0"], levels=len(spec.radii),
         embedding_norm_bound=cert.embedding_norm_bound,
         max_embedding_norm=cert.max_embedding_norm,
-        embedding_violations=cert.embedding_violations,
-        tail_violations=cert.tail_violations,
-        passed=bool(ok),
+        embedding_margin=cert.embedding_margin,
+        tail_margin=cert.tail_margin,
+        passed=cert.passed,
     )
 
 

@@ -130,13 +130,13 @@ _SCALARS = {
 
 # every knob a verb reads from the experiment table: key -> (kind, default).
 # A default of None means the verb derives the value from the run; "samples"
-# is 100 for verify-operators and 10000 for certify-noise and spaces.
+# is read by verify-operators only, 100 by default.
 # "certify_samples" is the count of random pairs of the uniqueness verb's
 # sampled Lipschitz witness, drawn on the stepped level n; the verb gates on
 # the exact L.  The ranges of eta and eta0 are checked by the modules that
 # use them.
 EXPERIMENT = {
-    "samples": (_count, None), "tolerance": (_real, 1e-12),  # verify-operators, certify-noise
+    "samples": (_count, None), "tolerance": (_real, 1e-12),  # verify-operators
     "residual_tolerance": (_real, 1e-10), "z_bound": (_real, 3.0),  # ensemble
     "p_list": (_reals, [2.0]), "eta": (lambda v: admissible_eta(_number(v)), None),  # estimates
     "ratio_bound": (_real, 1.5), "alpha": (_within(0, 1), 0.05),
@@ -382,6 +382,11 @@ def load_config(path_or_dict) -> RunConfig:
     exp = merged["experiment"]
     experiment = {key: _typed(exp.get(key, default), kind, f"experiment.{key}", violations, default)
                   for key, (kind, default) in EXPERIMENT.items()}
+    # the Phi-norms fix the level count; a levels that disagrees is named, not ignored
+    levels, phi_norms = experiment["levels"], experiment["phi_norms"]
+    if "levels" in exp and phi_norms is not None and levels is not None and levels != len(phi_norms):
+        violations.append(f"experiment.levels must be {len(phi_norms)}, the length of "
+                          f"experiment.phi_norms, got {levels}")
 
     if violations:
         raise ConfigError(violations)

@@ -403,10 +403,10 @@ class NestedSpaceSpec:
 @dataclass
 class NestedSpaceCertificate:
     embedding_norm_bound: float  # 1 - eta0
-    max_embedding_norm: float
-    embedding_violations: int
-    tail_violations: int
-    samples: int
+    max_embedding_norm: float  # the sup over the unit sphere
+    embedding_margin: float  # bound - sup
+    tail_margin: float  # least (eta_N - eta_m) - tail sup, over m
+    passed: bool
 
 
 def admissible_eta0(eta0: float) -> float:
@@ -417,21 +417,21 @@ def admissible_eta0(eta0: float) -> float:
     raise ValueError(f"a number in (0, 1), got {eta0}")
 
 
-def build_nested_space(
-    phi_norms, eta0: float, samples: int = 1000, seed: int = 0
-) -> tuple:
+def build_nested_space(phi_norms, eta0: float) -> tuple:
     """Construct the weighted sequence space compactly embedded below Phi.
 
     The recursion eta_n = (eta_{n-1} + 1)/2 climbs to 1 and the radii
-    r_n = (1 - eta_n) / (2 |h_n|_Phi) shrink to 0.  The certificate samples the
-    unit sphere of the weighted space and checks (i) the embedding norm stays
-    below 1 - eta0 and (ii) every tail satisfies
-    |s_N - s_m|_Phi <= eta_N - eta_m.
+    r_n = (1 - eta_n) / (2 |h_n|_Phi) shrink to 0.  On the unit sphere of the
+    weighted space, x_i = r_i u_i with |u|_2 = 1, a tail of the embedding
+    norm is sum_i r_i |h_i|_Phi |u_i|, whose sup is by Cauchy-Schwarz the
+    l2 norm of that tail of (r_i |h_i|_Phi)_i.  The certificate checks
+    (i) the whole sum's sup against 1 - eta0 and (ii) every tail's against
+    |s_N - s_m|_Phi <= eta_N - eta_m, from the spec's own radii and norms.
     """
     admissible_eta0(eta0)
     phi_norms = np.asarray(phi_norms, dtype=float)
-    if np.any(phi_norms <= 0):
-        raise ValueError("Phi-norms must be positive")
+    if len(phi_norms) == 0 or np.any(phi_norms <= 0):
+        raise ValueError("Phi-norms must be a non-empty list of positive numbers")
     N = len(phi_norms)
     etas = np.zeros(N + 1)
     etas[0] = eta0
@@ -440,32 +440,18 @@ def build_nested_space(
     radii = (1.0 - etas[1:]) / (2.0 * phi_norms)
     spec = NestedSpaceSpec(eta0=eta0, etas=etas, phi_norms=phi_norms, radii=radii)
 
-    rng = np.random.default_rng(seed)
-    emb_viol = 0
-    tail_viol = 0
-    max_emb = 0.0
+    w = spec.radii * spec.phi_norms
+    tails = np.sqrt(np.cumsum((w * w)[::-1])[::-1])  # tails[m] = |w[m:]|_2 (0-based)
+    emb = float(tails[0])
     bound = 1.0 - eta0
-    for _ in range(samples):
-        g = rng.standard_normal(N)
-        nrm = np.linalg.norm(g)
-        if nrm == 0:
-            continue
-        x = radii * g / nrm  # |x|_H = 1 exactly
-        phi_terms = np.abs(x) * phi_norms
-        emb = float(np.sum(phi_terms))
-        max_emb = max(max_emb, emb)
-        if emb > bound * (1.0 + 1e-12):
-            emb_viol += 1
-        tails = np.cumsum(phi_terms[::-1])[::-1]  # tails[m] = sum_{i >= m} (0-based)
-        # |s_N - s_m|_Phi <= eta_N - eta_m for every m = 0..N-1
-        allowed = etas[-1] - etas[:-1]
-        if np.any(tails > allowed * (1.0 + 1e-12) + 1e-15):
-            tail_viol += 1
+    # |s_N - s_m|_Phi <= eta_N - eta_m for every m = 0..N-1
+    allowed = spec.etas[-1] - spec.etas[:-1]
+    passed = not (emb > bound * (1.0 + 1e-12) or np.any(tails > allowed * (1.0 + 1e-12) + 1e-15))
     cert = NestedSpaceCertificate(
         embedding_norm_bound=bound,
-        max_embedding_norm=max_emb,
-        embedding_violations=emb_viol,
-        tail_violations=tail_viol,
-        samples=samples,
+        max_embedding_norm=emb,
+        embedding_margin=bound - emb,
+        tail_margin=float(np.min(allowed - tails)),
+        passed=passed,
     )
     return spec, cert

@@ -8,6 +8,7 @@ import math
 
 import numpy as np
 import pytest
+from noise_oracle import certify_conditions, sample_nested_space
 
 from sgns.estimates import aggregate, uniformity_report
 from sgns.galerkin import (
@@ -21,7 +22,6 @@ from sgns.galerkin import (
 from sgns.noise import (
     HarmonicField,
     NoiseModel,
-    certify_conditions,
     coercivity_constant,
     constant_transport_model,
     default_noise_model,
@@ -278,14 +278,21 @@ def test_criterion_08_tightness(basis, shell_coupling_model):
 
 
 def test_criterion_09_nested_space():
-    spec, cert = build_nested_space(np.ones(30), eta0=0.5, samples=10000, seed=9)
+    spec, exact = build_nested_space(np.ones(30), eta0=0.5)
+    cert = sample_nested_space(spec, samples=10000, seed=9)
     ok = (
         cert.embedding_violations == 0
         and cert.tail_violations == 0
         and cert.max_embedding_norm <= 0.5
     )
+    # beside the sampled check, the exact sup, which no sample exceeds, and
+    # both exact margins positive
+    ok = (ok and exact.passed and exact.embedding_margin > 0.0 and exact.tail_margin > 0.0
+          and cert.max_embedding_norm <= exact.max_embedding_norm * (1.0 + 1e-12) <= 0.5)
     report(9, ok, f"embedding norm {cert.max_embedding_norm:.4f} <= 0.5 and tail bound: "
-                  f"0 violations on {cert.samples} unit-sphere samples")
+                  f"0 violations on {cert.samples} unit-sphere samples; "
+                  f"exact: sup {exact.max_embedding_norm:.4f}, margins {exact.embedding_margin:.4f} "
+                  f"(embedding) and {exact.tail_margin:.2e} (tails) > 0")
 
 
 def test_criterion_10_2d_inequalities(basis):

@@ -133,10 +133,11 @@ def test_uniqueness_loads_no_numpy_ma(tmp_path):
     assert summary["median_ratio_T"] > 0.0
 
 
-@pytest.mark.parametrize("verb", ["uniqueness", "ensemble"])
+@pytest.mark.parametrize("verb", ["uniqueness", "ensemble", "certify-noise", "spaces"])
 def test_verb_loads_no_numpy_ma_nor_scipy(tmp_path, verb):
     # a first call that imports a module costs milliseconds: a bare np.unique
-    # or np.median imports numpy.ma, and neither verb needs scipy
+    # or np.median imports numpy.ma, and none of these verbs needs scipy
+    # (certify-noise polishes a sup with scipy only for variable coefficients)
     path = write_cfg(tmp_path, {"experiment": {"certify_samples": 200}})
     code = ("import sys\n"
             "from sgns.cli import run_command\n"
@@ -483,10 +484,14 @@ def test_partial_last_step_rejected(tmp_path):
 
 def test_all_violations_reported(tmp_path):
     path = write_cfg(tmp_path, {"galerkin": {"dt_max": 1.0, "dt": 0.5},
-                                "ensemble": {"trajectories": 0}})
+                                "ensemble": {"trajectories": 0},
+                                "experiment": {"levels": 4, "phi_norms": [1.0, 2.0, 0.5]}})
     with pytest.raises(ConfigError) as exc:
         load_config(path)
-    assert len(exc.value.violations) >= 3
+    assert len(exc.value.violations) >= 4
+    # spaces takes one level per Phi-norm: an explicit count that disagrees
+    # is named, not ignored
+    assert "experiment.levels must be 3, the length of experiment.phi_norms, got 4" in exc.value.violations
 
 
 def test_config_hash_key_order_invariant(tmp_path):
@@ -562,28 +567,47 @@ def test_certify_noise_verb(tmp_path):
     summary = json.loads((tmp_path / "out" / "summary.json").read_text())
     assert abs(summary["eta"] - 0.5) < 1e-12
     assert abs(summary["lam0"] - 1.5) < 1e-12
-    # the exact values beside the sampled ones: b = (1, 0) has L = 1 and, at
-    # K = 3, the growth sup 3^2 / (1 + 3^2) = 0.9
+    # the exact values: b = (1, 0) has L = 1 and, at K = 3, the growth sup
+    # 3^2 / (1 + 3^2) = 0.9; no sampled value or count is reported
     assert summary["lipschitz_L"] == 1.0
-    assert 0.0 < summary["lipschitz_L_sampled"] <= summary["lipschitz_L"]
     assert abs(summary["gstar_constant"] - 0.9) < 1e-12
-    assert 0.0 < summary["gstar_sampled"] <= summary["gstar_constant"]
     assert summary["gstar_margin"] == summary["gstar_analytic_bound"] - summary["gstar_constant"]
     assert summary["coercivity_margin"] > 0.0
-    assert summary["coercivity_violations"] == summary["gstar_violations"] == 0
-    assert "rho" not in summary
+    assert summary["passed"] is True
+    for key in ("rho", "gstar_sampled", "gstar_violations", "lipschitz_L_sampled", "coercivity_violations",
+                "samples"):
+        assert key not in summary
 
 
 @pytest.mark.parametrize("gstar, margin", [(4.0 + 1e-6, 2.0), (0.9, -1e-6)], ids=["growth", "coercivity"])
 def test_certify_noise_verb_gates_on_the_exact_margins(tmp_path, monkeypatch, gstar, margin):
-    # the sampled counts stay 0; an exact growth sup above the analytic
-    # bound 4, or a negative coercivity margin, fails the verb
+    # an exact growth sup above the analytic bound 4, or a negative
+    # coercivity margin, fails the verb, which reports the value it read
     monkeypatch.setattr(cli, "exact_constants", lambda *a: noise.ExactConstants(1.0, gstar, margin))
     path = write_cfg(tmp_path, {"noise": {"eps": 0.5}, "experiment": {"samples": 100}})
     assert run_command("certify-noise", load_config(path), tmp_path / "out") == 1
     summary = json.loads((tmp_path / "out" / "summary.json").read_text())
-    assert summary["coercivity_violations"] == summary["gstar_violations"] == 0
+    assert summary["gstar_constant"] == gstar and summary["gstar_margin"] == 4.0 - gstar
+    assert summary["coercivity_margin"] == margin
+    assert "coercivity_violations" not in summary and "gstar_violations" not in summary
     assert summary["passed"] is False
+
+
+@pytest.mark.parametrize("verb, name", [("certify-noise", "default.json"), ("certify-noise", "threed.json"),
+                                        ("spaces", "spaces.json")])
+def test_exact_certificates_make_no_generator(tmp_path, monkeypatch, verb, name):
+    # both verdicts rest on exact values, so neither verb draws a random
+    # number; verify-operators, which samples its fields, shows the spy works
+    run = load_config(DEMOS / name)
+    calls = []
+    make = np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng", lambda *a, **k: calls.append(a) or make(*a, **k))
+    run.experiment["samples"] = 3
+    run_command("verify-operators", run, tmp_path / "control")
+    assert calls
+    calls.clear()
+    assert run_command(verb, run, tmp_path / "out", workers=1) == 0
+    assert calls == []
 
 
 def test_certify_noise_rejects_degenerate(tmp_path):
@@ -795,12 +819,18 @@ def test_spaces_verb(tmp_path):
     code = run_command("spaces", run, tmp_path / "out")
     assert code == 0
     summary = json.loads((tmp_path / "out" / "summary.json").read_text())
-    assert summary["embedding_violations"] == 0
-    assert summary["max_embedding_norm"] <= 0.5
+    # the exact sup (1 - eta0)/(2 sqrt 3) sqrt(1 - 4^-N) and its margins;
+    # no sample count nor violation count
+    sup = 0.5 / (2.0 * math.sqrt(3.0)) * math.sqrt(1.0 - 4.0**-12)
+    assert abs(summary["max_embedding_norm"] - sup) <= 1e-12 * sup
+    assert summary["embedding_margin"] == summary["embedding_norm_bound"] - summary["max_embedding_norm"]
+    assert summary["embedding_norm_bound"] == 0.5 and summary["tail_margin"] > 0.0
+    for key in ("samples", "embedding_violations", "tail_violations"):
+        assert key not in summary
 
 
 def test_spaces_verb_reports_the_levels_phi_norms_give(tmp_path):
-    # five Phi-norms fix five levels, whatever experiment.levels says
+    # five Phi-norms fix five levels, over the default experiment.levels
     path = write_cfg(tmp_path, {"experiment": {"phi_norms": [1.0, 2.0, 0.5, 1.0, 3.0], "samples": 200}})
     assert run_command("spaces", load_config(path), tmp_path / "out") == 0
     summary = json.loads((tmp_path / "out" / "summary.json").read_text())
@@ -842,13 +872,13 @@ def test_uniqueness_verb_gates_max_L_L2_below_2(tmp_path):
 
 
 def test_uniqueness_verb_reports_the_exact_L_and_its_witness(tmp_path, monkeypatch):
-    # the verb gates on the exact L and never calls the field sampler; its
+    # the verb gates on the exact L and forms no coercivity pair; its
     # witness is drawn on the stepped level n, and a witness above L fails
     # the verb by name
     calls = []
-    sampler = noise.certify_conditions
+    conditions = noise.noise_conditions
     for owner in (noise, cli):
-        monkeypatch.setattr(owner, "certify_conditions", lambda *a, **k: calls.append(a) or sampler(*a, **k))
+        monkeypatch.setattr(owner, "noise_conditions", lambda *a, **k: calls.append(a) or conditions(*a, **k))
     path = write_cfg(tmp_path, {"experiment": {"certify_samples": 200, "twin_trajectories": 1}})
     assert run_command("uniqueness", load_config(path), tmp_path / "out") == 0
     summary = json.loads((tmp_path / "out" / "summary.json").read_text())

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from conftest import mode_id, two_direction_model
+from noise_oracle import certify_conditions
 
 from sgns.noise import (
     HarmonicField,
@@ -10,7 +11,6 @@ from sgns.noise import (
     apply_G,
     apply_G_direction,
     c1_constant,
-    certify_conditions,
     coercivity_constant,
     constant_transport_model,
     continuity_constant_Gstarstar,
@@ -18,6 +18,7 @@ from sgns.noise import (
     direction_sups,
     exact_constants,
     hs_norm_G,
+    noise_conditions,
     noise_matrices,
     sampled_lipschitz,
     sup_norm,
@@ -170,7 +171,7 @@ def test_certify_sweeps_each_sup_norm_once(basis2d_small, monkeypatch):
     calls = []
     polished_max = noise_mod._polished_max
     monkeypatch.setattr(noise_mod, "_polished_max", lambda *a: calls.append(a) or polished_max(*a))
-    rep = certify_conditions(model, basis2d_small, samples=50)
+    rep = noise_conditions(model, dom)
     assert rep.C1 == c1_ref
     assert rep.gstar_analytic == 2.0 * gstar_ref
     # sup|b_1|, sup|div b_1|, sup|c_1| and the coercivity minimum, once each
@@ -186,8 +187,9 @@ def test_coercivity_values():
     assert coercivity_constant(m0, dom) == 2.0
     m_reject = constant_transport_model([[math.sqrt(2), 0.0], [0.0, math.sqrt(2)]])
     assert abs(coercivity_constant(m_reject, dom)) < 1e-12
-    rep = certify_conditions(m_reject, None if False else __import__("sgns.spectral", fromlist=["Basis"]).Basis(dom), samples=10)
+    rep = certify_conditions(m_reject, Basis(dom), samples=10)
     assert rep.rejected
+    assert noise_conditions(m_reject, dom).rejected
 
 
 def test_coercivity_matches_eigen_oracle(rng):
@@ -222,6 +224,11 @@ def test_certify_default_model(basis2d_small):
     assert rep.gstar_violations == 0
     assert rep.gstar_constant <= rep.gstar_analytic * (1 + 1e-9)
     assert rep.lipschitz_L <= 1.0 + 1e-9
+    # the exact values, which no sampled maximum exceeds
+    exact = exact_constants(default_noise_model(2), basis2d_small, rep.eta, rep.lam0)
+    assert exact.lipschitz_L == 1.0 and exact.coercivity_margin >= 0.0
+    assert rep.gstar_constant <= exact.gstar_constant * (1.0 + 1e-12) <= rep.gstar_analytic
+    assert rep.lipschitz_L <= exact.lipschitz_L * (1.0 + 1e-12)
 
 
 def test_certify_zero_noise(basis2d_small):
@@ -230,11 +237,13 @@ def test_certify_zero_noise(basis2d_small):
     assert rep.eta == 2.0
     assert rep.lam0 == 0.0
     assert rep.empirical_violations == 0
+    exact = exact_constants(model, basis2d_small, rep.eta, rep.lam0)
+    assert (exact.lipschitz_L, exact.gstar_constant, exact.coercivity_margin) == (0.0, 0.0, 0.0)
 
 
 def test_certify_eps_out_of_range(basis2d_small):
     with pytest.raises(ValueError):
-        certify_conditions(default_noise_model(2), basis2d_small, eps=1.5, samples=10)
+        noise_conditions(default_noise_model(2), basis2d_small.domain, eps=1.5)
 
 
 def test_certify_variable_model(basis2d_small):
@@ -245,6 +254,10 @@ def test_certify_variable_model(basis2d_small):
     assert not rep.rejected
     assert rep.empirical_violations == 0
     assert rep.gstar_violations == 0
+    exact = exact_constants(model, basis2d_small, rep.eta, rep.lam0)
+    assert exact.coercivity_margin >= 0.0
+    assert rep.gstar_constant <= exact.gstar_constant * (1.0 + 1e-12) <= rep.gstar_analytic
+    assert rep.lipschitz_L <= exact.lipschitz_L * (1.0 + 1e-12)
 
 
 def test_noise_matrices_match_direct(basis2d_small, rng):

@@ -6,6 +6,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 from lag_oracle import brute_lag_maxima
+from noise_oracle import sample_nested_space
 
 from sgns import galerkin, tightness
 from sgns.config import load_config
@@ -482,7 +483,8 @@ def test_refinement_constant_when_dynamics_low(basis2d_small):
 
 
 def test_holly_wiciak_recursion():
-    spec, cert = build_nested_space(np.ones(10), eta0=0.5, samples=200, seed=1)
+    spec, exact = build_nested_space(np.ones(10), eta0=0.5)
+    cert = sample_nested_space(spec, samples=200, seed=1)
     # eta_n = 1 - 2^-(n+1)
     expect = 1.0 - 2.0 ** -(np.arange(11) + 1)
     assert np.allclose(spec.etas, expect, atol=1e-15)
@@ -493,17 +495,93 @@ def test_holly_wiciak_recursion():
     assert cert.embedding_violations == 0
     assert cert.tail_violations == 0
     assert cert.max_embedding_norm <= 0.5
+    assert exact.passed and exact.embedding_margin > 0.0 and exact.tail_margin > 0.0
+    assert cert.max_embedding_norm <= exact.max_embedding_norm * (1.0 + 1e-12) <= 0.5
 
 
 def test_holly_wiciak_general_norms():
     rng = np.random.default_rng(4)
     phi = rng.uniform(0.5, 3.0, size=25)
-    spec, cert = build_nested_space(phi, eta0=0.3, samples=500, seed=2)
+    spec, exact = build_nested_space(phi, eta0=0.3)
+    cert = sample_nested_space(spec, samples=500, seed=2)
     assert cert.embedding_violations == 0
     assert cert.tail_violations == 0
     assert cert.max_embedding_norm <= 0.7
     with pytest.raises(ValueError):
         build_nested_space(phi, eta0=1.5)
+    assert exact.passed and exact.embedding_margin > 0.0 and exact.tail_margin > 0.0
+    assert cert.max_embedding_norm <= exact.max_embedding_norm * (1.0 + 1e-12) <= 0.7
+
+
+def _sphere_grid(N: int, points: int) -> np.ndarray:
+    """A grid of the unit sphere's positive orthant in R^N, N = 1, 2 or 3,
+    of about `points` points per angle: the sums of |u_i| w_i see only
+    |u_i|, so their maxima over the sphere are maxima over the orthant."""
+    if N == 1:
+        return np.ones((1, 1))
+    t = np.linspace(0.0, np.pi / 2, points)
+    if N == 2:
+        return np.stack([np.cos(t), np.sin(t)], axis=1)
+    a, b = np.meshgrid(t, t, indexing="ij")
+    return np.stack([np.cos(a), np.sin(a) * np.cos(b), np.sin(a) * np.sin(b)], axis=-1).reshape(-1, 3)
+
+
+@pytest.mark.parametrize("phi, eta0", [([1.0], 0.5), ([2.5], 0.9), ([1.0, 0.3], 0.5), ([0.7, 2.0], 0.2),
+                                       ([1.0, 1.0, 1.0], 0.5), ([0.6, 2.9, 1.3], 0.3)],
+                         ids=["N1", "N1-eta0.9", "N2", "N2-eta0.2", "N3", "N3-eta0.3"])
+def test_nested_space_sups_are_brute_force_maxima(phi, eta0):
+    # oracle: the embedding sum and each tail of it, sum_{i >= m} r_i
+    # |h_i|_Phi |u_i|, maximised over a fine grid of the unit sphere
+    spec, cert = build_nested_space(phi, eta0)
+    N = len(phi)
+    u = _sphere_grid(N, 2001)
+    terms = u * (spec.radii * spec.phi_norms)
+    brute = np.array([np.max(np.sum(terms[:, m:], axis=1)) for m in range(N)])
+    # the grid's maxima fall short by O(h^2), h = (pi/2)/2000
+    assert np.all(brute <= np.array([np.linalg.norm((spec.radii * spec.phi_norms)[m:]) for m in range(N)])
+                  * (1.0 + 1e-12))
+    assert abs(cert.max_embedding_norm - brute[0]) <= 1e-6 * brute[0]
+    assert abs(cert.embedding_margin - (cert.embedding_norm_bound - brute[0])) <= 1e-6 * brute[0]
+    allowed = spec.etas[-1] - spec.etas[:-1]
+    assert abs(cert.tail_margin - np.min(allowed - brute)) <= 1e-6 * brute[0]
+    assert cert.embedding_norm_bound == 1.0 - eta0 and cert.passed
+
+
+@pytest.mark.parametrize("phi, eta0", [(np.ones(30), 0.5),
+                                       (np.random.default_rng(1).uniform(0.5, 3.0, size=25), 0.3)],
+                         ids=["ones30", "demo07"])
+def test_nested_space_sup_is_the_cancelled_formula(phi, eta0):
+    # r_i |h_i|_Phi = (1 - eta_i)/2 = (1 - eta0) 2^-(i+1) whatever the
+    # Phi-norms, so the sup is (1 - eta0)/(2 sqrt 3) sqrt(1 - 4^-N)
+    spec, cert = build_nested_space(phi, eta0)
+    N = len(phi)
+    closed = (1.0 - eta0) / (2.0 * math.sqrt(3.0)) * math.sqrt(1.0 - 4.0**-N)
+    assert abs(cert.max_embedding_norm - closed) <= 1e-12 * closed
+    assert cert.embedding_margin == (1.0 - eta0) - cert.max_embedding_norm
+
+
+@pytest.mark.parametrize("N, eta0, seed", [(1, 0.9, 0), (1, 0.5, 3), (2, 0.5, 1), (3, 0.3, 2), (12, 0.5, 0),
+                                           (30, 0.5, 9)])
+def test_nested_space_sup_is_never_below_the_sampled_maximum(N, eta0, seed):
+    phi = np.random.default_rng(seed).uniform(0.5, 3.0, size=N)
+    spec, cert = build_nested_space(phi, eta0)
+    sampled = sample_nested_space(spec, samples=2000, seed=seed)
+    # up to rounding: at N = 1 every sample reads the sup, one ulp either way
+    assert sampled.max_embedding_norm <= cert.max_embedding_norm * (1.0 + 1e-12)
+    assert sampled.embedding_violations == sampled.tail_violations == 0
+
+
+def test_nested_space_gate_reads_its_radii(monkeypatch):
+    # the sups are taken from the spec's radii, not from the formula their
+    # recursion cancels to: radii four times too large quadruple the sup and
+    # fail both the embedding bound and the tail bounds
+    _, cert = build_nested_space(np.ones(4), 0.5)
+    assert cert.passed and cert.tail_margin > 0.0
+    spec = tightness.NestedSpaceSpec
+    monkeypatch.setattr(tightness, "NestedSpaceSpec", lambda **kw: spec(**{**kw, "radii": 4.0 * kw["radii"]}))
+    _, wide = build_nested_space(np.ones(4), 0.5)
+    assert wide.max_embedding_norm == 4.0 * cert.max_embedding_norm > 0.5
+    assert not wide.passed and wide.embedding_margin < 0.0 and wide.tail_margin < 0.0
 
 
 def test_family_holds_views_of_the_live_rows(basis2d_small, small_ensemble):

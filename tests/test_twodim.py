@@ -6,11 +6,12 @@ import weakref
 import numpy as np
 import pytest
 from conftest import mode_id, triplets
+from noise_oracle import certify_conditions
 from twin_oracle import twin_oracle
 
 from sgns import galerkin, spectral, twodim
 from sgns.galerkin import GalerkinConfig, generate_wiener, integrate_batch
-from sgns.noise import certify_conditions, default_noise_model
+from sgns.noise import default_noise_model, exact_constants
 from sgns.nonlinear import TrilinearWorkspace, bilinear_B
 from sgns.spectral import ROLE_COS, Basis, SpaceScale, TorusDomain, norm, random_field
 from sgns.twodim import (
@@ -287,6 +288,7 @@ def test_pathwise_uniqueness_weighted_distance(basis2d_small, rng):
     model = default_noise_model(2)
     cert = certify_conditions(model, basis2d_small, samples=200, seed=3)
     assert cert.lipschitz_L < 2.0
+    assert cert.lipschitz_L <= exact_constants(model, basis2d_small).lipschitz_L * (1.0 + 1e-12) < 2.0
     cfg = GalerkinConfig(
         basis=basis2d_small, n=8, dt=1e-3, T=0.1,
         u0=random_field(basis2d_small, rng, n=8, decay=0.5),
