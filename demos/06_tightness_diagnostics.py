@@ -13,7 +13,7 @@ from sgns.galerkin import GalerkinConfig, integrate_batch, integrate_ensemble
 from sgns.noise import default_noise_model
 from sgns.spectral import Basis, SpaceScale, TorusDomain, random_field
 from sgns.tightness import (
-    FunctionFamily, aldous_check, calibrate_aldous_eta, dubinsky_diagnostic,
+    FunctionFamily, aldous_check, calibrate_aldous_eta, dubinsky_diagnostic, increment_lags,
     increment_scaling, median_modulus_curve, modulus_lags, nonlinear_refinement_check,
 )
 
@@ -23,13 +23,17 @@ u0 = random_field(basis, rng, n=8, decay=0.5)
 T, steps = 1.0, 512
 dt = T / steps
 deltas = [T * 2.0**-j for j in range(9, 3, -1)]
+thetas, eta_theta = [T * 2.0**-j for j in range(8, 3, -1)], T * 2.0**-4
+times = np.arange(steps + 1) * dt
 
 # the pool workers record each path's U' increment maxima at the lags the
-# modulus table over `deltas` reads
+# modulus table over `deltas` reads, and its increments at the lags of the
+# Aldous windows `thetas` and of the threshold's window
 cfg = GalerkinConfig(basis=basis, n=16, dt=dt, T=T, u0=u0,
                      model=default_noise_model(2), seed=7,
                      snapshot_stride=1, integral_snapshot_stride=4,
-                     modulus_lags=modulus_lags(deltas, np.arange(steps + 1) * dt))
+                     modulus_lags=modulus_lags(deltas, times),
+                     increment_lags=increment_lags(thetas, eta_theta, times))
 ens = integrate_ensemble(cfg, 100, workers=2)
 fam = FunctionFamily(ens)
 
@@ -42,8 +46,8 @@ print("  delta -> median modulus:")
 for d, m in zip(sorted(deltas), curve):
     print(f"    {d:9.5f} -> {m:.6f}")
 
-eta = calibrate_aldous_eta(fam, T * 2.0**-4, 60.0)
-ald = aldous_check(fam, [T * 2.0**-j for j in range(8, 3, -1)], eta)
+eta = calibrate_aldous_eta(fam, eta_theta, 60.0)
+ald = aldous_check(fam, thetas, eta)
 print(f"\nAldous exceedance table (threshold eta = {eta:.5f}):")
 for t, p in zip(ald.thetas, ald.probabilities):
     print(f"  theta = {t:8.5f}: P(increment >= eta) = {p:.3f}")

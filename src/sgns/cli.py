@@ -95,8 +95,9 @@ def run_certify_noise(run: RunConfig, bundle: ResultBundle, workers: int) -> Non
 
 
 def run_simulate(run: RunConfig, bundle: ResultBundle, workers: int) -> None:
-    # the energy budget reads the ledger, and no running integral is read
-    one = integrate_batch(replace(run.galerkin, records={"ledger"}), [0])
+    # the energy budget reads the ledger and the snapshots the states, and no
+    # running integral is read
+    one = integrate_batch(replace(run.galerkin, records={"ledger", "states"}), [0])
     bundle.add_table(
         "trajectory",
         ["t", "norm_H", "norm_D", "norm_Udual"],
@@ -117,7 +118,8 @@ def run_simulate(run: RunConfig, bundle: ResultBundle, workers: int) -> None:
 
 
 def run_ensemble(run: RunConfig, bundle: ResultBundle, workers: int) -> None:
-    # the energy budget reads the ledger, and no running integral is read
+    # the energy budget reads the ledger, and no state or running integral is
+    # read
     ens = integrate_ensemble(replace(run.galerkin, records={"ledger"}), run.trajectories, workers=workers)
     failure = est.too_few_live_paths({run.n: ens})
     if failure is not None:
@@ -151,7 +153,7 @@ def run_estimates(run: RunConfig, bundle: ResultBundle, workers: int) -> None:
         return
     exp = run.experiment
     p_list = exp["p_list"]
-    # the moments read norms only, so no ledger and no running integral
+    # the moments read norms only, so no ledger, state or running integral
     by_n = {n: integrate_ensemble(replace(run.galerkin, n=n, records=()), run.trajectories,
                                   workers=workers)
             for n in run.n_list}
@@ -194,22 +196,27 @@ def run_tightness(run: RunConfig, bundle: ResultBundle, workers: int) -> None:
     passed = True
     rows_mod, rows_aldous, rows_j = [], [], []
     summary_n, noise_free = {}, []
-    # the diagnostics read states, norms and the noise integral only
+    # the diagnostics read norms, the noise integral and the per-path
+    # reductions below, and no state
     grid = replace(run.galerkin, snapshot_stride=1, integral_snapshot_stride=exp["integral_stride"],
                    records={"integral_noise"})
     violations = tgt.window_violations(grid, deltas, thetas, anchors, windows)
     if violations:
         bundle.summary.update(passed=False, failure="; ".join(violations))
         return
-    # each block's process, the verb's own or a pool worker, records the lag
-    # maxima of the paths it stepped, which the modulus table reads
-    grid = replace(grid, modulus_lags=tgt.modulus_lags(deltas, grid.snap_times))
+    # each block's process, the verb's own or a pool worker, reduces the
+    # paths it stepped to their lag maxima, which the modulus table reads,
+    # and to their increments at the lags of the Aldous table and of its
+    # threshold, calibrated at the smallest window
+    eta_theta = min(thetas)
+    grid = replace(grid, modulus_lags=tgt.modulus_lags(deltas, grid.snap_times),
+                   increment_lags=tgt.increment_lags(thetas, eta_theta, grid.snap_times))
     for n in run.n_list:
         cfg = replace(grid, n=n)
         ens = integrate_ensemble(cfg, run.trajectories, workers=workers)
         fam = tgt.FunctionFamily(ens)
         dub = tgt.dubinsky_diagnostic(fam, deltas, exp["slope_threshold"])
-        eta = tgt.calibrate_aldous_eta(fam, min(thetas), exp["eta_quantile"])
+        eta = tgt.calibrate_aldous_eta(fam, eta_theta, exp["eta_quantile"])
         ald = tgt.aldous_check(fam, thetas, eta)
         jrep = tgt.increment_scaling(ens, anchors, windows)
         ok = dub.passed and ald.passed and (

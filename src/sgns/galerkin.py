@@ -19,22 +19,29 @@ hands each chunk, every step of it, to one consumer: the Ensemble writer,
 which alone reads the config's snapshot grids, or a reducer of the caller's
 own, such as the uniqueness twins of `sgns.twodim`.
 
-Besides states and norms, the stepper records what the config's record set
-(`GalerkinConfig.records`, names of `RECORDS`) asks for: the energy ledger,
-each step's drift, taming, forcing and martingale work and
-quadratic remainder, which close the discrete energy identity to roundoff,
-reduced per path as the steps are taken to the identity's worst relative
-residual and the sums of the Ito and Hilbert-Schmidt increments; the
-running Stokes, convection and forcing integrals (one record, the drift)
-and the running noise integral, snapshotted so the martingale part of the
-path can be reconstructed and tested for zero mean and prescribed quadratic
-variation.  An unrecorded output costs no step work and no memory, and a
-reader that needs it raises ValueError naming it; every recorded array has
-the same bits whatever else is recorded.  The probes alone fix the
-pairings: the stepper accumulates the quadratic variation of every probe
-pair (`GalerkinConfig.qv_pairs`), and the refinement integral
+Besides norms, the stepper records what the config's record set
+(`GalerkinConfig.records`, names of `RECORDS`) asks for: the states at the
+snapshot steps; the energy ledger, each step's drift, taming, forcing and
+martingale work and quadratic remainder, which close the discrete energy
+identity to roundoff, reduced per path as the steps are taken to the
+identity's worst relative residual and the sums of the Ito and
+Hilbert-Schmidt increments; the running Stokes, convection and forcing
+integrals (one record, the drift) and the running noise integral,
+snapshotted so the martingale part of the path can be reconstructed and
+tested for zero mean and prescribed quadratic variation.  An unrecorded
+output costs no step work and no shared memory, and a reader that needs it
+raises ValueError naming it; every recorded array has the same bits
+whatever else is recorded.  Two per-row reductions of the snapshots are
+taken by the process that stepped the row, once its walk ends: the U'
+increment maxima over lags 1..`modulus_lags` and every U' increment at the
+`increment_lags`, which the tightness diagnostics read in place of the
+states.  A block that needs them without the states record keeps its
+snapshots in a private mapping of its own rows for that long.  The probes
+alone fix the pairings: the stepper accumulates the quadratic variation of
+every probe pair (`GalerkinConfig.qv_pairs`), and the refinement integral
 int <B(u, u), P_n psi> dt is read from the path afterwards, for any psi,
-by `convection_pairing` on an ensemble that snapshotted every step.
+by `convection_pairing` on an ensemble that recorded the states of every
+step.
 """
 
 from __future__ import annotations
@@ -257,8 +264,9 @@ LEDGER = ("energy_residual", "ito_sum", "hs_sum")
 INTEGRALS = ("stokes", "convection", "forcing", "noise")
 # the optional outputs of the stepper: the energy ledger (the LEDGER arrays,
 # read by `energy_budget_check`), the Stokes, convection and forcing
-# integrals, which every reader reads together, and the noise integral
-RECORDS = ("ledger", "integral_drift", "integral_noise")
+# integrals, which every reader reads together, the noise integral, and the
+# states at the snapshot steps (`Ensemble.snap_u`)
+RECORDS = ("ledger", "integral_drift", "integral_noise", "states")
 
 
 def integral_record(term: str) -> str:
@@ -312,6 +320,9 @@ class GalerkinConfig:
     # snapshot-spacing lags 1..modulus_lags whose per-path U' increment maxima
     # the stepper records (`lag_maxima`) for the modulus of continuity
     modulus_lags: int = 0
+    # snapshot-spacing lags at which the stepper records every U' increment
+    # from each snapshot, clipped to the horizon (`increment_norms`)
+    increment_lags: tuple = ()
     # the outputs of RECORDS the stepper records; an unrecorded one has
     # width 0 and costs no step work
     records: frozenset = frozenset(RECORDS)
@@ -327,6 +338,10 @@ class GalerkinConfig:
         if not 0 <= self.modulus_lags <= lags:
             raise ValueError(f"modulus_lags = {self.modulus_lags} outside [0, {lags}], "
                              "the lags of the snapshot grid")
+        if not all(isinstance(lag, (int, np.integer)) and lag >= 0 for lag in self.increment_lags):
+            raise ValueError(f"increment_lags = {self.increment_lags} must be whole numbers of "
+                             "snapshot spacings >= 0")
+        self.increment_lags = tuple(int(lag) for lag in self.increment_lags)
         unknown = set(self.records) - set(RECORDS)
         if unknown:
             raise ValueError(f"unknown records {sorted(unknown)}; GalerkinConfig.records takes "
@@ -409,11 +424,13 @@ class Ensemble:
     energy_residual: np.ndarray  # (R,), likewise the rest of the LEDGER; (R, 0) unrecorded
     ito_sum: np.ndarray
     hs_sum: np.ndarray
-    snap_u: np.ndarray  # (R, S, n) at config.snap_idx
+    snap_u: np.ndarray  # (R, S, n) at config.snap_idx; (R, 0, n) unrecorded
     # INTEGRALS term -> (R, S_J, n) at config.integral_snap_idx; (R, 0, n) unrecorded
     snap_integrals: dict
     qv_cum: np.ndarray  # (R, S, len(config.qv_pairs))
     lag_maxima: np.ndarray  # (R, modulus_lags): max over s of |u(s + l) - u(s)|_{U'}
+    # (R, len(increment_lags), S): [r, i, s] = |u(min(s + l_i, S - 1)) - u(s)|_{U'}
+    increment_norms: np.ndarray
     cutoff_min: np.ndarray  # (R,)
     abort_step: np.ndarray  # (R,), -1 on a row that ran to the end
 
@@ -563,6 +580,23 @@ def _lag_maxima(coords: np.ndarray, w: np.ndarray, max_lag: int) -> np.ndarray:
     return out
 
 
+def _lag_increments(coords: np.ndarray, w: np.ndarray, lags) -> np.ndarray:
+    """d[r, i, s] = |x_r(min(s + lags[i], S - 1)) - x_r(s)|_{U'} from coords
+    (R, S, n): every increment from every snapshot at each lag, clipped to
+    the last snapshot.  One path and lag at a time, the later state less the
+    earlier, squared and weighed by `_norms_of`: the arithmetic of an
+    increment gathered as a (start, end) pair of states, so any start read
+    from this table is the bits of that pair's norm."""
+    R, S, _ = coords.shape
+    out = np.empty((R, len(lags), S))
+    start = np.arange(S)
+    for i, lag in enumerate(lags):
+        end = np.minimum(start + lag, S - 1)
+        for r in range(R):
+            out[r, i] = _norms_of(coords[r, end] - coords[r], w)
+    return out
+
+
 # -- stepping -------------------------------------------------------------------
 
 # rows x convection triplets one block may hold.  Past it a step's (rows,
@@ -587,17 +621,19 @@ def cache_rows(config: GalerkinConfig) -> int:
 def _row_shapes(config: GalerkinConfig) -> dict:
     """Shape after the row axis of every per-row array of an Ensemble, by
     field name: norms, ledger, snapshots with their quadratic-variation
-    entries, integral snapshots (keyed by term), the lag maxima, the cutoff
-    minimum and the abort step.  An output config.records leaves out
-    has width 0: the ledger (one value per row) is (0,), a running integral
-    has no snapshots.  Every entry is 8 bytes."""
+    entries, integral snapshots (keyed by term), the lag maxima, the
+    increment norms, the cutoff minimum and the abort step.  An output
+    config.records leaves out has width 0: the ledger (one value per row)
+    is (0,), the states and a running integral have no snapshots.  Every
+    entry is 8 bytes."""
     steps, n, records = config.steps, config.n, config.records
     snaps, isnaps = len(config.snap_idx), len(config.integral_snap_idx)
     shapes = {name: (steps + 1,) for name in ("norm_H", "norm_D", "norm_Udual")}
     shapes.update({name: () if "ledger" in records else (0,) for name in LEDGER})
-    shapes.update(snap_u=(snaps, n), qv_cum=(snaps, len(config.qv_pairs)))
+    shapes.update(snap_u=(snaps if "states" in records else 0, n), qv_cum=(snaps, len(config.qv_pairs)))
     shapes.update({name: (isnaps if integral_record(name) in records else 0, n) for name in INTEGRALS})
-    shapes.update(lag_maxima=(config.modulus_lags,), cutoff_min=(), abort_step=())
+    shapes.update(lag_maxima=(config.modulus_lags,), increment_norms=(len(config.increment_lags), snaps),
+                  cutoff_min=(), abort_step=())
     return shapes
 
 
@@ -920,19 +956,35 @@ def _integrate_rows(ens: Ensemble, dW=None, x0=None) -> None:
     same bits whatever else is recorded.  An aborted row keeps what it had
     at its abort step, its norms there with the non-finite entries zeroed,
     and reads zero after it, its ledger terms too.  Last, each row's U'
-    increment maxima over lags 1..modulus_lags of the snapshot grid are
-    taken from its snapshots (`_lag_maxima`)."""
+    increment maxima over lags 1..modulus_lags of the snapshot grid
+    (`_lag_maxima`) and its increments at `increment_lags`
+    (`_lag_increments`) are taken from its snapshots.
+
+    The snapshots are written to one target: the rows of `ens.snap_u` when
+    config.records names the states; otherwise, if the lag maxima or the
+    increments need them, a private anonymous mapping of this block's rows
+    alone (`mmap.MAP_PRIVATE`, as the convection scratch), closed before
+    returning, so that only the process that stepped a row ever holds its
+    states; and nowhere when nothing reads them."""
     config = ens.config
     ledger = "ledger" in config.records
     if ledger:
         ito_step, hs_step = np.zeros((len(ens), config.steps)), np.zeros((len(ens), config.steps))
     norms = dict(H=ens.norm_H, D=ens.norm_D, Udual=ens.norm_Udual)
     snap_idx, integral_snap_idx = config.snap_idx, config.integral_snap_idx
+    private = snaps = None
+    if "states" in config.records:
+        snaps = ens.snap_u
+    elif config.modulus_lags or config.increment_lags:
+        shape = (len(ens), len(snap_idx), config.n)
+        private = mmap.mmap(-1, max(8 * math.prod(shape), 1), flags=mmap.MAP_PRIVATE)
+        snaps = np.frombuffer(private, dtype=np.float64, count=math.prod(shape)).reshape(shape)
     for chunk in step_chunks(config, ens.indices.tolist(), x0, dW):
         for name, buf in chunk.norms.items():
             norms[name][:, chunk.first : chunk.last + 1] = buf.T
         at, rows = _grid_span(snap_idx, chunk)
-        ens.snap_u[:, at] = chunk.states[rows].swapaxes(0, 1)
+        if snaps is not None:
+            snaps[:, at] = chunk.states[rows].swapaxes(0, 1)
         ens.qv_cum[:, at] = chunk.qv[rows].swapaxes(0, 1)
         at, rows = _grid_span(integral_snap_idx, chunk)
         for name, buf in chunk.integrals.items():
@@ -950,16 +1002,24 @@ def _integrate_rows(ens: Ensemble, dW=None, x0=None) -> None:
         for arr in norms.values():
             arr[r, a + 1 :] = 0.0
         late = snap_idx >= a
-        ens.snap_u[r, late] = ens.qv_cum[r, late] = 0.0
+        ens.qv_cum[r, late] = 0.0
+        if snaps is not None:
+            snaps[r, late] = 0.0
         for name in chunk.integrals:
             ens.snap_integrals[name][r, integral_snap_idx >= a] = 0.0
     if ledger:
         ens.energy_residual[:] = chunk.worst
         ens.ito_sum[:] = np.sum(ito_step, axis=1)
         ens.hs_sum[:] = np.sum(hs_step, axis=1)
+    sys = _compiled(config.basis, config.n, config.model, config.include_B)
     if config.modulus_lags:
-        sys = _compiled(config.basis, config.n, config.model, config.include_B)
-        ens.lag_maxima[:] = _lag_maxima(ens.snap_u, sys.wUdual, config.modulus_lags)
+        ens.lag_maxima[:] = _lag_maxima(snaps, sys.wUdual, config.modulus_lags)
+    if config.increment_lags:
+        ens.increment_norms[:] = _lag_increments(snaps, sys.wUdual, config.increment_lags)
+    if private is not None:
+        # no view of the mapping is left, so it closes
+        del snaps
+        private.close()
 
 
 def integrate_batch(config: GalerkinConfig, indices, dW=None, x0=None) -> Ensemble:
@@ -1059,10 +1119,11 @@ def _zscore(vals: np.ndarray) -> float:
 def reconstruct_martingale(ens: Ensemble, pos: int) -> np.ndarray:
     """Martingale part at snapshot position `pos` of each row (R, n), rebuilt
     from the running integrals: u(t) - u(0) - (Stokes + convection - forcing
-    integrals), which the ensemble must have recorded.  The snapshot must
-    also be on the integral grid (ValueError naming its time)."""
+    integrals), which the ensemble must have recorded with the states.  The
+    snapshot must also be on the integral grid (ValueError naming its
+    time)."""
     cfg = ens.config
-    require_records(cfg, "reconstruct_martingale", "integral_drift")
+    require_records(cfg, "reconstruct_martingale", "integral_drift", "states")
     jpos = int(_grid_positions(cfg.integral_snap_idx * cfg.dt, cfg.snap_times[pos], cfg.dt))
     return (
         ens.snap_u[:, pos]
@@ -1076,7 +1137,7 @@ def reconstruct_martingale(ens: Ensemble, pos: int) -> np.ndarray:
 def convection_pairing(ens: Ensemble, psi: SpectralField) -> np.ndarray:
     """I = int_0^T <B(u, u), P_n psi> dt of each row (R,), the untamed
     convection by left-endpoint quadrature, read from the states of an
-    ensemble that snapshotted every step (ValueError naming
+    ensemble that recorded them (`states`) at every step (ValueError naming
     `snapshot_stride` otherwise).
 
     Each step's term dt <B(u_j, u_j), P_n psi> is formed per row from the
@@ -1084,6 +1145,7 @@ def convection_pairing(ens: Ensemble, psi: SpectralField) -> np.ndarray:
     summed in step order from 0.0, so I has the bits of a running sum
     updated once per step.  An aborted row reads 0.0, as past its abort."""
     cfg = ens.config
+    require_records(cfg, "convection_pairing", "states")
     if len(cfg.snap_idx) != cfg.steps + 1:
         raise ValueError("convection_pairing reads the state at every step, and this ensemble "
                          f"snapshotted every {cfg.snapshot_stride} (GalerkinConfig.snapshot_stride "
@@ -1128,10 +1190,11 @@ def martingale_diagnostic(ens: Ensemble, a: int, b: int, s: float, t: float, h=h
     The quadratic variation of (a, b) is the `qv_cum` column of
     (min(a, b), max(a, b)), accumulated online during integration; s and t
     must lie on the snapshot grid and on the integral grid, and the
-    ensemble must have recorded the drift and noise integrals.
+    ensemble must have recorded the drift and noise integrals and the
+    states.
     h(ens, step) weighs each path by a functional of it up to `step`.
     """
-    require_records(ens.config, "martingale_diagnostic", "integral_drift", "integral_noise")
+    require_records(ens.config, "martingale_diagnostic", "integral_drift", "integral_noise", "states")
     live = ~ens.aborted
     count = int(np.count_nonzero(live))
     if count < 2:

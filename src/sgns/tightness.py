@@ -8,9 +8,12 @@ per-term scaling of the drift and noise pieces of the path decomposition
 (initial state, Stokes integral, convection integral, forcing integral,
 stochastic integral).  The path diagnostics read one `galerkin.Ensemble`
 and weigh by the U' norm of the basis of the config it holds; no basis is
-passed beside it.  The modulus table reads only the per-path lag maxima
-the stepper recorded (`GalerkinConfig.modulus_lags`, sized by
-`modulus_lags`); an ensemble that recorded fewer lags than a table needs
+passed beside it.  No tightness diagnostic reads a state: the process that
+stepped a path reduces its snapshots to the records they read.  The
+modulus table reads the per-path lag maxima (`GalerkinConfig.modulus_lags`,
+sized by `modulus_lags`), and the Aldous table and its threshold read the
+per-path increments at their lags (`GalerkinConfig.increment_lags`, sized
+by `increment_lags`); an ensemble that recorded too few lags for a table
 is a `ValueError`, not a recomputation.  The nonlinear-term refinement
 reads each level's integral from that level's path
 (`galerkin.convection_pairing`).  The nested-space construction that
@@ -26,10 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .estimates import median, percentile
-from .galerkin import (
-    INTEGRALS, Ensemble, _grid_positions, _increment_norms, convection_pairing, integral_record,
-    require_records,
-)
+from .galerkin import INTEGRALS, Ensemble, _grid_positions, convection_pairing, integral_record, require_records
 
 
 # -- windows -------------------------------------------------------------------
@@ -46,6 +46,26 @@ def modulus_lags(deltas, times) -> int:
     by the grid.  A `GalerkinConfig` given this many `modulus_lags` records
     every lag maxima the table needs."""
     return _window_lag(max(deltas), times[1] - times[0], len(times) - 1)
+
+
+def _aldous_lag(theta: float, h: float) -> int:
+    """Snapshot spacings h of an Aldous window theta: the nearest whole number."""
+    return int(round(theta / h))
+
+
+def _calibration_lag(theta: float, h: float) -> int:
+    """Snapshot spacings h of the threshold's window theta: the nearest whole
+    number, at least 1."""
+    return max(1, _aldous_lag(theta, h))
+
+
+def increment_lags(thetas, eta_theta: float, times) -> tuple:
+    """Snapshot lags, ascending, at which `aldous_check` over the windows
+    `thetas` and `calibrate_aldous_eta` at the window `eta_theta` read the
+    increments on the snapshot grid `times`.  A `GalerkinConfig` given these
+    `increment_lags` records every increment both need."""
+    h = times[1] - times[0]
+    return tuple(sorted({_aldous_lag(t, h) for t in thetas} | {_calibration_lag(eta_theta, h)}))
 
 
 def window_violations(config, deltas, thetas, anchors, windows) -> list:
@@ -100,23 +120,24 @@ def _live_rows(ens):
 
 
 class FunctionFamily:
-    """Snapshot trajectories of the live paths of one Ensemble in
-    U'-coordinates of the basis of its `config` (the Ensemble's): coords
-    (R, S, n), the per-step norms (R, steps + 1) and the lag maxima the
-    stepper recorded (R, config.modulus_lags).  These are views of the
-    ensemble's arrays, copied only to drop aborted rows."""
+    """The live paths of one Ensemble, in the U' norm of the basis of its
+    `config` (the Ensemble's), as the stepper reduced them: the per-step
+    norms (R, steps + 1), the lag maxima (R, config.modulus_lags) and the
+    increment norms (R, len(config.increment_lags), S).  These are views of
+    the ensemble's arrays, copied only to drop aborted rows; no state is
+    read."""
 
     def __init__(self, ens):
         rows = _live_rows(ens)
         self.config = ens.config
-        self.coords = ens.snap_u[rows]  # (R, S, n)
         self.norm_H = ens.norm_H[rows]  # (R, steps + 1)
         self.norm_D = ens.norm_D[rows]
         self.stored_lag_maxima = ens.lag_maxima[rows]  # (R, modulus_lags)
+        self.stored_increment_norms = ens.increment_norms[rows]  # (R, len(increment_lags), S)
 
     @property
     def size(self) -> int:
-        return len(self.coords)
+        return len(self.norm_H)
 
     def sup_V_integral(self) -> float:
         H, D = self.norm_H[:, :-1], self.norm_D[:, :-1]
@@ -133,6 +154,16 @@ class FunctionFamily:
             raise ValueError(f"the modulus table needs lag maxima up to lag {max_lag}, but the ensemble "
                              f"recorded {recorded} (set GalerkinConfig.modulus_lags)")
         return self.stored_lag_maxima[:, :max_lag]
+
+    def increment_norms(self, lag: int) -> np.ndarray:
+        """d[r, s] = |u_r(t_min(s + lag, S - 1)) - u_r(t_s)|_{U'} from every
+        snapshot s, as the stepper recorded them (R, S); ValueError when it
+        did not record this lag."""
+        recorded = self.config.increment_lags
+        if lag not in recorded:
+            raise ValueError(f"the Aldous table needs the increments at lag {lag}, but the ensemble "
+                             f"recorded lags {list(recorded)} (set GalerkinConfig.increment_lags)")
+        return self.stored_increment_norms[:, recorded.index(lag)]
 
 
 def _modulus_table(family: FunctionFamily, deltas: np.ndarray) -> np.ndarray:
@@ -228,12 +259,12 @@ def aldous_check(family: FunctionFamily, thetas, eta: float) -> AldousReport:
     the ensemble's 50th/90th percentile running-sup levels; tau + theta is
     clipped to the horizon.  Probabilities are reported per theta, maximized
     over rules; the pass flag requires them nonincreasing in theta with an
-    overall decay.
+    overall decay.  Each increment is read from the recorded increments at
+    its window's lag (`FunctionFamily.increment_norms`).
     """
     thetas = np.sort(np.asarray(thetas, dtype=float))[::-1]  # descending
     cfg = family.config
     times = cfg.snap_times
-    w = cfg.basis.mode_weights("Udual", cfg.n)
     S = len(times)
     h = times[1] - times[0]
     rules = {}
@@ -245,14 +276,12 @@ def aldous_check(family: FunctionFamily, thetas, eta: float) -> AldousReport:
         level = float(percentile(sups, q))
         rules[f"hit_p{q}"] = _hitting_positions(family, level)
 
-    rows = np.arange(family.size)[:, None]
+    rows = np.arange(family.size)
     per_rule = {label: np.zeros(len(thetas)) for label in rules}
     for i, theta in enumerate(thetas):
-        lag = int(round(theta / h))
+        inc = family.increment_norms(_aldous_lag(theta, h))
         for label, taus in rules.items():
-            pair = np.stack([taus, np.minimum(taus + lag, S - 1)], axis=1)
-            d = _increment_norms(family.coords[rows, pair], 1, w)[:, 0]
-            per_rule[label][i] = float(np.mean(d >= eta))
+            per_rule[label][i] = float(np.mean(inc[rows, taus] >= eta))
     probs = np.max(np.stack(list(per_rule.values())), axis=0)
     # thetas descending: probabilities must not increase as theta shrinks
     monotone = bool(np.all(np.diff(probs) <= 1e-12))
@@ -267,17 +296,16 @@ def calibrate_aldous_eta(family: FunctionFamily, theta: float, quantile: float =
     """Threshold for the exceedance table: a quantile of the pooled increments
     |u(t + theta) - u(t)|_{U'} over the family at the window theta it is
     passed, so the table starts mid-range and its decay toward 0 is
-    informative.  `sgns tightness` passes its smallest window."""
-    cfg = family.config
-    times = cfg.snap_times
-    lag = max(1, int(round(theta / (times[1] - times[0]))))
-    # only the sampled increments are formed: those starting at every
-    # ((S - lag) // 64)-th snapshot
+    informative.  `sgns tightness` passes its smallest window.  The
+    increments are read from those recorded at the window's lag
+    (`FunctionFamily.increment_norms`)."""
+    times = family.config.snap_times
+    lag = _calibration_lag(theta, times[1] - times[0])
+    # the sampled increments: those starting at every ((S - lag) // 64)-th
+    # snapshot
     count = len(times) - lag
     starts = np.arange(0, count, max(1, count // 64))
-    pair = family.coords[:, np.stack([starts, starts + lag], axis=1)]  # (R, starts, 2, n)
-    d = _increment_norms(pair, 1, cfg.basis.mode_weights("Udual", cfg.n))[..., 0]
-    return float(percentile(d, quantile))
+    return float(percentile(family.increment_norms(lag)[:, starts], quantile))
 
 
 # -- J-term decomposition -------------------------------------------------------
@@ -288,9 +316,9 @@ def decomposition_increments(ens: Ensemble, tau: float, theta: float) -> dict:
     [tau, tau + theta], plus the worst decomposition-identity residual over
     the rows against the increments of the paths themselves (nan when the
     paths have no snapshot at either end).  The ensemble must have recorded
-    the drift and noise integrals (`GalerkinConfig.records`)."""
+    the drift and noise integrals and the states (`GalerkinConfig.records`)."""
     cfg = ens.config
-    require_records(cfg, "decomposition_increments", "integral_drift", "integral_noise")
+    require_records(cfg, "decomposition_increments", "integral_drift", "integral_noise", "states")
     jt = cfg.integral_snap_idx * cfg.dt
     a, b = _grid_positions(jt, (tau, tau + theta), cfg.dt)
     out = {name: ens.snap_integrals[name][:, b] - ens.snap_integrals[name][:, a] for name in INTEGRALS}

@@ -17,7 +17,8 @@ import numpy as np
 
 from .estimates import gronwall_eval, median
 from .galerkin import (
-    Ensemble, GalerkinConfig, _compiled, cache_rows, horizon_violations, level_violations, step_chunks,
+    Ensemble, GalerkinConfig, _compiled, cache_rows, horizon_violations, level_violations, require_records,
+    step_chunks,
 )
 from .nonlinear import TrilinearWorkspace, bilinear_B, trilinear_b
 from .spectral import Basis, SpectralField, blockwise, norm, per_field, project_Pn, row_blocks
@@ -82,9 +83,11 @@ def convection_path_bound(ens: Ensemble, ws: TrilinearWorkspace) -> PathBoundRep
     """Path-level bound ||B(u)||_{L2(0,T;V')} <= sqrt(2) |u|_{Linf H} ||u||_{L2 V}
     evaluated on the snapshot grid of each row of an Ensemble, in its
     config's basis, which the workspace must be of (ratio 0 where the bound
-    is 0).  The snapshot fields are taken as stacks, in row blocks."""
+    is 0).  The snapshot fields are taken as stacks, in row blocks, from an
+    ensemble that recorded the states."""
     basis = ens.config.basis
     _require_2d(basis)
+    require_records(ens.config, "convection_path_bound", "states")
     if ws.basis is not basis:
         raise ValueError("the workspace is of another basis than the ensemble's config")
     times = ens.config.snap_times

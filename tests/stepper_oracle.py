@@ -11,6 +11,7 @@ before it was chunked; every other operation is the stepper's, so a walk in
 any chunks must give this loop's bits."""
 
 import numpy as np
+from lag_oracle import pair_increment_norms
 
 from sgns.galerkin import (
     INTEGRALS, _compiled, _lag_maxima, _stacked, generate_wiener, integral_record,
@@ -101,7 +102,10 @@ def oracle_batch(config, indices, dW=None, x0=None):
     snap_at[snap_idx] = np.arange(len(snap_idx))
     integral_snap_at = np.full(steps + 1, -1)
     integral_snap_at[integral_snap_idx] = np.arange(len(integral_snap_idx))
-    snap_u, snap_integrals = ens.snap_u, ens.snap_integrals
+    # the states at the snapshot steps, which the lag reductions read even
+    # when they are not recorded
+    snap_u = ens.snap_u if "states" in config.records else np.zeros((B, len(snap_idx), n))
+    snap_integrals = ens.snap_integrals
     drift, noise = "integral_drift" in config.records, "integral_noise" in config.records
     integrals = {name: np.zeros((B, n)) for name in INTEGRALS if integral_record(name) in config.records}
 
@@ -196,4 +200,5 @@ def oracle_batch(config, indices, dW=None, x0=None):
         ens.hs_sum[:] = np.sum(hs_step, axis=1)
     if config.modulus_lags:
         ens.lag_maxima[:] = _lag_maxima(snap_u, sys.wUdual, config.modulus_lags)
+    ens.increment_norms[:] = pair_increment_norms(snap_u, sys.wUdual, config.increment_lags)
     return ens

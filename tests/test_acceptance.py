@@ -46,6 +46,7 @@ from sgns.tightness import (
     aldous_check,
     calibrate_aldous_eta,
     build_nested_space,
+    increment_lags,
     increment_scaling,
     median_modulus_curve,
     modulus_lags,
@@ -248,18 +249,21 @@ def test_criterion_08_tightness(basis, shell_coupling_model):
     steps = 1024
     dt = T / steps
     deltas = [T * 2.0**-j for j in range(10, 3, -1)]
+    thetas, eta_theta = [T * 2.0**-j for j in range(8, 3, -1)], T * 2.0**-4
+    times = np.arange(steps + 1) * dt
     slopes, aldous_ok, j5s = {}, {}, {}
     for n in (8, 16, 32):
         cfg = GalerkinConfig(basis=basis, n=n, dt=dt, T=T, u0=u0,
                              model=shell_coupling_model, seed=77,
                              snapshot_stride=1, integral_snapshot_stride=8,
-                             modulus_lags=modulus_lags(deltas, np.arange(steps + 1) * dt))
+                             modulus_lags=modulus_lags(deltas, times),
+                             increment_lags=increment_lags(thetas, eta_theta, times))
         recs = integrate_ensemble(cfg, 200, workers=WORKERS)
         fam = FunctionFamily(recs)
         _, slope = median_modulus_curve(fam, deltas)
         slopes[n] = slope
-        eta = calibrate_aldous_eta(fam, T * 2.0**-4, 60.0)
-        ald = aldous_check(fam, [T * 2.0**-j for j in range(8, 3, -1)], eta)
+        eta = calibrate_aldous_eta(fam, eta_theta, 60.0)
+        ald = aldous_check(fam, thetas, eta)
         aldous_ok[n] = ald.monotone and ald.decays
         jrep = increment_scaling(
             recs,
@@ -424,7 +428,7 @@ def test_parabolicity_boundary_moments():
         model = constant_transport_model([b])
         a = coercivity_constant(model, basis.domain)
         cfg = GalerkinConfig(basis=basis, n=n, dt=dt, T=T, u0=u0, model=model, include_B=False,
-                             seed=2024, records=())
+                             seed=2024, records={"states"})
         ens = integrate_batch(cfg, range(R))
         assert not ens.aborted.any()
         factors, means = [], []

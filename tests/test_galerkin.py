@@ -34,6 +34,7 @@ from sgns.noise import apply_G, constant_transport_model, default_noise_model
 from sgns.nonlinear import TrilinearWorkspace, bilinear_B, trilinear_b
 from sgns.spectral import Basis, SpaceScale, TorusDomain, norm, project_Pn, random_field, row_blocks, stack
 from sgns.tightness import decomposition_increments, increment_scaling
+from sgns.twodim import convection_path_bound
 
 
 # The stepper has one scheme, Euler-Maruyama.  A `scheme` parameter (this
@@ -1004,13 +1005,15 @@ def aborts_in_two_chunks(cfg, rows):
 @pytest.mark.parametrize("case", ["scatter", "segments"])
 def test_walk_is_the_one_loop(basis2d_small, basis2d, monkeypatch, chunk, case):
     # 30 steps in chunks of 1, 7, all 30 and 45: every record set, two
-    # probes, forcing, an active cutoff, lag maxima, snapshots every 5 steps
-    # and integral snapshots every 4.  n = 10 of K = 3 has convection
+    # probes, forcing, an active cutoff, lag maxima, increments at lags 0, 2
+    # and 9 (clipped at the last of the 7 snapshots), snapshots every 5
+    # steps and integral snapshots every 4.  n = 10 of K = 3 has convection
     # segments on 8 coordinates, n = 16 of K = 8 on all 16 (see
     # `CompiledGalerkin.convection`)
     basis, n = (basis2d_small, 10) if case == "scatter" else (basis2d, 16)
     for records in record_subsets():
-        cfg = rich_config(basis, n=n, T=0.03, overflow_limit=1e3, modulus_lags=3, records=records)
+        cfg = rich_config(basis, n=n, T=0.03, overflow_limit=1e3, modulus_lags=3, increment_lags=(0, 2, 9),
+                          records=records)
         assert cfg.steps == 30
         dW = aborts_in_two_chunks(cfg, 5)
         walk_in_chunks(monkeypatch, 5, n, chunk)
@@ -1083,11 +1086,11 @@ def test_grid_span_slices_evenly_spaced_rows(basis2d_small, monkeypatch):
 
 def test_evenly_spaced_snapshots_are_written_through_a_view(basis2d, monkeypatch):
     # the tightness verb's grid -- every step snapshotted, the noise
-    # integral every 8 -- on 50 rows at n = 32: the bytes of gathering each
-    # chunk's rows by index, at a traced peak lower by at least half of
-    # the chunk's states that the gather copied
+    # integral every 8 -- on 50 rows at n = 32, with the states recorded:
+    # the bytes of gathering each chunk's rows by index, at a traced peak
+    # lower by at least half of the chunk's states that the gather copied
     cfg = make_config(basis2d, n=32, dt=2.0**-10, T=0.25, snapshot_stride=1, integral_snapshot_stride=8,
-                      records={"integral_noise"})
+                      records={"integral_noise", "states"})
     span = galerkin._grid_span
 
     def gather(grid, chunk):
@@ -1157,10 +1160,13 @@ def test_initial_states_must_match_the_rows(basis2d_small, shape):
 
 def unrecorded_arrays(ens) -> dict:
     """The arrays of ens that its config's records leave out, by name (LEDGER
-    names, and the INTEGRALS term for a running integral)."""
+    names, snap_u for the states, and the INTEGRALS term for a running
+    integral)."""
     out = {}
     if "ledger" not in ens.config.records:
         out.update({name: getattr(ens, name) for name in galerkin.LEDGER})
+    if "states" not in ens.config.records:
+        out["snap_u"] = ens.snap_u
     out.update({name: a for name, a in ens.snap_integrals.items()
                 if galerkin.integral_record(name) not in ens.config.records})
     return out
@@ -1174,8 +1180,8 @@ def assert_same_but_unrecorded(full, part):
     for name, a in missing.items():
         assert a.size == 0 and a.shape[0] == len(part), name
     integrals = {name: missing.get(name, a) for name, a in full.snap_integrals.items()}
-    ledger = {name: a for name, a in missing.items() if name in galerkin.LEDGER}
-    want = dataclasses.replace(full, config=part.config, snap_integrals=integrals, **ledger)
+    arrays = {name: a for name, a in missing.items() if name in galerkin.LEDGER or name == "snap_u"}
+    want = dataclasses.replace(full, config=part.config, snap_integrals=integrals, **arrays)
     assert_records_identical(want, part, equal_nan=True)
 
 
@@ -1188,8 +1194,8 @@ def record_subsets():
 
 @EM_ONLY
 def test_ledger_off_keeps_every_other_array(basis2d_small, scheme):
-    # each of the 8 record sets, the ledger, the drift integrals and the
-    # noise integral on and off; rows 1 and 3 abort as in
+    # each of the 16 record sets, the ledger, the drift integrals, the
+    # noise integral and the states on and off; rows 1 and 3 abort as in
     # test_abort_inside_a_batch, the others run to the end
     cfg = rich_config(basis2d_small, T=0.03, overflow_limit=1e3)
     assert cfg.records == frozenset(galerkin.RECORDS)
@@ -1201,7 +1207,8 @@ def test_ledger_off_keeps_every_other_array(basis2d_small, scheme):
         part = integrate_batch(dataclasses.replace(cfg, records=records), range(5), dW)
         assert len(unrecorded_arrays(part)) == ((3 if "ledger" not in records else 0)
                                                 + (3 if "integral_drift" not in records else 0)
-                                                + (1 if "integral_noise" not in records else 0))
+                                                + (1 if "integral_noise" not in records else 0)
+                                                + (1 if "states" not in records else 0))
         assert_same_but_unrecorded(full, part)
 
 
@@ -1249,6 +1256,24 @@ def test_each_reader_names_its_missing_record(basis2d_small):
     ens = integrate_batch(dataclasses.replace(cfg, records={"ledger"}), range(3))
     with pytest.raises(ValueError, match=r"increment_scaling needs the integral_drift or integral_noise record"):
         increment_scaling(ens, [t], [t])
+
+
+def test_each_reader_of_the_states_names_the_record(basis2d_small):
+    # every reader of snap_u, on the full set less the states
+    cfg = rich_config(basis2d_small, T=0.04, snapshot_stride=1, integral_snapshot_stride=4)
+    t = float(cfg.snap_times[4])
+    ens = integrate_batch(dataclasses.replace(cfg, records=set(galerkin.RECORDS) - {"states"}), range(3))
+    assert ens.snap_u.shape == (3, 0, cfg.n)
+    readers = {
+        "reconstruct_martingale": lambda: reconstruct_martingale(ens, 4),
+        "martingale_diagnostic": lambda: martingale_diagnostic(ens, 0, 1, t, 2 * t),
+        "decomposition_increments": lambda: decomposition_increments(ens, t, t),
+        "convection_pairing": lambda: galerkin.convection_pairing(ens, basis2d_small.basis_field(0)),
+        "convection_path_bound": lambda: convection_path_bound(ens, TrilinearWorkspace(basis2d_small)),
+    }
+    for name, read in readers.items():
+        with pytest.raises(ValueError, match=rf"{name} needs the states record.*GalerkinConfig\.records"):
+            read()
 
 
 def test_an_unknown_record_lists_the_records(basis2d_small):
@@ -1325,7 +1350,7 @@ def test_strong_order_one_half(basis2d_small, scheme):
 
     def config(steps):
         return GalerkinConfig(basis=basis2d_small, n=10, dt=T / steps, T=T, u0=u0, model=model, seed=0,
-                              records=())
+                              records={"states"})
 
     fine = config(fine_steps)
     dW = np.stack([generate_wiener(fine_steps, fine.M, fine.dt, 0, i) for i in range(R)], axis=1)
@@ -1393,8 +1418,9 @@ def test_functionals_in_row_blocks_are_the_per_path_formulas(basis2d_small):
 def test_rows_of_a_slice_are_views_and_of_an_index_list_or_mask_copies(basis2d_small):
     cfg, ens = aborting_ensemble(basis2d_small)
     def arrays(e):
-        """Every per-row array of e that holds entries (the lag maxima have width 0)."""
-        skip = ("config", "snap_integrals", "lag_maxima")
+        """Every per-row array of e that holds entries (the lag maxima and the
+        increment norms have width 0)."""
+        skip = ("config", "snap_integrals", "lag_maxima", "increment_norms")
         named = [(f.name, getattr(e, f.name)) for f in dataclasses.fields(e) if f.name not in skip]
         return named + list(e.snap_integrals.items())
 

@@ -428,7 +428,7 @@ def test_only_the_energy_verbs_record_the_ledger(tmp_path, monkeypatch):
         run_command(verb, load_config(cfg), tmp_path / verb, workers=1)
         records[verb] = set(seen)
     ledger, noise = frozenset({"ledger"}), frozenset({"integral_noise"})
-    assert records == {"simulate": {ledger}, "ensemble": {ledger}, "estimates": {frozenset()},
+    assert records == {"simulate": {ledger | {"states"}}, "ensemble": {ledger}, "estimates": {frozenset()},
                        "tightness": {noise}, "uniqueness": {frozenset()}}
 
 

@@ -1,11 +1,12 @@
 import math
+import mmap
 from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from lag_oracle import brute_lag_maxima
+from lag_oracle import brute_lag_maxima, pair_increment_norms
 from noise_oracle import sample_nested_space
 
 from sgns import galerkin, tightness
@@ -43,27 +44,35 @@ def small_config(basis, **kw):
     )
 
 
+# the lags of the Aldous windows 0.004..0.064 of the 129-snapshot grid
+ALDOUS_LAGS = (4, 8, 16, 32, 64)
+
+
 @pytest.fixture(scope="module")
 def small_ensemble(basis2d_small):
     # lag maxima recorded at every lag of the 129-snapshot grid
-    return basis2d_small, integrate_ensemble(small_config(basis2d_small, modulus_lags=128), 60)
+    return basis2d_small, integrate_ensemble(small_config(basis2d_small, modulus_lags=128,
+                                                          increment_lags=ALDOUS_LAGS), 60)
 
 
 class FakeEnsemble:
     """The arrays and config entries FunctionFamily reads, for given
     snapshots (R, S, n) of `basis` dt apart, with the lag maxima of lags
-    1..modulus_lags (default: every lag) of the brute-force oracle."""
+    1..modulus_lags (default: every lag) of the brute-force oracle and the
+    increment norms at `increment_lags` of the pair-gather oracle."""
 
-    def __init__(self, snap_u, basis, dt=1e-2, norm_D=1.0, modulus_lags=None):
+    def __init__(self, snap_u, basis, dt=1e-2, norm_D=1.0, modulus_lags=None, increment_lags=()):
         R, S, n = snap_u.shape
         lags = S - 1 if modulus_lags is None else modulus_lags
         self.config = SimpleNamespace(basis=basis, n=n, dt=dt, snap_times=np.arange(S) * dt,
-                                      modulus_lags=lags)
+                                      modulus_lags=lags, increment_lags=tuple(increment_lags))
         self.snap_u = snap_u
         self.norm_H = np.ones((R, S))
         self.norm_D = np.full((R, S), norm_D)
         self.aborted = np.zeros(R, dtype=bool)
-        self.lag_maxima = brute_lag_maxima(snap_u, basis.mode_weights("Udual", n), lags)
+        w = basis.mode_weights("Udual", n)
+        self.lag_maxima = brute_lag_maxima(snap_u, w, lags)
+        self.increment_norms = pair_increment_norms(snap_u, w, increment_lags)
 
     def __len__(self):
         return len(self.snap_u)
@@ -155,7 +164,7 @@ def test_family_reductions_match_per_record_loops(basis2d_small):
 
 def test_aldous_constant_family(basis2d_small):
     fam = FunctionFamily(FakeEnsemble(np.tile(np.array([1.0, 0.0, 0.0, 0.0]), (4, 101, 1)), basis2d_small,
-                                      norm_D=0.0))
+                                      norm_D=0.0, increment_lags=(2, 8)))
     rep = aldous_check(fam, thetas=[0.02, 0.08], eta=1e-6)
     assert np.all(rep.probabilities == 0.0)
     assert rep.passed
@@ -231,12 +240,12 @@ def test_family_and_scaling_weigh_by_the_records_basis(basis2d_small):
     # table take that basis's weights from the record, and no basis can be
     # passed beside it
     other = Basis(basis2d_small.domain, SpaceScale(d=2, s_U=6.0))
-    ens = integrate_ensemble(small_config(other), 8)
+    ens = integrate_ensemble(small_config(other, increment_lags=(16,)), 8)
     w = other.mode_weights("Udual", 10)
     assert not np.array_equal(w, basis2d_small.mode_weights("Udual", 10))
     fam = FunctionFamily(ens)
     assert fam.config is ens.config
-    d = fam.coords[:, 16:] - fam.coords[:, :-16]  # 113 increments at theta = 0.016, all sampled
+    d = ens.snap_u[:, 16:] - ens.snap_u[:, :-16]  # 113 increments at theta = 0.016, all sampled
     want = float(np.percentile(np.sqrt(np.einsum("rsn,n->rs", d * d, w)), 60.0))
     assert calibrate_aldous_eta(fam, 0.016, 60.0) == want
     rep = increment_scaling(ens, tau=0.016, thetas=[0.008, 0.016])
@@ -273,20 +282,119 @@ def test_lag_maxima_in_row_blocks(small_ensemble, monkeypatch, block):
     basis, recs = small_ensemble
     cfg = small_config(basis, modulus_lags=20)
     monkeypatch.setattr(galerkin, "LAG_ROWS", block)
-    fam = FunctionFamily(integrate_batch(cfg, range(7)))  # the stepper records them
-    want = brute_lag_maxima(fam.coords, basis.mode_weights("Udual", cfg.n), 20)
-    assert np.array_equal(fam.lag_maxima(20), want)
+    ens = integrate_batch(cfg, range(7))  # the stepper records them
+    want = brute_lag_maxima(ens.snap_u, basis.mode_weights("Udual", cfg.n), 20)
+    assert np.array_equal(FunctionFamily(ens).lag_maxima(20), want)
 
 
 @pytest.mark.parametrize("n", [8, 16, 32])
 def test_lag_maxima_are_the_oracles_on_tightness_paths(n):
-    # six paths of the demo's tightness levels, 1,025 snapshots each, and the
-    # 64 lags of the verb's largest default window
+    # six paths of the demo's tightness levels, 1,025 snapshots each, the 64
+    # lags of the verb's largest default window and the increments at the
+    # lags of its default Aldous windows, taken where the verb takes them,
+    # without the states record, against the oracles on the recorded states
     run = load_config(Path(__file__).resolve().parents[1] / "demos" / "configs" / "tightness.json")
-    cfg = replace(run.galerkin, n=n, snapshot_stride=1, records={"integral_noise"}, modulus_lags=64)
+    cfg = replace(run.galerkin, n=n, snapshot_stride=1, records={"integral_noise"}, modulus_lags=64,
+                  increment_lags=(4, 8, 16, 32, 64))
     ens = integrate_batch(cfg, range(6))
-    want = brute_lag_maxima(ens.snap_u, run.basis.mode_weights("Udual", n), 64)
-    assert np.array_equal(ens.lag_maxima, want)
+    states = integrate_batch(replace(cfg, records={"integral_noise", "states"}), range(6)).snap_u
+    w = run.basis.mode_weights("Udual", n)
+    assert ens.snap_u.shape == (6, 0, n)
+    assert np.array_equal(ens.lag_maxima, brute_lag_maxima(states, w, 64))
+    assert np.array_equal(ens.increment_norms, pair_increment_norms(states, w, cfg.increment_lags))
+
+
+def aborting_increments(cfg, rows: int) -> np.ndarray:
+    """The Philox increments of trajectories 0..rows-1, with rows 1 and 3 (of
+    those there are) blown past the overflow limit at step 40."""
+    dW = np.stack([galerkin.generate_wiener(cfg.steps, cfg.M, cfg.dt, cfg.seed, i) for i in range(rows)],
+                  axis=1)
+    dW[40, [r for r in (1, 3) if r < rows]] = 1e6
+    return dW
+
+
+@pytest.mark.parametrize("block", [1, 2, 3])
+def test_increment_norms_are_the_pair_gathers(basis2d_small, monkeypatch, block):
+    # 7 paths stepped in blocks of 1, 2 or 3 rows, rows 1 and 3 aborting at
+    # step 40: every start's increment at lag 0, at lags whose ends clip to
+    # the last of the 129 snapshots (from start 128 - lag on, and lag 200
+    # from every start) and at the Aldous lags, the pair-gather oracle's
+    # bits on the recorded states
+    cfg = small_config(basis2d_small, overflow_limit=1e3, increment_lags=(0, 1, 5, 64, 128, 200))
+    monkeypatch.setattr(galerkin, "cache_rows", lambda config: block)
+    ens = integrate_ensemble(cfg, 7)
+    assert ens.increment_norms.shape == (7, 6, 129)
+    dW = aborting_increments(cfg, 7)
+    ens = integrate_batch(cfg, range(7), dW)
+    assert ens.aborted.tolist() == [False, True, False, True, False, False, False]
+    for lo in range(0, 7, block):
+        part = integrate_batch(cfg, range(lo, min(lo + block, 7)), dW[:, lo : lo + block])
+        assert np.array_equal(part.increment_norms, ens.increment_norms[lo : lo + block])
+    w = basis2d_small.mode_weights("Udual", cfg.n)
+    assert np.array_equal(ens.increment_norms, pair_increment_norms(ens.snap_u, w, cfg.increment_lags))
+    assert np.all(ens.increment_norms[:, 0] == 0.0)
+    # an aborted row reads zero from its abort on (snapshot 41), and so do
+    # its increments from there
+    assert ens.abort_step[1] == 41
+    assert np.all(ens.increment_norms[1, :, 41:] == 0.0) and np.all(ens.increment_norms[1, 1:, 40] > 0.0)
+
+
+def test_unrecorded_states_keep_the_reductions(basis2d_small, monkeypatch):
+    # the lag maxima and the increment norms of paths stepped without the
+    # states record, in blocks of 3 rows with two rows aborting, are the
+    # bits of the run that records them; each block keeps its snapshots in
+    # a private mapping of its own rows, closed when the block returns
+    cfg = small_config(basis2d_small, overflow_limit=1e3, modulus_lags=20, increment_lags=(4, 16, 64))
+    dW = aborting_increments(cfg, 7)
+    full = integrate_batch(cfg, range(7), dW)
+    part_cfg = replace(cfg, records=frozenset(galerkin.RECORDS) - {"states"})
+    maps, make = [], mmap.mmap
+
+    def spy(fileno, length, **kwargs):
+        maps.append((length, make(fileno, length, **kwargs)))
+        return maps[-1][1]
+
+    monkeypatch.setattr(galerkin.mmap, "mmap", spy)
+    part = integrate_batch(part_cfg, range(7), dW)
+    assert part.snap_u.shape == (7, 0, cfg.n)
+    assert np.array_equal(part.lag_maxima, full.lag_maxima)
+    assert np.array_equal(part.increment_norms, full.increment_norms)
+    block = [m for length, m in maps if length == 8 * 7 * 129 * cfg.n]
+    assert len(block) == 1 and block[0].closed
+    monkeypatch.setattr(galerkin, "cache_rows", lambda config: 3)
+    maps.clear()
+    ens = integrate_ensemble(part_cfg, 7)
+    assert np.array_equal(ens.increment_norms, integrate_ensemble(cfg, 7).increment_norms)
+    blocks = [m for length, m in maps if length in (8 * 3 * 129 * cfg.n, 8 * 129 * cfg.n)]
+    assert len(blocks) == 3 and all(m.closed for m in blocks)
+    # nothing reads the states: no block mapping at all
+    maps.clear()
+    none = integrate_batch(replace(part_cfg, modulus_lags=0, increment_lags=()), range(7), dW)
+    assert none.snap_u.shape == (7, 0, cfg.n)
+    assert not [m for length, m in maps if length == 8 * 7 * 129 * cfg.n]
+
+
+def test_a_missing_increment_lag_is_named(small_ensemble):
+    # the fixture recorded the lags 4, 8, 16, 32 and 64
+    _, ens = small_ensemble
+    fam = FunctionFamily(ens)
+    assert np.array_equal(fam.increment_norms(16), ens.increment_norms[:, 2])
+    message = r"increments at lag 2, but the ensemble recorded lags \[4, 8, 16, 32, 64\].*increment_lags"
+    with pytest.raises(ValueError, match=message):
+        fam.increment_norms(2)
+    with pytest.raises(ValueError, match=message):
+        calibrate_aldous_eta(fam, 0.002)
+    with pytest.raises(ValueError, match=message):
+        aldous_check(fam, [0.002, 0.016], 0.1)
+    with pytest.raises(ValueError, match="increment_lags"):
+        small_config(ens.config.basis, increment_lags=(4, -1))
+
+
+def test_increment_lags_are_the_aldous_and_threshold_lags():
+    times = np.arange(1025) * 2.0**-10
+    assert tightness.increment_lags([2.0**-8, 2.0**-6, 2.0**-4], 2.0**-8, times) == (4, 16, 64)
+    # a window below half a spacing reads lag 0, and its threshold lag 1
+    assert tightness.increment_lags([2.0**-12, 2.0**-4], 2.0**-12, times) == (0, 1, 64)
 
 
 @pytest.mark.parametrize("kind", ["walk", "white", "ties", "constant"])
@@ -330,11 +438,12 @@ def test_stored_lag_maxima_give_the_computed_tables(small_ensemble, lags):
     # past them is an error
     basis, recs = small_ensemble
     cfg = small_config(basis, modulus_lags=lags)
-    stored = FunctionFamily(integrate_ensemble(cfg, 60))
+    ens = integrate_ensemble(cfg, 60)
+    stored = FunctionFamily(ens)
     every = FunctionFamily(recs)
     assert stored.stored_lag_maxima.shape == (60, lags)
-    assert np.array_equal(stored.coords, every.coords)
-    computed = brute_lag_maxima(stored.coords, basis.mode_weights("Udual", cfg.n), lags)
+    assert np.array_equal(ens.snap_u, recs.snap_u)
+    computed = brute_lag_maxima(ens.snap_u, basis.mode_weights("Udual", cfg.n), lags)
     assert np.array_equal(stored.lag_maxima(lags), computed)
     assert np.array_equal(every.lag_maxima(lags), computed)
     for deltas in ([0.002, 0.004, 0.008], [0.004, 0.016, 0.064]):
@@ -372,8 +481,9 @@ def test_aldous_eta_samples_the_full_increment_table(basis2d_small):
     # 1,025 snapshots: every stride-th increment of the full (R, S - lag) table
     rng = np.random.default_rng(3)
     walks = np.stack([np.cumsum(rng.standard_normal((1025, 6)), axis=0) for _ in range(5)])
-    fam = FunctionFamily(FakeEnsemble(walks, basis2d_small, dt=1e-3, modulus_lags=0))
-    x, w = fam.coords, basis2d_small.mode_weights("Udual", 6)
+    fam = FunctionFamily(FakeEnsemble(walks, basis2d_small, dt=1e-3, modulus_lags=0,
+                                      increment_lags=(1, 16, 300, 1000)))
+    x, w = walks, basis2d_small.mode_weights("Udual", 6)
     for theta in (0.001, 0.016, 0.3, 1.0):
         lag = max(1, round(theta / 1e-3))
         d = x[:, lag:] - x[:, :-lag]
@@ -587,16 +697,17 @@ def test_nested_space_gate_reads_its_radii(monkeypatch):
 def test_family_holds_views_of_the_live_rows(basis2d_small, small_ensemble):
     basis, ens = small_ensemble
     fam = FunctionFamily(ens)
-    assert np.shares_memory(fam.coords, ens.snap_u) and np.shares_memory(fam.norm_H, ens.norm_H)
+    assert np.shares_memory(fam.stored_increment_norms, ens.increment_norms)
+    assert np.shares_memory(fam.norm_H, ens.norm_H)
     # rows 1 and 3 abort: the family is the other rows, copied
-    cfg = replace(small_config(basis), T=0.016, overflow_limit=1e3)
+    cfg = replace(small_config(basis), T=0.016, overflow_limit=1e3, increment_lags=(2,))
     dW = np.stack([galerkin.generate_wiener(cfg.steps, cfg.M, cfg.dt, cfg.seed, i) for i in range(5)], axis=1)
     dW[4, [1, 3]] = 1e6
     ens = integrate_batch(cfg, range(5), dW)
     assert ens.aborted.tolist() == [False, True, False, True, False]
     fam = FunctionFamily(ens)
-    assert not np.shares_memory(fam.coords, ens.snap_u)
-    assert np.array_equal(fam.coords, ens.snap_u[[0, 2, 4]])
+    assert not np.shares_memory(fam.stored_increment_norms, ens.increment_norms)
+    assert np.array_equal(fam.stored_increment_norms, ens.increment_norms[[0, 2, 4]])
     assert np.array_equal(fam.norm_D, ens.norm_D[[0, 2, 4]])
 
 

@@ -19,8 +19,11 @@ Beside ``peak_rss_mb``, which adds the verb process's peak to the largest
 worker peaks, each workload's ``peak_split`` shows which process's memory
 moved: per run, the median over its verb invocations (each run's
 ``.bench_work/<workload>/result-*.json``) of the verb process's own peak,
-``peak_rss_mb`` minus the worker peaks it summed, and of the largest
-worker peak, compared like the metrics.  The ``build``
+``peak_rss_mb`` minus the worker peaks it summed, and of the largest and
+the second largest worker peak, compared like the metrics.  In each
+invocation the three add up to ``peak_rss_mb``; the second worker matters
+where a verb forks one pool per level, as ``tightness-levels`` does, so
+that the two summed peaks are workers of different pools.  The ``build``
 record says whether the runs start from bytecode: the value of
 ``PYTHONDONTWRITEBYTECODE``, which every run inherits, and per checkout
 whether ``src/sgns/__pycache__`` exists before the first run and after the
@@ -50,9 +53,9 @@ sys.path.insert(0, str(ROOT / "bench"))
 from workloads import WORKERS  # noqa: E402  (the workers each verb run is given)
 
 RUN_SECONDS = 5
-# the two halves of peak_rss_mb that `peak_split` records per run
+# the parts of peak_rss_mb that `peak_split` records per run
 PEAK_SPLIT = [{"name": name, "unit": "MB", "better": "lower", "bound": None}
-              for name in ("verb_peak_mb", "worker_peak_mb")]
+              for name in ("verb_peak_mb", "worker_peak_mb", "second_worker_peak_mb")]
 
 
 def bench_run(root: Path, workload: str, seed: int) -> tuple:
@@ -72,20 +75,21 @@ def bench_run(root: Path, workload: str, seed: int) -> tuple:
 
 
 def peak_split(root: Path, workload: str) -> dict:
-    """Median verb-process peak and median largest worker peak, in MB, over
-    the verb invocations of the last bench/run.py run of `workload` in
-    `root`: ``peak_rss_mb`` is the first plus the largest WORKERS worker
-    peaks."""
-    verb, worker = [], []
+    """Median verb-process peak and medians of the largest and the second
+    largest worker peak (0 where there is none), in MB, over the verb
+    invocations of the last bench/run.py run of `workload` in `root`:
+    ``peak_rss_mb`` is the first plus the largest WORKERS worker peaks,
+    which at WORKERS = 2 are the other two."""
+    split = {m["name"]: [] for m in PEAK_SPLIT}
     for path in (root / ".bench_work" / workload).glob("result-*.json"):
         res = json.loads(path.read_text())
         if "peak_rss_mb" not in res:  # a set-up spawn, which runs no verb
             continue
-        peaks = sorted(res["worker_peaks_mb"], reverse=True)
-        verb.append(res["peak_rss_mb"] - sum(peaks[:WORKERS]))
-        worker.append(peaks[0] if peaks else 0.0)
-    return {"verb_peak_mb": float(np.median(verb)) if verb else float("nan"),
-            "worker_peak_mb": float(np.median(worker)) if worker else float("nan")}
+        peaks = sorted(res["worker_peaks_mb"], reverse=True) + [0.0, 0.0]
+        split["verb_peak_mb"].append(res["peak_rss_mb"] - sum(peaks[:WORKERS]))
+        split["worker_peak_mb"].append(peaks[0])
+        split["second_worker_peak_mb"].append(peaks[1])
+    return {name: float(np.median(v)) if v else float("nan") for name, v in split.items()}
 
 
 def pycache(roots: dict) -> dict:
