@@ -95,8 +95,8 @@ def run_certify_noise(run: RunConfig, bundle: ResultBundle, workers: int) -> Non
 
 
 def run_simulate(run: RunConfig, bundle: ResultBundle, workers: int) -> None:
-    # the energy budget reads the ledger and the snapshots the states, and no
-    # running integral is read
+    # the energy budget reads the ledger and the snapshot files the states;
+    # no running integral is read
     one = integrate_batch(replace(run.galerkin, records={"ledger", "states"}), [0])
     bundle.add_table(
         "trajectory",
