@@ -26,12 +26,12 @@ deltas = [T * 2.0**-j for j in range(9, 3, -1)]
 thetas, eta_theta = [T * 2.0**-j for j in range(8, 3, -1)], T * 2.0**-4
 times = np.arange(steps + 1) * dt
 
-# the pool workers record each path's U' increment maxima at the lags the
-# modulus table over `deltas` reads, and its increments at the lags of the
-# Aldous windows `thetas` and of the threshold's window
+# the pool workers record each path's U' increment maxima at the step lags
+# the modulus table over `deltas` reads, and its increments at the step lags
+# of the Aldous windows `thetas` and of the threshold's window; the running
+# integrals the scaling fit reads are snapshotted every 4 steps
 cfg = GalerkinConfig(basis=basis, n=16, dt=dt, T=T, u0=u0,
-                     model=default_noise_model(2), seed=7,
-                     snapshot_stride=1, integral_snapshot_stride=4,
+                     model=default_noise_model(2), seed=7, snapshot_stride=4,
                      modulus_lags=modulus_lags(deltas, times),
                      increment_lags=increment_lags(thetas, eta_theta, times))
 ens = integrate_ensemble(cfg, 100, workers=2)

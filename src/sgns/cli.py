@@ -198,8 +198,7 @@ def run_tightness(run: RunConfig, bundle: ResultBundle, workers: int) -> None:
     summary_n, noise_free = {}, []
     # the diagnostics read norms, the noise integral and the per-path
     # reductions below, and no state
-    grid = replace(run.galerkin, snapshot_stride=1, integral_snapshot_stride=exp["integral_stride"],
-                   records={"integral_noise"})
+    grid = replace(run.galerkin, snapshot_stride=exp["integral_stride"], records={"integral_noise"})
     violations = tgt.window_violations(grid, deltas, thetas, anchors, windows)
     if violations:
         bundle.summary.update(passed=False, failure="; ".join(violations))
@@ -207,10 +206,10 @@ def run_tightness(run: RunConfig, bundle: ResultBundle, workers: int) -> None:
     # each block's process, the verb's own or a pool worker, reduces the
     # paths it stepped to their lag maxima, which the modulus table reads,
     # and to their increments at the lags of the Aldous table and of its
-    # threshold, calibrated at the smallest window
+    # threshold, calibrated at the smallest window, both on the step grid
     eta_theta = min(thetas)
-    grid = replace(grid, modulus_lags=tgt.modulus_lags(deltas, grid.snap_times),
-                   increment_lags=tgt.increment_lags(thetas, eta_theta, grid.snap_times))
+    grid = replace(grid, modulus_lags=tgt.modulus_lags(deltas, grid.times),
+                   increment_lags=tgt.increment_lags(thetas, eta_theta, grid.times))
     for n in run.n_list:
         cfg = replace(grid, n=n)
         ens = integrate_ensemble(cfg, run.trajectories, workers=workers)

@@ -16,27 +16,29 @@ a pure function of (config, seed, index) -- one Philox stream per
 trajectory -- so ensembles are reproducible bitwise for any worker count and
 any blocks.  The stepper, `step_chunks`, walks the steps in time chunks and
 hands each chunk, every step of it, to one consumer: the Ensemble writer,
-which alone reads the config's snapshot grids, or a reducer of the caller's
+which alone reads the config's snapshot grid, or a reducer of the caller's
 own, such as the uniqueness twins of `sgns.twodim`.
 
 Besides norms, the stepper records what the config's record set
-(`GalerkinConfig.records`, names of `RECORDS`) asks for: the states at the
-snapshot steps; the energy ledger, each step's drift, taming, forcing and
-martingale work and quadratic remainder, which close the discrete energy
-identity to roundoff, reduced per path as the steps are taken to the
-identity's worst relative residual and the sums of the Ito and
-Hilbert-Schmidt increments; the running Stokes, convection and forcing
-integrals (one record, the drift) and the running noise integral,
-snapshotted so the martingale part of the path can be reconstructed and
-tested for zero mean and prescribed quadratic variation.  An unrecorded
+(`GalerkinConfig.records`, names of `RECORDS`) asks for: the states; the
+energy ledger, each step's drift, taming, forcing and martingale work and
+quadratic remainder, which close the discrete energy identity to roundoff,
+reduced per path as the steps are taken to the identity's worst relative
+residual and the sums of the Ito and Hilbert-Schmidt increments; the
+running Stokes, convection and forcing integrals (one record, the drift)
+and the running noise integral, so the martingale part of the path can be
+reconstructed and tested for zero mean and prescribed quadratic variation.
+Every stored state, quadratic variation and running integral is on one
+grid, the snapshot steps (`GalerkinConfig.snapshot_stride`), so a state
+and the integrals at the same instant share a position.  An unrecorded
 output costs no step work and no shared memory, and a reader that needs it
 raises ValueError naming it; every recorded array has the same bits
-whatever else is recorded.  Two per-row reductions of the snapshots are
-taken by the process that stepped the row, once its walk ends: the U'
-increment maxima over lags 1..`modulus_lags` and every U' increment at the
-`increment_lags`, which the tightness diagnostics read in place of the
-states.  A block that needs them without the states record keeps its
-snapshots in a private mapping of its own rows for that long.  The probes
+whatever else is recorded.  Two per-row reductions of the path on the step
+grid are taken by the process that stepped the row, once its walk ends:
+the U' increment maxima over lags 1..`modulus_lags` steps and every U'
+increment at the `increment_lags`, which the tightness diagnostics read in
+place of the states.  For that long the block keeps every step's state in
+a private mapping of its own rows, whatever the snapshot grid.  The probes
 alone fix the pairings: the stepper accumulates the quadratic variation of
 every probe pair (`GalerkinConfig.qv_pairs`), and the refinement integral
 int <B(u, u), P_n psi> dt is read from the path afterwards, for any psi,
@@ -312,16 +314,17 @@ class GalerkinConfig:
     forcing: SpectralField | None = None  # constant in time
     cutoff_level: float | None = None
     seed: int = 0
-    snapshot_stride: int = 0  # 0: endpoints only
-    integral_snapshot_stride: int | None = None  # default: same as snapshot_stride
+    # the one grid of the stored states, quadratic variations and running
+    # integrals: every stride-th step and the last; 0: endpoints only
+    snapshot_stride: int = 0
     include_B: bool = True
     probes: tuple = ()  # SpectralFields; the quadratic variation of every pair is accumulated
     overflow_limit: float = 1e12
-    # snapshot-spacing lags 1..modulus_lags whose per-path U' increment maxima
-    # the stepper records (`lag_maxima`) for the modulus of continuity
+    # lags 1..modulus_lags, in steps, whose per-path U' increment maxima the
+    # stepper records (`lag_maxima`) for the modulus of continuity
     modulus_lags: int = 0
-    # snapshot-spacing lags at which the stepper records every U' increment
-    # from each snapshot, clipped to the horizon (`increment_norms`)
+    # lags, in steps, at which the stepper records every U' increment from
+    # each step, clipped to the horizon (`increment_norms`)
     increment_lags: tuple = ()
     # the outputs of RECORDS the stepper records; an unrecorded one has
     # width 0 and costs no step work
@@ -334,13 +337,14 @@ class GalerkinConfig:
             raise ValueError("; ".join(violations))
         if self.model is not None and self.model.d != self.basis.domain.d:
             raise ValueError("noise model dimension disagrees with the domain")
-        lags = len(self.snap_times) - 1
-        if not 0 <= self.modulus_lags <= lags:
-            raise ValueError(f"modulus_lags = {self.modulus_lags} outside [0, {lags}], "
-                             "the lags of the snapshot grid")
+        if self.snapshot_stride < 0:
+            raise ValueError(f"snapshot_stride = {self.snapshot_stride} must be >= 0 (0: endpoints only)")
+        if not 0 <= self.modulus_lags <= self.steps:
+            raise ValueError(f"modulus_lags = {self.modulus_lags} outside [0, {self.steps}], "
+                             "the lags of the step grid")
         if not all(isinstance(lag, (int, np.integer)) and lag >= 0 for lag in self.increment_lags):
             raise ValueError(f"increment_lags = {self.increment_lags} must be whole numbers of "
-                             "snapshot spacings >= 0")
+                             "steps >= 0")
         self.increment_lags = tuple(int(lag) for lag in self.increment_lags)
         unknown = set(self.records) - set(RECORDS)
         if unknown:
@@ -365,18 +369,8 @@ class GalerkinConfig:
         return _snapshot_indices(self.steps, self.snapshot_stride)
 
     @property
-    def integral_snap_idx(self) -> np.ndarray:
-        return _snapshot_indices(self.steps, self.integral_stride)
-
-    @property
     def snap_times(self) -> np.ndarray:
         return self.snap_idx * self.dt
-
-    @property
-    def integral_stride(self) -> int:
-        if self.integral_snapshot_stride is None:
-            return self.snapshot_stride
-        return self.integral_snapshot_stride
 
     @property
     def cutoff(self) -> CutoffSpec:
@@ -425,11 +419,10 @@ class Ensemble:
     ito_sum: np.ndarray
     hs_sum: np.ndarray
     snap_u: np.ndarray  # (R, S, n) at config.snap_idx; (R, 0, n) unrecorded
-    # INTEGRALS term -> (R, S_J, n) at config.integral_snap_idx; (R, 0, n) unrecorded
-    snap_integrals: dict
-    qv_cum: np.ndarray  # (R, S, len(config.qv_pairs))
-    lag_maxima: np.ndarray  # (R, modulus_lags): max over s of |u(s + l) - u(s)|_{U'}
-    # (R, len(increment_lags), S): [r, i, s] = |u(min(s + l_i, S - 1)) - u(s)|_{U'}
+    snap_integrals: dict  # INTEGRALS term -> (R, S, n) at config.snap_idx; (R, 0, n) unrecorded
+    qv_cum: np.ndarray  # (R, S, len(config.qv_pairs)) at config.snap_idx
+    lag_maxima: np.ndarray  # (R, modulus_lags): max over steps j of |u(j + l) - u(j)|_{U'}
+    # (R, len(increment_lags), steps + 1): [r, i, j] = |u(min(j + l_i, steps)) - u(j)|_{U'}
     increment_norms: np.ndarray
     cutoff_min: np.ndarray  # (R,)
     abort_step: np.ndarray  # (R,), -1 on a row that ran to the end
@@ -491,7 +484,7 @@ def _grid_positions(grid: np.ndarray, times, dt: float) -> np.ndarray:
 
 
 def _snapshot_indices(steps: int, stride: int) -> np.ndarray:
-    if stride <= 0:
+    if stride == 0:
         return np.array([0, steps], dtype=int)
     idx = list(range(0, steps + 1, stride))
     if idx[-1] != steps:
@@ -516,8 +509,8 @@ def _increment_norms(coords: np.ndarray, lag: int, w: np.ndarray) -> np.ndarray:
 
 
 # paths whose lag maxima are formed together.  A block holds about ten
-# (rows, S) arrays, 1.3 MB at 1,025 snapshots, besides one path's (S, n)
-# difference.  64 lags on 50 tightness paths of 1,025 snapshots, one Xeon
+# (rows, S) arrays, 1.3 MB at 1,025 states, besides one path's (S, n)
+# difference.  64 lags on 50 tightness paths of 1,025 states, one Xeon
 # core: n = 8/16/32 took 30/35/42 ms in blocks of 16 and 25/30/35 ms in one
 # block of 50, which raised each n = 32 tightness worker's peak RSS over
 # the brute force by 5.5 MB (2.8 MB in blocks of 16).
@@ -582,8 +575,8 @@ def _lag_maxima(coords: np.ndarray, w: np.ndarray, max_lag: int) -> np.ndarray:
 
 def _lag_increments(coords: np.ndarray, w: np.ndarray, lags) -> np.ndarray:
     """d[r, i, s] = |x_r(min(s + lags[i], S - 1)) - x_r(s)|_{U'} from coords
-    (R, S, n): every increment from every snapshot at each lag, clipped to
-    the last snapshot.  One path and lag at a time, the later state less the
+    (R, S, n): every increment from every state at each lag, clipped to
+    the last state.  One path and lag at a time, the later state less the
     earlier, squared and weighed by `_norms_of`: the arithmetic of an
     increment gathered as a (start, end) pair of states, so any start read
     from this table is the bits of that pair's norm."""
@@ -620,19 +613,19 @@ def cache_rows(config: GalerkinConfig) -> int:
 
 def _row_shapes(config: GalerkinConfig) -> dict:
     """Shape after the row axis of every per-row array of an Ensemble, by
-    field name: norms, ledger, snapshots with their quadratic-variation
-    entries, integral snapshots (keyed by term), the lag maxima, the
-    increment norms, the cutoff minimum and the abort step.  An output
-    config.records leaves out has width 0: the ledger (one value per row)
-    is (0,), the states and a running integral have no snapshots.  Every
-    entry is 8 bytes."""
+    field name: norms, ledger, the states, quadratic variations and running
+    integrals (keyed by term) at the snapshots, the lag maxima, the
+    increment norms of every step, the cutoff minimum and the abort step.
+    An output config.records leaves out has width 0: the ledger (one value
+    per row) is (0,), the states and a running integral have no snapshots.
+    Every entry is 8 bytes."""
     steps, n, records = config.steps, config.n, config.records
-    snaps, isnaps = len(config.snap_idx), len(config.integral_snap_idx)
+    snaps = len(config.snap_idx)
     shapes = {name: (steps + 1,) for name in ("norm_H", "norm_D", "norm_Udual")}
     shapes.update({name: () if "ledger" in records else (0,) for name in LEDGER})
     shapes.update(snap_u=(snaps if "states" in records else 0, n), qv_cum=(snaps, len(config.qv_pairs)))
-    shapes.update({name: (isnaps if integral_record(name) in records else 0, n) for name in INTEGRALS})
-    shapes.update(lag_maxima=(config.modulus_lags,), increment_norms=(len(config.increment_lags), snaps),
+    shapes.update({name: (snaps if integral_record(name) in records else 0, n) for name in INTEGRALS})
+    shapes.update(lag_maxima=(config.modulus_lags,), increment_norms=(len(config.increment_lags), steps + 1),
                   cutoff_min=(), abort_step=())
     return shapes
 
@@ -940,11 +933,10 @@ def _integrate_rows(ens: Ensemble, dW=None, x0=None) -> None:
     (`step_chunks`), each driven by its own Philox stream or by its column
     of the increments `dW` (steps, B, M) when given, from the coordinates
     of P_n config.u0 or from its row of `x0` (B, n), writing each chunk's
-    norms into the zeroed arrays of `ens` in place, and its states and
-    quadratic variations at the config's snapshot steps and its running
-    integrals at the integral snapshot steps (`_grid_span`, the one place
-    that maps a snapshot grid onto a chunk); `snap_u[:, 0]` records each
-    row's start.
+    norms into the zeroed arrays of `ens` in place, and its states,
+    quadratic variations and running integrals at the config's snapshot
+    steps (`_grid_span`, the one place that maps the snapshot grid onto a
+    chunk); `snap_u[:, 0]` records each row's start.
 
     The energy ledger closes the discrete energy identity of the
     Euler-Maruyama step: the walk folds each row's worst relative residual,
@@ -956,39 +948,39 @@ def _integrate_rows(ens: Ensemble, dW=None, x0=None) -> None:
     same bits whatever else is recorded.  An aborted row keeps what it had
     at its abort step, its norms there with the non-finite entries zeroed,
     and reads zero after it, its ledger terms too.  Last, each row's U'
-    increment maxima over lags 1..modulus_lags of the snapshot grid
+    increment maxima over lags 1..modulus_lags of the step grid
     (`_lag_maxima`) and its increments at `increment_lags`
-    (`_lag_increments`) are taken from its snapshots.
+    (`_lag_increments`) are taken from its path.
 
-    The snapshots are written to one target: the rows of `ens.snap_u` when
-    config.records names the states; otherwise, if the lag maxima or the
-    increments need them, a private anonymous mapping of this block's rows
-    alone (`mmap.MAP_PRIVATE`, as the convection scratch), closed before
-    returning, so that only the process that stepped a row ever holds its
-    states; and nowhere when nothing reads them."""
+    The path, every step's state, is written only when the lag maxima or
+    the increments read it, and only to a private anonymous mapping of this
+    block's rows (`mmap.MAP_PRIVATE`, as the convection scratch), closed
+    before returning, so that only the process that stepped a row ever
+    holds it."""
     config = ens.config
     ledger = "ledger" in config.records
     if ledger:
         ito_step, hs_step = np.zeros((len(ens), config.steps)), np.zeros((len(ens), config.steps))
     norms = dict(H=ens.norm_H, D=ens.norm_D, Udual=ens.norm_Udual)
-    snap_idx, integral_snap_idx = config.snap_idx, config.integral_snap_idx
-    private = snaps = None
-    if "states" in config.records:
-        snaps = ens.snap_u
-    elif config.modulus_lags or config.increment_lags:
-        shape = (len(ens), len(snap_idx), config.n)
+    snap_idx = config.snap_idx
+    private = path = None
+    if config.modulus_lags or config.increment_lags:
+        shape = (len(ens), config.steps + 1, config.n)
         private = mmap.mmap(-1, max(8 * math.prod(shape), 1), flags=mmap.MAP_PRIVATE)
-        snaps = np.frombuffer(private, dtype=np.float64, count=math.prod(shape)).reshape(shape)
+        path = np.frombuffer(private, dtype=np.float64, count=math.prod(shape)).reshape(shape)
     for chunk in step_chunks(config, ens.indices.tolist(), x0, dW):
         for name, buf in chunk.norms.items():
             norms[name][:, chunk.first : chunk.last + 1] = buf.T
+        if path is not None:
+            path[:, chunk.first : chunk.last + 1] = chunk.states.swapaxes(0, 1)
+        # each recorded snapshot array beside the chunk's buffer of it
+        snapshots = [(ens.qv_cum, chunk.qv)]
+        snapshots += [(ens.snap_integrals[name], buf) for name, buf in chunk.integrals.items()]
+        if "states" in config.records:
+            snapshots.append((ens.snap_u, chunk.states))
         at, rows = _grid_span(snap_idx, chunk)
-        if snaps is not None:
-            snaps[:, at] = chunk.states[rows].swapaxes(0, 1)
-        ens.qv_cum[:, at] = chunk.qv[rows].swapaxes(0, 1)
-        at, rows = _grid_span(integral_snap_idx, chunk)
-        for name, buf in chunk.integrals.items():
-            ens.snap_integrals[name][:, at] = buf[rows].swapaxes(0, 1)
+        for snaps, buf in snapshots:
+            snaps[:, at] = buf[rows].swapaxes(0, 1)
         if ledger:
             ito_step[:, chunk.first : chunk.last] = chunk.ito.T
             hs_step[:, chunk.first : chunk.last] = chunk.hs.T
@@ -1002,23 +994,22 @@ def _integrate_rows(ens: Ensemble, dW=None, x0=None) -> None:
         for arr in norms.values():
             arr[r, a + 1 :] = 0.0
         late = snap_idx >= a
-        ens.qv_cum[r, late] = 0.0
-        if snaps is not None:
+        for snaps, _ in snapshots:
             snaps[r, late] = 0.0
-        for name in chunk.integrals:
-            ens.snap_integrals[name][r, integral_snap_idx >= a] = 0.0
+        if path is not None:
+            path[r, a:] = 0.0
     if ledger:
         ens.energy_residual[:] = chunk.worst
         ens.ito_sum[:] = np.sum(ito_step, axis=1)
         ens.hs_sum[:] = np.sum(hs_step, axis=1)
     sys = _compiled(config.basis, config.n, config.model, config.include_B)
     if config.modulus_lags:
-        ens.lag_maxima[:] = _lag_maxima(snaps, sys.wUdual, config.modulus_lags)
+        ens.lag_maxima[:] = _lag_maxima(path, sys.wUdual, config.modulus_lags)
     if config.increment_lags:
-        ens.increment_norms[:] = _lag_increments(snaps, sys.wUdual, config.increment_lags)
+        ens.increment_norms[:] = _lag_increments(path, sys.wUdual, config.increment_lags)
     if private is not None:
         # no view of the mapping is left, so it closes
-        del snaps
+        del path
         private.close()
 
 
@@ -1118,19 +1109,16 @@ def _zscore(vals: np.ndarray) -> float:
 
 def reconstruct_martingale(ens: Ensemble, pos: int) -> np.ndarray:
     """Martingale part at snapshot position `pos` of each row (R, n), rebuilt
-    from the running integrals: u(t) - u(0) - (Stokes + convection - forcing
-    integrals), which the ensemble must have recorded with the states.  The
-    snapshot must also be on the integral grid (ValueError naming its
-    time)."""
-    cfg = ens.config
-    require_records(cfg, "reconstruct_martingale", "integral_drift", "states")
-    jpos = int(_grid_positions(cfg.integral_snap_idx * cfg.dt, cfg.snap_times[pos], cfg.dt))
+    from the running integrals at the same snapshot: u(t) - u(0) - (Stokes +
+    convection - forcing integrals), which the ensemble must have recorded
+    with the states."""
+    require_records(ens.config, "reconstruct_martingale", "integral_drift", "states")
     return (
         ens.snap_u[:, pos]
         - ens.snap_u[:, 0]
-        - ens.snap_integrals["stokes"][:, jpos]
-        - ens.snap_integrals["convection"][:, jpos]
-        - ens.snap_integrals["forcing"][:, jpos]
+        - ens.snap_integrals["stokes"][:, pos]
+        - ens.snap_integrals["convection"][:, pos]
+        - ens.snap_integrals["forcing"][:, pos]
     )
 
 
@@ -1189,9 +1177,8 @@ def martingale_diagnostic(ens: Ensemble, a: int, b: int, s: float, t: float, h=h
 
     The quadratic variation of (a, b) is the `qv_cum` column of
     (min(a, b), max(a, b)), accumulated online during integration; s and t
-    must lie on the snapshot grid and on the integral grid, and the
-    ensemble must have recorded the drift and noise integrals and the
-    states.
+    must lie on the snapshot grid, and the ensemble must have recorded the
+    drift and noise integrals and the states.
     h(ens, step) weighs each path by a functional of it up to `step`.
     """
     require_records(ens.config, "martingale_diagnostic", "integral_drift", "integral_noise", "states")
@@ -1210,8 +1197,7 @@ def martingale_diagnostic(ens: Ensemble, a: int, b: int, s: float, t: float, h=h
     ps, pt = _grid_positions(cfg.snap_times, (s, t), cfg.dt)
     Ms = reconstruct_martingale(ens, ps)[live]
     Mt = reconstruct_martingale(ens, pt)[live]
-    jt = int(_grid_positions(cfg.integral_snap_idx * cfg.dt, cfg.snap_times[pt], cfg.dt))
-    recon = float(np.max(np.abs(Mt - ens.snap_integrals["noise"][live, jt])))
+    recon = float(np.max(np.abs(Mt - ens.snap_integrals["noise"][live, pt])))
     hval = h(ens, int(cfg.snap_idx[ps]))[live]
     # np.vecdot is the per-row np.dot to the bit; M @ psi_n is not
     mps, mpt = np.vecdot(Ms, psi_n), np.vecdot(Mt, psi_n)

@@ -9,12 +9,15 @@ per-term scaling of the drift and noise pieces of the path decomposition
 stochastic integral).  The path diagnostics read one `galerkin.Ensemble`
 and weigh by the U' norm of the basis of the config it holds; no basis is
 passed beside it.  No tightness diagnostic reads a state: the process that
-stepped a path reduces its snapshots to the records they read.  The
-modulus table reads the per-path lag maxima (`GalerkinConfig.modulus_lags`,
-sized by `modulus_lags`), and the Aldous table and its threshold read the
-per-path increments at their lags (`GalerkinConfig.increment_lags`, sized
-by `increment_lags`); an ensemble that recorded too few lags for a table
-is a `ValueError`, not a recomputation.  The nonlinear-term refinement
+stepped a path reduces it, on the step grid, to the records they read.
+The modulus table reads the per-path lag maxima
+(`GalerkinConfig.modulus_lags`, sized by `modulus_lags`), and the Aldous
+table and its threshold read the per-path increments from every step at
+their lags (`GalerkinConfig.increment_lags`, sized by `increment_lags`);
+both lags count steps, and an ensemble that recorded too few lags for a
+table is a `ValueError`, not a recomputation.  The decomposition
+increments and their scaling read the running integrals on the snapshot
+grid, the one grid of every stored record.  The nonlinear-term refinement
 reads each level's integral from that level's path
 (`galerkin.convection_pairing`).  The nested-space construction that
 supplies the compact embedding U -> V_s is built and certified
@@ -36,33 +39,33 @@ from .galerkin import INTEGRALS, Ensemble, _grid_positions, convection_pairing, 
 
 
 def _window_lag(delta: float, h: float, max_lag: int) -> int:
-    """Whole snapshot spacings h inside a window of length delta, capped."""
+    """Whole steps h inside a window of length delta, capped."""
     return min(int(math.floor(delta / h + 1e-12)), max_lag)
 
 
 def modulus_lags(deltas, times) -> int:
-    """Snapshot lags a modulus table over the windows `deltas` reads on the
-    snapshot grid `times`: the whole spacings in the largest window, capped
-    by the grid.  A `GalerkinConfig` given this many `modulus_lags` records
-    every lag maxima the table needs."""
+    """Step lags a modulus table over the windows `deltas` reads on the
+    step grid `times`: the whole steps in the largest window, capped by the
+    grid.  A `GalerkinConfig` given this many `modulus_lags` records every
+    lag maxima the table needs."""
     return _window_lag(max(deltas), times[1] - times[0], len(times) - 1)
 
 
 def _aldous_lag(theta: float, h: float) -> int:
-    """Snapshot spacings h of an Aldous window theta: the nearest whole number."""
+    """Steps h of an Aldous window theta: the nearest whole number."""
     return int(round(theta / h))
 
 
 def _calibration_lag(theta: float, h: float) -> int:
-    """Snapshot spacings h of the threshold's window theta: the nearest whole
-    number, at least 1."""
+    """Steps h of the threshold's window theta: the nearest whole number,
+    at least 1."""
     return max(1, _aldous_lag(theta, h))
 
 
 def increment_lags(thetas, eta_theta: float, times) -> tuple:
-    """Snapshot lags, ascending, at which `aldous_check` over the windows
+    """Step lags, ascending, at which `aldous_check` over the windows
     `thetas` and `calibrate_aldous_eta` at the window `eta_theta` read the
-    increments on the snapshot grid `times`.  A `GalerkinConfig` given these
+    increments on the step grid `times`.  A `GalerkinConfig` given these
     `increment_lags` records every increment both need."""
     h = times[1] - times[0]
     return tuple(sorted({_aldous_lag(t, h) for t in thetas} | {_calibration_lag(eta_theta, h)}))
@@ -71,18 +74,17 @@ def increment_lags(thetas, eta_theta: float, times) -> tuple:
 def window_violations(config, deltas, thetas, anchors, windows) -> list:
     """Every window of a tightness run on the grids of `config` that its
     diagnostics cannot read, as texts naming the experiment key: a modulus
-    or Aldous window shorter than one snapshot spacing (a modulus of 0 fails
-    the log-log fit; an Aldous increment over no step is 0, so the gate
-    passes unread), and a scaling anchor, or an anchor plus a scaling
-    window, off the integral snapshot grid (increment_scaling raises)."""
-    h = config.snap_times[1] - config.snap_times[0]
+    or Aldous window shorter than one step dt (a modulus of 0 fails the
+    log-log fit; an Aldous increment over no step is 0, so the gate passes
+    unread), and a scaling anchor, or an anchor plus a scaling window, off
+    the snapshot grid (increment_scaling raises)."""
     out = []
     for key, ws in (("deltas", deltas), ("thetas", thetas)):
-        short = ", ".join(str(w) for w in ws if _window_lag(w, h, 1) < 1)
+        short = ", ".join(str(w) for w in ws if _window_lag(w, config.dt, 1) < 1)
         if short:
-            out.append(f"experiment.{key}: window(s) {short} shorter than one snapshot spacing {h}")
-    grid = config.integral_snap_idx * config.dt
-    spacing = f"the integral snapshot grid (spacing {grid[1] - grid[0]}, up to T = {config.T})"
+            out.append(f"experiment.{key}: window(s) {short} shorter than one step {config.dt}")
+    grid = config.snap_times
+    spacing = f"the snapshot grid (spacing {grid[1] - grid[0]}, up to T = {config.T})"
 
     def on_grid(t) -> bool:
         try:
@@ -121,11 +123,11 @@ def _live_rows(ens):
 
 class FunctionFamily:
     """The live paths of one Ensemble, in the U' norm of the basis of its
-    `config` (the Ensemble's), as the stepper reduced them: the per-step
-    norms (R, steps + 1), the lag maxima (R, config.modulus_lags) and the
-    increment norms (R, len(config.increment_lags), S).  These are views of
-    the ensemble's arrays, copied only to drop aborted rows; no state is
-    read."""
+    `config` (the Ensemble's), as the stepper reduced them on the step grid:
+    the norms (R, steps + 1), the lag maxima (R, config.modulus_lags) and
+    the increment norms (R, len(config.increment_lags), steps + 1).  These
+    are views of the ensemble's arrays, copied only to drop aborted rows; no
+    state is read."""
 
     def __init__(self, ens):
         rows = _live_rows(ens)
@@ -133,7 +135,7 @@ class FunctionFamily:
         self.norm_H = ens.norm_H[rows]  # (R, steps + 1)
         self.norm_D = ens.norm_D[rows]
         self.stored_lag_maxima = ens.lag_maxima[rows]  # (R, modulus_lags)
-        self.stored_increment_norms = ens.increment_norms[rows]  # (R, len(increment_lags), S)
+        self.stored_increment_norms = ens.increment_norms[rows]  # (R, len(increment_lags), steps + 1)
 
     @property
     def size(self) -> int:
@@ -156,9 +158,9 @@ class FunctionFamily:
         return self.stored_lag_maxima[:, :max_lag]
 
     def increment_norms(self, lag: int) -> np.ndarray:
-        """d[r, s] = |u_r(t_min(s + lag, S - 1)) - u_r(t_s)|_{U'} from every
-        snapshot s, as the stepper recorded them (R, S); ValueError when it
-        did not record this lag."""
+        """d[r, j] = |u_r(t_min(j + lag, steps)) - u_r(t_j)|_{U'} from every
+        step j, as the stepper recorded them (R, steps + 1); ValueError when
+        it did not record this lag."""
         recorded = self.config.increment_lags
         if lag not in recorded:
             raise ValueError(f"the Aldous table needs the increments at lag {lag}, but the ensemble "
@@ -168,12 +170,12 @@ class FunctionFamily:
 
 def _modulus_table(family: FunctionFamily, deltas: np.ndarray) -> np.ndarray:
     """omega_r(delta) = sup over |t - s| <= delta of |u_r(t) - u_r(s)|_{U'} on
-    the snapshot grid, per path r and sorted window: (R, len(deltas))."""
-    times = family.config.snap_times
+    the step grid, per path r and sorted window: (R, len(deltas))."""
+    times = family.config.times
     h = times[1] - times[0]
     max_lag = modulus_lags(deltas, times)
     running = np.maximum.accumulate(family.lag_maxima(max_lag), axis=1)
-    # column 0 is the window without a whole spacing: modulus 0
+    # column 0 is the window without a whole step: modulus 0
     running = np.concatenate([np.zeros((family.size, 1)), running], axis=1)
     return running[:, [_window_lag(d, h, max_lag) for d in deltas]]
 
@@ -242,20 +244,16 @@ class AldousReport:
 
 
 def _hitting_positions(family: FunctionFamily, level: float) -> np.ndarray:
-    """Snapshot position of the first time |u|_H >= level (end of path if never)."""
-    cfg = family.config
-    times = cfg.snap_times
-    last = len(times) - 1
-    stride = int(round((times[1] - times[0]) / cfg.dt))
+    """Step of the first time |u|_H >= level (the last step if never)."""
+    last = len(family.config.times) - 1
     hit = family.norm_H >= level
-    first = np.argmax(hit, axis=1)
-    return np.where(hit.any(axis=1), np.minimum(-(-first // stride), last), last)
+    return np.where(hit.any(axis=1), np.argmax(hit, axis=1), last)
 
 
 def aldous_check(family: FunctionFamily, thetas, eta: float) -> AldousReport:
     """Empirical exceedance probabilities of stopped increments.
 
-    Stopping rules: three deterministic grid times plus first-hitting times of
+    Stopping rules: three deterministic steps plus first-hitting times of
     the ensemble's 50th/90th percentile running-sup levels; tau + theta is
     clipped to the horizon.  Probabilities are reported per theta, maximized
     over rules; the pass flag requires them nonincreasing in theta with an
@@ -263,8 +261,7 @@ def aldous_check(family: FunctionFamily, thetas, eta: float) -> AldousReport:
     its window's lag (`FunctionFamily.increment_norms`).
     """
     thetas = np.sort(np.asarray(thetas, dtype=float))[::-1]  # descending
-    cfg = family.config
-    times = cfg.snap_times
+    times = family.config.times
     S = len(times)
     h = times[1] - times[0]
     rules = {}
@@ -299,10 +296,10 @@ def calibrate_aldous_eta(family: FunctionFamily, theta: float, quantile: float =
     informative.  `sgns tightness` passes its smallest window.  The
     increments are read from those recorded at the window's lag
     (`FunctionFamily.increment_norms`)."""
-    times = family.config.snap_times
+    times = family.config.times
     lag = _calibration_lag(theta, times[1] - times[0])
     # the sampled increments: those starting at every ((S - lag) // 64)-th
-    # snapshot
+    # step
     count = len(times) - lag
     starts = np.arange(0, count, max(1, count // 64))
     return float(percentile(family.increment_norms(lag)[:, starts], quantile))
@@ -313,22 +310,15 @@ def calibrate_aldous_eta(family: FunctionFamily, theta: float, quantile: float =
 
 def decomposition_increments(ens: Ensemble, tau: float, theta: float) -> dict:
     """Increments (R, n) of each row's drift/forcing/noise integrals over
-    [tau, tau + theta], plus the worst decomposition-identity residual over
-    the rows against the increments of the paths themselves (nan when the
-    paths have no snapshot at either end).  The ensemble must have recorded
-    the drift and noise integrals and the states (`GalerkinConfig.records`)."""
+    [tau, tau + theta], both on the snapshot grid, plus the worst
+    decomposition-identity residual over the rows against the increments of
+    the paths themselves.  The ensemble must have recorded the drift and
+    noise integrals and the states (`GalerkinConfig.records`)."""
     cfg = ens.config
     require_records(cfg, "decomposition_increments", "integral_drift", "integral_noise", "states")
-    jt = cfg.integral_snap_idx * cfg.dt
-    a, b = _grid_positions(jt, (tau, tau + theta), cfg.dt)
+    a, b = _grid_positions(cfg.snap_times, (tau, tau + theta), cfg.dt)
     out = {name: ens.snap_integrals[name][:, b] - ens.snap_integrals[name][:, a] for name in INTEGRALS}
-    residual = math.nan
-    try:
-        ia, ib = _grid_positions(cfg.snap_times, jt[[a, b]], cfg.dt)
-    except ValueError:
-        pass
-    else:
-        residual = float(np.max(np.abs(ens.snap_u[:, ib] - ens.snap_u[:, ia] - sum(out.values()))))
+    residual = float(np.max(np.abs(ens.snap_u[:, b] - ens.snap_u[:, a] - sum(out.values()))))
     return {"increments": out, "identity_residual": residual}
 
 
@@ -354,16 +344,15 @@ def increment_scaling(ens: Ensemble, tau, thetas) -> IncrementScalingReport:
     wUdual = cfg.basis.mode_weights("Udual", cfg.n)
     taus = np.atleast_1d(np.asarray(tau, dtype=float))
     thetas = np.sort(np.asarray(thetas, dtype=float))
-    jt = cfg.integral_snap_idx * cfg.dt
-    start = _grid_positions(jt, taus[None, :], cfg.dt)  # (1, anchor)
-    end = _grid_positions(jt, taus + thetas[:, None], cfg.dt)  # (theta, anchor)
+    start = _grid_positions(cfg.snap_times, taus[None, :], cfg.dt)  # (1, anchor)
+    end = _grid_positions(cfg.snap_times, taus + thetas[:, None], cfg.dt)  # (theta, anchor)
     terms = [name for name in INTEGRALS if integral_record(name) in cfg.records]
     if not terms:
         raise ValueError("increment_scaling needs the integral_drift or integral_noise record, and "
                          f"this ensemble recorded neither (GalerkinConfig.records = {sorted(cfg.records)})")
     med, exps = {}, {}
     for name in terms:
-        J = ens.snap_integrals[name][rows]  # (R, S_J, n)
+        J = ens.snap_integrals[name][rows]  # (R, S, n)
         inc = J[:, end] - J[:, start]  # (R, theta, anchor, n)
         # these norms are the pairwise np.sum over n; the einsum of
         # _increment_norms rounds differently in the last bit, so the scaling

@@ -2,9 +2,11 @@
 reference for `galerkin.step_chunks` and its Ensemble writer
 `galerkin._integrate_rows`, which walk the steps in time chunks.
 
-The loop draws each row's increments for all steps at once, writes norms,
-snapshots, integral snapshots and quadratic variations into the Ensemble at
-each step, and folds the energy ledger every `LEDGER_CHUNK` steps.  Its
+The loop draws each row's increments for all steps at once, writes norms
+into the Ensemble at each step and the states, running integrals and
+quadratic variations at each snapshot step, keeps every step's state for
+the lag reductions, and folds the energy ledger every `LEDGER_CHUNK`
+steps.  Its
 squared norms are the weighted sums of one (B, 3, n) broadcast and its
 convection scatters the segment sums into zeros, as the stepper's did
 before it was chunked; every other operation is the stepper's, so a walk in
@@ -97,15 +99,13 @@ def oracle_batch(config, indices, dW=None, x0=None):
         ito_step, hs_step = np.zeros((B, steps)), np.zeros((B, steps))
         worst = np.full(B, np.nan)
 
-    snap_idx, integral_snap_idx = config.snap_idx, config.integral_snap_idx
+    snap_idx = config.snap_idx
     snap_at = np.full(steps + 1, -1)
     snap_at[snap_idx] = np.arange(len(snap_idx))
-    integral_snap_at = np.full(steps + 1, -1)
-    integral_snap_at[integral_snap_idx] = np.arange(len(integral_snap_idx))
-    # the states at the snapshot steps, which the lag reductions read even
-    # when they are not recorded
-    snap_u = ens.snap_u if "states" in config.records else np.zeros((B, len(snap_idx), n))
-    snap_integrals = ens.snap_integrals
+    states = "states" in config.records
+    snap_u, snap_integrals = ens.snap_u, ens.snap_integrals
+    # every step's state, which the lag reductions read
+    path = np.zeros((B, steps + 1, n))
     drift, noise = "integral_drift" in config.records, "integral_noise" in config.records
     integrals = {name: np.zeros((B, n)) for name in INTEGRALS if integral_record(name) in config.records}
 
@@ -125,7 +125,9 @@ def oracle_batch(config, indices, dW=None, x0=None):
 
     h2, d2, u2 = sq_norms(sys, x)
     norm_H[:, 0], norm_D[:, 0], norm_Ud[:, 0] = np.sqrt(h2), np.sqrt(d2), np.sqrt(u2)
-    snap_u[:, 0] = x
+    path[:, 0] = x
+    if states:
+        snap_u[:, 0] = x
     with np.errstate(over="ignore", invalid="ignore"):
         for j in range(steps):
             x_new, theta, tbx, bx, g, xi = step(sys, config, cutoff, x, norm_Ud[:, j], f, dW[j])
@@ -174,13 +176,13 @@ def oracle_batch(config, indices, dW=None, x0=None):
                 if ledger and j + 1 < steps:
                     np.fmax(worst, 0.0, out=worst)
                 break
+            path[:, j + 1] = x
             pos = snap_at[j + 1]
             if pos >= 0:
-                snap_u[:, pos] = x
+                if states:
+                    snap_u[:, pos] = x
                 if qv_pairs:
                     qv_cum[:, pos] = qv_run
-            pos = integral_snap_at[j + 1]
-            if pos >= 0:
                 for name, run in integrals.items():
                     snap_integrals[name][:, pos] = run
 
@@ -191,14 +193,16 @@ def oracle_batch(config, indices, dW=None, x0=None):
         for arr in (norm_H, norm_D, norm_Ud):
             arr[r, a + 1 :] = 0.0
         late = snap_idx >= a
-        snap_u[r, late] = qv_cum[r, late] = 0.0
+        qv_cum[r, late] = path[r, a:] = 0.0
+        if states:
+            snap_u[r, late] = 0.0
         for name in integrals:
-            snap_integrals[name][r, integral_snap_idx >= a] = 0.0
+            snap_integrals[name][r, late] = 0.0
     if ledger:
         ens.energy_residual[:] = worst
         ens.ito_sum[:] = np.sum(ito_step, axis=1)
         ens.hs_sum[:] = np.sum(hs_step, axis=1)
     if config.modulus_lags:
-        ens.lag_maxima[:] = _lag_maxima(snap_u, sys.wUdual, config.modulus_lags)
-    ens.increment_norms[:] = pair_increment_norms(snap_u, sys.wUdual, config.increment_lags)
+        ens.lag_maxima[:] = _lag_maxima(path, sys.wUdual, config.modulus_lags)
+    ens.increment_norms[:] = pair_increment_norms(path, sys.wUdual, config.increment_lags)
     return ens

@@ -255,7 +255,7 @@ def test_criterion_08_tightness(basis, shell_coupling_model):
     for n in (8, 16, 32):
         cfg = GalerkinConfig(basis=basis, n=n, dt=dt, T=T, u0=u0,
                              model=shell_coupling_model, seed=77,
-                             snapshot_stride=1, integral_snapshot_stride=8,
+                             snapshot_stride=8,
                              modulus_lags=modulus_lags(deltas, times),
                              increment_lags=increment_lags(thetas, eta_theta, times))
         recs = integrate_ensemble(cfg, 200, workers=WORKERS)

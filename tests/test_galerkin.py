@@ -403,22 +403,6 @@ def test_martingale_probe_index_outside_the_probes_rejected(basis2d_small):
             martingale_diagnostic(ens, a, b, s=0.01, t=0.04)
 
 
-def test_martingale_snapshot_off_the_integral_grid_rejected(basis2d_small):
-    # snapshots every 10 steps, integrals every 4: steps 0, 20 and 40 are on both grids
-    e1 = basis2d_small.basis_field(0)
-    cfg = make_config(basis2d_small, n=8, T=0.04, snapshot_stride=10, integral_snapshot_stride=4,
-                      probes=(e1,))
-    ens = integrate_ensemble(cfg, 4)
-    assert reconstruct_martingale(ens, 2).shape == (4, 8)
-    assert martingale_diagnostic(ens, 0, 0, s=0.0, t=0.02).trajectories == 4
-    with pytest.raises(ValueError, match="time 0.01 is not on"):
-        reconstruct_martingale(ens, 1)
-    with pytest.raises(ValueError, match="time 0.01 is not on"):
-        martingale_diagnostic(ens, 0, 0, s=0.01, t=0.02)
-    with pytest.raises(ValueError, match="time 0.03 is not on"):
-        martingale_diagnostic(ens, 0, 0, s=0.0, t=0.03)
-
-
 def test_path_shape_mismatch(basis2d_small):
     # one step too many, and two rows of increments for one trajectory
     cfg = make_config(basis2d_small)
@@ -441,7 +425,6 @@ def rich_config(basis, **kw):
     defaults = dict(
         basis=basis, n=n, dt=1e-3, T=0.02, u0=u0, model=model,
         forcing=0.5 * basis.basis_field(1), seed=9, snapshot_stride=5,
-        integral_snapshot_stride=4,
         # below |u0|_{U'}, so the cutoff factor moves inside (0, 1)
         cutoff_level=0.8 * norm(u0, "Udual"),
         probes=(basis.basis_field(0), basis.basis_field(2)),
@@ -486,7 +469,7 @@ def test_stepper_matches_independent_oracles(basis2d_small, scheme):
     # noise by exact convolution, both projected onto the first n modes; the
     # quadratic variations and the convection pairing sum their pairings
     basis = basis2d_small
-    cfg = rich_config(basis, snapshot_stride=1, integral_snapshot_stride=1)
+    cfg = rich_config(basis, snapshot_stride=1)
     n, dt, steps = cfg.n, cfg.dt, cfg.steps
     ws = TrilinearWorkspace(basis)
     lam = basis.mode_weights("D", n)
@@ -643,10 +626,20 @@ def test_no_lag_maxima_by_default(basis2d_small):
 
 @pytest.mark.parametrize("lags", [-1, 5])
 def test_modulus_lags_must_fit_the_snapshot_grid(basis2d_small, lags):
-    # T = 0.02 in snapshots every 5 steps: 5 snapshots, lags 0..4
-    assert rich_config(basis2d_small, modulus_lags=4).modulus_lags == 4
-    with pytest.raises(ValueError, match="modulus_lags"):
-        rich_config(basis2d_small, modulus_lags=lags)
+    # the lags count steps, whatever the snapshots: T = 0.02 in snapshots
+    # every 5 steps takes lags 0..20, and T = 0.004, 4 steps, lags 0..4
+    assert rich_config(basis2d_small, modulus_lags=20).modulus_lags == 20
+    assert rich_config(basis2d_small, T=0.004, modulus_lags=4).modulus_lags == 4
+    with pytest.raises(ValueError, match=r"modulus_lags = -?\d+ outside \[0, 4\], the lags of the step grid"):
+        rich_config(basis2d_small, T=0.004, modulus_lags=lags)
+
+
+@pytest.mark.parametrize("stride", [-1, -8])
+def test_a_negative_snapshot_stride_is_rejected(basis2d_small, stride):
+    # 0 is the endpoints alone; a negative stride is not another name for it
+    assert make_config(basis2d_small, snapshot_stride=0).snap_idx.tolist() == [0, 50]
+    with pytest.raises(ValueError, match=rf"snapshot_stride = {stride} must be >= 0"):
+        make_config(basis2d_small, snapshot_stride=stride)
 
 
 def test_pool_leaves_no_process(basis2d_small):
@@ -805,7 +798,7 @@ def test_abort_inside_a_batch(basis2d_small):
         assert batch.norm_H[r, a] > 0.0  # the state at the abort step, non-finite entries zeroed
         assert np.all(batch.norm_H[r, a + 1 :] == 0.0) and np.all(led["drift_work"][r, a:] == 0.0)
         assert np.all(batch.snap_u[r, cfg.snap_idx >= a] == 0.0)
-        assert np.all(batch.snap_integrals["noise"][r, cfg.integral_snap_idx >= a] == 0.0)
+        assert np.all(batch.snap_integrals["noise"][r, cfg.snap_idx >= a] == 0.0)
     # the healthy rows are those of a batch without the bad rows
     assert_records_identical(batch.rows([0, 2, 4]), integrate_batch(cfg, [0, 2, 4]))
 
@@ -1006,8 +999,8 @@ def aborts_in_two_chunks(cfg, rows):
 def test_walk_is_the_one_loop(basis2d_small, basis2d, monkeypatch, chunk, case):
     # 30 steps in chunks of 1, 7, all 30 and 45: every record set, two
     # probes, forcing, an active cutoff, lag maxima, increments at lags 0, 2
-    # and 9 (clipped at the last of the 7 snapshots), snapshots every 5
-    # steps and integral snapshots every 4.  n = 10 of K = 3 has convection
+    # and 9 steps (clipped at step 30) and snapshots every 5 steps.  n = 10
+    # of K = 3 has convection
     # segments on 8 coordinates, n = 16 of K = 8 on all 16 (see
     # `CompiledGalerkin.convection`)
     basis, n = (basis2d_small, 10) if case == "scatter" else (basis2d, 16)
@@ -1050,12 +1043,12 @@ def test_step_kernels_keep_the_bits_of_the_broadcast_and_the_scatter(case, basis
 
 
 def test_every_chunk_carries_every_step_whatever_the_grids(basis2d_small, monkeypatch):
-    # endpoint snapshots and integral snapshots every 7 steps, walked in
-    # chunks of 7 of the 30 steps: each chunk still hands the states,
-    # quadratic variations and running integrals of every step first..last,
-    # the bits of the one loop on grids of every step
-    cfg = rich_config(basis2d_small, T=0.03, snapshot_stride=0, integral_snapshot_stride=7)
-    every = dataclasses.replace(cfg, snapshot_stride=1, integral_snapshot_stride=1)
+    # endpoint snapshots, walked in chunks of 7 of the 30 steps: each chunk
+    # still hands the states, quadratic variations and running integrals of
+    # every step first..last, the bits of the one loop on a grid of every
+    # step
+    cfg = rich_config(basis2d_small, T=0.03, snapshot_stride=0)
+    every = dataclasses.replace(cfg, snapshot_stride=1)
     want = oracle_batch(every, range(3))
     walk_in_chunks(monkeypatch, 3, cfg.n, 7)
     spans = []
@@ -1085,11 +1078,12 @@ def test_grid_span_slices_evenly_spaced_rows(basis2d_small, monkeypatch):
 
 
 def test_evenly_spaced_snapshots_are_written_through_a_view(basis2d, monkeypatch):
-    # the tightness verb's grid -- every step snapshotted, the noise
-    # integral every 8 -- on 50 rows at n = 32, with the states recorded:
-    # the bytes of gathering each chunk's rows by index, at a traced peak
-    # lower by at least half of the chunk's states that the gather copied
-    cfg = make_config(basis2d, n=32, dt=2.0**-10, T=0.25, snapshot_stride=1, integral_snapshot_stride=8,
+    # every step snapshotted, as `convection_pairing` reads the states, on
+    # the tightness verb's grid of steps, 50 rows at n = 32, with the states
+    # and the noise integral recorded: the bytes of gathering each chunk's
+    # rows by index, at a traced peak lower by at least half of the chunk's
+    # states that the gather copied
+    cfg = make_config(basis2d, n=32, dt=2.0**-10, T=0.25, snapshot_stride=1,
                       records={"integral_noise", "states"})
     span = galerkin._grid_span
 
@@ -1124,8 +1118,8 @@ def test_a_trajectory_on_several_rows_is_drawn_once(basis2d_small, monkeypatch):
 
 @pytest.mark.parametrize("ledger", [True, False])
 def test_block_memory_grows_with_the_steps_by_the_ledger_arrays_only(basis2d_small, monkeypatch, ledger):
-    # 20 rows in chunks of 25 steps over 200 and 800 steps, 5 snapshots and
-    # 5 integral snapshots each: the traced peak of the block's private
+    # 20 rows in chunks of 25 steps over 200 and 800 steps, 5 snapshots
+    # each: the traced peak of the block's private
     # memory (the Ensemble is a shared mapping, which tracemalloc does not
     # see) grows by at most the two (B, steps) arrays of Ito and
     # Hilbert-Schmidt increments under the ledger, and otherwise by less
@@ -1133,8 +1127,7 @@ def test_block_memory_grows_with_the_steps_by_the_ledger_arrays_only(basis2d_sma
     rows, peaks = 20, []
     records = set(galerkin.RECORDS) if ledger else set(galerkin.RECORDS) - {"ledger"}
     for steps in (200, 800):
-        cfg = make_config(basis2d_small, T=steps * 1e-3, snapshot_stride=steps // 4,
-                          integral_snapshot_stride=steps // 4, records=records,
+        cfg = make_config(basis2d_small, T=steps * 1e-3, snapshot_stride=steps // 4, records=records,
                           probes=(basis2d_small.basis_field(0),))
         walk_in_chunks(monkeypatch, rows, cfg.n, 25)
         integrate_batch(cfg, range(rows))
@@ -1260,7 +1253,7 @@ def test_each_reader_names_its_missing_record(basis2d_small):
 
 def test_each_reader_of_the_states_names_the_record(basis2d_small):
     # every reader of snap_u, on the full set less the states
-    cfg = rich_config(basis2d_small, T=0.04, snapshot_stride=1, integral_snapshot_stride=4)
+    cfg = rich_config(basis2d_small, T=0.04, snapshot_stride=4)
     t = float(cfg.snap_times[4])
     ens = integrate_batch(dataclasses.replace(cfg, records=set(galerkin.RECORDS) - {"states"}), range(3))
     assert ens.snap_u.shape == (3, 0, cfg.n)
@@ -1370,8 +1363,8 @@ def test_strong_order_one_half(basis2d_small, scheme):
 
 def aborting_ensemble(basis):
     """7 paths of the rich config, rows 2, 5 and 6 past the overflow limit;
-    snapshots and integral snapshots both every 5 steps."""
-    cfg = rich_config(basis, overflow_limit=1.05, integral_snapshot_stride=5)
+    snapshots every 5 steps."""
+    cfg = rich_config(basis, overflow_limit=1.05)
     ens = integrate_ensemble(cfg, 7)
     assert ens.aborted.tolist() == [False, False, True, False, False, True, True]
     return cfg, ens
@@ -1461,11 +1454,10 @@ def martingale_by_rows(ens, rows, psi_n, zeta_n, qcol, s, t, tanh_sup):
     mean_terms, qv_terms, recon = [], [], 0.0
     J, cfg = ens.snap_integrals, ens.config
     ps, pt = galerkin._grid_positions(cfg.snap_times, (s, t), cfg.dt)
-    js, jt = (int(np.nonzero(cfg.integral_snap_idx == cfg.snap_idx[p])[0][0]) for p in (ps, pt))
     for r in rows:
-        Ms, Mt = (ens.snap_u[r, p] - ens.snap_u[r, 0] - J["stokes"][r, j] - J["convection"][r, j]
-                  - J["forcing"][r, j] for p, j in ((ps, js), (pt, jt)))
-        recon = max(recon, float(np.max(np.abs(Mt - J["noise"][r, jt]))))
+        Ms, Mt = (ens.snap_u[r, p] - ens.snap_u[r, 0] - J["stokes"][r, p] - J["convection"][r, p]
+                  - J["forcing"][r, p] for p in (ps, pt))
+        recon = max(recon, float(np.max(np.abs(Mt - J["noise"][r, pt]))))
         step = int(cfg.snap_idx[ps])
         hval = math.tanh(float(np.max(ens.norm_H[r, : step + 1]) ** 2)) if tanh_sup else 1.0
         mps, mpt = float(np.dot(Ms, psi_n)), float(np.dot(Mt, psi_n))

@@ -721,6 +721,34 @@ def test_tightness_verb_records_the_lag_maxima_it_reads(tmp_path, monkeypatch):
     assert recorded == [(16, 64), (16, 64)]
 
 
+def test_tightness_verb_records_on_one_snapshot_grid(tmp_path, monkeypatch):
+    # each level's ensemble is snapshotted every experiment.integral_stride
+    # steps and records the noise integral alone, on that one grid, and no
+    # state; the increments it reads are of every step
+    cfg = json.loads((DEMOS / "tightness.json").read_text())
+    cfg["galerkin"]["n_list"] = [4, 8]
+    cfg["ensemble"]["trajectories"] = 16
+    run = load_config(cfg)
+    seen, integrate = [], cli.integrate_ensemble
+
+    def spy(config, n_traj, workers=1):
+        ens = integrate(config, n_traj, workers=workers)
+        seen.append((config, ens.snap_integrals["noise"].shape, ens.snap_u.shape, ens.increment_norms.shape))
+        return ens
+
+    monkeypatch.setattr(cli, "integrate_ensemble", spy)
+    run_command("tightness", run, tmp_path / "out", workers=2)
+    steps = run.galerkin.steps
+    assert run.experiment["integral_stride"] == 8 and steps == 1024
+    assert [config.n for config, *_ in seen] == [4, 8]
+    for config, noise, states, increments in seen:
+        assert config.snapshot_stride == run.experiment["integral_stride"]
+        assert config.records == {"integral_noise"}
+        assert noise == (16, steps // 8 + 1, config.n)
+        assert states == (16, 0, config.n)
+        assert increments == (16, len(config.increment_lags), steps + 1)
+
+
 def tightness_failure(tmp_path, cfg, monkeypatch) -> str:
     """The failure text of a tightness run that must stop before it
     integrates a level; its exit status is 1 and its summary is written."""
@@ -737,10 +765,10 @@ def tightness_failure(tmp_path, cfg, monkeypatch) -> str:
 @pytest.mark.parametrize("name, anchor", [("default", "0.125"), ("spaces", "0.00125"),
                                           ("uniqueness", "0.0625"), ("estimates", "0.125")])
 def test_tightness_verb_rejects_anchors_off_the_integral_grid(tmp_path, monkeypatch, name, anchor):
-    # the default anchors T/8.. off the grid of integral snapshots, every
-    # 8 steps of dt = 1e-3
+    # the default anchors T/8.. off the snapshot grid, every 8 steps of
+    # dt = 1e-3
     failure = tightness_failure(tmp_path, DEMOS / f"{name}.json", monkeypatch)
-    assert f"experiment.scaling_anchors: anchor {anchor} is not on the integral snapshot grid" in failure
+    assert f"experiment.scaling_anchors: anchor {anchor} is not on the snapshot grid" in failure
 
 
 def test_tightness_verb_rejects_windows_off_the_integral_grid(tmp_path, monkeypatch):
@@ -758,19 +786,19 @@ def test_tightness_verb_rejects_windows_below_one_step(tmp_path, monkeypatch, de
     cfg["galerkin"]["T"] = 0.25
     cfg["experiment"]["deltas"] = deltas
     failure = tightness_failure(tmp_path, cfg, monkeypatch)
-    assert failure == f"experiment.deltas: window(s) {short} shorter than one snapshot spacing 0.0009765625"
+    assert failure == f"experiment.deltas: window(s) {short} shorter than one step 0.0009765625"
 
 
 def test_tightness_verb_rejects_thetas_below_one_step(tmp_path, monkeypatch):
-    # an Aldous window below one spacing reads no increment: every exceedance
+    # an Aldous window below one step reads no increment: every exceedance
     # probability would be 0 and the gate would pass
     cfg = json.loads((DEMOS / "tightness.json").read_text())
     cfg["galerkin"]["T"] = 0.25
     cfg["experiment"].update(deltas=[0.0009, 0.01], thetas=[1e-4, 2e-4, 3e-4, 0.001])
     failure = tightness_failure(tmp_path, cfg, monkeypatch)
-    assert failure == ("experiment.deltas: window(s) 0.0009 shorter than one snapshot spacing 0.0009765625; "
-                       "experiment.thetas: window(s) 0.0001, 0.0002, 0.0003 shorter than one snapshot "
-                       "spacing 0.0009765625")
+    assert failure == ("experiment.deltas: window(s) 0.0009 shorter than one step 0.0009765625; "
+                       "experiment.thetas: window(s) 0.0001, 0.0002, 0.0003 shorter than one step "
+                       "0.0009765625")
 
 
 def test_ensemble_verb_names_too_few_paths(tmp_path, capsys):

@@ -57,14 +57,15 @@ def small_ensemble(basis2d_small):
 
 class FakeEnsemble:
     """The arrays and config entries FunctionFamily reads, for given
-    snapshots (R, S, n) of `basis` dt apart, with the lag maxima of lags
-    1..modulus_lags (default: every lag) of the brute-force oracle and the
-    increment norms at `increment_lags` of the pair-gather oracle."""
+    states (R, S, n) of `basis` at every step, dt apart, with the lag
+    maxima of lags 1..modulus_lags (default: every lag) of the brute-force
+    oracle and the increment norms at `increment_lags` of the pair-gather
+    oracle."""
 
     def __init__(self, snap_u, basis, dt=1e-2, norm_D=1.0, modulus_lags=None, increment_lags=()):
         R, S, n = snap_u.shape
         lags = S - 1 if modulus_lags is None else modulus_lags
-        self.config = SimpleNamespace(basis=basis, n=n, dt=dt, snap_times=np.arange(S) * dt,
+        self.config = SimpleNamespace(basis=basis, n=n, dt=dt, times=np.arange(S) * dt,
                                       modulus_lags=lags, increment_lags=tuple(increment_lags))
         self.snap_u = snap_u
         self.norm_H = np.ones((R, S))
@@ -148,7 +149,7 @@ def test_family_reductions_match_per_record_loops(basis2d_small):
     )
     ens = integrate_ensemble(cfg, 12)
     fam = FunctionFamily(ens)
-    last = len(ens.config.snap_times) - 1
+    last = cfg.steps
     assert fam.sup_sup_H() == max(float(np.max(norm_H)) for norm_H in ens.norm_H)
     assert fam.sup_V_integral() == max(
         float(np.sum(norm_H[:-1] ** 2 + norm_D[:-1] ** 2)) * ens.config.dt
@@ -156,9 +157,10 @@ def test_family_reductions_match_per_record_loops(basis2d_small):
     )
     for level in (0.0, float(np.median([np.max(norm_H) for norm_H in ens.norm_H])), np.inf):
         expect = []
+        # the first step at the level, whatever the snapshots
         for norm_H in ens.norm_H:
             hits = np.nonzero(norm_H >= level)[0]
-            expect.append(min(math.ceil(hits[0] / 3), last) if len(hits) else last)
+            expect.append(hits[0] if len(hits) else last)
         assert np.array_equal(_hitting_positions(fam, level), expect)
 
 
@@ -197,18 +199,6 @@ def test_term_bounds_identity(small_ensemble):
     assert set(res["increments"]) == {"stokes", "convection", "forcing", "noise"}
     assert all(inc.shape == (60, ens.config.n) for inc in res["increments"].values())
     assert np.all(res["increments"]["forcing"] == 0.0)  # zero forcing
-
-
-def test_identity_residual_needs_path_snapshots(basis2d_small):
-    cfg = GalerkinConfig(
-        basis=basis2d_small, n=8, dt=1e-3, T=0.012,
-        u0=random_field(basis2d_small, np.random.default_rng(4), n=8),
-        model=default_noise_model(2), seed=3, snapshot_stride=3, integral_snapshot_stride=2,
-    )
-    one = integrate_batch(cfg, [0])
-    assert decomposition_increments(one, tau=0.0, theta=0.006)["identity_residual"] < 1e-12
-    # step 2 is on the integral grid but has no path snapshot
-    assert math.isnan(decomposition_increments(one, tau=0.002, theta=0.004)["identity_residual"])
 
 
 def test_increment_scaling_exponents(small_ensemble):
@@ -342,8 +332,9 @@ def test_increment_norms_are_the_pair_gathers(basis2d_small, monkeypatch, block)
 def test_unrecorded_states_keep_the_reductions(basis2d_small, monkeypatch):
     # the lag maxima and the increment norms of paths stepped without the
     # states record, in blocks of 3 rows with two rows aborting, are the
-    # bits of the run that records them; each block keeps its snapshots in
-    # a private mapping of its own rows, closed when the block returns
+    # bits of the run that records them; each block, with the states or
+    # without, keeps its path in a private mapping of its own rows, closed
+    # when the block returns
     cfg = small_config(basis2d_small, overflow_limit=1e3, modulus_lags=20, increment_lags=(4, 16, 64))
     dW = aborting_increments(cfg, 7)
     full = integrate_batch(cfg, range(7), dW)
@@ -365,13 +356,43 @@ def test_unrecorded_states_keep_the_reductions(basis2d_small, monkeypatch):
     maps.clear()
     ens = integrate_ensemble(part_cfg, 7)
     assert np.array_equal(ens.increment_norms, integrate_ensemble(cfg, 7).increment_norms)
+    # blocks of 3, 3 and 1 rows, of each ensemble
     blocks = [m for length, m in maps if length in (8 * 3 * 129 * cfg.n, 8 * 129 * cfg.n)]
-    assert len(blocks) == 3 and all(m.closed for m in blocks)
+    assert len(blocks) == 6 and all(m.closed for m in blocks)
     # nothing reads the states: no block mapping at all
     maps.clear()
     none = integrate_batch(replace(part_cfg, modulus_lags=0, increment_lags=()), range(7), dW)
     assert none.snap_u.shape == (7, 0, cfg.n)
     assert not [m for length, m in maps if length == 8 * 7 * 129 * cfg.n]
+
+
+@pytest.mark.parametrize("records", ["noise", "all"])
+def test_lag_reductions_count_steps_whatever_the_snapshots(basis2d_small, monkeypatch, records):
+    # 7 paths snapshotted every 8 steps, with the noise integral alone or
+    # every record: one batch with rows 1 and 3 aborting at step 41, and an
+    # ensemble in blocks of 3 rows on 2 workers.  The lag maxima over 20
+    # steps, past the 16 spacings of the snapshots, and every step's
+    # increments at lags 0, 1, 5, 64 and 200 steps are the oracles' bits on
+    # the states of the same paths recorded at every step
+    cfg = small_config(basis2d_small, overflow_limit=1e3, modulus_lags=20, increment_lags=(0, 1, 5, 64, 200))
+    assert cfg.snapshot_stride == 1
+    kept = {"noise": {"integral_noise"}, "all": galerkin.RECORDS}[records]
+    sparse = replace(cfg, snapshot_stride=8, records=kept)
+    dW = aborting_increments(cfg, 7)
+    monkeypatch.setattr(galerkin, "cache_rows", lambda config: 3)
+    w = basis2d_small.mode_weights("Udual", cfg.n)
+    runs = [(integrate_batch(cfg, range(7), dW), integrate_batch(sparse, range(7), dW)),
+            (integrate_ensemble(cfg, 7, workers=2), integrate_ensemble(sparse, 7, workers=2))]
+    for every, ens in runs:
+        assert every.snap_u.shape == (7, 129, cfg.n) and len(ens.config.snap_idx) == 17
+        assert ens.snap_u.shape == (7, 17 if records == "all" else 0, cfg.n)
+        assert np.array_equal(ens.abort_step, every.abort_step)
+        assert ens.lag_maxima.shape == (7, 20) and ens.increment_norms.shape == (7, 5, 129)
+        assert np.array_equal(ens.lag_maxima, brute_lag_maxima(every.snap_u, w, 20))
+        assert np.array_equal(ens.increment_norms, pair_increment_norms(every.snap_u, w, cfg.increment_lags))
+    (_, batch), (_, ens) = runs
+    assert batch.abort_step.tolist() == [-1, 41, -1, 41, -1, -1, -1] and not ens.aborted.any()
+    assert np.all(batch.increment_norms[[1, 3], :, 41:] == 0.0)
 
 
 def test_a_missing_increment_lag_is_named(small_ensemble):

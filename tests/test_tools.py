@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -52,3 +53,23 @@ def test_compare_reads_the_peak_split_like_the_metrics():
     assert out["verb_peak_mb"]["change_wins"] == 2 and out["worker_peak_mb"]["change_wins"] == 0
     assert out["second_worker_peak_mb"]["change_wins"] == 2
     assert out["verb_peak_mb"]["parent"]["median"] == pytest.approx(51.0)
+
+
+def test_a_bench_run_starts_from_the_fixed_variables_alone(tmp_path, monkeypatch):
+    # a stand-in bench/run.py that prints its environment as its result
+    # line: a version manager's PYENV_* variables, and any other the caller
+    # has beyond CHILD_ENV, do not reach it
+    (tmp_path / "bench").mkdir()
+    (tmp_path / "bench" / "run.py").write_text("import json, os\nprint(json.dumps(dict(os.environ)))\n")
+    monkeypatch.setenv("PYENV_VERSION", "3.11.7")
+    monkeypatch.setenv("PYENV_ROOT", str(tmp_path / "pyenv"))
+    monkeypatch.setenv("SGNS_WORKERS", "3")
+    monkeypatch.setenv("PATH", os.environ.get("PATH", "/usr/bin"))
+    monkeypatch.setenv("LANG", "C.UTF-8")
+    _, result = bench_pairs.bench_run(tmp_path, "w", 1)
+    env = {k: v for k, v in result.items() if k not in bench_pairs.peak_split(tmp_path, "w")}
+    env.pop("exit_status")
+    assert not [name for name in env if name.startswith("PYENV_")] and "SGNS_WORKERS" not in env
+    assert set(env) <= set(bench_pairs.CHILD_ENV)
+    assert env["PATH"] == os.environ["PATH"] and env["LANG"] == "C.UTF-8"
+    assert list(bench_pairs.child_env()) == [name for name in bench_pairs.CHILD_ENV if name in os.environ]

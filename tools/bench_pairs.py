@@ -25,12 +25,15 @@ invocation the three add up to ``peak_rss_mb``; the second worker matters
 where a verb forks one pool per level, as ``tightness-levels`` does, so
 that the two summed peaks are workers of different pools.  The ``build``
 record says whether the runs start from bytecode: the value of
-``PYTHONDONTWRITEBYTECODE``, which every run inherits, and per checkout
-whether ``src/sgns/__pycache__`` exists before the first run and after the
-last.  Under that flag and with no cache, every start compiles
-``src/sgns`` from source, so ``setup_s`` and ``peak_rss_mb`` move with
-the size of the modules.  Give both checkouts sibling directories with
-names of equal length: on some workloads peak RSS moves with the path.
+``PYTHONDONTWRITEBYTECODE`` and per checkout whether
+``src/sgns/__pycache__`` exists before the first run and after the last.
+Under that flag and with no cache, every start compiles ``src/sgns`` from
+source, so ``setup_s`` and ``peak_rss_mb`` move with the size of the
+modules.  Every run starts from the same few variables of the caller's
+environment, ``CHILD_ENV``, and no other (the caller's other variables
+moved ``peak_rss_mb`` by about 0.7 MB); the ``build`` record lists those
+it passed.  Give both checkouts sibling directories with names of equal
+length: on some workloads peak RSS moves with the path.
 """
 
 from __future__ import annotations
@@ -53,9 +56,19 @@ sys.path.insert(0, str(ROOT / "bench"))
 from workloads import WORKERS  # noqa: E402  (the workers each verb run is given)
 
 RUN_SECONDS = 5
+# the variables of the caller's environment a bench/run.py run starts from,
+# those the caller has: the search path, the home directory, the locale and
+# whether to write bytecode
+CHILD_ENV = ("PATH", "HOME", "LANG", "LC_ALL", "LC_CTYPE", "PYTHONDONTWRITEBYTECODE")
 # the parts of peak_rss_mb that `peak_split` records per run
 PEAK_SPLIT = [{"name": name, "unit": "MB", "better": "lower", "bound": None}
               for name in ("verb_peak_mb", "worker_peak_mb", "second_worker_peak_mb")]
+
+
+def child_env() -> dict:
+    """The environment of a bench/run.py run: the CHILD_ENV variables of
+    the caller's."""
+    return {name: os.environ[name] for name in CHILD_ENV if name in os.environ}
 
 
 def bench_run(root: Path, workload: str, seed: int) -> tuple:
@@ -63,7 +76,7 @@ def bench_run(root: Path, workload: str, seed: int) -> tuple:
     proc = subprocess.run(
         [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(RUN_SECONDS), "--trace", "0"],
-        cwd=root, capture_output=True, text=True,
+        cwd=root, env=child_env(), capture_output=True, text=True,
     )
     lines = proc.stdout.splitlines()
     machine = next((json.loads(line[len("machine "):]) for line in lines if line.startswith("machine ")), {})
@@ -149,7 +162,7 @@ def main(argv=None) -> int:
     spec = json.loads((roots["change"] / "BENCHMARK.json").read_text())
     machine, workloads = {}, {}
     build = {"PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE"),
-             "pycache_before": pycache(roots)}
+             "child_env": list(child_env()), "pycache_before": pycache(roots)}
     for w in (entry["name"] for entry in spec["workloads"]):
         runs = {"parent": [], "change": []}
         for i in range(args.pairs):
