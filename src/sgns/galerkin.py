@@ -65,14 +65,6 @@ from .spectral import Basis, ROLE_COS, SpectralField, block_rows, project_Pn, ro
 # -- Wiener increments -------------------------------------------------------
 
 
-def generate_wiener(steps: int, M: int, dt: float, seed: int, traj_index: int = 0) -> np.ndarray:
-    """Increments (steps, M) of the truncated cylindrical Wiener process,
-    N(0, dt) each, Philox-keyed: identical for identical (seed, traj_index)."""
-    if steps < 1 or M < 0:
-        raise ValueError("need steps >= 1 and M >= 0")
-    return _wiener_stream(seed, traj_index).normal(0.0, math.sqrt(dt), size=(steps, M))
-
-
 def _wiener_stream(seed: int, traj_index: int) -> np.random.Generator:
     """The Philox generator of trajectory `traj_index` under `seed`: drawn
     in consecutive blocks of steps, it gives the bits of one draw."""
@@ -744,9 +736,10 @@ def step_chunks(config: GalerkinConfig, indices, x0=None, dW=None, h_norm: bool 
     Row r starts from the coordinates of P_n config.u0, or from row r of
     `x0` (B, n) copied in C order, and is driven by its column of `dW`
     (steps, B, M) when given; otherwise by the Philox stream of trajectory
-    indices[r] (`generate_wiener`), drawn chunk by chunk, which keeps every
-    bit, and once for a trajectory that is several rows.  The chunks are
-    `row_blocks` over the steps, at most GRID_BLOCK // (B n) steps each.
+    indices[r] (`_wiener_stream`), drawn chunk by chunk, which keeps the bits
+    of one draw of all steps, and once for a trajectory that is several
+    rows.  The chunks are `row_blocks` over the steps, at most
+    GRID_BLOCK // (B n) steps each.
 
     Each chunk takes its steps with the arithmetic of `_step` and buffers,
     at every step, the states, the Dirichlet and U' norms (and the H norms
@@ -1162,11 +1155,6 @@ class MartingaleReport:
 
 def h_one(ens: Ensemble, step: int) -> np.ndarray:
     return np.ones(len(ens))
-
-
-def h_tanh_sup(ens: Ensemble, step: int) -> np.ndarray:
-    """Bounded functional of each path up to the conditioning time."""
-    return float_map(lambda sup: math.tanh(sup**2), np.max(ens.norm_H[:, : step + 1], axis=1))
 
 
 def martingale_diagnostic(ens: Ensemble, a: int, b: int, s: float, t: float, h=h_one) -> MartingaleReport:

@@ -2,16 +2,21 @@
 and numerical certification of its coercivity, growth and Lipschitz constants.
 
 Coefficient fields are finite real Fourier series, so all products are exact
-convolutions and every sup-norm is a trigonometric-polynomial maximum that a
-refinement-doubling grid search pins down (exactly, for constant
-coefficients).  The certified constants feed the admissible moment exponents
-and the 2D uniqueness gate downstream.
+convolutions.  The sup of a constant coefficient is exact; the sup of a
+non-constant one is a polished maximum (a grid sweep, one doubling check
+and a simplex polish), a value the function actually reaches.  Such a sup
+can fall short of the true one and is no upper bound, so C1 and the
+analytic growth bound formed from it can fall short of their true values
+and the coercivity margin a can overshoot its true minimum.  These
+constants feed the admissible moment exponents and the 2D uniqueness gate
+downstream.
 
-Every certificate here is exact: `noise_conditions` forms the constants the
-coefficient sups fix, and `exact_constants` the sups and margin on the
-Galerkin space as eigenvalues.  The random-field samplers that check them
-live with the tests (`tests/noise_oracle.py`); the one sampler kept here,
-`sampled_lipschitz`, is the uniqueness verb's witness of the exact L.
+`noise_conditions` forms the constants the coefficient sups fix, and
+`exact_constants` the sups and margin on the Galerkin space as exact
+eigenvalues.  The random-field samplers that check them, and the per-field
+application of G that checks `noise_matrices`, live with the tests
+(`tests/noise_oracle.py`); the one sampler kept here, `sampled_lipschitz`,
+is the uniqueness verb's witness of the exact L.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import ROLE_COS, ROLE_SIN, Basis, SpectralField, grid_points, norm
+from .spectral import ROLE_COS, ROLE_SIN, Basis, grid_points
 
 
 @dataclass(frozen=True)
@@ -84,10 +89,6 @@ class HarmonicField:
             out += np.sin(phase)[..., None] * np.asarray(sa)
         return out
 
-    def sample(self, domain, N: int) -> np.ndarray:
-        """Values on the uniform N^d grid, shape (N, ..., N, ncomp)."""
-        return self.values(domain, grid_points(domain, N))
-
     def divergence(self, domain) -> "HarmonicField":
         """div of a vector field, as a scalar HarmonicField (constants drop out)."""
         if self.ncomp != domain.d:
@@ -123,7 +124,8 @@ def _polished_max(scalar_at, domain, max_k: int) -> float:
 
 
 def sup_norm(field: HarmonicField, domain) -> float:
-    """Sup of |f(x)|: exact for constants, polished grid maximum otherwise."""
+    """Sup of |f(x)|: exact for constants; otherwise a polished grid
+    maximum, a value |f| reaches, which can fall short of the sup."""
     if field.is_constant:
         return float(np.linalg.norm(field.const))
 
@@ -175,7 +177,7 @@ def default_noise_model(d: int = 2) -> NoiseModel:
     return constant_transport_model([b], d=d)
 
 
-# -- applying G ------------------------------------------------------------
+# -- the noise matrices ----------------------------------------------------
 
 
 # convolution tables, keyed by value: they depend only on the noise model
@@ -200,40 +202,15 @@ def _tables(model: NoiseModel, basis: Basis) -> list:
     return terms
 
 
-def apply_G_direction(u: SpectralField, i: int, model: NoiseModel) -> SpectralField:
-    """G(u)h^i for the i-th canonical direction: (b_i . grad)u + c_i u,
-    computed by exact convolution, Leray-projected and lattice-truncated;
-    for one field or a stack."""
-    basis = u.basis
-    ua = basis.to_exp_coeffs(u)
-    out = np.zeros_like(ua)
-    for rows, scal in _tables(model, basis)[i]:
-        ok = rows >= 0
-        # one shift sends distinct rows to distinct rows
-        out[..., rows[ok], :] += scal[ok, None] * ua[..., ok, :]
-    return basis.from_exp_coeffs(out)
-
-
-def apply_G(u: SpectralField, h, model: NoiseModel) -> SpectralField:
-    """Noise operator G(u)h = sum_i h_i [(b_i . grad)u + c_i u]."""
-    h = np.asarray(h, dtype=float)
-    if h.shape != (model.M,):
-        raise ValueError(f"h must have length M = {model.M}")
-    out = u.basis.zero_field()
-    for i in range(model.M):
-        if h[i] != 0.0:
-            out = out + h[i] * apply_G_direction(u, i, model)
-    return out
-
-
 def noise_matrices(model: NoiseModel, basis: Basis, n: int | None = None) -> list:
     """Real matrices of u -> P_n G(u)h^i against the first n real eigenfields,
     read off the convolution tables: basis field e_j sits on the rows of its
     slot's k and -k, and each term of `_tables` moves a row to one row, so
     column j needs only the conjugate pairs that its terms reach.  Each step
-    is the arithmetic of `to_exp_coeffs`, `apply_G_direction` and
+    is the arithmetic of `to_exp_coeffs`, a pass over the tables and
     `from_exp_coeffs`, in their order, so column j is bitwise the image of
-    e_j; an entry that no term reaches keeps its zero."""
+    e_j under the per-field oracle `apply_G_direction` of
+    `tests/noise_oracle.py`; an entry that no term reaches keeps its zero."""
     n = basis.n_modes if n is None else n
     mats = [np.zeros((n, n)) for _ in range(model.M)]
     npol, d, alpha = basis.npol, basis.domain.d, basis._exp_alpha
@@ -278,13 +255,6 @@ def noise_matrices(model: NoiseModel, basis: Basis, n: int | None = None) -> lis
     return mats
 
 
-def hs_norm_G(u: SpectralField, model: NoiseModel, target: str = "H") -> float:
-    """Hilbert-Schmidt norm of G(u) into H or V' over the M canonical directions."""
-    if target not in ("H", "Vdual"):
-        raise ValueError(f"target must be 'H' or 'Vdual', got {target!r}")
-    return math.sqrt(sum(norm(apply_G_direction(u, i, model), target) ** 2 for i in range(model.M)))
-
-
 # -- certified constants ----------------------------------------------------
 
 
@@ -323,9 +293,10 @@ def _lambda_max(mats: np.ndarray, d: int) -> np.ndarray:
 def coercivity_constant(model: NoiseModel, domain) -> float:
     """a = min over x of (2 - lambda_max(sum_i b_i(x) b_i(x)^T)).
 
-    Positive a certifies that viscous dissipation dominates the gradient part
-    of the noise; a <= 0 flags the model as inadmissible.  Exact for constant
-    coefficients, polished grid minimum otherwise.
+    Positive a says that viscous dissipation dominates the gradient part of
+    the noise; a <= 0 flags the model as inadmissible.  Exact for constant
+    coefficients; otherwise 2 less a polished grid maximum, a value that
+    lambda_max reaches, so a can overshoot the true minimum.
     """
     bs = [b for b, _ in model.directions if b is not None]
     if not bs:
@@ -383,7 +354,9 @@ def exact_constants(model: NoiseModel, basis: Basis, eta: float | None = None,
 
     Only L is formed unless the coercivity pair (eta, lam0) is given.  P_n G
     drops the part of G(u) outside the box, so each is a lower bound of its
-    infinite-dimensional constant, which `direction_sups` bounds above."""
+    infinite-dimensional constant.  The analytic constants formed from
+    `direction_sups` bound it above only where those sups are exact
+    (constant coefficients): a polished maximum can fall short."""
     mats = noise_matrices(model, basis)
     wD = basis.mode_weights("D")
     S = np.zeros((basis.n_modes,) * 2)
@@ -467,18 +440,3 @@ def noise_conditions(model: NoiseModel, domain, eps: float | None = None) -> Noi
     return NoiseConditionReport(C1=C1, a=a, eps=eps, eta=a - eps, lam0=C1**2 / (4.0 * eps) + C1,
                                 gstar_analytic=gan, rejected=False)
 
-
-def continuity_constant_Gstarstar(model: NoiseModel, psi: SpectralField) -> float:
-    """The least C of the weak-continuity condition on the basis of psi,
-
-        |<G(u) - G(v) | psi>|_Y  <=  C |u - v|_H ||psi||_V   for all u, v.
-
-    G is linear, so the pairing is A (u - v) in real coordinates, with
-    A[i, j] = <G_i e_j, psi>_H read from `noise_matrices`, and C is
-    sigma_max(A) / ||psi||_V; 0 when psi = 0 or the model has no direction."""
-    psiV = norm(psi, "V")
-    if model.M == 0 or psiV == 0.0:
-        return 0.0
-    x = psi.basis.real_coords(psi)
-    A = np.stack([x @ mat for mat in noise_matrices(model, psi.basis)])
-    return float(np.linalg.norm(A, 2)) / psiV

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict
 
 import numpy as np
 
@@ -248,8 +247,8 @@ class Basis:
     def from_exp_coeffs(self, amp: np.ndarray) -> "SpectralField":
         """Decompose full-lattice amplitudes (..., rows, d) onto the polarization slots.
 
-        Components parallel to k are discarded, so this is also the Leray
-        projection of a conjugate-symmetric coefficient array.
+        Components parallel to k are discarded: this is the Leray projection
+        of a conjugate-symmetric coefficient array onto the solenoidal span.
         """
         c = np.einsum("...sd,sd->...s", amp[..., self._slot_row, :], self.slot_eps) / self._exp_alpha / 2.0
         neg = amp[..., self._slot_row_neg, :].conj()
@@ -361,28 +360,6 @@ def blockwise(fn, fields: tuple, values_per_row: int) -> np.ndarray:
     return out.reshape(coeffs[0].shape[:-1] + out.shape[1:])
 
 
-def leray_project(basis: Basis, raw: Dict[tuple, np.ndarray]) -> SpectralField:
-    """Project raw conjugate-symmetric vector amplitudes onto the solenoidal span.
-
-    `raw` maps lattice vectors to complex vector amplitudes; entries may be
-    given on either or both halves of the spectrum (missing halves are
-    implied by conjugation).
-    """
-    amp = np.zeros((len(basis.lattice_k), basis.domain.d), dtype=complex)
-    seen = np.zeros(len(basis.lattice_k), dtype=bool)
-    for k, v in raw.items():
-        k = tuple(int(x) for x in k)
-        row = basis.lattice_rows(k) if len(k) == basis.domain.d else -1
-        if row < 0:
-            raise ValueError(f"wavevector {k} outside the mode lattice")
-        amp[row] = np.asarray(v, dtype=complex)
-        seen[row] = True
-    for r, rn in ((basis._slot_row, basis._slot_row_neg), (basis._slot_row_neg, basis._slot_row)):
-        fill = seen[r] & ~seen[rn]
-        amp[rn[fill]] = amp[r[fill]].conj()
-    return basis.from_exp_coeffs(amp)
-
-
 _MULTIPLIERS = {
     "Acal": lambda b: b.slot_kappa2,
     "A": lambda b: 1.0 + b.slot_kappa2,
@@ -410,18 +387,6 @@ def project_Pn(u: SpectralField, n: int) -> SpectralField:
     if not 1 <= n <= basis.n_modes:
         raise ValueError(f"projection level {n} outside [1, {basis.n_modes}]")
     return basis.field_from_real_coords(basis.real_coords(u, n))
-
-
-def partial_derivative(u: SpectralField, axis: int) -> SpectralField:
-    """d/dx_axis as the per-slot multiplier i*kappa_axis (stays solenoidal)."""
-    return SpectralField(u.basis, 1j * u.basis.slot_kappa[:, axis] * u.coeffs)
-
-
-def eval_physical(u: SpectralField, grid_points_per_axis: int) -> np.ndarray:
-    """Sample the real field(s) on the uniform N^d grid, (..., N, ..., N, d);
-    exact for N >= 2K+2."""
-    basis = u.basis
-    return np.moveaxis(basis.grid_values(basis.to_exp_coeffs(u), int(grid_points_per_axis)), 0, -1)
 
 
 def grid_points(domain: TorusDomain, N: int) -> np.ndarray:

@@ -15,13 +15,13 @@ The modulus table reads the per-path lag maxima
 table and its threshold read the per-path increments from every step at
 their lags (`GalerkinConfig.increment_lags`, sized by `increment_lags`);
 both lags count steps, and an ensemble that recorded too few lags for a
-table is a `ValueError`, not a recomputation.  The decomposition
-increments and their scaling read the running integrals on the snapshot
-grid, the one grid of every stored record.  The nonlinear-term refinement
-reads each level's integral from that level's path
-(`galerkin.convection_pairing`).  The nested-space construction that
-supplies the compact embedding U -> V_s is built and certified
-separately.
+table is a `ValueError`, not a recomputation.  The scaling of the
+decomposition increments reads the running integrals on the snapshot grid,
+the one grid of every stored record; the per-row increments themselves, with
+the identity residual, are a test oracle (`tests/path_oracle.py`).  The
+nonlinear-term refinement reads each level's integral from that level's
+path (`galerkin.convection_pairing`).  The nested-space construction that
+supplies the compact embedding U -> V_s is built and certified separately.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .estimates import median, percentile
-from .galerkin import INTEGRALS, Ensemble, _grid_positions, convection_pairing, integral_record, require_records
+from .galerkin import INTEGRALS, Ensemble, _grid_positions, convection_pairing, integral_record
 
 
 # -- windows -------------------------------------------------------------------
@@ -306,20 +306,6 @@ def calibrate_aldous_eta(family: FunctionFamily, theta: float, quantile: float =
 
 
 # -- J-term decomposition -------------------------------------------------------
-
-
-def decomposition_increments(ens: Ensemble, tau: float, theta: float) -> dict:
-    """Increments (R, n) of each row's drift/forcing/noise integrals over
-    [tau, tau + theta], both on the snapshot grid, plus the worst
-    decomposition-identity residual over the rows against the increments of
-    the paths themselves.  The ensemble must have recorded the drift and
-    noise integrals and the states (`GalerkinConfig.records`)."""
-    cfg = ens.config
-    require_records(cfg, "decomposition_increments", "integral_drift", "integral_noise", "states")
-    a, b = _grid_positions(cfg.snap_times, (tau, tau + theta), cfg.dt)
-    out = {name: ens.snap_integrals[name][:, b] - ens.snap_integrals[name][:, a] for name in INTEGRALS}
-    residual = float(np.max(np.abs(ens.snap_u[:, b] - ens.snap_u[:, a] - sum(out.values()))))
-    return {"increments": out, "identity_residual": residual}
 
 
 @dataclass

@@ -16,12 +16,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .estimates import gronwall_eval, median
-from .galerkin import (
-    Ensemble, GalerkinConfig, _compiled, cache_rows, horizon_violations, level_violations, require_records,
-    step_chunks,
-)
-from .nonlinear import TrilinearWorkspace, bilinear_B, trilinear_b
-from .spectral import Basis, SpectralField, blockwise, norm, per_field, project_Pn, row_blocks
+from .galerkin import GalerkinConfig, _compiled, cache_rows, horizon_violations, level_violations, step_chunks
+from .nonlinear import TrilinearWorkspace, trilinear_b
+from .spectral import Basis, SpectralField, blockwise, norm, per_field, project_Pn
 
 # Young-chain constant in the shifted energy inequality: bounding the doubled
 # convection term by (1/2)||v||^2 + C (|v|^2 + 1) ||z||_L4^4 via two Young
@@ -67,44 +64,6 @@ def trilinear_2d_bound(u: SpectralField, v: SpectralField, w: SpectralField, ws:
              * np.sqrt(norm(w, "H") * norm(w, "D")))
     b = np.abs(trilinear_b(u, v, w, ws))
     return per_field(np.divide(b, denom, out=np.full(np.shape(b), math.nan), where=denom != 0.0))
-
-
-@dataclass
-class PathBoundReport:
-    """Per-row (R,) values of the path-level bound."""
-
-    ratio: np.ndarray
-    b_l2_vdual: np.ndarray
-    sup_H: np.ndarray
-    l2_V: np.ndarray
-
-
-def convection_path_bound(ens: Ensemble, ws: TrilinearWorkspace) -> PathBoundReport:
-    """Path-level bound ||B(u)||_{L2(0,T;V')} <= sqrt(2) |u|_{Linf H} ||u||_{L2 V}
-    evaluated on the snapshot grid of each row of an Ensemble, in its
-    config's basis, which the workspace must be of (ratio 0 where the bound
-    is 0).  The snapshot fields are taken as stacks, in row blocks, from an
-    ensemble that recorded the states."""
-    basis = ens.config.basis
-    _require_2d(basis)
-    require_records(ens.config, "convection_path_bound", "states")
-    if ws.basis is not basis:
-        raise ValueError("the workspace is of another basis than the ensemble's config")
-    times = ens.config.snap_times
-    if len(times) < 2:
-        raise ValueError("record carries too few snapshots")
-    norms = np.zeros((3, len(ens), len(times)))
-    for rows in row_blocks(len(ens), len(times) * ws.field_values):
-        u = basis.field_from_real_coords(ens.snap_u[rows])
-        norms[:, rows] = norm(bilinear_B(u, u, ws), "Vdual") ** 2, norm(u, "V") ** 2, norm(u, "H")
-    b2, v2, h = norms
-    supH = np.max(h, axis=1)
-    dts = np.diff(times)
-    int_b = np.sum(b2[:, :-1] * dts, axis=1)
-    int_v = np.sum(v2[:, :-1] * dts, axis=1)
-    denom = 2.0**0.5 * supH * np.sqrt(int_v)
-    ratio = np.divide(np.sqrt(int_b), denom, out=np.zeros(len(ens)), where=denom > 0)
-    return PathBoundReport(ratio=ratio, b_l2_vdual=np.sqrt(int_b), sup_H=supH, l2_V=np.sqrt(int_v))
 
 
 # -- shifted deterministic equation ------------------------------------------

@@ -3,7 +3,7 @@ import pytest
 
 from sgns import galerkin, spectral
 from sgns.noise import HarmonicField, NoiseModel
-from sgns.spectral import Basis, SpaceScale, TorusDomain
+from sgns.spectral import Basis, SpaceScale, SpectralField, TorusDomain
 
 
 def mode_id(basis, k, role=None) -> int:
@@ -26,6 +26,18 @@ def walk_in_chunks(monkeypatch, rows: int, n: int, chunk: int) -> None:
     rows of n coordinates in chunks of `chunk` steps (row_blocks over the
     steps at rows x n values per step)."""
     monkeypatch.setattr(spectral, "GRID_BLOCK", chunk * rows * n)
+
+
+def partial_derivative(u: SpectralField, axis: int) -> SpectralField:
+    """d/dx_axis as the per-slot multiplier i*kappa_axis (stays solenoidal)."""
+    return SpectralField(u.basis, 1j * u.basis.slot_kappa[:, axis] * u.coeffs)
+
+
+def eval_physical(u: SpectralField, grid_points_per_axis: int) -> np.ndarray:
+    """Sample the real field(s) on the uniform N^d grid, (..., N, ..., N, d);
+    exact for N >= 2K+2."""
+    basis = u.basis
+    return np.moveaxis(basis.grid_values(basis.to_exp_coeffs(u), int(grid_points_per_axis)), 0, -1)
 
 
 def two_direction_model(d: int) -> NoiseModel:

@@ -5,6 +5,7 @@ independent reference for the per-path ledger that `galerkin.step_chunks`
 reduces while it steps."""
 
 import numpy as np
+from stepper_oracle import generate_wiener
 
 from sgns import galerkin
 
@@ -24,7 +25,7 @@ def ledger_arrays(ens, dW=None) -> dict:
     sys = galerkin._compiled(cfg.basis, cfg.n, cfg.model, cfg.include_B)
     steps, dt = cfg.steps, cfg.dt
     if dW is None:
-        dW = np.stack([galerkin.generate_wiener(steps, cfg.M, dt, cfg.seed, i) for i in ens.indices.tolist()],
+        dW = np.stack([generate_wiener(steps, cfg.M, dt, cfg.seed, i) for i in ens.indices.tolist()],
                       axis=1)
     forced = cfg.forcing is not None
     f = cfg.basis.real_coords(cfg.forcing, cfg.n) if forced else np.zeros(cfg.n)

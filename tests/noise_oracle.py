@@ -3,13 +3,63 @@ Galerkin space for the noise conditions, and random points of the unit
 sphere for the nested space.  A sampled maximum can only fall below the sup
 it estimates, so these are the independent lower witnesses of
 `noise.exact_constants` and of `tightness.build_nested_space`, whose
-verdicts rest on the exact values."""
+verdicts rest on the exact values.
+
+Here too are the noise operator applied to a field, G(u)h by exact
+convolution on the lattice, the oracle whose image of each basis field
+`noise.noise_matrices` must give to the bit, and the exact constant of the
+weak-continuity condition (G**), which no verb reports."""
 
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from sgns.noise import NoiseConditionReport, _max_lipschitz_quotient, noise_conditions, noise_matrices
+from sgns.noise import (
+    NoiseConditionReport, NoiseModel, _max_lipschitz_quotient, _tables, noise_conditions, noise_matrices,
+)
+from sgns.spectral import SpectralField, norm
+
+
+def apply_G_direction(u: SpectralField, i: int, model: NoiseModel) -> SpectralField:
+    """G(u)h^i for the i-th canonical direction: (b_i . grad)u + c_i u,
+    computed by exact convolution, Leray-projected and lattice-truncated;
+    for one field or a stack."""
+    basis = u.basis
+    ua = basis.to_exp_coeffs(u)
+    out = np.zeros_like(ua)
+    for rows, scal in _tables(model, basis)[i]:
+        ok = rows >= 0
+        # one shift sends distinct rows to distinct rows
+        out[..., rows[ok], :] += scal[ok, None] * ua[..., ok, :]
+    return basis.from_exp_coeffs(out)
+
+
+def apply_G(u: SpectralField, h, model: NoiseModel) -> SpectralField:
+    """Noise operator G(u)h = sum_i h_i [(b_i . grad)u + c_i u]."""
+    h = np.asarray(h, dtype=float)
+    if h.shape != (model.M,):
+        raise ValueError(f"h must have length M = {model.M}")
+    out = u.basis.zero_field()
+    for i in range(model.M):
+        if h[i] != 0.0:
+            out = out + h[i] * apply_G_direction(u, i, model)
+    return out
+
+
+def continuity_constant_Gstarstar(model: NoiseModel, psi: SpectralField) -> float:
+    """The least C of the weak-continuity condition on the basis of psi,
+
+        |<G(u) - G(v) | psi>|_Y  <=  C |u - v|_H ||psi||_V   for all u, v.
+
+    G is linear, so the pairing is A (u - v) in real coordinates, with
+    A[i, j] = <G_i e_j, psi>_H read from `noise_matrices`, and C is
+    sigma_max(A) / ||psi||_V; 0 when psi = 0 or the model has no direction."""
+    psiV = norm(psi, "V")
+    if model.M == 0 or psiV == 0.0:
+        return 0.0
+    x = psi.basis.real_coords(psi)
+    A = np.stack([x @ mat for mat in noise_matrices(model, psi.basis)])
+    return float(np.linalg.norm(A, 2)) / psiV
 
 
 @dataclass

@@ -2,26 +2,35 @@
 reference for `galerkin.step_chunks` and its Ensemble writer
 `galerkin._integrate_rows`, which walk the steps in time chunks.
 
-The loop draws each row's increments for all steps at once, writes norms
-into the Ensemble at each step and the states, running integrals and
-quadratic variations at each snapshot step, keeps every step's state for
-the lag reductions, and folds the energy ledger every `LEDGER_CHUNK`
-steps.  Its
-squared norms are the weighted sums of one (B, 3, n) broadcast and its
+The loop draws each row's increments for all steps at once
+(`generate_wiener`), writes norms into the Ensemble at each step and the
+states, running integrals and quadratic variations at each snapshot step,
+keeps every step's state for the lag reductions, and folds the energy
+ledger every `LEDGER_CHUNK` steps.  Its squared norms are the weighted sums of one (B, 3, n) broadcast and its
 convection scatters the segment sums into zeros, as the stepper's did
 before it was chunked; every other operation is the stepper's, so a walk in
 any chunks must give this loop's bits."""
 
+import math
+
 import numpy as np
 from lag_oracle import pair_increment_norms
 
-from sgns.galerkin import (
-    INTEGRALS, _compiled, _lag_maxima, _stacked, generate_wiener, integral_record,
-)
+from sgns.galerkin import INTEGRALS, _compiled, _lag_maxima, _stacked, integral_record
 from sgns.spectral import project_Pn
 
 # steps whose ledger terms the loop buffers before folding them
 LEDGER_CHUNK = 64
+
+
+def generate_wiener(steps: int, M: int, dt: float, seed: int, traj_index: int = 0) -> np.ndarray:
+    """Increments (steps, M) of the truncated cylindrical Wiener process of
+    trajectory `traj_index`, N(0, dt) each, drawn at once from the Philox
+    stream keyed by (seed, traj_index).  The key is built here, not taken
+    from the stepper, so a walk that draws its own stream in chunks is
+    checked on its keying as well as its draws."""
+    rng = np.random.Generator(np.random.Philox(key=[seed & (2**64 - 1), traj_index]))
+    return rng.normal(0.0, math.sqrt(dt), size=(steps, M))
 
 
 def convection(sys, x: np.ndarray) -> np.ndarray:

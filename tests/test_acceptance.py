@@ -8,13 +8,14 @@ import math
 
 import numpy as np
 import pytest
+from conftest import eval_physical, partial_derivative
 from noise_oracle import certify_conditions, sample_nested_space
+from path_oracle import convection_path_bound, h_tanh_sup
 
 from sgns.estimates import aggregate, uniformity_report
 from sgns.galerkin import (
     GalerkinConfig,
     energy_budget_check,
-    h_tanh_sup,
     integrate_batch,
     integrate_ensemble,
     martingale_diagnostic,
@@ -33,10 +34,8 @@ from sgns.spectral import (
     SpaceScale,
     TorusDomain,
     apply_operator,
-    eval_physical,
     inner,
     norm,
-    partial_derivative,
     project_Pn,
     random_field,
     stack,
@@ -53,7 +52,6 @@ from sgns.tightness import (
 )
 from sgns.twodim import (
     ShiftedProblem,
-    convection_path_bound,
     energy_inequality_check,
     ladyzhenskaya_check,
     pathwise_uniqueness_experiment,

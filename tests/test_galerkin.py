@@ -10,8 +10,10 @@ import pytest
 from conftest import triplets, walk_in_chunks
 from lag_oracle import brute_lag_maxima
 from ledger_oracle import LEDGER_STEPS, budget_report, ledger_arrays, ledger_reduction
+from noise_oracle import apply_G
+from path_oracle import convection_path_bound, decomposition_increments, h_tanh_sup
 from stepper_oracle import convection as scattered_convection
-from stepper_oracle import oracle_batch
+from stepper_oracle import generate_wiener, oracle_batch
 from stepper_oracle import sq_norms as broadcast_sq_norms
 from tensor_oracle import whole_lattice_tensor
 
@@ -22,19 +24,16 @@ from sgns.galerkin import (
     build_convection_tensor,
     energy_budget_check,
     float_map,
-    generate_wiener,
-    h_tanh_sup,
     integrate_batch,
     integrate_ensemble,
     level_violations,
     martingale_diagnostic,
     reconstruct_martingale,
 )
-from sgns.noise import apply_G, constant_transport_model, default_noise_model
+from sgns.noise import constant_transport_model, default_noise_model
 from sgns.nonlinear import TrilinearWorkspace, bilinear_B, trilinear_b
 from sgns.spectral import Basis, SpaceScale, TorusDomain, norm, project_Pn, random_field, row_blocks, stack
-from sgns.tightness import decomposition_increments, increment_scaling
-from sgns.twodim import convection_path_bound
+from sgns.tightness import increment_scaling
 
 
 # The stepper has one scheme, Euler-Maruyama.  A `scheme` parameter (this

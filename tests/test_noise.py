@@ -2,22 +2,18 @@ import math
 
 import numpy as np
 import pytest
-from conftest import mode_id, two_direction_model
-from noise_oracle import certify_conditions
+from conftest import eval_physical, mode_id, partial_derivative, two_direction_model
+from noise_oracle import apply_G, apply_G_direction, certify_conditions, continuity_constant_Gstarstar
 
 from sgns.noise import (
     HarmonicField,
     NoiseModel,
-    apply_G,
-    apply_G_direction,
     c1_constant,
     coercivity_constant,
     constant_transport_model,
-    continuity_constant_Gstarstar,
     default_noise_model,
     direction_sups,
     exact_constants,
-    hs_norm_G,
     noise_conditions,
     noise_matrices,
     sampled_lipschitz,
@@ -25,10 +21,7 @@ from sgns.noise import (
     _tables,
 )
 from sgns.config import load_config
-from sgns.spectral import (
-    ROLE_COS, Basis, SpaceScale, TorusDomain, eval_physical, inner, norm, partial_derivative, random_field,
-    stack,
-)
+from sgns.spectral import ROLE_COS, Basis, SpaceScale, TorusDomain, grid_points, inner, norm, random_field, stack
 
 
 @pytest.fixture(scope="module")
@@ -121,7 +114,7 @@ def test_variable_coefficient_against_quadrature(basis2d_small, rng):
     out = apply_G(u, [1.0], model)
     v = random_field(basis2d_small, rng)
     N = 4 * basis2d_small.domain.K + 2
-    cg = c.sample(basis2d_small.domain, N)[..., 0]
+    cg = c.values(basis2d_small.domain, grid_points(basis2d_small.domain, N))[..., 0]
     prod = cg[..., None] * eval_physical(u, N)
     # pairing with a solenoidal v sees only the Leray part of the product
     quad = float(np.mean(np.sum(prod * eval_physical(v, N), axis=-1)) * basis2d_small.domain.volume)
@@ -129,12 +122,14 @@ def test_variable_coefficient_against_quadrature(basis2d_small, rng):
 
 
 def test_hs_norm_scalar_multiplier(basis2d_small, rng):
+    # G(u) = gamma u: its one noise matrix is gamma I, so |G(u)|_HS(Y,H) is
+    # |gamma| |u|_H
     gamma = 0.8
     model = constant_transport_model([[0.0, 0.0]], c_values=[gamma])
-    u = random_field(basis2d_small, rng)
-    assert abs(hs_norm_G(u, model, "H") - abs(gamma) * norm(u, "H")) < 1e-12
-    z = basis2d_small.zero_field()
-    assert hs_norm_G(z, model, "H") == 0.0
+    (mat,) = noise_matrices(model, basis2d_small)
+    assert np.max(np.abs(mat - gamma * np.eye(basis2d_small.n_modes))) < 1e-12
+    x = basis2d_small.real_coords(random_field(basis2d_small, rng))
+    assert abs(np.linalg.norm(mat @ x) - abs(gamma) * np.linalg.norm(x)) < 1e-12
 
 
 def test_c1_constant_values():
@@ -208,7 +203,7 @@ def test_coercivity_matches_eigen_oracle(rng):
         b1 = HarmonicField.build(d, d, const=const, harmonics=harmonics)
         model = NoiseModel(d=d, directions=((b1, None),))
         a = coercivity_constant(model, dom)
-        vals = b1.sample(dom, N)
+        vals = b1.values(dom, grid_points(dom, N))
         mats = vals[..., :, None] * vals[..., None, :]
         lam = np.linalg.eigvalsh(mats.reshape(-1, d, d))[:, -1]
         assert abs(a - (2.0 - np.max(lam))) < tol

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from conftest import eval_physical, partial_derivative
 
 from sgns.nonlinear import (
     CutoffSpec,
@@ -13,10 +14,8 @@ from sgns.spectral import (
     Basis,
     SpaceScale,
     TorusDomain,
-    eval_physical,
     inner,
     norm,
-    partial_derivative,
     project_Pn,
     random_field,
 )

@@ -4,14 +4,16 @@ the stack into grid blocks."""
 
 import numpy as np
 import pytest
-from conftest import two_direction_model
+from conftest import eval_physical, two_direction_model
+from noise_oracle import apply_G_direction
+from path_oracle import convection_path_bound
 
 from sgns import spectral
 from sgns.galerkin import GalerkinConfig, integrate_batch
-from sgns.noise import NoiseModel, apply_G_direction, constant_transport_model, default_noise_model, noise_matrices
+from sgns.noise import NoiseModel, constant_transport_model, default_noise_model, noise_matrices
 from sgns.nonlinear import TrilinearWorkspace, bilinear_B, trilinear_b
-from sgns.spectral import Basis, SpaceScale, SpectralField, TorusDomain, eval_physical, inner, norm, random_field, stack
-from sgns.twodim import convection_path_bound, l4_norm, ladyzhenskaya_check, trilinear_2d_bound
+from sgns.spectral import Basis, SpaceScale, SpectralField, TorusDomain, inner, norm, random_field, stack
+from sgns.twodim import l4_norm, ladyzhenskaya_check, trilinear_2d_bound
 
 ROWS = 7
 

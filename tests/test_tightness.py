@@ -8,6 +8,8 @@ import numpy as np
 import pytest
 from lag_oracle import brute_lag_maxima, pair_increment_norms
 from noise_oracle import sample_nested_space
+from path_oracle import decomposition_increments
+from stepper_oracle import generate_wiener
 
 from sgns import galerkin, tightness
 from sgns.config import load_config
@@ -25,7 +27,6 @@ from sgns.tightness import (
     median_modulus_curve,
     modulus_lags,
     nonlinear_refinement_check,
-    decomposition_increments,
 )
 
 
@@ -297,7 +298,7 @@ def test_lag_maxima_are_the_oracles_on_tightness_paths(n):
 def aborting_increments(cfg, rows: int) -> np.ndarray:
     """The Philox increments of trajectories 0..rows-1, with rows 1 and 3 (of
     those there are) blown past the overflow limit at step 40."""
-    dW = np.stack([galerkin.generate_wiener(cfg.steps, cfg.M, cfg.dt, cfg.seed, i) for i in range(rows)],
+    dW = np.stack([generate_wiener(cfg.steps, cfg.M, cfg.dt, cfg.seed, i) for i in range(rows)],
                   axis=1)
     dW[40, [r for r in (1, 3) if r < rows]] = 1e6
     return dW
@@ -722,7 +723,7 @@ def test_family_holds_views_of_the_live_rows(basis2d_small, small_ensemble):
     assert np.shares_memory(fam.norm_H, ens.norm_H)
     # rows 1 and 3 abort: the family is the other rows, copied
     cfg = replace(small_config(basis), T=0.016, overflow_limit=1e3, increment_lags=(2,))
-    dW = np.stack([galerkin.generate_wiener(cfg.steps, cfg.M, cfg.dt, cfg.seed, i) for i in range(5)], axis=1)
+    dW = np.stack([generate_wiener(cfg.steps, cfg.M, cfg.dt, cfg.seed, i) for i in range(5)], axis=1)
     dW[4, [1, 3]] = 1e6
     ens = integrate_batch(cfg, range(5), dW)
     assert ens.aborted.tolist() == [False, True, False, True, False]

@@ -5,18 +5,19 @@ import weakref
 
 import numpy as np
 import pytest
-from conftest import mode_id, triplets
+from conftest import eval_physical, mode_id, triplets
 from noise_oracle import certify_conditions
+from path_oracle import convection_path_bound
+from stepper_oracle import generate_wiener
 from twin_oracle import twin_oracle
 
 from sgns import galerkin, spectral, twodim
-from sgns.galerkin import GalerkinConfig, generate_wiener, integrate_batch
+from sgns.galerkin import GalerkinConfig, integrate_batch
 from sgns.noise import default_noise_model, exact_constants
 from sgns.nonlinear import TrilinearWorkspace, bilinear_B
 from sgns.spectral import ROLE_COS, Basis, SpaceScale, TorusDomain, norm, random_field
 from sgns.twodim import (
     ShiftedProblem,
-    convection_path_bound,
     energy_inequality_check,
     l4_norm,
     ladyzhenskaya_check,
@@ -39,8 +40,6 @@ def test_l4_single_mode_closed_form(basis2d_small):
     b = basis2d_small
     i = mode_id(b, (1, 0), ROLE_COS)
     u = 1.7 * b.basis_field(i)
-    from sgns.spectral import eval_physical
-
     N = 64
     vals = eval_physical(u, N)
     oracle = (np.mean(np.sum(vals**2, axis=-1) ** 2) * b.domain.volume) ** 0.25

@@ -6,8 +6,9 @@ reduces each chunk as it goes."""
 from dataclasses import replace
 
 import numpy as np
+from stepper_oracle import generate_wiener
 
-from sgns.galerkin import generate_wiener, integrate_batch
+from sgns.galerkin import integrate_batch
 from sgns.spectral import project_Pn
 
 
