@@ -6,10 +6,11 @@ The loop draws each row's increments for all steps at once
 (`generate_wiener`), writes norms into the Ensemble at each step and the
 states, running integrals and quadratic variations at each snapshot step,
 keeps every step's state for the lag reductions, and folds the energy
-ledger every `LEDGER_CHUNK` steps.  Its squared norms are the weighted sums of one (B, 3, n) broadcast and its
-convection scatters the segment sums into zeros, as the stepper's did
-before it was chunked; every other operation is the stepper's, so a walk in
-any chunks must give this loop's bits."""
+ledger every `LEDGER_CHUNK` steps.  Its squared norms are the weighted
+sums of one (B, 3, n) broadcast and its convection scatters the segment
+sums into zeros, as the stepper's did before it was chunked; every other
+operation is the stepper's, so a walk in any chunks must give this loop's
+bits."""
 
 import math
 
