@@ -13,8 +13,8 @@ from sgns.galerkin import GalerkinConfig, integrate_batch, integrate_ensemble
 from sgns.noise import default_noise_model
 from sgns.spectral import Basis, SpaceScale, TorusDomain, random_field
 from sgns.tightness import (
-    FunctionFamily, aldous_check, calibrate_aldous_eta, dubinsky_diagnostic, increment_lags,
-    increment_scaling, median_modulus_curve, modulus_lags, nonlinear_refinement_check,
+    aldous_check, calibrate_aldous_eta, dubinsky_diagnostic, increment_lags, increment_scaling,
+    median_modulus_curve, modulus_lags, nonlinear_refinement_check,
 )
 
 basis = Basis(TorusDomain(d=2, K=8), SpaceScale(d=2))
@@ -35,10 +35,9 @@ cfg = GalerkinConfig(basis=basis, n=16, dt=dt, T=T, u0=u0,
                      modulus_lags=modulus_lags(deltas, times),
                      increment_lags=increment_lags(thetas, eta_theta, times))
 ens = integrate_ensemble(cfg, 100, workers=2)
-fam = FunctionFamily(ens)
 
-rep = dubinsky_diagnostic(fam, deltas)
-curve, slope = median_modulus_curve(fam, deltas)
+rep = dubinsky_diagnostic(ens, deltas)
+curve, slope = median_modulus_curve(ens, deltas)
 print("compactness premises:")
 print(f"  sup int ||u||_V^2 dt = {rep.sup_V_integral:.4f}, sup sup |u|_H = {rep.sup_sup_H:.4f}")
 print(f"  family-sup modulus slope = {rep.slope:.3f}, ensemble-median slope = {slope:.3f}")
@@ -46,8 +45,8 @@ print("  delta -> median modulus:")
 for d, m in zip(sorted(deltas), curve):
     print(f"    {d:9.5f} -> {m:.6f}")
 
-eta = calibrate_aldous_eta(fam, eta_theta, 60.0)
-ald = aldous_check(fam, thetas, eta)
+eta = calibrate_aldous_eta(ens, eta_theta, 60.0)
+ald = aldous_check(ens, thetas, eta)
 print(f"\nAldous exceedance table (threshold eta = {eta:.5f}):")
 for t, p in zip(ald.thetas, ald.probabilities):
     print(f"  theta = {t:8.5f}: P(increment >= eta) = {p:.3f}")

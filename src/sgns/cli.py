@@ -115,6 +115,8 @@ def run_simulate(run: RunConfig, bundle: ResultBundle, workers: int) -> None:
         energy_residual=budget.max_relative_residual,
         passed=not aborted,
     )
+    if aborted:
+        bundle.summary["failure"] = f"trajectory 0 aborted at step {int(one.abort_step[0])} of {one.config.steps}"
 
 
 def run_ensemble(run: RunConfig, bundle: ResultBundle, workers: int) -> None:
@@ -213,10 +215,12 @@ def run_tightness(run: RunConfig, bundle: ResultBundle, workers: int) -> None:
     for n in run.n_list:
         cfg = replace(grid, n=n)
         ens = integrate_ensemble(cfg, run.trajectories, workers=workers)
-        fam = tgt.FunctionFamily(ens)
-        dub = tgt.dubinsky_diagnostic(fam, deltas, exp["slope_threshold"])
-        eta = tgt.calibrate_aldous_eta(fam, eta_theta, exp["eta_quantile"])
-        ald = tgt.aldous_check(fam, thetas, eta)
+        if ens.aborted.all():
+            bundle.summary.update(passed=False, failure=f"all {len(ens)} trajectories aborted at n = {n}")
+            return
+        dub = tgt.dubinsky_diagnostic(ens, deltas, exp["slope_threshold"])
+        eta = tgt.calibrate_aldous_eta(ens, eta_theta, exp["eta_quantile"])
+        ald = tgt.aldous_check(ens, thetas, eta)
         jrep = tgt.increment_scaling(ens, anchors, windows)
         ok = dub.passed and ald.passed and (
             math.isnan(jrep.exponents["noise"]) or 0.4 <= jrep.exponents["noise"] <= 0.6
@@ -234,7 +238,7 @@ def run_tightness(run: RunConfig, bundle: ResultBundle, workers: int) -> None:
         rows_j += [(n, t, jrep.median_norms["noise"][i]) for i, t in enumerate(jrep.thetas)]
         # released before the next level's pool forks, so its workers do not
         # inherit them
-        del ens, fam
+        del ens
     bundle.add_table("modulus", ["n", "delta", "sup_modulus"], rows_mod)
     bundle.add_table("aldous", ["n", "theta", "exceedance_probability"], rows_aldous)
     bundle.add_table("noise_increment_scaling", ["n", "theta", "median_Udual_increment"], rows_j)
@@ -266,8 +270,12 @@ def run_uniqueness(run: RunConfig, bundle: ResultBundle, workers: int) -> None:
         bundle.summary.update(passed=False, failure=failure)
         return
     # the twin check pairs ride in the batches of the perturbed pairs
-    rep = twodim.pathwise_uniqueness_experiment(
-        cfg, L, gamma=exp["gamma"], n_traj=run.trajectories, twins=exp["twin_trajectories"])
+    try:
+        rep = twodim.pathwise_uniqueness_experiment(
+            cfg, L, gamma=exp["gamma"], n_traj=run.trajectories, twins=exp["twin_trajectories"])
+    except RuntimeError as e:  # names the lowest pair with an aborted row
+        bundle.summary.update(passed=False, failure=str(e))
+        return
     ok = rep.identical and rep.median_ratio_T <= exp["median_ratio_bound"]
     bundle.add_table("weighted_ratios", ["traj", "ratio_T", "sup_ratio"],
                      [(i, rep.ratios_at_T[i], rep.sup_ratios[i]) for i in range(rep.trajectories)])

@@ -6,10 +6,12 @@ running H-sup), a uniform U'-modulus of continuity that decays as the window
 shrinks, an Aldous-type exceedance table over stopped increments, and the
 per-term scaling of the drift and noise pieces of the path decomposition
 (initial state, Stokes integral, convection integral, forcing integral,
-stochastic integral).  The path diagnostics read one `galerkin.Ensemble`
-and weigh by the U' norm of the basis of the config it holds; no basis is
-passed beside it.  No tightness diagnostic reads a state: the process that
-stepped a path reduces it, on the step grid, to the records they read.
+stochastic integral).  Every path diagnostic takes one `galerkin.Ensemble`,
+reads its live rows (views when no row aborted, a copy of what it reads
+otherwise) and weighs by the U' norm of the basis of the config it holds;
+no basis is passed beside it.  No tightness diagnostic reads a state:
+the process that stepped a path reduces it, on the step grid, to the
+records they read.
 The modulus table reads the per-path lag maxima
 (`GalerkinConfig.modulus_lags`, sized by `modulus_lags`), and the Aldous
 table and its threshold read the per-path increments from every step at
@@ -76,13 +78,19 @@ def window_violations(config, deltas, thetas, anchors, windows) -> list:
     diagnostics cannot read, as texts naming the experiment key: a modulus
     or Aldous window shorter than one step dt (a modulus of 0 fails the
     log-log fit; an Aldous increment over no step is 0, so the gate passes
-    unread), and a scaling anchor, or an anchor plus a scaling window, off
-    the snapshot grid (increment_scaling raises)."""
+    unread), a smallest Aldous window, the threshold's, past the horizon
+    (no increment to calibrate on; larger ones are clipped to it), and a
+    scaling anchor, or an anchor plus a scaling window, off the snapshot
+    grid (increment_scaling raises)."""
     out = []
     for key, ws in (("deltas", deltas), ("thetas", thetas)):
         short = ", ".join(str(w) for w in ws if _window_lag(w, config.dt, 1) < 1)
         if short:
             out.append(f"experiment.{key}: window(s) {short} shorter than one step {config.dt}")
+    lag = _calibration_lag(min(thetas), config.dt)
+    if lag > config.steps:
+        out.append(f"experiment.thetas: the smallest window {min(thetas)}, at which the Aldous threshold "
+                   f"is calibrated, is {lag} steps, more than the {config.steps} steps up to T = {config.T}")
     grid = config.snap_times
     spacing = f"the snapshot grid (spacing {grid[1] - grid[0]}, up to T = {config.T})"
 
@@ -122,69 +130,51 @@ def _live_rows(ens):
 
 
 class FunctionFamily:
-    """The live paths of one Ensemble, in the U' norm of the basis of its
-    `config` (the Ensemble's), as the stepper reduced them on the step grid:
-    the norms (R, steps + 1), the lag maxima (R, config.modulus_lags) and
-    the increment norms (R, len(config.increment_lags), steps + 1).  These
-    are views of the ensemble's arrays, copied only to drop aborted rows; no
-    state is read."""
+    """The recorded lag reads of the live rows (`_live_rows`) of one Ensemble:
+    views of its arrays, or copies of the part read when a row aborted.  The
+    tables build their own; it is a class because the benchmark's tracer
+    (`bench/spans.py`) times its construction and `lag_maxima`."""
 
     def __init__(self, ens):
-        rows = _live_rows(ens)
-        self.config = ens.config
-        self.norm_H = ens.norm_H[rows]  # (R, steps + 1)
-        self.norm_D = ens.norm_D[rows]
-        self.stored_lag_maxima = ens.lag_maxima[rows]  # (R, modulus_lags)
-        self.stored_increment_norms = ens.increment_norms[rows]  # (R, len(increment_lags), steps + 1)
-
-    @property
-    def size(self) -> int:
-        return len(self.norm_H)
-
-    def sup_V_integral(self) -> float:
-        H, D = self.norm_H[:, :-1], self.norm_D[:, :-1]
-        return float(np.max(np.sum(H**2 + D**2, axis=1))) * self.config.dt
-
-    def sup_sup_H(self) -> float:
-        return float(np.max(self.norm_H))
+        self.ens, self.rows = ens, _live_rows(ens)
 
     def lag_maxima(self, max_lag: int) -> np.ndarray:
         """m[r, l-1] = max_j |u_r(t_{j+l}) - u_r(t_j)|_{U'} for lags 1..max_lag,
         as the stepper recorded them; ValueError when it recorded fewer."""
-        recorded = self.config.modulus_lags
+        recorded = self.ens.config.modulus_lags
         if max_lag > recorded:
             raise ValueError(f"the modulus table needs lag maxima up to lag {max_lag}, but the ensemble "
                              f"recorded {recorded} (set GalerkinConfig.modulus_lags)")
-        return self.stored_lag_maxima[:, :max_lag]
+        return self.ens.lag_maxima[self.rows, :max_lag]
 
     def increment_norms(self, lag: int) -> np.ndarray:
         """d[r, j] = |u_r(t_min(j + lag, steps)) - u_r(t_j)|_{U'} from every
         step j, as the stepper recorded them (R, steps + 1); ValueError when
         it did not record this lag."""
-        recorded = self.config.increment_lags
+        recorded = self.ens.config.increment_lags
         if lag not in recorded:
             raise ValueError(f"the Aldous table needs the increments at lag {lag}, but the ensemble "
                              f"recorded lags {list(recorded)} (set GalerkinConfig.increment_lags)")
-        return self.stored_increment_norms[:, recorded.index(lag)]
+        return self.ens.increment_norms[self.rows, recorded.index(lag)]
 
 
-def _modulus_table(family: FunctionFamily, deltas: np.ndarray) -> np.ndarray:
+def _modulus_table(ens: Ensemble, deltas: np.ndarray) -> np.ndarray:
     """omega_r(delta) = sup over |t - s| <= delta of |u_r(t) - u_r(s)|_{U'} on
-    the step grid, per path r and sorted window: (R, len(deltas))."""
-    times = family.config.times
+    the step grid, per live path r and sorted window: (R, len(deltas))."""
+    times = ens.config.times
     h = times[1] - times[0]
     max_lag = modulus_lags(deltas, times)
-    running = np.maximum.accumulate(family.lag_maxima(max_lag), axis=1)
+    running = np.maximum.accumulate(FunctionFamily(ens).lag_maxima(max_lag), axis=1)
     # column 0 is the window without a whole step: modulus 0
-    running = np.concatenate([np.zeros((family.size, 1)), running], axis=1)
+    running = np.concatenate([np.zeros((len(running), 1)), running], axis=1)
     return running[:, [_window_lag(d, h, max_lag) for d in deltas]]
 
 
-def median_modulus_curve(family: FunctionFamily, deltas) -> tuple:
-    """Per-delta ensemble median of the per-trajectory moduli, with the fitted
+def median_modulus_curve(ens: Ensemble, deltas) -> tuple:
+    """Per-delta median over the live paths of their moduli, with the fitted
     log-log slope (nan when the curve touches zero)."""
     deltas = np.sort(np.asarray(deltas, dtype=float))
-    curve = median(_modulus_table(family, deltas), axis=0)
+    curve = median(_modulus_table(ens, deltas), axis=0)
     return curve, _loglog_slope(deltas, curve)
 
 
@@ -202,20 +192,20 @@ class DubinskyReport:
     passed: bool
 
 
-def dubinsky_diagnostic(
-    family: FunctionFamily, deltas, slope_threshold: float = 0.4
-) -> DubinskyReport:
+def dubinsky_diagnostic(ens: Ensemble, deltas, slope_threshold: float = 0.4) -> DubinskyReport:
     """Bounded energy plus a decaying uniform modulus: the two premises of the
-    deterministic compactness criterion, checked on the finite family.
+    deterministic compactness criterion, checked on the live paths.
 
     The modulus curve is fitted in log-log coordinates; the family passes when
     the fitted slope reaches the threshold (a flat curve fails).  An exactly
     zero curve (constant family) passes trivially.
     """
     deltas = np.sort(np.asarray(deltas, dtype=float))
-    curve = np.max(_modulus_table(family, deltas), axis=0)
-    supV = family.sup_V_integral()
-    supH = family.sup_sup_H()
+    curve = np.max(_modulus_table(ens, deltas), axis=0)
+    rows = _live_rows(ens)
+    H, D = ens.norm_H[rows], ens.norm_D[rows]
+    supV = float(np.max(np.sum(H[:, :-1] ** 2 + D[:, :-1] ** 2, axis=1))) * ens.config.dt
+    supH = float(np.max(H))
     if np.max(curve) == 0.0:
         slope, passed = math.inf, True
     elif np.any(curve <= 0.0):
@@ -243,15 +233,16 @@ class AldousReport:
         return self.monotone and self.decays
 
 
-def _hitting_positions(family: FunctionFamily, level: float) -> np.ndarray:
-    """Step of the first time |u|_H >= level (the last step if never)."""
-    last = len(family.config.times) - 1
-    hit = family.norm_H >= level
-    return np.where(hit.any(axis=1), np.argmax(hit, axis=1), last)
+def _hitting_positions(norm_H: np.ndarray, level: float) -> np.ndarray:
+    """Step of the first time |u|_H >= level per row of the per-step norms
+    (R, steps + 1) (the last step if never)."""
+    hit = norm_H >= level
+    return np.where(hit.any(axis=1), np.argmax(hit, axis=1), norm_H.shape[1] - 1)
 
 
-def aldous_check(family: FunctionFamily, thetas, eta: float) -> AldousReport:
-    """Empirical exceedance probabilities of stopped increments.
+def aldous_check(ens: Ensemble, thetas, eta: float) -> AldousReport:
+    """Empirical exceedance probabilities of stopped increments of the live
+    paths.
 
     Stopping rules: three deterministic steps plus first-hitting times of
     the ensemble's 50th/90th percentile running-sup levels; tau + theta is
@@ -261,22 +252,24 @@ def aldous_check(family: FunctionFamily, thetas, eta: float) -> AldousReport:
     its window's lag (`FunctionFamily.increment_norms`).
     """
     thetas = np.sort(np.asarray(thetas, dtype=float))[::-1]  # descending
-    times = family.config.times
+    fam = FunctionFamily(ens)
+    norm_H = ens.norm_H[fam.rows]
+    times = ens.config.times
     S = len(times)
     h = times[1] - times[0]
     rules = {}
     for frac in (0.2, 0.45, 0.7):
         pos = int(round(frac * (S - 1)))
-        rules[f"grid_t={times[pos]:.4g}"] = np.full(family.size, pos, dtype=int)
-    sups = np.max(family.norm_H, axis=1)
+        rules[f"grid_t={times[pos]:.4g}"] = np.full(len(norm_H), pos, dtype=int)
+    sups = np.max(norm_H, axis=1)
     for q in (50, 90):
         level = float(percentile(sups, q))
-        rules[f"hit_p{q}"] = _hitting_positions(family, level)
+        rules[f"hit_p{q}"] = _hitting_positions(norm_H, level)
 
-    rows = np.arange(family.size)
+    rows = np.arange(len(norm_H))
     per_rule = {label: np.zeros(len(thetas)) for label in rules}
     for i, theta in enumerate(thetas):
-        inc = family.increment_norms(_aldous_lag(theta, h))
+        inc = fam.increment_norms(_aldous_lag(theta, h))
         for label, taus in rules.items():
             per_rule[label][i] = float(np.mean(inc[rows, taus] >= eta))
     probs = np.max(np.stack(list(per_rule.values())), axis=0)
@@ -289,20 +282,24 @@ def aldous_check(family: FunctionFamily, thetas, eta: float) -> AldousReport:
     )
 
 
-def calibrate_aldous_eta(family: FunctionFamily, theta: float, quantile: float = 60.0) -> float:
+def calibrate_aldous_eta(ens: Ensemble, theta: float, quantile: float = 60.0) -> float:
     """Threshold for the exceedance table: a quantile of the pooled increments
-    |u(t + theta) - u(t)|_{U'} over the family at the window theta it is
+    |u(t + theta) - u(t)|_{U'} over the live paths at the window theta it is
     passed, so the table starts mid-range and its decay toward 0 is
     informative.  `sgns tightness` passes its smallest window.  The
     increments are read from those recorded at the window's lag
-    (`FunctionFamily.increment_norms`)."""
-    times = family.config.times
+    (`FunctionFamily.increment_norms`); a window of more steps than the
+    horizon holds no increment and is a `ValueError`."""
+    times = ens.config.times
     lag = _calibration_lag(theta, times[1] - times[0])
+    count = len(times) - lag
+    if count < 1:
+        raise ValueError(f"the Aldous threshold's window {theta} is {lag} steps, more than the "
+                         f"{len(times) - 1} steps up to T = {times[-1]}")
     # the sampled increments: those starting at every ((S - lag) // 64)-th
     # step
-    count = len(times) - lag
     starts = np.arange(0, count, max(1, count // 64))
-    return float(percentile(family.increment_norms(lag)[:, starts], quantile))
+    return float(percentile(FunctionFamily(ens).increment_norms(lag)[:, starts], quantile))
 
 
 # -- J-term decomposition -------------------------------------------------------

@@ -41,7 +41,6 @@ from sgns.spectral import (
     stack,
 )
 from sgns.tightness import (
-    FunctionFamily,
     aldous_check,
     calibrate_aldous_eta,
     build_nested_space,
@@ -257,11 +256,10 @@ def test_criterion_08_tightness(basis, shell_coupling_model):
                              modulus_lags=modulus_lags(deltas, times),
                              increment_lags=increment_lags(thetas, eta_theta, times))
         recs = integrate_ensemble(cfg, 200, workers=WORKERS)
-        fam = FunctionFamily(recs)
-        _, slope = median_modulus_curve(fam, deltas)
+        _, slope = median_modulus_curve(recs, deltas)
         slopes[n] = slope
-        eta = calibrate_aldous_eta(fam, eta_theta, 60.0)
-        ald = aldous_check(fam, thetas, eta)
+        eta = calibrate_aldous_eta(recs, eta_theta, 60.0)
+        ald = aldous_check(recs, thetas, eta)
         aldous_ok[n] = ald.monotone and ald.decays
         jrep = increment_scaling(
             recs,
@@ -269,7 +267,7 @@ def test_criterion_08_tightness(basis, shell_coupling_model):
             thetas=[dt * 8 * 2**j for j in range(5)],
         )
         j5s[n] = jrep.exponents["noise"]
-        del recs, fam
+        del recs
     ok = (
         all(s >= 0.4 for s in slopes.values())
         and all(aldous_ok.values())

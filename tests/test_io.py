@@ -703,19 +703,18 @@ def test_tightness_verb_reads_its_windows_in_any_order(tmp_path):
 
 def test_tightness_verb_records_the_lag_maxima_it_reads(tmp_path, monkeypatch):
     # the pool workers record the lag maxima of the largest window, which the
-    # family reads
+    # modulus table reads
     cfg = json.loads((DEMOS / "tightness.json").read_text())
     cfg["galerkin"]["n_list"] = [4, 8]
     cfg["ensemble"]["trajectories"] = 16
     run = load_config(cfg)
-    recorded = []
+    recorded, read = [], tightness.FunctionFamily.lag_maxima
 
-    class Family(tightness.FunctionFamily):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            recorded.append(self.stored_lag_maxima.shape)
+    def spy(fam, max_lag):
+        recorded.append(fam.ens.lag_maxima.shape)
+        return read(fam, max_lag)
 
-    monkeypatch.setattr(tightness, "FunctionFamily", Family)
+    monkeypatch.setattr(tightness.FunctionFamily, "lag_maxima", spy)
     run_command("tightness", run, tmp_path / "stored", workers=2)
     # the demo's largest window is T / 16 = 64 steps
     assert recorded == [(16, 64), (16, 64)]
@@ -799,6 +798,43 @@ def test_tightness_verb_rejects_thetas_below_one_step(tmp_path, monkeypatch):
     assert failure == ("experiment.deltas: window(s) 0.0009 shorter than one step 0.0009765625; "
                        "experiment.thetas: window(s) 0.0001, 0.0002, 0.0003 shorter than one step "
                        "0.0009765625")
+
+
+def test_tightness_verb_rejects_a_threshold_window_past_the_horizon(tmp_path, monkeypatch):
+    # the Aldous threshold is calibrated at the smallest window, which must
+    # hold an increment: 0.5 is 512 steps of dt = 2^-10, past T = 0.25; a
+    # larger window alone is clipped to the horizon
+    cfg = json.loads((DEMOS / "tightness.json").read_text())
+    cfg["galerkin"]["T"] = 0.25
+    cfg["experiment"].update(deltas=[2.0**-10, 2.0**-8, 2.0**-6], thetas=[1.0, 0.5])
+    failure = tightness_failure(tmp_path, cfg, monkeypatch)
+    assert failure == ("experiment.thetas: the smallest window 0.5, at which the Aldous threshold is "
+                       "calibrated, is 512 steps, more than the 256 steps up to T = 0.25")
+    grid = load_config(cfg).galerkin
+    assert tightness.window_violations(grid, [2.0**-10], [0.25, 1.0], [], []) == []
+
+
+def test_verbs_name_an_all_aborting_run(tmp_path):
+    # u0 of amplitude 1e13 overflows at the first step of every path: each
+    # verb that steps paths exits 1 with a failure named in its summary
+    cfg = json.loads(json.dumps(TINY))
+    cfg["galerkin"].update(n_list=[2, 4, 6], T=0.008)
+    cfg["galerkin"]["u0"]["amplitude"] = 1e13
+    cfg["ensemble"]["trajectories"] = 3
+    cfg["experiment"] = {"integral_stride": 1, "deltas": [0.001, 0.002], "thetas": [0.002, 0.004],
+                         "scaling_anchors": [0.002], "scaling_windows": [0.001, 0.002],
+                         "certify_samples": 10, "twin_trajectories": 1}
+    failures = {}
+    for verb in ("simulate", "ensemble", "estimates", "tightness", "uniqueness"):
+        assert run_command(verb, load_config(cfg), tmp_path / verb, workers=1) == 1, verb
+        failures[verb] = json.loads((tmp_path / verb / "summary.json").read_text())["failure"]
+    assert failures == {
+        "simulate": "trajectory 0 aborted at step 1 of 8",
+        "ensemble": "need at least 2 live trajectories at every level: n = 2 has 0",
+        "estimates": "need at least 2 live trajectories at every level: n = 2 has 0, n = 4 has 0, n = 6 has 0",
+        "tightness": "all 3 trajectories aborted at n = 2",
+        "uniqueness": "trajectory 0 aborted during the uniqueness experiment",
+    }
 
 
 def test_ensemble_verb_names_too_few_paths(tmp_path, capsys):

@@ -57,7 +57,7 @@ def small_ensemble(basis2d_small):
 
 
 class FakeEnsemble:
-    """The arrays and config entries FunctionFamily reads, for given
+    """The arrays and config entries the modulus and Aldous tables read, for given
     states (R, S, n) of `basis` at every step, dt apart, with the lag
     maxima of lags 1..modulus_lags (default: every lag) of the brute-force
     oracle and the increment norms at `increment_lags` of the pair-gather
@@ -80,20 +80,20 @@ class FakeEnsemble:
         return len(self.snap_u)
 
 
-def path_modulus(fam, deltas) -> np.ndarray:
-    """The modulus table of a one-row family, per window."""
-    assert fam.size == 1
-    return tightness._modulus_table(fam, np.asarray(deltas, dtype=float))[0]
+def path_modulus(ens, deltas) -> np.ndarray:
+    """The modulus table of a one-row Ensemble, per window."""
+    assert len(ens) == 1
+    return tightness._modulus_table(ens, np.asarray(deltas, dtype=float))[0]
 
 
 def test_modulus_constant_and_linear(basis2d_small):
     w = basis2d_small.mode_weights("Udual", 4)
     times = np.arange(101) * 0.01
     const = np.tile(np.array([1.0, 0.5, 0.0, 0.0]), (1, 101, 1))
-    assert path_modulus(FunctionFamily(FakeEnsemble(const, basis2d_small)), [0.3]) == 0.0
+    assert path_modulus(FakeEnsemble(const, basis2d_small), [0.3]) == 0.0
     # u(t) = t e_1: omega(delta) = delta |e_1|_{U'}
     lin = np.outer(times, np.array([1.0, 0.0, 0.0, 0.0]))[None]
-    got = path_modulus(FunctionFamily(FakeEnsemble(lin, basis2d_small)), [0.25])[0]
+    got = path_modulus(FakeEnsemble(lin, basis2d_small), [0.25])[0]
     expect = 0.25 * math.sqrt(w[0])
     assert abs(got - expect) < 1e-12
 
@@ -101,23 +101,23 @@ def test_modulus_constant_and_linear(basis2d_small):
 def test_modulus_monotone(small_ensemble):
     _, ens = small_ensemble
     times = ens.config.snap_times
-    vals = path_modulus(FunctionFamily(ens.rows([0])), [0.004, 0.016, 0.064, times[-1]])
+    vals = path_modulus(ens.rows([0]), [0.004, 0.016, 0.064, times[-1]])
     assert vals[0] <= vals[1] <= vals[2] <= vals[3]
     # omega(u, T) <= 2 sup |u|_{U'}
     assert vals[3] <= 2.0 * np.max(ens.norm_Udual[0]) + 1e-12
 
 
 def test_dubinsky_constant_family_passes(basis2d_small):
-    fam = FunctionFamily(FakeEnsemble(np.tile(np.array([1.0, 0.0, 0.0, 0.0]), (2, 101, 1)), basis2d_small))
-    rep = dubinsky_diagnostic(fam, deltas=[0.02, 0.08, 0.32])
+    ens = FakeEnsemble(np.tile(np.array([1.0, 0.0, 0.0, 0.0]), (2, 101, 1)), basis2d_small)
+    rep = dubinsky_diagnostic(ens, deltas=[0.02, 0.08, 0.32])
     assert rep.passed
     assert np.all(rep.modulus_curve == 0.0)
 
 
 def test_dubinsky_jumpy_family_fails(basis2d_small):
     signs = (-1.0) ** np.arange(101)
-    fam = FunctionFamily(FakeEnsemble(np.outer(signs, np.array([1.0, 0.0, 0.0, 0.0]))[None], basis2d_small))
-    rep = dubinsky_diagnostic(fam, deltas=[0.02, 0.08, 0.32])
+    ens = FakeEnsemble(np.outer(signs, np.array([1.0, 0.0, 0.0, 0.0]))[None], basis2d_small)
+    rep = dubinsky_diagnostic(ens, deltas=[0.02, 0.08, 0.32])
     assert not rep.passed
     assert rep.slope < 0.4
 
@@ -125,18 +125,17 @@ def test_dubinsky_jumpy_family_fails(basis2d_small):
 def test_dubinsky_family_size_invariance(small_ensemble):
     basis, recs = small_ensemble
     cfg = small_config(basis, modulus_lags=64)
-    one = FunctionFamily(integrate_batch(cfg, [0]))
+    one = integrate_batch(cfg, [0])
     rep1 = dubinsky_diagnostic(one, deltas=[0.004, 0.016, 0.064])
-    repeated = FunctionFamily(integrate_batch(cfg, [0] * 5))
+    repeated = integrate_batch(cfg, [0] * 5)
     rep5 = dubinsky_diagnostic(repeated, deltas=[0.004, 0.016, 0.064])
     assert np.allclose(rep1.modulus_curve, rep5.modulus_curve)
 
 
 def test_dubinsky_galerkin_family(small_ensemble):
     basis, recs = small_ensemble
-    fam = FunctionFamily(recs)
     deltas = [0.128 * 2.0**-j for j in range(7, 1, -1)]
-    rep = dubinsky_diagnostic(fam, deltas)
+    rep = dubinsky_diagnostic(recs, deltas)
     assert np.isfinite(rep.sup_V_integral)
     assert rep.slope >= 0.4
     assert rep.passed
@@ -149,10 +148,12 @@ def test_family_reductions_match_per_record_loops(basis2d_small):
         model=default_noise_model(2), seed=23, snapshot_stride=3,
     )
     ens = integrate_ensemble(cfg, 12)
-    fam = FunctionFamily(ens)
     last = cfg.steps
-    assert fam.sup_sup_H() == max(float(np.max(norm_H)) for norm_H in ens.norm_H)
-    assert fam.sup_V_integral() == max(
+    # a window shorter than a step reads no lag maxima, which this ensemble
+    # did not record
+    rep = dubinsky_diagnostic(ens, [5e-4])
+    assert rep.sup_sup_H == max(float(np.max(norm_H)) for norm_H in ens.norm_H)
+    assert rep.sup_V_integral == max(
         float(np.sum(norm_H[:-1] ** 2 + norm_D[:-1] ** 2)) * ens.config.dt
         for norm_H, norm_D in zip(ens.norm_H, ens.norm_D)
     )
@@ -162,23 +163,22 @@ def test_family_reductions_match_per_record_loops(basis2d_small):
         for norm_H in ens.norm_H:
             hits = np.nonzero(norm_H >= level)[0]
             expect.append(hits[0] if len(hits) else last)
-        assert np.array_equal(_hitting_positions(fam, level), expect)
+        assert np.array_equal(_hitting_positions(ens.norm_H, level), expect)
 
 
 def test_aldous_constant_family(basis2d_small):
-    fam = FunctionFamily(FakeEnsemble(np.tile(np.array([1.0, 0.0, 0.0, 0.0]), (4, 101, 1)), basis2d_small,
-                                      norm_D=0.0, increment_lags=(2, 8)))
-    rep = aldous_check(fam, thetas=[0.02, 0.08], eta=1e-6)
+    ens = FakeEnsemble(np.tile(np.array([1.0, 0.0, 0.0, 0.0]), (4, 101, 1)), basis2d_small,
+                       norm_D=0.0, increment_lags=(2, 8))
+    rep = aldous_check(ens, thetas=[0.02, 0.08], eta=1e-6)
     assert np.all(rep.probabilities == 0.0)
     assert rep.passed
     # eta = 0: any increment (even zero) exceeds the threshold
-    rep0 = aldous_check(fam, thetas=[0.02, 0.08], eta=0.0)
+    rep0 = aldous_check(ens, thetas=[0.02, 0.08], eta=0.0)
     assert np.all(rep0.probabilities == 1.0)
 
 
 def test_aldous_galerkin_decay(small_ensemble):
     basis, ens = small_ensemble
-    fam = FunctionFamily(ens)
     w = basis.mode_weights("Udual", ens.config.n)
     # calibrate eta at the 75th percentile of the largest-theta increments
     d75 = []
@@ -188,7 +188,7 @@ def test_aldous_galerkin_decay(small_ensemble):
         d75.append(np.sqrt(np.max(np.einsum("sn,n->s", diff * diff, w))))
     eta = float(np.percentile(d75, 40))
     thetas = [0.064 * 2.0**-j for j in range(5)]
-    rep = aldous_check(fam, thetas, eta)
+    rep = aldous_check(ens, thetas, eta)
     assert rep.monotone
     assert rep.decays
 
@@ -227,18 +227,16 @@ def test_increment_scaling_matches_per_record_loop(small_ensemble):
 
 
 def test_family_and_scaling_weigh_by_the_records_basis(basis2d_small):
-    # paths of a basis with another U' scale: the family and the scaling
-    # table take that basis's weights from the record, and no basis can be
-    # passed beside it
+    # paths of a basis with another U' scale: the Aldous threshold and the
+    # scaling table take that basis's weights from the record, and no basis
+    # can be passed beside it
     other = Basis(basis2d_small.domain, SpaceScale(d=2, s_U=6.0))
     ens = integrate_ensemble(small_config(other, increment_lags=(16,)), 8)
     w = other.mode_weights("Udual", 10)
     assert not np.array_equal(w, basis2d_small.mode_weights("Udual", 10))
-    fam = FunctionFamily(ens)
-    assert fam.config is ens.config
     d = ens.snap_u[:, 16:] - ens.snap_u[:, :-16]  # 113 increments at theta = 0.016, all sampled
     want = float(np.percentile(np.sqrt(np.einsum("rsn,n->rs", d * d, w)), 60.0))
-    assert calibrate_aldous_eta(fam, 0.016, 60.0) == want
+    assert calibrate_aldous_eta(ens, 0.016, 60.0) == want
     rep = increment_scaling(ens, tau=0.016, thetas=[0.008, 0.016])
     inc = decomposition_increments(ens, 0.016, 0.008)["increments"]["noise"]
     vals = [math.sqrt(float(np.sum(w * inc[r] * inc[r]))) for r in range(len(ens))]
@@ -263,7 +261,7 @@ def test_modulus_is_one_path_lag_maxima(small_ensemble):
     lagmax = FunctionFamily(integrate_batch(small_config(basis, modulus_lags=16), [3])).lag_maxima(16)
     assert lagmax.shape == (1, 16)
     # a window shorter than one snapshot spacing holds no increment
-    got = path_modulus(FunctionFamily(FakeEnsemble(u, basis, dt=1e-3, modulus_lags=16)), [0.0005, 0.016])
+    got = path_modulus(FakeEnsemble(u, basis, dt=1e-3, modulus_lags=16), [0.0005, 0.016])
     assert got.tolist() == [0.0, np.max(lagmax)]
 
 
@@ -405,9 +403,12 @@ def test_a_missing_increment_lag_is_named(small_ensemble):
     with pytest.raises(ValueError, match=message):
         fam.increment_norms(2)
     with pytest.raises(ValueError, match=message):
-        calibrate_aldous_eta(fam, 0.002)
+        calibrate_aldous_eta(ens, 0.002)
     with pytest.raises(ValueError, match=message):
-        aldous_check(fam, [0.002, 0.016], 0.1)
+        aldous_check(ens, [0.002, 0.016], 0.1)
+    # a threshold window past the horizon T = 0.128 holds no increment
+    with pytest.raises(ValueError, match="window 0.25 is 250 steps, more than the 128 steps up to T = 0.128"):
+        calibrate_aldous_eta(ens, 0.25)
     with pytest.raises(ValueError, match="increment_lags"):
         small_config(ens.config.basis, increment_lags=(4, -1))
 
@@ -458,16 +459,14 @@ def test_stored_lag_maxima_give_the_computed_tables(small_ensemble, lags):
     # maxima recorded up to `lags` are the oracle's maxima of the snapshots
     # and give the tables of the ensemble that recorded every lag; a window
     # past them is an error
-    basis, recs = small_ensemble
+    basis, every = small_ensemble
     cfg = small_config(basis, modulus_lags=lags)
-    ens = integrate_ensemble(cfg, 60)
-    stored = FunctionFamily(ens)
-    every = FunctionFamily(recs)
-    assert stored.stored_lag_maxima.shape == (60, lags)
-    assert np.array_equal(ens.snap_u, recs.snap_u)
-    computed = brute_lag_maxima(ens.snap_u, basis.mode_weights("Udual", cfg.n), lags)
-    assert np.array_equal(stored.lag_maxima(lags), computed)
-    assert np.array_equal(every.lag_maxima(lags), computed)
+    stored = integrate_ensemble(cfg, 60)
+    assert stored.lag_maxima.shape == (60, lags)
+    assert np.array_equal(stored.snap_u, every.snap_u)
+    computed = brute_lag_maxima(stored.snap_u, basis.mode_weights("Udual", cfg.n), lags)
+    assert np.array_equal(FunctionFamily(stored).lag_maxima(lags), computed)
+    assert np.array_equal(FunctionFamily(every).lag_maxima(lags), computed)
     for deltas in ([0.002, 0.004, 0.008], [0.004, 0.016, 0.064]):
         if modulus_lags(deltas, cfg.snap_times) > lags:
             with pytest.raises(ValueError, match="modulus_lags"):
@@ -476,7 +475,7 @@ def test_stored_lag_maxima_give_the_computed_tables(small_ensemble, lags):
         want = tightness._modulus_table(every, np.array(deltas))
         assert np.array_equal(tightness._modulus_table(stored, np.array(deltas)), want)
         # the median curve with its slope appended
-        curves = [np.append(*median_modulus_curve(fam, deltas)) for fam in (stored, every)]
+        curves = [np.append(*median_modulus_curve(ens, deltas)) for ens in (stored, every)]
         assert np.array_equal(*curves, equal_nan=True)
         assert np.array_equal(dubinsky_diagnostic(stored, deltas).modulus_curve, np.max(want, axis=0))
 
@@ -485,10 +484,10 @@ def test_too_few_recorded_lags_rejected(small_ensemble):
     # 0.016 reads 16 snapshot lags; the ensemble recorded 8 (or none)
     basis, _ = small_ensemble
     for lags in (8, 0):
-        fam = FunctionFamily(integrate_batch(small_config(basis, modulus_lags=lags), range(3)))
+        ens = integrate_batch(small_config(basis, modulus_lags=lags), range(3))
         for diagnostic in (median_modulus_curve, dubinsky_diagnostic):
             with pytest.raises(ValueError, match=f"lag 16, but the ensemble recorded {lags} .*modulus_lags"):
-                diagnostic(fam, [0.004, 0.016])
+                diagnostic(ens, [0.004, 0.016])
 
 
 def test_modulus_lags_are_the_largest_window(small_ensemble):
@@ -503,8 +502,7 @@ def test_aldous_eta_samples_the_full_increment_table(basis2d_small):
     # 1,025 snapshots: every stride-th increment of the full (R, S - lag) table
     rng = np.random.default_rng(3)
     walks = np.stack([np.cumsum(rng.standard_normal((1025, 6)), axis=0) for _ in range(5)])
-    fam = FunctionFamily(FakeEnsemble(walks, basis2d_small, dt=1e-3, modulus_lags=0,
-                                      increment_lags=(1, 16, 300, 1000)))
+    ens = FakeEnsemble(walks, basis2d_small, dt=1e-3, modulus_lags=0, increment_lags=(1, 16, 300, 1000))
     x, w = walks, basis2d_small.mode_weights("Udual", 6)
     for theta in (0.001, 0.016, 0.3, 1.0):
         lag = max(1, round(theta / 1e-3))
@@ -513,22 +511,21 @@ def test_aldous_eta_samples_the_full_increment_table(basis2d_small):
         stride = max(1, full.shape[1] // 64)
         for q in (10.0, 60.0):
             want = float(np.percentile(full[:, ::stride].ravel(), q))
-            assert calibrate_aldous_eta(fam, theta, q) == want, (theta, q)
+            assert calibrate_aldous_eta(ens, theta, q) == want, (theta, q)
 
 
 def test_modulus_curves_are_median_and_max_of_per_path_moduli(small_ensemble):
     basis, _ = small_ensemble
     nine = integrate_batch(small_config(basis, modulus_lags=64), range(9))
-    fam = FunctionFamily(nine)
     deltas = [0.0005, 0.004, 0.016, 0.064]
     # each path alone, its lag maxima taken from its snapshots
     per_path = np.array([
-        path_modulus(FunctionFamily(FakeEnsemble(u[None], basis, dt=1e-3, modulus_lags=64)), deltas)
+        path_modulus(FakeEnsemble(u[None], basis, dt=1e-3, modulus_lags=64), deltas)
         for u in nine.snap_u
     ])
-    curve, _ = median_modulus_curve(fam, deltas)
+    curve, _ = median_modulus_curve(nine, deltas)
     assert np.array_equal(curve, np.median(per_path, axis=0))
-    rep = dubinsky_diagnostic(fam, deltas)
+    rep = dubinsky_diagnostic(nine, deltas)
     assert np.array_equal(rep.modulus_curve, np.max(per_path, axis=0))
     assert rep.modulus_curve[0] == 0.0
 
@@ -716,21 +713,48 @@ def test_nested_space_gate_reads_its_radii(monkeypatch):
     assert not wide.passed and wide.embedding_margin < 0.0 and wide.tail_margin < 0.0
 
 
-def test_family_holds_views_of_the_live_rows(basis2d_small, small_ensemble):
-    basis, ens = small_ensemble
-    fam = FunctionFamily(ens)
-    assert np.shares_memory(fam.stored_increment_norms, ens.increment_norms)
-    assert np.shares_memory(fam.norm_H, ens.norm_H)
-    # rows 1 and 3 abort: the family is the other rows, copied
-    cfg = replace(small_config(basis), T=0.016, overflow_limit=1e3, increment_lags=(2,))
+def _same(a, b) -> bool:
+    """Whether a and b, arrays, numbers or dicts of them, agree bitwise (NaN
+    matching NaN)."""
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(_same(a[k], b[k]) for k in a)
+    return np.array_equal(a, b, equal_nan=True)
+
+
+def _tables(ens) -> list:
+    """The fields of every modulus and Aldous table on ens, at windows of
+    1, 2 and 4 steps dt = 1e-3."""
+    deltas, thetas = [0.001, 0.002, 0.004], [0.002, 0.004]
+    eta = calibrate_aldous_eta(ens, 0.002)
+    reports = [dubinsky_diagnostic(ens, deltas), aldous_check(ens, thetas, eta)]
+    return [eta, *median_modulus_curve(ens, deltas), *(vars(r) for r in reports)]
+
+
+def test_tables_read_views_of_the_live_rows(small_ensemble, monkeypatch):
+    # each recorded lag read of the tables, with whether it is a view of the
+    # ensemble's array
+    basis, _ = small_ensemble
+    read = []
+    for name in ("lag_maxima", "increment_norms"):
+        def spy(fam, lag, method=getattr(FunctionFamily, name), name=name):
+            out = method(fam, lag)
+            read.append(np.shares_memory(out, getattr(fam.ens, name)))
+            return out
+        monkeypatch.setattr(FunctionFamily, name, spy)
+    cfg = replace(small_config(basis), T=0.016, overflow_limit=1e3, modulus_lags=4, increment_lags=(2, 4))
     dW = np.stack([generate_wiener(cfg.steps, cfg.M, cfg.dt, cfg.seed, i) for i in range(5)], axis=1)
+    full = _tables(integrate_batch(cfg, range(5), dW))
+    assert len(read) == 5 and all(read)
+    # rows 1 and 3 abort: every table is that of the other rows, read as copies
     dW[4, [1, 3]] = 1e6
     ens = integrate_batch(cfg, range(5), dW)
     assert ens.aborted.tolist() == [False, True, False, True, False]
-    fam = FunctionFamily(ens)
-    assert not np.shares_memory(fam.stored_increment_norms, ens.increment_norms)
-    assert np.array_equal(fam.stored_increment_norms, ens.increment_norms[[0, 2, 4]])
-    assert np.array_equal(fam.norm_D, ens.norm_D[[0, 2, 4]])
+    read.clear()
+    got = _tables(ens)
+    assert len(read) == 5 and not any(read)
+    want = _tables(ens.rows(~ens.aborted))
+    assert _same(dict(enumerate(got)), dict(enumerate(want)))
+    assert not _same(dict(enumerate(got)), dict(enumerate(full)))
 
 
 def test_all_aborted_ensemble_rejected(basis2d_small):
@@ -739,5 +763,7 @@ def test_all_aborted_ensemble_rejected(basis2d_small):
     assert ens.aborted.all()
     with pytest.raises(ValueError, match="all trajectories aborted"):
         FunctionFamily(ens)
+    with pytest.raises(ValueError, match="all trajectories aborted"):
+        dubinsky_diagnostic(ens, [0.004])
     with pytest.raises(ValueError, match="all trajectories aborted"):
         increment_scaling(ens, tau=0.004, thetas=[0.004, 0.008])
