@@ -34,12 +34,13 @@ and the integrals at the same instant share a position.  An unrecorded
 output costs no step work and no shared memory, and a reader that needs it
 raises ValueError naming it; every recorded array has the same bits
 whatever else is recorded.  Two per-row reductions of the path on the step
-grid are taken by the process that stepped the row, once its walk ends:
-the U' increment maxima over lags 1..`modulus_lags` steps and every U'
-increment at the `increment_lags`, which the tightness diagnostics read in
-place of the states.  For that long the block keeps every step's state in
-a private mapping of its own rows, whatever the snapshot grid.  The probes
-alone fix the pairings: the stepper accumulates the quadratic variation of
+grid are taken by the process that stepped the row, chunk by chunk as the
+walk hands it over: the U' increment maxima over lags 1..`modulus_lags`
+steps and every U' increment at the `increment_lags`, which the tightness
+diagnostics read in place of the states.  For them the stepper keeps the
+states of the largest lag's steps before each chunk, and no block holds
+its whole path, whatever the snapshot grid.  The probes alone fix the
+pairings: the stepper accumulates the quadratic variation of
 every probe pair (`GalerkinConfig.qv_pairs`), and the refinement integral
 int <B(u, u), P_n psi> dt is read from the path afterwards, for any psi,
 by `convection_pairing` on an ensemble that recorded the states of every
@@ -56,6 +57,7 @@ from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .noise import NoiseModel, noise_matrices
 from .nonlinear import CutoffSpec
@@ -494,92 +496,213 @@ def _norms_of(diff: np.ndarray, w: np.ndarray) -> np.ndarray:
     return np.sqrt(np.einsum("...n,n->...", diff, w))
 
 
-def _increment_norms(coords: np.ndarray, lag: int, w: np.ndarray) -> np.ndarray:
-    """|x(s + lag) - x(s)|_{U'} along the second-last axis of coords (..., S, n),
-    with w the U'-weights: shape (..., S - lag)."""
-    return _norms_of(coords[..., lag:, :] - coords[..., :-lag, :], w)
+def _lag_history(modulus_lags: int, increment_lags, steps: int) -> int:
+    """H, the states before each chunk that the lag reductions read: the
+    largest lag, of `modulus_lags` or `increment_lags`, up to the horizon;
+    0 without lags."""
+    return min(max(modulus_lags, *increment_lags, 0), steps)
 
 
-# paths whose lag maxima are formed together.  A block holds about ten
-# (rows, S) arrays, 1.3 MB at 1,025 states, besides one path's (S, n)
-# difference.  64 lags on 50 tightness paths of 1,025 states, one Xeon
-# core: n = 8/16/32 took 30/35/42 ms in blocks of 16 and 25/30/35 ms in one
-# block of 50, which raised each n = 32 tightness worker's peak RSS over
-# the brute force by 5.5 MB (2.8 MB in blocks of 16).
-LAG_ROWS = 16
+class _LagReducer:
+    """The U' lag maxima and increments of B rows, taken chunk by chunk
+    from each chunk's window of states, which holds the H steps before its
+    first (`_lag_history`): m[r, l-1] = max_s |x_r(s + l) - x_r(s)|_{U'}
+    for lags 1..L into `maxima` (B, L), and |x_r(min(s + lag, steps)) -
+    x_r(s)|_{U'} of every start s at each of `increment_lags` into
+    `increments` (B, len(increment_lags), steps + 1).  An increment is
+    taken in the chunk that holds its later state, so a reduction keeps O(B
+    (H + chunk)) values, whatever the steps.
 
+    Every increment's norm is `_norms_of` of the later state less the
+    earlier, the arithmetic of any gather of the pair, so each increment
+    has the bits of one formed from the whole path, and each maximum is the
+    maximum of such norms.  A row reads zero from its abort step on: a
+    window with an aborted row is reduced from a copy with that row zeroed
+    there.
 
-def _lag_maxima(coords: np.ndarray, w: np.ndarray, max_lag: int) -> np.ndarray:
-    """m[r, l-1] = max_s |x_r(s + l) - x_r(s)|_{U'} for lags 1..max_lag, from
-    coords (R, S, n): the bits of the maximum of every increment's norm by
-    `_increment_norms`, the same in any row block.
+    The maxima are pruned by the triangle inequality.  Every increment's
+    norm is formed only at the power-of-two lags 1, 2, 4, ..., and those of
+    the last H steps are carried to the next chunk.  At another lag l the
+    increment is the sum of the increments along l's binary digits, so its
+    norm is at most the sum of theirs, in either order along the increment:
+    the smaller of the two sums, largest digit first or last, is its bound.
+    That bound times 1 + 1e-9 also bounds the computed norm: a computed
+    norm lies within (n + 3) 2^-53 of the exact one, relative to it, and
+    the sum of at most 7 terms adds 7 2^-53, so the margin holds for n up
+    to about 10^6.  A chunk bounds its lags in groups a..a + G - 1, a a
+    multiple of G, each lag a + j as lag j (one table per chunk) beside lag
+    a.  Where more increments of a group reach the running maximum of
+    their (lag, row) than three per (lag, row), three exact probes raise it
+    first: the increments at the bound's argmax, and the two that extend
+    the argmax of the lag before the group, at its start or at its end.
+    The exact norm is then formed only where the bound reaches that
+    maximum.  Every increment whose norm is the maximum is among those
+    formed, so the maximum is exact."""
 
-    Every increment's norm is formed only at the power-of-two lags 1, 2,
-    4, ....  At another lag l the increment from s is the sum of the
-    increments along l's binary digits, so by the triangle inequality its
-    norm is at most the sum of theirs.  That sum times 1 + 1e-9 also
-    bounds the computed norm: a computed norm lies within (n + 3) 2^-53 of
-    the exact one, relative to it, and the sum of at most 7 terms adds
-    7 2^-53, so the margin holds for n up to about 10^6.  A lower bound of
-    the maximum comes from three exact probes, the increments at and one
-    before the previous lag's argmax and at the bound's argmax; the exact
-    norm is formed only where the bound reaches it.  Every increment whose
-    norm is the maximum is among those, so the maximum is exact; on
-    tightness paths about 2% of the increments are."""
-    R, S, n = coords.shape
-    out = np.zeros((R, max_lag))
-    for lo in range(0, R, LAG_ROWS):
-        block = coords[lo : lo + LAG_ROWS]
-        B = len(block)
-        flat, base = block.reshape(-1, n), np.arange(B) * S
-        pow2 = {1 << bit: np.stack([_increment_norms(path, 1 << bit, w) for path in block])
-                for bit in range(max_lag.bit_length())}  # (B, S - 2^bit), one path at a time
-        for lag in range(1, max_lag + 1):
-            if lag in pow2:
-                arg = np.argmax(pow2[lag], axis=1)
-                out[lo : lo + B, lag - 1] = np.max(pow2[lag], axis=1)
+    def __init__(self, w: np.ndarray, steps: int, maxima: np.ndarray, increment_lags, increments: np.ndarray):
+        self.w, self.steps = w, steps
+        self.lags, self.increments = tuple(increment_lags), increments
+        # (L, B): lag l - 1 of every row
+        self.best = maxima.T
+        max_lag = maxima.shape[1]
+        self.history = _lag_history(max_lag, self.lags, steps)
+        # the power-of-two norms: lag -> (rows, B), row e the increment that
+        # ends at window row e of the last chunk, whose row 0 is step `base`
+        self.pow2 = {1 << bit: np.zeros((0, len(maxima))) for bit in range(max_lag.bit_length())}
+        self.base = 0
+
+    @staticmethod
+    def _window(chunk: Chunk) -> np.ndarray:
+        """The window of `chunk`, or a copy with each aborted row zeroed
+        from its abort step on."""
+        window = chunk.window
+        dead = np.flatnonzero(chunk.abort_step >= 0)
+        if len(dead):
+            base = chunk.last + 1 - len(window)
+            window = window.copy()
+            for r in dead:
+                window[max(chunk.abort_step[r] - base, 0) :, r] = 0.0
+        return window
+
+    def add(self, chunk: Chunk) -> None:
+        """Reduce the increments that end in steps first..last of `chunk`."""
+        self.reduce(self._window(chunk), chunk.first, chunk.last)
+
+    def finish(self, chunk: Chunk) -> None:
+        """After a walk that ended with `chunk` before the horizon, once
+        every row aborted: reduce the increments that end in the next H
+        steps, where every state reads zero, as every increment past them
+        does."""
+        last = chunk.last
+        h, more = min(self.history, last), min(self.history, self.steps - last)
+        window = self._window(chunk)
+        zeros = np.zeros((h + more + 1, *window.shape[1:]))
+        zeros[: h + 1] = window[len(window) - h - 1 :]
+        self.reduce(zeros, last, last + more)
+
+    def _bounds(self, lag: int, e0: int, e1: int, ascending: bool = False) -> np.ndarray:
+        """(e1 - e0, B): the bound of each increment at `lag` that ends at
+        window rows e0..e1-1, the sum of the power-of-two norms along its
+        binary digits, descending from its start, or ascending; 0 where it
+        would start before row 0."""
+        out = np.zeros((e1 - e0, self.best.shape[1]))
+        digits = [1 << bit for bit in range(lag.bit_length()) if lag >> bit & 1]
+        v0, at = max(e0, lag), 0
+        for digit in reversed(digits) if ascending else digits:
+            out[v0 - e0 :] += self.pow2[digit][v0 - at : e1 - at]
+            at += digit
+        return out
+
+    def reduce(self, window: np.ndarray, first: int, last: int) -> None:
+        """Reduce the increments that end in steps first..last (from 0 on
+        the first chunk, at first > 0 from first + 1), from `window` (h +
+        last - first + 1, B, n), the states of steps first - h..last with h
+        = min(H, first)."""
+        w, (B, n) = self.w, window.shape[1:]
+        count = last - first
+        h = len(window) - 1 - count
+        base, shift, self.base = first - h, first - h - self.base, first - h
+        for p, old in self.pow2.items():
+            norms = old if len(old) >= len(window) else np.zeros((len(window), B))
+            if len(old):
+                norms[: h + 1] = old[shift : shift + h + 1]
+            self.pow2[p] = norms
+        # the increments at the power-of-two lags and at `increment_lags`
+        # that end at the chunk's new rows, from row 0 on the first chunk,
+        # in blocks of rows that stay in cache across the lags
+        new = h + 1 if first else 0
+        for rows in row_blocks(len(window) - new, 4 * B * n):
+            e0, e1 = new + rows.start, min(new + rows.stop, len(window))
+            for p, norms in self.pow2.items():
+                lo = max(e0, p)
+                if lo < e1:
+                    norms[lo:e1] = _norms_of(window[lo:e1] - window[lo - p : e1 - p], w)
+            for i, lag in enumerate(self.lags):
+                lo = max(e0, lag)
+                if lo < e1:
+                    self.increments[:, i, base + lo - lag : base + e1 - lag] = _norms_of(
+                        window[lo:e1] - window[lo - lag : e1 - lag], w).T
+        if last == self.steps:
+            # the starts whose increment ends past the horizon, clipped to it
+            for i, lag in enumerate(self.lags):
+                s1 = max(last + 1 - lag, 0)
+                self.increments[:, i, s1:] = _norms_of(window[-1] - window[s1 - base :], w).T
+        if len(self.best):
+            self._maxima(window, h, count)
+
+    def _maxima(self, window: np.ndarray, h: int, count: int) -> None:
+        """Raise the lag maxima by the increments that end at window rows
+        h + 1..h + count, from the power-of-two norms of this window."""
+        w, (B, n) = self.w, window.shape[1:]
+        # window row e of column r is row e B + r of the flat window
+        flat = window.reshape(-1, n)
+        cols = np.arange(B)
+        # the lags with an increment that ends in this chunk, in groups of G
+        top = min(len(self.best), h + count)
+        # as many as fit a quarter of a grid block in one (lags, ends, rows)
+        # array of bounds, and in the probes' (3, lags, rows, n) states
+        G = 1 << (block_rows(4 * B * max(count, n)).bit_length() - 1)
+        H = self.history
+        # the bounds of the lags j < G, descending, at the chunk's ends, and
+        # ascending, at the ends from H rows before them
+        low = np.zeros((min(G, top + 1), count, B))
+        lowx = np.zeros((len(low), H + count, B))
+        for j in range(1, len(low)):
+            low[j] = self._bounds(j, h + 1, h + count + 1)
+            lowx[j] = self._bounds(j, h + 1 - H, h + count + 1, ascending=True)
+        arg = None
+        for a in range(0, top + 1, G):
+            l0, l1 = max(a, 1), min(a + G, top + 1)
+            if l1 <= l0:
                 continue
-            count = S - lag
-            bound, at = np.zeros((B, count)), 0
-            for digit in (1 << bit for bit in range(lag.bit_length()) if lag >> bit & 1):
-                bound += pow2[digit][:, at : at + count]
-                at += digit
-            probes = np.empty((B, 3), dtype=np.intp)
-            probes[:, :2] = np.clip(arg[:, None] - (0, 1), 0, count - 1)
-            probes[:, 2] = np.argmax(bound, axis=1)
-            start = base[:, None] + probes
-            probe_norms = _norms_of(flat[start + lag] - flat[start], w)
-            best = np.max(probe_norms, axis=1)
-            # candidates k = r * count + s, where bound (1 + 1e-9) >= best;
-            # a NaN bound is one
-            k = np.flatnonzero(~(bound < (best / (1.0 + 1e-9))[:, None]))
-            r = k // count
-            start = k + r * lag
-            vals = _norms_of(flat[start + lag] - flat[start], w)
-            np.maximum.at(best, r, vals)
-            out[lo : lo + B, lag - 1] = best
-            # an argmax of this lag, for the next lag's probes
-            arg = probes[np.arange(B), np.argmax(probe_norms, axis=1)]
-            hit = vals == best[r]
-            arg[r[hit]] = k[hit] - r[hit] * count
-    return out
-
-
-def _lag_increments(coords: np.ndarray, w: np.ndarray, lags) -> np.ndarray:
-    """d[r, i, s] = |x_r(min(s + lags[i], S - 1)) - x_r(s)|_{U'} from coords
-    (R, S, n): every increment from every state at each lag, clipped to
-    the last state.  One path and lag at a time, the later state less the
-    earlier, squared and weighed by `_norms_of`: the arithmetic of an
-    increment gathered as a (start, end) pair of states, so any start read
-    from this table is the bits of that pair's norm."""
-    R, S, _ = coords.shape
-    out = np.empty((R, len(lags), S))
-    start = np.arange(S)
-    for i, lag in enumerate(lags):
-        end = np.minimum(start + lag, S - 1)
-        for r in range(R):
-            out[r, i] = _norms_of(coords[r, end] - coords[r], w)
-    return out
+            group = np.arange(l0, l1)[:, None]
+            # each lag a + j's digits descending, lag a's before lag j's, and
+            # ascending, lag j's before lag a's: the smaller bound
+            bound = low[l0 - a : l1 - a].copy()
+            other = lowx[l0 - a : l1 - a, H - a : H - a + count].copy()
+            if a:
+                high = self._bounds(a, h + 2 - G, h + count + 1)
+                row, col = high.strides
+                # [j, e] = high[G - 1 - j + e]: lag a ending j steps earlier
+                bound += as_strided(high[G - 1 :], (G, count, B), (-row, row, col))[l0 - a : l1 - a]
+                other += self._bounds(a, h + 1, h + count + 1, ascending=True)
+            np.minimum(bound, other, out=bound)
+            for lag in range(max(l0, h + 2), l1):
+                bound[lag - l0, : lag - h - 1] = -np.inf
+            best = self.best[l0 - 1 : l1 - 1].copy()
+            reach = bound >= (best / (1.0 + 1e-9))[:, None]
+            # three exact probes, as flat rows of the later state, where more
+            # increments reach the running maximum than those: at the bound's
+            # argmax, and extending the last lag's argmax at its start and
+            # at its end
+            if np.count_nonzero(reach) > 3 * bound.size // count:
+                ends = np.empty((3, l1 - l0, B), dtype=np.intp)
+                np.add(np.argmax(bound, axis=1), h + 1, out=ends[0])
+                if arg is None:
+                    ends[1:] = ends[0]
+                else:
+                    np.minimum(arg + (group - l0 + 1), h + count, out=ends[1])
+                    np.maximum(arg, np.maximum(group, h + 1), out=ends[2])
+                ends *= B
+                ends += cols
+                probe = _norms_of(flat[ends] - flat[ends - group * B], w)
+                np.maximum(best, np.max(probe, axis=0), out=best)
+                reach = np.greater_equal(bound, (best / (1.0 + 1e-9))[:, None], out=reach)
+                arg = ends[np.argmax(probe[:, -1], axis=0), -1, cols] // B
+            elif arg is None:
+                arg = h + 1 + np.argmax(bound[-1], axis=0)
+            # the increments k = (j count + e) B + r that reach it
+            j, k = np.divmod(np.flatnonzero(reach), count * B)
+            k += (h + 1) * B
+            vals = np.empty(len(k))
+            for at in row_blocks(len(k), 4 * n):
+                vals[at] = _norms_of(flat[k[at]] - flat[k[at] - (j[at] + l0) * B], w)
+            at = j * B + k % B
+            np.maximum.at(best.ravel(), at, vals)
+            self.best[l0 - 1 : l1 - 1] = best
+            # an argmax of the group's last lag, for the next group's probes
+            hit = (j == l1 - l0 - 1) & (vals == best.ravel()[at])
+            arg[k[hit] % B] = k[hit] // B
 
 
 # -- stepping -------------------------------------------------------------------
@@ -710,15 +833,18 @@ NORMS = ("H", "D", "Udual")
 class Chunk(NamedTuple):
     """Steps first..last of a walk of `step_chunks`, handed to its consumer:
     views of buffers that the next chunk overwrites, one row per step
-    first..last, and the walk's per-row arrays as they stand at step
-    `last`.  A row that aborted keeps stepping from its abort step's state,
-    non-finite entries zeroed, so its values after `abort_step` are not its
-    path."""
+    first..last (the states also from up to H steps before), and the walk's
+    per-row arrays as they stand at step `last`.  A row that aborted keeps
+    stepping from its abort step's state, non-finite entries zeroed, so its
+    values after `abort_step` are not its path."""
 
     first: int
     last: int
     norms: dict  # NORMS name -> (last - first + 1, B), the norms (H under h_norm)
     states: np.ndarray  # (last - first + 1, B, n)
+    # (h + last - first + 1, B, n): the states of steps first - h..last, h =
+    # min(H, first) with H the config's `_lag_history`; `states` is its tail
+    window: np.ndarray
     qv: np.ndarray  # (last - first + 1, B, len(config.qv_pairs)), the quadratic variations
     integrals: dict  # recorded INTEGRALS term -> (last - first + 1, B, n), the running integrals
     ito: np.ndarray | None  # (last - first, B), each step's Ito increment; None without the ledger
@@ -746,7 +872,10 @@ def step_chunks(config: GalerkinConfig, indices, x0=None, dW=None, h_norm: bool 
     when `h_norm` or the ledger asks for them), the quadratic variations of
     the probe pairs and the running integrals its records name, each in a
     buffer of L + 1 rows made once per walk, whose row 0 is the last row of
-    the chunk before; the consumer picks the steps it reads.  The ledger --
+    the chunk before; the consumer picks the steps it reads.  The states'
+    buffer has H more rows (`_lag_history`, 0 without lags), and carries
+    the last H + 1 rows of the chunk before, so each chunk's window holds
+    the states of min(H, first) steps before its own.  The ledger --
     each step's drift, taming, forcing and martingale work and |du|^2 -- is
     folded into each row's worst relative residual (`_fold_residuals`) at
     the end of the chunk; each step's Ito and Hilbert-Schmidt increments are
@@ -775,7 +904,8 @@ def step_chunks(config: GalerkinConfig, indices, x0=None, dW=None, h_norm: bool 
     # chunks of `length` steps, the last one shorter: row_blocks over the
     # steps, made one at a time
     length = min(steps, block_rows(B * n))
-    states = np.empty((length + 1, B, n))
+    history = _lag_history(config.modulus_lags, config.increment_lags, steps)
+    states = np.empty((history + length + 1, B, n))
     if x0 is None:
         states[0] = config.basis.real_coords(project_Pn(config.u0, n), n)
     else:
@@ -812,7 +942,7 @@ def step_chunks(config: GalerkinConfig, indices, x0=None, dW=None, h_norm: bool 
     h_norm = h_norm or ledger
     norms = {name: np.empty((length + 1, B)) for name in NORMS if h_norm or name != "H"}
     nH, nD, nU = norms.get("H"), norms["D"], norms["Udual"]
-    buffers = [states, qv, *norms.values(), *J.values()]
+    buffers = [qv, *norms.values(), *J.values()]
     if ledger:
         terms = np.zeros((5, length, B))
         drift_work, b_work, forcing_work, mart_work, delta_sq = terms
@@ -825,13 +955,19 @@ def step_chunks(config: GalerkinConfig, indices, x0=None, dW=None, h_norm: bool 
     for name, sq in zip(NORMS, (h2, d2, u2)):
         if name in norms:
             np.sqrt(sq, out=norms[name][0])
+    h = 0
     for lo in range(0, steps, length):
         hi = min(lo + length, steps)
         if lo:
-            # the step at lo ends the last chunk and opens this one
+            # the step at lo ends the last chunk and opens this one, after
+            # the states of the `history` steps before it
             for buf in buffers:
                 buf[0] = buf[count]
-        x, ud = states[0], nU[0]
+            end, h = h + count + 1, min(history, lo)
+            states[: h + 1] = states[end - h - 1 : end]
+        # this chunk's states: row 0 is the step at lo
+        cur = states[h:]
+        x, ud = cur[0], nU[0]
         if dW is not None:
             dw = dW[lo:hi]
         else:
@@ -844,7 +980,7 @@ def step_chunks(config: GalerkinConfig, indices, x0=None, dW=None, h_norm: bool 
         with np.errstate(over="ignore", invalid="ignore"):
             for j in range(lo, hi):
                 i = j - lo
-                x_new, theta, tbx, bx, g, xi = _step(sys, config, cutoff, x, ud, f, dw[i], states[i + 1])
+                x_new, theta, tbx, bx, g, xi = _step(sys, config, cutoff, x, ud, f, dw[i], cur[i + 1])
                 if theta is not None:
                     np.minimum(cutoff_min, np.where(alive, theta, 1.0), out=cutoff_min)
                 if drift:
@@ -899,7 +1035,7 @@ def step_chunks(config: GalerkinConfig, indices, x0=None, dW=None, h_norm: bool 
                     # every step not taken is past every row's abort: 0
                     np.fmax(worst, 0.0, out=worst)
         yield Chunk(first=lo, last=last, norms={name: buf[: count + 1] for name, buf in norms.items()},
-                    states=states[: count + 1], qv=qv[: count + 1],
+                    states=cur[: count + 1], window=states[: h + count + 1], qv=qv[: count + 1],
                     integrals={name: buf[: count + 1] for name, buf in J.items()},
                     ito=None if ito is None else ito[:count], hs=None if hs is None else hs[:count],
                     worst=worst, cutoff_min=cutoff_min, abort_step=abort_step)
@@ -940,32 +1076,26 @@ def _integrate_rows(ens: Ensemble, dW=None, x0=None) -> None:
     unrecorded output's arrays have width 0; every recorded array is the
     same bits whatever else is recorded.  An aborted row keeps what it had
     at its abort step, its norms there with the non-finite entries zeroed,
-    and reads zero after it, its ledger terms too.  Last, each row's U'
-    increment maxima over lags 1..modulus_lags of the step grid
-    (`_lag_maxima`) and its increments at `increment_lags`
-    (`_lag_increments`) are taken from its path.
-
-    The path, every step's state, is written only when the lag maxima or
-    the increments read it, and only to a private anonymous mapping of this
-    block's rows (`mmap.MAP_PRIVATE`, as the convection scratch), closed
-    before returning, so that only the process that stepped a row ever
-    holds it."""
+    and reads zero after it, its ledger terms too.  Each row's U' increment
+    maxima over lags 1..modulus_lags of the step grid and its increments at
+    `increment_lags` are reduced from each chunk's window as it is handed
+    over (`_LagReducer`), and, after a walk that ended early, from the zero
+    states of the steps not taken; no step's state is kept longer."""
     config = ens.config
     ledger = "ledger" in config.records
     if ledger:
         ito_step, hs_step = np.zeros((len(ens), config.steps)), np.zeros((len(ens), config.steps))
     norms = dict(H=ens.norm_H, D=ens.norm_D, Udual=ens.norm_Udual)
     snap_idx = config.snap_idx
-    private = path = None
+    lags = None
     if config.modulus_lags or config.increment_lags:
-        shape = (len(ens), config.steps + 1, config.n)
-        private = mmap.mmap(-1, max(8 * math.prod(shape), 1), flags=mmap.MAP_PRIVATE)
-        path = np.frombuffer(private, dtype=np.float64, count=math.prod(shape)).reshape(shape)
+        sys = _compiled(config.basis, config.n, config.model, config.include_B)
+        lags = _LagReducer(sys.wUdual, config.steps, ens.lag_maxima, config.increment_lags, ens.increment_norms)
     for chunk in step_chunks(config, ens.indices.tolist(), x0, dW):
         for name, buf in chunk.norms.items():
             norms[name][:, chunk.first : chunk.last + 1] = buf.T
-        if path is not None:
-            path[:, chunk.first : chunk.last + 1] = chunk.states.swapaxes(0, 1)
+        if lags is not None:
+            lags.add(chunk)
         # each recorded snapshot array beside the chunk's buffer of it
         snapshots = [(ens.qv_cum, chunk.qv)]
         snapshots += [(ens.snap_integrals[name], buf) for name, buf in chunk.integrals.items()]
@@ -978,6 +1108,8 @@ def _integrate_rows(ens: Ensemble, dW=None, x0=None) -> None:
             ito_step[:, chunk.first : chunk.last] = chunk.ito.T
             hs_step[:, chunk.first : chunk.last] = chunk.hs.T
     ens.cutoff_min[:], ens.abort_step[:] = chunk.cutoff_min, chunk.abort_step
+    if lags is not None and chunk.last < config.steps:
+        lags.finish(chunk)
 
     # an aborted row keeps what it had at its abort step and zeros after it
     for r in np.flatnonzero(ens.aborted):
@@ -989,21 +1121,10 @@ def _integrate_rows(ens: Ensemble, dW=None, x0=None) -> None:
         late = snap_idx >= a
         for snaps, _ in snapshots:
             snaps[r, late] = 0.0
-        if path is not None:
-            path[r, a:] = 0.0
     if ledger:
         ens.energy_residual[:] = chunk.worst
         ens.ito_sum[:] = np.sum(ito_step, axis=1)
         ens.hs_sum[:] = np.sum(hs_step, axis=1)
-    sys = _compiled(config.basis, config.n, config.model, config.include_B)
-    if config.modulus_lags:
-        ens.lag_maxima[:] = _lag_maxima(path, sys.wUdual, config.modulus_lags)
-    if config.increment_lags:
-        ens.increment_norms[:] = _lag_increments(path, sys.wUdual, config.increment_lags)
-    if private is not None:
-        # no view of the mapping is left, so it closes
-        del path
-        private.close()
 
 
 def integrate_batch(config: GalerkinConfig, indices, dW=None, x0=None) -> Ensemble:

@@ -338,7 +338,7 @@ def increment_scaling(ens: Ensemble, tau, thetas) -> IncrementScalingReport:
         J = ens.snap_integrals[name][rows]  # (R, S, n)
         inc = J[:, end] - J[:, start]  # (R, theta, anchor, n)
         # these norms are the pairwise np.sum over n; the einsum of
-        # _increment_norms rounds differently in the last bit, so the scaling
+        # galerkin._norms_of rounds differently in the last bit, so the scaling
         # table keeps its own form and its values to the bit
         norms = np.sqrt(np.sum(wUdual * inc * inc, axis=-1))
         med[name] = median(norms.transpose(1, 0, 2).reshape(len(thetas), -1), axis=1)

@@ -1,8 +1,8 @@
 """The brute-force lag reductions of a path's snapshots: every increment's
 U' norm at every lag for the maxima, the independent reference for the
-stepper's pruned `galerkin._lag_maxima`, and every increment gathered as a
-(start, end) pair of states, the reference for its recorded increment
-norms (`galerkin._lag_increments`)."""
+stepper's pruned, chunk by chunk maxima (`galerkin._LagReducer`), and
+every increment gathered as a (start, end) pair of states, the reference
+for its recorded increment norms."""
 
 import numpy as np
 

@@ -1,5 +1,6 @@
 import math
 import mmap
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
@@ -9,6 +10,7 @@ import pytest
 from lag_oracle import brute_lag_maxima, pair_increment_norms
 from noise_oracle import sample_nested_space
 from path_oracle import decomposition_increments
+from conftest import walk_in_chunks
 from stepper_oracle import generate_wiener
 
 from sgns import galerkin, tightness
@@ -43,6 +45,20 @@ def small_config(basis, **kw):
         snapshot_stride=1,
         **kw,
     )
+
+
+def streamed_lag_maxima(coords: np.ndarray, w: np.ndarray, max_lag: int, chunk: int) -> np.ndarray:
+    """The lag maxima of coords (R, S, n) by the stepper's reducer
+    (`galerkin._LagReducer`), handed the path as a walk in chunks of `chunk`
+    steps hands it: each chunk's window of states from H steps before it."""
+    R, S, _ = coords.shape
+    out = np.zeros((R, max_lag))
+    lags = galerkin._LagReducer(w, S - 1, out, (), np.zeros((R, 0, S)))
+    for first in range(0, S - 1, chunk):
+        last = min(first + chunk, S - 1)
+        h = min(lags.history, first)
+        lags.reduce(np.ascontiguousarray(coords[:, first - h : last + 1].swapaxes(0, 1)), first, last)
+    return out
 
 
 # the lags of the Aldous windows 0.004..0.064 of the 129-snapshot grid
@@ -267,11 +283,12 @@ def test_modulus_is_one_path_lag_maxima(small_ensemble):
 
 @pytest.mark.parametrize("block", [1, 2, 3])
 def test_lag_maxima_in_row_blocks(small_ensemble, monkeypatch, block):
-    # 7 paths: no block size above divides them, so the last block is short
+    # 7 paths stepped, and reduced, in blocks of 1, 2 or 3 rows: no block
+    # size above divides them, so the last block is short
     basis, recs = small_ensemble
     cfg = small_config(basis, modulus_lags=20)
-    monkeypatch.setattr(galerkin, "LAG_ROWS", block)
-    ens = integrate_batch(cfg, range(7))  # the stepper records them
+    monkeypatch.setattr(galerkin, "cache_rows", lambda config: block)
+    ens = integrate_ensemble(cfg, 7)  # the stepper records them
     want = brute_lag_maxima(ens.snap_u, basis.mode_weights("Udual", cfg.n), 20)
     assert np.array_equal(FunctionFamily(ens).lag_maxima(20), want)
 
@@ -330,39 +347,121 @@ def test_increment_norms_are_the_pair_gathers(basis2d_small, monkeypatch, block)
 
 def test_unrecorded_states_keep_the_reductions(basis2d_small, monkeypatch):
     # the lag maxima and the increment norms of paths stepped without the
-    # states record, in blocks of 3 rows with two rows aborting, are the
-    # bits of the run that records them; each block, with the states or
-    # without, keeps its path in a private mapping of its own rows, closed
-    # when the block returns
+    # states record, in one batch with two rows aborting and in blocks of 3
+    # rows, are the bits of the runs that record them
     cfg = small_config(basis2d_small, overflow_limit=1e3, modulus_lags=20, increment_lags=(4, 16, 64))
     dW = aborting_increments(cfg, 7)
     full = integrate_batch(cfg, range(7), dW)
     part_cfg = replace(cfg, records=frozenset(galerkin.RECORDS) - {"states"})
-    maps, make = [], mmap.mmap
-
-    def spy(fileno, length, **kwargs):
-        maps.append((length, make(fileno, length, **kwargs)))
-        return maps[-1][1]
-
-    monkeypatch.setattr(galerkin.mmap, "mmap", spy)
     part = integrate_batch(part_cfg, range(7), dW)
     assert part.snap_u.shape == (7, 0, cfg.n)
     assert np.array_equal(part.lag_maxima, full.lag_maxima)
     assert np.array_equal(part.increment_norms, full.increment_norms)
-    block = [m for length, m in maps if length == 8 * 7 * 129 * cfg.n]
-    assert len(block) == 1 and block[0].closed
     monkeypatch.setattr(galerkin, "cache_rows", lambda config: 3)
-    maps.clear()
     ens = integrate_ensemble(part_cfg, 7)
     assert np.array_equal(ens.increment_norms, integrate_ensemble(cfg, 7).increment_norms)
-    # blocks of 3, 3 and 1 rows, of each ensemble
-    blocks = [m for length, m in maps if length in (8 * 3 * 129 * cfg.n, 8 * 129 * cfg.n)]
-    assert len(blocks) == 6 and all(m.closed for m in blocks)
-    # nothing reads the states: no block mapping at all
-    maps.clear()
-    none = integrate_batch(replace(part_cfg, modulus_lags=0, increment_lags=()), range(7), dW)
-    assert none.snap_u.shape == (7, 0, cfg.n)
-    assert not [m for length, m in maps if length == 8 * 7 * 129 * cfg.n]
+
+
+def block_memory(monkeypatch, cfg, rows: int) -> tuple:
+    """(traced peak, private mappings, shared mappings) of one batch of
+    `rows` paths of cfg, after one run that compiles the system: the peak of
+    the memory tracemalloc sees and the lengths of the anonymous mappings
+    made, which it does not (the Ensemble's, shared, and the convection
+    scratch, private)."""
+    integrate_batch(cfg, range(rows))
+    maps, make = [], mmap.mmap
+
+    def spy(fileno, length, **kwargs):
+        maps.append((length, kwargs.get("flags", mmap.MAP_SHARED)))
+        return make(fileno, length, **kwargs)
+
+    monkeypatch.setattr(galerkin.mmap, "mmap", spy)
+    tracemalloc.start()
+    try:
+        integrate_batch(cfg, range(rows))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        monkeypatch.setattr(galerkin.mmap, "mmap", make)
+    private = [length for length, flags in maps if flags & mmap.MAP_PRIVATE]
+    return peak, private, [length for length, flags in maps if not flags & mmap.MAP_PRIVATE]
+
+
+@pytest.mark.parametrize("verb", ["ensemble", "estimates", "tightness", "states"])
+def test_a_block_holds_no_path(basis2d_small, monkeypatch, verb):
+    # 7 paths over 512 and 2,048 steps in chunks of 32, recorded as the
+    # ensemble verb records them (the ledger), as the estimates verb does
+    # (nothing), as the tightness verb does (the noise integral every 8
+    # steps; lag maxima over 32 steps, increments at lags 4, 16 and 32), or
+    # with the states and the noise integral at every step and those lags:
+    # the block's private memory stays below one (7, steps + 1, n) path and
+    # grows with the steps by less than 6 (7, steps) rows (3 norms and 3
+    # increments of the Ensemble, itself one shared mapping, which
+    # tracemalloc does not see; the ledger's 2), and no mapping but the
+    # Ensemble's is as large as a path
+    rows, peaks = 7, []
+    lags = dict(modulus_lags=32, increment_lags=(4, 16, 32))
+    kept = {"ensemble": dict(snapshot_stride=10, records={"ledger"}),
+            "estimates": dict(snapshot_stride=10, records=()),
+            "tightness": dict(snapshot_stride=8, records={"integral_noise"}, **lags),
+            "states": dict(snapshot_stride=1, records={"states", "integral_noise"}, **lags)}[verb]
+    for steps in (512, 2048):
+        cfg = replace(small_config(basis2d_small), T=steps * 1e-3, **kept)
+        walk_in_chunks(monkeypatch, rows, cfg.n, 32)
+        peak, private, shared = block_memory(monkeypatch, cfg, rows)
+        path = 8 * rows * (steps + 1) * cfg.n
+        assert peak < path and all(length < path for length in private)
+        # the one shared mapping is the Ensemble's arrays, a path only where
+        # it records the states of every step
+        ensemble = 8 * rows * sum(math.prod(shape) for shape in galerkin._row_shapes(cfg).values())
+        assert shared == [ensemble]
+        assert (ensemble >= path) == (verb == "states")
+        peaks.append(peak)
+    assert peaks[1] - peaks[0] < 8 * rows * 6 * (2048 - 512)
+
+
+@pytest.mark.parametrize("chunk", [1, 19, 20, 21])
+def test_streamed_lag_reductions_in_any_chunks(basis2d_small, monkeypatch, chunk):
+    # the reductions read H = 20 steps before each chunk (lag maxima over 20
+    # steps, increments at lags 0, 5 and 20), walked in chunks of 1, H - 1,
+    # H and H + 1 steps: with rows 1 and 3 aborting at step 41, inside a
+    # window, and with every row aborting there, which ends the walk 87
+    # steps before the horizon, in one batch and in one-row blocks; each is
+    # the oracles' bits on the recorded states, which read zero from the
+    # abort on
+    cfg = small_config(basis2d_small, overflow_limit=1e3, modulus_lags=20, increment_lags=(0, 5, 20))
+    w = basis2d_small.mode_weights("Udual", cfg.n)
+    some = aborting_increments(cfg, 7)
+    every = some.copy()
+    every[40] = 1e6
+    walk_in_chunks(monkeypatch, 7, cfg.n, chunk)
+    for dW, aborted in ((some, [1, 3]), (every, list(range(7)))):
+        ens = integrate_batch(cfg, range(7), dW)
+        assert np.flatnonzero(ens.aborted).tolist() == aborted and np.all(ens.abort_step[aborted] == 41)
+        assert np.array_equal(ens.lag_maxima, brute_lag_maxima(ens.snap_u, w, 20))
+        assert np.array_equal(ens.increment_norms, pair_increment_norms(ens.snap_u, w, cfg.increment_lags))
+    for r in range(7):
+        row = integrate_batch(cfg, [r], every[:, r : r + 1])
+        assert np.array_equal(row.lag_maxima, ens.lag_maxima[r : r + 1])
+        assert np.array_equal(row.increment_norms, ens.increment_norms[r : r + 1])
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_streamed_lag_reductions_on_any_workers(basis2d_small, monkeypatch, workers):
+    # 7 paths in blocks of 2 rows on 1, 2 or 3 workers, over 128 steps
+    # (H = 64, in chunks of 30 steps) and over 12 steps, shorter than the
+    # lags asked for (H = 12, every lag to the horizon and increments at 64
+    # steps clipped to it): the oracles' bits on the recorded states
+    monkeypatch.setattr(galerkin, "cache_rows", lambda config: 2)
+    walk_in_chunks(monkeypatch, 2, 10, 30)
+    w = basis2d_small.mode_weights("Udual", 10)
+    long = small_config(basis2d_small, modulus_lags=64, increment_lags=(4, 16, 64))
+    short = replace(small_config(basis2d_small, modulus_lags=12, increment_lags=(5, 64)), T=0.012)
+    for cfg in (long, short):
+        assert galerkin._lag_history(cfg.modulus_lags, cfg.increment_lags, cfg.steps) == min(64, cfg.steps)
+        ens = integrate_ensemble(cfg, 7, workers=workers)
+        assert np.array_equal(ens.lag_maxima, brute_lag_maxima(ens.snap_u, w, cfg.modulus_lags))
+        assert np.array_equal(ens.increment_norms, pair_increment_norms(ens.snap_u, w, cfg.increment_lags))
 
 
 @pytest.mark.parametrize("records", ["noise", "all"])
@@ -437,7 +536,10 @@ def test_lag_maxima_are_the_oracles_on_adversarial_paths(kind):
                   "constant": lambda: np.repeat(steps[:, :1], S, axis=1)}[kind]() * scale
         w = 10.0 ** rng.uniform(-6, 0, n)
         want = brute_lag_maxima(coords, w, max_lag)
-        assert np.array_equal(galerkin._lag_maxima(coords, w, max_lag), want), (case, n, R, S, max_lag)
+        # chunks of 1, H - 1, H, H + 1 and all S - 1 steps
+        chunk = max((1, max_lag - 1, max_lag, max_lag + 1, S - 1)[case % 5], 1)
+        got = streamed_lag_maxima(coords, w, max_lag, chunk)
+        assert np.array_equal(got, want), (case, n, R, S, max_lag, chunk)
 
 
 def test_lag_maxima_keep_the_bounds_margin_on_collinear_paths():
@@ -451,7 +553,8 @@ def test_lag_maxima_keep_the_bounds_margin_on_collinear_paths():
         coords = c + s * v
         w = 10.0 ** rng.uniform(-6, 0, 6)
         want = brute_lag_maxima(coords, w, 40)
-        assert np.array_equal(galerkin._lag_maxima(coords, w, 40), want), trial
+        chunk = (1, 39, 40, 41, 199)[trial % 5]
+        assert np.array_equal(streamed_lag_maxima(coords, w, 40, chunk), want), (trial, chunk)
 
 
 @pytest.mark.parametrize("lags", [64, 8])
