@@ -26,8 +26,8 @@ deltas = [T * 2.0**-j for j in range(9, 3, -1)]
 thetas, eta_theta = [T * 2.0**-j for j in range(8, 3, -1)], T * 2.0**-4
 times = np.arange(steps + 1) * dt
 
-# the pool workers record each path's U' increment maxima at the step lags
-# the modulus table over `deltas` reads, and its increments at the step lags
+# the pool workers record each path's U' modulus at the step lags the
+# modulus table over `deltas` reads, and its increments at the step lags
 # of the Aldous windows `thetas` and of the threshold's window; the running
 # integrals the scaling fit reads are snapshotted every 4 steps
 cfg = GalerkinConfig(basis=basis, n=16, dt=dt, T=T, u0=u0,

@@ -206,7 +206,7 @@ def run_tightness(run: RunConfig, bundle: ResultBundle, workers: int) -> None:
         bundle.summary.update(passed=False, failure="; ".join(violations))
         return
     # each block's process, the verb's own or a pool worker, reduces the
-    # paths it stepped to their lag maxima, which the modulus table reads,
+    # paths it stepped to their U' modulus, which the modulus table reads,
     # and to their increments at the lags of the Aldous table and of its
     # threshold, calibrated at the smallest window, both on the step grid
     eta_theta = min(thetas)

@@ -35,9 +35,10 @@ output costs no step work and no shared memory, and a reader that needs it
 raises ValueError naming it; every recorded array has the same bits
 whatever else is recorded.  Two per-row reductions of the path on the step
 grid are taken by the process that stepped the row, chunk by chunk as the
-walk hands it over: the U' increment maxima over lags 1..`modulus_lags`
-steps and every U' increment at the `increment_lags`, which the tightness
-diagnostics read in place of the states.  For them the stepper keeps the
+walk hands it over: the U' modulus of continuity, the largest increment
+over lags 1..l steps for each l up to `modulus_lags`, and every U'
+increment at the `increment_lags`, which the tightness diagnostics read in
+place of the states.  For them the stepper keeps the
 states of the largest lag's steps before each chunk, and no block holds
 its whole path, whatever the snapshot grid.  The probes alone fix the
 pairings: the stepper accumulates the quadratic variation of
@@ -57,7 +58,6 @@ from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from .noise import NoiseModel, noise_matrices
 from .nonlinear import CutoffSpec
@@ -314,8 +314,8 @@ class GalerkinConfig:
     include_B: bool = True
     probes: tuple = ()  # SpectralFields; the quadratic variation of every pair is accumulated
     overflow_limit: float = 1e12
-    # lags 1..modulus_lags, in steps, whose per-path U' increment maxima the
-    # stepper records (`lag_maxima`) for the modulus of continuity
+    # lags 1..modulus_lags, in steps, over which the stepper records each
+    # path's U' modulus of continuity (`modulus`)
     modulus_lags: int = 0
     # lags, in steps, at which the stepper records every U' increment from
     # each step, clipped to the horizon (`increment_norms`)
@@ -415,7 +415,8 @@ class Ensemble:
     snap_u: np.ndarray  # (R, S, n) at config.snap_idx; (R, 0, n) unrecorded
     snap_integrals: dict  # INTEGRALS term -> (R, S, n) at config.snap_idx; (R, 0, n) unrecorded
     qv_cum: np.ndarray  # (R, S, len(config.qv_pairs)) at config.snap_idx
-    lag_maxima: np.ndarray  # (R, modulus_lags): max over steps j of |u(j + l) - u(j)|_{U'}
+    # (R, modulus_lags): [r, l-1] = max over lags l' <= l and steps j of |u(j + l') - u(j)|_{U'}
+    modulus: np.ndarray
     # (R, len(increment_lags), steps + 1): [r, i, j] = |u(min(j + l_i, steps)) - u(j)|_{U'}
     increment_norms: np.ndarray
     cutoff_min: np.ndarray  # (R,)
@@ -504,69 +505,48 @@ def _lag_history(modulus_lags: int, increment_lags, steps: int) -> int:
 
 
 class _LagReducer:
-    """The U' lag maxima and increments of B rows, taken chunk by chunk
+    """The U' modulus and lag increments of B rows, taken chunk by chunk
     from each chunk's window of states, which holds the H steps before its
-    first (`_lag_history`): m[r, l-1] = max_s |x_r(s + l) - x_r(s)|_{U'}
-    for lags 1..L into `maxima` (B, L), and |x_r(min(s + lag, steps)) -
-    x_r(s)|_{U'} of every start s at each of `increment_lags` into
-    `increments` (B, len(increment_lags), steps + 1).  An increment is
-    taken in the chunk that holds its later state, so a reduction keeps O(B
-    (H + chunk)) values, whatever the steps.
+    first (`_lag_history`): m[r, l-1] = max over lags 1..l and starts s of
+    |x_r(s + l') - x_r(s)|_{U'} for l = 1..L into `modulus` (B, L), and
+    |x_r(min(s + lag, steps)) - x_r(s)|_{U'} of every start s at each of
+    `increment_lags` into `increments` (B, len(increment_lags), steps + 1).
+    An increment is taken in the chunk that holds its later state, so a
+    reduction keeps O(B (H + chunk)) values, whatever the steps.
 
     Every increment's norm is `_norms_of` of the later state less the
     earlier, the arithmetic of any gather of the pair, so each increment
-    has the bits of one formed from the whole path, and each maximum is the
-    maximum of such norms.  A row reads zero from its abort step on: a
-    window with an aborted row is reduced from a copy with that row zeroed
-    there.
+    has the bits of one formed from the whole path, and each modulus is the
+    maximum of such norms.
 
-    The maxima are pruned by the triangle inequality.  Every increment's
-    norm is formed only at the power-of-two lags 1, 2, 4, ..., and those of
-    the last H steps are carried to the next chunk.  At another lag l the
-    increment is the sum of the increments along l's binary digits, so its
-    norm is at most the sum of theirs, in either order along the increment:
-    the smaller of the two sums, largest digit first or last, is its bound.
-    That bound times 1 + 1e-9 also bounds the computed norm: a computed
-    norm lies within (n + 3) 2^-53 of the exact one, relative to it, and
-    the sum of at most 7 terms adds 7 2^-53, so the margin holds for n up
-    to about 10^6.  A chunk bounds its lags in groups a..a + G - 1, a a
-    multiple of G, each lag a + j as lag j (one table per chunk) beside lag
-    a.  Where more increments of a group reach the running maximum of
-    their (lag, row) than three per (lag, row), three exact probes raise it
-    first: the increments at the bound's argmax, and the two that extend
-    the argmax of the lag before the group, at its start or at its end.
-    The exact norm is then formed only where the bound reaches that
-    maximum.  Every increment whose norm is the maximum is among those
-    formed, so the maximum is exact."""
+    The modulus is pruned by the triangle inequality.  Every increment's
+    norm is formed at the power-of-two lags 1, 2, 4, ..., and those of the
+    last H steps are carried to the next chunk.  A chunk raises each lag l
+    in turn to lag l - 1's modulus, then by its increments: at a power of
+    two by their norms; at another lag, the increment is the sum of the
+    increments along l's binary digits, so the sum of their norms bounds
+    its norm.  That bound times 1 + 1e-9 also bounds the computed norm: a
+    computed norm lies within (n + 3) 2^-53 of the exact one, relative to
+    it, and the sum of at most 7 terms adds 7 2^-53, so the margin holds for
+    n up to about 10^6.  The exact norm is formed only where the bound
+    reaches the modulus, so every increment whose norm is the maximum is
+    among those formed and the modulus is exact."""
 
-    def __init__(self, w: np.ndarray, steps: int, maxima: np.ndarray, increment_lags, increments: np.ndarray):
+    def __init__(self, w: np.ndarray, steps: int, modulus: np.ndarray, increment_lags, increments: np.ndarray):
         self.w, self.steps = w, steps
         self.lags, self.increments = tuple(increment_lags), increments
         # (L, B): lag l - 1 of every row
-        self.best = maxima.T
-        max_lag = maxima.shape[1]
+        self.best = modulus.T
+        max_lag = modulus.shape[1]
         self.history = _lag_history(max_lag, self.lags, steps)
         # the power-of-two norms: lag -> (rows, B), row e the increment that
         # ends at window row e of the last chunk, whose row 0 is step `base`
-        self.pow2 = {1 << bit: np.zeros((0, len(maxima))) for bit in range(max_lag.bit_length())}
+        self.pow2 = {1 << bit: np.zeros((0, len(modulus))) for bit in range(max_lag.bit_length())}
         self.base = 0
-
-    @staticmethod
-    def _window(chunk: Chunk) -> np.ndarray:
-        """The window of `chunk`, or a copy with each aborted row zeroed
-        from its abort step on."""
-        window = chunk.window
-        dead = np.flatnonzero(chunk.abort_step >= 0)
-        if len(dead):
-            base = chunk.last + 1 - len(window)
-            window = window.copy()
-            for r in dead:
-                window[max(chunk.abort_step[r] - base, 0) :, r] = 0.0
-        return window
 
     def add(self, chunk: Chunk) -> None:
         """Reduce the increments that end in steps first..last of `chunk`."""
-        self.reduce(self._window(chunk), chunk.first, chunk.last)
+        self.reduce(chunk.window, chunk.first, chunk.last)
 
     def finish(self, chunk: Chunk) -> None:
         """After a walk that ended with `chunk` before the horizon, once
@@ -575,22 +555,20 @@ class _LagReducer:
         does."""
         last = chunk.last
         h, more = min(self.history, last), min(self.history, self.steps - last)
-        window = self._window(chunk)
-        zeros = np.zeros((h + more + 1, *window.shape[1:]))
-        zeros[: h + 1] = window[len(window) - h - 1 :]
+        zeros = np.zeros((h + more + 1, *chunk.window.shape[1:]))
+        zeros[: h + 1] = chunk.window[len(chunk.window) - h - 1 :]
         self.reduce(zeros, last, last + more)
 
-    def _bounds(self, lag: int, e0: int, e1: int, ascending: bool = False) -> np.ndarray:
+    def _bounds(self, lag: int, e0: int, e1: int) -> np.ndarray:
         """(e1 - e0, B): the bound of each increment at `lag` that ends at
-        window rows e0..e1-1, the sum of the power-of-two norms along its
-        binary digits, descending from its start, or ascending; 0 where it
-        would start before row 0."""
+        window rows e0..e1-1, e0 >= lag, the sum of the power-of-two norms
+        along its binary digits, the largest from its start."""
         out = np.zeros((e1 - e0, self.best.shape[1]))
-        digits = [1 << bit for bit in range(lag.bit_length()) if lag >> bit & 1]
-        v0, at = max(e0, lag), 0
-        for digit in reversed(digits) if ascending else digits:
-            out[v0 - e0 :] += self.pow2[digit][v0 - at : e1 - at]
-            at += digit
+        at = 0
+        for bit in range(lag.bit_length()):
+            if lag >> bit & 1:
+                out += self.pow2[1 << bit][e0 - at : e1 - at]
+                at += 1 << bit
         return out
 
     def reduce(self, window: np.ndarray, first: int, last: int) -> None:
@@ -628,81 +606,32 @@ class _LagReducer:
                 s1 = max(last + 1 - lag, 0)
                 self.increments[:, i, s1:] = _norms_of(window[-1] - window[s1 - base :], w).T
         if len(self.best):
-            self._maxima(window, h, count)
+            self._modulus(window, h, count)
 
-    def _maxima(self, window: np.ndarray, h: int, count: int) -> None:
-        """Raise the lag maxima by the increments that end at window rows
-        h + 1..h + count, from the power-of-two norms of this window."""
+    def _modulus(self, window: np.ndarray, h: int, count: int) -> None:
+        """Raise the modulus by the increments that end at window rows
+        h + 1..h + count, from the power-of-two norms of this window: each
+        lag in turn, from lag l - 1's modulus."""
         w, (B, n) = self.w, window.shape[1:]
         # window row e of column r is row e B + r of the flat window
         flat = window.reshape(-1, n)
-        cols = np.arange(B)
-        # the lags with an increment that ends in this chunk, in groups of G
-        top = min(len(self.best), h + count)
-        # as many as fit a quarter of a grid block in one (lags, ends, rows)
-        # array of bounds, and in the probes' (3, lags, rows, n) states
-        G = 1 << (block_rows(4 * B * max(count, n)).bit_length() - 1)
-        H = self.history
-        # the bounds of the lags j < G, descending, at the chunk's ends, and
-        # ascending, at the ends from H rows before them
-        low = np.zeros((min(G, top + 1), count, B))
-        lowx = np.zeros((len(low), H + count, B))
-        for j in range(1, len(low)):
-            low[j] = self._bounds(j, h + 1, h + count + 1)
-            lowx[j] = self._bounds(j, h + 1 - H, h + count + 1, ascending=True)
-        arg = None
-        for a in range(0, top + 1, G):
-            l0, l1 = max(a, 1), min(a + G, top + 1)
-            if l1 <= l0:
+        end = h + count + 1
+        # the lags with an increment that ends in this chunk
+        for lag in range(1, min(len(self.best), h + count) + 1):
+            best, e0 = self.best[lag - 1], max(h + 1, lag)
+            if lag > 1:
+                np.maximum(best, self.best[lag - 2], out=best)
+            if lag in self.pow2:
+                np.maximum(best, np.max(self.pow2[lag][e0:end], axis=0), out=best)
                 continue
-            group = np.arange(l0, l1)[:, None]
-            # each lag a + j's digits descending, lag a's before lag j's, and
-            # ascending, lag j's before lag a's: the smaller bound
-            bound = low[l0 - a : l1 - a].copy()
-            other = lowx[l0 - a : l1 - a, H - a : H - a + count].copy()
-            if a:
-                high = self._bounds(a, h + 2 - G, h + count + 1)
-                row, col = high.strides
-                # [j, e] = high[G - 1 - j + e]: lag a ending j steps earlier
-                bound += as_strided(high[G - 1 :], (G, count, B), (-row, row, col))[l0 - a : l1 - a]
-                other += self._bounds(a, h + 1, h + count + 1, ascending=True)
-            np.minimum(bound, other, out=bound)
-            for lag in range(max(l0, h + 2), l1):
-                bound[lag - l0, : lag - h - 1] = -np.inf
-            best = self.best[l0 - 1 : l1 - 1].copy()
-            reach = bound >= (best / (1.0 + 1e-9))[:, None]
-            # three exact probes, as flat rows of the later state, where more
-            # increments reach the running maximum than those: at the bound's
-            # argmax, and extending the last lag's argmax at its start and
-            # at its end
-            if np.count_nonzero(reach) > 3 * bound.size // count:
-                ends = np.empty((3, l1 - l0, B), dtype=np.intp)
-                np.add(np.argmax(bound, axis=1), h + 1, out=ends[0])
-                if arg is None:
-                    ends[1:] = ends[0]
-                else:
-                    np.minimum(arg + (group - l0 + 1), h + count, out=ends[1])
-                    np.maximum(arg, np.maximum(group, h + 1), out=ends[2])
-                ends *= B
-                ends += cols
-                probe = _norms_of(flat[ends] - flat[ends - group * B], w)
-                np.maximum(best, np.max(probe, axis=0), out=best)
-                reach = np.greater_equal(bound, (best / (1.0 + 1e-9))[:, None], out=reach)
-                arg = ends[np.argmax(probe[:, -1], axis=0), -1, cols] // B
-            elif arg is None:
-                arg = h + 1 + np.argmax(bound[-1], axis=0)
-            # the increments k = (j count + e) B + r that reach it
-            j, k = np.divmod(np.flatnonzero(reach), count * B)
-            k += (h + 1) * B
+            # the increments k = e B + r whose bound reaches the modulus, as
+            # flat rows of the later state
+            reach = self._bounds(lag, e0, end) >= best / (1.0 + 1e-9)
+            k = np.flatnonzero(reach) + e0 * B
             vals = np.empty(len(k))
             for at in row_blocks(len(k), 4 * n):
-                vals[at] = _norms_of(flat[k[at]] - flat[k[at] - (j[at] + l0) * B], w)
-            at = j * B + k % B
-            np.maximum.at(best.ravel(), at, vals)
-            self.best[l0 - 1 : l1 - 1] = best
-            # an argmax of the group's last lag, for the next group's probes
-            hit = (j == l1 - l0 - 1) & (vals == best.ravel()[at])
-            arg[k[hit] % B] = k[hit] // B
+                vals[at] = _norms_of(flat[k[at]] - flat[k[at] - lag * B], w)
+            np.maximum.at(best, k % B, vals)
 
 
 # -- stepping -------------------------------------------------------------------
@@ -729,7 +658,7 @@ def cache_rows(config: GalerkinConfig) -> int:
 def _row_shapes(config: GalerkinConfig) -> dict:
     """Shape after the row axis of every per-row array of an Ensemble, by
     field name: norms, ledger, the states, quadratic variations and running
-    integrals (keyed by term) at the snapshots, the lag maxima, the
+    integrals (keyed by term) at the snapshots, the modulus, the
     increment norms of every step, the cutoff minimum and the abort step.
     An output config.records leaves out has width 0: the ledger (one value
     per row) is (0,), the states and a running integral have no snapshots.
@@ -740,7 +669,7 @@ def _row_shapes(config: GalerkinConfig) -> dict:
     shapes.update({name: () if "ledger" in records else (0,) for name in LEDGER})
     shapes.update(snap_u=(snaps if "states" in records else 0, n), qv_cum=(snaps, len(config.qv_pairs)))
     shapes.update({name: (snaps if integral_record(name) in records else 0, n) for name in INTEGRALS})
-    shapes.update(lag_maxima=(config.modulus_lags,), increment_norms=(len(config.increment_lags), steps + 1),
+    shapes.update(modulus=(config.modulus_lags,), increment_norms=(len(config.increment_lags), steps + 1),
                   cutoff_min=(), abort_step=())
     return shapes
 
@@ -834,9 +763,9 @@ class Chunk(NamedTuple):
     """Steps first..last of a walk of `step_chunks`, handed to its consumer:
     views of buffers that the next chunk overwrites, one row per step
     first..last (the states also from up to H steps before), and the walk's
-    per-row arrays as they stand at step `last`.  A row that aborted keeps
-    stepping from its abort step's state, non-finite entries zeroed, so its
-    values after `abort_step` are not its path."""
+    per-row arrays as they stand at step `last`.  A row that aborted reads
+    zero in the states from its abort step on, and keeps stepping from
+    zero, so its other values after `abort_step` are not its path."""
 
     first: int
     last: int
@@ -883,8 +812,10 @@ def step_chunks(config: GalerkinConfig, indices, x0=None, dW=None, h_norm: bool 
     their number or order, the memory layout of `x0` and the chunks.
 
     A row whose state leaves the finite range or passes `overflow_limit` is
-    aborted at that step: its abort step is recorded, its non-finite
-    entries are zeroed, and it steps on masked, its cutoff factors and
+    aborted at that step: its abort step is recorded, and its norms there
+    are those of its state with the non-finite entries zeroed.  Then its
+    state is zeroed, and again after each later step, so that it reads zero
+    from its abort step on; it steps on masked, its cutoff factors and
     ledger terms no longer counted.  Once every row has aborted, the walk
     ends with that step, and a ledger residual of a step not taken reads 0.
 
@@ -935,7 +866,7 @@ def step_chunks(config: GalerkinConfig, indices, x0=None, dW=None, h_norm: bool 
     f = config.basis.real_coords(config.forcing, n) if forced else np.zeros(n)
     cutoff_min = np.ones(B)
     abort_step = np.full(B, -1)
-    alive = np.ones(B, dtype=bool)
+    alive, dead = np.ones(B, dtype=bool), False
     # the overflow limit as a finite bound, which an inf or NaN state fails
     limit = min(config.overflow_limit, np.finfo(np.float64).max)
 
@@ -1017,6 +948,7 @@ def step_chunks(config: GalerkinConfig, indices, x0=None, dW=None, h_norm: bool 
                     if np.logical_or.reduce(bad):
                         abort_step[bad] = j + 1
                         alive &= ~bad
+                        dead = True
                         ended = not np.logical_or.reduce(alive)
                         x[~np.isfinite(x)] = 0.0
                         h2, d2, u2 = _sq_norms(sys, x, h_norm)
@@ -1024,6 +956,8 @@ def step_chunks(config: GalerkinConfig, indices, x0=None, dW=None, h_norm: bool 
                     np.sqrt(h2, out=nH[i + 1])
                 np.sqrt(d2, out=nD[i + 1])
                 ud = np.sqrt(u2, out=nU[i + 1])
+                if dead:
+                    x[~alive] = 0.0
                 if ended:
                     break
             last = j + 1
@@ -1074,13 +1008,14 @@ def _integrate_rows(ens: Ensemble, dW=None, x0=None) -> None:
     (R, steps) rows) once the walk ends.  The ledger and each running
     integral's update run only when config.records names them, and an
     unrecorded output's arrays have width 0; every recorded array is the
-    same bits whatever else is recorded.  An aborted row keeps what it had
-    at its abort step, its norms there with the non-finite entries zeroed,
-    and reads zero after it, its ledger terms too.  Each row's U' increment
-    maxima over lags 1..modulus_lags of the step grid and its increments at
-    `increment_lags` are reduced from each chunk's window as it is handed
-    over (`_LagReducer`), and, after a walk that ended early, from the zero
-    states of the steps not taken; no step's state is kept longer."""
+    same bits whatever else is recorded.  An aborted row keeps its norms at
+    its abort step, those of its state with the non-finite entries zeroed,
+    and reads zero after it, its ledger terms too; its states read zero from
+    its abort step on.  Each row's U' modulus over lags 1..modulus_lags of
+    the step grid and its increments at `increment_lags` are reduced from
+    each chunk's window as it is handed over (`_LagReducer`), and, after a
+    walk that ended early, from the zero states of the steps not taken; no
+    step's state is kept longer."""
     config = ens.config
     ledger = "ledger" in config.records
     if ledger:
@@ -1090,7 +1025,7 @@ def _integrate_rows(ens: Ensemble, dW=None, x0=None) -> None:
     lags = None
     if config.modulus_lags or config.increment_lags:
         sys = _compiled(config.basis, config.n, config.model, config.include_B)
-        lags = _LagReducer(sys.wUdual, config.steps, ens.lag_maxima, config.increment_lags, ens.increment_norms)
+        lags = _LagReducer(sys.wUdual, config.steps, ens.modulus, config.increment_lags, ens.increment_norms)
     for chunk in step_chunks(config, ens.indices.tolist(), x0, dW):
         for name, buf in chunk.norms.items():
             norms[name][:, chunk.first : chunk.last + 1] = buf.T
@@ -1111,7 +1046,9 @@ def _integrate_rows(ens: Ensemble, dW=None, x0=None) -> None:
     if lags is not None and chunk.last < config.steps:
         lags.finish(chunk)
 
-    # an aborted row keeps what it had at its abort step and zeros after it
+    # an aborted row keeps what it had at its abort step and zeros after it;
+    # the walk zeroed its states, but not what a zero state steps on to
+    # under forcing, nor its quadratic variations and running integrals
     for r in np.flatnonzero(ens.aborted):
         a = ens.abort_step[r]
         if ledger:

@@ -12,7 +12,7 @@ otherwise) and weighs by the U' norm of the basis of the config it holds;
 no basis is passed beside it.  No tightness diagnostic reads a state:
 the process that stepped a path reduces it, on the step grid, to the
 records they read.
-The modulus table reads the per-path lag maxima
+The modulus table reads the per-path modulus of continuity, as recorded
 (`GalerkinConfig.modulus_lags`, sized by `modulus_lags`), and the Aldous
 table and its threshold read the per-path increments from every step at
 their lags (`GalerkinConfig.increment_lags`, sized by `increment_lags`);
@@ -48,8 +48,8 @@ def _window_lag(delta: float, h: float, max_lag: int) -> int:
 def modulus_lags(deltas, times) -> int:
     """Step lags a modulus table over the windows `deltas` reads on the
     step grid `times`: the whole steps in the largest window, capped by the
-    grid.  A `GalerkinConfig` given this many `modulus_lags` records every
-    lag maxima the table needs."""
+    grid.  A `GalerkinConfig` given this many `modulus_lags` records the
+    modulus at every lag the table needs."""
     return _window_lag(max(deltas), times[1] - times[0], len(times) - 1)
 
 
@@ -139,13 +139,14 @@ class FunctionFamily:
         self.ens, self.rows = ens, _live_rows(ens)
 
     def lag_maxima(self, max_lag: int) -> np.ndarray:
-        """m[r, l-1] = max_j |u_r(t_{j+l}) - u_r(t_j)|_{U'} for lags 1..max_lag,
-        as the stepper recorded them; ValueError when it recorded fewer."""
+        """The recorded modulus m[r, l-1] = max over lags l' <= l and steps j
+        of |u_r(t_{j+l'}) - u_r(t_j)|_{U'} for l = 1..max_lag, as the stepper
+        recorded it; ValueError when it recorded fewer lags."""
         recorded = self.ens.config.modulus_lags
         if max_lag > recorded:
-            raise ValueError(f"the modulus table needs lag maxima up to lag {max_lag}, but the ensemble "
-                             f"recorded {recorded} (set GalerkinConfig.modulus_lags)")
-        return self.ens.lag_maxima[self.rows, :max_lag]
+            raise ValueError(f"the modulus table needs the modulus up to lag {max_lag}, but the ensemble "
+                             f"recorded {recorded} lags (set GalerkinConfig.modulus_lags)")
+        return self.ens.modulus[self.rows, :max_lag]
 
     def increment_norms(self, lag: int) -> np.ndarray:
         """d[r, j] = |u_r(t_min(j + lag, steps)) - u_r(t_j)|_{U'} from every
@@ -164,10 +165,10 @@ def _modulus_table(ens: Ensemble, deltas: np.ndarray) -> np.ndarray:
     times = ens.config.times
     h = times[1] - times[0]
     max_lag = modulus_lags(deltas, times)
-    running = np.maximum.accumulate(FunctionFamily(ens).lag_maxima(max_lag), axis=1)
     # column 0 is the window without a whole step: modulus 0
-    running = np.concatenate([np.zeros((len(running), 1)), running], axis=1)
-    return running[:, [_window_lag(d, h, max_lag) for d in deltas]]
+    modulus = FunctionFamily(ens).lag_maxima(max_lag)
+    modulus = np.concatenate([np.zeros((len(modulus), 1)), modulus], axis=1)
+    return modulus[:, [_window_lag(d, h, max_lag) for d in deltas]]
 
 
 def median_modulus_curve(ens: Ensemble, deltas) -> tuple:

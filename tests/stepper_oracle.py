@@ -15,7 +15,7 @@ bits."""
 import math
 
 import numpy as np
-from lag_oracle import brute_lag_maxima, pair_increment_norms
+from lag_oracle import brute_modulus, pair_increment_norms
 
 from sgns.galerkin import INTEGRALS, _compiled, _stacked, integral_record
 from sgns.spectral import project_Pn
@@ -213,6 +213,6 @@ def oracle_batch(config, indices, dW=None, x0=None):
         ens.ito_sum[:] = np.sum(ito_step, axis=1)
         ens.hs_sum[:] = np.sum(hs_step, axis=1)
     if config.modulus_lags:
-        ens.lag_maxima[:] = brute_lag_maxima(path, sys.wUdual, config.modulus_lags)
+        ens.modulus[:] = brute_modulus(path, sys.wUdual, config.modulus_lags)
     ens.increment_norms[:] = pair_increment_norms(path, sys.wUdual, config.increment_lags)
     return ens

@@ -8,7 +8,7 @@ import warnings
 import numpy as np
 import pytest
 from conftest import triplets, walk_in_chunks
-from lag_oracle import brute_lag_maxima
+from lag_oracle import brute_modulus
 from ledger_oracle import LEDGER_STEPS, budget_report, ledger_arrays, ledger_reduction
 from noise_oracle import apply_G
 from path_oracle import convection_path_bound, decomposition_increments, h_tanh_sup
@@ -615,12 +615,12 @@ def test_stored_lag_maxima_are_those_of_the_snapshots(basis2d_small, monkeypatch
     runs.append(integrate_ensemble(cfg, 7, workers=2))
     for ens in runs:
         assert ens.aborted.tolist() == [False] * 5 + [True, False]
-        want = brute_lag_maxima(ens.snap_u, weights, cfg.modulus_lags)
-        assert ens.lag_maxima.shape == (7, 12) and np.array_equal(ens.lag_maxima, want)
+        want = brute_modulus(ens.snap_u, weights, cfg.modulus_lags)
+        assert ens.modulus.shape == (7, 12) and np.array_equal(ens.modulus, want)
 
 
 def test_no_lag_maxima_by_default(basis2d_small):
-    assert integrate_batch(rich_config(basis2d_small), [0]).lag_maxima.shape == (1, 0)
+    assert integrate_batch(rich_config(basis2d_small), [0]).modulus.shape == (1, 0)
 
 
 @pytest.mark.parametrize("lags", [-1, 5])
@@ -997,7 +997,7 @@ def aborts_in_two_chunks(cfg, rows):
 @pytest.mark.parametrize("case", ["scatter", "segments"])
 def test_walk_is_the_one_loop(basis2d_small, basis2d, monkeypatch, chunk, case):
     # 30 steps in chunks of 1, 7, all 30 and 45: every record set, two
-    # probes, forcing, an active cutoff, lag maxima, increments at lags 0, 2
+    # probes, forcing, an active cutoff, the modulus, increments at lags 0, 2
     # and 9 steps (clipped at step 30) and snapshots every 5 steps.  n = 10
     # of K = 3 has convection
     # segments on 8 coordinates, n = 16 of K = 8 on all 16 (see
@@ -1410,9 +1410,9 @@ def test_functionals_in_row_blocks_are_the_per_path_formulas(basis2d_small):
 def test_rows_of_a_slice_are_views_and_of_an_index_list_or_mask_copies(basis2d_small):
     cfg, ens = aborting_ensemble(basis2d_small)
     def arrays(e):
-        """Every per-row array of e that holds entries (the lag maxima and the
+        """Every per-row array of e that holds entries (the modulus and the
         increment norms have width 0)."""
-        skip = ("config", "snap_integrals", "lag_maxima", "increment_norms")
+        skip = ("config", "snap_integrals", "modulus", "increment_norms")
         named = [(f.name, getattr(e, f.name)) for f in dataclasses.fields(e) if f.name not in skip]
         return named + list(e.snap_integrals.items())
 

@@ -702,7 +702,7 @@ def test_tightness_verb_reads_its_windows_in_any_order(tmp_path):
 
 
 def test_tightness_verb_records_the_lag_maxima_it_reads(tmp_path, monkeypatch):
-    # the pool workers record the lag maxima of the largest window, which the
+    # the pool workers record the modulus up to the largest window, which the
     # modulus table reads
     cfg = json.loads((DEMOS / "tightness.json").read_text())
     cfg["galerkin"]["n_list"] = [4, 8]
@@ -711,7 +711,7 @@ def test_tightness_verb_records_the_lag_maxima_it_reads(tmp_path, monkeypatch):
     recorded, read = [], tightness.FunctionFamily.lag_maxima
 
     def spy(fam, max_lag):
-        recorded.append(fam.ens.lag_maxima.shape)
+        recorded.append(fam.ens.modulus.shape)
         return read(fam, max_lag)
 
     monkeypatch.setattr(tightness.FunctionFamily, "lag_maxima", spy)

@@ -7,7 +7,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from lag_oracle import brute_lag_maxima, pair_increment_norms
+from lag_oracle import brute_modulus, pair_increment_norms
 from noise_oracle import sample_nested_space
 from path_oracle import decomposition_increments
 from conftest import walk_in_chunks
@@ -47,8 +47,8 @@ def small_config(basis, **kw):
     )
 
 
-def streamed_lag_maxima(coords: np.ndarray, w: np.ndarray, max_lag: int, chunk: int) -> np.ndarray:
-    """The lag maxima of coords (R, S, n) by the stepper's reducer
+def streamed_modulus(coords: np.ndarray, w: np.ndarray, max_lag: int, chunk: int) -> np.ndarray:
+    """The modulus of coords (R, S, n) by the stepper's reducer
     (`galerkin._LagReducer`), handed the path as a walk in chunks of `chunk`
     steps hands it: each chunk's window of states from H steps before it."""
     R, S, _ = coords.shape
@@ -67,15 +67,15 @@ ALDOUS_LAGS = (4, 8, 16, 32, 64)
 
 @pytest.fixture(scope="module")
 def small_ensemble(basis2d_small):
-    # lag maxima recorded at every lag of the 129-snapshot grid
+    # the modulus recorded at every lag of the 129-snapshot grid
     return basis2d_small, integrate_ensemble(small_config(basis2d_small, modulus_lags=128,
                                                           increment_lags=ALDOUS_LAGS), 60)
 
 
 class FakeEnsemble:
     """The arrays and config entries the modulus and Aldous tables read, for given
-    states (R, S, n) of `basis` at every step, dt apart, with the lag
-    maxima of lags 1..modulus_lags (default: every lag) of the brute-force
+    states (R, S, n) of `basis` at every step, dt apart, with the
+    modulus over lags 1..modulus_lags (default: every lag) of the brute-force
     oracle and the increment norms at `increment_lags` of the pair-gather
     oracle."""
 
@@ -89,7 +89,7 @@ class FakeEnsemble:
         self.norm_D = np.full((R, S), norm_D)
         self.aborted = np.zeros(R, dtype=bool)
         w = basis.mode_weights("Udual", n)
-        self.lag_maxima = brute_lag_maxima(snap_u, w, lags)
+        self.modulus = brute_modulus(snap_u, w, lags)
         self.increment_norms = pair_increment_norms(snap_u, w, increment_lags)
 
     def __len__(self):
@@ -165,7 +165,7 @@ def test_family_reductions_match_per_record_loops(basis2d_small):
     )
     ens = integrate_ensemble(cfg, 12)
     last = cfg.steps
-    # a window shorter than a step reads no lag maxima, which this ensemble
+    # a window shorter than a step reads no modulus, which this ensemble
     # did not record
     rep = dubinsky_diagnostic(ens, [5e-4])
     assert rep.sup_sup_H == max(float(np.max(norm_H)) for norm_H in ens.norm_H)
@@ -270,8 +270,8 @@ def test_increment_scaling_rejects_off_grid_window(small_ensemble):
 
 
 def test_modulus_is_one_path_lag_maxima(small_ensemble):
-    # path 3 of the ensemble, its lag maxima from the oracle, against
-    # path 3 integrated alone with its lag maxima recorded by the stepper
+    # path 3 of the ensemble, its modulus from the oracle, against
+    # path 3 integrated alone with its modulus recorded by the stepper
     basis, ens = small_ensemble
     u = ens.snap_u[3:4]
     lagmax = FunctionFamily(integrate_batch(small_config(basis, modulus_lags=16), [3])).lag_maxima(16)
@@ -289,7 +289,7 @@ def test_lag_maxima_in_row_blocks(small_ensemble, monkeypatch, block):
     cfg = small_config(basis, modulus_lags=20)
     monkeypatch.setattr(galerkin, "cache_rows", lambda config: block)
     ens = integrate_ensemble(cfg, 7)  # the stepper records them
-    want = brute_lag_maxima(ens.snap_u, basis.mode_weights("Udual", cfg.n), 20)
+    want = brute_modulus(ens.snap_u, basis.mode_weights("Udual", cfg.n), 20)
     assert np.array_equal(FunctionFamily(ens).lag_maxima(20), want)
 
 
@@ -306,7 +306,7 @@ def test_lag_maxima_are_the_oracles_on_tightness_paths(n):
     states = integrate_batch(replace(cfg, records={"integral_noise", "states"}), range(6)).snap_u
     w = run.basis.mode_weights("Udual", n)
     assert ens.snap_u.shape == (6, 0, n)
-    assert np.array_equal(ens.lag_maxima, brute_lag_maxima(states, w, 64))
+    assert np.array_equal(ens.modulus, brute_modulus(states, w, 64))
     assert np.array_equal(ens.increment_norms, pair_increment_norms(states, w, cfg.increment_lags))
 
 
@@ -346,7 +346,7 @@ def test_increment_norms_are_the_pair_gathers(basis2d_small, monkeypatch, block)
 
 
 def test_unrecorded_states_keep_the_reductions(basis2d_small, monkeypatch):
-    # the lag maxima and the increment norms of paths stepped without the
+    # the modulus and the increment norms of paths stepped without the
     # states record, in one batch with two rows aborting and in blocks of 3
     # rows, are the bits of the runs that record them
     cfg = small_config(basis2d_small, overflow_limit=1e3, modulus_lags=20, increment_lags=(4, 16, 64))
@@ -355,7 +355,7 @@ def test_unrecorded_states_keep_the_reductions(basis2d_small, monkeypatch):
     part_cfg = replace(cfg, records=frozenset(galerkin.RECORDS) - {"states"})
     part = integrate_batch(part_cfg, range(7), dW)
     assert part.snap_u.shape == (7, 0, cfg.n)
-    assert np.array_equal(part.lag_maxima, full.lag_maxima)
+    assert np.array_equal(part.modulus, full.modulus)
     assert np.array_equal(part.increment_norms, full.increment_norms)
     monkeypatch.setattr(galerkin, "cache_rows", lambda config: 3)
     ens = integrate_ensemble(part_cfg, 7)
@@ -392,7 +392,7 @@ def test_a_block_holds_no_path(basis2d_small, monkeypatch, verb):
     # 7 paths over 512 and 2,048 steps in chunks of 32, recorded as the
     # ensemble verb records them (the ledger), as the estimates verb does
     # (nothing), as the tightness verb does (the noise integral every 8
-    # steps; lag maxima over 32 steps, increments at lags 4, 16 and 32), or
+    # steps; the modulus over 32 steps, increments at lags 4, 16 and 32), or
     # with the states and the noise integral at every step and those lags:
     # the block's private memory stays below one (7, steps + 1, n) path and
     # grows with the steps by less than 6 (7, steps) rows (3 norms and 3
@@ -422,7 +422,7 @@ def test_a_block_holds_no_path(basis2d_small, monkeypatch, verb):
 
 @pytest.mark.parametrize("chunk", [1, 19, 20, 21])
 def test_streamed_lag_reductions_in_any_chunks(basis2d_small, monkeypatch, chunk):
-    # the reductions read H = 20 steps before each chunk (lag maxima over 20
+    # the reductions read H = 20 steps before each chunk (the modulus over 20
     # steps, increments at lags 0, 5 and 20), walked in chunks of 1, H - 1,
     # H and H + 1 steps: with rows 1 and 3 aborting at step 41, inside a
     # window, and with every row aborting there, which ends the walk 87
@@ -438,11 +438,11 @@ def test_streamed_lag_reductions_in_any_chunks(basis2d_small, monkeypatch, chunk
     for dW, aborted in ((some, [1, 3]), (every, list(range(7)))):
         ens = integrate_batch(cfg, range(7), dW)
         assert np.flatnonzero(ens.aborted).tolist() == aborted and np.all(ens.abort_step[aborted] == 41)
-        assert np.array_equal(ens.lag_maxima, brute_lag_maxima(ens.snap_u, w, 20))
+        assert np.array_equal(ens.modulus, brute_modulus(ens.snap_u, w, 20))
         assert np.array_equal(ens.increment_norms, pair_increment_norms(ens.snap_u, w, cfg.increment_lags))
     for r in range(7):
         row = integrate_batch(cfg, [r], every[:, r : r + 1])
-        assert np.array_equal(row.lag_maxima, ens.lag_maxima[r : r + 1])
+        assert np.array_equal(row.modulus, ens.modulus[r : r + 1])
         assert np.array_equal(row.increment_norms, ens.increment_norms[r : r + 1])
 
 
@@ -460,7 +460,7 @@ def test_streamed_lag_reductions_on_any_workers(basis2d_small, monkeypatch, work
     for cfg in (long, short):
         assert galerkin._lag_history(cfg.modulus_lags, cfg.increment_lags, cfg.steps) == min(64, cfg.steps)
         ens = integrate_ensemble(cfg, 7, workers=workers)
-        assert np.array_equal(ens.lag_maxima, brute_lag_maxima(ens.snap_u, w, cfg.modulus_lags))
+        assert np.array_equal(ens.modulus, brute_modulus(ens.snap_u, w, cfg.modulus_lags))
         assert np.array_equal(ens.increment_norms, pair_increment_norms(ens.snap_u, w, cfg.increment_lags))
 
 
@@ -468,7 +468,7 @@ def test_streamed_lag_reductions_on_any_workers(basis2d_small, monkeypatch, work
 def test_lag_reductions_count_steps_whatever_the_snapshots(basis2d_small, monkeypatch, records):
     # 7 paths snapshotted every 8 steps, with the noise integral alone or
     # every record: one batch with rows 1 and 3 aborting at step 41, and an
-    # ensemble in blocks of 3 rows on 2 workers.  The lag maxima over 20
+    # ensemble in blocks of 3 rows on 2 workers.  The modulus over 20
     # steps, past the 16 spacings of the snapshots, and every step's
     # increments at lags 0, 1, 5, 64 and 200 steps are the oracles' bits on
     # the states of the same paths recorded at every step
@@ -485,8 +485,8 @@ def test_lag_reductions_count_steps_whatever_the_snapshots(basis2d_small, monkey
         assert every.snap_u.shape == (7, 129, cfg.n) and len(ens.config.snap_idx) == 17
         assert ens.snap_u.shape == (7, 17 if records == "all" else 0, cfg.n)
         assert np.array_equal(ens.abort_step, every.abort_step)
-        assert ens.lag_maxima.shape == (7, 20) and ens.increment_norms.shape == (7, 5, 129)
-        assert np.array_equal(ens.lag_maxima, brute_lag_maxima(every.snap_u, w, 20))
+        assert ens.modulus.shape == (7, 20) and ens.increment_norms.shape == (7, 5, 129)
+        assert np.array_equal(ens.modulus, brute_modulus(every.snap_u, w, 20))
         assert np.array_equal(ens.increment_norms, pair_increment_norms(every.snap_u, w, cfg.increment_lags))
     (_, batch), (_, ens) = runs
     assert batch.abort_step.tolist() == [-1, 41, -1, 41, -1, -1, -1] and not ens.aborted.any()
@@ -535,10 +535,10 @@ def test_lag_maxima_are_the_oracles_on_adversarial_paths(kind):
                   "ties": lambda: np.cumsum(np.round(steps), axis=1),
                   "constant": lambda: np.repeat(steps[:, :1], S, axis=1)}[kind]() * scale
         w = 10.0 ** rng.uniform(-6, 0, n)
-        want = brute_lag_maxima(coords, w, max_lag)
+        want = brute_modulus(coords, w, max_lag)
         # chunks of 1, H - 1, H, H + 1 and all S - 1 steps
         chunk = max((1, max_lag - 1, max_lag, max_lag + 1, S - 1)[case % 5], 1)
-        got = streamed_lag_maxima(coords, w, max_lag, chunk)
+        got = streamed_modulus(coords, w, max_lag, chunk)
         assert np.array_equal(got, want), (case, n, R, S, max_lag, chunk)
 
 
@@ -552,22 +552,22 @@ def test_lag_maxima_keep_the_bounds_margin_on_collinear_paths():
         c, v = rng.standard_normal((2, 8, 1, 6))
         coords = c + s * v
         w = 10.0 ** rng.uniform(-6, 0, 6)
-        want = brute_lag_maxima(coords, w, 40)
+        want = brute_modulus(coords, w, 40)
         chunk = (1, 39, 40, 41, 199)[trial % 5]
-        assert np.array_equal(streamed_lag_maxima(coords, w, 40, chunk), want), (trial, chunk)
+        assert np.array_equal(streamed_modulus(coords, w, 40, chunk), want), (trial, chunk)
 
 
 @pytest.mark.parametrize("lags", [64, 8])
 def test_stored_lag_maxima_give_the_computed_tables(small_ensemble, lags):
-    # maxima recorded up to `lags` are the oracle's maxima of the snapshots
-    # and give the tables of the ensemble that recorded every lag; a window
+    # the modulus recorded up to `lags` is the oracle's of the snapshots
+    # and gives the tables of the ensemble that recorded every lag; a window
     # past them is an error
     basis, every = small_ensemble
     cfg = small_config(basis, modulus_lags=lags)
     stored = integrate_ensemble(cfg, 60)
-    assert stored.lag_maxima.shape == (60, lags)
+    assert stored.modulus.shape == (60, lags)
     assert np.array_equal(stored.snap_u, every.snap_u)
-    computed = brute_lag_maxima(stored.snap_u, basis.mode_weights("Udual", cfg.n), lags)
+    computed = brute_modulus(stored.snap_u, basis.mode_weights("Udual", cfg.n), lags)
     assert np.array_equal(FunctionFamily(stored).lag_maxima(lags), computed)
     assert np.array_equal(FunctionFamily(every).lag_maxima(lags), computed)
     for deltas in ([0.002, 0.004, 0.008], [0.004, 0.016, 0.064]):
@@ -617,11 +617,24 @@ def test_aldous_eta_samples_the_full_increment_table(basis2d_small):
             assert calibrate_aldous_eta(ens, theta, q) == want, (theta, q)
 
 
+def test_the_recorded_modulus_is_the_table_at_each_window_lag(small_ensemble):
+    # the record never falls with the lag, and each column of the modulus
+    # table is the record at its window's whole steps, 0 below one step
+    _, ens = small_ensemble
+    assert not ens.aborted.any() and ens.modulus.shape == (60, 128)
+    assert np.all(np.diff(ens.modulus, axis=1) >= 0.0) and np.all(ens.modulus[:, 0] > 0.0)
+    deltas = [0.0005, 0.001, 0.0035, 0.016, 0.064, 0.128]
+    table = tightness._modulus_table(ens, np.array(deltas))
+    for col, lag in enumerate([0, 1, 3, 16, 64, 128]):
+        want = ens.modulus[:, lag - 1] if lag else np.zeros(60)
+        assert np.array_equal(table[:, col], want), deltas[col]
+
+
 def test_modulus_curves_are_median_and_max_of_per_path_moduli(small_ensemble):
     basis, _ = small_ensemble
     nine = integrate_batch(small_config(basis, modulus_lags=64), range(9))
     deltas = [0.0005, 0.004, 0.016, 0.064]
-    # each path alone, its lag maxima taken from its snapshots
+    # each path alone, its modulus taken from its snapshots
     per_path = np.array([
         path_modulus(FakeEnsemble(u[None], basis, dt=1e-3, modulus_lags=64), deltas)
         for u in nine.snap_u
@@ -838,10 +851,10 @@ def test_tables_read_views_of_the_live_rows(small_ensemble, monkeypatch):
     # ensemble's array
     basis, _ = small_ensemble
     read = []
-    for name in ("lag_maxima", "increment_norms"):
-        def spy(fam, lag, method=getattr(FunctionFamily, name), name=name):
+    for name, field in (("lag_maxima", "modulus"), ("increment_norms", "increment_norms")):
+        def spy(fam, lag, method=getattr(FunctionFamily, name), field=field):
             out = method(fam, lag)
-            read.append(np.shares_memory(out, getattr(fam.ens, name)))
+            read.append(np.shares_memory(out, getattr(fam.ens, field)))
             return out
         monkeypatch.setattr(FunctionFamily, name, spy)
     cfg = replace(small_config(basis), T=0.016, overflow_limit=1e3, modulus_lags=4, increment_lags=(2, 4))
