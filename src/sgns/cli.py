@@ -34,7 +34,7 @@ def _rel(err, scale):
 
 def run_verify_operators(run: RunConfig, bundle: ResultBundle, workers: int) -> None:
     basis = run.basis
-    samples = run.experiment["samples"] or 100
+    samples = run.experiment["samples"]
     tol = run.experiment["tolerance"]
     rng = np.random.default_rng(run.galerkin.seed)
     n_half = max(1, basis.n_modes // 2)

@@ -108,6 +108,8 @@ def _positive(v):
 
 
 _reals = _list_of(_number, "finite numbers")
+# the Galerkin levels of galerkin.n_list
+_levels = _list_of(_count, "integers >= 1")
 # the windows of a tightness table (a window of 0 or less has no increment)
 # and the Phi-norms of a nested space (a radius divides by each)
 _positives = _list_of(_positive, "positive finite numbers")
@@ -129,14 +131,13 @@ _SCALARS = {
 }
 
 # every knob a verb reads from the experiment table: key -> (kind, default).
-# A default of None means the verb derives the value from the run; "samples"
-# is read by verify-operators only, 100 by default.
+# A default of None means the verb derives the value from the run.
 # "certify_samples" is the count of random pairs of the uniqueness verb's
 # sampled Lipschitz witness, drawn on the stepped level n; the verb gates on
 # the exact L.  The ranges of eta and eta0 are checked by the modules that
 # use them.
 EXPERIMENT = {
-    "samples": (_count, None), "tolerance": (_real, 1e-12),  # verify-operators
+    "samples": (_count, 100), "tolerance": (_real, 1e-12),  # verify-operators
     "residual_tolerance": (_real, 1e-10), "z_bound": (_real, 3.0),  # ensemble
     "p_list": (_reals, [2.0]), "eta": (lambda v: admissible_eta(_number(v)), None),  # estimates
     "ratio_bound": (_real, 1.5), "alpha": (_within(0, 1), 0.05),
@@ -360,11 +361,11 @@ def load_config(path_or_dict) -> RunConfig:
             violations.append(f"noise.eps = {noise_eps} outside (0, a) with coercivity margin a = {a:.6g}")
 
     gal = merged["galerkin"]
-    try:
-        n_list = tuple(_count(v) for v in gal["n_list"] or [gal["n"]])
-    except (TypeError, ValueError):
-        violations.append("galerkin.n_list must be a list of integers >= 1")
-        n_list = ()
+    if gal["n_list"] is None:
+        n = _typed(gal["n"], _count, "galerkin.n", violations, DEFAULTS["galerkin"]["n"])
+        n_list = () if n is None else (n,)
+    else:
+        n_list = tuple(_typed(gal["n_list"], _levels, "galerkin.n_list", violations, None) or ())
     for level in sorted({n for n in n_list if n_list.count(n) > 1}):
         violations.append(f"galerkin.n_list repeats level {level}")
     u0 = forcing = None

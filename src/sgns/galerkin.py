@@ -14,10 +14,10 @@ grid, the probes and the basis every diagnostic reads; a single trajectory
 is an Ensemble of one row, and `Ensemble.rows` selects rows.  Every trajectory is
 a pure function of (config, seed, index) -- one Philox stream per
 trajectory -- so ensembles are reproducible bitwise for any worker count and
-any blocks.  The stepper, `step_chunks`, walks the steps in time chunks and
-hands each chunk, every step of it, to one consumer: the Ensemble writer,
-which alone reads the config's snapshot grid, or a reducer of the caller's
-own, such as the uniqueness twins of `sgns.twodim`.
+any blocks.  The stepper, `step_chunks`, walks every step to the horizon in
+time chunks and hands each chunk, every step of it, to one consumer: the
+Ensemble writer, which alone reads the config's snapshot grid, or a reducer
+of the caller's own, such as the uniqueness twins of `sgns.twodim`.
 
 Besides norms, the stepper records what the config's record set
 (`GalerkinConfig.records`, names of `RECORDS`) asks for: the states; the
@@ -38,14 +38,14 @@ grid are taken by the process that stepped the row, chunk by chunk as the
 walk hands it over: the U' modulus of continuity, the largest increment
 over lags 1..l steps for each l up to `modulus_lags`, and every U'
 increment at the `increment_lags`, which the tightness diagnostics read in
-place of the states.  For them the stepper keeps the
-states of the largest lag's steps before each chunk, and no block holds
-its whole path, whatever the snapshot grid.  The probes alone fix the
-pairings: the stepper accumulates the quadratic variation of
-every probe pair (`GalerkinConfig.qv_pairs`), and the refinement integral
-int <B(u, u), P_n psi> dt is read from the path afterwards, for any psi,
-by `convection_pairing` on an ensemble that recorded the states of every
-step.
+place of the states; each lag's increments are formed once for both.  For
+them the stepper keeps the states of the largest lag's steps before each
+chunk, and no block holds its whole path, whatever the snapshot grid.  The
+probes alone fix the pairings: the stepper accumulates the quadratic
+variation of every probe pair (`GalerkinConfig.qv_pairs`), and the
+refinement integral int <B(u, u), P_n psi> dt is read from the path
+afterwards, for any psi, by `convection_pairing` on an ensemble that
+recorded the states of every step.
 """
 
 from __future__ import annotations
@@ -519,45 +519,35 @@ class _LagReducer:
     has the bits of one formed from the whole path, and each modulus is the
     maximum of such norms.
 
-    The modulus is pruned by the triangle inequality.  Every increment's
-    norm is formed at the power-of-two lags 1, 2, 4, ..., and those of the
-    last H steps are carried to the next chunk.  A chunk raises each lag l
-    in turn to lag l - 1's modulus, then by its increments: at a power of
-    two by their norms; at another lag, the increment is the sum of the
-    increments along l's binary digits, so the sum of their norms bounds
-    its norm.  That bound times 1 + 1e-9 also bounds the computed norm: a
-    computed norm lies within (n + 3) 2^-53 of the exact one, relative to
-    it, and the sum of at most 7 terms adds 7 2^-53, so the margin holds for
-    n up to about 10^6.  The exact norm is formed only where the bound
-    reaches the modulus, so every increment whose norm is the maximum is
-    among those formed and the modulus is exact."""
+    Each lag's norms are formed once, at the carried lags: the powers of
+    two 1, 2, 4, ... up to L and the `increment_lags`.  The increments are
+    written from them, and the norms of the last H steps are carried to
+    the next chunk.  The modulus is pruned by the triangle inequality.  A
+    chunk raises each lag l in turn to lag l - 1's modulus, then by its
+    increments: at a carried lag by their norms; at another lag, the
+    increment is the sum of the increments along l's binary digits, so the
+    sum of their norms bounds its norm.  That bound times 1 + 1e-9 also
+    bounds the computed norm: a computed norm lies within (n + 3) 2^-53 of
+    the exact one, relative to it, and the sum of at most 7 terms adds 7
+    2^-53, so the margin holds for n up to about 10^6.  The exact norm is
+    formed only where the bound reaches the modulus, so every increment
+    whose norm is the maximum is among those formed and the modulus is
+    exact."""
 
     def __init__(self, w: np.ndarray, steps: int, modulus: np.ndarray, increment_lags, increments: np.ndarray):
         self.w, self.steps = w, steps
         self.lags, self.increments = tuple(increment_lags), increments
         # (L, B): lag l - 1 of every row
         self.best = modulus.T
-        max_lag = modulus.shape[1]
-        self.history = _lag_history(max_lag, self.lags, steps)
-        # the power-of-two norms: lag -> (rows, B), row e the increment that
-        # ends at window row e of the last chunk, whose row 0 is step `base`
-        self.pow2 = {1 << bit: np.zeros((0, len(modulus))) for bit in range(max_lag.bit_length())}
+        # the carried norms: lag -> (rows, B), row e the increment that ends
+        # at window row e of the last chunk, whose row 0 is step `base`
+        pow2 = [1 << bit for bit in range(modulus.shape[1].bit_length())]
+        self.norms = {lag: np.zeros((0, len(modulus))) for lag in (*pow2, *self.lags)}
         self.base = 0
 
     def add(self, chunk: Chunk) -> None:
         """Reduce the increments that end in steps first..last of `chunk`."""
         self.reduce(chunk.window, chunk.first, chunk.last)
-
-    def finish(self, chunk: Chunk) -> None:
-        """After a walk that ended with `chunk` before the horizon, once
-        every row aborted: reduce the increments that end in the next H
-        steps, where every state reads zero, as every increment past them
-        does."""
-        last = chunk.last
-        h, more = min(self.history, last), min(self.history, self.steps - last)
-        zeros = np.zeros((h + more + 1, *chunk.window.shape[1:]))
-        zeros[: h + 1] = chunk.window[len(chunk.window) - h - 1 :]
-        self.reduce(zeros, last, last + more)
 
     def _bounds(self, lag: int, e0: int, e1: int) -> np.ndarray:
         """(e1 - e0, B): the bound of each increment at `lag` that ends at
@@ -567,7 +557,7 @@ class _LagReducer:
         at = 0
         for bit in range(lag.bit_length()):
             if lag >> bit & 1:
-                out += self.pow2[1 << bit][e0 - at : e1 - at]
+                out += self.norms[1 << bit][e0 - at : e1 - at]
                 at += 1 << bit
         return out
 
@@ -580,26 +570,26 @@ class _LagReducer:
         count = last - first
         h = len(window) - 1 - count
         base, shift, self.base = first - h, first - h - self.base, first - h
-        for p, old in self.pow2.items():
+        for lag, old in self.norms.items():
             norms = old if len(old) >= len(window) else np.zeros((len(window), B))
             if len(old):
                 norms[: h + 1] = old[shift : shift + h + 1]
-            self.pow2[p] = norms
-        # the increments at the power-of-two lags and at `increment_lags`
-        # that end at the chunk's new rows, from row 0 on the first chunk,
-        # in blocks of rows that stay in cache across the lags
+            self.norms[lag] = norms
+        # the norms at the carried lags of the increments that end at the
+        # chunk's new rows, from row 0 on the first chunk, in blocks of rows
+        # that stay in cache across the lags
         new = h + 1 if first else 0
         for rows in row_blocks(len(window) - new, 4 * B * n):
             e0, e1 = new + rows.start, min(new + rows.stop, len(window))
-            for p, norms in self.pow2.items():
-                lo = max(e0, p)
-                if lo < e1:
-                    norms[lo:e1] = _norms_of(window[lo:e1] - window[lo - p : e1 - p], w)
-            for i, lag in enumerate(self.lags):
+            for lag, norms in self.norms.items():
                 lo = max(e0, lag)
                 if lo < e1:
-                    self.increments[:, i, base + lo - lag : base + e1 - lag] = _norms_of(
-                        window[lo:e1] - window[lo - lag : e1 - lag], w).T
+                    norms[lo:e1] = _norms_of(window[lo:e1] - window[lo - lag : e1 - lag], w)
+        end = len(window)
+        for i, lag in enumerate(self.lags):
+            lo = max(new, lag)
+            if lo < end:
+                self.increments[:, i, base + lo - lag : base + end - lag] = self.norms[lag][lo:end].T
         if last == self.steps:
             # the starts whose increment ends past the horizon, clipped to it
             for i, lag in enumerate(self.lags):
@@ -610,8 +600,8 @@ class _LagReducer:
 
     def _modulus(self, window: np.ndarray, h: int, count: int) -> None:
         """Raise the modulus by the increments that end at window rows
-        h + 1..h + count, from the power-of-two norms of this window: each
-        lag in turn, from lag l - 1's modulus."""
+        h + 1..h + count, from the carried norms of this window: each lag
+        in turn, from lag l - 1's modulus."""
         w, (B, n) = self.w, window.shape[1:]
         # window row e of column r is row e B + r of the flat window
         flat = window.reshape(-1, n)
@@ -621,8 +611,8 @@ class _LagReducer:
             best, e0 = self.best[lag - 1], max(h + 1, lag)
             if lag > 1:
                 np.maximum(best, self.best[lag - 2], out=best)
-            if lag in self.pow2:
-                np.maximum(best, np.max(self.pow2[lag][e0:end], axis=0), out=best)
+            if lag in self.norms:
+                np.maximum(best, np.max(self.norms[lag][e0:end], axis=0), out=best)
                 continue
             # the increments k = e B + r whose bound reaches the modulus, as
             # flat rows of the later state
@@ -763,9 +753,10 @@ class Chunk(NamedTuple):
     """Steps first..last of a walk of `step_chunks`, handed to its consumer:
     views of buffers that the next chunk overwrites, one row per step
     first..last (the states also from up to H steps before), and the walk's
-    per-row arrays as they stand at step `last`.  A row that aborted reads
-    zero in the states from its abort step on, and keeps stepping from
-    zero, so its other values after `abort_step` are not its path."""
+    per-row arrays as they stand at step `last`.  The walk hands over every
+    step to the horizon.  A row that aborted reads zero in the states from
+    its abort step on, and keeps stepping from zero, so its other values
+    after `abort_step` are not its path."""
 
     first: int
     last: int
@@ -816,16 +807,15 @@ def step_chunks(config: GalerkinConfig, indices, x0=None, dW=None, h_norm: bool 
     are those of its state with the non-finite entries zeroed.  Then its
     state is zeroed, and again after each later step, so that it reads zero
     from its abort step on; it steps on masked, its cutoff factors and
-    ledger terms no longer counted.  Once every row has aborted, the walk
-    ends with that step, and a ledger residual of a step not taken reads 0.
+    ledger terms no longer counted.  The walk takes every step to the
+    horizon, also once every row has aborted.
 
     Two checks skip per-step work that would change no bit.  While the
     cutoff is idle (`_step` returns theta None) the cutoff minimum is not
     updated, since every factor is 1.0, and the taming work's factor is
     -2 dt.  One maximum of |x| over the whole block, at or below the limit,
     clears every row of the overflow check; only otherwise is each row's
-    peak taken, and only after a row aborts is it asked whether any row is
-    left."""
+    peak taken."""
     sys = _compiled(config.basis, config.n, config.model, config.include_B)
     steps, n, dt = config.steps, config.n, config.dt
     B = len(indices)
@@ -905,7 +895,6 @@ def step_chunks(config: GalerkinConfig, indices, x0=None, dW=None, h_norm: bool 
             for c, stream in enumerate(streams):
                 drawn[: hi - lo, c] = stream.normal(0.0, math.sqrt(dt), size=(hi - lo, config.M))
             dw = drawn[: hi - lo] if repeat is None else drawn[: hi - lo, repeat]
-        ended = False
         # aborted rows keep stepping, masked, and may overflow on the way,
         # into the ledger fold too
         with np.errstate(over="ignore", invalid="ignore"):
@@ -949,7 +938,6 @@ def step_chunks(config: GalerkinConfig, indices, x0=None, dW=None, h_norm: bool 
                         abort_step[bad] = j + 1
                         alive &= ~bad
                         dead = True
-                        ended = not np.logical_or.reduce(alive)
                         x[~np.isfinite(x)] = 0.0
                         h2, d2, u2 = _sq_norms(sys, x, h_norm)
                 if h_norm:
@@ -958,23 +946,15 @@ def step_chunks(config: GalerkinConfig, indices, x0=None, dW=None, h_norm: bool 
                 ud = np.sqrt(u2, out=nU[i + 1])
                 if dead:
                     x[~alive] = 0.0
-                if ended:
-                    break
-            last = j + 1
-            count = last - lo
+            count = hi - lo
             if ledger:
                 upto = np.where(abort_step >= 0, abort_step, steps)
                 _fold_residuals(worst, terms[:, :count], nH[: count + 1], upto, lo)
-                if ended and last < steps:
-                    # every step not taken is past every row's abort: 0
-                    np.fmax(worst, 0.0, out=worst)
-        yield Chunk(first=lo, last=last, norms={name: buf[: count + 1] for name, buf in norms.items()},
+        yield Chunk(first=lo, last=hi, norms={name: buf[: count + 1] for name, buf in norms.items()},
                     states=cur[: count + 1], window=states[: h + count + 1], qv=qv[: count + 1],
                     integrals={name: buf[: count + 1] for name, buf in J.items()},
                     ito=None if ito is None else ito[:count], hs=None if hs is None else hs[:count],
                     worst=worst, cutoff_min=cutoff_min, abort_step=abort_step)
-        if ended:
-            return
 
 
 def _grid_span(grid: np.ndarray, chunk: Chunk) -> tuple:
@@ -1013,9 +993,8 @@ def _integrate_rows(ens: Ensemble, dW=None, x0=None) -> None:
     and reads zero after it, its ledger terms too; its states read zero from
     its abort step on.  Each row's U' modulus over lags 1..modulus_lags of
     the step grid and its increments at `increment_lags` are reduced from
-    each chunk's window as it is handed over (`_LagReducer`), and, after a
-    walk that ended early, from the zero states of the steps not taken; no
-    step's state is kept longer."""
+    each chunk's window as it is handed over (`_LagReducer`); no step's
+    state is kept longer."""
     config = ens.config
     ledger = "ledger" in config.records
     if ledger:
@@ -1043,8 +1022,6 @@ def _integrate_rows(ens: Ensemble, dW=None, x0=None) -> None:
             ito_step[:, chunk.first : chunk.last] = chunk.ito.T
             hs_step[:, chunk.first : chunk.last] = chunk.hs.T
     ens.cutoff_min[:], ens.abort_step[:] = chunk.cutoff_min, chunk.abort_step
-    if lags is not None and chunk.last < config.steps:
-        lags.finish(chunk)
 
     # an aborted row keeps what it had at its abort step and zeros after it;
     # the walk zeroed its states, but not what a zero state steps on to

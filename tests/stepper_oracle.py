@@ -169,23 +169,17 @@ def oracle_batch(config, indices, dW=None, x0=None):
 
             x = x_new
             h2, d2, u2 = sq_norms(sys, x)
-            ended = False
             if not np.abs(x).max() <= limit:
                 bad = alive & ~(np.maximum.reduce(np.abs(x), axis=1) <= limit)
                 if np.logical_or.reduce(bad):
                     abort_step[bad] = j + 1
                     alive &= ~bad
-                    ended = not np.logical_or.reduce(alive)
                     x = np.where(np.isfinite(x), x, 0.0)
                     h2, d2, u2 = sq_norms(sys, x)
             norm_H[:, j + 1], norm_D[:, j + 1], norm_Ud[:, j + 1] = np.sqrt(h2), np.sqrt(d2), np.sqrt(u2)
-            if ledger and (ended or k == chunk - 1 or j == steps - 1):
+            if ledger and (k == chunk - 1 or j == steps - 1):
                 upto = np.where(abort_step >= 0, abort_step, steps)
                 fold_residuals(worst, terms[:, : k + 1], norm_H[:, j - k : j + 2], upto, j - k)
-            if ended:
-                if ledger and j + 1 < steps:
-                    np.fmax(worst, 0.0, out=worst)
-                break
             path[:, j + 1] = x
             pos = snap_at[j + 1]
             if pos >= 0:

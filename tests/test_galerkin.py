@@ -959,11 +959,11 @@ def test_per_path_ledger_at_chunk_edges(basis2d_small, monkeypatch, scheme, chun
     full = batch(cfg, range(5), dW)
     assert full.abort_step.tolist() == [-1, 8, -1, 13, -1] and full.cutoff_min[0] < 1.0
     assert_ledger_is_the_oracle(full, dW)
-    # every row aborts, so the walk stops after step 12, mid-chunk for most
-    # chunks
+    # every row has aborted after step 12, mid-chunk for most chunks, and
+    # the walk steps on, masked, to the horizon
     assert_ledger_is_the_oracle(batch(cfg, [1, 3], dW[:, [1, 3]]), dW[:, [1, 3]])
-    # a row whose first step overflows to inf: its one step taken reads NaN,
-    # every step it did not take 0
+    # a row whose first step overflows to inf: that step reads NaN, and
+    # every later step, taken masked from a zero state, 0
     first = dW[:, [0]].copy()
     first[0] = 1e300
     one = batch(cfg, [0], first)
@@ -1017,7 +1017,8 @@ def test_walk_is_the_one_loop(basis2d_small, basis2d, monkeypatch, chunk, case):
         x0 = np.asfortranarray(np.random.default_rng(4).standard_normal((3, n)) * 0.3)
         walk_in_chunks(monkeypatch, 3, n, chunk)
         assert_records_identical(oracle_batch(cfg, [4, 0, 2], x0=x0), integrate_batch(cfg, [4, 0, 2], x0=x0))
-        # every row aborts, so the walk ends at step 20, mid-chunk
+        # every row has aborted at step 20, mid-chunk, and the walk steps on,
+        # masked, to the horizon
         walk_in_chunks(monkeypatch, 2, n, chunk)
         got = integrate_batch(cfg, [1, 3], dW[:, [1, 3]])
         assert_records_identical(oracle_batch(cfg, [1, 3], dW[:, [1, 3]]), got, equal_nan=True)

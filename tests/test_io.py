@@ -180,6 +180,9 @@ def test_tightness_loads_no_numpy_ma(tmp_path):
     ("galerkin", "cutoff_level", "abc"),
     ("galerkin", "cutoff_level", 0),
     ("galerkin", "cutoff_level", -1.0),
+    ("galerkin", "n", "16"),
+    ("galerkin", "n", 0),
+    pytest.param("galerkin", "n_list", [], id="galerkin-n_list-empty"),
     ("ensemble", "trajectories", 1.5),
     ("ensemble", "base_seed", "x"),
     ("experiment", "z_bound", "three"),

@@ -54,9 +54,10 @@ def streamed_modulus(coords: np.ndarray, w: np.ndarray, max_lag: int, chunk: int
     R, S, _ = coords.shape
     out = np.zeros((R, max_lag))
     lags = galerkin._LagReducer(w, S - 1, out, (), np.zeros((R, 0, S)))
+    history = galerkin._lag_history(max_lag, (), S - 1)
     for first in range(0, S - 1, chunk):
         last = min(first + chunk, S - 1)
-        h = min(lags.history, first)
+        h = min(history, first)
         lags.reduce(np.ascontiguousarray(coords[:, first - h : last + 1].swapaxes(0, 1)), first, last)
     return out
 
@@ -424,26 +425,30 @@ def test_a_block_holds_no_path(basis2d_small, monkeypatch, verb):
 def test_streamed_lag_reductions_in_any_chunks(basis2d_small, monkeypatch, chunk):
     # the reductions read H = 20 steps before each chunk (the modulus over 20
     # steps, increments at lags 0, 5 and 20), walked in chunks of 1, H - 1,
-    # H and H + 1 steps: with rows 1 and 3 aborting at step 41, inside a
-    # window, and with every row aborting there, which ends the walk 87
-    # steps before the horizon, in one batch and in one-row blocks; each is
-    # the oracles' bits on the recorded states, which read zero from the
-    # abort on
-    cfg = small_config(basis2d_small, overflow_limit=1e3, modulus_lags=20, increment_lags=(0, 5, 20))
-    w = basis2d_small.mode_weights("Udual", cfg.n)
-    some = aborting_increments(cfg, 7)
-    every = some.copy()
-    every[40] = 1e6
-    walk_in_chunks(monkeypatch, 7, cfg.n, chunk)
-    for dW, aborted in ((some, [1, 3]), (every, list(range(7)))):
-        ens = integrate_batch(cfg, range(7), dW)
-        assert np.flatnonzero(ens.aborted).tolist() == aborted and np.all(ens.abort_step[aborted] == 41)
-        assert np.array_equal(ens.modulus, brute_modulus(ens.snap_u, w, 20))
-        assert np.array_equal(ens.increment_norms, pair_increment_norms(ens.snap_u, w, cfg.increment_lags))
-    for r in range(7):
-        row = integrate_batch(cfg, [r], every[:, r : r + 1])
-        assert np.array_equal(row.modulus, ens.modulus[r : r + 1])
-        assert np.array_equal(row.increment_norms, ens.increment_norms[r : r + 1])
+    # H and H + 1 steps, and H = 12 (the modulus over 12 steps, increments
+    # at lags 3, 5 and 12, none a power of two, so that the modulus at each
+    # is the maximum of the norms formed for the increments, with no pruned
+    # pass), walked in chunks of 1 and past H: with rows 1 and 3 aborting at
+    # step 41, inside a window, and with every row aborting there, after
+    # which the walk steps on, masked, the 87 steps to the horizon, in one
+    # batch and in one-row blocks; each is the oracles' bits on the recorded
+    # states, which read zero from the abort on
+    w = basis2d_small.mode_weights("Udual", 10)
+    walk_in_chunks(monkeypatch, 7, 10, chunk)
+    for max_lag, increment_lags in ((20, (0, 5, 20)), (12, (3, 5, 12))):
+        cfg = small_config(basis2d_small, overflow_limit=1e3, modulus_lags=max_lag, increment_lags=increment_lags)
+        some = aborting_increments(cfg, 7)
+        every = some.copy()
+        every[40] = 1e6
+        for dW, aborted in ((some, [1, 3]), (every, list(range(7)))):
+            ens = integrate_batch(cfg, range(7), dW)
+            assert np.flatnonzero(ens.aborted).tolist() == aborted and np.all(ens.abort_step[aborted] == 41)
+            assert np.array_equal(ens.modulus, brute_modulus(ens.snap_u, w, max_lag))
+            assert np.array_equal(ens.increment_norms, pair_increment_norms(ens.snap_u, w, increment_lags))
+        for r in range(7):
+            row = integrate_batch(cfg, [r], every[:, r : r + 1])
+            assert np.array_equal(row.modulus, ens.modulus[r : r + 1])
+            assert np.array_equal(row.increment_norms, ens.increment_norms[r : r + 1])
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3])

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -73,3 +74,20 @@ def test_a_bench_run_starts_from_the_fixed_variables_alone(tmp_path, monkeypatch
     assert set(env) <= set(bench_pairs.CHILD_ENV)
     assert env["PATH"] == os.environ["PATH"] and env["LANG"] == "C.UTF-8"
     assert list(bench_pairs.child_env()) == [name for name in bench_pairs.CHILD_ENV if name in os.environ]
+
+
+def test_src_lines_counts_each_checkouts_modules_as_wc_does(tmp_path):
+    # two checkouts: one with two modules, the last without a final
+    # newline, which wc -l does not count, and a file beside them that is
+    # not a module; one with none
+    pkg = tmp_path / "a" / "src" / "sgns"
+    pkg.mkdir(parents=True)
+    (pkg / "one.py").write_text("x = 1\n\ny = 2\n")
+    (pkg / "two.py").write_text("z = 3\nw = 4")
+    (pkg / "notes.txt").write_text("not\ncounted\n")
+    (tmp_path / "b" / "src" / "sgns").mkdir(parents=True)
+    roots = {"parent": tmp_path / "a", "change": tmp_path / "b"}
+    assert bench_pairs.src_lines(roots) == {"parent": 4, "change": 0}
+    wc = subprocess.run("cat src/sgns/*.py | wc -l", shell=True, cwd=roots["parent"], capture_output=True,
+                        text=True)
+    assert int(wc.stdout) == 4

@@ -29,10 +29,11 @@ record says whether the runs start from bytecode: the value of
 ``src/sgns/__pycache__`` exists before the first run and after the last.
 Under that flag and with no cache, every start compiles ``src/sgns`` from
 source, so ``setup_s`` and ``peak_rss_mb`` move with the size of the
-modules.  Every run starts from the same few variables of the caller's
-environment, ``CHILD_ENV``, and no other (the caller's other variables
-moved ``peak_rss_mb`` by about 0.7 MB); the ``build`` record lists those
-it passed.  Give both checkouts sibling directories with names of equal
+modules, which the record gives per checkout as ``src_lines``, the lines of
+``cat src/sgns/*.py | wc -l``.  Every run starts from the same few
+variables of the caller's environment, ``CHILD_ENV``, and no other (the
+caller's other variables moved ``peak_rss_mb`` by about 0.7 MB); the
+``build`` record lists those it passed.  Give both checkouts sibling directories with names of equal
 length: on some workloads peak RSS moves with the path.
 """
 
@@ -110,6 +111,13 @@ def pycache(roots: dict) -> dict:
     return {side: (root / "src" / "sgns" / "__pycache__").is_dir() for side, root in roots.items()}
 
 
+def src_lines(roots: dict) -> dict:
+    """Per checkout, the lines of its ``src/sgns/*.py``, as ``cat
+    src/sgns/*.py | wc -l`` counts them."""
+    return {side: sum(path.read_bytes().count(b"\n") for path in (root / "src" / "sgns").glob("*.py"))
+            for side, root in roots.items()}
+
+
 def side_summary(values: list) -> dict:
     q1, med, q3 = np.percentile(values, [25, 50, 75]) if values else (np.nan,) * 3
     return {"median": float(med), "q1": float(q1), "q3": float(q3), "runs": values}
@@ -162,7 +170,7 @@ def main(argv=None) -> int:
     spec = json.loads((roots["change"] / "BENCHMARK.json").read_text())
     machine, workloads = {}, {}
     build = {"PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE"),
-             "child_env": list(child_env()), "pycache_before": pycache(roots)}
+             "child_env": list(child_env()), "pycache_before": pycache(roots), "src_lines": src_lines(roots)}
     for w in (entry["name"] for entry in spec["workloads"]):
         runs = {"parent": [], "change": []}
         for i in range(args.pairs):
