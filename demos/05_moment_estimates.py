@@ -28,7 +28,8 @@ rng = np.random.default_rng(314)
 u0 = random_field(basis, rng, n=4, decay=0.5)
 by_n = {}
 for n in (4, 8, 16, 32):
-    cfg = GalerkinConfig(basis=basis, n=n, dt=1e-3, T=1.0, u0=u0, model=model, seed=2024)
+    cfg = GalerkinConfig(basis=basis, n=n, dt=1e-3, T=1.0, u0=u0, model=model, seed=2024,
+                         integral_powers=(2.0, 2.2))
     by_n[n] = integrate_ensemble(cfg, 100, workers=2)
 
 stats = aggregate(by_n, p_list=(2.0, 2.2), eta=eta)

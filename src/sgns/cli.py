@@ -95,9 +95,9 @@ def run_certify_noise(run: RunConfig, bundle: ResultBundle, workers: int) -> Non
 
 
 def run_simulate(run: RunConfig, bundle: ResultBundle, workers: int) -> None:
-    # the energy budget reads the ledger and the snapshot files the states;
-    # no running integral is read
-    one = integrate_batch(replace(run.galerkin, records={"ledger", "states"}), [0])
+    # the energy budget reads the ledger, the snapshot files the states and
+    # the trajectory table every step's norms; no running integral is read
+    one = integrate_batch(replace(run.galerkin, records={"ledger", "states", "norms"}), [0])
     bundle.add_table(
         "trajectory",
         ["t", "norm_H", "norm_D", "norm_Udual"],
@@ -120,8 +120,9 @@ def run_simulate(run: RunConfig, bundle: ResultBundle, workers: int) -> None:
 
 
 def run_ensemble(run: RunConfig, bundle: ResultBundle, workers: int) -> None:
-    # the energy budget reads the ledger, and no state or running integral is
-    # read
+    # the energy budget reads the ledger, and the functionals the per-path
+    # sums the stepper takes; no norm of a step, state or running integral
+    # is read
     ens = integrate_ensemble(replace(run.galerkin, records={"ledger"}), run.trajectories, workers=workers)
     failure = est.too_few_live_paths({run.n: ens})
     if failure is not None:
@@ -155,15 +156,20 @@ def run_estimates(run: RunConfig, bundle: ResultBundle, workers: int) -> None:
         return
     exp = run.experiment
     p_list = exp["p_list"]
-    # the moments read norms only, so no ledger, state or running integral
-    by_n = {n: integrate_ensemble(replace(run.galerkin, n=n, records=()), run.trajectories,
-                                  workers=workers)
-            for n in run.n_list}
+    # the moments read the per-path sups and the weighted integrals at p = 2
+    # and each of p_list, which the stepper sums; no norm of a step, ledger,
+    # state or running integral
+    grid = replace(run.galerkin, records=(), integral_powers=(2.0, *p_list))
+    by_n = {n: integrate_ensemble(replace(grid, n=n), run.trajectories, workers=workers) for n in run.n_list}
     failure = est.too_few_live_paths(by_n)
     if failure is not None:
         bundle.summary.update(passed=False, failure=failure)
         return
     stats = est.aggregate(by_n, p_list=p_list, eta=exp["eta"])
+    failure = est.nonpositive_functionals(stats, p_list[0])
+    if failure is not None:
+        bundle.summary.update(passed=False, failure=failure)
+        return
     verdict = est.uniformity_report(
         stats, p=p_list[0], ratio_bound=exp["ratio_bound"], alpha=exp["alpha"])
     rows = []
@@ -198,9 +204,11 @@ def run_tightness(run: RunConfig, bundle: ResultBundle, workers: int) -> None:
     passed = True
     rows_mod, rows_aldous, rows_j = [], [], []
     summary_n, noise_free = {}, []
-    # the diagnostics read norms, the noise integral and the per-path
-    # reductions below, and no state
-    grid = replace(run.galerkin, snapshot_stride=exp["integral_stride"], records={"integral_noise"})
+    # the diagnostics read every step's norms (the Aldous hitting rules and
+    # the Dubinsky sums), the noise integral and the per-path reductions
+    # below, and no state and no weighted integral
+    grid = replace(run.galerkin, snapshot_stride=exp["integral_stride"], records={"integral_noise", "norms"},
+                   integral_powers=())
     violations = tgt.window_violations(grid, deltas, thetas, anchors, windows)
     if violations:
         bundle.summary.update(passed=False, failure="; ".join(violations))

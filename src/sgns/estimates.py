@@ -150,6 +150,28 @@ def aggregate(ensembles: dict, p_list=(2.0,), eta: float | None = None) -> Ensem
     return EnsembleStats(per_n=per_n, p_list=tuple(p_list), warnings=tuple(warnings))
 
 
+def _series(stats: EnsembleStats, p: float) -> dict:
+    """The per-level (mean, se) of E[sup |u|_H^p] and E[int ||u||^2 dt],
+    by functional name, in the order of n."""
+    ns = sorted(stats.per_n)
+    return {
+        f"sup_H_{p:g}": [(stats.per_n[n]["sup_H_p"][p].mean, stats.per_n[n]["sup_H_p"][p].se) for n in ns],
+        "int_dirichlet2": [(stats.per_n[n]["int_dirichlet2"].mean, stats.per_n[n]["int_dirichlet2"].se)
+                           for n in ns],
+    }
+
+
+def nonpositive_functionals(stats: EnsembleStats, p: float) -> str | None:
+    """Why `uniformity_report` forms no ratios of `stats` at exponent p:
+    each functional whose mean is zero or negative at some level, with those
+    levels (zero initial data that no noise moves gives zero paths); None
+    when no mean is zero or negative."""
+    ns = sorted(stats.per_n)
+    bad = [f"{name} at n = {', '.join(str(n) for n, (m, _) in zip(ns, pairs) if m <= 0)}"
+           for name, pairs in _series(stats, p).items() if any(m <= 0 for m, _ in pairs)]
+    return f"nonpositive mean of {'; '.join(bad)}; cannot form ratios" if bad else None
+
+
 @dataclass
 class UniformityVerdict:
     ratios: dict  # functional name -> max/min ratio across n
@@ -189,23 +211,15 @@ def uniformity_report(
     ns = sorted(stats.per_n)
     if len(ns) < 3:
         raise ValueError("need at least 3 Galerkin levels")
-    series = {
-        f"sup_H_{p:g}": [
-            (stats.per_n[n]["sup_H_p"][p].mean, stats.per_n[n]["sup_H_p"][p].se) for n in ns
-        ],
-        "int_dirichlet2": [
-            (stats.per_n[n]["int_dirichlet2"].mean, stats.per_n[n]["int_dirichlet2"].se)
-            for n in ns
-        ],
-    }
+    failure = nonpositive_functionals(stats, p)
+    if failure is not None:
+        raise ValueError(failure)
     ratios = {}
     kendall = {}
     passed = True
-    for name, pairs in series.items():
+    for name, pairs in _series(stats, p).items():
         vals = np.asarray([m for m, _ in pairs])
         ses = np.asarray([s for _, s in pairs])
-        if np.any(vals <= 0):
-            raise ValueError(f"nonpositive functional {name}; cannot form ratios")
         ratios[name] = float(np.max(vals) / np.min(vals))
         tau, pval = kendalltau(ns, vals, alternative="greater")
         kendall[name] = (float(tau), float(pval))

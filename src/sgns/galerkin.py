@@ -19,15 +19,19 @@ time chunks and hands each chunk, every step of it, to one consumer: the
 Ensemble writer, which alone reads the config's snapshot grid, or a reducer
 of the caller's own, such as the uniqueness twins of `sgns.twodim`.
 
-Besides norms, the stepper records what the config's record set
-(`GalerkinConfig.records`, names of `RECORDS`) asks for: the states; the
-energy ledger, each step's drift, taming, forcing and martingale work and
-quadratic remainder, which close the discrete energy identity to roundoff,
-reduced per path as the steps are taken to the identity's worst relative
-residual and the sums of the Ito and Hilbert-Schmidt increments; the
-running Stokes, convection and forcing integrals (one record, the drift)
-and the running noise integral, so the martingale part of the path can be
-reconstructed and tested for zero mean and prescribed quadratic variation.
+Every path's functionals are reduced as the steps are taken: its largest H
+norm and its left-endpoint integrals of ||u||^2 |u|^(p-2) at the config's
+`integral_powers`, summed in the order of numpy's pairwise sum over the
+whole row (`_PairwiseSum`).  Besides them, the stepper records what the
+config's record set (`GalerkinConfig.records`, names of `RECORDS`) asks
+for: the norms of every step; the states; the energy ledger, each step's
+drift, taming, forcing and martingale work and quadratic remainder, which
+close the discrete energy identity to roundoff, reduced per path as the
+steps are taken to the identity's worst relative residual and the sums of
+the Ito and Hilbert-Schmidt increments; the running Stokes, convection and
+forcing integrals (one record, the drift) and the running noise integral,
+so the martingale part of the path can be reconstructed and tested for
+zero mean and prescribed quadratic variation.
 Every stored state, quadratic variation and running integral is on one
 grid, the snapshot steps (`GalerkinConfig.snapshot_stride`), so a state
 and the integrals at the same instant share a position.  An unrecorded
@@ -260,9 +264,10 @@ LEDGER = ("energy_residual", "ito_sum", "hs_sum")
 INTEGRALS = ("stokes", "convection", "forcing", "noise")
 # the optional outputs of the stepper: the energy ledger (the LEDGER arrays,
 # read by `energy_budget_check`), the Stokes, convection and forcing
-# integrals, which every reader reads together, the noise integral, and the
-# states at the snapshot steps (`Ensemble.snap_u`)
-RECORDS = ("ledger", "integral_drift", "integral_noise", "states")
+# integrals, which every reader reads together, the noise integral, the
+# states at the snapshot steps (`Ensemble.snap_u`) and the H, Dirichlet and
+# U' norms of every step (`Ensemble.norm_H`, `norm_D`, `norm_Udual`)
+RECORDS = ("ledger", "integral_drift", "integral_noise", "states", "norms")
 
 
 def integral_record(term: str) -> str:
@@ -320,6 +325,9 @@ class GalerkinConfig:
     # lags, in steps, at which the stepper records every U' increment from
     # each step, clipped to the horizon (`increment_norms`)
     increment_lags: tuple = ()
+    # powers p at which the stepper sums each path's left-endpoint integral
+    # of |u|^(p-2) ||u||^2 (`weighted_integrals`)
+    integral_powers: tuple = (2.0,)
     # the outputs of RECORDS the stepper records; an unrecorded one has
     # width 0 and costs no step work
     records: frozenset = frozenset(RECORDS)
@@ -340,6 +348,7 @@ class GalerkinConfig:
             raise ValueError(f"increment_lags = {self.increment_lags} must be whole numbers of "
                              "steps >= 0")
         self.increment_lags = tuple(int(lag) for lag in self.increment_lags)
+        self.integral_powers = tuple(dict.fromkeys(float(p) for p in self.integral_powers))
         unknown = set(self.records) - set(RECORDS)
         if unknown:
             raise ValueError(f"unknown records {sorted(unknown)}; GalerkinConfig.records takes "
@@ -402,13 +411,17 @@ class Ensemble:
     [R, ...] over the config's grid; one trajectory is an Ensemble of one
     row.  Every field but `config` holds one entry per row along its first
     axis, and `rows` selects them.  An aborted row reads zero after its
-    abort step.  The functionals reduce the step axis: one value per row."""
+    abort step.  The functionals are per-row reductions of the step axis,
+    which the stepper takes as it walks: one value per row."""
 
     config: GalerkinConfig
     indices: np.ndarray  # (R,) trajectory indices
-    norm_H: np.ndarray  # (R, steps + 1), likewise norm_D and norm_Udual
+    norm_H: np.ndarray  # (R, steps + 1), likewise norm_D and norm_Udual; (R, 0) unrecorded
     norm_D: np.ndarray
     norm_Udual: np.ndarray
+    max_H: np.ndarray  # (R,), the largest |u|_H over the steps
+    # (R, len(integral_powers)): [r, i] = dt sum_{j < steps} ||u_j||^2 |u_j|^(p_i - 2)
+    weighted_integrals: np.ndarray
     energy_residual: np.ndarray  # (R,), likewise the rest of the LEDGER; (R, 0) unrecorded
     ito_sum: np.ndarray
     hs_sum: np.ndarray
@@ -440,7 +453,7 @@ class Ensemble:
         return self.abort_step >= 0
 
     def sup_H(self):
-        return np.max(self.norm_H, axis=1)
+        return self.max_H.copy()
 
     def integral_dirichlet2(self):
         """Left-endpoint quadrature of the Dirichlet energy integral."""
@@ -448,16 +461,13 @@ class Ensemble:
 
     def integral_weighted(self, p: float):
         """Left-endpoint quadrature of the |u|^(p-2) ||u||^2 integral (at
-        p = 2, of ||u||^2), taken on `row_blocks` for two (rows, steps)
-        arrays: per-row sums, so the bits of the whole array, with one
-        block's temporaries at a time."""
-        out = np.empty(len(self))
-        for at in row_blocks(len(self), 2 * self.config.steps):
-            d2 = self.norm_D[at, :-1] ** 2
-            if p != 2.0:
-                d2 *= self.norm_H[at, :-1] ** (p - 2)
-            out[at] = np.sum(d2, axis=1)
-        return out * self.config.dt
+        p = 2, of ||u||^2), summed by the stepper at each of the config's
+        `integral_powers`; ValueError at any other p."""
+        powers = self.config.integral_powers
+        if p not in powers:
+            raise ValueError(f"the weighted integral at p = {p} was not recorded "
+                             f"(GalerkinConfig.integral_powers = {powers})")
+        return self.weighted_integrals[:, powers.index(p)].copy()
 
 
 def float_map(fn, x) -> np.ndarray:
@@ -647,15 +657,17 @@ def cache_rows(config: GalerkinConfig) -> int:
 
 def _row_shapes(config: GalerkinConfig) -> dict:
     """Shape after the row axis of every per-row array of an Ensemble, by
-    field name: norms, ledger, the states, quadratic variations and running
-    integrals (keyed by term) at the snapshots, the modulus, the
-    increment norms of every step, the cutoff minimum and the abort step.
-    An output config.records leaves out has width 0: the ledger (one value
+    field name: norms, the largest H norm and the weighted integrals,
+    ledger, the states, quadratic variations and running integrals (keyed
+    by term) at the snapshots, the modulus, the increment norms of every
+    step, the cutoff minimum and the abort step.  An output config.records
+    leaves out has width 0: the norms have no steps, the ledger (one value
     per row) is (0,), the states and a running integral have no snapshots.
     Every entry is 8 bytes."""
     steps, n, records = config.steps, config.n, config.records
     snaps = len(config.snap_idx)
-    shapes = {name: (steps + 1,) for name in ("norm_H", "norm_D", "norm_Udual")}
+    shapes = {name: (steps + 1 if "norms" in records else 0,) for name in ("norm_H", "norm_D", "norm_Udual")}
+    shapes.update(max_H=(), weighted_integrals=(len(config.integral_powers),))
     shapes.update({name: () if "ledger" in records else (0,) for name in LEDGER})
     shapes.update(snap_u=(snaps if "states" in records else 0, n), qv_cum=(snaps, len(config.qv_pairs)))
     shapes.update({name: (snaps if integral_record(name) in records else 0, n) for name in INTEGRALS})
@@ -957,6 +969,67 @@ def step_chunks(config: GalerkinConfig, indices, x0=None, dW=None, h_norm: bool 
                     worst=worst, cutoff_min=cutoff_min, abort_step=abort_step)
 
 
+# values numpy's pairwise summation adds in one unrolled loop; it splits a
+# longer run in two
+PAIRWISE_LEAF = 128
+
+
+class _PairwiseSum:
+    """np.sum(a, axis=1) of a (K, N) array a, to the bit, from its columns
+    handed over in order, a few steps at a time (`add`), without a.
+
+    numpy sums each row of a C-contiguous array by one tree that depends on
+    N alone: a run of at most PAIRWISE_LEAF values is a leaf, summed in one
+    unrolled loop, and a longer run of m values splits at m // 2 less
+    (m // 2) % 8 into the sums of its two parts, added first plus second.
+    The reduction starts from 0.0.  The tree is planned once.  Each leaf's
+    values gather in one contiguous (K, leaf) buffer, which np.add.reduce
+    sums in that loop and from that 0.0 as it fills, and a node's two sums
+    are added as soon as its second is done, so the reducer keeps one leaf
+    and one sum per level of the tree, whatever N.  No leaf sum is -0.0,
+    since it starts from 0.0, so the root needs no 0.0 added."""
+
+    def __init__(self, K: int, N: int):
+        # each leaf's length, and how many nodes its sum completes
+        self.leaves, self.merges = [], []
+        self._plan(N)
+        self.K = K
+        self.buf = np.empty(K * min(N, PAIRWISE_LEAF))
+        self.sums, self.leaf, self.fill = [], 0, 0
+
+    def _plan(self, m: int) -> None:
+        if m <= PAIRWISE_LEAF:
+            self.leaves.append(m)
+            self.merges.append(0)
+            return
+        half = m // 2 - m // 2 % 8
+        self._plan(half)
+        self._plan(m - half)
+        self.merges[-1] += 1
+
+    def add(self, values: np.ndarray) -> None:
+        """Take the next len(values) columns of a, as the rows of `values`
+        (steps, K)."""
+        at = 0
+        while at < len(values):
+            size = self.leaves[self.leaf]
+            leaf = self.buf[: self.K * size].reshape(self.K, size)
+            take = min(size - self.fill, len(values) - at)
+            leaf[:, self.fill : self.fill + take] = values[at : at + take].T
+            self.fill += take
+            at += take
+            if self.fill == size:
+                self.sums.append(np.add.reduce(leaf, axis=1))
+                for _ in range(self.merges[self.leaf]):
+                    second = self.sums.pop()
+                    self.sums[-1] = self.sums[-1] + second
+                self.leaf, self.fill = self.leaf + 1, 0
+
+    def total(self) -> np.ndarray:
+        """(K,): np.sum(a, axis=1), once all N columns are in."""
+        return self.sums[0]
+
+
 def _grid_span(grid: np.ndarray, chunk: Chunk) -> tuple:
     """(at, rows): the slice of the positions on the snapshot grid `grid`
     (step indices) of the steps first..last of `chunk`, and their rows in
@@ -975,70 +1048,86 @@ def _integrate_rows(ens: Ensemble, dW=None, x0=None) -> None:
     """Integrate the B trajectories `ens.indices` of `ens.config` together
     (`step_chunks`), each driven by its own Philox stream or by its column
     of the increments `dW` (steps, B, M) when given, from the coordinates
-    of P_n config.u0 or from its row of `x0` (B, n), writing each chunk's
-    norms into the zeroed arrays of `ens` in place, and its states,
-    quadratic variations and running integrals at the config's snapshot
-    steps (`_grid_span`, the one place that maps the snapshot grid onto a
-    chunk); `snap_u[:, 0]` records each row's start.
+    of P_n config.u0 or from its row of `x0` (B, n), and reduce each chunk
+    into the zeroed arrays of `ens` in place as it is handed over: its
+    norms, when recorded, and its states, quadratic variations and running
+    integrals at the config's snapshot steps (`_grid_span`, the one place
+    that maps the snapshot grid onto a chunk); `snap_u[:, 0]` records each
+    row's start.
 
-    The energy ledger closes the discrete energy identity of the
-    Euler-Maruyama step: the walk folds each row's worst relative residual,
-    and each step's Ito and Hilbert-Schmidt increments fill block-private
-    (B, steps) arrays, summed per row (pairwise, the bits of the sums of
-    (R, steps) rows) once the walk ends.  The ledger and each running
-    integral's update run only when config.records names them, and an
-    unrecorded output's arrays have width 0; every recorded array is the
-    same bits whatever else is recorded.  An aborted row keeps its norms at
-    its abort step, those of its state with the non-finite entries zeroed,
-    and reads zero after it, its ledger terms too; its states read zero from
-    its abort step on.  Each row's U' modulus over lags 1..modulus_lags of
-    the step grid and its increments at `increment_lags` are reduced from
-    each chunk's window as it is handed over (`_LagReducer`); no step's
-    state is kept longer."""
+    Each row's functionals are folded chunk by chunk: the largest H norm,
+    and the per-step terms of its sums -- ||u_j||^2 |u_j|^(p-2) at each of
+    `integral_powers` and, under the ledger, each step's Ito and
+    Hilbert-Schmidt increments -- into one `_PairwiseSum`, the bits of
+    numpy's pairwise sum of the whole (B, steps) row, so no array spans the
+    horizon.  The walk folds each row's worst ledger residual.  The ledger
+    and each running integral's update run only when config.records names
+    them, and an unrecorded output's arrays have width 0; every recorded
+    array is the same bits whatever else is recorded.  An aborted row keeps
+    its norms at its abort step, those of its state with the non-finite
+    entries zeroed, and reads zero after it, its ledger terms from it on;
+    its states read zero from its abort step on.  Each row's U' modulus
+    over lags 1..modulus_lags of the step grid and its increments at
+    `increment_lags` are reduced from each chunk's window as it is handed
+    over (`_LagReducer`); no step's state is kept longer."""
     config = ens.config
-    ledger = "ledger" in config.records
-    if ledger:
-        ito_step, hs_step = np.zeros((len(ens), config.steps)), np.zeros((len(ens), config.steps))
-    norms = dict(H=ens.norm_H, D=ens.norm_D, Udual=ens.norm_Udual)
+    steps, powers, records = config.steps, config.integral_powers, config.records
+    ledger = "ledger" in records
+    norms = dict(H=ens.norm_H, D=ens.norm_D, Udual=ens.norm_Udual) if "norms" in records else {}
+    # the terms each row sums, one (steps,) row per term: an integrand per
+    # power, then the Ito and Hilbert-Schmidt increments
+    width = len(powers) + 2 * ledger
+    sums = _PairwiseSum(width * len(ens), steps)
     snap_idx = config.snap_idx
     lags = None
     if config.modulus_lags or config.increment_lags:
         sys = _compiled(config.basis, config.n, config.model, config.include_B)
         lags = _LagReducer(sys.wUdual, config.steps, ens.modulus, config.increment_lags, ens.increment_norms)
     for chunk in step_chunks(config, ens.indices.tolist(), x0, dW):
-        for name, buf in chunk.norms.items():
-            norms[name][:, chunk.first : chunk.last + 1] = buf.T
+        first, last = chunk.first, chunk.last
+        count = last - first
+        values, ito, hs = chunk.norms, chunk.ito, chunk.hs
+        if np.any(chunk.abort_step >= 0):
+            # an aborted row's norms read zero after its abort step, and
+            # its ledger terms from it on; the walk zeroed its states, but
+            # not what a zero state steps on to under forcing
+            late = np.arange(first, last + 1)[:, None] > np.where(chunk.abort_step >= 0, chunk.abort_step, steps)
+            values = {name: np.where(late, 0.0, buf) for name, buf in values.items()}
+            if ledger:
+                ito, hs = np.where(late[1:], 0.0, ito), np.where(late[1:], 0.0, hs)
+        for name, arr in norms.items():
+            arr[:, first : last + 1] = values[name].T
+        np.maximum(ens.max_H, np.max(values["H"], axis=0), out=ens.max_H)
+        terms = np.empty((count, width, len(ens)))
+        d2 = values["D"][:count] ** 2
+        for i, p in enumerate(powers):
+            terms[:, i] = d2 if p == 2.0 else d2 * values["H"][:count] ** (p - 2)
+        if ledger:
+            terms[:, -2], terms[:, -1] = ito, hs
+        sums.add(terms.reshape(count, width * len(ens)))
         if lags is not None:
             lags.add(chunk)
         # each recorded snapshot array beside the chunk's buffer of it
         snapshots = [(ens.qv_cum, chunk.qv)]
         snapshots += [(ens.snap_integrals[name], buf) for name, buf in chunk.integrals.items()]
-        if "states" in config.records:
+        if "states" in records:
             snapshots.append((ens.snap_u, chunk.states))
         at, rows = _grid_span(snap_idx, chunk)
         for snaps, buf in snapshots:
             snaps[:, at] = buf[rows].swapaxes(0, 1)
-        if ledger:
-            ito_step[:, chunk.first : chunk.last] = chunk.ito.T
-            hs_step[:, chunk.first : chunk.last] = chunk.hs.T
     ens.cutoff_min[:], ens.abort_step[:] = chunk.cutoff_min, chunk.abort_step
 
-    # an aborted row keeps what it had at its abort step and zeros after it;
-    # the walk zeroed its states, but not what a zero state steps on to
-    # under forcing, nor its quadratic variations and running integrals
+    # an aborted row's quadratic variations and running integrals read zero
+    # from its abort step on
     for r in np.flatnonzero(ens.aborted):
-        a = ens.abort_step[r]
-        if ledger:
-            ito_step[r, a:] = hs_step[r, a:] = 0.0
-        for arr in norms.values():
-            arr[r, a + 1 :] = 0.0
-        late = snap_idx >= a
+        late = snap_idx >= ens.abort_step[r]
         for snaps, _ in snapshots:
             snaps[r, late] = 0.0
+    totals = sums.total().reshape(width, len(ens))
+    ens.weighted_integrals[:] = totals[: len(powers)].T * config.dt
     if ledger:
         ens.energy_residual[:] = chunk.worst
-        ens.ito_sum[:] = np.sum(ito_step, axis=1)
-        ens.hs_sum[:] = np.sum(hs_step, axis=1)
+        ens.ito_sum[:], ens.hs_sum[:] = totals[-2], totals[-1]
 
 
 def integrate_batch(config: GalerkinConfig, indices, dW=None, x0=None) -> Ensemble:

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .estimates import median, percentile
-from .galerkin import INTEGRALS, Ensemble, _grid_positions, convection_pairing, integral_record
+from .galerkin import INTEGRALS, Ensemble, _grid_positions, convection_pairing, integral_record, require_records
 
 
 # -- windows -------------------------------------------------------------------
@@ -199,8 +199,10 @@ def dubinsky_diagnostic(ens: Ensemble, deltas, slope_threshold: float = 0.4) -> 
 
     The modulus curve is fitted in log-log coordinates; the family passes when
     the fitted slope reaches the threshold (a flat curve fails).  An exactly
-    zero curve (constant family) passes trivially.
+    zero curve (constant family) passes trivially.  The energy bounds read
+    every step's norms, which the ensemble must have recorded (`norms`).
     """
+    require_records(ens.config, "dubinsky_diagnostic", "norms")
     deltas = np.sort(np.asarray(deltas, dtype=float))
     curve = np.max(_modulus_table(ens, deltas), axis=0)
     rows = _live_rows(ens)
@@ -250,8 +252,11 @@ def aldous_check(ens: Ensemble, thetas, eta: float) -> AldousReport:
     clipped to the horizon.  Probabilities are reported per theta, maximized
     over rules; the pass flag requires them nonincreasing in theta with an
     overall decay.  Each increment is read from the recorded increments at
-    its window's lag (`FunctionFamily.increment_norms`).
+    its window's lag (`FunctionFamily.increment_norms`), and the hitting
+    times from every step's H norm, which the ensemble must have recorded
+    (`norms`).
     """
+    require_records(ens.config, "aldous_check", "norms")
     thetas = np.sort(np.asarray(thetas, dtype=float))[::-1]  # descending
     fam = FunctionFamily(ens)
     norm_H = ens.norm_H[fam.rows]

@@ -3,10 +3,13 @@ reference for `galerkin.step_chunks` and its Ensemble writer
 `galerkin._integrate_rows`, which walk the steps in time chunks.
 
 The loop draws each row's increments for all steps at once
-(`generate_wiener`), writes norms into the Ensemble at each step and the
-states, running integrals and quadratic variations at each snapshot step,
-keeps every step's state for the lag reductions, and folds the energy
-ledger every `LEDGER_CHUNK` steps.  Its squared norms are the weighted
+(`generate_wiener`), keeps every step's norms and state, writes the states,
+running integrals and quadratic variations at each snapshot step, and
+folds the energy ledger every `LEDGER_CHUNK` steps.  After the loop it
+zeroes what an aborted row steps on to, and reduces the whole arrays: the
+per-path maxima, sums and lag reductions are `np.max` and `np.sum` of the
+(B, steps + 1) norm and (B, steps) ledger arrays, and the brute-force lag
+oracles of the path.  Its squared norms are the weighted
 sums of one (B, 3, n) broadcast and its convection scatters the segment
 sums into zeros, as the stepper's did before it was chunked; every other
 operation is the stepper's, so a walk in any chunks must give this loop's
@@ -100,7 +103,8 @@ def oracle_batch(config, indices, dW=None, x0=None):
         x = np.repeat(config.basis.real_coords(project_Pn(config.u0, n), n)[None], B, axis=0)
     else:
         x = np.array(x0, dtype=np.float64, order="C")
-    norm_H, norm_D, norm_Ud = ens.norm_H, ens.norm_D, ens.norm_Udual
+    # every step's norms, whether or not the Ensemble records them
+    norm_H, norm_D, norm_Ud = (np.zeros((B, steps + 1)) for _ in range(3))
     ledger = "ledger" in config.records
     if ledger:
         chunk = min(LEDGER_CHUNK, steps)
@@ -202,6 +206,14 @@ def oracle_batch(config, indices, dW=None, x0=None):
             snap_u[r, late] = 0.0
         for name in integrals:
             snap_integrals[name][r, late] = 0.0
+    if "norms" in config.records:
+        ens.norm_H[:], ens.norm_D[:], ens.norm_Udual[:] = norm_H, norm_D, norm_Ud
+    ens.max_H[:] = np.max(norm_H, axis=1)
+    for i, p in enumerate(config.integral_powers):
+        d2 = norm_D[:, :-1] ** 2
+        if p != 2.0:
+            d2 *= norm_H[:, :-1] ** (p - 2)
+        ens.weighted_integrals[:, i] = np.sum(d2, axis=1) * dt
     if ledger:
         ens.energy_residual[:] = worst
         ens.ito_sum[:] = np.sum(ito_step, axis=1)

@@ -65,7 +65,7 @@ def make_records(basis, n, n_traj, T=0.05, seed=0, **kw):
 
 
 def test_aggregate_basic(basis2d_small):
-    recs = make_records(basis2d_small, n=8, n_traj=6)
+    recs = make_records(basis2d_small, n=8, n_traj=6, integral_powers=(2.0, 2.2, 3.0))
     stats = aggregate({8: recs}, p_list=(2.0, 2.2), eta=0.5)
     entry = stats.per_n[8]
     assert entry["count"] == 6

@@ -32,7 +32,7 @@ from sgns.galerkin import (
 )
 from sgns.noise import constant_transport_model, default_noise_model
 from sgns.nonlinear import TrilinearWorkspace, bilinear_B, trilinear_b
-from sgns.spectral import Basis, SpaceScale, TorusDomain, norm, project_Pn, random_field, row_blocks, stack
+from sgns.spectral import Basis, SpaceScale, TorusDomain, norm, project_Pn, random_field, stack
 from sgns.tightness import increment_scaling
 
 
@@ -998,14 +998,15 @@ def aborts_in_two_chunks(cfg, rows):
 def test_walk_is_the_one_loop(basis2d_small, basis2d, monkeypatch, chunk, case):
     # 30 steps in chunks of 1, 7, all 30 and 45: every record set, two
     # probes, forcing, an active cutoff, the modulus, increments at lags 0, 2
-    # and 9 steps (clipped at step 30) and snapshots every 5 steps.  n = 10
+    # and 9 steps (clipped at step 30), the weighted integrals at p = 2 and
+    # 3, and snapshots every 5 steps.  n = 10
     # of K = 3 has convection
     # segments on 8 coordinates, n = 16 of K = 8 on all 16 (see
     # `CompiledGalerkin.convection`)
     basis, n = (basis2d_small, 10) if case == "scatter" else (basis2d, 16)
     for records in record_subsets():
         cfg = rich_config(basis, n=n, T=0.03, overflow_limit=1e3, modulus_lags=3, increment_lags=(0, 2, 9),
-                          records=records)
+                          integral_powers=(2.0, 3.0), records=records)
         assert cfg.steps == 30
         dW = aborts_in_two_chunks(cfg, 5)
         walk_in_chunks(monkeypatch, 5, n, chunk)
@@ -1117,13 +1118,13 @@ def test_a_trajectory_on_several_rows_is_drawn_once(basis2d_small, monkeypatch):
 
 
 @pytest.mark.parametrize("ledger", [True, False])
-def test_block_memory_grows_with_the_steps_by_the_ledger_arrays_only(basis2d_small, monkeypatch, ledger):
+def test_block_memory_does_not_grow_with_the_steps(basis2d_small, monkeypatch, ledger):
     # 20 rows in chunks of 25 steps over 200 and 800 steps, 5 snapshots
-    # each: the traced peak of the block's private
-    # memory (the Ensemble is a shared mapping, which tracemalloc does not
-    # see) grows by at most the two (B, steps) arrays of Ito and
-    # Hilbert-Schmidt increments under the ledger, and otherwise by less
-    # than one (B, n) state, the chunk bounds (0.5 KB here)
+    # each: the traced peak of the block's private memory (the Ensemble is
+    # a shared mapping, which tracemalloc does not see) grows by less than
+    # one (B, n) state, the chunk bounds and the sums of one more level of
+    # the pairwise tree (0.5 KB here), with the ledger's Ito and
+    # Hilbert-Schmidt sums or without
     rows, peaks = 20, []
     records = set(galerkin.RECORDS) if ledger else set(galerkin.RECORDS) - {"ledger"}
     for steps in (200, 800):
@@ -1137,8 +1138,7 @@ def test_block_memory_grows_with_the_steps_by_the_ledger_arrays_only(basis2d_sma
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
-    growth = peaks[1] - peaks[0] - (2 * rows * 600 * 8 if ledger else 0)
-    assert growth < rows * cfg.n * 8
+    assert peaks[1] - peaks[0] < rows * cfg.n * 8
 
 
 @pytest.mark.parametrize("shape", [(3, 9), (2, 10), (10,)])
@@ -1151,13 +1151,18 @@ def test_initial_states_must_match_the_rows(basis2d_small, shape):
 # -- the record set: the ledger and the running integrals, recorded or not -----------
 
 
+NORM_FIELDS = ("norm_H", "norm_D", "norm_Udual")
+
+
 def unrecorded_arrays(ens) -> dict:
     """The arrays of ens that its config's records leave out, by name (LEDGER
-    names, snap_u for the states, and the INTEGRALS term for a running
-    integral)."""
+    names, the norms' field names, snap_u for the states, and the INTEGRALS
+    term for a running integral)."""
     out = {}
     if "ledger" not in ens.config.records:
         out.update({name: getattr(ens, name) for name in galerkin.LEDGER})
+    if "norms" not in ens.config.records:
+        out.update({name: getattr(ens, name) for name in NORM_FIELDS})
     if "states" not in ens.config.records:
         out["snap_u"] = ens.snap_u
     out.update({name: a for name, a in ens.snap_integrals.items()
@@ -1173,7 +1178,7 @@ def assert_same_but_unrecorded(full, part):
     for name, a in missing.items():
         assert a.size == 0 and a.shape[0] == len(part), name
     integrals = {name: missing.get(name, a) for name, a in full.snap_integrals.items()}
-    arrays = {name: a for name, a in missing.items() if name in galerkin.LEDGER or name == "snap_u"}
+    arrays = {name: a for name, a in missing.items() if name in galerkin.LEDGER + NORM_FIELDS + ("snap_u",)}
     want = dataclasses.replace(full, config=part.config, snap_integrals=integrals, **arrays)
     assert_records_identical(want, part, equal_nan=True)
 
@@ -1187,9 +1192,9 @@ def record_subsets():
 
 @EM_ONLY
 def test_ledger_off_keeps_every_other_array(basis2d_small, scheme):
-    # each of the 16 record sets, the ledger, the drift integrals, the
-    # noise integral and the states on and off; rows 1 and 3 abort as in
-    # test_abort_inside_a_batch, the others run to the end
+    # each of the 32 record sets, the ledger, the drift integrals, the
+    # noise integral, the states and the norms on and off; rows 1 and 3
+    # abort as in test_abort_inside_a_batch, the others run to the end
     cfg = rich_config(basis2d_small, T=0.03, overflow_limit=1e3)
     assert cfg.records == frozenset(galerkin.RECORDS)
     dW = blown_up_increments(cfg, 5)
@@ -1201,7 +1206,8 @@ def test_ledger_off_keeps_every_other_array(basis2d_small, scheme):
         assert len(unrecorded_arrays(part)) == ((3 if "ledger" not in records else 0)
                                                 + (3 if "integral_drift" not in records else 0)
                                                 + (1 if "integral_noise" not in records else 0)
-                                                + (1 if "states" not in records else 0))
+                                                + (1 if "states" not in records else 0)
+                                                + (3 if "norms" not in records else 0))
         assert_same_but_unrecorded(full, part)
 
 
@@ -1363,8 +1369,8 @@ def test_strong_order_one_half(basis2d_small, scheme):
 
 def aborting_ensemble(basis):
     """7 paths of the rich config, rows 2, 5 and 6 past the overflow limit;
-    snapshots every 5 steps."""
-    cfg = rich_config(basis, overflow_limit=1.05)
+    snapshots every 5 steps, the weighted integrals at p = 2, 2.2 and 3."""
+    cfg = rich_config(basis, overflow_limit=1.05, integral_powers=(2.0, 2.2, 3.0))
     ens = integrate_ensemble(cfg, 7)
     assert ens.aborted.tolist() == [False, False, True, False, False, True, True]
     return cfg, ens
@@ -1386,26 +1392,70 @@ def test_ensemble_rows_and_functionals_are_the_paths(basis2d_small):
         for p in (2.0, 2.2, 3.0):
             want = float(np.sum(norm_H[:-1] ** (p - 2) * norm_D[:-1] ** 2) * cfg.dt)
             assert ens.integral_weighted(p)[r] == want == one.integral_weighted(p)[0]
+    with pytest.raises(ValueError, match=r"p = 2.5 was not recorded \(GalerkinConfig.integral_powers = "
+                                         r"\(2.0, 2.2, 3.0\)\)"):
+        ens.integral_weighted(2.5)
 
 
-def test_functionals_in_row_blocks_are_the_per_path_formulas(basis2d_small):
-    # 20,000 steps: row blocks of 3, so 7 rows are taken as 3 + 3 + 1; the
-    # norms are random, with a NaN and an inf in row 6
-    cfg = make_config(basis2d_small, T=20.0, snapshot_stride=0, records=())
-    ens = galerkin._stacked(cfg, range(7))
-    assert [at.indices(7) for at in row_blocks(len(ens), 2 * cfg.steps)] == [(0, 3, 1), (3, 6, 1), (6, 7, 1)]
-    rng = np.random.default_rng(3)
-    ens.norm_H[:] = rng.uniform(0.1, 2.0, ens.norm_H.shape)
-    ens.norm_D[:] = rng.uniform(0.1, 5.0, ens.norm_D.shape)
-    ens.norm_H[6, 7], ens.norm_D[6, 9] = np.nan, np.inf
-    for p in (2.0, 2.2, 3.0):
-        got = ens.integral_weighted(p)
-        for r in range(7):
-            norm_H, norm_D = ens.norm_H[r], ens.norm_D[r]
-            want = np.sum(norm_H[:-1] ** (p - 2) * norm_D[:-1] ** 2) * cfg.dt
-            assert np.array_equal(got[r], want, equal_nan=True)
-    want = [np.sum(ens.norm_D[r, :-1] ** 2) * cfg.dt for r in range(7)]
-    assert np.array_equal(ens.integral_dirichlet2(), want)
+def streamed_sum(a: np.ndarray, chunk: int) -> np.ndarray:
+    """np.sum(a, axis=1) of a (K, N) by `galerkin._PairwiseSum`, handed
+    the columns step-major, `chunk` at a time."""
+    K, N = a.shape
+    sums = galerkin._PairwiseSum(K, N)
+    for lo in range(0, N, chunk):
+        sums.add(np.ascontiguousarray(a[:, lo : lo + chunk].T))
+    return sums.total()
+
+
+def summands(N: int) -> np.ndarray:
+    """(6, N) values over 16 decades, which a change of summation order
+    rounds differently: row 1 is all -0.0, row 2 holds 0.0 and -0.0
+    entries, row 3 an inf, row 4 a NaN, and row 5 both infinities (-inf
+    alone at N = 1)."""
+    rng = np.random.default_rng(N)
+    a = rng.standard_normal((6, N)) * 10.0 ** rng.integers(-8, 8, (6, N))
+    a[1] = -0.0
+    a[2, ::3], a[2, 1::5] = 0.0, -0.0
+    a[3, N // 2] = np.inf
+    a[4, N // 3] = np.nan
+    a[5, 0], a[5, -1] = np.inf, -np.inf
+    return a
+
+
+@pytest.mark.parametrize("chunk", ["1", "leaf", "straddle"])
+@pytest.mark.parametrize("N", [1, 7, 8, 9, 127, 128, 129, 1000, 1024, 8193, 100003])
+def test_streamed_sum_is_numpys_pairwise_sum(N, chunk):
+    # chunks of one step, of one leaf (128), and of 77 steps, which end
+    # inside leaves and straddle them; the tree has leaves of other
+    # lengths than 128 at N = 1000, 8193 and 100003
+    a = summands(N)
+    with np.errstate(invalid="ignore"):
+        got = streamed_sum(a, {"1": 1, "leaf": galerkin.PAIRWISE_LEAF, "straddle": 77}[chunk])
+        want = np.sum(a, axis=1)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    assert np.isposinf(got[3]) and np.isnan(got[4]) and (np.isnan(got[5]) or N == 1)
+    assert got[1].view(np.uint64) == want[1].view(np.uint64) == np.float64(0.0).view(np.uint64)
+
+
+def test_streamed_functionals_are_the_oracles_sums(basis2d_small, monkeypatch):
+    # 300 steps, a tree of four leaves (72, 72, 72 and 84 steps), walked in
+    # chunks of 37 steps that straddle them; rows 1 and 3 abort mid-chunk,
+    # at steps 8 and 13, and the forcing keeps their states moving after.
+    # With and without the norms record, every streamed field (the largest
+    # H norm, the weighted integrals at three powers, the Ito and
+    # Hilbert-Schmidt sums) is np.max and np.sum of the oracle's zeroed
+    # (B, steps + 1) norms and (B, steps) increments
+    cfg = rich_config(basis2d_small, T=0.3, overflow_limit=1e3, integral_powers=(2.0, 2.5, 3.0))
+    plan = galerkin._PairwiseSum(1, cfg.steps)
+    assert plan.leaves == [72, 72, 72, 84] and plan.merges == [0, 1, 0, 2]
+    dW = blown_up_increments(cfg, 5)
+    walk_in_chunks(monkeypatch, 5, cfg.n, 37)
+    for records in (galerkin.RECORDS, {"ledger"}):
+        part = dataclasses.replace(cfg, records=records)
+        got = integrate_batch(part, range(5), dW)
+        assert got.abort_step.tolist() == [-1, 8, -1, 13, -1]
+        assert_records_identical(oracle_batch(part, range(5), dW), got, equal_nan=True)
+        assert np.all(got.weighted_integrals[[0, 2, 4]] > 0.0) and np.all(got.ito_sum > 0.0)
 
 
 def test_rows_of_a_slice_are_views_and_of_an_index_list_or_mask_copies(basis2d_small):

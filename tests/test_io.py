@@ -403,7 +403,9 @@ def test_only_the_energy_verbs_record_the_ledger(tmp_path, monkeypatch):
     # each verb records what it reads: `energy_budget_check` reads the
     # energy ledger, and only simulate and ensemble call it; the tightness
     # scaling table reads the noise integral; no verb reads another
-    # running integral
+    # running integral; only simulate's trajectory table and the tightness
+    # diagnostics read every step's norms; estimates sums the weighted
+    # integrals at p = 2 and its p_list, and tightness sums none
     tight = json.loads((DEMOS / "tightness.json").read_text())
     tight["galerkin"].update(n_list=[4], T=0.25)
     tight["ensemble"]["trajectories"] = 8
@@ -411,7 +413,8 @@ def test_only_the_energy_verbs_record_the_ledger(tmp_path, monkeypatch):
     configs = {
         "simulate": write_cfg(tmp_path, name="simulate.json"),
         "ensemble": write_cfg(tmp_path, name="ensemble.json"),
-        "estimates": write_cfg(tmp_path, {"galerkin": {"n_list": [2, 4, 6]}}, "estimates.json"),
+        "estimates": write_cfg(tmp_path, {"galerkin": {"n_list": [2, 4, 6]}, "experiment": {"p_list": [2.5, 2.0]}},
+                               "estimates.json"),
         "tightness": tight,
         "uniqueness": write_cfg(tmp_path, {"experiment": {"certify_samples": 50, "twin_trajectories": 1}},
                                 "uniqueness.json"),
@@ -419,7 +422,7 @@ def test_only_the_energy_verbs_record_the_ledger(tmp_path, monkeypatch):
     walk, seen = galerkin.step_chunks, []
 
     def spy(config, *args, **kwargs):
-        seen.append(config.records)
+        seen.append((config.records, config.integral_powers))
         return walk(config, *args, **kwargs)
 
     # the one stepper, at the Ensemble writer's and the uniqueness twins' call
@@ -430,9 +433,10 @@ def test_only_the_energy_verbs_record_the_ledger(tmp_path, monkeypatch):
         seen.clear()
         run_command(verb, load_config(cfg), tmp_path / verb, workers=1)
         records[verb] = set(seen)
-    ledger, noise = frozenset({"ledger"}), frozenset({"integral_noise"})
-    assert records == {"simulate": {ledger | {"states"}}, "ensemble": {ledger}, "estimates": {frozenset()},
-                       "tightness": {noise}, "uniqueness": {frozenset()}}
+    ledger, noise, norms = frozenset({"ledger"}), frozenset({"integral_noise"}), frozenset({"norms"})
+    assert records == {"simulate": {(ledger | {"states"} | norms, (2.0,))}, "ensemble": {(ledger, (2.0,))},
+                       "estimates": {(frozenset(), (2.0, 2.5))}, "tightness": {(noise | norms, ())},
+                       "uniqueness": {(frozenset(), (2.0,))}}
 
 
 def test_seed_override_matches_configured_seed(tmp_path):
@@ -725,8 +729,9 @@ def test_tightness_verb_records_the_lag_maxima_it_reads(tmp_path, monkeypatch):
 
 def test_tightness_verb_records_on_one_snapshot_grid(tmp_path, monkeypatch):
     # each level's ensemble is snapshotted every experiment.integral_stride
-    # steps and records the noise integral alone, on that one grid, and no
-    # state; the increments it reads are of every step
+    # steps and records the noise integral alone, on that one grid, no
+    # state, and the norms of every step; the increments it reads are of
+    # every step
     cfg = json.loads((DEMOS / "tightness.json").read_text())
     cfg["galerkin"]["n_list"] = [4, 8]
     cfg["ensemble"]["trajectories"] = 16
@@ -745,7 +750,7 @@ def test_tightness_verb_records_on_one_snapshot_grid(tmp_path, monkeypatch):
     assert [config.n for config, *_ in seen] == [4, 8]
     for config, noise, states, increments in seen:
         assert config.snapshot_stride == run.experiment["integral_stride"]
-        assert config.records == {"integral_noise"}
+        assert config.records == {"integral_noise", "norms"}
         assert noise == (16, steps // 8 + 1, config.n)
         assert states == (16, 0, config.n)
         assert increments == (16, len(config.increment_lags), steps + 1)
@@ -858,6 +863,26 @@ def test_estimates_verb_names_too_few_paths(tmp_path, capsys):
     assert code == 1 and summary["passed"] is False
     assert summary["failure"] == ("need at least 2 live trajectories at every level: "
                                   "n = 2 has 1, n = 4 has 1, n = 6 has 1")
+    assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key", ["amplitude", "modes"])
+def test_estimates_verb_names_zero_paths(tmp_path, capsys, key):
+    # the tightness demo with zero initial data, on 16 steps of 4 paths: the
+    # transport noise vanishes at u = 0, so every path stays zero and no
+    # ratio of the level means exists; the verb writes a named failure and
+    # exits 1, with no traceback
+    cfg = json.loads((DEMOS / "tightness.json").read_text())
+    cfg["galerkin"]["u0"][key] = 0
+    cfg["galerkin"]["T"] = 2.0**-6
+    cfg["ensemble"]["trajectories"] = 4
+    path = tmp_path / "zero.json"
+    path.write_text(json.dumps(cfg))
+    code = main(["estimates", "--config", str(path), "--out", str(tmp_path / "out"), "--workers", "2"])
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert code == 1 and summary["passed"] is False
+    assert summary["failure"] == ("nonpositive mean of sup_H_2 at n = 8, 16, 32; int_dirichlet2 at "
+                                  "n = 8, 16, 32; cannot form ratios")
     assert "Traceback" not in capsys.readouterr().err
 
 

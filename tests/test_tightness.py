@@ -13,7 +13,7 @@ from path_oracle import decomposition_increments
 from conftest import walk_in_chunks
 from stepper_oracle import generate_wiener
 
-from sgns import galerkin, tightness
+from sgns import estimates, galerkin, tightness
 from sgns.config import load_config
 from sgns.galerkin import GalerkinConfig, convection_pairing, integrate_batch, integrate_ensemble
 from sgns.noise import default_noise_model
@@ -84,7 +84,8 @@ class FakeEnsemble:
         R, S, n = snap_u.shape
         lags = S - 1 if modulus_lags is None else modulus_lags
         self.config = SimpleNamespace(basis=basis, n=n, dt=dt, times=np.arange(S) * dt,
-                                      modulus_lags=lags, increment_lags=tuple(increment_lags))
+                                      modulus_lags=lags, increment_lags=tuple(increment_lags),
+                                      records=frozenset({"norms"}))
         self.snap_u = snap_u
         self.norm_H = np.ones((R, S))
         self.norm_D = np.full((R, S), norm_D)
@@ -393,18 +394,18 @@ def test_a_block_holds_no_path(basis2d_small, monkeypatch, verb):
     # 7 paths over 512 and 2,048 steps in chunks of 32, recorded as the
     # ensemble verb records them (the ledger), as the estimates verb does
     # (nothing), as the tightness verb does (the noise integral every 8
-    # steps; the modulus over 32 steps, increments at lags 4, 16 and 32), or
-    # with the states and the noise integral at every step and those lags:
-    # the block's private memory stays below one (7, steps + 1, n) path and
-    # grows with the steps by less than 6 (7, steps) rows (3 norms and 3
-    # increments of the Ensemble, itself one shared mapping, which
-    # tracemalloc does not see; the ledger's 2), and no mapping but the
-    # Ensemble's is as large as a path
+    # steps and the norms; the modulus over 32 steps, increments at lags 4,
+    # 16 and 32), or with the states and the noise integral at every step
+    # and those lags: the block's private memory stays below one
+    # (7, steps + 1, n) path and grows with the steps by less than 6
+    # (7, steps) rows (3 norms and 3 increments of the Ensemble, itself one
+    # shared mapping, which tracemalloc does not see), and no mapping but
+    # the Ensemble's is as large as a path
     rows, peaks = 7, []
     lags = dict(modulus_lags=32, increment_lags=(4, 16, 32))
     kept = {"ensemble": dict(snapshot_stride=10, records={"ledger"}),
             "estimates": dict(snapshot_stride=10, records=()),
-            "tightness": dict(snapshot_stride=8, records={"integral_noise"}, **lags),
+            "tightness": dict(snapshot_stride=8, records={"integral_noise", "norms"}, **lags),
             "states": dict(snapshot_stride=1, records={"states", "integral_noise"}, **lags)}[verb]
     for steps in (512, 2048):
         cfg = replace(small_config(basis2d_small), T=steps * 1e-3, **kept)
@@ -419,6 +420,67 @@ def test_a_block_holds_no_path(basis2d_small, monkeypatch, verb):
         assert (ensemble >= path) == (verb == "states")
         peaks.append(peak)
     assert peaks[1] - peaks[0] < 8 * rows * 6 * (2048 - 512)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("verb", ["ensemble", "estimates"])
+def test_the_functionals_hold_no_array_over_the_steps(basis2d_small, monkeypatch, verb, workers):
+    # 6 paths in blocks of 3, over 256 and 1,024 steps in chunks of 32,
+    # recorded as the ensemble verb records them (the ledger) or as the
+    # estimates verb does (nothing, the weighted integrals at two powers),
+    # on 1 worker or on 2, where the second block is stepped by a forked
+    # worker: no norm of a step is recorded, so the Ensemble's one shared
+    # mapping does not grow with the steps; the traced peak of each block,
+    # in the verb's process or in the worker, grows by less than one
+    # (3, steps) array, so no block holds its Ito or Hilbert-Schmidt
+    # increments; and neither does the verb's read of the functionals
+    records = {"ensemble": {"ledger"}, "estimates": set()}[verb]
+    powers = {"ensemble": (2.0,), "estimates": (2.0, 2.5)}[verb]
+    monkeypatch.setattr(galerkin, "cache_rows", lambda config: 3)
+    # a shared mapping for the blocks' peaks, which a forked worker writes
+    block_peaks = np.frombuffer(mmap.mmap(-1, 16), dtype=np.float64)
+    integrate, maps, make = galerkin._integrate_rows, [], mmap.mmap
+
+    def traced(ens, dW=None, x0=None):
+        tracemalloc.start()
+        try:
+            integrate(ens, dW, x0)
+            block_peaks[ens.indices[0] // 3] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def spy(fileno, length, **kwargs):
+        if not kwargs.get("flags", mmap.MAP_SHARED) & mmap.MAP_PRIVATE:
+            maps.append(length)
+        return make(fileno, length, **kwargs)
+
+    peaks, reads, shared = [], [], []
+    integrate_ensemble(small_config(basis2d_small), 1)
+    for steps in (256, 1024):
+        cfg = replace(small_config(basis2d_small), T=steps * 1e-3, snapshot_stride=0, records=records,
+                      integral_powers=powers)
+        assert all(galerkin._row_shapes(cfg)[name] == (0,) for name in ("norm_H", "norm_D", "norm_Udual"))
+        walk_in_chunks(monkeypatch, 3, cfg.n, 32)
+        monkeypatch.setattr(galerkin, "_integrate_rows", traced)
+        monkeypatch.setattr(galerkin.mmap, "mmap", spy)
+        maps.clear()
+        try:
+            ens = integrate_ensemble(cfg, 6, workers=workers)
+        finally:
+            monkeypatch.setattr(galerkin, "_integrate_rows", integrate)
+            monkeypatch.setattr(galerkin.mmap, "mmap", make)
+        shared.append(maps[:])
+        peaks.append(block_peaks.copy())
+        tracemalloc.start()
+        try:
+            stats = estimates.aggregate({cfg.n: ens}, p_list=powers)
+            reads.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert stats.per_n[cfg.n]["count"] == 6 and np.all(ens.max_H > 0.0)
+    assert len(shared[0]) == 1 and shared[0] == shared[1]
+    assert np.all(peaks[0] > 0.0) and np.all(peaks[1] - peaks[0] < 8 * 3 * (1024 - 256))
+    assert reads[1] - reads[0] < 8 * 6 * (1024 - 256)
 
 
 @pytest.mark.parametrize("chunk", [1, 19, 20, 21])

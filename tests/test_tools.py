@@ -9,6 +9,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
 import bench_pairs  # noqa: E402
+import bundle_digests  # noqa: E402
 
 
 def test_peak_split_takes_the_summed_worker_peaks_off_the_verb_peak(tmp_path):
@@ -91,3 +92,27 @@ def test_src_lines_counts_each_checkouts_modules_as_wc_does(tmp_path):
     wc = subprocess.run("cat src/sgns/*.py | wc -l", shell=True, cwd=roots["parent"], capture_output=True,
                         text=True)
     assert int(wc.stdout) == 4
+
+
+def test_bundle_digests_against_prints_only_the_differing_lines(monkeypatch, capsys):
+    # canned outputs of two checkouts: one bundle file moved, one exit
+    # status is the parent's alone and one file the change's alone
+    parent = ["a ensemble w1 exit_status 0", "a ensemble w1 summary.json 11", "a simulate w1 exit_status 0",
+              "demo 01 stdout ff"]
+    change = ["a ensemble w1 exit_status 0", "a ensemble w1 summary.json 12", "a ensemble w1 table.csv 13",
+              "demo 01 stdout ff"]
+    want = ["- a ensemble w1 summary.json 11", "+ a ensemble w1 summary.json 12", "+ a ensemble w1 table.csv 13",
+            "- a simulate w1 exit_status 0"]
+    assert bundle_digests.differing_lines(parent, change) == want
+    assert bundle_digests.differing_lines(parent, parent) == []
+    outputs = {Path("/parent"): parent, Path("/change"): change, Path("/same"): parent}
+    monkeypatch.setattr(bundle_digests, "digest_lines", lambda root: outputs[root])
+    assert bundle_digests.main(["--root", "/change", "--against", "/parent"]) == 1
+    out, err = capsys.readouterr()
+    assert out.splitlines() == want and err == "4 parent and 4 change lines, 4 differing\n"
+    assert bundle_digests.main(["--root", "/same", "--against", "/parent"]) == 0
+    out, err = capsys.readouterr()
+    assert out == "" and err == "4 parent and 4 change lines, 0 differing\n"
+    # without --against, the checkout's lines as before
+    assert bundle_digests.main(["--root", "/change"]) == 0
+    assert capsys.readouterr().out.splitlines() == change

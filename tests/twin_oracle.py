@@ -47,7 +47,7 @@ def twin_oracle(config, C_eps: float, gamma: float, n_traj: int, twins: int = 0)
     from one every-step batch of all n_traj pairs and their check rows and
     one of the check pairs past n_traj, run a shift 0 apart."""
     basis = config.basis
-    cfg = replace(config, snapshot_stride=1, records={"states"})
+    cfg = replace(config, snapshot_stride=1, records={"states", "norms"})
     pert = np.zeros(basis.n_modes)
     pert[0] = gamma
     x1 = basis.real_coords(project_Pn(config.u0, cfg.n), cfg.n)

@@ -1,7 +1,7 @@
 """SHA-256 digests of the result bundles of every CLI verb on every demo
 config, and of the stdout of every demo script.
 
-    python3 tools/bundle_digests.py [--root CHECKOUT]
+    python3 tools/bundle_digests.py [--root CHECKOUT] [--against PARENT_CHECKOUT]
 
 Runs ``python -m sgns.cli <verb> --config <config> --out <dir> --workers <N>``
 for every verb of the checkout's ``sgns.cli.VERBS``, every
@@ -34,6 +34,13 @@ fresh process of the same environment, and prints, per demo, the lines
 so a change that only reshapes the demos' calls is checked by the same
 ``diff``.  The bundles go to a temporary directory, which is also the
 demos' working directory, removed at exit.
+
+With ``--against PARENT_CHECKOUT`` it runs both checkouts, the parent
+first, and prints only the lines that differ: ``- <line>`` for a line of
+the parent's output that the change's lacks, ``+ <line>`` for one of the
+change's that the parent's lacks, sorted by the line so that the two
+versions of a file stand together.  It exits 1 when any line differs and 0
+when none does, and says on stderr how many lines it compared.
 """
 
 from __future__ import annotations
@@ -106,10 +113,17 @@ def run_demo(env: dict, demo: Path, cwd: Path) -> list:
             f"{head} stdout {sha256(proc.stdout)}"]
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
-    parser.add_argument("--root", type=Path, default=ROOT, help="source checkout to run (default: this one)")
-    root = parser.parse_args(argv).root.resolve()
+def differing_lines(parent: list, change: list) -> list:
+    """The lines of `parent` that `change` lacks, as ``- <line>``, and of
+    `change` that `parent` lacks, as ``+ <line>``, sorted by the line."""
+    out = [(line, f"- {line}") for line in set(parent) - set(change)]
+    out += [(line, f"+ {line}") for line in set(change) - set(parent)]
+    return [text for _, text in sorted(out)]
+
+
+def digest_lines(root: Path) -> list:
+    """The sorted digest lines of every verb run and demo of the checkout
+    `root`."""
     env = checkout_env(root)
     configs = sorted((root / "demos" / "configs").glob("*.json"))
     verbs = checkout_verbs(root, env)
@@ -122,8 +136,25 @@ def main(argv=None) -> int:
                     lines += run_one(root, env, config, verb, workers, out)
         for demo in sorted((root / "demos").glob("*.py")):
             lines += run_demo(env, demo, Path(tmp))
-    print("\n".join(sorted(lines)))
-    return 0
+    return sorted(lines)
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("--root", type=Path, default=ROOT, help="source checkout to run (default: this one)")
+    parser.add_argument("--against", type=Path, default=None,
+                        help="parent checkout: print only the lines that differ from its, exit 1 if any does")
+    args = parser.parse_args(argv)
+    if args.against is None:
+        print("\n".join(digest_lines(args.root.resolve())))
+        return 0
+    parent = digest_lines(args.against.resolve())
+    change = digest_lines(args.root.resolve())
+    diff = differing_lines(parent, change)
+    if diff:
+        print("\n".join(diff))
+    print(f"{len(parent)} parent and {len(change)} change lines, {len(diff)} differing", file=sys.stderr)
+    return 1 if diff else 0
 
 
 if __name__ == "__main__":
