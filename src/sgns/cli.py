@@ -24,7 +24,7 @@ from . import twodim
 from .config import ConfigError, RunConfig, load_config
 from .galerkin import _compiled, any_noise, energy_budget_check, float_map, integrate_batch, integrate_ensemble
 from .io import ResultBundle, write_snapshot
-from .noise import exact_constants, noise_conditions, sampled_lipschitz
+from .noise import SUP_REL_WIDTH, exact_constants, noise_conditions, sampled_lipschitz
 from .spectral import apply_operator, inner, norm, project_Pn, random_field, stack
 
 
@@ -80,7 +80,7 @@ def run_certify_noise(run: RunConfig, bundle: ResultBundle, workers: int) -> Non
         C1=rep.C1, a=rep.a, eps=rep.eps, eta=rep.eta, lam0=rep.lam0,
         gstar_constant=exact.gstar_constant, gstar_analytic_bound=rep.gstar_analytic,
         gstar_margin=gstar_margin, lipschitz_L=exact.lipschitz_L,
-        coercivity_margin=exact.coercivity_margin, rejected=rep.rejected,
+        coercivity_margin=exact.coercivity_margin, rejected=rep.rejected, sup_rel_width=SUP_REL_WIDTH,
     )
     if rep.rejected:
         bundle.summary.update(

@@ -172,6 +172,52 @@ def nonpositive_functionals(stats: EnsembleStats, p: float) -> str | None:
     return f"nonpositive mean of {'; '.join(bad)}; cannot form ratios" if bad else None
 
 
+def _kendall_greater(vals) -> tuple:
+    """Kendall tau-b of vals, in the order of their distinct levels, and
+    its one-sided p-value for a rising trend: ``scipy.stats.kendalltau(
+    levels, vals, alternative="greater")``.  Untied vals (up to 33, or any
+    number with at most one discordant or concordant pair) get scipy's exact
+    null by Kendall's recurrence (Kendall 1970, *Rank Correlation Methods*),
+    to the bit; tied vals the tie-corrected normal approximation, whose tail
+    0.5 erfc(-z sqrt(1/2)) is scipy's ``ndtr`` to within the last bits.  All
+    vals equal give (nan, nan)."""
+    y = np.asarray(vals, dtype=float)
+    size = len(y)
+    tot = size * (size - 1) // 2
+    i, j = np.triu_indices(size, 1)
+    dis = int(np.count_nonzero(y[i] > y[j]))
+    cnt = np.unique(y, return_counts=True)[1].tolist()
+    ytie = sum(c * (c - 1) // 2 for c in cnt)
+    if ytie == tot:
+        return math.nan, math.nan
+    con_minus_dis = tot - ytie - 2 * dis
+    tau = min(1.0, max(-1.0, con_minus_dis / math.sqrt(tot) / math.sqrt(tot - ytie)))
+    if ytie or (size > 33 and min(dis, tot - dis) > 1):
+        m = size * (size - 1.0)
+        y1 = sum(c * (c - 1) * (2 * c + 5) for c in cnt)
+        z = -con_minus_dis / math.sqrt((m * (2 * size + 5) - y1) / 18)
+        return tau, 0.5 * math.erfc(-z * math.sqrt(0.5))
+    # exact: the null is symmetric, so take the tail at c = min(con, dis)
+    # inversions and its mass at c from the count of orderings by inversions
+    con = tot - dis
+    c = min(con, dis)
+    orderings = math.factorial(size)
+    if c == 0:
+        tail, mass = 2.0 / orderings, 1.0 / orderings
+    elif c == 1:
+        tail, mass = 2.0 / math.factorial(size - 1), (size - 1) / orderings
+    else:
+        new = np.zeros(c + 1)  # new[k]: orderings with k inversions, k <= c
+        new[0:2] = 1.0
+        for k in range(3, size + 1):
+            new = np.cumsum(new)
+            if k <= c:
+                new[k:] -= new[: c + 1 - k]
+        tail, mass = 2.0 * np.sum(new) / orderings, new[-1] / orderings
+    p = tail / 2 if con >= dis else 1 - tail / 2 + mass
+    return tau, float(np.clip(p, 0, 1))
+
+
 @dataclass
 class UniformityVerdict:
     ratios: dict  # functional name -> max/min ratio across n
@@ -181,12 +227,8 @@ class UniformityVerdict:
     passed: bool
 
 
-def uniformity_report(
-    stats: EnsembleStats,
-    p: float = 2.0,
-    ratio_bound: float = 1.5,
-    alpha: float = 0.05,
-) -> UniformityVerdict:
+def uniformity_report(stats: EnsembleStats, p: float = 2.0, ratio_bound: float = 1.5,
+                      alpha: float = 0.05) -> UniformityVerdict:
     """Uniformity-in-n check: bounded max/min ratio and no rising trend beyond
     noise for E[sup |u|_H^p] and E[int ||u||^2 dt].
 
@@ -194,20 +236,14 @@ def uniformity_report(
     alpha; a monotone ordering whose total rise stays within the combined
     standard errors (1.645 sigma one-sided) counts as flat.
 
-    The p-value is scipy's: exact for untied means (up to 33 levels) and the
-    tie-corrected normal approximation for tied ones.  scipy.stats is
-    imported here, not at module level: the import costs about 1 s, which
-    every verb process and pool worker importing this module would pay.  Under
-    exchangeable untied means at alpha = 0.05 the Kendall clause alone
-    fires with probability 0 at 3 levels (the smallest attainable p is
-    1/6) and 1/24 at 4 or 5 levels.  Means of levels that share a Wiener
-    path can tie exactly: on demos/configs/estimates.json the n = 4 and
-    n = 8 means are equal, giving tau-b = 0.913 and an asymptotic
-    p = 0.0355 < alpha, so that run passes through the rise-beyond-noise
-    clause alone.
+    The p-value is `_kendall_greater`'s.  Under exchangeable untied means at
+    alpha = 0.05 the Kendall clause alone fires with probability 0 at 3
+    levels (the smallest attainable p is 1/6) and 1/24 at 4 or 5 levels.
+    Means of levels that share a Wiener path can tie exactly: on
+    demos/configs/estimates.json the n = 4 and n = 8 means are equal, giving
+    tau-b = 0.913 and an asymptotic p = 0.0355 < alpha, so that run passes
+    through the rise-beyond-noise clause alone.
     """
-    from scipy.stats import kendalltau
-
     ns = sorted(stats.per_n)
     if len(ns) < 3:
         raise ValueError("need at least 3 Galerkin levels")
@@ -221,16 +257,13 @@ def uniformity_report(
         vals = np.asarray([m for m, _ in pairs])
         ses = np.asarray([s for _, s in pairs])
         ratios[name] = float(np.max(vals) / np.min(vals))
-        tau, pval = kendalltau(ns, vals, alternative="greater")
-        kendall[name] = (float(tau), float(pval))
+        kendall[name] = tau, pval = _kendall_greater(vals)
         rise = vals[-1] - vals[0]
         noise = 1.645 * math.sqrt(ses[0] ** 2 + ses[-1] ** 2)
         trending_up = pval < alpha and rise > noise
         if ratios[name] > ratio_bound or trending_up:
             passed = False
-    return UniformityVerdict(
-        ratios=ratios, kendall=kendall, ratio_bound=ratio_bound, alpha=alpha, passed=passed
-    )
+    return UniformityVerdict(ratios=ratios, kendall=kendall, ratio_bound=ratio_bound, alpha=alpha, passed=passed)
 
 
 def gronwall_eval(a, theta, y0: float, grid) -> np.ndarray:

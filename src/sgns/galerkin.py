@@ -1086,15 +1086,13 @@ def _integrate_rows(ens: Ensemble, dW=None, x0=None) -> None:
     for chunk in step_chunks(config, ens.indices.tolist(), x0, dW):
         first, last = chunk.first, chunk.last
         count = last - first
-        values, ito, hs = chunk.norms, chunk.ito, chunk.hs
+        values = chunk.norms
         if np.any(chunk.abort_step >= 0):
-            # an aborted row's norms read zero after its abort step, and
-            # its ledger terms from it on; the walk zeroed its states, but
-            # not what a zero state steps on to under forcing
+            # an aborted row's norms read zero after its abort step: the walk
+            # zeroed its states, but not what a zero state steps on to under
+            # forcing.  Its ledger terms, stepped from zero states, are +0.0
             late = np.arange(first, last + 1)[:, None] > np.where(chunk.abort_step >= 0, chunk.abort_step, steps)
             values = {name: np.where(late, 0.0, buf) for name, buf in values.items()}
-            if ledger:
-                ito, hs = np.where(late[1:], 0.0, ito), np.where(late[1:], 0.0, hs)
         for name, arr in norms.items():
             arr[:, first : last + 1] = values[name].T
         np.maximum(ens.max_H, np.max(values["H"], axis=0), out=ens.max_H)
@@ -1103,7 +1101,7 @@ def _integrate_rows(ens: Ensemble, dW=None, x0=None) -> None:
         for i, p in enumerate(powers):
             terms[:, i] = d2 if p == 2.0 else d2 * values["H"][:count] ** (p - 2)
         if ledger:
-            terms[:, -2], terms[:, -1] = ito, hs
+            terms[:, -2], terms[:, -1] = chunk.ito, chunk.hs
         sums.add(terms.reshape(count, width * len(ens)))
         if lags is not None:
             lags.add(chunk)

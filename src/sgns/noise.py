@@ -2,21 +2,19 @@
 and numerical certification of its coercivity, growth and Lipschitz constants.
 
 Coefficient fields are finite real Fourier series, so all products are exact
-convolutions.  The sup of a constant coefficient is exact; the sup of a
-non-constant one is a polished maximum (a grid sweep, one doubling check
-and a simplex polish), a value the function actually reaches.  Such a sup
-can fall short of the true one and is no upper bound, so C1 and the
-analytic growth bound formed from it can fall short of their true values
-and the coercivity margin a can overshoot its true minimum.  These
-constants feed the admissible moment exponents and the 2D uniqueness gate
-downstream.
+convolutions.  Each coefficient sup is bracketed by one sweep over
+equispaced nodes (`_certified_max`), and the upper end feeds C1, the
+analytic growth bound and the coercivity margin a, which so err on the safe
+side only.  These constants feed the admissible moment exponents and the 2D
+uniqueness gate downstream.
 
 `noise_conditions` forms the constants the coefficient sups fix, and
 `exact_constants` the sups and margin on the Galerkin space as exact
-eigenvalues.  The random-field samplers that check them, and the per-field
-application of G that checks `noise_matrices`, live with the tests
-(`tests/noise_oracle.py`); the one sampler kept here, `sampled_lipschitz`,
-is the uniqueness verb's witness of the exact L.
+eigenvalues.  The random-field samplers that check them, the per-field
+application of G that checks `noise_matrices`, and the polished maximum
+that checks each certified sup live with the tests (`tests/noise_oracle.py`);
+the one sampler kept here, `sampled_lipschitz`, is the uniqueness verb's
+witness of the exact L.
 """
 
 from __future__ import annotations
@@ -61,10 +59,6 @@ class HarmonicField:
         return HarmonicField(d=d, ncomp=ncomp, const=tuple(c), harmonics=tuple(terms))
 
     @property
-    def is_constant(self) -> bool:
-        return len(self.harmonics) == 0
-
-    @property
     def max_k(self) -> int:
         return max((max(abs(v) for v in k) for k, _, _ in self.harmonics), default=0)
 
@@ -84,7 +78,7 @@ class HarmonicField:
         """Values at arbitrary points, shape pts.shape[:-1] + (ncomp,)."""
         out = np.broadcast_to(np.asarray(self.const), pts.shape[:-1] + (self.ncomp,)).copy()
         for k, ca, sa in self.harmonics:
-            phase = np.tensordot(pts, domain.kappa(np.array(k)), axes=([-1], [0]))
+            phase = pts @ domain.kappa(np.array(k))
             out += np.cos(phase)[..., None] * np.asarray(ca)
             out += np.sin(phase)[..., None] * np.asarray(sa)
         return out
@@ -100,39 +94,29 @@ class HarmonicField:
         return HarmonicField.build(domain.d, 1, const=[0.0], harmonics=terms)
 
 
-def _polished_max(scalar_at, domain, max_k: int) -> float:
-    """Global max of a smooth scalar on the torus: grid sweep, one doubling
-    check, then a simplex polish from the best grid point."""
-    from scipy.optimize import minimize
+# largest relative width hi / lo - 1 of a certified sup bracket
+SUP_REL_WIDTH = 0.01
 
-    N = max(64, 16 * max_k + 2) if domain.d == 2 else max(24, 8 * max_k + 2)
-    pts = grid_points(domain, N).reshape(-1, domain.d)
-    vals = scalar_at(pts)
-    best = float(np.max(vals))
-    pts2 = grid_points(domain, 2 * N).reshape(-1, domain.d)
-    vals2 = scalar_at(pts2)
-    if np.max(vals2) > best:
-        best, pts, vals = float(np.max(vals2)), pts2, vals2
-    x0 = pts[int(np.argmax(vals))]
-    res = minimize(
-        lambda x: -scalar_at(x[None, :])[0],
-        x0,
-        method="Nelder-Mead",
-        options={"xatol": 1e-12, "fatol": 1e-14, "maxiter": 2000},
-    )
-    return max(best, float(-res.fun))
+
+def _certified_max(scalar_at, domain, degree: int) -> tuple:
+    """(lo, hi) around the max over the torus of a scalar that is, at each
+    x, the largest |T(x)| of real trigonometric polynomials T of `degree`
+    per axis, from one sweep over N^d equispaced nodes, N^2 at a time:
+    lo is the largest node value.  Near its max M, T stays above
+    M cos(degree t) (Van der Corput and Schaake 1935), and a node lies within
+    pi / N of it in each axis' phase, so M <= lo sec(pi degree / N)^d = hi.
+    N is the fewest nodes with hi / lo - 1 <= SUP_REL_WIDTH; one if constant."""
+    d = domain.d
+    N = max(1, math.ceil(math.pi * degree / math.acos((1.0 + SUP_REL_WIDTH) ** (-1.0 / d))))
+    lo = max(float(np.max(scalar_at(slab))) for slab in grid_points(domain, N).reshape(-1, N * N, d))
+    return lo, lo / math.cos(math.pi * degree / N) ** d
 
 
 def sup_norm(field: HarmonicField, domain) -> float:
-    """Sup of |f(x)|: exact for constants; otherwise a polished grid
-    maximum, a value |f| reaches, which can fall short of the sup."""
-    if field.is_constant:
-        return float(np.linalg.norm(field.const))
-
-    def scalar_at(pts):
-        return np.linalg.norm(field.values(domain, pts), axis=-1)
-
-    return _polished_max(scalar_at, domain, field.max_k)
+    """Certified upper bound on the sup of |f(x)| = max over unit e of
+    e . f(x), within SUP_REL_WIDTH of it (`_certified_max`)."""
+    return _certified_max(lambda pts: np.linalg.norm(field.values(domain, pts), axis=-1),
+                          domain, field.max_k)[1]
 
 
 @dataclass(frozen=True)
@@ -261,14 +245,8 @@ def noise_matrices(model: NoiseModel, basis: Basis, n: int | None = None) -> lis
 def direction_sups(model: NoiseModel, domain) -> list:
     """(sup|b_i|, sup|div b_i|, sup|c_i|) per direction, 0.0 for an absent
     coefficient; the one sweep behind both C1 and the growth bound."""
-    return [
-        (
-            sup_norm(b, domain) if b is not None else 0.0,
-            sup_norm(b.divergence(domain), domain) if b is not None else 0.0,
-            sup_norm(c, domain) if c is not None else 0.0,
-        )
-        for b, c in model.directions
-    ]
+    return [tuple(0.0 if f is None else sup_norm(f, domain) for f in (b, b and b.divergence(domain), c))
+            for b, c in model.directions]
 
 
 def c1_constant(sups) -> float:
@@ -282,8 +260,10 @@ def c1_constant(sups) -> float:
     return total
 
 
-def _lambda_max(mats: np.ndarray, d: int) -> np.ndarray:
-    if d == 2:
+def _lambda_max(mats: np.ndarray) -> np.ndarray:
+    """Largest eigenvalue of each symmetric matrix of a stack, in closed
+    form for 2 x 2."""
+    if mats.shape[-1] == 2:
         a, b, c = mats[..., 0, 0], mats[..., 0, 1], mats[..., 1, 1]
         m = 0.5 * (a + c)
         return m + np.sqrt(np.maximum(m * m - (a * c - b * b), 0.0))
@@ -294,26 +274,20 @@ def coercivity_constant(model: NoiseModel, domain) -> float:
     """a = min over x of (2 - lambda_max(sum_i b_i(x) b_i(x)^T)).
 
     Positive a says that viscous dissipation dominates the gradient part of
-    the noise; a <= 0 flags the model as inadmissible.  Exact for constant
-    coefficients; otherwise 2 less a polished grid maximum, a value that
-    lambda_max reaches, so a can overshoot the true minimum.
+    the noise; a <= 0 flags the model as inadmissible.  lambda_max is the
+    max over unit e of sum_i (e . b_i)^2, of degree 2 max_k: 2 less its
+    certified upper bound (`_certified_max`) is a lower bound on a.  It is
+    taken from the Gram matrix (b_i . b_j), smaller than 3 x 3 for M <= 2.
     """
     bs = [b for b, _ in model.directions if b is not None]
     if not bs:
         return 2.0
-    if all(b.is_constant for b in bs):
-        mat = sum(np.outer(b.const, b.const) for b in bs)
-        return float(2.0 - np.linalg.eigvalsh(mat)[-1])
 
     def scalar_at(pts):
-        mats = np.zeros(pts.shape[:-1] + (domain.d, domain.d))
-        for b in bs:
-            vals = b.values(domain, pts)
-            mats += vals[..., :, None] * vals[..., None, :]
-        return _lambda_max(mats, domain.d)
+        rows = np.stack([b.values(domain, pts) for b in bs], axis=-2)
+        return _lambda_max(rows @ rows.swapaxes(-1, -2))
 
-    max_k = max(b.max_k for b in bs)
-    return 2.0 - _polished_max(scalar_at, domain, max_k)
+    return 2.0 - _certified_max(scalar_at, domain, 2 * max(b.max_k for b in bs))[1]
 
 
 def gstar_analytic_bound(sups) -> float:
@@ -354,9 +328,8 @@ def exact_constants(model: NoiseModel, basis: Basis, eta: float | None = None,
 
     Only L is formed unless the coercivity pair (eta, lam0) is given.  P_n G
     drops the part of G(u) outside the box, so each is a lower bound of its
-    infinite-dimensional constant.  The analytic constants formed from
-    `direction_sups` bound it above only where those sups are exact
-    (constant coefficients): a polished maximum can fall short."""
+    infinite-dimensional constant, which the analytic constants formed
+    from the certified `direction_sups` bound above."""
     mats = noise_matrices(model, basis)
     wD = basis.mode_weights("D")
     S = np.zeros((basis.n_modes,) * 2)

@@ -199,8 +199,8 @@ def dubinsky_diagnostic(ens: Ensemble, deltas, slope_threshold: float = 0.4) -> 
 
     The modulus curve is fitted in log-log coordinates; the family passes when
     the fitted slope reaches the threshold (a flat curve fails).  An exactly
-    zero curve (constant family) passes trivially.  The energy bounds read
-    every step's norms, which the ensemble must have recorded (`norms`).
+    zero curve (constant family) passes trivially.  The energy integral
+    reads every step's norms (`norms`), the largest H norm `max_H`.
     """
     require_records(ens.config, "dubinsky_diagnostic", "norms")
     deltas = np.sort(np.asarray(deltas, dtype=float))
@@ -208,7 +208,7 @@ def dubinsky_diagnostic(ens: Ensemble, deltas, slope_threshold: float = 0.4) -> 
     rows = _live_rows(ens)
     H, D = ens.norm_H[rows], ens.norm_D[rows]
     supV = float(np.max(np.sum(H[:, :-1] ** 2 + D[:, :-1] ** 2, axis=1))) * ens.config.dt
-    supH = float(np.max(H))
+    supH = float(np.max(ens.max_H[rows]))
     if np.max(curve) == 0.0:
         slope, passed = math.inf, True
     elif np.any(curve <= 0.0):
@@ -252,9 +252,9 @@ def aldous_check(ens: Ensemble, thetas, eta: float) -> AldousReport:
     clipped to the horizon.  Probabilities are reported per theta, maximized
     over rules; the pass flag requires them nonincreasing in theta with an
     overall decay.  Each increment is read from the recorded increments at
-    its window's lag (`FunctionFamily.increment_norms`), and the hitting
-    times from every step's H norm, which the ensemble must have recorded
-    (`norms`).
+    its window's lag (`FunctionFamily.increment_norms`), the hitting
+    levels from `max_H`, and the hitting times from every step's H norm,
+    which the ensemble must have recorded (`norms`).
     """
     require_records(ens.config, "aldous_check", "norms")
     thetas = np.sort(np.asarray(thetas, dtype=float))[::-1]  # descending
@@ -267,7 +267,7 @@ def aldous_check(ens: Ensemble, thetas, eta: float) -> AldousReport:
     for frac in (0.2, 0.45, 0.7):
         pos = int(round(frac * (S - 1)))
         rules[f"grid_t={times[pos]:.4g}"] = np.full(len(norm_H), pos, dtype=int)
-    sups = np.max(norm_H, axis=1)
+    sups = ens.max_H[fam.rows]
     for q in (50, 90):
         level = float(percentile(sups, q))
         rules[f"hit_p{q}"] = _hitting_positions(norm_H, level)

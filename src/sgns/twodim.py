@@ -25,6 +25,9 @@ from .spectral import Basis, SpectralField, blockwise, norm, per_field, project_
 # splits at ratio 1/2 and the quadratic L4 interpolation costs C = 128.
 YOUNG_CHAIN_C = 128.0
 
+# relative slack of the shifted uniqueness check over its Gronwall envelope
+ENVELOPE_REL_TOL = 1e-6
+
 
 def _require_2d(basis: Basis):
     if basis.domain.d != 2:
@@ -135,26 +138,24 @@ class EnergyInequalityReport:
     C: float
 
 
-def energy_inequality_check(
-    v_path: np.ndarray, problem: ShiftedProblem, C: float = YOUNG_CHAIN_C
-) -> EnergyInequalityReport:
+def energy_inequality_check(v_path: np.ndarray, problem: ShiftedProblem) -> EnergyInequalityReport:
     """Discrete form of d|v|^2/dt + (1/2)||v||^2 <= a + theta |v|^2 with
     a = |z|_H^2 + |f|_{V'}^2 + C ||z||_L4^4 and theta = 2 + C ||z||_L4^4,
-    where z stands for P_n z.
+    where z stands for P_n z and C for YOUNG_CHAIN_C.
 
     Margins are RHS - LHS per step; the worst one is expected >= -O(dt)."""
     sys = _compiled(problem.basis, problem.n, None, problem.include_B)
     z, f = _encoded(sys, problem.z), _encoded(sys, problem.f)
     wVdual = problem.basis.mode_weights("Vdual", problem.n)
     z_l4 = l4_norm(project_Pn(problem.z, problem.n)) if np.any(z != 0.0) else 0.0
-    a = float(np.sum(z * z)) + float(np.sum(f * f * wVdual)) + C * z_l4**4
-    theta = 2.0 + C * z_l4**4
+    a = float(np.sum(z * z)) + float(np.sum(f * f * wVdual)) + YOUNG_CHAIN_C * z_l4**4
+    theta = 2.0 + YOUNG_CHAIN_C * z_l4**4
     x, x_next = v_path[: problem.steps], v_path[1 : problem.steps + 1]
     h2 = np.sum(x * x, axis=1)
     d2 = np.sum(sys.lamD * x * x, axis=1)
     lhs = (np.sum(x_next**2, axis=1) - h2) / problem.dt + 0.5 * d2
     margins = a + theta * h2 - lhs
-    return EnergyInequalityReport(worst_margin=float(np.min(margins)), margins=margins, C=C)
+    return EnergyInequalityReport(worst_margin=float(np.min(margins)), margins=margins, C=YOUNG_CHAIN_C)
 
 
 @dataclass
@@ -165,12 +166,7 @@ class ShiftedUniquenessReport:
     identical: bool
 
 
-def uniqueness_shifted(
-    problem: ShiftedProblem,
-    v10: SpectralField,
-    v20: SpectralField,
-    rel_tol: float = 1e-6,
-) -> ShiftedUniquenessReport:
+def uniqueness_shifted(problem: ShiftedProblem, v10: SpectralField, v20: SpectralField) -> ShiftedUniquenessReport:
     """Distance of two shifted solutions against the Gronwall envelope
     y' <= theta(t) y with theta = 2 ||v2 + z||^2 (Dirichlet)."""
     sys = _compiled(problem.basis, problem.n, None, problem.include_B)
@@ -185,7 +181,7 @@ def uniqueness_shifted(
     grid = np.arange(steps + 1) * problem.dt
     env = gronwall_eval(np.zeros(steps), theta, dist2[0], grid)
     scale = max(dist2[0], 1e-300)
-    within = bool(np.all(dist2 <= env * (1.0 + rel_tol) + 1e-14 * scale))
+    within = bool(np.all(dist2 <= env * (1.0 + ENVELOPE_REL_TOL) + 1e-14 * scale))
     return ShiftedUniquenessReport(
         distance_sq=dist2, envelope=env, within_envelope=within, identical=identical
     )

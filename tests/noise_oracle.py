@@ -7,8 +7,10 @@ verdicts rest on the exact values.
 
 Here too are the noise operator applied to a field, G(u)h by exact
 convolution on the lattice, the oracle whose image of each basis field
-`noise.noise_matrices` must give to the bit, and the exact constant of the
-weak-continuity condition (G**), which no verb reports."""
+`noise.noise_matrices` must give to the bit, the exact constant of the
+weak-continuity condition (G**), which no verb reports, and the polished
+maximum of a coefficient scalar, a value the scalar reaches, which each
+certified sup bracket of `noise` must contain."""
 
 from dataclasses import asdict, dataclass
 
@@ -17,7 +19,7 @@ import numpy as np
 from sgns.noise import (
     NoiseConditionReport, NoiseModel, _max_lipschitz_quotient, _tables, noise_conditions, noise_matrices,
 )
-from sgns.spectral import SpectralField, norm
+from sgns.spectral import SpectralField, grid_points, norm
 
 
 def apply_G_direction(u: SpectralField, i: int, model: NoiseModel) -> SpectralField:
@@ -44,6 +46,30 @@ def apply_G(u: SpectralField, h, model: NoiseModel) -> SpectralField:
         if h[i] != 0.0:
             out = out + h[i] * apply_G_direction(u, i, model)
     return out
+
+
+def polished_max(scalar_at, domain, max_k: int) -> float:
+    """Largest value found of a smooth scalar on the torus: a grid sweep, one
+    doubling check, then a Nelder-Mead polish from the best grid point.  A
+    value the scalar reaches, so never above its sup."""
+    from scipy.optimize import minimize
+
+    N = max(64, 16 * max_k + 2) if domain.d == 2 else max(24, 8 * max_k + 2)
+    pts = grid_points(domain, N).reshape(-1, domain.d)
+    vals = scalar_at(pts)
+    best = float(np.max(vals))
+    pts2 = grid_points(domain, 2 * N).reshape(-1, domain.d)
+    vals2 = scalar_at(pts2)
+    if np.max(vals2) > best:
+        best, pts, vals = float(np.max(vals2)), pts2, vals2
+    x0 = pts[int(np.argmax(vals))]
+    res = minimize(
+        lambda x: -scalar_at(x[None, :])[0],
+        x0,
+        method="Nelder-Mead",
+        options={"xatol": 1e-12, "fatol": 1e-14, "maxiter": 2000},
+    )
+    return max(best, float(-res.fun))
 
 
 def continuity_constant_Gstarstar(model: NoiseModel, psi: SpectralField) -> float:

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 import multiprocessing
 import re
@@ -1439,18 +1440,19 @@ def test_streamed_sum_is_numpys_pairwise_sum(N, chunk):
 
 def test_streamed_functionals_are_the_oracles_sums(basis2d_small, monkeypatch):
     # 300 steps, a tree of four leaves (72, 72, 72 and 84 steps), walked in
-    # chunks of 37 steps that straddle them; rows 1 and 3 abort mid-chunk,
-    # at steps 8 and 13, and the forcing keeps their states moving after.
-    # With and without the norms record, every streamed field (the largest
-    # H norm, the weighted integrals at three powers, the Ito and
-    # Hilbert-Schmidt sums) is np.max and np.sum of the oracle's zeroed
-    # (B, steps + 1) norms and (B, steps) increments
+    # chunks of 37 steps that straddle them, and of 5, where the aborts fall
+    # in the second and third chunk; rows 1 and 3 abort mid-chunk, at steps
+    # 8 and 13, and the forcing keeps their states moving after.  With and
+    # without the norms record, every streamed field (the largest H norm,
+    # the weighted integrals at three powers, the Ito and Hilbert-Schmidt
+    # sums) is np.max and np.sum of the oracle's zeroed (B, steps + 1) norms
+    # and (B, steps) increments
     cfg = rich_config(basis2d_small, T=0.3, overflow_limit=1e3, integral_powers=(2.0, 2.5, 3.0))
     plan = galerkin._PairwiseSum(1, cfg.steps)
     assert plan.leaves == [72, 72, 72, 84] and plan.merges == [0, 1, 0, 2]
     dW = blown_up_increments(cfg, 5)
-    walk_in_chunks(monkeypatch, 5, cfg.n, 37)
-    for records in (galerkin.RECORDS, {"ledger"}):
+    for chunk, records in itertools.product((37, 5), (galerkin.RECORDS, {"ledger"})):
+        walk_in_chunks(monkeypatch, 5, cfg.n, chunk)
         part = dataclasses.replace(cfg, records=records)
         got = integrate_batch(part, range(5), dW)
         assert got.abort_step.tolist() == [-1, 8, -1, 13, -1]

@@ -99,24 +99,6 @@ def test_demo_configs_load(name):
     assert load_config(DEMOS / name).galerkin.model == DEMO_MODELS[name]
 
 
-def test_cli_start_up_loads_no_scipy():
-    # a fresh interpreter, since the trend tests load scipy here.  Nor the
-    # shared-memory module, whose first segment starts a tracker process
-    code = ("import sys, sgns.cli\n"
-            "from sgns.config import load_config\n"
-            "for path in sys.argv[1:]:\n"
-            "    load_config(path)\n"
-            "print(sorted(m for m in sys.modules if m.startswith('scipy') or m in\n"
-            "             ('multiprocessing.shared_memory', 'multiprocessing.resource_tracker')))")
-    configs = sorted(str(p) for p in DEMOS.glob("*.json"))
-    assert configs
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    proc = subprocess.run([sys.executable, "-c", code, *configs], capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": src})
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
-
-
 def test_uniqueness_loads_no_numpy_ma(tmp_path):
     # np.median imports numpy.ma for its NaN check; the verb's medians do not
     path = write_cfg(tmp_path, {"experiment": {"certify_samples": 200}})
@@ -133,22 +115,41 @@ def test_uniqueness_loads_no_numpy_ma(tmp_path):
     assert summary["median_ratio_T"] > 0.0
 
 
-@pytest.mark.parametrize("verb", ["uniqueness", "ensemble", "certify-noise", "spaces"])
+@pytest.mark.parametrize("verb", list(VERBS))
 def test_verb_loads_no_numpy_ma_nor_scipy(tmp_path, verb):
-    # a first call that imports a module costs milliseconds: a bare np.unique
-    # or np.median imports numpy.ma, and none of these verbs needs scipy
-    # (certify-noise polishes a sup with scipy only for variable coefficients)
-    path = write_cfg(tmp_path, {"experiment": {"certify_samples": 200}})
+    # a fresh interpreter, since the tests load scipy here.  Loading every
+    # demo config, and a harmonic-b config with noise.eps set, which checks
+    # eps against the certified coercivity margin, loads no scipy module nor
+    # the shared-memory module, whose first segment starts a tracker
+    # process.  Then the verb runs on every demo config (a verb that does
+    # not apply to one exits 1) and loads no scipy module, nor numpy.ma,
+    # which a first bare np.unique or np.median imports at a cost of
+    # milliseconds
+    eps = write_cfg(tmp_path, {"noise": {"eps": 0.3, "directions": [
+        {"b": {"const": [1.0, 0.0], "harmonics": [{"k": [1, 2], "cos": [0.1, 0.0]}]}}]}})
     code = ("import sys\n"
             "from sgns.cli import run_command\n"
             "from sgns.config import load_config\n"
-            "code = run_command(sys.argv[1], load_config(sys.argv[2]), sys.argv[3], workers=1)\n"
-            "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy' or m == 'numpy.ma'))")
+            "def loaded():\n"
+            "    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy' or m in ('numpy.ma',\n"
+            "                  'multiprocessing.shared_memory', 'multiprocessing.resource_tracker'))\n"
+            "verb, out, *paths = sys.argv[1:]\n"
+            "runs = [(path, load_config(path)) for path in paths]\n"
+            "print('start-up', loaded())\n"
+            "for path, run in runs[1:]:\n"
+            "    code = run_command(verb, run, f'{out}/{path.rsplit(\"/\", 1)[-1]}', workers=1)\n"
+            "    print(path, code, [m for m in loaded() if m.split('.')[0] == 'scipy' or m == 'numpy.ma'])")
+    configs = sorted(str(p) for p in DEMOS.glob("*.json"))
+    assert len(configs) == 6
     src = str(Path(__file__).resolve().parents[1] / "src")
-    proc = subprocess.run([sys.executable, "-c", code, verb, str(path), str(tmp_path / "out")],
+    proc = subprocess.run([sys.executable, "-c", code, verb, str(tmp_path / "out"), str(eps), *configs],
                           capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "0 []"
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "start-up []"
+    assert [line.split(" ", 1)[0] for line in lines[1:]] == configs
+    for line in lines[1:]:
+        assert line.split()[1] in ("0", "1") and line.endswith(" []"), line
 
 
 def test_tightness_loads_no_numpy_ma(tmp_path):
@@ -580,6 +581,7 @@ def test_certify_noise_verb(tmp_path):
     assert abs(summary["gstar_constant"] - 0.9) < 1e-12
     assert summary["gstar_margin"] == summary["gstar_analytic_bound"] - summary["gstar_constant"]
     assert summary["coercivity_margin"] > 0.0
+    assert summary["sup_rel_width"] == noise.SUP_REL_WIDTH
     assert summary["passed"] is True
     for key in ("rho", "gstar_sampled", "gstar_violations", "lipschitz_L_sampled", "coercivity_violations",
                 "samples"):

@@ -1,11 +1,15 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 from conftest import eval_physical, mode_id, partial_derivative, two_direction_model
-from noise_oracle import apply_G, apply_G_direction, certify_conditions, continuity_constant_Gstarstar
+from noise_oracle import (
+    apply_G, apply_G_direction, certify_conditions, continuity_constant_Gstarstar, polished_max,
+)
 
 from sgns.noise import (
+    SUP_REL_WIDTH,
     HarmonicField,
     NoiseModel,
     c1_constant,
@@ -163,14 +167,16 @@ def test_certify_sweeps_each_sup_norm_once(basis2d_small, monkeypatch):
         if c is not None:
             c1_ref += sup_norm(c, dom) ** 2
             gstar_ref += sup_norm(c, dom) ** 2
-    calls = []
-    polished_max = noise_mod._polished_max
-    monkeypatch.setattr(noise_mod, "_polished_max", lambda *a: calls.append(a) or polished_max(*a))
+    calls = record_sweeps(monkeypatch)
     rep = noise_conditions(model, dom)
     assert rep.C1 == c1_ref
     assert rep.gstar_analytic == 2.0 * gstar_ref
-    # sup|b_1|, sup|div b_1|, sup|c_1| and the coercivity minimum, once each
-    assert len(calls) == 4
+    # sup|b_1|, sup|div b_1|, sup|c_1|, the constant sup|c_2| (one node) and
+    # the coercivity minimum, once each, each the upper end of its bracket
+    assert [degree for _, degree, _ in calls] == [2, 2, 2, 0, 4]
+    (b, c), (_, c2) = model.directions
+    assert [hi for _, _, (_, hi) in calls[:4]] == [sup_norm(f, dom) for f in (b, b.divergence(dom), c, c2)]
+    assert calls[3][2] == (0.4, 0.4) and rep.a == 2.0 - calls[4][2][1]
 
 
 def test_coercivity_values():
@@ -192,21 +198,23 @@ def test_coercivity_matches_eigen_oracle(rng):
 
     # brute-force eigenvalue oracle; grid maxima converge at second order.
     # In 2D N = 1024 pins the value to ~4e-5.  In 3D the grid error is
-    # 2.2e-4 at N = 48 and below 5e-4 at every N = 40, 48, ..., 96.
+    # 2.2e-4 at N = 48 and below 5e-4 at every N = 40, 48, ..., 96.  The
+    # certified 2 - a lies above the sup and within SUP_REL_WIDTH of it, for
+    # the one harmonic direction and with a constant second one, whose Gram
+    # matrix is 2 x 2
     cases = [
         (2, [0.5, 0.1], [((1, 1), [0.2, 0.0], [0.0, 0.1])], 1024, 1e-4),
         (3, [0.5, 0.1, -0.2], [((1, 1, 0), [0.2, 0.0, 0.1], [0.0, 0.1, 0.0]),
                                ((0, 1, 1), [0.0, 0.15, 0.0], [0.1, 0.0, 0.05])], 48, 1e-3),
     ]
-    for d, const, harmonics, N, tol in cases:
+    for (d, const, harmonics, N, tol), M in itertools.product(cases, (1, 2)):
         dom = TorusDomain(d=d, K=2)
-        b1 = HarmonicField.build(d, d, const=const, harmonics=harmonics)
-        model = NoiseModel(d=d, directions=((b1, None),))
-        a = coercivity_constant(model, dom)
-        vals = b1.values(dom, grid_points(dom, N))
-        mats = vals[..., :, None] * vals[..., None, :]
-        lam = np.linalg.eigvalsh(mats.reshape(-1, d, d))[:, -1]
-        assert abs(a - (2.0 - np.max(lam))) < tol
+        bs = [HarmonicField.build(d, d, const=const, harmonics=harmonics),
+              HarmonicField.build(d, d, const=0.3 * np.eye(d)[-1])]
+        a = coercivity_constant(NoiseModel(d=d, directions=tuple((b, None) for b in bs[:M])), dom)
+        mats = sum(v[..., :, None] * v[..., None, :] for v in (b.values(dom, grid_points(dom, N)) for b in bs[:M]))
+        lam = np.max(np.linalg.eigvalsh(mats.reshape(-1, d, d))[:, -1])
+        assert lam <= 2.0 - a <= (1.0 + SUP_REL_WIDTH) * (lam + tol)
 
 
 def test_certify_default_model(basis2d_small):
@@ -380,17 +388,25 @@ def test_model_from_spec_roundtrip():
         (None, HarmonicField.build(2, 1, const=[0.5], harmonics=[((1, 0), [0.1], [0.0])])),
     ))
     assert model.M == 2
-    assert model.directions[0][0].is_constant
-    assert not model.directions[1][1].is_constant
+    assert model.directions[0][0].max_k == 0 and model.directions[1][1].max_k == 1
 
 
-def test_sup_norm_refinement():
+def test_sup_norm_refinement(monkeypatch):
     from sgns.spectral import TorusDomain
 
     dom = TorusDomain(d=2, K=2)
+    # max of cos(x) + 0.5 cos(2x) is 1.5, at the node x = 0
     f = HarmonicField.build(2, 1, const=[0.0], harmonics=[((1, 0), [1.0], None), ((2, 0), [0.5], None)])
-    # max of cos(x) + 0.5 cos(2x) is at x = 0
-    assert abs(sup_norm(f, dom) - 1.5) < 1e-8
+    assert 1.5 <= sup_norm(f, dom) <= 1.5 * (1.0 + SUP_REL_WIDTH)
+    # cos(x - phi) + cos(y - phi) peaks at 2 half-way between the 32 nodes
+    # per axis of its degree in both axes, where the largest node value is
+    # 2 cos(pi / 32): only the secant factor lifts the bound to the sup
+    phi = math.pi / 32
+    amp = ([math.cos(phi)], [math.sin(phi)])
+    g = HarmonicField.build(2, 1, harmonics=[((1, 0), *amp), ((0, 1), *amp)])
+    calls = record_sweeps(monkeypatch)
+    assert 2.0 <= sup_norm(g, dom) <= 2.0 * (1.0 + SUP_REL_WIDTH)
+    assert calls[0][2][0] == pytest.approx(2.0 * math.cos(phi), rel=1e-14)
 
 
 def test_noise_tables_shared_by_equal_bases(rng):
@@ -403,3 +419,75 @@ def test_noise_tables_shared_by_equal_bases(rng):
     u = random_field(b1, rng)
     v = b2.field_from_real_coords(b1.real_coords(u, b1.n_modes))
     assert np.array_equal(apply_G_direction(u, 0, model).coeffs, apply_G_direction(v, 0, model).coeffs)
+
+
+def record_sweeps(monkeypatch) -> list:
+    """The (domain, degree, (lo, hi)) of every certified sweep of sgns.noise
+    from here on, in call order."""
+    import sgns.noise as noise_mod
+
+    calls = []
+    sweep = noise_mod._certified_max
+
+    def spy(scalar_at, domain, degree):
+        calls.append((domain, degree, sweep(scalar_at, domain, degree)))
+        return calls[-1][2]
+
+    monkeypatch.setattr(noise_mod, "_certified_max", spy)
+    return calls
+
+
+def random_harmonic(rng, d: int, ncomp: int, max_k: int) -> HarmonicField:
+    """A constant plus one to three harmonics of wavevector entries in
+    [-max_k, max_k], every amplitude standard normal over 4."""
+    harmonics = []
+    while len(harmonics) < rng.integers(1, 4):
+        k = tuple(int(v) for v in rng.integers(-max_k, max_k + 1, size=d))
+        if any(k):
+            harmonics.append((k, rng.standard_normal(ncomp) / 4, rng.standard_normal(ncomp) / 4))
+    return HarmonicField.build(d, ncomp, const=rng.standard_normal(ncomp) / 4, harmonics=harmonics)
+
+
+@pytest.mark.parametrize("d, max_k, M, dense", [(2, 2, 2, 256), (3, 1, 1, 32)])
+def test_certified_brackets_contain_the_polished_and_dense_maxima(d, max_k, M, dense, monkeypatch):
+    # 20 random models of M directions, each a harmonic b and c: every
+    # bracket of sup|b_i|, sup|div b_i|, sup|c_i| and lambda_max holds the
+    # larger of the polished maximum and the largest value on a dense grid,
+    # and its upper end lies above both (a dense grid that misses the
+    # sweep's nodes can read below its lower end).  Both are formed from the
+    # coefficient values and, for lambda_max, the d x d eigenvalues (|b|^2
+    # for one direction, b b^T's one nonzero eigenvalue), never from the
+    # sweep's scalar.  The 3D Gram matrix of two directions is checked in
+    # `test_coercivity_matches_eigen_oracle` and on the threed demo
+    dom = TorusDomain(d=d, K=2)
+    pts = grid_points(dom, dense).reshape(-1, d)
+    rng = np.random.default_rng(4700 + d)
+    for _ in range(20):
+        directions = [tuple(random_harmonic(rng, d, ncomp, max_k) for ncomp in (d, 1)) for _ in range(M)]
+        model = NoiseModel(d=d, directions=tuple(directions))
+        calls = record_sweeps(monkeypatch)
+        noise_conditions(model, dom)
+        scalars = [(lambda x, f=f: np.linalg.norm(f.values(dom, x), axis=-1), f.max_k)
+                   for b, c in model.directions for f in (b, b.divergence(dom), c)]
+
+        def lam(x):
+            vals = [b.values(dom, x) for b, _ in model.directions]
+            if M == 1:
+                return np.sum(vals[0] ** 2, axis=-1)
+            return np.linalg.eigvalsh(sum(v[..., :, None] * v[..., None, :] for v in vals))[..., -1]
+
+        scalars.append((lam, max(b.max_k for b, _ in model.directions)))
+        assert len(calls) == len(scalars)
+        for (scalar_at, max_k), (_, _, (lo, hi)) in zip(scalars, calls):
+            found = (polished_max(scalar_at, dom, max_k), float(np.max(scalar_at(pts))))
+            assert lo * (1.0 - 1e-12) <= max(found) and max(found) <= hi <= lo * (1.0 + SUP_REL_WIDTH)
+
+
+@pytest.mark.parametrize("name", ["default", "estimates", "spaces", "threed", "tightness", "uniqueness"])
+def test_every_demo_bracket_is_within_the_width(name, monkeypatch):
+    from pathlib import Path
+
+    run = load_config(Path(__file__).resolve().parents[1] / "demos" / "configs" / f"{name}.json")
+    calls = record_sweeps(monkeypatch)
+    noise_conditions(run.galerkin.model, run.basis.domain, eps=run.noise_eps)
+    assert calls and all(hi <= lo * (1.0 + SUP_REL_WIDTH) for _, _, (lo, hi) in calls)

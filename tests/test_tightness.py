@@ -88,6 +88,7 @@ class FakeEnsemble:
                                       records=frozenset({"norms"}))
         self.snap_u = snap_u
         self.norm_H = np.ones((R, S))
+        self.max_H = np.ones(R)
         self.norm_D = np.full((R, S), norm_D)
         self.aborted = np.zeros(R, dtype=bool)
         w = basis.mode_weights("Udual", n)
@@ -938,6 +939,11 @@ def test_tables_read_views_of_the_live_rows(small_ensemble, monkeypatch):
     want = _tables(ens.rows(~ens.aborted))
     assert _same(dict(enumerate(got)), dict(enumerate(want)))
     assert not _same(dict(enumerate(got)), dict(enumerate(full)))
+    # the sups the Dubinsky and Aldous tables read are the walk's max_H, the
+    # bits of each live row's largest recorded H norm
+    live = ~ens.aborted
+    assert np.array_equal(ens.max_H[live].view(np.uint64), np.max(ens.norm_H[live], axis=1).view(np.uint64))
+    assert got[-2]["sup_sup_H"] == float(np.max(ens.norm_H[live]))
 
 
 def test_all_aborted_ensemble_rejected(basis2d_small):
