@@ -14,7 +14,7 @@ from sgns.noise import default_noise_model
 from sgns.spectral import Basis, SpaceScale, TorusDomain, random_field
 from sgns.tightness import (
     aldous_check, calibrate_aldous_eta, dubinsky_diagnostic, increment_lags, increment_scaling,
-    median_modulus_curve, modulus_lags, nonlinear_refinement_check,
+    increment_starts, median_modulus_curve, modulus_lags, nonlinear_refinement_check,
 )
 
 basis = Basis(TorusDomain(d=2, K=8), SpaceScale(d=2))
@@ -28,12 +28,15 @@ times = np.arange(steps + 1) * dt
 
 # the pool workers record each path's U' modulus at the step lags the
 # modulus table over `deltas` reads, and its increments at the step lags
-# of the Aldous windows `thetas` and of the threshold's window; the running
-# integrals the scaling fit reads are snapshotted every 4 steps
+# of the Aldous windows `thetas` and of the threshold's window, from the
+# steps the grid rules and the threshold read and from each path's
+# running-maximum steps; the running integrals the scaling fit reads are
+# snapshotted every 4 steps
 cfg = GalerkinConfig(basis=basis, n=16, dt=dt, T=T, u0=u0,
                      model=default_noise_model(2), seed=7, snapshot_stride=4,
                      modulus_lags=modulus_lags(deltas, times),
-                     increment_lags=increment_lags(thetas, eta_theta, times))
+                     increment_lags=increment_lags(thetas, eta_theta, times),
+                     increment_starts=increment_starts(eta_theta, times))
 ens = integrate_ensemble(cfg, 100, workers=2)
 
 rep = dubinsky_diagnostic(ens, deltas)

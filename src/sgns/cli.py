@@ -204,11 +204,12 @@ def run_tightness(run: RunConfig, bundle: ResultBundle, workers: int) -> None:
     passed = True
     rows_mod, rows_aldous, rows_j = [], [], []
     summary_n, noise_free = {}, []
-    # the diagnostics read every step's norms (the Aldous hitting rules and
-    # the Dubinsky sums), the noise integral and the per-path reductions
-    # below, and no state and no weighted integral
-    grid = replace(run.galerkin, snapshot_stride=exp["integral_stride"], records={"integral_noise", "norms"},
-                   integral_powers=())
+    # the diagnostics read the noise integral, each path's V-integral (the
+    # Dubinsky sums), its running-maximum record (the Aldous hitting rules)
+    # and the per-path reductions below, and no state, no norm of a step
+    # and no weighted integral
+    grid = replace(run.galerkin, snapshot_stride=exp["integral_stride"],
+                   records={"integral_noise", "v_integral", "running_max"}, integral_powers=())
     violations = tgt.window_violations(grid, deltas, thetas, anchors, windows)
     if violations:
         bundle.summary.update(passed=False, failure="; ".join(violations))
@@ -216,10 +217,13 @@ def run_tightness(run: RunConfig, bundle: ResultBundle, workers: int) -> None:
     # each block's process, the verb's own or a pool worker, reduces the
     # paths it stepped to their U' modulus, which the modulus table reads,
     # and to their increments at the lags of the Aldous table and of its
-    # threshold, calibrated at the smallest window, both on the step grid
+    # threshold, calibrated at the smallest window, both on the step grid:
+    # from the grid rules' and the threshold's starts, and from each path's
+    # running-maximum steps
     eta_theta = min(thetas)
     grid = replace(grid, modulus_lags=tgt.modulus_lags(deltas, grid.times),
-                   increment_lags=tgt.increment_lags(thetas, eta_theta, grid.times))
+                   increment_lags=tgt.increment_lags(thetas, eta_theta, grid.times),
+                   increment_starts=tgt.increment_starts(eta_theta, grid.times))
     for n in run.n_list:
         cfg = replace(grid, n=n)
         ens = integrate_ensemble(cfg, run.trajectories, workers=workers)

@@ -24,14 +24,18 @@ norm and its left-endpoint integrals of ||u||^2 |u|^(p-2) at the config's
 `integral_powers`, summed in the order of numpy's pairwise sum over the
 whole row (`_PairwiseSum`).  Besides them, the stepper records what the
 config's record set (`GalerkinConfig.records`, names of `RECORDS`) asks
-for: the norms of every step; the states; the energy ledger, each step's
-drift, taming, forcing and martingale work and quadratic remainder, which
-close the discrete energy identity to roundoff, reduced per path as the
-steps are taken to the identity's worst relative residual and the sums of
-the Ito and Hilbert-Schmidt increments; the running Stokes, convection and
-forcing integrals (one record, the drift) and the running noise integral,
-so the martingale part of the path can be reconstructed and tested for
-zero mean and prescribed quadratic variation.
+for: the norms of every step; the states; the V-integral, the sum of
+|u|^2 + ||u||^2 over the steps, in the same pairwise sum; the
+running-maximum record, the steps where |u|_H sets a new running maximum,
+among them the first step at any level, with the increments from there;
+the energy ledger, each step's drift, taming, forcing and martingale work
+and quadratic remainder, which close the discrete energy identity to
+roundoff, reduced per path as the steps are taken to the identity's worst
+relative residual and the sums of the Ito and Hilbert-Schmidt increments;
+the running Stokes, convection and forcing integrals (one record, the
+drift) and the running noise integral, so the martingale part of the path
+can be reconstructed and tested for zero mean and prescribed quadratic
+variation.
 Every stored state, quadratic variation and running integral is on one
 grid, the snapshot steps (`GalerkinConfig.snapshot_stride`), so a state
 and the integrals at the same instant share a position.  An unrecorded
@@ -40,11 +44,12 @@ raises ValueError naming it; every recorded array has the same bits
 whatever else is recorded.  Two per-row reductions of the path on the step
 grid are taken by the process that stepped the row, chunk by chunk as the
 walk hands it over: the U' modulus of continuity, the largest increment
-over lags 1..l steps for each l up to `modulus_lags`, and every U'
-increment at the `increment_lags`, which the tightness diagnostics read in
-place of the states; each lag's increments are formed once for both.  For
-them the stepper keeps the states of the largest lag's steps before each
-chunk, and no block holds its whole path, whatever the snapshot grid.  The
+over lags 1..l steps for each l up to `modulus_lags`, and the U'
+increments at the `increment_lags` from the `increment_starts` and from
+the running-maximum steps, which the tightness diagnostics read in place
+of the states; each lag's increments are formed once for both.  For them
+the stepper keeps the states of the largest lag's steps before each chunk,
+and no block holds its whole path, whatever the snapshot grid.  The
 probes alone fix the pairings: the stepper accumulates the quadratic
 variation of every probe pair (`GalerkinConfig.qv_pairs`), and the
 refinement integral int <B(u, u), P_n psi> dt is read from the path
@@ -265,9 +270,11 @@ INTEGRALS = ("stokes", "convection", "forcing", "noise")
 # the optional outputs of the stepper: the energy ledger (the LEDGER arrays,
 # read by `energy_budget_check`), the Stokes, convection and forcing
 # integrals, which every reader reads together, the noise integral, the
-# states at the snapshot steps (`Ensemble.snap_u`) and the H, Dirichlet and
-# U' norms of every step (`Ensemble.norm_H`, `norm_D`, `norm_Udual`)
-RECORDS = ("ledger", "integral_drift", "integral_noise", "states", "norms")
+# states at the snapshot steps (`Ensemble.snap_u`), the H, Dirichlet and
+# U' norms of every step (`Ensemble.norm_H`, `norm_D`, `norm_Udual`), each
+# path's V-integral (`Ensemble.v_integral`) and its running-maximum record
+# (`Ensemble.running_max`)
+RECORDS = ("ledger", "integral_drift", "integral_noise", "states", "norms", "v_integral", "running_max")
 
 
 def integral_record(term: str) -> str:
@@ -322,9 +329,13 @@ class GalerkinConfig:
     # lags 1..modulus_lags, in steps, over which the stepper records each
     # path's U' modulus of continuity (`modulus`)
     modulus_lags: int = 0
-    # lags, in steps, at which the stepper records every U' increment from
-    # each step, clipped to the horizon (`increment_norms`)
+    # lags, in steps, at which the stepper records the U' increments from
+    # the `increment_starts` and from the running-maximum steps
+    # (`running_max`), clipped to the horizon
     increment_lags: tuple = ()
+    # steps, ascending, from which the stepper records the increment at each
+    # of `increment_lags` (`increment_norms`)
+    increment_starts: tuple = ()
     # powers p at which the stepper sums each path's left-endpoint integral
     # of |u|^(p-2) ||u||^2 (`weighted_integrals`)
     integral_powers: tuple = (2.0,)
@@ -348,6 +359,9 @@ class GalerkinConfig:
             raise ValueError(f"increment_lags = {self.increment_lags} must be whole numbers of "
                              "steps >= 0")
         self.increment_lags = tuple(int(lag) for lag in self.increment_lags)
+        if not all(isinstance(s, (int, np.integer)) and 0 <= s <= self.steps for s in self.increment_starts):
+            raise ValueError(f"increment_starts = {self.increment_starts} must be steps in [0, {self.steps}]")
+        self.increment_starts = tuple(sorted({int(s) for s in self.increment_starts}))
         self.integral_powers = tuple(dict.fromkeys(float(p) for p in self.integral_powers))
         unknown = set(self.records) - set(RECORDS)
         if unknown:
@@ -406,6 +420,59 @@ def require_records(config: GalerkinConfig, reader: str, *names) -> None:
 
 
 @dataclass(eq=False)
+class RunningMaxima:
+    """The steps of each of R rows where |u|_H sets a strict new running
+    maximum, step 0 first, with |u|_H there and the U' increment from there
+    at each of the config's `increment_lags`, clipped to the horizon.  Row
+    r's entries are offsets[r]:offsets[r + 1], in step order, so its |u|_H
+    rises along them; its first step with |u|_H >= L is one of them, for
+    any level L (`first_at`).  It holds memory proportional to its entries:
+    a block's record is its own, and the blocks' records are joined in row
+    order (`join`)."""
+
+    offsets: np.ndarray  # (R + 1,) int64
+    step: np.ndarray  # (P,) int64
+    norm_H: np.ndarray  # (P,)
+    increments: np.ndarray  # (P, len(increment_lags))
+
+    @classmethod
+    def empty(cls, rows: int, lags: int) -> RunningMaxima:
+        return cls(np.zeros(rows + 1, dtype=np.int64), np.zeros(0, dtype=np.int64), np.zeros(0),
+                   np.zeros((0, lags)))
+
+    @classmethod
+    def join(cls, parts) -> RunningMaxima:
+        """The record of the rows of `parts`, one after another."""
+        ends = np.cumsum([0] + [p.offsets[-1] for p in parts])
+        offsets = np.concatenate([[0]] + [p.offsets[1:] + end for p, end in zip(parts, ends)])
+        return cls(offsets, *(np.concatenate([getattr(p, name) for p in parts])
+                              for name in ("step", "norm_H", "increments")))
+
+    def __len__(self) -> int:
+        return len(self.offsets) - 1
+
+    def rows(self, sel) -> RunningMaxima:
+        """The record of rows `sel` (a slice, index list or boolean mask), a
+        copy."""
+        r = np.arange(len(self))[sel]
+        counts = np.diff(self.offsets)[r]
+        offsets = np.concatenate([[0], np.cumsum(counts)])
+        at = np.repeat(self.offsets[r] - offsets[:-1], counts) + np.arange(offsets[-1])
+        return RunningMaxima(offsets, self.step[at], self.norm_H[at], self.increments[at])
+
+    def first_at(self, level: float) -> np.ndarray:
+        """(R,): the entry of each row's first step with |u|_H >= level, -1
+        on a row that never gets there."""
+        P = len(self.step)
+        at = np.where(self.norm_H >= level, np.arange(P), P)
+        first = np.full(len(self), P)
+        held = np.diff(self.offsets) > 0
+        if np.any(held):
+            first[held] = np.minimum.reduceat(at, self.offsets[:-1][held])
+        return np.where(first < P, first, -1)
+
+
+@dataclass(eq=False)
 class Ensemble:
     """Trajectories `indices` of `config` as the rows of stacked arrays
     [R, ...] over the config's grid; one trajectory is an Ensemble of one
@@ -420,6 +487,8 @@ class Ensemble:
     norm_D: np.ndarray
     norm_Udual: np.ndarray
     max_H: np.ndarray  # (R,), the largest |u|_H over the steps
+    # (R,): dt sum_{j < steps} (|u_j|^2 + ||u_j||^2), the V-integral; (R, 0) unrecorded
+    v_integral: np.ndarray
     # (R, len(integral_powers)): [r, i] = dt sum_{j < steps} ||u_j||^2 |u_j|^(p_i - 2)
     weighted_integrals: np.ndarray
     energy_residual: np.ndarray  # (R,), likewise the rest of the LEDGER; (R, 0) unrecorded
@@ -430,10 +499,13 @@ class Ensemble:
     qv_cum: np.ndarray  # (R, S, len(config.qv_pairs)) at config.snap_idx
     # (R, modulus_lags): [r, l-1] = max over lags l' <= l and steps j of |u(j + l') - u(j)|_{U'}
     modulus: np.ndarray
-    # (R, len(increment_lags), steps + 1): [r, i, j] = |u(min(j + l_i, steps)) - u(j)|_{U'}
+    # (R, len(increment_lags), len(increment_starts)): [r, i, k] = |u(min(s_k + l_i, steps)) - u(s_k)|_{U'}
+    # at the k-th of the increment_starts s_k
     increment_norms: np.ndarray
     cutoff_min: np.ndarray  # (R,)
     abort_step: np.ndarray  # (R,), -1 on a row that ran to the end
+    # the running-maximum steps; no entry unrecorded
+    running_max: RunningMaxima
 
     def __len__(self) -> int:
         return len(self.indices)
@@ -441,8 +513,10 @@ class Ensemble:
     def rows(self, sel) -> Ensemble:
         """The Ensemble of rows `sel` (a slice, index list or boolean mask)
         of the same config: views of these arrays for a slice, copies
-        otherwise."""
+        otherwise; the running-maximum record's entries are copied."""
         def pick(v):
+            if isinstance(v, RunningMaxima):
+                return v.rows(sel)
             return {key: a[sel] for key, a in v.items()} if isinstance(v, dict) else v[sel]
 
         return Ensemble(config=self.config, **{f.name: pick(getattr(self, f.name))
@@ -519,10 +593,12 @@ class _LagReducer:
     from each chunk's window of states, which holds the H steps before its
     first (`_lag_history`): m[r, l-1] = max over lags 1..l and starts s of
     |x_r(s + l') - x_r(s)|_{U'} for l = 1..L into `modulus` (B, L), and
-    |x_r(min(s + lag, steps)) - x_r(s)|_{U'} of every start s at each of
-    `increment_lags` into `increments` (B, len(increment_lags), steps + 1).
-    An increment is taken in the chunk that holds its later state, so a
-    reduction keeps O(B (H + chunk)) values, whatever the steps.
+    |x_r(min(s + lag, steps)) - x_r(s)|_{U'} at each of `increment_lags`
+    from each of `starts` into `increments` (B, len(increment_lags),
+    len(starts)), and from each (row, step) the caller names as the walk
+    reaches it (`follow`).  An increment is taken in the chunk that holds
+    its later state, so a reduction keeps O(B (H + chunk)) values and its
+    increments, whatever the steps.
 
     Every increment's norm is `_norms_of` of the later state less the
     earlier, the arithmetic of any gather of the pair, so each increment
@@ -531,8 +607,8 @@ class _LagReducer:
 
     Each lag's norms are formed once, at the carried lags: the powers of
     two 1, 2, 4, ... up to L and the `increment_lags`.  The increments are
-    written from them, and the norms of the last H steps are carried to
-    the next chunk.  The modulus is pruned by the triangle inequality.  A
+    read from them, and the norms of the last H steps are carried to the
+    next chunk.  The modulus is pruned by the triangle inequality.  A
     chunk raises each lag l in turn to lag l - 1's modulus, then by its
     increments: at a carried lag by their norms; at another lag, the
     increment is the sum of the increments along l's binary digits, so the
@@ -544,16 +620,32 @@ class _LagReducer:
     whose norm is the maximum is among those formed and the modulus is
     exact."""
 
-    def __init__(self, w: np.ndarray, steps: int, modulus: np.ndarray, increment_lags, increments: np.ndarray):
+    def __init__(self, w: np.ndarray, steps: int, modulus: np.ndarray, increment_lags, increments: np.ndarray,
+                 starts):
         self.w, self.steps = w, steps
         self.lags, self.increments = tuple(increment_lags), increments
+        B = len(modulus)
         # (L, B): lag l - 1 of every row
         self.best = modulus.T
         # the carried norms: lag -> (rows, B), row e the increment that ends
         # at window row e of the last chunk, whose row 0 is step `base`
         pow2 = [1 << bit for bit in range(modulus.shape[1].bit_length())]
-        self.norms = {lag: np.zeros((0, len(modulus))) for lag in (*pow2, *self.lags)}
+        self.norms = {lag: np.zeros((0, B)) for lag in (*pow2, *self.lags)}
         self.base = 0
+        # (rows, starts, out) of the followed increments an end of which the
+        # walk has yet to reach
+        self.open = []
+        # the increments from `starts`, as (B len(starts), lags) entries
+        self.fixed = self.follow(np.repeat(np.arange(B), len(starts)), np.tile(starts, B))
+
+    def follow(self, rows: np.ndarray, starts: np.ndarray) -> np.ndarray:
+        """(k, len(increment_lags)): the increment at each lag from step
+        starts[e] of row rows[e], which each later chunk fills as the walk
+        reaches its end; complete once the walk has reached them all."""
+        out = np.empty((len(rows), len(self.lags)))
+        if len(rows) and self.lags:
+            self.open.append((rows, np.asarray(starts), out))
+        return out
 
     def add(self, chunk: Chunk) -> None:
         """Reduce the increments that end in steps first..last of `chunk`."""
@@ -571,6 +663,20 @@ class _LagReducer:
                 at += 1 << bit
         return out
 
+    def _take(self, rows, starts, out, window: np.ndarray, lo: int, last: int) -> None:
+        """Fill out[e, i], the increment at lags[i] from step starts[e] of
+        row rows[e], wherever it ends in steps lo..last: from the carried
+        norms, or, clipped to the horizon, from the window's last state."""
+        for i, lag in enumerate(self.lags):
+            ends = np.minimum(starts + lag, self.steps)
+            now = (lo <= ends) & (ends <= last)
+            clip = now & (starts + lag > self.steps)
+            at = now & ~clip
+            out[at, i] = self.norms[lag][ends[at] - self.base, rows[at]]
+            if np.any(clip):
+                r = rows[clip]
+                out[clip, i] = _norms_of(window[-1, r] - window[starts[clip] - self.base, r], self.w)
+
     def reduce(self, window: np.ndarray, first: int, last: int) -> None:
         """Reduce the increments that end in steps first..last (from 0 on
         the first chunk, at first > 0 from first + 1), from `window` (h +
@@ -579,7 +685,7 @@ class _LagReducer:
         w, (B, n) = self.w, window.shape[1:]
         count = last - first
         h = len(window) - 1 - count
-        base, shift, self.base = first - h, first - h - self.base, first - h
+        shift, self.base = first - h - self.base, first - h
         for lag, old in self.norms.items():
             norms = old if len(old) >= len(window) else np.zeros((len(window), B))
             if len(old):
@@ -595,16 +701,14 @@ class _LagReducer:
                 lo = max(e0, lag)
                 if lo < e1:
                     norms[lo:e1] = _norms_of(window[lo:e1] - window[lo - lag : e1 - lag], w)
-        end = len(window)
-        for i, lag in enumerate(self.lags):
-            lo = max(new, lag)
-            if lo < end:
-                self.increments[:, i, base + lo - lag : base + end - lag] = self.norms[lag][lo:end].T
+        if self.open:
+            for rows, starts, out in self.open:
+                self._take(rows, starts, out, window, self.base + new, last)
+            reach = max(self.lags)
+            self.open = [o for o in self.open if np.max(np.minimum(o[1] + reach, self.steps)) > last]
         if last == self.steps:
-            # the starts whose increment ends past the horizon, clipped to it
-            for i, lag in enumerate(self.lags):
-                s1 = max(last + 1 - lag, 0)
-                self.increments[:, i, s1:] = _norms_of(window[-1] - window[s1 - base :], w).T
+            B, L, K = self.increments.shape
+            self.increments[:] = self.fixed.reshape(B, K, L).transpose(0, 2, 1)
         if len(self.best):
             self._modulus(window, h, count)
 
@@ -657,21 +761,24 @@ def cache_rows(config: GalerkinConfig) -> int:
 
 def _row_shapes(config: GalerkinConfig) -> dict:
     """Shape after the row axis of every per-row array of an Ensemble, by
-    field name: norms, the largest H norm and the weighted integrals,
-    ledger, the states, quadratic variations and running integrals (keyed
-    by term) at the snapshots, the modulus, the increment norms of every
-    step, the cutoff minimum and the abort step.  An output config.records
-    leaves out has width 0: the norms have no steps, the ledger (one value
-    per row) is (0,), the states and a running integral have no snapshots.
-    Every entry is 8 bytes."""
+    field name: norms, the largest H norm, the V-integral and the weighted
+    integrals, ledger, the states, quadratic variations and running
+    integrals (keyed by term) at the snapshots, the modulus, the increment
+    norms from the increment starts, the cutoff minimum and the abort step.
+    An output config.records leaves out has width 0: the norms have no
+    steps, the V-integral and the ledger (one value per row) are (0,), the
+    states and a running integral have no snapshots.  Every entry is 8
+    bytes."""
     steps, n, records = config.steps, config.n, config.records
     snaps = len(config.snap_idx)
     shapes = {name: (steps + 1 if "norms" in records else 0,) for name in ("norm_H", "norm_D", "norm_Udual")}
-    shapes.update(max_H=(), weighted_integrals=(len(config.integral_powers),))
+    shapes.update(max_H=(), v_integral=() if "v_integral" in records else (0,),
+                  weighted_integrals=(len(config.integral_powers),))
     shapes.update({name: () if "ledger" in records else (0,) for name in LEDGER})
     shapes.update(snap_u=(snaps if "states" in records else 0, n), qv_cum=(snaps, len(config.qv_pairs)))
     shapes.update({name: (snaps if integral_record(name) in records else 0, n) for name in INTEGRALS})
-    shapes.update(modulus=(config.modulus_lags,), increment_norms=(len(config.increment_lags), steps + 1),
+    shapes.update(modulus=(config.modulus_lags,),
+                  increment_norms=(len(config.increment_lags), len(config.increment_starts)),
                   cutoff_min=(), abort_step=())
     return shapes
 
@@ -679,8 +786,8 @@ def _row_shapes(config: GalerkinConfig) -> dict:
 def _stacked(config: GalerkinConfig, indices) -> Ensemble:
     """The zeroed Ensemble of trajectories `indices`, its arrays of
     `_row_shapes` carved from one anonymous shared mapping, so that pool
-    workers forked after it is made write into the same pages.  abort_step
-    is int64, the rest float64."""
+    workers forked after it is made write into the same pages, and an
+    empty running-maximum record.  abort_step is int64, the rest float64."""
     indices = np.array(indices, dtype=int)
     shapes = _row_shapes(config)
     sizes = [len(indices) * math.prod(shape) for shape in shapes.values()]
@@ -692,7 +799,8 @@ def _stacked(config: GalerkinConfig, indices) -> Ensemble:
         at += size
     arrays["abort_step"] = arrays["abort_step"].view(np.int64)
     integrals = {name: arrays.pop(name) for name in INTEGRALS}
-    return Ensemble(config=config, indices=indices, snap_integrals=integrals, **arrays)
+    return Ensemble(config=config, indices=indices, snap_integrals=integrals,
+                    running_max=RunningMaxima.empty(len(indices), len(config.increment_lags)), **arrays)
 
 
 def _sq_norms(sys: CompiledGalerkin, x: np.ndarray, h: bool = True) -> tuple:
@@ -1030,6 +1138,41 @@ class _PairwiseSum:
         return self.sums[0]
 
 
+class _RunningMaxWalk:
+    """The running-maximum record (`RunningMaxima`) of B rows, taken chunk
+    by chunk from their H norms: the steps where a row's |u|_H exceeds
+    every earlier one, from step 0 on, with the increments from there,
+    which `lags` (a `_LagReducer`, None without increment lags) fills as
+    the walk reaches their ends.  It keeps each row's running maximum and
+    the chunks' entries, so its memory is proportional to the entries."""
+
+    def __init__(self, B: int, lags):
+        self.B, self.lags = B, lags
+        self.top = np.full(B, -np.inf)
+        width = len(lags.lags) if lags is not None else 0
+        self.parts = [(np.zeros(0, dtype=np.int64),) * 2 + (np.zeros(0), np.zeros((0, width)))]
+
+    def add(self, norm_H: np.ndarray, first: int) -> None:
+        """Take the steps of `norm_H` (L + 1, B), the H norms of steps
+        first..first + L, from 0 on the first chunk, at first > 0 from
+        first + 1."""
+        new = norm_H[1:] if first else norm_H
+        prior = np.maximum.accumulate(np.concatenate([self.top[None], new[:-1]]), axis=0)
+        j, r = np.nonzero(new > prior)
+        np.maximum(prior[-1], new[-1], out=self.top)
+        if len(r):
+            steps = j + (first + 1 if first else 0)
+            incs = self.lags.follow(r, steps) if self.lags is not None else np.zeros((len(r), 0))
+            self.parts.append((r, steps, new[j, r], incs))
+
+    def record(self) -> RunningMaxima:
+        """The record, once the walk has reached the horizon."""
+        rows, steps, norm_H, incs = (np.concatenate(part) for part in zip(*self.parts))
+        order = np.argsort(rows, kind="stable")
+        offsets = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=self.B))])
+        return RunningMaxima(offsets, steps[order], norm_H[order], incs[order])
+
+
 def _grid_span(grid: np.ndarray, chunk: Chunk) -> tuple:
     """(at, rows): the slice of the positions on the snapshot grid `grid`
     (step indices) of the steps first..last of `chunk`, and their rows in
@@ -1068,21 +1211,30 @@ def _integrate_rows(ens: Ensemble, dW=None, x0=None) -> None:
     entries zeroed, and reads zero after it, its ledger terms from it on;
     its states read zero from its abort step on.  Each row's U' modulus
     over lags 1..modulus_lags of the step grid and its increments at
-    `increment_lags` are reduced from each chunk's window as it is handed
-    over (`_LagReducer`); no step's state is kept longer."""
+    `increment_lags` from the `increment_starts` are reduced from each
+    chunk's window as it is handed over (`_LagReducer`); no step's state is
+    kept longer.  Under `running_max` each row's running-maximum steps are
+    taken from its H norms as they are handed over, zero after its abort
+    step, with the increments from them (`_RunningMaxWalk`).
+
+    Returns the block's running-maximum record, also set on `ens`, or None
+    unrecorded."""
     config = ens.config
     steps, powers, records = config.steps, config.integral_powers, config.records
-    ledger = "ledger" in records
+    ledger, v_integral = "ledger" in records, "v_integral" in records
     norms = dict(H=ens.norm_H, D=ens.norm_D, Udual=ens.norm_Udual) if "norms" in records else {}
     # the terms each row sums, one (steps,) row per term: an integrand per
-    # power, then the Ito and Hilbert-Schmidt increments
-    width = len(powers) + 2 * ledger
+    # power, the V-integrand, then the Ito and Hilbert-Schmidt increments
+    width = len(powers) + v_integral + 2 * ledger
     sums = _PairwiseSum(width * len(ens), steps)
     snap_idx = config.snap_idx
-    lags = None
+    lags = running = None
     if config.modulus_lags or config.increment_lags:
         sys = _compiled(config.basis, config.n, config.model, config.include_B)
-        lags = _LagReducer(sys.wUdual, config.steps, ens.modulus, config.increment_lags, ens.increment_norms)
+        lags = _LagReducer(sys.wUdual, config.steps, ens.modulus, config.increment_lags, ens.increment_norms,
+                           config.increment_starts)
+    if "running_max" in records:
+        running = _RunningMaxWalk(len(ens), lags if config.increment_lags else None)
     for chunk in step_chunks(config, ens.indices.tolist(), x0, dW):
         first, last = chunk.first, chunk.last
         count = last - first
@@ -1100,9 +1252,13 @@ def _integrate_rows(ens: Ensemble, dW=None, x0=None) -> None:
         d2 = values["D"][:count] ** 2
         for i, p in enumerate(powers):
             terms[:, i] = d2 if p == 2.0 else d2 * values["H"][:count] ** (p - 2)
+        if v_integral:
+            terms[:, len(powers)] = values["H"][:count] ** 2 + d2
         if ledger:
             terms[:, -2], terms[:, -1] = chunk.ito, chunk.hs
         sums.add(terms.reshape(count, width * len(ens)))
+        if running is not None:
+            running.add(values["H"], first)
         if lags is not None:
             lags.add(chunk)
         # each recorded snapshot array beside the chunk's buffer of it
@@ -1123,9 +1279,15 @@ def _integrate_rows(ens: Ensemble, dW=None, x0=None) -> None:
             snaps[r, late] = 0.0
     totals = sums.total().reshape(width, len(ens))
     ens.weighted_integrals[:] = totals[: len(powers)].T * config.dt
+    if v_integral:
+        ens.v_integral[:] = totals[len(powers)] * config.dt
     if ledger:
         ens.energy_residual[:] = chunk.worst
         ens.ito_sum[:], ens.hs_sum[:] = totals[-2], totals[-1]
+    if running is None:
+        return None
+    ens.running_max = running.record()
+    return ens.running_max
 
 
 def integrate_batch(config: GalerkinConfig, indices, dW=None, x0=None) -> Ensemble:
@@ -1144,9 +1306,9 @@ def integrate_batch(config: GalerkinConfig, indices, dW=None, x0=None) -> Ensemb
 _ENSEMBLE: dict = {}
 
 
-def _run_chunk(block) -> None:
+def _run_chunk(block) -> RunningMaxima | None:
     lo, hi = block
-    _integrate_rows(_ENSEMBLE["ens"].rows(slice(lo, hi)))
+    return _integrate_rows(_ENSEMBLE["ens"].rows(slice(lo, hi)))
 
 
 def integrate_ensemble(config: GalerkinConfig, n_traj: int, workers: int = 1) -> Ensemble:
@@ -1158,9 +1320,10 @@ def integrate_ensemble(config: GalerkinConfig, n_traj: int, workers: int = 1) ->
     `cache_rows`, which also compiles the system that forked workers
     inherit.  With k = min(workers, blocks) > 1 the calling process is one
     of the k workers: it steps every k-th block, from the first, while a
-    pool of k - 1 forked processes steps the others.  Every row is
-    independent of the worker count, of the blocks and of the process that
-    steps it."""
+    pool of k - 1 forked processes steps the others.  Each block returns
+    its running-maximum record, which is not in the shared mapping, and
+    the records are joined in block order.  Every row is independent of the
+    worker count, of the blocks and of the process that steps it."""
     share = math.ceil(n_traj / max(1, workers))
     rows = max(1, min(share, cache_rows(config)))
     blocks = [(lo, min(lo + rows, n_traj)) for lo in range(0, n_traj, rows)]
@@ -1174,14 +1337,15 @@ def integrate_ensemble(config: GalerkinConfig, n_traj: int, workers: int = 1) ->
             ctx = multiprocessing.get_context("fork")
             with ProcessPoolExecutor(max_workers=k - 1, mp_context=ctx) as pool:
                 theirs = pool.map(_run_chunk, [b for i, b in enumerate(blocks) if i % k])
-                for block in blocks[::k]:
-                    _run_chunk(block)
-                list(theirs)
+                mine = [_run_chunk(block) for block in blocks[::k]]
+                theirs = list(theirs)
+            parts = [mine[i // k] if i % k == 0 else theirs[i - i // k - 1] for i in range(len(blocks))]
         else:
-            for block in blocks:
-                _run_chunk(block)
+            parts = [_run_chunk(block) for block in blocks]
     finally:
         _ENSEMBLE.clear()
+    if "running_max" in config.records:
+        ens.running_max = RunningMaxima.join(parts)
     return ens
 
 

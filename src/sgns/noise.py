@@ -19,12 +19,13 @@ witness of the exact L.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import ROLE_COS, ROLE_SIN, Basis, grid_points
+from .spectral import ROLE_COS, ROLE_SIN, Basis
 
 
 @dataclass(frozen=True)
@@ -98,17 +99,29 @@ class HarmonicField:
 SUP_REL_WIDTH = 0.01
 
 
+def _node_slabs(domain, N: int):
+    """The N^d equispaced nodes of the torus as (N^2, d) slabs, one per node
+    of the first d - 2 axes, in the order of `spectral.grid_points(domain,
+    N)`, with its coordinates; each slab is built from the per-axis
+    coordinates, so the sweep holds one slab, not the N^d x d grid."""
+    axes = [np.arange(N) * (L / N) for L in domain.period]
+    last = np.stack(np.meshgrid(*axes[-2:], indexing="ij"), axis=-1).reshape(N * N, 2)
+    for lead in itertools.product(*axes[:-2]):
+        yield np.concatenate([np.broadcast_to(np.array(lead), (N * N, len(lead))), last], axis=1)
+
+
 def _certified_max(scalar_at, domain, degree: int) -> tuple:
     """(lo, hi) around the max over the torus of a scalar that is, at each
     x, the largest |T(x)| of real trigonometric polynomials T of `degree`
-    per axis, from one sweep over N^d equispaced nodes, N^2 at a time:
-    lo is the largest node value.  Near its max M, T stays above
-    M cos(degree t) (Van der Corput and Schaake 1935), and a node lies within
-    pi / N of it in each axis' phase, so M <= lo sec(pi degree / N)^d = hi.
-    N is the fewest nodes with hi / lo - 1 <= SUP_REL_WIDTH; one if constant."""
+    per axis, from one sweep over N^d equispaced nodes, N^2 at a time
+    (`_node_slabs`): lo is the largest node value.  Near its max M, T stays
+    above M cos(degree t) (Van der Corput and Schaake 1935), and a node lies
+    within pi / N of it in each axis' phase, so M <= lo sec(pi degree / N)^d
+    = hi.  N is the fewest nodes with hi / lo - 1 <= SUP_REL_WIDTH; one if
+    constant."""
     d = domain.d
     N = max(1, math.ceil(math.pi * degree / math.acos((1.0 + SUP_REL_WIDTH) ** (-1.0 / d))))
-    lo = max(float(np.max(scalar_at(slab))) for slab in grid_points(domain, N).reshape(-1, N * N, d))
+    lo = max(float(np.max(scalar_at(slab))) for slab in _node_slabs(domain, N))
     return lo, lo / math.cos(math.pi * degree / N) ** d
 
 

@@ -14,10 +14,15 @@ the process that stepped a path reduces it, on the step grid, to the
 records they read.
 The modulus table reads the per-path modulus of continuity, as recorded
 (`GalerkinConfig.modulus_lags`, sized by `modulus_lags`), and the Aldous
-table and its threshold read the per-path increments from every step at
-their lags (`GalerkinConfig.increment_lags`, sized by `increment_lags`);
-both lags count steps, and an ensemble that recorded too few lags for a
-table is a `ValueError`, not a recomputation.  The scaling of the
+table and its threshold read the per-path increments at their lags
+(`GalerkinConfig.increment_lags`, sized by `increment_lags`): the grid
+rules and the threshold from the steps they stop at
+(`GalerkinConfig.increment_starts`, filled by `increment_starts`), the
+hitting rules from the running-maximum record, which holds every first
+step at a level.  Both lags count steps, and an ensemble that recorded too
+few lags or starts for a table is a `ValueError`, not a recomputation.
+The Dubinsky sums read each path's V-integral, which the stepper streams,
+so no table reads a norm of every step.  The scaling of the
 decomposition increments reads the running integrals on the snapshot grid,
 the one grid of every stored record; the per-row increments themselves, with
 the identity residual, are a test oracle (`tests/path_oracle.py`).  The
@@ -68,9 +73,33 @@ def increment_lags(thetas, eta_theta: float, times) -> tuple:
     """Step lags, ascending, at which `aldous_check` over the windows
     `thetas` and `calibrate_aldous_eta` at the window `eta_theta` read the
     increments on the step grid `times`.  A `GalerkinConfig` given these
-    `increment_lags` records every increment both need."""
+    `increment_lags` and the `increment_starts` below records every
+    increment both need."""
     h = times[1] - times[0]
     return tuple(sorted({_aldous_lag(t, h) for t in thetas} | {_calibration_lag(eta_theta, h)}))
+
+
+def _grid_starts(S: int) -> list:
+    """The steps of the Aldous grid rules on a grid of S steps' times: 0.2,
+    0.45 and 0.7 of the horizon."""
+    return [int(round(frac * (S - 1))) for frac in (0.2, 0.45, 0.7)]
+
+
+def _sampled_starts(lag: int, S: int) -> np.ndarray:
+    """The starts of the increments the threshold samples at `lag` on a
+    grid of S steps' times: every ((S - lag) // 64)-th step."""
+    count = S - lag
+    return np.arange(0, count, max(1, count // 64))
+
+
+def increment_starts(eta_theta: float, times) -> tuple:
+    """Steps, ascending, from which `aldous_check`'s grid rules and
+    `calibrate_aldous_eta` at the window `eta_theta` read the increments
+    on the step grid `times`.  The hitting rules read the running-maximum
+    record instead (`GalerkinConfig.records`' `running_max`)."""
+    S = len(times)
+    lag = _calibration_lag(eta_theta, times[1] - times[0])
+    return tuple(sorted({*_grid_starts(S), *_sampled_starts(lag, S).tolist()}))
 
 
 def window_violations(config, deltas, thetas, anchors, windows) -> list:
@@ -148,15 +177,21 @@ class FunctionFamily:
                              f"recorded {recorded} lags (set GalerkinConfig.modulus_lags)")
         return self.ens.modulus[self.rows, :max_lag]
 
-    def increment_norms(self, lag: int) -> np.ndarray:
-        """d[r, j] = |u_r(t_min(j + lag, steps)) - u_r(t_j)|_{U'} from every
-        step j, as the stepper recorded them (R, steps + 1); ValueError when
-        it did not record this lag."""
-        recorded = self.ens.config.increment_lags
-        if lag not in recorded:
+    def increment_norms(self, lag: int, starts) -> np.ndarray:
+        """d[r, k] = |u_r(t_min(s_k + lag, steps)) - u_r(t_s_k)|_{U'} from
+        each step s_k of `starts`, as the stepper recorded them (R,
+        len(starts)); ValueError when it did not record this lag or one of
+        these starts."""
+        cfg = self.ens.config
+        if lag not in cfg.increment_lags:
             raise ValueError(f"the Aldous table needs the increments at lag {lag}, but the ensemble "
-                             f"recorded lags {list(recorded)} (set GalerkinConfig.increment_lags)")
-        return self.ens.increment_norms[self.rows, recorded.index(lag)]
+                             f"recorded lags {list(cfg.increment_lags)} (set GalerkinConfig.increment_lags)")
+        missing = sorted(set(np.asarray(starts).tolist()) - set(cfg.increment_starts))
+        if missing:
+            raise ValueError(f"the Aldous table needs the increments from step(s) {missing}, which the "
+                             f"ensemble did not record (set GalerkinConfig.increment_starts)")
+        cols = np.searchsorted(cfg.increment_starts, starts)
+        return self.ens.increment_norms[self.rows, cfg.increment_lags.index(lag)][:, cols]
 
 
 def _modulus_table(ens: Ensemble, deltas: np.ndarray) -> np.ndarray:
@@ -200,14 +235,14 @@ def dubinsky_diagnostic(ens: Ensemble, deltas, slope_threshold: float = 0.4) -> 
     The modulus curve is fitted in log-log coordinates; the family passes when
     the fitted slope reaches the threshold (a flat curve fails).  An exactly
     zero curve (constant family) passes trivially.  The energy integral
-    reads every step's norms (`norms`), the largest H norm `max_H`.
+    reads each path's V-integral, which the stepper streams (`v_integral`),
+    the largest H norm `max_H`.
     """
-    require_records(ens.config, "dubinsky_diagnostic", "norms")
+    require_records(ens.config, "dubinsky_diagnostic", "v_integral")
     deltas = np.sort(np.asarray(deltas, dtype=float))
     curve = np.max(_modulus_table(ens, deltas), axis=0)
     rows = _live_rows(ens)
-    H, D = ens.norm_H[rows], ens.norm_D[rows]
-    supV = float(np.max(np.sum(H[:, :-1] ** 2 + D[:, :-1] ** 2, axis=1))) * ens.config.dt
+    supV = float(np.max(ens.v_integral[rows]))
     supH = float(np.max(ens.max_H[rows]))
     if np.max(curve) == 0.0:
         slope, passed = math.inf, True
@@ -236,11 +271,12 @@ class AldousReport:
         return self.monotone and self.decays
 
 
-def _hitting_positions(norm_H: np.ndarray, level: float) -> np.ndarray:
-    """Step of the first time |u|_H >= level per row of the per-step norms
-    (R, steps + 1) (the last step if never)."""
-    hit = norm_H >= level
-    return np.where(hit.any(axis=1), np.argmax(hit, axis=1), norm_H.shape[1] - 1)
+def _hitting(peaks, level: float, last: int) -> tuple:
+    """(steps, entries): the first step with |u|_H >= level of each row of
+    the running-maximum record `peaks`, and its entry there, or the last
+    step `last` and -1 on a row that never gets there."""
+    entry = peaks.first_at(level)
+    return np.where(entry >= 0, peaks.step[entry], last), entry
 
 
 def aldous_check(ens: Ensemble, thetas, eta: float) -> AldousReport:
@@ -251,33 +287,35 @@ def aldous_check(ens: Ensemble, thetas, eta: float) -> AldousReport:
     the ensemble's 50th/90th percentile running-sup levels; tau + theta is
     clipped to the horizon.  Probabilities are reported per theta, maximized
     over rules; the pass flag requires them nonincreasing in theta with an
-    overall decay.  Each increment is read from the recorded increments at
-    its window's lag (`FunctionFamily.increment_norms`), the hitting
-    levels from `max_H`, and the hitting times from every step's H norm,
-    which the ensemble must have recorded (`norms`).
+    overall decay.  A grid rule's increment is read from the increments
+    recorded from its step at its window's lag
+    (`FunctionFamily.increment_norms`); the hitting levels from `max_H`;
+    a hitting rule's step and increment from the running-maximum record
+    (`running_max`), since a first step at a level sets a new running
+    maximum, and a path that never gets there stops at the horizon, whose
+    increment is 0.
     """
-    require_records(ens.config, "aldous_check", "norms")
+    require_records(ens.config, "aldous_check", "running_max")
     thetas = np.sort(np.asarray(thetas, dtype=float))[::-1]  # descending
     fam = FunctionFamily(ens)
-    norm_H = ens.norm_H[fam.rows]
     times = ens.config.times
     S = len(times)
     h = times[1] - times[0]
-    rules = {}
-    for frac in (0.2, 0.45, 0.7):
-        pos = int(round(frac * (S - 1)))
-        rules[f"grid_t={times[pos]:.4g}"] = np.full(len(norm_H), pos, dtype=int)
+    grid = _grid_starts(S)
+    peaks = ens.running_max.rows(fam.rows)
     sups = ens.max_H[fam.rows]
-    for q in (50, 90):
-        level = float(percentile(sups, q))
-        rules[f"hit_p{q}"] = _hitting_positions(norm_H, level)
+    # each hitting rule's entry per path
+    hits = {f"hit_p{q}": _hitting(peaks, float(percentile(sups, q)), S - 1)[1] for q in (50, 90)}
+    labels = [f"grid_t={times[pos]:.4g}" for pos in grid] + list(hits)
 
-    rows = np.arange(len(norm_H))
-    per_rule = {label: np.zeros(len(thetas)) for label in rules}
+    per_rule = {label: np.zeros(len(thetas)) for label in labels}
     for i, theta in enumerate(thetas):
-        inc = fam.increment_norms(_aldous_lag(theta, h))
-        for label, taus in rules.items():
-            per_rule[label][i] = float(np.mean(inc[rows, taus] >= eta))
+        lag = _aldous_lag(theta, h)
+        incs = list(fam.increment_norms(lag, grid).T)
+        col = ens.config.increment_lags.index(lag)
+        incs += [np.where(entry >= 0, peaks.increments[entry, col], 0.0) for entry in hits.values()]
+        for label, inc in zip(labels, incs):
+            per_rule[label][i] = float(np.mean(inc >= eta))
     probs = np.max(np.stack(list(per_rule.values())), axis=0)
     # thetas descending: probabilities must not increase as theta shrinks
     monotone = bool(np.all(np.diff(probs) <= 1e-12))
@@ -293,19 +331,16 @@ def calibrate_aldous_eta(ens: Ensemble, theta: float, quantile: float = 60.0) ->
     |u(t + theta) - u(t)|_{U'} over the live paths at the window theta it is
     passed, so the table starts mid-range and its decay toward 0 is
     informative.  `sgns tightness` passes its smallest window.  The
-    increments are read from those recorded at the window's lag
-    (`FunctionFamily.increment_norms`); a window of more steps than the
-    horizon holds no increment and is a `ValueError`."""
+    increments are those recorded from every ((S - lag) // 64)-th step at
+    the window's lag (`FunctionFamily.increment_norms`); a window of more
+    steps than the horizon holds no increment and is a `ValueError`."""
     times = ens.config.times
     lag = _calibration_lag(theta, times[1] - times[0])
-    count = len(times) - lag
-    if count < 1:
+    if len(times) - lag < 1:
         raise ValueError(f"the Aldous threshold's window {theta} is {lag} steps, more than the "
                          f"{len(times) - 1} steps up to T = {times[-1]}")
-    # the sampled increments: those starting at every ((S - lag) // 64)-th
-    # step
-    starts = np.arange(0, count, max(1, count // 64))
-    return float(percentile(FunctionFamily(ens).increment_norms(lag)[:, starts], quantile))
+    starts = _sampled_starts(lag, len(times))
+    return float(percentile(FunctionFamily(ens).increment_norms(lag, starts), quantile))
 
 
 # -- J-term decomposition -------------------------------------------------------

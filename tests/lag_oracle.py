@@ -2,9 +2,12 @@
 U' norm at every lag for the modulus, the independent reference for the
 stepper's pruned, chunk by chunk modulus (`galerkin._LagReducer`), and
 every increment gathered as a (start, end) pair of states, the reference
-for its recorded increment norms."""
+for its recorded increment norms; and the running-maximum record, by a
+loop over every step of each row's norms."""
 
 import numpy as np
+
+from sgns.galerkin import RunningMaxima
 
 
 def brute_modulus(coords: np.ndarray, w: np.ndarray, max_lag: int) -> np.ndarray:
@@ -33,3 +36,23 @@ def pair_increment_norms(coords: np.ndarray, w: np.ndarray, lags) -> np.ndarray:
         d *= d
         out[:, i] = np.sqrt(np.einsum("...n,n->...", d, w))[..., 0]
     return out
+
+
+def running_maxima(norm_H: np.ndarray, increments: np.ndarray) -> RunningMaxima:
+    """The running-maximum record of the norms norm_H (R, S), by a loop over
+    each row's steps: every step whose norm exceeds all before it, from
+    step 0 on, with its norm and its column of the increments (R, L, S)
+    of every start."""
+    offsets, steps, norms, incs = [0], [], [], []
+    for r, row in enumerate(norm_H):
+        top = -np.inf
+        for j, value in enumerate(row):
+            if value > top:
+                top = value
+                steps.append(j)
+                norms.append(value)
+                incs.append(increments[r, :, j])
+        offsets.append(len(steps))
+    L = increments.shape[1]
+    return RunningMaxima(np.array(offsets, dtype=np.int64), np.array(steps, dtype=np.int64),
+                         np.array(norms, dtype=float), np.array(incs, dtype=float).reshape(len(steps), L))

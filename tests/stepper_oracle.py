@@ -8,8 +8,9 @@ running integrals and quadratic variations at each snapshot step, and
 folds the energy ledger every `LEDGER_CHUNK` steps.  After the loop it
 zeroes what an aborted row steps on to, and reduces the whole arrays: the
 per-path maxima, sums and lag reductions are `np.max` and `np.sum` of the
-(B, steps + 1) norm and (B, steps) ledger arrays, and the brute-force lag
-oracles of the path.  Its squared norms are the weighted
+(B, steps + 1) norm and (B, steps) ledger arrays, the brute-force lag
+oracles of the path and the running-maximum loop over its norms.  Its
+squared norms are the weighted
 sums of one (B, 3, n) broadcast and its convection scatters the segment
 sums into zeros, as the stepper's did before it was chunked; every other
 operation is the stepper's, so a walk in any chunks must give this loop's
@@ -18,7 +19,7 @@ bits."""
 import math
 
 import numpy as np
-from lag_oracle import brute_modulus, pair_increment_norms
+from lag_oracle import brute_modulus, pair_increment_norms, running_maxima
 
 from sgns.galerkin import INTEGRALS, _compiled, _stacked, integral_record
 from sgns.spectral import project_Pn
@@ -218,7 +219,12 @@ def oracle_batch(config, indices, dW=None, x0=None):
         ens.energy_residual[:] = worst
         ens.ito_sum[:] = np.sum(ito_step, axis=1)
         ens.hs_sum[:] = np.sum(hs_step, axis=1)
+    if "v_integral" in config.records:
+        ens.v_integral[:] = np.sum(norm_H[:, :-1] ** 2 + norm_D[:, :-1] ** 2, axis=1) * dt
     if config.modulus_lags:
         ens.modulus[:] = brute_modulus(path, sys.wUdual, config.modulus_lags)
-    ens.increment_norms[:] = pair_increment_norms(path, sys.wUdual, config.increment_lags)
+    increments = pair_increment_norms(path, sys.wUdual, config.increment_lags)
+    ens.increment_norms[:] = increments[:, :, list(config.increment_starts)]
+    if "running_max" in config.records:
+        ens.running_max = running_maxima(norm_H, increments)
     return ens

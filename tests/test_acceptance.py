@@ -45,6 +45,7 @@ from sgns.tightness import (
     calibrate_aldous_eta,
     build_nested_space,
     increment_lags,
+    increment_starts,
     increment_scaling,
     median_modulus_curve,
     modulus_lags,
@@ -254,7 +255,8 @@ def test_criterion_08_tightness(basis, shell_coupling_model):
                              model=shell_coupling_model, seed=77,
                              snapshot_stride=8,
                              modulus_lags=modulus_lags(deltas, times),
-                             increment_lags=increment_lags(thetas, eta_theta, times))
+                             increment_lags=increment_lags(thetas, eta_theta, times),
+                             increment_starts=increment_starts(eta_theta, times))
         recs = integrate_ensemble(cfg, 200, workers=WORKERS)
         _, slope = median_modulus_curve(recs, deltas)
         slopes[n] = slope

@@ -435,12 +435,17 @@ def rich_config(basis, **kw):
 
 def assert_records_identical(a, b, equal_nan=False):
     """The same config object and every per-row array the same bits (NaN
-    where the other has NaN, with equal_nan); a config is not compared with
-    ==, which its SpectralFields do not support."""
+    where the other has NaN, with equal_nan), those of the running-maximum
+    records too; a config is not compared with ==, which its SpectralFields
+    do not support."""
     for field in dataclasses.fields(a):
         va, vb = getattr(a, field.name), getattr(b, field.name)
         if field.name == "config":
             assert va is vb
+        elif isinstance(va, galerkin.RunningMaxima):
+            for part in dataclasses.fields(va):
+                pa, pb = getattr(va, part.name), getattr(vb, part.name)
+                assert pa.dtype == pb.dtype and pa.shape == pb.shape and np.array_equal(pa, pb), part.name
         elif isinstance(va, dict):
             assert va.keys() == vb.keys(), field.name
             for key in va:
@@ -573,7 +578,7 @@ def test_pool_has_no_more_workers_than_blocks(basis2d_small, monkeypatch):
 
     def recording_chunk(block):
         stepped.append(block)
-        run_chunk(block)
+        return run_chunk(block)
 
     cfg = make_config(basis2d_small, T=0.01)
     want = integrate_ensemble(cfg, 3)
@@ -999,31 +1004,31 @@ def aborts_in_two_chunks(cfg, rows):
 def test_walk_is_the_one_loop(basis2d_small, basis2d, monkeypatch, chunk, case):
     # 30 steps in chunks of 1, 7, all 30 and 45: every record set, two
     # probes, forcing, an active cutoff, the modulus, increments at lags 0, 2
-    # and 9 steps (clipped at step 30), the weighted integrals at p = 2 and
-    # 3, and snapshots every 5 steps.  n = 10
-    # of K = 3 has convection
-    # segments on 8 coordinates, n = 16 of K = 8 on all 16 (see
-    # `CompiledGalerkin.convection`)
+    # and 9 steps from steps 0, 5, 21, 22, 28 and 30 (clipped at step 30 from
+    # 22 on) and from the running-maximum steps, the weighted integrals at
+    # p = 2 and 3, and snapshots every 5 steps.  n = 10 of K = 3 has
+    # convection segments on 8 coordinates, n = 16 of K = 8 on all 16 (see
+    # `CompiledGalerkin.convection`).  Each walk is the loop's bits under
+    # every record, and under each record set it holds those of them it
+    # records and the others at width 0
     basis, n = (basis2d_small, 10) if case == "scatter" else (basis2d, 16)
-    for records in record_subsets():
-        cfg = rich_config(basis, n=n, T=0.03, overflow_limit=1e3, modulus_lags=3, increment_lags=(0, 2, 9),
-                          integral_powers=(2.0, 3.0), records=records)
-        assert cfg.steps == 30
-        dW = aborts_in_two_chunks(cfg, 5)
-        walk_in_chunks(monkeypatch, 5, n, chunk)
-        got = integrate_batch(cfg, range(5), dW)
-        assert got.abort_step.tolist() == [-1, 3, -1, 20, -1]
-        assert_records_identical(oracle_batch(cfg, range(5), dW), got, equal_nan=True)
-        # Philox streams drawn chunk by chunk, rows out of order, from an
-        # F-ordered start
-        x0 = np.asfortranarray(np.random.default_rng(4).standard_normal((3, n)) * 0.3)
-        walk_in_chunks(monkeypatch, 3, n, chunk)
-        assert_records_identical(oracle_batch(cfg, [4, 0, 2], x0=x0), integrate_batch(cfg, [4, 0, 2], x0=x0))
-        # every row has aborted at step 20, mid-chunk, and the walk steps on,
-        # masked, to the horizon
-        walk_in_chunks(monkeypatch, 2, n, chunk)
-        got = integrate_batch(cfg, [1, 3], dW[:, [1, 3]])
-        assert_records_identical(oracle_batch(cfg, [1, 3], dW[:, [1, 3]]), got, equal_nan=True)
+    cfg = rich_config(basis, n=n, T=0.03, overflow_limit=1e3, modulus_lags=3, increment_lags=(0, 2, 9),
+                      increment_starts=(0, 5, 21, 22, 28, 30), integral_powers=(2.0, 3.0))
+    assert cfg.steps == 30 and cfg.records == frozenset(galerkin.RECORDS)
+    dW = aborts_in_two_chunks(cfg, 5)
+    # Philox streams drawn chunk by chunk, rows out of order, from an
+    # F-ordered start; and every row aborted at step 20, mid-chunk, after
+    # which the walk steps on, masked, to the horizon
+    x0 = np.asfortranarray(np.random.default_rng(4).standard_normal((3, n)) * 0.3)
+    walks = [(range(5), dict(dW=dW)), ([4, 0, 2], dict(x0=x0)), ([1, 3], dict(dW=dW[:, [1, 3]]))]
+    for indices, kw in walks:
+        walk_in_chunks(monkeypatch, len(indices), n, chunk)
+        want = oracle_batch(cfg, indices, **kw)
+        for records in record_subsets():
+            got = integrate_batch(dataclasses.replace(cfg, records=records), indices, **kw)
+            assert_same_but_unrecorded(want, got)
+        if len(indices) == 5:
+            assert got.abort_step.tolist() == [-1, 3, -1, 20, -1]
     assert got.cutoff_min[0] < 1.0 and len(cfg.qv_pairs) == 3
 
 
@@ -1157,13 +1162,15 @@ NORM_FIELDS = ("norm_H", "norm_D", "norm_Udual")
 
 def unrecorded_arrays(ens) -> dict:
     """The arrays of ens that its config's records leave out, by name (LEDGER
-    names, the norms' field names, snap_u for the states, and the INTEGRALS
-    term for a running integral)."""
+    names, the norms' field names, v_integral, snap_u for the states, and
+    the INTEGRALS term for a running integral)."""
     out = {}
     if "ledger" not in ens.config.records:
         out.update({name: getattr(ens, name) for name in galerkin.LEDGER})
     if "norms" not in ens.config.records:
         out.update({name: getattr(ens, name) for name in NORM_FIELDS})
+    if "v_integral" not in ens.config.records:
+        out["v_integral"] = ens.v_integral
     if "states" not in ens.config.records:
         out["snap_u"] = ens.snap_u
     out.update({name: a for name, a in ens.snap_integrals.items()
@@ -1172,14 +1179,20 @@ def unrecorded_arrays(ens) -> dict:
 
 
 def assert_same_but_unrecorded(full, part):
-    """`part` holds each output its records leave out at width 0 and every
-    other array of `full` to the bit, NaN where `full` has NaN (the ledger
-    of a step into an overflow)."""
+    """`part` holds each output its records leave out at width 0, a
+    running-maximum record without entries, and every other array of
+    `full` to the bit, NaN where `full` has NaN (the ledger of a step into
+    an overflow)."""
     missing = unrecorded_arrays(part)
     for name, a in missing.items():
         assert a.size == 0 and a.shape[0] == len(part), name
     integrals = {name: missing.get(name, a) for name, a in full.snap_integrals.items()}
-    arrays = {name: a for name, a in missing.items() if name in galerkin.LEDGER + NORM_FIELDS + ("snap_u",)}
+    arrays = {name: a for name, a in missing.items()
+              if name in galerkin.LEDGER + NORM_FIELDS + ("snap_u", "v_integral")}
+    if "running_max" not in part.config.records:
+        empty = galerkin.RunningMaxima.empty(len(part), len(part.config.increment_lags))
+        assert_records_identical(dataclasses.replace(part, running_max=empty), part)
+        arrays["running_max"] = empty
     want = dataclasses.replace(full, config=part.config, snap_integrals=integrals, **arrays)
     assert_records_identical(want, part, equal_nan=True)
 
@@ -1193,9 +1206,10 @@ def record_subsets():
 
 @EM_ONLY
 def test_ledger_off_keeps_every_other_array(basis2d_small, scheme):
-    # each of the 32 record sets, the ledger, the drift integrals, the
-    # noise integral, the states and the norms on and off; rows 1 and 3
-    # abort as in test_abort_inside_a_batch, the others run to the end
+    # each of the 128 record sets, the ledger, the drift integrals, the
+    # noise integral, the states, the norms, the V-integral and the
+    # running-maximum record on and off; rows 1 and 3 abort as in
+    # test_abort_inside_a_batch, the others run to the end
     cfg = rich_config(basis2d_small, T=0.03, overflow_limit=1e3)
     assert cfg.records == frozenset(galerkin.RECORDS)
     dW = blown_up_increments(cfg, 5)
@@ -1208,7 +1222,8 @@ def test_ledger_off_keeps_every_other_array(basis2d_small, scheme):
                                                 + (3 if "integral_drift" not in records else 0)
                                                 + (1 if "integral_noise" not in records else 0)
                                                 + (1 if "states" not in records else 0)
-                                                + (3 if "norms" not in records else 0))
+                                                + (3 if "norms" not in records else 0)
+                                                + (1 if "v_integral" not in records else 0))
         assert_same_but_unrecorded(full, part)
 
 
@@ -1464,8 +1479,9 @@ def test_rows_of_a_slice_are_views_and_of_an_index_list_or_mask_copies(basis2d_s
     cfg, ens = aborting_ensemble(basis2d_small)
     def arrays(e):
         """Every per-row array of e that holds entries (the modulus and the
-        increment norms have width 0)."""
-        skip = ("config", "snap_integrals", "modulus", "increment_norms")
+        increment norms have width 0; the running-maximum record, whose rows
+        hold entries of their own, is copied for any selection)."""
+        skip = ("config", "snap_integrals", "modulus", "increment_norms", "running_max")
         named = [(f.name, getattr(e, f.name)) for f in dataclasses.fields(e) if f.name not in skip]
         return named + list(e.snap_integrals.items())
 

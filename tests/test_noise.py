@@ -409,6 +409,39 @@ def test_sup_norm_refinement(monkeypatch):
     assert calls[0][2][0] == pytest.approx(2.0 * math.cos(phi), rel=1e-14)
 
 
+@pytest.mark.parametrize("d", [2, 3])
+def test_a_sweep_holds_one_slab_of_nodes(d):
+    # a max_k = 2 field on an anisotropic torus, swept at its degree 2 (N =
+    # 78 nodes per axis in 3D): the bracket is that of the same nodes taken
+    # from the whole grid, in the same order, to the bit, and the sweep's
+    # traced peak stays below the size of that grid
+    import tracemalloc
+
+    import sgns.noise as noise_mod
+
+    e = np.eye(d, dtype=int)
+    f = HarmonicField.build(d, d, const=0.3 * e[0], harmonics=[(2 * e[0] + e[1], 0.2 * e[1], 0.1 * e[0]),
+                                                               (e[-1] - e[0], None, 0.4 * e[-1])])
+    dom = TorusDomain(d=d, K=2, period=(2.0 * math.pi, 3.0, 5.0)[:d])
+    assert f.max_k == 2
+
+    def scalar_at(pts):
+        return np.linalg.norm(f.values(dom, pts), axis=-1)
+
+    tracemalloc.start()
+    try:
+        lo, hi = noise_mod._certified_max(scalar_at, dom, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    N = math.ceil(math.pi * 2 / math.acos((1.0 + SUP_REL_WIDTH) ** (-1.0 / d)))
+    assert hi == lo / math.cos(math.pi * 2 / N) ** d
+    whole = grid_points(dom, N)
+    assert lo == max(float(np.max(scalar_at(slab))) for slab in whole.reshape(-1, N * N, d))
+    if d == 3:
+        assert N == 78 and peak < whole.nbytes
+
+
 def test_noise_tables_shared_by_equal_bases(rng):
     model = default_noise_model(d=2)
     b1 = Basis(TorusDomain(d=2, K=3), SpaceScale(d=2))

@@ -7,7 +7,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from lag_oracle import brute_modulus, pair_increment_norms
+from lag_oracle import brute_modulus, pair_increment_norms, running_maxima
 from noise_oracle import sample_nested_space
 from path_oracle import decomposition_increments
 from conftest import walk_in_chunks
@@ -16,11 +16,11 @@ from stepper_oracle import generate_wiener
 from sgns import estimates, galerkin, tightness
 from sgns.config import load_config
 from sgns.galerkin import GalerkinConfig, convection_pairing, integrate_batch, integrate_ensemble
-from sgns.noise import default_noise_model
+from sgns.noise import constant_transport_model, default_noise_model
 from sgns.spectral import Basis, SpaceScale, random_field
 from sgns.tightness import (
     FunctionFamily,
-    _hitting_positions,
+    _hitting,
     aldous_check,
     calibrate_aldous_eta,
     dubinsky_diagnostic,
@@ -53,7 +53,7 @@ def streamed_modulus(coords: np.ndarray, w: np.ndarray, max_lag: int, chunk: int
     steps hands it: each chunk's window of states from H steps before it."""
     R, S, _ = coords.shape
     out = np.zeros((R, max_lag))
-    lags = galerkin._LagReducer(w, S - 1, out, (), np.zeros((R, 0, S)))
+    lags = galerkin._LagReducer(w, S - 1, out, (), np.zeros((R, 0, 0)), ())
     history = galerkin._lag_history(max_lag, (), S - 1)
     for first in range(0, S - 1, chunk):
         last = min(first + chunk, S - 1)
@@ -68,32 +68,36 @@ ALDOUS_LAGS = (4, 8, 16, 32, 64)
 
 @pytest.fixture(scope="module")
 def small_ensemble(basis2d_small):
-    # the modulus recorded at every lag of the 129-snapshot grid
-    return basis2d_small, integrate_ensemble(small_config(basis2d_small, modulus_lags=128,
-                                                          increment_lags=ALDOUS_LAGS), 60)
+    # the modulus recorded at every lag of the 129-snapshot grid, the
+    # increments at the Aldous lags from every step
+    return basis2d_small, integrate_ensemble(small_config(basis2d_small, modulus_lags=128, increment_lags=ALDOUS_LAGS,
+                                                          increment_starts=range(129)), 60)
 
 
 class FakeEnsemble:
     """The arrays and config entries the modulus and Aldous tables read, for given
     states (R, S, n) of `basis` at every step, dt apart, with the
     modulus over lags 1..modulus_lags (default: every lag) of the brute-force
-    oracle and the increment norms at `increment_lags` of the pair-gather
-    oracle."""
+    oracle, the increment norms at `increment_lags` from every step of the
+    pair-gather oracle, the V-integral of unit H norms and Dirichlet norms
+    `norm_D` and the running-maximum record of those H norms."""
 
     def __init__(self, snap_u, basis, dt=1e-2, norm_D=1.0, modulus_lags=None, increment_lags=()):
         R, S, n = snap_u.shape
         lags = S - 1 if modulus_lags is None else modulus_lags
         self.config = SimpleNamespace(basis=basis, n=n, dt=dt, times=np.arange(S) * dt,
                                       modulus_lags=lags, increment_lags=tuple(increment_lags),
-                                      records=frozenset({"norms"}))
+                                      increment_starts=tuple(range(S)),
+                                      records=frozenset({"v_integral", "running_max"}))
         self.snap_u = snap_u
-        self.norm_H = np.ones((R, S))
+        norm_H, norm_D = np.ones((R, S)), np.full((R, S), norm_D)
         self.max_H = np.ones(R)
-        self.norm_D = np.full((R, S), norm_D)
+        self.v_integral = np.sum(norm_H[:, :-1] ** 2 + norm_D[:, :-1] ** 2, axis=1) * dt
         self.aborted = np.zeros(R, dtype=bool)
         w = basis.mode_weights("Udual", n)
         self.modulus = brute_modulus(snap_u, w, lags)
         self.increment_norms = pair_increment_norms(snap_u, w, increment_lags)
+        self.running_max = running_maxima(norm_H, self.increment_norms)
 
     def __len__(self):
         return len(self.snap_u)
@@ -182,7 +186,7 @@ def test_family_reductions_match_per_record_loops(basis2d_small):
         for norm_H in ens.norm_H:
             hits = np.nonzero(norm_H >= level)[0]
             expect.append(hits[0] if len(hits) else last)
-        assert np.array_equal(_hitting_positions(ens.norm_H, level), expect)
+        assert np.array_equal(_hitting(ens.running_max, level, last)[0], expect)
 
 
 def test_aldous_constant_family(basis2d_small):
@@ -250,7 +254,9 @@ def test_family_and_scaling_weigh_by_the_records_basis(basis2d_small):
     # scaling table take that basis's weights from the record, and no basis
     # can be passed beside it
     other = Basis(basis2d_small.domain, SpaceScale(d=2, s_U=6.0))
-    ens = integrate_ensemble(small_config(other, increment_lags=(16,)), 8)
+    times = np.arange(129) * 1e-3
+    ens = integrate_ensemble(small_config(other, increment_lags=(16,),
+                                          increment_starts=tightness.increment_starts(0.016, times)), 8)
     w = other.mode_weights("Udual", 10)
     assert not np.array_equal(w, basis2d_small.mode_weights("Udual", 10))
     d = ens.snap_u[:, 16:] - ens.snap_u[:, :-16]  # 113 increments at theta = 0.016, all sampled
@@ -304,7 +310,7 @@ def test_lag_maxima_are_the_oracles_on_tightness_paths(n):
     # without the states record, against the oracles on the recorded states
     run = load_config(Path(__file__).resolve().parents[1] / "demos" / "configs" / "tightness.json")
     cfg = replace(run.galerkin, n=n, snapshot_stride=1, records={"integral_noise"}, modulus_lags=64,
-                  increment_lags=(4, 8, 16, 32, 64))
+                  increment_lags=(4, 8, 16, 32, 64), increment_starts=range(run.galerkin.steps + 1))
     ens = integrate_batch(cfg, range(6))
     states = integrate_batch(replace(cfg, records={"integral_noise", "states"}), range(6)).snap_u
     w = run.basis.mode_weights("Udual", n)
@@ -329,7 +335,8 @@ def test_increment_norms_are_the_pair_gathers(basis2d_small, monkeypatch, block)
     # the last of the 129 snapshots (from start 128 - lag on, and lag 200
     # from every start) and at the Aldous lags, the pair-gather oracle's
     # bits on the recorded states
-    cfg = small_config(basis2d_small, overflow_limit=1e3, increment_lags=(0, 1, 5, 64, 128, 200))
+    cfg = small_config(basis2d_small, overflow_limit=1e3, increment_lags=(0, 1, 5, 64, 128, 200),
+                       increment_starts=range(129))
     monkeypatch.setattr(galerkin, "cache_rows", lambda config: block)
     ens = integrate_ensemble(cfg, 7)
     assert ens.increment_norms.shape == (7, 6, 129)
@@ -352,7 +359,8 @@ def test_unrecorded_states_keep_the_reductions(basis2d_small, monkeypatch):
     # the modulus and the increment norms of paths stepped without the
     # states record, in one batch with two rows aborting and in blocks of 3
     # rows, are the bits of the runs that record them
-    cfg = small_config(basis2d_small, overflow_limit=1e3, modulus_lags=20, increment_lags=(4, 16, 64))
+    cfg = small_config(basis2d_small, overflow_limit=1e3, modulus_lags=20, increment_lags=(4, 16, 64),
+                       increment_starts=range(129))
     dW = aborting_increments(cfg, 7)
     full = integrate_batch(cfg, range(7), dW)
     part_cfg = replace(cfg, records=frozenset(galerkin.RECORDS) - {"states"})
@@ -395,21 +403,25 @@ def test_a_block_holds_no_path(basis2d_small, monkeypatch, verb):
     # 7 paths over 512 and 2,048 steps in chunks of 32, recorded as the
     # ensemble verb records them (the ledger), as the estimates verb does
     # (nothing), as the tightness verb does (the noise integral every 8
-    # steps and the norms; the modulus over 32 steps, increments at lags 4,
-    # 16 and 32), or with the states and the noise integral at every step
-    # and those lags: the block's private memory stays below one
-    # (7, steps + 1, n) path and grows with the steps by less than 6
-    # (7, steps) rows (3 norms and 3 increments of the Ensemble, itself one
+    # steps, the V-integral and the running-maximum record; the modulus over
+    # 32 steps, increments at lags 4, 16 and 32 from the grid rules' and
+    # the threshold's starts and from the running-maximum steps), or with
+    # the states and the noise integral at every step and those lags: the
+    # block's private memory stays below one (7, steps + 1, n) path and
+    # grows with the steps by less than 6 (7, steps) arrays, and under the
+    # tightness records by less than a quarter of one (the Ensemble is one
     # shared mapping, which tracemalloc does not see), and no mapping but
     # the Ensemble's is as large as a path
     rows, peaks = 7, []
     lags = dict(modulus_lags=32, increment_lags=(4, 16, 32))
     kept = {"ensemble": dict(snapshot_stride=10, records={"ledger"}),
             "estimates": dict(snapshot_stride=10, records=()),
-            "tightness": dict(snapshot_stride=8, records={"integral_noise", "norms"}, **lags),
+            "tightness": dict(snapshot_stride=8, records={"integral_noise", "v_integral", "running_max"}, **lags),
             "states": dict(snapshot_stride=1, records={"states", "integral_noise"}, **lags)}[verb]
     for steps in (512, 2048):
         cfg = replace(small_config(basis2d_small), T=steps * 1e-3, **kept)
+        if verb == "tightness":
+            cfg = replace(cfg, increment_starts=tightness.increment_starts(0.004, cfg.times))
         walk_in_chunks(monkeypatch, rows, cfg.n, 32)
         peak, private, shared = block_memory(monkeypatch, cfg, rows)
         path = 8 * rows * (steps + 1) * cfg.n
@@ -420,23 +432,30 @@ def test_a_block_holds_no_path(basis2d_small, monkeypatch, verb):
         assert shared == [ensemble]
         assert (ensemble >= path) == (verb == "states")
         peaks.append(peak)
-    assert peaks[1] - peaks[0] < 8 * rows * 6 * (2048 - 512)
+    assert peaks[1] - peaks[0] < 8 * rows * (0.25 if verb == "tightness" else 6) * (2048 - 512)
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-@pytest.mark.parametrize("verb", ["ensemble", "estimates"])
+@pytest.mark.parametrize("verb", ["ensemble", "estimates", "tightness"])
 def test_the_functionals_hold_no_array_over_the_steps(basis2d_small, monkeypatch, verb, workers):
     # 6 paths in blocks of 3, over 256 and 1,024 steps in chunks of 32,
-    # recorded as the ensemble verb records them (the ledger) or as the
-    # estimates verb does (nothing, the weighted integrals at two powers),
-    # on 1 worker or on 2, where the second block is stepped by a forked
-    # worker: no norm of a step is recorded, so the Ensemble's one shared
-    # mapping does not grow with the steps; the traced peak of each block,
-    # in the verb's process or in the worker, grows by less than one
-    # (3, steps) array, so no block holds its Ito or Hilbert-Schmidt
-    # increments; and neither does the verb's read of the functionals
-    records = {"ensemble": {"ledger"}, "estimates": set()}[verb]
-    powers = {"ensemble": (2.0,), "estimates": (2.0, 2.5)}[verb]
+    # recorded as the ensemble verb records them (the ledger), as the
+    # estimates verb does (nothing, the weighted integrals at two powers)
+    # or as the tightness verb does (the noise integral every 8 steps, the
+    # V-integral, the running-maximum record, the modulus and the increments
+    # from the grid rules' and the threshold's starts), on 1 worker or on 2,
+    # where the second block is stepped by a forked worker: no norm of a
+    # step is recorded, so the Ensemble's one shared mapping does not grow
+    # with the steps but by the noise integral's snapshots; the traced peak
+    # of each block, in the verb's process or in the worker, grows by less
+    # than one (3, steps) array, so no block holds its Ito or
+    # Hilbert-Schmidt increments nor a norm of every step; and neither does
+    # the verb's read of the functionals (the Dubinsky, threshold and Aldous
+    # tables under tightness)
+    records = {"ensemble": {"ledger"}, "estimates": set(),
+               "tightness": {"integral_noise", "v_integral", "running_max"}}[verb]
+    powers = {"ensemble": (2.0,), "estimates": (2.0, 2.5), "tightness": ()}[verb]
+    deltas, thetas = [0.002, 0.004, 0.008], [0.004, 0.008, 0.016]
     monkeypatch.setattr(galerkin, "cache_rows", lambda config: 3)
     # a shared mapping for the blocks' peaks, which a forked worker writes
     block_peaks = np.frombuffer(mmap.mmap(-1, 16), dtype=np.float64)
@@ -445,22 +464,36 @@ def test_the_functionals_hold_no_array_over_the_steps(basis2d_small, monkeypatch
     def traced(ens, dW=None, x0=None):
         tracemalloc.start()
         try:
-            integrate(ens, dW, x0)
+            out = integrate(ens, dW, x0)
             block_peaks[ens.indices[0] // 3] = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        return out
 
     def spy(fileno, length, **kwargs):
         if not kwargs.get("flags", mmap.MAP_SHARED) & mmap.MAP_PRIVATE:
             maps.append(length)
         return make(fileno, length, **kwargs)
 
-    peaks, reads, shared = [], [], []
+    def read(ens):
+        if verb != "tightness":
+            stats = estimates.aggregate({cfg.n: ens}, p_list=powers)
+            return stats.per_n[cfg.n]["count"] == 6
+        rep = dubinsky_diagnostic(ens, deltas)
+        return aldous_check(ens, thetas, calibrate_aldous_eta(ens, min(thetas))).passed in (True, False) and (
+            rep.sup_V_integral > 0.0)
+
+    peaks, reads, shared, snaps = [], [], [], []
     integrate_ensemble(small_config(basis2d_small), 1)
     for steps in (256, 1024):
         cfg = replace(small_config(basis2d_small), T=steps * 1e-3, snapshot_stride=0, records=records,
                       integral_powers=powers)
+        if verb == "tightness":
+            cfg = replace(cfg, snapshot_stride=8, modulus_lags=modulus_lags(deltas, cfg.times),
+                          increment_lags=tightness.increment_lags(thetas, min(thetas), cfg.times),
+                          increment_starts=tightness.increment_starts(min(thetas), cfg.times))
         assert all(galerkin._row_shapes(cfg)[name] == (0,) for name in ("norm_H", "norm_D", "norm_Udual"))
+        snaps.append(len(cfg.snap_idx) if "integral_noise" in records else 0)
         walk_in_chunks(monkeypatch, 3, cfg.n, 32)
         monkeypatch.setattr(galerkin, "_integrate_rows", traced)
         monkeypatch.setattr(galerkin.mmap, "mmap", spy)
@@ -474,12 +507,13 @@ def test_the_functionals_hold_no_array_over_the_steps(basis2d_small, monkeypatch
         peaks.append(block_peaks.copy())
         tracemalloc.start()
         try:
-            stats = estimates.aggregate({cfg.n: ens}, p_list=powers)
+            assert read(ens)
             reads.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
-        assert stats.per_n[cfg.n]["count"] == 6 and np.all(ens.max_H > 0.0)
-    assert len(shared[0]) == 1 and shared[0] == shared[1]
+        assert np.all(ens.max_H > 0.0)
+    assert len(shared[0]) == len(shared[1]) == 1
+    assert 0 <= shared[1][0] - shared[0][0] <= 8 * 6 * cfg.n * (snaps[1] - snaps[0])
     assert np.all(peaks[0] > 0.0) and np.all(peaks[1] - peaks[0] < 8 * 3 * (1024 - 256))
     assert reads[1] - reads[0] < 8 * 6 * (1024 - 256)
 
@@ -499,7 +533,8 @@ def test_streamed_lag_reductions_in_any_chunks(basis2d_small, monkeypatch, chunk
     w = basis2d_small.mode_weights("Udual", 10)
     walk_in_chunks(monkeypatch, 7, 10, chunk)
     for max_lag, increment_lags in ((20, (0, 5, 20)), (12, (3, 5, 12))):
-        cfg = small_config(basis2d_small, overflow_limit=1e3, modulus_lags=max_lag, increment_lags=increment_lags)
+        cfg = small_config(basis2d_small, overflow_limit=1e3, modulus_lags=max_lag, increment_lags=increment_lags,
+                           increment_starts=range(129))
         some = aborting_increments(cfg, 7)
         every = some.copy()
         every[40] = 1e6
@@ -523,8 +558,9 @@ def test_streamed_lag_reductions_on_any_workers(basis2d_small, monkeypatch, work
     monkeypatch.setattr(galerkin, "cache_rows", lambda config: 2)
     walk_in_chunks(monkeypatch, 2, 10, 30)
     w = basis2d_small.mode_weights("Udual", 10)
-    long = small_config(basis2d_small, modulus_lags=64, increment_lags=(4, 16, 64))
-    short = replace(small_config(basis2d_small, modulus_lags=12, increment_lags=(5, 64)), T=0.012)
+    long = small_config(basis2d_small, modulus_lags=64, increment_lags=(4, 16, 64), increment_starts=range(129))
+    short = replace(small_config(basis2d_small, modulus_lags=12, increment_lags=(5, 64), increment_starts=range(13)),
+                    T=0.012)
     for cfg in (long, short):
         assert galerkin._lag_history(cfg.modulus_lags, cfg.increment_lags, cfg.steps) == min(64, cfg.steps)
         ens = integrate_ensemble(cfg, 7, workers=workers)
@@ -540,7 +576,8 @@ def test_lag_reductions_count_steps_whatever_the_snapshots(basis2d_small, monkey
     # steps, past the 16 spacings of the snapshots, and every step's
     # increments at lags 0, 1, 5, 64 and 200 steps are the oracles' bits on
     # the states of the same paths recorded at every step
-    cfg = small_config(basis2d_small, overflow_limit=1e3, modulus_lags=20, increment_lags=(0, 1, 5, 64, 200))
+    cfg = small_config(basis2d_small, overflow_limit=1e3, modulus_lags=20, increment_lags=(0, 1, 5, 64, 200),
+                       increment_starts=range(129))
     assert cfg.snapshot_stride == 1
     kept = {"noise": {"integral_noise"}, "all": galerkin.RECORDS}[records]
     sparse = replace(cfg, snapshot_stride=8, records=kept)
@@ -561,14 +598,122 @@ def test_lag_reductions_count_steps_whatever_the_snapshots(basis2d_small, monkey
     assert np.all(batch.increment_norms[[1, 3], :, 41:] == 0.0)
 
 
+def hitting_positions(norm_H: np.ndarray, level: float) -> np.ndarray:
+    """The first step of each row of the per-step norms (R, S) at or above
+    `level`, the last step where there is none: the reference for the
+    hitting steps read off the running-maximum record."""
+    hit = norm_H >= level
+    return np.where(hit.any(axis=1), np.argmax(hit, axis=1), norm_H.shape[1] - 1)
+
+
+def assert_running_maxima_are_the_full_records(ens) -> None:
+    """ens recorded the states, the norms and the increments from every
+    step: its running-maximum record is the loop's over its norms, with the
+    pair-gather oracle's increments there, and at every level -- below
+    |u_0|_H, at it, between it and the sups, at the median, at an entry's
+    norm, at the largest sup, just past it and past every sup -- the steps
+    and increments read off it (`_hitting`) are the first steps of the
+    norm record at the level and the increments of the record of every
+    step from there."""
+    cfg, peaks = ens.config, ens.running_max
+    assert cfg.increment_starts == tuple(range(cfg.steps + 1))
+    w = cfg.basis.mode_weights("Udual", cfg.n)
+    full = pair_increment_norms(ens.snap_u, w, cfg.increment_lags)
+    assert np.array_equal(ens.increment_norms, full)
+    want = running_maxima(ens.norm_H, full)
+    for name in ("offsets", "step", "norm_H", "increments"):
+        got, oracle = getattr(peaks, name), getattr(want, name)
+        assert got.dtype == oracle.dtype and got.shape == oracle.shape and np.array_equal(got, oracle), name
+    h0, sups = ens.norm_H[:, 0], np.max(ens.norm_H, axis=1)
+    levels = [0.0, 0.5 * np.min(h0), h0[0], 0.5 * (np.max(h0) + np.min(sups)), float(np.median(sups)),
+              peaks.norm_H[len(peaks.step) // 2], np.max(sups), np.nextafter(np.max(sups), np.inf), np.inf]
+    rows = np.arange(len(ens))
+    for level in levels:
+        steps, entry = _hitting(peaks, level, cfg.steps)
+        assert np.array_equal(steps, hitting_positions(ens.norm_H, level)), level
+        for i in range(len(cfg.increment_lags)):
+            got = np.where(entry >= 0, peaks.increments[entry, i], 0.0)
+            assert np.array_equal(got, full[rows, i, steps]), (level, i)
+
+
+def rising_config(basis, **kw):
+    """small_config under multiplicative noise c u dW with c = 2, whose H
+    norms set several running maxima on each path, and an overflow limit
+    of 1.5 that four of the first 7 paths pass, at steps 15, 38, 38 and 59;
+    the increments at lags 0, 1, 5, 64 and 200 steps (past the horizon)
+    from every step."""
+    cfg = small_config(basis, overflow_limit=1.5, increment_lags=(0, 1, 5, 64, 200),
+                       increment_starts=range(129), **kw)
+    return replace(cfg, model=constant_transport_model([[1.0, 0.0]], c_values=[2.0]))
+
+
+@pytest.mark.parametrize("chunk", [1, 5])
+def test_running_maxima_give_the_hitting_steps_and_increments(basis2d_small, monkeypatch, chunk):
+    # 7 paths in one batch walked in chunks of 1 and 5 steps, and each path
+    # alone: the record of each is the oracles' and the same bits alone
+    cfg = rising_config(basis2d_small)
+    walk_in_chunks(monkeypatch, 7, cfg.n, chunk)
+    ens = integrate_batch(cfg, range(7))
+    assert ens.abort_step.tolist() == [-1, 38, -1, 59, 38, 15, -1]
+    assert np.all(np.diff(ens.running_max.offsets) > 2)
+    assert_running_maxima_are_the_full_records(ens)
+    walk_in_chunks(monkeypatch, 1, cfg.n, chunk)
+    for r in range(7):
+        alone = integrate_batch(cfg, [r]).running_max
+        picked = ens.running_max.rows([r])
+        for name in ("offsets", "step", "norm_H", "increments"):
+            assert np.array_equal(getattr(alone, name), getattr(picked, name)), (r, name)
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_running_maxima_on_any_workers(basis2d_small, monkeypatch, workers):
+    # 7 paths in blocks of 2 rows on 1, 2 or 3 workers, whose records are
+    # joined in row order, and the same paths recorded without the states,
+    # the norms and the increments from every step, as the tightness verb
+    # records them: the same record
+    monkeypatch.setattr(galerkin, "cache_rows", lambda config: 2)
+    cfg = rising_config(basis2d_small)
+    ens = integrate_ensemble(cfg, 7, workers=workers)
+    assert ens.abort_step.tolist() == [-1, 38, -1, 59, 38, 15, -1]
+    assert_running_maxima_are_the_full_records(ens)
+    lean = integrate_ensemble(replace(cfg, increment_starts=(), records={"running_max"}), 7, workers=workers)
+    assert lean.increment_norms.shape == (7, 5, 0) and lean.norm_H.shape == (7, 0)
+    for name in ("offsets", "step", "norm_H", "increments"):
+        assert np.array_equal(getattr(lean.running_max, name), getattr(ens.running_max, name)), name
+    # a selection of rows is their entries, in order
+    picked = ens.running_max.rows(~ens.aborted)
+    for k, r in enumerate(np.flatnonzero(~ens.aborted)):
+        at = slice(ens.running_max.offsets[r], ens.running_max.offsets[r + 1])
+        assert np.array_equal(picked.step[picked.offsets[k] : picked.offsets[k + 1]], ens.running_max.step[at])
+
+
+def test_v_integral_is_the_one_sum_of_the_norms(basis2d_small, monkeypatch):
+    # 7 rising paths, four aborting, in chunks of 1 and 5 steps, with and
+    # without the norms: the V-integral is np.sum of |u|^2 + ||u||^2 over
+    # the steps before the horizon of the zeroed norm record, times dt, to
+    # the bit, which the Dubinsky table reads
+    cfg = rising_config(basis2d_small)
+    for chunk in (1, 5):
+        walk_in_chunks(monkeypatch, 7, cfg.n, chunk)
+        ens = integrate_batch(cfg, range(7))
+        H, D = ens.norm_H, ens.norm_D
+        want = np.sum(H[:, :-1] ** 2 + D[:, :-1] ** 2, axis=1) * cfg.dt
+        assert np.array_equal(ens.v_integral, want)
+        lean = integrate_batch(replace(cfg, records={"v_integral"}), range(7))
+        assert np.array_equal(lean.v_integral, want) and lean.norm_H.shape == (7, 0)
+    rep = dubinsky_diagnostic(ens, [5e-4])
+    assert rep.sup_V_integral == float(np.max(want[~ens.aborted]))
+
+
 def test_a_missing_increment_lag_is_named(small_ensemble):
     # the fixture recorded the lags 4, 8, 16, 32 and 64
     _, ens = small_ensemble
     fam = FunctionFamily(ens)
-    assert np.array_equal(fam.increment_norms(16), ens.increment_norms[:, 2])
+    assert np.array_equal(fam.increment_norms(16, range(129)), ens.increment_norms[:, 2])
+    assert np.array_equal(fam.increment_norms(16, [90, 3]), ens.increment_norms[:, 2, [90, 3]])
     message = r"increments at lag 2, but the ensemble recorded lags \[4, 8, 16, 32, 64\].*increment_lags"
     with pytest.raises(ValueError, match=message):
-        fam.increment_norms(2)
+        fam.increment_norms(2, [0])
     with pytest.raises(ValueError, match=message):
         calibrate_aldous_eta(ens, 0.002)
     with pytest.raises(ValueError, match=message):
@@ -578,6 +723,21 @@ def test_a_missing_increment_lag_is_named(small_ensemble):
         calibrate_aldous_eta(ens, 0.25)
     with pytest.raises(ValueError, match="increment_lags"):
         small_config(ens.config.basis, increment_lags=(4, -1))
+    # an ensemble that recorded the increments from the grid rules' three
+    # steps alone: a read from any other step names the starts
+    cfg = small_config(ens.config.basis, increment_lags=(4, 16), increment_starts=(90, 26, 58, 26))
+    assert cfg.increment_starts == (26, 58, 90)
+    few = integrate_batch(cfg, range(3))
+    assert np.array_equal(few.increment_norms, ens.increment_norms[:3][:, [0, 2]][:, :, [26, 58, 90]])
+    starts = r"increments from step\(s\) \[0, 5\], which the ensemble did not record.*increment_starts"
+    with pytest.raises(ValueError, match=starts):
+        FunctionFamily(few).increment_norms(16, [0, 26, 5])
+    with pytest.raises(ValueError, match=r"from step\(s\) \[0, 1, 2,.*increment_starts"):
+        calibrate_aldous_eta(few, 0.004)
+    assert aldous_check(few, [0.004, 0.016], 0.1).passed in (True, False)
+    for bad in ((0, 129), (-1,), (2.5,)):
+        with pytest.raises(ValueError, match=r"increment_starts = .* must be steps in \[0, 128\]"):
+            small_config(ens.config.basis, increment_starts=bad)
 
 
 def test_increment_lags_are_the_aldous_and_threshold_lags():
@@ -916,26 +1076,36 @@ def _tables(ens) -> list:
 
 def test_tables_read_views_of_the_live_rows(small_ensemble, monkeypatch):
     # each recorded lag read of the tables, with whether it is a view of the
-    # ensemble's array
+    # ensemble's array: the modulus is read as a view of the live rows, the
+    # increments as the few columns of the starts read, which are the
+    # recorded ones of the live rows
     basis, _ = small_ensemble
     read = []
     for name, field in (("lag_maxima", "modulus"), ("increment_norms", "increment_norms")):
-        def spy(fam, lag, method=getattr(FunctionFamily, name), field=field):
-            out = method(fam, lag)
-            read.append(np.shares_memory(out, getattr(fam.ens, field)))
+        def spy(fam, lag, *starts, name=name, method=getattr(FunctionFamily, name), field=field):
+            out = method(fam, lag, *starts)
+            read.append((name, np.shares_memory(out, getattr(fam.ens, field))))
+            if starts:
+                cfg = fam.ens.config
+                cols = [cfg.increment_starts.index(s) for s in starts[0]]
+                want = fam.ens.increment_norms[~fam.ens.aborted, cfg.increment_lags.index(lag)][:, cols]
+                assert np.array_equal(out, want)
             return out
         monkeypatch.setattr(FunctionFamily, name, spy)
-    cfg = replace(small_config(basis), T=0.016, overflow_limit=1e3, modulus_lags=4, increment_lags=(2, 4))
+    times = np.arange(17) * 1e-3
+    cfg = replace(small_config(basis), T=0.016, overflow_limit=1e3, modulus_lags=4, increment_lags=(2, 4),
+                  increment_starts=tightness.increment_starts(0.002, times))
     dW = np.stack([generate_wiener(cfg.steps, cfg.M, cfg.dt, cfg.seed, i) for i in range(5)], axis=1)
     full = _tables(integrate_batch(cfg, range(5), dW))
-    assert len(read) == 5 and all(read)
+    reads = ["lag_maxima"] * 2 + ["increment_norms"] * 3
+    assert sorted(read) == sorted(zip(reads, [True] * 2 + [False] * 3))
     # rows 1 and 3 abort: every table is that of the other rows, read as copies
     dW[4, [1, 3]] = 1e6
     ens = integrate_batch(cfg, range(5), dW)
     assert ens.aborted.tolist() == [False, True, False, True, False]
     read.clear()
     got = _tables(ens)
-    assert len(read) == 5 and not any(read)
+    assert sorted(read) == sorted(zip(reads, [False] * 5))
     want = _tables(ens.rows(~ens.aborted))
     assert _same(dict(enumerate(got)), dict(enumerate(want)))
     assert not _same(dict(enumerate(got)), dict(enumerate(full)))

@@ -24,10 +24,38 @@ def test_peak_split_takes_the_summed_worker_peaks_off_the_verb_peak(tmp_path):
         (work / f"result-{i}.json").write_text(json.dumps(res))
     assert bench_pairs.WORKERS == 2
     assert bench_pairs.peak_split(tmp_path, "w") == {"verb_peak_mb": 45.0, "worker_peak_mb": 35.0,
-                                                     "second_worker_peak_mb": 25.0}
+                                                     "second_worker_peak_mb": 25.0,
+                                                     "pool_peaks_mb": [20.0, 30.0, 30.0]}
     split = bench_pairs.peak_split(tmp_path, "missing")
-    assert set(split) == {m["name"] for m in bench_pairs.PEAK_SPLIT}
+    assert set(split) == {m["name"] for m in bench_pairs.PEAK_SPLIT} | {"pool_peaks_mb"}
+    assert split.pop("pool_peaks_mb") == []
     assert all(math.isnan(v) for v in split.values())
+
+
+def test_pool_peaks_are_the_median_worker_peak_of_each_pool_in_fork_order(tmp_path):
+    # three invocations of a verb that forks one pool per level, one worker
+    # each at 2 workers, the worker peaks in the order the pools exited;
+    # one invocation stopped after two levels, so the third pool's median
+    # is over the two that forked it
+    work = tmp_path / ".bench_work" / "w"
+    work.mkdir(parents=True)
+    results = [{"peak_rss_mb": 120.0, "worker_peaks_mb": [40.0, 50.0, 60.0]},
+               {"peak_rss_mb": 121.0, "worker_peaks_mb": [42.0, 48.0, 64.0]},
+               {"peak_rss_mb": 119.0, "worker_peaks_mb": [41.0, 52.0]}]
+    for i, res in enumerate(results, 1):
+        (work / f"result-{i}.json").write_text(json.dumps(res))
+    split = bench_pairs.peak_split(tmp_path, "w")
+    assert split["pool_peaks_mb"] == [41.0, 50.0, 62.0]
+    # compared like the metrics, per pool, over the pools every run reports
+    parent = [{"correct": True, "pool_peaks_mb": [41.0, 50.0, 62.0]},
+              {"correct": True, "pool_peaks_mb": [41.5, 50.5, 61.0]}]
+    change = [{"correct": True, "pool_peaks_mb": [41.0, 49.0, 55.0]},
+              {"correct": True, "pool_peaks_mb": [41.0, 49.5]}]
+    metrics = bench_pairs.pool_metrics(parent + change)
+    assert [m["name"] for m in metrics] == ["pool_0_peak_mb", "pool_1_peak_mb"]
+    out = bench_pairs.compare(parent, change, metrics, bench_pairs.pool_peak)
+    assert out["pool_0_peak_mb"]["change_wins"] == 1 and out["pool_1_peak_mb"]["change_wins"] == 2
+    assert out["pool_1_peak_mb"]["change"]["median"] == 49.25
 
 
 @pytest.mark.parametrize("workers, want", [
@@ -43,7 +71,7 @@ def test_peak_split_parts_add_up_to_the_peak(tmp_path, workers, want):
     (work / "result-1.json").write_text(json.dumps({"peak_rss_mb": 150.0, "worker_peaks_mb": workers}))
     split = bench_pairs.peak_split(tmp_path, "w")
     assert (split["verb_peak_mb"], split["worker_peak_mb"], split["second_worker_peak_mb"]) == want
-    assert sum(split.values()) == 150.0
+    assert split.pop("pool_peaks_mb") == workers and sum(split.values()) == 150.0
 
 
 def test_compare_reads_the_peak_split_like_the_metrics():

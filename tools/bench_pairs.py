@@ -23,7 +23,11 @@ moved: per run, the median over its verb invocations (each run's
 the second largest worker peak, compared like the metrics.  In each
 invocation the three add up to ``peak_rss_mb``; the second worker matters
 where a verb forks one pool per level, as ``tightness-levels`` does, so
-that the two summed peaks are workers of different pools.  The ``build``
+that the two summed peaks are workers of different pools.  Beside them,
+``pool_peaks`` compares, per pool in the order the verb forks them (one
+per level on ``tightness-levels``), the median over the run's invocations
+of that pool's largest worker peak, so a memory change can be traced to
+the level it moved.  The ``build``
 record says whether the runs start from bytecode: the value of
 ``PYTHONDONTWRITEBYTECODE`` and per checkout whether
 ``src/sgns/__pycache__`` exists before the first run and after the last.
@@ -93,17 +97,42 @@ def peak_split(root: Path, workload: str) -> dict:
     largest worker peak (0 where there is none), in MB, over the verb
     invocations of the last bench/run.py run of `workload` in `root`:
     ``peak_rss_mb`` is the first plus the largest WORKERS worker peaks,
-    which at WORKERS = 2 are the other two."""
+    which at WORKERS = 2 are the other two.  Under ``pool_peaks_mb``, per
+    pool in fork order, the median of its largest worker peak over the
+    invocations that forked it.  The verb's process is one of the WORKERS
+    workers of a pool, which forks the other WORKERS - 1, and each pool
+    joins its workers before the next forks, so the worker peaks, which
+    each worker appends as it exits, come pool by pool."""
     split = {m["name"]: [] for m in PEAK_SPLIT}
+    pools = []
     for path in (root / ".bench_work" / workload).glob("result-*.json"):
         res = json.loads(path.read_text())
         if "peak_rss_mb" not in res:  # a set-up spawn, which runs no verb
             continue
-        peaks = sorted(res["worker_peaks_mb"], reverse=True) + [0.0, 0.0]
+        forked = res["worker_peaks_mb"]
+        peaks = sorted(forked, reverse=True) + [0.0, 0.0]
         split["verb_peak_mb"].append(res["peak_rss_mb"] - sum(peaks[:WORKERS]))
         split["worker_peak_mb"].append(peaks[0])
         split["second_worker_peak_mb"].append(peaks[1])
-    return {name: float(np.median(v)) if v else float("nan") for name, v in split.items()}
+        per_pool = max(1, WORKERS - 1)
+        for i, at in enumerate(range(0, len(forked), per_pool)):
+            if i == len(pools):
+                pools.append([])
+            pools[i].append(max(forked[at : at + per_pool]))
+    out = {name: float(np.median(v)) if v else float("nan") for name, v in split.items()}
+    return {**out, "pool_peaks_mb": [float(np.median(v)) for v in pools]}
+
+
+def pool_metrics(runs: list) -> list:
+    """The pools every run of `runs` reports (`peak_split`), as metrics
+    ``pool_<i>_peak_mb`` that `compare` reads with `pool_peak`."""
+    pools = min((len(run.get("pool_peaks_mb", [])) for run in runs), default=0)
+    return [{"name": f"pool_{i}_peak_mb", "unit": "MB", "better": "lower", "bound": None} for i in range(pools)]
+
+
+def pool_peak(run: dict, name: str) -> float:
+    """A run's median peak of the pool that metric `name` of `pool_metrics` names."""
+    return run["pool_peaks_mb"][int(name.split("_")[1])]
 
 
 def pycache(roots: dict) -> dict:
@@ -181,7 +210,9 @@ def main(argv=None) -> int:
         workloads[w] = {"failed": {s: sum(not r.get("correct") for r in rs) for s, rs in runs.items()},
                         "metrics": compare(runs["parent"], runs["change"], spec["end_to_end"]),
                         "peak_split": compare(runs["parent"], runs["change"], PEAK_SPLIT,
-                                             lambda run, name: run[name])}
+                                             lambda run, name: run[name]),
+                        "pool_peaks": compare(runs["parent"], runs["change"],
+                                              pool_metrics(runs["parent"] + runs["change"]), pool_peak)}
     build["pycache_after"] = pycache(roots)
     doc = {"seed": args.seed, "pairs": args.pairs, "run_seconds": RUN_SECONDS,
            "command": "python3 bench/run.py --workload W --seed S --seconds 5 --trace 0",
