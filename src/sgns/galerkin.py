@@ -24,8 +24,9 @@ norm and its left-endpoint integrals of ||u||^2 |u|^(p-2) at the config's
 `integral_powers`, summed in the order of numpy's pairwise sum over the
 whole row (`_PairwiseSum`).  Besides them, the stepper records what the
 config's record set (`GalerkinConfig.records`, names of `RECORDS`) asks
-for: the norms of every step; the states; the V-integral, the sum of
-|u|^2 + ||u||^2 over the steps, in the same pairwise sum; the
+for: the norms of every step; the states; the reductions of the norms
+that the tightness diagnostics read, the V-integral, the sum of
+|u|^2 + ||u||^2 over the steps, in the same pairwise sum, and the
 running-maximum record, the steps where |u|_H sets a new running maximum,
 among them the first step at any level, with the increments from there;
 the energy ledger, each step's drift, taming, forcing and martingale work
@@ -271,10 +272,11 @@ INTEGRALS = ("stokes", "convection", "forcing", "noise")
 # read by `energy_budget_check`), the Stokes, convection and forcing
 # integrals, which every reader reads together, the noise integral, the
 # states at the snapshot steps (`Ensemble.snap_u`), the H, Dirichlet and
-# U' norms of every step (`Ensemble.norm_H`, `norm_D`, `norm_Udual`), each
-# path's V-integral (`Ensemble.v_integral`) and its running-maximum record
+# U' norms of every step (`Ensemble.norm_H`, `norm_D`, `norm_Udual`), and
+# the reductions of each path's norms that the tightness diagnostics read,
+# its V-integral (`Ensemble.v_integral`) and its running-maximum record
 # (`Ensemble.running_max`)
-RECORDS = ("ledger", "integral_drift", "integral_noise", "states", "norms", "v_integral", "running_max")
+RECORDS = ("ledger", "integral_drift", "integral_noise", "states", "norms", "norm_reductions")
 
 
 def integral_record(term: str) -> str:
@@ -331,7 +333,7 @@ class GalerkinConfig:
     modulus_lags: int = 0
     # lags, in steps, at which the stepper records the U' increments from
     # the `increment_starts` and from the running-maximum steps
-    # (`running_max`), clipped to the horizon
+    # (`Ensemble.running_max`), clipped to the horizon
     increment_lags: tuple = ()
     # steps, ascending, from which the stepper records the increment at each
     # of `increment_lags` (`increment_norms`)
@@ -772,7 +774,7 @@ def _row_shapes(config: GalerkinConfig) -> dict:
     steps, n, records = config.steps, config.n, config.records
     snaps = len(config.snap_idx)
     shapes = {name: (steps + 1 if "norms" in records else 0,) for name in ("norm_H", "norm_D", "norm_Udual")}
-    shapes.update(max_H=(), v_integral=() if "v_integral" in records else (0,),
+    shapes.update(max_H=(), v_integral=() if "norm_reductions" in records else (0,),
                   weighted_integrals=(len(config.integral_powers),))
     shapes.update({name: () if "ledger" in records else (0,) for name in LEDGER})
     shapes.update(snap_u=(snaps if "states" in records else 0, n), qv_cum=(snaps, len(config.qv_pairs)))
@@ -1213,19 +1215,20 @@ def _integrate_rows(ens: Ensemble, dW=None, x0=None) -> None:
     over lags 1..modulus_lags of the step grid and its increments at
     `increment_lags` from the `increment_starts` are reduced from each
     chunk's window as it is handed over (`_LagReducer`); no step's state is
-    kept longer.  Under `running_max` each row's running-maximum steps are
-    taken from its H norms as they are handed over, zero after its abort
-    step, with the increments from them (`_RunningMaxWalk`).
+    kept longer.  Under `norm_reductions` each row's V-integral is one
+    more term of those sums, and its running-maximum steps are taken from
+    its H norms as they are handed over, zero after its abort step, with
+    the increments from them (`_RunningMaxWalk`).
 
     Returns the block's running-maximum record, also set on `ens`, or None
     unrecorded."""
     config = ens.config
     steps, powers, records = config.steps, config.integral_powers, config.records
-    ledger, v_integral = "ledger" in records, "v_integral" in records
+    ledger, reductions = "ledger" in records, "norm_reductions" in records
     norms = dict(H=ens.norm_H, D=ens.norm_D, Udual=ens.norm_Udual) if "norms" in records else {}
     # the terms each row sums, one (steps,) row per term: an integrand per
     # power, the V-integrand, then the Ito and Hilbert-Schmidt increments
-    width = len(powers) + v_integral + 2 * ledger
+    width = len(powers) + reductions + 2 * ledger
     sums = _PairwiseSum(width * len(ens), steps)
     snap_idx = config.snap_idx
     lags = running = None
@@ -1233,7 +1236,7 @@ def _integrate_rows(ens: Ensemble, dW=None, x0=None) -> None:
         sys = _compiled(config.basis, config.n, config.model, config.include_B)
         lags = _LagReducer(sys.wUdual, config.steps, ens.modulus, config.increment_lags, ens.increment_norms,
                            config.increment_starts)
-    if "running_max" in records:
+    if reductions:
         running = _RunningMaxWalk(len(ens), lags if config.increment_lags else None)
     for chunk in step_chunks(config, ens.indices.tolist(), x0, dW):
         first, last = chunk.first, chunk.last
@@ -1252,7 +1255,7 @@ def _integrate_rows(ens: Ensemble, dW=None, x0=None) -> None:
         d2 = values["D"][:count] ** 2
         for i, p in enumerate(powers):
             terms[:, i] = d2 if p == 2.0 else d2 * values["H"][:count] ** (p - 2)
-        if v_integral:
+        if reductions:
             terms[:, len(powers)] = values["H"][:count] ** 2 + d2
         if ledger:
             terms[:, -2], terms[:, -1] = chunk.ito, chunk.hs
@@ -1279,7 +1282,7 @@ def _integrate_rows(ens: Ensemble, dW=None, x0=None) -> None:
             snaps[r, late] = 0.0
     totals = sums.total().reshape(width, len(ens))
     ens.weighted_integrals[:] = totals[: len(powers)].T * config.dt
-    if v_integral:
+    if reductions:
         ens.v_integral[:] = totals[len(powers)] * config.dt
     if ledger:
         ens.energy_residual[:] = chunk.worst
@@ -1344,7 +1347,7 @@ def integrate_ensemble(config: GalerkinConfig, n_traj: int, workers: int = 1) ->
             parts = [_run_chunk(block) for block in blocks]
     finally:
         _ENSEMBLE.clear()
-    if "running_max" in config.records:
+    if "norm_reductions" in config.records:
         ens.running_max = RunningMaxima.join(parts)
     return ens
 

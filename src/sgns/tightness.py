@@ -96,7 +96,7 @@ def increment_starts(eta_theta: float, times) -> tuple:
     """Steps, ascending, from which `aldous_check`'s grid rules and
     `calibrate_aldous_eta` at the window `eta_theta` read the increments
     on the step grid `times`.  The hitting rules read the running-maximum
-    record instead (`GalerkinConfig.records`' `running_max`)."""
+    record instead (`GalerkinConfig.records`' `norm_reductions`)."""
     S = len(times)
     lag = _calibration_lag(eta_theta, times[1] - times[0])
     return tuple(sorted({*_grid_starts(S), *_sampled_starts(lag, S).tolist()}))
@@ -235,10 +235,10 @@ def dubinsky_diagnostic(ens: Ensemble, deltas, slope_threshold: float = 0.4) -> 
     The modulus curve is fitted in log-log coordinates; the family passes when
     the fitted slope reaches the threshold (a flat curve fails).  An exactly
     zero curve (constant family) passes trivially.  The energy integral
-    reads each path's V-integral, which the stepper streams (`v_integral`),
+    reads each path's V-integral, which the stepper streams (`norm_reductions`),
     the largest H norm `max_H`.
     """
-    require_records(ens.config, "dubinsky_diagnostic", "v_integral")
+    require_records(ens.config, "dubinsky_diagnostic", "norm_reductions")
     deltas = np.sort(np.asarray(deltas, dtype=float))
     curve = np.max(_modulus_table(ens, deltas), axis=0)
     rows = _live_rows(ens)
@@ -291,11 +291,11 @@ def aldous_check(ens: Ensemble, thetas, eta: float) -> AldousReport:
     recorded from its step at its window's lag
     (`FunctionFamily.increment_norms`); the hitting levels from `max_H`;
     a hitting rule's step and increment from the running-maximum record
-    (`running_max`), since a first step at a level sets a new running
+    (`norm_reductions`), since a first step at a level sets a new running
     maximum, and a path that never gets there stops at the horizon, whose
     increment is 0.
     """
-    require_records(ens.config, "aldous_check", "running_max")
+    require_records(ens.config, "aldous_check", "norm_reductions")
     thetas = np.sort(np.asarray(thetas, dtype=float))[::-1]  # descending
     fam = FunctionFamily(ens)
     times = ens.config.times

@@ -219,12 +219,13 @@ def oracle_batch(config, indices, dW=None, x0=None):
         ens.energy_residual[:] = worst
         ens.ito_sum[:] = np.sum(ito_step, axis=1)
         ens.hs_sum[:] = np.sum(hs_step, axis=1)
-    if "v_integral" in config.records:
+    reductions = "norm_reductions" in config.records
+    if reductions:
         ens.v_integral[:] = np.sum(norm_H[:, :-1] ** 2 + norm_D[:, :-1] ** 2, axis=1) * dt
     if config.modulus_lags:
         ens.modulus[:] = brute_modulus(path, sys.wUdual, config.modulus_lags)
     increments = pair_increment_norms(path, sys.wUdual, config.increment_lags)
     ens.increment_norms[:] = increments[:, :, list(config.increment_starts)]
-    if "running_max" in config.records:
+    if reductions:
         ens.running_max = running_maxima(norm_H, increments)
     return ens

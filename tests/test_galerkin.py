@@ -1162,14 +1162,14 @@ NORM_FIELDS = ("norm_H", "norm_D", "norm_Udual")
 
 def unrecorded_arrays(ens) -> dict:
     """The arrays of ens that its config's records leave out, by name (LEDGER
-    names, the norms' field names, v_integral, snap_u for the states, and
-    the INTEGRALS term for a running integral)."""
+    names, the norms' field names, v_integral for the norm reductions,
+    snap_u for the states, and the INTEGRALS term for a running integral)."""
     out = {}
     if "ledger" not in ens.config.records:
         out.update({name: getattr(ens, name) for name in galerkin.LEDGER})
     if "norms" not in ens.config.records:
         out.update({name: getattr(ens, name) for name in NORM_FIELDS})
-    if "v_integral" not in ens.config.records:
+    if "norm_reductions" not in ens.config.records:
         out["v_integral"] = ens.v_integral
     if "states" not in ens.config.records:
         out["snap_u"] = ens.snap_u
@@ -1189,7 +1189,7 @@ def assert_same_but_unrecorded(full, part):
     integrals = {name: missing.get(name, a) for name, a in full.snap_integrals.items()}
     arrays = {name: a for name, a in missing.items()
               if name in galerkin.LEDGER + NORM_FIELDS + ("snap_u", "v_integral")}
-    if "running_max" not in part.config.records:
+    if "norm_reductions" not in part.config.records:
         empty = galerkin.RunningMaxima.empty(len(part), len(part.config.increment_lags))
         assert_records_identical(dataclasses.replace(part, running_max=empty), part)
         arrays["running_max"] = empty
@@ -1206,9 +1206,9 @@ def record_subsets():
 
 @EM_ONLY
 def test_ledger_off_keeps_every_other_array(basis2d_small, scheme):
-    # each of the 128 record sets, the ledger, the drift integrals, the
-    # noise integral, the states, the norms, the V-integral and the
-    # running-maximum record on and off; rows 1 and 3 abort as in
+    # each of the 64 record sets, the ledger, the drift integrals, the
+    # noise integral, the states, the norms and the norm reductions on and
+    # off; rows 1 and 3 abort as in
     # test_abort_inside_a_batch, the others run to the end
     cfg = rich_config(basis2d_small, T=0.03, overflow_limit=1e3)
     assert cfg.records == frozenset(galerkin.RECORDS)
@@ -1223,7 +1223,7 @@ def test_ledger_off_keeps_every_other_array(basis2d_small, scheme):
                                                 + (1 if "integral_noise" not in records else 0)
                                                 + (1 if "states" not in records else 0)
                                                 + (3 if "norms" not in records else 0)
-                                                + (1 if "v_integral" not in records else 0))
+                                                + (1 if "norm_reductions" not in records else 0))
         assert_same_but_unrecorded(full, part)
 
 

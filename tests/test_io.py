@@ -405,8 +405,8 @@ def test_only_the_energy_verbs_record_the_ledger(tmp_path, monkeypatch):
     # energy ledger, and only simulate and ensemble call it; the tightness
     # scaling table reads the noise integral; no verb reads another
     # running integral; only simulate's trajectory table reads every step's
-    # norms, and the tightness diagnostics each path's V-integral and
-    # running-maximum record; estimates sums the weighted integrals at p = 2
+    # norms, and the tightness diagnostics each path's norm reductions, its
+    # V-integral and running-maximum record; estimates sums the weighted integrals at p = 2
     # and its p_list, and tightness sums none
     tight = json.loads((DEMOS / "tightness.json").read_text())
     tight["galerkin"].update(n_list=[4], T=0.25)
@@ -436,7 +436,7 @@ def test_only_the_energy_verbs_record_the_ledger(tmp_path, monkeypatch):
         run_command(verb, load_config(cfg), tmp_path / verb, workers=1)
         records[verb] = set(seen)
     ledger, noise, norms = frozenset({"ledger"}), frozenset({"integral_noise"}), frozenset({"norms"})
-    tight = noise | {"v_integral", "running_max"}
+    tight = noise | {"norm_reductions"}
     assert records == {"simulate": {(ledger | {"states"} | norms, (2.0,))}, "ensemble": {(ledger, (2.0,))},
                        "estimates": {(frozenset(), (2.0, 2.5))}, "tightness": {(tight, ())},
                        "uniqueness": {(frozenset(), (2.0,))}}
@@ -734,8 +734,8 @@ def test_tightness_verb_records_the_lag_maxima_it_reads(tmp_path, monkeypatch):
 def test_tightness_verb_records_on_one_snapshot_grid(tmp_path, monkeypatch):
     # each level's ensemble is snapshotted every experiment.integral_stride
     # steps and records the noise integral alone, on that one grid, no
-    # state, no norm of a step, the V-integral and the running-maximum
-    # record; the increments it reads are from the Aldous grid rules' 3
+    # state, no norm of a step, and the norm reductions (the V-integral and
+    # the running-maximum record); the increments it reads are from the Aldous grid rules' 3
     # steps and the threshold's 69 sampled ones
     cfg = json.loads((DEMOS / "tightness.json").read_text())
     cfg["galerkin"]["n_list"] = [4, 8]
@@ -755,7 +755,7 @@ def test_tightness_verb_records_on_one_snapshot_grid(tmp_path, monkeypatch):
     assert [config.n for config, *_ in seen] == [4, 8]
     for config, noise, states, increments in seen:
         assert config.snapshot_stride == run.experiment["integral_stride"]
-        assert config.records == {"integral_noise", "v_integral", "running_max"}
+        assert config.records == {"integral_noise", "norm_reductions"}
         assert noise == (16, steps // 8 + 1, config.n)
         assert states == (16, 0, config.n)
         assert len(config.increment_starts) == 72

@@ -88,7 +88,7 @@ class FakeEnsemble:
         self.config = SimpleNamespace(basis=basis, n=n, dt=dt, times=np.arange(S) * dt,
                                       modulus_lags=lags, increment_lags=tuple(increment_lags),
                                       increment_starts=tuple(range(S)),
-                                      records=frozenset({"v_integral", "running_max"}))
+                                      records=frozenset({"norm_reductions"}))
         self.snap_u = snap_u
         norm_H, norm_D = np.ones((R, S)), np.full((R, S), norm_D)
         self.max_H = np.ones(R)
@@ -403,9 +403,9 @@ def test_a_block_holds_no_path(basis2d_small, monkeypatch, verb):
     # 7 paths over 512 and 2,048 steps in chunks of 32, recorded as the
     # ensemble verb records them (the ledger), as the estimates verb does
     # (nothing), as the tightness verb does (the noise integral every 8
-    # steps, the V-integral and the running-maximum record; the modulus over
-    # 32 steps, increments at lags 4, 16 and 32 from the grid rules' and
-    # the threshold's starts and from the running-maximum steps), or with
+    # steps and the norm reductions; the modulus over 32 steps, increments
+    # at lags 4, 16 and 32 from the grid rules' and the threshold's starts
+    # and from the running-maximum steps), or with
     # the states and the noise integral at every step and those lags: the
     # block's private memory stays below one (7, steps + 1, n) path and
     # grows with the steps by less than 6 (7, steps) arrays, and under the
@@ -416,7 +416,7 @@ def test_a_block_holds_no_path(basis2d_small, monkeypatch, verb):
     lags = dict(modulus_lags=32, increment_lags=(4, 16, 32))
     kept = {"ensemble": dict(snapshot_stride=10, records={"ledger"}),
             "estimates": dict(snapshot_stride=10, records=()),
-            "tightness": dict(snapshot_stride=8, records={"integral_noise", "v_integral", "running_max"}, **lags),
+            "tightness": dict(snapshot_stride=8, records={"integral_noise", "norm_reductions"}, **lags),
             "states": dict(snapshot_stride=1, records={"states", "integral_noise"}, **lags)}[verb]
     for steps in (512, 2048):
         cfg = replace(small_config(basis2d_small), T=steps * 1e-3, **kept)
@@ -442,8 +442,8 @@ def test_the_functionals_hold_no_array_over_the_steps(basis2d_small, monkeypatch
     # recorded as the ensemble verb records them (the ledger), as the
     # estimates verb does (nothing, the weighted integrals at two powers)
     # or as the tightness verb does (the noise integral every 8 steps, the
-    # V-integral, the running-maximum record, the modulus and the increments
-    # from the grid rules' and the threshold's starts), on 1 worker or on 2,
+    # norm reductions, the modulus and the increments from the grid rules'
+    # and the threshold's starts), on 1 worker or on 2,
     # where the second block is stepped by a forked worker: no norm of a
     # step is recorded, so the Ensemble's one shared mapping does not grow
     # with the steps but by the noise integral's snapshots; the traced peak
@@ -453,7 +453,7 @@ def test_the_functionals_hold_no_array_over_the_steps(basis2d_small, monkeypatch
     # the verb's read of the functionals (the Dubinsky, threshold and Aldous
     # tables under tightness)
     records = {"ensemble": {"ledger"}, "estimates": set(),
-               "tightness": {"integral_noise", "v_integral", "running_max"}}[verb]
+               "tightness": {"integral_noise", "norm_reductions"}}[verb]
     powers = {"ensemble": (2.0,), "estimates": (2.0, 2.5), "tightness": ()}[verb]
     deltas, thetas = [0.002, 0.004, 0.008], [0.004, 0.008, 0.016]
     monkeypatch.setattr(galerkin, "cache_rows", lambda config: 3)
@@ -676,7 +676,7 @@ def test_running_maxima_on_any_workers(basis2d_small, monkeypatch, workers):
     ens = integrate_ensemble(cfg, 7, workers=workers)
     assert ens.abort_step.tolist() == [-1, 38, -1, 59, 38, 15, -1]
     assert_running_maxima_are_the_full_records(ens)
-    lean = integrate_ensemble(replace(cfg, increment_starts=(), records={"running_max"}), 7, workers=workers)
+    lean = integrate_ensemble(replace(cfg, increment_starts=(), records={"norm_reductions"}), 7, workers=workers)
     assert lean.increment_norms.shape == (7, 5, 0) and lean.norm_H.shape == (7, 0)
     for name in ("offsets", "step", "norm_H", "increments"):
         assert np.array_equal(getattr(lean.running_max, name), getattr(ens.running_max, name)), name
@@ -699,7 +699,7 @@ def test_v_integral_is_the_one_sum_of_the_norms(basis2d_small, monkeypatch):
         H, D = ens.norm_H, ens.norm_D
         want = np.sum(H[:, :-1] ** 2 + D[:, :-1] ** 2, axis=1) * cfg.dt
         assert np.array_equal(ens.v_integral, want)
-        lean = integrate_batch(replace(cfg, records={"v_integral"}), range(7))
+        lean = integrate_batch(replace(cfg, records={"norm_reductions"}), range(7))
         assert np.array_equal(lean.v_integral, want) and lean.norm_H.shape == (7, 0)
     rep = dubinsky_diagnostic(ens, [5e-4])
     assert rep.sup_V_integral == float(np.max(want[~ens.aborted]))
