@@ -206,8 +206,8 @@ def run_tightness(run: RunConfig, bundle: ResultBundle, workers: int) -> None:
     summary_n, noise_free = {}, []
     # the diagnostics read the noise integral, the norm reductions -- each
     # path's V-integral (the Dubinsky sums) and its running-maximum record
-    # (the Aldous hitting rules) -- and the per-path reductions below, and no state, no norm of a step
-    # and no weighted integral
+    # (the Aldous hitting rules) -- and the per-path reductions below, and
+    # no state, no norm of a step and no weighted integral
     grid = replace(run.galerkin, snapshot_stride=exp["integral_stride"],
                    records={"integral_noise", "norm_reductions"}, integral_powers=())
     violations = tgt.window_violations(grid, deltas, thetas, anchors, windows)
